@@ -11,11 +11,7 @@
 //! 3. **Workers sweep** (C1d): the same demo27 campaign at `pair_workers`
 //!    ∈ {1, 2, 4}, recording the scaling curve and cross-checking that
 //!    the normalized report is byte-identical at every point.
-//! 4. **Clone-reuse sweep** (C2): the same campaign with the validation
-//!    clone pool disabled (`pool_size = 0`, every input pays a fresh
-//!    `from_shadow`) vs. enabled, with a byte-identity check of the
-//!    normalized reports — pooling must be a pure allocation win.
-//! 5. **Solver-cache sweep** (S2): the same campaign with the concolic
+//! 4. **Solver-cache sweep** (S2): the same campaign with the concolic
 //!    refutation cache off vs. on, again byte-identical by construction
 //!    (only UNSAT answers are cached), with the saved solver queries
 //!    reported.
@@ -235,64 +231,13 @@ fn main() {
     }
     t4.print();
 
-    // C2: clone reuse. Same campaign, pool off vs. on; the normalized
-    // reports must be byte-identical — the pool only recycles
-    // allocations (`reset_from_shadow` == `from_shadow`, state for
-    // state). Both knobs are forced explicitly so the sweep stays a real
-    // ablation even when a `--config` file itself disables pooling; the
-    // C1a report is only reused when its configuration already matches
-    // the variant.
     let demo_normalized = serde_json::to_string(&demo.normalized()).expect("serializable");
-    let mut fresh_cfg = demo_cfg.clone();
-    fresh_cfg.template.pool_size = 0;
-    let fresh = if demo_cfg.template.pool_size == 0 {
-        demo.clone()
-    } else {
-        run_demo(&fresh_cfg)
-    };
-    let mut pooled_cfg = demo_cfg.clone();
-    pooled_cfg.template.pool_size = pooled_cfg.template.pool_size.max(1);
-    let pooled = if demo_cfg.template.pool_size >= 1 {
-        demo.clone()
-    } else {
-        run_demo(&pooled_cfg)
-    };
-    let mut t5 = Table::new(
-        "C2 — clone-pool reuse (demo27, identical budgets)",
-        &["variant", "wall", "rounds/s", "pool", "report identical"],
-    );
-    let pool_cell =
-        |r: &CampaignReport| format!("{} hits / {} misses", r.perf.pool_hits, r.perf.pool_misses);
-    for (name, report) in [
-        ("fresh clones (pool_size=0)", &fresh),
-        (
-            if pooled_cfg.template.pool_size == 1 {
-                "pooled (pool_size=1)"
-            } else {
-                "pooled"
-            },
-            &pooled,
-        ),
-    ] {
-        let normalized = serde_json::to_string(&report.normalized()).expect("serializable");
-        t5.row(vec![
-            name.into(),
-            format!("{:.1}ms", report.wall_us as f64 / 1e3),
-            format!("{:.2}", report.rounds_per_sec()),
-            pool_cell(report),
-            if normalized == demo_normalized {
-                "yes".into()
-            } else {
-                "NO — DETERMINISM VIOLATION".into()
-            },
-        ]);
-    }
-    t5.print();
 
     // S2: solver cache. Off vs. on; byte-identical by construction
     // (refutations only), the saved per-constraint work is the win.
-    // Knobs forced like C2 so a `--config` that disables the cache still
-    // yields a real off-vs-on comparison.
+    // Both knob values are forced explicitly so a `--config` that disables
+    // the cache still yields a real off-vs-on comparison; the C1a report
+    // is only reused when its configuration already matches the variant.
     //
     // Expect "0 refuted-cache hits" on this corpus: the cache keys on
     // structural constraint-chain hashes, and the per-seed input-length
@@ -314,7 +259,7 @@ fn main() {
     } else {
         run_demo(&cache_cfg)
     };
-    let mut t6 = Table::new(
+    let mut t5 = Table::new(
         "S2 — concolic refutation cache (demo27, identical budgets)",
         &["variant", "wall", "rounds/s", "solver", "report identical"],
     );
@@ -329,7 +274,7 @@ fn main() {
     };
     for (name, report) in [("cache off", &nocache), ("cache on", &cached)] {
         let normalized = serde_json::to_string(&report.normalized()).expect("serializable");
-        t6.row(vec![
+        t5.row(vec![
             name.into(),
             format!("{:.1}ms", report.wall_us as f64 / 1e3),
             format!("{:.2}", report.rounds_per_sec()),
@@ -341,7 +286,7 @@ fn main() {
             },
         ]);
     }
-    t6.print();
+    t5.print();
 
-    maybe_write_json(&[&t1, &t2, &t3, &t4, &t5, &t6]);
+    maybe_write_json(&[&t1, &t2, &t3, &t4, &t5]);
 }

@@ -86,7 +86,7 @@ fn main() {
     let rumor = gossip_rumor();
     let pool = BufPool::new();
 
-    let mut run_pair = |name: &str, fresh: &mut dyn FnMut(), pooled: &mut dyn FnMut()| {
+    let mut compare = |name: &str, fresh: &mut dyn FnMut(), pooled: &mut dyn FnMut()| {
         let (fa, fb) = measure(iters, &mut *fresh);
         let (pa, pb) = measure(iters, &mut *pooled);
         let ratio = if pa > 0.0 {
@@ -110,7 +110,7 @@ fn main() {
         ]);
     };
 
-    run_pair(
+    compare(
         "bgp update",
         &mut || {
             std::hint::black_box(dice_bgp::wire::encode(&bgp));
@@ -122,7 +122,7 @@ fn main() {
             pool.recycle(buf.into());
         },
     );
-    run_pair(
+    compare(
         "gossip digest",
         &mut || {
             std::hint::black_box(dice_gossip::wire::encode(&digest));
@@ -134,7 +134,7 @@ fn main() {
             pool.recycle(buf.into());
         },
     );
-    run_pair(
+    compare(
         "gossip rumor",
         &mut || {
             std::hint::black_box(dice_gossip::wire::encode(&rumor));

@@ -10,7 +10,6 @@
 //! | `exp_overhead` | T2 — checkpoint/snapshot overhead |
 //! | `exp_exploration` | F2 — concolic vs grammar vs random coverage |
 //! | `exp_code_config` | T3 — constraints scale with configuration |
-//! | `exp_workflow` | F3 — one round's phase timeline |
 //! | `exp_snapshot_consistency` | A1 — consistent vs uncoordinated snapshots |
 //! | `exp_campaign` | C1 — federation-scale campaign throughput and detection latency |
 //! | `exp_gossip` | G1 — gossip pub/sub and mixed-protocol campaigns |

@@ -415,15 +415,6 @@ impl Campaign {
         self
     }
 
-    /// Per-worker clone-pool capacity for validation (default 1; `0`
-    /// forces a fresh `from_shadow` clone per validated input). Reports
-    /// are byte-identical for any value — pooling only recycles
-    /// allocations.
-    pub fn pool_size(mut self, n: usize) -> Self {
-        self.cfg.template.pool_size = n;
-        self
-    }
-
     /// Enable/disable the concolic refutation cache (default on).
     /// Exploration outcomes are identical either way; only solver time
     /// differs.
@@ -1024,7 +1015,7 @@ mod tests {
         assert!(perf.snapshot_bytes > 0, "snapshot footprint recorded");
         assert!(
             perf.pool_hits > 0,
-            "default pool_size=1 must reuse clones: {perf:?}"
+            "workers must reuse their pooled clone: {perf:?}"
         );
         assert!(perf.pool_misses > 0, "first acquisition per worker misses");
         assert_eq!(
@@ -1261,6 +1252,37 @@ mod tests {
             .run(&mut sim)
             .unwrap_err();
         assert!(err.contains("no eligible"));
+    }
+
+    #[test]
+    fn config_json_with_a_retired_knob_still_loads_and_runs() {
+        // Configs persisted while the clone-pool knob existed carry it in
+        // the round template; the retired field is ignored and both
+        // drivers run the loaded configuration.
+        let mut sim = scenarios::healthy_line(2, 5);
+        sim.run_until(SimTime::from_nanos(12_000_000_000));
+        let cfg = quick(Campaign::new(&sim))
+            .executions(8)
+            .validate_top(2)
+            .config_ref()
+            .clone();
+        let json = serde_json::to_string(&cfg).unwrap();
+        let old = json.replace(",\"solver_cache\":", ",\"pool_size\":0,\"solver_cache\":");
+        assert_ne!(json, old, "the retired field was spliced in");
+        let back: CampaignConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+
+        let mut round_cfg = back.template.clone();
+        round_cfg.explorer = NodeId(1);
+        let round = crate::explorer::DiceRunner::from_sim(round_cfg, &sim)
+            .run_round(&mut sim)
+            .expect("loaded DiceConfig runs");
+        assert!(round.validated > 0);
+        let report = Campaign::new(&sim)
+            .config(back)
+            .run(&mut sim)
+            .expect("loaded CampaignConfig runs");
+        assert_eq!(report.rounds.len(), 2);
     }
 
     #[test]

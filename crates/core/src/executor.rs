@@ -18,7 +18,7 @@
 //! across `pair_workers` values, which `tests/heterogeneous.rs` locks in.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use dice_netsim::{NodeId, ShadowSnapshot, Topology};
@@ -100,22 +100,9 @@ struct Shared<'e> {
     /// replaces the worker's message with a generic "a scoped thread
     /// panicked".
     first_panic: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
-    /// Clone-pool counters folded in as workers retire (worker pools are
-    /// thread-local; only the final sums are shared).
-    pool_hits: AtomicU64,
-    pool_misses: AtomicU64,
-    /// Wire-path counters (bytes, buffer pool, delivery batching) drained
-    /// from each worker's clone pool on retirement.
-    wire_bytes: AtomicU64,
-    buf_hits: AtomicU64,
-    buf_misses: AtomicU64,
-    batches: AtomicU64,
-    max_batch: AtomicU64,
-    /// Channel-fidelity counters from unreliable-link validation runs.
-    frames_dropped: AtomicU64,
-    frames_duplicated: AtomicU64,
-    frames_reordered: AtomicU64,
-    link_retransmits: AtomicU64,
+    /// Clone-pool counters, absorbed once per retiring worker (worker
+    /// pools are thread-local; only the final sums are shared).
+    pool_stats: Mutex<PoolStats>,
 }
 
 impl Shared<'_> {
@@ -268,25 +255,7 @@ impl Shared<'_> {
     }
 
     fn retire_pool(&self, pool: &ClonePool) {
-        self.pool_hits.fetch_add(pool.hits, Ordering::Relaxed);
-        self.pool_misses.fetch_add(pool.misses, Ordering::Relaxed);
-        self.wire_bytes
-            .fetch_add(pool.wire.wire_bytes, Ordering::Relaxed);
-        self.buf_hits
-            .fetch_add(pool.wire.buf_hits, Ordering::Relaxed);
-        self.buf_misses
-            .fetch_add(pool.wire.buf_misses, Ordering::Relaxed);
-        self.batches.fetch_add(pool.wire.batches, Ordering::Relaxed);
-        self.max_batch
-            .fetch_max(pool.wire.max_batch, Ordering::Relaxed);
-        self.frames_dropped
-            .fetch_add(pool.wire.frames_dropped, Ordering::Relaxed);
-        self.frames_duplicated
-            .fetch_add(pool.wire.frames_duplicated, Ordering::Relaxed);
-        self.frames_reordered
-            .fetch_add(pool.wire.frames_reordered, Ordering::Relaxed);
-        self.link_retransmits
-            .fetch_add(pool.wire.link_retransmits, Ordering::Relaxed);
+        lock_unpoisoned(&self.pool_stats, "pool-stats").absorb(pool.stats);
     }
 }
 
@@ -351,17 +320,7 @@ pub(crate) fn run_rounds(
         slots: Mutex::new((0..tasks.len()).map(|_| None).collect()),
         panicked: AtomicBool::new(false),
         first_panic: Mutex::new(None),
-        pool_hits: AtomicU64::new(0),
-        pool_misses: AtomicU64::new(0),
-        wire_bytes: AtomicU64::new(0),
-        buf_hits: AtomicU64::new(0),
-        buf_misses: AtomicU64::new(0),
-        batches: AtomicU64::new(0),
-        max_batch: AtomicU64::new(0),
-        frames_dropped: AtomicU64::new(0),
-        frames_duplicated: AtomicU64::new(0),
-        frames_reordered: AtomicU64::new(0),
-        link_retransmits: AtomicU64::new(0),
+        pool_stats: Mutex::new(PoolStats::default()),
     };
     // Test-only fault injection: poison the open-batches lock before any
     // worker starts, proving campaign results never depend on pristine
@@ -410,21 +369,10 @@ pub(crate) fn run_rounds(
     if let Some(payload) = lock_unpoisoned(&shared.first_panic, "first-panic").take() {
         std::panic::resume_unwind(payload);
     }
-    let pool_stats = PoolStats {
-        hits: shared.pool_hits.load(Ordering::Relaxed),
-        misses: shared.pool_misses.load(Ordering::Relaxed),
-        wire: dice_netsim::WireStats {
-            wire_bytes: shared.wire_bytes.load(Ordering::Relaxed),
-            buf_hits: shared.buf_hits.load(Ordering::Relaxed),
-            buf_misses: shared.buf_misses.load(Ordering::Relaxed),
-            batches: shared.batches.load(Ordering::Relaxed),
-            max_batch: shared.max_batch.load(Ordering::Relaxed),
-            frames_dropped: shared.frames_dropped.load(Ordering::Relaxed),
-            frames_duplicated: shared.frames_duplicated.load(Ordering::Relaxed),
-            frames_reordered: shared.frames_reordered.load(Ordering::Relaxed),
-            link_retransmits: shared.link_retransmits.load(Ordering::Relaxed),
-        },
-    };
+    let pool_stats = shared
+        .pool_stats
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     let slots = shared
         .slots
         .into_inner()

@@ -16,13 +16,15 @@
 //! The runtime never names a concrete protocol: nodes are resolved through
 //! the [`SutCatalog`] probe chain, so federations mixing BGP routers with
 //! other [`ExplorableNode`](crate::sut::ExplorableNode) implementors
-//! explore uniformly. Clone validation parallelizes across workers (each
-//! clone is independent) over a std scoped-thread pool.
+//! explore uniformly.
 //!
-//! [`DiceRunner`] drives one fixed `(explorer, inject_peer)` pair per
-//! round; [`crate::campaign::Campaign`] sweeps every eligible pair.
+//! This module owns the round's stages (`explore_stage`, `validate_one`,
+//! `check_stage`); the `executor` module is the one place that schedules
+//! them. [`DiceRunner`] submits one fixed `(explorer, inject_peer)` round
+//! per call; [`crate::campaign::Campaign`] sweeps every eligible pair.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use dice_concolic::{explore, ExplorationReport, ExploreConfig, RunStatus, SolverBudget, Strategy};
 use dice_netsim::{NodeId, ShadowSnapshot, SimDuration, Simulator, Topology};
@@ -31,6 +33,7 @@ use serde::{Deserialize, Serialize};
 use crate::check::{
     default_checkers, flips_baseline, run_checkers, CheckContext, Checker, FaultClass, FaultReport,
 };
+use crate::executor::{run_rounds, RoundTask};
 use crate::interface::AttestationRegistry;
 use crate::snapshot::{take_consistent_snapshot, SnapshotMetrics};
 use crate::sut::SutCatalog;
@@ -40,9 +43,9 @@ use crate::sut::SutCatalog;
 /// Serializes (and, with a full serde backend, deserializes) so experiment
 /// binaries and CI perf jobs can persist and load configurations as JSON.
 /// Deserialization is hand-written (below) so the perf knobs added after
-/// the format was first persisted (`pool_size`, `solver_cache`) default
-/// instead of erroring when absent — config files written by earlier
-/// builds keep loading.
+/// the format was first persisted (`solver_cache`, `wire_pool`, ...)
+/// default instead of erroring when absent, and fields since retired are
+/// ignored — config files written by earlier builds keep loading.
 #[derive(Debug, Clone, Serialize)]
 pub struct DiceConfig {
     /// The node whose actions are explored this round.
@@ -72,11 +75,6 @@ pub struct DiceConfig {
     pub workers: usize,
     /// Master seed for grammar and clone simulators.
     pub seed: u64,
-    /// Simulators each validation worker retains for reuse between
-    /// inputs (reset via `Simulator::reset_from_shadow` instead of
-    /// rebuilt via `from_shadow`). `0` disables pooling and forces a
-    /// fresh clone per input; reports are byte-identical either way.
-    pub pool_size: usize,
     /// Share the concolic refutation cache across seeds within a round
     /// (UNSAT negation queries never reach the solver twice). Exploration
     /// outcomes are identical with the cache on or off; only solver time
@@ -144,7 +142,6 @@ impl Deserialize for DiceConfig {
             oscillation_threshold: field(v, "oscillation_threshold")?,
             workers: field(v, "workers")?,
             seed: field(v, "seed")?,
-            pool_size: field_or(v, "pool_size", 1)?,
             solver_cache: field_or(v, "solver_cache", true)?,
             wire_pool: field_or(v, "wire_pool", true)?,
             batch_delivery: field_or(v, "batch_delivery", true)?,
@@ -184,7 +181,6 @@ impl DiceConfig {
             oscillation_threshold: 20,
             workers: 1,
             seed: 0xD1CE,
-            pool_size: 1,
             solver_cache: true,
             wire_pool: true,
             batch_delivery: true,
@@ -358,8 +354,8 @@ pub(crate) fn explore_stage(
 /// Validate one candidate on an isolated clone of the snapshot and run
 /// the checker battery over the outcome — the unit of validation-level
 /// parallelism. Deterministic in `(shadow, cfg, i, input)` regardless of
-/// whether the clone came from `pool` (reset in place) or was freshly
-/// built; the pool only recycles allocations.
+/// whether the clone came from `pool` reset in place or freshly built;
+/// the pool only recycles allocations.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn validate_one(
     i: usize,
@@ -377,7 +373,7 @@ pub(crate) fn validate_one(
     // no lock may be held entering or leaving one (enforced under the
     // `race-audit` feature, a no-op otherwise).
     crate::sync::audit_task_boundary("validate_one entry");
-    let mut clone = pool.acquire(cfg.pool_size, shadow, topo, cfg.seed ^ (i as u64) << 16);
+    let mut clone = pool.acquire(shadow, topo, cfg.seed ^ (i as u64) << 16);
     clone.set_wire_config(cfg.wire_pool, cfg.batch_delivery);
     clone.set_delta_snapshots(cfg.delta_snapshots);
     if let Some(faults) = cfg.link_faults {
@@ -400,7 +396,7 @@ pub(crate) fn validate_one(
         };
         run_checkers(checkers, &cx)
     };
-    pool.release(cfg.pool_size, clone);
+    pool.release(clone);
     crate::sync::audit_task_boundary("validate_one exit");
     report
 }
@@ -459,50 +455,6 @@ pub(crate) fn check_stage(
     }
 }
 
-/// Stages 2–4 over an established snapshot, composed sequentially:
-/// explore the configured pair, validate candidates system-wide (private
-/// scoped-thread pool sized by `cfg.workers`), check, aggregate. This is
-/// the [`DiceRunner`] path; [`crate::campaign::Campaign`] schedules the
-/// same stages through its shared campaign-level executor instead.
-/// `baseline` and `checkers` are computed by the caller so campaigns can
-/// amortize them over all peers sharing one snapshot.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_pair(
-    shadow: &ShadowSnapshot,
-    topo: &Topology,
-    cfg: &DiceConfig,
-    catalog: &SutCatalog,
-    registry: &AttestationRegistry,
-    baseline: &BTreeMap<(NodeId, dice_bgp::Ipv4Net), u64>,
-    checkers: &[Box<dyn Checker>],
-    round: u64,
-    snap_metrics: SnapshotMetrics,
-    snap_wall_us: u64,
-) -> Result<PairOutcome, String> {
-    // dice-lint: allow(determinism-zone): round wall-clock accounting; zeroed by normalized()
-    let stage_start = std::time::Instant::now();
-    let stage = explore_stage(shadow, cfg, catalog)?;
-    let results = validate_candidates(
-        shadow,
-        topo,
-        &stage.candidates,
-        cfg,
-        catalog,
-        registry,
-        baseline,
-        checkers,
-    );
-    let wall_us = snap_wall_us + stage_start.elapsed().as_micros() as u64;
-    Ok(check_stage(
-        stage,
-        &results,
-        cfg,
-        round,
-        snap_metrics,
-        wall_us,
-    ))
-}
-
 /// The DiCE runtime bound to one deployed system and one fixed
 /// `(explorer, inject_peer)` pair.
 pub struct DiceRunner {
@@ -548,94 +500,48 @@ impl DiceRunner {
         self.exploration_last.as_ref()
     }
 
-    /// Execute one full DiCE round against the live system.
+    /// Execute one full DiCE round against the live system: take the
+    /// consistent cut, then submit the round as a single task to the
+    /// campaign executor (`cfg.workers` threads share its validation
+    /// fan-out).
     pub fn run_round(&mut self, live: &mut Simulator) -> Result<RoundReport, String> {
         // dice-lint: allow(determinism-zone): round wall-clock accounting; zeroed by normalized()
         let wall = std::time::Instant::now();
         self.round += 1;
         let cfg = &self.config;
 
-        // Phase 1: consistent shadow snapshot.
+        live.set_delta_snapshots(cfg.delta_snapshots);
         let (shadow, snap_metrics) =
             take_consistent_snapshot(live, cfg.explorer, cfg.snapshot_deadline)?;
-        let topo = live.topology().clone();
-        let baseline = flips_baseline(&self.catalog, &shadow);
+        let shadow = shadow.into_shared();
+        let baseline = Arc::new(flips_baseline(&self.catalog, &shadow));
         let checkers = default_checkers(cfg.oscillation_threshold);
-        let snap_wall_us = wall.elapsed().as_micros() as u64;
-
-        let outcome = run_pair(
-            &shadow,
-            &topo,
-            cfg,
+        let task = RoundTask {
+            ordinal: self.round,
+            cfg: cfg.clone(),
+            shadow,
+            baseline,
+            snap_metrics,
+            snap_wall_us: wall.elapsed().as_micros() as u64,
+        };
+        let (done, _pool_stats) = run_rounds(
+            std::slice::from_ref(&task),
+            1,
+            cfg.workers,
+            live.topology(),
             &self.catalog,
             &self.registry,
-            &baseline,
             &checkers,
-            self.round,
-            snap_metrics,
-            snap_wall_us,
-        )?;
+            wall,
+        );
+        let outcome = done
+            .into_iter()
+            .next()
+            .unwrap_or_else(|| Err("round never completed".into()))?
+            .outcome;
         self.exploration_last = Some(outcome.exploration);
         Ok(outcome.report)
     }
-}
-
-/// Validate candidates over clones; parallel when `cfg.workers > 1`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn validate_candidates(
-    shadow: &ShadowSnapshot,
-    topo: &Topology,
-    candidates: &[Option<Vec<u8>>],
-    cfg: &DiceConfig,
-    catalog: &SutCatalog,
-    registry: &AttestationRegistry,
-    baseline: &BTreeMap<(NodeId, dice_bgp::Ipv4Net), u64>,
-    checkers: &[Box<dyn Checker>],
-) -> Vec<crate::check::CheckReport> {
-    let run_one = |i: usize, input: Option<&Vec<u8>>, pool: &mut crate::pool::ClonePool| {
-        validate_one(
-            i, input, shadow, topo, cfg, catalog, registry, baseline, checkers, pool,
-        )
-    };
-
-    if cfg.workers <= 1 {
-        let mut pool = crate::pool::ClonePool::new();
-        return candidates
-            .iter()
-            .enumerate()
-            .map(|(i, c)| run_one(i, c.as_ref(), &mut pool))
-            .collect();
-    }
-
-    // Work-stealing by shared index: each worker claims the next candidate
-    // until the list is drained. std-only, no external channel crate needed.
-    // Clone pools are worker-local, so no synchronization on the reuse path.
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results = std::sync::Mutex::new(Vec::with_capacity(candidates.len()));
-    std::thread::scope(|s| {
-        for _ in 0..cfg.workers {
-            let next = &next;
-            let results = &results;
-            let run_one = &run_one;
-            s.spawn(move || {
-                let mut pool = crate::pool::ClonePool::new();
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(cand) = candidates.get(i) else { break };
-                    let report = run_one(i, cand.as_ref(), &mut pool);
-                    // Poison-tolerant like the campaign executor: a panicking
-                    // sibling must not trigger secondary "poisoned" panics
-                    // that mask its message at the scope join.
-                    crate::sync::lock_unpoisoned(results, "val-results").push((i, report));
-                }
-            });
-        }
-    });
-    let mut collected = results
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    collected.sort_by_key(|(i, _)| *i);
-    collected.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -743,6 +649,97 @@ mod tests {
         assert_eq!(seq.validated, par.validated);
     }
 
+    /// A BGP router that is inert on the live system and panics on the
+    /// first message any *copy* of it handles — i.e. only inside a
+    /// validation clone. `as_any` forwards to the wrapped router, so the
+    /// SUT catalog and the checkers see a plain `BgpRouter`.
+    struct Tripwire {
+        inner: dice_bgp::BgpRouter,
+        armed: bool,
+    }
+
+    impl dice_netsim::Node for Tripwire {
+        fn on_start(&mut self, api: &mut dice_netsim::NodeApi<'_>) {
+            self.inner.on_start(api);
+        }
+        fn on_message(&mut self, from: NodeId, data: &[u8], api: &mut dice_netsim::NodeApi<'_>) {
+            if self.armed {
+                panic!("tripwire boom: the clone's own failure");
+            }
+            self.inner.on_message(from, data, api);
+        }
+        fn on_timer(&mut self, token: u64, api: &mut dice_netsim::NodeApi<'_>) {
+            self.inner.on_timer(token, api);
+        }
+        fn on_session(
+            &mut self,
+            peer: NodeId,
+            ev: dice_netsim::SessionEvent,
+            api: &mut dice_netsim::NodeApi<'_>,
+        ) {
+            self.inner.on_session(peer, ev, api);
+        }
+        fn clone_node(&self) -> Box<dyn dice_netsim::Node> {
+            Box::new(Tripwire {
+                inner: self.inner.clone(),
+                armed: true,
+            })
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            &self.inner
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            &mut self.inner
+        }
+    }
+
+    #[test]
+    fn validation_clone_panic_surfaces_its_own_message() {
+        // The explorer's handler panics inside a validation clone on a
+        // pool worker: `run_round` must re-raise *that* panic, not the
+        // scope join's generic "a scoped thread panicked".
+        use dice_bgp::{BgpRouter, RouterConfig, RouterId};
+        use dice_netsim::{LinkParams, Node};
+        let topo = Topology::line(2, LinkParams::fixed(SimDuration::from_millis(5)));
+        let mut sim = Simulator::new(topo.clone(), 5);
+        for i in topo.node_ids() {
+            let mut cfg =
+                RouterConfig::minimal(scenarios::asn_of(i.0), RouterId(0x0A00_0001 + i.0))
+                    .with_network(scenarios::prefix_of(i.0));
+            for m in topo.neighbors(i) {
+                cfg = cfg.with_neighbor(m, scenarios::asn_of(m.0), "all", "all");
+            }
+            let router = BgpRouter::new(cfg);
+            let node: Box<dyn Node> = if i == NodeId(1) {
+                Box::new(Tripwire {
+                    inner: router,
+                    armed: false,
+                })
+            } else {
+                Box::new(router)
+            };
+            sim.set_node(i, node);
+        }
+        sim.start();
+        sim.run_until(SimTime::from_nanos(10_000_000_000));
+
+        let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
+        cfg.concolic_executions = 16;
+        cfg.validate_top = 4;
+        cfg.workers = 4;
+        let mut runner = DiceRunner::from_sim(cfg, &sim);
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner.run_round(&mut sim)))
+                .expect_err("the clone's panic must propagate");
+        // Both the tripwire's literal and the scope join's generic message
+        // are `&'static str` payloads.
+        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(
+            msg.contains("tripwire boom: the clone's own failure"),
+            "the clone's own panic must surface, got: {msg}"
+        );
+    }
+
     #[test]
     fn zero_grammar_seeds_disables_grammar_layer() {
         // Regression: `grammar_seeds = 0` is documented to disable the
@@ -768,12 +765,11 @@ mod tests {
 
     #[test]
     fn config_json_without_new_perf_knobs_still_loads() {
-        // Config files persisted before pool_size / solver_cache existed
-        // must keep deserializing, with the new knobs at their defaults.
+        // Config files persisted before the perf knobs existed must keep
+        // deserializing, with the new knobs at their defaults.
         let cfg = DiceConfig::new(NodeId(1), NodeId(0));
         let json = serde_json::to_string(&cfg).unwrap();
         let stripped = json
-            .replace(&format!(",\"pool_size\":{}", cfg.pool_size), "")
             .replace(",\"solver_cache\":true", "")
             .replace(",\"wire_pool\":true", "")
             .replace(",\"batch_delivery\":true", "")
@@ -783,7 +779,6 @@ mod tests {
             .replace(",\"link_faults\":null", "");
         assert_ne!(json, stripped, "all knobs were present and removed");
         let back: DiceConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back.pool_size, 1, "absent pool_size defaults to 1");
         assert!(back.solver_cache, "absent solver_cache defaults to on");
         assert!(back.wire_pool, "absent wire_pool defaults to on");
         assert!(back.batch_delivery, "absent batch_delivery defaults to on");

@@ -31,11 +31,12 @@
 //! adapter ([`bgp_sut`]) and the epidemic pub/sub adapter ([`gossip_sut`]
 //! over `dice-gossip`); heterogeneous federations register extra probes.
 //!
-//! Two drivers sit on top: [`explorer::DiceRunner`] runs rounds for one
-//! fixed `(explorer, inject peer)` pair, and [`campaign::Campaign`] sweeps
-//! every eligible pair across the federation — one `Arc`-shared snapshot
-//! per explorer, whole rounds run concurrently (`pair_workers`) on a
-//! worker pool shared between round- and validation-level tasks, with the
+//! One round executor (the `executor` module: a worker pool shared between
+//! round- and validation-level tasks) sits behind two entry points:
+//! [`explorer::DiceRunner`] submits one round for a fixed `(explorer,
+//! inject peer)` pair per call, and [`campaign::Campaign`] sweeps every
+//! eligible pair across the federation — one `Arc`-shared snapshot per
+//! explorer, whole rounds run concurrently (`pair_workers`), with the
 //! aggregated [`campaign::CampaignReport`] byte-identical for any
 //! parallelism level modulo wall-clock fields. [`scenarios`] provides the
 //! paper's demo systems (including the 27-router Figure 1 topology).

@@ -8,8 +8,8 @@
 //! worker keep finished simulators and rebind them to the next input with
 //! [`Simulator::reset_from_shadow`] — which reuses every allocation and
 //! is state-for-state identical to a fresh clone (netsim unit-tested), so
-//! pooling cannot perturb the report. `pool_size = 0` disables reuse and
-//! forces the fresh-clone path (the determinism tests compare both).
+//! pooling cannot perturb the report. A worker validates one input at a
+//! time, so each pool holds at most one idle simulator.
 //!
 //! Pools are strictly worker-local (no sharing, no locks); hit/miss
 //! counters fold into [`CampaignReport::perf`] at the end of a campaign
@@ -24,15 +24,57 @@
 
 use dice_netsim::{ShadowSnapshot, Simulator, Topology, WireStats};
 
-/// A worker-local pool of reusable validation simulators.
+/// A worker-local pool holding the validation simulator its worker last
+/// finished with.
 ///
-/// All simulators checked in must have been built over the same topology
-/// as the shadows they are later reset to — guaranteed here because a
-/// pool never outlives one campaign/round execution, which runs over a
-/// single topology.
+/// The simulator checked in must have been built over the same topology
+/// as the shadows it is later reset to — guaranteed here because a pool
+/// never outlives one executor run, which runs over a single topology.
 #[derive(Default)]
 pub(crate) struct ClonePool {
-    free: Vec<Simulator>,
+    free: Option<Simulator>,
+    pub(crate) stats: PoolStats,
+}
+
+impl ClonePool {
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Check a simulator out, bound to `shadow` with `seed`: the pooled
+    /// one reset in place when there is one, a fresh `from_shadow` clone
+    /// otherwise.
+    pub(crate) fn acquire(
+        &mut self,
+        shadow: &ShadowSnapshot,
+        topo: &Topology,
+        seed: u64,
+    ) -> Simulator {
+        match self.free.take() {
+            Some(mut sim) => {
+                sim.reset_from_shadow(shadow, seed);
+                self.stats.hits += 1;
+                sim
+            }
+            None => {
+                self.stats.misses += 1;
+                Simulator::from_shadow(shadow, topo, seed)
+            }
+        }
+    }
+
+    /// Return a simulator for reuse, draining its wire-path counters
+    /// into the pool.
+    pub(crate) fn release(&mut self, mut sim: Simulator) {
+        self.stats.wire.absorb(sim.take_wire_stats());
+        self.free = Some(sim);
+    }
+}
+
+/// Clone-pool counters: per worker while it runs, summed across workers
+/// when the executor returns.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PoolStats {
     /// Acquisitions served by resetting a pooled simulator.
     pub(crate) hits: u64,
     /// Acquisitions that had to build a fresh simulator.
@@ -41,50 +83,13 @@ pub(crate) struct ClonePool {
     pub(crate) wire: WireStats,
 }
 
-impl ClonePool {
-    pub(crate) fn new() -> Self {
-        Self::default()
+impl PoolStats {
+    /// Fold a retiring worker's counters into the sum.
+    pub(crate) fn absorb(&mut self, other: PoolStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.wire.absorb(other.wire);
     }
-
-    /// Check a simulator out, bound to `shadow` with `seed`: a pooled one
-    /// reset in place when available (and `limit > 0`), a fresh
-    /// `from_shadow` clone otherwise.
-    pub(crate) fn acquire(
-        &mut self,
-        limit: usize,
-        shadow: &ShadowSnapshot,
-        topo: &Topology,
-        seed: u64,
-    ) -> Simulator {
-        if limit > 0 {
-            if let Some(mut sim) = self.free.pop() {
-                sim.reset_from_shadow(shadow, seed);
-                self.hits += 1;
-                return sim;
-            }
-        }
-        self.misses += 1;
-        Simulator::from_shadow(shadow, topo, seed)
-    }
-
-    /// Return a simulator for reuse; dropped when the pool is full (or
-    /// pooling is disabled via `limit = 0`). The simulator's wire-path
-    /// counters are drained into the pool either way, so stats survive
-    /// even when the simulator itself does not.
-    pub(crate) fn release(&mut self, limit: usize, mut sim: Simulator) {
-        self.wire.absorb(sim.take_wire_stats());
-        if self.free.len() < limit {
-            self.free.push(sim);
-        }
-    }
-}
-
-/// Aggregated pool counters returned by the campaign executor.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PoolStats {
-    pub(crate) hits: u64,
-    pub(crate) misses: u64,
-    pub(crate) wire: WireStats,
 }
 
 #[cfg(test)]
@@ -94,26 +99,31 @@ mod tests {
     use dice_netsim::{NodeId, SimDuration, SimTime};
 
     #[test]
-    fn pool_reuses_up_to_limit_and_respects_zero() {
+    fn second_acquire_is_a_hit_and_misses_count_validating_workers() {
         let mut sim = scenarios::healthy_line(3, 5);
         sim.run_until(SimTime::from_nanos(10_000_000_000));
         let shadow = sim.instant_snapshot();
         let topo = sim.topology().clone();
 
-        let mut pool = ClonePool::new();
-        let a = pool.acquire(1, &shadow, &topo, 1);
-        assert_eq!((pool.hits, pool.misses), (0, 1));
-        pool.release(1, a);
-        let b = pool.acquire(1, &shadow, &topo, 2);
-        assert_eq!((pool.hits, pool.misses), (1, 1), "second acquire is a hit");
-        pool.release(1, b);
+        // Two workers' pools; only the first validates anything.
+        let mut busy = ClonePool::new();
+        let idle = ClonePool::new();
+        let a = busy.acquire(&shadow, &topo, 1);
+        assert_eq!((busy.stats.hits, busy.stats.misses), (0, 1));
+        busy.release(a);
+        let b = busy.acquire(&shadow, &topo, 2);
+        assert_eq!(
+            (busy.stats.hits, busy.stats.misses),
+            (1, 1),
+            "second acquire is a hit"
+        );
+        busy.release(b);
 
-        // Disabled pool: always fresh, never retains.
-        let mut off = ClonePool::new();
-        let c = off.acquire(0, &shadow, &topo, 3);
-        off.release(0, c);
-        let _d = off.acquire(0, &shadow, &topo, 4);
-        assert_eq!((off.hits, off.misses), (0, 2));
+        let mut total = PoolStats::default();
+        total.absorb(busy.stats);
+        total.absorb(idle.stats);
+        assert_eq!(total.misses, 1, "one miss per worker that validated");
+        assert_eq!(total.hits + total.misses, 2, "one acquisition per input");
     }
 
     #[test]
@@ -152,10 +162,13 @@ mod tests {
         drive(&mut fresh);
 
         let mut pool = ClonePool::new();
-        let warm = pool.acquire(1, &snap1, &topo, 3);
-        pool.release(1, warm);
-        let mut pooled = pool.acquire(1, &snap2, &topo, 7);
-        assert_eq!(pool.hits, 1, "second acquisition must reuse the clone");
+        let warm = pool.acquire(&snap1, &topo, 3);
+        pool.release(warm);
+        let mut pooled = pool.acquire(&snap2, &topo, 7);
+        assert_eq!(
+            pool.stats.hits, 1,
+            "second acquisition must reuse the clone"
+        );
         drive(&mut pooled);
 
         assert_eq!(fresh.now(), pooled.now());

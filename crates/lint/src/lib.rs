@@ -51,17 +51,10 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-mod baseline;
-mod fix;
 mod graph;
 mod lexer;
 mod rules;
-mod sarif;
 mod strip;
-
-pub use baseline::{ratchet, Baseline, BaselineEntry, RatchetOutcome};
-pub use fix::{apply_fixes, FixedFile};
-pub use sarif::to_sarif;
 
 /// The rule identifiers enforced by this crate, in severity-neutral
 /// reporting order. `allow-syntax` and `stale-allow` police the escape
@@ -338,16 +331,6 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<LintReport> {
     // dice-lint: timing the scanner itself — this crate is excluded from
     // its own scan, so the wall-clock read below never trips a rule.
     let scan_start = std::time::Instant::now();
-    let files = workspace_files(root)?;
-    let mut report = scan_files(&files);
-    report.scan_wall_ms = scan_start.elapsed().as_millis() as u64;
-    Ok(report)
-}
-
-/// Collect the workspace's scannable sources (same walk and exclusions
-/// as [`scan_workspace`]) without scanning them — the `--fix` path needs
-/// the file list to write rewrites back to disk.
-pub fn workspace_files(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let mut paths: Vec<PathBuf> = Vec::new();
     for top in ["src", "crates", "examples", "tests"] {
         let dir = root.join(top);
@@ -373,7 +356,9 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<SourceFile>> {
             content: std::fs::read_to_string(&p)?,
         });
     }
-    Ok(files)
+    let mut report = scan_files(&files);
+    report.scan_wall_ms = scan_start.elapsed().as_millis() as u64;
+    Ok(report)
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {

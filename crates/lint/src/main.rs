@@ -1,11 +1,8 @@
 //! `dice-lint` binary: scan the workspace, print the findings, exit
-//! nonzero on any unallowed violation (or, in ratchet mode, on any
-//! new-vs-baseline or stale-baseline debt).
+//! nonzero on any unallowed violation.
 //!
 //! ```text
-//! cargo run -p dice-lint [-- --root <dir>] [--json <path>] [--sarif <path>]
-//!     [--baseline <path>] [--write-baseline <path>] [--fix]
-//!     [--format table|json] [--quiet]
+//! cargo run -p dice-lint [-- --root <dir>] [--json <path>]
 //! ```
 
 use std::path::PathBuf;
@@ -14,39 +11,21 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut json_path: Option<PathBuf> = None;
-    let mut sarif_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
-    let mut fix = false;
-    let mut format = "table".to_string();
-    let mut quiet = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
             "--json" => json_path = args.next().map(PathBuf::from),
-            "--sarif" => sarif_path = args.next().map(PathBuf::from),
-            "--baseline" => baseline_path = args.next().map(PathBuf::from),
-            "--write-baseline" => write_baseline = args.next().map(PathBuf::from),
-            "--fix" => fix = true,
-            "--format" => format = args.next().unwrap_or_default(),
-            "--quiet" | "-q" => quiet = true,
             "--help" | "-h" => {
                 println!(
                     "dice-lint: workspace invariant checker\n\
                      \n\
                      Options:\n\
-                     --root <dir>           workspace root (default: walk up from cwd)\n\
-                     --json <path>          also write the JSON report to <path>\n\
-                     --sarif <path>         also write a SARIF 2.1.0 log to <path>\n\
-                     --baseline <path>      ratchet mode: fail on new debt AND stale entries\n\
-                     --write-baseline <path> snapshot current violations as a baseline\n\
-                     --fix                  apply mechanical autofixes, then rescan\n\
-                     --format table|json    stdout format (default table)\n\
-                     --quiet                suppress stdout, keep the exit code\n\
+                     --root <dir>    workspace root (default: walk up from cwd)\n\
+                     --json <path>   also write the JSON report to <path>\n\
                      \n\
-                     Exit code 0 iff no unallowed violations (ratchet: no new/stale debt)."
+                     Exit code 0 iff no unallowed violations."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -77,30 +56,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if fix {
-        let files = match dice_lint::workspace_files(&root) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("dice-lint: cannot read workspace: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let fixed = dice_lint::apply_fixes(&files);
-        for f in &fixed {
-            let abs = root.join(&f.path);
-            if let Err(e) = std::fs::write(&abs, &f.content) {
-                eprintln!("dice-lint: cannot write {}: {e}", abs.display());
-                return ExitCode::from(2);
-            }
-            if !quiet {
-                println!("fixed {} ({} edit(s))", f.path, f.edits);
-            }
-        }
-        if !quiet {
-            println!("{} file(s) rewritten", fixed.len());
-        }
-    }
-
     let report = match dice_lint::scan_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
@@ -115,73 +70,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    if let Some(path) = &sarif_path {
-        if let Err(e) = std::fs::write(path, dice_lint::to_sarif(&report)) {
-            eprintln!("dice-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(path) = &write_baseline {
-        let snapshot = dice_lint::Baseline::from_report(&report);
-        if let Err(e) = std::fs::write(path, snapshot.to_json()) {
-            eprintln!("dice-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    if !quiet {
-        match format.as_str() {
-            "json" => print!("{}", report.to_json()),
-            _ => print!("{}", report.to_table()),
-        }
-    }
-
-    if let Some(path) = &baseline_path {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("dice-lint: cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let baseline = match dice_lint::Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("dice-lint: bad baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let outcome = dice_lint::ratchet(&report, &baseline);
-        if !quiet {
-            for f in &outcome.new {
-                println!(
-                    "NEW DEBT   {}:{}  {}  {}",
-                    f.path, f.line, f.rule, f.message
-                );
-            }
-            for e in &outcome.stale {
-                println!(
-                    "STALE      {}  {}  {} — remove from baseline",
-                    e.path, e.rule, e.message
-                );
-            }
-            println!(
-                "ratchet: {} new, {} stale (baseline {} entr{})",
-                outcome.new.len(),
-                outcome.stale.len(),
-                baseline.entries.len(),
-                if baseline.entries.len() == 1 {
-                    "y"
-                } else {
-                    "ies"
-                }
-            );
-        }
-        return if outcome.is_clean() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
+    print!("{}", report.to_table());
 
     if report.is_clean() {
         ExitCode::SUCCESS

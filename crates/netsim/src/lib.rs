@@ -18,7 +18,7 @@
 //!   ([`Simulator::from_shadow`]). This is the mechanism behind DiCE's
 //!   "explore over isolated snapshots".
 //! * **Fault injection:** scheduled session resets, link failures and node
-//!   crashes ([`fault::FaultPlan`]), plus an opt-in per-link
+//!   crashes ([`schedule::Schedule`]), plus an opt-in per-link
 //!   channel-fidelity layer — probabilistic drop, duplication, bounded
 //!   reordering and Gilbert–Elliott burst loss ([`faults::LinkFaults`],
 //!   gated by [`SimConfig::unreliable_links`]).
@@ -62,7 +62,6 @@
 #![warn(missing_docs)]
 
 pub mod buf;
-pub mod fault;
 pub mod faults;
 pub mod link;
 pub mod node;
@@ -75,12 +74,11 @@ pub mod topology;
 pub mod trace;
 
 pub use buf::{BufPool, Payload, PooledBuf, WireStats};
-pub use fault::{FaultAction, FaultPlan};
 pub use faults::{BurstLoss, FaultVerdict, LinkFaultState, LinkFaults};
 pub use link::{LatencyModel, LinkParams};
 pub use node::{DownReason, Effect, Node, NodeApi, NodeId, SessionEvent};
 pub use rng::SimRng;
-pub use schedule::{Schedule, ScheduleSpec};
+pub use schedule::{FaultAction, Schedule, ScheduleSpec};
 pub use sim::{QuietOutcome, SimConfig, Simulator, SnapshotStats};
 pub use snapshot::{ShadowSnapshot, SnapshotId, SnapshotProgress};
 pub use time::{SimDuration, SimTime};

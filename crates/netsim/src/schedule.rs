@@ -6,7 +6,9 @@
 //! [`ScheduleSpec`] declares *how much* dynamics a run should see, and
 //! [`ScheduleSpec::expand`] turns it into a concrete time-ordered
 //! [`Schedule`] of [`FaultAction`]s using only [`SimRng`] randomness, so the
-//! same `(spec, topology, seed)` always yields the same script.
+//! same `(spec, topology, seed)` always yields the same script. Hand-written
+//! fault scripts (session-reset storms, a single link failure) are the same
+//! type, built with [`Schedule::at`].
 //!
 //! A schedule can be driven two ways:
 //!
@@ -15,9 +17,9 @@
 //!   `run_*` call with no caller involvement — the natural mode for long
 //!   scale experiments.
 //! * [`Schedule::apply_due`] applies actions at or before `sim.now()`
-//!   immediately, [`crate::fault::FaultPlan`]-style; the campaign layer uses
-//!   this between sweeps so dynamics land at quiescent points rather than
-//!   mid-way through a Chandy–Lamport cut.
+//!   immediately; the campaign layer uses this between sweeps so dynamics
+//!   land at quiescent points rather than mid-way through a Chandy–Lamport
+//!   cut.
 //!
 //! Churn is modeled as fail-stop leave ([`FaultAction::NodeCrash`]) followed
 //! by a pristine-state rejoin ([`FaultAction::NodeRestart`]) after
@@ -27,12 +29,26 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::fault::FaultAction;
 use crate::node::NodeId;
 use crate::rng::SimRng;
 use crate::sim::Simulator;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
+
+/// A fault to inject.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum FaultAction {
+    /// Reset the session between two adjacent nodes (auto-reconnect applies).
+    SessionReset(NodeId, NodeId),
+    /// Administratively fail a link.
+    LinkDown(NodeId, NodeId),
+    /// Re-enable a previously failed link.
+    LinkUp(NodeId, NodeId),
+    /// Fail-stop a node.
+    NodeCrash(NodeId),
+    /// Restart a crashed node from pristine state.
+    NodeRestart(NodeId),
+}
 
 /// Declarative description of environment dynamics over a run window.
 ///
@@ -120,7 +136,8 @@ fn jitter(rng: &mut SimRng, window: SimDuration) -> SimDuration {
     SimDuration::from_nanos(rng.below(window.as_nanos()))
 }
 
-/// An expanded, time-ordered dynamics script (see [`ScheduleSpec::expand`]).
+/// A time-ordered fault script: expanded from a [`ScheduleSpec`] or built
+/// by hand with [`Schedule::at`] (starting from `Schedule::default()`).
 #[derive(Debug, Clone, Default)]
 pub struct Schedule {
     entries: Vec<(SimTime, FaultAction)>,
@@ -128,6 +145,21 @@ pub struct Schedule {
 }
 
 impl Schedule {
+    /// Add a fault at an absolute simulated time.
+    ///
+    /// Contract: entries may be added in any order, *including after some
+    /// of the script has already been installed or applied*. The applied
+    /// prefix is immutable; the pending tail is kept time-sorted on every
+    /// add. Duplicate-time entries keep their insertion order (stable
+    /// sort), and an entry scheduled before `sim.now()` fires on the next
+    /// [`Schedule::apply_due`] / [`Schedule::install`] — clamped-to-now
+    /// semantics, same as [`Simulator::schedule_fault`].
+    pub fn at(mut self, t: SimTime, action: FaultAction) -> Self {
+        self.entries.push((t, action));
+        self.entries[self.applied..].sort_by_key(|(t, _)| *t);
+        self
+    }
+
     /// The full script, in firing order.
     pub fn entries(&self) -> &[(SimTime, FaultAction)] {
         &self.entries
@@ -317,7 +349,86 @@ mod tests {
     }
 
     #[test]
-    fn apply_due_pumps_like_a_fault_plan() {
+    fn late_out_of_order_adds_are_resorted() {
+        let link = (NodeId(0), NodeId(1));
+        let mut sim = quiet_sim(3);
+        let mut script = Schedule::default().at(
+            SimTime::from_nanos(1_000_000_000),
+            FaultAction::LinkDown(link.0, link.1),
+        );
+        sim.run_until(SimTime::from_nanos(1_500_000_000));
+        script.apply_due(&mut sim);
+        assert!(!sim.session_up(link.0, link.1));
+        assert_eq!(script.pending(), 0);
+        // Late adds, out of time order, after the first application: the
+        // heal at 2s must still fire before the second outage at 3s (a
+        // sorted-once script would stall on the 3s entry and leave the link
+        // down).
+        script = script
+            .at(
+                SimTime::from_nanos(3_000_000_000),
+                FaultAction::LinkDown(link.0, link.1),
+            )
+            .at(
+                SimTime::from_nanos(2_000_000_000),
+                FaultAction::LinkUp(link.0, link.1),
+            );
+        sim.run_until(SimTime::from_nanos(2_500_000_000));
+        script.apply_due(&mut sim);
+        sim.run_until(SimTime::from_nanos(2_600_000_000));
+        assert!(
+            sim.session_up(link.0, link.1),
+            "heal added late must fire at its own time, not after the outage"
+        );
+        sim.run_until(SimTime::from_nanos(4_000_000_000));
+        script.apply_due(&mut sim);
+        assert!(!sim.session_up(link.0, link.1), "second outage at 3s");
+        assert_eq!(script.pending(), 0);
+    }
+
+    #[test]
+    fn late_past_due_add_applies_on_next_pump() {
+        let mut sim = quiet_sim(3);
+        let mut script = Schedule::default().at(
+            SimTime::from_nanos(1_000_000_000),
+            FaultAction::NodeCrash(NodeId(2)),
+        );
+        script.install(&mut sim);
+        sim.run_until(SimTime::from_nanos(2_000_000_000));
+        assert!(sim.crashed(NodeId(2)).is_some());
+        // Scheduled in the past relative to `sim.now()`: clamped-to-now
+        // semantics, fires on the next pump.
+        script = script.at(
+            SimTime::from_nanos(500_000_000),
+            FaultAction::NodeRestart(NodeId(2)),
+        );
+        assert_eq!(script.pending(), 1);
+        script.apply_due(&mut sim);
+        assert!(sim.crashed(NodeId(2)).is_none(), "past-due entry applied");
+        assert_eq!(script.pending(), 0);
+    }
+
+    #[test]
+    fn duplicate_time_entries_apply_in_insertion_order() {
+        let t = SimTime::from_nanos(1_000_000_000);
+        let crash = FaultAction::NodeCrash(NodeId(1));
+        let restart = FaultAction::NodeRestart(NodeId(1));
+        // Crash then restart at the same instant: only insertion order
+        // makes the node end up alive (restart before crash would be a
+        // no-op restart followed by a crash).
+        for (first, second, alive) in [(crash, restart, true), (restart, crash, false)] {
+            let mut sim = quiet_sim(3);
+            Schedule::default()
+                .at(t, first)
+                .at(t, second)
+                .install(&mut sim);
+            sim.run_until(SimTime::from_nanos(2_000_000_000));
+            assert_eq!(sim.crashed(NodeId(1)).is_none(), alive, "{first:?} first");
+        }
+    }
+
+    #[test]
+    fn apply_due_pumps_between_run_steps() {
         let mut sim = quiet_sim(3);
         let spec = ScheduleSpec {
             partitions: 1,

@@ -9,11 +9,11 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 use crate::buf::{BufPool, Payload, WireStats};
-use crate::fault::FaultAction;
 use crate::faults::{FaultVerdict, LinkFaultState, LinkFaults};
 use crate::link::LinkParams;
 use crate::node::{DownReason, Effect, Node, NodeApi, NodeId, SessionEvent};
 use crate::rng::SimRng;
+use crate::schedule::FaultAction;
 use crate::snapshot::{ShadowSnapshot, SnapshotId, SnapshotProgress, SnapshotState};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
@@ -404,7 +404,7 @@ impl Simulator {
 
     /// Schedule a dynamics action to fire *inside* the event loop at
     /// absolute time `t` (clamped to now). Unlike
-    /// [`crate::fault::FaultPlan::apply_due`], which the caller must pump,
+    /// [`crate::schedule::Schedule::apply_due`], which the caller must pump,
     /// actions scheduled here fire during any `run_*` call — this is how
     /// [`crate::schedule::Schedule::install`] expresses churn and partition
     /// windows as ordinary simulation events.
@@ -1001,7 +1001,7 @@ impl Simulator {
     }
 
     // ------------------------------------------------------------------
-    // Fault-injection entry points (used by `fault::FaultPlan`)
+    // Fault-injection entry points (used by `schedule::Schedule`)
     // ------------------------------------------------------------------
 
     /// Forcibly reset the session between `a` and `b` (operator action /

@@ -5,7 +5,7 @@
 
 use dice_system::bgp::BgpRouter;
 use dice_system::dice::scenarios::{self, prefix_of};
-use dice_system::netsim::{FaultAction, FaultPlan, NodeId, QuietOutcome, SimDuration, SimTime};
+use dice_system::netsim::{FaultAction, NodeId, QuietOutcome, Schedule, SimDuration, SimTime};
 
 fn router(sim: &dice_system::netsim::Simulator, i: u32) -> &BgpRouter {
     sim.node(NodeId(i))
@@ -47,14 +47,15 @@ fn session_reset_storm_recovers() {
     sim.run_until(SimTime::from_nanos(30_000_000_000));
     // Reset every session nearly simultaneously (the paper's "local session
     // reset" motif, en masse).
-    let mut plan = FaultPlan::new();
+    let mut storm = Schedule::default();
     for i in 0..5u32 {
-        plan = plan.at(
+        storm = storm.at(
             SimTime::from_nanos(31_000_000_000 + i as u64 * 1_000_000),
             FaultAction::SessionReset(NodeId(i), NodeId(i + 1)),
         );
     }
-    plan.run_with_faults(&mut sim, SimTime::from_nanos(32_000_000_000));
+    storm.install(&mut sim);
+    sim.run_until(SimTime::from_nanos(32_000_000_000));
     // Learned routes are flushed while sessions are down.
     assert!(router(&sim, 5).loc_rib().best(&prefix_of(0)).is_none());
     // Auto-reconnect + re-advertisement restores full reachability.

@@ -455,51 +455,6 @@ fn campaign_survives_a_poisoned_executor_lock_byte_identically() {
 }
 
 #[test]
-fn clone_pooling_is_byte_identical_to_fresh_clones() {
-    // The clone pool must be a pure allocation optimization: a mixed
-    // BGP+gossip(+monitor) federation swept with pooled validation
-    // simulators (`pool_size` = default) and with pooling disabled
-    // (`pool_size = 0`, every input pays a fresh `from_shadow`) must
-    // serialize to byte-identical normalized reports, at sequential and
-    // parallel round scheduling alike.
-    let run = |pool_size: usize, pair_workers: usize| {
-        let mut sim = three_kind_system(44);
-        sim.run_until(SimTime::from_nanos(12_000_000_000));
-        let report = Campaign::with_catalog(&sim, mixed_catalog())
-            .executions(96)
-            .validate_top(5)
-            .horizon(SimDuration::from_secs(30))
-            .workers(2)
-            .pair_workers(pair_workers)
-            .pool_size(pool_size)
-            .run(&mut sim)
-            .expect("three-kind campaign runs");
-        if pool_size > 0 {
-            assert!(
-                report.perf.pool_hits > 0,
-                "pooled run must reuse simulators: {:?}",
-                report.perf
-            );
-        } else {
-            assert_eq!(report.perf.pool_hits, 0, "pool_size=0 forces fresh clones");
-            assert_eq!(
-                report.perf.pool_misses as usize, report.validated_total,
-                "every validated input pays a fresh clone when pooling is off"
-            );
-        }
-        serde_json::to_string(&report.normalized()).unwrap()
-    };
-    let pooled_1 = run(1, 1);
-    assert_eq!(run(0, 1), pooled_1, "pool on/off differs at pair_workers=1");
-    assert_eq!(run(1, 4), pooled_1, "pooled parallel differs");
-    assert_eq!(run(0, 4), pooled_1, "fresh parallel differs");
-    assert!(
-        pooled_1.contains("\"pool_hits\":0"),
-        "normalized() must zero the perf counters"
-    );
-}
-
-#[test]
 fn wire_knobs_are_byte_identical_across_the_whole_matrix() {
     // The zero-copy wire path adds two knobs to validation clones: the
     // payload-buffer pool and batched same-instant delivery. Both are
