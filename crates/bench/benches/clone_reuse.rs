@@ -11,8 +11,13 @@
 //! * `clone_validate` — construction plus a validation-shaped drive
 //!   (deliver one input, run 50 simulated ms), showing the same delta in
 //!   proportion to the work one validated input performs end-to-end.
+//! * `clone_1k` — the same costs on `exp_topo`'s 1000-AS federation, where
+//!   they set the round time: deep-copying every router (what a flooded
+//!   validation materialises), and a reset of a clean versus a flooded
+//!   pooled simulator (a thousand owned routers and full queues to drop).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dice_bgp::{encode, AsPath, Ipv4Addr, Ipv4Net, Message, PathAttrs, UpdateMsg};
 use dice_core::scenarios;
 use dice_core::snapshot::take_instant_snapshot;
 use dice_netsim::{NodeId, SimDuration, SimTime, Simulator};
@@ -81,6 +86,69 @@ fn bench_validate(c: &mut Criterion) {
     group.finish();
 }
 
+/// An UPDATE node 0 accepts from its first neighbor and re-advertises: a
+/// fresh prefix that floods the whole federation.
+fn flood_input(topo: &dice_netsim::Topology) -> (NodeId, Vec<u8>) {
+    let peer = topo.neighbors(NodeId(0))[0];
+    let attrs = PathAttrs {
+        as_path: AsPath::sequence([scenarios::asn_of(peer.0).0]),
+        next_hop: Ipv4Addr(0x0A00_0001 + peer.0),
+        ..Default::default()
+    };
+    let update = Message::Update(UpdateMsg {
+        withdrawn: vec![],
+        attrs: Some(attrs),
+        nlri: vec![Ipv4Net::new(0xC633_6400, 24)],
+    });
+    (peer, encode(&update))
+}
+
+fn bench_scale_1k(c: &mut Criterion) {
+    let n = 1000usize;
+    let mut live = dice_bench::converged_internet(n);
+    let (shadow, _) = take_instant_snapshot(&mut live);
+    let topo = live.topology().clone();
+    let (peer, input) = flood_input(&topo);
+    let flood = |sim: &mut Simulator| {
+        sim.deliver_direct(peer, NodeId(0), &input);
+        let end = sim.now() + SimDuration::from_secs(30);
+        sim.run_until_quiet(SimDuration::from_secs(5), end);
+    };
+
+    let mut group = c.benchmark_group("clone_1k");
+    group.bench_with_input(BenchmarkId::new("clone_node_all", n), &n, |b, _| {
+        b.iter(|| {
+            for node in shadow.nodes().values() {
+                black_box(node.clone_node());
+            }
+        });
+    });
+    let mut pooled = Simulator::from_shadow(&shadow, &topo, 3);
+    group.bench_with_input(BenchmarkId::new("reset_clean", n), &n, |b, _| {
+        b.iter(|| {
+            pooled.reset_from_shadow(&shadow, 3);
+            black_box(pooled.now())
+        });
+    });
+    flood(&mut pooled);
+    let touched = pooled.trace().stats().msgs_delivered;
+    assert!(touched > n as u64, "the input must flood: {touched} msgs");
+    group.bench_with_input(BenchmarkId::new("reset_after_flood", n), &n, |b, _| {
+        b.iter_custom(|iters| {
+            let mut timed = std::time::Duration::ZERO;
+            for _ in 0..iters {
+                flood(&mut pooled);
+                // dice-lint: allow(determinism-zone): bench measures host wall time
+                let start = std::time::Instant::now();
+                pooled.reset_from_shadow(&shadow, 3);
+                timed += start.elapsed();
+            }
+            timed
+        });
+    });
+    group.finish();
+}
+
 fn quick() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -91,6 +159,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_construct, bench_validate
+    targets = bench_construct, bench_validate, bench_scale_1k
 }
 criterion_main!(benches);

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dice_bgp::{Asn, BgpRouter, Ipv4Net, RouterConfig, RouterId};
 use dice_core::scenarios;
-use dice_core::snapshot::take_instant_snapshot;
+use dice_core::snapshot::{take_consistent_snapshot, take_instant_snapshot};
 use dice_netsim::{NodeId, SimDuration, SimTime, Simulator, Topology};
 use std::hint::black_box;
 
@@ -52,6 +52,33 @@ fn bench_shadow_instantiate(c: &mut Criterion) {
     group.finish();
 }
 
+/// Wall cost of one Chandy–Lamport cut of a quiescent system: O(E)
+/// markers through the event loop plus O(degree) bookkeeping per node
+/// (checkpoints come from the delta cache after the first cut).
+fn bench_consistent_cut(c: &mut Criterion) {
+    let mut group = c.benchmark_group("consistent_cut");
+    for n in [27usize, 1000] {
+        let mut live = if n == 27 {
+            let mut sim = scenarios::demo27_system(2);
+            sim.run_until_quiet(
+                SimDuration::from_secs(5),
+                SimTime::from_nanos(300_000_000_000),
+            );
+            sim
+        } else {
+            dice_bench::converged_internet(n)
+        };
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| {
+                let cut =
+                    take_consistent_snapshot(&mut live, NodeId(0), SimDuration::from_secs(60));
+                black_box(cut.expect("quiescent cut completes").1)
+            });
+        });
+    }
+    group.finish();
+}
+
 fn quick() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -62,6 +89,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_checkpoint_clone, bench_shadow_instantiate
+    targets = bench_checkpoint_clone, bench_shadow_instantiate, bench_consistent_cut
 }
 criterion_main!(benches);

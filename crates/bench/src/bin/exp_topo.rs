@@ -22,15 +22,17 @@
 //!
 //! * `--smoke` — the 1k-node point only, with a wall-clock ceiling (CI
 //!   regression gate for the scale path).
+//! * `--repeat N` — measure every size `N` times on fresh identical
+//!   systems; the T1 timings are then medians and T1b gains a spread row.
 //! * `--json PATH` — archive the raw rows as JSON (`BENCH_topology.json`
 //!   is the committed trajectory file).
 
-use dice_bench::{fmt_nanos, maybe_write_json, summarize_campaign, Table};
+use dice_bench::{
+    fmt_nanos, host_rows, internet_topology, maybe_write_json, min_median_max, parse_repeat,
+    spread_rows, summarize_campaign, Table, INTERNET_ORIGINATORS,
+};
 use dice_core::{scenarios, Campaign, CampaignReport};
-use dice_netsim::{InternetParams, NodeId, SimDuration, SimRng, SimTime, Simulator, Topology};
-
-/// Prefixes originated regardless of topology size (see module docs).
-const ORIGINATORS: usize = 4;
+use dice_netsim::{NodeId, SimDuration, SimTime, Simulator};
 
 fn parse_smoke() -> bool {
     let mut smoke = false;
@@ -38,26 +40,16 @@ fn parse_smoke() -> bool {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--json" => {
-                // Handled by maybe_write_json; skip its path argument.
+            "--json" | "--repeat" => {
+                // Handled by maybe_write_json / parse_repeat; skip the value.
                 args.next();
             }
-            other => panic!("unknown flag {other:?}; supported: --smoke, --json <path>"),
+            other => {
+                panic!("unknown flag {other:?}; supported: --smoke, --repeat <n>, --json <path>")
+            }
         }
     }
     smoke
-}
-
-/// A seeded internet-like topology with the lateral peering probability
-/// scaled down as `8/n`, keeping expected peer degree roughly constant so
-/// the curve measures size, not densification.
-fn internet(n: usize) -> Topology {
-    let params = InternetParams {
-        peering_prob: (8.0 / n as f64).min(0.15),
-        ..InternetParams::default()
-    };
-    let mut rng = SimRng::seed_from_u64(0xD1CE_0000 + n as u64);
-    Topology::internet_like(n, &params, &mut rng)
 }
 
 struct SizePoint {
@@ -87,13 +79,13 @@ fn campaign(live: &mut Simulator, delta: bool) -> CampaignReport {
 fn measure(n: usize) -> SizePoint {
     // dice-lint: allow(determinism-zone): bench bin measures host wall time
     let t0 = std::time::Instant::now();
-    let topo = internet(n);
+    let topo = internet_topology(n);
     let edges = topo.edges().len();
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // dice-lint: allow(determinism-zone): bench bin measures host wall time
     let t1 = std::time::Instant::now();
-    let mut live = scenarios::build_system_with_originators(&topo, ORIGINATORS, 17);
+    let mut live = scenarios::build_system_with_originators(&topo, INTERNET_ORIGINATORS, 17);
     live.run_until_quiet(
         SimDuration::from_secs(5),
         SimTime::from_nanos(600_000_000_000),
@@ -138,8 +130,13 @@ fn measure(n: usize) -> SizePoint {
     }
 }
 
+fn median(samples: impl Iterator<Item = f64>) -> f64 {
+    min_median_max(&samples.collect::<Vec<_>>()).1
+}
+
 fn main() {
     let smoke = parse_smoke();
+    let repeat = parse_repeat();
     let sizes: &[usize] = if smoke { &[1000] } else { &[100, 1000, 5000] };
 
     // dice-lint: allow(determinism-zone): bench bin measures host wall time
@@ -163,19 +160,27 @@ fn main() {
         &["campaign", "metric", "value"],
     );
 
-    let points: Vec<SizePoint> = sizes.iter().map(|&n| measure(n)).collect();
-    for p in &points {
+    // Every repeat of a size is the same deterministic run: counts come
+    // from the first, timings are medians over all of them.
+    let runs: Vec<Vec<SizePoint>> = sizes
+        .iter()
+        .map(|&n| (0..repeat).map(|_| measure(n)).collect())
+        .collect();
+    for reps in &runs {
+        let p = &reps[0];
+        let rates: Vec<f64> = reps.iter().map(|r| r.delta.rounds_per_sec()).collect();
         t1.row(vec![
             p.n.to_string(),
             p.edges.to_string(),
-            format!("{:.1}ms", p.build_ms),
-            format!("{:.1}ms", p.converge_ms),
-            format!("{:.2}", p.delta.rounds_per_sec()),
+            format!("{:.1}ms", median(reps.iter().map(|r| r.build_ms))),
+            format!("{:.1}ms", median(reps.iter().map(|r| r.converge_ms))),
+            format!("{:.2}", median(rates.iter().copied())),
             p.full.perf.snapshot_bytes.to_string(),
             p.delta.perf.snapshot_delta_bytes.to_string(),
             p.delta.perf.nodes_recaptured.to_string(),
         ]);
         summarize_campaign(&mut t2, &format!("internet-{}", p.n), &p.delta);
+        spread_rows(&mut t2, &format!("internet-{}", p.n), &rates);
         assert!(
             p.delta.faults.is_empty(),
             "healthy internet-{} campaign must stay clean: {:?}",
@@ -188,20 +193,22 @@ fn main() {
 
     let wall_s = wall.elapsed().as_secs_f64();
     let mut t3 = Table::new("T1c — harness", &["metric", "value"]);
+    host_rows(&mut t3, repeat);
     t3.row(vec!["sizes".into(), format!("{sizes:?}")]);
     t3.row(vec![
         "sim time (delta runs)".into(),
-        fmt_nanos(points.iter().map(|p| p.delta.sim_nanos).sum()),
+        fmt_nanos(runs.iter().map(|reps| reps[0].delta.sim_nanos).sum()),
     ]);
     t3.row(vec!["total wall".into(), format!("{wall_s:.1}s")]);
     t3.print();
 
-    // CI regression gate: the 1k-node smoke must stay comfortably inside
-    // a CI-minute — delta capture is what keeps it there.
+    // CI regression gate for the scale path: the 1k-node smoke takes
+    // 1.3–1.6 s on the 2-core reference host (3.5–4.2 s before cuts and
+    // clones stopped scaling with federation size), so 5 s is 3x headroom.
     if smoke {
         assert!(
-            wall_s < 120.0,
-            "1k-node smoke took {wall_s:.1}s, over the 120s ceiling"
+            wall_s < 5.0,
+            "1k-node smoke took {wall_s:.1}s, over the 5s ceiling"
         );
     }
 

@@ -15,8 +15,8 @@
 //! | `exp_gossip` | G1 — gossip pub/sub and mixed-protocol campaigns |
 //! | `exp_topo` | T1 — rounds/s and snapshot-bytes curves vs topology size |
 //!
-//! Criterion micro-benches (`snapshot_bench`, `handler_bench`,
-//! `solver_bench`) cover T4 (instrumentation and snapshot tax).
+//! Criterion micro-benches (`snapshot_bench`, `clone_reuse`, `handler_bench`,
+//! `solver_bench`, `wire_path`) cover T4 (instrumentation and snapshot tax).
 //!
 //! Each binary prints a Markdown table to stdout and, when `--json PATH`
 //! is given, writes the raw rows as JSON for archival.
@@ -238,6 +238,56 @@ pub fn summarize_campaign(table: &mut Table, label: &str, report: &dice_core::Ca
     for (metric, value) in rows {
         table.row(vec![label.into(), metric.into(), value]);
     }
+}
+
+/// Prefixes originated on the internet-like scale systems regardless of
+/// their size: `n` originators would mean `n²` RIB entries and convergence
+/// that dwarfs whatever is being measured.
+pub const INTERNET_ORIGINATORS: usize = 4;
+
+/// The seeded internet-like AS graph of the scale experiments (`exp_topo`,
+/// the 1k-node micro-benches, `benchmark/`'s `internet1k_sweep`): lateral
+/// peering probability scaled down as `8/n`, keeping expected peer degree
+/// roughly constant so a curve over `n` measures size, not densification.
+pub fn internet_topology(n: usize) -> dice_netsim::Topology {
+    let params = dice_netsim::InternetParams {
+        peering_prob: (8.0 / n as f64).min(0.15),
+        ..Default::default()
+    };
+    let mut rng = dice_netsim::SimRng::seed_from_u64(0xD1CE_0000 + n as u64);
+    dice_netsim::Topology::internet_like(n, &params, &mut rng)
+}
+
+/// The full Gao–Rexford BGP system over [`internet_topology`]`(n)` with
+/// [`INTERNET_ORIGINATORS`] prefixes, run to quiescence.
+pub fn converged_internet(n: usize) -> dice_netsim::Simulator {
+    use dice_netsim::{SimDuration, SimTime};
+    let topo = internet_topology(n);
+    let mut live =
+        dice_core::scenarios::build_system_with_originators(&topo, INTERNET_ORIGINATORS, 17);
+    live.run_until_quiet(
+        SimDuration::from_secs(5),
+        SimTime::from_nanos(600_000_000_000),
+    );
+    live
+}
+
+/// Append the rows that make a committed trajectory file comparable
+/// across machines and commits: host cores, the commit the binary was
+/// built from (`git describe --always --dirty`, `unknown` outside a checkout) and how many
+/// times each point was repeated.
+pub fn host_rows(table: &mut Table, repeat: usize) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
+    table.row(vec!["host cores".into(), cores.to_string()]);
+    table.row(vec!["commit".into(), commit]);
+    table.row(vec!["repeat (medians of)".into(), repeat.to_string()]);
 }
 
 /// Read `--repeat N` from argv (default 1). Experiment binaries rerun

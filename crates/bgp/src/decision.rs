@@ -104,14 +104,15 @@ mod tests {
     use super::*;
     use crate::attrs::{AsPath, Origin, PathAttrs};
     use crate::types::Ipv4Addr;
+    use std::sync::Arc;
 
     fn route(f: impl FnOnce(&mut Route)) -> Route {
         let mut r = Route {
-            attrs: PathAttrs {
+            attrs: Arc::new(PathAttrs {
                 as_path: AsPath::sequence([65002]),
                 next_hop: Ipv4Addr(0x0A000001),
                 ..Default::default()
-            },
+            }),
             from_peer: Some(1),
             peer_router_id: 1,
         };
@@ -122,10 +123,10 @@ mod tests {
     #[test]
     fn local_pref_dominates() {
         let a = route(|r| {
-            r.attrs.local_pref = Some(200);
-            r.attrs.as_path = AsPath::sequence([1, 2, 3, 4]);
+            Arc::make_mut(&mut r.attrs).local_pref = Some(200);
+            Arc::make_mut(&mut r.attrs).as_path = AsPath::sequence([1, 2, 3, 4]);
         });
-        let b = route(|r| r.attrs.local_pref = Some(100));
+        let b = route(|r| Arc::make_mut(&mut r.attrs).local_pref = Some(100));
         let (wins, reason) = prefer(&a, &b);
         assert!(wins, "higher LOCAL_PREF wins despite longer path");
         assert_eq!(reason, DecisionReason::LocalPref);
@@ -133,8 +134,8 @@ mod tests {
 
     #[test]
     fn shorter_path_wins() {
-        let a = route(|r| r.attrs.as_path = AsPath::sequence([1]));
-        let b = route(|r| r.attrs.as_path = AsPath::sequence([1, 2]));
+        let a = route(|r| Arc::make_mut(&mut r.attrs).as_path = AsPath::sequence([1]));
+        let b = route(|r| Arc::make_mut(&mut r.attrs).as_path = AsPath::sequence([1, 2]));
         let (wins, reason) = prefer(&a, &b);
         assert!(wins);
         assert_eq!(reason, DecisionReason::AsPathLen);
@@ -142,8 +143,8 @@ mod tests {
 
     #[test]
     fn origin_ordering() {
-        let a = route(|r| r.attrs.origin = Origin::Igp);
-        let b = route(|r| r.attrs.origin = Origin::Incomplete);
+        let a = route(|r| Arc::make_mut(&mut r.attrs).origin = Origin::Igp);
+        let b = route(|r| Arc::make_mut(&mut r.attrs).origin = Origin::Incomplete);
         let (wins, reason) = prefer(&a, &b);
         assert!(wins);
         assert_eq!(reason, DecisionReason::Origin);
@@ -152,12 +153,12 @@ mod tests {
     #[test]
     fn med_only_within_same_neighbor_as() {
         let a = route(|r| {
-            r.attrs.as_path = AsPath::sequence([7, 9]);
-            r.attrs.med = Some(10);
+            Arc::make_mut(&mut r.attrs).as_path = AsPath::sequence([7, 9]);
+            Arc::make_mut(&mut r.attrs).med = Some(10);
         });
         let b = route(|r| {
-            r.attrs.as_path = AsPath::sequence([7, 8]);
-            r.attrs.med = Some(5);
+            Arc::make_mut(&mut r.attrs).as_path = AsPath::sequence([7, 8]);
+            Arc::make_mut(&mut r.attrs).med = Some(5);
         });
         let (wins, reason) = prefer(&b, &a);
         assert!(wins, "same first AS: lower MED wins");
@@ -165,8 +166,8 @@ mod tests {
 
         // Different first AS: MED skipped, falls to router id.
         let c = route(|r| {
-            r.attrs.as_path = AsPath::sequence([6, 9]);
-            r.attrs.med = Some(999);
+            Arc::make_mut(&mut r.attrs).as_path = AsPath::sequence([6, 9]);
+            Arc::make_mut(&mut r.attrs).med = Some(999);
             r.peer_router_id = 0;
         });
         let (wins, reason) = prefer(&c, &a);
@@ -177,8 +178,8 @@ mod tests {
     #[test]
     fn local_origination_beats_learned() {
         let mut local = Route::local(PathAttrs::originated(Ipv4Addr(1)));
-        local.attrs.local_pref = Some(100);
-        let learned = route(|r| r.attrs.local_pref = Some(100));
+        Arc::make_mut(&mut local.attrs).local_pref = Some(100);
+        let learned = route(|r| Arc::make_mut(&mut r.attrs).local_pref = Some(100));
         // Same LP; local has shorter (empty) path, which decides first.
         let (wins, reason) = prefer(&local, &learned);
         assert!(wins);
@@ -198,15 +199,15 @@ mod tests {
     fn select_finds_overall_best() {
         let routes = [
             route(|r| {
-                r.attrs.local_pref = Some(100);
+                Arc::make_mut(&mut r.attrs).local_pref = Some(100);
                 r.peer_router_id = 3;
             }),
             route(|r| {
-                r.attrs.local_pref = Some(300);
+                Arc::make_mut(&mut r.attrs).local_pref = Some(300);
                 r.peer_router_id = 2;
             }),
             route(|r| {
-                r.attrs.local_pref = Some(200);
+                Arc::make_mut(&mut r.attrs).local_pref = Some(200);
                 r.peer_router_id = 1;
             }),
         ];
@@ -229,8 +230,8 @@ mod tests {
     #[test]
     fn preference_is_total_and_antisymmetric() {
         // For distinguishable routes, exactly one direction wins.
-        let a = route(|r| r.attrs.local_pref = Some(110));
-        let b = route(|r| r.attrs.local_pref = Some(120));
+        let a = route(|r| Arc::make_mut(&mut r.attrs).local_pref = Some(110));
+        let b = route(|r| Arc::make_mut(&mut r.attrs).local_pref = Some(120));
         let (ab, _) = prefer(&a, &b);
         let (ba, _) = prefer(&b, &a);
         assert!(ab != ba);

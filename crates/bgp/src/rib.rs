@@ -9,12 +9,17 @@ use crate::types::Ipv4Net;
 use dice_netsim::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A route candidate: attributes plus provenance.
+///
+/// The attribute bag is immutable once a route exists and shared by
+/// pointer between Adj-RIB-In, Loc-RIB and every copy of a router
+/// checkpoint, so cloning a `Route` never copies an AS path.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Route {
     /// Attribute bag after import-policy transformation.
-    pub attrs: PathAttrs,
+    pub attrs: Arc<PathAttrs>,
     /// The peer we learned it from; `None` for locally originated routes.
     pub from_peer: Option<u32>,
     /// Peer's router id (decision-process tiebreak).
@@ -25,7 +30,7 @@ impl Route {
     /// A locally originated route.
     pub fn local(attrs: PathAttrs) -> Self {
         Route {
-            attrs,
+            attrs: Arc::new(attrs),
             from_peer: None,
             peer_router_id: 0,
         }
@@ -170,13 +175,13 @@ impl LocRib {
 /// What we last advertised to each peer, to compute deltas and withdrawals.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AdjRibOut {
-    tables: BTreeMap<u32, BTreeMap<Ipv4Net, PathAttrs>>,
+    tables: BTreeMap<u32, BTreeMap<Ipv4Net, Arc<PathAttrs>>>,
 }
 
 impl AdjRibOut {
     /// Record an advertisement; returns `true` if it differs from what was
     /// previously sent (callers skip duplicate updates).
-    pub fn advertise(&mut self, peer: NodeId, prefix: Ipv4Net, attrs: PathAttrs) -> bool {
+    pub fn advertise(&mut self, peer: NodeId, prefix: Ipv4Net, attrs: Arc<PathAttrs>) -> bool {
         let t = self.tables.entry(peer.0).or_default();
         match t.get(&prefix) {
             Some(prev) if *prev == attrs => false,
@@ -202,7 +207,10 @@ impl AdjRibOut {
 
     /// What was last sent to `peer` for `prefix`.
     pub fn sent(&self, peer: NodeId, prefix: &Ipv4Net) -> Option<&PathAttrs> {
-        self.tables.get(&peer.0).and_then(|t| t.get(prefix))
+        self.tables
+            .get(&peer.0)
+            .and_then(|t| t.get(prefix))
+            .map(Arc::as_ref)
     }
 
     /// Total advertised entries.
@@ -224,11 +232,11 @@ mod tests {
 
     fn route(path: &[u16], peer: u32) -> Route {
         Route {
-            attrs: PathAttrs {
+            attrs: Arc::new(PathAttrs {
                 as_path: AsPath::sequence(path.iter().copied()),
                 next_hop: Ipv4Addr(0x0A000001),
                 ..Default::default()
-            },
+            }),
             from_peer: Some(peer),
             peer_router_id: peer,
         }
@@ -299,7 +307,7 @@ mod tests {
             "identical re-advertisement suppressed"
         );
         let mut b = a.clone();
-        b.med = Some(9);
+        Arc::make_mut(&mut b).med = Some(9);
         assert!(out.advertise(NodeId(1), p, b));
         assert!(out.withdraw(NodeId(1), &p));
         assert!(!out.withdraw(NodeId(1), &p));

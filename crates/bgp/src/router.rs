@@ -8,6 +8,7 @@
 
 use core::any::Any;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use dice_netsim::{Node, NodeApi, NodeId, SessionEvent, SimDuration};
 use serde::{Deserialize, Serialize};
@@ -17,7 +18,7 @@ use crate::config::RouterConfig;
 use crate::decision::{select, DecisionReason};
 use crate::fsm::{FsmEvent, PeerFsm, SessionState};
 use crate::rib::{AdjRibIn, AdjRibOut, LocRib, Route, Selected};
-use crate::types::{Community, Ipv4Addr, Ipv4Net};
+use crate::types::{Ipv4Addr, Ipv4Net};
 use crate::wire::{self, Message, NotificationMsg, OpenMsg, UpdateMsg};
 
 /// Timer token layout: `(peer_node_id << 8) | kind`.
@@ -56,9 +57,15 @@ pub struct RouterStats {
 }
 
 /// A BIRD-like BGP router node.
+///
+/// Cloning a router (a checkpoint, a validation clone's first touch)
+/// copies its mutable state — session FSMs and the RIB maps — and shares
+/// what never changes under traffic: the configuration and every route's
+/// attribute bag sit behind `Arc`s.
 #[derive(Debug, Clone)]
 pub struct BgpRouter {
-    config: RouterConfig,
+    /// Immutable on the message path; the operator actions copy-on-write.
+    config: Arc<RouterConfig>,
     fsms: std::collections::BTreeMap<u32, PeerFsm>,
     peer_router_ids: std::collections::BTreeMap<u32, u32>,
     adj_in: AdjRibIn,
@@ -72,7 +79,7 @@ impl BgpRouter {
     pub fn new(config: RouterConfig) -> Self {
         config.validate().expect("invalid router config");
         BgpRouter {
-            config,
+            config: Arc::new(config),
             fsms: Default::default(),
             peer_router_ids: Default::default(),
             adj_in: AdjRibIn::default(),
@@ -132,11 +139,12 @@ impl BgpRouter {
     /// prefix is also added to the owned set; a hijack is announcing without
     /// owning.
     pub fn announce_network(&mut self, prefix: Ipv4Net, legitimate: bool, api: &mut NodeApi<'_>) {
-        if !self.config.networks.contains(&prefix) {
-            self.config.networks.push(prefix);
+        let config = Arc::make_mut(&mut self.config);
+        if !config.networks.contains(&prefix) {
+            config.networks.push(prefix);
         }
-        if legitimate && !self.config.owned.contains(&prefix) {
-            self.config.owned.push(prefix);
+        if legitimate && !config.owned.contains(&prefix) {
+            config.owned.push(prefix);
         }
         api.trace(
             "config",
@@ -147,7 +155,9 @@ impl BgpRouter {
 
     /// Operator action: stop originating `prefix`.
     pub fn withdraw_network(&mut self, prefix: Ipv4Net, api: &mut NodeApi<'_>) {
-        self.config.networks.retain(|n| n != &prefix);
+        Arc::make_mut(&mut self.config)
+            .networks
+            .retain(|n| n != &prefix);
         api.trace("config", format!("withdraw {prefix}"));
         self.recompute_and_propagate(prefix, api);
     }
@@ -157,7 +167,9 @@ impl BgpRouter {
     /// as with a hard clear on real routers).
     pub fn replace_policy(&mut self, policy: crate::policy::Policy, api: &mut NodeApi<'_>) {
         api.trace("config", format!("replace policy {}", policy.name));
-        self.config.policies.insert(policy.name.clone(), policy);
+        Arc::make_mut(&mut self.config)
+            .policies
+            .insert(policy.name.clone(), policy);
     }
 
     // ------------------------------------------------------------------
@@ -168,15 +180,36 @@ impl BgpRouter {
         // Zero-copy wire path: encode straight into a pool-leased buffer.
         let mut buf = api.buf();
         wire::encode_into(msg, buf.as_mut_vec());
-        match msg {
-            Message::Update(_) => self.stats.updates_tx += 1,
-            Message::Notification(_) => self.stats.notifications_tx += 1,
-            _ => {}
+        if let Message::Notification(_) = msg {
+            self.stats.notifications_tx += 1;
         }
         if quiet {
             api.send_quiet(to, buf);
         } else {
             api.send(to, buf);
+        }
+    }
+
+    /// Send an UPDATE encoded straight from borrowed parts (the attributes
+    /// stay in the Adj-RIB-Out entry they were just stored in).
+    fn send_update(
+        &mut self,
+        to: NodeId,
+        withdrawn: &[Ipv4Net],
+        attrs: Option<&PathAttrs>,
+        nlri: &[Ipv4Net],
+        api: &mut NodeApi<'_>,
+    ) {
+        let mut buf = api.buf();
+        wire::encode_update_into(withdrawn, attrs, nlri, buf.as_mut_vec());
+        self.stats.updates_tx += 1;
+        api.send(to, buf);
+    }
+
+    /// Withdraw `prefix` from `q` if it had been advertised there.
+    fn withdraw_from(&mut self, q: NodeId, prefix: Ipv4Net, api: &mut NodeApi<'_>) {
+        if self.adj_out.withdraw(q, &prefix) {
+            self.send_update(q, &[prefix], None, &[], api);
         }
     }
 
@@ -227,9 +260,11 @@ impl BgpRouter {
 
     fn handle_update(&mut self, peer: NodeId, upd: UpdateMsg, api: &mut NodeApi<'_>) {
         self.stats.updates_rx += 1;
-        let neighbor = match self.config.neighbor(peer) {
-            Some(n) => n.clone(),
-            None => return,
+        // A handle on the (immutable) configuration, so the neighbor entry
+        // and its import policy stay borrowed while the RIBs change.
+        let config = Arc::clone(&self.config);
+        let Some(neighbor) = config.neighbor(peer) else {
+            return;
         };
         let mut affected: BTreeSet<Ipv4Net> = BTreeSet::new();
 
@@ -245,7 +280,7 @@ impl BgpRouter {
                     api.crash("seeded bug: unknown-attribute length overflow in update handler");
                     return;
                 }
-                if attrs.as_path.contains(self.config.asn) {
+                if attrs.as_path.contains(config.asn) {
                     // AS-path loop: ignore the announcements (RFC 4271 §9).
                     self.stats.loop_rejects += 1;
                 } else if attrs.as_path.first_asn() != Some(neighbor.asn) {
@@ -259,16 +294,16 @@ impl BgpRouter {
                     );
                     return;
                 } else {
-                    let import = self.config.policies[&neighbor.import].clone();
+                    let import = &config.policies[&neighbor.import];
                     let peer_rid = self.peer_router_ids.get(&peer.0).copied().unwrap_or(peer.0);
                     for p in &upd.nlri {
-                        match import.apply(p, attrs, self.config.asn) {
+                        match import.apply(p, attrs, config.asn) {
                             Some(imported) => {
                                 self.adj_in.insert(
                                     peer,
                                     *p,
                                     Route {
-                                        attrs: imported,
+                                        attrs: Arc::new(imported),
                                         from_peer: Some(peer.0),
                                         peer_router_id: peer_rid,
                                     },
@@ -295,22 +330,18 @@ impl BgpRouter {
     /// Phase 2 + 3 of the decision process for one prefix: select the best
     /// route and push deltas to every established peer.
     pub fn recompute_and_propagate(&mut self, prefix: Ipv4Net, api: &mut NodeApi<'_>) {
-        let mut candidates: Vec<Route> = Vec::new();
-        if let Some(local) = self.local_route(&prefix) {
-            candidates.push(local);
-        }
-        candidates.extend(self.adj_in.candidates(&prefix).cloned());
+        let local = self.local_route(&prefix);
+        // Select by reference; owning the winner is one pointer bump.
+        let winner = select(local.iter().chain(self.adj_in.candidates(&prefix)))
+            .map(|(best, reason)| (best.clone(), reason));
 
-        match select(candidates.iter()) {
+        match winner {
             Some((best, reason)) => {
-                let best = best.clone();
-                if self.loc_rib.install(
-                    prefix,
-                    Selected {
-                        route: best.clone(),
-                        reason,
-                    },
-                ) {
+                let sel = Selected {
+                    route: best.clone(),
+                    reason,
+                };
+                if self.loc_rib.install(prefix, sel) {
                     api.trace(
                         "best",
                         format!(
@@ -330,14 +361,7 @@ impl BgpRouter {
                     api.trace("best", format!("{prefix} unreachable"));
                     let peers: Vec<NodeId> = self.established_peers();
                     for q in peers {
-                        if self.adj_out.withdraw(q, &prefix) {
-                            let msg = Message::Update(UpdateMsg {
-                                withdrawn: vec![prefix],
-                                attrs: None,
-                                nlri: vec![],
-                            });
-                            self.send_message(q, &msg, api, false);
-                        }
+                        self.withdraw_from(q, prefix, api);
                     }
                 }
             }
@@ -357,54 +381,29 @@ impl BgpRouter {
     fn export_route(&mut self, q: NodeId, prefix: Ipv4Net, route: &Route, api: &mut NodeApi<'_>) {
         // Split horizon: never advertise a route back to the peer it came from.
         if route.from_peer == Some(q.0) {
-            if self.adj_out.withdraw(q, &prefix) {
-                let msg = Message::Update(UpdateMsg {
-                    withdrawn: vec![prefix],
-                    attrs: None,
-                    nlri: vec![],
-                });
-                self.send_message(q, &msg, api, false);
-            }
+            self.withdraw_from(q, prefix, api);
             return;
         }
-        let neighbor = match self.config.neighbor(q) {
-            Some(n) => n.clone(),
-            None => return,
+        let config = Arc::clone(&self.config);
+        let Some(neighbor) = config.neighbor(q) else {
+            return;
         };
-        let export = self.config.policies[&neighbor.export].clone();
-        match export.apply(&prefix, &route.attrs, self.config.asn) {
+        let export = &config.policies[&neighbor.export];
+        match export.apply(&prefix, &route.attrs, config.asn) {
             Some(mut out) => {
                 // eBGP rewrite: prepend own AS, next-hop self, strip
                 // LOCAL_PREF and internal (own-ASN) communities.
-                out.as_path.prepend(self.config.asn, 1);
+                out.as_path.prepend(config.asn, 1);
                 out.next_hop = self.own_addr();
                 out.local_pref = None;
-                let own = self.config.asn.0;
-                out.communities = out
-                    .communities
-                    .iter()
-                    .copied()
-                    .filter(|c: &Community| c.asn_part() != own)
-                    .collect();
-                if self.adj_out.advertise(q, prefix, out.clone()) {
-                    let msg = Message::Update(UpdateMsg {
-                        withdrawn: vec![],
-                        attrs: Some(out),
-                        nlri: vec![prefix],
-                    });
-                    self.send_message(q, &msg, api, false);
+                let own = config.asn.0;
+                out.communities.retain(|c| c.asn_part() != own);
+                let out = Arc::new(out);
+                if self.adj_out.advertise(q, prefix, Arc::clone(&out)) {
+                    self.send_update(q, &[], Some(&out), &[prefix], api);
                 }
             }
-            None => {
-                if self.adj_out.withdraw(q, &prefix) {
-                    let msg = Message::Update(UpdateMsg {
-                        withdrawn: vec![prefix],
-                        attrs: None,
-                        nlri: vec![],
-                    });
-                    self.send_message(q, &msg, api, false);
-                }
-            }
+            None => self.withdraw_from(q, prefix, api),
         }
     }
 
@@ -485,8 +484,8 @@ impl Node for BgpRouter {
     }
 
     fn on_message(&mut self, from: NodeId, data: &[u8], api: &mut NodeApi<'_>) {
-        let neighbor = match self.config.neighbor(from) {
-            Some(n) => n.clone(),
+        let neighbor_asn = match self.config.neighbor(from) {
+            Some(n) => n.asn,
             None => return,
         };
         let msg = match wire::decode(data) {
@@ -509,7 +508,7 @@ impl Node for BgpRouter {
         }
         match msg {
             Message::Open(open) => {
-                let asn_ok = open.asn == neighbor.asn;
+                let asn_ok = open.asn == neighbor_asn;
                 let my_hold = self.config.hold_time;
                 let fsm = self.fsms.entry(from.0).or_default();
                 match fsm.on_open(asn_ok, my_hold, open.hold_time) {
@@ -993,6 +992,95 @@ mod tests {
         assert_eq!(hijacked.route.attrs.as_path.origin_asn(), Some(Asn(65002)));
         // Legitimate covering route still present.
         assert!(r1.loc_rib().best(&net("10.0.0.0/16")).is_some());
+    }
+
+    #[test]
+    fn mutating_a_clone_leaves_the_checkpoint_untouched() {
+        // `clone_node` shares the config and every attribute bag by
+        // pointer. Each way a copy can then change — the three operator
+        // actions and an UPDATE — must copy-on-write, never write through
+        // to the checkpoint the copy was taken from.
+        let cfg0 = simple_config(0, &[1]).with_network(net("10.0.0.0/8"));
+        let cfg1 = simple_config(1, &[0, 2]);
+        let cfg2 = simple_config(2, &[1]).with_network(net("20.0.0.0/8"));
+        let mut live = build_sim(3, &[(0, 1), (1, 2)], vec![cfg0, cfg1, cfg2]);
+        live.run_until(SimTime::from_nanos(8_000_000_000));
+        let shadow = live.instant_snapshot();
+        let topo = live.topology().clone();
+        let original = |shadow: &dice_netsim::ShadowSnapshot| -> BgpRouter {
+            let node = &shadow.nodes()[&NodeId(1)];
+            node.as_any().downcast_ref::<BgpRouter>().unwrap().clone()
+        };
+        let fingerprint = |r: &BgpRouter| {
+            (
+                (*r.config).clone(),
+                format!("{:?} {:?} {:?}", r.adj_in, r.loc_rib, r.adj_out),
+                r.state_size(),
+            )
+        };
+        let before = original(&shadow);
+        // Deep values, taken before anything mutates.
+        let before_fp = fingerprint(&before);
+        assert_eq!(before.loc_rib().len(), 2, "converged");
+        let copy = before.clone_node();
+        let copy = copy.as_any().downcast_ref::<BgpRouter>().unwrap();
+        assert!(Arc::ptr_eq(&before.config, &copy.config));
+        let attrs_of = |r: &BgpRouter| {
+            let best = r.loc_rib.best(&net("10.0.0.0/8")).unwrap();
+            Arc::clone(&best.route.attrs)
+        };
+        assert!(Arc::ptr_eq(&attrs_of(&before), &attrs_of(copy)));
+
+        let update = wire::encode(&Message::Update(UpdateMsg {
+            withdrawn: vec![net("10.0.0.0/8")],
+            attrs: Some(PathAttrs {
+                as_path: crate::attrs::AsPath::sequence([65000, 65009]),
+                next_hop: Ipv4Addr(0x0A000001),
+                ..Default::default()
+            }),
+            nlri: vec![net("30.0.0.0/8")],
+        }));
+        type Mutation = fn(&mut Simulator, &[u8]);
+        let mutations: [Mutation; 4] = [
+            |sim, _| {
+                sim.invoke_node(NodeId(1), |node, api| {
+                    let r = node.as_any_mut().downcast_mut::<BgpRouter>().unwrap();
+                    r.replace_policy(Policy::reject_all("all"), api);
+                })
+            },
+            |sim, _| {
+                sim.invoke_node(NodeId(1), |node, api| {
+                    let r = node.as_any_mut().downcast_mut::<BgpRouter>().unwrap();
+                    r.announce_network(net("40.0.0.0/8"), true, api);
+                })
+            },
+            |sim, _| {
+                sim.invoke_node(NodeId(1), |node, api| {
+                    let r = node.as_any_mut().downcast_mut::<BgpRouter>().unwrap();
+                    r.withdraw_network(net("40.0.0.0/8"), api);
+                })
+            },
+            |sim, update| sim.deliver_direct(NodeId(0), NodeId(1), update),
+        ];
+        for (i, mutate) in mutations.iter().enumerate() {
+            let mut clone = Simulator::from_shadow(&shadow, &topo, 3);
+            mutate(&mut clone, &update);
+            clone.run_until(clone.now() + dice_netsim::SimDuration::from_secs(5));
+            assert_eq!(
+                fingerprint(&original(&shadow)),
+                before_fp,
+                "mutation {i} wrote through to the checkpoint"
+            );
+            if i != 2 {
+                // (Withdrawing a network the router never originated is
+                // the one mutation with nothing to show for itself.)
+                assert_ne!(
+                    fingerprint(router(&clone, 1)),
+                    before_fp,
+                    "mutation {i} did not reach the clone"
+                );
+            }
+        }
     }
 
     #[test]

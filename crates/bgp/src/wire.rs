@@ -305,11 +305,7 @@ pub fn encode_attrs(attrs: &PathAttrs) -> Vec<u8> {
 /// length, and total-path-attribute length are reserved as placeholders
 /// and back-patched once their section is written.
 pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {
-    out.clear();
-    out.extend_from_slice(&[0xFF; MARKER_LEN]);
-    push_u16(out, 0); // total length, back-patched below
-    let ty_pos = out.len();
-    out.push(0); // type, patched below
+    begin_message(out);
     let ty = match msg {
         Message::Open(o) => {
             out.push(o.version);
@@ -321,19 +317,7 @@ pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {
             MessageType::Open
         }
         Message::Update(u) => {
-            let wd_pos = out.len();
-            push_u16(out, 0); // withdrawn length, back-patched
-            encode_nlri_into(out, &u.withdrawn);
-            let wd_len = (out.len() - wd_pos - 2) as u16;
-            out[wd_pos..wd_pos + 2].copy_from_slice(&wd_len.to_be_bytes());
-            let ab_pos = out.len();
-            push_u16(out, 0); // attr length, back-patched
-            if let Some(a) = &u.attrs {
-                encode_attrs_into(a, out);
-            }
-            let ab_len = (out.len() - ab_pos - 2) as u16;
-            out[ab_pos..ab_pos + 2].copy_from_slice(&ab_len.to_be_bytes());
-            encode_nlri_into(out, &u.nlri);
+            encode_update_body(out, &u.withdrawn, u.attrs.as_ref(), &u.nlri);
             MessageType::Update
         }
         Message::Notification(n) => {
@@ -344,10 +328,60 @@ pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {
         }
         Message::Keepalive => MessageType::Keepalive,
     };
-    out[ty_pos] = ty as u8;
+    finish_message(out, ty);
+}
+
+/// Encode an UPDATE from borrowed parts into `out`: byte-for-byte what
+/// [`encode_into`] writes for the [`UpdateMsg`] owning the same parts, for
+/// senders whose attributes live in a RIB and need no message of their own.
+pub fn encode_update_into(
+    withdrawn: &[Ipv4Net],
+    attrs: Option<&PathAttrs>,
+    nlri: &[Ipv4Net],
+    out: &mut Vec<u8>,
+) {
+    begin_message(out);
+    encode_update_body(out, withdrawn, attrs, nlri);
+    finish_message(out, MessageType::Update);
+}
+
+/// Clear `out` and write the header with placeholder length and type.
+#[inline]
+fn begin_message(out: &mut Vec<u8>) {
+    out.clear();
+    out.extend_from_slice(&[0xFF; MARKER_LEN]);
+    push_u16(out, 0); // total length, back-patched by `finish_message`
+    out.push(0); // type, likewise
+}
+
+#[inline]
+fn finish_message(out: &mut [u8], ty: MessageType) {
+    out[MARKER_LEN + 2] = ty as u8;
     let total = out.len() as u16;
     out[MARKER_LEN..MARKER_LEN + 2].copy_from_slice(&total.to_be_bytes());
     debug_assert!(out.len() <= MAX_MESSAGE_LEN, "encoded message too large");
+}
+
+#[inline]
+fn encode_update_body(
+    out: &mut Vec<u8>,
+    withdrawn: &[Ipv4Net],
+    attrs: Option<&PathAttrs>,
+    nlri: &[Ipv4Net],
+) {
+    let wd_pos = out.len();
+    push_u16(out, 0); // withdrawn length, back-patched
+    encode_nlri_into(out, withdrawn);
+    let wd_len = (out.len() - wd_pos - 2) as u16;
+    out[wd_pos..wd_pos + 2].copy_from_slice(&wd_len.to_be_bytes());
+    let ab_pos = out.len();
+    push_u16(out, 0); // attr length, back-patched
+    if let Some(a) = attrs {
+        encode_attrs_into(a, out);
+    }
+    let ab_len = (out.len() - ab_pos - 2) as u16;
+    out[ab_pos..ab_pos + 2].copy_from_slice(&ab_len.to_be_bytes());
+    encode_nlri_into(out, nlri);
 }
 
 /// Encode a full message with header.

@@ -31,13 +31,20 @@ impl SimRng {
     /// Children with distinct labels are statistically independent; the same
     /// label always yields the same child for a given parent state.
     pub fn split(&mut self, label: u64) -> SimRng {
+        SimRng::seed_from_u64(self.split_seed(label))
+    }
+
+    /// The 64-bit seed of the child [`SimRng::split`] would derive for
+    /// `label`, advancing this stream exactly as `split` does. Lets a
+    /// caller record thousands of children and build each one only if it
+    /// is ever drawn from (see [`LazyRng`]).
+    pub fn split_seed(&mut self, label: u64) -> u64 {
         let base = self.inner.next_u64();
         // SplitMix64-style finalizer to decorrelate label and base.
         let mut z = base ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        SimRng::seed_from_u64(z)
+        z ^ (z >> 31)
     }
 
     /// Next raw 64 random bits.
@@ -127,6 +134,29 @@ impl SimRng {
             let j = self.index(i + 1);
             xs.swap(i, j);
         }
+    }
+}
+
+/// A child stream recorded as its seed and built on first draw: the stream
+/// is bit-identical to `SimRng::seed_from_u64(seed)`, but a stream nobody
+/// draws from costs eight bytes to (re)seed instead of a ChaCha state.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LazyRng {
+    seed: u64,
+    rng: Option<SimRng>,
+}
+
+impl LazyRng {
+    /// Restart the stream from `seed`, discarding any state already built.
+    pub(crate) fn reseed(&mut self, seed: u64) {
+        self.seed = seed;
+        self.rng = None;
+    }
+
+    /// The stream itself, built from the recorded seed on first use.
+    pub(crate) fn get(&mut self) -> &mut SimRng {
+        let seed = self.seed;
+        self.rng.get_or_insert_with(|| SimRng::seed_from_u64(seed))
     }
 }
 

@@ -10,11 +10,10 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 use crate::buf::{BufPool, Payload, WireStats};
 use crate::faults::{FaultVerdict, LinkFaultState, LinkFaults};
-use crate::link::LinkParams;
 use crate::node::{DownReason, Effect, Node, NodeApi, NodeId, SessionEvent};
-use crate::rng::SimRng;
+use crate::rng::{LazyRng, SimRng};
 use crate::schedule::FaultAction;
-use crate::snapshot::{ShadowSnapshot, SnapshotId, SnapshotProgress, SnapshotState};
+use crate::snapshot::{self, ShadowSnapshot, SnapshotId, SnapshotProgress, SnapshotState};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::{Trace, TraceKind};
@@ -34,11 +33,22 @@ struct Flight {
     frame: Frame,
 }
 
+/// One direction of a link: its FIFO channel and its private randomness.
+/// Directions live in a flat table, two per topology edge — index
+/// `2 * edge` carries `a -> b`, `2 * edge + 1` carries `b -> a`.
 #[derive(Debug, Default)]
-struct Channel {
+struct LinkDir {
     queue: VecDeque<Flight>,
     last_arrival: SimTime,
     epoch: u64,
+    /// Latency/retransmission stream.
+    latency_rng: LazyRng,
+    /// Channel-fidelity stream — seeded from a *separate* parent than
+    /// `latency_rng` so toggling `unreliable_links` never perturbs latency
+    /// sampling (and vice versa).
+    fault_rng: LazyRng,
+    /// Gilbert–Elliott burst state.
+    fault_state: LinkFaultState,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,9 +123,9 @@ struct NodeSlot {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
     Start(NodeId),
+    /// A frame matures on link direction `dir` (index into `links`).
     Deliver {
-        src: NodeId,
-        dst: NodeId,
+        dir: u32,
         epoch: u64,
     },
     Timer {
@@ -247,16 +257,11 @@ pub struct Simulator {
     seq: u64,
     nodes: Vec<NodeSlot>,
     topo: Topology,
-    channels: BTreeMap<(NodeId, NodeId), Channel>,
-    sessions: BTreeMap<(NodeId, NodeId), SessionState>,
+    /// Per-direction link state, indexed `2 * edge + direction`.
+    links: Vec<LinkDir>,
+    /// Per-edge session state, indexed by the topology's edge index.
+    sessions: Vec<SessionState>,
     admin_down: BTreeSet<(NodeId, NodeId)>,
-    link_rngs: BTreeMap<(NodeId, NodeId), SimRng>,
-    /// Channel-fidelity streams, one per link direction — seeded from a
-    /// *separate* parent than `link_rngs` so toggling `unreliable_links`
-    /// never perturbs latency sampling (and vice versa).
-    fault_rngs: BTreeMap<(NodeId, NodeId), SimRng>,
-    /// Per-direction Gilbert–Elliott burst state.
-    fault_state: BTreeMap<(NodeId, NodeId), LinkFaultState>,
     trace: Trace,
     last_activity: SimTime,
     started: bool,
@@ -286,25 +291,7 @@ impl Simulator {
 
     /// Like [`Simulator::new`] with explicit configuration.
     pub fn with_config(topo: Topology, seed: u64, config: SimConfig) -> Self {
-        let mut rng = SimRng::seed_from_u64(seed);
-        let mut fault_parent = SimRng::seed_from_u64(seed ^ Self::FAULT_STREAM_SALT);
-        let mut channels = BTreeMap::new();
-        let mut sessions = BTreeMap::new();
-        let mut link_rngs = BTreeMap::new();
-        let mut fault_rngs = BTreeMap::new();
-        let mut fault_state = BTreeMap::new();
-        for e in topo.edges() {
-            channels.insert((e.a, e.b), Channel::default());
-            channels.insert((e.b, e.a), Channel::default());
-            sessions.insert(Self::skey(e.a, e.b), SessionState::Down);
-            let label = ((e.a.0 as u64) << 32) | e.b.0 as u64;
-            link_rngs.insert((e.a, e.b), rng.split(label));
-            link_rngs.insert((e.b, e.a), rng.split(label ^ 0xFFFF_FFFF));
-            fault_rngs.insert((e.a, e.b), fault_parent.split(label));
-            fault_rngs.insert((e.b, e.a), fault_parent.split(label ^ 0xFFFF_FFFF));
-            fault_state.insert((e.a, e.b), LinkFaultState::default());
-            fault_state.insert((e.b, e.a), LinkFaultState::default());
-        }
+        let edges = topo.edges().len();
         let nodes: Vec<NodeSlot> = (0..topo.len())
             .map(|_| NodeSlot {
                 node: NodeState::Empty,
@@ -313,19 +300,18 @@ impl Simulator {
             })
             .collect();
         let n = nodes.len();
-        Simulator {
+        let mut sim = Simulator {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
             seq: 0,
             nodes,
             trace: Trace::with_capacity(config.trace_capacity),
             topo,
-            channels,
-            sessions,
+            links: std::iter::repeat_with(LinkDir::default)
+                .take(2 * edges)
+                .collect(),
+            sessions: vec![SessionState::Down; edges],
             admin_down: BTreeSet::new(),
-            link_rngs,
-            fault_rngs,
-            fault_state,
             last_activity: SimTime::ZERO,
             started: false,
             pristine: BTreeMap::new(),
@@ -338,6 +324,29 @@ impl Simulator {
             dirty: vec![false; n],
             ckpt_cache: vec![None; n],
             snap_stats: SnapshotStats::default(),
+        };
+        sim.reset_links(seed);
+        sim
+    }
+
+    /// Empty every channel and restart every per-link randomness stream
+    /// from `seed`: one latency parent and one (salted) channel-fidelity
+    /// parent, each split twice per edge in edge order. Only the 64-bit
+    /// child seeds are stored; a link builds its ChaCha state on its
+    /// first draw, so every stream is the one an eager `split` yields.
+    fn reset_links(&mut self, seed: u64) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut fault_parent = SimRng::seed_from_u64(seed ^ Self::FAULT_STREAM_SALT);
+        for (e, pair) in self.topo.edges().iter().zip(self.links.chunks_exact_mut(2)) {
+            let label = ((e.a.0 as u64) << 32) | e.b.0 as u64;
+            for (link, label) in pair.iter_mut().zip([label, label ^ 0xFFFF_FFFF]) {
+                link.queue.clear();
+                link.last_arrival = SimTime::ZERO;
+                link.epoch = 0;
+                link.latency_rng.reseed(rng.split_seed(label));
+                link.fault_rng.reseed(fault_parent.split_seed(label));
+                link.fault_state = LinkFaultState::default();
+            }
         }
     }
 
@@ -434,6 +443,22 @@ impl Simulator {
         }
     }
 
+    /// Index into `links` of the direction `src -> dst`, if adjacent.
+    fn dir_index(&self, src: NodeId, dst: NodeId) -> Option<usize> {
+        let e = self.topo.edge_index(src, dst)?;
+        Some(2 * e + usize::from(self.topo.edges()[e].a != src))
+    }
+
+    /// The `(src, dst)` endpoints of link direction `dir`.
+    fn endpoints(&self, dir: usize) -> (NodeId, NodeId) {
+        let e = &self.topo.edges()[dir / 2];
+        if dir.is_multiple_of(2) {
+            (e.a, e.b)
+        } else {
+            (e.b, e.a)
+        }
+    }
+
     /// Install the protocol node for `id`.
     pub fn set_node(&mut self, id: NodeId, node: Box<dyn Node>) {
         assert!(!self.started, "cannot install nodes after start");
@@ -484,7 +509,9 @@ impl Simulator {
 
     /// Whether the session between `a` and `b` is currently up.
     pub fn session_up(&self, a: NodeId, b: NodeId) -> bool {
-        self.sessions.get(&Self::skey(a, b)) == Some(&SessionState::Up)
+        self.topo
+            .edge_index(a, b)
+            .is_some_and(|e| self.sessions[e] == SessionState::Up)
     }
 
     /// Begin the simulation: fire `on_start` on every node and schedule
@@ -537,7 +564,7 @@ impl Simulator {
         self.now = q.at;
         match q.ev {
             Ev::Start(n) => self.run_start(n),
-            Ev::Deliver { src, dst, epoch } => {
+            Ev::Deliver { dir, epoch } => {
                 // Batched delivery: a burst sent back-to-back on one
                 // channel schedules a run of delivery events that are
                 // adjacent in the heap (same instant, consecutive seq).
@@ -553,8 +580,7 @@ impl Simulator {
                         let same_run = next.at == q.at
                             && matches!(
                                 next.ev,
-                                Ev::Deliver { src: s, dst: d, epoch: e }
-                                    if s == src && d == dst && e == epoch
+                                Ev::Deliver { dir: d, epoch: e } if d == dir && e == epoch
                             );
                         if !same_run {
                             break;
@@ -563,7 +589,7 @@ impl Simulator {
                         budget += 1;
                     }
                 }
-                self.process_deliver(src, dst, epoch, budget);
+                self.process_deliver(dir as usize, epoch, budget);
             }
             Ev::Timer { node, token, gen } => self.process_timer(node, token, gen),
             Ev::SessionUp { a, b } => self.establish_session(a, b),
@@ -640,8 +666,8 @@ impl Simulator {
         self.with_node(n, |node, api| node.on_timer(token, api));
     }
 
-    /// Deliver up to `budget` frames on `src -> dst` that have matured at
-    /// the current instant.
+    /// Deliver up to `budget` frames on link direction `dir` that have
+    /// matured at the current instant.
     ///
     /// `budget` is the number of delivery events merged into this call by
     /// [`Simulator::step`] (1 with `batch_delivery` off). Frames and
@@ -656,10 +682,11 @@ impl Simulator {
     /// been stale no-ops unbatched). Frames stay queued until their turn
     /// so a teardown can still discard them (and snapshots never observe
     /// them).
-    fn process_deliver(&mut self, src: NodeId, dst: NodeId, epoch: u64, budget: u64) {
+    fn process_deliver(&mut self, dir: usize, epoch: u64, budget: u64) {
+        let (src, dst) = self.endpoints(dir);
         let mut delivered: u64 = 0;
         while delivered < budget {
-            let ch = self.channels.get_mut(&(src, dst)).expect("unknown channel");
+            let ch = &mut self.links[dir];
             if ch.epoch != epoch {
                 break; // stale delivery after a session reset
             }
@@ -780,23 +807,24 @@ impl Simulator {
     // Channels and sessions
     // ------------------------------------------------------------------
 
-    fn link_params(&self, a: NodeId, b: NodeId) -> Option<&LinkParams> {
-        self.topo.edge_between(a, b).map(|e| &e.params)
-    }
-
     fn channel_send(&mut self, src: NodeId, dst: NodeId, bytes: Payload, quiet: bool) {
-        if !self.session_up(src, dst) {
-            // Session down: transport rejects the write, data is lost (the
-            // storage still goes back to the pool).
-            if self.config.payload_pool {
-                self.buf_pool.recycle(bytes);
+        match self.dir_index(src, dst) {
+            Some(dir) if self.sessions[dir / 2] == SessionState::Up => {
+                self.send_frame(dir, Frame::Data { bytes, quiet });
             }
-            return;
+            _ => {
+                // Session down: transport rejects the write, data is lost
+                // (the storage still goes back to the pool).
+                if self.config.payload_pool {
+                    self.buf_pool.recycle(bytes);
+                }
+            }
         }
-        self.send_frame(src, dst, Frame::Data { bytes, quiet });
     }
 
-    pub(crate) fn send_frame(&mut self, src: NodeId, dst: NodeId, frame: Frame) {
+    /// Put `frame` on link direction `dir`.
+    fn send_frame(&mut self, dir: usize, frame: Frame) {
+        let (src, dst) = self.endpoints(dir);
         let size = match &frame {
             Frame::Data { bytes, .. } => bytes.len(),
             Frame::Marker(_) => 32,
@@ -806,15 +834,10 @@ impl Simulator {
             self.wire.wire_bytes += size as u64;
         }
         let quietness = matches!(&frame, Frame::Data { quiet: true, .. } | Frame::Marker(_));
-        let params = self
-            .link_params(src, dst)
-            .cloned()
-            .expect("send on non-adjacent pair");
-        let rng = self
-            .link_rngs
-            .get_mut(&(src, dst))
-            .expect("missing link rng");
-        let (delay, retries) = params.delay_and_retries_for(size, rng);
+        let link = &mut self.links[dir];
+        let (delay, retries) = self.topo.edges()[dir / 2]
+            .params
+            .delay_and_retries_for(size, link.latency_rng.get());
         self.wire.link_retransmits += retries as u64;
         // Channel-fidelity layer: sample the per-link fault model for data
         // frames. Markers are exempt, and sampling is suspended while a
@@ -827,16 +850,9 @@ impl Simulator {
             && self.snapshots.is_empty()
             && !self.config.link_faults.is_noop();
         let verdict = if faulty {
-            let faults = self.config.link_faults;
-            let frng = self
-                .fault_rngs
-                .get_mut(&(src, dst))
-                .expect("missing fault rng");
-            let fstate = self
-                .fault_state
-                .get_mut(&(src, dst))
-                .expect("missing fault state");
-            faults.sample(fstate, frng)
+            self.config
+                .link_faults
+                .sample(&mut link.fault_state, link.fault_rng.get())
         } else {
             FaultVerdict::default()
         };
@@ -866,14 +882,14 @@ impl Simulator {
             self.wire.frames_reordered += 1;
             arrival += extra;
         }
-        self.enqueue_flight(src, dst, frame, arrival, faulty);
+        self.enqueue_flight(dir, frame, arrival, faulty);
         if let Some(copy) = dup {
             self.wire.frames_duplicated += 1;
-            self.enqueue_flight(src, dst, copy, self.now + delay + verdict.dup_lag, faulty);
+            self.enqueue_flight(dir, copy, self.now + delay + verdict.dup_lag, faulty);
         }
     }
 
-    /// Enqueue one frame on `src -> dst` arriving at `arrival` and schedule
+    /// Enqueue one frame on link direction `dir` arriving at `arrival` and schedule
     /// its delivery event. With `relaxed` off (the reliable channel model)
     /// arrivals are clamped monotone, so `push_back` keeps the queue sorted
     /// by `deliver_at`; with `relaxed` on (fault layer live) the clamp is
@@ -883,15 +899,8 @@ impl Simulator {
     /// `last_arrival` stays the running maximum either way, so an exempt
     /// marker sent later is always clamped behind every data frame already
     /// in flight.
-    fn enqueue_flight(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        frame: Frame,
-        arrival: SimTime,
-        relaxed: bool,
-    ) {
-        let ch = self.channels.get_mut(&(src, dst)).expect("unknown channel");
+    fn enqueue_flight(&mut self, dir: usize, frame: Frame, arrival: SimTime, relaxed: bool) {
+        let ch = &mut self.links[dir];
         let arrival = if relaxed {
             arrival
         } else {
@@ -909,7 +918,8 @@ impl Simulator {
         } else {
             ch.queue.push_back(flight);
         }
-        self.schedule(arrival, Ev::Deliver { src, dst, epoch });
+        let dir = dir as u32;
+        self.schedule(arrival, Ev::Deliver { dir, epoch });
     }
 
     fn establish_session(&mut self, a: NodeId, b: NodeId) {
@@ -920,44 +930,40 @@ impl Simulator {
         if self.nodes[a.index()].crashed.is_some() || self.nodes[b.index()].crashed.is_some() {
             return;
         }
-        if self.sessions.get(&key) == Some(&SessionState::Up) {
+        let Some(edge) = self.topo.edge_index(a, b) else {
+            return;
+        };
+        if self.sessions[edge] == SessionState::Up {
             return;
         }
-        self.sessions.insert(key, SessionState::Up);
+        self.sessions[edge] = SessionState::Up;
         self.trace.push(self.now, TraceKind::SessionUp { a, b });
         self.with_node(a, |node, api| node.on_session(b, SessionEvent::Up, api));
         self.with_node(b, |node, api| node.on_session(a, SessionEvent::Up, api));
     }
 
     fn teardown_session(&mut self, a: NodeId, b: NodeId, reason: DownReason, reconnect: bool) {
-        let key = Self::skey(a, b);
-        if self.sessions.get(&key) != Some(&SessionState::Up) {
+        let Some(edge) = self.topo.edge_index(a, b) else {
+            return;
+        };
+        if self.sessions[edge] != SessionState::Up {
             return;
         }
-        self.sessions.insert(key, SessionState::Down);
+        self.sessions[edge] = SessionState::Down;
         self.trace
             .push(self.now, TraceKind::SessionDown { a, b, reason });
         // Drop in-flight data in both directions; bump epochs so queued
         // delivery events become no-ops.
-        for dir in [(a, b), (b, a)] {
-            if let Some(ch) = self.channels.get_mut(&dir) {
-                let lost_markers: Vec<SnapshotId> = ch
-                    .queue
-                    .iter()
-                    .filter_map(|f| match f.frame {
-                        Frame::Marker(id) => Some(id),
-                        _ => None,
-                    })
-                    .collect();
-                ch.queue.clear();
-                ch.epoch += 1;
-                ch.last_arrival = self.now;
-                for id in lost_markers {
+        for ch in &mut self.links[2 * edge..2 * edge + 2] {
+            for flight in ch.queue.drain(..) {
+                if let Frame::Marker(id) = flight.frame {
                     if let Some(s) = self.snapshots.get_mut(&id) {
                         s.fail(format!("marker lost on session reset {a}-{b}"));
                     }
                 }
             }
+            ch.epoch += 1;
+            ch.last_arrival = self.now;
         }
         // Any snapshot still counting on these channels fails (the channel
         // state it was recording is gone).
@@ -1116,33 +1122,13 @@ impl Simulator {
         let id = SnapshotId(self.next_snapshot);
         self.next_snapshot += 1;
 
-        // Scope: the session-connected component of the initiator.
-        let mut member = BTreeSet::new();
-        let mut stack = vec![initiator];
-        member.insert(initiator);
-        while let Some(n) = stack.pop() {
-            for m in self.topo.neighbors(n) {
-                if self.session_up(n, m) && member.insert(m) {
-                    stack.push(m);
-                }
-            }
-        }
-        let mut chans = BTreeSet::new();
-        for &n in &member {
-            for m in self.topo.neighbors(n) {
-                if member.contains(&m) && self.session_up(n, m) {
-                    chans.insert((n, m));
-                    chans.insert((m, n));
-                }
-            }
-        }
-        let sessions_up: Vec<(NodeId, NodeId)> = self
-            .sessions
-            .iter()
-            .filter(|(_, s)| **s == SessionState::Up)
-            .map(|(k, _)| *k)
-            .collect();
-        let mut st = SnapshotState::new(id, initiator, member, chans, sessions_up, self.now);
+        let sessions = &self.sessions;
+        let mut st = SnapshotState::new(
+            initiator,
+            &self.topo,
+            |e| sessions[e] == SessionState::Up,
+            self.now,
+        );
 
         // Record the initiator immediately and emit markers on its outgoing
         // channels.
@@ -1150,19 +1136,27 @@ impl Simulator {
         st.record_node(initiator, init_clone);
         let outgoing: Vec<NodeId> = st.outgoing_of(initiator);
         self.snapshots.insert(id, st);
-        for m in outgoing {
+        self.send_markers(id, initiator, outgoing);
+        self.finalize_snapshot_if_done(id);
+        id
+    }
+
+    /// Fan snapshot `id`'s marker out from `src` on its in-scope channels.
+    fn send_markers(&mut self, id: SnapshotId, src: NodeId, outgoing: Vec<NodeId>) {
+        for dst in outgoing {
             self.trace.push(
                 self.now,
                 TraceKind::MarkerSent {
-                    src: initiator,
-                    dst: m,
+                    src,
+                    dst,
                     snapshot: id.0,
                 },
             );
-            self.send_frame(initiator, m, Frame::Marker(id));
+            let dir = self
+                .dir_index(src, dst)
+                .expect("snapshot channel on non-adjacent pair");
+            self.send_frame(dir, Frame::Marker(id));
         }
-        self.finalize_snapshot_if_done(id);
-        id
     }
 
     fn snapshot_on_marker(&mut self, id: SnapshotId, src: NodeId, dst: NodeId) {
@@ -1187,17 +1181,7 @@ impl Simulator {
             st.record_node(dst, clone);
             st.channel_done_empty(src, dst);
             let outgoing = st.outgoing_of(dst);
-            for m in outgoing {
-                self.trace.push(
-                    self.now,
-                    TraceKind::MarkerSent {
-                        src: dst,
-                        dst: m,
-                        snapshot: id.0,
-                    },
-                );
-                self.send_frame(dst, m, Frame::Marker(id));
-            }
+            self.send_markers(id, dst, outgoing);
         } else {
             let st = self.snapshots.get_mut(&id).unwrap();
             st.channel_done_recorded(src, dst);
@@ -1254,7 +1238,7 @@ impl Simulator {
             }
         }
         let mut in_flight = Vec::new();
-        for ((src, dst), ch) in &self.channels {
+        for (dir, ch) in self.links.iter().enumerate() {
             let msgs: Vec<Vec<u8>> = ch
                 .queue
                 .iter()
@@ -1264,15 +1248,16 @@ impl Simulator {
                 })
                 .collect();
             if !msgs.is_empty() {
-                in_flight.push((*src, *dst, msgs));
+                let (src, dst) = self.endpoints(dir);
+                in_flight.push((src, dst, msgs));
             }
         }
-        let sessions_up = self
-            .sessions
-            .iter()
-            .filter(|(_, s)| **s == SessionState::Up)
-            .map(|(k, _)| *k)
-            .collect();
+        // Channel order is part of the replay contract: a clone re-sends
+        // in-flight traffic in this order, which fixes event sequence
+        // numbers.
+        in_flight.sort_by_key(|&(src, dst, _)| (src, dst));
+        let sessions_up =
+            snapshot::sessions_up(&self.topo, |e| self.sessions[e] == SessionState::Up);
         ShadowSnapshot::new(self.now, nodes, in_flight, sessions_up)
     }
 
@@ -1311,34 +1296,10 @@ impl Simulator {
                 .all(|id| id.index() < self.nodes.len()),
             "shadow does not match the simulator's topology"
         );
-        // Reseed the per-link randomness streams exactly as construction
-        // does: one parent stream split twice per edge, in edge order —
-        // and likewise for the channel-fidelity streams from their salted
-        // parent, with the burst state returned to good.
-        let mut rng = SimRng::seed_from_u64(seed);
-        let mut fault_parent = SimRng::seed_from_u64(seed ^ Self::FAULT_STREAM_SALT);
-        for e in self.topo.edges() {
-            let label = ((e.a.0 as u64) << 32) | e.b.0 as u64;
-            self.link_rngs.insert((e.a, e.b), rng.split(label));
-            self.link_rngs
-                .insert((e.b, e.a), rng.split(label ^ 0xFFFF_FFFF));
-            self.fault_rngs
-                .insert((e.a, e.b), fault_parent.split(label));
-            self.fault_rngs
-                .insert((e.b, e.a), fault_parent.split(label ^ 0xFFFF_FFFF));
-        }
-        for s in self.fault_state.values_mut() {
-            *s = LinkFaultState::default();
-        }
-        // Channel structures survive; their contents do not.
-        for ch in self.channels.values_mut() {
-            ch.queue.clear();
-            ch.last_arrival = SimTime::ZERO;
-            ch.epoch = 0;
-        }
-        for s in self.sessions.values_mut() {
-            *s = SessionState::Down;
-        }
+        // Channel structures survive; their contents do not. The per-link
+        // randomness streams restart exactly as construction seeds them.
+        self.reset_links(seed);
+        self.sessions.fill(SessionState::Down);
         self.queue.clear();
         self.seq = 0;
         self.admin_down.clear();
@@ -1351,12 +1312,8 @@ impl Simulator {
             slot.crashed = None;
             slot.timer_gen.clear();
         }
-        for d in &mut self.dirty {
-            *d = false;
-        }
-        for c in &mut self.ckpt_cache {
-            *c = None;
-        }
+        self.dirty.fill(false);
+        self.ckpt_cache.fill(None);
         self.snap_stats = SnapshotStats::default();
         self.started = true;
         self.bind_shadow(shadow);
@@ -1386,28 +1343,27 @@ impl Simulator {
             }
         }
         for &(a, b) in shadow.sessions_up() {
-            if self.sessions.contains_key(&Self::skey(a, b)) {
-                self.sessions.insert(Self::skey(a, b), SessionState::Up);
+            if let Some(edge) = self.topo.edge_index(a, b) {
+                self.sessions[edge] = SessionState::Up;
             }
         }
         // Re-enqueue in-flight messages preserving per-channel order.
-        let inflight: Vec<(NodeId, NodeId, Vec<Vec<u8>>)> = shadow
-            .in_flight()
-            .iter()
-            .map(|(a, b, m)| (*a, *b, m.clone()))
-            .collect();
-        for (src, dst, msgs) in inflight {
+        for (src, dst, msgs) in shadow.in_flight() {
+            let up = self
+                .dir_index(*src, *dst)
+                .filter(|dir| self.sessions[dir / 2] == SessionState::Up);
+            let Some(dir) = up else {
+                continue;
+            };
             for bytes in msgs {
-                if self.session_up(src, dst) {
-                    self.send_frame(
-                        src,
-                        dst,
-                        Frame::Data {
-                            bytes: Payload::Heap(bytes),
-                            quiet: false,
-                        },
-                    );
-                }
+                let bytes = Payload::Heap(bytes.clone());
+                self.send_frame(
+                    dir,
+                    Frame::Data {
+                        bytes,
+                        quiet: false,
+                    },
+                );
             }
         }
     }
@@ -1696,6 +1652,89 @@ mod tests {
                 .unwrap();
             assert_eq!(a.sent, b.sent, "node {i} sent counters diverge");
             assert_eq!(a.got, b.got, "node {i} receive logs diverge");
+        }
+
+        // The same, for a pooled simulator reset *mid-drive* with the
+        // fault layer on: nodes materialised, frames in flight, events
+        // queued, trace ring filled, fault streams partly consumed.
+        let mut live = line_sim(6, 17);
+        live.run_until(SimTime::from_nanos(1_000_000_000));
+        let shadow = live.instant_snapshot();
+        let topo = live.topology().clone();
+        let faults = LinkFaults::lossy(0.05);
+        let lossy_drive = |sim: &mut Simulator, until: SimDuration| {
+            sim.set_unreliable_links(true);
+            sim.set_link_faults(faults);
+            for hop in 0..5u32 {
+                sim.deliver_direct(NodeId(hop), NodeId(hop + 1), &[0]);
+                sim.deliver_direct(NodeId(hop + 1), NodeId(hop), &[1]);
+            }
+            sim.run_until(sim.now() + until);
+        };
+        let log = |sim: &Simulator| -> Vec<String> {
+            sim.trace().events().map(|e| format!("{e:?}")).collect()
+        };
+
+        let mut fresh = Simulator::from_shadow(&shadow, &topo, 7);
+        lossy_drive(&mut fresh, SimDuration::from_secs(5));
+
+        let mut pooled = Simulator::from_shadow(&shadow, &topo, 99);
+        lossy_drive(&mut pooled, SimDuration::from_millis(7));
+        assert!(!pooled.queue.is_empty(), "reset must hit a non-empty heap");
+        assert!(!pooled.trace().is_empty());
+        assert!(pooled.links.iter().any(|l| !l.queue.is_empty()));
+        assert!(pooled
+            .nodes
+            .iter()
+            .all(|slot| matches!(slot.node, NodeState::Owned(_))));
+        let _ = pooled.take_wire_stats(); // the clone pool drains at release
+        pooled.reset_from_shadow(&shadow, 7);
+        lossy_drive(&mut pooled, SimDuration::from_secs(5));
+
+        assert_eq!(log(&fresh), log(&pooled), "traces differ event for event");
+        let wire = fresh.take_wire_stats();
+        assert_eq!(wire, pooled.take_wire_stats());
+        assert!(
+            wire.frames_dropped + wire.frames_duplicated + wire.frames_reordered > 0,
+            "the fault layer must have fired"
+        );
+    }
+
+    #[test]
+    fn lazy_link_streams_draw_what_eager_splits_draw() {
+        // The streams `reset_links` records as seeds are the ones the old
+        // eager `parent.split(label)` pass built — whatever order links
+        // first draw in.
+        let topo = Topology::demo27();
+        for seed in [1u64, 42, 0xD1CE] {
+            let mut latency = SimRng::seed_from_u64(seed);
+            let mut fault = SimRng::seed_from_u64(seed ^ Simulator::FAULT_STREAM_SALT);
+            let mut eager = Vec::new();
+            for e in topo.edges() {
+                let label = ((e.a.0 as u64) << 32) | e.b.0 as u64;
+                for label in [label, label ^ 0xFFFF_FFFF] {
+                    eager.push((latency.split(label), fault.split(label)));
+                }
+            }
+            let draws = |rng: &mut SimRng| -> Vec<u64> { (0..8).map(|_| rng.next_u64()).collect() };
+
+            let mut sim = Simulator::new(topo.clone(), seed);
+            // Once as built, once after a reset from a different seed; the
+            // second pass touches links in reverse edge order.
+            for reverse in [false, true] {
+                let mut order: Vec<usize> = (0..eager.len()).collect();
+                if reverse {
+                    order.reverse();
+                    sim.reset_links(seed ^ 1);
+                    sim.reset_links(seed);
+                }
+                for dir in order {
+                    let (mut lat, mut flt) = eager[dir].clone();
+                    let link = &mut sim.links[dir];
+                    assert_eq!(draws(link.latency_rng.get()), draws(&mut lat), "dir {dir}");
+                    assert_eq!(draws(link.fault_rng.get()), draws(&mut flt), "dir {dir}");
+                }
+            }
         }
     }
 

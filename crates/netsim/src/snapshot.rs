@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use crate::node::{Node, NodeId};
 use crate::time::SimTime;
+use crate::topology::Topology;
 
 /// Identifier of a snapshot within one simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -25,13 +26,23 @@ pub enum SnapshotProgress {
     Failed(String),
 }
 
+/// The established sessions of `topo` as `(lower, higher)` node pairs, in
+/// edge order; `up(e)` says whether the session over edge `e` is up.
+pub(crate) fn sessions_up(topo: &Topology, up: impl Fn(usize) -> bool) -> Vec<(NodeId, NodeId)> {
+    topo.edges()
+        .iter()
+        .enumerate()
+        .filter(|&(e, _)| up(e))
+        .map(|(_, edge)| (edge.a.min(edge.b), edge.a.max(edge.b)))
+        .collect()
+}
+
 /// Chandy–Lamport bookkeeping for one snapshot.
 pub(crate) struct SnapshotState {
-    id: SnapshotId,
-    #[allow(dead_code)]
-    initiator: NodeId,
     members: BTreeSet<NodeId>,
-    /// Directed channels that must be drained by a marker.
+    /// Directed channels that must be drained by a marker. Symmetric by
+    /// construction — `(n, m)` is in scope iff `(m, n)` is — so the range
+    /// `(n, _)` names both the outgoing and the incoming channels of `n`.
     channels: BTreeSet<(NodeId, NodeId)>,
     /// Channels whose marker has arrived.
     done: BTreeSet<(NodeId, NodeId)>,
@@ -46,19 +57,39 @@ pub(crate) struct SnapshotState {
     complete: bool,
 }
 
-#[allow(dead_code)]
 impl SnapshotState {
+    /// Scope a snapshot to the session-connected component of `initiator`:
+    /// its members, both directions of every up session among them, and
+    /// the up sessions of the whole topology (in edge order). `up(e)` says
+    /// whether the session over edge index `e` is established.
     pub(crate) fn new(
-        id: SnapshotId,
         initiator: NodeId,
-        members: BTreeSet<NodeId>,
-        channels: BTreeSet<(NodeId, NodeId)>,
-        sessions_up: Vec<(NodeId, NodeId)>,
+        topo: &Topology,
+        up: impl Fn(usize) -> bool,
         started_at: SimTime,
     ) -> Self {
+        let mut members = BTreeSet::new();
+        let mut stack = vec![initiator];
+        members.insert(initiator);
+        while let Some(n) = stack.pop() {
+            for (e, m) in topo.incident(n) {
+                if up(e) && members.insert(m) {
+                    stack.push(m);
+                }
+            }
+        }
+        // Every up edge inside the component is seen from both endpoints.
+        let channels = members
+            .iter()
+            .flat_map(|&n| {
+                let up = &up;
+                topo.incident(n)
+                    .filter(move |&(e, _)| up(e))
+                    .map(move |(_, m)| (n, m))
+            })
+            .collect();
+        let sessions_up = sessions_up(topo, &up);
         SnapshotState {
-            id,
-            initiator,
             members,
             channels,
             done: BTreeSet::new(),
@@ -71,35 +102,31 @@ impl SnapshotState {
         }
     }
 
-    pub(crate) fn id(&self) -> SnapshotId {
-        self.id
-    }
-
     pub(crate) fn is_marked(&self, n: NodeId) -> bool {
         self.nodes.contains_key(&n)
+    }
+
+    /// Peers of `n` over in-scope channels, ascending: O(log E + degree).
+    fn peers_of(
+        channels: &BTreeSet<(NodeId, NodeId)>,
+        n: NodeId,
+    ) -> impl Iterator<Item = NodeId> + '_ {
+        channels
+            .range((n, NodeId(0))..=(n, NodeId(u32::MAX)))
+            .map(|&(_, m)| m)
     }
 
     pub(crate) fn record_node(&mut self, n: NodeId, state: Arc<dyn Node>) {
         self.nodes.insert(n, state);
         // Start recording every incoming member channel of n.
-        let incoming: Vec<(NodeId, NodeId)> = self
-            .channels
-            .iter()
-            .filter(|(_, dst)| *dst == n)
-            .copied()
-            .collect();
-        for c in incoming {
-            self.recorded.entry(c).or_default();
+        for m in Self::peers_of(&self.channels, n) {
+            self.recorded.entry((m, n)).or_default();
         }
     }
 
     /// Outgoing member channels of `n` (marker fan-out set).
     pub(crate) fn outgoing_of(&self, n: NodeId) -> Vec<NodeId> {
-        self.channels
-            .iter()
-            .filter(|(src, _)| *src == n)
-            .map(|(_, dst)| *dst)
-            .collect()
+        Self::peers_of(&self.channels, n).collect()
     }
 
     /// Marker arrived on `src -> dst` and `dst` was just recorded: channel
@@ -545,6 +572,70 @@ mod tests {
             totals.windows(2).all(|w| w[0] == w[1]),
             "concurrent clones are deterministic: {totals:?}"
         );
+    }
+
+    /// The scope a snapshot of `topo` from `initiator` gets when exactly
+    /// the edges in `up` carry an established session.
+    fn scoped(topo: &Topology, up: &[bool], initiator: NodeId) -> SnapshotState {
+        SnapshotState::new(initiator, topo, |e| up[e], SimTime::ZERO)
+    }
+
+    proptest::proptest! {
+        /// The O(degree) range scans name exactly the channels the
+        /// whole-set filter (the pre-refactor implementation, kept here
+        /// as the oracle) does, for every node of random topologies with
+        /// a random subset of sessions down — including nodes outside
+        /// the initiator's component.
+        #[test]
+        fn degree_scans_match_the_whole_set_filter(
+            n in 2usize..24,
+            graph_seed in 0u64..10_000,
+            down in proptest::collection::vec(0usize..1000, 0..40),
+            initiator in 0usize..24,
+        ) {
+            let mut rng = crate::rng::SimRng::seed_from_u64(graph_seed);
+            let params = crate::topology::InternetParams {
+                tier1: 2.min(n),
+                peering_prob: 0.2,
+                ..Default::default()
+            };
+            let topo = Topology::internet_like(n, &params, &mut rng);
+            let mut up = vec![true; topo.edges().len()];
+            for d in down {
+                if !up.is_empty() {
+                    let e = d % up.len();
+                    up[e] = false;
+                }
+            }
+            let st = scoped(&topo, &up, NodeId((initiator % n) as u32));
+
+            // Symmetry is what lets one range serve both directions.
+            for &(a, b) in &st.channels {
+                proptest::prop_assert!(st.channels.contains(&(b, a)));
+            }
+            for node in topo.node_ids() {
+                let outgoing: Vec<NodeId> = st
+                    .channels
+                    .iter()
+                    .filter(|(src, _)| *src == node)
+                    .map(|(_, dst)| *dst)
+                    .collect();
+                proptest::prop_assert_eq!(st.outgoing_of(node), outgoing);
+
+                let incoming: Vec<(NodeId, NodeId)> = st
+                    .channels
+                    .iter()
+                    .filter(|(_, dst)| *dst == node)
+                    .copied()
+                    .collect();
+                let mut rec = scoped(&topo, &up, NodeId((initiator % n) as u32));
+                rec.record_node(node, Arc::new(Acc::default()));
+                proptest::prop_assert_eq!(
+                    rec.recorded.keys().copied().collect::<Vec<_>>(),
+                    incoming
+                );
+            }
+        }
     }
 
     #[test]

@@ -103,31 +103,35 @@ impl Topology {
 
     /// The edge connecting `a` and `b` (either orientation), if any.
     pub fn edge_between(&self, a: NodeId, b: NodeId) -> Option<&EdgeSpec> {
+        self.edge_index(a, b).map(|i| &self.edges[i])
+    }
+
+    /// Index into [`Topology::edges`] of the edge connecting `a` and `b`
+    /// (either orientation), if any. O(min degree).
+    pub fn edge_index(&self, a: NodeId, b: NodeId) -> Option<usize> {
         // Scan the sparser endpoint's incidence list.
         let (n, m) = if self.adj[a.index()].len() <= self.adj[b.index()].len() {
             (a, b)
         } else {
             (b, a)
         };
-        self.adj[n.index()]
-            .iter()
-            .map(|&i| &self.edges[i as usize])
-            .find(|e| (e.a == n && e.b == m) || (e.a == m && e.b == n))
+        self.incident(n)
+            .find(|&(_, peer)| peer == m)
+            .map(|(i, _)| i)
+    }
+
+    /// Edges incident to `n` as `(edge index, neighbor)`, in deterministic
+    /// (insertion) order.
+    pub fn incident(&self, n: NodeId) -> impl Iterator<Item = (usize, NodeId)> + '_ {
+        self.adj[n.index()].iter().map(move |&i| {
+            let e = &self.edges[i as usize];
+            (i as usize, if e.a == n { e.b } else { e.a })
+        })
     }
 
     /// Neighbors of `n`, in deterministic (insertion) order.
     pub fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
-        self.adj[n.index()]
-            .iter()
-            .map(|&i| {
-                let e = &self.edges[i as usize];
-                if e.a == n {
-                    e.b
-                } else {
-                    e.a
-                }
-            })
-            .collect()
+        self.incident(n).map(|(_, m)| m).collect()
     }
 
     /// The relationship of `n` toward neighbor `m`, from `n`'s point of view.

@@ -183,3 +183,46 @@ fn dice_round_does_not_change_live_routing() {
     let _ = dice.run_round(&mut live).unwrap();
     assert_eq!(before, fingerprint(&live), "exploration must be isolated");
 }
+
+#[test]
+fn internet200_sweep_report_is_pinned() {
+    // `exp_topo`'s scale scenario at a size a debug build affords: 200
+    // ASes, 4 originators, one sweep from n0 toward two peers. The digest
+    // of the normalized report was recorded at the commit *before* cuts,
+    // clones and the UPDATE path were made to share instead of copy (PR
+    // 13), so it pins every event, random draw and `state_size()` of that
+    // path: a change there must either reproduce it or explain itself.
+    use dice_system::dice::{hash, Campaign};
+    use dice_system::netsim::{InternetParams, SimRng, Topology};
+
+    const PINNED: &str = "0a2a55b812b8c10bb5bb51152a90cf9e656e4caec886711845d992315fd668c9";
+
+    let n = 200;
+    let params = InternetParams {
+        peering_prob: 8.0 / n as f64,
+        ..InternetParams::default()
+    };
+    let mut rng = SimRng::seed_from_u64(0xD1CE_0000 + n as u64);
+    let topo = Topology::internet_like(n, &params, &mut rng);
+    let mut live = scenarios::build_system_with_originators(&topo, 4, 17);
+    let outcome = live.run_until_quiet(
+        SimDuration::from_secs(5),
+        SimTime::from_nanos(600_000_000_000),
+    );
+    assert_eq!(outcome, QuietOutcome::Quiescent);
+
+    let report = Campaign::new(&live)
+        .explorers([NodeId(0)])
+        .max_peers_per_explorer(2)
+        .rounds(1)
+        .executions(16)
+        .validate_top(4)
+        .horizon(SimDuration::from_secs(30))
+        .workers(2)
+        .pair_workers(2)
+        .run(&mut live)
+        .expect("campaign runs");
+    assert_eq!(report.rounds.len(), 2, "one sweep, two peers");
+    let json = serde_json::to_string(&report.normalized()).expect("serializes");
+    assert_eq!(hash::hex(&hash::sha256(json.as_bytes())), PINNED);
+}
