@@ -1,9 +1,21 @@
 //! T4c micro-bench: solver cost on the constraint shapes the BGP handler
 //! actually produces (single-byte dispatch, 16-bit length bounds,
-//! multi-byte prefix masks), plus the budget ablation from DESIGN.md §6.4.
+//! multi-byte prefix masks), plus the budget ablation from DESIGN.md §6.4,
+//! plus `path_flips`: every negation query of one real handler-twin path,
+//! answered from scratch per flip (the reference) and in one `PathSolver`
+//! pass (what `explore` runs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dice_concolic::{BinOp, CmpOp, Constraint, ExprArena, Solver, SolverBudget};
+use dice_bench::wire_workload::{bgp_update, gossip_digest};
+use dice_bgp::{Asn, RouterConfig, RouterId};
+use dice_concolic::{
+    negation_query, BinOp, CmpOp, ConcolicCtx, ConcolicProgram, Constraint, ExprArena, PathSolver,
+    Solver, SolverBudget, SymInput,
+};
+use dice_core::gossip_sut::mark_gossip;
+use dice_core::{mark_update, SymbolicGossipHandler, SymbolicUpdateHandler};
+use dice_gossip::GossipConfig;
+use dice_netsim::NodeId;
 use std::hint::black_box;
 
 fn byte_eq_system(a: &mut ExprArena) -> Vec<Constraint> {
@@ -100,6 +112,80 @@ fn bench_budget_ablation(c: &mut Criterion) {
     group.finish();
 }
 
+/// Run `bytes` through a handler twin once and keep the recorded context
+/// (arena + path).
+fn record(program: &mut dyn ConcolicProgram, bytes: &[u8], mask: Vec<bool>) -> ConcolicCtx {
+    let mut ctx = ConcolicCtx::new(SymInput::with_mask(bytes.to_vec(), mask));
+    black_box(program.run(&mut ctx));
+    ctx
+}
+
+fn bench_path_flips(c: &mut Criterion) {
+    // The transit-grade UPDATE and the 32-entry digest of `wire_workload`,
+    // through the twin that parses them: the neighbor is the UPDATE's
+    // first AS so the path runs the full attribute and NLRI loops.
+    let update = dice_bgp::wire::encode(&bgp_update());
+    let router = RouterConfig::minimal(Asn(65000), RouterId(1)).with_neighbor(
+        NodeId(2),
+        Asn(65001),
+        "all",
+        "all",
+    );
+    let digest = dice_gossip::wire::encode(&gossip_digest());
+    let paths = [
+        (
+            "bgp_update",
+            record(
+                &mut SymbolicUpdateHandler::new(router, NodeId(2)),
+                &update,
+                mark_update(&update),
+            ),
+        ),
+        (
+            "gossip_digest",
+            record(
+                &mut SymbolicGossipHandler::new(GossipConfig::new(7).subscribe(3)),
+                &digest,
+                mark_gossip(&digest),
+            ),
+        ),
+    ];
+
+    let mut group = c.benchmark_group("path_flips");
+    for (name, ctx) in &paths {
+        let (arena, path) = (ctx.arena(), ctx.path());
+        let bytes = &ctx.input().bytes;
+        let seed = |idx: u32| bytes.get(idx as usize).copied().unwrap_or(0);
+        eprintln!("path_flips/{name}: {} branches", path.len());
+
+        group.bench_function(format!("{name}/solve_per_flip"), |b| {
+            b.iter(|| {
+                let mut solver = Solver::new();
+                for i in 0..path.len() {
+                    black_box(solver.solve(arena, &negation_query(path, i), &seed));
+                }
+                solver.stats
+            });
+        });
+
+        // As in `explore`: the solver (and its cross-path memo) outlives
+        // the path; the structural hashes are part of every pass.
+        let mut solver = PathSolver::default();
+        let mut model = Vec::new();
+        group.bench_function(format!("{name}/path_solver"), |b| {
+            b.iter(|| {
+                let hashes = arena.node_hashes();
+                let mut pass = solver.begin(arena, path, &hashes, &seed);
+                for _ in 0..path.len() {
+                    black_box(pass.flip(&mut model));
+                    pass.advance();
+                }
+            });
+        });
+    }
+    group.finish();
+}
+
 fn quick() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -110,6 +196,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_shapes, bench_budget_ablation
+    targets = bench_shapes, bench_budget_ablation, bench_path_flips
 }
 criterion_main!(benches);

@@ -24,14 +24,16 @@
 //! * `--smoke` — tiny budgets for CI: fewer executions/validations, sweep
 //!   {1, 2} only. Keeps the perf trajectory file cheap to regenerate.
 //! * `--repeat N` — rerun the C1a campaign `N` times on fresh identical
-//!   systems and append a `rounds/s min/median/max of N` row to its table.
+//!   systems and append a `rounds/s min/median/max of N` row to its table
+//!   (C1e records the count next to host cores and the commit).
 //! * `--json PATH` — archive the raw rows as JSON.
 //!
 //! Prints Markdown tables; the JSON output is committed as
 //! `BENCH_campaign.json` by CI to start the perf trajectory.
 
 use dice_bench::{
-    detection_rows, maybe_write_json, parse_repeat, spread_rows, summarize_campaign, Table,
+    detection_rows, host_rows, maybe_write_json, parse_repeat, spread_rows, summarize_campaign,
+    Table,
 };
 use dice_core::{scenarios, Campaign, CampaignConfig, CampaignReport};
 use dice_netsim::{NodeId, SimDuration, SimTime, Simulator};
@@ -288,5 +290,10 @@ fn main() {
     }
     t5.print();
 
-    maybe_write_json(&[&t1, &t2, &t3, &t4, &t5]);
+    // What makes the committed file comparable across machines and commits.
+    let mut t6 = Table::new("C1e — harness", &["metric", "value"]);
+    host_rows(&mut t6, repeat);
+    t6.print();
+
+    maybe_write_json(&[&t1, &t2, &t3, &t4, &t5, &t6]);
 }

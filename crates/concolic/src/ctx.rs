@@ -164,11 +164,6 @@ impl ConcolicCtx {
         &self.arena
     }
 
-    /// Mutable arena access (for the solver's negation nodes).
-    pub fn arena_mut(&mut self) -> &mut ExprArena {
-        &mut self.arena
-    }
-
     /// The recorded path condition, in execution order.
     pub fn path(&self) -> &[BranchRec] {
         &self.path

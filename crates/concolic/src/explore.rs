@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use serde::{Deserialize, Serialize};
 
 use crate::ctx::{BranchRec, ConcolicCtx, SymInput};
-use crate::solve::{negation_query, SolveResult, Solver, SolverBudget, SolverStats};
+use crate::solve::{negation_query, Flip, PathSolver, Solver, SolverBudget, SolverStats};
 
 /// Outcome of one program execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,7 +125,9 @@ pub struct ExploreConfig {
     /// the solver again. Caching refutations (not models) keeps the
     /// exploration outcome bit-identical to the uncached run — a refuted
     /// system spawns no child either way. Disable for ablations (the S2
-    /// sweep in `exp_campaign`).
+    /// sweep in `exp_campaign`): every negation query is then built whole
+    /// and answered from scratch by the reference [`Solver::solve`], where
+    /// the default answers a path's queries in one [`PathSolver`] pass.
     ///
     /// Expect **zero** cache hits on a corpus of shape-disjoint seeds:
     /// the cache keys on structural constraint hashes, and parsers fold
@@ -218,7 +220,12 @@ pub fn explore(
     marker: &dyn Fn(&[u8]) -> Vec<bool>,
     config: &ExploreConfig,
 ) -> ExplorationReport {
+    // Cache on: one `PathSolver` pass per executed path. Cache off: the
+    // reference solver, one whole query per flip. Same answers.
+    let mut sliced = PathSolver::with_budget(config.solver_budget);
     let mut solver = Solver::with_budget(config.solver_budget);
+    let (mut covered_skips, mut cache_hits) = (0u64, 0u64);
+    let mut model: Vec<(u32, u8)> = Vec::new();
     let mut coverage = Coverage::default();
     let mut report = ExplorationReport::default();
     let mut seen_paths: BTreeSet<u64> = BTreeSet::new();
@@ -243,11 +250,6 @@ pub fn explore(
     // behaves identically in both modes (the S2 ablation's byte-identity
     // contract).
     let mut dispatched: HashSet<u64> = HashSet::new();
-    // Per-constraint memo (variable lists + unary-filter byte sets) with
-    // the same cross-seed structural keying; one path's negation queries
-    // share their prefix constraints, so this is where the quadratic
-    // solver work goes away.
-    let mut memo = crate::solve::UnaryMemo::default();
     let mut queue: Vec<WorkItem> = Vec::new();
     let mut seq = 0u64;
 
@@ -323,26 +325,23 @@ pub fn explore(
         // Note: expansion is NOT gated on path novelty — two different
         // inputs can share a branch skeleton yet yield different children;
         // the input-key dedup above suppresses true duplicates.
-        let path: Vec<BranchRec> = ctx.path().to_vec();
-        let input_len = item.bytes.len();
+        let path = ctx.path();
         // Canonical structural hashes of the run's hash-consed arena: one
         // O(arena) pass, then each negation query hashes in O(1) as a fold
         // over the path prefix. The same branch structure recorded by a
         // different seed (different bytes, separate arena) yields the same
         // hashes. Computed unconditionally: the covered-flip guard keys
         // off them and runs in both cache modes.
-        let key_of = |h: u64, want: bool| crate::expr::mix3(0x0051_AB1E, h, want as u64);
         let node_hash = ctx.arena().node_hashes();
-        // Per-constraint memo keys for the as-taken prefix (the negated
-        // constraint's key is derived per flip below). Only the memo
-        // consumes these, so the cache-off ablation skips them.
-        let taken_keys: Vec<u64> = if config.solver_cache {
-            path.iter()
-                .map(|rec| key_of(node_hash[rec.constraint.0 as usize], rec.taken))
-                .collect()
-        } else {
-            Vec::new()
+        let seed_fn = |idx: u32| -> u8 {
+            match item.bytes.get(idx as usize) {
+                Some(&b) => b,
+                None => item.oracles.get(&idx).copied().unwrap_or(0),
+            }
         };
+        let mut pass = config
+            .solver_cache
+            .then(|| sliced.begin(ctx.arena(), path, &node_hash, &seed_fn));
         let mut prefix_hash: u64 = 0xD1CE_0000_5EED_0001;
         let mut sites_seen: HashSet<u32> = HashSet::new();
         for (i, rec) in path.iter().enumerate() {
@@ -369,46 +368,36 @@ pub fn explore(
                     // reached under an *incompatible* prefix never
                     // suppresses the one query that could reach it from
                     // here (regression-tested).
-                    solver.stats.covered_skips += 1;
+                    covered_skips += 1;
                 } else if config.solver_cache && refuted.contains(&query_hash) {
                     // Structurally identical constraint system already
                     // proven UNSAT (possibly for another seed): no child
                     // either way, skip the solver.
-                    solver.stats.cache_hits += 1;
+                    cache_hits += 1;
                 } else {
-                    let q = negation_query(&path, i);
-                    let seed_bytes = item.bytes.clone();
-                    let seed_oracles = item.oracles.clone();
-                    let seed_fn = move |idx: u32| -> u8 {
-                        if (idx as usize) < seed_bytes.len() {
-                            seed_bytes[idx as usize]
-                        } else {
-                            seed_oracles.get(&idx).copied().unwrap_or(0)
-                        }
-                    };
-                    let outcome = if config.solver_cache {
-                        let mut chashes = taken_keys[..i].to_vec();
-                        chashes.push(key_of(rec_hash, !rec.taken));
-                        solver.solve_memo(ctx.arena(), &q, &seed_fn, &chashes, &mut memo)
-                    } else {
-                        solver.solve(ctx.arena(), &q, &seed_fn)
+                    let outcome = match &mut pass {
+                        Some(pass) => pass.flip(&mut model),
+                        None => solver
+                            .solve(ctx.arena(), &negation_query(path, i), &seed_fn)
+                            .into_flip(&mut model),
                     };
                     // Only *answered* queries count as dispatched: an
                     // Unknown (budget-exhausted) query produced no child,
                     // and a later seed-biased retry of the same structure
                     // might — the guard must not fossilize it.
-                    if !matches!(outcome, SolveResult::Unknown) {
+                    if outcome != Flip::Unknown {
                         dispatched.insert(query_hash);
                     }
                     match outcome {
-                        SolveResult::Sat(model) => {
+                        Flip::Sat => {
                             let mut bytes = item.bytes.clone();
                             let mut oracles = item.oracles.clone();
-                            for (&idx, &val) in &model {
-                                if (idx as usize) < input_len {
-                                    bytes[idx as usize] = val;
-                                } else {
-                                    oracles.insert(idx, val);
+                            for &(idx, val) in &model {
+                                match bytes.get_mut(idx as usize) {
+                                    Some(b) => *b = val,
+                                    None => {
+                                        oracles.insert(idx, val);
+                                    }
                                 }
                             }
                             if attempted.insert(input_key(&bytes, &oracles)) {
@@ -427,22 +416,31 @@ pub fn explore(
                                 seq += 1;
                             }
                         }
-                        SolveResult::Unsat => {
+                        Flip::Unsat => {
                             if config.solver_cache {
                                 refuted.insert(query_hash);
                             }
                         }
-                        SolveResult::Unknown => {}
+                        Flip::Unknown => {}
                     }
                 }
+            }
+            if let Some(pass) = &mut pass {
+                pass.advance();
             }
             prefix_hash = crate::expr::mix3(prefix_hash, rec_hash, rec.taken as u64);
         }
     }
 
     report.distinct_paths = seen_paths.len();
-    report.solver = solver.stats;
-    report.solver.unary_memo_hits = memo.hits;
+    report.solver = if config.solver_cache {
+        sliced.stats
+    } else {
+        solver.stats
+    };
+    report.solver.cache_hits = cache_hits;
+    report.solver.covered_skips = covered_skips;
+    report.solver.unary_memo_hits = sliced.memo_hits();
     report.coverage = coverage;
     report
 }

@@ -59,5 +59,6 @@ pub use explore::{
 };
 pub use expr::{BinOp, BoolOp, CmpOp, Expr, ExprArena, ExprId, Ternary};
 pub use solve::{
-    negation_query, ByteSet, Constraint, SolveResult, Solver, SolverBudget, SolverStats,
+    negation_query, ByteSet, Constraint, Flip, PathPass, PathSolver, SolveResult, Solver,
+    SolverBudget, SolverStats,
 };

@@ -1,0 +1,383 @@
+//! Differential tests of [`PathSolver`]: the reference [`Solver::solve`] on
+//! [`negation_query`] is the oracle. Wherever the reference answers, the
+//! one-pass solver must give the same verdict and the same model, byte for
+//! byte — an exploration that used either would enqueue the same children.
+
+use std::collections::BTreeMap;
+
+use dice_concolic::{
+    negation_query, BinOp, BranchRec, CmpOp, ConcolicCtx, ExprArena, ExprId, Flip, PathSolver,
+    SiteId, SolveResult, Solver, SolverBudget, SymInput,
+};
+use proptest::prelude::*;
+
+/// One branch of a generated path over input bytes `0..6`.
+#[derive(Debug, Clone)]
+struct Branch {
+    /// 0 constant, 1 single byte, 2 two bytes, 3 three bytes.
+    arity: u8,
+    vars: [u8; 3],
+    ops: [BinOp; 2],
+    cmp: CmpOp,
+    k: u8,
+    /// Direction recorded when the path is not replayed from the seed.
+    taken: bool,
+}
+
+fn arb_bin() -> impl Strategy<Value = BinOp> {
+    prop_oneof![
+        Just(BinOp::Add),
+        Just(BinOp::Sub),
+        Just(BinOp::And),
+        Just(BinOp::Or),
+        Just(BinOp::Xor),
+    ]
+}
+
+fn arb_cmp() -> impl Strategy<Value = CmpOp> {
+    prop_oneof![
+        Just(CmpOp::Eq),
+        Just(CmpOp::Ne),
+        Just(CmpOp::Ult),
+        Just(CmpOp::Ule)
+    ]
+}
+
+fn arb_branch() -> impl Strategy<Value = Branch> {
+    (
+        // Unary constraints dominate real parser paths.
+        prop_oneof![
+            Just(0u8),
+            Just(1),
+            Just(1),
+            Just(1),
+            Just(2),
+            Just(2),
+            Just(3)
+        ],
+        (0u8..6, 0u8..6, 0u8..6),
+        (arb_bin(), arb_bin()),
+        arb_cmp(),
+        any::<u8>(),
+        any::<bool>(),
+    )
+        .prop_map(|(arity, (a, b, c), (op1, op2), cmp, k, taken)| Branch {
+            arity,
+            vars: [a, b, c],
+            ops: [op1, op2],
+            cmp,
+            k,
+            taken,
+        })
+}
+
+fn build(arena: &mut ExprArena, b: &Branch) -> ExprId {
+    let k = arena.constant(8, b.k as u64);
+    let lhs = match b.arity {
+        0 => arena.constant(8, b.vars[0] as u64 * 40),
+        1 => {
+            let x = arena.input(b.vars[0] as u32);
+            let m = arena.constant(8, b.vars[1] as u64 * 51);
+            arena.bin(b.ops[0], 8, x, m)
+        }
+        2 => {
+            let x = arena.input(b.vars[0] as u32);
+            let y = arena.input(b.vars[1] as u32);
+            arena.bin(b.ops[0], 8, x, y)
+        }
+        _ => {
+            let x = arena.input(b.vars[0] as u32);
+            let y = arena.input(b.vars[1] as u32);
+            let z = arena.input(b.vars[2] as u32);
+            let xy = arena.bin(b.ops[0], 8, x, y);
+            arena.bin(b.ops[1], 8, xy, z)
+        }
+    };
+    arena.cmp(b.cmp, lhs, k)
+}
+
+/// Record `branches` as a path. With `replay`, directions are the ones the
+/// seed input takes (the prefix holds under the seed, as in exploration);
+/// without, they are the generated ones (the prefix may contradict the
+/// seed, or itself).
+fn record(branches: &[Branch], seed: &[u8; 6], replay: bool) -> (ExprArena, Vec<BranchRec>) {
+    let mut arena = ExprArena::new();
+    let path = branches
+        .iter()
+        .enumerate()
+        .map(|(i, b)| {
+            let constraint = build(&mut arena, b);
+            let concrete = arena.eval(constraint, &|idx| Some(seed[idx as usize] as u64));
+            BranchRec {
+                site: SiteId(i as u32),
+                constraint,
+                taken: if replay {
+                    concrete.is_some_and(|v| v != 0)
+                } else {
+                    b.taken
+                },
+            }
+        })
+        .collect();
+    (arena, path)
+}
+
+/// One pass over `path`: flip where `flips` says so (all when it runs
+/// out), advance always. Returns each flip's answer in the reference's
+/// vocabulary.
+fn sliced_answers(
+    solver: &mut PathSolver,
+    arena: &ExprArena,
+    path: &[BranchRec],
+    seed: &dyn Fn(u32) -> u8,
+    flips: &[bool],
+) -> Vec<Option<SolveResult>> {
+    let hashes = arena.node_hashes();
+    let mut pass = solver.begin(arena, path, &hashes, seed);
+    let mut model = Vec::new();
+    (0..path.len())
+        .map(|i| {
+            let answer =
+                flips
+                    .get(i)
+                    .copied()
+                    .unwrap_or(true)
+                    .then(|| match pass.flip(&mut model) {
+                        Flip::Sat => SolveResult::Sat(model.iter().copied().collect()),
+                        Flip::Unsat => SolveResult::Unsat,
+                        Flip::Unknown => SolveResult::Unknown,
+                    });
+            pass.advance();
+            answer
+        })
+        .collect()
+}
+
+/// Every flip the pass answered agrees with the reference wherever the
+/// reference answers.
+fn assert_matches_reference(
+    arena: &ExprArena,
+    path: &[BranchRec],
+    seed: &dyn Fn(u32) -> u8,
+    budget: SolverBudget,
+    answers: &[Option<SolveResult>],
+) -> Result<(), TestCaseError> {
+    let mut reference = Solver::with_budget(budget);
+    for (i, answer) in answers.iter().enumerate() {
+        let Some(answer) = answer else { continue };
+        let expected = reference.solve(arena, &negation_query(path, i), seed);
+        if expected != SolveResult::Unknown {
+            prop_assert_eq!(answer, &expected, "flip {} of {}", i, path.len());
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn every_flip_matches_the_reference(
+        branches in prop::collection::vec(arb_branch(), 1..25),
+        seed in prop::collection::vec(any::<u8>(), 6..7),
+        replay in any::<bool>(),
+        flips in prop::collection::vec(any::<bool>(), 0..25),
+        tiny_budget in prop::option::of(1u64..600),
+    ) {
+        let seed: [u8; 6] = seed.try_into().expect("six bytes");
+        let (arena, path) = record(&branches, &seed, replay);
+        let seed_fn = |idx: u32| seed[idx as usize];
+        let budget = tiny_budget.map_or_else(SolverBudget::default, |max_steps| SolverBudget { max_steps });
+
+        let mut solver = PathSolver::with_budget(budget);
+        let all = sliced_answers(&mut solver, &arena, &path, &seed_fn, &[]);
+        assert_matches_reference(&arena, &path, &seed_fn, budget, &all)?;
+        prop_assert_eq!(solver.stats.queries, path.len() as u64);
+        let first_pass_hits = solver.memo_hits();
+
+        // A second pass on the same solver (state reset, memo warm) that
+        // skips flips the way exploration does — so component models are
+        // settled later, and in bigger steps — answers the same.
+        let some = sliced_answers(&mut solver, &arena, &path, &seed_fn, &flips);
+        assert_matches_reference(&arena, &path, &seed_fn, budget, &some)?;
+        for (a, b) in all.iter().zip(&some) {
+            if let (Some(a), Some(b)) = (a, b) {
+                if *a != SolveResult::Unknown && *b != SolveResult::Unknown {
+                    prop_assert_eq!(a, b);
+                }
+            }
+        }
+        prop_assert_eq!(
+            solver.memo_hits() - first_pass_hits,
+            path.len() as u64,
+            "the second pass finds every constraint in the memo, once"
+        );
+    }
+}
+
+fn flip_all(
+    arena: &ExprArena,
+    path: &[BranchRec],
+    seed: &dyn Fn(u32) -> u8,
+    budget: SolverBudget,
+) -> (Vec<SolveResult>, Vec<SolveResult>) {
+    let mut solver = PathSolver::with_budget(budget);
+    let sliced = sliced_answers(&mut solver, arena, path, seed, &[])
+        .into_iter()
+        .flatten()
+        .collect();
+    let mut reference = Solver::with_budget(budget);
+    let whole = (0..path.len())
+        .map(|i| reference.solve(arena, &negation_query(path, i), seed))
+        .collect();
+    (sliced, whole)
+}
+
+#[test]
+fn default_true_oracle_without_overlay_stays_in_the_model() {
+    // Both handler twins guard a branch with `oracle_bool(true)`. With no
+    // overlay entry the seed function reads 0 for the oracle pseudo-byte,
+    // yet the path took the `true` direction: the oracle's component is
+    // untouched by the byte flip below, and its model (1, not the seed's
+    // 0) must still reach the child.
+    let mut ctx = ConcolicCtx::new(SymInput::all_symbolic(vec![7, 9]));
+    let preferred = ctx.oracle_bool(true);
+    assert!(ctx.branch(SiteId(1), preferred));
+    let b = ctx.read_u8(0);
+    let is_seven = ctx.eq_const(b, 7);
+    assert!(ctx.branch(SiteId(2), is_seven));
+    let bytes = [7u8, 9];
+    let seed = |idx: u32| bytes.get(idx as usize).copied().unwrap_or(0);
+
+    let (sliced, whole) = flip_all(ctx.arena(), ctx.path(), &seed, SolverBudget::default());
+    assert_eq!(sliced, whole);
+    let SolveResult::Sat(model) = &sliced[1] else {
+        panic!("flipping the byte check is satisfiable: {:?}", sliced[1]);
+    };
+    assert_eq!(model.get(&2), Some(&1), "oracle pseudo-byte 2 keeps `true`");
+    assert_ne!(model.get(&0), Some(&7));
+}
+
+#[test]
+fn failing_constant_constraint_refutes_every_later_flip() {
+    // `3 == 4` recorded as taken: nothing after it can be satisfied.
+    let mut arena = ExprArena::new();
+    let x = arena.input(0);
+    let k = arena.constant(8, 5);
+    let first = arena.cmp(CmpOp::Ult, x, k);
+    let three = arena.constant(8, 3);
+    let four = arena.constant(8, 4);
+    let never = arena.cmp(CmpOp::Eq, three, four);
+    let y = arena.input(1);
+    let last = arena.cmp(CmpOp::Eq, y, k);
+    let rec = |site, constraint, taken| BranchRec {
+        site: SiteId(site),
+        constraint,
+        taken,
+    };
+    let path = [
+        rec(1, first, true),
+        rec(2, never, true),
+        rec(3, last, false),
+    ];
+    let (sliced, whole) = flip_all(&arena, &path, &|_| 0, SolverBudget::default());
+    assert_eq!(sliced, whole);
+    assert!(matches!(sliced[0], SolveResult::Sat(_)));
+    // Flipping the constant itself is satisfiable (3 != 4 holds)...
+    assert!(matches!(sliced[1], SolveResult::Sat(_)));
+    // ...but every flip that keeps it as taken is refuted.
+    assert_eq!(sliced[2], SolveResult::Unsat);
+}
+
+#[test]
+fn flip_bridging_two_components_solves_them_together() {
+    // Prefix: in[0] >= 200 and in[1] < 10, two separate components, plus a
+    // bystander in[2] == 3. The flipped constraint in[0] == in[1] spans
+    // the first two; its negation (they differ) holds under the seed, the
+    // flip itself (they are equal) is refuted by the two ranges.
+    let mut arena = ExprArena::new();
+    let (x, y, z) = (arena.input(0), arena.input(1), arena.input(2));
+    let k200 = arena.constant(8, 200);
+    let k10 = arena.constant(8, 10);
+    let k3 = arena.constant(8, 3);
+    let big = arena.cmp(CmpOp::Ule, k200, x);
+    let small = arena.cmp(CmpOp::Ult, y, k10);
+    let three = arena.cmp(CmpOp::Eq, z, k3);
+    let equal = arena.cmp(CmpOp::Eq, x, y);
+    let sum = arena.bin(BinOp::Add, 8, x, y);
+    let wraps = arena.cmp(CmpOp::Ult, sum, k10);
+    let rec = |site, constraint, taken| BranchRec {
+        site: SiteId(site),
+        constraint,
+        taken,
+    };
+    let seed_bytes = [250u8, 4, 3];
+    let seed = |idx: u32| seed_bytes[idx as usize];
+    // 250 + 4 wraps to 254: `wraps` is not taken; flipping it needs a pair
+    // from the two ranges that does wrap below 10 (e.g. 250 + 6 = 0).
+    let path = [
+        rec(1, big, true),
+        rec(2, small, true),
+        rec(3, three, true),
+        rec(4, equal, false),
+        rec(5, wraps, false),
+    ];
+    let (sliced, whole) = flip_all(&arena, &path, &seed, SolverBudget::default());
+    assert_eq!(sliced, whole);
+    assert_eq!(sliced[3], SolveResult::Unsat, "200.. and ..10 never meet");
+    let SolveResult::Sat(model) = &sliced[4] else {
+        panic!("a wrapping pair exists: {:?}", sliced[4]);
+    };
+    let (a, b) = (model[&0], model[&1]);
+    assert!(a >= 200 && b < 10 && a != b && a.wrapping_add(b) < 10);
+    assert_eq!(model[&2], 3, "the bystander keeps its value");
+}
+
+#[test]
+fn step_budget_bounds_the_sliced_search_not_the_prefix() {
+    // Documented difference: `max_steps` bounds each component search. The
+    // reference walks the whole prefix — here twelve pinned bytes it has
+    // to step over before it reaches the two-byte relation that needs a
+    // real search — and gives up; the sliced search spends its steps on
+    // the relation alone and answers. (`concolic.solve.unknown` is 0 on
+    // every benchmark workload, so no pinned report depends on this.)
+    let mut arena = ExprArena::new();
+    let mut path = Vec::new();
+    for i in 0..12u32 {
+        let x = arena.input(i);
+        let k = arena.constant(8, i as u64);
+        let c = arena.cmp(CmpOp::Eq, x, k);
+        path.push(BranchRec {
+            site: SiteId(i),
+            constraint: c,
+            taken: true,
+        });
+    }
+    let (p, q) = (arena.input(12), arena.input(13));
+    let sum = arena.bin(BinOp::Add, 8, p, q);
+    let k = arena.constant(8, 40);
+    let hit = arena.cmp(CmpOp::Eq, sum, k);
+    path.push(BranchRec {
+        site: SiteId(99),
+        constraint: hit,
+        taken: false,
+    });
+    let seed = |idx: u32| if idx < 12 { idx as u8 } else { 0 };
+    let budget = SolverBudget { max_steps: 45 };
+
+    let (sliced, whole) = flip_all(&arena, &path, &seed, budget);
+    assert_eq!(whole[12], SolveResult::Unknown, "12 pinned + 41 tried > 45");
+    let expected: BTreeMap<u32, u8> = (0..12u32)
+        .map(|i| (i, i as u8))
+        .chain([(12, 0), (13, 40)])
+        .collect();
+    assert_eq!(sliced[12], SolveResult::Sat(expected));
+    // With room for the prefix the reference finds the same model.
+    let (_, roomy) = flip_all(&arena, &path, &seed, SolverBudget { max_steps: 60 });
+    assert_eq!(roomy[12], sliced[12]);
+    // And where the reference does answer under the tiny budget, the
+    // answers agree.
+    for (s, w) in sliced.iter().zip(&whole) {
+        if *w != SolveResult::Unknown {
+            assert_eq!(s, w);
+        }
+    }
+}

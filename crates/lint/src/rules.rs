@@ -266,7 +266,8 @@ const PANIC_ROOTS: &[(&str, &str, Option<&str>)] = &[
     ("core/src/campaign.rs", "run", Some("Campaign")),
     ("concolic/src/explore.rs", "explore", None),
     ("concolic/src/solve.rs", "solve", Some("Solver")),
-    ("concolic/src/solve.rs", "solve_memo", Some("Solver")),
+    ("concolic/src/solve.rs", "flip", Some("PathPass")),
+    ("concolic/src/solve.rs", "advance", Some("PathPass")),
 ];
 
 /// Find a fn by file-path suffix, name and (optionally) impl type.
