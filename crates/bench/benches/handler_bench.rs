@@ -7,13 +7,62 @@
 //!   overhead when DiCE is idle),
 //! * the instrumented twin with full symbolic marking (cost while
 //!   exploring).
+//!
+//! `update_fanout/*` is the speaker's side of the same message: a
+//! Gao–Rexford hub with 8 / 64 / 512 established neighbours (customers,
+//! peers and providers interleaved by node id, one policy name per
+//! neighbour as the scenario builders generate them) takes one customer
+//! UPDATE that changes its best route — a fan-out to every other
+//! neighbour — and one provider UPDATE that does not. Each case also
+//! prints its heap allocations per UPDATE under a counting allocator.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use dice_bgp::{Asn, RouterConfig, RouterId};
+use core::any::Any;
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dice_bgp::policy::gao_rexford;
+use dice_bgp::{
+    encode, AsPath, Asn, BgpRouter, Ipv4Addr, Ipv4Net, Message, OpenMsg, PathAttrs, Policy,
+    RouterConfig, RouterId, UpdateMsg,
+};
 use dice_concolic::{ConcolicCtx, ConcolicProgram, SymInput};
 use dice_core::{mark_update, GrammarConfig, SymbolicUpdateHandler, UpdateGrammar};
-use dice_netsim::NodeId;
+use dice_netsim::{
+    LinkParams, NeighborRole, Node, NodeApi, NodeId, Relationship, SessionEvent, SimDuration,
+    SimTime, Simulator, Topology,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Forwards to [`System`], counting allocations and reallocations.
+struct CountingAlloc;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only added work is a relaxed
+// atomic add, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `layout` is the caller's, passed through untouched.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` through this allocator
+        // with this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn setup() -> (RouterConfig, Vec<u8>) {
     let cfg = RouterConfig::minimal(Asn(65001), RouterId(1)).with_neighbor(
@@ -54,6 +103,153 @@ fn bench_update_paths(c: &mut Criterion) {
     group.finish();
 }
 
+/// A neighbour that completes the session handshake and then only
+/// listens, so that what the bench times is the hub.
+#[derive(Clone)]
+struct Listener {
+    asn: Asn,
+}
+
+impl Node for Listener {
+    fn on_session(&mut self, peer: NodeId, ev: SessionEvent, api: &mut NodeApi<'_>) {
+        if ev == SessionEvent::Up {
+            let open = Message::Open(OpenMsg {
+                version: 4,
+                asn: self.asn,
+                hold_time: 0,
+                router_id: RouterId(self.asn.0 as u32),
+                opt_params: vec![],
+            });
+            api.send(peer, encode(&open));
+        }
+    }
+    fn on_message(&mut self, from: NodeId, data: &[u8], api: &mut NodeApi<'_>) {
+        // The type octet follows the 16-octet marker and the length;
+        // nothing but an OPEN (type 1) is even decoded.
+        if data.get(18) == Some(&1) {
+            api.send(from, encode(&Message::Keepalive));
+        }
+    }
+    fn clone_node(&self) -> Box<dyn Node> {
+        Box::new(self.clone())
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+const HUB: NodeId = NodeId(0);
+
+fn role_of(neighbor: u32) -> NeighborRole {
+    match neighbor % 3 {
+        1 => NeighborRole::Customer,
+        2 => NeighborRole::Peer,
+        _ => NeighborRole::Provider,
+    }
+}
+
+/// A star of `n` listeners around a Gao–Rexford hub, every session
+/// established.
+fn hub_with(n: u32) -> Simulator {
+    let own = Asn(65000);
+    let mut hub = RouterConfig::minimal(own, RouterId(0x0A00_0000));
+    hub.hold_time = 0;
+    let mut topo = Topology::with_nodes(n as usize + 1);
+    for m in 1..=n {
+        let (import, export) = (format!("imp-{m}"), format!("exp-{m}"));
+        hub = hub
+            .with_policy(Policy {
+                name: import.clone(),
+                ..gao_rexford::import_policy(own, role_of(m))
+            })
+            .with_policy(Policy {
+                name: export.clone(),
+                ..gao_rexford::export_policy(own, role_of(m))
+            })
+            .with_neighbor(NodeId(m), Asn(65000 + m as u16), import, export);
+        let link = LinkParams::fixed(SimDuration::from_millis(1));
+        topo.add_edge(HUB, NodeId(m), link, Relationship::Unlabeled);
+    }
+    let mut sim = Simulator::new(topo, 11);
+    sim.set_node(HUB, Box::new(BgpRouter::new(hub)));
+    for m in 1..=n {
+        let asn = Asn(65000 + m as u16);
+        sim.set_node(NodeId(m), Box::new(Listener { asn }));
+    }
+    sim.start();
+    sim.run_until(SimTime::from_nanos(5_000_000_000));
+    sim
+}
+
+/// Two UPDATEs from `from` for one prefix that differ in their AS path, so
+/// that delivering them in turn replaces `from`'s route every time.
+fn alternating_updates(from: u32) -> [Vec<u8>; 2] {
+    [64001u16, 64002].map(|origin| {
+        encode(&Message::Update(UpdateMsg {
+            withdrawn: vec![],
+            attrs: Some(PathAttrs {
+                as_path: AsPath::sequence([65000 + from as u16, origin]),
+                next_hop: Ipv4Addr(0x0A00_0000 + from),
+                ..Default::default()
+            }),
+            nlri: vec![Ipv4Net::new(0x0A09_0000, 16)],
+        }))
+    })
+}
+
+fn bench_update_fanout(c: &mut Criterion) {
+    let mut group = c.benchmark_group("update_fanout");
+    for n in [8u32, 64, 512] {
+        let mut sim = hub_with(n);
+        // Node 1 is a customer, node 3 a provider. Once the customer's
+        // route is in, the provider's never wins (LOCAL_PREF 200 vs 50).
+        let cases = [
+            ("customer_best_changes", 1, n as u64 - 1),
+            ("provider_best_same", 3, 0),
+        ];
+        for (name, from, sent_per_update) in cases {
+            let updates = alternating_updates(from);
+            let mut turn = 0usize;
+            let mut deliver = |sim: &mut Simulator| {
+                turn += 1;
+                sim.deliver_direct(NodeId(from), HUB, &updates[turn % 2]);
+                // Drain what the hub sent, so queues stay flat.
+                let until = sim.now() + SimDuration::from_millis(5);
+                sim.run_until(until);
+            };
+            deliver(&mut sim);
+            let router = |sim: &Simulator| {
+                let hub = sim.node(HUB).as_any().downcast_ref::<BgpRouter>();
+                hub.expect("the hub is a BgpRouter").stats()
+            };
+            let (before, allocs) = (router(&sim), ALLOCS.load(Ordering::Relaxed));
+            const ROUNDS: u64 = 64;
+            for _ in 0..ROUNDS {
+                deliver(&mut sim);
+            }
+            let allocs = ALLOCS.load(Ordering::Relaxed) - allocs;
+            let after = router(&sim);
+            assert_eq!(after.updates_rx - before.updates_rx, ROUNDS);
+            assert_eq!(
+                after.updates_tx - before.updates_tx,
+                ROUNDS * sent_per_update,
+                "{name}/{n}: the case must (not) fan out"
+            );
+            println!(
+                "update_fanout/{name}/{n} allocs_per_update {:.1}",
+                allocs as f64 / ROUNDS as f64
+            );
+            group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
+                b.iter(|| deliver(black_box(&mut sim)));
+            });
+        }
+    }
+    group.finish();
+}
+
 fn quick() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -64,6 +260,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_update_paths
+    targets = bench_update_paths, bench_update_fanout
 }
 criterion_main!(benches);

@@ -7,6 +7,7 @@
 
 use crate::types::{Asn, Community, Ipv4Addr};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// Attribute flag bits.
@@ -189,22 +190,22 @@ impl AsPath {
 
 impl core::fmt::Display for AsPath {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let mut first = true;
-        for seg in &self.segments {
-            if !first {
-                write!(f, " ")?;
+        for (i, seg) in self.segments.iter().enumerate() {
+            if i > 0 {
+                f.write_str(" ")?;
             }
-            first = false;
-            match seg.kind {
-                SegmentKind::Sequence => {
-                    let parts: Vec<String> = seg.asns.iter().map(|a| a.0.to_string()).collect();
-                    write!(f, "{}", parts.join(" "))?;
+            let (open, sep, close) = match seg.kind {
+                SegmentKind::Sequence => ("", " ", ""),
+                SegmentKind::Set => ("{", ",", "}"),
+            };
+            f.write_str(open)?;
+            for (j, asn) in seg.asns.iter().enumerate() {
+                if j > 0 {
+                    f.write_str(sep)?;
                 }
-                SegmentKind::Set => {
-                    let parts: Vec<String> = seg.asns.iter().map(|a| a.0.to_string()).collect();
-                    write!(f, "{{{}}}", parts.join(","))?;
-                }
+                write!(f, "{}", asn.0)?;
             }
+            f.write_str(close)?;
         }
         Ok(())
     }
@@ -257,6 +258,22 @@ impl Default for PathAttrs {
             communities: BTreeSet::new(),
             unknown: Vec::new(),
         }
+    }
+}
+
+/// A borrowed bag as a [`Cow`]: what lets [`Policy::apply`] take `&PathAttrs`
+/// (copy only if an action fires) and `PathAttrs` (edit in place) alike.
+///
+/// [`Policy::apply`]: crate::policy::Policy::apply
+impl<'a> From<&'a PathAttrs> for Cow<'a, PathAttrs> {
+    fn from(attrs: &'a PathAttrs) -> Self {
+        Cow::Borrowed(attrs)
+    }
+}
+
+impl From<PathAttrs> for Cow<'_, PathAttrs> {
+    fn from(attrs: PathAttrs) -> Self {
+        Cow::Owned(attrs)
     }
 }
 
@@ -361,19 +378,26 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        let p = AsPath {
-            segments: vec![
-                AsPathSegment {
-                    kind: SegmentKind::Sequence,
-                    asns: vec![Asn(10), Asn(20)],
-                },
-                AsPathSegment {
-                    kind: SegmentKind::Set,
-                    asns: vec![Asn(30), Asn(40)],
-                },
-            ],
+        let seg = |kind, asns: &[u16]| AsPathSegment {
+            kind,
+            asns: asns.iter().copied().map(Asn).collect(),
         };
-        assert_eq!(p.to_string(), "10 20 {30,40}");
+        let path = |segments: Vec<AsPathSegment>| AsPath { segments }.to_string();
+        // The `best` trace line embeds this text; it is pinned byte for byte.
+        assert_eq!(path(vec![]), "");
+        assert_eq!(
+            path(vec![seg(SegmentKind::Sequence, &[65001, 7, 65003])]),
+            "65001 7 65003"
+        );
+        assert_eq!(path(vec![seg(SegmentKind::Set, &[30, 40, 5])]), "{30,40,5}");
+        assert_eq!(
+            path(vec![
+                seg(SegmentKind::Sequence, &[10, 20]),
+                seg(SegmentKind::Set, &[30, 40]),
+                seg(SegmentKind::Sequence, &[50]),
+            ]),
+            "10 20 {30,40} 50"
+        );
     }
 
     #[test]

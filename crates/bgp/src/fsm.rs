@@ -41,7 +41,7 @@ pub enum FsmEvent {
 }
 
 /// Per-neighbor FSM with negotiated timers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct PeerFsm {
     /// Current state.
     pub state: SessionState,

@@ -15,6 +15,7 @@
 use crate::attrs::{Origin, PathAttrs};
 use crate::types::{Asn, Community, Ipv4Net};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// One entry of a prefix set: a base prefix plus an acceptable length range
 /// (BIRD's `10.0.0.0/8{8,24}` notation).
@@ -203,21 +204,34 @@ impl Policy {
     /// Interpret the policy on `(prefix, attrs)`. On `Accept`, returns the
     /// transformed attribute bag; on `Reject`, `None`.
     ///
+    /// Decide before copying: matches read the bag as it was passed, a
+    /// borrowed bag is copied at the first action of a firing rule that
+    /// does not reject, and is handed back borrowed when no action fired —
+    /// a `Reject` that no earlier action precedes allocates nothing. A
+    /// caller that owns its bag passes it by value and no copy is made.
+    ///
     /// This interpreter is deliberately written as a sequence of
     /// data-dependent branches — its concolic twin in `dice-core` mirrors it
     /// branch for branch.
-    pub fn apply(&self, prefix: &Ipv4Net, attrs: &PathAttrs, own_asn: Asn) -> Option<PathAttrs> {
-        let mut out = attrs.clone();
+    pub fn apply<'a>(
+        &self,
+        prefix: &Ipv4Net,
+        attrs: impl Into<Cow<'a, PathAttrs>>,
+        own_asn: Asn,
+    ) -> Option<Cow<'a, PathAttrs>> {
+        let mut out = attrs.into();
         for rule in &self.rules {
             let fires = rule.matches.iter().all(|m| m.eval(prefix, &out));
             if fires {
-                for a in &rule.actions {
-                    a.apply(&mut out, own_asn);
+                if rule.verdict == Some(Verdict::Reject) {
+                    // Its actions would edit a bag nobody will see.
+                    return None;
                 }
-                match rule.verdict {
-                    Some(Verdict::Accept) => return Some(out),
-                    Some(Verdict::Reject) => return None,
-                    None => {}
+                for a in &rule.actions {
+                    a.apply(out.to_mut(), own_asn);
+                }
+                if rule.verdict == Some(Verdict::Accept) {
+                    return Some(out);
                 }
             }
         }
@@ -384,7 +398,7 @@ mod tests {
             default: Verdict::Reject,
         };
         let out = p
-            .apply(&net("10.0.0.0/8"), &attrs_with_path(&[2]), Asn(1))
+            .apply(&net("10.0.0.0/8"), attrs_with_path(&[2]), Asn(1))
             .unwrap();
         assert!(out.has_community(Community::from_pair(1, 1)));
         assert!(out.has_community(Community::from_pair(1, 2)));
@@ -432,8 +446,9 @@ mod tests {
         let own = Asn(65001);
         // Route learned from a peer, tagged by import...
         let imported = gao_rexford::import_policy(own, R::Peer)
-            .apply(&net("10.0.0.0/8"), &attrs_with_path(&[65002]), own)
-            .unwrap();
+            .apply(&net("10.0.0.0/8"), attrs_with_path(&[65002]), own)
+            .unwrap()
+            .into_owned();
         assert_eq!(imported.local_pref, Some(gao_rexford::LP_PEER));
         // ...must not be exported to another peer or a provider.
         assert!(gao_rexford::export_policy(own, R::Peer)
@@ -453,8 +468,9 @@ mod tests {
         use dice_netsim::NeighborRole as R;
         let own = Asn(65001);
         let imported = gao_rexford::import_policy(own, R::Customer)
-            .apply(&net("10.0.0.0/8"), &attrs_with_path(&[65002]), own)
-            .unwrap();
+            .apply(&net("10.0.0.0/8"), attrs_with_path(&[65002]), own)
+            .unwrap()
+            .into_owned();
         assert_eq!(imported.local_pref, Some(gao_rexford::LP_CUSTOMER));
         for role in [R::Customer, R::Peer, R::Provider] {
             assert!(

@@ -1,7 +1,7 @@
 //! Routing information bases: Adj-RIB-In, Loc-RIB, Adj-RIB-Out.
 //!
-//! All maps are `BTreeMap`s so iteration order — and therefore the entire
-//! simulation — is deterministic.
+//! All maps are `BTreeMap`s or sorted vectors so iteration order — and
+//! therefore the entire simulation — is deterministic.
 
 use crate::attrs::PathAttrs;
 use crate::decision::DecisionReason;
@@ -37,60 +37,116 @@ impl Route {
     }
 }
 
-/// Per-peer store of accepted routes (post-import-policy).
+/// One prefix's rows, one per peer, ascending by peer id.
+type Rows<T> = Vec<(u32, T)>;
+
+/// A prefix-major table of per-peer rows. Each prefix's rows sit behind an
+/// `Arc`, so copying the table (a checkpoint, a validation clone's first
+/// touch of its router) bumps one pointer per prefix, and a write copies
+/// only the rows of the prefix it names. A prefix with no rows has no
+/// entry.
+type Table<T> = BTreeMap<Ipv4Net, Arc<Rows<T>>>;
+
+fn row<'a, T>(table: &'a Table<T>, peer: NodeId, prefix: &Ipv4Net) -> Option<&'a T> {
+    let rows = table.get(prefix)?;
+    let i = rows.binary_search_by_key(&peer.0, |r| r.0).ok()?;
+    Some(&rows[i].1)
+}
+
+fn put<T: Clone>(table: &mut Table<T>, peer: NodeId, prefix: Ipv4Net, value: T) {
+    let rows = Arc::make_mut(table.entry(prefix).or_default());
+    match rows.binary_search_by_key(&peer.0, |r| r.0) {
+        Ok(i) => rows[i].1 = value,
+        Err(i) => rows.insert(i, (peer.0, value)),
+    }
+}
+
+/// Remove `peer`'s row from one prefix's rows; returns whether there was
+/// one. Looks before it copies: a miss leaves shared rows shared.
+fn take_row<T: Clone>(rows: &mut Arc<Rows<T>>, peer: NodeId) -> bool {
+    match rows.binary_search_by_key(&peer.0, |r| r.0) {
+        Ok(i) => {
+            Arc::make_mut(rows).remove(i);
+            true
+        }
+        Err(_) => false,
+    }
+}
+
+/// Remove `peer`'s row for `prefix`; returns whether there was one.
+fn take<T: Clone>(table: &mut Table<T>, peer: NodeId, prefix: &Ipv4Net) -> bool {
+    let Some(rows) = table.get_mut(prefix) else {
+        return false;
+    };
+    let taken = take_row(rows, peer);
+    if rows.is_empty() {
+        table.remove(prefix);
+    }
+    taken
+}
+
+/// Remove every row of `peer`, returning the prefixes that had one in
+/// prefix order. Walks every prefix: session loss is rare, the per-UPDATE
+/// operations above are not, and the layout serves those.
+fn flush<T: Clone>(table: &mut Table<T>, peer: NodeId) -> Vec<Ipv4Net> {
+    let mut flushed = Vec::new();
+    table.retain(|prefix, rows| {
+        if take_row(rows, peer) {
+            flushed.push(*prefix);
+        }
+        !rows.is_empty()
+    });
+    flushed
+}
+
+fn row_count<T>(table: &Table<T>) -> usize {
+    table.values().map(|rows| rows.len()).sum()
+}
+
+/// Store of accepted routes (post-import-policy), by prefix then peer.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AdjRibIn {
-    tables: BTreeMap<u32, BTreeMap<Ipv4Net, Route>>,
+    table: Table<Route>,
 }
 
 impl AdjRibIn {
     /// Insert or replace the route for `prefix` from `peer`.
     pub fn insert(&mut self, peer: NodeId, prefix: Ipv4Net, route: Route) {
-        self.tables.entry(peer.0).or_default().insert(prefix, route);
+        put(&mut self.table, peer, prefix, route);
     }
 
     /// Remove the route for `prefix` from `peer`; returns whether present.
     pub fn remove(&mut self, peer: NodeId, prefix: &Ipv4Net) -> bool {
-        self.tables
-            .get_mut(&peer.0)
-            .map(|t| t.remove(prefix).is_some())
-            .unwrap_or(false)
+        take(&mut self.table, peer, prefix)
     }
 
     /// Drop every route learned from `peer` (session loss), returning the
     /// affected prefixes.
     pub fn flush_peer(&mut self, peer: NodeId) -> Vec<Ipv4Net> {
-        self.tables
-            .remove(&peer.0)
-            .map(|t| t.into_keys().collect())
-            .unwrap_or_default()
+        flush(&mut self.table, peer)
     }
 
     /// All candidate routes for `prefix` across peers, in peer order.
     pub fn candidates<'a>(&'a self, prefix: &'a Ipv4Net) -> impl Iterator<Item = &'a Route> + 'a {
-        self.tables.values().filter_map(move |t| t.get(prefix))
+        self.table
+            .get(prefix)
+            .into_iter()
+            .flat_map(|rows| rows.iter().map(|(_, route)| route))
     }
 
     /// The route for `prefix` from a specific peer.
     pub fn get(&self, peer: NodeId, prefix: &Ipv4Net) -> Option<&Route> {
-        self.tables.get(&peer.0).and_then(|t| t.get(prefix))
+        row(&self.table, peer, prefix)
     }
 
     /// Total number of stored routes.
     pub fn route_count(&self) -> usize {
-        self.tables.values().map(|t| t.len()).sum()
+        row_count(&self.table)
     }
 
     /// All prefixes known from any peer.
     pub fn all_prefixes(&self) -> Vec<Ipv4Net> {
-        let mut v: Vec<Ipv4Net> = self
-            .tables
-            .values()
-            .flat_map(|t| t.keys().copied())
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+        self.table.keys().copied().collect()
     }
 
     /// Approximate byte footprint for checkpoint accounting.
@@ -118,16 +174,18 @@ pub struct LocRib {
 }
 
 impl LocRib {
-    /// Install `sel` as best for `prefix`; returns `true` when this changed
-    /// the selection (and bumps the flip counter).
-    pub fn install(&mut self, prefix: Ipv4Net, sel: Selected) -> bool {
+    /// Install `route` as best for `prefix`, chosen for `reason`; returns
+    /// `true` when this changed the selection (and bumps the flip counter).
+    /// The route is copied — one pointer bump — only when it is installed.
+    pub fn install(&mut self, prefix: Ipv4Net, route: &Route, reason: DecisionReason) -> bool {
         let changed = match self.routes.get(&prefix) {
-            Some(prev) => prev.route != sel.route,
+            Some(prev) => prev.route != *route,
             None => true,
         };
         if changed {
             *self.flips.entry(prefix).or_insert(0) += 1;
-            self.routes.insert(prefix, sel);
+            let route = route.clone();
+            self.routes.insert(prefix, Selected { route, reason });
         }
         changed
     }
@@ -172,55 +230,68 @@ impl LocRib {
     }
 }
 
-/// What we last advertised to each peer, to compute deltas and withdrawals.
+/// What we last advertised to each peer, to compute deltas and
+/// withdrawals; by prefix then peer.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AdjRibOut {
-    tables: BTreeMap<u32, BTreeMap<Ipv4Net, Arc<PathAttrs>>>,
+    table: Table<Arc<PathAttrs>>,
 }
 
 impl AdjRibOut {
     /// Record an advertisement; returns `true` if it differs from what was
-    /// previously sent (callers skip duplicate updates).
+    /// previously sent (callers skip duplicate updates). Peers handed the
+    /// same `Arc` compare by pointer.
     pub fn advertise(&mut self, peer: NodeId, prefix: Ipv4Net, attrs: Arc<PathAttrs>) -> bool {
-        let t = self.tables.entry(peer.0).or_default();
-        match t.get(&prefix) {
-            Some(prev) if *prev == attrs => false,
-            _ => {
-                t.insert(prefix, attrs);
-                true
-            }
+        if row(&self.table, peer, &prefix) == Some(&attrs) {
+            return false;
         }
+        put(&mut self.table, peer, prefix, attrs);
+        true
     }
 
     /// Record a withdrawal; returns `true` if the prefix had been advertised.
     pub fn withdraw(&mut self, peer: NodeId, prefix: &Ipv4Net) -> bool {
-        self.tables
-            .get_mut(&peer.0)
-            .map(|t| t.remove(prefix).is_some())
-            .unwrap_or(false)
+        take(&mut self.table, peer, prefix)
     }
 
     /// Forget everything sent to `peer` (session loss).
     pub fn flush_peer(&mut self, peer: NodeId) {
-        self.tables.remove(&peer.0);
+        flush(&mut self.table, peer);
     }
 
     /// What was last sent to `peer` for `prefix`.
     pub fn sent(&self, peer: NodeId, prefix: &Ipv4Net) -> Option<&PathAttrs> {
-        self.tables
-            .get(&peer.0)
-            .and_then(|t| t.get(prefix))
-            .map(Arc::as_ref)
+        row(&self.table, peer, prefix).map(Arc::as_ref)
     }
 
     /// Total advertised entries.
     pub fn route_count(&self) -> usize {
-        self.tables.values().map(|t| t.len()).sum()
+        row_count(&self.table)
     }
 
     /// Approximate byte footprint for checkpoint accounting.
     pub fn approx_bytes(&self) -> usize {
         self.route_count() * 64
+    }
+}
+
+/// Whether both tables hold the very same allocation for `prefix`.
+#[cfg(test)]
+fn same_rows<T>(a: &Table<T>, b: &Table<T>, prefix: &Ipv4Net) -> bool {
+    matches!((a.get(prefix), b.get(prefix)), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+}
+
+#[cfg(test)]
+impl AdjRibIn {
+    pub(crate) fn shares_rows(&self, other: &AdjRibIn, prefix: &Ipv4Net) -> bool {
+        same_rows(&self.table, &other.table, prefix)
+    }
+}
+
+#[cfg(test)]
+impl AdjRibOut {
+    pub(crate) fn shares_rows(&self, other: &AdjRibOut, prefix: &Ipv4Net) -> bool {
+        same_rows(&self.table, &other.table, prefix)
     }
 }
 
@@ -284,13 +355,10 @@ mod tests {
     fn loc_rib_flip_accounting() {
         let mut rib = LocRib::default();
         let p = net("10.0.0.0/8");
-        let sel = |peer| Selected {
-            route: route(&[65002], peer),
-            reason: DecisionReason::OnlyRoute,
-        };
-        assert!(rib.install(p, sel(1)));
-        assert!(!rib.install(p, sel(1)), "same route is not a flip");
-        assert!(rib.install(p, sel(2)));
+        let mut install = |peer| rib.install(p, &route(&[65002], peer), DecisionReason::OnlyRoute);
+        assert!(install(1));
+        assert!(!install(1), "same route is not a flip");
+        assert!(install(2));
         assert!(rib.withdraw(&p));
         assert!(!rib.withdraw(&p));
         assert_eq!(rib.total_flips(), 3);

@@ -7,7 +7,8 @@
 //! (see `dice-core/src/handler.rs`).
 
 use core::any::Any;
-use std::collections::BTreeSet;
+use core::fmt::Display;
+use core::ops::Range;
 use std::sync::Arc;
 
 use dice_netsim::{Node, NodeApi, NodeId, SessionEvent, SimDuration};
@@ -17,8 +18,9 @@ use crate::attrs::PathAttrs;
 use crate::config::RouterConfig;
 use crate::decision::{select, DecisionReason};
 use crate::fsm::{FsmEvent, PeerFsm, SessionState};
-use crate::rib::{AdjRibIn, AdjRibOut, LocRib, Route, Selected};
-use crate::types::{Ipv4Addr, Ipv4Net};
+use crate::policy::Policy;
+use crate::rib::{AdjRibIn, AdjRibOut, LocRib, Route};
+use crate::types::{Asn, Ipv4Addr, Ipv4Net};
 use crate::wire::{self, Message, NotificationMsg, OpenMsg, UpdateMsg};
 
 /// Timer token layout: `(peer_node_id << 8) | kind`.
@@ -56,42 +58,133 @@ pub struct RouterStats {
     pub policy_rejects: u64,
 }
 
+/// One configured neighbour, its policy names resolved to slots of
+/// [`Resolved::policies`].
+#[derive(Debug, Clone)]
+struct Neighbor {
+    node: NodeId,
+    asn: Asn,
+    import: usize,
+    export: usize,
+}
+
+/// The configuration plus what the message path needs of it, looked up
+/// once instead of per message: derived state, rebuilt whenever an operator
+/// action changes what it was derived from.
+#[derive(Debug, Clone)]
+struct Resolved {
+    config: RouterConfig,
+    /// The neighbours in ascending node id — the order every fan-out walks.
+    neighbors: Vec<Neighbor>,
+    /// The distinct policies the neighbours name: distinct by rules and
+    /// default, not by name, since what a policy does to a route is all a
+    /// slot stands for (generated configurations name one policy per
+    /// neighbour, a handful of roles between them).
+    policies: Vec<Policy>,
+}
+
+impl Resolved {
+    fn new(config: RouterConfig) -> Self {
+        let mut policies: Vec<Policy> = Vec::new();
+        let mut slot = |name: &str| {
+            let policy = &config.policies[name];
+            let known = policies
+                .iter()
+                .position(|p| p.rules == policy.rules && p.default == policy.default);
+            known.unwrap_or_else(|| {
+                policies.push(policy.clone());
+                policies.len() - 1
+            })
+        };
+        let mut neighbors: Vec<Neighbor> = config
+            .neighbors
+            .iter()
+            .map(|n| Neighbor {
+                node: n.node,
+                asn: n.asn,
+                import: slot(&n.import),
+                export: slot(&n.export),
+            })
+            .collect();
+        neighbors.sort_by_key(|n| n.node);
+        Resolved {
+            config,
+            neighbors,
+            policies,
+        }
+    }
+
+    fn own_addr(&self) -> Ipv4Addr {
+        Ipv4Addr(self.config.router_id.0)
+    }
+
+    /// What export policy `slot` makes of `route`, eBGP rewrite applied:
+    /// prepend own AS, next-hop self, strip LOCAL_PREF and internal
+    /// (own-ASN) communities. Nothing here depends on the peer, so every
+    /// peer behind the same slot is sent the same bag.
+    fn export(&self, slot: usize, prefix: &Ipv4Net, route: &Route) -> Option<Arc<PathAttrs>> {
+        let own = self.config.asn;
+        let mut out = self.policies[slot]
+            .apply(prefix, &*route.attrs, own)?
+            .into_owned();
+        out.as_path.prepend(own, 1);
+        out.next_hop = self.own_addr();
+        out.local_pref = None;
+        out.communities.retain(|c| c.asn_part() != own.0);
+        Some(Arc::new(out))
+    }
+}
+
+/// Session state toward one neighbour.
+#[derive(Debug, Clone, Copy, Default)]
+struct PeerState {
+    /// `None` until the first session event or message from the peer.
+    fsm: Option<PeerFsm>,
+    /// The router id of the peer's OPEN.
+    router_id: Option<u32>,
+}
+
 /// A BIRD-like BGP router node.
 ///
-/// Cloning a router (a checkpoint, a validation clone's first touch)
-/// copies its mutable state — session FSMs and the RIB maps — and shares
-/// what never changes under traffic: the configuration and every route's
-/// attribute bag sit behind `Arc`s.
+/// Cloning a router (a checkpoint, a validation clone's first touch) is a
+/// few pointer bumps and one flat copy: the configuration, every prefix's
+/// Adj-RIB rows and every route's attribute bag sit behind `Arc`s, and the
+/// per-neighbour session table is plain data. A write then copies the rows
+/// of the prefix it names, nothing else.
 #[derive(Debug, Clone)]
 pub struct BgpRouter {
     /// Immutable on the message path; the operator actions copy-on-write.
-    config: Arc<RouterConfig>,
-    fsms: std::collections::BTreeMap<u32, PeerFsm>,
-    peer_router_ids: std::collections::BTreeMap<u32, u32>,
+    shared: Arc<Resolved>,
+    /// Aligned with `shared.neighbors`.
+    peers: Vec<PeerState>,
     adj_in: AdjRibIn,
     loc_rib: LocRib,
     adj_out: AdjRibOut,
     stats: RouterStats,
+    /// Scratch of [`BgpRouter::export_to`], one verdict per policy slot;
+    /// empty between calls.
+    export_memo: Vec<Option<Option<Arc<PathAttrs>>>>,
 }
 
 impl BgpRouter {
     /// Build a router from a validated config.
     pub fn new(config: RouterConfig) -> Self {
         config.validate().expect("invalid router config");
+        let shared = Resolved::new(config);
         BgpRouter {
-            config: Arc::new(config),
-            fsms: Default::default(),
-            peer_router_ids: Default::default(),
+            peers: vec![PeerState::default(); shared.neighbors.len()],
+            shared: Arc::new(shared),
             adj_in: AdjRibIn::default(),
             loc_rib: LocRib::default(),
             adj_out: AdjRibOut::default(),
             stats: RouterStats::default(),
+            export_memo: Vec::new(),
         }
     }
 
     /// This router's configuration.
     pub fn config(&self) -> &RouterConfig {
-        &self.config
+        &self.shared.config
     }
 
     /// The local RIB (best routes).
@@ -116,16 +209,22 @@ impl BgpRouter {
 
     /// Session FSM state toward `peer`.
     pub fn session_state(&self, peer: NodeId) -> SessionState {
-        self.fsms.get(&peer.0).map(|f| f.state).unwrap_or_default()
+        self.fsm(peer).map(|f| f.state).unwrap_or_default()
     }
 
-    fn own_addr(&self) -> Ipv4Addr {
-        Ipv4Addr(self.config.router_id.0)
+    /// Where `node` sits in the neighbour table, if it is a neighbour.
+    fn peer_index(&self, node: NodeId) -> Option<usize> {
+        let neighbors = &self.shared.neighbors;
+        neighbors.binary_search_by_key(&node, |n| n.node).ok()
+    }
+
+    fn fsm(&self, peer: NodeId) -> Option<PeerFsm> {
+        self.peers[self.peer_index(peer)?].fsm
     }
 
     fn local_route(&self, prefix: &Ipv4Net) -> Option<Route> {
-        if self.config.networks.contains(prefix) {
-            Some(Route::local(PathAttrs::originated(self.own_addr())))
+        if self.shared.config.networks.contains(prefix) {
+            Some(Route::local(PathAttrs::originated(self.shared.own_addr())))
         } else {
             None
         }
@@ -139,7 +238,7 @@ impl BgpRouter {
     /// prefix is also added to the owned set; a hijack is announcing without
     /// owning.
     pub fn announce_network(&mut self, prefix: Ipv4Net, legitimate: bool, api: &mut NodeApi<'_>) {
-        let config = Arc::make_mut(&mut self.config);
+        let config = &mut Arc::make_mut(&mut self.shared).config;
         if !config.networks.contains(&prefix) {
             config.networks.push(prefix);
         }
@@ -148,28 +247,29 @@ impl BgpRouter {
         }
         api.trace(
             "config",
-            format!("announce {prefix} legitimate={legitimate}"),
+            format_args!("announce {prefix} legitimate={legitimate}"),
         );
         self.recompute_and_propagate(prefix, api);
     }
 
     /// Operator action: stop originating `prefix`.
     pub fn withdraw_network(&mut self, prefix: Ipv4Net, api: &mut NodeApi<'_>) {
-        Arc::make_mut(&mut self.config)
-            .networks
-            .retain(|n| n != &prefix);
-        api.trace("config", format!("withdraw {prefix}"));
+        let config = &mut Arc::make_mut(&mut self.shared).config;
+        config.networks.retain(|n| n != &prefix);
+        api.trace("config", format_args!("withdraw {prefix}"));
         self.recompute_and_propagate(prefix, api);
     }
 
     /// Operator action: replace a named policy. Takes effect for routes
     /// processed after the change (a session reset forces re-evaluation,
     /// as with a hard clear on real routers).
-    pub fn replace_policy(&mut self, policy: crate::policy::Policy, api: &mut NodeApi<'_>) {
-        api.trace("config", format!("replace policy {}", policy.name));
-        Arc::make_mut(&mut self.config)
-            .policies
-            .insert(policy.name.clone(), policy);
+    pub fn replace_policy(&mut self, policy: Policy, api: &mut NodeApi<'_>) {
+        api.trace("config", format_args!("replace policy {}", policy.name));
+        let mut config = self.shared.config.clone();
+        config.policies.insert(policy.name.clone(), policy);
+        // The one action that changes what the policy slots were resolved
+        // from (neither networks nor the owned set is resolved).
+        self.shared = Arc::new(Resolved::new(config));
     }
 
     // ------------------------------------------------------------------
@@ -193,7 +293,7 @@ impl BgpRouter {
     /// Send an UPDATE encoded straight from borrowed parts (the attributes
     /// stay in the Adj-RIB-Out entry they were just stored in).
     fn send_update(
-        &mut self,
+        stats: &mut RouterStats,
         to: NodeId,
         withdrawn: &[Ipv4Net],
         attrs: Option<&PathAttrs>,
@@ -202,15 +302,8 @@ impl BgpRouter {
     ) {
         let mut buf = api.buf();
         wire::encode_update_into(withdrawn, attrs, nlri, buf.as_mut_vec());
-        self.stats.updates_tx += 1;
+        stats.updates_tx += 1;
         api.send(to, buf);
-    }
-
-    /// Withdraw `prefix` from `q` if it had been advertised there.
-    fn withdraw_from(&mut self, q: NodeId, prefix: Ipv4Net, api: &mut NodeApi<'_>) {
-        if self.adj_out.withdraw(q, &prefix) {
-            self.send_update(q, &[prefix], None, &[], api);
-        }
     }
 
     fn protocol_error(
@@ -218,10 +311,13 @@ impl BgpRouter {
         peer: NodeId,
         code: u8,
         subcode: u8,
-        reason: &str,
+        reason: impl Display,
         api: &mut NodeApi<'_>,
     ) {
-        api.trace("notif", format!("to {peer}: {code}/{subcode} {reason}"));
+        api.trace(
+            "notif",
+            format_args!("to {peer}: {code}/{subcode} {reason}"),
+        );
         let msg = Message::Notification(NotificationMsg {
             code,
             subcode,
@@ -236,53 +332,53 @@ impl BgpRouter {
         );
     }
 
-    fn on_established(&mut self, peer: NodeId, api: &mut NodeApi<'_>) {
-        api.trace("session", format!("established with {peer}"));
-        let snapshot: Vec<(Ipv4Net, Route)> = self
-            .loc_rib
-            .iter()
-            .map(|(p, s)| (*p, s.route.clone()))
-            .collect();
-        for (prefix, route) in snapshot {
-            self.export_route(peer, prefix, &route, api);
+    fn on_established(&mut self, i: usize, api: &mut NodeApi<'_>) {
+        let peer = self.shared.neighbors[i].node;
+        api.trace("session", format_args!("established with {peer}"));
+        let prefixes: Vec<Ipv4Net> = self.loc_rib.iter().map(|(p, _)| *p).collect();
+        for prefix in prefixes {
+            self.export_to(i..i + 1, prefix, api);
         }
     }
 
     /// The seeded programming error (see [`crate::config::BugSwitches`]):
     /// returns true when the handler must "crash".
     fn bug_attr_overflow_trips(&self, attrs: &PathAttrs) -> bool {
-        self.config.bugs.attr_overflow_crash
+        self.shared.config.bugs.attr_overflow_crash
             && attrs
                 .unknown
                 .iter()
                 .any(|raw| raw.code >= 0xF0 && raw.value.len() >= 0x90)
     }
 
-    fn handle_update(&mut self, peer: NodeId, upd: UpdateMsg, api: &mut NodeApi<'_>) {
+    /// An UPDATE from neighbour `i`, session checks passed.
+    fn handle_update(&mut self, i: usize, upd: UpdateMsg, api: &mut NodeApi<'_>) {
         self.stats.updates_rx += 1;
-        // A handle on the (immutable) configuration, so the neighbor entry
-        // and its import policy stay borrowed while the RIBs change.
-        let config = Arc::clone(&self.config);
-        let Some(neighbor) = config.neighbor(peer) else {
-            return;
-        };
-        let mut affected: BTreeSet<Ipv4Net> = BTreeSet::new();
+        // Borrowed next to the RIBs it steers: no handle on the shared
+        // configuration is taken or dropped per message.
+        let shared = &*self.shared;
+        let neighbor = &shared.neighbors[i];
+        let peer = neighbor.node;
+        let own = shared.config.asn;
+        // The prefixes whose candidates change are gathered in the two
+        // vectors the decoder already allocated.
+        let UpdateMsg {
+            withdrawn: mut affected,
+            attrs,
+            mut nlri,
+        } = upd;
+        affected.retain(|w| self.adj_in.remove(peer, w));
 
-        for w in &upd.withdrawn {
-            if self.adj_in.remove(peer, w) {
-                affected.insert(*w);
-            }
-        }
-
-        if let Some(attrs) = &upd.attrs {
-            if !upd.nlri.is_empty() {
-                if self.bug_attr_overflow_trips(attrs) {
+        match attrs {
+            Some(mut attrs) if !nlri.is_empty() => {
+                if self.bug_attr_overflow_trips(&attrs) {
                     api.crash("seeded bug: unknown-attribute length overflow in update handler");
                     return;
                 }
-                if attrs.as_path.contains(config.asn) {
+                if attrs.as_path.contains(own) {
                     // AS-path loop: ignore the announcements (RFC 4271 §9).
                     self.stats.loop_rejects += 1;
+                    nlri.clear();
                 } else if attrs.as_path.first_asn() != Some(neighbor.asn) {
                     // eBGP first-AS check (RFC 4271 §6.3).
                     self.protocol_error(
@@ -294,121 +390,123 @@ impl BgpRouter {
                     );
                     return;
                 } else {
-                    let import = &config.policies[&neighbor.import];
-                    let peer_rid = self.peer_router_ids.get(&peer.0).copied().unwrap_or(peer.0);
-                    for p in &upd.nlri {
-                        match import.apply(p, attrs, config.asn) {
-                            Some(imported) => {
-                                self.adj_in.insert(
-                                    peer,
-                                    *p,
-                                    Route {
-                                        attrs: Arc::new(imported),
-                                        from_peer: Some(peer.0),
-                                        peer_router_id: peer_rid,
-                                    },
-                                );
-                                affected.insert(*p);
+                    let import = &shared.policies[neighbor.import];
+                    let peer_router_id = self.peers[i].router_id.unwrap_or(peer.0);
+                    let mut left = nlri.len();
+                    nlri.retain(|p| {
+                        left -= 1;
+                        // The decoded bag is ours: the last NLRI's import
+                        // edits it in place, each one before it a copy.
+                        let imported = if left == 0 {
+                            import.apply(p, std::mem::take(&mut attrs), own)
+                        } else {
+                            import.apply(p, &attrs, own)
+                        };
+                        match imported {
+                            Some(attrs) => {
+                                let route = Route {
+                                    attrs: Arc::new(attrs.into_owned()),
+                                    from_peer: Some(peer.0),
+                                    peer_router_id,
+                                };
+                                self.adj_in.insert(peer, *p, route);
+                                true
                             }
                             None => {
                                 self.stats.policy_rejects += 1;
-                                if self.adj_in.remove(peer, p) {
-                                    affected.insert(*p);
-                                }
+                                self.adj_in.remove(peer, p)
                             }
                         }
-                    }
+                    });
                 }
             }
+            _ => nlri.clear(),
         }
 
+        if affected.is_empty() {
+            affected = nlri;
+        } else {
+            affected.append(&mut nlri);
+        }
+        affected.sort_unstable();
+        affected.dedup();
         for p in affected {
             self.recompute_and_propagate(p, api);
         }
     }
 
     /// Phase 2 + 3 of the decision process for one prefix: select the best
-    /// route and push deltas to every established peer.
+    /// route and, when it changed, push deltas to every established peer.
     pub fn recompute_and_propagate(&mut self, prefix: Ipv4Net, api: &mut NodeApi<'_>) {
         let local = self.local_route(&prefix);
-        // Select by reference; owning the winner is one pointer bump.
-        let winner = select(local.iter().chain(self.adj_in.candidates(&prefix)))
-            .map(|(best, reason)| (best.clone(), reason));
-
-        match winner {
-            Some((best, reason)) => {
-                let sel = Selected {
-                    route: best.clone(),
-                    reason,
-                };
-                if self.loc_rib.install(prefix, sel) {
-                    api.trace(
-                        "best",
-                        format!(
-                            "{prefix} path[{}] lp{}",
-                            best.attrs.as_path,
-                            best.attrs.effective_local_pref()
-                        ),
-                    );
-                    let peers: Vec<NodeId> = self.established_peers();
-                    for q in peers {
-                        self.export_route(q, prefix, &best, api);
-                    }
-                }
-            }
-            None => {
-                if self.loc_rib.withdraw(&prefix) {
-                    api.trace("best", format!("{prefix} unreachable"));
-                    let peers: Vec<NodeId> = self.established_peers();
-                    for q in peers {
-                        self.withdraw_from(q, prefix, api);
-                    }
-                }
-            }
-        }
-    }
-
-    fn established_peers(&self) -> Vec<NodeId> {
-        self.fsms
-            .iter()
-            .filter(|(_, f)| f.is_established())
-            .map(|(id, _)| NodeId(*id))
-            .collect()
-    }
-
-    /// Export `route` for `prefix` toward `q`, applying export policy and
-    /// eBGP attribute rewriting; sends a withdraw if policy now rejects.
-    fn export_route(&mut self, q: NodeId, prefix: Ipv4Net, route: &Route, api: &mut NodeApi<'_>) {
-        // Split horizon: never advertise a route back to the peer it came from.
-        if route.from_peer == Some(q.0) {
-            self.withdraw_from(q, prefix, api);
-            return;
-        }
-        let config = Arc::clone(&self.config);
-        let Some(neighbor) = config.neighbor(q) else {
-            return;
+        let winner = select(local.iter().chain(self.adj_in.candidates(&prefix)));
+        let changed = match winner {
+            Some((best, reason)) => self.loc_rib.install(prefix, best, reason),
+            None => self.loc_rib.withdraw(&prefix),
         };
-        let export = &config.policies[&neighbor.export];
-        match export.apply(&prefix, &route.attrs, config.asn) {
-            Some(mut out) => {
-                // eBGP rewrite: prepend own AS, next-hop self, strip
-                // LOCAL_PREF and internal (own-ASN) communities.
-                out.as_path.prepend(config.asn, 1);
-                out.next_hop = self.own_addr();
-                out.local_pref = None;
-                let own = config.asn.0;
-                out.communities.retain(|c| c.asn_part() != own);
-                let out = Arc::new(out);
-                if self.adj_out.advertise(q, prefix, Arc::clone(&out)) {
-                    self.send_update(q, &[], Some(&out), &[prefix], api);
-                }
-            }
-            None => self.withdraw_from(q, prefix, api),
+        if !changed {
+            return;
         }
+        match winner {
+            Some((best, _)) => api.trace(
+                "best",
+                format_args!(
+                    "{prefix} path[{}] lp{}",
+                    best.attrs.as_path,
+                    best.attrs.effective_local_pref()
+                ),
+            ),
+            None => api.trace("best", format_args!("{prefix} unreachable")),
+        }
+        self.export_to(0..self.peers.len(), prefix, api);
     }
 
-    fn arm_session_timers(&mut self, peer: NodeId, api: &mut NodeApi<'_>) {
-        let fsm = self.fsms.entry(peer.0).or_default();
+    /// Bring what the established peers among `peers` (a range of the
+    /// neighbour table) were last sent for `prefix` in line with the
+    /// Loc-RIB: an UPDATE where export policy lets the best route through
+    /// and the result differs from what was sent, a withdraw where there is
+    /// no best route, policy rejects it, or the peer is where it came from.
+    ///
+    /// Peers are walked in ascending node id and each export policy is
+    /// evaluated at most once, on first need; the peers behind it share the
+    /// resulting bag.
+    fn export_to(&mut self, peers: Range<usize>, prefix: Ipv4Net, api: &mut NodeApi<'_>) {
+        let shared = &*self.shared;
+        let best = self.loc_rib.best(&prefix).map(|sel| &sel.route);
+        self.export_memo.resize(shared.policies.len(), None);
+        for i in peers {
+            if !self.peers[i].fsm.is_some_and(|f| f.is_established()) {
+                continue;
+            }
+            let neighbor = &shared.neighbors[i];
+            let q = neighbor.node;
+            let out = match best {
+                // Split horizon: never advertise a route back to the peer
+                // it came from.
+                Some(route) if route.from_peer != Some(q.0) => self.export_memo[neighbor.export]
+                    .get_or_insert_with(|| shared.export(neighbor.export, &prefix, route))
+                    .as_ref(),
+                _ => None,
+            };
+            match out {
+                Some(attrs) => {
+                    if self.adj_out.advertise(q, prefix, Arc::clone(attrs)) {
+                        Self::send_update(&mut self.stats, q, &[], Some(attrs), &[prefix], api);
+                    }
+                }
+                None => {
+                    if self.adj_out.withdraw(q, &prefix) {
+                        Self::send_update(&mut self.stats, q, &[prefix], None, &[], api);
+                    }
+                }
+            }
+        }
+        self.export_memo.clear();
+    }
+
+    fn arm_session_timers(&mut self, i: usize, api: &mut NodeApi<'_>) {
+        let peer = self.shared.neighbors[i].node;
+        let fsm = self.peers[i].fsm.get_or_insert_with(PeerFsm::default);
         let hold = fsm.negotiated_hold;
         if hold > 0 {
             api.set_timer(
@@ -425,32 +523,29 @@ impl BgpRouter {
 
 impl Node for BgpRouter {
     fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        for prefix in self.config.networks.clone() {
-            let route = Route::local(PathAttrs::originated(self.own_addr()));
-            self.loc_rib.install(
-                prefix,
-                Selected {
-                    route,
-                    reason: DecisionReason::OnlyRoute,
-                },
-            );
-            api.trace("best", format!("{prefix} local"));
+        for prefix in self.shared.config.networks.clone() {
+            let route = Route::local(PathAttrs::originated(self.shared.own_addr()));
+            self.loc_rib
+                .install(prefix, &route, DecisionReason::OnlyRoute);
+            api.trace("best", format_args!("{prefix} local"));
         }
     }
 
     fn on_session(&mut self, peer: NodeId, ev: SessionEvent, api: &mut NodeApi<'_>) {
-        if self.config.neighbor(peer).is_none() {
+        let Some(i) = self.peer_index(peer) else {
             return;
-        }
+        };
         match ev {
             SessionEvent::Up => {
-                let fsm = self.fsms.entry(peer.0).or_default();
+                let fsm = self.peers[i].fsm.get_or_insert_with(PeerFsm::default);
                 fsm.on_transport_up();
+                let config = &self.shared.config;
+                let hold_time = config.hold_time;
                 let open = Message::Open(OpenMsg {
                     version: 4,
-                    asn: self.config.asn,
-                    hold_time: self.config.hold_time,
-                    router_id: self.config.router_id,
+                    asn: config.asn,
+                    hold_time,
+                    router_id: config.router_id,
                     opt_params: vec![],
                 });
                 self.send_message(peer, &open, api, false);
@@ -459,16 +554,16 @@ impl Node for BgpRouter {
                 // with nothing scheduled to retry; with it, hold expiry
                 // tears the half-open session down and the transport's
                 // auto-reconnect drives a fresh OPEN exchange.
-                if self.config.hold_time > 0 {
+                if hold_time > 0 {
                     api.set_timer(
-                        SimDuration::from_secs(self.config.hold_time as u64),
+                        SimDuration::from_secs(hold_time as u64),
                         timer::token(peer.0, timer::HOLD),
                     );
                 }
             }
             SessionEvent::Down(reason) => {
-                api.trace("session", format!("down with {peer}: {reason:?}"));
-                if let Some(fsm) = self.fsms.get_mut(&peer.0) {
+                api.trace("session", format_args!("down with {peer}: {reason:?}"));
+                if let Some(fsm) = &mut self.peers[i].fsm {
                     fsm.on_transport_down();
                 }
                 api.cancel_timer(timer::token(peer.0, timer::KEEPALIVE));
@@ -484,21 +579,20 @@ impl Node for BgpRouter {
     }
 
     fn on_message(&mut self, from: NodeId, data: &[u8], api: &mut NodeApi<'_>) {
-        let neighbor_asn = match self.config.neighbor(from) {
-            Some(n) => n.asn,
-            None => return,
+        let Some(i) = self.peer_index(from) else {
+            return;
         };
         let msg = match wire::decode(data) {
             Ok((msg, _)) => msg,
             Err(e) => {
                 self.stats.decode_errors += 1;
                 let (code, subcode) = e.notification_codes();
-                self.protocol_error(from, code, subcode, &format!("decode: {e}"), api);
+                self.protocol_error(from, code, subcode, format_args!("decode: {e}"), api);
                 return;
             }
         };
         // Any valid message refreshes the hold timer.
-        if let Some(fsm) = self.fsms.get(&from.0) {
+        if let Some(fsm) = self.peers[i].fsm {
             if fsm.negotiated_hold > 0 {
                 api.set_timer(
                     SimDuration::from_secs(fsm.negotiated_hold as u64),
@@ -508,14 +602,14 @@ impl Node for BgpRouter {
         }
         match msg {
             Message::Open(open) => {
-                let asn_ok = open.asn == neighbor_asn;
-                let my_hold = self.config.hold_time;
-                let fsm = self.fsms.entry(from.0).or_default();
+                let asn_ok = open.asn == self.shared.neighbors[i].asn;
+                let my_hold = self.shared.config.hold_time;
+                let fsm = self.peers[i].fsm.get_or_insert_with(PeerFsm::default);
                 match fsm.on_open(asn_ok, my_hold, open.hold_time) {
                     FsmEvent::None => {
-                        self.peer_router_ids.insert(from.0, open.router_id.0);
+                        self.peers[i].router_id = Some(open.router_id.0);
                         self.send_message(from, &Message::Keepalive, api, true);
-                        self.arm_session_timers(from, api);
+                        self.arm_session_timers(i, api);
                     }
                     FsmEvent::ProtocolError {
                         code,
@@ -529,9 +623,9 @@ impl Node for BgpRouter {
             }
             Message::Keepalive => {
                 self.stats.keepalives_rx += 1;
-                let fsm = self.fsms.entry(from.0).or_default();
+                let fsm = self.peers[i].fsm.get_or_insert_with(PeerFsm::default);
                 match fsm.on_keepalive() {
-                    FsmEvent::SessionEstablished => self.on_established(from, api),
+                    FsmEvent::SessionEstablished => self.on_established(i, api),
                     FsmEvent::None => {}
                     FsmEvent::ProtocolError {
                         code,
@@ -543,9 +637,9 @@ impl Node for BgpRouter {
                 }
             }
             Message::Update(upd) => {
-                let fsm = self.fsms.entry(from.0).or_default();
+                let fsm = self.peers[i].fsm.get_or_insert_with(PeerFsm::default);
                 match fsm.on_update() {
-                    FsmEvent::None => self.handle_update(from, upd, api),
+                    FsmEvent::None => self.handle_update(i, upd, api),
                     FsmEvent::ProtocolError {
                         code,
                         subcode,
@@ -558,7 +652,10 @@ impl Node for BgpRouter {
             }
             Message::Notification(n) => {
                 self.stats.notifications_rx += 1;
-                api.trace("notif", format!("from {from}: {}/{}", n.code, n.subcode));
+                api.trace(
+                    "notif",
+                    format_args!("from {from}: {}/{}", n.code, n.subcode),
+                );
                 api.reset_session(from);
             }
         }
@@ -569,7 +666,7 @@ impl Node for BgpRouter {
         let peer = NodeId(peer);
         match kind {
             timer::KEEPALIVE => {
-                let (established, interval) = match self.fsms.get(&peer.0) {
+                let (established, interval) = match self.fsm(peer) {
                     Some(f) => (
                         f.is_established() || f.state == SessionState::OpenConfirm,
                         f.keepalive_secs(),
@@ -586,10 +683,8 @@ impl Node for BgpRouter {
             }
             timer::HOLD => {
                 let relevant = self
-                    .fsms
-                    .get(&peer.0)
-                    .map(|f| f.state != SessionState::Idle)
-                    .unwrap_or(false);
+                    .fsm(peer)
+                    .is_some_and(|f| f.state != SessionState::Idle);
                 if relevant {
                     self.protocol_error(
                         peer,
@@ -615,7 +710,7 @@ impl Node for BgpRouter {
         self.adj_in.approx_bytes()
             + self.loc_rib.approx_bytes()
             + self.adj_out.approx_bytes()
-            + self.fsms.len() * 16
+            + self.peers.iter().filter(|p| p.fsm.is_some()).count() * 16
             + 256 // config estimate
     }
 
@@ -631,8 +726,7 @@ impl Node for BgpRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::Policy;
-    use crate::types::{net, Asn, RouterId};
+    use crate::types::{net, RouterId};
     use dice_netsim::{LinkParams, SimTime, Simulator, Topology};
 
     /// Convenience: a router config for node `i` (AS 65000+i) peering with
@@ -1013,7 +1107,7 @@ mod tests {
         };
         let fingerprint = |r: &BgpRouter| {
             (
-                (*r.config).clone(),
+                r.config().clone(),
                 format!("{:?} {:?} {:?}", r.adj_in, r.loc_rib, r.adj_out),
                 r.state_size(),
             )
@@ -1024,7 +1118,7 @@ mod tests {
         assert_eq!(before.loc_rib().len(), 2, "converged");
         let copy = before.clone_node();
         let copy = copy.as_any().downcast_ref::<BgpRouter>().unwrap();
-        assert!(Arc::ptr_eq(&before.config, &copy.config));
+        assert!(Arc::ptr_eq(&before.shared, &copy.shared));
         let attrs_of = |r: &BgpRouter| {
             let best = r.loc_rib.best(&net("10.0.0.0/8")).unwrap();
             Arc::clone(&best.route.attrs)
@@ -1080,7 +1174,165 @@ mod tests {
                     "mutation {i} did not reach the clone"
                 );
             }
+            if i == 3 {
+                // The UPDATE names 10/8 (withdrawn) and 30/8 (announced):
+                // the checkpoint keeps its rows for 10/8, and the rows of
+                // 20/8, which the UPDATE does not name, are not copied —
+                // clone and checkpoint still hold the same allocation.
+                let (a, b) = (net("10.0.0.0/8"), net("20.0.0.0/8"));
+                let touched = router(&clone, 1);
+                assert!(before.adj_in.get(NodeId(0), &a).is_some());
+                assert!(touched.adj_in.get(NodeId(0), &a).is_none());
+                assert!(!touched.adj_in.shares_rows(&before.adj_in, &a));
+                assert!(touched.adj_in.shares_rows(&before.adj_in, &b));
+                assert!(before.adj_out.sent(NodeId(2), &a).is_some());
+                assert!(touched.adj_out.sent(NodeId(2), &a).is_none());
+                assert!(touched.adj_out.shares_rows(&before.adj_out, &b));
+            }
         }
+    }
+
+    /// What the hub of `fan_out_walks_peers_in_id_order_with_per_peer_bytes`
+    /// sent, as `receiver<UPDATE body in hex`, recorded at the parent of the
+    /// commit that introduced the per-class export (one policy evaluation
+    /// and one bag per peer, peers taken from the FSM map).
+    const FAN_OUT_AT_PARENT: &[&str] = &[
+        "0<00000014400101004002060202fdecfdeb4003040a000004100a03",
+        "1<00000014400101004002060202fdecfdeb4003040a000004100a03",
+        "2<00000014400101004002060202fdecfdeb4003040a000004100a03",
+        "5<00000014400101004002060202fdecfdeb4003040a000004100a03",
+        "6<00000014400101004002060202fdecfdeb4003040a000004100a03",
+        "7<00000014400101004002060202fdecfdeb4003040a000004100a03",
+        "8<00000014400101004002060202fdecfdeb4003040a000004100a03",
+        "0<00000014400101004002060202fdecfdee4003040a000004100a06",
+        "3<00000014400101004002060202fdecfdee4003040a000004100a06",
+        "7<00000014400101004002060202fdecfdee4003040a000004100a06",
+        "0<00000014400101004002060202fdecfde94003040a000004100a01",
+        "3<00000014400101004002060202fdecfde94003040a000004100a01",
+        "7<00000014400101004002060202fdecfde94003040a000004100a01",
+        "0<0003100a030000",
+        "1<0003100a030000",
+        "2<0003100a030000",
+        "5<0003100a030000",
+        "6<0003100a030000",
+        "7<0003100a030000",
+        "8<0003100a030000",
+    ];
+
+    /// Logs every UPDATE its router receives, then hands the message on.
+    struct Tap {
+        inner: BgpRouter,
+        log: Arc<std::sync::Mutex<Vec<String>>>,
+    }
+
+    impl Node for Tap {
+        fn on_start(&mut self, api: &mut NodeApi<'_>) {
+            self.inner.on_start(api);
+        }
+        fn on_message(&mut self, from: NodeId, data: &[u8], api: &mut NodeApi<'_>) {
+            if data.get(18) == Some(&2) {
+                let hex: String = data[19..].iter().map(|b| format!("{b:02x}")).collect();
+                self.log
+                    .lock()
+                    .unwrap()
+                    .push(format!("{}<{hex}", api.me().0));
+            }
+            self.inner.on_message(from, data, api);
+        }
+        fn on_timer(&mut self, token: u64, api: &mut NodeApi<'_>) {
+            self.inner.on_timer(token, api);
+        }
+        fn on_session(&mut self, peer: NodeId, ev: SessionEvent, api: &mut NodeApi<'_>) {
+            self.inner.on_session(peer, ev, api);
+        }
+        fn clone_node(&self) -> Box<dyn Node> {
+            Box::new(Tap {
+                inner: self.inner.clone(),
+                log: Arc::clone(&self.log),
+            })
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn fan_out_walks_peers_in_id_order_with_per_peer_bytes() {
+        use crate::policy::gao_rexford;
+        use dice_netsim::NeighborRole as R;
+        // Hub 4; customers, peers and providers interleaved by node id, and
+        // configured in *descending* id order so config order != id order.
+        const HUB: u32 = 4;
+        let roles = [
+            (0, R::Customer),
+            (1, R::Peer),
+            (2, R::Provider),
+            (3, R::Customer),
+            (5, R::Peer),
+            (6, R::Provider),
+            (7, R::Customer),
+            (8, R::Peer),
+        ];
+        let own = Asn(65000 + HUB as u16);
+        let mut hub = RouterConfig::minimal(own, RouterId(0x0A000000 + HUB));
+        for (_, role) in roles {
+            hub = hub
+                .with_policy(gao_rexford::import_policy(own, role))
+                .with_policy(gao_rexford::export_policy(own, role));
+        }
+        for (n, role) in roles.iter().rev() {
+            let imp = gao_rexford::import_policy(own, *role).name;
+            let exp = gao_rexford::export_policy(own, *role).name;
+            hub = hub.with_neighbor(NodeId(*n), Asn(65000 + *n as u16), imp, exp);
+        }
+        let mut topo = Topology::with_nodes(9);
+        for (n, _) in roles {
+            topo.add_edge(
+                NodeId(HUB),
+                NodeId(n),
+                LinkParams::fixed(dice_netsim::SimDuration::from_millis(5)),
+                dice_netsim::Relationship::Unlabeled,
+            );
+        }
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut sim = Simulator::new(topo, 7);
+        sim.set_node(NodeId(HUB), Box::new(BgpRouter::new(hub)));
+        for (n, _) in roles {
+            sim.set_node(
+                NodeId(n),
+                Box::new(Tap {
+                    inner: BgpRouter::new(simple_config(n, &[HUB])),
+                    log: Arc::clone(&log),
+                }),
+            );
+        }
+        sim.start();
+        sim.run_until(SimTime::from_nanos(8_000_000_000));
+        assert!(log.lock().unwrap().is_empty(), "nothing originated yet");
+
+        let operate = |sim: &mut Simulator, node: u32, prefix: &str, announce: bool| {
+            sim.invoke_node(NodeId(node), |n, api| {
+                let r = &mut n.as_any_mut().downcast_mut::<Tap>().unwrap().inner;
+                if announce {
+                    r.announce_network(net(prefix), true, api);
+                } else {
+                    r.withdraw_network(net(prefix), api);
+                }
+            });
+            let until = sim.now() + dice_netsim::SimDuration::from_secs(2);
+            sim.run_until(until);
+        };
+        // A customer route goes to everyone but its sender, a provider
+        // route to customers only, a peer route to customers only; then
+        // the customer route is withdrawn everywhere it went.
+        operate(&mut sim, 3, "10.3.0.0/16", true);
+        operate(&mut sim, 6, "10.6.0.0/16", true);
+        operate(&mut sim, 1, "10.1.0.0/16", true);
+        operate(&mut sim, 3, "10.3.0.0/16", false);
+        assert_eq!(*log.lock().unwrap(), FAN_OUT_AT_PARENT);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! [`Simulator::from_shadow`]: dice_netsim::Simulator::from_shadow
 //! [`Simulator::reset_from_shadow`]: dice_netsim::Simulator::reset_from_shadow
 
-use dice_netsim::{ShadowSnapshot, Simulator, Topology, WireStats};
+use dice_netsim::{ShadowSnapshot, SimConfig, Simulator, Topology, WireStats};
 
 /// A worker-local pool holding the validation simulator its worker last
 /// finished with.
@@ -43,7 +43,9 @@ impl ClonePool {
 
     /// Check a simulator out, bound to `shadow` with `seed`: the pooled
     /// one reset in place when there is one, a fresh `from_shadow` clone
-    /// otherwise.
+    /// otherwise. Validation clones are built without a trace ring: the
+    /// counters every checker reads stay exact, and the event trail of a
+    /// fault belongs to its replay, not to each of the clean clones.
     pub(crate) fn acquire(
         &mut self,
         shadow: &ShadowSnapshot,
@@ -58,7 +60,11 @@ impl ClonePool {
             }
             None => {
                 self.stats.misses += 1;
-                Simulator::from_shadow(shadow, topo, seed)
+                let config = SimConfig {
+                    trace_capacity: 0,
+                    ..SimConfig::default()
+                };
+                Simulator::from_shadow_with_config(shadow, topo, seed, config)
             }
         }
     }

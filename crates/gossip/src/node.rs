@@ -377,7 +377,7 @@ impl GossipNode {
                     }
                     api.trace(
                         "gossip-retry-exhausted",
-                        format!("topic {topic} id {id:#x} to {peer}"),
+                        format_args!("topic {topic} id {id:#x} to {peer}"),
                     );
                 }
                 continue;
@@ -470,7 +470,7 @@ impl GossipNode {
         if self.admit(&rumor, api.now()) {
             api.trace(
                 "gossip-deliver",
-                format!("topic {} id {:#x} from {from}", rumor.topic, rumor.id),
+                format_args!("topic {} id {:#x} from {from}", rumor.topic, rumor.id),
             );
             self.monger(&rumor, Some(from), api);
         }
@@ -575,7 +575,7 @@ impl Node for GossipNode {
                 // semantics) — unlike BGP, a bad frame does not reset the
                 // session.
                 if !matches!(e, DecodeError::Empty) {
-                    api.trace("gossip-reject", format!("{e} from {from}"));
+                    api.trace("gossip-reject", format_args!("{e} from {from}"));
                 }
             }
         }
@@ -611,7 +611,10 @@ impl Node for GossipNode {
                     }
                 }
                 if !expired.is_empty() {
-                    api.trace("gossip-gc", format!("evicted {} rumors", expired.len()));
+                    api.trace(
+                        "gossip-gc",
+                        format_args!("evicted {} rumors", expired.len()),
+                    );
                 }
                 api.set_timer(self.config.gc_period, TOKEN_GC);
             }

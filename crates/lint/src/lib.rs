@@ -24,7 +24,7 @@
 //! | `unordered-iter` | no `HashMap`/`HashSet` iteration feeding serialized reports or coverage unions |
 //! | `lock-hygiene` | no bare `.lock().unwrap()` in `dice-core` — route through the poison-tolerant helper |
 //! | `panic-freedom` | no `unwrap`/`expect`/`panic!`/identifier slice-index in fns reachable from the round hot loop or the solve path |
-//! | `alloc-hot-path` | no fresh allocations (`Vec::new`, `format!`, `.clone()`, …) inside the pooled validation paths |
+//! | `alloc-hot-path` | no fresh allocations (`Vec::new`, `format!`, `.clone()`, …) inside the pooled validation paths and the BGP speaker's UPDATE fan-out |
 //! | `cfg-pairing` | every `race-audit`-gated fn/statement has a feature-off counterpart |
 //! | `schema-drift` | every wall-clock field of a `Serialize` struct reachable from `CampaignReport` is zeroed by `normalized()` |
 //! | `allow-syntax` | escape-hatch annotations must name a known rule and give a reason |

@@ -379,26 +379,35 @@ fn panic_freedom(graph: &ItemGraph, out: &mut Vec<RawFinding>) {
 }
 
 /// The pooled validation paths whose PR-5 allocation-free steady state
-/// `alloc-hot-path` guards. Direct bodies only: these are the per-unit
+/// `alloc-hot-path` guards, as `(file suffix, fn, impl type if the name is
+/// not unique in the file)`. Direct bodies only: these are the per-unit
 /// inner loops; their callees allocate behind the clone pool by design.
-const POOLED_FNS: &[(&str, &str)] = &[
-    ("core/src/executor.rs", "run_val_unit"),
-    ("core/src/executor.rs", "steal_val_unit"),
-    ("core/src/explorer.rs", "validate_one"),
-    ("core/src/pool.rs", "acquire"),
-    ("core/src/pool.rs", "release"),
+const POOLED_FNS: &[(&str, &str, Option<&str>)] = &[
+    ("core/src/executor.rs", "run_val_unit", None),
+    ("core/src/executor.rs", "steal_val_unit", None),
+    ("core/src/explorer.rs", "validate_one", None),
+    ("core/src/pool.rs", "acquire", None),
+    ("core/src/pool.rs", "release", None),
     // Zero-copy wire path: the in-place encoders, the delivery batch
     // loop, and the payload-buffer fast path must stay allocation-free
     // per datagram (the buffer-miss slow path lives in callees).
-    ("bgp/src/wire.rs", "encode_into"),
-    ("gossip/src/wire.rs", "encode_into"),
-    ("netsim/src/sim.rs", "process_deliver"),
-    ("netsim/src/buf.rs", "acquire"),
+    ("bgp/src/wire.rs", "encode_into", None),
+    ("gossip/src/wire.rs", "encode_into", None),
+    ("netsim/src/sim.rs", "process_deliver", None),
+    ("netsim/src/buf.rs", "acquire", None),
     // Delta-capture path: `checkpoint_node` runs once per node per cut;
     // clean nodes must be served by an `Arc::clone` of the cached
     // checkpoint (path syntax — a `.clone()` method call here would be a
     // deep node copy and fires this rule).
-    ("netsim/src/sim.rs", "checkpoint_node"),
+    ("netsim/src/sim.rs", "checkpoint_node", None),
+    // The speaker's UPDATE path: best-route selection, the per-class
+    // export fan-out and the policy evaluator run per delivered message
+    // on every validation clone. They borrow, and share bags by
+    // `Arc::clone`; a `.clone()`, a `format!` or a scratch `Vec::new()`
+    // here is paid once per peer per message.
+    ("bgp/src/router.rs", "recompute_and_propagate", None),
+    ("bgp/src/router.rs", "export_to", None),
+    ("bgp/src/policy.rs", "apply", Some("Policy")),
 ];
 
 /// R6 — hot-path allocations (contract from PR 5): the pooled validation
@@ -410,8 +419,8 @@ fn alloc_hot_path(graph: &ItemGraph, out: &mut Vec<RawFinding>) {
     const ALLOC_QUALIFIERS: &[&str] = &["Vec", "String", "Box", "BTreeMap", "BTreeSet", "HashMap"];
     const ALLOC_MACROS: &[&str] = &["vec", "format"];
     const ALLOC_METHODS: &[&str] = &["to_vec", "to_string", "to_owned", "clone"];
-    for (suffix, name) in POOLED_FNS {
-        let Some(fi) = find_root(graph, suffix, name, None) else {
+    for (suffix, name, impl_of) in POOLED_FNS {
+        let Some(fi) = find_root(graph, suffix, name, *impl_of) else {
             continue;
         };
         let f = &graph.fns[fi];
@@ -932,6 +941,28 @@ mod tests {
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         assert_eq!(report.violations[0].rule, "alloc-hot-path");
         assert_eq!(report.violations[0].line, 4);
+    }
+
+    #[test]
+    fn alloc_hot_path_picks_the_policy_evaluator_among_same_named_fns() {
+        // `apply` names two fns in policy.rs; the root is the evaluator
+        // (`Policy::apply`), which copies through `Cow::to_mut` at the
+        // first action — `Action::apply` edits the bag it is handed.
+        let policy = "impl Action {\n\
+                      pub fn apply(&self, attrs: &mut PathAttrs) { let spare = attrs.clone(); drop(spare); }\n\
+                      }\n\
+                      impl Policy {\n\
+                      pub fn apply(&self, attrs: &PathAttrs) -> Option<PathAttrs> {\n\
+                      let mut out = attrs.clone();\n\
+                      Some(out)\n\
+                      }\n\
+                      }\n";
+        let report = crate::scan_files(&[SourceFile {
+            path: "crates/bgp/src/policy.rs".into(),
+            content: policy.into(),
+        }]);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert_eq!(report.violations[0].line, 6, "the clone-first evaluator");
     }
 
     #[test]

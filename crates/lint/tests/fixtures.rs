@@ -154,6 +154,25 @@ fn alloc_hot_path_fires_on_to_vec_in_pooled_fn() {
 }
 
 #[test]
+fn alloc_hot_path_fires_on_the_update_fan_out() {
+    // Rendering a trace line or building a peer list per best-route
+    // change, or copying the bag per peer, fires; sharing it by
+    // `Arc::clone` and allocating off the roots (`on_established`) pass.
+    let report = scan_one(
+        "crates/bgp/src/router.rs",
+        include_str!("fixtures/update_fan_out.fixture"),
+    );
+    assert_eq!(
+        report.violations.iter().map(triple).collect::<Vec<_>>(),
+        vec![
+            ("alloc-hot-path", "crates/bgp/src/router.rs", 3),
+            ("alloc-hot-path", "crates/bgp/src/router.rs", 4),
+            ("alloc-hot-path", "crates/bgp/src/router.rs", 9),
+        ]
+    );
+}
+
+#[test]
 fn cfg_pairing_fires_on_unpaired_gated_fn() {
     let report = scan_one(
         "crates/core/src/sync.rs",

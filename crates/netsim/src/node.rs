@@ -78,6 +78,8 @@ pub struct NodeApi<'a> {
     now: SimTime,
     effects: &'a mut Vec<Effect>,
     bufs: Option<&'a BufPool>,
+    /// Whether the simulator's trace ring keeps annotations.
+    annotate: bool,
 }
 
 impl<'a> NodeApi<'a> {
@@ -86,12 +88,14 @@ impl<'a> NodeApi<'a> {
         now: SimTime,
         effects: &'a mut Vec<Effect>,
         bufs: Option<&'a BufPool>,
+        annotate: bool,
     ) -> Self {
         NodeApi {
             me,
             now,
             effects,
             bufs,
+            annotate,
         }
     }
 
@@ -153,9 +157,15 @@ impl<'a> NodeApi<'a> {
         self.effects.push(Effect::ResetSession { peer });
     }
 
-    /// Emit a structured trace annotation attributed to this node.
-    pub fn trace(&mut self, tag: &'static str, detail: String) {
-        self.effects.push(Effect::Trace { tag, detail });
+    /// Emit a structured trace annotation attributed to this node. Pass
+    /// `format_args!(..)`: the text is rendered here, once, and only when
+    /// the simulator's trace ring retains annotations — a handler on a
+    /// ring-less validation clone pays nothing for its commentary.
+    pub fn trace(&mut self, tag: &'static str, detail: core::fmt::Arguments<'_>) {
+        if self.annotate {
+            let detail = detail.to_string();
+            self.effects.push(Effect::Trace { tag, detail });
+        }
     }
 
     /// Declare that this node has crashed (unrecoverable internal error).
@@ -247,7 +257,7 @@ mod tests {
     #[test]
     fn api_records_effects_in_order() {
         let mut effects = Vec::new();
-        let mut api = NodeApi::new(NodeId(1), SimTime::ZERO, &mut effects, None);
+        let mut api = NodeApi::new(NodeId(1), SimTime::ZERO, &mut effects, None, true);
         api.send(NodeId(2), vec![1]);
         api.set_timer(SimDuration::from_secs(1), 7);
         api.cancel_timer(7);
@@ -260,6 +270,25 @@ mod tests {
             effects[3],
             Effect::ResetSession { peer: NodeId(2) }
         ));
+    }
+
+    #[test]
+    fn annotations_render_only_when_retained() {
+        struct Loud<'a>(&'a core::cell::Cell<u32>);
+        impl core::fmt::Display for Loud<'_> {
+            fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+                self.0.set(self.0.get() + 1);
+                f.write_str("x")
+            }
+        }
+        let rendered = core::cell::Cell::new(0);
+        for (annotate, want_effects, want_renders) in [(false, 0, 0), (true, 1, 1)] {
+            let mut effects = Vec::new();
+            let mut api = NodeApi::new(NodeId(1), SimTime::ZERO, &mut effects, None, annotate);
+            api.trace("t", format_args!("{}", Loud(&rendered)));
+            assert_eq!(effects.len(), want_effects);
+            assert_eq!(rendered.get(), want_renders);
+        }
     }
 
     #[test]
@@ -278,7 +307,7 @@ mod tests {
     fn handler_echoes_through_api() {
         let mut effects = Vec::new();
         let mut node = Echo::default();
-        let mut api = NodeApi::new(NodeId(0), SimTime::ZERO, &mut effects, None);
+        let mut api = NodeApi::new(NodeId(0), SimTime::ZERO, &mut effects, None, true);
         node.on_message(NodeId(3), &[9, 9], &mut api);
         assert_eq!(node.seen, vec![9, 9]);
         match &effects[0] {
@@ -294,7 +323,7 @@ mod tests {
     fn pooled_send_flows_through_effects() {
         let pool = crate::buf::BufPool::new();
         let mut effects = Vec::new();
-        let mut api = NodeApi::new(NodeId(0), SimTime::ZERO, &mut effects, Some(&pool));
+        let mut api = NodeApi::new(NodeId(0), SimTime::ZERO, &mut effects, Some(&pool), true);
         let mut b = api.buf();
         b.as_mut_vec().extend_from_slice(&[4, 2]);
         api.send(NodeId(1), b);

@@ -169,7 +169,9 @@ pub struct SimConfig {
     /// Automatic re-establishment delay after a session reset
     /// (`None` disables auto-reconnect).
     pub reconnect_delay: Option<SimDuration>,
-    /// Capacity of the bounded trace ring.
+    /// Capacity of the bounded trace ring. At 0 the simulator keeps
+    /// counters only ([`TraceStats`](crate::trace::TraceStats) stays
+    /// exact) and node annotations are never rendered.
     pub trace_capacity: usize,
     /// Recycle wire payload buffers through the simulator's [`BufPool`]
     /// (`false` hands out detached buffers and skips recycling; observable
@@ -748,7 +750,7 @@ impl Simulator {
         effects.clear();
         {
             let bufs = self.config.payload_pool.then_some(&self.buf_pool);
-            let mut api = NodeApi::new(n, self.now, &mut effects, bufs);
+            let mut api = NodeApi::new(n, self.now, &mut effects, bufs, self.trace.retains());
             f(node.as_mut(), &mut api);
         }
         self.nodes[n.index()].node = NodeState::Owned(node);
@@ -1272,7 +1274,19 @@ impl Simulator {
     /// checkpoints are deep-copied the moment the clone first mutates
     /// them.
     pub fn from_shadow(shadow: &ShadowSnapshot, topo: &Topology, seed: u64) -> Simulator {
-        let mut sim = Simulator::new(topo.clone(), seed);
+        Self::from_shadow_with_config(shadow, topo, seed, SimConfig::default())
+    }
+
+    /// [`Simulator::from_shadow`] with explicit configuration — what a
+    /// clone pool uses to build its simulators without a trace ring
+    /// (`trace_capacity: 0`).
+    pub fn from_shadow_with_config(
+        shadow: &ShadowSnapshot,
+        topo: &Topology,
+        seed: u64,
+        config: SimConfig,
+    ) -> Simulator {
+        let mut sim = Simulator::with_config(topo.clone(), seed, config);
         sim.bind_shadow(shadow);
         sim
     }

@@ -1,8 +1,10 @@
 //! Structured execution traces and aggregate counters.
 //!
-//! The trace is the substrate for DiCE's property checkers and for the demo
-//! rendering: a bounded ring of structured events plus always-on counters
-//! that never drop data.
+//! Always-on counters ([`TraceStats`]) that never drop data, plus a bounded
+//! ring of structured events. The counters are what the checkers, the
+//! benchmark and the `exp_*` binaries read; the ring is a debugging aid for
+//! a system someone is looking at, and a simulator built with capacity 0
+//! (every validation clone) keeps none of it.
 
 use crate::node::{DownReason, NodeId};
 use crate::time::SimTime;
@@ -78,7 +80,9 @@ pub struct TraceStats {
     pub sessions_down: u64,
     /// Node crashes.
     pub crashes: u64,
-    /// Events dropped from the bounded ring.
+    /// Events evicted from the bounded ring to make room for newer ones.
+    /// A ring of capacity 0 retains nothing, so it never evicts: this stays
+    /// 0 there, and the counters above are the whole record.
     pub dropped_events: u64,
 }
 
@@ -98,6 +102,7 @@ impl Default for Trace {
 
 impl Trace {
     /// A trace retaining at most `capacity` events (counters are unbounded).
+    /// Capacity 0 counts and retains nothing.
     pub fn with_capacity(capacity: usize) -> Self {
         Trace {
             events: std::collections::VecDeque::new(),
@@ -114,6 +119,12 @@ impl Trace {
         self.stats = TraceStats::default();
     }
 
+    /// Whether pushed events are kept (capacity above 0). Producers of
+    /// events that cost something to build ask first.
+    pub fn retains(&self) -> bool {
+        self.capacity > 0
+    }
+
     /// Record an event, updating counters and evicting the oldest event if
     /// at capacity.
     pub fn push(&mut self, t: SimTime, kind: TraceKind) {
@@ -128,6 +139,9 @@ impl Trace {
             TraceKind::SessionDown { .. } => self.stats.sessions_down += 1,
             TraceKind::NodeCrashed { .. } => self.stats.crashes += 1,
             _ => {}
+        }
+        if !self.retains() {
+            return;
         }
         if self.events.len() == self.capacity {
             self.events.pop_front();
@@ -233,6 +247,33 @@ mod tests {
         assert_eq!(tr.stats().dropped_events, 3);
         // Oldest retained is event #3.
         assert_eq!(tr.events().next().unwrap().t, SimTime::from_nanos(3));
+    }
+
+    #[test]
+    fn capacity_zero_counts_and_retains_nothing() {
+        let mut tr = Trace::with_capacity(0);
+        assert!(!tr.retains());
+        for i in 0..10_000u64 {
+            tr.push(
+                SimTime::from_nanos(i),
+                TraceKind::Delivered {
+                    src: NodeId(0),
+                    dst: NodeId(1),
+                    bytes: 3,
+                },
+            );
+        }
+        assert_eq!(tr.len(), 0);
+        assert!(tr.is_empty());
+        assert_eq!(
+            tr.stats(),
+            TraceStats {
+                msgs_delivered: 10_000,
+                bytes_delivered: 30_000,
+                ..TraceStats::default()
+            },
+            "counters exact, nothing evicted because nothing was kept"
+        );
     }
 
     #[test]
