@@ -8,6 +8,11 @@
 //! * the instrumented twin with full symbolic marking (cost while
 //!   exploring).
 //!
+//! `twin_exec/*` is one execution as an exploration session runs it — the
+//! twin over a fully marked message, through the session's recycled
+//! expression arena — with its heap allocations under the counting
+//! allocator (and, for contrast, those of the same run on a fresh arena).
+//!
 //! `update_fanout/*` is the speaker's side of the same message: a
 //! Gao–Rexford hub with 8 / 64 / 512 established neighbours (customers,
 //! peers and providers interleaved by node id, one policy name per
@@ -18,13 +23,18 @@
 
 use core::any::Any;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dice_bench::wire_workload::{bgp_update, gossip_digest};
 use dice_bgp::policy::gao_rexford;
 use dice_bgp::{
     encode, AsPath, Asn, BgpRouter, Ipv4Addr, Ipv4Net, Message, OpenMsg, PathAttrs, Policy,
     RouterConfig, RouterId, UpdateMsg,
 };
-use dice_concolic::{ConcolicCtx, ConcolicProgram, SymInput};
-use dice_core::{mark_update, GrammarConfig, SymbolicUpdateHandler, UpdateGrammar};
+use dice_concolic::{ConcolicCtx, ConcolicProgram, ExprArena, SymInput};
+use dice_core::gossip_sut::mark_gossip;
+use dice_core::{
+    mark_update, GrammarConfig, SymbolicGossipHandler, SymbolicUpdateHandler, UpdateGrammar,
+};
+use dice_gossip::GossipConfig;
 use dice_netsim::{
     LinkParams, NeighborRole, Node, NodeApi, NodeId, Relationship, SessionEvent, SimDuration,
     SimTime, Simulator, Topology,
@@ -100,6 +110,47 @@ fn bench_update_paths(c: &mut Criterion) {
         });
     });
 
+    group.finish();
+}
+
+fn bench_twin_exec(c: &mut Criterion) {
+    // The messages and twins of `solver_bench`'s `path_flips`.
+    let update = encode(&bgp_update());
+    let router = RouterConfig::minimal(Asn(65000), RouterId(1)).with_neighbor(
+        NodeId(2),
+        Asn(65001),
+        "all",
+        "all",
+    );
+    let digest = dice_gossip::wire::encode(&gossip_digest());
+    let mut bgp_twin = SymbolicUpdateHandler::new(router, NodeId(2));
+    let mut gossip_twin = SymbolicGossipHandler::new(GossipConfig::new(7).subscribe(3));
+    let (update_mask, digest_mask) = (mark_update(&update), mark_gossip(&digest));
+    let bgp: &mut dyn ConcolicProgram = &mut bgp_twin;
+    let cases = [
+        ("bgp_update", bgp, &update, &update_mask),
+        ("gossip_digest", &mut gossip_twin, &digest, &digest_mask),
+    ];
+
+    let mut group = c.benchmark_group("twin_exec");
+    for (name, program, bytes, mask) in cases {
+        // Input and mask are the session's to build either way; what is
+        // counted and timed is the run and handing the arena back.
+        let mut exec = |arena: ExprArena| {
+            let input = SymInput::with_mask(bytes.clone(), mask.clone());
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let mut ctx = ConcolicCtx::recycling(input, Default::default(), arena);
+            black_box(program.run(&mut ctx));
+            let (_, _, arena) = ctx.into_parts();
+            (arena, ALLOCS.load(Ordering::Relaxed) - before)
+        };
+        let (arena, fresh) = exec(ExprArena::new());
+        let (mut arena, recycled) = exec(arena);
+        println!("twin_exec/{name} allocs_per_exec {recycled} (fresh arena: {fresh})");
+        group.bench_function(name, |b| {
+            b.iter(|| arena = exec(std::mem::take(&mut arena)).0);
+        });
+    }
     group.finish();
 }
 
@@ -260,6 +311,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_update_paths, bench_update_fanout
+    targets = bench_update_paths, bench_twin_exec, bench_update_fanout
 }
 criterion_main!(benches);

@@ -3,14 +3,17 @@
 //! multi-byte prefix masks), plus the budget ablation from DESIGN.md §6.4,
 //! plus `path_flips`: every negation query of one real handler-twin path,
 //! answered from scratch per flip (the reference) and in one `PathSolver`
-//! pass (what `explore` runs).
+//! pass (what `explore` runs); `word_flip`: one flip that asks for an
+//! exact 16- / 32-bit word, with the search steps each solver spends on it;
+//! and `unary_sweep`: the 256-value truth table of the twin path's
+//! single-byte constraints, by 256 recursive walks and in one lane pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dice_bench::wire_workload::{bgp_update, gossip_digest};
 use dice_bgp::{Asn, RouterConfig, RouterId};
 use dice_concolic::{
-    negation_query, BinOp, CmpOp, ConcolicCtx, ConcolicProgram, Constraint, ExprArena, PathSolver,
-    Solver, SolverBudget, SymInput,
+    negation_query, BinOp, CmpOp, ConcolicCtx, ConcolicProgram, Constraint, ExprArena, ExprId,
+    LaneScratch, PathSolver, SiteId, Solver, SolverBudget, SymInput,
 };
 use dice_core::gossip_sut::mark_gossip;
 use dice_core::{mark_update, SymbolicGossipHandler, SymbolicUpdateHandler};
@@ -120,10 +123,10 @@ fn record(program: &mut dyn ConcolicProgram, bytes: &[u8], mask: Vec<bool>) -> C
     ctx
 }
 
-fn bench_path_flips(c: &mut Criterion) {
-    // The transit-grade UPDATE and the 32-entry digest of `wire_workload`,
-    // through the twin that parses them: the neighbor is the UPDATE's
-    // first AS so the path runs the full attribute and NLRI loops.
+/// The transit-grade UPDATE of `wire_workload` through the twin that
+/// parses it: the neighbor is the UPDATE's first AS so the path runs the
+/// full attribute and NLRI loops.
+fn update_path() -> ConcolicCtx {
     let update = dice_bgp::wire::encode(&bgp_update());
     let router = RouterConfig::minimal(Asn(65000), RouterId(1)).with_neighbor(
         NodeId(2),
@@ -131,16 +134,19 @@ fn bench_path_flips(c: &mut Criterion) {
         "all",
         "all",
     );
+    record(
+        &mut SymbolicUpdateHandler::new(router, NodeId(2)),
+        &update,
+        mark_update(&update),
+    )
+}
+
+fn bench_path_flips(c: &mut Criterion) {
+    // The UPDATE and the 32-entry digest of `wire_workload`, each through
+    // the twin that parses it.
     let digest = dice_gossip::wire::encode(&gossip_digest());
     let paths = [
-        (
-            "bgp_update",
-            record(
-                &mut SymbolicUpdateHandler::new(router, NodeId(2)),
-                &update,
-                mark_update(&update),
-            ),
-        ),
+        ("bgp_update", update_path()),
         (
             "gossip_digest",
             record(
@@ -186,6 +192,112 @@ fn bench_path_flips(c: &mut Criterion) {
     group.finish();
 }
 
+/// Record `not (word == k)` for each `k` as taken over `bytes` read as one
+/// big-endian word: flipping the last branch asks for exactly that word.
+fn word_path(bytes: &[u8], differs_from: &[u64]) -> ConcolicCtx {
+    let mut ctx = ConcolicCtx::new(SymInput::all_symbolic(bytes.to_vec()));
+    let word = match bytes.len() {
+        2 => ctx.read_u16_be(0),
+        _ => ctx.read_u32_be(0),
+    };
+    for (site, &k) in differs_from.iter().enumerate() {
+        let hit = ctx.eq_const(word, k);
+        let miss = ctx.bnot(hit);
+        assert!(ctx.branch(SiteId(site as u32), miss));
+    }
+    ctx
+}
+
+fn bench_word_flips(c: &mut Criterion) {
+    // The shapes that made a BGP round's search long: a length or an
+    // address compared for equality admits one value per byte, and the
+    // search reaches it only after refuting the values before it. The
+    // broadcast case is the twin's next-hop check (`nh != 0`, then
+    // `nh != 0xFFFF_FFFF`), whose flip wants the last value of every byte.
+    let cases = [
+        ("u16_eq", word_path(&[0x00, 0x13], &[0xC8E5])),
+        ("u32_eq", word_path(&[10, 0, 0, 1], &[0xC0A8_64FE])),
+        ("u32_ne_bcast", word_path(&[10, 0, 0, 1], &[0, 0xFFFF_FFFF])),
+    ];
+    let mut group = c.benchmark_group("word_flip");
+    for (name, ctx) in &cases {
+        let (arena, path) = (ctx.arena(), ctx.path());
+        let bytes = &ctx.input().bytes;
+        let seed = |idx: u32| bytes.get(idx as usize).copied().unwrap_or(0);
+        let last = path.len() - 1;
+        let hashes = arena.node_hashes();
+
+        let reference =
+            |solver: &mut Solver| solver.solve(arena, &negation_query(path, last), &seed);
+        let mut model = Vec::new();
+        let mut sliced = |solver: &mut PathSolver| {
+            let mut pass = solver.begin(arena, path, &hashes, &seed);
+            for _ in 0..last {
+                pass.advance();
+            }
+            pass.flip(&mut model)
+        };
+        let (mut whole, mut one_pass) = (Solver::new(), PathSolver::default());
+        black_box((reference(&mut whole), sliced(&mut one_pass)));
+        println!(
+            "word_flip/{name} steps_per_flip reference {} path_solver {}",
+            whole.stats.steps, one_pass.stats.steps
+        );
+
+        group.bench_function(format!("{name}/reference"), |b| {
+            b.iter(|| black_box(reference(&mut whole)));
+        });
+        group.bench_function(format!("{name}/path_solver"), |b| {
+            b.iter(|| black_box(sliced(&mut one_pass)));
+        });
+    }
+    group.finish();
+}
+
+fn bench_unary_sweep(c: &mut Criterion) {
+    // What a `UnaryMemo` miss computes, over every single-byte constraint
+    // of the UPDATE's twin path.
+    let ctx = update_path();
+    let arena = ctx.arena();
+    let mut unary: Vec<ExprId> = ctx
+        .path()
+        .iter()
+        .map(|rec| rec.constraint)
+        .filter(|&e| arena.vars(e).len() == 1)
+        .collect();
+    unary.sort_unstable();
+    unary.dedup();
+    eprintln!("unary_sweep: {} distinct constraints", unary.len());
+
+    let mut group = c.benchmark_group("unary_sweep");
+    group.bench_function("recursive_256", |b| {
+        b.iter(|| {
+            let mut truthy = 0u32;
+            for &e in &unary {
+                let v = arena.vars(e)[0];
+                for byte in 0..=u8::MAX {
+                    let lookup = |idx: u32| (idx == v).then_some(byte as u64);
+                    truthy += arena.eval(e, &lookup).is_some_and(|r| r != 0) as u32;
+                }
+            }
+            truthy
+        });
+    });
+    let mut scratch = LaneScratch::default();
+    group.bench_function("one_pass", |b| {
+        b.iter(|| {
+            let mut truthy = 0u32;
+            for &e in &unary {
+                let (_, lanes) = arena.sweep(e, &mut scratch);
+                let lanes = lanes.expect("a single-byte constraint is swept");
+                truthy += lanes.iter().filter(|&&lane| lane != 0).count() as u32;
+            }
+            truthy
+        });
+    });
+    group.finish();
+}
+
 fn quick() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -196,6 +308,7 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_shapes, bench_budget_ablation, bench_path_flips
+    targets = bench_shapes, bench_budget_ablation, bench_path_flips, bench_word_flips,
+        bench_unary_sweep
 }
 criterion_main!(benches);

@@ -145,13 +145,36 @@ impl ConcolicCtx {
         input: SymInput,
         oracle_overlay: std::collections::BTreeMap<u32, u8>,
     ) -> Self {
+        Self::recycling(input, oracle_overlay, ExprArena::new())
+    }
+
+    /// [`ConcolicCtx::with_oracles`] over a used arena (cleared here, its
+    /// allocations kept): an exploration session runs all its executions
+    /// through one arena and takes it back with [`ConcolicCtx::into_parts`].
+    pub fn recycling(
+        input: SymInput,
+        oracle_overlay: std::collections::BTreeMap<u32, u8>,
+        mut arena: ExprArena,
+    ) -> Self {
+        arena.clear();
         ConcolicCtx {
-            arena: ExprArena::new(),
+            arena,
             input,
             path: Vec::new(),
             oracles: 0,
             oracle_overlay,
         }
+    }
+
+    /// Take the run apart: the input and oracle overlay it was started
+    /// with, and its arena.
+    pub fn into_parts(self) -> (SymInput, std::collections::BTreeMap<u32, u8>, ExprArena) {
+        (self.input, self.oracle_overlay, self.arena)
+    }
+
+    /// The explorer-chosen oracle values this run was started with.
+    pub fn oracle_overlay(&self) -> &std::collections::BTreeMap<u32, u8> {
+        &self.oracle_overlay
     }
 
     /// The input being executed.

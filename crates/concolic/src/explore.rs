@@ -12,6 +12,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use serde::{Deserialize, Serialize};
 
 use crate::ctx::{BranchRec, ConcolicCtx, SymInput};
+use crate::expr::ExprArena;
 use crate::solve::{negation_query, Flip, PathSolver, Solver, SolverBudget, SolverStats};
 
 /// Outcome of one program execution.
@@ -252,6 +253,11 @@ pub fn explore(
     let mut dispatched: HashSet<u64> = HashSet::new();
     let mut queue: Vec<WorkItem> = Vec::new();
     let mut seq = 0u64;
+    // One arena and one set of per-path buffers serve every execution of
+    // the session (cleared per execution, allocations kept).
+    let mut arena = ExprArena::new();
+    let mut node_hash: Vec<u64> = Vec::new();
+    let mut sites_seen: HashSet<u32> = HashSet::new();
 
     for seed in seeds {
         attempted.insert(input_key(seed, &BTreeMap::new()));
@@ -301,9 +307,12 @@ pub fn explore(
         let Some(item) = item else { break };
 
         let mask = marker(&item.bytes);
-        let input = SymInput::with_mask(item.bytes.clone(), mask);
-        let mut ctx = ConcolicCtx::with_oracles(input, item.oracles.clone());
+        // The run owns its input and overlay until its flips are done;
+        // the execution record below takes them over.
+        let input = SymInput::with_mask(item.bytes, mask);
+        let mut ctx = ConcolicCtx::recycling(input, item.oracles, std::mem::take(&mut arena));
         let status = program.run(&mut ctx);
+        let (bytes, oracles) = (&ctx.input().bytes, ctx.oracle_overlay());
 
         let sig = ctx.path_signature();
         let new_cov = coverage.add_path(ctx.path());
@@ -311,14 +320,6 @@ pub fn explore(
         if matches!(status, RunStatus::Crash(_)) {
             report.crashes.push(report.executions.len());
         }
-        report.executions.push(ExecutionRecord {
-            input: item.bytes.clone(),
-            oracles: item.oracles.clone(),
-            status,
-            path_len: ctx.path().len(),
-            path_sig: sig,
-            new_coverage: new_cov,
-        });
         report.coverage_timeline.push(coverage.len());
 
         // Expand children: negate each branch after the inherited bound.
@@ -332,18 +333,18 @@ pub fn explore(
         // different seed (different bytes, separate arena) yields the same
         // hashes. Computed unconditionally: the covered-flip guard keys
         // off them and runs in both cache modes.
-        let node_hash = ctx.arena().node_hashes();
+        ctx.arena().node_hashes_into(&mut node_hash);
         let seed_fn = |idx: u32| -> u8 {
-            match item.bytes.get(idx as usize) {
+            match bytes.get(idx as usize) {
                 Some(&b) => b,
-                None => item.oracles.get(&idx).copied().unwrap_or(0),
+                None => oracles.get(&idx).copied().unwrap_or(0),
             }
         };
         let mut pass = config
             .solver_cache
             .then(|| sliced.begin(ctx.arena(), path, &node_hash, &seed_fn));
         let mut prefix_hash: u64 = 0xD1CE_0000_5EED_0001;
-        let mut sites_seen: HashSet<u32> = HashSet::new();
+        sites_seen.clear();
         for (i, rec) in path.iter().enumerate() {
             let rec_hash = node_hash[rec.constraint.0 as usize];
             let query_hash = crate::expr::mix3(prefix_hash, rec_hash, !rec.taken as u64);
@@ -390,8 +391,8 @@ pub fn explore(
                     }
                     match outcome {
                         Flip::Sat => {
-                            let mut bytes = item.bytes.clone();
-                            let mut oracles = item.oracles.clone();
+                            let mut bytes = bytes.clone();
+                            let mut oracles = oracles.clone();
                             for &(idx, val) in &model {
                                 match bytes.get_mut(idx as usize) {
                                     Some(b) => *b = val,
@@ -430,6 +431,18 @@ pub fn explore(
             }
             prefix_hash = crate::expr::mix3(prefix_hash, rec_hash, rec.taken as u64);
         }
+
+        let path_len = path.len();
+        let (input, oracles, used) = ctx.into_parts();
+        arena = used;
+        report.executions.push(ExecutionRecord {
+            input: input.bytes,
+            oracles,
+            status,
+            path_len,
+            path_sig: sig,
+            new_coverage: new_cov,
+        });
     }
 
     report.distinct_paths = seen_paths.len();

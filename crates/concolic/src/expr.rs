@@ -6,6 +6,7 @@
 //! matches how the instrumented parsers compute on the wire bytes.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Index of an expression in its arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -107,11 +108,97 @@ fn mask(bits: u8) -> u64 {
     }
 }
 
+/// The interner's hasher: one rotate-xor-multiply per field of the small
+/// `Copy` [`Expr`] key instead of SipHash over its bytes. The keys are
+/// minted by the instrumented twin from inputs the explorer itself
+/// synthesized, so there is no adversary to defend the table against, and
+/// interning is most of what a twin execution does.
+#[derive(Debug, Default, Clone, Copy)]
+struct MixHasher(u64);
+
+impl MixHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+impl Hasher for MixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(b as u64);
+        }
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.add(v as u64);
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.add(v as u64);
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+    fn write_isize(&mut self, v: isize) {
+        self.add(v as u64);
+    }
+    fn finish(&self) -> u64 {
+        // The product's strong bits are its high ones; the table indexes
+        // with the low ones.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 /// Hash-consing arena of expressions.
 #[derive(Debug, Default, Clone)]
 pub struct ExprArena {
     nodes: Vec<Expr>,
-    cache: HashMap<Expr, ExprId>,
+    cache: HashMap<Expr, ExprId, BuildHasherDefault<MixHasher>>,
+}
+
+/// What is known of one input byte: bit `i` of `val` is meaningful iff bit
+/// `i` of `known` is set (and zero otherwise).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ByteBits {
+    pub(crate) known: u8,
+    pub(crate) val: u8,
+}
+
+impl ByteBits {
+    /// Nothing known.
+    pub(crate) const UNKNOWN: ByteBits = ByteBits { known: 0, val: 0 };
+
+    /// Every bit known.
+    pub(crate) fn exact(val: u8) -> Self {
+        ByteBits { known: 0xFF, val }
+    }
+
+    /// The byte's value, once every bit is known.
+    pub(crate) fn value(self) -> Option<u8> {
+        (self.known == 0xFF).then_some(self.val)
+    }
+}
+
+/// The value of one node under each of the 256 values of a byte.
+pub type Lanes = [u64; 256];
+
+/// "Not reached" in [`LaneScratch::lane_of`].
+const NO_LANE: u32 = u32::MAX;
+
+/// Scratch of [`ExprArena::sweep`], owned by the session: it grows to the
+/// largest arena (`lane_of`) and the largest constraint DAG (`lanes`) seen
+/// and is reused by every later sweep.
+#[derive(Debug, Default)]
+pub struct LaneScratch {
+    /// Node id → its index in `order` and `lanes`; [`NO_LANE`] for
+    /// unreached nodes and between sweeps.
+    lane_of: Vec<u32>,
+    /// The reached nodes, ascending — operands before their users.
+    order: Vec<u32>,
+    stack: Vec<u32>,
+    lanes: Vec<Lanes>,
+    vars: Vec<u32>,
 }
 
 impl ExprArena {
@@ -128,6 +215,13 @@ impl ExprArena {
     /// Whether the arena holds no nodes.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// Forget every node, keeping the allocations: a session runs all its
+    /// executions through one arena.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.cache.clear();
     }
 
     /// Intern a node.
@@ -256,26 +350,34 @@ impl ExprArena {
     /// `(addr & 0xFF000000) == K` as soon as the single relevant byte is
     /// assigned, instead of enumerating the irrelevant ones.
     pub fn eval3(&self, id: ExprId, lookup: &dyn Fn(u32) -> Option<u64>) -> Ternary {
+        self.eval3_bits(id, &|idx| {
+            lookup(idx).map_or(ByteBits::UNKNOWN, |v| ByteBits::exact(v as u8))
+        })
+    }
+
+    /// [`ExprArena::eval3`] with bit-granular knowledge of the input bytes.
+    /// It is *monotone in information*: whatever it decides under one
+    /// assignment it decides identically under every assignment that knows
+    /// the same bits and more (property-tested below) — which is what lets
+    /// the solver's search discard, from one known bit, every byte value
+    /// carrying it.
+    pub(crate) fn eval3_bits<F: Fn(u32) -> ByteBits>(&self, id: ExprId, lookup: &F) -> Ternary {
         match self.get(id) {
             Expr::Const { bits, val } => Ternary {
                 known: mask(bits),
                 val,
                 bits,
             },
-            Expr::Input { idx } => match lookup(idx) {
-                Some(v) => Ternary {
-                    known: 0xFF,
-                    val: v & 0xFF,
+            Expr::Input { idx } => {
+                let byte = lookup(idx);
+                Ternary {
+                    known: byte.known as u64,
+                    val: (byte.val & byte.known) as u64,
                     bits: 8,
-                },
-                None => Ternary {
-                    known: 0,
-                    val: 0,
-                    bits: 8,
-                },
-            },
+                }
+            }
             Expr::ZExt { bits, a } => {
-                let inner = self.eval3(a, lookup);
+                let inner = self.eval3_bits(a, lookup);
                 // Upper bits become known zeros.
                 Ternary {
                     known: inner.known | (mask(bits) & !mask(inner.bits)),
@@ -284,8 +386,8 @@ impl ExprArena {
                 }
             }
             Expr::Bin { op, bits, a, b } => {
-                let x = self.eval3(a, lookup);
-                let y = self.eval3(b, lookup);
+                let x = self.eval3_bits(a, lookup);
+                let y = self.eval3_bits(b, lookup);
                 let m = mask(bits);
                 match op {
                     BinOp::And => {
@@ -362,8 +464,8 @@ impl ExprArena {
                 }
             }
             Expr::Cmp { op, a, b } => {
-                let x = self.eval3(a, lookup);
-                let y = self.eval3(b, lookup);
+                let x = self.eval3_bits(a, lookup);
+                let y = self.eval3_bits(b, lookup);
 
                 match op {
                     CmpOp::Eq => match ternary_eq(&x, &y) {
@@ -387,7 +489,7 @@ impl ExprArena {
                 }
             }
             Expr::Not(a) => {
-                let x = self.eval3(a, lookup);
+                let x = self.eval3_bits(a, lookup);
                 if x.known & 1 == 1 {
                     Ternary::known_bool(x.val & 1 == 0)
                 } else {
@@ -395,8 +497,8 @@ impl ExprArena {
                 }
             }
             Expr::Bool { op, a, b } => {
-                let x = self.eval3(a, lookup);
-                let y = self.eval3(b, lookup);
+                let x = self.eval3_bits(a, lookup);
+                let y = self.eval3_bits(b, lookup);
                 let xv = x.as_bool();
                 let yv = y.as_bool();
                 match op {
@@ -426,9 +528,17 @@ impl ExprArena {
     /// constraint system it has already refuted for an earlier seed.
     /// Hash-consing makes this cheap: nodes only reference earlier ids,
     /// so one forward pass suffices and each node costs O(1).
-    // dice-lint: allow(panic-freedom): nodes reference only earlier ids, so out[] is already populated
     pub fn node_hashes(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = Vec::with_capacity(self.nodes.len());
+        let mut out = Vec::new();
+        self.node_hashes_into(&mut out);
+        out
+    }
+
+    /// [`ExprArena::node_hashes`] into a caller-owned buffer (replaced).
+    // dice-lint: allow(panic-freedom): nodes reference only earlier ids, so out[] is already populated
+    pub fn node_hashes_into(&self, out: &mut Vec<u64>) {
+        out.clear();
+        out.reserve(self.nodes.len());
         for e in &self.nodes {
             let h = match *e {
                 Expr::Const { bits, val } => mix3(0x01, bits as u64, val),
@@ -453,7 +563,93 @@ impl ExprArena {
             };
             out.push(h);
         }
-        out
+    }
+
+    /// One pass over the nodes `e` reaches: the input bytes it mentions
+    /// (ascending) and, when that is exactly one byte, `e`'s value under
+    /// each of the byte's 256 values — what 256 [`ExprArena::eval`] walks
+    /// plus a [`ExprArena::vars`] walk compute. Nodes only reference
+    /// earlier ids, so ascending id order is topological and every node is
+    /// computed once, all 256 lanes at a time, from operands already done.
+    pub fn sweep<'s>(
+        &self,
+        e: ExprId,
+        scratch: &'s mut LaneScratch,
+    ) -> (&'s [u32], Option<&'s Lanes>) {
+        let LaneScratch {
+            lane_of,
+            order,
+            stack,
+            lanes,
+            vars,
+        } = scratch;
+        if lane_of.len() < self.nodes.len() {
+            lane_of.resize(self.nodes.len(), NO_LANE);
+        }
+        order.clear();
+        vars.clear();
+        stack.push(e.0);
+        while let Some(id) = stack.pop() {
+            match lane_of.get_mut(id as usize) {
+                Some(seen) if *seen == NO_LANE => *seen = 0,
+                _ => continue,
+            }
+            order.push(id);
+            match self.get(ExprId(id)) {
+                Expr::Const { .. } => {}
+                // Hash-consing keeps one node per input byte: no duplicates.
+                Expr::Input { idx } => vars.push(idx),
+                Expr::Bin { a, b, .. } | Expr::Cmp { a, b, .. } | Expr::Bool { a, b, .. } => {
+                    stack.push(a.0);
+                    stack.push(b.0);
+                }
+                Expr::ZExt { a, .. } | Expr::Not(a) => stack.push(a.0),
+            }
+        }
+        order.sort_unstable();
+        vars.sort_unstable();
+
+        let unary = vars.len() == 1;
+        if unary {
+            if lanes.len() < order.len() {
+                lanes.resize(order.len(), [0; 256]);
+            }
+            for (lane, &id) in order.iter().enumerate() {
+                if let Some(slot) = lane_of.get_mut(id as usize) {
+                    *slot = lane as u32;
+                }
+                let (done, rest) = lanes.split_at_mut(lane);
+                let Some(out) = rest.first_mut() else { break };
+                let of = |x: ExprId| -> &Lanes {
+                    let lane = lane_of.get(x.0 as usize).copied().unwrap_or(NO_LANE);
+                    done.get(lane as usize).unwrap_or(&[0; 256])
+                };
+                match self.get(ExprId(id)) {
+                    Expr::Const { val, .. } => out.fill(val),
+                    Expr::Input { .. } => {
+                        for (byte, o) in out.iter_mut().enumerate() {
+                            *o = byte as u64;
+                        }
+                    }
+                    Expr::Bin { op, bits, a, b } => zip_bin(op, bits, out, of(a), of(b)),
+                    Expr::ZExt { a, .. } => *out = *of(a),
+                    Expr::Cmp { op, a, b } => zip_cmp(op, out, of(a), of(b)),
+                    Expr::Not(a) => zip(out, of(a), of(a), |x, _| (x == 0) as u64),
+                    Expr::Bool { op, a, b } => match op {
+                        BoolOp::And => zip(out, of(a), of(b), |x, y| (x != 0 && y != 0) as u64),
+                        BoolOp::Or => zip(out, of(a), of(b), |x, y| (x != 0 || y != 0) as u64),
+                    },
+                }
+            }
+        }
+        for &id in order.iter() {
+            if let Some(slot) = lane_of.get_mut(id as usize) {
+                *slot = NO_LANE;
+            }
+        }
+        // The root has the largest id it reaches: the last lane.
+        let root = order.len().checked_sub(1).filter(|_| unary);
+        (vars, root.and_then(|lane| lanes.get(lane)))
     }
 
     /// Collect the distinct input-byte indices referenced by `id`.
@@ -612,6 +808,39 @@ pub(crate) fn mix3(tag: u64, a: u64, b: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// `out[i] = f(a[i], b[i])` over the 256 lanes.
+fn zip(out: &mut Lanes, a: &Lanes, b: &Lanes, f: impl Fn(u64, u64) -> u64) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
+    }
+}
+
+/// [`eval_bin`] over the 256 lanes: one loop per operator, so that each
+/// body is straight-line code.
+fn zip_bin(op: BinOp, bits: u8, out: &mut Lanes, a: &Lanes, b: &Lanes) {
+    macro_rules! per_op {
+        ($($op:ident),*) => {
+            match op {
+                $(BinOp::$op => zip(out, a, b, |x, y| eval_bin(BinOp::$op, bits, x, y)),)*
+            }
+        };
+    }
+    per_op!(Add, Sub, Mul, And, Or, Xor, Shl, Shr)
+}
+
+/// [`eval_cmp`] over the 256 lanes, as [`zip_bin`].
+fn zip_cmp(op: CmpOp, out: &mut Lanes, a: &Lanes, b: &Lanes) {
+    macro_rules! per_op {
+        ($($op:ident),*) => {
+            match op {
+                $(CmpOp::$op => zip(out, a, b, |x, y| eval_cmp(CmpOp::$op, x, y) as u64),)*
+            }
+        };
+    }
+    per_op!(Eq, Ne, Ult, Ule)
+}
+
+#[inline(always)]
 fn eval_bin(op: BinOp, bits: u8, a: u64, b: u64) -> u64 {
     let m = mask(bits);
     let v = match op {
@@ -639,6 +868,7 @@ fn eval_bin(op: BinOp, bits: u8, a: u64, b: u64) -> u64 {
     v & m
 }
 
+#[inline(always)]
 fn eval_cmp(op: CmpOp, a: u64, b: u64) -> bool {
     match op {
         CmpOp::Eq => a == b,
@@ -881,6 +1111,135 @@ mod tests {
         for y_val in 0u64..256 {
             let full = |i: u32| Some(if i == 0 { 0x0F } else { y_val });
             assert_eq!(a.eval(c, &full), Some(0));
+        }
+    }
+
+    /// Build well-typed expressions over input bytes 0..3 from a flat
+    /// program: each step takes earlier words / booleans (indices wrap) and
+    /// appends one. Operands of a binary node are zero-extended to a common
+    /// width first, as the instrumentation does. Returns every word and
+    /// every boolean built.
+    fn build_program(a: &mut ExprArena, steps: &[(u8, u8, u8, u64)]) -> Vec<ExprId> {
+        const BIN: [BinOp; 8] = [
+            BinOp::Add,
+            BinOp::Sub,
+            BinOp::Mul,
+            BinOp::And,
+            BinOp::Or,
+            BinOp::Xor,
+            BinOp::Shl,
+            BinOp::Shr,
+        ];
+        const CMP: [CmpOp; 4] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Ult, CmpOp::Ule];
+        let mut words: Vec<(ExprId, u8)> = (0..3).map(|i| (a.input(i), 8)).collect();
+        let mut bools: Vec<ExprId> = Vec::new();
+        for &(kind, i, j, k) in steps {
+            let (x, xb) = words[i as usize % words.len()];
+            let (y, yb) = words[j as usize % words.len()];
+            let bits = xb.max(yb);
+            let widen = |a: &mut ExprArena, w: ExprId, from: u8| {
+                if from < bits {
+                    a.zext(bits, w)
+                } else {
+                    w
+                }
+            };
+            match kind % 8 {
+                0 => {
+                    let (x, y) = (widen(a, x, xb), widen(a, y, yb));
+                    words.push((a.bin(BIN[k as usize % 8], bits, x, y), bits));
+                }
+                1 => {
+                    // Constants are width-masked; shift amounts also reach
+                    // and pass the width, and 64.
+                    let op = BIN[j as usize % 8];
+                    let c = match op {
+                        BinOp::Shl | BinOp::Shr => [k % 72, 64, 70][k as usize % 3],
+                        _ => k,
+                    };
+                    let c = a.constant(xb, c);
+                    words.push((a.bin(op, xb, x, c), xb));
+                }
+                2 => {
+                    let wide = [16, 32, 64][j as usize % 3];
+                    if wide > xb {
+                        words.push((a.zext(wide, x), wide));
+                    }
+                }
+                3 => {
+                    let (x, y) = (widen(a, x, xb), widen(a, y, yb));
+                    bools.push(a.cmp(CMP[k as usize % 4], x, y));
+                }
+                4 => {
+                    let c = a.constant(xb, k >> 2);
+                    bools.push(a.cmp(CMP[k as usize % 4], x, c));
+                }
+                _ if bools.is_empty() => {}
+                5 => bools.push(a.not(bools[i as usize % bools.len()])),
+                kind => {
+                    let op = [BoolOp::And, BoolOp::Or][kind as usize % 2];
+                    let p = bools[i as usize % bools.len()];
+                    let q = bools[j as usize % bools.len()];
+                    bools.push(a.boolean(op, p, q));
+                }
+            }
+        }
+        words.into_iter().map(|(w, _)| w).chain(bools).collect()
+    }
+
+    proptest::proptest! {
+        /// The premise of the search's bit probe: `eval3` is monotone in
+        /// information. Whatever it decides knowing some bits of the
+        /// inputs it decides identically knowing more, and `eval` agrees
+        /// on every full completion (where `eval3` always decides).
+        #[test]
+        fn eval3_is_monotone_in_bit_granular_information(
+            steps in proptest::collection::vec(
+                (proptest::any::<u8>(), proptest::any::<u8>(), proptest::any::<u8>(), proptest::any::<u64>()),
+                1..24,
+            ),
+            known in proptest::collection::vec(proptest::any::<u8>(), 3..4),
+            refinements in proptest::collection::vec(
+                proptest::collection::vec((proptest::any::<u8>(), proptest::any::<u8>()), 3..4),
+                1..8,
+            ),
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let mut a = ExprArena::new();
+            let nodes = build_program(&mut a, &steps);
+            for refinement in &refinements {
+                // One completion, and three views of it: the base
+                // knowledge, the base plus `more` bits, all bits.
+                let views: Vec<[ByteBits; 3]> = known
+                    .iter()
+                    .zip(refinement)
+                    .map(|(&known, &(more, full))| {
+                        [known, known | more, 0xFF].map(|known| ByteBits {
+                            known,
+                            val: full & known,
+                        })
+                    })
+                    .collect();
+                for &e in &nodes {
+                    let [base, refined, complete] =
+                        [0, 1, 2].map(|view| a.eval3_bits(e, &|idx| views[idx as usize][view]));
+                    let exact = a.eval(e, &|idx| Some(views[idx as usize][2].val as u64));
+                    // Full knowledge decides every bit, as `eval` does.
+                    prop_assert_eq!(complete.known, mask(complete.bits), "{}", a.render(e));
+                    prop_assert_eq!(Some(complete.val), exact, "{}", a.render(e));
+                    // More knowledge keeps every bit already decided and,
+                    // for a boolean (what a recorded constraint is: `branch`
+                    // takes a `SymBool`), every verdict.
+                    for (less, more) in [(base, refined), (refined, complete)] {
+                        let what = format!("{} under {views:?}", a.render(e));
+                        prop_assert_eq!(less.val & !less.known, 0, "{}", what);
+                        prop_assert_eq!(less.known & !more.known, 0, "{}", what);
+                        prop_assert_eq!((less.val ^ more.val) & less.known, 0, "{}", what);
+                        let kept = less.as_bool().is_none_or(|v| more.as_bool() == Some(v));
+                        prop_assert!(less.bits != 1 || kept, "{}", what);
+                    }
+                }
+            }
         }
     }
 

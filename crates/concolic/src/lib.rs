@@ -57,7 +57,7 @@ pub use explore::{
     explore, random_fuzz, ConcolicProgram, Coverage, ExecutionRecord, ExplorationReport,
     ExploreConfig, RunStatus, Strategy,
 };
-pub use expr::{BinOp, BoolOp, CmpOp, Expr, ExprArena, ExprId, Ternary};
+pub use expr::{BinOp, BoolOp, CmpOp, Expr, ExprArena, ExprId, LaneScratch, Lanes, Ternary};
 pub use solve::{
     negation_query, ByteSet, Constraint, Flip, PathPass, PathSolver, SolveResult, Solver,
     SolverBudget, SolverStats,

@@ -24,7 +24,7 @@
 //! [`PathSolver`] for the argument).
 
 use crate::ctx::BranchRec;
-use crate::expr::{ExprArena, ExprId};
+use crate::expr::{ByteBits, ExprArena, ExprId, LaneScratch, Lanes};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
@@ -112,6 +112,36 @@ impl ByteSet {
     pub fn first(&self) -> Option<u8> {
         self.iter().next()
     }
+
+    /// The values whose bit `bit` (0..8) is set.
+    fn with_bit(bit: u8) -> ByteSet {
+        /// Bit `b` of a word's position index, for the six bits a word spans.
+        const IN_WORD: [u64; 6] = [
+            0xAAAA_AAAA_AAAA_AAAA,
+            0xCCCC_CCCC_CCCC_CCCC,
+            0xF0F0_F0F0_F0F0_F0F0,
+            0xFF00_FF00_FF00_FF00,
+            0xFFFF_0000_FFFF_0000,
+            0xFFFF_FFFF_0000_0000,
+        ];
+        let words = match IN_WORD.get(bit as usize) {
+            Some(&pattern) => [pattern; 4],
+            None if bit == 6 => [0, u64::MAX, 0, u64::MAX],
+            None => [0, 0, u64::MAX, u64::MAX],
+        };
+        ByteSet { words }
+    }
+
+    /// The byte values whose lane is non-zero.
+    fn truthy(lanes: &Lanes) -> ByteSet {
+        let mut words = [0u64; 4];
+        for (word, chunk) in words.iter_mut().zip(lanes.chunks(64)) {
+            for (bit, &lane) in chunk.iter().enumerate() {
+                *word |= ((lane != 0) as u64) << bit;
+            }
+        }
+        ByteSet { words }
+    }
 }
 
 /// The verdict of a solve call.
@@ -150,7 +180,10 @@ pub struct SolverStats {
     pub unsat: u64,
     /// Unknown answers (budget exhausted).
     pub unknown: u64,
-    /// Total backtracking steps.
+    /// Total backtracking steps: candidate values *tried*. Values the
+    /// [`PathSolver`] search skips because one known bit already refutes
+    /// them are not steps, so against `max_steps` its narrowing can only
+    /// turn an `Unknown` into an answer.
     pub steps: u64,
     /// Negation queries answered from the refutation cache *without*
     /// reaching [`Solver::solve`] (maintained by the exploration loop,
@@ -190,9 +223,9 @@ pub struct Solver {
 
 /// Cross-path memo of the per-constraint facts [`PathSolver`] needs: the
 /// referenced variable list and — for single-variable constraints — the
-/// exact set of byte values under which the expression is truthy (256
-/// evaluations). Keyed by the *canonical structural hash* of the
-/// constraint expression supplied by the caller (see
+/// exact set of byte values under which the expression is truthy (one
+/// 256-lane [`ExprArena::sweep`]). Keyed by the *canonical structural
+/// hash* of the constraint expression supplied by the caller (see
 /// `ExprArena::node_hashes`), so entries are valid across arenas: a child
 /// re-records most of its parent's constraints, and different seeds with
 /// the same parse shape share them all. Polarity is not part of the key —
@@ -205,6 +238,8 @@ pub struct UnaryMemo {
     map: HashMap<u64, MemoEntry>,
     /// Entries served from the memo (vars + unary set count as one hit).
     pub hits: u64,
+    /// What a miss computes in.
+    scratch: LaneScratch,
 }
 
 #[derive(Debug)]
@@ -222,28 +257,14 @@ impl UnaryMemo {
                 hit.into_mut()
             }
             Entry::Vacant(miss) => {
-                let vars = arena.vars(e);
-                let truthy = match vars.as_slice() {
-                    &[v] => Some(truthy_set(arena, e, v)),
-                    _ => None,
-                };
-                miss.insert(MemoEntry { vars, truthy })
+                let (vars, lanes) = arena.sweep(e, &mut self.scratch);
+                miss.insert(MemoEntry {
+                    vars: vars.to_vec(),
+                    truthy: lanes.map(ByteSet::truthy),
+                })
             }
         }
     }
-}
-
-/// The byte values of variable `v` under which single-variable `e` is
-/// truthy.
-fn truthy_set(arena: &ExprArena, e: ExprId, v: u32) -> ByteSet {
-    let mut truthy = ByteSet::empty();
-    for byte in 0..=u8::MAX {
-        let lookup = |idx: u32| (idx == v).then_some(byte as u64);
-        if arena.eval(e, &lookup).is_some_and(|r| r != 0) {
-            truthy.insert(byte);
-        }
-    }
-    truthy
 }
 
 /// A constraint: an expression that must evaluate truthy (`true`) or falsy
@@ -584,8 +605,9 @@ pub struct PathSolver {
     /// Variable index → slot.
     slot_of: Vec<u32>,
     vars: Vec<VarState>,
-    /// Slot → value under trial; all `None` between searches.
-    assign: Vec<Option<u8>>,
+    /// Slot → what the search knows of the variable: its value under
+    /// trial, one bit of it during a probe; all unknown between searches.
+    assign: Vec<ByteBits>,
     /// The as-taken multi-variable constraints, in per-component circular
     /// lists, and their slots (flat).
     multi: Vec<MultiCon>,
@@ -881,7 +903,7 @@ impl PathPass<'_> {
                         model: seed,
                         pos: 0,
                     });
-                    ps.assign.push(None);
+                    ps.assign.push(ByteBits::UNKNOWN);
                 }
                 ps.cur_slots.push(*slot);
             }
@@ -1099,15 +1121,22 @@ impl PathPass<'_> {
         ps.stats.steps += search.steps;
         for v in &ps.sys {
             if let Some(tried) = ps.assign.get_mut(v.slot as usize) {
-                if let (Some(true), Some(val)) = (verdict, *tried) {
+                if let (Some(true), Some(val)) = (verdict, tried.value()) {
                     ps.sol.push((v.slot, val));
                 }
-                *tried = None;
+                *tried = ByteBits::UNKNOWN;
             }
         }
         verdict
     }
 }
+
+/// Consecutive on-the-spot refutations of one variable's values after
+/// which [`Search::dfs`] probes the variable bit by bit. A constant, not a
+/// knob: a probe costs up to 16 evaluations per watched constraint, so it
+/// must not fire in searches that are a few dozen values long (gossip's
+/// are ~18), and any value well under a byte's 256 serves those that are.
+const PROBE_AFTER: u32 = 32;
 
 /// Depth-first search over one system's dense tables; the value order and
 /// the known-bits pruning are [`Solver::search`]'s.
@@ -1117,48 +1146,92 @@ struct Search<'a> {
     sys: &'a [SysVar],
     multi: &'a [Constraint],
     watch: &'a [(u32, u32)],
-    assign: &'a mut [Option<u8>],
+    assign: &'a mut [ByteBits],
     steps: u64,
     max_steps: u64,
 }
 
 impl Search<'_> {
+    /// The reference's search, minus the values it is known in advance to
+    /// refute on the spot: after [`PROBE_AFTER`] such refutations in a row
+    /// the node asks [`Search::probe`] which of its remaining values a
+    /// single bit already rules out, and skips those. Only values
+    /// `consistent` would reject are skipped, inside the node that would
+    /// have tried them, so variable order, value order and the first
+    /// solution found are the reference's.
     fn dfs(&mut self, depth: usize) -> Option<bool> {
         let sys = self.sys;
         let Some(var) = sys.get(depth) else {
             return Some(true);
         };
         let seed_first = var.set.contains(var.seed).then_some(var.seed);
+        let mut live = ByteSet::full();
+        let mut refuted_run = 0;
         for val in seed_first
             .into_iter()
             .chain(var.set.iter().filter(|&x| x != var.seed))
         {
+            if !live.contains(val) {
+                continue;
+            }
             self.steps += 1;
             if self.steps > self.max_steps {
                 return None;
             }
-            if let Some(tried) = self.assign.get_mut(var.slot as usize) {
-                *tried = Some(val);
-            }
+            self.know(var, ByteBits::exact(val));
             if self.consistent(var) {
+                refuted_run = 0;
                 match self.dfs(depth + 1) {
                     Some(false) => {}
                     done => return done,
                 }
+            } else {
+                refuted_run += 1;
+                if refuted_run == PROBE_AFTER {
+                    refuted_run = 0;
+                    live = self.probe(var);
+                }
             }
         }
-        if let Some(tried) = self.assign.get_mut(var.slot as usize) {
-            *tried = None;
-        }
+        self.know(var, ByteBits::UNKNOWN);
         Some(false)
     }
 
-    /// No constraint mentioning `var` is refuted by the bits assigned so
-    /// far.
+    /// The values of `var` that no single bit refutes: with the variables
+    /// before it as assigned and those after it unknown, as `dfs` holds
+    /// them, know one bit of `var` at one polarity and re-check its
+    /// watched constraints. `eval3` is monotone in information, so a
+    /// constraint refuted by that bit alone is refuted by every value
+    /// carrying it.
+    fn probe(&mut self, var: &SysVar) -> ByteSet {
+        let mut live = ByteSet::full();
+        for bit in 0..8u8 {
+            let ones = ByteSet::with_bit(bit);
+            for (val, others) in [(0, ones), (1 << bit, ones.complement())] {
+                let known = 1 << bit;
+                self.know(var, ByteBits { known, val });
+                if !self.consistent(var) {
+                    live.intersect(&others);
+                }
+            }
+        }
+        live
+    }
+
+    fn know(&mut self, var: &SysVar, bits: ByteBits) {
+        if let Some(known) = self.assign.get_mut(var.slot as usize) {
+            *known = bits;
+        }
+    }
+
+    /// No constraint mentioning `var` is refuted by the bits known so far.
     fn consistent(&self, var: &SysVar) -> bool {
-        let lookup = |idx: u32| -> Option<u64> {
-            let slot = *self.slot_of.get(idx as usize)?;
-            self.assign.get(slot as usize)?.map(u64::from)
+        let lookup = |idx: u32| -> ByteBits {
+            let slot = self.slot_of.get(idx as usize).copied().unwrap_or(NONE);
+            self.assign
+                .get(slot as usize)
+                .copied()
+                .unwrap_or(ByteBits::UNKNOWN)
         };
         let (lo, hi) = (var.watch.0 as usize, var.watch.1 as usize);
         self.watch
@@ -1168,7 +1241,7 @@ impl Search<'_> {
             .all(|&(_, mi)| {
                 self.multi.get(mi as usize).is_none_or(|&(e, want)| {
                     self.arena
-                        .eval3(e, &lookup)
+                        .eval3_bits(e, &lookup)
                         .as_bool()
                         .is_none_or(|r| r == want)
                 })
@@ -1295,11 +1368,21 @@ mod tests {
     }
 
     #[test]
+    fn with_bit_agrees_with_membership() {
+        for bit in 0..8u8 {
+            let ones = ByteSet::with_bit(bit);
+            assert!((0..=u8::MAX).all(|v| ones.contains(v) == (v >> bit & 1 == 1)));
+        }
+    }
+
+    #[test]
     fn negated_unary_set_is_the_complement_of_the_swept_one() {
         // The single-variable constraints of the `solver_bench` shapes
-        // (dispatch chain, NLRI length bounds) plus a masked and an
-        // arithmetic one: sweeping the 256 values for the falsy polarity
-        // gives exactly the complement of the memoized truthy set.
+        // (dispatch chain, NLRI length bounds), masked and arithmetic
+        // ones, and 16- / 32-bit words over one byte with width-masked
+        // arithmetic: the one-pass lane sweep gives what 256 `eval` walks
+        // give, and sweeping for the falsy polarity gives exactly the
+        // complement of the memoized truthy set.
         let mut a = ExprArena::new();
         let x = a.input(0);
         let mut shapes = Vec::new();
@@ -1319,8 +1402,58 @@ mod tests {
         shapes.push(a.cmp(CmpOp::Ult, doubled, hi));
         let either = a.boolean(crate::expr::BoolOp::Or, shapes[0], shapes[4]);
         shapes.push(either);
+        let neither = a.not(either);
+        shapes.push(a.boolean(crate::expr::BoolOp::And, neither, shapes[5]));
+        // A 16-bit word with a pinned high byte, as a length field whose
+        // first byte the parser already compared.
+        let x16 = a.zext(16, x);
+        let page = a.constant(16, 0x0F00);
+        let len = a.bin(BinOp::Or, 16, page, x16);
+        let bound = a.constant(16, 0x0F80);
+        shapes.push(a.cmp(CmpOp::Ult, len, bound));
+        let step = a.constant(16, 0xF0C0);
+        let wrapped = a.bin(BinOp::Add, 16, len, step);
+        shapes.push(a.cmp(CmpOp::Ule, wrapped, bound));
+        let squared = a.bin(BinOp::Mul, 16, x16, x16);
+        let low = a.bin(BinOp::Sub, 16, squared, bound);
+        shapes.push(a.cmp(CmpOp::Ult, low, page));
+        // A 32-bit word the byte occupies twice, shifted out of its width
+        // and back.
+        let x32 = a.zext(32, x);
+        let k24 = a.constant(32, 24);
+        let k20 = a.constant(32, 20);
+        let k64 = a.constant(32, 64);
+        let top = a.bin(BinOp::Shl, 32, x32, k24);
+        let both = a.bin(BinOp::Xor, 32, top, x32);
+        let addr = a.constant(32, 0x0A00_000A);
+        shapes.push(a.cmp(CmpOp::Eq, both, addr));
+        let back = a.bin(BinOp::Shr, 32, both, k20);
+        let nibble = a.constant(32, 0x7F);
+        shapes.push(a.cmp(CmpOp::Ule, back, nibble));
+        let gone = a.bin(BinOp::Shl, 32, both, k64);
+        shapes.push(a.cmp(CmpOp::Ne, gone, addr));
+        // The sweep's variable need not be byte 0; a two-byte expression
+        // has its variables listed and is not swept.
+        let (y, z) = (a.input(5), a.input(6));
+        let y32 = a.zext(32, y);
+        let scaled = a.bin(BinOp::Mul, 32, y32, addr);
+        shapes.push(a.cmp(CmpOp::Ult, scaled, addr));
+        let pair = a.cmp(CmpOp::Ult, z, y);
+        let scratch = &mut LaneScratch::default();
+        assert_eq!(a.sweep(pair, scratch), (&[5u32, 6][..], None));
+
         for e in shapes {
-            let truthy = truthy_set(&a, e, 0);
+            let (vars, lanes) = a.sweep(e, scratch);
+            let &[v] = vars else {
+                panic!("{} is not unary: {vars:?}", a.render(e));
+            };
+            assert_eq!(vec![v], a.vars(e));
+            let lanes = *lanes.expect("a unary constraint is swept");
+            for byte in 0..=u8::MAX {
+                let lookup = |idx: u32| (idx == v).then_some(byte as u64);
+                assert_eq!(Some(lanes[byte as usize]), a.eval(e, &lookup));
+            }
+            let truthy = ByteSet::truthy(&lanes);
             for want in [true, false] {
                 let mut swept = ByteSet::empty();
                 for byte in 0..=u8::MAX {

@@ -2,6 +2,18 @@
 //! [`negation_query`] is the oracle. Wherever the reference answers, the
 //! one-pass solver must give the same verdict and the same model, byte for
 //! byte — an exploration that used either would enqueue the same children.
+//!
+//! The generator's word-shaped branches (arity 4 / 5) are what drives a
+//! search past the 32 on-the-spot refutations that arm the bit probe; each
+//! of these was applied once to `solve.rs` and fails the test named:
+//! sorting `sys` by candidate sets narrowed ahead of the search
+//! (`every_flip_matches_the_reference`: the variable order, hence the first
+//! model, moves; `word_equality_flip_costs_tens_of_steps`: 4 steps, below
+//! the 4 × 33 the in-search rule spends); treating an *undecided* probe as
+//! refuted (both again, and two of the named cases: live values are
+//! skipped); reusing one node's probe at another node of the same variable,
+//! i.e. under other values of the earlier variables
+//! (`every_flip_matches_the_reference`).
 
 use std::collections::BTreeMap;
 
@@ -14,12 +26,16 @@ use proptest::prelude::*;
 /// One branch of a generated path over input bytes `0..6`.
 #[derive(Debug, Clone)]
 struct Branch {
-    /// 0 constant, 1 single byte, 2 two bytes, 3 three bytes.
+    /// 0 constant, 1 single byte, 2 two bytes, 3 three bytes — 8-bit
+    /// arithmetic against the low byte of `k`; 4 / 5 a big-endian u16 / u32
+    /// assembled from two / four bytes, optionally masked, against `k`.
     arity: u8,
-    vars: [u8; 3],
+    vars: [u8; 4],
     ops: [BinOp; 2],
     cmp: CmpOp,
-    k: u8,
+    k: u32,
+    /// Word shapes only: `word & mask` is what gets compared.
+    mask: Option<u32>,
     /// Direction recorded when the path is not replayed from the seed.
     taken: bool,
 }
@@ -45,7 +61,10 @@ fn arb_cmp() -> impl Strategy<Value = CmpOp> {
 
 fn arb_branch() -> impl Strategy<Value = Branch> {
     (
-        // Unary constraints dominate real parser paths.
+        // Unary constraints dominate real parser paths; word fields (a
+        // length, an address) are what makes a search long — an equality
+        // on one admits a single value per byte, found only after the
+        // others were refuted one by one.
         prop_oneof![
             Just(0u8),
             Just(1),
@@ -53,25 +72,66 @@ fn arb_branch() -> impl Strategy<Value = Branch> {
             Just(1),
             Just(2),
             Just(2),
-            Just(3)
+            Just(3),
+            Just(4),
+            Just(5)
         ],
-        (0u8..6, 0u8..6, 0u8..6),
+        (0u8..6, 0u8..6, 0u8..6, 0u8..6),
         (arb_bin(), arb_bin()),
         arb_cmp(),
-        any::<u8>(),
+        (any::<u32>(), prop::option::of(any::<u32>())),
         any::<bool>(),
     )
-        .prop_map(|(arity, (a, b, c), (op1, op2), cmp, k, taken)| Branch {
-            arity,
-            vars: [a, b, c],
-            ops: [op1, op2],
-            cmp,
-            k,
-            taken,
+        .prop_map(
+            |(arity, (a, b, c, d), (op1, op2), cmp, (k, mask), taken)| Branch {
+                arity,
+                vars: [a, b, c, d],
+                ops: [op1, op2],
+                // Words compare `==` / `!=` / `<=`.
+                cmp: if arity >= 4 && cmp == CmpOp::Ult {
+                    CmpOp::Eq
+                } else {
+                    cmp
+                },
+                k,
+                mask,
+                taken,
+            },
+        )
+}
+
+/// `(bytes[0] << 8·(n-1)) | … | bytes[n-1]` at `8·n` bits, from `zext`,
+/// `shl` and `or` (any of the bytes may be the same input byte).
+fn be_word(arena: &mut ExprArena, bytes: &[u8]) -> ExprId {
+    let bits = 8 * bytes.len() as u8;
+    let parts: Vec<ExprId> = bytes
+        .iter()
+        .map(|&i| {
+            let byte = arena.input(i as u32);
+            arena.zext(bits, byte)
         })
+        .collect();
+    let mut word = parts[0];
+    for &part in &parts[1..] {
+        let eight = arena.constant(bits, 8);
+        let shifted = arena.bin(BinOp::Shl, bits, word, eight);
+        word = arena.bin(BinOp::Or, bits, shifted, part);
+    }
+    word
 }
 
 fn build(arena: &mut ExprArena, b: &Branch) -> ExprId {
+    if b.arity >= 4 {
+        let bytes = &b.vars[..if b.arity == 4 { 2 } else { 4 }];
+        let bits = 8 * bytes.len() as u8;
+        let mut word = be_word(arena, bytes);
+        if let Some(mask) = b.mask {
+            let mask = arena.constant(bits, mask as u64);
+            word = arena.bin(BinOp::And, bits, word, mask);
+        }
+        let k = arena.constant(bits, b.k as u64);
+        return arena.cmp(b.cmp, word, k);
+    }
     let k = arena.constant(8, b.k as u64);
     let lhs = match b.arity {
         0 => arena.constant(8, b.vars[0] as u64 * 40),
@@ -254,6 +314,43 @@ fn default_true_oracle_without_overlay_stays_in_the_model() {
     };
     assert_eq!(model.get(&2), Some(&1), "oracle pseudo-byte 2 keeps `true`");
     assert_ne!(model.get(&0), Some(&7));
+}
+
+#[test]
+fn word_equality_flip_costs_tens_of_steps() {
+    // A next-hop check as the BGP twin records it: `nh != 0` taken, then
+    // `nh != 0xFFFF_FFFF` taken; flipping the second asks for the one
+    // address whose every byte is 255 — the last value of each byte in the
+    // search's order. The reference walks there value by value, each wrong
+    // one refuted on the spot; the path solver asks, after 32 of those,
+    // which bits a byte must carry, and jumps.
+    let mut ctx = ConcolicCtx::new(SymInput::all_symbolic(vec![10, 0, 0, 1]));
+    let nh = ctx.read_u32_be(0);
+    let zero = ctx.eq_const(nh, 0);
+    let nonzero = ctx.bnot(zero);
+    assert!(ctx.branch(SiteId(1), nonzero));
+    let ones = ctx.eq_const(nh, 0xFFFF_FFFF);
+    let not_broadcast = ctx.bnot(ones);
+    assert!(ctx.branch(SiteId(2), not_broadcast));
+    let bytes = [10u8, 0, 0, 1];
+    let seed = |idx: u32| bytes[idx as usize];
+
+    let mut reference = Solver::new();
+    let expected = reference.solve(ctx.arena(), &negation_query(ctx.path(), 1), &seed);
+    assert_eq!(
+        expected,
+        SolveResult::Sat((0..4).map(|i| (i, 255)).collect())
+    );
+    assert_eq!(reference.stats.steps, 1024, "four bytes, 256 values each");
+
+    let mut solver = PathSolver::default();
+    let answers = sliced_answers(&mut solver, ctx.arena(), ctx.path(), &seed, &[false, true]);
+    assert_eq!(answers[1].as_ref(), Some(&expected));
+    assert!(
+        (4 * 33..=200).contains(&solver.stats.steps),
+        "32 refuted values, a probe, the one survivor — per byte: {:?}",
+        solver.stats
+    );
 }
 
 #[test]

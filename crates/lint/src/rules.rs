@@ -408,6 +408,13 @@ const POOLED_FNS: &[(&str, &str, Option<&str>)] = &[
     ("bgp/src/router.rs", "recompute_and_propagate", None),
     ("bgp/src/router.rs", "export_to", None),
     ("bgp/src/policy.rs", "apply", Some("Policy")),
+    // The negation search and the unary lane sweep: thousands of nodes
+    // and hundreds of memo misses per exploration session, all on scratch
+    // the session owns (`PathSolver`'s tables, `LaneScratch`). A
+    // `Vec::new()` or a `.clone()` here is paid per search node.
+    ("concolic/src/solve.rs", "dfs", Some("Search")),
+    ("concolic/src/solve.rs", "probe", Some("Search")),
+    ("concolic/src/expr.rs", "sweep", Some("ExprArena")),
 ];
 
 /// R6 — hot-path allocations (contract from PR 5): the pooled validation
