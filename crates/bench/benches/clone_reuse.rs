@@ -14,7 +14,15 @@
 //! * `clone_1k` — the same costs on `exp_topo`'s 1000-AS federation, where
 //!   they set the round time: deep-copying every router (what a flooded
 //!   validation materialises), and a reset of a clean versus a flooded
-//!   pooled simulator (a thousand owned routers and full queues to drop).
+//!   pooled simulator (a thousand owned routers and full queues to drop)
+//!   onto a *different* snapshot — every slot and session rebound.
+//! * `reset_same_shadow` — the pool's steady state, many inputs validated
+//!   against one cut: the reset onto the snapshot the simulator is already
+//!   bound to, after a drive that touched nothing (`clean`), one node
+//!   (`one_node`: materialised, no traffic) or the federation (`flood`), on the
+//!   16-mesh, demo27 and the 1000-AS federation. It costs what the drive
+//!   touched; `clone_construct`/`clone_validate`'s `pooled_reset` rows take
+//!   this path too.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dice_bgp::{encode, AsPath, Ipv4Addr, Ipv4Net, Message, PathAttrs, UpdateMsg};
@@ -103,6 +111,14 @@ fn flood_input(topo: &dice_netsim::Topology) -> (NodeId, Vec<u8>) {
     (peer, encode(&update))
 }
 
+/// Host wall time of one reset onto `cut`, the drive before it excluded.
+fn timed_reset(sim: &mut Simulator, cut: &dice_netsim::ShadowSnapshot) -> std::time::Duration {
+    // dice-lint: allow(determinism-zone): bench measures host wall time
+    let start = std::time::Instant::now();
+    sim.reset_from_shadow(cut, 3);
+    start.elapsed()
+}
+
 fn bench_scale_1k(c: &mut Criterion) {
     let n = 1000usize;
     let mut live = dice_bench::converged_internet(n);
@@ -123,10 +139,18 @@ fn bench_scale_1k(c: &mut Criterion) {
             }
         });
     });
+    // Two snapshots of one content (a clone has its own id), taken in
+    // turn: every reset here is onto a different snapshot.
+    let cuts = [shadow.clone(), shadow.clone()];
+    let mut turn = 0usize;
+    let mut next = || {
+        turn += 1;
+        &cuts[turn % 2]
+    };
     let mut pooled = Simulator::from_shadow(&shadow, &topo, 3);
     group.bench_with_input(BenchmarkId::new("reset_clean", n), &n, |b, _| {
         b.iter(|| {
-            pooled.reset_from_shadow(&shadow, 3);
+            pooled.reset_from_shadow(next(), 3);
             black_box(pooled.now())
         });
     });
@@ -138,14 +162,49 @@ fn bench_scale_1k(c: &mut Criterion) {
             let mut timed = std::time::Duration::ZERO;
             for _ in 0..iters {
                 flood(&mut pooled);
-                // dice-lint: allow(determinism-zone): bench measures host wall time
-                let start = std::time::Instant::now();
-                pooled.reset_from_shadow(&shadow, 3);
-                timed += start.elapsed();
+                timed += timed_reset(&mut pooled, next());
             }
             timed
         });
     });
+    group.finish();
+}
+
+fn bench_same_shadow(c: &mut Criterion) {
+    let mut group = c.benchmark_group("reset_same_shadow");
+    for name in ["gossip16", "demo27", "internet1k"] {
+        let bound = dice_bench::bound_clone(name);
+        let mut pooled = Simulator::from_shadow(&bound.shadow, &bound.topo, 3);
+        for case in ["clean", "one_node", "flood"] {
+            let drive = |sim: &mut Simulator| {
+                match case {
+                    "one_node" => sim.invoke_node(bound.explorer, |_, _| {}),
+                    "flood" => sim.deliver_direct(bound.peer, bound.explorer, &bound.valid_input),
+                    _ => {}
+                }
+                let end = sim.now() + SimDuration::from_secs(30);
+                sim.run_until_quiet(SimDuration::from_secs(5), end);
+            };
+            pooled.reset_from_shadow(&bound.shadow, 3);
+            drive(&mut pooled);
+            let delivered = pooled.trace().stats().msgs_delivered as usize;
+            assert_eq!(
+                delivered > bound.topo.len() / 2,
+                case == "flood",
+                "{name}/{case} delivered {delivered}"
+            );
+            group.bench_function(BenchmarkId::new(case, name), |b| {
+                b.iter_custom(|iters| {
+                    let mut timed = std::time::Duration::ZERO;
+                    for _ in 0..iters {
+                        drive(&mut pooled);
+                        timed += timed_reset(&mut pooled, &bound.shadow);
+                    }
+                    timed
+                });
+            });
+        }
+    }
     group.finish();
 }
 
@@ -159,6 +218,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_construct, bench_validate, bench_scale_1k
+    targets = bench_construct, bench_validate, bench_scale_1k, bench_same_shadow
 }
 criterion_main!(benches);

@@ -39,40 +39,10 @@ use dice_netsim::{
     LinkParams, NeighborRole, Node, NodeApi, NodeId, Relationship, SessionEvent, SimDuration,
     SimTime, Simulator, Topology,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-/// Forwards to [`System`], counting allocations and reallocations.
-struct CountingAlloc;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only added work is a relaxed
-// atomic add, which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `layout` is the caller's, passed through untouched.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System` through this allocator
-        // with this `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as for `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: dice_bench::CountingAlloc = dice_bench::CountingAlloc;
 
 fn setup() -> (RouterConfig, Vec<u8>) {
     let cfg = RouterConfig::minimal(Asn(65001), RouterId(1)).with_neighbor(
@@ -138,11 +108,11 @@ fn bench_twin_exec(c: &mut Criterion) {
         // counted and timed is the run and handing the arena back.
         let mut exec = |arena: ExprArena| {
             let input = SymInput::with_mask(bytes.clone(), mask.clone());
-            let before = ALLOCS.load(Ordering::Relaxed);
+            let before = dice_bench::allocations();
             let mut ctx = ConcolicCtx::recycling(input, Default::default(), arena);
             black_box(program.run(&mut ctx));
             let (_, _, arena) = ctx.into_parts();
-            (arena, ALLOCS.load(Ordering::Relaxed) - before)
+            (arena, dice_bench::allocations() - before)
         };
         let (arena, fresh) = exec(ExprArena::new());
         let (mut arena, recycled) = exec(arena);
@@ -276,12 +246,12 @@ fn bench_update_fanout(c: &mut Criterion) {
                 let hub = sim.node(HUB).as_any().downcast_ref::<BgpRouter>();
                 hub.expect("the hub is a BgpRouter").stats()
             };
-            let (before, allocs) = (router(&sim), ALLOCS.load(Ordering::Relaxed));
+            let (before, allocs) = (router(&sim), dice_bench::allocations());
             const ROUNDS: u64 = 64;
             for _ in 0..ROUNDS {
                 deliver(&mut sim);
             }
-            let allocs = ALLOCS.load(Ordering::Relaxed) - allocs;
+            let allocs = dice_bench::allocations() - allocs;
             let after = router(&sim);
             assert_eq!(after.updates_rx - before.updates_rx, ROUNDS);
             assert_eq!(

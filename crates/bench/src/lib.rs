@@ -272,6 +272,108 @@ pub fn converged_internet(n: usize) -> dice_netsim::Simulator {
     live
 }
 
+/// The counting allocator of the allocation-reporting benches
+/// (`handler_bench`, `check_battery`): a bench installs it with
+/// `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;` and
+/// reads [`allocations`] before and after the code it measures.
+pub struct CountingAlloc;
+
+static ALLOCS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+/// Heap allocations and reallocations since process start, once
+/// [`CountingAlloc`] is the global allocator.
+pub fn allocations() -> u64 {
+    ALLOCS.load(std::sync::atomic::Ordering::Relaxed)
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only added work is a relaxed
+// atomic add, which neither allocates nor unwinds.
+unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        // SAFETY: `layout` is the caller's, passed through untouched.
+        unsafe { std::alloc::System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        // SAFETY: `ptr` was returned by `System` through this allocator
+        // with this `layout`, as the caller guarantees.
+        unsafe { std::alloc::System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// One consistent cut of a benchmark system and a valid input for it — what
+/// the per-input micro-benches (`clone_reuse`'s `reset_same_shadow`,
+/// `check_battery`) bind their pooled clone to.
+pub struct BoundClone {
+    /// The cut.
+    pub shadow: dice_netsim::ShadowSnapshot,
+    /// The topology it was taken on.
+    pub topo: dice_netsim::Topology,
+    /// The (explorer, peer) pair inputs are injected at.
+    pub explorer: dice_netsim::NodeId,
+    #[allow(missing_docs)]
+    pub peer: dice_netsim::NodeId,
+    /// The grammar seed of that pair's exploration plan that a clone
+    /// propagates furthest: accepted, and flooded through the federation.
+    pub valid_input: Vec<u8>,
+}
+
+/// The systems `benchmark/`'s sweep workloads deploy — `"gossip16"` (the
+/// 16-node mesh), `"demo27"`, `"internet1k"` ([`converged_internet`]) —
+/// converged and cut, explorer node 0 with its first injection peer.
+pub fn bound_clone(name: &str) -> BoundClone {
+    use dice_core::scenarios;
+    use dice_netsim::{NodeId, SimDuration, SimTime};
+    let mut live = match name {
+        "gossip16" => scenarios::gossip_mesh(16, 2),
+        "demo27" => scenarios::demo27_system(2),
+        "internet1k" => converged_internet(1000),
+        other => panic!("no benchmark system named {other}"),
+    };
+    live.run_until_quiet(
+        SimDuration::from_secs(5),
+        SimTime::from_nanos(300_000_000_000),
+    );
+    let (shadow, _) = dice_core::snapshot::take_instant_snapshot(&mut live);
+    let explorer = NodeId(0);
+    let sut = dice_core::SutCatalog::default()
+        .resolve(live.node(explorer))
+        .expect("node 0 is explorable");
+    let peer = sut.injection_peers()[0];
+    let plan = sut
+        .exploration_plan(peer, 4, 7)
+        .expect("the first injection peer has a plan");
+    let topo = live.topology().clone();
+    let reach = |input: &Vec<u8>| {
+        let mut clone = dice_netsim::Simulator::from_shadow(&shadow, &topo, 3);
+        clone.deliver_direct(peer, explorer, input);
+        let end = clone.now() + SimDuration::from_secs(30);
+        clone.run_until_quiet(SimDuration::from_secs(5), end);
+        clone.trace().stats().msgs_delivered
+    };
+    let valid_input = plan
+        .seeds
+        .iter()
+        .max_by_key(|input| reach(input))
+        .expect("a plan has seeds")
+        .clone();
+    BoundClone {
+        shadow,
+        topo,
+        explorer,
+        peer,
+        valid_input,
+    }
+}
+
 /// Append the rows that make a committed trajectory file comparable
 /// across machines and commits: host cores, the commit the binary was
 /// built from (`git describe --always --dirty`, `unknown` outside a checkout) and how many

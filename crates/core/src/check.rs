@@ -17,10 +17,11 @@
 //! [`LocalVerdict`]s — the narrow interface that keeps federated domains'
 //! state confidential.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, OnceLock};
 
-use dice_bgp::Ipv4Net;
-use dice_netsim::{NodeId, QuietOutcome, ShadowSnapshot, Simulator};
+use dice_bgp::{Asn, Ipv4Net};
+use dice_netsim::{Node, NodeId, QuietOutcome, ShadowSnapshot, Simulator};
 use serde::{Deserialize, Serialize};
 
 use crate::interface::{AttestationRegistry, LocalVerdict};
@@ -71,6 +72,137 @@ impl FaultReport {
     }
 }
 
+/// What the checkers keep from one consistent cut ([`flips_baseline`]):
+/// computed once, then shared read-only by every clone validated against
+/// the cut, so that judging a clone costs what its input touched.
+///
+/// Per checkpointed node it holds the checkpoint `Arc` it was read from and
+/// that node's route-flip counters. A clone's node whose simulator slot
+/// still holds *that very* `Arc`
+/// ([`Simulator::shared_checkpoint`], pointer-equal) is bit for bit the
+/// state the cut recorded: it gets its baseline verdict without its tables
+/// being visited. Identity of the `Arc` is the whole skip condition — not
+/// a dirty bit, not an assumption about which cut the clone was built
+/// from — so a baseline handed a clone of *another* cut merely skips fewer
+/// nodes (those the delta chain still shares).
+///
+/// The origin-authority half — every node's unattested routes at the cut
+/// and the `(prefix, origin) → attested` answers behind them — needs the
+/// registry, so the first origin check against the cut fills it, once. It
+/// is process-local scratch: built from state the battery reads anyway,
+/// never serialized (no `Serialize` impl, by design), and nothing of it
+/// crosses the attestation interface.
+///
+/// A baseline belongs to the [`SutCatalog`] that built it.
+#[derive(Default)]
+pub struct CheckBaseline {
+    /// By node index; `None` for nodes outside the cut or unknown to the
+    /// catalog.
+    nodes: Vec<Option<NodeBaseline>>,
+    origins: OnceLock<OriginBaseline>,
+}
+
+struct NodeBaseline {
+    checkpoint: Arc<dyn Node>,
+    /// Flip counters as the node's [`CheckView`] yields them: ascending by
+    /// prefix, one entry per prefix.
+    flips: Vec<(Ipv4Net, u64)>,
+}
+
+/// The cut as one registry judges it.
+struct OriginBaseline {
+    /// [`AttestationRegistry::stamp`] of the registry that answered; any
+    /// other registry gets no answer from this table.
+    registry: u64,
+    /// Every `(prefix, origin)` some node's best-route table held at the
+    /// cut, in front of the registry's SHA-256.
+    attested: HashMap<(Ipv4Net, Asn), bool>,
+    /// Per node (indexed as `CheckBaseline::nodes`), its unattested best
+    /// routes in table order; empty means the node passes.
+    unattested: Vec<Vec<(Ipv4Net, Asn)>>,
+}
+
+impl CheckBaseline {
+    fn node(&self, id: NodeId) -> Option<&NodeBaseline> {
+        self.nodes.get(id.index())?.as_ref()
+    }
+
+    /// A merge-join cursor over `id`'s baseline flip counters (all zero for
+    /// a node the baseline does not know).
+    fn flips_of(&self, id: NodeId) -> FlipCursor<'_> {
+        FlipCursor {
+            flips: self.node(id).map_or(&[][..], |n| n.flips.as_slice()),
+            at: 0,
+        }
+    }
+
+    /// The cut as `registry` judges it, filled on first use; `None` when
+    /// the table was filled under a registry with other contents.
+    fn origins(
+        &self,
+        catalog: &SutCatalog,
+        registry: &AttestationRegistry,
+    ) -> Option<&OriginBaseline> {
+        let table = self.origins.get_or_init(|| {
+            let mut attested = HashMap::new();
+            let unattested = self
+                .nodes
+                .iter()
+                .map(|node| {
+                    let mut bad = Vec::new();
+                    let view = node
+                        .as_ref()
+                        .and_then(|n| catalog.resolve(n.checkpoint.as_ref()));
+                    if let Some(sut) = view {
+                        sut.check_view().for_each_best_route(&mut |prefix, origin| {
+                            let ok = *attested
+                                .entry((prefix, origin))
+                                .or_insert_with(|| registry.is_attested(&prefix, origin));
+                            if !ok {
+                                bad.push((prefix, origin));
+                            }
+                        });
+                    }
+                    bad
+                })
+                .collect();
+            OriginBaseline {
+                registry: registry.stamp(),
+                attested,
+                unattested,
+            }
+        });
+        (table.registry == registry.stamp()).then_some(table)
+    }
+}
+
+/// Looks prefixes up in one node's baseline flip counters. A [`CheckView`]
+/// yields its counters in the order the baseline recorded them, so the
+/// lookup is a merge-join: each call resumes where the previous one ended.
+struct FlipCursor<'a> {
+    flips: &'a [(Ipv4Net, u64)],
+    at: usize,
+}
+
+impl FlipCursor<'_> {
+    /// The baseline counter of `prefix`, 0 if it had none.
+    fn get(&mut self, prefix: Ipv4Net) -> u64 {
+        // A view that steps backwards restarts the join where `prefix`
+        // belongs.
+        let passed = self.at.checked_sub(1).and_then(|i| self.flips.get(i));
+        if passed.is_some_and(|(p, _)| *p >= prefix) {
+            self.at = self.flips.partition_point(|(p, _)| *p < prefix);
+        }
+        while self.flips.get(self.at).is_some_and(|(p, _)| *p < prefix) {
+            self.at += 1;
+        }
+        match self.flips.get(self.at) {
+            Some(&(p, flips)) if p == prefix => flips,
+            _ => 0,
+        }
+    }
+}
+
 /// Everything a checker may look at for one explored clone.
 pub struct CheckContext<'a> {
     /// The clone after running the exploration horizon.
@@ -79,8 +211,10 @@ pub struct CheckContext<'a> {
     pub catalog: &'a SutCatalog,
     /// Shared attestation digests.
     pub registry: &'a AttestationRegistry,
-    /// Per-(node, prefix) best-route flip counts at snapshot time.
-    pub baseline_flips: &'a BTreeMap<(NodeId, Ipv4Net), u64>,
+    /// The baseline of the cut the clone was built from
+    /// ([`flips_baseline`]): per-node route-flip counts at snapshot time,
+    /// and what lets untouched nodes keep their baseline verdict.
+    pub baseline_flips: &'a CheckBaseline,
     /// Whether the clone quiesced within the horizon.
     pub quiet: QuietOutcome,
     /// Whether a synthetic exploration input was injected into this clone.
@@ -105,6 +239,16 @@ impl<'a> CheckContext<'a> {
                 .map(|e| (id, e.check_view()))
         })
     }
+
+    /// Whether node `id` is still, bit for bit, the state the baseline's
+    /// cut recorded: its slot shares the very checkpoint the baseline was
+    /// read from.
+    fn untouched(&self, id: NodeId) -> bool {
+        match (self.baseline_flips.node(id), self.sim.shared_checkpoint(id)) {
+            (Some(base), Some(now)) => Arc::ptr_eq(&base.checkpoint, now),
+            _ => false,
+        }
+    }
 }
 
 /// A property checker producing local verdicts and fault reports.
@@ -113,6 +257,22 @@ pub trait Checker: Send + Sync {
     fn name(&self) -> &'static str;
     /// Run the check over a clone.
     fn check(&self, cx: &CheckContext<'_>) -> (Vec<LocalVerdict>, Vec<FaultReport>);
+    /// Run the check over a clone, appending to `report` — what
+    /// [`run_checkers`] calls. The default forwards to [`Checker::check`];
+    /// the in-tree checkers push straight into the report, so a passing
+    /// verdict allocates nothing.
+    fn check_into(&self, cx: &CheckContext<'_>, report: &mut CheckReport) {
+        let (verdicts, faults) = self.check(cx);
+        report.verdicts.extend(verdicts);
+        report.faults.extend(faults);
+    }
+}
+
+/// [`Checker::check`] for a checker whose real body is `check_into`.
+fn collect(checker: &dyn Checker, cx: &CheckContext<'_>) -> (Vec<LocalVerdict>, Vec<FaultReport>) {
+    let mut report = CheckReport::default();
+    checker.check_into(cx, &mut report);
+    (report.verdicts, report.faults)
 }
 
 /// Detects crashed nodes (programming errors).
@@ -125,26 +285,38 @@ impl Checker for CrashChecker {
     }
 
     fn check(&self, cx: &CheckContext<'_>) -> (Vec<LocalVerdict>, Vec<FaultReport>) {
-        let mut verdicts = Vec::new();
-        let mut faults = Vec::new();
+        collect(self, cx)
+    }
+
+    // One slot field per node either way: there is no table to skip.
+    fn check_into(&self, cx: &CheckContext<'_>, report: &mut CheckReport) {
         for id in cx.sim.topology().node_ids() {
             match cx.sim.crashed(id) {
+                None => report.verdicts.push(LocalVerdict::pass(id, self.name())),
                 // Nodes absent from the snapshot scope are not crashes.
-                Some(reason) if reason == Simulator::OUTSIDE_SNAPSHOT => {}
-                Some(reason) => {
-                    verdicts.push(LocalVerdict::fail(id, self.name(), "node crashed"));
-                    faults.push(FaultReport {
-                        class: FaultClass::ProgrammingError,
-                        node: id,
-                        detail: format!("crash: {reason}"),
-                        at_nanos: cx.sim.now().as_nanos(),
-                    });
-                }
-                None => verdicts.push(LocalVerdict::pass(id, self.name())),
+                Some(_) if cx.sim.outside_snapshot(id) => {}
+                Some(reason) => crashed(self.name(), id, reason, cx, report),
             }
         }
-        (verdicts, faults)
     }
+}
+
+fn crashed(
+    checker: &'static str,
+    id: NodeId,
+    reason: &str,
+    cx: &CheckContext<'_>,
+    report: &mut CheckReport,
+) {
+    report
+        .verdicts
+        .push(LocalVerdict::fail(id, checker, "node crashed"));
+    report.faults.push(FaultReport {
+        class: FaultClass::ProgrammingError,
+        node: id,
+        detail: format!("crash: {reason}"),
+        at_nanos: cx.sim.now().as_nanos(),
+    });
 }
 
 /// Detects persistent best-route oscillation (policy conflicts).
@@ -168,36 +340,53 @@ impl Checker for OscillationChecker {
     }
 
     fn check(&self, cx: &CheckContext<'_>) -> (Vec<LocalVerdict>, Vec<FaultReport>) {
-        let mut verdicts = Vec::new();
-        let mut faults = Vec::new();
+        collect(self, cx)
+    }
+
+    fn check_into(&self, cx: &CheckContext<'_>, report: &mut CheckReport) {
         for (id, view) in cx.views() {
+            // A node that still is its checkpoint has flipped nothing since
+            // the cut. At threshold 0 a delta of 0 already fires, so there
+            // the tables are visited like any touched node's.
+            if self.threshold > 0 && cx.untouched(id) {
+                report.verdicts.push(LocalVerdict::pass(id, self.name()));
+                continue;
+            }
+            let mut base = cx.baseline_flips.flips_of(id);
             let mut worst: Option<(Ipv4Net, u64)> = None;
             view.for_each_route_flip(&mut |prefix, flips| {
-                let base = cx.baseline_flips.get(&(id, prefix)).copied().unwrap_or(0);
-                let delta = flips.saturating_sub(base);
+                let delta = flips.saturating_sub(base.get(prefix));
                 if delta >= self.threshold && worst.map(|(_, w)| delta > w).unwrap_or(true) {
                     worst = Some((prefix, delta));
                 }
             });
             match worst {
-                Some((prefix, delta)) => {
-                    verdicts.push(LocalVerdict::fail(
-                        id,
-                        self.name(),
-                        format!("route flapping on {prefix}"),
-                    ));
-                    faults.push(FaultReport {
-                        class: FaultClass::PolicyConflict,
-                        node: id,
-                        detail: format!("oscillation on {prefix} ({delta} flips)"),
-                        at_nanos: cx.sim.now().as_nanos(),
-                    });
-                }
-                None => verdicts.push(LocalVerdict::pass(id, self.name())),
+                Some((prefix, delta)) => flapping(self.name(), id, prefix, delta, cx, report),
+                None => report.verdicts.push(LocalVerdict::pass(id, self.name())),
             }
         }
-        (verdicts, faults)
     }
+}
+
+fn flapping(
+    checker: &'static str,
+    id: NodeId,
+    prefix: Ipv4Net,
+    delta: u64,
+    cx: &CheckContext<'_>,
+    report: &mut CheckReport,
+) {
+    report.verdicts.push(LocalVerdict::fail(
+        id,
+        checker,
+        format!("route flapping on {prefix}"),
+    ));
+    report.faults.push(FaultReport {
+        class: FaultClass::PolicyConflict,
+        node: id,
+        detail: format!("oscillation on {prefix} ({delta} flips)"),
+        at_nanos: cx.sim.now().as_nanos(),
+    });
 }
 
 /// Detects unattested route origins (operator mistakes / hijacks).
@@ -210,35 +399,78 @@ impl Checker for OriginAuthorityChecker {
     }
 
     fn check(&self, cx: &CheckContext<'_>) -> (Vec<LocalVerdict>, Vec<FaultReport>) {
+        collect(self, cx)
+    }
+
+    fn check_into(&self, cx: &CheckContext<'_>, report: &mut CheckReport) {
         if cx.injected {
             // Origin authority is a state property of the live system;
             // synthetic inputs would be trivially (and meaninglessly)
             // unattested.
-            return (Vec::new(), Vec::new());
+            return;
         }
-        let mut verdicts = Vec::new();
-        let mut faults = Vec::new();
+        let origins = cx.baseline_flips.origins(cx.catalog, cx.registry);
         for (id, view) in cx.views() {
-            let mut bad: Vec<String> = Vec::new();
-            view.for_each_best_route(&mut |prefix, origin| {
-                if !cx.registry.is_attested(&prefix, origin) {
-                    bad.push(format!("{prefix} originated by {origin} unattested"));
-                    faults.push(FaultReport {
-                        class: FaultClass::OperatorMistake,
-                        node: id,
-                        detail: format!("hijack: {prefix} via {origin}"),
-                        at_nanos: cx.sim.now().as_nanos(),
-                    });
+            // An untouched node holds the routes it held at the cut: its
+            // baseline outcome, stamped with this clone's clock.
+            let kept = origins
+                .filter(|_| cx.untouched(id))
+                .and_then(|table| table.unattested.get(id.index()));
+            match kept {
+                Some(bad) => origin_verdict(self.name(), id, bad, cx, report),
+                None => {
+                    let bad = unattested_routes(view, origins, cx.registry);
+                    origin_verdict(self.name(), id, &bad, cx, report)
                 }
-            });
-            if bad.is_empty() {
-                verdicts.push(LocalVerdict::pass(id, self.name()));
-            } else {
-                verdicts.push(LocalVerdict::fail(id, self.name(), bad.join("; ")));
             }
         }
-        (verdicts, faults)
     }
+}
+
+/// The unattested best routes of a touched node, in table order, with the
+/// cut's answers in front of the registry's SHA-256.
+fn unattested_routes(
+    view: &dyn CheckView,
+    origins: Option<&OriginBaseline>,
+    registry: &AttestationRegistry,
+) -> Vec<(Ipv4Net, Asn)> {
+    let mut bad = Vec::new();
+    view.for_each_best_route(&mut |prefix, origin| {
+        let known = origins.and_then(|t| t.attested.get(&(prefix, origin)).copied());
+        if !known.unwrap_or_else(|| registry.is_attested(&prefix, origin)) {
+            bad.push((prefix, origin));
+        }
+    });
+    bad
+}
+
+fn origin_verdict(
+    checker: &'static str,
+    id: NodeId,
+    bad: &[(Ipv4Net, Asn)],
+    cx: &CheckContext<'_>,
+    report: &mut CheckReport,
+) {
+    if bad.is_empty() {
+        report.verdicts.push(LocalVerdict::pass(id, checker));
+        return;
+    }
+    let at_nanos = cx.sim.now().as_nanos();
+    report
+        .faults
+        .extend(bad.iter().map(|(prefix, origin)| FaultReport {
+            class: FaultClass::OperatorMistake,
+            node: id,
+            detail: format!("hijack: {prefix} via {origin}"),
+            at_nanos,
+        }));
+    let detail: Vec<String> = bad
+        .iter()
+        .map(|(prefix, origin)| format!("{prefix} originated by {origin} unattested"))
+        .collect();
+    report
+        .verdicts
+        .push(LocalVerdict::fail(id, checker, detail.join("; ")));
 }
 
 /// Flags clones that failed to quiesce within the horizon.
@@ -251,24 +483,27 @@ impl Checker for ConvergenceChecker {
     }
 
     fn check(&self, cx: &CheckContext<'_>) -> (Vec<LocalVerdict>, Vec<FaultReport>) {
+        collect(self, cx)
+    }
+
+    fn check_into(&self, cx: &CheckContext<'_>, report: &mut CheckReport) {
         match cx.quiet {
-            QuietOutcome::Quiescent => (
-                vec![LocalVerdict::pass(FaultReport::SYSTEM_WIDE, self.name())],
-                vec![],
-            ),
-            QuietOutcome::TimedOut => (
-                vec![LocalVerdict::fail(
+            QuietOutcome::Quiescent => report
+                .verdicts
+                .push(LocalVerdict::pass(FaultReport::SYSTEM_WIDE, self.name())),
+            QuietOutcome::TimedOut => {
+                report.verdicts.push(LocalVerdict::fail(
                     FaultReport::SYSTEM_WIDE,
                     self.name(),
                     "no quiescence within horizon",
-                )],
-                vec![FaultReport {
+                ));
+                report.faults.push(FaultReport {
                     class: FaultClass::PolicyConflict,
                     node: FaultReport::SYSTEM_WIDE,
                     detail: "system did not converge within exploration horizon".into(),
                     at_nanos: cx.sim.now().as_nanos(),
-                }],
-            ),
+                });
+            }
         }
     }
 }
@@ -304,27 +539,53 @@ impl CheckReport {
 /// Run a battery of checkers over one clone.
 pub fn run_checkers(checkers: &[Box<dyn Checker>], cx: &CheckContext<'_>) -> CheckReport {
     let mut report = CheckReport::default();
+    // One verdict per node per checker at most (the default battery emits
+    // 3n + 1): reserved once, so passing verdicts never allocate.
+    report
+        .verdicts
+        .reserve(checkers.len() * cx.sim.topology().len());
     for c in checkers {
-        let (v, f) = c.check(cx);
-        report.verdicts.extend(v);
-        report.faults.extend(f);
+        c.check_into(cx, &mut report);
     }
     report
 }
 
-/// Capture per-(node, prefix) best-route flip counts from a snapshot —
-/// the baseline the oscillation checker subtracts.
-pub fn flips_baseline(
-    catalog: &SutCatalog,
-    shadow: &ShadowSnapshot,
-) -> BTreeMap<(NodeId, Ipv4Net), u64> {
-    let mut out = BTreeMap::new();
-    for (id, sut) in catalog.shadow_explorables(shadow) {
-        sut.check_view().for_each_route_flip(&mut |prefix, flips| {
-            out.insert((id, prefix), flips);
-        });
+/// Read the checkers' baseline off a snapshot — per node the checkpoint
+/// and its best-route flip counts, which the oscillation checker
+/// subtracts. Once per cut; see [`CheckBaseline`].
+pub fn flips_baseline(catalog: &SutCatalog, shadow: &ShadowSnapshot) -> CheckBaseline {
+    let len = shadow
+        .nodes()
+        .keys()
+        .next_back()
+        .map_or(0, |id| id.index() + 1);
+    let mut nodes: Vec<Option<NodeBaseline>> = Vec::new();
+    nodes.resize_with(len, || None);
+    for (id, checkpoint) in shadow.nodes() {
+        let Some(sut) = catalog.resolve(checkpoint.as_ref()) else {
+            continue;
+        };
+        let mut flips = Vec::new();
+        sut.check_view()
+            .for_each_route_flip(&mut |prefix, count| flips.push((prefix, count)));
+        // The join wants ascending, unique prefixes — what the in-tree
+        // views yield. Any other order is sorted once here, a repeated
+        // prefix keeping its last count.
+        if !flips.windows(2).all(|w| w[0].0 < w[1].0) {
+            let sorted: BTreeMap<Ipv4Net, u64> = flips.into_iter().collect();
+            flips = sorted.into_iter().collect();
+        }
+        if let Some(slot) = nodes.get_mut(id.index()) {
+            *slot = Some(NodeBaseline {
+                checkpoint: Arc::clone(checkpoint),
+                flips,
+            });
+        }
     }
-    out
+    CheckBaseline {
+        nodes,
+        origins: OnceLock::new(),
+    }
 }
 
 /// Build the attestation registry from router configs: every node attests
@@ -347,7 +608,6 @@ pub fn build_registry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bgp_sut;
     use dice_bgp::{net, Asn, BgpRouter, RouterConfig, RouterId};
     use dice_netsim::{LinkParams, SimDuration, SimTime, Topology};
 
@@ -385,7 +645,7 @@ mod tests {
         sim.inject_node_crash(NodeId(1));
         let catalog = SutCatalog::default();
         let reg = AttestationRegistry::with_seed(1);
-        let baseline = BTreeMap::new();
+        let baseline = CheckBaseline::default();
         let cx = CheckContext {
             sim: &sim,
             catalog: &catalog,
@@ -412,7 +672,7 @@ mod tests {
 
         let catalog = SutCatalog::default();
         let reg = build_registry([(NodeId(0), c0), (NodeId(1), c1)], 7);
-        let baseline = BTreeMap::new();
+        let baseline = CheckBaseline::default();
         let cx = CheckContext {
             sim: &sim,
             catalog: &catalog,
@@ -442,14 +702,7 @@ mod tests {
         let reg = AttestationRegistry::with_seed(1);
 
         // Baseline equal to current flips: no oscillation reported.
-        let mut baseline = BTreeMap::new();
-        for id in sim.topology().node_ids() {
-            if let Some(r) = bgp_sut::as_bgp(sim.node(id)) {
-                for (p, f) in &r.loc_rib().flips {
-                    baseline.insert((id, *p), *f);
-                }
-            }
-        }
+        let baseline = flips_baseline(&catalog, &sim.instant_snapshot());
         let cx = CheckContext {
             sim: &sim,
             catalog: &catalog,
@@ -466,7 +719,7 @@ mod tests {
 
         // Zero baseline with enough accumulated flips would fire; verify the
         // threshold arithmetic via an artificially low threshold.
-        let zero = BTreeMap::new();
+        let zero = CheckBaseline::default();
         let cx2 = CheckContext {
             sim: &sim,
             catalog: &catalog,
@@ -484,7 +737,7 @@ mod tests {
         let sim = mini_sim(vec![cfg(0, &[1]), cfg(1, &[0])]);
         let catalog = SutCatalog::default();
         let reg = AttestationRegistry::with_seed(1);
-        let baseline = BTreeMap::new();
+        let baseline = CheckBaseline::default();
         for (quiet, expect_fault) in [
             (QuietOutcome::Quiescent, false),
             (QuietOutcome::TimedOut, true),
@@ -517,7 +770,7 @@ mod tests {
         sim.inject_node_crash(NodeId(0));
         let catalog = SutCatalog::default();
         let reg = AttestationRegistry::with_seed(1);
-        let baseline = BTreeMap::new();
+        let baseline = CheckBaseline::default();
         let cx = CheckContext {
             sim: &sim,
             catalog: &catalog,

@@ -17,11 +17,10 @@
 //! times — [`crate::campaign::CampaignReport::normalized`] is byte-stable
 //! across `pair_workers` values, which `tests/heterogeneous.rs` locks in.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use dice_netsim::{NodeId, ShadowSnapshot, Topology};
+use dice_netsim::{ShadowSnapshot, Topology};
 
 use crate::check::{CheckReport, Checker};
 use crate::explorer::{check_stage, explore_stage, validate_one, DiceConfig, PairOutcome};
@@ -43,7 +42,7 @@ pub(crate) struct RoundTask {
     /// The consistent snapshot shared by all of this explorer's rounds.
     pub(crate) shadow: Arc<ShadowSnapshot>,
     /// Flip baseline computed once per snapshot.
-    pub(crate) baseline: Arc<BTreeMap<(NodeId, dice_bgp::Ipv4Net), u64>>,
+    pub(crate) baseline: Arc<crate::check::CheckBaseline>,
     /// Snapshot cost carried by the first round per snapshot, zeroed for
     /// the reuse rounds (see `Campaign::run` docs).
     pub(crate) snap_metrics: SnapshotMetrics,
@@ -394,7 +393,7 @@ mod tests {
     use crate::interface::LocalVerdict;
     use crate::scenarios;
     use crate::snapshot::take_consistent_snapshot;
-    use dice_netsim::{SimDuration, SimTime};
+    use dice_netsim::{NodeId, SimDuration, SimTime};
     use std::panic::AssertUnwindSafe;
 
     /// A checker that panics while validating — stands in for any defect

@@ -365,7 +365,7 @@ pub(crate) fn validate_one(
     cfg: &DiceConfig,
     catalog: &SutCatalog,
     registry: &AttestationRegistry,
-    baseline: &BTreeMap<(NodeId, dice_bgp::Ipv4Net), u64>,
+    baseline: &crate::check::CheckBaseline,
     checkers: &[Box<dyn Checker>],
     pool: &mut crate::pool::ClonePool,
 ) -> crate::check::CheckReport {

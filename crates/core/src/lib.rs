@@ -64,6 +64,8 @@
 pub mod bgp_sut;
 pub mod campaign;
 pub mod check;
+#[doc(hidden)]
+pub mod check_oracle;
 mod executor;
 pub mod explorer;
 pub mod gossip_sut;
@@ -82,9 +84,9 @@ pub use campaign::{
     Campaign, CampaignConfig, CampaignReport, ClassDetection, ExplorerSummary, PerfCounters,
 };
 pub use check::{
-    build_registry, default_checkers, flips_baseline, run_checkers, CheckContext, CheckReport,
-    Checker, ConvergenceChecker, CrashChecker, FaultClass, FaultReport, OriginAuthorityChecker,
-    OscillationChecker,
+    build_registry, default_checkers, flips_baseline, run_checkers, CheckBaseline, CheckContext,
+    CheckReport, Checker, ConvergenceChecker, CrashChecker, FaultClass, FaultReport,
+    OriginAuthorityChecker, OscillationChecker,
 };
 #[doc(hidden)]
 pub use executor::test_support as executor_test_support;

@@ -68,7 +68,9 @@ pub struct SessionHealth {
 /// never call the visitor.
 pub trait CheckView {
     /// Visit the per-prefix best-route flip counters (cumulative since
-    /// node start).
+    /// node start). Any order is judged correctly; ascending by prefix,
+    /// each prefix once — what a `BTreeMap` walk yields — keeps the
+    /// oscillation checker's join against the cut's baseline linear.
     fn for_each_route_flip(&self, visit: &mut dyn FnMut(Ipv4Net, u64));
 
     /// Visit the best-route table as (prefix, origin AS) pairs, with the

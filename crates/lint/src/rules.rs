@@ -415,6 +415,36 @@ const POOLED_FNS: &[(&str, &str, Option<&str>)] = &[
     ("concolic/src/solve.rs", "dfs", Some("Search")),
     ("concolic/src/solve.rs", "probe", Some("Search")),
     ("concolic/src/expr.rs", "sweep", Some("ExprArena")),
+    // The checker battery runs once per validated clone over every node:
+    // a passing verdict borrows its checker's name and lands in the one
+    // reserved report vector. Rendering a fault (`format!`) or gathering
+    // a touched node's unattested routes happens in callees, off the
+    // pass path.
+    ("core/src/check.rs", "run_checkers", None),
+    ("core/src/check.rs", "check_into", Some("CrashChecker")),
+    (
+        "core/src/check.rs",
+        "check_into",
+        Some("OscillationChecker"),
+    ),
+    (
+        "core/src/check.rs",
+        "check_into",
+        Some("OriginAuthorityChecker"),
+    ),
+    (
+        "core/src/check.rs",
+        "check_into",
+        Some("ConvergenceChecker"),
+    ),
+    // The same-snapshot reset: what a pooled clone pays per validated
+    // input. It walks the touched lists and re-shares checkpoints by
+    // `Arc::clone` / `Option::cloned`; a `.clone()` of a node, a fresh
+    // table or a rendered reason string here is paid per input.
+    ("netsim/src/sim.rs", "reset_from_shadow", None),
+    ("netsim/src/sim.rs", "reset_links", None),
+    ("netsim/src/sim.rs", "rebind_touched", None),
+    ("netsim/src/sim.rs", "bind_node", None),
 ];
 
 /// R6 — hot-path allocations (contract from PR 5): the pooled validation

@@ -173,6 +173,41 @@ fn alloc_hot_path_fires_on_the_update_fan_out() {
 }
 
 #[test]
+fn alloc_hot_path_fires_on_the_checker_battery_and_the_touched_reset() {
+    // A verdict that names its checker by `to_string`, a fault rendered in
+    // the per-node loop or a scratch list per node fires; borrowing the
+    // name, reserving the report once and rendering in a callee
+    // (`flapping`) pass. `check` — the collecting wrapper — is no root.
+    let report = scan_one(
+        "crates/core/src/check.rs",
+        include_str!("fixtures/check_battery.fixture"),
+    );
+    assert_eq!(
+        report.violations.iter().map(triple).collect::<Vec<_>>(),
+        vec![
+            ("alloc-hot-path", "crates/core/src/check.rs", 4),
+            ("alloc-hot-path", "crates/core/src/check.rs", 15),
+            ("alloc-hot-path", "crates/core/src/check.rs", 16),
+        ]
+    );
+    // The reset: re-sharing a checkpoint by `Arc::clone` passes, deep-
+    // copying the node or rendering the outside-scope reason per absent
+    // node fires; the full rebinding (`bind_shadow`) is no root.
+    let report = scan_one(
+        "crates/netsim/src/sim.rs",
+        include_str!("fixtures/touched_reset.fixture"),
+    );
+    assert_eq!(
+        report.violations.iter().map(triple).collect::<Vec<_>>(),
+        vec![
+            ("alloc-hot-path", "crates/netsim/src/sim.rs", 4),
+            ("alloc-hot-path", "crates/netsim/src/sim.rs", 13),
+            ("alloc-hot-path", "crates/netsim/src/sim.rs", 14),
+        ]
+    );
+}
+
+#[test]
 fn cfg_pairing_fires_on_unpaired_gated_fn() {
     let report = scan_one(
         "crates/core/src/sync.rs",

@@ -31,20 +31,22 @@ impl SimRng {
     /// Children with distinct labels are statistically independent; the same
     /// label always yields the same child for a given parent state.
     pub fn split(&mut self, label: u64) -> SimRng {
-        SimRng::seed_from_u64(self.split_seed(label))
-    }
-
-    /// The 64-bit seed of the child [`SimRng::split`] would derive for
-    /// `label`, advancing this stream exactly as `split` does. Lets a
-    /// caller record thousands of children and build each one only if it
-    /// is ever drawn from (see [`LazyRng`]).
-    pub fn split_seed(&mut self, label: u64) -> u64 {
         let base = self.inner.next_u64();
         // SplitMix64-style finalizer to decorrelate label and base.
         let mut z = base ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        SimRng::seed_from_u64(z ^ (z >> 31))
+    }
+
+    /// The child the `n`-th (0-based) of a run of [`SimRng::split`] calls on
+    /// the freshly seeded stream yields, whatever this stream has drawn
+    /// since: a split consumes one 64-bit draw, so the stream seeks to word
+    /// `2 * n` and splits there. Lets the owner of thousands of children
+    /// keep one parent and build each child only if it is ever drawn from.
+    pub fn nth_split(&mut self, n: u64, label: u64) -> SimRng {
+        self.inner.set_word_pos(2 * u128::from(n));
+        self.split(label)
     }
 
     /// Next raw 64 random bits.
@@ -137,29 +139,6 @@ impl SimRng {
     }
 }
 
-/// A child stream recorded as its seed and built on first draw: the stream
-/// is bit-identical to `SimRng::seed_from_u64(seed)`, but a stream nobody
-/// draws from costs eight bytes to (re)seed instead of a ChaCha state.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LazyRng {
-    seed: u64,
-    rng: Option<SimRng>,
-}
-
-impl LazyRng {
-    /// Restart the stream from `seed`, discarding any state already built.
-    pub(crate) fn reseed(&mut self, seed: u64) {
-        self.seed = seed;
-        self.rng = None;
-    }
-
-    /// The stream itself, built from the recorded seed on first use.
-    pub(crate) fn get(&mut self) -> &mut SimRng {
-        let seed = self.seed;
-        self.rng.get_or_insert_with(|| SimRng::seed_from_u64(seed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,6 +169,25 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(c1.next_u64(), c2.next_u64());
         }
+    }
+
+    #[test]
+    fn nth_split_is_the_nth_sequential_split() {
+        // 20 children span three 16-word parent blocks.
+        let labels: Vec<u64> = (0..20).map(|i| 0xAB00 + i * 7).collect();
+        let mut eager_parent = SimRng::seed_from_u64(42);
+        let mut eager: Vec<SimRng> = labels.iter().map(|&l| eager_parent.split(l)).collect();
+        let mut parent = SimRng::seed_from_u64(42);
+        for n in [19usize, 0, 8, 7, 7, 12, 3] {
+            let mut child = parent.nth_split(n as u64, labels[n]);
+            let mut want = eager[n].clone();
+            for _ in 0..8 {
+                assert_eq!(child.next_u64(), want.next_u64(), "child {n}");
+            }
+        }
+        // A neighbour's label or position is a different stream.
+        let mut off = parent.nth_split(4, labels[3]);
+        assert_ne!(off.next_u64(), eager[3].next_u64());
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! bookkeeping state machine and the completed snapshot artifact.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::node::{Node, NodeId};
@@ -234,6 +235,8 @@ impl SnapshotState {
 ///
 /// [`Simulator::from_shadow`]: crate::sim::Simulator::from_shadow
 pub struct ShadowSnapshot {
+    /// Process-unique, minted per constructed (or cloned) snapshot.
+    id: u64,
     base_time: SimTime,
     nodes: BTreeMap<NodeId, Arc<dyn Node>>,
     in_flight: Vec<(NodeId, NodeId, Vec<Vec<u8>>)>,
@@ -247,7 +250,10 @@ impl ShadowSnapshot {
         in_flight: Vec<(NodeId, NodeId, Vec<Vec<u8>>)>,
         sessions_up: Vec<(NodeId, NodeId)>,
     ) -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         ShadowSnapshot {
+            // Relaxed: the counter publishes nothing but its own value.
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             base_time,
             nodes,
             in_flight,
@@ -266,6 +272,15 @@ impl ShadowSnapshot {
     ) -> Self {
         let nodes = nodes.into_iter().map(|(k, v)| (k, Arc::from(v))).collect();
         Self::new(base_time, nodes, in_flight, sessions_up)
+    }
+
+    /// This snapshot's identity: unique among all snapshots this process
+    /// has built, never reused (unlike its address) and fixed for its
+    /// immutable lifetime — a simulator that remembers the id of the
+    /// snapshot it is bound to can tell "the same snapshot again" from "a
+    /// different one" without comparing contents. A clone gets its own.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Simulated time at which the snapshot was initiated.
@@ -338,16 +353,12 @@ impl Clone for ShadowSnapshot {
         // Checkpoints are immutable behind `Arc`, so a snapshot clone is a
         // reference-count bump per node — the deep copy happens lazily,
         // per node, only when a materialized simulator mutates it.
-        ShadowSnapshot {
-            base_time: self.base_time,
-            nodes: self
-                .nodes
-                .iter()
-                .map(|(k, v)| (*k, Arc::clone(v)))
-                .collect(),
-            in_flight: self.in_flight.clone(),
-            sessions_up: self.sessions_up.clone(),
-        }
+        ShadowSnapshot::new(
+            self.base_time,
+            self.nodes.clone(),
+            self.in_flight.clone(),
+            self.sessions_up.clone(),
+        )
     }
 }
 
