@@ -12,6 +12,7 @@ use dice_bgp::{net, Asn, RouterConfig, RouterId};
 use dice_concolic::{explore, ConcolicCtx, ConcolicProgram, ExploreConfig, SymInput};
 use dice_core::{mark_update, GrammarConfig, SymbolicUpdateHandler, UpdateGrammar};
 use dice_netsim::NodeId;
+use serde_json::json;
 
 /// A config whose import policy has `rules` prefix/AS rules.
 fn config_with_rules(rules_n: usize) -> RouterConfig {
@@ -52,11 +53,11 @@ fn main() {
     let mut table = Table::new(
         "T3 — recorded constraints scale with configuration complexity (code fixed)",
         &[
-            "policy rules",
-            "config complexity",
-            "avg path constraints (fixed seed set)",
-            "distinct paths (64 execs)",
-            "branch coverage",
+            "policy_rules",
+            "config_complexity",
+            "avg_path_constraints",
+            "distinct_paths_64_execs",
+            "branch_coverage",
         ],
     );
 
@@ -87,14 +88,14 @@ fn main() {
             },
         );
 
-        table.row(vec![
-            rules_n.to_string(),
-            complexity.to_string(),
-            format!("{avg:.1}"),
-            report.distinct_paths.to_string(),
-            report.final_coverage().to_string(),
-        ]);
+        table.row(json!([
+            rules_n,
+            complexity,
+            avg,
+            report.distinct_paths,
+            report.final_coverage(),
+        ]));
     }
     table.print();
-    maybe_write_json(&[&table]);
+    maybe_write_json(&[&table], &[]);
 }

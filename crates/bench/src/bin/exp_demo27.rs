@@ -5,10 +5,11 @@
 //! convergence statistics, and one DiCE round per tier (stub, transit,
 //! tier-1 explorer) with exploration statistics.
 
-use dice_bench::{fmt_nanos, maybe_write_json, Table};
+use dice_bench::{maybe_write_json, Table};
 use dice_bgp::BgpRouter;
 use dice_core::{scenarios, DiceConfig, DiceRunner};
 use dice_netsim::{NodeId, SimDuration, SimTime, Topology};
+use serde_json::json;
 
 fn main() {
     let topo = Topology::demo27();
@@ -22,17 +23,14 @@ fn main() {
 
     let mut t1 = Table::new("F1a — demo27 convergence", &["metric", "value"]);
     let stats = live.trace().stats();
-    t1.row(vec!["outcome".into(), format!("{outcome:?}")]);
-    t1.row(vec!["converged at".into(), live.now().to_string()]);
-    t1.row(vec![
-        "messages delivered".into(),
-        stats.msgs_delivered.to_string(),
-    ]);
-    t1.row(vec![
-        "bytes delivered".into(),
-        stats.bytes_delivered.to_string(),
-    ]);
-    t1.row(vec!["sessions up".into(), stats.sessions_up.to_string()]);
+    t1.row(json!(["outcome", format!("{outcome:?}")]));
+    t1.row(json!([
+        "converged_at_sim_ms",
+        live.now().as_nanos() as f64 / 1e6
+    ]));
+    t1.row(json!(["messages_delivered", stats.msgs_delivered]));
+    t1.row(json!(["bytes_delivered", stats.bytes_delivered]));
+    t1.row(json!(["sessions_up", stats.sessions_up]));
     let total_routes: usize = (0..27u32)
         .map(|i| {
             live.node(NodeId(i))
@@ -43,15 +41,12 @@ fn main() {
                 .len()
         })
         .sum();
-    t1.row(vec![
-        "total Loc-RIB entries".into(),
-        total_routes.to_string(),
-    ]);
+    t1.row(json!(["loc_rib_entries_total", total_routes]));
     t1.print();
 
     let mut t2 = Table::new(
         "F1b — per-tier routing state",
-        &["tier", "nodes", "avg loc-rib", "avg updates rx"],
+        &["tier", "nodes", "avg_loc_rib", "avg_updates_rx"],
     );
     for (tier, range) in [("tier-1", 0u32..3), ("tier-2", 3..11), ("stub", 11..27)] {
         let n = range.clone().count();
@@ -65,12 +60,12 @@ fn main() {
             rib += r.loc_rib().len();
             rx += r.stats().updates_rx;
         }
-        t2.row(vec![
-            tier.into(),
-            n.to_string(),
-            format!("{:.1}", rib as f64 / n as f64),
-            format!("{:.1}", rx as f64 / n as f64),
-        ]);
+        t2.row(json!([
+            tier,
+            n,
+            rib as f64 / n as f64,
+            rx as f64 / n as f64
+        ]));
     }
     t2.print();
 
@@ -80,12 +75,12 @@ fn main() {
         &[
             "explorer",
             "tier",
-            "snapshot sim-latency",
+            "snapshot_sim_ms",
             "paths",
             "coverage",
             "validated",
             "faults",
-            "wall (ms)",
+            "wall_ms",
         ],
     );
     for (explorer, peer, tier) in [
@@ -100,18 +95,18 @@ fn main() {
         cfg.horizon = SimDuration::from_secs(90);
         let mut dice = DiceRunner::from_sim(cfg, &live);
         let report = dice.run_round(&mut live).expect("round");
-        t3.row(vec![
+        t3.row(json!([
             explorer.to_string(),
-            tier.into(),
-            fmt_nanos(report.snapshot.sim_duration_nanos),
-            report.distinct_paths.to_string(),
-            report.branch_coverage.to_string(),
-            report.validated.to_string(),
-            report.faults.len().to_string(),
-            report.wall_ms.to_string(),
-        ]);
+            tier,
+            report.snapshot.sim_duration_nanos as f64 / 1e6,
+            report.distinct_paths,
+            report.branch_coverage,
+            report.validated,
+            report.faults.len(),
+            report.wall_ms,
+        ]));
     }
     t3.print();
 
-    maybe_write_json(&[&t1, &t2, &t3]);
+    maybe_write_json(&[&t1, &t2, &t3], &[]);
 }

@@ -3,103 +3,100 @@
 //! policy conflicts, and operator mistakes").
 //!
 //! For each seeded scenario, runs one DiCE round and reports the budget
-//! spent until first detection, plus a random-mutation baseline for the
-//! programming-error class (the one requiring input synthesis).
+//! spent until first detection — the programming-error class once per
+//! protocol behind the SUT seam (the BGP parser defect, the gossip
+//! digest-count defect) — plus a random-mutation baseline for that class
+//! (the one requiring input synthesis). Exits non-zero if any seeded fault
+//! goes undetected.
 
-use dice_bench::{fmt_nanos, maybe_write_json, Table};
+use dice_bench::{maybe_write_json, Table};
 use dice_concolic::{random_fuzz, RunStatus};
 use dice_core::{
-    mark_update, scenarios, DiceConfig, DiceRunner, FaultClass, GrammarConfig,
+    mark_update, scenarios, DiceConfig, DiceRunner, FaultClass, GrammarConfig, RoundReport,
     SymbolicUpdateHandler, UpdateGrammar,
 };
-use dice_netsim::{NodeId, SimDuration, SimTime, Simulator};
+use dice_netsim::{NodeId, SimDuration, SimTime};
+use serde_json::json;
 
-struct Outcome {
-    detected: bool,
-    class: &'static str,
-    executions: usize,
-    distinct_paths: usize,
-    validated_until_detection: usize,
-    wall_ms: u64,
-    snapshot_nanos: u64,
-}
-
-fn run_dice(live: &mut Simulator, mut cfg: DiceConfig, want: FaultClass) -> Outcome {
-    cfg.workers = 4;
-    let mut runner = DiceRunner::from_sim(cfg, live);
-    let report = runner.run_round(live).expect("round");
+/// Append `report`'s row and insist that it detected `want`.
+fn detection_row(table: &mut Table, label: &str, want: FaultClass, report: &RoundReport) {
     let detected = report.classes().contains(&want);
-    let ordinal = report
-        .detection_input_ordinal
-        .get(&want.to_string())
-        .copied()
-        .unwrap_or(0);
-    Outcome {
+    table.row(json!([
+        label,
         detected,
-        class: match want {
-            FaultClass::ProgrammingError => "programming error",
-            FaultClass::PolicyConflict => "policy conflict",
-            FaultClass::OperatorMistake => "operator mistake",
-        },
-        executions: report.executions,
-        distinct_paths: report.distinct_paths,
-        validated_until_detection: ordinal,
-        wall_ms: report.wall_ms,
-        snapshot_nanos: report.snapshot.sim_duration_nanos,
-    }
+        report.executions,
+        report.distinct_paths,
+        report.detection_input_ordinal.get(&want.to_string()),
+        report.snapshot.sim_duration_nanos as f64 / 1e6,
+        report.wall_ms,
+    ]));
+    assert!(
+        detected,
+        "{label}: seeded fault not detected: {:?}",
+        report.faults
+    );
 }
 
 fn main() {
     let mut table = Table::new(
         "T1 — time/budget to first detection per fault class",
         &[
-            "fault class",
+            "fault_class",
             "detected",
-            "concolic execs",
-            "distinct paths",
-            "inputs validated until detection",
-            "snapshot (sim)",
-            "round wall (ms)",
+            "concolic_execs",
+            "distinct_paths",
+            "inputs_validated_until_detection",
+            "snapshot_sim_ms",
+            "round_wall_ms",
         ],
     );
+    let config = |executions: usize, validate_top: usize| {
+        let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
+        cfg.concolic_executions = executions;
+        cfg.validate_top = validate_top;
+        cfg.workers = 4;
+        cfg
+    };
 
     // Class 1: programming error (seeded parser defect on node 1).
     {
         let mut live = scenarios::buggy_parser_scenario(101);
         live.run_until(SimTime::from_nanos(10_000_000_000));
-        let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
-        cfg.concolic_executions = 192;
-        cfg.validate_top = 24;
-        let o = run_dice(&mut live, cfg, FaultClass::ProgrammingError);
-        table.row(vec![
-            o.class.into(),
-            o.detected.to_string(),
-            o.executions.to_string(),
-            o.distinct_paths.to_string(),
-            o.validated_until_detection.to_string(),
-            fmt_nanos(o.snapshot_nanos),
-            o.wall_ms.to_string(),
-        ]);
+        let report = DiceRunner::from_sim(config(192, 24), &live)
+            .run_round(&mut live)
+            .expect("round");
+        let class = FaultClass::ProgrammingError;
+        detection_row(&mut table, "programming error", class, &report);
+    }
+
+    // Class 1 again, behind the other protocol: the seeded digest-count
+    // defect on gossip node 1 — the concolic layer flips a rumor seed's
+    // opcode into the anti-entropy digest arm and drives the count byte
+    // past the missing bounds check.
+    {
+        let mut live = scenarios::buggy_gossip_scenario(4, 23);
+        live.run_until_quiet(
+            SimDuration::from_secs(5),
+            SimTime::from_nanos(120_000_000_000),
+        );
+        let report = DiceRunner::from_sim(config(128, 8), &live)
+            .run_round(&mut live)
+            .expect("round");
+        let class = FaultClass::ProgrammingError;
+        detection_row(&mut table, "programming error (gossip)", class, &report);
     }
 
     // Class 2: policy conflict (bad gadget).
     {
         let mut live = scenarios::bad_gadget_scenario(102);
         live.run_until(SimTime::from_nanos(20_000_000_000));
-        let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
-        cfg.concolic_executions = 32;
-        cfg.validate_top = 6;
+        let mut cfg = config(32, 6);
         cfg.horizon = SimDuration::from_secs(120);
-        let o = run_dice(&mut live, cfg, FaultClass::PolicyConflict);
-        table.row(vec![
-            o.class.into(),
-            o.detected.to_string(),
-            o.executions.to_string(),
-            o.distinct_paths.to_string(),
-            o.validated_until_detection.to_string(),
-            fmt_nanos(o.snapshot_nanos),
-            o.wall_ms.to_string(),
-        ]);
+        let report = DiceRunner::from_sim(cfg, &live)
+            .run_round(&mut live)
+            .expect("round");
+        let class = FaultClass::PolicyConflict;
+        detection_row(&mut table, "policy conflict", class, &report);
     }
 
     // Class 3: operator mistake (prefix hijack).
@@ -107,28 +104,12 @@ fn main() {
         let mut live = scenarios::hijack_scenario(103);
         live.run_until(SimTime::from_nanos(10_000_000_000));
         // Registry is created while healthy; the mistake happens afterwards.
-        let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
-        cfg.concolic_executions = 48;
-        cfg.validate_top = 8;
-        let mut runner = DiceRunner::from_sim(cfg, &live);
+        let mut runner = DiceRunner::from_sim(config(48, 8), &live);
         scenarios::apply_hijack(&mut live);
         live.run_until(SimTime::from_nanos(25_000_000_000));
         let report = runner.run_round(&mut live).expect("round");
-        let detected = report.classes().contains(&FaultClass::OperatorMistake);
-        table.row(vec![
-            "operator mistake".into(),
-            detected.to_string(),
-            report.executions.to_string(),
-            report.distinct_paths.to_string(),
-            report
-                .detection_input_ordinal
-                .get("operator-mistake")
-                .copied()
-                .unwrap_or(0)
-                .to_string(),
-            fmt_nanos(report.snapshot.sim_duration_nanos),
-            report.wall_ms.to_string(),
-        ]);
+        let class = FaultClass::OperatorMistake;
+        detection_row(&mut table, "operator mistake", class, &report);
     }
 
     table.print();
@@ -136,7 +117,7 @@ fn main() {
     // Baseline: random mutation against the programming-error handler.
     let mut baseline = Table::new(
         "T1b — programming-error class: concolic vs random-mutation baseline",
-        &["method", "executions", "crash found", "first crash at"],
+        &["method", "executions", "crash_found", "first_crash_exec"],
     );
     {
         let live = scenarios::buggy_parser_scenario(104);
@@ -160,15 +141,12 @@ fn main() {
                 ..Default::default()
             },
         );
-        baseline.row(vec![
-            "concolic (generational)".into(),
-            concolic.executions.len().to_string(),
-            concolic.first_crash().is_some().to_string(),
-            concolic
-                .first_crash()
-                .map(|i| format!("#{i}"))
-                .unwrap_or_else(|| "-".into()),
-        ]);
+        baseline.row(json!([
+            "concolic (generational)",
+            concolic.executions.len(),
+            concolic.first_crash().is_some(),
+            concolic.first_crash(),
+        ]));
 
         let mut handler2 = SymbolicUpdateHandler::new(router_cfg, NodeId(0));
         let random = random_fuzz(&mut handler2, &seeds, &mark_update, 256, 4242);
@@ -176,16 +154,14 @@ fn main() {
             .executions
             .iter()
             .position(|e| matches!(e.status, RunStatus::Crash(_)));
-        baseline.row(vec![
-            "random mutation".into(),
-            random.executions.len().to_string(),
-            crashed.is_some().to_string(),
-            crashed
-                .map(|i| format!("#{i}"))
-                .unwrap_or_else(|| "-".into()),
-        ]);
+        baseline.row(json!([
+            "random mutation",
+            random.executions.len(),
+            crashed.is_some(),
+            crashed,
+        ]));
     }
     baseline.print();
 
-    maybe_write_json(&[&table, &baseline]);
+    maybe_write_json(&[&table, &baseline], &[]);
 }

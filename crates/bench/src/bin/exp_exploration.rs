@@ -21,16 +21,16 @@ use dice_concolic::{
 };
 use dice_core::{mark_update, scenarios, GrammarConfig, SymbolicUpdateHandler, UpdateGrammar};
 use dice_netsim::NodeId;
+use serde_json::json;
 
 const BUDGET: usize = 256;
 const CHECKPOINTS: [usize; 6] = [8, 32, 64, 128, 192, 256];
 
-fn coverage_at(timeline: &[usize], at: usize) -> String {
+fn coverage_at(timeline: &[usize], at: usize) -> usize {
     if timeline.is_empty() {
-        return "0".into();
+        return 0;
     }
-    let idx = at.min(timeline.len()).saturating_sub(1);
-    timeline[idx].to_string()
+    timeline[at.min(timeline.len()).saturating_sub(1)]
 }
 
 /// Grammar-only baseline: run N fresh grammar messages, no mutation, no
@@ -88,8 +88,8 @@ fn main() {
             "cov@128",
             "cov@192",
             "cov@256",
-            "distinct paths",
-            "crash found at",
+            "distinct_paths",
+            "first_crash_exec",
         ],
     );
 
@@ -139,17 +139,17 @@ fn main() {
     }
 
     for (name, timeline, paths, crash) in &runs {
-        table.row(vec![
-            name.clone(),
+        table.row(json!([
+            name,
             coverage_at(timeline, CHECKPOINTS[0]),
             coverage_at(timeline, CHECKPOINTS[1]),
             coverage_at(timeline, CHECKPOINTS[2]),
             coverage_at(timeline, CHECKPOINTS[3]),
             coverage_at(timeline, CHECKPOINTS[4]),
             coverage_at(timeline, CHECKPOINTS[5]),
-            paths.to_string(),
-            crash.map(|i| format!("#{i}")).unwrap_or_else(|| "-".into()),
-        ]);
+            paths,
+            crash,
+        ]));
     }
     table.print();
 
@@ -164,5 +164,5 @@ fn main() {
         );
     }
 
-    maybe_write_json(&[&table]);
+    maybe_write_json(&[&table], &[]);
 }

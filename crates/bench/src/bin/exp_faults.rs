@@ -20,12 +20,14 @@
 //!
 //! * `--smoke` — the {0, 5%} points only, with a wall-clock ceiling (CI
 //!   regression gate for the channel-fidelity path).
-//! * `--json PATH` — archive the raw rows as JSON (`BENCH_faults.json`
-//!   is the committed trajectory file).
+//! * `--json PATH` — archive the rows, and each loss point's
+//!   `CampaignReport`, as JSON (`BENCH_faults.json` is the committed
+//!   trajectory file).
 
-use dice_bench::{fmt_nanos, maybe_write_json, summarize_campaign, Table};
+use dice_bench::{maybe_write_json, Table};
 use dice_core::{scenarios, Campaign, CampaignReport};
 use dice_netsim::{LinkFaults, NodeId, ScheduleSpec, SimDuration, SimTime};
+use serde_json::json;
 
 /// The seeded-defect needles this bench must find at every loss point.
 const BGP_BUG: &str = "unknown-attribute length overflow";
@@ -156,40 +158,34 @@ fn main() {
     let wall = std::time::Instant::now();
 
     let mut t1 = Table::new(
-        "N1 — detection latency vs link loss (nemesis federation, both seeded defects, \
+        "N1 — detection effort vs link loss (nemesis federation, both seeded defects, \
          partition + churn overlay)",
         &[
-            "loss",
-            "bgp effort (validated inputs)",
-            "gossip effort (validated inputs)",
-            "dropped",
-            "duplicated",
-            "reordered",
+            "loss_pct",
+            "bgp_effort_inputs",
+            "gossip_effort_inputs",
+            "frames_dropped",
+            "frames_duplicated",
+            "frames_reordered",
             "faults",
-            "sim time",
+            "sim_ms",
         ],
-    );
-    let mut t2 = Table::new(
-        "N1b — per-point campaign detail",
-        &["campaign", "metric", "value"],
     );
 
     let points: Vec<LossPoint> = sweep.iter().map(|&loss| measure(loss)).collect();
     for p in &points {
-        t1.row(vec![
-            format!("{:.0}%", p.loss * 100.0),
-            p.bgp_effort.to_string(),
-            p.gossip_effort.to_string(),
-            p.report.perf.frames_dropped.to_string(),
-            p.report.perf.frames_duplicated.to_string(),
-            p.report.perf.frames_reordered.to_string(),
-            p.report.faults.len().to_string(),
-            fmt_nanos(p.report.sim_nanos),
-        ]);
-        summarize_campaign(&mut t2, &format!("loss-{:.0}%", p.loss * 100.0), &p.report);
+        t1.row(json!([
+            p.loss * 100.0,
+            p.bgp_effort,
+            p.gossip_effort,
+            p.report.perf.frames_dropped,
+            p.report.perf.frames_duplicated,
+            p.report.perf.frames_reordered,
+            p.report.faults.len(),
+            p.report.sim_nanos as f64 / 1e6,
+        ]));
     }
     t1.print();
-    t2.print();
 
     // Acceptance: at 5% loss both bug classes are found within twice the
     // lossless detection effort — loss perturbs the surrounding dynamics
@@ -212,25 +208,10 @@ fn main() {
         lossless.gossip_effort
     );
 
-    let wall_s = wall.elapsed().as_secs_f64();
-    let mut t3 = Table::new("N1c — harness", &["metric", "value"]);
-    t3.row(vec![
-        "sweep".into(),
-        sweep
-            .iter()
-            .map(|l| format!("{:.0}%", l * 100.0))
-            .collect::<Vec<_>>()
-            .join(", "),
-    ]);
-    t3.row(vec![
-        "sim time (all points)".into(),
-        fmt_nanos(points.iter().map(|p| p.report.sim_nanos).sum()),
-    ]);
-    t3.row(vec!["total wall".into(), format!("{wall_s:.1}s")]);
-    t3.print();
-
     // CI regression gate: the two-point smoke must stay well inside a
     // CI-minute.
+    let wall_s = wall.elapsed().as_secs_f64();
+    eprintln!("total wall {wall_s:.1}s");
     if smoke {
         assert!(
             wall_s < 120.0,
@@ -238,5 +219,9 @@ fn main() {
         );
     }
 
-    maybe_write_json(&[&t1, &t2, &t3]);
+    let campaigns: Vec<(String, &CampaignReport)> = points
+        .iter()
+        .map(|p| (format!("loss-{:.0}pct", p.loss * 100.0), &p.report))
+        .collect();
+    maybe_write_json(&[&t1], &campaigns);
 }

@@ -6,11 +6,12 @@
 //! 2. consistent-snapshot latency (simulated & wall) vs node count;
 //! 3. clone-instantiation + validation throughput.
 
-use dice_bench::{fmt_nanos, maybe_write_json, Table};
+use dice_bench::{maybe_write_json, Table};
 use dice_bgp::{BgpRouter, RouterConfig, RouterId};
 use dice_core::scenarios;
 use dice_core::snapshot::{take_consistent_snapshot, take_instant_snapshot};
 use dice_netsim::{Node, NodeId, SimDuration, SimTime, Simulator, Topology};
+use serde_json::json;
 
 /// A router with `routes` originated prefixes (to inflate the RIB).
 fn fat_router(routes: u32) -> BgpRouter {
@@ -25,7 +26,7 @@ fn main() {
     // Sweep 1: checkpoint cost vs RIB size.
     let mut t1 = Table::new(
         "T2a — node checkpoint cost vs RIB size",
-        &["routes", "state bytes", "clone time (avg of 100)"],
+        &["routes", "state_bytes", "clone_ns_avg_of_100"],
     );
     for routes in [10u32, 100, 500, 1000, 4000] {
         let mut sim = Simulator::new(Topology::with_nodes(1), 1);
@@ -42,7 +43,7 @@ fn main() {
         }
         let avg = start.elapsed().as_nanos() as u64 / 100;
         drop(clones);
-        t1.row(vec![routes.to_string(), bytes.to_string(), fmt_nanos(avg)]);
+        t1.row(json!([routes, bytes, avg]));
     }
     t1.print();
 
@@ -52,9 +53,9 @@ fn main() {
         &[
             "nodes",
             "topology",
-            "sim latency",
-            "wall (us)",
-            "in-flight msgs",
+            "sim_latency_ms",
+            "wall_us",
+            "in_flight_msgs",
             "bytes",
         ],
     );
@@ -64,14 +65,14 @@ fn main() {
         sim.run_until(SimTime::from_nanos(30_000_000_000));
         let (shadow, m) = take_consistent_snapshot(&mut sim, NodeId(0), SimDuration::from_secs(30))
             .expect("snapshot");
-        t2.row(vec![
-            n.to_string(),
-            "line".into(),
-            fmt_nanos(m.sim_duration_nanos),
-            m.wall_micros.to_string(),
-            m.in_flight.to_string(),
-            shadow.approx_bytes().to_string(),
-        ]);
+        t2.row(json!([
+            n,
+            "line",
+            m.sim_duration_nanos as f64 / 1e6,
+            m.wall_micros,
+            m.in_flight,
+            shadow.approx_bytes(),
+        ]));
     }
     {
         let mut sim = scenarios::demo27_system(42);
@@ -81,21 +82,21 @@ fn main() {
         );
         let (shadow, m) = take_consistent_snapshot(&mut sim, NodeId(5), SimDuration::from_secs(30))
             .expect("snapshot");
-        t2.row(vec![
-            "27".into(),
-            "demo27 (Internet-like)".into(),
-            fmt_nanos(m.sim_duration_nanos),
-            m.wall_micros.to_string(),
-            m.in_flight.to_string(),
-            shadow.approx_bytes().to_string(),
-        ]);
+        t2.row(json!([
+            27,
+            "demo27 (Internet-like)",
+            m.sim_duration_nanos as f64 / 1e6,
+            m.wall_micros,
+            m.in_flight,
+            shadow.approx_bytes(),
+        ]));
     }
     t2.print();
 
     // Sweep 3: clone + validate throughput (the per-input cost of phase 3).
     let mut t3 = Table::new(
         "T2c — per-input validation cost (clone + inject + run + check)",
-        &["system", "clones", "total wall (ms)", "per-clone (ms)"],
+        &["system", "clones", "total_wall_us", "per_clone_us"],
     );
     for (name, mut sim) in [
         ("line-5", scenarios::healthy_line(5, 9)),
@@ -115,20 +116,20 @@ fn main() {
             let end = shadow.base_time() + SimDuration::from_secs(30);
             clone.run_until_quiet(SimDuration::from_secs(2), end);
         }
-        let total = start.elapsed().as_millis() as u64;
-        t3.row(vec![
-            name.into(),
-            n_clones.to_string(),
-            total.to_string(),
-            format!("{:.2}", total as f64 / n_clones as f64),
-        ]);
+        let total = start.elapsed().as_micros() as u64;
+        t3.row(json!([
+            name,
+            n_clones,
+            total,
+            total as f64 / n_clones as f64
+        ]));
     }
     t3.print();
 
     // Sweep 4: instant (uncoordinated) snapshot for scale comparison.
     let mut t4 = Table::new(
         "T2d — consistent (Chandy–Lamport) vs instant snapshot wall cost",
-        &["system", "CL wall (us)", "instant wall (us)"],
+        &["system", "cl_wall_us", "instant_wall_us"],
     );
     for (name, mut sim) in [
         ("line-10", scenarios::healthy_line(10, 5)),
@@ -141,13 +142,9 @@ fn main() {
         let (_, cl) = take_consistent_snapshot(&mut sim, NodeId(0), SimDuration::from_secs(30))
             .expect("snapshot");
         let (_, inst) = take_instant_snapshot(&mut sim);
-        t4.row(vec![
-            name.into(),
-            cl.wall_micros.to_string(),
-            inst.wall_micros.to_string(),
-        ]);
+        t4.row(json!([name, cl.wall_micros, inst.wall_micros]));
     }
     t4.print();
 
-    maybe_write_json(&[&t1, &t2, &t3, &t4]);
+    maybe_write_json(&[&t1, &t2, &t3, &t4], &[]);
 }

@@ -21,6 +21,7 @@ use dice_bgp::BgpRouter;
 use dice_core::scenarios;
 use dice_core::snapshot::take_consistent_snapshot;
 use dice_netsim::{NodeId, ShadowSnapshot, SimDuration, SimTime, Simulator};
+use serde_json::json;
 use std::collections::BTreeMap;
 
 /// Count adjacency discrepancies not explained by captured channel state.
@@ -130,10 +131,10 @@ fn main() {
         "A1 — causal violations: consistent vs uncoordinated snapshots mid-wave (8-ring)",
         &[
             "trial",
-            "wave lead",
-            "in-flight (CL)",
-            "CL violations",
-            "uncoordinated violations",
+            "wave_lead_ms",
+            "in_flight_cl",
+            "cl_violations",
+            "uncoordinated_violations",
         ],
     );
 
@@ -161,21 +162,15 @@ fn main() {
         skew_total += skew_v;
         inflight_total += m.in_flight;
         trials += 1;
-        table.row(vec![
-            trial.to_string(),
-            format!("{lead}"),
-            m.in_flight.to_string(),
-            cl_v.to_string(),
-            skew_v.to_string(),
-        ]);
+        table.row(json!([trial, lead.as_millis(), m.in_flight, cl_v, skew_v]));
     }
-    table.row(vec![
-        "TOTAL".into(),
-        format!("{trials} trials"),
-        inflight_total.to_string(),
-        cl_total.to_string(),
-        skew_total.to_string(),
-    ]);
+    table.row(json!([
+        format!("total of {trials}"),
+        None::<u64>,
+        inflight_total,
+        cl_total,
+        skew_total,
+    ]));
     table.print();
 
     assert_eq!(
@@ -185,5 +180,5 @@ fn main() {
     if skew_total == 0 {
         eprintln!("WARNING: expected uncoordinated snapshots to show causal violations");
     }
-    maybe_write_json(&[&table]);
+    maybe_write_json(&[&table], &[]);
 }

@@ -1,6 +1,7 @@
 //! **T1 — topology-size scale curves**: campaign throughput and snapshot
-//! cost on internet-like topologies from 100 to 5000 nodes — the scale
-//! the delta-snapshot refactor unlocks.
+//! cost on internet-like topologies from 100 to 5000 nodes — the curve over
+//! federation size that `benchmark/`'s single `internet1k_sweep` point does
+//! not draw.
 //!
 //! For each size `n` the binary generates a seeded [`Topology::
 //! internet_like`] graph (tier-1 clique, preferential-attachment
@@ -8,31 +9,28 @@
 //! constant-ish across sizes), builds the full Gao–Rexford BGP system
 //! with a bounded originator set (4 prefixes — `n` originators would mean
 //! `n²` RIB entries and convergence that dwarfs the campaign being
-//! measured), converges it, and runs the same small campaign twice:
-//!
-//! * **delta on** (the default): phase-1 checkpoints re-capture only the
-//!   nodes dirtied since the previous Chandy–Lamport cut; untouched
-//!   slots share their `Arc` with the prior shadow. The binary asserts
-//!   the steady-state recapture rate stays ≪ `n` — the acceptance
-//!   criterion for delta snapshots at scale.
-//! * **delta off**: every cut re-captures all `n` nodes, giving the
-//!   monolithic snapshot-bytes baseline the curve is measured against.
+//! measured), converges it, and runs one small 3-cut campaign: phase-1
+//! checkpoints re-capture only the nodes dirtied since the previous
+//! Chandy–Lamport cut, untouched slots share their `Arc` with the prior
+//! shadow, and the binary asserts the steady-state recapture rate stays
+//! ≪ `n` — the acceptance criterion for delta snapshots at scale.
 //!
 //! Flags:
 //!
 //! * `--smoke` — the 1k-node point only, with a wall-clock ceiling (CI
 //!   regression gate for the scale path).
 //! * `--repeat N` — measure every size `N` times on fresh identical
-//!   systems; the T1 timings are then medians and T1b gains a spread row.
-//! * `--json PATH` — archive the raw rows as JSON (`BENCH_topology.json`
-//!   is the committed trajectory file).
+//!   systems; the T1 timings are then medians, with min and max beside
+//!   the rounds/s.
+//! * `--json PATH` — archive the rows, and each size's `CampaignReport`,
+//!   as JSON (`BENCH_topology.json` is the committed trajectory file).
 
 use dice_bench::{
-    fmt_nanos, host_rows, internet_topology, maybe_write_json, min_median_max, parse_repeat,
-    spread_rows, summarize_campaign, Table, INTERNET_ORIGINATORS,
+    internet_topology, maybe_write_json, min_median_max, parse_repeat, Table, INTERNET_ORIGINATORS,
 };
 use dice_core::{scenarios, Campaign, CampaignReport};
 use dice_netsim::{NodeId, SimDuration, SimTime, Simulator};
+use serde_json::json;
 
 fn parse_smoke() -> bool {
     let mut smoke = false;
@@ -57,11 +55,10 @@ struct SizePoint {
     edges: usize,
     build_ms: f64,
     converge_ms: f64,
-    delta: CampaignReport,
-    full: CampaignReport,
+    report: CampaignReport,
 }
 
-fn campaign(live: &mut Simulator, delta: bool) -> CampaignReport {
+fn campaign(live: &mut Simulator) -> CampaignReport {
     Campaign::new(live)
         .explorers([NodeId(0)])
         .max_peers_per_explorer(2)
@@ -71,7 +68,6 @@ fn campaign(live: &mut Simulator, delta: bool) -> CampaignReport {
         .horizon(SimDuration::from_secs(30))
         .workers(2)
         .pair_workers(2)
-        .delta_snapshots(delta)
         .run(live)
         .expect("topology campaign runs")
 }
@@ -92,10 +88,7 @@ fn measure(n: usize) -> SizePoint {
     );
     let converge_ms = t1.elapsed().as_secs_f64() * 1e3;
 
-    // Delta first (the production default), then the monolithic baseline
-    // on the same — still quiescent — live system.
-    let delta = campaign(&mut live, true);
-    let full = campaign(&mut live, false);
+    let report = campaign(&mut live);
 
     // Acceptance: with one explorer and `rounds(3)` the campaign takes 3
     // cuts; the first captures all `n` nodes cold, so the steady-state
@@ -103,7 +96,7 @@ fn measure(n: usize) -> SizePoint {
     // means under n/8 per cut — on a quiescent federation the real
     // number is near zero (only nodes touched by snapshot bookkeeping).
     let cuts = 3u64;
-    let total = delta.perf.nodes_recaptured;
+    let total = report.perf.nodes_recaptured;
     assert!(
         total >= n as u64,
         "first cut must capture the whole {n}-node system, got {total}"
@@ -113,20 +106,13 @@ fn measure(n: usize) -> SizePoint {
         steady * 8 < n as u64,
         "steady-state recapture {steady}/cut is not ≪ {n} nodes"
     );
-    // The baseline, by contrast, pays the full system on every cut.
-    assert_eq!(
-        full.perf.nodes_recaptured,
-        cuts * n as u64,
-        "delta-off must recapture everything each cut"
-    );
 
     SizePoint {
         n,
         edges,
         build_ms,
         converge_ms,
-        delta,
-        full,
+        report,
     }
 }
 
@@ -147,17 +133,15 @@ fn main() {
         &[
             "nodes",
             "edges",
-            "build",
-            "converge",
-            "rounds/s",
-            "full snapshot bytes",
-            "delta bytes",
-            "recaptured (total of 3 cuts)",
+            "build_ms",
+            "converge_ms",
+            "rounds_per_s",
+            "rounds_per_s_min",
+            "rounds_per_s_max",
+            "snapshot_bytes",
+            "delta_bytes",
+            "nodes_recaptured",
         ],
-    );
-    let mut t2 = Table::new(
-        "T1b — per-size campaign detail (delta snapshots on)",
-        &["campaign", "metric", "value"],
     );
 
     // Every repeat of a size is the same deterministic run: counts come
@@ -168,43 +152,34 @@ fn main() {
         .collect();
     for reps in &runs {
         let p = &reps[0];
-        let rates: Vec<f64> = reps.iter().map(|r| r.delta.rounds_per_sec()).collect();
-        t1.row(vec![
-            p.n.to_string(),
-            p.edges.to_string(),
-            format!("{:.1}ms", median(reps.iter().map(|r| r.build_ms))),
-            format!("{:.1}ms", median(reps.iter().map(|r| r.converge_ms))),
-            format!("{:.2}", median(rates.iter().copied())),
-            p.full.perf.snapshot_bytes.to_string(),
-            p.delta.perf.snapshot_delta_bytes.to_string(),
-            p.delta.perf.nodes_recaptured.to_string(),
-        ]);
-        summarize_campaign(&mut t2, &format!("internet-{}", p.n), &p.delta);
-        spread_rows(&mut t2, &format!("internet-{}", p.n), &rates);
+        let rates: Vec<f64> = reps.iter().map(|r| r.report.rounds_per_sec()).collect();
+        let (min, rounds_per_s, max) = min_median_max(&rates);
+        t1.row(json!([
+            p.n,
+            p.edges,
+            median(reps.iter().map(|r| r.build_ms)),
+            median(reps.iter().map(|r| r.converge_ms)),
+            rounds_per_s,
+            min,
+            max,
+            p.report.perf.snapshot_bytes,
+            p.report.perf.snapshot_delta_bytes,
+            p.report.perf.nodes_recaptured,
+        ]));
         assert!(
-            p.delta.faults.is_empty(),
+            p.report.faults.is_empty(),
             "healthy internet-{} campaign must stay clean: {:?}",
             p.n,
-            p.delta.faults
+            p.report.faults
         );
     }
     t1.print();
-    t2.print();
-
-    let wall_s = wall.elapsed().as_secs_f64();
-    let mut t3 = Table::new("T1c — harness", &["metric", "value"]);
-    host_rows(&mut t3, repeat);
-    t3.row(vec!["sizes".into(), format!("{sizes:?}")]);
-    t3.row(vec![
-        "sim time (delta runs)".into(),
-        fmt_nanos(runs.iter().map(|reps| reps[0].delta.sim_nanos).sum()),
-    ]);
-    t3.row(vec!["total wall".into(), format!("{wall_s:.1}s")]);
-    t3.print();
 
     // CI regression gate for the scale path: the 1k-node smoke takes
     // 1.3–1.6 s on the 2-core reference host (3.5–4.2 s before cuts and
     // clones stopped scaling with federation size), so 5 s is 3x headroom.
+    let wall_s = wall.elapsed().as_secs_f64();
+    eprintln!("total wall {wall_s:.1}s");
     if smoke {
         assert!(
             wall_s < 5.0,
@@ -212,5 +187,9 @@ fn main() {
         );
     }
 
-    maybe_write_json(&[&t1, &t2, &t3]);
+    let campaigns: Vec<(String, &CampaignReport)> = runs
+        .iter()
+        .map(|reps| (format!("internet-{}", reps[0].n), &reps[0].report))
+        .collect();
+    maybe_write_json(&[&t1], &campaigns);
 }

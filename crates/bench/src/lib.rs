@@ -11,15 +11,18 @@
 //! | `exp_exploration` | F2 — concolic vs grammar vs random coverage |
 //! | `exp_code_config` | T3 — constraints scale with configuration |
 //! | `exp_snapshot_consistency` | A1 — consistent vs uncoordinated snapshots |
-//! | `exp_campaign` | C1 — federation-scale campaign throughput and detection latency |
-//! | `exp_gossip` | G1 — gossip pub/sub and mixed-protocol campaigns |
-//! | `exp_topo` | T1 — rounds/s and snapshot-bytes curves vs topology size |
+//! | `exp_wire` | W1 — heap allocations per encoded datagram, fresh vs pooled |
+//! | `exp_topo` | T1 — the 100 / 1k / 5k scale curve on internet-like topologies |
+//! | `exp_faults` | N1 — detection effort vs link loss on the nemesis federation |
 //!
 //! Criterion micro-benches (`snapshot_bench`, `clone_reuse`, `handler_bench`,
-//! `solver_bench`, `wire_path`) cover T4 (instrumentation and snapshot tax).
+//! `solver_bench`, `wire_path`, `check_battery`) cover T4 (instrumentation
+//! and snapshot tax). Campaign throughput is not measured here: that is the
+//! `benchmark/` package's job (EXPERIMENTS.md, "Where it went").
 //!
-//! Each binary prints a Markdown table to stdout and, when `--json PATH`
-//! is given, writes the raw rows as JSON for archival.
+//! Each binary prints Markdown tables to stdout and, when `--json PATH` is
+//! given, writes them as JSON under one `{host_cores, commit, repeat}`
+//! header: quantities are JSON numbers, their units are in the column names.
 
 use std::fmt::Write as _;
 
@@ -69,12 +72,26 @@ pub mod wire_workload {
     }
 }
 
-/// A simple Markdown table builder for experiment output.
+/// One table cell: text, or a quantity that reaches the JSON artifact as a
+/// number — the unit belongs in the column name, never in the cell. `None`
+/// is `null` there and `-` in Markdown.
+pub type Cell = serde_json::Value;
+
+fn render_cell(cell: &Cell) -> String {
+    match cell {
+        Cell::String(s) => s.clone(),
+        Cell::F64(x) => format!("{x:.2}"),
+        Cell::Null => "-".into(),
+        other => serde_json::to_string(other).expect("serializable"),
+    }
+}
+
+/// A table of typed cells: Markdown on stdout, JSON for the artifact.
 #[derive(Debug, Clone)]
 pub struct Table {
     title: String,
     header: Vec<String>,
-    rows: Vec<Vec<String>>,
+    rows: Vec<Vec<Cell>>,
 }
 
 impl Table {
@@ -87,14 +104,23 @@ impl Table {
         }
     }
 
-    /// Append a row (stringified cells).
-    pub fn row(&mut self, cells: Vec<String>) {
+    /// Append a row: a JSON array, one cell per column —
+    /// `t.row(json!(["demo27", 12, 3.5]))`.
+    pub fn row(&mut self, cells: Cell) {
+        let Cell::Array(cells) = cells else {
+            panic!("a row is a JSON array of cells, got {cells:?}");
+        };
         assert_eq!(cells.len(), self.header.len(), "column count mismatch");
         self.rows.push(cells);
     }
 
     /// Render as Markdown.
     pub fn render(&self) -> String {
+        let rows: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .map(|r| r.iter().map(render_cell).collect())
+            .collect();
         let mut out = String::new();
         let _ = writeln!(out, "\n## {}\n", self.title);
         let widths: Vec<usize> = self
@@ -102,8 +128,7 @@ impl Table {
             .iter()
             .enumerate()
             .map(|(i, h)| {
-                self.rows
-                    .iter()
+                rows.iter()
                     .map(|r| r[i].len())
                     .chain(std::iter::once(h.len()))
                     .max()
@@ -120,7 +145,7 @@ impl Table {
         line(&self.header, &mut out);
         let sep: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
         line(&sep, &mut out);
-        for r in &self.rows {
+        for r in &rows {
             line(r, &mut out);
         }
         out
@@ -131,112 +156,71 @@ impl Table {
         print!("{}", self.render());
     }
 
-    /// The rows as JSON (array of objects keyed by header).
+    /// The rows as JSON (array of objects keyed by column name).
     pub fn to_json(&self) -> serde_json::Value {
         let rows: Vec<serde_json::Value> = self
             .rows
             .iter()
             .map(|r| {
-                let obj: serde_json::Map<String, serde_json::Value> = self
-                    .header
-                    .iter()
-                    .zip(r)
-                    .map(|(h, c)| (h.clone(), serde_json::Value::String(c.clone())))
-                    .collect();
-                serde_json::Value::Object(obj)
+                serde_json::Value::Object(
+                    self.header.iter().cloned().zip(r.iter().cloned()).collect(),
+                )
             })
             .collect();
         serde_json::json!({ "title": self.title, "rows": rows })
     }
 }
 
-/// Write experiment artifacts as JSON when `--json PATH` was passed.
-pub fn maybe_write_json(tables: &[&Table]) {
+/// What makes an artifact comparable across machines and commits: host
+/// cores, the commit the binary was built from (`git describe --always
+/// --dirty`, `unknown` outside a checkout) and how many times each point
+/// was repeated.
+fn artifact_header() -> serde_json::Value {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
+    serde_json::json!({ "host_cores": cores, "commit": commit, "repeat": parse_repeat() })
+}
+
+/// What [`maybe_write_json`] writes.
+fn artifact(
+    tables: &[&Table],
+    campaigns: &[(String, &dice_core::CampaignReport)],
+) -> serde_json::Value {
+    let tables: Vec<serde_json::Value> = tables.iter().map(|t| t.to_json()).collect();
+    let campaigns: serde_json::Map<String, serde_json::Value> = campaigns
+        .iter()
+        .map(|(label, report)| {
+            let json = serde_json::to_string(report).expect("serializable");
+            let value = serde_json::from_str(&json).expect("round-trips");
+            (label.clone(), value)
+        })
+        .collect();
+    serde_json::json!({ "header": artifact_header(), "tables": tables, "campaigns": campaigns })
+}
+
+/// When `--json PATH` was passed, write the binary's artifact there: the
+/// `{host_cores, commit, repeat}` header, once, then `tables`, then — for a
+/// binary that wants campaign detail on file — `campaigns`, its labelled
+/// [`dice_core::CampaignReport`]s as the engine serializes them.
+pub fn maybe_write_json(tables: &[&Table], campaigns: &[(String, &dice_core::CampaignReport)]) {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         if a == "--json" {
             if let Some(path) = args.next() {
-                let v: Vec<serde_json::Value> = tables.iter().map(|t| t.to_json()).collect();
-                let body = serde_json::to_string_pretty(&v).expect("serializable");
+                let body = serde_json::to_string_pretty(&artifact(tables, campaigns))
+                    .expect("serializable");
                 std::fs::write(&path, body).unwrap_or_else(|e| {
                     eprintln!("failed to write {path}: {e}");
                 });
                 eprintln!("wrote {path}");
             }
         }
-    }
-}
-
-/// Append the standard campaign summary rows (rounds, wall, rounds/s,
-/// sim time, executions, validations, coverage union, faults by class) to
-/// a `[campaign, metric, value]`-shaped table. Shared by every campaign
-/// experiment binary so the committed trajectory files keep one format.
-pub fn summarize_campaign(table: &mut Table, label: &str, report: &dice_core::CampaignReport) {
-    let mut by_class: std::collections::BTreeMap<String, usize> = Default::default();
-    for f in &report.faults {
-        *by_class.entry(f.class.to_string()).or_default() += 1;
-    }
-    let faults = if by_class.is_empty() {
-        "none".into()
-    } else {
-        by_class
-            .iter()
-            .map(|(c, n)| format!("{c}:{n}"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    };
-    let perf = &report.perf;
-    let rows: [(&str, String); 13] = [
-        ("rounds", report.rounds.len().to_string()),
-        ("wall", format!("{:.1}ms", report.wall_us as f64 / 1e3)),
-        ("rounds/s", format!("{:.2}", report.rounds_per_sec())),
-        ("sim time consumed", fmt_nanos(report.sim_nanos)),
-        ("concolic executions", report.executions_total.to_string()),
-        ("inputs validated", report.validated_total.to_string()),
-        ("coverage union", report.coverage_union.to_string()),
-        ("faults by class", faults),
-        ("snapshot bytes", perf.snapshot_bytes.to_string()),
-        (
-            "clone pool",
-            format!(
-                "{} hits / {} misses ({:.0}% reuse)",
-                perf.pool_hits,
-                perf.pool_misses,
-                perf.pool_hit_rate() * 100.0
-            ),
-        ),
-        (
-            "solver cache",
-            format!(
-                "{} refuted / {} solves ({:.0}% hit rate), {} memo hits, {} covered flips skipped",
-                perf.solver_cache_hits,
-                perf.solver_queries,
-                perf.solver_cache_hit_rate() * 100.0,
-                perf.unary_memo_hits,
-                perf.covered_flips_skipped
-            ),
-        ),
-        (
-            "wire path",
-            format!(
-                "{} bytes, buf pool {} hits / {} misses, {} batches (max {} frames)",
-                perf.wire_bytes,
-                perf.buf_hits,
-                perf.buf_misses,
-                perf.delivered_batches,
-                perf.max_batch_occupancy
-            ),
-        ),
-        (
-            "delta snapshots",
-            format!(
-                "{} delta bytes, {} nodes recaptured, {} churn events",
-                perf.snapshot_delta_bytes, perf.nodes_recaptured, perf.churn_events
-            ),
-        ),
-    ];
-    for (metric, value) in rows {
-        table.row(vec![label.into(), metric.into(), value]);
     }
 }
 
@@ -273,12 +257,14 @@ pub fn converged_internet(n: usize) -> dice_netsim::Simulator {
 }
 
 /// The counting allocator of the allocation-reporting benches
-/// (`handler_bench`, `check_battery`): a bench installs it with
+/// (`handler_bench`, `check_battery`, `exp_wire`): a bench installs it with
 /// `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;` and
-/// reads [`allocations`] before and after the code it measures.
+/// reads [`allocations`] / [`allocated_bytes`] before and after the code it
+/// measures.
 pub struct CountingAlloc;
 
 static ALLOCS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+static ALLOC_BYTES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// Heap allocations and reallocations since process start, once
 /// [`CountingAlloc`] is the global allocator.
@@ -286,12 +272,19 @@ pub fn allocations() -> u64 {
     ALLOCS.load(std::sync::atomic::Ordering::Relaxed)
 }
 
+/// Bytes requested by those allocations (a reallocation counts its new
+/// size — a grown `Vec` costs a new block).
+pub fn allocated_bytes() -> u64 {
+    ALLOC_BYTES.load(std::sync::atomic::Ordering::Relaxed)
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only added work is a relaxed
-// atomic add, which neither allocates nor unwinds.
+// upholds the `GlobalAlloc` contract; the only added work is two relaxed
+// atomic adds, which neither allocate nor unwind.
 unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, std::sync::atomic::Ordering::Relaxed);
         // SAFETY: `layout` is the caller's, passed through untouched.
         unsafe { std::alloc::System.alloc(layout) }
     }
@@ -304,6 +297,7 @@ unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(new_size as u64, std::sync::atomic::Ordering::Relaxed);
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
     }
@@ -374,28 +368,9 @@ pub fn bound_clone(name: &str) -> BoundClone {
     }
 }
 
-/// Append the rows that make a committed trajectory file comparable
-/// across machines and commits: host cores, the commit the binary was
-/// built from (`git describe --always --dirty`, `unknown` outside a checkout) and how many
-/// times each point was repeated.
-pub fn host_rows(table: &mut Table, repeat: usize) {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let commit = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
-    table.row(vec!["host cores".into(), cores.to_string()]);
-    table.row(vec!["commit".into(), commit]);
-    table.row(vec!["repeat (medians of)".into(), repeat.to_string()]);
-}
-
-/// Read `--repeat N` from argv (default 1). Experiment binaries rerun
-/// their primary campaign `N` times on fresh identical systems and report
-/// the spread via [`spread_rows`], damping scheduler noise in the
-/// committed trajectory files.
+/// Read `--repeat N` from argv (default 1): how many times a binary that
+/// takes the flag measures each point on fresh identical systems, to
+/// report medians. Recorded in every artifact's header.
 pub fn parse_repeat() -> usize {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -426,82 +401,102 @@ pub fn min_median_max(samples: &[f64]) -> (f64, f64, f64) {
     (s[0], median, s[s.len() - 1])
 }
 
-/// Append a `rounds/s min/median/max of N` row to a
-/// `[campaign, metric, value]`-shaped table when more than one sample was
-/// collected (`--repeat 1`, the default, leaves the table unchanged).
-pub fn spread_rows(table: &mut Table, label: &str, rounds_per_sec: &[f64]) {
-    if rounds_per_sec.len() < 2 {
-        return;
-    }
-    let (min, median, max) = min_median_max(rounds_per_sec);
-    table.row(vec![
-        label.into(),
-        format!("rounds/s min/median/max of {}", rounds_per_sec.len()),
-        format!("{min:.2} / {median:.2} / {max:.2}"),
-    ]);
-}
-
-/// Append one `first <class> detection` row per detected fault class to a
-/// `[campaign, metric, value]`-shaped table.
-pub fn detection_rows(table: &mut Table, label: &str, report: &dice_core::CampaignReport) {
-    for d in &report.detection {
-        table.row(vec![
-            label.into(),
-            format!("first {} detection", d.class),
-            format!(
-                "round {} ({} via {}), input #{}, {:.1}ms cumulative",
-                d.round,
-                d.explorer,
-                d.inject_peer,
-                d.input_ordinal,
-                d.wall_us_cum as f64 / 1e3
-            ),
-        ]);
-    }
-}
-
-/// Format a nanosecond count as a human duration string.
-pub fn fmt_nanos(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.1}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{}us", ns / 1_000)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::json;
 
     #[test]
     fn table_renders_aligned_markdown() {
-        let mut t = Table::new("Demo", &["name", "value"]);
-        t.row(vec!["alpha".into(), "1".into()]);
-        t.row(vec!["b".into(), "23456".into()]);
+        let mut t = Table::new("Demo", &["name", "value", "rate_per_s"]);
+        t.row(json!(["alpha", 1, 2.5]));
+        t.row(json!(["b", 23456, None::<f64>]));
         let md = t.render();
         assert!(md.contains("## Demo"));
-        assert!(md.contains("| name  | value |"));
-        assert!(md.contains("| alpha | 1     |"));
+        assert!(md.contains("| name  | value | rate_per_s |"));
+        assert!(md.contains("| alpha | 1     | 2.50       |"));
+        assert!(md.contains("| b     | 23456 | -          |"));
     }
 
     #[test]
     #[should_panic(expected = "column count mismatch")]
     fn row_arity_checked() {
         let mut t = Table::new("x", &["a", "b"]);
-        t.row(vec!["only-one".into()]);
+        t.row(json!(["only-one"]));
     }
 
     #[test]
-    fn json_shape() {
-        let mut t = Table::new("J", &["k"]);
-        t.row(vec!["v".into()]);
-        let j = t.to_json();
-        assert_eq!(j["title"], "J");
-        assert_eq!(j["rows"][0]["k"], "v");
+    fn json_cells_are_typed_and_the_header_appears_once() {
+        let mut t = Table::new("J", &["k", "n", "wall_ms", "ok", "none"]);
+        t.row(json!(["v", 7, 1.5, true, Cell::Null]));
+        let text = serde_json::to_string(&artifact(&[&t, &t], &[])).expect("serializable");
+        assert_eq!(text.matches("\"header\"").count(), 1);
+        assert_eq!(text.matches("\"host_cores\"").count(), 1);
+        assert!(text.contains(r#""k":"v","n":7,"wall_ms":1.5,"ok":true,"none":null"#));
+        let v: Cell = serde_json::from_str(&text).expect("parses");
+        assert_eq!(v["tables"][1]["title"], "J");
+        assert_eq!(v["header"]["repeat"], Cell::U64(1));
+        assert!(matches!(v["header"]["commit"], Cell::String(_)));
+    }
+
+    /// `^[0-9.,]+ ?(ns|µs|us|ms|s|x|%)?$`: a number, bare or with its unit,
+    /// that was rendered into a string.
+    fn is_rendered_quantity(s: &str) -> bool {
+        let rest = s.trim_start_matches(|c: char| c.is_ascii_digit() || ".,".contains(c));
+        let unit = rest.strip_prefix(' ').unwrap_or(rest);
+        rest.len() < s.len() && ["", "ns", "µs", "us", "ms", "s", "x", "%"].contains(&unit)
+    }
+
+    #[test]
+    fn committed_bench_files_hold_numbers_not_strings() {
+        assert!(is_rendered_quantity("37.2ms") && is_rendered_quantity("199.63"));
+        assert!(is_rendered_quantity("5%") && is_rendered_quantity("1,024 ns"));
+        assert!(!is_rendered_quantity("demo27") && !is_rendered_quantity("s"));
+
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = 0;
+        for entry in std::fs::read_dir(&root).expect("repo root") {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            files += 1;
+            let text = std::fs::read_to_string(&path).expect("readable");
+            let v: Cell = serde_json::from_str(&text).expect("parses");
+            let header = &v["header"];
+            assert!(
+                matches!(
+                    (&header["host_cores"], &header["commit"], &header["repeat"]),
+                    (Cell::U64(_), Cell::String(_), Cell::U64(_))
+                ),
+                "{name}: header {header:?}"
+            );
+            let Cell::Array(tables) = &v["tables"] else {
+                panic!("{name}: no tables");
+            };
+            assert!(!tables.is_empty(), "{name}: no tables");
+            for table in tables {
+                let Cell::Array(rows) = &table["rows"] else {
+                    panic!("{name}: a table without rows");
+                };
+                for row in rows {
+                    let Cell::Object(cells) = row else {
+                        panic!("{name}: a row that is not an object");
+                    };
+                    for (column, cell) in cells.iter() {
+                        if let Cell::String(s) = cell {
+                            assert!(
+                                !is_rendered_quantity(s) && !s.contains(" / "),
+                                "{name}: column {column:?} holds {s:?} — a quantity is a \
+                                 JSON number with its unit in the column name"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(files, 3, "BENCH_wire / BENCH_topology / BENCH_faults");
     }
 
     #[test]
@@ -509,22 +504,5 @@ mod tests {
         assert_eq!(min_median_max(&[3.0, 1.0, 2.0]), (1.0, 2.0, 3.0));
         assert_eq!(min_median_max(&[4.0, 1.0, 3.0, 2.0]), (1.0, 2.5, 4.0));
         assert_eq!(min_median_max(&[5.0]), (5.0, 5.0, 5.0));
-    }
-
-    #[test]
-    fn spread_rows_noop_below_two_samples() {
-        let mut t = Table::new("S", &["campaign", "metric", "value"]);
-        spread_rows(&mut t, "x", &[1.0]);
-        assert!(!t.render().contains("min/median/max"));
-        spread_rows(&mut t, "x", &[2.0, 1.0, 4.0]);
-        assert!(t.render().contains("1.00 / 2.00 / 4.00"));
-    }
-
-    #[test]
-    fn nanos_formatting() {
-        assert_eq!(fmt_nanos(500), "500ns");
-        assert_eq!(fmt_nanos(1_500), "1us");
-        assert_eq!(fmt_nanos(2_500_000), "2.5ms");
-        assert_eq!(fmt_nanos(3_000_000_000), "3.00s");
     }
 }

@@ -289,13 +289,6 @@ pub fn encode_attrs_into(attrs: &PathAttrs, out: &mut Vec<u8>) {
     }
 }
 
-/// Encode the path-attribute block (without the length prefix).
-pub fn encode_attrs(attrs: &PathAttrs) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_attrs_into(attrs, &mut out);
-    out
-}
-
 /// Encode a full message with header into `out`.
 ///
 /// `out` is cleared first, so a dirty reused buffer is fine — this is the

@@ -111,11 +111,6 @@ impl SymInput {
             self.symbolic[i] = true;
         }
     }
-
-    /// Number of symbolic bytes.
-    pub fn symbolic_count(&self) -> usize {
-        self.symbolic.iter().filter(|&&s| s).count()
-    }
 }
 
 /// The concolic execution context for one run.

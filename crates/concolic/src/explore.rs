@@ -125,17 +125,21 @@ pub struct ExploreConfig {
     /// hash-consed constraint set was already proven UNSAT never reach
     /// the solver again. Caching refutations (not models) keeps the
     /// exploration outcome bit-identical to the uncached run — a refuted
-    /// system spawns no child either way. Disable for ablations (the S2
-    /// sweep in `exp_campaign`): every negation query is then built whole
-    /// and answered from scratch by the reference [`Solver::solve`], where
-    /// the default answers a path's queries in one [`PathSolver`] pass.
+    /// system spawns no child either way. Disable for ablations
+    /// (`refutation_cache_preserves_outcomes_and_saves_queries` below, and
+    /// at campaign level `dice-core`'s
+    /// `perf_counters_populate_and_normalize_to_zero`): every negation
+    /// query is then built whole and answered from scratch by the reference
+    /// [`Solver::solve`], where the default answers a path's queries in one
+    /// [`PathSolver`] pass.
     ///
     /// Expect **zero** cache hits on a corpus of shape-disjoint seeds:
     /// the cache keys on structural constraint hashes, and parsers fold
     /// the seed's concrete input length into their comparisons, so seeds
     /// of different lengths never produce a shared chain to hit on
-    /// (grammar-generated BGP seeds all differ in length — hence the
-    /// "0 refuted" row on demo27). The cross-seed win then comes entirely
+    /// (grammar-generated BGP seeds all differ in length — hence
+    /// `concolic.solve.refuted_hits` reading 0 on `benchmark/`'s
+    /// `demo27_sweep`). The cross-seed win then comes entirely
     /// from the per-constraint unary memo, which keys on individual
     /// constraints rather than whole chains. Mechanism-tested below in
     /// `refutation_cache_is_idle_on_shape_disjoint_seeds`.
@@ -248,8 +252,8 @@ pub fn explore(
     // covered (site, direction) reached under an incompatible prefix can
     // never shadow the one path that actually leads somewhere new.
     // Maintained whether or not the solver cache is enabled, so the guard
-    // behaves identically in both modes (the S2 ablation's byte-identity
-    // contract).
+    // behaves identically in both modes (the cache-off ablation's
+    // byte-identity contract).
     let mut dispatched: HashSet<u64> = HashSet::new();
     let mut queue: Vec<WorkItem> = Vec::new();
     let mut seq = 0u64;

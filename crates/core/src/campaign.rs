@@ -1298,7 +1298,7 @@ mod tests {
         assert!(json.contains("coverage_union"));
         assert!(json.contains("per_explorer"));
         // The campaign configuration round-trips through JSON text — the
-        // contract behind `exp_campaign --config <file.json>`.
+        // contract a persisted `CampaignConfig` file relies on.
         let cfg = Campaign::new(&sim)
             .explorers([NodeId(1)])
             .pair_workers(3)

@@ -66,11 +66,6 @@ pub fn as_gossip(node: &dyn Node) -> Option<&GossipNode> {
     node.as_any().downcast_ref::<GossipNode>()
 }
 
-/// Mutable variant of [`as_gossip`].
-pub fn as_gossip_mut(node: &mut dyn Node) -> Option<&mut GossipNode> {
-    node.as_any_mut().downcast_mut::<GossipNode>()
-}
-
 /// The synthetic prefix standing in for a topic in checker vocabulary:
 /// `239.<hi>.<lo>.0/24` (administratively scoped multicast block), so
 /// topic "routes" can never collide with the scenarios' unicast space.

@@ -13,7 +13,7 @@
 //! This mirrors DiCE's design point that property checking must work
 //! without unrestricted access to remote node state.
 
-use crate::hash::{hex, sha256, Sha256};
+use crate::hash::{sha256, Sha256};
 use dice_bgp::{Asn, Ipv4Net};
 use dice_netsim::NodeId;
 use serde::{Deserialize, Serialize};
@@ -160,11 +160,6 @@ impl LocalVerdict {
             detail: detail.into(),
         }
     }
-}
-
-/// Render a digest for reports (first 8 bytes).
-pub fn short_digest(d: &[u8; 32]) -> String {
-    hex(d)[..16].to_string()
 }
 
 #[cfg(test)]

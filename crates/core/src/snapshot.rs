@@ -2,7 +2,7 @@
 //! completion and account for its cost (the paper's "lightweight node
 //! checkpoints" / low-overhead claim, measured by experiment T2).
 
-use dice_netsim::{NodeId, ShadowSnapshot, SimDuration, SimTime, Simulator, SnapshotProgress};
+use dice_netsim::{NodeId, ShadowSnapshot, SimDuration, Simulator, SnapshotProgress};
 use serde::{Deserialize, Serialize};
 
 /// Cost accounting for one consistent snapshot.
@@ -86,16 +86,11 @@ pub fn spawn_clone(shadow: &ShadowSnapshot, topo: &dice_netsim::Topology, seed: 
     Simulator::from_shadow(shadow, topo, seed)
 }
 
-/// The end of a clone's exploration horizon.
-pub fn horizon_end(shadow: &ShadowSnapshot, horizon: SimDuration) -> SimTime {
-    shadow.base_time() + horizon
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dice_bgp::{net, Asn, BgpRouter, RouterConfig, RouterId};
-    use dice_netsim::{LinkParams, Topology};
+    use dice_netsim::{LinkParams, SimTime, Topology};
 
     fn bgp_sim() -> Simulator {
         let topo = Topology::line(3, LinkParams::fixed(SimDuration::from_millis(5)));

@@ -914,7 +914,7 @@ impl Simulator {
     fn channel_send(&mut self, src: NodeId, dst: NodeId, bytes: Payload, quiet: bool) {
         match self.dir_index(src, dst) {
             Some(dir) if self.sessions[dir / 2] == SessionState::Up => {
-                self.send_frame(dir, Frame::Data { bytes, quiet });
+                self.send_frame(dir, Frame::Data { bytes, quiet }, true);
             }
             _ => {
                 // Session down: transport rejects the write, data is lost
@@ -926,8 +926,10 @@ impl Simulator {
         }
     }
 
-    /// Put `frame` on link direction `dir`.
-    fn send_frame(&mut self, dir: usize, frame: Frame) {
+    /// Put `frame` on link direction `dir`. `sample_faults` is off only for
+    /// frames a cut recorded in flight: those are already in the channel,
+    /// so a replay never subjects them to the fault model a second time.
+    fn send_frame(&mut self, dir: usize, frame: Frame, sample_faults: bool) {
         let (src, dst) = self.endpoints(dir);
         let size = match &frame {
             Frame::Data { bytes, .. } => bytes.len(),
@@ -956,7 +958,8 @@ impl Simulator {
         // FIFO channels, so the cut window runs at full fidelity. The
         // fault streams are separate from the latency streams, so the
         // knob's off state is byte-identical to the pre-fault simulator.
-        let faulty = self.config.unreliable_links
+        let faulty = sample_faults
+            && self.config.unreliable_links
             && is_data
             && self.snapshots.is_empty()
             && !self.config.link_faults.is_noop();
@@ -1270,7 +1273,7 @@ impl Simulator {
             let dir = self
                 .dir_index(src, dst)
                 .expect("snapshot channel on non-adjacent pair");
-            self.send_frame(dir, Frame::Marker(id));
+            self.send_frame(dir, Frame::Marker(id), true);
         }
     }
 
@@ -1510,8 +1513,11 @@ impl Simulator {
     }
 
     /// Start the clock at the shadow's base time and re-enqueue its
-    /// in-flight messages, preserving per-channel order. Expects bound
-    /// node slots, restored sessions and empty channels.
+    /// in-flight messages, preserving per-channel order and exempt from
+    /// fault sampling — whatever `unreliable_links` / `link_faults` a pooled
+    /// simulator's previous input left in `config`, a rebind replays the
+    /// cut as a fresh clone does. Expects bound node slots, restored
+    /// sessions and empty channels.
     fn replay_in_flight(&mut self, shadow: &ShadowSnapshot) {
         self.now = shadow.base_time();
         self.last_activity = shadow.base_time();
@@ -1531,6 +1537,7 @@ impl Simulator {
                         bytes,
                         quiet: false,
                     },
+                    false,
                 );
             }
         }
@@ -1824,10 +1831,20 @@ mod tests {
 
         // The same, for a pooled simulator reset *mid-drive* with the
         // fault layer on: nodes materialised, frames in flight, events
-        // queued, trace ring filled, fault streams partly consumed.
+        // queued, trace ring filled, fault streams partly consumed — onto
+        // a cut with frames in flight, which the pooled simulator replays
+        // with the previous drive's fault knobs still in its config and
+        // the fresh clone with none. (Break: `replay_in_flight` passing
+        // `true` to `send_frame` samples the pooled replay, and the traces
+        // below differ.)
         let mut live = line_sim(6, 17);
         live.run_until(SimTime::from_nanos(1_000_000_000));
+        for hop in 0..5u32 {
+            live.deliver_direct(NodeId(hop), NodeId(hop + 1), &[0]);
+        }
+        live.run_for(SimDuration::from_millis(2));
         let shadow = live.instant_snapshot();
+        assert!(shadow.in_flight_count() > 0);
         let topo = live.topology().clone();
         let faults = LinkFaults::lossy(0.05);
         let lossy_drive = |sim: &mut Simulator, until: SimDuration| {
@@ -2085,10 +2102,15 @@ mod tests {
             let shadow = if second { &cut_b } else { &cut_a };
             same_cut.push(pooled.bound_to == Some(shadow.id()));
             pooled.reset_from_shadow(shadow, seed);
-            // Configuration survives a reset (and decides how the cut's
-            // in-flight frames are replayed), so the fresh clone gets the
-            // pooled simulator's.
-            let config = pooled.config.clone();
+            // Configuration survives a reset; the fresh clone gets the
+            // pooled simulator's minus the previous input's fault knobs,
+            // which must not decide how the cut's in-flight frames are
+            // replayed. (Break: `replay_in_flight` passing `true` to
+            // `send_frame` fails the named sequence at step 1.)
+            let config = SimConfig {
+                unreliable_links: false,
+                ..pooled.config.clone()
+            };
             let mut fresh = Simulator::from_shadow_with_config(shadow, &topo, seed, config);
             drive(&mut pooled, input, extra);
             drive(&mut fresh, input, extra);

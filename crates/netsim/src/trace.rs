@@ -184,11 +184,6 @@ impl Trace {
             _ => None,
         })
     }
-
-    /// Drop all retained events, keeping counters.
-    pub fn clear_events(&mut self) {
-        self.events.clear();
-    }
 }
 
 #[cfg(test)]
