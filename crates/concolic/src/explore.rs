@@ -121,28 +121,16 @@ pub struct ExploreConfig {
     pub max_executions: usize,
     /// Per-query solver budget.
     pub solver_budget: SolverBudget,
-    /// Share a refutation cache across seeds: negation queries whose
-    /// hash-consed constraint set was already proven UNSAT never reach
-    /// the solver again. Caching refutations (not models) keeps the
-    /// exploration outcome bit-identical to the uncached run — a refuted
-    /// system spawns no child either way. Disable for ablations
-    /// (`refutation_cache_preserves_outcomes_and_saves_queries` below, and
-    /// at campaign level `dice-core`'s
-    /// `perf_counters_populate_and_normalize_to_zero`): every negation
-    /// query is then built whole and answered from scratch by the reference
-    /// [`Solver::solve`], where the default answers a path's queries in one
-    /// [`PathSolver`] pass.
-    ///
-    /// Expect **zero** cache hits on a corpus of shape-disjoint seeds:
-    /// the cache keys on structural constraint hashes, and parsers fold
-    /// the seed's concrete input length into their comparisons, so seeds
-    /// of different lengths never produce a shared chain to hit on
-    /// (grammar-generated BGP seeds all differ in length — hence
-    /// `concolic.solve.refuted_hits` reading 0 on `benchmark/`'s
-    /// `demo27_sweep`). The cross-seed win then comes entirely
-    /// from the per-constraint unary memo, which keys on individual
-    /// constraints rather than whole chains. Mechanism-tested below in
-    /// `refutation_cache_is_idle_on_shape_disjoint_seeds`.
+    /// Which solver answers the negation queries: `true` (the default)
+    /// answers every query of an executed path in one [`PathSolver`] pass,
+    /// behind the cross-seed [`UnaryMemo`](crate::solve::UnaryMemo);
+    /// `false` builds each query whole ([`negation_query`]) and answers it
+    /// from scratch with the reference [`Solver::solve`]. The answers, and
+    /// so the executed inputs, coverage and crashes, are the same either
+    /// way (`path_solver_and_reference_explore_identically` below, the
+    /// `path_solver` differential, and at campaign level `dice-core`'s
+    /// `perf_counters_populate_and_normalize_to_zero`); only solver time
+    /// and [`SolverStats::steps`] differ.
     pub solver_cache: bool,
 }
 
@@ -229,7 +217,7 @@ pub fn explore(
     // reference solver, one whole query per flip. Same answers.
     let mut sliced = PathSolver::with_budget(config.solver_budget);
     let mut solver = Solver::with_budget(config.solver_budget);
-    let (mut covered_skips, mut cache_hits) = (0u64, 0u64);
+    let mut covered_skips = 0u64;
     let mut model: Vec<(u32, u8)> = Vec::new();
     let mut coverage = Coverage::default();
     let mut report = ExplorationReport::default();
@@ -239,21 +227,15 @@ pub fn explore(
     // their negated children differ (e.g. same parse shape, different
     // attribute payloads) — skeleton-keyed dedup silently drops one of them.
     let mut attempted: HashSet<u64> = HashSet::new();
-    // Refutation cache shared across every seed of the session, keyed by
-    // the canonical structural hash of the negation query's constraint
-    // set. UNSAT is a property of the constraints alone (independent of
-    // the seed the model would have been biased toward), so a hit is
-    // exactly equivalent to re-solving.
-    let mut refuted: HashSet<u64> = HashSet::new();
-    // Every negation query dispatched to the solver this session (same
-    // structural keying, any outcome). The covered-flip guard consults
-    // this in addition to the coverage ledger: a flip may only be skipped
-    // when its *exact* query — prefix and all — was already tried, so a
-    // covered (site, direction) reached under an incompatible prefix can
-    // never shadow the one path that actually leads somewhere new.
-    // Maintained whether or not the solver cache is enabled, so the guard
-    // behaves identically in both modes (the cache-off ablation's
-    // byte-identity contract).
+    // Every negation query dispatched to the solver this session, keyed by
+    // the canonical structural hash of its constraint set (any outcome).
+    // The covered-flip guard consults this in addition to the coverage
+    // ledger: a flip may only be skipped when its *exact* query — prefix
+    // and all — was already tried, so a covered (site, direction) reached
+    // under an incompatible prefix can never shadow the one path that
+    // actually leads somewhere new.
+    // Maintained under both solvers, so the guard behaves identically in
+    // both modes (the `solver_cache = false` byte-identity contract).
     let mut dispatched: HashSet<u64> = HashSet::new();
     let mut queue: Vec<WorkItem> = Vec::new();
     let mut seq = 0u64;
@@ -374,11 +356,6 @@ pub fn explore(
                     // suppresses the one query that could reach it from
                     // here (regression-tested).
                     covered_skips += 1;
-                } else if config.solver_cache && refuted.contains(&query_hash) {
-                    // Structurally identical constraint system already
-                    // proven UNSAT (possibly for another seed): no child
-                    // either way, skip the solver.
-                    cache_hits += 1;
                 } else {
                     let outcome = match &mut pass {
                         Some(pass) => pass.flip(&mut model),
@@ -421,12 +398,7 @@ pub fn explore(
                                 seq += 1;
                             }
                         }
-                        Flip::Unsat => {
-                            if config.solver_cache {
-                                refuted.insert(query_hash);
-                            }
-                        }
-                        Flip::Unknown => {}
+                        Flip::Unsat | Flip::Unknown => {}
                     }
                 }
             }
@@ -455,7 +427,6 @@ pub fn explore(
     } else {
         solver.stats
     };
-    report.solver.cache_hits = cache_hits;
     report.solver.covered_skips = covered_skips;
     report.solver.unary_memo_hits = sliced.memo_hits();
     report.coverage = coverage;
@@ -729,12 +700,11 @@ mod tests {
     }
 
     #[test]
-    fn refutation_cache_preserves_outcomes_and_saves_queries() {
-        // The cache may only skip queries whose answer is already known
-        // to be UNSAT, so the executed inputs, coverage and crash set must
-        // be bit-identical with the cache on and off; only the solver
-        // query count may shrink. Two same-shape seeds make the second
-        // seed's contradictory flip a cross-seed cache hit.
+    fn path_solver_and_reference_explore_identically() {
+        // `solver_cache` selects who answers the negation queries, not
+        // what the answers are: the executed inputs, coverage and crash
+        // set must be bit-identical, query for query. Two same-shape seeds
+        // make the second seed's contradictory flip a repeated UNSAT.
         let seeds = vec![vec![0u8], vec![1u8]];
         let run = |solver_cache: bool| {
             let cfg = ExploreConfig {
@@ -744,92 +714,25 @@ mod tests {
             };
             explore(&mut rechecking_program, &seeds, &all_symbolic, &cfg)
         };
-        let cached = run(true);
-        let fresh = run(false);
-        assert_eq!(cached.executions.len(), fresh.executions.len());
-        for (a, b) in cached.executions.iter().zip(&fresh.executions) {
-            assert_eq!(a.input, b.input, "cache must not alter exploration");
+        let sliced = run(true);
+        let reference = run(false);
+        assert_eq!(sliced.executions.len(), reference.executions.len());
+        for (a, b) in sliced.executions.iter().zip(&reference.executions) {
+            assert_eq!(a.input, b.input, "the solver must not alter exploration");
             assert_eq!(a.path_sig, b.path_sig);
         }
-        assert_eq!(cached.final_coverage(), fresh.final_coverage());
-        assert_eq!(cached.crashes, fresh.crashes);
-        assert_eq!(fresh.solver.cache_hits, 0);
-        assert_eq!(fresh.solver.unary_memo_hits, 0);
+        assert_eq!(sliced.final_coverage(), reference.final_coverage());
+        assert_eq!(sliced.crashes, reference.crashes);
+        assert_eq!(reference.solver.unary_memo_hits, 0);
         assert!(
-            cached.solver.unary_memo_hits > 0,
+            sliced.solver.unary_memo_hits > 0,
             "shared prefix constraints must hit the unary memo: {:?}",
-            cached.solver
+            sliced.solver
         );
-        assert!(
-            cached.solver.cache_hits > 0,
-            "the second seed's contradictory flip must hit the cache: {:?}",
-            cached.solver
-        );
-        assert_eq!(
-            cached.solver.queries + cached.solver.cache_hits,
-            fresh.solver.queries,
-            "every cache hit replaces exactly one solve — the invariant \
-             RoundReport.solver_queries (answered queries) relies on"
-        );
-        assert!(cached.solver.queries < fresh.solver.queries);
-        assert!(cached.solver.cache_hit_rate() > 0.0);
-        assert!(cached.solver.unsat < fresh.solver.unsat);
-    }
-
-    #[test]
-    fn refutation_cache_is_idle_on_shape_disjoint_seeds() {
-        // The demo27 "0 refuted / N solves (0% hit rate)" diagnosis as a
-        // mechanism test. Negation queries are cached by the structural
-        // hash of their constraint chain, and a parser folds the seed's
-        // concrete input length into its comparisons — so two seeds can
-        // only share refutations when they have the same length. Grammar
-        // seeds are length-disjoint by construction, leaving the cache
-        // structurally idle; the solver-side win comes from the
-        // per-constraint unary memo instead.
-        fn length_folding_program(ctx: &mut ConcolicCtx) -> RunStatus {
-            if !ctx.in_bounds(0) {
-                return RunStatus::Rejected("short".into());
-            }
-            // Model of a framing check: the declared size (symbolic byte
-            // 0) is compared against the concrete input length, twice —
-            // the rechecking shape that produces UNSAT flips.
-            let declared = ctx.read_u8(0);
-            let n = ctx.len_word().val;
-            let first = ctx.eq_const(declared, n);
-            let hit1 = ctx.branch(SiteId(1), first);
-            let again = ctx.eq_const(declared, n);
-            let hit2 = ctx.branch(SiteId(2), again);
-            let _ = (hit1, hit2);
-            RunStatus::Ok
-        }
-        let run = |seeds: Vec<Vec<u8>>| {
-            let cfg = ExploreConfig {
-                max_executions: 16,
-                ..Default::default()
-            };
-            explore(&mut length_folding_program, &seeds, &all_symbolic, &cfg)
-        };
-        // Positive control: two same-length seeds share every chain.
-        let same_shape = run(vec![vec![0u8, 0], vec![9u8, 9]]);
-        assert!(
-            same_shape.solver.cache_hits > 0,
-            "same-length seeds must share refutations: {:?}",
-            same_shape.solver
-        );
-        // Length-disjoint corpus: every chain differs in the folded
-        // length constant, so nothing can hit — the demo27 shape.
-        let disjoint = run(vec![vec![0u8], vec![0u8, 0], vec![0u8, 0, 0]]);
-        assert!(disjoint.solver.queries > 0);
-        assert_eq!(
-            disjoint.solver.cache_hits, 0,
-            "length-disjoint seeds cannot share refutation chains: {:?}",
-            disjoint.solver
-        );
-        assert!(
-            disjoint.solver.unary_memo_hits > 0,
-            "the per-constraint memo still wins within each seed family: {:?}",
-            disjoint.solver
-        );
+        let verdicts = |s: &SolverStats| (s.queries, s.sat, s.unsat, s.unknown, s.covered_skips);
+        assert_eq!(verdicts(&sliced.solver), verdicts(&reference.solver));
+        assert!(sliced.solver.unsat > 0, "the repeated flip is refuted");
+        assert_eq!(sliced.solver.cache_hits, 0);
     }
 
     #[test]

@@ -255,24 +255,16 @@ impl<'a> CheckContext<'a> {
 pub trait Checker: Send + Sync {
     /// Stable identifier used in verdicts.
     fn name(&self) -> &'static str;
-    /// Run the check over a clone.
-    fn check(&self, cx: &CheckContext<'_>) -> (Vec<LocalVerdict>, Vec<FaultReport>);
     /// Run the check over a clone, appending to `report` — what
-    /// [`run_checkers`] calls. The default forwards to [`Checker::check`];
-    /// the in-tree checkers push straight into the report, so a passing
-    /// verdict allocates nothing.
-    fn check_into(&self, cx: &CheckContext<'_>, report: &mut CheckReport) {
-        let (verdicts, faults) = self.check(cx);
-        report.verdicts.extend(verdicts);
-        report.faults.extend(faults);
+    /// [`run_checkers`] calls. The in-tree checkers push straight into the
+    /// report, so a passing verdict allocates nothing.
+    fn check_into(&self, cx: &CheckContext<'_>, report: &mut CheckReport);
+    /// [`Checker::check_into`], collected into fresh vectors.
+    fn check(&self, cx: &CheckContext<'_>) -> (Vec<LocalVerdict>, Vec<FaultReport>) {
+        let mut report = CheckReport::default();
+        self.check_into(cx, &mut report);
+        (report.verdicts, report.faults)
     }
-}
-
-/// [`Checker::check`] for a checker whose real body is `check_into`.
-fn collect(checker: &dyn Checker, cx: &CheckContext<'_>) -> (Vec<LocalVerdict>, Vec<FaultReport>) {
-    let mut report = CheckReport::default();
-    checker.check_into(cx, &mut report);
-    (report.verdicts, report.faults)
 }
 
 /// Detects crashed nodes (programming errors).
@@ -282,10 +274,6 @@ pub struct CrashChecker;
 impl Checker for CrashChecker {
     fn name(&self) -> &'static str {
         "crash"
-    }
-
-    fn check(&self, cx: &CheckContext<'_>) -> (Vec<LocalVerdict>, Vec<FaultReport>) {
-        collect(self, cx)
     }
 
     // One slot field per node either way: there is no table to skip.
@@ -337,10 +325,6 @@ impl Default for OscillationChecker {
 impl Checker for OscillationChecker {
     fn name(&self) -> &'static str {
         "oscillation"
-    }
-
-    fn check(&self, cx: &CheckContext<'_>) -> (Vec<LocalVerdict>, Vec<FaultReport>) {
-        collect(self, cx)
     }
 
     fn check_into(&self, cx: &CheckContext<'_>, report: &mut CheckReport) {
@@ -396,10 +380,6 @@ pub struct OriginAuthorityChecker;
 impl Checker for OriginAuthorityChecker {
     fn name(&self) -> &'static str {
         "origin-authority"
-    }
-
-    fn check(&self, cx: &CheckContext<'_>) -> (Vec<LocalVerdict>, Vec<FaultReport>) {
-        collect(self, cx)
     }
 
     fn check_into(&self, cx: &CheckContext<'_>, report: &mut CheckReport) {
@@ -480,10 +460,6 @@ pub struct ConvergenceChecker;
 impl Checker for ConvergenceChecker {
     fn name(&self) -> &'static str {
         "convergence"
-    }
-
-    fn check(&self, cx: &CheckContext<'_>) -> (Vec<LocalVerdict>, Vec<FaultReport>) {
-        collect(self, cx)
     }
 
     fn check_into(&self, cx: &CheckContext<'_>, report: &mut CheckReport) {

@@ -389,8 +389,7 @@ pub(crate) fn run_rounds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::{CheckContext, FaultReport};
-    use crate::interface::LocalVerdict;
+    use crate::check::CheckContext;
     use crate::scenarios;
     use crate::snapshot::take_consistent_snapshot;
     use dice_netsim::{NodeId, SimDuration, SimTime};
@@ -404,7 +403,7 @@ mod tests {
         fn name(&self) -> &'static str {
             "exploding"
         }
-        fn check(&self, _cx: &CheckContext<'_>) -> (Vec<LocalVerdict>, Vec<FaultReport>) {
+        fn check_into(&self, _cx: &CheckContext<'_>, _report: &mut CheckReport) {
             panic!("checker boom: the original failure");
         }
     }

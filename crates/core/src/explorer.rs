@@ -75,9 +75,11 @@ pub struct DiceConfig {
     pub workers: usize,
     /// Master seed for grammar and clone simulators.
     pub seed: u64,
-    /// Share the concolic refutation cache across seeds within a round
-    /// (UNSAT negation queries never reach the solver twice). Exploration
-    /// outcomes are identical with the cache on or off; only solver time
+    /// Which solver answers a round's negation queries: the one-pass
+    /// `PathSolver` behind the cross-seed unary memo (`true`, the default)
+    /// or the from-scratch reference solver
+    /// ([`ExploreConfig::solver_cache`](dice_concolic::ExploreConfig::solver_cache)).
+    /// Exploration outcomes are identical either way; only solver time
     /// differs.
     pub solver_cache: bool,
     /// Recycle payload buffers through the netsim

@@ -27,6 +27,7 @@
 //! | `alloc-hot-path` | no fresh allocations (`Vec::new`, `format!`, `.clone()`, …) inside the pooled validation paths and the BGP speaker's UPDATE fan-out |
 //! | `cfg-pairing` | every `race-audit`-gated fn/statement has a feature-off counterpart |
 //! | `schema-drift` | every wall-clock field of a `Serialize` struct reachable from `CampaignReport` is zeroed by `normalized()` |
+//! | `unresolved-root` | workspace scans only: every fn or struct a semantic rule anchors on (`panic-freedom` roots, `alloc-hot-path` pooled fns, `schema-drift`'s `CampaignReport`) is found where its root table says, if its crate is in the scan |
 //! | `allow-syntax` | escape-hatch annotations must name a known rule and give a reason |
 //! | `stale-allow` | escape-hatch annotations must actually suppress a finding |
 //!
@@ -68,6 +69,7 @@ pub const RULES: &[&str] = &[
     "alloc-hot-path",
     "cfg-pairing",
     "schema-drift",
+    "unresolved-root",
     "allow-syntax",
     "stale-allow",
 ];
@@ -206,8 +208,14 @@ fn parse_annotations(raw: &[String]) -> Vec<Annotation> {
 
 /// Scan an in-memory file set. This is the whole pipeline: prepare code
 /// views, run the rules, resolve allow annotations, police the
-/// annotations themselves, and sort deterministically.
+/// annotations themselves, and sort deterministically. Rule roots absent
+/// from `files` are skipped (fixtures define only the ones they test);
+/// [`scan_workspace`] reports them as `unresolved-root`.
 pub fn scan_files(files: &[SourceFile]) -> LintReport {
+    scan(files, false)
+}
+
+fn scan(files: &[SourceFile], workspace: bool) -> LintReport {
     let prepared: Vec<Prepared> = files
         .iter()
         .map(|f| {
@@ -222,7 +230,7 @@ pub fn scan_files(files: &[SourceFile]) -> LintReport {
         .collect();
 
     let graph = graph::ItemGraph::build(&prepared);
-    let raw_findings = rules::run_all(&prepared, &graph);
+    let raw_findings = rules::run_all(&prepared, &graph, workspace);
 
     let mut report = LintReport {
         files_scanned: files.len(),
@@ -326,7 +334,8 @@ pub fn scan_files(files: &[SourceFile]) -> LintReport {
 /// `tests/` trees), skipping `vendor/`, `target/`, `.git/`, this crate's
 /// own fixture directory and this crate itself, and scan every `.rs`
 /// file found. Directory entries are visited in sorted order so the
-/// report is stable.
+/// report is stable. Unlike [`scan_files`], a root of a semantic rule that
+/// no longer resolves in a scanned crate is an `unresolved-root` violation.
 pub fn scan_workspace(root: &Path) -> std::io::Result<LintReport> {
     // dice-lint: timing the scanner itself — this crate is excluded from
     // its own scan, so the wall-clock read below never trips a rule.
@@ -356,7 +365,7 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<LintReport> {
             content: std::fs::read_to_string(&p)?,
         });
     }
-    let mut report = scan_files(&files);
+    let mut report = scan(&files, true);
     report.scan_wall_ms = scan_start.elapsed().as_millis() as u64;
     Ok(report)
 }

@@ -11,8 +11,10 @@ use crate::graph::{Attached, ItemGraph};
 use crate::lexer::TokKind;
 use crate::{Prepared, RawFinding};
 
-/// Run every rule over the prepared file set and its item graph.
-pub(crate) fn run_all(files: &[Prepared], graph: &ItemGraph) -> Vec<RawFinding> {
+/// Run every rule over the prepared file set and its item graph. A
+/// `workspace` scan also requires every rule root to resolve
+/// ([`unresolved_roots`]).
+pub(crate) fn run_all(files: &[Prepared], graph: &ItemGraph, workspace: bool) -> Vec<RawFinding> {
     let mut out = Vec::new();
     for f in files {
         seam_containment(f, &mut out);
@@ -24,6 +26,9 @@ pub(crate) fn run_all(files: &[Prepared], graph: &ItemGraph) -> Vec<RawFinding> 
     alloc_hot_path(graph, &mut out);
     cfg_pairing(graph, &mut out);
     schema_drift(files, graph, &mut out);
+    if workspace {
+        unresolved_roots(files, graph, &mut out);
+    }
     out
 }
 
@@ -256,18 +261,17 @@ fn in_engine(path: &str) -> bool {
 }
 
 /// The entry points of the round hot loop and the concolic solve path.
-/// Reachability for `panic-freedom` starts here. A root that does not
-/// exist in the scanned file set is simply absent (single-file fixture
-/// scans define their own); if a refactor renames one in the real tree,
-/// every `panic-freedom` allow annotation in its old reachable set goes
-/// stale and `stale-allow` fires — the rule polices its own anchors.
+/// Reachability for `panic-freedom` starts here. In an in-memory scan a
+/// root that is not in the file set is simply absent (single-file fixture
+/// scans define their own); a workspace scan reports it as
+/// `unresolved-root`, so moving or renaming one cannot switch the rule off.
 const PANIC_ROOTS: &[(&str, &str, Option<&str>)] = &[
     ("core/src/executor.rs", "run_rounds", None),
-    ("core/src/campaign.rs", "run", Some("Campaign")),
+    ("core/src/campaign/mod.rs", "run", Some("Campaign")),
     ("concolic/src/explore.rs", "explore", None),
-    ("concolic/src/solve.rs", "solve", Some("Solver")),
-    ("concolic/src/solve.rs", "flip", Some("PathPass")),
-    ("concolic/src/solve.rs", "advance", Some("PathPass")),
+    ("concolic/src/solve/reference.rs", "solve", Some("Solver")),
+    ("concolic/src/solve/path.rs", "flip", Some("PathPass")),
+    ("concolic/src/solve/path.rs", "advance", Some("PathPass")),
 ];
 
 /// Find a fn by file-path suffix, name and (optionally) impl type.
@@ -393,13 +397,13 @@ const POOLED_FNS: &[(&str, &str, Option<&str>)] = &[
     // per datagram (the buffer-miss slow path lives in callees).
     ("bgp/src/wire.rs", "encode_into", None),
     ("gossip/src/wire.rs", "encode_into", None),
-    ("netsim/src/sim.rs", "process_deliver", None),
+    ("netsim/src/sim/channel.rs", "process_deliver", None),
     ("netsim/src/buf.rs", "acquire", None),
     // Delta-capture path: `checkpoint_node` runs once per node per cut;
     // clean nodes must be served by an `Arc::clone` of the cached
     // checkpoint (path syntax — a `.clone()` method call here would be a
     // deep node copy and fires this rule).
-    ("netsim/src/sim.rs", "checkpoint_node", None),
+    ("netsim/src/sim/cut.rs", "checkpoint_node", None),
     // The speaker's UPDATE path: best-route selection, the per-class
     // export fan-out and the policy evaluator run per delivered message
     // on every validation clone. They borrow, and share bags by
@@ -412,8 +416,8 @@ const POOLED_FNS: &[(&str, &str, Option<&str>)] = &[
     // and hundreds of memo misses per exploration session, all on scratch
     // the session owns (`PathSolver`'s tables, `LaneScratch`). A
     // `Vec::new()` or a `.clone()` here is paid per search node.
-    ("concolic/src/solve.rs", "dfs", Some("Search")),
-    ("concolic/src/solve.rs", "probe", Some("Search")),
+    ("concolic/src/solve/search.rs", "dfs", Some("Search")),
+    ("concolic/src/solve/search.rs", "probe", Some("Search")),
     ("concolic/src/expr.rs", "sweep", Some("ExprArena")),
     // The checker battery runs once per validated clone over every node:
     // a passing verdict borrows its checker's name and lands in the one
@@ -441,10 +445,14 @@ const POOLED_FNS: &[(&str, &str, Option<&str>)] = &[
     // input. It walks the touched lists and re-shares checkpoints by
     // `Arc::clone` / `Option::cloned`; a `.clone()` of a node, a fresh
     // table or a rendered reason string here is paid per input.
-    ("netsim/src/sim.rs", "reset_from_shadow", None),
-    ("netsim/src/sim.rs", "reset_links", None),
-    ("netsim/src/sim.rs", "rebind_touched", None),
-    ("netsim/src/sim.rs", "bind_node", None),
+    // The reset's channel and cut halves live with the state they
+    // restore (`Links::reset`, `Cuts::reset` / `Cuts::seed`).
+    ("netsim/src/sim/clone.rs", "reset_from_shadow", None),
+    ("netsim/src/sim/clone.rs", "rebind_touched", None),
+    ("netsim/src/sim/clone.rs", "bind_node", None),
+    ("netsim/src/sim/channel.rs", "reset", Some("Links")),
+    ("netsim/src/sim/cut.rs", "reset", Some("Cuts")),
+    ("netsim/src/sim/cut.rs", "seed", Some("Cuts")),
 ];
 
 /// R6 — hot-path allocations (contract from PR 5): the pooled validation
@@ -504,6 +512,56 @@ fn alloc_hot_path(graph: &ItemGraph, out: &mut Vec<RawFinding>) {
                 });
             }
         }
+    }
+}
+
+/// R9 — unresolved roots (workspace scans only): the semantic rules anchor
+/// on fns and a struct named by file suffix, and skip an anchor they do
+/// not find — so moving `process_deliver` to another file would silently
+/// switch `alloc-hot-path` off for it. Every entry of
+/// [`PANIC_ROOTS`] and [`POOLED_FNS`], and `schema-drift`'s
+/// `CampaignReport`, must resolve whenever its crate's `src/` tree is in
+/// the scan. The finding names a file that need not exist, so no allow
+/// annotation can suppress it: the fix is the root table.
+fn unresolved_roots(files: &[Prepared], graph: &ItemGraph, out: &mut Vec<RawFinding>) {
+    let crate_scanned = |suffix: &str| {
+        let krate = suffix.split('/').next().unwrap_or(suffix);
+        let src = format!("crates/{krate}/src/");
+        files.iter().any(|f| f.path.starts_with(&src))
+    };
+    for (rule, table) in [
+        ("panic-freedom", PANIC_ROOTS),
+        ("alloc-hot-path", POOLED_FNS),
+    ] {
+        for (suffix, name, impl_of) in table {
+            if !crate_scanned(suffix) || find_root(graph, suffix, name, *impl_of).is_some() {
+                continue;
+            }
+            let owner = impl_of.map(|t| format!("{t}::")).unwrap_or_default();
+            out.push(RawFinding {
+                rule: "unresolved-root",
+                path: format!("crates/{suffix}"),
+                line: 1,
+                message: format!(
+                    "`{rule}` root `{owner}{name}` is not in crates/{suffix} — the rule is off for it; point the root table at where the fn lives now"
+                ),
+                fn_line: None,
+            });
+        }
+    }
+    let report_root = graph.structs.iter().any(|s| {
+        s.name == "CampaignReport"
+            && in_core(&graph.files[s.file].path)
+            && s.derives.iter().any(|d| d == "Serialize")
+    });
+    if crate_scanned("core") && !report_root {
+        out.push(RawFinding {
+            rule: "unresolved-root",
+            path: "crates/core/src".into(),
+            line: 1,
+            message: "`schema-drift` root `CampaignReport` (a Serialize struct in dice-core) was not found — the rule is off".into(),
+            fn_line: None,
+        });
     }
 }
 
@@ -960,7 +1018,7 @@ mod tests {
                   }\n\
                   }\n";
         let report = crate::scan_files(&[SourceFile {
-            path: "crates/netsim/src/sim.rs".into(),
+            path: "crates/netsim/src/sim/cut.rs".into(),
             content: ok.into(),
         }]);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
@@ -972,7 +1030,7 @@ mod tests {
                     }\n\
                     }\n";
         let report = crate::scan_files(&[SourceFile {
-            path: "crates/netsim/src/sim.rs".into(),
+            path: "crates/netsim/src/sim/cut.rs".into(),
             content: deep.into(),
         }]);
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);

@@ -25,12 +25,12 @@ fn triple(f: &Finding) -> (&str, &str, usize) {
 #[test]
 fn seam_containment_fires_on_foreign_downcast() {
     let report = scan_one(
-        "crates/core/src/campaign.rs",
+        "crates/core/src/campaign/mod.rs",
         include_str!("fixtures/seam.fixture"),
     );
     assert_eq!(
         report.violations.iter().map(triple).collect::<Vec<_>>(),
-        vec![("seam-containment", "crates/core/src/campaign.rs", 3)]
+        vec![("seam-containment", "crates/core/src/campaign/mod.rs", 3)]
     );
 }
 
@@ -79,12 +79,12 @@ fn determinism_zone_covers_the_channel_fidelity_module() {
 #[test]
 fn unordered_iter_fires_on_hashmap_iteration() {
     let report = scan_one(
-        "crates/core/src/campaign.rs",
+        "crates/core/src/campaign/mod.rs",
         include_str!("fixtures/unordered.fixture"),
     );
     assert_eq!(
         report.violations.iter().map(triple).collect::<Vec<_>>(),
-        vec![("unordered-iter", "crates/core/src/campaign.rs", 6)]
+        vec![("unordered-iter", "crates/core/src/campaign/mod.rs", 6)]
     );
 }
 
@@ -103,12 +103,12 @@ fn lock_hygiene_fires_on_bare_unwrap() {
 #[test]
 fn schema_drift_fires_on_unzeroed_reachable_field() {
     let report = scan_one(
-        "crates/core/src/campaign.rs",
+        "crates/core/src/campaign/mod.rs",
         include_str!("fixtures/schema_drift.fixture"),
     );
     assert_eq!(
         report.violations.iter().map(triple).collect::<Vec<_>>(),
-        vec![("schema-drift", "crates/core/src/campaign.rs", 9)]
+        vec![("schema-drift", "crates/core/src/campaign/mod.rs", 9)]
     );
     assert!(
         report.violations[0]
@@ -194,15 +194,15 @@ fn alloc_hot_path_fires_on_the_checker_battery_and_the_touched_reset() {
     // copying the node or rendering the outside-scope reason per absent
     // node fires; the full rebinding (`bind_shadow`) is no root.
     let report = scan_one(
-        "crates/netsim/src/sim.rs",
+        "crates/netsim/src/sim/clone.rs",
         include_str!("fixtures/touched_reset.fixture"),
     );
     assert_eq!(
         report.violations.iter().map(triple).collect::<Vec<_>>(),
         vec![
-            ("alloc-hot-path", "crates/netsim/src/sim.rs", 4),
-            ("alloc-hot-path", "crates/netsim/src/sim.rs", 13),
-            ("alloc-hot-path", "crates/netsim/src/sim.rs", 14),
+            ("alloc-hot-path", "crates/netsim/src/sim/clone.rs", 4),
+            ("alloc-hot-path", "crates/netsim/src/sim/clone.rs", 13),
+            ("alloc-hot-path", "crates/netsim/src/sim/clone.rs", 14),
         ]
     );
 }
@@ -285,11 +285,40 @@ fn stale_annotations_are_flagged() {
 #[test]
 fn json_report_reflects_the_findings() {
     let report = scan_one(
-        "crates/core/src/campaign.rs",
+        "crates/core/src/campaign/mod.rs",
         include_str!("fixtures/seam.fixture"),
     );
     let json = report.to_json();
     assert!(json.contains("\"rule\": \"seam-containment\""), "{json}");
     assert!(json.contains("\"line\": 3"), "{json}");
     assert!(!report.is_clean());
+}
+
+#[test]
+fn unresolved_root_fires_when_a_root_leaves_its_file() {
+    // `alloc-hot-path` anchors on `encode_into` in gossip's wire.rs. Move
+    // the encoder to another file of the crate and a workspace scan must
+    // say the anchor is gone, not quietly stop guarding it; back in
+    // wire.rs the same tree is clean. (`scan_files` stays exempt: every
+    // other test in this file scans one file of some crate.)
+    let root = std::env::temp_dir().join(format!("dice-lint-unresolved-{}", std::process::id()));
+    let src = root.join("crates").join("gossip").join("src");
+    std::fs::create_dir_all(&src).unwrap();
+    let fixture = include_str!("fixtures/unresolved_root.fixture");
+    std::fs::write(src.join("codec.rs"), fixture).unwrap();
+    let moved = dice_lint::scan_workspace(&root).unwrap();
+    std::fs::rename(src.join("codec.rs"), src.join("wire.rs")).unwrap();
+    let home = dice_lint::scan_workspace(&root).unwrap();
+    std::fs::remove_dir_all(&root).unwrap();
+    assert_eq!(
+        moved.violations.iter().map(triple).collect::<Vec<_>>(),
+        vec![("unresolved-root", "crates/gossip/src/wire.rs", 1)]
+    );
+    assert!(
+        moved.violations[0].message.contains("`encode_into`"),
+        "{}",
+        moved.violations[0].message
+    );
+    assert!(home.violations.is_empty(), "{:?}", home.violations);
+    assert!(scan_one("crates/gossip/src/codec.rs", fixture).is_clean());
 }
