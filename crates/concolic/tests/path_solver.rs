@@ -5,7 +5,8 @@
 //!
 //! The generator's word-shaped branches (arity 4 / 5) are what drives a
 //! search past the 32 on-the-spot refutations that arm the bit probe; each
-//! of these was applied once to `solve.rs` and fails the test named:
+//! of these was applied once to the search (`solve/search.rs`) and fails
+//! the test named:
 //! sorting `sys` by candidate sets narrowed ahead of the search
 //! (`every_flip_matches_the_reference`: the variable order, hence the first
 //! model, moves; `word_equality_flip_costs_tens_of_steps`: 4 steps, below

@@ -23,9 +23,9 @@ pub struct CampaignConfig {
     /// Full sweeps over the pair set. A campaign always runs at least one
     /// sweep: `0` is treated as `1`.
     pub rounds: usize,
-    /// Whole `(explorer, peer)` rounds in flight at once (`0`/`1` =
-    /// sequential). The report is identical for any value — only
-    /// wall-clock fields change (see [`CampaignReport::normalized`]).
+    /// Whole `(explorer, peer)` rounds explored at once, one thread each
+    /// (`0`/`1` = sequential). The report is identical for any value —
+    /// only wall-clock fields change (see [`CampaignReport::normalized`]).
     pub pair_workers: usize,
     /// Per-pair round template; `explorer` / `inject_peer` are overridden
     /// for each swept pair.
@@ -58,17 +58,17 @@ impl Campaign {
         self
     }
 
-    /// Validation workers per round (default 1 = sequential). The
-    /// campaign pool is sized `max(pair_workers, workers)` and shared
-    /// between round- and validation-level tasks.
+    /// Validation workers (default 1 = sequential): the threads that
+    /// validate a sweep's candidates once its rounds are explored. A sweep
+    /// spawns `max(pair_workers, workers)` threads.
     pub fn workers(mut self, k: usize) -> Self {
         self.cfg.template.workers = k;
         self
     }
 
-    /// Whole `(explorer, peer)` rounds in flight at once (default 1 =
-    /// sequential sweep). Reports are identical for any value modulo
-    /// wall-clock fields — see [`CampaignReport::normalized`].
+    /// Whole `(explorer, peer)` rounds explored at once, one thread each
+    /// (default 1 = sequential sweep). Reports are identical for any value
+    /// modulo wall-clock fields — see [`CampaignReport::normalized`].
     pub fn pair_workers(mut self, k: usize) -> Self {
         self.cfg.pair_workers = k;
         self

@@ -5,9 +5,9 @@
 //! round — fine for a demo, useless for a federation of dozens of domains.
 //! A [`Campaign`] discovers the eligible pairs through the
 //! [`SutCatalog`] probe chain, snapshots **once per explorer** (one
-//! Chandy–Lamport pass amortized over all of that node's peers), runs up
-//! to [`Campaign::pair_workers`] whole rounds concurrently on one shared
-//! worker pool (round- and validation-level tasks interleave; see the
+//! Chandy–Lamport pass amortized over all of that node's peers), explores
+//! up to [`Campaign::pair_workers`] whole rounds concurrently, validates
+//! the sweep's candidates on [`Campaign::workers`] threads (see the
 //! `executor` module), and aggregates the per-pair
 //! [`RoundReport`](crate::explorer::RoundReport)s in
 //! deterministic round-ordinal order into a serializable
@@ -85,7 +85,7 @@ impl Campaign {
         }
     }
 
-    /// Execute the campaign, three phases per sweep (so at most one
+    /// Execute the campaign, four phases per sweep (so at most one
     /// sweep's snapshots are held in memory at a time):
     ///
     /// 1. **Snapshot** (sequential, on the live system): one consistent
@@ -93,16 +93,18 @@ impl Campaign {
     ///    all of that explorer's peer rounds. Rounds never touch the
     ///    live system, so pre-taking a sweep's snapshots is
     ///    byte-identical to interleaving them with rounds.
-    /// 2. **Rounds** (parallel): up to `pair_workers` whole `(explorer,
-    ///    peer)` rounds in flight on one shared pool of
-    ///    `max(pair_workers, workers)` threads; each round's validation
-    ///    fan-out is stealable by any idle worker (see the `executor`
-    ///    module).
-    /// 3. **Aggregation** (sequential, in round-ordinal order): fold the
+    /// 2. **Exploration** (parallel): `pair_workers` threads claim whole
+    ///    `(explorer, peer)` rounds and explore them; the phase ends, for
+    ///    all `max(pair_workers, workers)` threads of the sweep at once,
+    ///    when the last round is explored.
+    /// 3. **Validation** (parallel): every thread claims `(round,
+    ///    candidate)` units from the sweep's one list, so a long round's
+    ///    validation is shared by all of them (see the `executor` module).
+    /// 4. **Aggregation** (sequential, in round-ordinal order): fold the
     ///    per-round outcomes into the [`CampaignReport`]. Because every
     ///    stage is a pure function of `(snapshot, config)` and the fold
     ///    runs in ordinal order, the report is identical for any
-    ///    `pair_workers` value modulo wall-clock fields
+    ///    `pair_workers` and `workers` values modulo wall-clock fields
     ///    ([`CampaignReport::normalized`]).
     ///
     /// Snapshot cost accounting: the Chandy–Lamport pass is shared by all
@@ -110,7 +112,10 @@ impl Campaign {
     /// time, and round-wall inclusion) is attributed to the *first* round
     /// that used it; subsequent rounds reusing the snapshot report zero
     /// snapshot cost. Summing `rounds[i].snapshot` over a campaign
-    /// therefore counts each snapshot exactly once.
+    /// therefore counts each snapshot exactly once. A round's `wall_us` is
+    /// that share plus its exploration plus its own validation units; a
+    /// detection's `wall_us_cum` is the campaign clock when the detecting
+    /// round's last unit finished.
     pub fn run(&self, live: &mut Simulator) -> Result<CampaignReport, String> {
         // dice-lint: allow(determinism-zone): campaign wall-clock accounting; zeroed by normalized()
         let wall = std::time::Instant::now();
@@ -197,7 +202,8 @@ impl Campaign {
                 }
             }
 
-            // Phase 2: this sweep's rounds, parallel over the shared pool.
+            // Phases 2 and 3: explore this sweep's rounds, then validate
+            // their candidates.
             let (done, pool_stats) = crate::executor::run_rounds(
                 &tasks,
                 pair_workers,
@@ -210,7 +216,7 @@ impl Campaign {
             );
             fold.pool(pool_stats);
 
-            // Phase 3: deterministic aggregation in round-ordinal order.
+            // Phase 4: deterministic aggregation in round-ordinal order.
             for (task, done) in tasks.iter().zip(done) {
                 fold.round(task, done?);
             }
@@ -314,6 +320,39 @@ mod tests {
             serde_json::to_string(&n).unwrap(),
             "fault sampling must be schedule-independent"
         );
+    }
+
+    #[test]
+    fn wall_clock_fields_mean_what_their_docs_say() {
+        // One thread, two fault classes first seen in different rounds:
+        // node 2's unattested origin shows on round 1's null input, node
+        // 1's parser defect only once a round explores node 1.
+        let mut sim = scenarios::buggy_parser_scenario(7);
+        sim.run_until(SimTime::from_nanos(10_000_000_000));
+        let campaign = quick(Campaign::new(&sim)).executions(160).validate_top(16);
+        scenarios::apply_hijack(&mut sim);
+        sim.run_until(SimTime::from_nanos(25_000_000_000));
+        let report = campaign.run(&mut sim).expect("runs");
+
+        // A round costs at least the cut it paid for.
+        assert!(report.rounds.iter().any(|r| r.snapshot.wall_micros > 0));
+        for r in &report.rounds {
+            assert!(r.wall_us >= r.snapshot.wall_micros, "{}", r.summary());
+        }
+        // Units run in (round, candidate) order on one thread, so a later
+        // round's last unit never finishes before an earlier round's.
+        let mut stamps: Vec<(u64, u64)> = report
+            .detection
+            .iter()
+            .map(|d| (d.round, d.wall_us_cum))
+            .collect();
+        stamps.sort_unstable();
+        assert!(
+            stamps.len() >= 2 && stamps[0].0 < stamps[stamps.len() - 1].0,
+            "two classes, two rounds: {:?}",
+            report.detection
+        );
+        assert!(stamps.windows(2).all(|w| w[0].1 <= w[1].1), "{stamps:?}");
     }
 
     #[test]

@@ -26,9 +26,11 @@ pub struct ClassDetection {
     /// Validated inputs run before detection within that round
     /// (1 = the null input).
     pub input_ordinal: usize,
-    /// Campaign wall-clock microseconds elapsed when the detecting round
-    /// completed — the paper's online detection-latency metric at
-    /// campaign granularity.
+    /// Campaign wall-clock microseconds elapsed when the detecting
+    /// round's last validation unit finished — the paper's online
+    /// detection-latency metric at campaign granularity. A sweep validates
+    /// only after all of its rounds are explored, so no stamp precedes its
+    /// sweep's last exploration.
     pub wall_us_cum: u64,
     /// [`ClassDetection::wall_us_cum`] in milliseconds (kept for report
     /// compatibility).
@@ -50,8 +52,8 @@ pub struct KindSummary {
     pub faults: usize,
     /// Concolic executions spent.
     pub executions: usize,
-    /// Host wall-clock microseconds summed over those rounds (snapshot
-    /// share included where the round paid for it).
+    /// [`RoundReport::wall_us`] summed over those rounds: a unit's time is
+    /// billed to the round — and so the protocol — it validates for.
     pub wall_us: u64,
     /// [`KindSummary::wall_us`] in milliseconds.
     pub wall_ms: u64,
@@ -75,7 +77,7 @@ pub struct ExplorerSummary {
 }
 
 /// Hot-path performance counters for one campaign run: how much work the
-/// clone pool, the copy-on-write snapshots and the solver cache avoided.
+/// clone pool, the copy-on-write snapshots and the solver memo avoided.
 /// All of it is either wall-clock- or schedule-dependent bookkeeping
 /// (which worker's pool serves an input depends on thread timing), so
 /// [`CampaignReport::normalized`] zeroes the whole struct — the
@@ -158,8 +160,10 @@ impl PerfCounters {
         }
     }
 
-    /// Fraction of negation queries served by the (deleted) refutation
-    /// cache: 0.0, see [`PerfCounters::solver_cache_hits`].
+    /// Always 0.0: the share of negation queries a refutation cache
+    /// answered, and there is no such cache any more
+    /// ([`PerfCounters::solver_cache_hits`] reads 0). Goes with that field
+    /// (ROADMAP item 3, Step A).
     pub fn solver_cache_hit_rate(&self) -> f64 {
         let total = self.solver_cache_hits + self.solver_queries;
         if total == 0 {
@@ -198,7 +202,7 @@ pub struct CampaignReport {
     pub executions_total: usize,
     /// Total inputs validated system-wide across all rounds.
     pub validated_total: usize,
-    /// Hot-path counters (clone pool, snapshot footprint, solver cache);
+    /// Hot-path counters (clone pool, snapshot footprint, solver memo);
     /// zeroed by [`CampaignReport::normalized`].
     pub perf: PerfCounters,
 }
@@ -617,12 +621,10 @@ mod tests {
 
     #[test]
     fn solver_query_counters_are_consistent() {
-        // The refutation-cache report ties three counters together: each
-        // round's `solver_queries` counts negation queries *answered*
-        // (solver calls + cache hits), while the campaign perf block
-        // splits the same population by who answered. A "0% hit rate over
-        // N solves" report is only trustworthy if no query can fall into
-        // a third bucket — lock the identity in.
+        // Each round's `solver_queries` counts negation queries answered;
+        // the campaign perf block counts the same population as solver
+        // calls plus cache hits (the latter read 0 since the refutation
+        // cache went). No query may fall into a third bucket.
         let mut sim = scenarios::healthy_line(3, 7);
         sim.run_until(SimTime::from_nanos(12_000_000_000));
         let report = quick(Campaign::new(&sim))

@@ -1,34 +1,53 @@
-//! The campaign-level parallel round executor.
+//! The campaign-level parallel round executor: **explore → barrier →
+//! validate**, inside one [`std::thread::scope`] per sweep.
 //!
-//! One worker pool, two task granularities. *Round tasks* run the explore
-//! and check stages of a whole `(explorer, peer)` round; *validation
-//! tasks* run one clone-validate-check unit of some round currently in
-//! flight. Workers prefer claiming a fresh round (round-level parallelism
-//! is what moves the campaign's rounds/s); when no unclaimed round remains
-//! — or the worker's index is beyond the `pair_workers` concurrency cap —
-//! they steal validation units from open rounds, so the tail of a round's
-//! validation fan-out never idles the pool while another round explores.
+//! Once a sweep's cuts are taken, every exploration and every validated
+//! input is a pure function of `(shadow, cfg)`, so scheduling them needs
+//! no shared mutable state beyond two claim counters:
 //!
-//! Determinism: rounds receive their ordinals before execution starts,
-//! every stage is a pure function of `(shadow, cfg)`, and validation
-//! results are collected keyed by candidate index and re-sorted before the
-//! check stage folds them. The schedule (which worker runs what, in what
-//! order) therefore cannot influence any report field except wall-clock
-//! times — [`crate::campaign::CampaignReport::normalized`] is byte-stable
-//! across `pair_workers` values, which `tests/heterogeneous.rs` locks in.
+//! 1. **Explore.** The first `pair_workers` workers claim whole rounds
+//!    from `round_next` and publish each round's [`ExploreStage`] exactly
+//!    once (a [`OnceLock`] per round).
+//! 2. **Barrier.** All `max(pair_workers, workers)` workers meet at one
+//!    [`Barrier`]; behind it every round's candidate list is final and
+//!    readable by everyone.
+//! 3. **Validate.** Workers claim flat `(round, candidate)` units of the
+//!    *whole sweep* from `unit_next` — a long round's tail is shared by
+//!    every worker, never waited out by one — and each keeps what it
+//!    produced (a [`UnitDone`] per unit, not the clone's `CheckReport`).
+//!
+//! Workers hand their units back through their join handles; the calling
+//! thread sorts them by `(round, candidate)` and folds the rounds in
+//! ordinal order. Nothing a worker writes is visible to another worker
+//! except through the `OnceLock`s and the barrier, so there is no lock to
+//! order, poison or audit — and the schedule cannot influence any report
+//! field except wall-clock times and the clone-pool counters:
+//! [`crate::campaign::CampaignReport::normalized`] is byte-stable across
+//! `(pair_workers, workers)`, which `tests/heterogeneous.rs` locks in.
+//!
+//! Panics: a worker that unwinds while exploring still has to reach the
+//! barrier (the others would wait for it forever), so the exploration
+//! phase runs under `catch_unwind` and re-raises behind the barrier. A
+//! validation panic simply ends its worker; the rest drain the remaining
+//! units. Either way [`run_rounds`] joins every worker and re-raises the
+//! worker's own payload, not the scope's generic "a scoped thread
+//! panicked".
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, OnceLock};
+use std::time::Instant;
 
 use dice_netsim::{ShadowSnapshot, Topology};
 
-use crate::check::{CheckReport, Checker};
-use crate::explorer::{check_stage, explore_stage, validate_one, DiceConfig, PairOutcome};
+use crate::check::Checker;
+use crate::explorer::{
+    check_stage, explore_stage, validate_one, DiceConfig, ExploreStage, PairOutcome, Validated,
+};
 use crate::interface::AttestationRegistry;
 use crate::pool::{ClonePool, PoolStats};
 use crate::snapshot::SnapshotMetrics;
 use crate::sut::SutCatalog;
-use crate::sync::lock_unpoisoned;
 
 /// One scheduled `(explorer, peer)` round: its deterministic ordinal, the
 /// per-round configuration, and the shared (Arc'd) snapshot context it
@@ -54,70 +73,84 @@ pub(crate) struct RoundTask {
 /// online detection-latency accounting).
 pub(crate) struct RoundDone {
     pub(crate) outcome: PairOutcome,
-    /// Campaign wall-clock micros elapsed when the round completed.
+    /// Campaign wall-clock micros elapsed when the round's last
+    /// validation unit finished.
     pub(crate) completed_wall_us: u64,
 }
 
-/// Validation fan-out state of one in-flight round, stealable by any
-/// pool worker.
-struct ValBatch {
-    /// Index into the task list (identifies shadow/cfg/baseline context).
-    task: usize,
-    /// Validation candidates, null input first.
-    candidates: Vec<Option<Vec<u8>>>,
-    /// Next unclaimed candidate index.
-    next: AtomicUsize,
-    /// Completed candidate count.
-    done: AtomicUsize,
-    /// Collected `(candidate index, report)` pairs, re-sorted by the
-    /// round owner before the check stage.
-    results: Mutex<Vec<(usize, CheckReport)>>,
+/// One round's exploration as its worker published it: the stage (or the
+/// round's error) and the wall micros exploring took.
+type Explored = (Result<ExploreStage, String>, u64);
+
+/// What a worker keeps of one validated `(round, candidate)` unit.
+struct UnitDone {
+    /// Index into the task list.
+    round: usize,
+    /// Index into that round's candidate list (null input = 0).
+    candidate: usize,
+    validated: Validated,
+    /// Wall micros this unit took — billed to its own round, whichever
+    /// worker ran it.
+    wall_us: u64,
+    /// Campaign wall-clock micros elapsed when the unit finished.
+    finished_us: u64,
 }
 
-/// Read-only context shared by every worker.
-struct Shared<'e> {
+/// One sweep's schedule: the read-only round context plus everything the
+/// workers share.
+struct Sweep<'e> {
     tasks: &'e [RoundTask],
     topo: &'e Topology,
     catalog: &'e SutCatalog,
     registry: &'e AttestationRegistry,
     checkers: &'e [Box<dyn Checker>],
-    campaign_start: std::time::Instant,
-    /// Next unclaimed round.
+    campaign_start: Instant,
+    /// Next unclaimed round. `Relaxed`: a claim publishes nothing — the
+    /// stage goes out through `explored`.
     round_next: AtomicUsize,
-    /// Completed round count (terminates the worker loop).
-    rounds_done: AtomicUsize,
-    /// Rounds currently fanning out validation units.
-    open: Mutex<Vec<Arc<ValBatch>>>,
-    /// Per-round results, indexed like `tasks`.
-    slots: Mutex<Vec<Option<Result<RoundDone, String>>>>,
-    /// Set when any worker unwinds, so the remaining workers stop waiting
-    /// on counters the dead worker can no longer advance and
-    /// [`run_rounds`] can re-raise the original panic instead of hanging.
-    panicked: AtomicBool,
-    /// The payload of the first worker panic, re-raised by [`run_rounds`]
-    /// after the pool drains. Without this, the scope's automatic join
-    /// replaces the worker's message with a generic "a scoped thread
-    /// panicked".
-    first_panic: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
-    /// Clone-pool counters, absorbed once per retiring worker (worker
-    /// pools are thread-local; only the final sums are shared).
-    pool_stats: Mutex<PoolStats>,
+    /// Per-round exploration results, indexed like `tasks`; each is set
+    /// once, by the worker that claimed the round.
+    explored: Vec<OnceLock<Explored>>,
+    /// Where the exploration phase ends for every worker at once.
+    barrier: Barrier,
+    /// Next unclaimed validation unit, counted across the whole sweep in
+    /// `(round, candidate)` order. `Relaxed`: the candidate lists it
+    /// indexes were published by the barrier.
+    unit_next: AtomicUsize,
 }
 
-impl Shared<'_> {
-    /// Claim and run one validation unit from `batch` using the calling
-    /// worker's clone pool. Returns `false` when the batch has no
-    /// unclaimed candidates left.
-    // dice-lint: allow(panic-freedom): batch.task is a round index minted by run_rounds
-    fn run_val_unit(&self, batch: &ValBatch, pool: &mut ClonePool) -> bool {
-        let i = batch.next.fetch_add(1, Ordering::Relaxed);
-        let Some(candidate) = batch.candidates.get(i) else {
-            return false;
-        };
-        let task = &self.tasks[batch.task];
-        let report = validate_one(
-            i,
-            candidate.as_ref(),
+impl Sweep<'_> {
+    /// Exploration phase of one worker: claim rounds until none is left.
+    fn explore_rounds(&self) {
+        loop {
+            let idx = self.round_next.fetch_add(1, Ordering::Relaxed);
+            let (Some(task), Some(slot)) = (self.tasks.get(idx), self.explored.get(idx)) else {
+                return;
+            };
+            // dice-lint: allow(determinism-zone): per-round wall-clock accounting; zeroed by normalized()
+            let start = Instant::now();
+            let stage = explore_stage(&task.shadow, &task.cfg, self.catalog);
+            // Each index is claimed once, so the slot is still empty.
+            let _ = slot.set((stage, start.elapsed().as_micros() as u64));
+        }
+    }
+
+    /// Validate candidate `candidate` of round `round` (whose task and
+    /// stage these are) on the calling worker's pooled clone.
+    fn validate_unit(
+        &self,
+        round: usize,
+        candidate: usize,
+        task: &RoundTask,
+        stage: &ExploreStage,
+        pool: &mut ClonePool,
+    ) -> Option<UnitDone> {
+        let input = stage.candidates.get(candidate)?;
+        // dice-lint: allow(determinism-zone): per-unit wall-clock accounting; zeroed by normalized()
+        let start = Instant::now();
+        let validated = validate_one(
+            candidate,
+            input.as_ref(),
             &task.shadow,
             self.topo,
             &task.cfg,
@@ -127,172 +160,54 @@ impl Shared<'_> {
             self.checkers,
             pool,
         );
-        lock_unpoisoned(&batch.results, "val-results").push((i, report));
-        batch.done.fetch_add(1, Ordering::Release);
-        true
+        Some(UnitDone {
+            round,
+            candidate,
+            validated,
+            wall_us: start.elapsed().as_micros() as u64,
+            finished_us: self.campaign_start.elapsed().as_micros() as u64,
+        })
     }
 
-    /// Steal one validation unit from any open round. Returns `false` if
-    /// nothing was stealable.
-    fn steal_val_unit(&self, pool: &mut ClonePool) -> bool {
-        let batch = {
-            let open = lock_unpoisoned(&self.open, "open-batches");
-            open.iter()
-                .find(|b| b.next.load(Ordering::Relaxed) < b.candidates.len())
-                .cloned()
-        };
-        match batch {
-            Some(b) => self.run_val_unit(&b, pool),
-            None => false,
-        }
-    }
-
-    /// Run round `idx` to completion: explore, fan validation out on the
-    /// shared pool (helping other rounds while waiting for stolen units),
-    /// then fold the check stage and store the result.
-    // dice-lint: allow(panic-freedom): idx comes from the round_next counter, bounded by tasks.len()
-    fn run_round(&self, idx: usize, pool: &mut ClonePool) {
-        let task = &self.tasks[idx];
-        // dice-lint: allow(determinism-zone): per-round wall-clock accounting; zeroed by normalized()
-        let stage_start = std::time::Instant::now();
-        let result = match explore_stage(&task.shadow, &task.cfg, self.catalog) {
-            Err(e) => Err(e),
-            Ok(mut stage) => {
-                let candidates = std::mem::take(&mut stage.candidates);
-                let total = candidates.len();
-                let batch = Arc::new(ValBatch {
-                    task: idx,
-                    candidates,
-                    next: AtomicUsize::new(0),
-                    done: AtomicUsize::new(0),
-                    results: Mutex::new(Vec::with_capacity(total)),
-                });
-                lock_unpoisoned(&self.open, "open-batches").push(Arc::clone(&batch));
-                // Drain own candidates; free workers steal concurrently.
-                while self.run_val_unit(&batch, pool) {}
-                // Wait for stolen units, helping other rounds meanwhile.
-                // Time spent executing *foreign* validation units must not
-                // be billed to this round: per-round wall_us feeds the
-                // per-kind workload breakdown, and charging a BGP round
-                // for a stolen gossip unit (or vice versa) would
-                // misattribute cost across protocols.
-                let mut foreign_us = 0u64;
-                while batch.done.load(Ordering::Acquire) < batch.candidates.len() {
-                    if self.panicked.load(Ordering::Acquire) {
-                        // A stolen unit's worker is unwinding and will
-                        // never advance `done`; abandon the round so the
-                        // scope can join and re-raise its panic.
-                        return;
-                    }
-                    // dice-lint: allow(determinism-zone): foreign-unit cost carve-out; zeroed by normalized()
-                    let steal_start = std::time::Instant::now();
-                    if self.steal_val_unit(pool) {
-                        foreign_us += steal_start.elapsed().as_micros() as u64;
-                    } else {
-                        idle_wait();
-                    }
-                }
-                lock_unpoisoned(&self.open, "open-batches").retain(|b| !Arc::ptr_eq(b, &batch));
-                let mut results =
-                    std::mem::take(&mut *lock_unpoisoned(&batch.results, "val-results"));
-                results.sort_by_key(|(i, _)| *i);
-                let results: Vec<CheckReport> = results.into_iter().map(|(_, r)| r).collect();
-                let wall_us = task.snap_wall_us
-                    + (stage_start.elapsed().as_micros() as u64).saturating_sub(foreign_us);
-                Ok(check_stage(
-                    stage,
-                    &results,
-                    &task.cfg,
-                    task.ordinal,
-                    task.snap_metrics,
-                    wall_us,
-                ))
+    /// One worker, start to finish: explore (if it is one of the
+    /// `pair_workers`), meet the others, then validate. Returns the units
+    /// it ran and its clone pool's counters.
+    fn worker(&self, explores: bool) -> (Vec<UnitDone>, PoolStats) {
+        // An unwinding explorer must still arrive at the barrier, or the
+        // other workers block on it forever.
+        let explored = catch_unwind(AssertUnwindSafe(|| {
+            if explores {
+                self.explore_rounds();
             }
-        };
-        let result = result.map(|outcome| RoundDone {
-            outcome,
-            completed_wall_us: self.campaign_start.elapsed().as_micros() as u64,
-        });
-        lock_unpoisoned(&self.slots, "round-slots")[idx] = Some(result);
-        self.rounds_done.fetch_add(1, Ordering::Release);
-    }
+        }));
+        self.barrier.wait();
+        if let Err(payload) = explored {
+            resume_unwind(payload);
+        }
 
-    /// The worker loop. Workers `< round_workers` claim whole rounds;
-    /// the rest only steal validation units (they exist when the
-    /// validation `workers` knob exceeds `pair_workers`). Each worker
-    /// owns a clone pool for its lifetime; counters fold into the shared
-    /// sums on retirement.
-    fn worker(&self, index: usize, round_workers: usize) {
+        // Claimed unit numbers only grow, so one pass over the rounds with
+        // a running base offset maps each to its `(round, candidate)`.
         let mut pool = ClonePool::new();
-        self.worker_loop(index, round_workers, &mut pool);
-        self.retire_pool(&pool);
-    }
-
-    fn worker_loop(&self, index: usize, round_workers: usize, pool: &mut ClonePool) {
-        let total = self.tasks.len();
-        loop {
-            if self.panicked.load(Ordering::Acquire)
-                || self.rounds_done.load(Ordering::Acquire) >= total
-            {
-                return;
+        let mut units = Vec::new();
+        let mut unit = self.unit_next.fetch_add(1, Ordering::Relaxed);
+        let mut base = 0usize;
+        for (round, (task, slot)) in self.tasks.iter().zip(&self.explored).enumerate() {
+            let Some((Ok(stage), _)) = slot.get() else {
+                continue; // a failed round has nothing to validate
+            };
+            let end = base + stage.candidates.len();
+            while unit < end {
+                units.extend(self.validate_unit(round, unit - base, task, stage, &mut pool));
+                unit = self.unit_next.fetch_add(1, Ordering::Relaxed);
             }
-            if index < round_workers {
-                let i = self.round_next.fetch_add(1, Ordering::Relaxed);
-                if i < total {
-                    self.run_round(i, pool);
-                    continue;
-                }
-            }
-            if self.steal_val_unit(pool) {
-                continue;
-            }
-            if self.rounds_done.load(Ordering::Acquire) >= total {
-                return;
-            }
-            idle_wait();
+            base = end;
         }
-    }
-
-    fn retire_pool(&self, pool: &ClonePool) {
-        lock_unpoisoned(&self.pool_stats, "pool-stats").absorb(pool.stats);
+        (units, pool.stats)
     }
 }
 
-/// Back off briefly when a worker finds nothing to run. A hot
-/// `yield_now` loop is fine on idle multi-core hosts but on saturated or
-/// single-core ones it steals timeslices from the workers doing real
-/// work; a short sleep keeps the tail overhead bounded (≤ a few hundred
-/// microseconds per wait) without any notification plumbing.
-fn idle_wait() {
-    std::thread::sleep(std::time::Duration::from_micros(100));
-}
-
-/// Test-only fault injection for the executor's shared locks, re-exported
-/// as `dice_core::executor_test_support`. Thread-local on purpose: the
-/// flag is armed and consumed on the campaign's calling thread, so
-/// parallel tests in one binary cannot poison each other's runs.
-#[doc(hidden)]
-pub mod test_support {
-    use std::cell::Cell;
-
-    thread_local! {
-        static POISON_OPEN_LOCK: Cell<bool> = const { Cell::new(false) };
-    }
-
-    /// Arm the one-shot poison: the calling thread's next `run_rounds`
-    /// deliberately poisons its open-batches mutex before workers start.
-    pub fn poison_next_run() {
-        POISON_OPEN_LOCK.with(|c| c.set(true));
-    }
-
-    /// Consume the flag (internal).
-    pub(crate) fn poison_armed() -> bool {
-        POISON_OPEN_LOCK.with(|c| c.replace(false))
-    }
-}
-
-/// Execute `tasks` with at most `pair_workers` rounds in flight over a
-/// pool of `pool_workers` threads (`pool_workers >= pair_workers`), and
+/// Execute `tasks` with `pair_workers` threads exploring and
+/// `pool_workers` threads validating (`max` of the two are spawned), and
 /// return per-round results in task order plus the aggregated clone-pool
 /// counters.
 #[allow(clippy::too_many_arguments)]
@@ -304,9 +219,11 @@ pub(crate) fn run_rounds(
     catalog: &SutCatalog,
     registry: &AttestationRegistry,
     checkers: &[Box<dyn Checker>],
-    campaign_start: std::time::Instant,
+    campaign_start: Instant,
 ) -> (Vec<Result<RoundDone, String>>, PoolStats) {
-    let shared = Shared {
+    let explorers = pair_workers.max(1);
+    let workers = pool_workers.max(explorers);
+    let sweep = Sweep {
         tasks,
         topo,
         catalog,
@@ -314,74 +231,65 @@ pub(crate) fn run_rounds(
         checkers,
         campaign_start,
         round_next: AtomicUsize::new(0),
-        rounds_done: AtomicUsize::new(0),
-        open: Mutex::new(Vec::new()),
-        slots: Mutex::new((0..tasks.len()).map(|_| None).collect()),
-        panicked: AtomicBool::new(false),
-        first_panic: Mutex::new(None),
-        pool_stats: Mutex::new(PoolStats::default()),
+        explored: tasks.iter().map(|_| OnceLock::new()).collect(),
+        barrier: Barrier::new(workers),
+        unit_next: AtomicUsize::new(0),
     };
-    // Test-only fault injection: poison the open-batches lock before any
-    // worker starts, proving campaign results never depend on pristine
-    // lock state (every access goes through lock_unpoisoned). The panic
-    // unwinds through the held guard — that is what sets the poison flag
-    // — and is caught on this thread before the pool spins up.
-    if test_support::poison_armed() {
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = shared.open.lock();
-            panic!("deliberate poison injection"); // dice-lint: allow(panic-freedom): test-only poison injection, caught on this thread
-        }));
-        debug_assert!(shared.open.is_poisoned());
-    }
-    let round_workers = pair_workers.max(1);
-    let pool_workers = pool_workers.max(round_workers);
-    if round_workers == 1 && pool_workers == 1 {
-        // Degenerate pool: run inline, no threads to spawn or join;
-        // panics propagate directly.
-        let mut pool = ClonePool::new();
-        for i in 0..tasks.len() {
-            shared.run_round(i, &mut pool);
-        }
-        shared.retire_pool(&pool);
+    let worked: Vec<(Vec<UnitDone>, PoolStats)> = if workers == 1 {
+        // No thread to spawn or join; a panic propagates directly.
+        vec![sweep.worker(true)]
     } else {
-        // Each worker catches its own unwind, records the payload of the
-        // *first* panic, and raises the `panicked` flag so the surviving
-        // workers stop waiting on counters the dead worker can no longer
-        // advance. The scope then joins cleanly and the original panic is
-        // re-raised below with its message intact.
+        // Every worker is spawned (the calling thread only joins), and
+        // every handle is joined here, so a worker's panic is re-raised
+        // with its own payload.
         std::thread::scope(|s| {
-            for index in 0..pool_workers {
-                let shared = &shared;
-                s.spawn(move || {
-                    let body = std::panic::AssertUnwindSafe(|| {
-                        shared.worker(index, round_workers);
-                    });
-                    if let Err(payload) = std::panic::catch_unwind(body) {
-                        shared.panicked.store(true, Ordering::Release);
-                        let mut slot = lock_unpoisoned(&shared.first_panic, "first-panic");
-                        slot.get_or_insert(payload);
-                    }
-                });
-            }
-        });
+            let handles: Vec<_> = (0..workers)
+                .map(|index| {
+                    let sweep = &sweep;
+                    s.spawn(move || sweep.worker(index < explorers))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                .collect()
+        })
+    };
+
+    let mut pool_stats = PoolStats::default();
+    let mut units: Vec<UnitDone> = Vec::new();
+    for (done, stats) in worked {
+        pool_stats.absorb(stats);
+        units.extend(done);
     }
-    if let Some(payload) = lock_unpoisoned(&shared.first_panic, "first-panic").take() {
-        std::panic::resume_unwind(payload);
-    }
-    let pool_stats = shared
-        .pool_stats
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    let slots = shared
-        .slots
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    // Every slot is Some unless a worker died without reporting — panics
-    // resume_unwind above, so surface the gap as a round error instead
-    // of crashing the harness.
-    let results = slots
-        .into_iter()
-        .map(|slot| slot.unwrap_or_else(|| Err("round never completed".into())))
+    // Arrival order is the schedule's; the fold must not see it.
+    units.sort_unstable_by_key(|u| (u.round, u.candidate));
+    let mut rest = units.as_slice();
+    let results = tasks
+        .iter()
+        .zip(sweep.explored)
+        .map(|(task, slot)| {
+            let (stage, explore_us) = slot.into_inner().ok_or("round never explored")?;
+            let stage = stage?;
+            let (own, later) = rest
+                .split_at_checked(stage.candidates.len())
+                .ok_or("round never completed")?;
+            rest = later;
+            let wall_us =
+                task.snap_wall_us + explore_us + own.iter().map(|u| u.wall_us).sum::<u64>();
+            let outcome = check_stage(
+                stage,
+                own.iter().map(|u| &u.validated),
+                &task.cfg,
+                task.ordinal,
+                task.snap_metrics,
+                wall_us,
+            );
+            Ok(RoundDone {
+                outcome,
+                completed_wall_us: own.iter().map(|u| u.finished_us).max().unwrap_or(0),
+            })
+        })
         .collect();
     (results, pool_stats)
 }
@@ -389,7 +297,7 @@ pub(crate) fn run_rounds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::CheckContext;
+    use crate::check::{CheckContext, CheckReport};
     use crate::scenarios;
     use crate::snapshot::take_consistent_snapshot;
     use dice_netsim::{NodeId, SimDuration, SimTime};

@@ -20,8 +20,9 @@
 //!
 //! This module owns the round's stages (`explore_stage`, `validate_one`,
 //! `check_stage`); the `executor` module is the one place that schedules
-//! them. [`DiceRunner`] submits one fixed `(explorer, inject_peer)` round
-//! per call; [`crate::campaign::Campaign`] sweeps every eligible pair.
+//! them (explore every round, barrier, validate every candidate).
+//! [`DiceRunner`] submits one fixed `(explorer, inject_peer)` round per
+//! call; [`crate::campaign::Campaign`] sweeps every eligible pair.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -227,21 +228,24 @@ pub struct RoundReport {
     /// For each fault class detected: how many validated inputs ran before
     /// detection (1 = the null input / first input).
     pub detection_input_ordinal: BTreeMap<String, usize>,
-    /// Host wall-clock duration of the round, in microseconds (snapshot
-    /// share included for the round that paid for it).
+    /// Host wall-clock cost of the round, in microseconds: the snapshot
+    /// share (for the round that paid for the cut), its exploration, and
+    /// the sum of its own validation units' times — whichever workers ran
+    /// them, and however they overlapped. A cost, not an elapsed interval:
+    /// with several validating threads it can exceed the time the round
+    /// was in flight.
     pub wall_us: u64,
     /// Host wall-clock duration of the round, in milliseconds (derived
     /// from [`RoundReport::wall_us`]; kept for report compatibility).
     pub wall_ms: u64,
-    /// Negation queries *answered* during exploration: solver calls plus
-    /// refutation-cache hits. Counting answered queries (not raw solver
-    /// invocations) keeps this field — and therefore normalized report
-    /// byte-identity — independent of whether the solver cache is
-    /// enabled; the cache split lives in
-    /// [`CampaignReport::perf`](crate::campaign::CampaignReport::perf).
+    /// Negation queries answered during exploration. Every one is a
+    /// solver call now: the refutation cache that answered some of them is
+    /// gone, and the hit count still added in here
+    /// (`dice_concolic::SolverStats::cache_hits`) reads 0 until
+    /// `benchmark/` stops naming it (ROADMAP item 3, Step A). The same
+    /// count whichever solver [`DiceConfig::solver_cache`] selects.
     pub solver_queries: u64,
-    /// Solver SAT answers (only UNSAT answers are ever cached, so this
-    /// is cache-independent as-is).
+    /// Solver SAT answers.
     pub solver_sat: u64,
 }
 
@@ -277,17 +281,26 @@ pub(crate) struct PairOutcome {
 }
 
 /// Output of the explore stage: everything the later stages need, with
-/// the validation candidates broken out so a campaign executor can fan
-/// them out as independent sub-tasks on a shared worker pool.
+/// the validation candidates broken out so the executor can hand them out
+/// as independent units across its workers.
 pub(crate) struct ExploreStage {
     pub(crate) kind: String,
     pub(crate) explorer_sessions: crate::sut::SessionHealth,
     pub(crate) exploration: ExplorationReport,
     /// System-wide validation inputs, null input first.
     pub(crate) candidates: Vec<Option<Vec<u8>>>,
-    /// `candidates.len()` at construction (stable even after an executor
-    /// takes the candidate vector for fan-out).
-    pub(crate) validated: usize,
+}
+
+/// What a round keeps of one validated candidate. The verdicts themselves
+/// are counted and dropped with the clone's `CheckReport`: a sweep holds
+/// one of these per unit until its fold.
+pub(crate) struct Validated {
+    /// Verdicts published through the information-sharing interface.
+    pub(crate) verdicts: usize,
+    /// Failing verdicts among them.
+    pub(crate) failed: usize,
+    /// Faults the checkers reported on this clone.
+    pub(crate) faults: Vec<FaultReport>,
 }
 
 /// Stage 2 + candidate selection: run concolic exploration of the
@@ -348,7 +361,6 @@ pub(crate) fn explore_stage(
         kind: kind.to_string(),
         explorer_sessions,
         exploration,
-        validated: candidates.len(),
         candidates,
     })
 }
@@ -370,11 +382,7 @@ pub(crate) fn validate_one(
     baseline: &crate::check::CheckBaseline,
     checkers: &[Box<dyn Checker>],
     pool: &mut crate::pool::ClonePool,
-) -> crate::check::CheckReport {
-    // Validation units are the executor's stealable scheduling granule:
-    // no lock may be held entering or leaving one (enforced under the
-    // `race-audit` feature, a no-op otherwise).
-    crate::sync::audit_task_boundary("validate_one entry");
+) -> Validated {
     let mut clone = pool.acquire(shadow, topo, cfg.seed ^ (i as u64) << 16);
     clone.set_wire_config(cfg.wire_pool, cfg.batch_delivery);
     clone.set_delta_snapshots(cfg.delta_snapshots);
@@ -399,16 +407,19 @@ pub(crate) fn validate_one(
         run_checkers(checkers, &cx)
     };
     pool.release(clone);
-    crate::sync::audit_task_boundary("validate_one exit");
-    report
+    Validated {
+        verdicts: report.verdicts.len(),
+        failed: report.failed(),
+        faults: report.faults,
+    }
 }
 
-/// Stage 4: fold per-clone check reports into the round's [`RoundReport`].
+/// Stage 4: fold per-clone check results into the round's [`RoundReport`].
 /// `results` must be in candidate order; the fold is deterministic, so a
 /// parallel executor reproduces the sequential report exactly.
-pub(crate) fn check_stage(
+pub(crate) fn check_stage<'v>(
     stage: ExploreStage,
-    results: &[crate::check::CheckReport],
+    results: impl Iterator<Item = &'v Validated>,
     cfg: &DiceConfig,
     round: u64,
     snap_metrics: SnapshotMetrics,
@@ -419,10 +430,10 @@ pub(crate) fn check_stage(
     let mut verdicts_total = 0;
     let mut verdicts_failed = 0;
     let mut detection: BTreeMap<String, usize> = BTreeMap::new();
-    for (i, report) in results.iter().enumerate() {
-        verdicts_total += report.verdicts.len();
-        verdicts_failed += report.failed();
-        for f in &report.faults {
+    for (i, unit) in results.enumerate() {
+        verdicts_total += unit.verdicts;
+        verdicts_failed += unit.failed;
+        for f in &unit.faults {
             detection.entry(f.class.to_string()).or_insert(i + 1);
             if seen_keys.insert(f.key()) {
                 faults.push(f.clone());
@@ -441,7 +452,7 @@ pub(crate) fn check_stage(
         executions: exploration.executions.len(),
         distinct_paths: exploration.distinct_paths,
         branch_coverage: exploration.final_coverage(),
-        validated: stage.validated,
+        validated: stage.candidates.len(),
         faults,
         verdicts_total,
         verdicts_failed,

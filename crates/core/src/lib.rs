@@ -31,14 +31,15 @@
 //! adapter ([`bgp_sut`]) and the epidemic pub/sub adapter ([`gossip_sut`]
 //! over `dice-gossip`); heterogeneous federations register extra probes.
 //!
-//! One round executor (the `executor` module: a worker pool shared between
-//! round- and validation-level tasks) sits behind two entry points:
+//! One round executor (the `executor` module: explore every round of a
+//! sweep, meet at a barrier, validate every candidate of the sweep — no
+//! lock anywhere) sits behind two entry points:
 //! [`explorer::DiceRunner`] submits one round for a fixed `(explorer,
 //! inject peer)` pair per call, and [`campaign::Campaign`] sweeps every
 //! eligible pair across the federation — one `Arc`-shared snapshot per
-//! explorer, whole rounds run concurrently (`pair_workers`), with the
-//! aggregated [`campaign::CampaignReport`] byte-identical for any
-//! parallelism level modulo wall-clock fields. [`scenarios`] provides the
+//! explorer, `pair_workers` threads exploring and `workers` threads
+//! validating, with the aggregated [`campaign::CampaignReport`]
+//! byte-identical for any parallelism level modulo wall-clock fields. [`scenarios`] provides the
 //! paper's demo systems (including the 27-router Figure 1 topology).
 //!
 //! ## Quickstart
@@ -78,7 +79,6 @@ pub mod scenarios;
 pub mod snapshot;
 pub mod sut;
 pub mod symmark;
-mod sync;
 
 pub use campaign::{
     Campaign, CampaignConfig, CampaignReport, ClassDetection, ExplorerSummary, PerfCounters,
@@ -88,8 +88,6 @@ pub use check::{
     CheckReport, Checker, ConvergenceChecker, CrashChecker, FaultClass, FaultReport,
     OriginAuthorityChecker, OscillationChecker,
 };
-#[doc(hidden)]
-pub use executor::test_support as executor_test_support;
 pub use explorer::{DiceConfig, DiceRunner, RoundReport};
 pub use gossip_sut::SymbolicGossipHandler;
 pub use grammar::{GrammarConfig, UpdateGrammar};
@@ -99,5 +97,3 @@ pub use interface::{AttestationRegistry, LocalVerdict};
 pub use snapshot::{take_consistent_snapshot, take_instant_snapshot, SnapshotMetrics};
 pub use sut::{CheckView, ExplorableNode, ExplorationPlan, SessionHealth, SutCatalog, SutProbe};
 pub use symmark::{mark_nlri_only, mark_none, mark_update};
-#[cfg(feature = "race-audit")]
-pub use sync::race_audit;

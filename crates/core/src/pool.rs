@@ -11,11 +11,12 @@
 //! pooling cannot perturb the report. A worker validates one input at a
 //! time, so each pool holds at most one idle simulator.
 //!
-//! Pools are strictly worker-local (no sharing, no locks); hit/miss
-//! counters fold into [`CampaignReport::perf`] at the end of a campaign
-//! and are zeroed by [`CampaignReport::normalized`] — which worker's pool
-//! serves an input is schedule-dependent even though the input's result
-//! is not.
+//! Pools are strictly worker-local: a worker creates its pool when a
+//! sweep's validation phase starts and returns the counters with its
+//! results, so a sweep builds at most one simulator per worker. Hit/miss
+//! counters fold into [`CampaignReport::perf`] and are zeroed by
+//! [`CampaignReport::normalized`] — which worker's pool serves an input is
+//! schedule-dependent even though the input's result is not.
 //!
 //! [`CampaignReport::perf`]: crate::campaign::CampaignReport::perf
 //! [`CampaignReport::normalized`]: crate::campaign::CampaignReport::normalized
@@ -78,7 +79,7 @@ impl ClonePool {
 }
 
 /// Clone-pool counters: per worker while it runs, summed across workers
-/// when the executor returns.
+/// once the executor has joined them.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PoolStats {
     /// Acquisitions served by resetting a pooled simulator.

@@ -1,5 +1,4 @@
-//! The workspace item graph: functions, impls, structs, attributes and
-//! name-resolved intra-workspace call edges, built from the token stream
+//! The workspace item graph: functions, impls, structs and name-resolved intra-workspace call edges, built from the token stream
 //! of every scanned file.
 //!
 //! Resolution is heuristic by design (no rustc, no syn): a qualified call
@@ -46,10 +45,6 @@ pub(crate) struct FnItem {
     pub(crate) line: usize,
     /// Token-index span of the body braces (inclusive), if the fn has one.
     pub(crate) body: Option<(usize, usize)>,
-    /// Attributes directly on this fn: (line, raw text including `#[..]`).
-    pub(crate) attrs: Vec<(usize, String)>,
-    /// Raw texts of attributes on enclosing `mod`/`impl` containers.
-    pub(crate) container_attrs: Vec<String>,
     /// Inside a `#[cfg(test)]` module or a `tests/` tree.
     pub(crate) in_test: bool,
     pub(crate) calls: Vec<Call>,
@@ -79,35 +74,6 @@ pub(crate) struct StructItem {
     pub(crate) fields: Vec<Field>,
 }
 
-/// What an attribute is attached to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Attached {
-    Fn,
-    Struct,
-    Enum,
-    Mod,
-    Impl,
-    /// A struct/enum field.
-    Field,
-    /// A statement (or expression) inside a fn body.
-    Stmt,
-    Other,
-}
-
-/// One `#[...]` attribute group.
-#[derive(Debug)]
-pub(crate) struct AttrRec {
-    pub(crate) file: usize,
-    /// 1-based line of the `#`.
-    pub(crate) line: usize,
-    /// Raw source text of the group, including delimiters — recovered
-    /// from the unblanked lines so `feature = "race-audit"` is readable.
-    pub(crate) text: String,
-    pub(crate) attached: Attached,
-    /// Enclosing fn (index into [`ItemGraph::fns`]) for `Stmt` attrs.
-    pub(crate) enclosing_fn: Option<usize>,
-}
-
 /// Tokenized file, retained so rules can re-walk bodies.
 pub(crate) struct FileToks {
     pub(crate) path: String,
@@ -119,7 +85,6 @@ pub(crate) struct ItemGraph {
     pub(crate) files: Vec<FileToks>,
     pub(crate) fns: Vec<FnItem>,
     pub(crate) structs: Vec<StructItem>,
-    pub(crate) attrs: Vec<AttrRec>,
 }
 
 /// Words that look like `ident (` but are never calls.
@@ -131,7 +96,6 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 struct RawAttr {
     /// Token span of `#` .. matching `]`, inclusive.
     span: (usize, usize),
-    line: usize,
     text: String,
 }
 
@@ -142,8 +106,8 @@ struct Head {
     /// Token index of the keyword.
     at: usize,
     line: usize,
-    /// Attr groups directly above: (line, text).
-    attrs: Vec<(usize, String)>,
+    /// Texts of the attr groups directly above.
+    attrs: Vec<String>,
     /// Body token span (inclusive braces), if any.
     body: Option<(usize, usize)>,
 }
@@ -165,7 +129,6 @@ impl ItemGraph {
             files: Vec::with_capacity(prepared.len()),
             fns: Vec::new(),
             structs: Vec::new(),
-            attrs: Vec::new(),
         };
         for p in prepared {
             build_file(p, &mut graph);
@@ -342,7 +305,6 @@ fn build_file(p: &Prepared, graph: &mut ItemGraph) {
                     if let Some(close) = match_bracket(&toks, j, '[', ']') {
                         attrs.push(RawAttr {
                             span: (i, close),
-                            line: toks[i].line,
                             text: raw_span_text(&p.raw, &toks, (i, close)),
                         });
                         i = close + 1;
@@ -395,7 +357,7 @@ fn build_file(p: &Prepared, graph: &mut ItemGraph) {
                 continue;
             };
             // Directly-preceding attribute groups (contiguous above).
-            let mut head_attrs: Vec<(usize, String)> = Vec::new();
+            let mut head_attrs: Vec<String> = Vec::new();
             {
                 let mut edge = i;
                 // Walk attr groups backwards while they end right before
@@ -424,7 +386,7 @@ fn build_file(p: &Prepared, graph: &mut ItemGraph) {
                     let Some(a) = attrs.iter().find(|a| a.span.1 + 1 == k) else {
                         break;
                     };
-                    head_attrs.push((a.line, a.text.clone()));
+                    head_attrs.push(a.text.clone());
                     edge = a.span.0;
                 }
                 head_attrs.reverse();
@@ -486,23 +448,16 @@ fn build_file(p: &Prepared, graph: &mut ItemGraph) {
             HeadKind::Fn => {
                 let impls = containers_of(h.at, &[HeadKind::Impl, HeadKind::Trait]);
                 let impl_of = impls.last().map(|c| c.name.clone());
-                let mods = containers_of(h.at, &[HeadKind::Mod, HeadKind::Impl]);
-                let container_attrs: Vec<String> = mods
-                    .iter()
-                    .flat_map(|m| m.attrs.iter().map(|(_, t)| t.clone()))
-                    .collect();
                 let in_test = file_is_test
                     || containers_of(h.at, &[HeadKind::Mod])
                         .iter()
-                        .any(|m| m.attrs.iter().any(|(_, t)| t.contains("cfg(test")));
+                        .any(|m| m.attrs.iter().any(|t| t.contains("cfg(test")));
                 graph.fns.push(FnItem {
                     file: file_idx,
                     name: h.name.clone(),
                     impl_of,
                     line: h.line,
                     body: h.body,
-                    attrs: h.attrs.clone(),
-                    container_attrs,
                     in_test,
                     calls: Vec::new(),
                     callees: Vec::new(),
@@ -512,8 +467,8 @@ fn build_file(p: &Prepared, graph: &mut ItemGraph) {
                 let derives = h
                     .attrs
                     .iter()
-                    .filter(|(_, t)| t.contains("derive("))
-                    .flat_map(|(_, t)| {
+                    .filter(|t| t.contains("derive("))
+                    .flat_map(|t| {
                         t.split(|c: char| !(c.is_alphanumeric() || c == '_'))
                             .filter(|w| !w.is_empty())
                             .map(str::to_string)
@@ -579,84 +534,6 @@ fn build_file(p: &Prepared, graph: &mut ItemGraph) {
             }
             _ => {}
         }
-    }
-
-    // Attribute records with attachment kinds.
-    for a in &attrs {
-        let after = a.span.1 + 1;
-        // Skip over stacked attrs / visibility to the item keyword.
-        let mut j = after;
-        while j < toks.len() {
-            if in_attr(j) {
-                j += 1;
-                continue;
-            }
-            let t = &toks[j];
-            if t.kind == TokKind::Ident
-                && matches!(
-                    t.text.as_str(),
-                    "pub" | "unsafe" | "const" | "async" | "extern" | "default" | "crate" | "super"
-                )
-            {
-                j += 1;
-                continue;
-            }
-            if t.is_punct('(') || t.is_punct(')') {
-                j += 1;
-                continue;
-            }
-            break;
-        }
-        let attached = match toks.get(j) {
-            Some(t) if t.is_ident("fn") => Attached::Fn,
-            Some(t) if t.is_ident("struct") => Attached::Struct,
-            Some(t) if t.is_ident("enum") => Attached::Enum,
-            Some(t) if t.is_ident("mod") => Attached::Mod,
-            Some(t) if t.is_ident("impl") => Attached::Impl,
-            Some(t) if t.is_ident("use") || t.is_ident("type") || t.is_ident("static") => {
-                Attached::Other
-            }
-            Some(t)
-                if t.kind == TokKind::Ident
-                    && toks.get(j + 1).is_some_and(|n| n.is_punct(':'))
-                    && heads.iter().any(|h| {
-                        matches!(h.kind, HeadKind::Struct | HeadKind::Enum)
-                            && h.body.is_some_and(|(x, y)| x < j && j <= y)
-                    }) =>
-            {
-                Attached::Field
-            }
-            Some(_) => {
-                let inside_fn = heads.iter().any(|h| {
-                    h.kind == HeadKind::Fn && h.body.is_some_and(|(x, y)| x < j && j <= y)
-                });
-                if inside_fn {
-                    Attached::Stmt
-                } else {
-                    Attached::Other
-                }
-            }
-            None => Attached::Other,
-        };
-        // Resolve the enclosing fn index for statement attrs.
-        let enclosing_fn = if attached == Attached::Stmt {
-            let mut best: Option<usize> = None;
-            for (fi, h) in heads.iter().filter(|h| h.kind == HeadKind::Fn).enumerate() {
-                if h.body.is_some_and(|(x, y)| x < a.span.0 && a.span.0 <= y) {
-                    best = Some(fn_base + fi);
-                }
-            }
-            best
-        } else {
-            None
-        };
-        graph.attrs.push(AttrRec {
-            file: file_idx,
-            line: a.line,
-            text: a.text.clone(),
-            attached,
-            enclosing_fn,
-        });
     }
 
     // Call extraction per fn, skipping nested fn bodies and attr spans.
@@ -896,34 +773,6 @@ mod tests {
         assert!(probe.in_test);
         let caller = g.find_fn("a.rs", "caller").unwrap();
         assert_eq!(g.reachable(&[caller]).len(), 1, "test fn must not resolve");
-    }
-
-    #[test]
-    fn attr_text_preserves_string_literals() {
-        let g = graph_of(&[(
-            "crates/core/src/a.rs",
-            "#[cfg(feature = \"race-audit\")]\nfn gated() {}\n",
-        )]);
-        let a = g.attrs.iter().find(|a| a.attached == Attached::Fn).unwrap();
-        assert!(a.text.contains("feature = \"race-audit\""), "{}", a.text);
-        assert_eq!(g.fns[0].attrs.len(), 1);
-        assert!(g.fns[0].attrs[0].1.contains("race-audit"));
-    }
-
-    #[test]
-    fn statement_attrs_know_their_fn() {
-        let g = graph_of(&[(
-            "crates/core/src/a.rs",
-            "fn f(name: &str) {\n    #[cfg(feature = \"race-audit\")]\n    on_acquire(name);\n    #[cfg(not(feature = \"race-audit\"))]\n    let _ = name;\n}\n",
-        )]);
-        let stmts: Vec<&AttrRec> = g
-            .attrs
-            .iter()
-            .filter(|a| a.attached == Attached::Stmt)
-            .collect();
-        assert_eq!(stmts.len(), 2, "{:?}", g.attrs);
-        assert_eq!(stmts[0].enclosing_fn, Some(0));
-        assert_eq!(stmts[1].enclosing_fn, Some(0));
     }
 
     #[test]

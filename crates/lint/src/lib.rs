@@ -1,9 +1,9 @@
 //! # dice-lint — workspace invariant checker
 //!
-//! PRs 2–5 established three load-bearing conventions that deterministic
-//! replay rests on: the SUT downcast seam (one adapter module per
-//! protocol), byte-identical `CampaignReport::normalized()` at any
-//! `pair_workers`, and poison-tolerant executor locks. This crate turns
+//! Deterministic replay rests on three load-bearing conventions: the SUT
+//! downcast seam (one adapter module per protocol), byte-identical
+//! `CampaignReport::normalized()` at any `pair_workers`, and an executor
+//! whose workers share nothing mutable. This crate turns
 //! those conventions into machine-checked rules: a std-only, line/token
 //! level scanner over the workspace's Rust sources (no rustc plugin — the
 //! build container is offline), runnable both as a binary
@@ -13,19 +13,18 @@
 //! ## Rules
 //!
 //! Line/token rules match the blanked code view directly; the semantic
-//! rules (`panic-freedom`, `alloc-hot-path`, `cfg-pairing`,
-//! `schema-drift`) query the workspace item graph (the `graph` module)
-//! built from a spanned token stream (`lexer`) over that same view.
+//! rules (`panic-freedom`, `alloc-hot-path`, `schema-drift`) query the
+//! workspace item graph (the `graph` module) built from a spanned token
+//! stream (`lexer`) over that same view.
 //!
 //! | id | invariant |
 //! |---|---|
 //! | `seam-containment` | `downcast_ref::<BgpRouter>` only in `core/src/bgp_sut.rs`; `GossipNode` downcasts only in `gossip_sut.rs` |
 //! | `determinism-zone` | no `Instant::now` / `SystemTime` / ambient RNG in report-affecting code without an annotation |
 //! | `unordered-iter` | no `HashMap`/`HashSet` iteration feeding serialized reports or coverage unions |
-//! | `lock-hygiene` | no bare `.lock().unwrap()` in `dice-core` — route through the poison-tolerant helper |
+//! | `lock-hygiene` | non-test `crates/core/src` names no `Mutex` / `RwLock` / `Condvar` — workers hand results back through their join handles |
 //! | `panic-freedom` | no `unwrap`/`expect`/`panic!`/identifier slice-index in fns reachable from the round hot loop or the solve path |
 //! | `alloc-hot-path` | no fresh allocations (`Vec::new`, `format!`, `.clone()`, …) inside the pooled validation paths and the BGP speaker's UPDATE fan-out |
-//! | `cfg-pairing` | every `race-audit`-gated fn/statement has a feature-off counterpart |
 //! | `schema-drift` | every wall-clock field of a `Serialize` struct reachable from `CampaignReport` is zeroed by `normalized()` |
 //! | `unresolved-root` | workspace scans only: every fn or struct a semantic rule anchors on (`panic-freedom` roots, `alloc-hot-path` pooled fns, `schema-drift`'s `CampaignReport`) is found where its root table says, if its crate is in the scan |
 //! | `allow-syntax` | escape-hatch annotations must name a known rule and give a reason |
@@ -67,7 +66,6 @@ pub const RULES: &[&str] = &[
     "lock-hygiene",
     "panic-freedom",
     "alloc-hot-path",
-    "cfg-pairing",
     "schema-drift",
     "unresolved-root",
     "allow-syntax",

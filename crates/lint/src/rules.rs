@@ -3,11 +3,10 @@
 //! rules match against the blanked code view, so doc prose and quoted
 //! strings never fire them, and scope themselves by workspace-relative
 //! path prefix. The semantic rules (`panic-freedom`, `alloc-hot-path`,
-//! `cfg-pairing`, `schema-drift`) query the [`ItemGraph`] instead:
-//! reachability over name-resolved call edges, attribute attachment,
-//! and struct-reference walks.
+//! `schema-drift`) query the [`ItemGraph`] instead: reachability over
+//! name-resolved call edges and struct-reference walks.
 
-use crate::graph::{Attached, ItemGraph};
+use crate::graph::ItemGraph;
 use crate::lexer::TokKind;
 use crate::{Prepared, RawFinding};
 
@@ -24,7 +23,6 @@ pub(crate) fn run_all(files: &[Prepared], graph: &ItemGraph, workspace: bool) ->
     }
     panic_freedom(graph, &mut out);
     alloc_hot_path(graph, &mut out);
-    cfg_pairing(graph, &mut out);
     schema_drift(files, graph, &mut out);
     if workspace {
         unresolved_roots(files, graph, &mut out);
@@ -216,40 +214,35 @@ fn unordered_iter(f: &Prepared, out: &mut Vec<RawFinding>) {
     }
 }
 
-/// R4 — lock hygiene (contract from PR 4): `dice-core` locks must be
-/// poison-tolerant. A panicking worker must surface *its own* message, not
-/// a secondary "poisoned mutex" panic from a survivor — so every
-/// acquisition routes through `crate::sync::lock_unpoisoned`.
+/// R4 — lock hygiene: `dice-core` holds no lock. A sweep's explorations and
+/// validated inputs are pure functions of `(shadow, cfg)`; the executor
+/// schedules them with two claim counters, a `OnceLock` per round and one
+/// barrier, and workers hand results back through their join handles. A
+/// `Mutex`, `RwLock` or `Condvar` in non-test code would bring with it an
+/// acquisition order, poisoning that can mask a worker's own panic, and a
+/// schedule the report could come to depend on.
 fn lock_hygiene(f: &Prepared, out: &mut Vec<RawFinding>) {
     if !in_core(&f.path) {
         return;
     }
-    let stripped: Vec<String> = f
-        .code
-        .iter()
-        .map(|l| l.chars().filter(|c| !c.is_whitespace()).collect())
-        .collect();
-    const PATTERNS: &[&str] = &[".lock().unwrap()", ".try_lock().unwrap()"];
-    for idx in 0..stripped.len() {
-        for pat in PATTERNS {
-            let on_this = stripped[idx].contains(pat);
-            // Also catch the rustfmt-split form spanning two lines.
-            let spans_next = !on_this
-                && idx + 1 < stripped.len()
-                && format!("{}{}", stripped[idx], stripped[idx + 1]).contains(pat)
-                && stripped[idx].contains(".lock(")
-                && !stripped[idx + 1].contains(pat);
-            if on_this || spans_next {
-                out.push(RawFinding {
-                    rule: "lock-hygiene",
-                    path: f.path.clone(),
-                    line: idx + 1,
-                    message: format!(
-                        "bare `{pat}` in dice-core — use crate::sync::lock_unpoisoned (poison-tolerant, race-audit instrumented)"
-                    ),
-                    fn_line: None,
-                });
-            }
+    const LOCKS: &[&str] = &["Mutex", "RwLock", "Condvar"];
+    // dice-core keeps its unit tests in one `#[cfg(test)]` module at the
+    // foot of each file; the rule covers what comes before it.
+    let non_test = f.code.iter().take_while(|l| !l.contains("#[cfg(test)]"));
+    for (idx, line) in non_test.enumerate() {
+        let named = line
+            .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .find(|word| LOCKS.contains(word));
+        if let Some(lock) = named {
+            out.push(RawFinding {
+                rule: "lock-hygiene",
+                path: f.path.clone(),
+                line: idx + 1,
+                message: format!(
+                    "`{lock}` in dice-core — the executor shares nothing mutable between workers; return the data through the worker's join handle (or publish it once, before the barrier) instead of locking it"
+                ),
+                fn_line: None,
+            });
         }
     }
 }
@@ -387,8 +380,7 @@ fn panic_freedom(graph: &ItemGraph, out: &mut Vec<RawFinding>) {
 /// not unique in the file)`. Direct bodies only: these are the per-unit
 /// inner loops; their callees allocate behind the clone pool by design.
 const POOLED_FNS: &[(&str, &str, Option<&str>)] = &[
-    ("core/src/executor.rs", "run_val_unit", None),
-    ("core/src/executor.rs", "steal_val_unit", None),
+    ("core/src/executor.rs", "validate_unit", None),
     ("core/src/explorer.rs", "validate_one", None),
     ("core/src/pool.rs", "acquire", None),
     ("core/src/pool.rs", "release", None),
@@ -562,88 +554,6 @@ fn unresolved_roots(files: &[Prepared], graph: &ItemGraph, out: &mut Vec<RawFind
             message: "`schema-drift` root `CampaignReport` (a Serialize struct in dice-core) was not found — the rule is off".into(),
             fn_line: None,
         });
-    }
-}
-
-/// R7 — cfg pairing (contract from PR 6's race-audit layer): a
-/// `#[cfg(feature = "race-audit")]`-gated fn or statement must have a
-/// feature-off counterpart in the same scope, otherwise the default
-/// build silently loses behavior (feature rot that no offline build
-/// catches). Structural carriers — gated fields, impls, mods, uses —
-/// are exempt: they simply vanish feature-off, and any code referencing
-/// them is itself gated and checked here.
-fn cfg_pairing(graph: &ItemGraph, out: &mut Vec<RawFinding>) {
-    let is_positive_audit = |text: &str| {
-        text.contains("feature = \"race-audit\"")
-            && !text.contains("not(")
-            && !text.contains("not (")
-    };
-    let is_negative_audit = |text: &str| {
-        text.contains("race-audit") && (text.contains("not(") || text.contains("not ("))
-    };
-    for a in &graph.attrs {
-        if !is_positive_audit(&a.text) {
-            continue;
-        }
-        let path = &graph.files[a.file].path;
-        if path.starts_with("tests/") || path.contains("/tests/") || path.starts_with("examples/") {
-            continue; // test-tree code is additive coverage, not behavior
-        }
-        match a.attached {
-            Attached::Fn => {
-                let Some(f) = graph
-                    .fns
-                    .iter()
-                    .find(|f| f.file == a.file && f.attrs.iter().any(|(l, _)| *l == a.line))
-                else {
-                    continue;
-                };
-                if f.in_test || f.container_attrs.iter().any(|t| t.contains("race-audit")) {
-                    continue;
-                }
-                let paired = graph.fns.iter().any(|g| {
-                    g.file == a.file
-                        && g.name == f.name
-                        && g.attrs.iter().any(|(_, t)| is_negative_audit(t))
-                });
-                if !paired {
-                    out.push(RawFinding {
-                        rule: "cfg-pairing",
-                        path: path.clone(),
-                        line: a.line,
-                        message: format!(
-                            "race-audit-gated fn `{}` has no `#[cfg(not(feature = ...))]` counterpart — the default build loses it silently",
-                            f.name
-                        ),
-                        fn_line: None,
-                    });
-                }
-            }
-            Attached::Stmt => {
-                let paired = graph.attrs.iter().any(|b| {
-                    b.file == a.file
-                        && b.attached == Attached::Stmt
-                        && b.enclosing_fn == a.enclosing_fn
-                        && is_negative_audit(&b.text)
-                });
-                if !paired {
-                    let fn_name = a
-                        .enclosing_fn
-                        .map(|fi| graph.fns[fi].name.clone())
-                        .unwrap_or_else(|| "?".into());
-                    out.push(RawFinding {
-                        rule: "cfg-pairing",
-                        path: path.clone(),
-                        line: a.line,
-                        message: format!(
-                            "race-audit-gated statement in `{fn_name}` has no `#[cfg(not(feature = ...))]` sibling — unused-binding or behavior drift feature-off"
-                        ),
-                        fn_line: None,
-                    });
-                }
-            }
-            _ => {}
-        }
     }
 }
 
@@ -948,8 +858,8 @@ mod tests {
 
     #[test]
     fn alloc_hot_path_guards_the_pooled_fns_only() {
-        let src = "impl Shared {\n\
-                   fn run_val_unit(&self) { let v: Vec<u8> = Vec::new(); drop(v); }\n\
+        let src = "impl Sweep {\n\
+                   fn validate_unit(&self) { let v: Vec<u8> = Vec::new(); drop(v); }\n\
                    fn elsewhere(&self) { let v: Vec<u8> = Vec::new(); drop(v); }\n\
                    }\n";
         let report = crate::scan_files(&[SourceFile {
@@ -1058,27 +968,5 @@ mod tests {
         }]);
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         assert_eq!(report.violations[0].line, 6, "the clone-first evaluator");
-    }
-
-    #[test]
-    fn cfg_pairing_requires_a_feature_off_sibling() {
-        let gated_only = "#[cfg(feature = \"race-audit\")]\n\
-                          pub fn audit_hook() {}\n";
-        let got = rules_of("crates/core/src/sync.rs", gated_only);
-        assert_eq!(got, vec!["cfg-pairing"]);
-
-        let paired = "#[cfg(feature = \"race-audit\")]\n\
-                      pub fn audit_hook() {}\n\
-                      #[cfg(not(feature = \"race-audit\"))]\n\
-                      pub fn audit_hook() {}\n";
-        assert!(rules_of("crates/core/src/sync.rs", paired).is_empty());
-
-        let stmt_pair = "pub fn f(name: &str) {\n\
-                         #[cfg(feature = \"race-audit\")]\n\
-                         on_acquire(name);\n\
-                         #[cfg(not(feature = \"race-audit\"))]\n\
-                         let _ = name;\n\
-                         }\n";
-        assert!(rules_of("crates/core/src/sync.rs", stmt_pair).is_empty());
     }
 }

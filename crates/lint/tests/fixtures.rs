@@ -89,14 +89,15 @@ fn unordered_iter_fires_on_hashmap_iteration() {
 }
 
 #[test]
-fn lock_hygiene_fires_on_bare_unwrap() {
+fn lock_hygiene_fires_on_a_lock_outside_the_test_module() {
+    // `OnceLock` is not a lock, and the test module may use what it likes.
     let report = scan_one(
         "crates/core/src/executor.rs",
         include_str!("fixtures/lock.fixture"),
     );
     assert_eq!(
         report.violations.iter().map(triple).collect::<Vec<_>>(),
-        vec![("lock-hygiene", "crates/core/src/executor.rs", 3)]
+        vec![("lock-hygiene", "crates/core/src/executor.rs", 4)]
     );
 }
 
@@ -204,23 +205,6 @@ fn alloc_hot_path_fires_on_the_checker_battery_and_the_touched_reset() {
             ("alloc-hot-path", "crates/netsim/src/sim/clone.rs", 13),
             ("alloc-hot-path", "crates/netsim/src/sim/clone.rs", 14),
         ]
-    );
-}
-
-#[test]
-fn cfg_pairing_fires_on_unpaired_gated_fn() {
-    let report = scan_one(
-        "crates/core/src/sync.rs",
-        include_str!("fixtures/cfg_pairing.fixture"),
-    );
-    assert_eq!(
-        report.violations.iter().map(triple).collect::<Vec<_>>(),
-        vec![("cfg-pairing", "crates/core/src/sync.rs", 3)]
-    );
-    assert!(
-        report.violations[0].message.contains("on_acquire"),
-        "{}",
-        report.violations[0].message
     );
 }
 

@@ -6,10 +6,12 @@
 //! ```
 //!
 //! A `Campaign` discovers every eligible `(explorer, inject peer)` pair
-//! through the SUT catalog, snapshots once per explorer, fans validation
-//! out over a worker pool, and aggregates everything into one
-//! serializable report: fault union, per-class detection latency, and
-//! branch-coverage union — globally and per explorer.
+//! through the SUT catalog, snapshots once per explorer, explores the
+//! sweep's rounds, validates their candidates across the worker threads,
+//! and aggregates everything into one serializable report: fault union,
+//! per-class detection latency (campaign clock when the detecting round's
+//! last validated input finished), and branch-coverage union — globally
+//! and per explorer.
 
 use dice_system::dice::{scenarios, Campaign};
 use dice_system::netsim::{NodeId, SimDuration, SimTime};
@@ -56,7 +58,7 @@ fn main() {
     }
     for d in &report.detection {
         println!(
-            "first {} detection: round {} ({} via {}), input #{}, {}ms into the campaign",
+            "first {} detection: round {} ({} via {}), input #{}; that round's last input was validated {}ms into the campaign",
             d.class, d.round, d.explorer, d.inject_peer, d.input_ordinal, d.wall_ms_cum
         );
     }

@@ -3,7 +3,7 @@
 //! This is the same scan `cargo run -p dice-lint` performs in CI, run as
 //! a test so the invariants (seam containment, determinism zone,
 //! unordered iteration, lock hygiene, panic freedom, hot-path
-//! allocations, cfg pairing, schema drift) break the build the moment a
+//! allocations, schema drift) break the build the moment a
 //! PR violates one without a justified allow annotation.
 
 use std::path::Path;

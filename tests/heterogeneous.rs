@@ -23,6 +23,8 @@ use dice_system::netsim::{
 struct MonitorNode {
     peers: Vec<NodeId>,
     bytes_seen: u64,
+    /// Test hook: the exploration twin panics instead of running.
+    twin_panics: bool,
 }
 
 const MAGIC_CRASH_OPCODE: u8 = 0x99;
@@ -76,7 +78,11 @@ impl ExplorableNode for MonitorNode {
             return Err("peer not monitored".into());
         }
         // Twin of on_message: branch on the magic opcode.
-        let program = |ctx: &mut ConcolicCtx| -> RunStatus {
+        let twin_panics = self.twin_panics;
+        let program = move |ctx: &mut ConcolicCtx| -> RunStatus {
+            if twin_panics {
+                panic!("twin boom: the explorer's own failure");
+            }
             if !ctx.in_bounds(0) {
                 return RunStatus::Rejected("empty".into());
             }
@@ -124,7 +130,7 @@ fn mixed_system(seed: u64) -> Simulator {
         NodeId(2),
         Box::new(MonitorNode {
             peers: vec![NodeId(1)],
-            bytes_seen: 0,
+            ..MonitorNode::default()
         }),
     );
     sim.start();
@@ -332,7 +338,7 @@ fn three_kind_system(seed: u64) -> Simulator {
         NodeId(5),
         Box::new(MonitorNode {
             peers: vec![NodeId(3)],
-            bytes_seen: 0,
+            ..MonitorNode::default()
         }),
     );
     sim.start();
@@ -340,13 +346,23 @@ fn three_kind_system(seed: u64) -> Simulator {
 }
 
 fn three_kind_campaign(seed: u64, pair_workers: usize) -> dice_system::dice::CampaignReport {
+    three_kind_campaign_at(seed, pair_workers, 2, false)
+}
+
+fn three_kind_campaign_at(
+    seed: u64,
+    pair_workers: usize,
+    workers: usize,
+    unreliable_links: bool,
+) -> dice_system::dice::CampaignReport {
     let mut sim = three_kind_system(seed);
     sim.run_until(SimTime::from_nanos(12_000_000_000));
     Campaign::with_catalog(&sim, mixed_catalog())
         .validate_top(5)
         .horizon(SimDuration::from_secs(30))
-        .workers(2)
+        .workers(workers)
         .pair_workers(pair_workers)
+        .unreliable_links(unreliable_links)
         .run(&mut sim)
         .expect("three-kind campaign runs")
 }
@@ -410,47 +426,86 @@ fn three_kind_campaign_detects_seeded_gossip_bug_via_gossip_explorer() {
 
 #[test]
 fn three_kind_reports_are_byte_identical_across_pair_workers() {
-    let runs: Vec<String> = [1usize, 4]
-        .iter()
-        .map(|&k| {
-            let report = three_kind_campaign(43, k);
+    // The schedule-identity table: threads exploring x threads validating,
+    // including more validators than explorers (3, 5) and the reverse
+    // (4, 2), on reliable and on lossy clones. Which worker ran a unit, and
+    // when, may show only in the fields `normalized()` zeroes.
+    const SCHEDULES: [(usize, usize); 5] = [(1, 1), (1, 4), (2, 2), (4, 2), (3, 5)];
+    for unreliable_links in [false, true] {
+        let mut reference: Option<String> = None;
+        for (pair_workers, workers) in SCHEDULES {
+            let at = format!("(pair_workers, workers) = ({pair_workers}, {workers}), unreliable_links = {unreliable_links}");
+            let report = three_kind_campaign_at(43, pair_workers, workers, unreliable_links);
             assert!(
                 report
                     .faults
                     .iter()
                     .any(|f| f.detail.contains("digest count overflow")),
-                "gossip bug found at pair_workers={k}"
+                "gossip bug found at {at}"
             );
-            serde_json::to_string(&report.normalized()).unwrap()
-        })
-        .collect();
-    assert_eq!(
-        runs[0], runs[1],
-        "normalized three-kind reports must match at pair_workers 1 and 4"
-    );
+            // One clone checkout per validated input; a worker builds at
+            // most one simulator per sweep (this campaign is one sweep).
+            let perf = &report.perf;
+            assert_eq!(
+                (perf.pool_hits + perf.pool_misses) as usize,
+                report.validated_total,
+                "one pool acquisition per validated input at {at}"
+            );
+            assert!(
+                perf.pool_misses as usize <= pair_workers.max(workers),
+                "{} fresh clones at {at}",
+                perf.pool_misses
+            );
+            let json = serde_json::to_string(&report.normalized()).unwrap();
+            match &reference {
+                None => reference = Some(json),
+                Some(first) => assert_eq!(
+                    first, &json,
+                    "normalized three-kind report at {at} differs from {:?}",
+                    SCHEDULES[0]
+                ),
+            }
+        }
+    }
+}
+
+/// Run `f` on a thread of its own and fail if it has not returned within
+/// a minute — a deadlocked executor must fail the test, not hang it.
+fn under_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(std::time::Duration::from_secs(60))
+        .expect("watchdog: the campaign neither returned nor panicked within 60 s")
 }
 
 #[test]
-fn campaign_survives_a_poisoned_executor_lock_byte_identically() {
-    // End-to-end poison recovery: arm the executor's test-only fault so
-    // the open-batches mutex is poisoned before any worker starts, then
-    // run the full three-kind federation campaign. Every lock access goes
-    // through lock_unpoisoned, so the campaign must neither panic nor
-    // drift — the normalized report is byte-identical to a pristine run.
-    let pristine = three_kind_campaign(43, 2);
-    dice_system::dice::executor_test_support::poison_next_run();
-    let poisoned = three_kind_campaign(43, 2);
+fn exploration_panic_surfaces_its_own_message() {
+    // The monitor's twin panics while a worker explores it, i.e. before
+    // the executor's barrier, with a second explorer and a validate-only
+    // worker due at the same barrier. The unwinding worker must still
+    // arrive there (or the other two wait forever), and `Campaign::run`
+    // must re-raise *that* panic, not the scope join's generic one.
+    let payload = under_watchdog(|| {
+        let mut sim = mixed_system(35);
+        sim.run_until(SimTime::from_nanos(10_000_000_000));
+        sim.node_mut(NodeId(2))
+            .as_any_mut()
+            .downcast_mut::<MonitorNode>()
+            .expect("node 2 is the monitor")
+            .twin_panics = true;
+        let campaign = Campaign::with_catalog(&sim, mixed_catalog())
+            .executions(16)
+            .validate_top(3)
+            .horizon(SimDuration::from_secs(30))
+            .pair_workers(2)
+            .workers(3);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| campaign.run(&mut sim)))
+            .expect_err("the twin's panic must propagate")
+    });
+    let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
     assert!(
-        poisoned
-            .faults
-            .iter()
-            .any(|f| f.detail.contains("digest count overflow")),
-        "gossip bug still found under a poisoned lock"
-    );
-    assert_eq!(
-        serde_json::to_string(&pristine.normalized()).unwrap(),
-        serde_json::to_string(&poisoned.normalized()).unwrap(),
-        "poison recovery must not perturb the normalized report"
+        msg.contains("twin boom: the explorer's own failure"),
+        "the twin's own panic must surface, got: {msg}"
     );
 }
 
