@@ -3,8 +3,9 @@
 //! multi-byte prefix masks), plus the budget ablation from DESIGN.md §6.4,
 //! plus `path_flips`: every negation query of one real handler-twin path,
 //! answered from scratch per flip (the reference) and in one `PathSolver`
-//! pass (what `explore` runs); `word_flip`: one flip that asks for an
-//! exact 16- / 32-bit word, with the search steps each solver spends on it;
+//! pass (what `explore` runs); `word_flip`: one flip over a 16- / 32-bit
+//! word — an exact value, a bound, an OR of equalities either way — with
+//! the search steps each solver spends on it;
 //! and `unary_sweep`: the 256-value truth table of the twin path's
 //! single-byte constraints, by 256 recursive walks and in one lane pass.
 
@@ -13,7 +14,7 @@ use dice_bench::wire_workload::{bgp_update, gossip_digest};
 use dice_bgp::{Asn, RouterConfig, RouterId};
 use dice_concolic::{
     negation_query, BinOp, CmpOp, ConcolicCtx, ConcolicProgram, Constraint, ExprArena, ExprId,
-    LaneScratch, PathSolver, SiteId, Solver, SolverBudget, SymInput,
+    LaneScratch, PathSolver, SiteId, Solver, SolverBudget, SymBool, SymInput,
 };
 use dice_core::gossip_sut::mark_gossip;
 use dice_core::{mark_update, SymbolicGossipHandler, SymbolicUpdateHandler};
@@ -208,16 +209,43 @@ fn word_path(bytes: &[u8], differs_from: &[u64]) -> ConcolicCtx {
     ctx
 }
 
+/// Record `false || word(at) == k || …` over big-endian u16s of `bytes`,
+/// in the direction `bytes` takes: the twins' membership checks.
+fn any_eq_path(bytes: &[u8], words_at: &[usize], ks: &[u64]) -> ConcolicCtx {
+    let mut ctx = ConcolicCtx::new(SymInput::all_symbolic(bytes.to_vec()));
+    let mut any = SymBool::concrete(false);
+    for &at in words_at {
+        let word = ctx.read_u16_be(at);
+        for &k in ks {
+            let eq = ctx.eq_const(word, k);
+            any = ctx.bor(any, eq);
+        }
+    }
+    ctx.branch(SiteId(0), any);
+    ctx
+}
+
 fn bench_word_flips(c: &mut Criterion) {
-    // The shapes that made a BGP round's search long: a length or an
-    // address compared for equality admits one value per byte, and the
-    // search reaches it only after refuting the values before it. The
-    // broadcast case is the twin's next-hop check (`nh != 0`, then
+    // The shapes the reference walks value by value. A length or an
+    // address compared for equality admits one value per byte; the
+    // broadcast case is the BGP twin's next-hop check (`nh != 0`, then
     // `nh != 0xFFFF_FFFF`), whose flip wants the last value of every byte.
+    // `u16_gt` flips a length bound (`alen <= 300`), `or_eq_3` the loop
+    // check over a three-AS path (one AS must become ours), `not_in_16`
+    // the gossip twin's subscription check (a topic outside all sixteen).
+    let mut alen = ConcolicCtx::new(SymInput::all_symbolic(vec![1, 7]));
+    let word = alen.read_u16_be(0);
+    let fits = alen.ule_const(word, 300);
+    assert!(alen.branch(SiteId(0), fits));
+    let as_path = [0xFD, 0xE9, 0xFD, 0xEA, 0xFD, 0xEB];
+    let topics: Vec<u64> = (0..16).collect();
     let cases = [
         ("u16_eq", word_path(&[0x00, 0x13], &[0xC8E5])),
         ("u32_eq", word_path(&[10, 0, 0, 1], &[0xC0A8_64FE])),
         ("u32_ne_bcast", word_path(&[10, 0, 0, 1], &[0, 0xFFFF_FFFF])),
+        ("u16_gt", alen),
+        ("or_eq_3", any_eq_path(&as_path, &[0, 2, 4], &[0xFDF2])),
+        ("not_in_16", any_eq_path(&[0, 3], &[0], &topics)),
     ];
     let mut group = c.benchmark_group("word_flip");
     for (name, ctx) in &cases {

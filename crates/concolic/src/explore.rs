@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use serde::{Deserialize, Serialize};
 
 use crate::ctx::{BranchRec, ConcolicCtx, SymInput};
-use crate::expr::ExprArena;
+use crate::expr::{ExprArena, MixBuild};
 use crate::solve::{negation_query, Flip, PathSolver, Solver, SolverBudget, SolverStats};
 
 /// Outcome of one program execution.
@@ -226,7 +226,7 @@ pub fn explore(
     // inputs can share an identical (site, polarity) branch skeleton while
     // their negated children differ (e.g. same parse shape, different
     // attribute payloads) — skeleton-keyed dedup silently drops one of them.
-    let mut attempted: HashSet<u64> = HashSet::new();
+    let mut attempted: HashSet<u64, MixBuild> = HashSet::default();
     // Every negation query dispatched to the solver this session, keyed by
     // the canonical structural hash of its constraint set (any outcome).
     // The covered-flip guard consults this in addition to the coverage
@@ -236,14 +236,14 @@ pub fn explore(
     // actually leads somewhere new.
     // Maintained under both solvers, so the guard behaves identically in
     // both modes (the `solver_cache = false` byte-identity contract).
-    let mut dispatched: HashSet<u64> = HashSet::new();
+    let mut dispatched: HashSet<u64, MixBuild> = HashSet::default();
     let mut queue: Vec<WorkItem> = Vec::new();
     let mut seq = 0u64;
     // One arena and one set of per-path buffers serve every execution of
     // the session (cleared per execution, allocations kept).
     let mut arena = ExprArena::new();
     let mut node_hash: Vec<u64> = Vec::new();
-    let mut sites_seen: HashSet<u32> = HashSet::new();
+    let mut sites_seen: HashSet<u32, MixBuild> = HashSet::default();
 
     for seed in seeds {
         attempted.insert(input_key(seed, &BTreeMap::new()));

@@ -114,7 +114,11 @@ fn mask(bits: u8) -> u64 {
 /// synthesized, so there is no adversary to defend the table against, and
 /// interning is most of what a twin execution does.
 #[derive(Debug, Default, Clone, Copy)]
-struct MixHasher(u64);
+pub(crate) struct MixHasher(u64);
+
+/// [`MixHasher`] for a `HashMap` / `HashSet` whose keys are already mixed
+/// 64-bit hashes or small ids the session minted itself.
+pub(crate) type MixBuild = BuildHasherDefault<MixHasher>;
 
 impl MixHasher {
     fn add(&mut self, word: u64) {
@@ -154,7 +158,7 @@ impl Hasher for MixHasher {
 #[derive(Debug, Default, Clone)]
 pub struct ExprArena {
     nodes: Vec<Expr>,
-    cache: HashMap<Expr, ExprId, BuildHasherDefault<MixHasher>>,
+    cache: HashMap<Expr, ExprId, MixBuild>,
 }
 
 /// What is known of one input byte: bit `i` of `val` is meaningful iff bit
@@ -359,8 +363,8 @@ impl ExprArena {
     /// It is *monotone in information*: whatever it decides under one
     /// assignment it decides identically under every assignment that knows
     /// the same bits and more (property-tested below) — which is what lets
-    /// the solver's search discard, from one known bit, every byte value
-    /// carrying it.
+    /// the solver's search read a constraint with one byte unknown and
+    /// hold the verdict against all 256 of its values.
     pub(crate) fn eval3_bits<F: Fn(u32) -> ByteBits>(&self, id: ExprId, lookup: &F) -> Ternary {
         match self.get(id) {
             Expr::Const { bits, val } => Ternary {
@@ -488,14 +492,10 @@ impl ExprArena {
                     },
                 }
             }
-            Expr::Not(a) => {
-                let x = self.eval3_bits(a, lookup);
-                if x.known & 1 == 1 {
-                    Ternary::known_bool(x.val & 1 == 0)
-                } else {
-                    Ternary::unknown_bool()
-                }
-            }
+            Expr::Not(a) => match self.eval3_bits(a, lookup).as_bool() {
+                Some(truthy) => Ternary::known_bool(!truthy),
+                None => Ternary::unknown_bool(),
+            },
             Expr::Bool { op, a, b } => {
                 let x = self.eval3_bits(a, lookup);
                 let y = self.eval3_bits(b, lookup);
@@ -739,19 +739,16 @@ impl Ternary {
             bits: 1,
         }
     }
-    /// Truthiness, if determined.
+    /// Truthiness — non-zero-ness, as [`ExprArena::eval`] reads an operand
+    /// of `Not` / `Bool` — if determined.
     pub fn as_bool(&self) -> Option<bool> {
-        if self.known & 1 == 1 {
-            Some(self.val & 1 == 1)
-        } else {
+        if self.val & self.known != 0 {
             // A word with any known-one bit is definitely truthy.
-            if self.val & self.known != 0 {
-                Some(true)
-            } else if self.known == mask(self.bits) {
-                Some(self.val != 0)
-            } else {
-                None
-            }
+            Some(true)
+        } else if self.known == mask(self.bits) {
+            Some(false)
+        } else {
+            None
         }
     }
     /// Smallest value consistent with the known bits.
@@ -1082,16 +1079,24 @@ mod tests {
                 mixed,
                 k,
             );
+            // `Not` / `Bool` read their operands' non-zero-ness, of a word
+            // as of a comparison.
+            let negated = a.not(mixed);
+            let op = [BoolOp::And, BoolOp::Or][(rnd() % 2) as usize];
+            let joined = a.boolean(op, mixed, c);
             let b0 = rnd() % 256;
             let b1 = rnd() % 256;
             let full = |i: u32| Some(if i == 0 { b0 } else { b1 });
-            let exact = a.eval(c, &full).unwrap();
-            let t = a.eval3(c, &full);
-            assert_eq!(
-                t.as_bool(),
-                Some(exact != 0),
-                "eval3 disagrees on full assignment"
-            );
+            for e in [c, negated, joined] {
+                let exact = a.eval(e, &full).unwrap();
+                let t = a.eval3(e, &full);
+                assert_eq!(
+                    t.as_bool(),
+                    Some(exact != 0),
+                    "eval3 disagrees on full assignment: {}",
+                    a.render(e)
+                );
+            }
         }
     }
 
@@ -1117,8 +1122,9 @@ mod tests {
     /// Build well-typed expressions over input bytes 0..3 from a flat
     /// program: each step takes earlier words / booleans (indices wrap) and
     /// appends one. Operands of a binary node are zero-extended to a common
-    /// width first, as the instrumentation does. Returns every word and
-    /// every boolean built.
+    /// width first, as the instrumentation does; `Not` and the connectives
+    /// take words as well as booleans (they read non-zero-ness). Returns
+    /// every word and every boolean built.
     fn build_program(a: &mut ExprArena, steps: &[(u8, u8, u8, u64)]) -> Vec<ExprId> {
         const BIN: [BinOp; 8] = [
             BinOp::Add,
@@ -1174,13 +1180,18 @@ mod tests {
                     let c = a.constant(xb, k >> 2);
                     bools.push(a.cmp(CMP[k as usize % 4], x, c));
                 }
-                _ if bools.is_empty() => {}
-                5 => bools.push(a.not(bools[i as usize % bools.len()])),
                 kind => {
-                    let op = [BoolOp::And, BoolOp::Or][kind as usize % 2];
-                    let p = bools[i as usize % bools.len()];
-                    let q = bools[j as usize % bools.len()];
-                    bools.push(a.boolean(op, p, q));
+                    let truthy = |at: u8| {
+                        let at = at as usize % (words.len() + bools.len());
+                        words
+                            .get(at)
+                            .map_or_else(|| bools[at - words.len()], |w| w.0)
+                    };
+                    let (p, q) = (truthy(i), truthy(j));
+                    bools.push(match kind {
+                        5 => a.not(p),
+                        _ => a.boolean([BoolOp::And, BoolOp::Or][kind as usize % 2], p, q),
+                    });
                 }
             }
         }
@@ -1188,10 +1199,11 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The premise of the search's bit probe: `eval3` is monotone in
-        /// information. Whatever it decides knowing some bits of the
-        /// inputs it decides identically knowing more, and `eval` agrees
-        /// on every full completion (where `eval3` always decides).
+        /// `eval3` is monotone in information: whatever it decides
+        /// knowing some bits of the inputs it decides identically knowing
+        /// more, and `eval` agrees on every full completion (where `eval3`
+        /// always decides). The search's narrowing reads a constraint
+        /// with one byte unknown and trusts the verdict for all 256.
         #[test]
         fn eval3_is_monotone_in_bit_granular_information(
             steps in proptest::collection::vec(
@@ -1227,16 +1239,15 @@ mod tests {
                     // Full knowledge decides every bit, as `eval` does.
                     prop_assert_eq!(complete.known, mask(complete.bits), "{}", a.render(e));
                     prop_assert_eq!(Some(complete.val), exact, "{}", a.render(e));
-                    // More knowledge keeps every bit already decided and,
-                    // for a boolean (what a recorded constraint is: `branch`
-                    // takes a `SymBool`), every verdict.
+                    // More knowledge keeps every bit already decided and
+                    // every verdict on non-zero-ness.
                     for (less, more) in [(base, refined), (refined, complete)] {
                         let what = format!("{} under {views:?}", a.render(e));
                         prop_assert_eq!(less.val & !less.known, 0, "{}", what);
                         prop_assert_eq!(less.known & !more.known, 0, "{}", what);
                         prop_assert_eq!((less.val ^ more.val) & less.known, 0, "{}", what);
                         let kept = less.as_bool().is_none_or(|v| more.as_bool() == Some(v));
-                        prop_assert!(less.bits != 1 || kept, "{}", what);
+                        prop_assert!(kept, "{}", what);
                     }
                 }
             }

@@ -87,22 +87,23 @@ impl ByteSet {
         self.iter().next()
     }
 
-    /// The values whose bit `bit` (0..8) is set.
-    pub(super) fn with_bit(bit: u8) -> ByteSet {
-        /// Bit `b` of a word's position index, for the six bits a word spans.
-        const IN_WORD: [u64; 6] = [
-            0xAAAA_AAAA_AAAA_AAAA,
-            0xCCCC_CCCC_CCCC_CCCC,
-            0xF0F0_F0F0_F0F0_F0F0,
-            0xFF00_FF00_FF00_FF00,
-            0xFFFF_0000_FFFF_0000,
-            0xFFFF_FFFF_0000_0000,
-        ];
-        let words = match IN_WORD.get(bit as usize) {
-            Some(&pattern) => [pattern; 4],
-            None if bit == 6 => [0, u64::MAX, 0, u64::MAX],
-            None => [0, 0, u64::MAX, u64::MAX],
-        };
+    /// Set union.
+    // dice-lint: allow(panic-freedom): the 0..4 loop stays inside the fixed [u64; 4] word array
+    pub(super) fn union(&mut self, other: &ByteSet) {
+        for i in 0..4 {
+            self.words[i] |= other.words[i];
+        }
+    }
+
+    /// The values `lo..=hi` (none when `lo > hi`).
+    pub(super) fn range(lo: u8, hi: u8) -> ByteSet {
+        let mut words = [0u64; 4];
+        for (word, base) in words.iter_mut().zip([0u32, 64, 128, 192]) {
+            let (from, to) = ((lo as u32).max(base), (hi as u32).min(base + 63));
+            if from <= to {
+                *word = u64::MAX >> (63 - (to - from)) << (from - base);
+            }
+        }
         ByteSet { words }
     }
 
@@ -161,10 +162,22 @@ mod tests {
     }
 
     #[test]
-    fn with_bit_agrees_with_membership() {
-        for bit in 0..8u8 {
-            let ones = ByteSet::with_bit(bit);
-            assert!((0..=u8::MAX).all(|v| ones.contains(v) == (v >> bit & 1 == 1)));
+    fn range_and_union_agree_with_membership() {
+        for (lo, hi) in [
+            (0u8, 255u8),
+            (0, 0),
+            (255, 255),
+            (63, 64),
+            (1, 200),
+            (130, 191),
+            (9, 3),
+        ] {
+            let set = ByteSet::range(lo, hi);
+            assert!((0..=u8::MAX).all(|v| set.contains(v) == (lo..=hi).contains(&v)));
         }
+        let mut either = ByteSet::range(3, 70);
+        either.union(&ByteSet::range(200, 201));
+        assert_eq!(either.len(), 68 + 2);
+        assert!(either.contains(70) && either.contains(200) && !either.contains(71));
     }
 }

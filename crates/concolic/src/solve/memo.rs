@@ -3,7 +3,7 @@
 use super::ByteSet;
 #[cfg(doc)]
 use super::PathSolver;
-use crate::expr::{ExprArena, ExprId, LaneScratch};
+use crate::expr::{ExprArena, ExprId, LaneScratch, MixBuild};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -21,7 +21,7 @@ use std::collections::HashMap;
 /// change any solve outcome.
 #[derive(Debug, Default)]
 pub struct UnaryMemo {
-    map: HashMap<u64, MemoEntry>,
+    map: HashMap<u64, MemoEntry, MixBuild>,
     /// Entries served from the memo (vars + unary set count as one hit).
     pub hits: u64,
     /// What a miss computes in.

@@ -79,9 +79,9 @@ pub struct SolverStats {
     /// Unknown answers (budget exhausted).
     pub unknown: u64,
     /// Total backtracking steps: candidate values *tried*. Values the
-    /// [`PathSolver`] search skips because one known bit already refutes
-    /// them are not steps, so against `max_steps` its narrowing can only
-    /// turn an `Unknown` into an answer.
+    /// [`PathSolver`] search skips because its constraints leave them no
+    /// satisfying completion are not steps, so against `max_steps` its
+    /// narrowing can only turn an `Unknown` into an answer.
     pub steps: u64,
     /// Always 0: the cross-seed refutation cache that counted here is
     /// gone (its counter read 0 on every committed workload). The field

@@ -61,7 +61,7 @@ pub struct PathSolver {
     slot_of: Vec<u32>,
     vars: Vec<VarState>,
     /// Slot → what the search knows of the variable: its value under
-    /// trial, one bit of it during a probe; all unknown between searches.
+    /// trial; all unknown between searches.
     assign: Vec<ByteBits>,
     /// The as-taken multi-variable constraints, in per-component circular
     /// lists, and their slots (flat).

@@ -3,24 +3,25 @@
 //! one-pass solver must give the same verdict and the same model, byte for
 //! byte — an exploration that used either would enqueue the same children.
 //!
-//! The generator's word-shaped branches (arity 4 / 5) are what drives a
-//! search past the 32 on-the-spot refutations that arm the bit probe; each
-//! of these was applied once to the search (`solve/search.rs`) and fails
-//! the test named:
+//! The generator's word-shaped branches (arity 4 / 5 / 6) are what the
+//! search's narrowing (`solve/search.rs`) works on: every comparison, either
+//! polarity, a byte held twice, a mask over the word, an OR of equalities as
+//! the BGP twin's loop check builds it. Each of these was applied once to
+//! the search and fails the test named:
 //! sorting `sys` by candidate sets narrowed ahead of the search
 //! (`every_flip_matches_the_reference`: the variable order, hence the first
-//! model, moves; `word_equality_flip_costs_tens_of_steps`: 4 steps, below
-//! the 4 × 33 the in-search rule spends); treating an *undecided* probe as
-//! refuted (both again, and two of the named cases: live values are
-//! skipped); reusing one node's probe at another node of the same variable,
-//! i.e. under other values of the earlier variables
-//! (`every_flip_matches_the_reference`).
+//! model, moves); reusing one node's narrowing at another node of the same
+//! variable, i.e. under other values of the earlier variables (the same);
+//! reading `word < k` as `word == k` (the same, from ~150 cases on — run it
+//! at `PROPTEST_CASES=2000`). What narrowing may drop is pinned value by
+//! value next to it (`narrowing_drops_only_values_without_a_completion`);
+//! what it must drop, by the step bounds below.
 
 use std::collections::BTreeMap;
 
 use dice_concolic::{
-    negation_query, BinOp, BranchRec, CmpOp, ConcolicCtx, ExprArena, ExprId, Flip, PathSolver,
-    SiteId, SolveResult, Solver, SolverBudget, SymInput,
+    negation_query, BinOp, BoolOp, BranchRec, CmpOp, ConcolicCtx, ExprArena, ExprId, Flip,
+    PathSolver, SiteId, SolveResult, Solver, SolverBudget, SymBool, SymInput,
 };
 use proptest::prelude::*;
 
@@ -29,7 +30,8 @@ use proptest::prelude::*;
 struct Branch {
     /// 0 constant, 1 single byte, 2 two bytes, 3 three bytes — 8-bit
     /// arithmetic against the low byte of `k`; 4 / 5 a big-endian u16 / u32
-    /// assembled from two / four bytes, optionally masked, against `k`.
+    /// assembled from two / four bytes, optionally masked, against `k`; 6
+    /// `false || u16 == k || u16' == k` over two such u16s.
     arity: u8,
     vars: [u8; 4],
     ops: [BinOp; 2],
@@ -63,9 +65,9 @@ fn arb_cmp() -> impl Strategy<Value = CmpOp> {
 fn arb_branch() -> impl Strategy<Value = Branch> {
     (
         // Unary constraints dominate real parser paths; word fields (a
-        // length, an address) are what makes a search long — an equality
-        // on one admits a single value per byte, found only after the
-        // others were refuted one by one.
+        // length, an address, an AS number) are what the reference walks
+        // value by value — an equality on one admits a single value per
+        // byte, a bound an interval of them.
         prop_oneof![
             Just(0u8),
             Just(1),
@@ -75,7 +77,8 @@ fn arb_branch() -> impl Strategy<Value = Branch> {
             Just(2),
             Just(3),
             Just(4),
-            Just(5)
+            Just(5),
+            Just(6)
         ],
         (0u8..6, 0u8..6, 0u8..6, 0u8..6),
         (arb_bin(), arb_bin()),
@@ -88,12 +91,7 @@ fn arb_branch() -> impl Strategy<Value = Branch> {
                 arity,
                 vars: [a, b, c, d],
                 ops: [op1, op2],
-                // Words compare `==` / `!=` / `<=`.
-                cmp: if arity >= 4 && cmp == CmpOp::Ult {
-                    CmpOp::Eq
-                } else {
-                    cmp
-                },
+                cmp,
                 k,
                 mask,
                 taken,
@@ -122,6 +120,16 @@ fn be_word(arena: &mut ExprArena, bytes: &[u8]) -> ExprId {
 }
 
 fn build(arena: &mut ExprArena, b: &Branch) -> ExprId {
+    if b.arity == 6 {
+        let k = arena.constant(16, b.k as u64);
+        let mut any = arena.constant(1, 0);
+        for bytes in b.vars.chunks(2) {
+            let word = be_word(arena, bytes);
+            let hit = arena.cmp(CmpOp::Eq, word, k);
+            any = arena.boolean(BoolOp::Or, any, hit);
+        }
+        return any;
+    }
     if b.arity >= 4 {
         let bytes = &b.vars[..if b.arity == 4 { 2 } else { 4 }];
         let bits = 8 * bytes.len() as u8;
@@ -317,14 +325,31 @@ fn default_true_oracle_without_overlay_stays_in_the_model() {
     assert_ne!(model.get(&0), Some(&7));
 }
 
+/// The last branch of `ctx`'s path flipped, by both solvers: the answer
+/// (asserted equal) and the steps the reference and the path solver spent.
+fn last_flip(ctx: &ConcolicCtx) -> (SolveResult, u64, u64) {
+    let bytes = &ctx.input().bytes;
+    let seed = |idx: u32| bytes.get(idx as usize).copied().unwrap_or(0);
+    let last = ctx.path().len() - 1;
+    let mut reference = Solver::new();
+    let expected = reference.solve(ctx.arena(), &negation_query(ctx.path(), last), &seed);
+
+    let mut solver = PathSolver::default();
+    let mut flips = vec![false; last];
+    flips.push(true);
+    let answers = sliced_answers(&mut solver, ctx.arena(), ctx.path(), &seed, &flips);
+    assert_eq!(answers[last].as_ref(), Some(&expected));
+    (expected, reference.stats.steps, solver.stats.steps)
+}
+
 #[test]
-fn word_equality_flip_costs_tens_of_steps() {
+fn word_equality_flip_costs_two_steps_a_byte() {
     // A next-hop check as the BGP twin records it: `nh != 0` taken, then
     // `nh != 0xFFFF_FFFF` taken; flipping the second asks for the one
     // address whose every byte is 255 — the last value of each byte in the
     // search's order. The reference walks there value by value, each wrong
-    // one refuted on the spot; the path solver asks, after 32 of those,
-    // which bits a byte must carry, and jumps.
+    // one refuted on the spot; the path solver reads, at the first
+    // refutation, the one value the equality leaves the byte.
     let mut ctx = ConcolicCtx::new(SymInput::all_symbolic(vec![10, 0, 0, 1]));
     let nh = ctx.read_u32_be(0);
     let zero = ctx.eq_const(nh, 0);
@@ -333,25 +358,87 @@ fn word_equality_flip_costs_tens_of_steps() {
     let ones = ctx.eq_const(nh, 0xFFFF_FFFF);
     let not_broadcast = ctx.bnot(ones);
     assert!(ctx.branch(SiteId(2), not_broadcast));
-    let bytes = [10u8, 0, 0, 1];
-    let seed = |idx: u32| bytes[idx as usize];
 
-    let mut reference = Solver::new();
-    let expected = reference.solve(ctx.arena(), &negation_query(ctx.path(), 1), &seed);
-    assert_eq!(
-        expected,
-        SolveResult::Sat((0..4).map(|i| (i, 255)).collect())
-    );
-    assert_eq!(reference.stats.steps, 1024, "four bytes, 256 values each");
-
-    let mut solver = PathSolver::default();
-    let answers = sliced_answers(&mut solver, ctx.arena(), ctx.path(), &seed, &[false, true]);
-    assert_eq!(answers[1].as_ref(), Some(&expected));
+    let (model, reference, narrowed) = last_flip(&ctx);
+    assert_eq!(model, SolveResult::Sat((0..4).map(|i| (i, 255)).collect()));
+    assert_eq!(reference, 1024, "four bytes, 256 values each");
     assert!(
-        (4 * 33..=200).contains(&solver.stats.steps),
-        "32 refuted values, a probe, the one survivor — per byte: {:?}",
-        solver.stats
+        narrowed <= 8,
+        "the seed value, then 255 — per byte: {narrowed}"
     );
+}
+
+#[test]
+fn length_bound_flip_costs_three_steps() {
+    // `alen <= 300` as `ALEN_FITS` records it; the flip wants 301, which
+    // the reference reaches through every smaller low byte. An interval is
+    // nothing a single bit expresses: this is the shape the bit probe the
+    // narrowing replaced could not shorten.
+    let mut ctx = ConcolicCtx::new(SymInput::all_symbolic(vec![1, 7]));
+    let alen = ctx.read_u16_be(0);
+    let fits = ctx.ule_const(alen, 300);
+    assert!(ctx.branch(SiteId(1), fits));
+
+    let (model, reference, narrowed) = last_flip(&ctx);
+    assert_eq!(model, SolveResult::Sat([(0, 1), (1, 45)].into()));
+    assert_eq!(
+        reference,
+        1 + 1 + 45,
+        "high byte, seed, 0..=45 but the seed"
+    );
+    assert!(narrowed <= 3, "high byte, seed, 45: {narrowed}");
+}
+
+#[test]
+fn loop_check_flip_costs_a_step_a_byte_and_two() {
+    // `LOOP_CHECK` over a three-AS path: `false || as1 == own || as2 == own
+    // || as3 == own`, not taken. The flip holds as soon as the *last* AS is
+    // ours — the earlier ones keep their seed values, which decides their
+    // arms against, and the one arm left pins its low byte.
+    let mut ctx = ConcolicCtx::new(SymInput::all_symbolic(vec![
+        0xFD, 0xE9, 0xFD, 0xEA, 0xFD, 0xEB,
+    ]));
+    let mut has_own = SymBool::concrete(false);
+    for at in [0, 2, 4] {
+        let asn = ctx.read_u16_be(at);
+        let eq = ctx.eq_const(asn, 0xFDF2);
+        has_own = ctx.bor(has_own, eq);
+    }
+    assert!(!ctx.branch(SiteId(70), has_own));
+
+    let (model, reference, narrowed) = last_flip(&ctx);
+    let expected = [0xFD, 0xE9, 0xFD, 0xEA, 0xFD, 0xF2];
+    assert_eq!(model, SolveResult::Sat((0..6).zip(expected).collect()));
+    assert_eq!(
+        reference,
+        6 + 0xF2,
+        "six seed values, then 0..=0xF2 but the seed"
+    );
+    assert!(narrowed <= 7, "six seed values, then 0xF2: {narrowed}");
+}
+
+#[test]
+fn topic_exclusion_flip_costs_three_steps() {
+    // The gossip twin's subscription check: `false || topic == 0 || … ||
+    // topic == 15`, taken; the flip wants a topic outside all sixteen. Each
+    // arm removes its one value once the high byte is known and equal.
+    let mut ctx = ConcolicCtx::new(SymInput::all_symbolic(vec![0, 3]));
+    let topic = ctx.read_u16_be(0);
+    let mut subscribed = SymBool::concrete(false);
+    for t in 0..16 {
+        let eq = ctx.eq_const(topic, t);
+        subscribed = ctx.bor(subscribed, eq);
+    }
+    assert!(ctx.branch(SiteId(1), subscribed));
+
+    let (model, reference, narrowed) = last_flip(&ctx);
+    assert_eq!(model, SolveResult::Sat([(0, 0), (1, 16)].into()));
+    assert_eq!(
+        reference,
+        1 + 1 + 16,
+        "high byte, seed, 0..=16 but the seed"
+    );
+    assert!(narrowed <= 3, "high byte, seed, 16: {narrowed}");
 }
 
 #[test]

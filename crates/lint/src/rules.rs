@@ -409,7 +409,10 @@ const POOLED_FNS: &[(&str, &str, Option<&str>)] = &[
     // the session owns (`PathSolver`'s tables, `LaneScratch`). A
     // `Vec::new()` or a `.clone()` here is paid per search node.
     ("concolic/src/solve/search.rs", "dfs", Some("Search")),
-    ("concolic/src/solve/search.rs", "probe", Some("Search")),
+    ("concolic/src/solve/search.rs", "narrow", Some("Search")),
+    ("concolic/src/solve/search.rs", "admits", Some("Search")),
+    ("concolic/src/solve/search.rs", "admits_cmp", Some("Search")),
+    ("concolic/src/solve/search.rs", "offset_of", Some("Search")),
     ("concolic/src/expr.rs", "sweep", Some("ExprArena")),
     // The checker battery runs once per validated clone over every node:
     // a passing verdict borrows its checker's name and lands in the one
