@@ -113,7 +113,7 @@ fn flood_input(topo: &dice_netsim::Topology) -> (NodeId, Vec<u8>) {
 
 /// Host wall time of one reset onto `cut`, the drive before it excluded.
 fn timed_reset(sim: &mut Simulator, cut: &dice_netsim::ShadowSnapshot) -> std::time::Duration {
-    // dice-lint: allow(determinism-zone): bench measures host wall time
+    #[expect(clippy::disallowed_methods, reason = "bench measures host wall time")]
     let start = std::time::Instant::now();
     sim.reset_from_shadow(cut, 3);
     start.elapsed()

@@ -154,7 +154,10 @@ fn main() {
         &[0.0, 0.01, 0.05, 0.20]
     };
 
-    // dice-lint: allow(determinism-zone): bench bin measures host wall time
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench bin measures host wall time"
+    )]
     let wall = std::time::Instant::now();
 
     let mut t1 = Table::new(

@@ -35,7 +35,10 @@ fn main() {
         sim.run_until(SimTime::from_nanos(1_000_000));
         let node = sim.node(NodeId(0));
         let bytes = node.state_size();
-        // dice-lint: allow(determinism-zone): benchmark binary reports wall time by design
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "benchmark binary reports wall time by design"
+        )]
         let start = std::time::Instant::now();
         let mut clones: Vec<Box<dyn Node>> = Vec::with_capacity(100);
         for _ in 0..100 {
@@ -109,7 +112,10 @@ fn main() {
         let (shadow, _) = take_instant_snapshot(&mut sim);
         let topo = sim.topology().clone();
         let n_clones = 32;
-        // dice-lint: allow(determinism-zone): benchmark binary reports wall time by design
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "benchmark binary reports wall time by design"
+        )]
         let start = std::time::Instant::now();
         for i in 0..n_clones {
             let mut clone = Simulator::from_shadow(&shadow, &topo, i);

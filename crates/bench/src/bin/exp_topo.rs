@@ -73,13 +73,19 @@ fn campaign(live: &mut Simulator) -> CampaignReport {
 }
 
 fn measure(n: usize) -> SizePoint {
-    // dice-lint: allow(determinism-zone): bench bin measures host wall time
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench bin measures host wall time"
+    )]
     let t0 = std::time::Instant::now();
     let topo = internet_topology(n);
     let edges = topo.edges().len();
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    // dice-lint: allow(determinism-zone): bench bin measures host wall time
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench bin measures host wall time"
+    )]
     let t1 = std::time::Instant::now();
     let mut live = scenarios::build_system_with_originators(&topo, INTERNET_ORIGINATORS, 17);
     live.run_until_quiet(
@@ -125,7 +131,10 @@ fn main() {
     let repeat = parse_repeat();
     let sizes: &[usize] = if smoke { &[1000] } else { &[100, 1000, 5000] };
 
-    // dice-lint: allow(determinism-zone): bench bin measures host wall time
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench bin measures host wall time"
+    )]
     let wall = std::time::Instant::now();
 
     let mut t1 = Table::new(

@@ -313,7 +313,10 @@ pub struct BoundClone {
     pub topo: dice_netsim::Topology,
     /// The (explorer, peer) pair inputs are injected at.
     pub explorer: dice_netsim::NodeId,
-    #[allow(missing_docs)]
+    #[allow(
+        missing_docs,
+        reason = "the pair's other end: documented with `explorer`"
+    )]
     pub peer: dice_netsim::NodeId,
     /// The grammar seed of that pair's exploration plan that a clone
     /// propagates furthest: accepted, and flooded through the federation.

@@ -1222,6 +1222,10 @@ mod tests {
     /// Logs every UPDATE its router receives, then hands the message on.
     struct Tap {
         inner: BgpRouter,
+        #[expect(
+            clippy::disallowed_types,
+            reason = "test log read back by the assertion: one simulator thread, and `Node` must be `Send`"
+        )]
         log: Arc<std::sync::Mutex<Vec<String>>>,
     }
 
@@ -1297,6 +1301,10 @@ mod tests {
                 dice_netsim::Relationship::Unlabeled,
             );
         }
+        #[expect(
+            clippy::disallowed_types,
+            reason = "test log read back by the assertion: one simulator thread, and `Node` must be `Send`"
+        )]
         let log = Arc::new(std::sync::Mutex::new(Vec::new()));
         let mut sim = Simulator::new(topo, 7);
         sim.set_node(NodeId(HUB), Box::new(BgpRouter::new(hub)));

@@ -117,7 +117,10 @@ impl Ipv4Net {
     }
 
     /// Prefix length in bits.
-    #[allow(clippy::len_without_is_empty)] // a prefix length is not a container size
+    #[allow(
+        clippy::len_without_is_empty,
+        reason = "a prefix length is not a container size"
+    )]
     pub fn len(&self) -> u8 {
         self.len
     }

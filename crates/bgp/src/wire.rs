@@ -110,7 +110,10 @@ pub mod notif {
 
 /// Decoding failures, each mapped to the NOTIFICATION it should trigger.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "every variant is documented; the payload fields are the offending code / flags / value"
+)]
 pub enum DecodeError {
     /// Fewer bytes than a header.
     Truncated,

@@ -14,7 +14,7 @@ pub struct ExprId(pub u32);
 
 /// Binary word operators (modular in the node's width).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "the variants are the operators they name")]
 pub enum BinOp {
     Add,
     Sub,
@@ -28,7 +28,7 @@ pub enum BinOp {
 
 /// Word comparison operators (unsigned).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "the variants are the operators they name")]
 pub enum CmpOp {
     Eq,
     Ne,
@@ -38,7 +38,7 @@ pub enum CmpOp {
 
 /// Boolean connectives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "the variants are the operators they name")]
 pub enum BoolOp {
     And,
     Or,

@@ -201,7 +201,10 @@ impl Solver {
     /// DFS over candidate values. Returns `Some(true)` on success (model in
     /// `assignment`), `Some(false)` when exhaustively refuted, `None` on
     /// budget exhaustion.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one recursion frame of the reference search: bundling its state would only rename the arguments"
+    )]
     // dice-lint: allow(panic-freedom): order and candidates are built over the same var set; depth < order.len() is the recursion guard
     fn search(
         &self,

@@ -117,7 +117,10 @@ impl Campaign {
     /// detection's `wall_us_cum` is the campaign clock when the detecting
     /// round's last unit finished.
     pub fn run(&self, live: &mut Simulator) -> Result<CampaignReport, String> {
-        // dice-lint: allow(determinism-zone): campaign wall-clock accounting; zeroed by normalized()
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "campaign wall-clock accounting; zeroed by normalized()"
+        )]
         let wall = std::time::Instant::now();
         let sim_start = live.now();
         let topo = live.topology().clone();

@@ -30,7 +30,10 @@ pub fn flips_baseline(
 
 /// What the full battery looks at: [`crate::check::CheckContext`] with
 /// the federation-wide flip map for a baseline.
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "field for field what CheckContext documents, with the flip map in place of the baseline"
+)]
 pub struct FullContext<'a> {
     pub sim: &'a Simulator,
     pub catalog: &'a SutCatalog,

@@ -127,7 +127,10 @@ impl Sweep<'_> {
             let (Some(task), Some(slot)) = (self.tasks.get(idx), self.explored.get(idx)) else {
                 return;
             };
-            // dice-lint: allow(determinism-zone): per-round wall-clock accounting; zeroed by normalized()
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-round wall-clock accounting; zeroed by normalized()"
+            )]
             let start = Instant::now();
             let stage = explore_stage(&task.shadow, &task.cfg, self.catalog);
             // Each index is claimed once, so the slot is still empty.
@@ -146,7 +149,10 @@ impl Sweep<'_> {
         pool: &mut ClonePool,
     ) -> Option<UnitDone> {
         let input = stage.candidates.get(candidate)?;
-        // dice-lint: allow(determinism-zone): per-unit wall-clock accounting; zeroed by normalized()
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-unit wall-clock accounting; zeroed by normalized()"
+        )]
         let start = Instant::now();
         let validated = validate_one(
             candidate,
@@ -210,7 +216,10 @@ impl Sweep<'_> {
 /// `pool_workers` threads validating (`max` of the two are spawned), and
 /// return per-round results in task order plus the aggregated clone-pool
 /// counters.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the campaign's whole sweep context, taken once and stored in Sweep"
+)]
 pub(crate) fn run_rounds(
     tasks: &[RoundTask],
     pair_workers: usize,
@@ -356,7 +365,10 @@ mod tests {
                 &catalog,
                 &registry,
                 &checkers,
-                // dice-lint: allow(determinism-zone): campaign start reference for latency fields
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "campaign start reference for latency fields"
+                )]
                 std::time::Instant::now(),
             )
         }));

@@ -370,7 +370,10 @@ pub(crate) fn explore_stage(
 /// parallelism. Deterministic in `(shadow, cfg, i, input)` regardless of
 /// whether the clone came from `pool` reset in place or freshly built;
 /// the pool only recycles allocations.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one validation unit reads the whole round context; the executor passes it straight from its Sweep"
+)]
 pub(crate) fn validate_one(
     i: usize,
     input: Option<&Vec<u8>>,
@@ -518,7 +521,10 @@ impl DiceRunner {
     /// campaign executor (`cfg.workers` threads share its validation
     /// fan-out).
     pub fn run_round(&mut self, live: &mut Simulator) -> Result<RoundReport, String> {
-        // dice-lint: allow(determinism-zone): round wall-clock accounting; zeroed by normalized()
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "round wall-clock accounting; zeroed by normalized()"
+        )]
         let wall = std::time::Instant::now();
         self.round += 1;
         let cfg = &self.config;

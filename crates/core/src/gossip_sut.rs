@@ -32,7 +32,10 @@ use crate::sut::{CheckView, ExplorableNode, ExplorationPlan, SessionHealth, SutP
 /// campaign-level coverage union never aliases the BGP handler's sites
 /// (10..=150) or the scenario test stubs' single-digit sites.
 pub mod sites {
-    #![allow(missing_docs)]
+    #![allow(
+        missing_docs,
+        reason = "each constant is the branch it names in the twin below"
+    )]
     pub const OP_IS_RUMOR: u32 = 200;
     pub const OP_IS_DIGEST: u32 = 201;
     pub const OP_IS_SUBSCRIBE: u32 = 202;

@@ -23,7 +23,10 @@ use dice_netsim::NodeId;
 
 /// Stable branch-site identifiers for the instrumented handler.
 pub mod sites {
-    #![allow(missing_docs)]
+    #![allow(
+        missing_docs,
+        reason = "each constant is the branch it names in the twin below"
+    )]
     pub const WLEN_FITS: u32 = 10;
     pub const WD_PLEN: u32 = 11;
     pub const WD_FITS: u32 = 12;

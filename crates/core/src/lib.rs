@@ -97,3 +97,40 @@ pub use interface::{AttestationRegistry, LocalVerdict};
 pub use snapshot::{take_consistent_snapshot, take_instant_snapshot, SnapshotMetrics};
 pub use sut::{CheckView, ExplorableNode, ExplorationPlan, SessionHealth, SutCatalog, SutProbe};
 pub use symmark::{mark_nlri_only, mark_none, mark_update};
+
+/// Canaries for the two clippy-held invariants with no live site in this
+/// crate (DESIGN.md §6): `dice-core` holds no lock and walks no hashed
+/// container, so nothing else here would notice `crates/clippy.toml`
+/// losing those entries or no longer being read. Each `#[expect]` is
+/// fulfilled only while its `disallowed_…` entry fires; when it stops,
+/// `cargo clippy -- -D warnings` fails with "this lint expectation is
+/// unfulfilled". (`iter_over_hash_type` is expected too because the loop
+/// trips it; an `#[expect]` switches a lint on by itself, so it says
+/// nothing about `[workspace.lints]`.)
+#[cfg(test)]
+mod clippy_canaries {
+    #[test]
+    fn a_lock_is_a_finding() {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "canary: fails the clippy step if crates/clippy.toml stops being read"
+        )]
+        let lock = std::sync::Mutex::new(7u8);
+        assert_eq!(lock.into_inner().ok(), Some(7));
+    }
+
+    #[test]
+    fn a_hash_order_walk_is_a_finding() {
+        let set: std::collections::HashSet<u8> = [1, 2, 3].into();
+        let mut sum = 0;
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "canary: fails the clippy step if crates/clippy.toml stops being read"
+        )]
+        for v in set.iter() {
+            sum += v;
+        }
+        assert_eq!(sum, 6);
+    }
+}

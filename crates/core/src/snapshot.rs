@@ -31,7 +31,10 @@ pub fn take_consistent_snapshot(
     deadline: SimDuration,
 ) -> Result<(ShadowSnapshot, SnapshotMetrics), String> {
     let started = live.now();
-    // dice-lint: allow(determinism-zone): snapshot wall cost metric; zeroed by normalized()
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "snapshot wall cost metric; zeroed by normalized()"
+    )]
     let wall_start = std::time::Instant::now();
     let id = live.start_snapshot(initiator);
     let limit = started + deadline;
@@ -67,7 +70,10 @@ pub fn take_consistent_snapshot(
 /// instantly with no marker protocol. Cheap but not causally consistent
 /// when messages are in flight.
 pub fn take_instant_snapshot(live: &mut Simulator) -> (ShadowSnapshot, SnapshotMetrics) {
-    // dice-lint: allow(determinism-zone): snapshot wall cost metric; zeroed by normalized()
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "snapshot wall cost metric; zeroed by normalized()"
+    )]
     let wall_start = std::time::Instant::now();
     let shadow = live.instant_snapshot();
     let metrics = SnapshotMetrics {

@@ -1,5 +1,6 @@
-//! The workspace item graph: functions, impls, structs and name-resolved intra-workspace call edges, built from the token stream
-//! of every scanned file.
+//! The workspace item graph: functions, their impls and name-resolved
+//! intra-workspace call edges, built from the token stream of every
+//! scanned file.
 //!
 //! Resolution is heuristic by design (no rustc, no syn): a qualified call
 //! `T::f(...)` resolves to `fn f` inside `impl T` (or inside the file
@@ -12,8 +13,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{tokenize, Tok, TokKind};
-use crate::Prepared;
+use crate::lexer::{Tok, TokKind};
 
 /// How a call site names its callee.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,28 +52,6 @@ pub(crate) struct FnItem {
     pub(crate) callees: Vec<usize>,
 }
 
-/// One named field of a struct.
-#[derive(Debug)]
-pub(crate) struct Field {
-    pub(crate) name: String,
-    /// 1-based declaration line.
-    pub(crate) line: usize,
-    /// Capitalized identifiers appearing in the field's type — the
-    /// struct-reference edges `schema-drift` walks (sees through `Vec<_>`,
-    /// `Option<_>`, `BTreeMap<_, _>` and friends).
-    pub(crate) ty_idents: Vec<String>,
-}
-
-/// A `struct` item with named fields.
-#[derive(Debug)]
-pub(crate) struct StructItem {
-    pub(crate) file: usize,
-    pub(crate) name: String,
-    /// Idents inside a `#[derive(...)]` attribute on the struct.
-    pub(crate) derives: Vec<String>,
-    pub(crate) fields: Vec<Field>,
-}
-
 /// Tokenized file, retained so rules can re-walk bodies.
 pub(crate) struct FileToks {
     pub(crate) path: String,
@@ -84,7 +62,6 @@ pub(crate) struct FileToks {
 pub(crate) struct ItemGraph {
     pub(crate) files: Vec<FileToks>,
     pub(crate) fns: Vec<FnItem>,
-    pub(crate) structs: Vec<StructItem>,
 }
 
 /// Words that look like `ident (` but are never calls.
@@ -93,11 +70,8 @@ const NON_CALL_KEYWORDS: &[&str] = &[
     "else", "fn", "impl", "use", "pub", "where", "unsafe", "async", "dyn", "crate", "super",
 ];
 
-struct RawAttr {
-    /// Token span of `#` .. matching `]`, inclusive.
-    span: (usize, usize),
-    text: String,
-}
+/// Token span of an attribute group, `#` .. matching `]`, inclusive.
+type AttrSpan = (usize, usize);
 
 /// An item head found in the linear scan.
 struct Head {
@@ -106,8 +80,8 @@ struct Head {
     /// Token index of the keyword.
     at: usize,
     line: usize,
-    /// Texts of the attr groups directly above.
-    attrs: Vec<String>,
+    /// Whether an attribute group directly above is `#[cfg(test)]`.
+    cfg_test: bool,
     /// Body token span (inclusive braces), if any.
     body: Option<(usize, usize)>,
 }
@@ -115,23 +89,20 @@ struct Head {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum HeadKind {
     Fn,
-    Struct,
-    Enum,
     Mod,
     Impl,
     Trait,
 }
 
 impl ItemGraph {
-    /// Build the graph over every prepared file.
-    pub(crate) fn build(prepared: &[Prepared]) -> ItemGraph {
+    /// Build the graph over every lexed file.
+    pub(crate) fn build(files: Vec<FileToks>) -> ItemGraph {
         let mut graph = ItemGraph {
-            files: Vec::with_capacity(prepared.len()),
+            files,
             fns: Vec::new(),
-            structs: Vec::new(),
         };
-        for p in prepared {
-            build_file(p, &mut graph);
+        for file in 0..graph.files.len() {
+            build_file(file, &mut graph);
         }
         resolve_calls(&mut graph);
         graph
@@ -151,48 +122,27 @@ impl ItemGraph {
         }
         seen
     }
-}
 
-#[cfg(test)]
-impl ItemGraph {
-    /// Find a fn by file-path suffix and name (first match) — test
-    /// convenience; rules use their own `find_root` with an impl filter.
-    fn find_fn(&self, path_suffix: &str, name: &str) -> Option<usize> {
-        self.fns.iter().position(|f| {
-            f.name == name && !f.in_test && self.files[f.file].path.ends_with(path_suffix)
-        })
+    /// The non-test fns a root-table entry names: by file-path suffix,
+    /// name and — where a file holds two fns of one name — impl type.
+    pub(crate) fn roots<'g>(
+        &'g self,
+        suffix: &'g str,
+        name: &'g str,
+        impl_of: Option<&'g str>,
+    ) -> impl Iterator<Item = usize> + 'g {
+        let matches = move |f: &FnItem| {
+            f.name == name
+                && !f.in_test
+                && self.files[f.file].path.ends_with(suffix)
+                && impl_of.is_none_or(|t| f.impl_of.as_deref() == Some(t))
+        };
+        (0..self.fns.len()).filter(move |&i| matches(&self.fns[i]))
     }
 }
 
 fn is_test_path(path: &str) -> bool {
     path.starts_with("tests/") || path.contains("/tests/") || path.starts_with("examples/")
-}
-
-/// Recover the raw text of a token span from the unblanked lines.
-fn raw_span_text(raw: &[String], toks: &[Tok], span: (usize, usize)) -> String {
-    let (a, b) = span;
-    let (sl, sc) = (toks[a].line, toks[a].col);
-    let (el, ec) = (toks[b].line, toks[b].col);
-    if sl == el {
-        let line = &raw[sl - 1];
-        let chars: Vec<char> = line.chars().collect();
-        return chars[sc.min(chars.len())..(ec + 1).min(chars.len())]
-            .iter()
-            .collect();
-    }
-    let mut out = String::new();
-    for l in sl..=el {
-        let chars: Vec<char> = raw[l - 1].chars().collect();
-        let from = if l == sl { sc } else { 0 };
-        let to = if l == el {
-            (ec + 1).min(chars.len())
-        } else {
-            chars.len()
-        };
-        out.push_str(&chars[from.min(chars.len())..to].iter().collect::<String>());
-        out.push(' ');
-    }
-    out.trim_end().to_string()
 }
 
 /// Scan forward over a balanced bracket pair starting at `open` (which
@@ -213,27 +163,21 @@ fn match_bracket(toks: &[Tok], open: usize, oc: char, cc: char) -> Option<usize>
     None
 }
 
+/// The index just past the `<…>` group that opens at `i` (generic
+/// parameters or arguments), or `i` if none does.
+fn skip_angles(toks: &[Tok], i: usize) -> usize {
+    if toks.get(i).is_some_and(|t| t.is_punct('<')) {
+        match_bracket(toks, i, '<', '>').map_or(toks.len(), |close| close + 1)
+    } else {
+        i
+    }
+}
+
 /// Parse the self-type of an `impl` (or the name of a `trait`) whose
 /// keyword sits at `at`. For `impl<T> Trait for Type<T>` this is `Type`;
 /// for `impl Type` it is `Type`.
 fn impl_type_name(toks: &[Tok], at: usize) -> Option<String> {
-    let mut i = at + 1;
-    // Skip generics.
-    if toks.get(i).is_some_and(|t| t.is_punct('<')) {
-        let mut depth = 0i32;
-        while i < toks.len() {
-            if toks[i].is_punct('<') {
-                depth += 1;
-            } else if toks[i].is_punct('>') {
-                depth -= 1;
-                if depth == 0 {
-                    i += 1;
-                    break;
-                }
-            }
-            i += 1;
-        }
-    }
+    let mut i = skip_angles(toks, at + 1);
     let read_path = |i: &mut usize| -> Option<String> {
         let mut last: Option<String> = None;
         loop {
@@ -253,21 +197,7 @@ fn impl_type_name(toks: &[Tok], at: usize) -> Option<String> {
             last = Some(t.text.clone());
             *i += 1;
             // Generic args on this segment.
-            if toks.get(*i).is_some_and(|t| t.is_punct('<')) {
-                let mut depth = 0i32;
-                while *i < toks.len() {
-                    if toks[*i].is_punct('<') {
-                        depth += 1;
-                    } else if toks[*i].is_punct('>') {
-                        depth -= 1;
-                        if depth == 0 {
-                            *i += 1;
-                            break;
-                        }
-                    }
-                    *i += 1;
-                }
-            }
+            *i = skip_angles(toks, *i);
             // Continue through `::`.
             if toks.get(*i).is_some_and(|t| t.is_punct(':'))
                 && toks.get(*i + 1).is_some_and(|t| t.is_punct(':'))
@@ -286,12 +216,19 @@ fn impl_type_name(toks: &[Tok], at: usize) -> Option<String> {
     Some(first)
 }
 
-fn build_file(p: &Prepared, graph: &mut ItemGraph) {
-    let file_idx = graph.files.len();
-    let toks = tokenize(&p.code);
+/// Whether the attribute group spanning `span` is `#[cfg(test)]` or opens
+/// with it (`cfg(test, …)`); `cfg(not(test))` is not.
+fn is_cfg_test(toks: &[Tok], (open, close): AttrSpan) -> bool {
+    toks[open..=close]
+        .windows(3)
+        .any(|w| w[0].is_ident("cfg") && w[1].is_punct('(') && w[2].is_ident("test"))
+}
+
+fn build_file(file_idx: usize, graph: &mut ItemGraph) {
+    let FileToks { path, toks } = &graph.files[file_idx];
 
     // Pass 1: attribute groups.
-    let mut attrs: Vec<RawAttr> = Vec::new();
+    let mut attrs: Vec<AttrSpan> = Vec::new();
     {
         let mut i = 0usize;
         while i < toks.len() {
@@ -302,11 +239,8 @@ fn build_file(p: &Prepared, graph: &mut ItemGraph) {
                     j += 1;
                 }
                 if toks.get(j).is_some_and(|t| t.is_punct('[')) {
-                    if let Some(close) = match_bracket(&toks, j, '[', ']') {
-                        attrs.push(RawAttr {
-                            span: (i, close),
-                            text: raw_span_text(&p.raw, &toks, (i, close)),
-                        });
+                    if let Some(close) = match_bracket(toks, j, '[', ']') {
+                        attrs.push((i, close));
                         i = close + 1;
                         continue;
                     }
@@ -315,7 +249,7 @@ fn build_file(p: &Prepared, graph: &mut ItemGraph) {
             i += 1;
         }
     }
-    let in_attr = |idx: usize| attrs.iter().any(|a| a.span.0 <= idx && idx <= a.span.1);
+    let in_attr = |idx: usize| attrs.iter().any(|&(a, b)| a <= idx && idx <= b);
 
     // Pass 2: item heads with body spans.
     let mut heads: Vec<Head> = Vec::new();
@@ -330,8 +264,6 @@ fn build_file(p: &Prepared, graph: &mut ItemGraph) {
             let kind = if t.kind == TokKind::Ident {
                 match t.text.as_str() {
                     "fn" => Some(HeadKind::Fn),
-                    "struct" => Some(HeadKind::Struct),
-                    "enum" => Some(HeadKind::Enum),
                     "mod" => Some(HeadKind::Mod),
                     "impl" => Some(HeadKind::Impl),
                     "trait" => Some(HeadKind::Trait),
@@ -346,7 +278,7 @@ fn build_file(p: &Prepared, graph: &mut ItemGraph) {
             };
             // `fn`-pointer types (`fn(u8) -> u8`) have no name ident.
             let name = match kind {
-                HeadKind::Impl | HeadKind::Trait => impl_type_name(&toks, i),
+                HeadKind::Impl | HeadKind::Trait => impl_type_name(toks, i),
                 _ => toks
                     .get(i + 1)
                     .filter(|n| n.kind == TokKind::Ident)
@@ -356,40 +288,36 @@ fn build_file(p: &Prepared, graph: &mut ItemGraph) {
                 i += 1;
                 continue;
             };
-            // Directly-preceding attribute groups (contiguous above).
-            let mut head_attrs: Vec<String> = Vec::new();
-            {
-                let mut edge = i;
-                // Walk attr groups backwards while they end right before
-                // `edge` (allowing `pub`, `unsafe`, `const`, `async`,
-                // `extern`, visibility parens between).
-                loop {
-                    let mut k = edge;
-                    while k > 0 {
-                        let prev = &toks[k - 1];
-                        let skippable = prev.kind == TokKind::Ident
-                            && matches!(
-                                prev.text.as_str(),
-                                "pub" | "unsafe" | "const" | "async" | "extern" | "default"
-                            )
-                            || prev.is_punct('(')
-                            || prev.is_punct(')')
-                            || prev.is_ident("crate")
-                            || prev.is_ident("super")
-                            || prev.kind == TokKind::Str;
-                        if skippable {
-                            k -= 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    let Some(a) = attrs.iter().find(|a| a.span.1 + 1 == k) else {
+            // Is one of the attribute groups directly above (contiguous,
+            // allowing `pub`, `unsafe`, `const`, `async`, `extern`,
+            // visibility parens between) a `#[cfg(test)]`?
+            let mut cfg_test = false;
+            let mut edge = i;
+            loop {
+                let mut k = edge;
+                while k > 0 {
+                    let prev = &toks[k - 1];
+                    let skippable = prev.kind == TokKind::Ident
+                        && matches!(
+                            prev.text.as_str(),
+                            "pub" | "unsafe" | "const" | "async" | "extern" | "default"
+                        )
+                        || prev.is_punct('(')
+                        || prev.is_punct(')')
+                        || prev.is_ident("crate")
+                        || prev.is_ident("super")
+                        || prev.kind == TokKind::Str;
+                    if skippable {
+                        k -= 1;
+                    } else {
                         break;
-                    };
-                    head_attrs.push(a.text.clone());
-                    edge = a.span.0;
+                    }
                 }
-                head_attrs.reverse();
+                let Some(&span) = attrs.iter().find(|a| a.1 + 1 == k) else {
+                    break;
+                };
+                cfg_test |= is_cfg_test(toks, span);
+                edge = span.0;
             }
             // Find the body: first `{` before any `;` at bracket depth 0.
             let mut body = None;
@@ -412,7 +340,7 @@ fn build_file(p: &Prepared, graph: &mut ItemGraph) {
                             break;
                         }
                         if tj.is_punct('{') {
-                            body = match_bracket(&toks, j, '{', '}').map(|c| (j, c));
+                            body = match_bracket(toks, j, '{', '}').map(|c| (j, c));
                             break;
                         }
                     }
@@ -424,7 +352,7 @@ fn build_file(p: &Prepared, graph: &mut ItemGraph) {
                 name,
                 at: i,
                 line: t.line,
-                attrs: head_attrs,
+                cfg_test,
                 body,
             });
             i += 1;
@@ -439,101 +367,27 @@ fn build_file(p: &Prepared, graph: &mut ItemGraph) {
             .collect()
     };
 
-    let file_is_test = is_test_path(&p.path);
+    let file_is_test = is_test_path(path);
 
-    // Materialize fns and structs.
+    // Materialize fns.
     let fn_base = graph.fns.len();
-    for h in &heads {
-        match h.kind {
-            HeadKind::Fn => {
-                let impls = containers_of(h.at, &[HeadKind::Impl, HeadKind::Trait]);
-                let impl_of = impls.last().map(|c| c.name.clone());
-                let in_test = file_is_test
-                    || containers_of(h.at, &[HeadKind::Mod])
-                        .iter()
-                        .any(|m| m.attrs.iter().any(|t| t.contains("cfg(test")));
-                graph.fns.push(FnItem {
-                    file: file_idx,
-                    name: h.name.clone(),
-                    impl_of,
-                    line: h.line,
-                    body: h.body,
-                    in_test,
-                    calls: Vec::new(),
-                    callees: Vec::new(),
-                });
-            }
-            HeadKind::Struct => {
-                let derives = h
-                    .attrs
-                    .iter()
-                    .filter(|t| t.contains("derive("))
-                    .flat_map(|t| {
-                        t.split(|c: char| !(c.is_alphanumeric() || c == '_'))
-                            .filter(|w| !w.is_empty())
-                            .map(str::to_string)
-                            .collect::<Vec<_>>()
-                    })
-                    .collect();
-                let mut fields = Vec::new();
-                if let Some((open, close)) = h.body {
-                    // Named fields at depth 1 of the struct body:
-                    // `ident : <type tokens> ,`.
-                    let mut depth = 0i32;
-                    let mut j = open;
-                    while j <= close {
-                        let tj = &toks[j];
-                        if tj.is_punct('{') {
-                            depth += 1;
-                        } else if tj.is_punct('}') {
-                            depth -= 1;
-                        } else if depth == 1
-                            && tj.kind == TokKind::Ident
-                            && toks.get(j + 1).is_some_and(|t| t.is_punct(':'))
-                            && !toks.get(j + 2).is_some_and(|t| t.is_punct(':'))
-                            && !in_attr(j)
-                        {
-                            // Type tokens run to the `,` or `}` at depth 1
-                            // (angle depth tracked so `BTreeMap<K, V>`
-                            // commas do not end the field).
-                            let mut ty_idents = Vec::new();
-                            let mut k = j + 2;
-                            let mut angle = 0i32;
-                            while k <= close {
-                                let tk = &toks[k];
-                                if tk.is_punct('<') {
-                                    angle += 1;
-                                } else if tk.is_punct('>') {
-                                    angle -= 1;
-                                } else if angle == 0 && (tk.is_punct(',') || tk.is_punct('}')) {
-                                    break;
-                                } else if tk.kind == TokKind::Ident
-                                    && tk.text.chars().next().is_some_and(char::is_uppercase)
-                                {
-                                    ty_idents.push(tk.text.clone());
-                                }
-                                k += 1;
-                            }
-                            fields.push(Field {
-                                name: tj.text.clone(),
-                                line: tj.line,
-                                ty_idents,
-                            });
-                            j = k;
-                            continue;
-                        }
-                        j += 1;
-                    }
-                }
-                graph.structs.push(StructItem {
-                    file: file_idx,
-                    name: h.name.clone(),
-                    derives,
-                    fields,
-                });
-            }
-            _ => {}
-        }
+    for h in heads.iter().filter(|h| h.kind == HeadKind::Fn) {
+        let impls = containers_of(h.at, &[HeadKind::Impl, HeadKind::Trait]);
+        let impl_of = impls.last().map(|c| c.name.clone());
+        let in_test = file_is_test
+            || containers_of(h.at, &[HeadKind::Mod])
+                .iter()
+                .any(|m| m.cfg_test);
+        graph.fns.push(FnItem {
+            file: file_idx,
+            name: h.name.clone(),
+            impl_of,
+            line: h.line,
+            body: h.body,
+            in_test,
+            calls: Vec::new(),
+            callees: Vec::new(),
+        });
     }
 
     // Call extraction per fn, skipping nested fn bodies and attr spans.
@@ -593,23 +447,7 @@ fn build_file(p: &Prepared, graph: &mut ItemGraph) {
             }
             j += 1;
         }
-        // Dedup.
-        calls.sort_by(|a, b| (&a.name, fmt_kind(&a.kind)).cmp(&(&b.name, fmt_kind(&b.kind))));
-        calls.dedup_by(|a, b| a.name == b.name && a.kind == b.kind);
         graph.fns[fn_base + local].calls = calls;
-    }
-
-    graph.files.push(FileToks {
-        path: p.path.clone(),
-        toks,
-    });
-}
-
-fn fmt_kind(k: &CallKind) -> String {
-    match k {
-        CallKind::Bare => "b".into(),
-        CallKind::Method => "m".into(),
-        CallKind::Qualified(q) => format!("q{q}"),
     }
 }
 
@@ -691,35 +529,35 @@ fn resolve_calls(graph: &mut ItemGraph) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strip::blank_noncode;
 
     fn graph_of(files: &[(&str, &str)]) -> ItemGraph {
-        let prepared: Vec<Prepared> = files
-            .iter()
-            .map(|(path, content)| Prepared {
-                path: path.to_string(),
-                raw: content.lines().map(str::to_string).collect(),
-                code: blank_noncode(content),
-            })
-            .collect();
-        ItemGraph::build(&prepared)
+        let lexed = files.iter().map(|(path, content)| FileToks {
+            path: path.to_string(),
+            toks: crate::lexer::lex(content).toks,
+        });
+        ItemGraph::build(lexed.collect())
+    }
+
+    fn reach_from<'g>(g: &'g ItemGraph, name: &str) -> Vec<&'g str> {
+        let root = g.roots("a.rs", name, None).next().unwrap();
+        let reach = g.reachable(&[root]);
+        reach.iter().map(|&i| g.fns[i].name.as_str()).collect()
     }
 
     #[test]
     fn fns_and_impls_are_indexed() {
         let g = graph_of(&[(
             "crates/core/src/a.rs",
-            "pub struct S { pub x: u64 }\n\
+            "pub struct S { pub x: u64, pub f: fn(u8) -> u8 }\n\
              impl S {\n    pub fn get(&self) -> u64 { self.x }\n}\n\
              fn free() -> u64 { 7 }\n",
         )]);
-        assert_eq!(g.fns.len(), 2);
+        assert_eq!(g.fns.len(), 2, "a fn-pointer type is not an item");
         let get = &g.fns[0];
         assert_eq!(get.name, "get");
         assert_eq!(get.impl_of.as_deref(), Some("S"));
+        assert_eq!(get.line, 3);
         assert_eq!(g.fns[1].impl_of, None);
-        assert_eq!(g.structs.len(), 1);
-        assert_eq!(g.structs[0].fields[0].name, "x");
     }
 
     #[test]
@@ -744,10 +582,7 @@ mod tests {
                 "pub fn deep() { finish(); }\nfn finish() {}\n",
             ),
         ]);
-        let root = g.find_fn("a.rs", "root").unwrap();
-        let reach = g.reachable(&[root]);
-        let names: Vec<&str> = reach.iter().map(|&i| g.fns[i].name.as_str()).collect();
-        assert_eq!(names, vec!["root", "step", "deep", "finish"]);
+        assert_eq!(reach_from(&g, "root"), ["root", "step", "deep", "finish"]);
     }
 
     #[test]
@@ -757,33 +592,23 @@ mod tests {
             "struct S;\nimpl S { fn hit(&self) {} }\n\
              fn caller(s: &S) { s.hit(); }\n",
         )]);
-        let caller = g.find_fn("a.rs", "caller").unwrap();
-        let reach = g.reachable(&[caller]);
-        assert!(reach.iter().any(|&i| g.fns[i].name == "hit"));
+        assert!(reach_from(&g, "caller").contains(&"hit"));
     }
 
     #[test]
     fn test_mod_fns_are_marked_and_unresolvable() {
         let g = graph_of(&[(
             "crates/core/src/a.rs",
-            "fn caller() { probe(); }\n\
-             #[cfg(test)]\nmod tests {\n    pub fn probe() {}\n}\n",
+            "fn caller() { probe(); shipped(); }\n\
+             #[cfg(test)]\nmod tests {\n    pub fn probe() {}\n}\n\
+             #[cfg(not(test))]\nmod live {\n    pub fn shipped() {}\n}\n",
         )]);
         let probe = g.fns.iter().find(|f| f.name == "probe").unwrap();
         assert!(probe.in_test);
-        let caller = g.find_fn("a.rs", "caller").unwrap();
-        assert_eq!(g.reachable(&[caller]).len(), 1, "test fn must not resolve");
-    }
-
-    #[test]
-    fn derive_idents_are_collected() {
-        let g = graph_of(&[(
-            "crates/core/src/a.rs",
-            "#[derive(Debug, Clone, Serialize)]\npub struct R { pub wall_us: u64, pub inner: Vec<Sub> }\n",
-        )]);
-        let s = &g.structs[0];
-        assert!(s.derives.iter().any(|d| d == "Serialize"));
-        assert_eq!(s.fields.len(), 2);
-        assert_eq!(s.fields[1].ty_idents, vec!["Vec", "Sub"]);
+        assert_eq!(
+            reach_from(&g, "caller"),
+            ["caller", "shipped"],
+            "a test fn must not resolve; a cfg(not(test)) one must"
+        );
     }
 }

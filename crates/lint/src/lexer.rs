@@ -1,12 +1,12 @@
-//! A spanned token stream over the blanked code view.
+//! One pass over a file's raw text: a token stream for the rules, and the
+//! start of each line's `//` comment for the allow annotations.
 //!
-//! The [`crate::strip`] pass already removed comment text and
-//! string/char-literal contents while preserving columns, so tokenizing
-//! its output is simple: identifiers, numbers, lifetimes, string shells
-//! (the surviving `"…"` delimiters) and single-character punctuation.
-//! Rules that need multi-character operators (`::`, `->`, `=>`) derive
-//! them from adjacent punct tokens, which works because the stripper
-//! never inserts spaces between surviving code characters.
+//! Comment text and string/char-literal contents yield no tokens, so a rule
+//! never matches doc prose or a quoted pattern — and a `//` inside a string
+//! literal is not a comment. Tokens are identifiers, numbers, lifetimes,
+//! one [`TokKind::Str`] per string or char literal, and single-character
+//! punctuation; rules that need `::`, `->` or `=>` read adjacent punct
+//! tokens.
 
 /// What a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,27 +18,21 @@ pub(crate) enum TokKind {
     Number,
     /// Lifetime: `'` followed by an identifier.
     Lifetime,
-    /// The shell of a blanked string literal (`"   "` from the stripper).
+    /// A string, byte-string, raw-string or char literal, prefix included.
     Str,
     /// One punctuation character.
     Punct(char),
 }
 
-/// One token with its position in the original file.
+/// One token with the line it starts on.
 #[derive(Debug, Clone)]
 pub(crate) struct Tok {
     pub(crate) kind: TokKind,
-    /// Token text. For [`TokKind::Str`] this is the empty string (the
-    /// contents were blanked anyway); for punctuation it is the single
-    /// character.
+    /// Token text: empty for [`TokKind::Str`] (no rule reads a literal),
+    /// the single character for punctuation.
     pub(crate) text: String,
     /// 1-based line number.
     pub(crate) line: usize,
-    /// 0-based character column of the token's first character. The
-    /// stripper preserves columns, so this indexes into the *raw* line
-    /// too — that is how attribute text (with its unblanked string
-    /// literals) is recovered.
-    pub(crate) col: usize,
 }
 
 impl Tok {
@@ -53,174 +47,286 @@ impl Tok {
     }
 }
 
-/// Tokenize the blanked code view (one entry per source line).
-pub(crate) fn tokenize(code: &[String]) -> Vec<Tok> {
-    let mut out = Vec::new();
-    for (idx, line) in code.iter().enumerate() {
-        let lineno = idx + 1;
-        let chars: Vec<char> = line.chars().collect();
-        let mut i = 0usize;
-        while i < chars.len() {
-            let c = chars[i];
-            if c.is_whitespace() {
-                i += 1;
-                continue;
-            }
-            if c == '/' && chars.get(i + 1) == Some(&'/') {
-                // The stripper leaves the `//` of a line comment in place;
-                // nothing after it on this line is code.
-                break;
-            }
-            if c.is_ascii_alphabetic() || c == '_' {
-                let start = i;
-                while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                }
-                // A blanked string shell may follow an ident prefix
-                // (`b"…"`, `r#"…"#`); the `"` below handles the shell.
-                out.push(Tok {
-                    kind: TokKind::Ident,
-                    text: chars[start..i].iter().collect(),
-                    line: lineno,
-                    col: start,
-                });
-                continue;
-            }
-            if c.is_ascii_digit() {
-                let start = i;
-                while i < chars.len()
-                    && (chars[i].is_ascii_alphanumeric() || chars[i] == '_' || chars[i] == '.')
-                {
-                    // Stop a `1..x` range from being eaten as one number.
-                    if chars[i] == '.' && chars.get(i + 1) == Some(&'.') {
-                        break;
-                    }
-                    i += 1;
-                }
-                out.push(Tok {
-                    kind: TokKind::Number,
-                    text: chars[start..i].iter().collect(),
-                    line: lineno,
-                    col: start,
-                });
-                continue;
-            }
-            if c == '"' {
-                // A blanked string: skip to the closing quote on this line
-                // (the stripper guarantees interior chars are spaces; a
-                // multi-line string leaves an unmatched quote — consume to
-                // end of line).
-                let mut j = i + 1;
-                while j < chars.len() && chars[j] != '"' {
-                    j += 1;
-                }
-                out.push(Tok {
-                    kind: TokKind::Str,
-                    text: String::new(),
-                    line: lineno,
-                    col: i,
-                });
-                i = if j < chars.len() { j + 1 } else { chars.len() };
-                continue;
-            }
-            if c == '\'' {
-                // Lifetime (`'a`) or blanked char shell (`' '`). The
-                // stripper reduces char literals to `'x'`-shaped shells
-                // with blank interiors.
-                if chars
-                    .get(i + 1)
-                    .is_some_and(|n| n.is_ascii_alphabetic() || *n == '_')
-                    && chars.get(i + 2) != Some(&'\'')
-                {
-                    let start = i;
-                    i += 1;
-                    while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                        i += 1;
-                    }
-                    out.push(Tok {
-                        kind: TokKind::Lifetime,
-                        text: chars[start..i].iter().collect(),
-                        line: lineno,
-                        col: start,
-                    });
-                } else {
-                    // Char shell: `'<blank>'` or `'<blank><blank>'`.
-                    let mut j = i + 1;
-                    while j < chars.len() && chars[j] != '\'' {
-                        j += 1;
-                    }
-                    out.push(Tok {
-                        kind: TokKind::Str,
-                        text: String::new(),
-                        line: lineno,
-                        col: i,
-                    });
-                    i = if j < chars.len() { j + 1 } else { chars.len() };
-                }
-                continue;
-            }
-            out.push(Tok {
-                kind: TokKind::Punct(c),
-                text: c.to_string(),
-                line: lineno,
-                col: i,
-            });
-            i += 1;
+/// A lexed file.
+pub(crate) struct Lexed {
+    pub(crate) toks: Vec<Tok>,
+    /// Per source line (0-based), the byte offset of the `//` that starts
+    /// its line comment — found in code position only, so never inside a
+    /// string literal or a block comment.
+    pub(crate) comment_at: Vec<Option<usize>>,
+}
+
+/// What the previous line left open.
+enum State {
+    Code,
+    /// Inside `/* ... */`, with nesting depth.
+    Block(u32),
+    /// Inside a `"`-delimited string (escapes honored).
+    Str,
+    /// Inside a raw string closed by `"` followed by this many `#`s.
+    RawStr(usize),
+}
+
+fn is_ident_start(c: char) -> bool {
+    c.is_ascii_alphabetic() || c == '_'
+}
+
+fn is_ident_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// If `rest` (which starts with `'`) opens a char literal rather than a
+/// lifetime, its length in bytes: `'x'`, `'é'`, `'\n'`, `'\u{1F600}'`.
+fn char_literal_len(rest: &str) -> Option<usize> {
+    let mut chars = rest[1..].chars();
+    match chars.next()? {
+        '\\' => {
+            // Escaped: the literal ends at the first `'` after the
+            // escaped character (`'\''` included).
+            chars.next()?;
+            let skipped = rest.len() - chars.as_str().len();
+            chars.as_str().find('\'').map(|close| skipped + close + 1)
         }
+        c => chars.as_str().starts_with('\'').then(|| c.len_utf8() + 2),
     }
-    out
+}
+
+/// Lex `content`.
+pub(crate) fn lex(content: &str) -> Lexed {
+    let mut toks = Vec::new();
+    let mut comment_at = Vec::new();
+    let mut state = State::Code;
+    for (idx, line) in content.lines().enumerate() {
+        let lineno = idx + 1;
+        let mut comment = None;
+        let mut push = |kind: TokKind, text: &str| {
+            toks.push(Tok {
+                kind,
+                text: text.to_string(),
+                line: lineno,
+            });
+        };
+        let mut i = 0usize;
+        while let Some(c) = line[i..].chars().next() {
+            let rest = &line[i..];
+            match state {
+                State::Block(depth) => {
+                    if rest.starts_with("/*") {
+                        state = State::Block(depth + 1);
+                        i += 2;
+                    } else if rest.starts_with("*/") {
+                        state = if depth == 1 {
+                            State::Code
+                        } else {
+                            State::Block(depth - 1)
+                        };
+                        i += 2;
+                    } else {
+                        i += c.len_utf8();
+                    }
+                }
+                State::Str => {
+                    if c == '\\' {
+                        // The escaped character, or the line break of a
+                        // `\`-continued string.
+                        i += 1 + rest[1..].chars().next().map_or(0, char::len_utf8);
+                    } else {
+                        if c == '"' {
+                            state = State::Code;
+                        }
+                        i += c.len_utf8();
+                    }
+                }
+                State::RawStr(hashes) => {
+                    let closes = c == '"'
+                        && rest[1..].len() >= hashes
+                        && rest[1..].bytes().take(hashes).all(|b| b == b'#');
+                    if closes {
+                        state = State::Code;
+                        i += 1 + hashes;
+                    } else {
+                        i += c.len_utf8();
+                    }
+                }
+                State::Code if c.is_whitespace() => i += c.len_utf8(),
+                State::Code if rest.starts_with("//") => {
+                    comment = Some(i);
+                    break;
+                }
+                State::Code if rest.starts_with("/*") => {
+                    state = State::Block(1);
+                    i += 2;
+                }
+                State::Code if c == '"' => {
+                    push(TokKind::Str, "");
+                    state = State::Str;
+                    i += 1;
+                }
+                State::Code if is_ident_start(c) => {
+                    let len = rest.find(|c| !is_ident_char(c)).unwrap_or(rest.len());
+                    let (word, after) = rest.split_at(len);
+                    // `b"…"`, `r"…"`, `r#"…"#`, `br#"…"#`: a literal, not an
+                    // identifier (`r#type` has no quote after the hashes).
+                    let hashes = after.bytes().take_while(|&b| b == b'#').count();
+                    let quoted = after[hashes..].starts_with('"');
+                    if quoted && matches!(word, "r" | "br") {
+                        push(TokKind::Str, "");
+                        state = State::RawStr(hashes);
+                        i += len + hashes + 1;
+                    } else if quoted && hashes == 0 && word == "b" {
+                        push(TokKind::Str, "");
+                        state = State::Str;
+                        i += len + 1;
+                    } else {
+                        push(TokKind::Ident, word);
+                        i += len;
+                    }
+                }
+                State::Code if c.is_ascii_digit() => {
+                    // Digits, `_`, suffix letters and one-dot fractions;
+                    // the `..` of a `1..x` range is not part of the number.
+                    let len = rest
+                        .char_indices()
+                        .find(|&(at, c)| {
+                            !(is_ident_char(c) || c == '.' && !rest[at..].starts_with(".."))
+                        })
+                        .map_or(rest.len(), |(at, _)| at);
+                    push(TokKind::Number, &rest[..len]);
+                    i += len;
+                }
+                State::Code if c == '\'' => {
+                    if let Some(len) = char_literal_len(rest) {
+                        push(TokKind::Str, "");
+                        i += len;
+                    } else {
+                        let len = 1 + rest[1..]
+                            .find(|c| !is_ident_char(c))
+                            .unwrap_or(rest.len() - 1);
+                        if len > 1 {
+                            push(TokKind::Lifetime, &rest[..len]);
+                        } else {
+                            push(TokKind::Punct('\''), "'");
+                        }
+                        i += len;
+                    }
+                }
+                State::Code => {
+                    push(TokKind::Punct(c), &rest[..c.len_utf8()]);
+                    i += c.len_utf8();
+                }
+            }
+        }
+        comment_at.push(comment);
+    }
+    Lexed { toks, comment_at }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strip::blank_noncode;
 
-    fn toks(src: &str) -> Vec<Tok> {
-        tokenize(&blank_noncode(src))
+    fn texts(src: &str) -> Vec<String> {
+        lex(src).toks.into_iter().map(|t| t.text).collect()
+    }
+
+    fn idents(src: &str) -> Vec<String> {
+        let toks = lex(src).toks.into_iter();
+        toks.filter(|t| t.kind == TokKind::Ident)
+            .map(|t| t.text)
+            .collect()
     }
 
     #[test]
-    fn idents_numbers_and_puncts() {
-        let t = toks("let x = foo(42);");
-        let texts: Vec<&str> = t.iter().map(|t| t.text.as_str()).collect();
-        assert_eq!(texts, vec!["let", "x", "=", "foo", "(", "42", ")", ";"]);
-        assert_eq!(t[0].kind, TokKind::Ident);
-        assert_eq!(t[5].kind, TokKind::Number);
-    }
-
-    #[test]
-    fn lines_are_one_based_and_tracked() {
-        let t = toks("fn a() {\n    b();\n}\n");
-        let b = t.iter().find(|t| t.is_ident("b")).unwrap();
-        assert_eq!(b.line, 2);
-    }
-
-    #[test]
-    fn comments_and_strings_yield_no_idents() {
-        let t = toks("// unwrap here\nlet s = \"unwrap\"; a.unwrap();");
-        let unwraps = t.iter().filter(|t| t.is_ident("unwrap")).count();
-        assert_eq!(unwraps, 1, "{t:?}");
-        assert!(t.iter().any(|t| t.kind == TokKind::Str));
-    }
-
-    #[test]
-    fn lifetimes_are_not_char_shells() {
-        let t = toks("fn f<'a>(x: &'a str, c: char) { let y = 'z'; }");
-        assert!(t
-            .iter()
-            .any(|t| t.kind == TokKind::Lifetime && t.text == "'a"));
-        // 'z' became a blanked shell, not a lifetime.
+    fn idents_numbers_puncts_and_lines() {
+        let lexed = lex("fn a() {\n    let x = foo(42);\n}\n");
+        let t = &lexed.toks;
         assert_eq!(
-            t.iter().filter(|t| t.kind == TokKind::Lifetime).count(),
-            2 // both occurrences of 'a
+            t.iter().map(|t| t.text.as_str()).collect::<Vec<_>>(),
+            ["fn", "a", "(", ")", "{", "let", "x", "=", "foo", "(", "42", ")", ";", "}"]
         );
+        assert_eq!(t[0].kind, TokKind::Ident);
+        assert_eq!(t[10].kind, TokKind::Number);
+        assert_eq!(t[8].line, 2, "lines are 1-based");
+        assert_eq!(lexed.comment_at, [None, None, None]);
+    }
+
+    /// Every way a rule pattern can sit in a file without being code:
+    /// `(source, identifiers the lexer may report)`.
+    #[test]
+    fn comments_and_literals_yield_no_idents() {
+        let cases: &[(&str, &[&str])] = &[
+            ("let x = 1; // a.unwrap()", &["let", "x"]),
+            ("/// calls unwrap for effect", &[]),
+            ("let p = \"a.unwrap()\";", &["let", "p"]),
+            // An escaped quote does not end the string.
+            (
+                r#"let p = "a\"b"; q.unwrap();"#,
+                &["let", "p", "q", "unwrap"],
+            ),
+            // Block comments nest and span lines.
+            (
+                "/* unwrap /* nested */\nstill comment */ let x = 1;",
+                &["let", "x"],
+            ),
+            // Raw, byte and raw-byte strings; `r#type` is not one of them.
+            (
+                r##"let p = r#"un"wrap"#; let t = 2;"##,
+                &["let", "p", "let", "t"],
+            ),
+            (
+                r##"f(b"unwrap", br#"unwrap"#, r#type)"##,
+                &["f", "r", "type"],
+            ),
+            // A string carries over the line break, and code resumes right
+            // after its closing quote.
+            (
+                "let s = \"one\n  two\"; a.unwrap(); let t = \"x\";",
+                &["let", "s", "a", "unwrap", "let", "t"],
+            ),
+            // Char literals — a quote, an escape, a multi-byte char — against
+            // lifetimes.
+            (
+                "fn f<'a>(x: &'a str) { g('\"', '\\'', '\\u{e9}', 'é', 'z') }",
+                &["fn", "f", "x", "str", "g"],
+            ),
+        ];
+        for (src, want) in cases {
+            assert_eq!(idents(src), *want, "{src}");
+        }
+    }
+
+    #[test]
+    fn lifetimes_are_not_char_literals() {
+        let lexed = lex("fn f<'a>(x: &'a str, c: char) { let y = 'z'; }");
+        let lifetimes: Vec<&Tok> = lexed
+            .toks
+            .iter()
+            .filter(|t| t.kind == TokKind::Lifetime)
+            .collect();
+        assert_eq!(lifetimes.len(), 2);
+        assert!(lifetimes.iter().all(|t| t.text == "'a"));
+        let strs = lexed.toks.iter().filter(|t| t.kind == TokKind::Str);
+        assert_eq!(strs.count(), 1, "'z' is one literal");
     }
 
     #[test]
     fn range_is_not_swallowed_by_number() {
-        let t = toks("for i in 0..n {}");
-        let texts: Vec<&str> = t.iter().map(|t| t.text.as_str()).collect();
-        assert_eq!(texts, vec!["for", "i", "in", "0", ".", ".", "n", "{", "}"]);
+        assert_eq!(
+            texts("for i in 0..n { 1.5 }"),
+            ["for", "i", "in", "0", ".", ".", "n", "{", "1.5", "}"]
+        );
+    }
+
+    #[test]
+    fn a_comment_starts_in_code_position_only() {
+        let src = "let u = \"http://x\"; // real\n\
+                   /* not // here */ x // but here\n\
+                   let s = \"open\n\
+                   // still the string\";\n\
+                   // own line\n";
+        assert_eq!(
+            lex(src).comment_at,
+            [Some(20), Some(20), None, None, Some(0)]
+        );
     }
 }

@@ -1,32 +1,33 @@
 //! # dice-lint — workspace invariant checker
 //!
-//! Deterministic replay rests on three load-bearing conventions: the SUT
-//! downcast seam (one adapter module per protocol), byte-identical
-//! `CampaignReport::normalized()` at any `pair_workers`, and an executor
-//! whose workers share nothing mutable. This crate turns
-//! those conventions into machine-checked rules: a std-only, line/token
-//! level scanner over the workspace's Rust sources (no rustc plugin — the
-//! build container is offline), runnable both as a binary
-//! (`cargo run -p dice-lint`) and as a tier-1 test (`tests/dice_lint.rs`
-//! at the workspace root).
+//! Deterministic replay rests on conventions no compiler checks. Most of
+//! them are held by stock tools (DESIGN.md §6 has the row per invariant):
+//! clippy, through `crates/clippy.toml`, keeps wall clocks, hash-order
+//! iteration and locks out of `crates/**`, and
+//! `tests/normalized_reflection.rs` holds the `normalized()` zeroing
+//! contract on a real serialized report. This crate keeps what only a
+//! whole-workspace view can see: which fns are *reachable* from the round
+//! hot loop, and whether the fns the allocation-free paths are named by
+//! still exist where the tables say. It is a std-only token-level scanner
+//! (no rustc plugin — the build container is offline), runnable both as a
+//! binary (`cargo run -p dice-lint`) and as a tier-1 test
+//! (`tests/dice_lint.rs` at the workspace root).
 //!
-//! ## Rules
+//! ## Modules and rules
 //!
-//! Line/token rules match the blanked code view directly; the semantic
-//! rules (`panic-freedom`, `alloc-hot-path`, `schema-drift`) query the
-//! workspace item graph (the `graph` module) built from a spanned token
-//! stream (`lexer`) over that same view.
+//! | module | what it owns |
+//! |---|---|
+//! | `lexer` | one pass over a file's raw text: the token stream (comments and literal contents yield no tokens) and where each line's `//` comment starts |
+//! | `graph` | fns, their impls and test-ness, and name-resolved call edges over those tokens; reachability; root lookup |
+//! | `rules` | the root tables and the four rules that read the graph |
+//! | this file | the scan pipeline, allow annotations and the two rules that police them, the workspace walker, the findings table |
 //!
 //! | id | invariant |
 //! |---|---|
 //! | `seam-containment` | `downcast_ref::<BgpRouter>` only in `core/src/bgp_sut.rs`; `GossipNode` downcasts only in `gossip_sut.rs` |
-//! | `determinism-zone` | no `Instant::now` / `SystemTime` / ambient RNG in report-affecting code without an annotation |
-//! | `unordered-iter` | no `HashMap`/`HashSet` iteration feeding serialized reports or coverage unions |
-//! | `lock-hygiene` | non-test `crates/core/src` names no `Mutex` / `RwLock` / `Condvar` — workers hand results back through their join handles |
 //! | `panic-freedom` | no `unwrap`/`expect`/`panic!`/identifier slice-index in fns reachable from the round hot loop or the solve path |
 //! | `alloc-hot-path` | no fresh allocations (`Vec::new`, `format!`, `.clone()`, …) inside the pooled validation paths and the BGP speaker's UPDATE fan-out |
-//! | `schema-drift` | every wall-clock field of a `Serialize` struct reachable from `CampaignReport` is zeroed by `normalized()` |
-//! | `unresolved-root` | workspace scans only: every fn or struct a semantic rule anchors on (`panic-freedom` roots, `alloc-hot-path` pooled fns, `schema-drift`'s `CampaignReport`) is found where its root table says, if its crate is in the scan |
+//! | `unresolved-root` | workspace scans only: every fn the two rules above anchor on is found, once, where its root table says, if its crate is in the scan |
 //! | `allow-syntax` | escape-hatch annotations must name a known rule and give a reason |
 //! | `stale-allow` | escape-hatch annotations must actually suppress a finding |
 //!
@@ -38,12 +39,12 @@
 //! placeholders; the marker itself is assembled at runtime so these docs
 //! don't trip the scanner): `<marker>(<rule-id>): <reason>` where
 //! `<marker>` is the crate name followed by `: allow`. Suppressed findings
-//! are still parsed and reported (JSON `allowed` array); a missing reason
-//! or an annotation that suppresses nothing is itself a violation.
+//! are still parsed and reported (the table's `allowed` rows); a missing
+//! reason or an annotation that suppresses nothing is itself a violation.
 //!
 //! The scanner skips `vendor/` (third-party stand-ins), `target/`, and its
-//! own crate (`crates/lint` contains no report-affecting code, but its
-//! sources and fixtures quote the patterns the rules search for).
+//! own crate (its sources and fixtures quote the patterns the rules search
+//! for).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,19 +55,14 @@ use std::path::{Path, PathBuf};
 mod graph;
 mod lexer;
 mod rules;
-mod strip;
 
 /// The rule identifiers enforced by this crate, in severity-neutral
 /// reporting order. `allow-syntax` and `stale-allow` police the escape
 /// hatch itself.
 pub const RULES: &[&str] = &[
     "seam-containment",
-    "determinism-zone",
-    "unordered-iter",
-    "lock-hygiene",
     "panic-freedom",
     "alloc-hot-path",
-    "schema-drift",
     "unresolved-root",
     "allow-syntax",
     "stale-allow",
@@ -82,15 +78,6 @@ pub struct SourceFile {
     pub content: String,
 }
 
-/// A prepared file: raw lines plus a "code view" with comments and
-/// string/char-literal contents blanked, so rules never match doc text or
-/// quoted patterns.
-pub(crate) struct Prepared {
-    pub(crate) path: String,
-    pub(crate) raw: Vec<String>,
-    pub(crate) code: Vec<String>,
-}
-
 /// One rule hit before allow-annotation resolution.
 pub(crate) struct RawFinding {
     pub(crate) rule: &'static str,
@@ -98,7 +85,7 @@ pub(crate) struct RawFinding {
     /// 1-based line number.
     pub(crate) line: usize,
     pub(crate) message: String,
-    /// For findings inside a function body (semantic rules only): the
+    /// For findings inside a function body (the reachability rules): the
     /// 1-based line of the enclosing `fn` keyword. An allow annotation on
     /// (or directly above) the fn declaration then suppresses every
     /// finding of that rule in the body — the fn-level escape hatch for
@@ -128,11 +115,6 @@ pub struct Finding {
 pub struct LintReport {
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// Wall-clock milliseconds the workspace scan took (file IO, lexing,
-    /// item-graph build and rules). Zero for in-memory [`scan_files`]
-    /// callers; set by [`scan_workspace`]. The tier-1 suite asserts a
-    /// ceiling on this so the analyzer stays honest as the graph grows.
-    pub scan_wall_ms: u64,
     /// Findings not covered by an allow annotation. Empty = exit 0.
     pub violations: Vec<Finding>,
     /// Findings suppressed by a justified annotation.
@@ -161,51 +143,42 @@ fn marker() -> String {
     format!("dice-{}{}", "lint: ", "allow(")
 }
 
-/// Parse every allow annotation in `raw` lines. Only text after a `//`
-/// counts — a quoted marker in code is not an annotation.
-fn parse_annotations(raw: &[String]) -> Vec<Annotation> {
+/// Parse every allow annotation in `content`. Only a `//` comment counts,
+/// and the lexer says where each line's starts (`comment_at`) — a marker
+/// quoted in a string literal is not an annotation, whatever precedes it.
+fn parse_annotations(content: &str, comment_at: &[Option<usize>]) -> Vec<Annotation> {
     let marker = marker();
     let mut out = Vec::new();
-    for (idx, line) in raw.iter().enumerate() {
-        let Some(comment_at) = line.find("//") else {
+    for (idx, (line, at)) in content.lines().zip(comment_at).enumerate() {
+        let Some(at) = *at else {
             continue;
         };
-        let comment = &line[comment_at..];
+        let (code, comment) = line.split_at(at);
         let Some(m) = comment.find(&marker) else {
             continue;
         };
         let after = &comment[m + marker.len()..];
-        let Some(close) = after.find(')') else {
-            // Unterminated marker: treated as a malformed annotation with
-            // an empty rule id, caught by allow-syntax.
-            out.push(Annotation {
-                line: idx + 1,
-                rule: String::new(),
-                reason: None,
-                own_line: line.trim_start().starts_with("//"),
-                used: false,
-            });
-            continue;
-        };
-        let rule = after[..close].trim().to_string();
-        let rest = after[close + 1..].trim_start();
+        // An unterminated marker is a malformed annotation with an empty
+        // rule id, caught by allow-syntax.
+        let (rule, rest) = after.split_once(')').unwrap_or(("", ""));
         let reason = rest
+            .trim_start()
             .strip_prefix(':')
             .map(|r| r.trim().to_string())
             .filter(|r| !r.is_empty());
         out.push(Annotation {
             line: idx + 1,
-            rule,
+            rule: rule.trim().to_string(),
             reason,
-            own_line: line.trim_start().starts_with("//"),
+            own_line: code.trim().is_empty(),
             used: false,
         });
     }
     out
 }
 
-/// Scan an in-memory file set. This is the whole pipeline: prepare code
-/// views, run the rules, resolve allow annotations, police the
+/// Scan an in-memory file set. This is the whole pipeline: lex, build
+/// the item graph, run the rules, resolve allow annotations, police the
 /// annotations themselves, and sort deterministically. Rule roots absent
 /// from `files` are skipped (fixtures define only the ones they test);
 /// [`scan_workspace`] reports them as `unresolved-root`.
@@ -214,32 +187,25 @@ pub fn scan_files(files: &[SourceFile]) -> LintReport {
 }
 
 fn scan(files: &[SourceFile], workspace: bool) -> LintReport {
-    let prepared: Vec<Prepared> = files
-        .iter()
-        .map(|f| {
-            let raw: Vec<String> = f.content.lines().map(str::to_string).collect();
-            let code = strip::blank_noncode(&f.content);
-            Prepared {
-                path: f.path.clone(),
-                raw,
-                code,
-            }
-        })
-        .collect();
+    // Per-file annotation tables, resolved against the findings below.
+    let mut annotations: Vec<(String, Vec<Annotation>)> = Vec::with_capacity(files.len());
+    let mut lexed = Vec::with_capacity(files.len());
+    for f in files {
+        let lexer::Lexed { toks, comment_at } = lexer::lex(&f.content);
+        annotations.push((f.path.clone(), parse_annotations(&f.content, &comment_at)));
+        lexed.push(graph::FileToks {
+            path: f.path.clone(),
+            toks,
+        });
+    }
 
-    let graph = graph::ItemGraph::build(&prepared);
-    let raw_findings = rules::run_all(&prepared, &graph, workspace);
+    let graph = graph::ItemGraph::build(lexed);
+    let raw_findings = rules::run_all(&graph, workspace);
 
     let mut report = LintReport {
         files_scanned: files.len(),
         ..LintReport::default()
     };
-
-    // Per-file annotation tables, resolved against the findings.
-    let mut annotations: Vec<(String, Vec<Annotation>)> = prepared
-        .iter()
-        .map(|p| (p.path.clone(), parse_annotations(&p.raw)))
-        .collect();
 
     for f in raw_findings {
         let anns = annotations
@@ -251,32 +217,31 @@ fn scan(files: &[SourceFile], workspace: bool) -> LintReport {
                 let covers_line = (a.line == f.line) || (a.own_line && a.line + 1 == f.line);
                 // Fn-level coverage: an annotation on (or above) the fn
                 // declaration suppresses every body finding of that rule.
-                // Only the semantic rules set `fn_line`.
+                // Only the reachability rules set `fn_line`.
                 let covers_fn = f
                     .fn_line
                     .is_some_and(|fl| (a.line == fl) || (a.own_line && a.line + 1 == fl));
                 a.rule == f.rule && a.reason.is_some() && (covers_line || covers_fn)
             })
         });
-        match hit {
-            Some(a) => {
-                a.used = true;
-                report.allowed.push(Finding {
-                    rule: f.rule.to_string(),
-                    path: f.path,
-                    line: f.line,
-                    message: f.message,
-                    reason: a.reason.clone(),
-                });
-            }
-            None => report.violations.push(Finding {
-                rule: f.rule.to_string(),
-                path: f.path,
-                line: f.line,
-                message: f.message,
-                reason: None,
-            }),
-        }
+        // A covering annotation always carries a reason, so `reason` is
+        // what tells an allowed finding from a violation.
+        let reason = hit.and_then(|a| {
+            a.used = true;
+            a.reason.clone()
+        });
+        let list = if reason.is_some() {
+            &mut report.allowed
+        } else {
+            &mut report.violations
+        };
+        list.push(Finding {
+            rule: f.rule.to_string(),
+            path: f.path,
+            line: f.line,
+            message: f.message,
+            reason,
+        });
     }
 
     // Police the escape hatch: unknown rule ids and missing reasons are
@@ -284,41 +249,41 @@ fn scan(files: &[SourceFile], workspace: bool) -> LintReport {
     // stale. Both are ordinary violations.
     for (path, anns) in &annotations {
         for a in anns {
-            if a.rule.is_empty() || !RULES.contains(&a.rule.as_str()) {
-                report.violations.push(Finding {
-                    rule: "allow-syntax".into(),
-                    path: path.clone(),
-                    line: a.line,
-                    message: format!(
-                        "allow annotation names unknown rule `{}` (known: {})",
-                        a.rule,
-                        RULES.join(", ")
+            let (rule, message) = if a.rule.is_empty() || !RULES.contains(&a.rule.as_str()) {
+                let known = RULES.join(", ");
+                (
+                    "allow-syntax",
+                    format!(
+                        "allow annotation names unknown rule `{}` (known: {known})",
+                        a.rule
                     ),
-                    reason: None,
-                });
+                )
             } else if a.reason.is_none() {
-                report.violations.push(Finding {
-                    rule: "allow-syntax".into(),
-                    path: path.clone(),
-                    line: a.line,
-                    message: format!(
+                (
+                    "allow-syntax",
+                    format!(
                         "allow annotation for `{}` has no justification — append `: <reason>`",
                         a.rule
                     ),
-                    reason: None,
-                });
+                )
             } else if !a.used {
-                report.violations.push(Finding {
-                    rule: "stale-allow".into(),
-                    path: path.clone(),
-                    line: a.line,
-                    message: format!(
+                (
+                    "stale-allow",
+                    format!(
                         "allow annotation for `{}` suppresses nothing — remove it",
                         a.rule
                     ),
-                    reason: None,
-                });
-            }
+                )
+            } else {
+                continue;
+            };
+            report.violations.push(Finding {
+                rule: rule.into(),
+                path: path.clone(),
+                line: a.line,
+                message,
+                reason: None,
+            });
         }
     }
 
@@ -332,12 +297,9 @@ fn scan(files: &[SourceFile], workspace: bool) -> LintReport {
 /// `tests/` trees), skipping `vendor/`, `target/`, `.git/`, this crate's
 /// own fixture directory and this crate itself, and scan every `.rs`
 /// file found. Directory entries are visited in sorted order so the
-/// report is stable. Unlike [`scan_files`], a root of a semantic rule that
-/// no longer resolves in a scanned crate is an `unresolved-root` violation.
+/// report is stable. Unlike [`scan_files`], a rule root that no longer
+/// resolves to one fn of a scanned crate is an `unresolved-root` violation.
 pub fn scan_workspace(root: &Path) -> std::io::Result<LintReport> {
-    // dice-lint: timing the scanner itself — this crate is excluded from
-    // its own scan, so the wall-clock read below never trips a rule.
-    let scan_start = std::time::Instant::now();
     let mut paths: Vec<PathBuf> = Vec::new();
     for top in ["src", "crates", "examples", "tests"] {
         let dir = root.join(top);
@@ -363,9 +325,7 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<LintReport> {
             content: std::fs::read_to_string(&p)?,
         });
     }
-    let mut report = scan(&files, true);
-    report.scan_wall_ms = scan_start.elapsed().as_millis() as u64;
-    Ok(report)
+    Ok(scan(&files, true))
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -391,86 +351,10 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Locate the workspace root: walk up from `start` until a directory
-/// containing both `Cargo.toml` and `crates/` is found.
-pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = start.to_path_buf();
-    loop {
-        if dir.join("Cargo.toml").is_file() && dir.join("crates").is_dir() {
-            return Some(dir);
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn finding_json(f: &Finding, indent: &str) -> String {
-    let mut s = format!(
-        "{indent}{{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"message\": \"{}\"",
-        json_escape(&f.rule),
-        json_escape(&f.path),
-        f.line,
-        json_escape(&f.message),
-    );
-    if let Some(reason) = &f.reason {
-        let _ = write!(s, ", \"reason\": \"{}\"", json_escape(reason));
-    }
-    s.push('}');
-    s
-}
-
 impl LintReport {
     /// Whether the scan found no unallowed violations.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// Machine-readable JSON report (hand-rolled: this crate is std-only
-    /// by design).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"files_scanned\": {},", self.files_scanned);
-        let _ = writeln!(s, "  \"scan_wall_ms\": {},", self.scan_wall_ms);
-        let _ = writeln!(
-            s,
-            "  \"rules\": [{}],",
-            RULES
-                .iter()
-                .map(|r| format!("\"{r}\""))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        for (key, list) in [("violations", &self.violations), ("allowed", &self.allowed)] {
-            let _ = writeln!(s, "  \"{key}\": [");
-            for (i, f) in list.iter().enumerate() {
-                let comma = if i + 1 < list.len() { "," } else { "" };
-                let _ = writeln!(s, "{}{comma}", finding_json(f, "    "));
-            }
-            let comma = if key == "violations" { "," } else { "" };
-            let _ = writeln!(s, "  ]{comma}");
-        }
-        s.push_str("}\n");
-        s
     }
 
     /// Human-readable table: one aligned row per finding, violations
@@ -526,57 +410,71 @@ impl LintReport {
 mod tests {
     use super::*;
 
+    /// A reachable `.unwrap()` on line 3, with `above` on the line before it.
+    fn unwrap_under(above: &str) -> LintReport {
+        scan_files(&[SourceFile {
+            path: "crates/core/src/executor.rs".into(),
+            content: format!("pub fn run_rounds(x: Option<u8>) {{\n{above}\nx.unwrap();\n}}\n"),
+        }])
+    }
+
+    fn rules_of(report: &LintReport) -> Vec<&str> {
+        report.violations.iter().map(|f| f.rule.as_str()).collect()
+    }
+
     #[test]
     fn marker_is_parsed_only_inside_comments() {
         let m = marker();
-        let file = SourceFile {
-            path: "crates/core/src/x.rs".into(),
-            content: format!("let s = \"{m}determinism-zone): quoted\";\n"),
-        };
-        let report = scan_files(&[file]);
-        // The quoted marker is inside a string literal with no leading
-        // `//`, so no annotation is parsed and nothing is stale.
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        // A quoted marker is no annotation — not even behind a `//` that is
+        // itself inside the string literal — so nothing here is stale.
+        for quoted in [
+            format!("let s = \"{m}panic-freedom): quoted\";"),
+            format!("let s = \"see http://x // {m}panic-freedom): quoted\";"),
+        ] {
+            let report = unwrap_under(&quoted);
+            assert_eq!(rules_of(&report), ["panic-freedom"], "{quoted}");
+        }
+        // The same text as a real comment suppresses the finding.
+        let report = unwrap_under(&format!("// {m}panic-freedom): x is Some by contract"));
+        assert!(report.is_clean(), "{:?}", report.violations);
+        assert_eq!(report.allowed.len(), 1);
     }
 
     #[test]
     fn annotation_without_reason_is_malformed() {
+        // The reasonless annotation suppresses nothing, so the finding
+        // stays AND the annotation is flagged; so is an unterminated one.
         let m = marker();
-        let file = SourceFile {
-            path: "crates/core/src/x.rs".into(),
-            content: format!("// {m}determinism-zone)\nlet t = std::time::Instant::now();\n"),
-        };
-        let report = scan_files(&[file]);
-        let rules: Vec<&str> = report.violations.iter().map(|f| f.rule.as_str()).collect();
-        // The reasonless annotation suppresses nothing, so the zone
-        // violation stays AND the annotation is flagged.
-        assert!(rules.contains(&"allow-syntax"), "{rules:?}");
-        assert!(rules.contains(&"determinism-zone"), "{rules:?}");
+        for bad in [
+            format!("// {m}panic-freedom)"),
+            format!("// {m}panic-freedom"),
+        ] {
+            let report = unwrap_under(&bad);
+            assert_eq!(
+                rules_of(&report),
+                ["allow-syntax", "panic-freedom"],
+                "{bad}"
+            );
+        }
     }
 
     #[test]
     fn unknown_rule_in_annotation_is_flagged() {
+        // A retired rule id is as unknown as one that never existed: the
+        // determinism zone is clippy's now, and takes `#[expect]`.
         let m = marker();
-        let file = SourceFile {
-            path: "crates/core/src/x.rs".into(),
-            content: format!("// {m}no-such-rule): because\nfn f() {{}}\n"),
-        };
-        let report = scan_files(&[file]);
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].rule, "allow-syntax");
-        assert!(report.violations[0].message.contains("no-such-rule"));
+        for id in ["no-such-rule", "determinism-zone"] {
+            let report = unwrap_under(&format!("// {m}{id}): because"));
+            assert_eq!(rules_of(&report), ["allow-syntax", "panic-freedom"]);
+            assert!(report.violations[0].message.contains(id));
+        }
     }
 
     #[test]
     fn stale_annotation_is_flagged() {
         let m = marker();
-        let file = SourceFile {
-            path: "crates/core/src/x.rs".into(),
-            content: format!("// {m}lock-hygiene): nothing to suppress here\nfn f() {{}}\n"),
-        };
-        let report = scan_files(&[file]);
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].rule, "stale-allow");
+        let report = unwrap_under(&format!("// {m}alloc-hot-path): nothing allocates here"));
+        assert_eq!(rules_of(&report), ["stale-allow", "panic-freedom"]);
     }
 
     #[test]
@@ -588,19 +486,15 @@ mod tests {
             std::env::temp_dir().join(format!("dice-lint-fixture-scan-{}", std::process::id()));
         let src = root.join("crates").join("foo").join("src").join("fixtures");
         std::fs::create_dir_all(&src).unwrap();
-        std::fs::write(
-            src.join("gen.rs"),
-            "fn f() { let t = std::time::Instant::now(); }\n",
-        )
-        .unwrap();
+        let stale = format!("// {}panic-freedom): nothing here\nfn f() {{}}\n", marker());
+        std::fs::write(src.join("gen.rs"), stale).unwrap();
         let report = scan_workspace(&root).unwrap();
         std::fs::remove_dir_all(&root).unwrap();
         assert_eq!(
             report.files_scanned, 1,
             "the fixtures/ module must be walked"
         );
-        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-        assert_eq!(report.violations[0].rule, "determinism-zone");
+        assert_eq!(rules_of(&report), ["stale-allow"]);
         assert!(
             report.violations[0].path.ends_with("fixtures/gen.rs"),
             "{}",
@@ -609,18 +503,23 @@ mod tests {
     }
 
     #[test]
-    fn json_report_shape() {
+    fn table_shape() {
+        let m = marker();
+        let source =
+            format!("// {m}panic-freedom): x is Some by contract\nx.unwrap(); x.expect(\"\");");
         let report = scan_files(&[SourceFile {
-            path: "crates/core/src/x.rs".into(),
-            content: "fn f() { let t = std::time::Instant::now(); }\n".into(),
+            path: "crates/core/src/executor.rs".into(),
+            content: format!("pub fn run_rounds(x: Option<u8>) {{\n{source}\nx.unwrap();\n}}\n"),
         }]);
         assert!(!report.is_clean());
-        let json = report.to_json();
-        assert!(json.contains("\"rule\": \"determinism-zone\""));
-        assert!(json.contains("\"files_scanned\": 1"));
-        assert!(json.contains("\"line\": 1"));
         let table = report.to_table();
-        assert!(table.contains("VIOLATION"));
-        assert!(table.contains("1 violation(s)"));
+        let rows: Vec<&str> = table.lines().collect();
+        assert_eq!(rows.len(), 4, "{table}");
+        assert!(rows[0]
+            .starts_with("VIOLATION  crates/core/src/executor.rs:4  panic-freedom  `.unwrap()`"));
+        assert!(rows[1]
+            .starts_with("allowed    crates/core/src/executor.rs:3  panic-freedom  `.unwrap()`"));
+        assert!(rows[2].ends_with("[x is Some by contract]"), "{table}");
+        assert_eq!(rows[3], "1 files scanned, 1 violation(s), 2 allowed");
     }
 }

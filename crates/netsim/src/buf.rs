@@ -16,6 +16,11 @@
 //! validation worker threads; the lock is uncontended in practice because
 //! each simulator owns a private pool.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the shelf lock: one private pool per simulator, never contended, and no report reads what it orders"
+)]
+
 use std::sync::{Arc, Mutex};
 
 /// Size-class upper bounds, in bytes. A buffer is filed under the smallest

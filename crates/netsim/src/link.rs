@@ -9,7 +9,10 @@ use crate::time::SimDuration;
 
 /// One-way propagation latency model for a link.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "every variant is documented; its fields are the model's parameters"
+)]
 pub enum LatencyModel {
     /// Constant latency.
     Fixed(SimDuration),

@@ -52,7 +52,10 @@ pub enum SessionEvent {
 /// An effect requested by a node handler, applied by the simulator
 /// after the handler returns.
 #[derive(Debug, Clone)]
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "every variant is documented; its fields are the effect's operands"
+)]
 pub enum Effect {
     /// Send bytes over the session to a neighbor (counts as activity).
     Send { to: NodeId, data: Payload },

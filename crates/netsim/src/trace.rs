@@ -21,7 +21,10 @@ pub struct TraceEvent {
 /// Event taxonomy. Variant fields are self-describing (`src`/`dst`
 /// endpoints, payload sizes, snapshot ids).
 #[derive(Debug, Clone)]
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "every variant is documented; its fields are self-describing endpoints, sizes and ids"
+)]
 pub enum TraceKind {
     /// A data frame was handed to the channel.
     Sent {

@@ -1,17 +1,23 @@
 //! Tier-1 gate: the whole workspace must be `dice-lint`-clean.
 //!
 //! This is the same scan `cargo run -p dice-lint` performs in CI, run as
-//! a test so the invariants (seam containment, determinism zone,
-//! unordered iteration, lock hygiene, panic freedom, hot-path
-//! allocations, schema drift) break the build the moment a
-//! PR violates one without a justified allow annotation.
+//! a test so the invariants it holds (seam containment, panic freedom and
+//! allocation freedom on the paths its root tables name, and those roots
+//! resolving at all) break the build the moment a PR violates one without
+//! a justified allow annotation. The determinism zone, hash iteration and
+//! lock hygiene are *not* here: `cargo clippy --workspace --all-targets`
+//! holds them through `crates/clippy.toml` (DESIGN.md §6), and
+//! `tests/normalized_reflection.rs` holds the zeroing contract.
 
 use std::path::Path;
+use std::time::Instant;
 
 #[test]
 fn workspace_is_lint_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let started = Instant::now();
     let report = dice_lint::scan_workspace(root).expect("workspace scan succeeds");
+    let scan_ms = started.elapsed().as_millis();
     assert!(
         report.is_clean(),
         "dice-lint found unallowed violations:\n{}",
@@ -41,8 +47,7 @@ fn workspace_is_lint_clean() {
     // and call-edge resolution are linear passes, and 5 s of headroom is
     // an order of magnitude above what the tree needs today.
     assert!(
-        report.scan_wall_ms < 5000,
-        "lint scan took {} ms — the semantic rules regressed",
-        report.scan_wall_ms
+        scan_ms < 5000,
+        "lint scan took {scan_ms} ms — the reachability rules regressed"
     );
 }
