@@ -58,13 +58,13 @@ fn bench_pool(c: &mut Criterion) {
     let mut group = c.benchmark_group("buf_pool");
     // Steady state: the previous buffer is recycled before the next
     // acquire, so every iteration after the first is a pool hit.
-    let pool = BufPool::new();
+    let mut pool = BufPool::new();
     group.bench_function("acquire_recycled", |b| {
         b.iter(|| {
             let mut buf = pool.acquire();
-            dice_bgp::wire::encode_into(&update, buf.as_mut_vec());
+            dice_bgp::wire::encode_into(&update, &mut buf);
             let n = buf.len();
-            pool.recycle(buf.into());
+            pool.recycle(buf);
             black_box(n)
         });
     });

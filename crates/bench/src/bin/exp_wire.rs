@@ -50,7 +50,7 @@ fn main() {
     let bgp = bgp_update();
     let digest = gossip_digest();
     let rumor = gossip_rumor();
-    let pool = BufPool::new();
+    let mut pool = BufPool::new();
 
     let mut compare = |name: &str, fresh: &mut dyn FnMut(), pooled: &mut dyn FnMut()| {
         let (fa, fb) = measure(iters, &mut *fresh);
@@ -69,9 +69,9 @@ fn main() {
         },
         &mut || {
             let mut buf = pool.acquire();
-            dice_bgp::wire::encode_into(&bgp, buf.as_mut_vec());
+            dice_bgp::wire::encode_into(&bgp, &mut buf);
             std::hint::black_box(buf.len());
-            pool.recycle(buf.into());
+            pool.recycle(buf);
         },
     );
     compare(
@@ -81,9 +81,9 @@ fn main() {
         },
         &mut || {
             let mut buf = pool.acquire();
-            dice_gossip::wire::encode_into(&digest, buf.as_mut_vec());
+            dice_gossip::wire::encode_into(&digest, &mut buf);
             std::hint::black_box(buf.len());
-            pool.recycle(buf.into());
+            pool.recycle(buf);
         },
     );
     compare(
@@ -93,9 +93,9 @@ fn main() {
         },
         &mut || {
             let mut buf = pool.acquire();
-            dice_gossip::wire::encode_into(&rumor, buf.as_mut_vec());
+            dice_gossip::wire::encode_into(&rumor, &mut buf);
             std::hint::black_box(buf.len());
-            pool.recycle(buf.into());
+            pool.recycle(buf);
         },
     );
     t1.print();

@@ -1,28 +1,12 @@
-//! Router configuration and the BIRD-lite textual config language.
-//!
-//! Operators write filters in a small language modeled on BIRD's; the parser
-//! lowers it to the data-driven [`Policy`] structures which are then
-//! *interpreted* at run time. DiCE's concolic engine records constraints
-//! through that interpretation, so explored paths cover configuration as
-//! well as code.
-//!
-//! ```text
-//! router as 65001 id 10.0.0.1;
-//! hold 90;
-//! network 10.1.0.0/16;
-//! owned 10.1.0.0/16;
-//! neighbor node 3 as 65002 import IMP export EXP;
-//! filter IMP {
-//!     if prefix in [ 10.0.0.0/8{8,24} ] then { localpref 200; accept; }
-//!     if aspath contains 65003 then reject;
-//!     accept;
-//! }
-//! filter EXP { accept; }
-//! ```
+//! Router configuration: sessions, originated prefixes and the named
+//! [`Policy`] tables a router *interprets* at run time. DiCE's concolic
+//! engine records constraints through that interpretation, so explored
+//! paths cover configuration as well as code. Configurations are built in
+//! code: [`RouterConfig::minimal`] plus the `with_*` builders, checked by
+//! [`RouterConfig::validate`].
 
-use crate::attrs::Origin;
-use crate::policy::{Action, Match, Policy, PrefixFilter, Rule, Verdict};
-use crate::types::{Asn, Community, Ipv4Net, RouterId};
+use crate::policy::Policy;
+use crate::types::{Asn, Ipv4Net, RouterId};
 use dice_netsim::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -154,20 +138,13 @@ impl RouterConfig {
     }
 }
 
-/// Configuration errors (validation and parsing).
+/// What [`RouterConfig::validate`] rejects.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// A neighbor references a policy that is not defined.
     UnknownPolicy(String),
-    /// Two neighbor blocks name the same node.
+    /// Two neighbor entries name the same node.
     DuplicateNeighbor(NodeId),
-    /// Textual parse error with line number and explanation.
-    Parse {
-        /// 1-based line.
-        line: usize,
-        /// What went wrong.
-        msg: String,
-    },
 }
 
 impl core::fmt::Display for ConfigError {
@@ -175,659 +152,40 @@ impl core::fmt::Display for ConfigError {
         match self {
             ConfigError::UnknownPolicy(p) => write!(f, "reference to undefined policy {p:?}"),
             ConfigError::DuplicateNeighbor(n) => write!(f, "duplicate neighbor {n}"),
-            ConfigError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
 
-// ---------------------------------------------------------------------
-// BIRD-lite parser
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Number(u64),
-    Prefix(Ipv4Net, Option<(u8, u8)>), // 10.0.0.0/8 or 10.0.0.0/8{8,24}
-    Community(Community),
-    Addr(u32),
-    Punct(char),
-}
-
-struct Lexer<'a> {
-    src: &'a str,
-    pos: usize,
-    line: usize,
-}
-
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer {
-            src,
-            pos: 0,
-            line: 1,
-        }
-    }
-
-    fn err(&self, msg: impl Into<String>) -> ConfigError {
-        ConfigError::Parse {
-            line: self.line,
-            msg: msg.into(),
-        }
-    }
-
-    fn peek_ch(&self) -> Option<char> {
-        self.src[self.pos..].chars().next()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek_ch()?;
-        self.pos += c.len_utf8();
-        if c == '\n' {
-            self.line += 1;
-        }
-        Some(c)
-    }
-
-    fn skip_ws(&mut self) {
-        loop {
-            match self.peek_ch() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump();
-                }
-                Some('#') => {
-                    while let Some(c) = self.bump() {
-                        if c == '\n' {
-                            break;
-                        }
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    /// Produce the next token (with its line), or None at EOF.
-    fn next_tok(&mut self) -> Result<Option<(Tok, usize)>, ConfigError> {
-        self.skip_ws();
-        let line = self.line;
-        let Some(c) = self.peek_ch() else {
-            return Ok(None);
-        };
-        if c.is_ascii_alphabetic() || c == '_' {
-            let start = self.pos;
-            while matches!(self.peek_ch(), Some(c) if c.is_ascii_alphanumeric() || c == '_' || c == '-')
-            {
-                self.bump();
-            }
-            return Ok(Some((
-                Tok::Ident(self.src[start..self.pos].to_string()),
-                line,
-            )));
-        }
-        if c.is_ascii_digit() {
-            return self.lex_numberish().map(|t| Some((t, line)));
-        }
-        if "{};[],<=:".contains(c) {
-            self.bump();
-            return Ok(Some((Tok::Punct(c), line)));
-        }
-        Err(self.err(format!("unexpected character {c:?}")))
-    }
-
-    /// Numbers, addresses, prefixes, communities — all start with a digit.
-    fn lex_numberish(&mut self) -> Result<Tok, ConfigError> {
-        let start = self.pos;
-        while matches!(self.peek_ch(), Some(c) if c.is_ascii_digit() || c == '.') {
-            self.bump();
-        }
-        let head = &self.src[start..self.pos];
-        match self.peek_ch() {
-            Some('/') => {
-                self.bump();
-                let lstart = self.pos;
-                while matches!(self.peek_ch(), Some(c) if c.is_ascii_digit()) {
-                    self.bump();
-                }
-                let len: u8 = self.src[lstart..self.pos]
-                    .parse()
-                    .map_err(|_| self.err("bad prefix length"))?;
-                let full = format!("{head}/{len}");
-                let net: Ipv4Net = full
-                    .parse()
-                    .map_err(|e| self.err(format!("bad prefix {full:?}: {e}")))?;
-                // Optional {min,max} range.
-                if self.peek_ch() == Some('{') {
-                    self.bump();
-                    let range = self.lex_range()?;
-                    return Ok(Tok::Prefix(net, Some(range)));
-                }
-                Ok(Tok::Prefix(net, None))
-            }
-            Some(':') => {
-                self.bump();
-                let vstart = self.pos;
-                while matches!(self.peek_ch(), Some(c) if c.is_ascii_digit()) {
-                    self.bump();
-                }
-                let a: u16 = head.parse().map_err(|_| self.err("bad community asn"))?;
-                let v: u16 = self.src[vstart..self.pos]
-                    .parse()
-                    .map_err(|_| self.err("bad community value"))?;
-                Ok(Tok::Community(Community::from_pair(a, v)))
-            }
-            _ => {
-                if head.contains('.') {
-                    let a: crate::types::Ipv4Addr = head
-                        .parse()
-                        .map_err(|e| self.err(format!("bad address: {e}")))?;
-                    Ok(Tok::Addr(a.0))
-                } else {
-                    let n: u64 = head.parse().map_err(|_| self.err("bad number"))?;
-                    Ok(Tok::Number(n))
-                }
-            }
-        }
-    }
-
-    fn lex_range(&mut self) -> Result<(u8, u8), ConfigError> {
-        let read_num = |lx: &mut Self| -> Result<u8, ConfigError> {
-            let s = lx.pos;
-            while matches!(lx.peek_ch(), Some(c) if c.is_ascii_digit()) {
-                lx.bump();
-            }
-            lx.src[s..lx.pos]
-                .parse()
-                .map_err(|_| lx.err("bad range bound"))
-        };
-        let lo = read_num(self)?;
-        if self.bump() != Some(',') {
-            return Err(self.err("expected ',' in length range"));
-        }
-        let hi = read_num(self)?;
-        if self.bump() != Some('}') {
-            return Err(self.err("expected '}' after length range"));
-        }
-        if lo > hi || hi > 32 {
-            return Err(self.err("invalid length range"));
-        }
-        Ok((lo, hi))
-    }
-}
-
-struct Parser {
-    toks: Vec<(Tok, usize)>,
-    pos: usize,
-}
-
-impl Parser {
-    fn err(&self, msg: impl Into<String>) -> ConfigError {
-        let line = self
-            .toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-            .map(|(_, l)| *l)
-            .unwrap_or(0);
-        ConfigError::Parse {
-            line,
-            msg: msg.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
-    }
-
-    fn next(&mut self) -> Result<Tok, ConfigError> {
-        let t = self
-            .toks
-            .get(self.pos)
-            .map(|(t, _)| t.clone())
-            .ok_or_else(|| self.err("unexpected end of input"))?;
-        self.pos += 1;
-        Ok(t)
-    }
-
-    fn expect_punct(&mut self, c: char) -> Result<(), ConfigError> {
-        match self.next()? {
-            Tok::Punct(p) if p == c => Ok(()),
-            other => Err(self.err(format!("expected {c:?}, found {other:?}"))),
-        }
-    }
-
-    fn expect_ident(&mut self, kw: &str) -> Result<(), ConfigError> {
-        match self.next()? {
-            Tok::Ident(s) if s == kw => Ok(()),
-            other => Err(self.err(format!("expected keyword {kw:?}, found {other:?}"))),
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, ConfigError> {
-        match self.next()? {
-            Tok::Ident(s) => Ok(s),
-            other => Err(self.err(format!("expected identifier, found {other:?}"))),
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, ConfigError> {
-        match self.next()? {
-            Tok::Number(n) => Ok(n),
-            other => Err(self.err(format!("expected number, found {other:?}"))),
-        }
-    }
-
-    fn prefix(&mut self) -> Result<Ipv4Net, ConfigError> {
-        match self.next()? {
-            Tok::Prefix(p, None) => Ok(p),
-            other => Err(self.err(format!("expected prefix, found {other:?}"))),
-        }
-    }
-}
-
-/// Parse a complete router configuration from BIRD-lite text.
-pub fn parse_config(src: &str) -> Result<RouterConfig, ConfigError> {
-    let mut lx = Lexer::new(src);
-    let mut toks = Vec::new();
-    while let Some(t) = lx.next_tok()? {
-        toks.push(t);
-    }
-    let mut p = Parser { toks, pos: 0 };
-
-    let mut cfg = RouterConfig::minimal(Asn(0), RouterId(0));
-    cfg.policies.clear();
-    let mut have_router = false;
-
-    while p.peek().is_some() {
-        let kw = p.ident()?;
-        match kw.as_str() {
-            "router" => {
-                p.expect_ident("as")?;
-                cfg.asn = Asn(p.number()? as u16);
-                p.expect_ident("id")?;
-                cfg.router_id = RouterId(match p.next()? {
-                    Tok::Addr(a) => a,
-                    Tok::Number(n) => n as u32,
-                    other => return Err(p.err(format!("expected router id, found {other:?}"))),
-                });
-                p.expect_punct(';')?;
-                have_router = true;
-            }
-            "hold" => {
-                cfg.hold_time = p.number()? as u16;
-                p.expect_punct(';')?;
-            }
-            "network" => {
-                let n = p.prefix()?;
-                cfg.networks.push(n);
-                p.expect_punct(';')?;
-            }
-            "owned" => {
-                let n = p.prefix()?;
-                cfg.owned.push(n);
-                p.expect_punct(';')?;
-            }
-            "neighbor" => {
-                p.expect_ident("node")?;
-                let node = NodeId(p.number()? as u32);
-                p.expect_ident("as")?;
-                let asn = Asn(p.number()? as u16);
-                p.expect_ident("import")?;
-                let import = p.ident()?;
-                p.expect_ident("export")?;
-                let export = p.ident()?;
-                p.expect_punct(';')?;
-                cfg.neighbors.push(NeighborConfig {
-                    node,
-                    asn,
-                    import,
-                    export,
-                });
-            }
-            "filter" => {
-                let name = p.ident()?;
-                let policy = parse_filter(&mut p, &name)?;
-                cfg.policies.insert(name, policy);
-            }
-            "bug" => {
-                let which = p.ident()?;
-                match which.as_str() {
-                    "attr-overflow-crash" => cfg.bugs.attr_overflow_crash = true,
-                    other => return Err(p.err(format!("unknown bug switch {other:?}"))),
-                }
-                p.expect_punct(';')?;
-            }
-            other => return Err(p.err(format!("unknown top-level keyword {other:?}"))),
-        }
-    }
-
-    if !have_router {
-        return Err(ConfigError::Parse {
-            line: 1,
-            msg: "missing `router as … id …;`".into(),
-        });
-    }
-    cfg.validate()?;
-    Ok(cfg)
-}
-
-fn parse_filter(p: &mut Parser, name: &str) -> Result<Policy, ConfigError> {
-    p.expect_punct('{')?;
-    let mut rules = Vec::new();
-    loop {
-        match p.peek() {
-            Some(Tok::Punct('}')) => {
-                p.next()?;
-                break;
-            }
-            Some(Tok::Ident(kw)) if kw == "if" => {
-                p.next()?;
-                let matches = parse_conditions(p)?;
-                p.expect_ident("then")?;
-                let (actions, verdict) = parse_rule_body(p)?;
-                rules.push(Rule {
-                    matches,
-                    actions,
-                    verdict,
-                });
-            }
-            Some(Tok::Ident(kw)) if kw == "accept" => {
-                p.next()?;
-                p.expect_punct(';')?;
-                rules.push(Rule::accept(vec![Match::Any]));
-            }
-            Some(Tok::Ident(kw)) if kw == "reject" => {
-                p.next()?;
-                p.expect_punct(';')?;
-                rules.push(Rule::reject(vec![Match::Any]));
-            }
-            other => return Err(p.err(format!("unexpected token in filter: {other:?}"))),
-        }
-    }
-    Ok(Policy {
-        name: name.to_string(),
-        rules,
-        default: Verdict::Reject,
-    })
-}
-
-fn parse_conditions(p: &mut Parser) -> Result<Vec<Match>, ConfigError> {
-    let mut out = vec![parse_condition(p)?];
-    while matches!(p.peek(), Some(Tok::Ident(k)) if k == "and") {
-        p.next()?;
-        out.push(parse_condition(p)?);
-    }
-    Ok(out)
-}
-
-fn parse_condition(p: &mut Parser) -> Result<Match, ConfigError> {
-    let kw = p.ident()?;
-    match kw.as_str() {
-        "true" => Ok(Match::Any),
-        "prefix" => {
-            p.expect_ident("in")?;
-            p.expect_punct('[')?;
-            let mut filters = Vec::new();
-            loop {
-                match p.next()? {
-                    Tok::Prefix(net, None) => filters.push(PrefixFilter::exact(net)),
-                    Tok::Prefix(net, Some((lo, hi))) => filters.push(PrefixFilter {
-                        net,
-                        min_len: lo,
-                        max_len: hi,
-                    }),
-                    other => return Err(p.err(format!("expected prefix in set, found {other:?}"))),
-                }
-                match p.next()? {
-                    Tok::Punct(',') => continue,
-                    Tok::Punct(']') => break,
-                    other => return Err(p.err(format!("expected ',' or ']', found {other:?}"))),
-                }
-            }
-            Ok(Match::PrefixIn(filters))
-        }
-        "prefixlen" => {
-            let min = p.number()? as u8;
-            p.expect_punct(':')?;
-            let max = p.number()? as u8;
-            Ok(Match::PrefixLenIn { min, max })
-        }
-        "aspath" => {
-            let sub = p.ident()?;
-            match sub.as_str() {
-                "contains" => Ok(Match::AsPathContains(Asn(p.number()? as u16))),
-                "length" => {
-                    p.expect_punct('<')?;
-                    p.expect_punct('=')?;
-                    Ok(Match::AsPathLenAtMost(p.number()? as u32))
-                }
-                other => Err(p.err(format!("unknown aspath predicate {other:?}"))),
-            }
-        }
-        "originated" => Ok(Match::OriginatedBy(Asn(p.number()? as u16))),
-        "community" => match p.next()? {
-            Tok::Community(c) => Ok(Match::HasCommunity(c)),
-            other => Err(p.err(format!("expected community literal, found {other:?}"))),
-        },
-        "origin" => {
-            let o = p.ident()?;
-            let origin = match o.as_str() {
-                "igp" => Origin::Igp,
-                "egp" => Origin::Egp,
-                "incomplete" => Origin::Incomplete,
-                other => return Err(p.err(format!("unknown origin {other:?}"))),
-            };
-            Ok(Match::OriginIs(origin))
-        }
-        other => Err(p.err(format!("unknown condition {other:?}"))),
-    }
-}
-
-fn parse_rule_body(p: &mut Parser) -> Result<(Vec<Action>, Option<Verdict>), ConfigError> {
-    let mut actions = Vec::new();
-    let mut verdict = None;
-    let block = matches!(p.peek(), Some(Tok::Punct('{')));
-    if block {
-        p.next()?;
-    }
-    loop {
-        let kw = p.ident()?;
-        match kw.as_str() {
-            "accept" => {
-                verdict = Some(Verdict::Accept);
-                p.expect_punct(';')?;
-            }
-            "reject" => {
-                verdict = Some(Verdict::Reject);
-                p.expect_punct(';')?;
-            }
-            "localpref" => {
-                actions.push(Action::SetLocalPref(p.number()? as u32));
-                p.expect_punct(';')?;
-            }
-            "med" => {
-                actions.push(Action::SetMed(p.number()? as u32));
-                p.expect_punct(';')?;
-            }
-            "prepend" => {
-                actions.push(Action::Prepend(p.number()? as u8));
-                p.expect_punct(';')?;
-            }
-            "community" => {
-                let op = p.ident()?;
-                let c = match p.next()? {
-                    Tok::Community(c) => c,
-                    other => return Err(p.err(format!("expected community, found {other:?}"))),
-                };
-                match op.as_str() {
-                    "add" => actions.push(Action::AddCommunity(c)),
-                    "remove" => actions.push(Action::RemoveCommunity(c)),
-                    other => return Err(p.err(format!("unknown community op {other:?}"))),
-                }
-                p.expect_punct(';')?;
-            }
-            other => return Err(p.err(format!("unknown action {other:?}"))),
-        }
-        if !block {
-            break; // single-statement body
-        }
-        if matches!(p.peek(), Some(Tok::Punct('}'))) {
-            p.next()?;
-            break;
-        }
-    }
-    Ok((actions, verdict))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::net;
-
-    const SAMPLE: &str = r#"
-        # Edge router of AS 65001.
-        router as 65001 id 10.0.0.1;
-        hold 90;
-        network 10.1.0.0/16;
-        owned 10.1.0.0/16;
-        neighbor node 3 as 65002 import IMP export EXP;
-        neighbor node 4 as 65003 import IMP export EXP;
-        filter IMP {
-            if prefix in [ 10.0.0.0/8{8,24}, 192.0.2.0/24 ] then { localpref 200; community add 65001:1; accept; }
-            if aspath contains 64666 then reject;
-            if aspath length <= 6 and origin igp then { med 10; }
-            accept;
-        }
-        filter EXP {
-            if community 65001:666 then reject;
-            accept;
-        }
-    "#;
-
-    #[test]
-    fn full_config_parses() {
-        let cfg = parse_config(SAMPLE).unwrap();
-        assert_eq!(cfg.asn, Asn(65001));
-        assert_eq!(cfg.router_id.to_string(), "10.0.0.1");
-        assert_eq!(cfg.hold_time, 90);
-        assert_eq!(cfg.networks, vec![net("10.1.0.0/16")]);
-        assert_eq!(cfg.owned, vec![net("10.1.0.0/16")]);
-        assert_eq!(cfg.neighbors.len(), 2);
-        assert_eq!(cfg.neighbors[0].node, NodeId(3));
-        assert_eq!(cfg.neighbors[0].asn, Asn(65002));
-        assert_eq!(cfg.policies.len(), 2);
-        let imp = &cfg.policies["IMP"];
-        assert_eq!(imp.rules.len(), 4);
-        assert_eq!(imp.default, Verdict::Reject);
-    }
-
-    #[test]
-    fn parsed_policy_behaves() {
-        let cfg = parse_config(SAMPLE).unwrap();
-        let imp = &cfg.policies["IMP"];
-        let attrs = crate::attrs::PathAttrs {
-            as_path: crate::attrs::AsPath::sequence([65002]),
-            next_hop: crate::types::Ipv4Addr(0x0A000001),
-            ..Default::default()
-        };
-        // In the prefix set: accepted with LP 200 and tag.
-        let out = imp.apply(&net("10.5.0.0/16"), &attrs, Asn(65001)).unwrap();
-        assert_eq!(out.local_pref, Some(200));
-        assert!(out.has_community(Community::from_pair(65001, 1)));
-        // Poisoned AS: rejected.
-        let poisoned = crate::attrs::PathAttrs {
-            as_path: crate::attrs::AsPath::sequence([65002, 64666]),
-            ..attrs.clone()
-        };
-        assert!(imp
-            .apply(&net("172.16.0.0/12"), &poisoned, Asn(65001))
-            .is_none());
-        // Otherwise: non-terminal med rule fires, then trailing accept.
-        let out = imp
-            .apply(&net("172.16.0.0/12"), &attrs, Asn(65001))
-            .unwrap();
-        assert_eq!(out.med, Some(10));
-    }
-
-    #[test]
-    fn prefix_range_syntax() {
-        let cfg = parse_config(
-            "router as 1 id 1; filter F { if prefix in [ 10.0.0.0/8{16,24} ] then accept; }",
-        )
-        .unwrap();
-        let f = &cfg.policies["F"];
-        let attrs = crate::attrs::PathAttrs::default();
-        assert!(f.apply(&net("10.1.0.0/16"), &attrs, Asn(1)).is_some());
-        assert!(f.apply(&net("10.0.0.0/8"), &attrs, Asn(1)).is_none());
-    }
-
-    #[test]
-    fn bug_switch_parses() {
-        let cfg = parse_config("router as 1 id 1; bug attr-overflow-crash;").unwrap();
-        assert!(cfg.bugs.attr_overflow_crash);
-    }
-
-    #[test]
-    fn error_reports_line() {
-        let src = "router as 1 id 1;\nnetwork banana;\n";
-        match parse_config(src) {
-            Err(ConfigError::Parse { line, .. }) => assert_eq!(line, 2),
-            other => panic!("expected parse error, got {other:?}"),
-        }
-    }
 
     #[test]
     fn unknown_policy_reference_rejected() {
-        let src = "router as 1 id 1; neighbor node 2 as 3 import NOPE export NOPE;";
-        assert!(matches!(
-            parse_config(src),
-            Err(ConfigError::UnknownPolicy(_))
-        ));
+        let base = RouterConfig::minimal(Asn(1), RouterId(1));
+        assert_eq!(base.validate(), Ok(()));
+        for (import, export) in [("NOPE", "all"), ("all", "NOPE")] {
+            let cfg = base
+                .clone()
+                .with_neighbor(NodeId(2), Asn(3), import, export);
+            assert_eq!(
+                cfg.validate(),
+                Err(ConfigError::UnknownPolicy("NOPE".to_string()))
+            );
+        }
     }
 
     #[test]
     fn duplicate_neighbor_rejected() {
-        let src = r#"
-            router as 1 id 1;
-            filter F { accept; }
-            neighbor node 2 as 3 import F export F;
-            neighbor node 2 as 4 import F export F;
-        "#;
-        assert!(matches!(
-            parse_config(src),
-            Err(ConfigError::DuplicateNeighbor(_))
-        ));
-    }
-
-    #[test]
-    fn missing_router_block_rejected() {
-        assert!(parse_config("hold 90;").is_err());
-    }
-
-    #[test]
-    fn single_statement_then_body() {
-        let cfg =
-            parse_config("router as 1 id 1; filter F { if true then reject; accept; }").unwrap();
-        let f = &cfg.policies["F"];
-        assert_eq!(f.rules.len(), 2);
-        assert_eq!(f.rules[0].verdict, Some(Verdict::Reject));
-    }
-
-    #[test]
-    fn comments_and_whitespace_ignored() {
-        let cfg = parse_config("# hi\nrouter as 7 id 9; # trailing\n").unwrap();
-        assert_eq!(cfg.asn, Asn(7));
-        assert_eq!(cfg.router_id, RouterId(9));
-    }
-
-    #[test]
-    fn builder_api_validates() {
-        let cfg = RouterConfig::minimal(Asn(1), RouterId(1)).with_neighbor(
-            NodeId(2),
-            Asn(2),
-            "all",
-            "missing",
+        let cfg = RouterConfig::minimal(Asn(1), RouterId(1))
+            .with_policy(Policy::accept_all("F"))
+            .with_neighbor(NodeId(2), Asn(3), "F", "F")
+            .with_neighbor(NodeId(2), Asn(4), "F", "F");
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::DuplicateNeighbor(NodeId(2)))
         );
-        assert!(matches!(cfg.validate(), Err(ConfigError::UnknownPolicy(_))));
     }
 }

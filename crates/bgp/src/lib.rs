@@ -16,8 +16,8 @@
 //!   data* — the property DiCE exploits to cover configuration with concolic
 //!   execution — plus a Gao–Rexford policy generator for Internet-like
 //!   topologies.
-//! * **Config language** ([`config`]): a BIRD-lite textual configuration
-//!   parser (`router`, `network`, `neighbor`, `filter` blocks).
+//! * **Configuration** ([`config`]): sessions, originated prefixes and
+//!   named policies, built in code and cross-checked by `validate()`.
 //! * **The router** ([`router`]): a [`dice_netsim::Node`] wiring it all
 //!   together, including seeded-bug switches used by the fault-detection
 //!   experiments.

@@ -279,7 +279,7 @@ impl BgpRouter {
     fn send_message(&mut self, to: NodeId, msg: &Message, api: &mut NodeApi<'_>, quiet: bool) {
         // Zero-copy wire path: encode straight into a pool-leased buffer.
         let mut buf = api.buf();
-        wire::encode_into(msg, buf.as_mut_vec());
+        wire::encode_into(msg, &mut buf);
         if let Message::Notification(_) = msg {
             self.stats.notifications_tx += 1;
         }
@@ -301,7 +301,7 @@ impl BgpRouter {
         api: &mut NodeApi<'_>,
     ) {
         let mut buf = api.buf();
-        wire::encode_update_into(withdrawn, attrs, nlri, buf.as_mut_vec());
+        wire::encode_update_into(withdrawn, attrs, nlri, &mut buf);
         stats.updates_tx += 1;
         api.send(to, buf);
     }

@@ -211,13 +211,6 @@ impl ConcolicCtx {
         idx < self.input.bytes.len()
     }
 
-    /// Input length as a concrete word (lengths are not symbolic: DiCE
-    /// fixes the input size per exploration and fuzzes sizes via the
-    /// grammar layer).
-    pub fn len_word(&self) -> SymWord {
-        SymWord::concrete(32, self.input.bytes.len() as u64)
-    }
-
     /// Read byte `idx`; symbolic if marked. Panics when out of bounds —
     /// instrumented code must bounds-check with [`ConcolicCtx::branch`]
     /// first, exactly like the real parser.

@@ -97,19 +97,6 @@ pub struct SolverStats {
     pub unary_memo_hits: u64,
 }
 
-impl SolverStats {
-    /// Fraction of negation queries served by the (deleted) refutation
-    /// cache: 0.0, see [`SolverStats::cache_hits`].
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.queries;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-}
-
 /// A constraint: an expression that must evaluate truthy (`true`) or falsy
 /// (`false`).
 pub type Constraint = (ExprId, bool);

@@ -17,7 +17,7 @@ use crate::interface::AttestationRegistry;
 use crate::sut::{CheckView, ExplorableNode, ExplorationPlan, SessionHealth, SutProbe};
 use crate::symmark::mark_update;
 
-/// The probe registered by [`SutCatalog::bgp_only`](crate::sut::SutCatalog::bgp_only):
+/// The BGP probe of [`SutCatalog::standard`](crate::sut::SutCatalog::standard):
 /// recognizes [`BgpRouter`] nodes.
 pub fn probe(node: &dyn Node) -> Option<&dyn ExplorableNode> {
     node.as_any()

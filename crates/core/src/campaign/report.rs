@@ -159,19 +159,6 @@ impl PerfCounters {
             self.pool_hits as f64 / total as f64
         }
     }
-
-    /// Always 0.0: the share of negation queries a refutation cache
-    /// answered, and there is no such cache any more
-    /// ([`PerfCounters::solver_cache_hits`] reads 0). Goes with that field
-    /// (ROADMAP item 3, Step A).
-    pub fn solver_cache_hit_rate(&self) -> f64 {
-        let total = self.solver_cache_hits + self.solver_queries;
-        if total == 0 {
-            0.0
-        } else {
-            self.solver_cache_hits as f64 / total as f64
-        }
-    }
 }
 
 /// Aggregated outcome of a campaign.

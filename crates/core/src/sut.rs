@@ -159,13 +159,6 @@ impl SutCatalog {
         SutCatalog { probes: Vec::new() }
     }
 
-    /// A catalog recognizing [`dice_bgp::BgpRouter`] nodes only.
-    pub fn bgp_only() -> Self {
-        SutCatalog {
-            probes: vec![crate::bgp_sut::probe],
-        }
-    }
-
     /// The default catalog: every protocol with an in-tree adapter —
     /// BGP routers ([`crate::bgp_sut`]) and gossip nodes
     /// ([`crate::gossip_sut`]). External protocols chain their probes on

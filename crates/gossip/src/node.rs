@@ -326,7 +326,7 @@ impl GossipNode {
             payload: stored.payload.clone(),
         });
         let mut buf = api.buf();
-        wire::encode_into(&frame, buf.as_mut_vec());
+        wire::encode_into(&frame, &mut buf);
         api.send(peer, buf);
         self.mark_infected(peer, key);
         self.track_unacked(peer, wire::ACK_KIND_RUMOR, key.0, key.1, api.now());
@@ -350,7 +350,7 @@ impl GossipNode {
     /// Acknowledge a received retransmittable frame as quiet traffic.
     fn send_ack(&mut self, peer: NodeId, kind: u8, topic: TopicId, id: u32, api: &mut NodeApi<'_>) {
         let mut buf = api.buf();
-        wire::encode_into(&GossipFrame::Ack { kind, topic, id }, buf.as_mut_vec());
+        wire::encode_into(&GossipFrame::Ack { kind, topic, id }, &mut buf);
         api.send_quiet(peer, buf);
     }
 
@@ -404,7 +404,7 @@ impl GossipNode {
                 _ => GossipFrame::Subscribe { topic },
             };
             let mut buf = api.buf();
-            wire::encode_into(&frame, buf.as_mut_vec());
+            wire::encode_into(&frame, &mut buf);
             if kind == wire::ACK_KIND_RUMOR {
                 // Non-quiet: unrepaired data holds off quiescence so lossy
                 // runs are not declared converged while rumors are missing.
@@ -508,7 +508,7 @@ impl GossipNode {
         let (entries, next) = digest_window(&self.store, cursor, MAX_DIGEST_ENTRIES as usize);
         self.digest_cursors.insert(peer, next);
         let mut buf = api.buf();
-        wire::encode_into(&GossipFrame::Digest(entries), buf.as_mut_vec());
+        wire::encode_into(&GossipFrame::Digest(entries), &mut buf);
         api.send_quiet(peer, buf);
     }
 }
@@ -635,7 +635,7 @@ impl Node for GossipNode {
                 self.sessions_up.insert(peer);
                 for topic in self.config.subscriptions.clone() {
                     let mut buf = api.buf();
-                    wire::encode_into(&GossipFrame::Subscribe { topic }, buf.as_mut_vec());
+                    wire::encode_into(&GossipFrame::Subscribe { topic }, &mut buf);
                     api.send_quiet(peer, buf);
                     self.track_unacked(peer, wire::ACK_KIND_SUBSCRIBE, topic, 0, api.now());
                 }

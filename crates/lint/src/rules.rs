@@ -186,12 +186,14 @@ const POOLED_FNS: &[(&str, &str, Option<&str>)] = &[
     ("core/src/pool.rs", "acquire", None),
     ("core/src/pool.rs", "release", None),
     // Zero-copy wire path: the in-place encoders, the delivery batch
-    // loop, and the payload-buffer fast path must stay allocation-free
-    // per datagram (the buffer-miss slow path lives in callees).
+    // loop, and the payload free list on both sides of a trip must stay
+    // allocation-free per datagram (a miss allocates with capacity).
     ("bgp/src/wire.rs", "encode_into", None),
     ("gossip/src/wire.rs", "encode_into", None),
     ("netsim/src/sim/channel.rs", "process_deliver", None),
+    ("netsim/src/node.rs", "buf", None),
     ("netsim/src/buf.rs", "acquire", None),
+    ("netsim/src/buf.rs", "recycle", None),
     // Delta-capture path: `checkpoint_node` runs once per node per cut;
     // clean nodes must be served by an `Arc::clone` of the cached
     // checkpoint (path syntax — a `.clone()` method call here would be a

@@ -86,18 +86,31 @@ const ALLOC_CASES: &[AllocCase] = &[
          }\n",
         &[(2, "`Vec::new()`")],
     ),
-    // The buffer-pool fast path: `Vec::with_capacity` on the miss path is
-    // allowed — only the listed constructors are hot-path regressions.
+    // The payload free list, both sides of a trip: `Vec::with_capacity` on
+    // the miss path is allowed — only the listed constructors are hot-path
+    // regressions — and taking storage back must not copy it.
     (
         "crates/netsim/src/buf.rs",
         "impl BufPool {\n\
-         pub fn acquire(&self) -> PooledBuf {\n\
+         pub fn acquire(&mut self) -> Vec<u8> {\n\
          let fallback = Vec::with_capacity(64);\n\
-         let spill = fallback.to_vec();\n\
-         PooledBuf { vec: spill, home: None }\n\
+         self.free.pop().unwrap_or(fallback)\n\
+         }\n\
+         pub fn recycle(&mut self, buf: Vec<u8>) {\n\
+         self.free.push(buf.to_vec());\n\
          }\n\
          }\n",
-        &[(4, "`.to_vec()`")],
+        &[(7, "`.to_vec()`")],
+    ),
+    (
+        "crates/netsim/src/node.rs",
+        "impl NodeApi<'_> {\n\
+         pub fn buf(&mut self) -> Vec<u8> {\n\
+         let scratch = Vec::new();\n\
+         self.bufs.as_mut().map(|pool| pool.acquire()).unwrap_or(scratch)\n\
+         }\n\
+         }\n",
+        &[(3, "`Vec::new()`")],
     ),
     // Delta capture: a clean node is served by `Arc::clone` of the cached
     // checkpoint (path syntax, a refcount bump — not in the alloc list); a

@@ -73,7 +73,7 @@ pub mod time;
 pub mod topology;
 pub mod trace;
 
-pub use buf::{BufPool, Payload, PooledBuf, WireStats};
+pub use buf::{BufPool, WireStats};
 pub use faults::{BurstLoss, FaultVerdict, LinkFaultState, LinkFaults};
 pub use link::{LatencyModel, LinkParams};
 pub use node::{DownReason, Effect, Node, NodeApi, NodeId, SessionEvent};

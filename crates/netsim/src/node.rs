@@ -9,7 +9,7 @@
 use core::any::Any;
 use serde::{Deserialize, Serialize};
 
-use crate::buf::{BufPool, Payload, PooledBuf};
+use crate::buf::BufPool;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a node in a simulation. Dense, assigned by the topology.
@@ -58,9 +58,9 @@ pub enum SessionEvent {
 )]
 pub enum Effect {
     /// Send bytes over the session to a neighbor (counts as activity).
-    Send { to: NodeId, data: Payload },
+    Send { to: NodeId, data: Vec<u8> },
     /// Send bytes without bumping the quiescence clock (e.g. keepalives).
-    SendQuiet { to: NodeId, data: Payload },
+    SendQuiet { to: NodeId, data: Vec<u8> },
     /// Arm (or re-arm) the timer identified by `token`.
     SetTimer { delay: SimDuration, token: u64 },
     /// Cancel any pending timer with this token.
@@ -80,7 +80,8 @@ pub struct NodeApi<'a> {
     me: NodeId,
     now: SimTime,
     effects: &'a mut Vec<Effect>,
-    bufs: Option<&'a BufPool>,
+    /// The simulator's payload free list; `None` with pooling off.
+    bufs: Option<&'a mut BufPool>,
     /// Whether the simulator's trace ring keeps annotations.
     annotate: bool,
 }
@@ -90,7 +91,7 @@ impl<'a> NodeApi<'a> {
         me: NodeId,
         now: SimTime,
         effects: &'a mut Vec<Effect>,
-        bufs: Option<&'a BufPool>,
+        bufs: Option<&'a mut BufPool>,
         annotate: bool,
     ) -> Self {
         NodeApi {
@@ -112,35 +113,28 @@ impl<'a> NodeApi<'a> {
         self.now
     }
 
-    /// Lease a payload buffer for zero-copy encoding: fill it via
-    /// [`PooledBuf::as_mut_vec`] (the codecs' `encode_into` entry points
-    /// take exactly that) and pass it straight to [`NodeApi::send`].
-    /// When payload pooling is disabled this hands out a detached buffer,
-    /// so call sites never need to branch on the knob.
-    pub fn buf(&self) -> PooledBuf {
-        match self.bufs {
-            Some(pool) => pool.acquire(),
-            None => PooledBuf::detached(),
-        }
+    /// An empty payload buffer for zero-copy encoding: fill it (the
+    /// codecs' `encode_into` take `&mut Vec<u8>`) and pass it to
+    /// [`NodeApi::send`]; the simulator takes the storage back when the
+    /// frame leaves its channel. With payload pooling disabled this is
+    /// `Vec::new()`, so call sites never branch on the knob.
+    pub fn buf(&mut self) -> Vec<u8> {
+        self.bufs
+            .as_mut()
+            .map(|pool| pool.acquire())
+            .unwrap_or_default()
     }
 
     /// Send `data` to the neighbor `to` over the established session.
     /// Silently dropped by the simulator if the session is down.
-    /// Accepts a plain `Vec<u8>` or a pooled buffer from [`NodeApi::buf`].
-    pub fn send(&mut self, to: NodeId, data: impl Into<Payload>) {
-        self.effects.push(Effect::Send {
-            to,
-            data: data.into(),
-        });
+    pub fn send(&mut self, to: NodeId, data: Vec<u8>) {
+        self.effects.push(Effect::Send { to, data });
     }
 
     /// Like [`NodeApi::send`] but does not reset the quiescence clock.
     /// Use for periodic background traffic such as keepalives.
-    pub fn send_quiet(&mut self, to: NodeId, data: impl Into<Payload>) {
-        self.effects.push(Effect::SendQuiet {
-            to,
-            data: data.into(),
-        });
+    pub fn send_quiet(&mut self, to: NodeId, data: Vec<u8>) {
+        self.effects.push(Effect::SendQuiet { to, data });
     }
 
     /// Arm a timer. A later `set_timer` with the same token supersedes the
@@ -316,7 +310,7 @@ mod tests {
         match &effects[0] {
             Effect::Send { to, data } => {
                 assert_eq!(*to, NodeId(3));
-                assert_eq!(data.as_slice(), &[9, 9]);
+                assert_eq!(data, &[9, 9]);
             }
             other => panic!("unexpected effect {other:?}"),
         }
@@ -324,20 +318,29 @@ mod tests {
 
     #[test]
     fn pooled_send_flows_through_effects() {
-        let pool = crate::buf::BufPool::new();
+        let mut pool = BufPool::new();
+        pool.recycle(Vec::with_capacity(100));
         let mut effects = Vec::new();
-        let mut api = NodeApi::new(NodeId(0), SimTime::ZERO, &mut effects, Some(&pool), true);
+        let mut api = NodeApi::new(
+            NodeId(0),
+            SimTime::ZERO,
+            &mut effects,
+            Some(&mut pool),
+            true,
+        );
         let mut b = api.buf();
-        b.as_mut_vec().extend_from_slice(&[4, 2]);
+        b.extend_from_slice(&[4, 2]);
         api.send(NodeId(1), b);
+        let unpooled = NodeApi::new(NodeId(0), SimTime::ZERO, &mut Vec::new(), None, true).buf();
+        assert_eq!(unpooled.capacity(), 0, "pooling off: `Vec::new()`");
         match &effects[0] {
             Effect::Send { to, data } => {
                 assert_eq!(*to, NodeId(1));
-                assert_eq!(data.as_slice(), &[4, 2]);
-                assert!(matches!(data, crate::buf::Payload::Pooled(_)));
+                assert_eq!(data, &[4, 2]);
+                assert!(data.capacity() >= 100, "the pool's storage travels");
             }
             other => panic!("unexpected effect {other:?}"),
         }
-        assert_eq!(pool.take_counts(), (0, 1), "first lease is a miss");
+        assert_eq!(pool.take_counts(), (1, 0), "the one lease was a hit");
     }
 }

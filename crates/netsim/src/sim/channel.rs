@@ -4,11 +4,18 @@
 //! The fields of [`Links`] are private to this module, so "a direction that
 //! leaves its `Default` state is on the touched list" holds because every
 //! write to a direction is in this file, next to the `touch` that lists it.
+//!
+//! For the same reason this file holds the payload ownership rule: **every
+//! way a data frame leaves a channel hands its storage back** to the
+//! simulator's [`BufPool`] — delivery, a send on a down session, a drop
+//! verdict (`Simulator::recycle`), the `teardown_session` drain and
+//! [`Links::reset`] on rebind (`LinkDir::drain`). With `payload_pool` off
+//! nothing is recycled: the storage is freed.
 
 use std::collections::VecDeque;
 
 use super::{Ev, Simulator};
-use crate::buf::Payload;
+use crate::buf::BufPool;
 use crate::faults::{FaultVerdict, LinkFaultState};
 use crate::node::{DownReason, NodeId, SessionEvent};
 use crate::rng::SimRng;
@@ -21,7 +28,7 @@ use crate::trace::TraceKind;
 #[derive(Debug, Clone)]
 pub(super) enum Frame {
     /// Application payload. `quiet` frames do not reset the quiescence clock.
-    Data { bytes: Payload, quiet: bool },
+    Data { bytes: Vec<u8>, quiet: bool },
     /// Chandy–Lamport snapshot marker.
     Marker(SnapshotId),
 }
@@ -56,6 +63,23 @@ struct LinkDir {
     fault_state: LinkFaultState,
     /// Listed in [`Links::touched`].
     touched: bool,
+}
+
+impl LinkDir {
+    /// Empty the queue: each data frame hands its storage to `pool` (`None`
+    /// with pooling off — freed), each marker goes to `lost`.
+    fn drain(&mut self, pool: &mut Option<&mut BufPool>, mut lost: impl FnMut(SnapshotId)) {
+        for flight in self.queue.drain(..) {
+            match flight.frame {
+                Frame::Data { bytes, .. } => {
+                    if let Some(pool) = pool {
+                        pool.recycle(bytes);
+                    }
+                }
+                Frame::Marker(id) => lost(id),
+            }
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,19 +120,19 @@ impl Links {
         }
     }
 
-    /// Empty every channel and restart every per-link randomness stream
-    /// from `seed`: one latency parent and one (salted) channel-fidelity
-    /// parent. Only the directions something was sent on or torn down are
-    /// visited; no child stream is built here — a link seeks its parent to
-    /// its own split on first draw ([`Links::stream`]), so every
-    /// stream is the one an eager pass of two `split`s per edge, in edge
-    /// order, yields.
-    pub(super) fn reset(&mut self, seed: u64) {
+    /// Empty every channel into `pool` and restart every per-link
+    /// randomness stream from `seed`: one latency parent and one (salted)
+    /// channel-fidelity parent. Only the directions something was sent on
+    /// or torn down are visited; no child stream is built here — a link
+    /// seeks its parent to its own split on first draw ([`Links::stream`]),
+    /// so every stream is the one an eager pass of two `split`s per edge,
+    /// in edge order, yields.
+    pub(super) fn reset(&mut self, seed: u64, mut pool: Option<&mut BufPool>) {
         self.latency_parent = SimRng::seed_from_u64(seed);
         self.fault_parent = SimRng::seed_from_u64(seed ^ Self::FAULT_STREAM_SALT);
         for dir in self.touched.drain(..) {
             let link = &mut self.dirs[dir as usize];
-            link.queue.clear();
+            link.drain(&mut pool, |_| {});
             link.last_arrival = SimTime::ZERO;
             link.epoch = 0;
             link.latency_rng = None;
@@ -154,7 +178,7 @@ impl Links {
                 .queue
                 .iter()
                 .filter_map(|f| match &f.frame {
-                    Frame::Data { bytes, .. } => Some(bytes.as_slice().to_vec()),
+                    Frame::Data { bytes, .. } => Some(bytes.clone()),
                     Frame::Marker(_) => None,
                 })
                 .collect();
@@ -189,6 +213,14 @@ impl Simulator {
             (a, b)
         } else {
             (b, a)
+        }
+    }
+
+    /// A data frame has left its channel: its storage goes back on the
+    /// free list.
+    fn recycle(&mut self, bytes: Vec<u8>) {
+        if self.config.payload_pool {
+            self.buf_pool.recycle(bytes);
         }
     }
 
@@ -239,7 +271,7 @@ impl Simulator {
             let flight = ch.queue.pop_front().expect("front vanished");
             match flight.frame {
                 Frame::Data { bytes, quiet } => {
-                    self.snapshot_observe_data(src, dst, bytes.as_slice());
+                    self.snapshot_observe_data(src, dst, &bytes);
                     if self.nodes[dst.index()].crashed.is_none() {
                         if !quiet {
                             self.last_activity = self.now;
@@ -252,13 +284,9 @@ impl Simulator {
                                 bytes: bytes.len(),
                             },
                         );
-                        self.with_node(dst, |node, api| {
-                            node.on_message(src, bytes.as_slice(), api)
-                        });
+                        self.with_node(dst, |node, api| node.on_message(src, &bytes, api));
                     }
-                    if self.config.payload_pool {
-                        self.buf_pool.recycle(bytes);
-                    }
+                    self.recycle(bytes);
                 }
                 Frame::Marker(id) => self.snapshot_on_marker(id, src, dst),
             }
@@ -272,18 +300,13 @@ impl Simulator {
         }
     }
 
-    pub(super) fn channel_send(&mut self, src: NodeId, dst: NodeId, bytes: Payload, quiet: bool) {
+    pub(super) fn channel_send(&mut self, src: NodeId, dst: NodeId, bytes: Vec<u8>, quiet: bool) {
         match self.dir_index(src, dst) {
             Some(dir) if self.sessions[dir / 2] == SessionState::Up => {
                 self.send_frame(dir, Frame::Data { bytes, quiet }, true);
             }
-            _ => {
-                // Session down: transport rejects the write, data is lost
-                // (the storage still goes back to the pool).
-                if self.config.payload_pool {
-                    self.buf_pool.recycle(bytes);
-                }
-            }
+            // Session down: transport rejects the write, data is lost.
+            _ => self.recycle(bytes),
         }
     }
 
@@ -351,9 +374,7 @@ impl Simulator {
         if verdict.dropped {
             self.wire.frames_dropped += 1;
             if let Frame::Data { bytes, .. } = frame {
-                if self.config.payload_pool {
-                    self.buf_pool.recycle(bytes);
-                }
+                self.recycle(bytes);
             }
             return;
         }
@@ -443,13 +464,12 @@ impl Simulator {
         // delivery events become no-ops.
         self.links.touch(2 * edge);
         self.links.touch(2 * edge + 1);
+        let mut pool = self.config.payload_pool.then_some(&mut self.buf_pool);
         for ch in &mut self.links.dirs[2 * edge..2 * edge + 2] {
-            for flight in ch.queue.drain(..) {
-                if let Frame::Marker(id) = flight.frame {
-                    self.cuts
-                        .fail(id, format!("marker lost on session reset {a}-{b}"));
-                }
-            }
+            ch.drain(&mut pool, |id| {
+                self.cuts
+                    .fail(id, format!("marker lost on session reset {a}-{b}"));
+            });
             ch.epoch += 1;
             ch.last_arrival = self.now;
         }
@@ -534,8 +554,8 @@ mod tests {
             for pass in 0..3 {
                 let mut order: Vec<usize> = (0..eager.len()).collect();
                 if pass > 0 {
-                    sim.links.reset(seed ^ 1);
-                    sim.links.reset(seed);
+                    sim.links.reset(seed ^ 1, None);
+                    sim.links.reset(seed, None);
                     assert!(sim.links.touched.is_empty());
                     assert!(sim.links.dirs.iter().all(|l| !l.touched));
                 }
@@ -618,5 +638,77 @@ mod tests {
         b.run_until(SimTime::from_nanos(30_000_000_000));
         assert_eq!(a.trace().stats(), b.trace().stats());
         assert_eq!(a.take_wire_stats(), b.take_wire_stats());
+    }
+
+    #[test]
+    fn a_warm_exchange_hits_the_free_list_and_never_misses() {
+        let mut sim = two_node_sim(3);
+        sim.run_until(SimTime::from_nanos(10_000_000_000));
+        let cold = sim.take_wire_stats();
+        // Two frames' storage is out at once: a reply is encoded while the
+        // request it answers is still borrowed by the handler.
+        assert_eq!((cold.buf_hits, cold.buf_misses), (3, 2));
+        sim.deliver_direct(NodeId(0), NodeId(1), &[0]);
+        sim.run_until(SimTime::from_nanos(20_000_000_000));
+        let warm = sim.take_wire_stats();
+        assert_eq!((warm.buf_hits, warm.buf_misses), (4, 0));
+        assert_eq!(sim.buf_pool.free_len(), 2, "both are back");
+    }
+
+    #[test]
+    fn every_exit_from_a_channel_hands_the_storage_back() {
+        // A drop verdict.
+        let mut sim = unreliable_two_node(
+            12,
+            crate::faults::LinkFaults {
+                drop: 1.0,
+                ..crate::faults::LinkFaults::lossy(0.0)
+            },
+        );
+        sim.run_until(SimTime::from_nanos(10_000_000_000));
+        assert_eq!(sim.take_wire_stats().frames_dropped, 1);
+        assert_eq!(sim.buf_pool.free_len(), 1);
+
+        // A send on a down session: the reply to an input that arrives
+        // before the session is up.
+        let mut sim = two_node_sim(3);
+        sim.deliver_direct(NodeId(0), NodeId(1), &[0]);
+        assert_eq!(sim.trace().stats().msgs_sent, 0);
+        assert_eq!(sim.buf_pool.free_len(), 1);
+
+        let one_frame_in_flight = || {
+            let mut sim = two_node_sim(3);
+            sim.run_until(SimTime::from_nanos(2_000_000));
+            assert_eq!(sim.links.data_in_flight().count(), 1);
+            assert_eq!(sim.buf_pool.free_len(), 0);
+            sim
+        };
+
+        // The teardown drain.
+        let mut sim = one_frame_in_flight();
+        sim.inject_session_reset(NodeId(0), NodeId(1));
+        assert_eq!(sim.links.data_in_flight().count(), 0);
+        assert_eq!(sim.buf_pool.free_len(), 1);
+
+        // A rebind: the queued frame comes back, and what is in flight
+        // afterwards is the cut's copy of it.
+        let mut sim = one_frame_in_flight();
+        let shadow = sim.instant_snapshot();
+        sim.reset_from_shadow(&shadow, 3);
+        assert_eq!(sim.links.data_in_flight().count(), 1);
+        assert_eq!(sim.buf_pool.free_len(), 1);
+    }
+
+    #[test]
+    fn with_the_pool_off_nothing_is_recycled_or_counted() {
+        let mut sim = two_node_sim(3);
+        sim.set_wire_config(false, true);
+        sim.run_until(SimTime::from_nanos(2_000_000));
+        sim.inject_session_reset(NodeId(0), NodeId(1));
+        sim.run_until(SimTime::from_nanos(20_000_000_000));
+        let wire = sim.take_wire_stats();
+        assert!(wire.wire_bytes > 1, "the exchange did run");
+        assert_eq!((wire.buf_hits, wire.buf_misses), (0, 0));
+        assert_eq!(sim.buf_pool.free_len(), 0);
     }
 }

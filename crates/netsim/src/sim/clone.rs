@@ -7,7 +7,6 @@
 
 use super::channel::{Frame, SessionState};
 use super::{Down, NodeState, SimConfig, Simulator};
-use crate::buf::Payload;
 use crate::node::{Node, NodeId};
 use crate::snapshot::ShadowSnapshot;
 use crate::topology::Topology;
@@ -117,7 +116,8 @@ impl Simulator {
         );
         // Channel structures survive; their contents do not. The per-link
         // randomness streams restart exactly as construction seeds them.
-        self.links.reset(seed);
+        let pool = self.config.payload_pool.then_some(&mut self.buf_pool);
+        self.links.reset(seed, pool);
         self.queue.clear();
         self.seq = 0;
         self.admin_down.clear();
@@ -207,7 +207,7 @@ impl Simulator {
                 continue;
             };
             for bytes in msgs {
-                let bytes = Payload::Heap(bytes.clone());
+                let bytes = bytes.clone();
                 self.send_frame(
                     dir,
                     Frame::Data {
@@ -331,8 +331,14 @@ mod tests {
         lossy_drive(&mut pooled, SimDuration::from_secs(5));
 
         assert_eq!(log(&fresh), log(&pooled), "traces differ event for event");
-        let wire = fresh.take_wire_stats();
-        assert_eq!(wire, pooled.take_wire_stats());
+        // All but the lease counters: only the pooled free list is warm.
+        let outcome = |sim: &mut Simulator| crate::buf::WireStats {
+            buf_hits: 0,
+            buf_misses: 0,
+            ..sim.take_wire_stats()
+        };
+        let wire = outcome(&mut fresh);
+        assert_eq!(wire, outcome(&mut pooled));
         assert!(
             wire.frames_dropped + wire.frames_duplicated + wire.frames_reordered > 0,
             "the fault layer must have fired"

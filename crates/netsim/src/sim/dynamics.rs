@@ -1,9 +1,7 @@
 //! Dynamics: crashes, restarts and the fault-injection entry points
 //! [`crate::schedule::Schedule`] drives.
 
-use std::collections::BTreeMap;
-
-use super::{Down, Ev, NodeSlot, NodeState, Simulator};
+use super::{Down, Ev, NodeState, Simulator};
 use crate::node::{DownReason, NodeId};
 use crate::schedule::FaultAction;
 use crate::time::{SimDuration, SimTime};
@@ -76,21 +74,26 @@ impl Simulator {
     }
 
     /// Restart a crashed node from its pristine (start-of-run) state and
-    /// schedule session re-establishment with its neighbors.
+    /// schedule session re-establishment with its neighbors. The new
+    /// incarnation inherits no timer: whatever the dead one armed is
+    /// superseded. A simulator bound to a shadow snapshot holds no
+    /// start-of-run image ([`Simulator::reset_from_shadow`] clears it), so
+    /// there the node stays down.
     pub fn inject_node_restart(&mut self, n: NodeId) {
         if self.nodes[n.index()].crashed.is_none() {
             return;
         }
-        let fresh = self
-            .pristine
-            .get(&n)
-            .expect("restart before start()")
-            .clone_node();
-        self.nodes[n.index()] = NodeSlot {
-            node: NodeState::Owned(fresh),
-            crashed: None,
-            timer_gen: BTreeMap::new(),
+        let Some(pristine) = self.pristine.get(&n) else {
+            return;
         };
+        let slot = &mut self.nodes[n.index()];
+        slot.node = NodeState::Owned(pristine.clone_node());
+        slot.crashed = None;
+        // A token the new incarnation re-arms must not restart at a
+        // generation a still-queued pre-crash `Ev::Timer` carries.
+        for gen in slot.timer_gen.values_mut() {
+            *gen += 1;
+        }
         // The rejoined node is a brand-new state: any cached checkpoint is
         // stale and the next cut must re-capture it.
         self.touch_node(n);
@@ -110,6 +113,8 @@ impl Simulator {
 mod tests {
     use super::super::fixtures::{two_node_sim, Pinger};
     use super::*;
+    use crate::node::{Node, NodeApi};
+    use crate::topology::Topology;
 
     #[test]
     fn link_down_prevents_reconnect() {
@@ -154,5 +159,62 @@ mod tests {
             .unwrap();
         // Restarted from pristine: history cleared, then new exchange happened.
         assert!(p1.got.len() <= 5);
+    }
+
+    #[test]
+    fn a_restarted_node_does_not_inherit_its_dead_incarnations_timers() {
+        /// Arms token 1 for 30 s when it starts; logs when it fires.
+        #[derive(Clone, Default)]
+        struct Alarm {
+            fired: Vec<SimTime>,
+        }
+        impl Node for Alarm {
+            fn on_start(&mut self, api: &mut NodeApi<'_>) {
+                api.set_timer(SimDuration::from_secs(30), 1);
+            }
+            fn on_message(&mut self, _: NodeId, _: &[u8], _: &mut NodeApi<'_>) {}
+            fn on_timer(&mut self, _: u64, api: &mut NodeApi<'_>) {
+                self.fired.push(api.now());
+            }
+            fn clone_node(&self) -> Box<dyn Node> {
+                Box::new(self.clone())
+            }
+            fn as_any(&self) -> &dyn core::any::Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
+                self
+            }
+        }
+        let secs = |s| SimTime::ZERO + SimDuration::from_secs(s);
+        let mut sim = Simulator::new(Topology::with_nodes(1), 0);
+        sim.set_node(NodeId(0), Box::new(Alarm::default()));
+        sim.start();
+        sim.run_until(secs(5));
+        sim.inject_node_crash(NodeId(0));
+        sim.run_until(secs(6));
+        sim.inject_node_restart(NodeId(0));
+        sim.run_until(secs(60));
+        let alarm = sim.node(NodeId(0)).as_any().downcast_ref::<Alarm>();
+        // The pre-crash timer (due at 30 s) belongs to the dead incarnation.
+        assert_eq!(alarm.unwrap().fired, [secs(36)]);
+    }
+
+    #[test]
+    fn restart_on_a_shadow_bound_simulator_leaves_the_node_down() {
+        let mut live = two_node_sim(9);
+        live.run_until(SimTime::from_nanos(1_000_000_000));
+        let shadow = live.instant_snapshot();
+        let mut clone = Simulator::from_shadow(&shadow, live.topology(), 3);
+        clone.inject_node_crash(NodeId(1));
+        // Directly, and as a scheduled `FaultAction` firing in the loop.
+        clone.inject_node_restart(NodeId(1));
+        clone.schedule_fault(clone.now(), FaultAction::NodeRestart(NodeId(1)));
+        clone.run_for(SimDuration::from_secs(10));
+        assert!(
+            clone.crashed(NodeId(1)).is_some(),
+            "no image to restart from"
+        );
+        assert!(!clone.session_up(NodeId(0), NodeId(1)));
     }
 }

@@ -8,7 +8,8 @@ use crate::node::{Node, NodeApi, NodeId, SessionEvent};
 use crate::time::SimDuration;
 use crate::topology::Topology;
 
-/// Counts messages; replies with its own id appended.
+/// Counts messages; replies with the round number incremented. Payloads
+/// are encoded into `api.buf()`, as the protocol nodes' are.
 #[derive(Clone)]
 pub(super) struct Pinger {
     initiate: bool,
@@ -28,18 +29,25 @@ impl Pinger {
     }
 }
 
+impl Pinger {
+    fn send(&mut self, to: NodeId, round: u8, api: &mut NodeApi<'_>) {
+        let mut buf = api.buf();
+        buf.push(round);
+        api.send(to, buf);
+        self.sent += 1;
+    }
+}
+
 impl Node for Pinger {
     fn on_session(&mut self, peer: NodeId, ev: SessionEvent, api: &mut NodeApi<'_>) {
         if self.initiate && matches!(ev, SessionEvent::Up) {
-            api.send(peer, vec![0]);
-            self.sent += 1;
+            self.send(peer, 0, api);
         }
     }
     fn on_message(&mut self, from: NodeId, data: &[u8], api: &mut NodeApi<'_>) {
         self.got.push((from, data.to_vec()));
         if (data[0] as u32) < self.max_rounds {
-            api.send(from, vec![data[0] + 1]);
-            self.sent += 1;
+            self.send(from, data[0] + 1, api);
         }
     }
     fn clone_node(&self) -> Box<dyn Node> {

@@ -169,8 +169,8 @@ pub struct SimConfig {
     /// exact) and node annotations are never rendered.
     pub trace_capacity: usize,
     /// Recycle wire payload buffers through the simulator's [`BufPool`]
-    /// (`false` hands out detached buffers and skips recycling; observable
-    /// only in perf counters, never in simulation outcomes).
+    /// (`false`: [`NodeApi::buf`] is `Vec::new()` and nothing is recycled;
+    /// observable only in perf counters, never in simulation outcomes).
     pub payload_pool: bool,
     /// Merge runs of adjacent delivery events (same channel, same instant,
     /// consecutive heap order — the shape a back-to-back send burst
@@ -307,11 +307,8 @@ impl Simulator {
     /// Drain this simulator's wire-path counters (bytes sent, buffer-pool
     /// hits/misses, delivery batching), resetting them to zero.
     pub fn take_wire_stats(&mut self) -> WireStats {
-        let mut out = self.wire;
-        self.wire = WireStats::default();
-        let (hits, misses) = self.buf_pool.take_counts();
-        out.buf_hits = hits;
-        out.buf_misses = misses;
+        let mut out = std::mem::take(&mut self.wire);
+        (out.buf_hits, out.buf_misses) = self.buf_pool.take_counts();
         out
     }
 
@@ -576,7 +573,7 @@ impl Simulator {
         let mut effects = std::mem::take(&mut self.effects_scratch);
         effects.clear();
         {
-            let bufs = self.config.payload_pool.then_some(&self.buf_pool);
+            let bufs = self.config.payload_pool.then_some(&mut self.buf_pool);
             let mut api = NodeApi::new(n, self.now, &mut effects, bufs, self.trace.retains());
             f(node.as_mut(), &mut api);
         }

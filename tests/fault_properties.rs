@@ -100,8 +100,7 @@ impl Node for Blaster {
     fn on_timer(&mut self, _token: u64, api: &mut NodeApi<'_>) {
         if self.sent_at.len() < self.payloads.len() {
             let mut buf = api.buf();
-            buf.as_mut_vec()
-                .extend_from_slice(&self.payloads[self.sent_at.len()]);
+            buf.extend_from_slice(&self.payloads[self.sent_at.len()]);
             api.send(self.peer, buf);
             self.sent_at.push(api.now());
             api.set_timer(self.period, 1);

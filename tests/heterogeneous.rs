@@ -552,7 +552,7 @@ fn wire_knobs_are_byte_identical_across_the_whole_matrix() {
             assert_eq!(
                 (report.perf.buf_hits, report.perf.buf_misses),
                 (0, 0),
-                "wire pool off never touches the buffer shelf"
+                "wire pool off never touches the free list"
             );
         }
         serde_json::to_string(&report.normalized()).unwrap()
