@@ -9,9 +9,12 @@
 //!   exploring).
 //!
 //! `twin_exec/*` is one execution as an exploration session runs it — the
-//! twin over a fully marked message, through the session's recycled
-//! expression arena — with its heap allocations under the counting
-//! allocator (and, for contrast, those of the same run on a fresh arena).
+//! twin over a fully marked message, through the session's expression
+//! arena: *cold*, the session's first (an empty arena, everything interned
+//! anew), and *warm*, every later one (the same arena, not cleared, so the
+//! nodes are found rather than added — what the engine pays a few hundred
+//! times a round). Each prints its heap allocations under the counting
+//! allocator and the nodes it added.
 //!
 //! `update_fanout/*` is the speaker's side of the same message: a
 //! Gao–Rexford hub with 8 / 64 / 512 established neighbours (customers,
@@ -29,7 +32,7 @@ use dice_bgp::{
     encode, AsPath, Asn, BgpRouter, Ipv4Addr, Ipv4Net, Message, OpenMsg, PathAttrs, Policy,
     RouterConfig, RouterId, UpdateMsg,
 };
-use dice_concolic::{ConcolicCtx, ConcolicProgram, ExprArena, SymInput};
+use dice_concolic::{BranchRec, ConcolicCtx, ConcolicProgram, ExprArena, SymInput};
 use dice_core::gossip_sut::mark_gossip;
 use dice_core::{
     mark_update, GrammarConfig, SymbolicGossipHandler, SymbolicUpdateHandler, UpdateGrammar,
@@ -105,20 +108,28 @@ fn bench_twin_exec(c: &mut Criterion) {
     let mut group = c.benchmark_group("twin_exec");
     for (name, program, bytes, mask) in cases {
         // Input and mask are the session's to build either way; what is
-        // counted and timed is the run and handing the arena back.
-        let mut exec = |arena: ExprArena| {
+        // counted and timed is the run and handing arena and path back.
+        let mut exec = |arena: ExprArena, path: Vec<BranchRec>| {
             let input = SymInput::with_mask(bytes.clone(), mask.clone());
-            let before = dice_bench::allocations();
-            let mut ctx = ConcolicCtx::recycling(input, Default::default(), arena);
+            let (allocs, nodes) = (dice_bench::allocations(), arena.len());
+            let mut ctx = ConcolicCtx::continuing(input, Default::default(), arena, path);
             black_box(program.run(&mut ctx));
-            let (_, _, arena) = ctx.into_parts();
-            (arena, dice_bench::allocations() - before)
+            let (_, _, arena, path) = ctx.into_parts();
+            let cost = (dice_bench::allocations() - allocs, arena.len() - nodes);
+            (arena, path, cost)
         };
-        let (arena, fresh) = exec(ExprArena::new());
-        let (mut arena, recycled) = exec(arena);
-        println!("twin_exec/{name} allocs_per_exec {recycled} (fresh arena: {fresh})");
-        group.bench_function(name, |b| {
-            b.iter(|| arena = exec(std::mem::take(&mut arena)).0);
+        let (arena, path, cold) = exec(ExprArena::new(), Vec::new());
+        let (mut arena, mut path, warm) = exec(arena, path);
+        for (temp, (allocs, nodes)) in [("cold", cold), ("warm", warm)] {
+            println!("twin_exec/{name}/{temp} allocs_per_exec {allocs} nodes_added {nodes}");
+        }
+        group.bench_function(format!("{name}/cold"), |b| {
+            b.iter(|| exec(ExprArena::new(), Vec::new()).2);
+        });
+        group.bench_function(format!("{name}/warm"), |b| {
+            b.iter(|| {
+                (arena, path, _) = exec(std::mem::take(&mut arena), std::mem::take(&mut path));
+            });
         });
     }
     group.finish();

@@ -176,13 +176,12 @@ fn bench_path_flips(c: &mut Criterion) {
         });
 
         // As in `explore`: the solver (and its cross-path memo) outlives
-        // the path; the structural hashes are part of every pass.
+        // the path.
         let mut solver = PathSolver::default();
         let mut model = Vec::new();
         group.bench_function(format!("{name}/path_solver"), |b| {
             b.iter(|| {
-                let hashes = arena.node_hashes();
-                let mut pass = solver.begin(arena, path, &hashes, &seed);
+                let mut pass = solver.begin(arena, path, &seed);
                 for _ in 0..path.len() {
                     black_box(pass.flip(&mut model));
                     pass.advance();
@@ -253,13 +252,12 @@ fn bench_word_flips(c: &mut Criterion) {
         let bytes = &ctx.input().bytes;
         let seed = |idx: u32| bytes.get(idx as usize).copied().unwrap_or(0);
         let last = path.len() - 1;
-        let hashes = arena.node_hashes();
 
         let reference =
             |solver: &mut Solver| solver.solve(arena, &negation_query(path, last), &seed);
         let mut model = Vec::new();
         let mut sliced = |solver: &mut PathSolver| {
-            let mut pass = solver.begin(arena, path, &hashes, &seed);
+            let mut pass = solver.begin(arena, path, &seed);
             for _ in 0..last {
                 pass.advance();
             }

@@ -105,10 +105,14 @@ impl SymInput {
         SymInput { bytes, symbolic }
     }
 
-    /// Mark the inclusive byte range as symbolic.
+    /// Mark the inclusive byte range `start..=end` as symbolic, as far as
+    /// the input reaches: an `end` past the last byte marks up to the last
+    /// byte, and a range that starts past it, an inverted one, or any range
+    /// over an empty input marks nothing.
     pub fn mark_range(&mut self, start: usize, end: usize) {
-        for i in start..=end.min(self.symbolic.len().saturating_sub(1)) {
-            self.symbolic[i] = true;
+        let end = end.min(self.symbolic.len().saturating_sub(1));
+        if let Some(range) = self.symbolic.get_mut(start..=end) {
+            range.fill(true);
         }
     }
 }
@@ -140,31 +144,43 @@ impl ConcolicCtx {
         input: SymInput,
         oracle_overlay: std::collections::BTreeMap<u32, u8>,
     ) -> Self {
-        Self::recycling(input, oracle_overlay, ExprArena::new())
+        Self::continuing(input, oracle_overlay, ExprArena::new(), Vec::new())
     }
 
-    /// [`ConcolicCtx::with_oracles`] over a used arena (cleared here, its
-    /// allocations kept): an exploration session runs all its executions
-    /// through one arena and takes it back with [`ConcolicCtx::into_parts`].
-    pub fn recycling(
+    /// [`ConcolicCtx::with_oracles`] as the next run of an exploration
+    /// session: `arena` holds every expression the session's earlier runs
+    /// interned and *continues* — this run finds most of its nodes already
+    /// there and adds only what is new, so within a session one structure
+    /// has one [`ExprId`] — and `path` is a used path vector (emptied
+    /// here, its allocation kept). [`ConcolicCtx::into_parts`] hands both
+    /// back.
+    pub fn continuing(
         input: SymInput,
         oracle_overlay: std::collections::BTreeMap<u32, u8>,
-        mut arena: ExprArena,
+        arena: ExprArena,
+        mut path: Vec<BranchRec>,
     ) -> Self {
-        arena.clear();
+        path.clear();
         ConcolicCtx {
             arena,
             input,
-            path: Vec::new(),
+            path,
             oracles: 0,
             oracle_overlay,
         }
     }
 
     /// Take the run apart: the input and oracle overlay it was started
-    /// with, and its arena.
-    pub fn into_parts(self) -> (SymInput, std::collections::BTreeMap<u32, u8>, ExprArena) {
-        (self.input, self.oracle_overlay, self.arena)
+    /// with, its arena and its path vector.
+    pub fn into_parts(
+        self,
+    ) -> (
+        SymInput,
+        std::collections::BTreeMap<u32, u8>,
+        ExprArena,
+        Vec<BranchRec>,
+    ) {
+        (self.input, self.oracle_overlay, self.arena, self.path)
     }
 
     /// The explorer-chosen oracle values this run was started with.
@@ -495,6 +511,23 @@ mod tests {
         assert!(!ctx.read_u8(0).is_symbolic());
         assert!(ctx.read_u8(1).is_symbolic());
         assert!(!ctx.read_u8(2).is_symbolic());
+    }
+
+    #[test]
+    fn mark_range_on_an_empty_or_short_input_marks_what_exists() {
+        let mut empty = SymInput::all_concrete(vec![]);
+        empty.mark_range(0, 0);
+        empty.mark_range(0, 7);
+        assert!(empty.symbolic.is_empty());
+
+        let mut short = SymInput::all_concrete(vec![9, 9, 9]);
+        short.mark_range(3, 5); // starts past the end
+        short.mark_range(2, 1); // inverted
+        assert_eq!(short.symbolic, [false, false, false]);
+        short.mark_range(1, 100); // clamped to the last byte
+        assert_eq!(short.symbolic, [false, true, true]);
+        short.mark_range(0, 0);
+        assert_eq!(short.symbolic, [true, true, true]);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! **random-mutation** baseline used by the paper-shape experiment
 //! "concolic > grammar > random".
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use serde::{Deserialize, Serialize};
@@ -20,10 +21,11 @@ use crate::solve::{negation_query, Flip, PathSolver, Solver, SolverBudget, Solve
 pub enum RunStatus {
     /// Input processed to completion.
     Ok,
-    /// Input rejected by validation (with the stage that rejected it).
-    Rejected(String),
+    /// Input rejected by validation (with the stage that rejected it —
+    /// a literal in every twin, so no run pays for a `String`).
+    Rejected(Cow<'static, str>),
     /// Input crashed the program — a fault candidate.
-    Crash(String),
+    Crash(Cow<'static, str>),
 }
 
 /// A program under concolic test. Reads its input through the context.
@@ -123,7 +125,7 @@ pub struct ExploreConfig {
     pub solver_budget: SolverBudget,
     /// Which solver answers the negation queries: `true` (the default)
     /// answers every query of an executed path in one [`PathSolver`] pass,
-    /// behind the cross-seed [`UnaryMemo`](crate::solve::UnaryMemo);
+    /// behind the cross-path [`UnaryMemo`](crate::solve::UnaryMemo);
     /// `false` builds each query whole ([`negation_query`]) and answers it
     /// from scratch with the reference [`Solver::solve`]. The answers, and
     /// so the executed inputs, coverage and crashes, are the same either
@@ -206,7 +208,6 @@ struct WorkItem {
 /// symbolic-marking policy). Seeds play the role of Oasis's test-suite
 /// inputs: exploration starts from known-interesting messages rather than
 /// from scratch.
-// dice-lint: allow(panic-freedom): arena ids and guarded byte offsets index same-sized tables built in this pass
 pub fn explore(
     program: &mut dyn ConcolicProgram,
     seeds: &[Vec<u8>],
@@ -228,7 +229,9 @@ pub fn explore(
     // attribute payloads) — skeleton-keyed dedup silently drops one of them.
     let mut attempted: HashSet<u64, MixBuild> = HashSet::default();
     // Every negation query dispatched to the solver this session, keyed by
-    // the canonical structural hash of its constraint set (any outcome).
+    // a hash of its constraint set (any outcome): the constraints' ids in
+    // the session arena — there, same structure ⇔ same id — and the
+    // directions asked for.
     // The covered-flip guard consults this in addition to the coverage
     // ledger: a flip may only be skipped when its *exact* query — prefix
     // and all — was already tried, so a covered (site, direction) reached
@@ -239,10 +242,12 @@ pub fn explore(
     let mut dispatched: HashSet<u64, MixBuild> = HashSet::default();
     let mut queue: Vec<WorkItem> = Vec::new();
     let mut seq = 0u64;
-    // One arena and one set of per-path buffers serve every execution of
-    // the session (cleared per execution, allocations kept).
+    // One arena serves every execution of the session and is never
+    // cleared: an execution is a one-flip child of an earlier one and
+    // finds most of its expressions interned already. The per-path buffers
+    // are emptied per execution, allocations kept.
     let mut arena = ExprArena::new();
-    let mut node_hash: Vec<u64> = Vec::new();
+    let mut path_buf: Vec<BranchRec> = Vec::new();
     let mut sites_seen: HashSet<u32, MixBuild> = HashSet::default();
 
     for seed in seeds {
@@ -296,7 +301,12 @@ pub fn explore(
         // The run owns its input and overlay until its flips are done;
         // the execution record below takes them over.
         let input = SymInput::with_mask(item.bytes, mask);
-        let mut ctx = ConcolicCtx::recycling(input, item.oracles, std::mem::take(&mut arena));
+        let mut ctx = ConcolicCtx::continuing(
+            input,
+            item.oracles,
+            std::mem::take(&mut arena),
+            std::mem::take(&mut path_buf),
+        );
         let status = program.run(&mut ctx);
         let (bytes, oracles) = (&ctx.input().bytes, ctx.oracle_overlay());
 
@@ -313,13 +323,6 @@ pub fn explore(
         // inputs can share a branch skeleton yet yield different children;
         // the input-key dedup above suppresses true duplicates.
         let path = ctx.path();
-        // Canonical structural hashes of the run's hash-consed arena: one
-        // O(arena) pass, then each negation query hashes in O(1) as a fold
-        // over the path prefix. The same branch structure recorded by a
-        // different seed (different bytes, separate arena) yields the same
-        // hashes. Computed unconditionally: the covered-flip guard keys
-        // off them and runs in both cache modes.
-        ctx.arena().node_hashes_into(&mut node_hash);
         let seed_fn = |idx: u32| -> u8 {
             match bytes.get(idx as usize) {
                 Some(&b) => b,
@@ -328,12 +331,16 @@ pub fn explore(
         };
         let mut pass = config
             .solver_cache
-            .then(|| sliced.begin(ctx.arena(), path, &node_hash, &seed_fn));
+            .then(|| sliced.begin(ctx.arena(), path, &seed_fn));
+        // Each negation query hashes in O(1) as a fold over the path
+        // prefix; the same branch structure recorded by a different seed
+        // (different bytes, same arena) folds the same ids. The guard that
+        // reads it runs in both cache modes.
         let mut prefix_hash: u64 = 0xD1CE_0000_5EED_0001;
         sites_seen.clear();
         for (i, rec) in path.iter().enumerate() {
-            let rec_hash = node_hash[rec.constraint.0 as usize];
-            let query_hash = crate::expr::mix3(prefix_hash, rec_hash, !rec.taken as u64);
+            let rec_id = rec.constraint.0 as u64;
+            let query_hash = mix3(prefix_hash, rec_id, !rec.taken as u64);
             // A site's *first* occurrence in this path carries no loop
             // context; later occurrences of the same SiteId (instrumented
             // loops reuse one id per attribute / digest entry) target a
@@ -405,12 +412,12 @@ pub fn explore(
             if let Some(pass) = &mut pass {
                 pass.advance();
             }
-            prefix_hash = crate::expr::mix3(prefix_hash, rec_hash, rec.taken as u64);
+            prefix_hash = mix3(prefix_hash, rec_id, rec.taken as u64);
         }
 
         let path_len = path.len();
-        let (input, oracles, used) = ctx.into_parts();
-        arena = used;
+        let (input, oracles);
+        (input, oracles, arena, path_buf) = ctx.into_parts();
         report.executions.push(ExecutionRecord {
             input: input.bytes,
             oracles,
@@ -431,6 +438,18 @@ pub fn explore(
     report.solver.unary_memo_hits = sliced.memo_hits();
     report.coverage = coverage;
     report
+}
+
+/// SplitMix64-style mixer folding a path prefix, one constraint id and one
+/// direction into the hash of a negation query.
+fn mix3(tag: u64, a: u64, b: u64) -> u64 {
+    let mut z = tag
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(a.rotate_left(17))
+        .wrapping_add(b.rotate_left(41));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Identity of a concrete input: bytes plus oracle overlay (FNV-1a).
@@ -802,6 +821,49 @@ mod tests {
             .expect("crash behind a context-dependent flip must stay reachable");
         let input = &report.executions[crash].input;
         assert!(input[0] >= 128 && input[1] == input[0], "input {input:?}");
+    }
+
+    #[test]
+    fn guard_keys_on_the_constraint_not_on_its_site() {
+        // The diamond again, but which byte it tests is picked by a
+        // concrete selector: two seeds record the same (site, direction)
+        // skeleton over *different* constraints. A query hash folded from
+        // site ids would take the second seed's flip of site 2 for the
+        // first seed's — already dispatched, target covered — and skip the
+        // one query that reaches the crash; folded from the constraints'
+        // ids it is a query nobody asked yet.
+        fn selected_diamond(ctx: &mut ConcolicCtx) -> RunStatus {
+            if !ctx.in_bounds(3) {
+                return RunStatus::Rejected("short".into());
+            }
+            let second = ctx.read_u8(0).val == 1;
+            let b = ctx.read_u8(if second { 2 } else { 1 });
+            let small = ctx.ult_const(b, 128);
+            let is_small = ctx.branch(SiteId(1), small);
+            let mirror = ctx.read_u8(3);
+            let eq = ctx.cmp(crate::expr::CmpOp::Eq, mirror, b);
+            let matches = ctx.branch(SiteId(2), eq);
+            if second && !is_small && matches {
+                return RunStatus::Crash("large mirrored byte".into());
+            }
+            RunStatus::Ok
+        }
+        let selector_concrete = |bytes: &[u8]| {
+            let mut mask = vec![true; bytes.len()];
+            mask[0] = false;
+            mask
+        };
+        let seeds = vec![vec![0u8, 0, 0, 0], vec![1u8, 0, 0, 0]];
+        let cfg = ExploreConfig {
+            max_executions: 32,
+            ..Default::default()
+        };
+        let report = explore(&mut selected_diamond, &seeds, &selector_concrete, &cfg);
+        let crash = report
+            .first_crash()
+            .expect("the second seed's flip is its own query");
+        let input = &report.executions[crash].input;
+        assert!(input[2] >= 128 && input[3] == input[2], "input {input:?}");
     }
 
     #[test]

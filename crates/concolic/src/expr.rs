@@ -8,7 +8,9 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Index of an expression in its arena.
+/// Index of an expression in its arena — and, because the arena
+/// hash-conses and only ever grows, the expression's name there: two
+/// expressions have the same id iff they have the same structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ExprId(pub u32);
 
@@ -219,13 +221,6 @@ impl ExprArena {
     /// Whether the arena holds no nodes.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Forget every node, keeping the allocations: a session runs all its
-    /// executions through one arena.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.cache.clear();
     }
 
     /// Intern a node.
@@ -517,54 +512,6 @@ impl ExprArena {
         }
     }
 
-    /// Structural hashes for every node, computed in one O(n) pass.
-    ///
-    /// `out[i]` identifies the *shape and content* of node `i` — operator,
-    /// width, constants, input indices, and (recursively) its operands —
-    /// independent of the arena it was interned in. Two runs that record
-    /// the same branch structure produce identical hashes even though
-    /// their arenas were built separately, which is what lets the
-    /// negation-query cache in `dice-concolic::explore` recognize a
-    /// constraint system it has already refuted for an earlier seed.
-    /// Hash-consing makes this cheap: nodes only reference earlier ids,
-    /// so one forward pass suffices and each node costs O(1).
-    pub fn node_hashes(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.node_hashes_into(&mut out);
-        out
-    }
-
-    /// [`ExprArena::node_hashes`] into a caller-owned buffer (replaced).
-    // dice-lint: allow(panic-freedom): nodes reference only earlier ids, so out[] is already populated
-    pub fn node_hashes_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.reserve(self.nodes.len());
-        for e in &self.nodes {
-            let h = match *e {
-                Expr::Const { bits, val } => mix3(0x01, bits as u64, val),
-                Expr::Input { idx } => mix3(0x02, idx as u64, 0),
-                Expr::Bin { op, bits, a, b } => {
-                    let lhs = out[a.0 as usize];
-                    let rhs = out[b.0 as usize];
-                    mix3(0x03 | (op as u64) << 8 | (bits as u64) << 16, lhs, rhs)
-                }
-                Expr::ZExt { bits, a } => mix3(0x04 | (bits as u64) << 16, out[a.0 as usize], 0),
-                Expr::Cmp { op, a, b } => {
-                    let lhs = out[a.0 as usize];
-                    let rhs = out[b.0 as usize];
-                    mix3(0x05 | (op as u64) << 8, lhs, rhs)
-                }
-                Expr::Not(a) => mix3(0x06, out[a.0 as usize], 0),
-                Expr::Bool { op, a, b } => {
-                    let lhs = out[a.0 as usize];
-                    let rhs = out[b.0 as usize];
-                    mix3(0x07 | (op as u64) << 8, lhs, rhs)
-                }
-            };
-            out.push(h);
-        }
-    }
-
     /// One pass over the nodes `e` reaches: the input bytes it mentions
     /// (ascending) and, when that is exactly one byte, `e`'s value under
     /// each of the byte's 256 values — what 256 [`ExprArena::eval`] walks
@@ -792,17 +739,6 @@ fn ternary_cmp_lt(a: &Ternary, b: &Ternary, or_eq: bool) -> Option<bool> {
         }
     }
     None
-}
-
-/// SplitMix64-style mixer combining three words into one structural hash.
-pub(crate) fn mix3(tag: u64, a: u64, b: u64) -> u64 {
-    let mut z = tag
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(a.rotate_left(17))
-        .wrapping_add(b.rotate_left(41));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// `out[i] = f(a[i], b[i])` over the 256 lanes.
@@ -1252,35 +1188,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn node_hashes_are_structural_across_arenas() {
-        // The same expression built in two independently grown arenas (so
-        // the ExprIds differ) must hash identically, and a structurally
-        // different expression must not.
-        let build = |arena: &mut ExprArena, k: u64| -> ExprId {
-            let x = arena.input(0);
-            let c = arena.constant(8, k);
-            arena.cmp(CmpOp::Eq, x, c)
-        };
-        let mut a = ExprArena::new();
-        let e_a = build(&mut a, 0x42);
-        let mut b = ExprArena::new();
-        // Grow arena b first so interning order (and ids) differ.
-        let _pad = b.input(7);
-        let e_b = build(&mut b, 0x42);
-        assert_ne!(e_a, e_b, "ids differ across arenas");
-        let ha = a.node_hashes();
-        let hb = b.node_hashes();
-        assert_eq!(ha[e_a.0 as usize], hb[e_b.0 as usize]);
-
-        let e_other = build(&mut b, 0x43);
-        assert_ne!(
-            hb[e_b.0 as usize],
-            b.node_hashes()[e_other.0 as usize],
-            "different constants must hash differently"
-        );
     }
 
     #[test]

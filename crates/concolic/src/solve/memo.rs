@@ -1,27 +1,32 @@
 //! The cross-path memo of per-constraint facts.
 
-use super::ByteSet;
 #[cfg(doc)]
 use super::PathSolver;
-use crate::expr::{ExprArena, ExprId, LaneScratch, MixBuild};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use super::{ByteSet, NONE};
+use crate::expr::{ExprArena, ExprId, LaneScratch};
 
 /// Cross-path memo of the per-constraint facts [`PathSolver`] needs: the
 /// referenced variable list and — for single-variable constraints — the
 /// exact set of byte values under which the expression is truthy (one
-/// 256-lane [`ExprArena::sweep`]). Keyed by the *canonical structural
-/// hash* of the constraint expression supplied by the caller (see
-/// `ExprArena::node_hashes`), so entries are valid across arenas: a child
-/// re-records most of its parent's constraints, and different seeds with
-/// the same parse shape share them all. Polarity is not part of the key —
-/// a single-variable expression evaluates totally over the 256 values, so
-/// the set admitting the falsy polarity is the complement. Both memoized
-/// facts are pure functions of the expression's structure, so reuse cannot
-/// change any solve outcome.
+/// 256-lane [`ExprArena::sweep`]). A table indexed by the constraint's
+/// [`ExprId`] in the session's arena: that arena hash-conses and is never
+/// cleared, so the id names the structure from the first seed to the last
+/// flip — a child re-records most of its parent's constraints, and
+/// different seeds with the same parse shape share them all — and a memo
+/// serves that one arena for as long as it lives. Polarity is not part of
+/// the key — a single-variable expression evaluates totally over the 256
+/// values, so the set admitting the falsy polarity is the complement. Both
+/// memoized facts are pure functions of the expression's structure, so
+/// reuse cannot change any solve outcome.
 #[derive(Debug, Default)]
 pub struct UnaryMemo {
-    map: HashMap<u64, MemoEntry, MixBuild>,
+    /// Node id → its entry; [`NONE`] until the node is first looked up.
+    /// One word per arena node, the entries themselves only for the
+    /// branch constraints among them.
+    index: Vec<u32>,
+    entries: Vec<MemoEntry>,
+    /// The entries' variable lists, end to end.
+    vars: Vec<u32>,
     /// Entries served from the memo (vars + unary set count as one hit).
     pub hits: u64,
     /// What a miss computes in.
@@ -29,27 +34,44 @@ pub struct UnaryMemo {
 }
 
 #[derive(Debug)]
-pub(super) struct MemoEntry {
-    pub(super) vars: Vec<u32>,
+struct MemoEntry {
+    /// `(start, len)` in [`UnaryMemo::vars`].
+    vars: (u32, u32),
     /// Single-variable constraints only: the values that make it truthy.
-    pub(super) truthy: Option<ByteSet>,
+    truthy: Option<ByteSet>,
 }
 
 impl UnaryMemo {
-    pub(super) fn lookup(&mut self, arena: &ExprArena, e: ExprId, key: u64) -> &MemoEntry {
-        match self.map.entry(key) {
-            Entry::Occupied(hit) => {
-                self.hits += 1;
-                hit.into_mut()
-            }
-            Entry::Vacant(miss) => {
-                let (vars, lanes) = arena.sweep(e, &mut self.scratch);
-                miss.insert(MemoEntry {
-                    vars: vars.to_vec(),
-                    truthy: lanes.map(ByteSet::truthy),
-                })
-            }
+    /// The variables `e` mentions (ascending) and, when that is one, the
+    /// values of it under which `e` is truthy.
+    pub(super) fn lookup(&mut self, arena: &ExprArena, e: ExprId) -> (&[u32], Option<ByteSet>) {
+        let node = e.0 as usize;
+        if self.index.len() <= node {
+            self.index.resize(arena.len().max(node + 1), NONE);
         }
+        let mut at = self.index.get(node).copied().unwrap_or(NONE);
+        if at == NONE {
+            at = self.entries.len() as u32;
+            let (vars, lanes) = arena.sweep(e, &mut self.scratch);
+            self.entries.push(MemoEntry {
+                vars: (self.vars.len() as u32, vars.len() as u32),
+                truthy: lanes.map(ByteSet::truthy),
+            });
+            self.vars.extend_from_slice(vars);
+            if let Some(slot) = self.index.get_mut(node) {
+                *slot = at;
+            }
+        } else {
+            self.hits += 1;
+        }
+        let Some(entry) = self.entries.get(at as usize) else {
+            return (&[], None);
+        };
+        let (start, len) = (entry.vars.0 as usize, entry.vars.1 as usize);
+        (
+            self.vars.get(start..start + len).unwrap_or(&[]),
+            entry.truthy,
+        )
     }
 }
 
@@ -124,6 +146,8 @@ mod tests {
         let pair = a.cmp(CmpOp::Ult, z, y);
         let scratch = &mut LaneScratch::default();
         assert_eq!(a.sweep(pair, scratch), (&[5u32, 6][..], None));
+        let mut memo = UnaryMemo::default();
+        assert_eq!(memo.lookup(&a, pair), (&[5u32, 6][..], None));
 
         for e in shapes {
             let (vars, lanes) = a.sweep(e, scratch);
@@ -137,6 +161,14 @@ mod tests {
                 assert_eq!(Some(lanes[byte as usize]), a.eval(e, &lookup));
             }
             let truthy = ByteSet::truthy(&lanes);
+            // The memo's table answers with the sweep's facts, on the miss
+            // and — the arena having grown past the table in between — on
+            // the hit.
+            assert_eq!(memo.lookup(&a, e), (&[v][..], Some(truthy)));
+            let hits = memo.hits;
+            a.constant(64, 0xD1CE_0000 + e.0 as u64);
+            assert_eq!(memo.lookup(&a, e), (&[v][..], Some(truthy)));
+            assert_eq!(memo.hits, hits + 1);
             for want in [true, false] {
                 let mut swept = ByteSet::empty();
                 for byte in 0..=u8::MAX {

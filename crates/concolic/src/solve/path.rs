@@ -154,14 +154,14 @@ impl PathSolver {
         self.memo.hits
     }
 
-    /// Start the pass over one executed path. `hashes` are the arena's
-    /// canonical structural hashes (`ExprArena::node_hashes`) — the memo
-    /// keys — and `seed` the executed input, as for [`Solver::solve`].
+    /// Start the pass over one executed path; `seed` is the executed
+    /// input, as for [`Solver::solve`]. The memo is keyed by [`ExprId`]:
+    /// every pass of one solver must be over the same arena, which may
+    /// have grown since the last pass but never restarted.
     pub fn begin<'a>(
         &'a mut self,
         arena: &'a ExprArena,
         path: &'a [BranchRec],
-        hashes: &'a [u64],
         seed: &'a dyn Fn(u32) -> u8,
     ) -> PathPass<'a> {
         for v in &self.vars {
@@ -178,7 +178,6 @@ impl PathSolver {
             ps: self,
             arena,
             path,
-            hashes,
             seed,
             cursor: 0,
             cur: None,
@@ -195,7 +194,6 @@ pub struct PathPass<'a> {
     ps: &'a mut PathSolver,
     arena: &'a ExprArena,
     path: &'a [BranchRec],
-    hashes: &'a [u64],
     seed: &'a dyn Fn(u32) -> u8,
     cursor: usize,
     /// The cursor's constraint, once looked up.
@@ -317,11 +315,10 @@ impl PathPass<'_> {
     fn register(&mut self) -> Option<Con> {
         if self.cur.is_none() {
             let rec = self.path.get(self.cursor)?;
-            let key = *self.hashes.get(rec.constraint.0 as usize)?;
             let ps = &mut *self.ps;
-            let entry = ps.memo.lookup(self.arena, rec.constraint, key);
+            let (vars, truthy) = ps.memo.lookup(self.arena, rec.constraint);
             ps.cur_slots.clear();
-            for &v in &entry.vars {
+            for &v in vars {
                 let idx = v as usize;
                 if ps.slot_of.len() <= idx {
                     ps.slot_of.resize(idx + 1, NONE);
@@ -353,7 +350,7 @@ impl PathPass<'_> {
             self.cur = Some(Con {
                 expr: rec.constraint,
                 taken: rec.taken,
-                truthy: entry.truthy,
+                truthy,
             });
         }
         self.cur

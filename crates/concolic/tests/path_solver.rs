@@ -171,11 +171,23 @@ fn build(arena: &mut ExprArena, b: &Branch) -> ExprId {
 /// seed, or itself).
 fn record(branches: &[Branch], seed: &[u8; 6], replay: bool) -> (ExprArena, Vec<BranchRec>) {
     let mut arena = ExprArena::new();
-    let path = branches
+    let path = record_into(&mut arena, branches, seed, replay);
+    (arena, path)
+}
+
+/// [`record`] into an arena that already holds other paths, as a session's
+/// later executions record theirs.
+fn record_into(
+    arena: &mut ExprArena,
+    branches: &[Branch],
+    seed: &[u8; 6],
+    replay: bool,
+) -> Vec<BranchRec> {
+    branches
         .iter()
         .enumerate()
         .map(|(i, b)| {
-            let constraint = build(&mut arena, b);
+            let constraint = build(arena, b);
             let concrete = arena.eval(constraint, &|idx| Some(seed[idx as usize] as u64));
             BranchRec {
                 site: SiteId(i as u32),
@@ -187,8 +199,7 @@ fn record(branches: &[Branch], seed: &[u8; 6], replay: bool) -> (ExprArena, Vec<
                 },
             }
         })
-        .collect();
-    (arena, path)
+        .collect()
 }
 
 /// One pass over `path`: flip where `flips` says so (all when it runs
@@ -201,8 +212,7 @@ fn sliced_answers(
     seed: &dyn Fn(u32) -> u8,
     flips: &[bool],
 ) -> Vec<Option<SolveResult>> {
-    let hashes = arena.node_hashes();
-    let mut pass = solver.begin(arena, path, &hashes, seed);
+    let mut pass = solver.begin(arena, path, seed);
     let mut model = Vec::new();
     (0..path.len())
         .map(|i| {
@@ -252,7 +262,7 @@ proptest! {
         tiny_budget in prop::option::of(1u64..600),
     ) {
         let seed: [u8; 6] = seed.try_into().expect("six bytes");
-        let (arena, path) = record(&branches, &seed, replay);
+        let (mut arena, path) = record(&branches, &seed, replay);
         let seed_fn = |idx: u32| seed[idx as usize];
         let budget = tiny_budget.map_or_else(SolverBudget::default, |max_steps| SolverBudget { max_steps });
 
@@ -279,6 +289,23 @@ proptest! {
             path.len() as u64,
             "the second pass finds every constraint in the memo, once"
         );
+
+        // A later execution of the session: another seed's path — the same
+        // branches from the last back, every other one against a constant
+        // one bit off, so it shares constraints with the first and interns
+        // new ones among them — recorded into the same arena, answered by
+        // the same solver over its warm memo.
+        let later_seed = seed.map(|b| b.rotate_left(3) ^ 0x5A);
+        let later: Vec<Branch> = branches
+            .iter()
+            .rev()
+            .enumerate()
+            .map(|(i, b)| Branch { k: b.k ^ (i as u32 & 1), ..b.clone() })
+            .collect();
+        let later_path = record_into(&mut arena, &later, &later_seed, replay);
+        let later_fn = |idx: u32| later_seed[idx as usize];
+        let answers = sliced_answers(&mut solver, &arena, &later_path, &later_fn, &flips);
+        assert_matches_reference(&arena, &later_path, &later_fn, budget, &answers)?;
     }
 }
 

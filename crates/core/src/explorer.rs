@@ -345,14 +345,14 @@ pub(crate) fn explore_stage(
             i,
         )
     });
-    let mut seen_inputs: BTreeSet<Vec<u8>> = BTreeSet::new();
+    let mut seen_inputs: BTreeSet<&[u8]> = BTreeSet::new();
     let mut candidates: Vec<Option<Vec<u8>>> = vec![None]; // null input first
     for i in order {
         if candidates.len() > cfg.validate_top {
             break;
         }
         let e = &exploration.executions[i];
-        if seen_inputs.insert(e.input.clone()) {
+        if seen_inputs.insert(&e.input) {
             candidates.push(Some(e.input.clone()));
         }
     }

@@ -474,9 +474,9 @@ fn run_update(h: &mut SymbolicUpdateHandler, ctx: &mut ConcolicCtx) -> RunStatus
     }
 
     // ---- Import policy, interpreted symbolically ----------------------
-    let policy = h.import_policy().clone();
+    let policy = h.import_policy();
     for (pi, prefix) in prefixes.iter().enumerate() {
-        match eval_policy(ctx, &policy, *prefix, &attrs, pi) {
+        match eval_policy(ctx, policy, *prefix, &attrs, pi) {
             Verdict::Reject => return RunStatus::Rejected("import-policy".into()),
             Verdict::Accept => {}
         }
@@ -761,7 +761,7 @@ mod tests {
                     }
                 }
                 Ok(_) => RunStatus::Rejected("not-update".into()),
-                Err(e) => RunStatus::Rejected(format!("decode: {e}")),
+                Err(e) => RunStatus::Rejected(format!("decode: {e}").into()),
             };
             let agree = matches!(
                 (&twin, &reference),

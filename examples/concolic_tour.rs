@@ -79,7 +79,7 @@ fn main() {
             match &e.status {
                 RunStatus::Ok => ok += 1,
                 RunStatus::Rejected(stage) => {
-                    *rejected_stages.entry(stage.clone()).or_insert(0usize) += 1
+                    *rejected_stages.entry(stage.as_ref()).or_insert(0usize) += 1
                 }
                 RunStatus::Crash(_) => {}
             }

@@ -70,7 +70,7 @@ fn twin_verdict(cfg: &RouterConfig, bytes: &[u8]) -> Result<bool, String> {
     match handler.run(&mut ctx) {
         RunStatus::Ok => Ok(true),
         RunStatus::Rejected(stage) if stage == "import-policy" => Ok(false),
-        RunStatus::Rejected(stage) => Err(stage),
+        RunStatus::Rejected(stage) => Err(stage.into_owned()),
         RunStatus::Crash(c) => Err(format!("crash:{c}")),
     }
 }
