@@ -16,6 +16,13 @@
 //! times a round). Each prints its heap allocations under the counting
 //! allocator and the nodes it added.
 //!
+//! `explore_session/*` is a whole exploration session around the same twin
+//! and message (its one seed, the `nemesis_detect` budget of 160
+//! executions): the executions plus what the session does around them —
+//! flips, child inputs and their dedup keys, the worklist, the coverage
+//! ledger. It prints the executions run and the heap allocations per
+//! execution.
+//!
 //! `update_fanout/*` is the speaker's side of the same message: a
 //! Gao–Rexford hub with 8 / 64 / 512 established neighbours (customers,
 //! peers and providers interleaved by node id, one policy name per
@@ -32,7 +39,9 @@ use dice_bgp::{
     encode, AsPath, Asn, BgpRouter, Ipv4Addr, Ipv4Net, Message, OpenMsg, PathAttrs, Policy,
     RouterConfig, RouterId, UpdateMsg,
 };
-use dice_concolic::{BranchRec, ConcolicCtx, ConcolicProgram, ExprArena, SymInput};
+use dice_concolic::{
+    explore, BranchRec, ConcolicCtx, ConcolicProgram, ExploreConfig, ExprArena, SymInput,
+};
 use dice_core::gossip_sut::mark_gossip;
 use dice_core::{
     mark_update, GrammarConfig, SymbolicGossipHandler, SymbolicUpdateHandler, UpdateGrammar,
@@ -86,27 +95,43 @@ fn bench_update_paths(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_twin_exec(c: &mut Criterion) {
-    // The messages and twins of `solver_bench`'s `path_flips`.
-    let update = encode(&bgp_update());
+/// A twin, its marking policy and a fully marked message for it.
+type TwinCase = (
+    &'static str,
+    Box<dyn ConcolicProgram>,
+    Vec<u8>,
+    fn(&[u8]) -> Vec<bool>,
+);
+
+/// The messages and twins of `solver_bench`'s `path_flips`.
+fn twin_cases() -> [TwinCase; 2] {
     let router = RouterConfig::minimal(Asn(65000), RouterId(1)).with_neighbor(
         NodeId(2),
         Asn(65001),
         "all",
         "all",
     );
-    let digest = dice_gossip::wire::encode(&gossip_digest());
-    let mut bgp_twin = SymbolicUpdateHandler::new(router, NodeId(2));
-    let mut gossip_twin = SymbolicGossipHandler::new(GossipConfig::new(7).subscribe(3));
-    let (update_mask, digest_mask) = (mark_update(&update), mark_gossip(&digest));
-    let bgp: &mut dyn ConcolicProgram = &mut bgp_twin;
-    let cases = [
-        ("bgp_update", bgp, &update, &update_mask),
-        ("gossip_digest", &mut gossip_twin, &digest, &digest_mask),
-    ];
+    let gossip = GossipConfig::new(7).subscribe(3);
+    [
+        (
+            "bgp_update",
+            Box::new(SymbolicUpdateHandler::new(router, NodeId(2))),
+            encode(&bgp_update()),
+            mark_update,
+        ),
+        (
+            "gossip_digest",
+            Box::new(SymbolicGossipHandler::new(gossip)),
+            dice_gossip::wire::encode(&gossip_digest()),
+            mark_gossip,
+        ),
+    ]
+}
 
+fn bench_twin_exec(c: &mut Criterion) {
     let mut group = c.benchmark_group("twin_exec");
-    for (name, program, bytes, mask) in cases {
+    for (name, mut program, bytes, marker) in twin_cases() {
+        let mask = marker(&bytes);
         // Input and mask are the session's to build either way; what is
         // counted and timed is the run and handing arena and path back.
         let mut exec = |arena: ExprArena, path: Vec<BranchRec>| {
@@ -129,6 +154,38 @@ fn bench_twin_exec(c: &mut Criterion) {
         group.bench_function(format!("{name}/warm"), |b| {
             b.iter(|| {
                 (arena, path, _) = exec(std::mem::take(&mut arena), std::mem::take(&mut path));
+            });
+        });
+    }
+    group.finish();
+}
+
+fn bench_explore_session(c: &mut Criterion) {
+    // One whole session per case, the `twin_exec` message its one seed,
+    // under the `nemesis_detect` workload's budget: the twin's executions
+    // plus everything around them — flips, children, dedup, worklist,
+    // coverage.
+    let config = ExploreConfig {
+        max_executions: 160,
+        ..Default::default()
+    };
+    let mut group = c.benchmark_group("explore_session");
+    for (name, mut program, bytes, marker) in twin_cases() {
+        let seeds = [bytes];
+        let allocs = dice_bench::allocations();
+        let executions = explore(program.as_mut(), &seeds, &marker, &config)
+            .executions
+            .len();
+        let allocs = dice_bench::allocations() - allocs;
+        println!(
+            "explore_session/{name} executions {executions} allocs_per_exec {:.1}",
+            allocs as f64 / executions as f64
+        );
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                explore(program.as_mut(), &seeds, &marker, &config)
+                    .executions
+                    .len()
             });
         });
     }
@@ -292,6 +349,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_update_paths, bench_twin_exec, bench_update_fanout
+    targets = bench_update_paths, bench_twin_exec, bench_explore_session, bench_update_fanout
 }
 criterion_main!(benches);

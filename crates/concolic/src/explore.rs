@@ -8,7 +8,8 @@
 //! "concolic > grammar > random".
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -85,11 +86,11 @@ impl Coverage {
     /// unseen (site, direction) pairs `other` contributed.
     ///
     /// This is the thread-safe aggregation path for parallel round
-    /// engines: each exploration session owns a private `Coverage` (no
-    /// locking on the hot `add_path` path), and completed sessions fold
-    /// into a campaign-level union off the critical path. `Coverage` is
-    /// `Send + Sync`, so ledgers can move across or be read from worker
-    /// threads freely.
+    /// engines: each exploration session keeps a private ledger (no
+    /// locking on the hot path) and hands it over as a `Coverage` in its
+    /// report, and completed sessions fold into a campaign-level union off
+    /// the critical path. `Coverage` is `Send + Sync`, so ledgers can move
+    /// across or be read from worker threads freely.
     pub fn merge(&mut self, other: &Coverage) -> usize {
         let before = self.seen.len();
         self.seen.extend(other.seen.iter().copied());
@@ -194,13 +195,93 @@ impl ExplorationReport {
     }
 }
 
+/// An input waiting to run, and the path position below which its flips
+/// were its ancestors' to make.
 struct WorkItem {
     bytes: Vec<u8>,
     oracles: BTreeMap<u32, u8>,
     bound: usize,
-    score: i64,
-    seq: u64,
 }
+
+/// The session's pending inputs. An item lives at index `seq` — its push
+/// ordinal — of `slab` until it is picked. DFS takes the newest live item.
+/// Generational search alternates the oldest live item (a cursor over the
+/// slab) with the best one (a max-heap on `(score, Reverse(seq))`: highest
+/// score, FIFO within a score), the heap skipping entries whose item the
+/// cursor took first. Each pick is what a linear scan of the live items
+/// picks (`worklist_picks_what_a_scan_picks`), at O(log n) instead of O(n).
+struct Worklist {
+    strategy: Strategy,
+    slab: Vec<Option<WorkItem>>,
+    best: BinaryHeap<(i64, Reverse<usize>)>,
+    /// Every slot below it is taken.
+    oldest: usize,
+    live: usize,
+    picks: u64,
+}
+
+impl Worklist {
+    fn new(strategy: Strategy, capacity: usize) -> Self {
+        Worklist {
+            strategy,
+            slab: Vec::with_capacity(capacity),
+            best: BinaryHeap::with_capacity(capacity),
+            oldest: 0,
+            live: 0,
+            picks: 0,
+        }
+    }
+
+    fn push(&mut self, item: WorkItem, score: i64) {
+        if self.strategy == Strategy::Generational {
+            self.best.push((score, Reverse(self.slab.len())));
+        }
+        self.slab.push(Some(item));
+        self.live += 1;
+    }
+
+    fn pick(&mut self) -> Option<WorkItem> {
+        if self.live == 0 {
+            return None;
+        }
+        self.live -= 1;
+        match self.strategy {
+            // Only ever the top is taken: the slab has no holes.
+            Strategy::Dfs => self.slab.pop().flatten(),
+            Strategy::Generational => {
+                self.picks += 1;
+                // Anti-starvation: every second pick takes the *oldest*
+                // pending item regardless of score. Coverage-guided
+                // scoring alone starves deep children whose target
+                // polarity was covered on an unrelated (and
+                // unsatisfiable-onward) path — exactly the shape of
+                // guarded-bug reachability.
+                let seq = if self.picks.is_multiple_of(2) {
+                    while self.slab.get(self.oldest).is_some_and(Option::is_none) {
+                        self.oldest += 1;
+                    }
+                    self.oldest
+                } else {
+                    loop {
+                        let (_, Reverse(seq)) = self.best.pop()?;
+                        if self.slab.get(seq).is_some_and(Option::is_some) {
+                            break seq;
+                        }
+                    }
+                };
+                self.slab.get_mut(seq)?.take()
+            }
+        }
+    }
+}
+
+/// The largest execution budget whose per-execution tables [`explore`]
+/// allocates up front; a larger budget grows them as it runs.
+const PRESIZE_EXECUTIONS: usize = 1024;
+
+/// The nodes a session's expression arena has room for before it first
+/// grows.
+const ARENA_NODES: usize = 256;
 
 /// Concolic exploration of `program` from the given seed inputs.
 ///
@@ -220,14 +301,27 @@ pub fn explore(
     let mut solver = Solver::with_budget(config.solver_budget);
     let mut covered_skips = 0u64;
     let mut model: Vec<(u32, u8)> = Vec::new();
-    let mut coverage = Coverage::default();
-    let mut report = ExplorationReport::default();
-    let mut seen_paths: BTreeSet<u64> = BTreeSet::new();
+    // The session's coverage ledger, hashed: it is only inserted into and
+    // probed; the report gets it as an ordered `Coverage` once, at the end.
+    let mut covered: HashSet<(u32, bool), MixBuild> = HashSet::default();
+    // What grows by one per execution — the report's two vectors, the
+    // distinct-path set — or holds at least one entry per execution — the
+    // worklist, the input dedup set — starts at the budget's size, up to a
+    // bound.
+    let room = config.max_executions.min(PRESIZE_EXECUTIONS);
+    let mut report = ExplorationReport {
+        executions: Vec::with_capacity(room),
+        coverage_timeline: Vec::with_capacity(room),
+        ..Default::default()
+    };
+    let mut seen_paths: HashSet<u64, MixBuild> =
+        HashSet::with_capacity_and_hasher(room, MixBuild::default());
     // Dedup by *synthesized input*, not by path skeleton: two different
     // inputs can share an identical (site, polarity) branch skeleton while
     // their negated children differ (e.g. same parse shape, different
     // attribute payloads) — skeleton-keyed dedup silently drops one of them.
-    let mut attempted: HashSet<u64, MixBuild> = HashSet::default();
+    let mut attempted: HashSet<u64, MixBuild> =
+        HashSet::with_capacity_and_hasher(room, MixBuild::default());
     // Every negation query dispatched to the solver this session, keyed by
     // a hash of its constraint set (any outcome): the constraints' ids in
     // the session arena — there, same structure ⇔ same id — and the
@@ -240,62 +334,30 @@ pub fn explore(
     // Maintained under both solvers, so the guard behaves identically in
     // both modes (the `solver_cache = false` byte-identity contract).
     let mut dispatched: HashSet<u64, MixBuild> = HashSet::default();
-    let mut queue: Vec<WorkItem> = Vec::new();
-    let mut seq = 0u64;
+    let mut queue = Worklist::new(config.strategy, room);
     // One arena serves every execution of the session and is never
     // cleared: an execution is a one-flip child of an earlier one and
     // finds most of its expressions interned already. The per-path buffers
-    // are emptied per execution, allocations kept.
-    let mut arena = ExprArena::new();
+    // are emptied per execution, allocations kept. Its table starts at the
+    // size of a whole gossip session's arena (~160 nodes; a BGP session's
+    // grows to ~1.3 k): a short session then never rehashes it.
+    let mut arena = ExprArena::with_capacity(ARENA_NODES);
     let mut path_buf: Vec<BranchRec> = Vec::new();
     let mut sites_seen: HashSet<u32, MixBuild> = HashSet::default();
+    let mut children = Children::default();
 
     for seed in seeds {
         attempted.insert(input_key(seed, &BTreeMap::new()));
-        queue.push(WorkItem {
+        let item = WorkItem {
             bytes: seed.clone(),
             oracles: BTreeMap::new(),
             bound: 0,
-            score: i64::MAX, // seeds always run first
-            seq,
-        });
-        seq += 1;
+        };
+        queue.push(item, i64::MAX); // seeds always run first
     }
 
-    let mut pops = 0u64;
     while report.executions.len() < config.max_executions {
-        let item = match config.strategy {
-            Strategy::Dfs => queue.pop(),
-            Strategy::Generational => {
-                if queue.is_empty() {
-                    None
-                } else {
-                    pops += 1;
-                    // Anti-starvation: every second pop takes the *oldest*
-                    // pending item regardless of score. Coverage-guided
-                    // scoring alone starves deep children whose target
-                    // polarity was covered on an unrelated (and
-                    // unsatisfiable-onward) path — exactly the shape of
-                    // guarded-bug reachability.
-                    let pick = if pops.is_multiple_of(2) {
-                        queue
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, w)| w.seq)
-                            .map(|(i, _)| i)
-                    } else {
-                        // Highest score first; FIFO within equal scores.
-                        queue
-                            .iter()
-                            .enumerate()
-                            .max_by(|(_, a), (_, b)| a.score.cmp(&b.score).then(b.seq.cmp(&a.seq)))
-                            .map(|(i, _)| i)
-                    };
-                    pick.map(|i| queue.swap_remove(i))
-                }
-            }
-        };
-        let Some(item) = item else { break };
+        let Some(item) = queue.pick() else { break };
 
         let mask = marker(&item.bytes);
         // The run owns its input and overlay until its flips are done;
@@ -311,12 +373,16 @@ pub fn explore(
         let (bytes, oracles) = (&ctx.input().bytes, ctx.oracle_overlay());
 
         let sig = ctx.path_signature();
-        let new_cov = coverage.add_path(ctx.path());
+        let new_cov = ctx
+            .path()
+            .iter()
+            .filter(|b| covered.insert((b.site.0, b.taken)))
+            .count();
         seen_paths.insert(sig); // distinct-path metric only
         if matches!(status, RunStatus::Crash(_)) {
             report.crashes.push(report.executions.len());
         }
-        report.coverage_timeline.push(coverage.len());
+        report.coverage_timeline.push(covered.len());
 
         // Expand children: negate each branch after the inherited bound.
         // Note: expansion is NOT gated on path novelty — two different
@@ -338,6 +404,7 @@ pub fn explore(
         // reads it runs in both cache modes.
         let mut prefix_hash: u64 = 0xD1CE_0000_5EED_0001;
         sites_seen.clear();
+        children.clear();
         for (i, rec) in path.iter().enumerate() {
             let rec_id = rec.constraint.0 as u64;
             let query_hash = mix3(prefix_hash, rec_id, !rec.taken as u64);
@@ -350,7 +417,7 @@ pub fn explore(
             let first_occurrence = sites_seen.insert(rec.site.0);
             if i >= item.bound {
                 if first_occurrence
-                    && coverage.covered(rec.site.0, !rec.taken)
+                    && covered.contains(&(rec.site.0, !rec.taken))
                     && dispatched.contains(&query_hash)
                 {
                     // Both polarities of this site are covered AND this
@@ -379,30 +446,19 @@ pub fn explore(
                     }
                     match outcome {
                         Flip::Sat => {
-                            let mut bytes = bytes.clone();
-                            let mut oracles = oracles.clone();
-                            for &(idx, val) in &model {
-                                match bytes.get_mut(idx as usize) {
-                                    Some(b) => *b = val,
-                                    None => {
-                                        oracles.insert(idx, val);
-                                    }
-                                }
-                            }
-                            if attempted.insert(input_key(&bytes, &oracles)) {
+                            let (oracles, key) = children.build(bytes, oracles, &model);
+                            if attempted.insert(key) {
                                 // Covered targets (only reachable here via a
                                 // repeated site occurrence) keep the lower
                                 // priority band.
-                                let target_uncovered = !coverage.covered(rec.site.0, !rec.taken);
+                                let target_uncovered = !covered.contains(&(rec.site.0, !rec.taken));
                                 let score = if target_uncovered { 1_000 } else { 500 } - i as i64;
-                                queue.push(WorkItem {
-                                    bytes,
-                                    oracles,
+                                let item = WorkItem {
+                                    bytes: children.bytes.to_vec(),
+                                    oracles: oracles.into_owned(),
                                     bound: i + 1,
-                                    score,
-                                    seq,
-                                });
-                                seq += 1;
+                                };
+                                queue.push(item, score);
                             }
                         }
                         Flip::Unsat | Flip::Unknown => {}
@@ -436,7 +492,9 @@ pub fn explore(
     };
     report.solver.covered_skips = covered_skips;
     report.solver.unary_memo_hits = sliced.memo_hits();
-    report.coverage = coverage;
+    report.coverage = Coverage {
+        seen: covered.into_iter().collect(),
+    };
     report
 }
 
@@ -452,22 +510,101 @@ fn mix3(tag: u64, a: u64, b: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x1000_0000_01b3;
+
 /// Identity of a concrete input: bytes plus oracle overlay (FNV-1a).
 fn input_key(bytes: &[u8], oracles: &BTreeMap<u32, u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv_oracles(fnv_bytes(FNV_BASIS, bytes), oracles)
+}
+
+fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    for (&k, &v) in oracles {
-        h ^= ((k as u64) << 8) | v as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
 
+fn fnv_oracles(mut h: u64, oracles: &BTreeMap<u32, u8>) -> u64 {
+    for (&k, &v) in oracles {
+        h ^= ((k as u64) << 8) | v as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// One parent's children, built in turn into one scratch buffer: a child
+/// is copied out of it only once its key shows it is new, so a child that
+/// `attempted` drops costs no allocation.
+#[derive(Default)]
+struct Children {
+    /// `prefix[k]` is the FNV-1a state after the parent's first `k` bytes,
+    /// filled as far as a child has needed. The state depends on those
+    /// bytes only, so a child that first differs from its parent at byte
+    /// `k` resumes its [`input_key`] there.
+    prefix: Vec<u64>,
+    /// The child built last.
+    bytes: Vec<u8>,
+}
+
+impl Children {
+    /// Forget the parent.
+    fn clear(&mut self) {
+        self.prefix.clear();
+    }
+
+    /// Build into `self.bytes` the child a solver model makes of `parent`
+    /// — a model byte inside the input overwrites it, one past its end
+    /// goes to the oracle overlay — and return the child's overlay and its
+    /// [`input_key`].
+    fn build<'a>(
+        &mut self,
+        parent: &[u8],
+        oracles: &'a BTreeMap<u32, u8>,
+        model: &[(u32, u8)],
+    ) -> (Cow<'a, BTreeMap<u32, u8>>, u64) {
+        self.bytes.clear();
+        self.bytes.extend_from_slice(parent);
+        let mut oracles = Cow::Borrowed(oracles);
+        let mut first_change = parent.len();
+        for &(idx, val) in model {
+            match self.bytes.get_mut(idx as usize) {
+                Some(b) if *b != val => {
+                    *b = val;
+                    first_change = first_change.min(idx as usize);
+                }
+                Some(_) => {}
+                None => {
+                    oracles.to_mut().insert(idx, val);
+                }
+            }
+        }
+        let h = self.state_after(parent, first_change);
+        let rest = self.bytes.get(first_change..).unwrap_or_default();
+        let key = fnv_oracles(fnv_bytes(h, rest), &oracles);
+        (oracles, key)
+    }
+
+    /// The state after `parent[..k]`, `k` ≤ `parent.len()`.
+    fn state_after(&mut self, parent: &[u8], k: usize) -> u64 {
+        if self.prefix.is_empty() {
+            self.prefix.reserve(parent.len() + 1);
+            self.prefix.push(FNV_BASIS);
+        }
+        let done = self.prefix.len() - 1;
+        let mut h = *self.prefix.last().unwrap_or(&FNV_BASIS);
+        for &b in parent.get(done..k).unwrap_or_default() {
+            h = fnv_bytes(h, &[b]);
+            self.prefix.push(h);
+        }
+        self.prefix.get(k).copied().unwrap_or(h)
+    }
+}
+
 /// Random-mutation fuzzing baseline: same coverage accounting, no solver.
-/// Deterministic in `rng_seed`.
+/// Deterministic in `rng_seed`. With no seeds there is nothing to mutate:
+/// it runs nothing and returns an empty report, as [`explore`] does.
 pub fn random_fuzz(
     program: &mut dyn ConcolicProgram,
     seeds: &[Vec<u8>],
@@ -485,6 +622,9 @@ pub fn random_fuzz(
     let mut coverage = Coverage::default();
     let mut report = ExplorationReport::default();
     let mut seen_paths = BTreeSet::new();
+    if seeds.is_empty() {
+        return report;
+    }
 
     for n in 0..max_executions {
         let base = &seeds[n % seeds.len()];
@@ -929,6 +1069,122 @@ mod tests {
         };
         let report = explore(&mut toy_program, &seeds, &all_symbolic, &cfg);
         assert!(report.executions.len() <= 5);
+    }
+
+    #[test]
+    fn random_fuzz_with_no_seeds_runs_nothing() {
+        // It used to take `seeds[n % 0]` and panic on a division by zero.
+        let report = random_fuzz(&mut toy_program, &[], &all_symbolic, 16, 1234);
+        assert!(report.executions.is_empty());
+        assert_eq!(report.final_coverage(), 0);
+        assert!(report.coverage.is_empty());
+        let cfg = ExploreConfig {
+            max_executions: 16,
+            ..Default::default()
+        };
+        assert!(explore(&mut toy_program, &[], &all_symbolic, &cfg)
+            .executions
+            .is_empty());
+    }
+
+    proptest::proptest! {
+        /// The slab + heap worklist picks, push for push, what a linear
+        /// scan over the live items in push order picks: the last in DFS;
+        /// in generational order, alternately the first and the first of
+        /// the highest score. Scores come from a small set, so ties are
+        /// the common case.
+        ///
+        /// Break-it-once: keying the heap `(score, seq)` instead of
+        /// `(score, Reverse(seq))` — LIFO within a score — turns this red.
+        #[test]
+        fn worklist_picks_what_a_scan_picks(
+            ops in proptest::collection::vec(proptest::any::<u8>(), 1..96),
+            dfs in proptest::any::<bool>(),
+        ) {
+            use proptest::prop_assert_eq;
+            let strategy = if dfs { Strategy::Dfs } else { Strategy::Generational };
+            let mut worklist = Worklist::new(strategy, 0);
+            // (push ordinal, score) of every live item, in push order.
+            let mut scan: Vec<(usize, i64)> = Vec::new();
+            let mut picks = 0u64;
+            let mut reference = |scan: &mut Vec<(usize, i64)>| -> Option<usize> {
+                if scan.is_empty() {
+                    return None;
+                }
+                let at = match strategy {
+                    Strategy::Dfs => scan.len() - 1,
+                    Strategy::Generational => {
+                        picks += 1;
+                        if picks.is_multiple_of(2) {
+                            0
+                        } else {
+                            // Strictly greater: the first of a tie stays.
+                            (0..scan.len()).fold(0, |b, i| if scan[i].1 > scan[b].1 { i } else { b })
+                        }
+                    }
+                };
+                Some(scan.remove(at).0)
+            };
+            let mut pushed = 0;
+            for op in ops.iter().copied().chain(std::iter::repeat_n(0, 96)) {
+                if op >= 96 {
+                    let score = [i64::MAX, 1_000, 998, 500, 0, -3][op as usize % 6];
+                    let item = WorkItem { bytes: Vec::new(), oracles: BTreeMap::new(), bound: pushed };
+                    worklist.push(item, score);
+                    scan.push((pushed, score));
+                    pushed += 1;
+                } else {
+                    let got = worklist.pick().map(|w| w.bound);
+                    prop_assert_eq!(got, reference(&mut scan), "after {} pushes", pushed);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// A child built in the scratch buffer is the child the model
+        /// makes, and its key, resumed from the parent's prefix state, is
+        /// the key of the child hashed whole — for children of one parent
+        /// taken in any order: model bytes inside the input (some
+        /// rewriting the value already there), past its end (oracle-only
+        /// changes), over an overlay the parent already carries.
+        #[test]
+        fn resumed_child_keys_are_whole_input_keys(
+            parent in proptest::collection::vec(proptest::any::<u8>(), 0..48),
+            overlay in proptest::collection::vec((0u32..8, proptest::any::<u8>()), 0..3),
+            models in proptest::collection::vec(
+                proptest::collection::vec((0u32..56, proptest::any::<u8>(), proptest::any::<bool>()), 0..5),
+                1..6,
+            ),
+        ) {
+            use proptest::prop_assert_eq;
+            let end = parent.len() as u32;
+            let overlay: BTreeMap<u32, u8> = overlay.into_iter().map(|(k, v)| (end + k, v)).collect();
+            let mut children = Children::default();
+            for model in &models {
+                let model: Vec<(u32, u8)> = model
+                    .iter()
+                    .map(|&(idx, val, same)| {
+                        let kept = parent.get(idx as usize).filter(|_| same);
+                        (idx, kept.copied().unwrap_or(val))
+                    })
+                    .collect();
+                let (oracles, key) = children.build(&parent, &overlay, &model);
+                let bytes = &children.bytes;
+                let (mut want_bytes, mut want_oracles) = (parent.clone(), overlay.clone());
+                for &(idx, val) in &model {
+                    match want_bytes.get_mut(idx as usize) {
+                        Some(b) => *b = val,
+                        None => {
+                            want_oracles.insert(idx, val);
+                        }
+                    }
+                }
+                prop_assert_eq!(bytes, &want_bytes);
+                prop_assert_eq!(&*oracles, &want_oracles);
+                prop_assert_eq!(key, input_key(bytes, &oracles), "{:?}", model);
+            }
+        }
     }
 
     #[test]

@@ -110,11 +110,11 @@ fn mask(bits: u8) -> u64 {
     }
 }
 
-/// The interner's hasher: one rotate-xor-multiply per field of the small
-/// `Copy` [`Expr`] key instead of SipHash over its bytes. The keys are
-/// minted by the instrumented twin from inputs the explorer itself
-/// synthesized, so there is no adversary to defend the table against, and
-/// interning is most of what a twin execution does.
+/// The interner's hasher: one rotate-xor-multiply per word of the packed
+/// [`Expr`] key instead of SipHash over its bytes. The keys are minted by
+/// the instrumented twin from inputs the explorer itself synthesized, so
+/// there is no adversary to defend the table against, and interning is
+/// most of what a twin execution does.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct MixHasher(u64);
 
@@ -160,7 +160,27 @@ impl Hasher for MixHasher {
 #[derive(Debug, Default, Clone)]
 pub struct ExprArena {
     nodes: Vec<Expr>,
-    cache: HashMap<Expr, ExprId, MixBuild>,
+    /// [`pack`]ed node → its id. A tuple, so that it hashes as two
+    /// `write_u64` calls; a `[u64; 2]` would hash as 16 separate bytes.
+    cache: HashMap<(u64, u64), ExprId, MixBuild>,
+}
+
+/// A node as two words, injective over [`Expr`]: tag, operator, width and
+/// the first operand (or input index) in the first, the second operand or
+/// the constant's value in the second.
+fn pack(e: Expr) -> (u64, u64) {
+    let word = |tag: u64, op: u8, bits: u8, a: u32| {
+        (tag << 56) | ((op as u64) << 48) | ((bits as u64) << 40) | a as u64
+    };
+    match e {
+        Expr::Const { bits, val } => (word(0, 0, bits, 0), val),
+        Expr::Input { idx } => (word(1, 0, 0, idx), 0),
+        Expr::Bin { op, bits, a, b } => (word(2, op as u8, bits, a.0), b.0 as u64),
+        Expr::ZExt { bits, a } => (word(3, 0, bits, a.0), 0),
+        Expr::Cmp { op, a, b } => (word(4, op as u8, 0, a.0), b.0 as u64),
+        Expr::Not(a) => (word(5, 0, 0, a.0), 0),
+        Expr::Bool { op, a, b } => (word(6, op as u8, 0, a.0), b.0 as u64),
+    }
 }
 
 /// What is known of one input byte: bit `i` of `val` is meaningful iff bit
@@ -213,6 +233,14 @@ impl ExprArena {
         Self::default()
     }
 
+    /// An empty arena with room for `nodes` nodes before its first rehash.
+    pub(crate) fn with_capacity(nodes: usize) -> Self {
+        ExprArena {
+            nodes: Vec::with_capacity(nodes),
+            cache: HashMap::with_capacity_and_hasher(nodes, MixBuild::default()),
+        }
+    }
+
     /// Number of distinct nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -223,15 +251,13 @@ impl ExprArena {
         self.nodes.is_empty()
     }
 
-    /// Intern a node.
+    /// Intern a node: one probe of its packed key, hit or miss.
     pub fn intern(&mut self, e: Expr) -> ExprId {
-        if let Some(&id) = self.cache.get(&e) {
-            return id;
-        }
-        let id = ExprId(self.nodes.len() as u32);
-        self.nodes.push(e);
-        self.cache.insert(e, id);
-        id
+        let nodes = &mut self.nodes;
+        *self.cache.entry(pack(e)).or_insert_with(|| {
+            nodes.push(e);
+            ExprId(nodes.len() as u32 - 1)
+        })
     }
 
     /// Fetch a node.
@@ -1055,6 +1081,18 @@ mod tests {
         }
     }
 
+    const BIN: [BinOp; 8] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::Shl,
+        BinOp::Shr,
+    ];
+    const CMP: [CmpOp; 4] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Ult, CmpOp::Ule];
+
     /// Build well-typed expressions over input bytes 0..3 from a flat
     /// program: each step takes earlier words / booleans (indices wrap) and
     /// appends one. Operands of a binary node are zero-extended to a common
@@ -1062,17 +1100,6 @@ mod tests {
     /// take words as well as booleans (they read non-zero-ness). Returns
     /// every word and every boolean built.
     fn build_program(a: &mut ExprArena, steps: &[(u8, u8, u8, u64)]) -> Vec<ExprId> {
-        const BIN: [BinOp; 8] = [
-            BinOp::Add,
-            BinOp::Sub,
-            BinOp::Mul,
-            BinOp::And,
-            BinOp::Or,
-            BinOp::Xor,
-            BinOp::Shl,
-            BinOp::Shr,
-        ];
-        const CMP: [CmpOp; 4] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Ult, CmpOp::Ule];
         let mut words: Vec<(ExprId, u8)> = (0..3).map(|i| (a.input(i), 8)).collect();
         let mut bools: Vec<ExprId> = Vec::new();
         for &(kind, i, j, k) in steps {
@@ -1187,6 +1214,75 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// An arbitrary node (operand ids need not exist: `intern` never reads
+    /// them) from a small domain per field, so that nodes which differ in
+    /// one field only are common, plus each field's extremes.
+    fn node_of((kind, op, bits, a, b): (u8, u8, u8, u8, u8)) -> Expr {
+        let bits = [1, 8, 16, 32, 64, 0, u8::MAX][bits as usize % 7];
+        let val = [0, 1, 2, 1 << 40, u64::MAX][b as usize % 5];
+        let a = ExprId([0, 1, 2, u32::MAX][a as usize % 4]);
+        let b = ExprId([0, 1, 2, u32::MAX][b as usize % 4]);
+        let bool_op = [BoolOp::And, BoolOp::Or][op as usize % 2];
+        match kind % 7 {
+            0 => Expr::Const { bits, val },
+            1 => Expr::Input { idx: a.0 },
+            2 => Expr::Bin {
+                op: BIN[op as usize % 8],
+                bits,
+                a,
+                b,
+            },
+            3 => Expr::ZExt { bits, a },
+            4 => Expr::Cmp {
+                op: CMP[op as usize % 4],
+                a,
+                b,
+            },
+            5 => Expr::Not(a),
+            _ => Expr::Bool { op: bool_op, a, b },
+        }
+    }
+
+    proptest::proptest! {
+        /// The interner's key is the node: two nodes pack alike iff they
+        /// are equal, and interning a node sequence hands out the ids a
+        /// map keyed by the node itself hands out — the same structures,
+        /// the same ids, in the same order.
+        ///
+        /// Break-it-once: dropping `bits` from the packed `Bin` word turns
+        /// this red, and only this: the twins zero-extend both operands to
+        /// the result width first, so none of their `Bin` nodes differ in
+        /// width alone, and the four `normalized_sha256` of
+        /// `dice-benchmark --smoke` and the pinned digests stay as they
+        /// were. (Dropping it from `Const`, which the twins do build at
+        /// several widths, moves the gossip16 and nemesis sha256 too.)
+        #[test]
+        fn packed_key_is_the_node(
+            raw in proptest::collection::vec(
+                (proptest::any::<u8>(), proptest::any::<u8>(), proptest::any::<u8>(), proptest::any::<u8>(), proptest::any::<u8>()),
+                1..64,
+            ),
+        ) {
+            use proptest::prop_assert_eq;
+            let nodes: Vec<Expr> = raw.into_iter().map(node_of).collect();
+            for &x in &nodes {
+                for &y in &nodes {
+                    prop_assert_eq!(pack(x) == pack(y), x == y, "{:?} vs {:?}", x, y);
+                }
+            }
+            let mut arena = ExprArena::new();
+            let mut reference: HashMap<Expr, ExprId> = HashMap::new();
+            for &e in &nodes {
+                let next = ExprId(reference.len() as u32);
+                let want = *reference.entry(e).or_insert(next);
+                let got = arena.intern(e);
+                prop_assert_eq!(got, want, "{:?}", e);
+                prop_assert_eq!(arena.get(got), e);
+            }
+            prop_assert_eq!(arena.len(), reference.len());
         }
     }
 

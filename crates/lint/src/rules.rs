@@ -223,6 +223,12 @@ const POOLED_FNS: &[(&str, &str, Option<&str>)] = &[
     // entry or a cloned key here is paid per node, per execution.
     ("concolic/src/expr.rs", "intern", Some("ExprArena")),
     ("concolic/src/solve/memo.rs", "lookup", Some("UnaryMemo")),
+    // The session's worklist: a push per new child, a pick per execution,
+    // hundreds of each per session. A push moves the child into the slab
+    // and a heap entry onto the heap; a pick takes one out. A cloned
+    // input or a rebuilt index here is paid per child.
+    ("concolic/src/explore.rs", "push", Some("Worklist")),
+    ("concolic/src/explore.rs", "pick", Some("Worklist")),
     // The checker battery runs once per validated clone over every node:
     // a passing verdict borrows its checker's name and lands in the one
     // reserved report vector. Rendering a fault (`format!`) or gathering
