@@ -48,7 +48,9 @@ mod config;
 mod report;
 
 pub use config::CampaignConfig;
-pub use report::{CampaignReport, ClassDetection, ExplorerSummary, KindSummary, PerfCounters};
+pub use report::{
+    CampaignReport, ClassDetection, ExplorerSummary, KindSummary, PerfCounters, PhaseTimes,
+};
 
 /// Builder-style orchestrator sweeping DiCE rounds across a federation.
 ///
@@ -167,7 +169,7 @@ impl Campaign {
             for (explorer, peers) in &plan {
                 let (shadow, snap_metrics) =
                     take_consistent_snapshot(live, *explorer, self.cfg.template.snapshot_deadline)?;
-                fold.cut(snap_metrics.bytes, live.take_snapshot_stats());
+                fold.cut(&snap_metrics, live.take_snapshot_stats());
                 let shadow = shadow.into_shared();
                 // The flip baseline is a function of the shared snapshot;
                 // compute it once per explorer.

@@ -11,6 +11,7 @@ use crate::check::{FaultClass, FaultReport};
 use crate::executor::{RoundDone, RoundTask};
 use crate::explorer::{us_to_ms, RoundReport};
 use crate::pool::PoolStats;
+use crate::snapshot::SnapshotMetrics;
 
 /// Where and when a fault class was first detected.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -161,6 +162,49 @@ impl PerfCounters {
     }
 }
 
+/// Where a campaign's host time went, phase by phase, in microseconds.
+/// Cuts run on the calling thread; every other phase is summed over the
+/// workers that ran it, so with several workers the sum can exceed
+/// [`CampaignReport::wall_us`]. Zeroed by [`CampaignReport::normalized`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PhaseTimes {
+    /// Consistent cuts of the live system ([`SnapshotMetrics::wall_micros`]).
+    pub cut_us: u64,
+    /// Concolic exploration of each round's explorer.
+    pub explore_us: u64,
+    /// Getting each validation clone: a pooled reset (or a fresh build)
+    /// and its channel configuration.
+    pub acquire_us: u64,
+    /// Driving each clone: the input's delivery and the run to quiescence.
+    pub drive_us: u64,
+    /// The checker battery over each driven clone, and the clone's return
+    /// to its pool.
+    pub check_us: u64,
+}
+
+impl PhaseTimes {
+    /// Every phase summed with `other`'s.
+    pub(crate) fn add(&mut self, other: PhaseTimes) {
+        self.cut_us += other.cut_us;
+        self.explore_us += other.explore_us;
+        self.acquire_us += other.acquire_us;
+        self.drive_us += other.drive_us;
+        self.check_us += other.check_us;
+    }
+
+    /// All phases together.
+    pub(crate) fn total_us(&self) -> u64 {
+        self.cut_us + self.explore_us + self.acquire_us + self.drive_us + self.check_us
+    }
+
+    /// Whether nothing was measured — true of a normalized report, whose
+    /// JSON then leaves the record out and reads as it did before phases
+    /// were timed.
+    fn is_zero(&self) -> bool {
+        *self == PhaseTimes::default()
+    }
+}
+
 /// Aggregated outcome of a campaign.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CampaignReport {
@@ -192,6 +236,10 @@ pub struct CampaignReport {
     /// Hot-path counters (clone pool, snapshot footprint, solver memo);
     /// zeroed by [`CampaignReport::normalized`].
     pub perf: PerfCounters,
+    /// Host time per phase, summed over the campaign; zeroed by
+    /// [`CampaignReport::normalized`].
+    #[serde(default, skip_serializing_if = "PhaseTimes::is_zero")]
+    pub phases: PhaseTimes,
 }
 
 impl CampaignReport {
@@ -230,6 +278,7 @@ impl CampaignReport {
             k.wall_ms = 0;
         }
         r.perf = PerfCounters::default();
+        r.phases = PhaseTimes::default();
         r
     }
 
@@ -282,14 +331,16 @@ pub(super) struct Fold {
     explorer_fault_counts: BTreeMap<NodeId, usize>,
     detection: BTreeMap<FaultClass, ClassDetection>,
     perf: PerfCounters,
+    phases: PhaseTimes,
 }
 
 impl Fold {
-    /// One consistent cut of the live system: the shadow's footprint and
-    /// what taking it re-captured.
-    pub(super) fn cut(&mut self, shadow_bytes: usize, snap_stats: SnapshotStats) {
+    /// One consistent cut of the live system: what it cost, the shadow's
+    /// footprint and what taking it re-captured.
+    pub(super) fn cut(&mut self, snap: &SnapshotMetrics, snap_stats: SnapshotStats) {
+        self.phases.cut_us += snap.wall_micros;
         let perf = &mut self.perf;
-        perf.snapshot_bytes += shadow_bytes as u64;
+        perf.snapshot_bytes += snap.bytes as u64;
         perf.snapshot_delta_bytes += snap_stats.delta_bytes;
         perf.nodes_recaptured += snap_stats.nodes_recaptured;
         perf.churn_events += snap_stats.churn_events;
@@ -324,7 +375,9 @@ impl Fold {
             explorer_fault_counts,
             detection,
             perf,
+            phases,
         } = self;
+        phases.add(done.phases);
         let outcome = done.outcome;
         let report = outcome.report;
         let explorer = task.cfg.explorer;
@@ -385,6 +438,7 @@ impl Fold {
             explorer_fault_counts,
             detection,
             perf,
+            phases,
             ..
         } = self;
         let per_explorer = per_explorer
@@ -424,6 +478,7 @@ impl Fold {
             wall_ms: us_to_ms(wall_us),
             sim_nanos,
             perf,
+            phases,
         }
     }
 }
@@ -483,6 +538,38 @@ mod tests {
             .iter()
             .all(|d| d.wall_us_cum == 0 && d.wall_ms_cum == 0));
         assert!(n.per_kind.iter().all(|k| k.wall_us == 0 && k.wall_ms == 0));
+    }
+
+    #[test]
+    fn phases_partition_the_round_walls_and_normalize_away() {
+        // Each round's wall is its cut share, its exploration and its own
+        // units; the phases are the same times, split the other way.
+        let mut sim = scenarios::mixed_bgp_gossip(13, true);
+        sim.run_until(SimTime::from_nanos(12_000_000_000));
+        let report = quick(Campaign::new(&sim))
+            .executions(48)
+            .validate_top(6)
+            .workers(2)
+            .run(&mut sim)
+            .expect("mixed campaign runs");
+        let p = report.phases;
+        assert!(p.cut_us > 0 && p.explore_us > 0 && p.drive_us > 0, "{p:?}");
+        assert_eq!(
+            p.total_us(),
+            report.rounds.iter().map(|r| r.wall_us).sum::<u64>(),
+            "{p:?}"
+        );
+        assert!(serde_json::to_string(&report)
+            .unwrap()
+            .contains("\"phases\""));
+
+        // A normalized report leaves the zeroed record out of its JSON, and
+        // that JSON still reads back.
+        let json = serde_json::to_string(&report.normalized()).unwrap();
+        assert!(!json.contains("phases"), "{json}");
+        let back: CampaignReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.phases, PhaseTimes::default());
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
     #[test]

@@ -40,6 +40,7 @@ use std::time::Instant;
 
 use dice_netsim::{ShadowSnapshot, Topology};
 
+use crate::campaign::PhaseTimes;
 use crate::check::Checker;
 use crate::explorer::{
     check_stage, explore_stage, validate_one, DiceConfig, ExploreStage, PairOutcome, Validated,
@@ -70,9 +71,12 @@ pub(crate) struct RoundTask {
 }
 
 /// A completed round plus when it finished on the campaign clock (for
-/// online detection-latency accounting).
+/// online detection-latency accounting) and where its time went.
 pub(crate) struct RoundDone {
     pub(crate) outcome: PairOutcome,
+    /// Its exploration and its own validation units, by phase (no cut:
+    /// the campaign counts each cut once, where it is taken).
+    pub(crate) phases: PhaseTimes,
     /// Campaign wall-clock micros elapsed when the round's last
     /// validation unit finished.
     pub(crate) completed_wall_us: u64,
@@ -89,9 +93,9 @@ struct UnitDone {
     /// Index into that round's candidate list (null input = 0).
     candidate: usize,
     validated: Validated,
-    /// Wall micros this unit took — billed to its own round, whichever
-    /// worker ran it.
-    wall_us: u64,
+    /// Wall micros this unit took, by phase — billed to its own round,
+    /// whichever worker ran it.
+    phases: PhaseTimes,
     /// Campaign wall-clock micros elapsed when the unit finished.
     finished_us: u64,
 }
@@ -149,12 +153,7 @@ impl Sweep<'_> {
         pool: &mut ClonePool,
     ) -> Option<UnitDone> {
         let input = stage.candidates.get(candidate)?;
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "per-unit wall-clock accounting; zeroed by normalized()"
-        )]
-        let start = Instant::now();
-        let validated = validate_one(
+        let (validated, phases) = validate_one(
             candidate,
             input.as_ref(),
             &task.shadow,
@@ -170,7 +169,7 @@ impl Sweep<'_> {
             round,
             candidate,
             validated,
-            wall_us: start.elapsed().as_micros() as u64,
+            phases,
             finished_us: self.campaign_start.elapsed().as_micros() as u64,
         })
     }
@@ -284,8 +283,14 @@ pub(crate) fn run_rounds(
                 .split_at_checked(stage.candidates.len())
                 .ok_or("round never completed")?;
             rest = later;
-            let wall_us =
-                task.snap_wall_us + explore_us + own.iter().map(|u| u.wall_us).sum::<u64>();
+            let mut phases = PhaseTimes {
+                explore_us,
+                ..PhaseTimes::default()
+            };
+            for unit in own {
+                phases.add(unit.phases);
+            }
+            let wall_us = task.snap_wall_us + phases.total_us();
             let outcome = check_stage(
                 stage,
                 own.iter().map(|u| &u.validated),
@@ -296,6 +301,7 @@ pub(crate) fn run_rounds(
             );
             Ok(RoundDone {
                 outcome,
+                phases,
                 completed_wall_us: own.iter().map(|u| u.finished_us).max().unwrap_or(0),
             })
         })

@@ -31,6 +31,7 @@ use dice_concolic::{explore, ExplorationReport, ExploreConfig, RunStatus, Solver
 use dice_netsim::{NodeId, ShadowSnapshot, SimDuration, Simulator, Topology};
 use serde::{Deserialize, Serialize};
 
+use crate::campaign::PhaseTimes;
 use crate::check::{
     default_checkers, flips_baseline, run_checkers, CheckContext, Checker, FaultClass, FaultReport,
 };
@@ -369,7 +370,9 @@ pub(crate) fn explore_stage(
 /// the checker battery over the outcome — the unit of validation-level
 /// parallelism. Deterministic in `(shadow, cfg, i, input)` regardless of
 /// whether the clone came from `pool` reset in place or freshly built;
-/// the pool only recycles allocations.
+/// the pool only recycles allocations. Also returns the unit's host time
+/// split into its acquire, drive and check phases (the three sum to the
+/// unit's whole time, truncated to microseconds once).
 #[allow(
     clippy::too_many_arguments,
     reason = "one validation unit reads the whole round context; the executor passes it straight from its Sweep"
@@ -385,7 +388,12 @@ pub(crate) fn validate_one(
     baseline: &crate::check::CheckBaseline,
     checkers: &[Box<dyn Checker>],
     pool: &mut crate::pool::ClonePool,
-) -> Validated {
+) -> (Validated, PhaseTimes) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "per-unit phase accounting; zeroed by normalized()"
+    )]
+    let start = std::time::Instant::now();
     let mut clone = pool.acquire(shadow, topo, cfg.seed ^ (i as u64) << 16);
     clone.set_wire_config(cfg.wire_pool, cfg.batch_delivery);
     clone.set_delta_snapshots(cfg.delta_snapshots);
@@ -393,11 +401,13 @@ pub(crate) fn validate_one(
         clone.set_link_faults(faults);
     }
     clone.set_unreliable_links(cfg.unreliable_links);
+    let acquired = start.elapsed();
     if let Some(bytes) = input {
         clone.deliver_direct(cfg.inject_peer, cfg.explorer, bytes);
     }
     let end = shadow.base_time() + cfg.horizon;
     let quiet = clone.run_until_quiet(cfg.quiet_window, end);
+    let driven = start.elapsed();
     let report = {
         let cx = CheckContext {
             sim: &clone,
@@ -410,11 +420,19 @@ pub(crate) fn validate_one(
         run_checkers(checkers, &cx)
     };
     pool.release(clone);
-    Validated {
+    let (acquired_us, driven_us) = (acquired.as_micros() as u64, driven.as_micros() as u64);
+    let times = PhaseTimes {
+        acquire_us: acquired_us,
+        drive_us: driven_us - acquired_us,
+        check_us: start.elapsed().as_micros() as u64 - driven_us,
+        ..PhaseTimes::default()
+    };
+    let validated = Validated {
         verdicts: report.verdicts.len(),
         failed: report.failed(),
         faults: report.faults,
-    }
+    };
+    (validated, times)
 }
 
 /// Stage 4: fold per-clone check results into the round's [`RoundReport`].

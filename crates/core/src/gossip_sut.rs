@@ -16,6 +16,8 @@
 //! * **session health** — configured gossip peers vs. established
 //!   sessions.
 
+use std::sync::Arc;
+
 use dice_bgp::{Asn, Ipv4Net};
 use dice_concolic::{ConcolicCtx, ConcolicProgram, RunStatus, SiteId, SymBool};
 use dice_gossip::{
@@ -160,7 +162,7 @@ pub fn mark_gossip(bytes: &[u8]) -> Vec<bool> {
 /// (the paper's code-and-configuration claim, on a non-BGP protocol).
 #[derive(Debug, Clone)]
 pub struct SymbolicGossipHandler {
-    config: GossipConfig,
+    config: Arc<GossipConfig>,
     /// How often an input survived the whole pipeline.
     pub accepted: u64,
     /// How often the novelty oracle admitted a rumor as fresh.
@@ -168,10 +170,11 @@ pub struct SymbolicGossipHandler {
 }
 
 impl SymbolicGossipHandler {
-    /// Create the twin for a node with `config`.
-    pub fn new(config: GossipConfig) -> Self {
+    /// Create the twin for a node with `config` (owned, or the node's own
+    /// [`GossipNode::shared_config`]).
+    pub fn new(config: impl Into<Arc<GossipConfig>>) -> Self {
         SymbolicGossipHandler {
-            config,
+            config: config.into(),
             accepted: 0,
             fresh: 0,
         }
@@ -338,7 +341,7 @@ impl ExplorableNode for GossipNode {
         if !self.config().peers.contains(&peer) {
             return Err("inject peer is not a gossip peer of the explorer".into());
         }
-        let config = self.config().clone();
+        let config = Arc::clone(self.shared_config());
         let seeds = if grammar_seeds == 0 {
             vec![minimal_seed(&config)]
         } else {

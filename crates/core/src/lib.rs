@@ -82,6 +82,7 @@ pub mod symmark;
 
 pub use campaign::{
     Campaign, CampaignConfig, CampaignReport, ClassDetection, ExplorerSummary, PerfCounters,
+    PhaseTimes,
 };
 pub use check::{
     build_registry, default_checkers, flips_baseline, run_checkers, CheckBaseline, CheckContext,

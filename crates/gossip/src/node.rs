@@ -25,9 +25,16 @@
 //! The node is a deterministic state machine (peer iteration in config
 //! order, no randomness), so shadow-snapshot clones replay identically —
 //! the property DiCE's validation phase relies on.
+//!
+//! A copy ([`Node::clone_node`]) shares the configuration, the payload
+//! store, the dedup memory and each peer's infection set with the node it
+//! was copied from; a write looks before it copies, so a copy pays only for
+//! the tables it actually changes (a duplicate rumor or a digest of known
+//! keys copies none of them).
 
 use core::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use dice_netsim::{Node, NodeApi, NodeId, SessionEvent, SimDuration, SimTime};
 
@@ -164,17 +171,16 @@ struct PendingSend {
 /// The epidemic pub/sub node. See the module docs for the protocol.
 #[derive(Debug, Clone)]
 pub struct GossipNode {
-    config: GossipConfig,
+    /// Never written after construction.
+    config: Arc<GossipConfig>,
     /// Rumor payload store, evicted by TTL GC.
-    store: BTreeMap<(TopicId, u32), StoredRumor>,
+    store: Arc<BTreeMap<(TopicId, u32), StoredRumor>>,
     /// Duplicate-suppression memory (kept across GC).
-    seen: BTreeSet<(TopicId, u32)>,
-    /// Which rumors each peer is known to have.
-    infected: BTreeMap<NodeId, BTreeSet<(TopicId, u32)>>,
+    seen: Arc<BTreeSet<(TopicId, u32)>>,
+    /// Which rumors each peer is known to have, one shared set per peer.
+    infected: BTreeMap<NodeId, Arc<BTreeSet<(TopicId, u32)>>>,
     /// Peers with an established session.
     sessions_up: BTreeSet<NodeId>,
-    /// Topics each peer announced interest in.
-    peer_subs: BTreeMap<NodeId, BTreeSet<TopicId>>,
     /// Per-peer rotating anti-entropy digest cursor (see `send_digest`).
     digest_cursors: BTreeMap<NodeId, (TopicId, u32)>,
     /// Unacked sends awaiting ack or retransmit, keyed
@@ -197,12 +203,11 @@ impl GossipNode {
     /// Create a node from its configuration.
     pub fn new(config: GossipConfig) -> Self {
         GossipNode {
-            config,
-            store: BTreeMap::new(),
-            seen: BTreeSet::new(),
+            config: Arc::new(config),
+            store: Arc::default(),
+            seen: Arc::default(),
             infected: BTreeMap::new(),
             sessions_up: BTreeSet::new(),
-            peer_subs: BTreeMap::new(),
             digest_cursors: BTreeMap::new(),
             pending: BTreeMap::new(),
             retransmits: 0,
@@ -215,6 +220,11 @@ impl GossipNode {
 
     /// This node's configuration.
     pub fn config(&self) -> &GossipConfig {
+        &self.config
+    }
+
+    /// This node's configuration as the allocation its copies share.
+    pub fn shared_config(&self) -> &Arc<GossipConfig> {
         &self.config
     }
 
@@ -272,8 +282,23 @@ impl GossipNode {
         self.config.subscriptions.contains(&topic)
     }
 
+    /// Record that `peer` has `key`. Copies the peer's set only when the
+    /// key is new to it.
     fn mark_infected(&mut self, peer: NodeId, key: (TopicId, u32)) {
-        self.infected.entry(peer).or_default().insert(key);
+        let set = self.infected.entry(peer).or_default();
+        if !set.contains(&key) {
+            Arc::make_mut(set).insert(key);
+        }
+    }
+
+    /// Forget that `peer` has `key`. Copies the peer's set only when it
+    /// holds the key.
+    fn unmark_infected(&mut self, peer: NodeId, key: &(TopicId, u32)) {
+        if let Some(set) = self.infected.get_mut(&peer) {
+            if set.contains(key) {
+                Arc::make_mut(set).remove(key);
+            }
+        }
     }
 
     fn peer_has(&self, peer: NodeId, key: &(TopicId, u32)) -> bool {
@@ -287,11 +312,12 @@ impl GossipNode {
     /// delivery counter. Returns `false` if it was already seen.
     fn admit(&mut self, rumor: &Rumor, now: SimTime) -> bool {
         let key = (rumor.topic, rumor.id);
-        if !self.seen.insert(key) {
+        if self.seen.contains(&key) {
             *self.duplicates.entry(rumor.topic).or_default() += 1;
             return false;
         }
-        self.store.insert(
+        Arc::make_mut(&mut self.seen).insert(key);
+        Arc::make_mut(&mut self.store).insert(
             key,
             StoredRumor {
                 origin: rumor.origin,
@@ -372,9 +398,7 @@ impl GossipNode {
             if attempts >= self.config.retry_budget {
                 self.pending.remove(&key);
                 if kind == wire::ACK_KIND_RUMOR {
-                    if let Some(inf) = self.infected.get_mut(&peer) {
-                        inf.remove(&(topic, id));
-                    }
+                    self.unmark_infected(peer, &(topic, id));
                     api.trace(
                         "gossip-retry-exhausted",
                         format_args!("topic {topic} id {id:#x} to {peer}"),
@@ -447,16 +471,17 @@ impl GossipNode {
 
     /// Publish the configured initial rumors for every owned topic.
     fn publish_initial(&mut self, now: SimTime) {
-        for k in 0..self.config.rumors_per_topic {
-            for t in self.config.publishes.clone() {
+        let config = Arc::clone(&self.config);
+        for k in 0..config.rumors_per_topic {
+            for &t in &config.publishes {
                 let seq = self.next_seq;
                 self.next_seq += 1;
                 let rumor = Rumor {
                     topic: t,
-                    id: ((self.config.origin as u32) << 16) | seq,
-                    origin: self.config.origin,
-                    ttl: self.config.rumor_ttl,
-                    payload: vec![(t as u8) ^ (k as u8); self.config.payload_len],
+                    id: ((config.origin as u32) << 16) | seq,
+                    origin: config.origin,
+                    ttl: config.rumor_ttl,
+                    payload: vec![(t as u8) ^ (k as u8); config.payload_len],
                 };
                 self.admit(&rumor, now);
             }
@@ -560,7 +585,6 @@ impl Node for GossipNode {
             Ok(GossipFrame::Rumor(r)) => self.handle_rumor(from, r, api),
             Ok(GossipFrame::Digest(entries)) => self.handle_digest(from, entries, api),
             Ok(GossipFrame::Subscribe { topic }) => {
-                self.peer_subs.entry(from).or_default().insert(topic);
                 self.send_ack(from, wire::ACK_KIND_SUBSCRIBE, topic, 0, api);
             }
             Ok(GossipFrame::Ack { kind, topic, id }) => {
@@ -604,13 +628,19 @@ impl Node for GossipNode {
                     .filter(|(_, s)| s.expires <= now)
                     .map(|(k, _)| *k)
                     .collect();
-                for key in &expired {
-                    self.store.remove(key);
-                    for inf in self.infected.values_mut() {
-                        inf.remove(key);
-                    }
-                }
                 if !expired.is_empty() {
+                    let store = Arc::make_mut(&mut self.store);
+                    for key in &expired {
+                        store.remove(key);
+                    }
+                    for set in self.infected.values_mut() {
+                        if expired.iter().any(|key| set.contains(key)) {
+                            let set = Arc::make_mut(set);
+                            for key in &expired {
+                                set.remove(key);
+                            }
+                        }
+                    }
                     api.trace(
                         "gossip-gc",
                         format_args!("evicted {} rumors", expired.len()),
@@ -633,7 +663,8 @@ impl Node for GossipNode {
                     return;
                 }
                 self.sessions_up.insert(peer);
-                for topic in self.config.subscriptions.clone() {
+                let config = Arc::clone(&self.config);
+                for &topic in &config.subscriptions {
                     let mut buf = api.buf();
                     wire::encode_into(&GossipFrame::Subscribe { topic }, &mut buf);
                     api.send_quiet(peer, buf);
@@ -666,9 +697,7 @@ impl Node for GossipNode {
                 for key in dead {
                     self.pending.remove(&key);
                     if key.1 == wire::ACK_KIND_RUMOR {
-                        if let Some(inf) = self.infected.get_mut(&peer) {
-                            inf.remove(&(key.2, key.3));
-                        }
+                        self.unmark_infected(peer, &(key.2, key.3));
                     }
                 }
             }
@@ -717,6 +746,19 @@ mod tests {
         buggy: Option<usize>,
         faults: Option<LinkFaults>,
     ) -> Simulator {
+        mesh_with(n, seed, faults, |i, cfg| {
+            cfg.bugs.digest_count_overflow = buggy == Some(i);
+        })
+    }
+
+    /// Like [`mesh_with_faults`], with each node's configuration passed
+    /// through `edit` (with the node's index) before it is installed.
+    fn mesh_with(
+        n: usize,
+        seed: u64,
+        faults: Option<LinkFaults>,
+        edit: impl Fn(usize, &mut GossipConfig),
+    ) -> Simulator {
         let topo = Topology::full_mesh(n, LinkParams::fixed(SimDuration::from_millis(5)));
         let mut sim = Simulator::new(topo.clone(), seed);
         if let Some(f) = faults {
@@ -733,9 +775,7 @@ mod tests {
             for t in 0..n as u16 {
                 cfg = cfg.subscribe(t);
             }
-            if buggy == Some(i.index()) {
-                cfg.bugs.digest_count_overflow = true;
-            }
+            edit(i.index(), &mut cfg);
             sim.set_node(i, Box::new(GossipNode::new(cfg)));
         }
         sim.start();
@@ -1014,5 +1054,163 @@ mod tests {
         assert_eq!(c.delivered_total(), g.delivered_total());
         assert_eq!(c.seen_count(), g.seen_count());
         assert!(c.state_size() > 0);
+    }
+
+    /// The tables `copy` still shares, allocation for allocation, with
+    /// `original`.
+    fn shared_tables(original: &GossipNode, copy: &GossipNode) -> BTreeSet<String> {
+        let mut shared = BTreeSet::new();
+        let mut note = |name: String, same: bool| {
+            if same {
+                shared.insert(name);
+            }
+        };
+        note("config".into(), Arc::ptr_eq(&original.config, &copy.config));
+        note("store".into(), Arc::ptr_eq(&original.store, &copy.store));
+        note("seen".into(), Arc::ptr_eq(&original.seen, &copy.seen));
+        for (peer, set) in &original.infected {
+            let same = copy.infected.get(peer).is_some_and(|c| Arc::ptr_eq(set, c));
+            note(format!("infected[{}]", peer.0), same);
+        }
+        shared
+    }
+
+    #[test]
+    fn mutating_a_copy_leaves_the_checkpoint_untouched() {
+        // `clone_node` shares the config, the store, the dedup memory and
+        // every peer's infection set with the checkpoint. Each way a copy
+        // can then change must copy exactly the tables it writes: never
+        // write through to the checkpoint, never copy a table it only
+        // reads. Rumors expire at ~20 s, so the converged checkpoint still
+        // holds every payload.
+        let mut live = mesh_with(6, 8, None, |_, cfg| {
+            cfg.rumor_lifetime = SimDuration::from_secs(20);
+        });
+        let out = live.run_until_quiet(
+            SimDuration::from_secs(5),
+            SimTime::from_nanos(15_000_000_000),
+        );
+        assert_eq!(out, QuietOutcome::Quiescent);
+        let shadow = live.instant_snapshot();
+        let topo = live.topology().clone();
+        let before = shadow.nodes()[&NodeId(1)]
+            .as_any()
+            .downcast_ref::<GossipNode>()
+            .unwrap();
+        let before_fp = format!("{before:?}");
+        let all = shared_tables(before, before);
+        assert_eq!(all.len(), 3 + 5, "config, store, seen, five peers");
+        let copy = before.clone_node();
+        let copy = copy.as_any().downcast_ref::<GossipNode>().unwrap();
+        assert_eq!(shared_tables(before, copy), all, "a fresh copy shares all");
+
+        // A rumor node 0 is known to have, and every stored key known too:
+        // frames about them must copy nothing.
+        let known = *before.store.keys().next().unwrap();
+        let from_0 = &before.infected[&NodeId(0)];
+        assert!(before.store.keys().all(|k| from_0.contains(k)), "converged");
+        let stored = &before.store[&known];
+        let rumor = |id: u32| {
+            wire::encode(&GossipFrame::Rumor(Rumor {
+                topic: known.0,
+                id,
+                origin: stored.origin,
+                ttl: 3,
+                payload: stored.payload.clone(),
+            }))
+        };
+        let fresh = rumor(0x00FF_FFFF);
+        assert!(!before.seen.contains(&(known.0, 0x00FF_FFFF)));
+        let duplicate = rumor(known.1);
+        let digest = wire::encode(&GossipFrame::Digest(before.store.keys().copied().collect()));
+        let ack = wire::encode(&GossipFrame::Ack {
+            kind: wire::ACK_KIND_RUMOR,
+            topic: known.0,
+            id: known.1,
+        });
+        let subscribe = wire::encode(&GossipFrame::Subscribe { topic: 3 });
+        let deliver = |bytes: &[u8]| {
+            let bytes = bytes.to_vec();
+            move |sim: &mut Simulator| sim.deliver_direct(NodeId(0), NodeId(1), &bytes)
+        };
+
+        type Step<'a> = (&'a str, Box<dyn Fn(&mut Simulator) + 'a>, Vec<&'a str>);
+        let steps: Vec<Step<'_>> = vec![
+            (
+                // Marks the sender, then mongers to the first three peers.
+                "fresh rumor",
+                Box::new(deliver(&fresh)),
+                vec![
+                    "store",
+                    "seen",
+                    "infected[0]",
+                    "infected[2]",
+                    "infected[3]",
+                    "infected[4]",
+                ],
+            ),
+            ("digest of known keys", Box::new(deliver(&digest)), vec![]),
+            ("duplicate rumor", Box::new(deliver(&duplicate)), vec![]),
+            ("ack", Box::new(deliver(&ack)), vec![]),
+            ("subscribe", Box::new(deliver(&subscribe)), vec![]),
+            (
+                // Evicts every payload and prunes every peer's set; the
+                // dedup memory survives GC untouched. (A copy carries no
+                // armed timers, so the step fires it by hand once the
+                // rumors have expired.)
+                "GC timer",
+                Box::new(|sim: &mut Simulator| {
+                    sim.run_until(SimTime::from_nanos(25_000_000_000));
+                    sim.invoke_node(NodeId(1), |node, api| node.on_timer(TOKEN_GC, api));
+                }),
+                vec![
+                    "store",
+                    "infected[0]",
+                    "infected[2]",
+                    "infected[3]",
+                    "infected[4]",
+                    "infected[5]",
+                ],
+            ),
+            (
+                "session down",
+                Box::new(|sim: &mut Simulator| sim.inject_link_down(NodeId(1), NodeId(0))),
+                vec![],
+            ),
+        ];
+        for (name, step, written) in &steps {
+            let mut clone = Simulator::from_shadow(&shadow, &topo, 3);
+            // Materialize node 1 first, so a step that writes nothing is
+            // still judged on a copy rather than on the checkpoint itself.
+            clone.node_mut(NodeId(1));
+            step(&mut clone);
+            let checkpoint = shadow.nodes()[&NodeId(1)]
+                .as_any()
+                .downcast_ref::<GossipNode>()
+                .unwrap();
+            assert_eq!(
+                format!("{checkpoint:?}"),
+                before_fp,
+                "{name} wrote through to the checkpoint"
+            );
+            let touched = gossip(&clone, 1);
+            let expected: BTreeSet<String> = all
+                .iter()
+                .filter(|t| !written.contains(&t.as_str()))
+                .cloned()
+                .collect();
+            assert_eq!(
+                shared_tables(checkpoint, touched),
+                expected,
+                "{name}: the tables it does not write stay shared, the ones it writes are copied"
+            );
+        }
+        // The GC and the session-down steps did happen on their copies.
+        let mut clone = Simulator::from_shadow(&shadow, &topo, 3);
+        (steps[5].1)(&mut clone);
+        assert_eq!(gossip(&clone, 1).stored(), 0, "GC evicted");
+        assert_eq!(gossip(&clone, 1).seen_count(), before.seen_count());
+        (steps[6].1)(&mut clone);
+        assert_eq!(gossip(&clone, 1).established_peers(), 4);
     }
 }
