@@ -33,7 +33,7 @@
 
 use core::any::Any;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dice_bench::wire_workload::{bgp_update, gossip_digest};
+use dice_bench::twin_cases;
 use dice_bgp::policy::gao_rexford;
 use dice_bgp::{
     encode, AsPath, Asn, BgpRouter, Ipv4Addr, Ipv4Net, Message, OpenMsg, PathAttrs, Policy,
@@ -42,11 +42,7 @@ use dice_bgp::{
 use dice_concolic::{
     explore, BranchRec, ConcolicCtx, ConcolicProgram, ExploreConfig, ExprArena, SymInput,
 };
-use dice_core::gossip_sut::mark_gossip;
-use dice_core::{
-    mark_update, GrammarConfig, SymbolicGossipHandler, SymbolicUpdateHandler, UpdateGrammar,
-};
-use dice_gossip::GossipConfig;
+use dice_core::{mark_update, GrammarConfig, SymbolicUpdateHandler, UpdateGrammar};
 use dice_netsim::{
     LinkParams, NeighborRole, Node, NodeApi, NodeId, Relationship, SessionEvent, SimDuration,
     SimTime, Simulator, Topology,
@@ -93,39 +89,6 @@ fn bench_update_paths(c: &mut Criterion) {
     });
 
     group.finish();
-}
-
-/// A twin, its marking policy and a fully marked message for it.
-type TwinCase = (
-    &'static str,
-    Box<dyn ConcolicProgram>,
-    Vec<u8>,
-    fn(&[u8]) -> Vec<bool>,
-);
-
-/// The messages and twins of `solver_bench`'s `path_flips`.
-fn twin_cases() -> [TwinCase; 2] {
-    let router = RouterConfig::minimal(Asn(65000), RouterId(1)).with_neighbor(
-        NodeId(2),
-        Asn(65001),
-        "all",
-        "all",
-    );
-    let gossip = GossipConfig::new(7).subscribe(3);
-    [
-        (
-            "bgp_update",
-            Box::new(SymbolicUpdateHandler::new(router, NodeId(2))),
-            encode(&bgp_update()),
-            mark_update,
-        ),
-        (
-            "gossip_digest",
-            Box::new(SymbolicGossipHandler::new(gossip)),
-            dice_gossip::wire::encode(&gossip_digest()),
-            mark_gossip,
-        ),
-    ]
 }
 
 fn bench_twin_exec(c: &mut Criterion) {

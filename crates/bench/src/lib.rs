@@ -257,34 +257,49 @@ pub fn converged_internet(n: usize) -> dice_netsim::Simulator {
 }
 
 /// The counting allocator of the allocation-reporting benches
-/// (`handler_bench`, `check_battery`, `exp_wire`): a bench installs it with
+/// (`handler_bench`, `check_battery`, `exp_wire`) and of the allocation
+/// budgets (`tests/alloc_budgets.rs`, `dice-bgp`'s `differential.rs`):
+/// install it with
 /// `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;` and
-/// reads [`allocations`] / [`allocated_bytes`] before and after the code it
-/// measures.
+/// read [`allocations`] / [`allocated_bytes`] before and after the code to
+/// measure. The counts are the calling thread's own, so a test harness
+/// running tests on parallel threads does not mix their counts.
 pub struct CountingAlloc;
 
-static ALLOCS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static ALLOC_BYTES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+thread_local! {
+    /// Allocations and reallocations this thread made, and the bytes they
+    /// asked for.
+    static COUNTS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+}
 
-/// Heap allocations and reallocations since process start, once
+/// Count one allocation of `bytes` on this thread. Bumping a
+/// const-initialised thread-local `Cell` neither allocates nor unwinds
+/// (`try_with` declines instead of panicking during thread exit).
+fn count(bytes: usize) {
+    let _ = COUNTS.try_with(|c| {
+        let (n, b) = c.get();
+        c.set((n + 1, b + bytes as u64));
+    });
+}
+
+/// Heap allocations and reallocations this thread has made, once
 /// [`CountingAlloc`] is the global allocator.
 pub fn allocations() -> u64 {
-    ALLOCS.load(std::sync::atomic::Ordering::Relaxed)
+    COUNTS.with(|c| c.get().0)
 }
 
 /// Bytes requested by those allocations (a reallocation counts its new
 /// size — a grown `Vec` costs a new block).
 pub fn allocated_bytes() -> u64 {
-    ALLOC_BYTES.load(std::sync::atomic::Ordering::Relaxed)
+    COUNTS.with(|c| c.get().1)
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only added work is two relaxed
-// atomic adds, which neither allocate nor unwind.
+// upholds the `GlobalAlloc` contract; the only added work is `count`, which
+// neither allocates nor unwinds.
 unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, std::sync::atomic::Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: `layout` is the caller's, passed through untouched.
         unsafe { std::alloc::System.alloc(layout) }
     }
@@ -296,11 +311,50 @@ unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, std::sync::atomic::Ordering::Relaxed);
+        count(new_size);
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
     }
+}
+
+/// A handler twin, its marking policy and a fully marked message for it:
+/// one execution of an exploration session.
+pub type TwinCase = (
+    &'static str,
+    Box<dyn dice_concolic::ConcolicProgram>,
+    Vec<u8>,
+    fn(&[u8]) -> Vec<bool>,
+);
+
+/// The two twins over [`wire_workload`]'s messages — `"bgp_update"` (the
+/// UPDATE twin of a router with one neighbour) and `"gossip_digest"` (the
+/// frame twin of a node subscribed to topic 3) — as `handler_bench` times
+/// them and the allocation budgets count them.
+pub fn twin_cases() -> [TwinCase; 2] {
+    use dice_bgp::{Asn, RouterConfig, RouterId};
+    use dice_core::{gossip_sut::mark_gossip, mark_update};
+    use dice_core::{SymbolicGossipHandler, SymbolicUpdateHandler};
+    let router = RouterConfig::minimal(Asn(65000), RouterId(1)).with_neighbor(
+        dice_netsim::NodeId(2),
+        Asn(65001),
+        "all",
+        "all",
+    );
+    let gossip = dice_gossip::GossipConfig::new(7).subscribe(3);
+    [
+        (
+            "bgp_update",
+            Box::new(SymbolicUpdateHandler::new(router, dice_netsim::NodeId(2))),
+            dice_bgp::encode(&wire_workload::bgp_update()),
+            mark_update,
+        ),
+        (
+            "gossip_digest",
+            Box::new(SymbolicGossipHandler::new(gossip)),
+            dice_gossip::wire::encode(&wire_workload::gossip_digest()),
+            mark_gossip,
+        ),
+    ]
 }
 
 /// One consistent cut of a benchmark system and a valid input for it — what

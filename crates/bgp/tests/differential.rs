@@ -3,12 +3,11 @@
 //! reference, and the prefix-major Adj-RIBs against a flat
 //! `(peer, prefix)`-keyed model.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::borrow::Cow;
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use dice_bench::{allocations as allocs, CountingAlloc};
 use dice_bgp::policy::gao_rexford;
 use dice_bgp::{
     Action, AdjRibIn, AdjRibOut, AsPath, AsPathSegment, Asn, Community, Ipv4Addr, Ipv4Net, Match,
@@ -17,44 +16,8 @@ use dice_bgp::{
 use dice_netsim::NodeId;
 use proptest::prelude::*;
 
-thread_local! {
-    /// Allocations and reallocations made by this thread (the test
-    /// harness runs tests on threads of their own).
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only added work is a bump of a
-// const-initialised thread-local `Cell`, which neither allocates nor
-// unwinds (`try_with` declines instead of panicking during thread exit).
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: `layout` is the caller's, passed through untouched.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System` through this allocator
-        // with this `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: as for `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
 
 const OWN: Asn = Asn(65001);
 

@@ -3,12 +3,13 @@
 //! Deterministic replay rests on conventions no compiler checks. Most of
 //! them are held by stock tools (DESIGN.md §6 has the row per invariant):
 //! clippy, through `crates/clippy.toml`, keeps wall clocks, hash-order
-//! iteration and locks out of `crates/**`, and
+//! iteration and locks out of `crates/**`;
 //! `tests/normalized_reflection.rs` holds the `normalized()` zeroing
-//! contract on a real serialized report. This crate keeps what only a
+//! contract on a real serialized report; `tests/alloc_budgets.rs` counts
+//! what the hot paths allocate. This crate keeps what only a
 //! whole-workspace view can see: which fns are *reachable* from the round
-//! hot loop, and whether the fns the allocation-free paths are named by
-//! still exist where the tables say. It is a std-only token-level scanner
+//! hot loop, and whether the roots that reachability starts from still
+//! exist where the table says. It is a std-only token-level scanner
 //! (no rustc plugin — the build container is offline), runnable both as a
 //! binary (`cargo run -p dice-lint`) and as a tier-1 test
 //! (`tests/dice_lint.rs` at the workspace root).
@@ -19,15 +20,14 @@
 //! |---|---|
 //! | `lexer` | one pass over a file's raw text: the token stream (comments and literal contents yield no tokens) and where each line's `//` comment starts |
 //! | `graph` | fns, their impls and test-ness, and name-resolved call edges over those tokens; reachability; root lookup |
-//! | `rules` | the root tables and the four rules that read the graph |
+//! | `rules` | the root table and the three rules that read the graph |
 //! | this file | the scan pipeline, allow annotations and the two rules that police them, the workspace walker, the findings table |
 //!
 //! | id | invariant |
 //! |---|---|
 //! | `seam-containment` | `downcast_ref::<BgpRouter>` only in `core/src/bgp_sut.rs`; `GossipNode` downcasts only in `gossip_sut.rs` |
 //! | `panic-freedom` | no `unwrap`/`expect`/`panic!`/identifier slice-index in fns reachable from the round hot loop or the solve path |
-//! | `alloc-hot-path` | no fresh allocations (`Vec::new`, `format!`, `.clone()`, …) inside the pooled validation paths and the BGP speaker's UPDATE fan-out |
-//! | `unresolved-root` | workspace scans only: every fn the two rules above anchor on is found, once, where its root table says, if its crate is in the scan |
+//! | `unresolved-root` | workspace scans only: every fn `panic-freedom` anchors on is found, once, where its root table says, if its crate is in the scan |
 //! | `allow-syntax` | escape-hatch annotations must name a known rule and give a reason |
 //! | `stale-allow` | escape-hatch annotations must actually suppress a finding |
 //!
@@ -62,7 +62,6 @@ mod rules;
 pub const RULES: &[&str] = &[
     "seam-containment",
     "panic-freedom",
-    "alloc-hot-path",
     "unresolved-root",
     "allow-syntax",
     "stale-allow",
@@ -85,7 +84,7 @@ pub(crate) struct RawFinding {
     /// 1-based line number.
     pub(crate) line: usize,
     pub(crate) message: String,
-    /// For findings inside a function body (the reachability rules): the
+    /// For findings inside a function body (`panic-freedom`): the
     /// 1-based line of the enclosing `fn` keyword. An allow annotation on
     /// (or directly above) the fn declaration then suppresses every
     /// finding of that rule in the body — the fn-level escape hatch for
@@ -217,7 +216,7 @@ fn scan(files: &[SourceFile], workspace: bool) -> LintReport {
                 let covers_line = (a.line == f.line) || (a.own_line && a.line + 1 == f.line);
                 // Fn-level coverage: an annotation on (or above) the fn
                 // declaration suppresses every body finding of that rule.
-                // Only the reachability rules set `fn_line`.
+                // Only `panic-freedom` sets `fn_line`.
                 let covers_fn = f
                     .fn_line
                     .is_some_and(|fl| (a.line == fl) || (a.own_line && a.line + 1 == fl));
@@ -461,9 +460,15 @@ mod tests {
     #[test]
     fn unknown_rule_in_annotation_is_flagged() {
         // A retired rule id is as unknown as one that never existed: the
-        // determinism zone is clippy's now, and takes `#[expect]`.
+        // determinism zone is clippy's now, and takes `#[expect]`; the
+        // allocation rule gave way to counted budgets (its id is spelled in
+        // two halves, so that no line of the tree names it as live).
         let m = marker();
-        for id in ["no-such-rule", "determinism-zone"] {
+        for id in [
+            "no-such-rule",
+            "determinism-zone",
+            concat!("alloc-hot", "-path"),
+        ] {
             let report = unwrap_under(&format!("// {m}{id}): because"));
             assert_eq!(rules_of(&report), ["allow-syntax", "panic-freedom"]);
             assert!(report.violations[0].message.contains(id));
@@ -473,7 +478,11 @@ mod tests {
     #[test]
     fn stale_annotation_is_flagged() {
         let m = marker();
-        let report = unwrap_under(&format!("// {m}alloc-hot-path): nothing allocates here"));
+        // A trailing annotation covers its own line only, where nothing
+        // panics; the unwrap on the next line still fires.
+        let report = unwrap_under(&format!(
+            "let _y = 1; // {m}panic-freedom): nothing panics here"
+        ));
         assert_eq!(rules_of(&report), ["stale-allow", "panic-freedom"]);
     }
 

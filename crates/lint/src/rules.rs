@@ -1,22 +1,21 @@
 //! The invariant rules, each grounded in a contract established by an
 //! earlier PR (see DESIGN.md §6, which also says who holds the invariants
-//! that are *not* here: clippy, through `crates/clippy.toml`, and the
-//! runtime reflection test). All of them read the [`ItemGraph`]:
-//! `seam-containment` its token streams, `panic-freedom` and
-//! `alloc-hot-path` the fns reachable from — or named by — a root table,
-//! which is what no stock lint does.
+//! that are *not* here: clippy, through `crates/clippy.toml`, the runtime
+//! reflection test, and `tests/alloc_budgets.rs`, which counts allocations
+//! instead of matching them). All of them read the [`ItemGraph`]:
+//! `seam-containment` its token streams, `panic-freedom` the fns reachable
+//! from a root table, which is what no stock lint does.
 
 use crate::graph::{FileToks, ItemGraph};
 use crate::lexer::TokKind;
 use crate::RawFinding;
 
 /// Run every rule over the item graph. A `workspace` scan also requires
-/// every rule root to resolve to exactly one fn ([`unresolved_roots`]).
+/// every root to resolve to exactly one fn ([`unresolved_roots`]).
 pub(crate) fn run_all(graph: &ItemGraph, workspace: bool) -> Vec<RawFinding> {
     let mut out = Vec::new();
     seam_containment(graph, &mut out);
     panic_freedom(graph, &mut out);
-    alloc_hot_path(graph, &mut out);
     if workspace {
         unresolved_roots(graph, &mut out);
     }
@@ -58,8 +57,8 @@ fn seam_containment(graph: &ItemGraph, out: &mut Vec<RawFinding>) {
     }
 }
 
-/// Is `path` inside the engine (the crates whose hot loops the
-/// reachability rules guard)?
+/// Is `path` inside the engine (the crates whose hot loops
+/// `panic-freedom` guards)?
 fn in_engine(path: &str) -> bool {
     path.starts_with("crates/core/src/") || path.starts_with("crates/concolic/src/")
 }
@@ -176,192 +175,38 @@ fn panic_freedom(graph: &ItemGraph, out: &mut Vec<RawFinding>) {
     }
 }
 
-/// The pooled validation paths whose PR-5 allocation-free steady state
-/// `alloc-hot-path` guards, as `(file suffix, fn, impl type if the name is
-/// not unique in the file)`. Direct bodies only: these are the per-unit
-/// inner loops; their callees allocate behind the clone pool by design.
-const POOLED_FNS: &[(&str, &str, Option<&str>)] = &[
-    ("core/src/executor.rs", "validate_unit", None),
-    ("core/src/explorer.rs", "validate_one", None),
-    ("core/src/pool.rs", "acquire", None),
-    ("core/src/pool.rs", "release", None),
-    // Zero-copy wire path: the in-place encoders, the delivery batch
-    // loop, and the payload free list on both sides of a trip must stay
-    // allocation-free per datagram (a miss allocates with capacity).
-    ("bgp/src/wire.rs", "encode_into", None),
-    ("gossip/src/wire.rs", "encode_into", None),
-    ("netsim/src/sim/channel.rs", "process_deliver", None),
-    ("netsim/src/node.rs", "buf", None),
-    ("netsim/src/buf.rs", "acquire", None),
-    ("netsim/src/buf.rs", "recycle", None),
-    // Delta-capture path: `checkpoint_node` runs once per node per cut;
-    // clean nodes must be served by an `Arc::clone` of the cached
-    // checkpoint (path syntax — a `.clone()` method call here would be a
-    // deep node copy and fires this rule).
-    ("netsim/src/sim/cut.rs", "checkpoint_node", None),
-    // The speaker's UPDATE path: best-route selection, the per-class
-    // export fan-out and the policy evaluator run per delivered message
-    // on every validation clone. They borrow, and share bags by
-    // `Arc::clone`; a `.clone()`, a `format!` or a scratch `Vec::new()`
-    // here is paid once per peer per message.
-    ("bgp/src/router.rs", "recompute_and_propagate", None),
-    ("bgp/src/router.rs", "export_to", None),
-    ("bgp/src/policy.rs", "apply", Some("Policy")),
-    // The negation search and the unary lane sweep: thousands of nodes
-    // and hundreds of memo misses per exploration session, all on scratch
-    // the session owns (`PathSolver`'s tables, `LaneScratch`). A
-    // `Vec::new()` or a `.clone()` here is paid per search node.
-    ("concolic/src/solve/search.rs", "dfs", Some("Search")),
-    ("concolic/src/solve/search.rs", "narrow", Some("Search")),
-    ("concolic/src/solve/search.rs", "admits", Some("Search")),
-    ("concolic/src/solve/search.rs", "admits_cmp", Some("Search")),
-    ("concolic/src/solve/search.rs", "offset_of", Some("Search")),
-    ("concolic/src/expr.rs", "sweep", Some("ExprArena")),
-    // Interning and the memo lookup: some ninety and sixteen calls per
-    // BGP twin execution, nine in ten of them hits in the session's one
-    // arena. A miss pushes onto tables the session owns; a `Vec` per memo
-    // entry or a cloned key here is paid per node, per execution.
-    ("concolic/src/expr.rs", "intern", Some("ExprArena")),
-    ("concolic/src/solve/memo.rs", "lookup", Some("UnaryMemo")),
-    // The session's worklist: a push per new child, a pick per execution,
-    // hundreds of each per session. A push moves the child into the slab
-    // and a heap entry onto the heap; a pick takes one out. A cloned
-    // input or a rebuilt index here is paid per child.
-    ("concolic/src/explore.rs", "push", Some("Worklist")),
-    ("concolic/src/explore.rs", "pick", Some("Worklist")),
-    // The checker battery runs once per validated clone over every node:
-    // a passing verdict borrows its checker's name and lands in the one
-    // reserved report vector. Rendering a fault (`format!`) or gathering
-    // a touched node's unattested routes happens in callees, off the
-    // pass path.
-    ("core/src/check.rs", "run_checkers", None),
-    ("core/src/check.rs", "check_into", Some("CrashChecker")),
-    (
-        "core/src/check.rs",
-        "check_into",
-        Some("OscillationChecker"),
-    ),
-    (
-        "core/src/check.rs",
-        "check_into",
-        Some("OriginAuthorityChecker"),
-    ),
-    (
-        "core/src/check.rs",
-        "check_into",
-        Some("ConvergenceChecker"),
-    ),
-    // The same-snapshot reset: what a pooled clone pays per validated
-    // input. It walks the touched lists and re-shares checkpoints by
-    // `Arc::clone` / `Option::cloned`; a `.clone()` of a node, a fresh
-    // table or a rendered reason string here is paid per input.
-    // The reset's channel and cut halves live with the state they
-    // restore (`Links::reset`, `Cuts::reset` / `Cuts::seed`).
-    ("netsim/src/sim/clone.rs", "reset_from_shadow", None),
-    ("netsim/src/sim/clone.rs", "rebind_touched", None),
-    ("netsim/src/sim/clone.rs", "bind_node", None),
-    ("netsim/src/sim/channel.rs", "reset", Some("Links")),
-    ("netsim/src/sim/cut.rs", "reset", Some("Cuts")),
-    ("netsim/src/sim/cut.rs", "seed", Some("Cuts")),
-];
-
-/// R6 — hot-path allocations (contract from PR 5): the pooled validation
-/// paths reuse clones instead of allocating per unit. Fresh allocations
-/// (`Vec::new`, `vec!`, `format!`, `Box::new`, `.to_vec()`,
-/// `.to_string()`, `.to_owned()`, `.clone()`) in their direct bodies
-/// regress the steady state the zero-copy roadmap item extends.
-fn alloc_hot_path(graph: &ItemGraph, out: &mut Vec<RawFinding>) {
-    const ALLOC_QUALIFIERS: &[&str] = &["Vec", "String", "Box", "BTreeMap", "BTreeSet", "HashMap"];
-    const ALLOC_MACROS: &[&str] = &["vec", "format"];
-    const ALLOC_METHODS: &[&str] = &["to_vec", "to_string", "to_owned", "clone"];
-    let pooled = POOLED_FNS
-        .iter()
-        .flat_map(|(suffix, name, impl_of)| graph.roots(suffix, name, *impl_of));
-    for fi in pooled {
-        let f = &graph.fns[fi];
-        let Some((open, close)) = f.body else {
-            continue;
-        };
-        let toks = &graph.files[f.file].toks;
-        let path = &graph.files[f.file].path;
-        for j in open..=close {
-            let t = &toks[j];
-            if t.kind != TokKind::Ident {
-                continue;
-            }
-            let next_is = |c: char| toks.get(j + 1).is_some_and(|n| n.is_punct(c));
-            let hit = if next_is('(')
-                && j >= 3
-                && toks[j - 1].is_punct(':')
-                && toks[j - 2].is_punct(':')
-                && t.text == "new"
-                && ALLOC_QUALIFIERS.contains(&toks[j - 3].text.as_str())
-            {
-                Some(format!("`{}::new()`", toks[j - 3].text))
-            } else if next_is('!') && ALLOC_MACROS.contains(&t.text.as_str()) {
-                Some(format!("`{}!`", t.text))
-            } else if next_is('(')
-                && j > 0
-                && toks[j - 1].is_punct('.')
-                && ALLOC_METHODS.contains(&t.text.as_str())
-            {
-                Some(format!("`.{}()`", t.text))
-            } else {
-                None
-            };
-            if let Some(what) = hit {
-                out.push(RawFinding {
-                    rule: "alloc-hot-path",
-                    path: path.clone(),
-                    line: t.line,
-                    message: format!(
-                        "{what} in pooled path `{}` — the validation loop must reuse pooled clones, not allocate per unit",
-                        f.name
-                    ),
-                    fn_line: Some(f.line),
-                });
-            }
-        }
-    }
-}
-
-/// R9 — unresolved roots (workspace scans only): the reachability rules
-/// anchor on fns named by file suffix, and skip an anchor they do not find
-/// — so moving `process_deliver` to another file would silently switch
-/// `alloc-hot-path` off for it, and a root that two fns of a file answer
-/// to guards whichever the author did not mean as well. Every entry of
-/// [`PANIC_ROOTS`] and [`POOLED_FNS`] must resolve to exactly one fn
-/// whenever its crate's `src/` tree is in the scan. The finding names a
-/// file that need not exist, so no allow annotation can suppress it: the
-/// fix is the root table.
+/// R9 — unresolved roots (workspace scans only): `panic-freedom` anchors
+/// on fns named by file suffix, and skips an anchor it does not find — so
+/// moving `PathPass::flip` to another file would silently switch the rule
+/// off for everything only it reaches, and a root that two fns of a file
+/// answer to guards whichever the author did not mean as well. Every entry
+/// of [`PANIC_ROOTS`] must resolve to exactly one fn whenever its crate's
+/// `src/` tree is in the scan. The finding names a file that need not
+/// exist, so no allow annotation can suppress it: the fix is the root
+/// table.
 fn unresolved_roots(graph: &ItemGraph, out: &mut Vec<RawFinding>) {
     let crate_scanned = |suffix: &str| {
         let krate = suffix.split('/').next().unwrap_or(suffix);
         let src = format!("crates/{krate}/src/");
         graph.files.iter().any(|f| f.path.starts_with(&src))
     };
-    for (rule, table) in [
-        ("panic-freedom", PANIC_ROOTS),
-        ("alloc-hot-path", POOLED_FNS),
-    ] {
-        for (suffix, name, impl_of) in table {
-            if !crate_scanned(suffix) {
-                continue;
-            }
-            let owner = impl_of.map(|t| format!("{t}::")).unwrap_or_default();
-            let problem = match graph.roots(suffix, name, *impl_of).count() {
-                0 => "is not in the file — the rule is off for it; point the root table at where the fn lives now",
-                1 => continue,
-                _ => "is ambiguous — name the impl type in the root table, so the rule guards the fn that was meant",
-            };
-            out.push(RawFinding {
-                rule: "unresolved-root",
-                path: format!("crates/{suffix}"),
-                line: 1,
-                message: format!("`{rule}` root `{owner}{name}` {problem}"),
-                fn_line: None,
-            });
+    for (suffix, name, impl_of) in PANIC_ROOTS {
+        if !crate_scanned(suffix) {
+            continue;
         }
+        let owner = impl_of.map(|t| format!("{t}::")).unwrap_or_default();
+        let problem = match graph.roots(suffix, name, *impl_of).count() {
+            0 => "is not in the file — the rule is off for it; point the root table at where the fn lives now",
+            1 => continue,
+            _ => "is ambiguous — name the impl type in the root table, so the rule guards the fn that was meant",
+        };
+        out.push(RawFinding {
+            rule: "unresolved-root",
+            path: format!("crates/{suffix}"),
+            line: 1,
+            message: format!("`panic-freedom` root `{owner}{name}` {problem}"),
+            fn_line: None,
+        });
     }
 }
 

@@ -52,157 +52,6 @@ fn panic_freedom_fires_on_expect_reachable_from_run_rounds() {
     );
 }
 
-/// The virtual path that puts the source under a `POOLED_FNS` entry, the
-/// source, and every `(line, construct)` that must fire — nothing else may.
-type AllocCase = (&'static str, &'static str, &'static [(usize, &'static str)]);
-
-/// `alloc-hot-path`, one row per guarded path.
-const ALLOC_CASES: &[AllocCase] = &[
-    // The per-unit validation loop: a root's direct body only.
-    (
-        "crates/core/src/explorer.rs",
-        include_str!("fixtures/alloc_hot_path.fixture"),
-        &[(2, "`.to_vec()`")],
-    ),
-    (
-        "crates/core/src/executor.rs",
-        "impl Sweep {\n\
-         fn validate_unit(&self) { let v: Vec<u8> = Vec::new(); drop(v); }\n\
-         fn elsewhere(&self) { let v: Vec<u8> = Vec::new(); drop(v); }\n\
-         }\n",
-        &[(2, "`Vec::new()`")],
-    ),
-    // The zero-copy roots: `encode_into` must stay allocation-free, while
-    // the `encode` convenience wrapper (no root) may allocate its output.
-    (
-        "crates/bgp/src/wire.rs",
-        "pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {\n\
-         let scratch = Vec::new();\n\
-         }\n\
-         pub fn encode(msg: &Message) -> Vec<u8> {\n\
-         let mut out = Vec::new();\n\
-         encode_into(msg, &mut out);\n\
-         out\n\
-         }\n",
-        &[(2, "`Vec::new()`")],
-    ),
-    // The payload free list, both sides of a trip: `Vec::with_capacity` on
-    // the miss path is allowed — only the listed constructors are hot-path
-    // regressions — and taking storage back must not copy it.
-    (
-        "crates/netsim/src/buf.rs",
-        "impl BufPool {\n\
-         pub fn acquire(&mut self) -> Vec<u8> {\n\
-         let fallback = Vec::with_capacity(64);\n\
-         self.free.pop().unwrap_or(fallback)\n\
-         }\n\
-         pub fn recycle(&mut self, buf: Vec<u8>) {\n\
-         self.free.push(buf.to_vec());\n\
-         }\n\
-         }\n",
-        &[(7, "`.to_vec()`")],
-    ),
-    (
-        "crates/netsim/src/node.rs",
-        "impl NodeApi<'_> {\n\
-         pub fn buf(&mut self) -> Vec<u8> {\n\
-         let scratch = Vec::new();\n\
-         self.bufs.as_mut().map(|pool| pool.acquire()).unwrap_or(scratch)\n\
-         }\n\
-         }\n",
-        &[(3, "`Vec::new()`")],
-    ),
-    // Delta capture: a clean node is served by `Arc::clone` of the cached
-    // checkpoint (path syntax, a refcount bump — not in the alloc list); a
-    // `.clone()` method call there is a deep per-node copy.
-    (
-        "crates/netsim/src/sim/cut.rs",
-        "impl Simulator {\n\
-         fn checkpoint_node(&mut self, n: NodeId) -> Option<Arc<dyn Node>> {\n\
-         let cached = self.cache[n.index()].as_ref()?;\n\
-         Some(std::sync::Arc::clone(cached))\n\
-         }\n\
-         }\n",
-        &[],
-    ),
-    (
-        "crates/netsim/src/sim/cut.rs",
-        "impl Simulator {\n\
-         fn checkpoint_node(&mut self, n: NodeId) -> Option<Arc<dyn Node>> {\n\
-         let cached = self.cache[n.index()].as_ref()?;\n\
-         Some(cached.clone())\n\
-         }\n\
-         }\n",
-        &[(4, "`.clone()`")],
-    ),
-    // `apply` names two fns in policy.rs; the root is the evaluator
-    // (`Policy::apply`) — `Action::apply` edits the bag it is handed.
-    (
-        "crates/bgp/src/policy.rs",
-        "impl Action {\n\
-         pub fn apply(&self, attrs: &mut PathAttrs) { let spare = attrs.clone(); drop(spare); }\n\
-         }\n\
-         impl Policy {\n\
-         pub fn apply(&self, attrs: &PathAttrs) -> Option<PathAttrs> {\n\
-         let mut out = attrs.clone();\n\
-         Some(out)\n\
-         }\n\
-         }\n",
-        &[(6, "`.clone()`")],
-    ),
-    // The UPDATE fan-out: rendering a trace line or building a peer list
-    // per best-route change, or copying the bag per peer, fires; sharing
-    // it by `Arc::clone` and allocating off the roots (`on_established`)
-    // pass.
-    (
-        "crates/bgp/src/router.rs",
-        include_str!("fixtures/update_fan_out.fixture"),
-        &[(3, "`format!`"), (4, "`Vec::new()`"), (9, "`.clone()`")],
-    ),
-    // The checker battery: a verdict that names its checker by
-    // `to_string`, a fault rendered in the per-node loop or a scratch list
-    // per node fires; borrowing the name, reserving the report once and
-    // rendering in a callee (`flapping`) pass. `check` — the collecting
-    // wrapper — is no root.
-    (
-        "crates/core/src/check.rs",
-        include_str!("fixtures/check_battery.fixture"),
-        &[
-            (4, "`Vec::new()`"),
-            (15, "`.to_string()`"),
-            (16, "`format!`"),
-        ],
-    ),
-    // The same-snapshot reset: re-sharing a checkpoint by `Arc::clone`
-    // passes, deep-copying the node or rendering the outside-scope reason
-    // per absent node fires; the full rebinding (`bind_shadow`) is no root.
-    (
-        "crates/netsim/src/sim/clone.rs",
-        include_str!("fixtures/touched_reset.fixture"),
-        &[
-            (4, "`.clone()`"),
-            (13, "`.clone()`"),
-            (14, "`.to_string()`"),
-        ],
-    ),
-];
-
-#[test]
-fn alloc_hot_path_fires_in_the_pooled_fns_and_only_there() {
-    for (path, source, want) in ALLOC_CASES {
-        let report = scan_one(path, source);
-        let got: Vec<_> = report.violations.iter().map(triple).collect();
-        let lines: Vec<_> = want
-            .iter()
-            .map(|(l, _)| ("alloc-hot-path", *path, *l))
-            .collect();
-        assert_eq!(got, lines, "{path}:\n{source}");
-        for (f, (_, what)) in report.violations.iter().zip(*want) {
-            assert!(f.message.starts_with(what), "{path}: {}", f.message);
-        }
-    }
-}
-
 #[test]
 fn allow_annotations_suppress_and_carry_their_reason() {
     let report = scan_one(
@@ -261,45 +110,48 @@ fn stale_annotations_are_flagged() {
     );
 }
 
+/// Where the findings about the `PathPass::flip` root point, and what the
+/// first one says.
+fn flip_root(report: &LintReport) -> (Vec<(&str, &str, usize)>, &str) {
+    let about = |f: &&Finding| f.message.contains("`PathPass::flip`");
+    let at = report.violations.iter().filter(about).map(triple).collect();
+    let first = report.violations.iter().find(about);
+    (at, first.map_or("", |f| f.message.as_str()))
+}
+
 #[test]
 fn unresolved_root_fires_when_a_root_leaves_its_file() {
-    // `alloc-hot-path` anchors on `encode_into` in gossip's wire.rs. Move
-    // the encoder to another file of the crate and a workspace scan must
-    // say the anchor is gone, not quietly stop guarding it; back in
-    // wire.rs the same tree is clean — until a second `encode_into` (a
-    // method, here) joins it there, and the root no longer says which one
-    // it guards. (`scan_files` stays exempt: every other test in this
-    // file scans one file of some crate.)
+    // `panic-freedom` anchors on `PathPass::flip` in concolic's
+    // solve/path.rs. Move the method to another file of the crate and a
+    // workspace scan must say the anchor is gone, not quietly stop guarding
+    // what only it reaches; back in path.rs the same tree resolves it —
+    // until a second `PathPass::flip` joins it there, and the root no
+    // longer says which one it guards. (The crate's other roots are not in
+    // this tree and are reported too; only `flip`'s findings are compared.
+    // `scan_files` stays exempt: every other test in this file scans one
+    // file of some crate.)
     let root = std::env::temp_dir().join(format!("dice-lint-unresolved-{}", std::process::id()));
-    let src = root.join("crates").join("gossip").join("src");
+    let src = root
+        .join("crates")
+        .join("concolic")
+        .join("src")
+        .join("solve");
     std::fs::create_dir_all(&src).unwrap();
     let fixture = include_str!("fixtures/unresolved_root.fixture");
-    std::fs::write(src.join("codec.rs"), fixture).unwrap();
+    std::fs::write(src.join("flip.rs"), fixture).unwrap();
     let moved = dice_lint::scan_workspace(&root).unwrap();
-    std::fs::rename(src.join("codec.rs"), src.join("wire.rs")).unwrap();
+    std::fs::rename(src.join("flip.rs"), src.join("path.rs")).unwrap();
     let home = dice_lint::scan_workspace(&root).unwrap();
-    let twice = format!("{fixture}impl Header {{\n{fixture}}}\n");
-    std::fs::write(src.join("wire.rs"), twice).unwrap();
+    std::fs::write(src.join("path.rs"), format!("{fixture}{fixture}")).unwrap();
     let ambiguous = dice_lint::scan_workspace(&root).unwrap();
     std::fs::remove_dir_all(&root).unwrap();
-    assert_eq!(
-        moved.violations.iter().map(triple).collect::<Vec<_>>(),
-        vec![("unresolved-root", "crates/gossip/src/wire.rs", 1)]
-    );
-    assert!(
-        moved.violations[0].message.contains("`encode_into`"),
-        "{}",
-        moved.violations[0].message
-    );
-    assert!(home.violations.is_empty(), "{:?}", home.violations);
-    assert_eq!(
-        ambiguous.violations.iter().map(triple).collect::<Vec<_>>(),
-        vec![("unresolved-root", "crates/gossip/src/wire.rs", 1)]
-    );
-    assert!(
-        ambiguous.violations[0].message.contains("ambiguous"),
-        "{}",
-        ambiguous.violations[0].message
-    );
-    assert!(scan_one("crates/gossip/src/codec.rs", fixture).is_clean());
+    let at_home = vec![("unresolved-root", "crates/concolic/src/solve/path.rs", 1)];
+    let (at, why) = flip_root(&moved);
+    assert_eq!(at, at_home);
+    assert!(why.contains("is not in the file"), "{why}");
+    assert!(flip_root(&home).0.is_empty(), "{:?}", home.violations);
+    let (at, why) = flip_root(&ambiguous);
+    assert_eq!(at, at_home);
+    assert!(why.contains("ambiguous"), "{why}");
+    assert!(scan_one("crates/concolic/src/solve/flip.rs", fixture).is_clean());
 }

@@ -1,13 +1,14 @@
 //! Tier-1 gate: the whole workspace must be `dice-lint`-clean.
 //!
 //! This is the same scan `cargo run -p dice-lint` performs in CI, run as
-//! a test so the invariants it holds (seam containment, panic freedom and
-//! allocation freedom on the paths its root tables name, and those roots
-//! resolving at all) break the build the moment a PR violates one without
-//! a justified allow annotation. The determinism zone, hash iteration and
-//! lock hygiene are *not* here: `cargo clippy --workspace --all-targets`
-//! holds them through `crates/clippy.toml` (DESIGN.md §6), and
-//! `tests/normalized_reflection.rs` holds the zeroing contract.
+//! a test so the invariants it holds (seam containment, panic freedom on
+//! the paths its root table names, and those roots resolving at all)
+//! break the build the moment a PR violates one without a justified allow
+//! annotation. The determinism zone, hash iteration and lock hygiene are
+//! *not* here: `cargo clippy --workspace --all-targets` holds them through
+//! `crates/clippy.toml` (DESIGN.md §6); `tests/normalized_reflection.rs`
+//! holds the zeroing contract, and `tests/alloc_budgets.rs` the hot paths'
+//! allocation counts.
 
 use std::path::Path;
 use std::time::Instant;
