@@ -8,8 +8,10 @@
 //!   NOTIFICATION / KEEPALIVE codecs, with the full §6 error taxonomy.
 //! * **Session FSM** ([`fsm`]): Idle → OpenSent → OpenConfirm → Established,
 //!   hold/keepalive timers, NOTIFICATION-on-error.
-//! * **RIBs** ([`rib`]): Adj-RIB-In, Loc-RIB (with best-route flip counters
-//!   used by oscillation checkers), Adj-RIB-Out with delta suppression.
+//! * **RIB** ([`rib`]): one prefix-major table per router holding each
+//!   prefix's Adj-RIB-In rows, Loc-RIB best route (with the best-route flip
+//!   counter used by oscillation checkers) and Adj-RIB-Out rows (with delta
+//!   suppression), shared copy-on-write so a router copy is a pointer bump.
 //! * **Decision process** ([`decision`]): the §9.1 ranking with decisive-step
 //!   reporting.
 //! * **Policy engine** ([`policy`]): BIRD-style filters as *interpreted
@@ -40,7 +42,7 @@ pub use config::{BugSwitches, ConfigError, NeighborConfig, RouterConfig};
 pub use decision::{prefer, select, DecisionReason};
 pub use fsm::{FsmEvent, PeerFsm, SessionState};
 pub use policy::{Action, Match, Policy, PrefixFilter, Rule, Verdict};
-pub use rib::{AdjRibIn, AdjRibOut, LocRib, Route, Selected};
+pub use rib::{Rib, Route, Selected};
 pub use router::{BgpRouter, RouterStats};
 pub use types::{addr, net, Asn, Community, Ipv4Addr, Ipv4Net, RouterId};
 pub use wire::{decode, encode, DecodeError, Message, NotificationMsg, OpenMsg, UpdateMsg};

@@ -19,7 +19,7 @@ use crate::config::RouterConfig;
 use crate::decision::{select, DecisionReason};
 use crate::fsm::{FsmEvent, PeerFsm, SessionState};
 use crate::policy::Policy;
-use crate::rib::{AdjRibIn, AdjRibOut, LocRib, Route};
+use crate::rib::{Rib, Route, Selected};
 use crate::types::{Asn, Ipv4Addr, Ipv4Net};
 use crate::wire::{self, Message, NotificationMsg, OpenMsg, UpdateMsg};
 
@@ -146,20 +146,18 @@ struct PeerState {
 
 /// A BIRD-like BGP router node.
 ///
-/// Cloning a router (a checkpoint, a validation clone's first touch) is a
-/// few pointer bumps and one flat copy: the configuration, every prefix's
-/// Adj-RIB rows and every route's attribute bag sit behind `Arc`s, and the
-/// per-neighbour session table is plain data. A write then copies the rows
-/// of the prefix it names, nothing else.
+/// Cloning a router (a checkpoint, a validation clone's first touch) is
+/// two pointer bumps and one flat copy: the configuration and the RIB sit
+/// behind `Arc`s, and the per-neighbour session table is plain data. A
+/// write then copies the RIB's spine and the entry of the prefix it names,
+/// nothing else.
 #[derive(Debug, Clone)]
 pub struct BgpRouter {
     /// Immutable on the message path; the operator actions copy-on-write.
     shared: Arc<Resolved>,
     /// Aligned with `shared.neighbors`.
     peers: Vec<PeerState>,
-    adj_in: AdjRibIn,
-    loc_rib: LocRib,
-    adj_out: AdjRibOut,
+    rib: Rib,
     stats: RouterStats,
     /// Scratch of [`BgpRouter::export_to`], one verdict per policy slot;
     /// empty between calls.
@@ -174,9 +172,7 @@ impl BgpRouter {
         BgpRouter {
             peers: vec![PeerState::default(); shared.neighbors.len()],
             shared: Arc::new(shared),
-            adj_in: AdjRibIn::default(),
-            loc_rib: LocRib::default(),
-            adj_out: AdjRibOut::default(),
+            rib: Rib::default(),
             stats: RouterStats::default(),
             export_memo: Vec::new(),
         }
@@ -187,19 +183,22 @@ impl BgpRouter {
         &self.shared.config
     }
 
-    /// The local RIB (best routes).
-    pub fn loc_rib(&self) -> &LocRib {
-        &self.loc_rib
+    /// The RIB, read for its best routes (`best`, `iter`, `len`, `flips`,
+    /// `total_flips`).
+    pub fn loc_rib(&self) -> &Rib {
+        &self.rib
     }
 
-    /// The per-peer accepted routes.
-    pub fn adj_rib_in(&self) -> &AdjRibIn {
-        &self.adj_in
+    /// The RIB, read for its per-peer accepted routes (`get`,
+    /// `candidates`, `route_count`).
+    pub fn adj_rib_in(&self) -> &Rib {
+        &self.rib
     }
 
-    /// What this router last advertised to each peer.
-    pub fn adj_rib_out(&self) -> &AdjRibOut {
-        &self.adj_out
+    /// The RIB, read for what this router last advertised to each peer
+    /// (`sent`, `sent_count`).
+    pub fn adj_rib_out(&self) -> &Rib {
+        &self.rib
     }
 
     /// Protocol counters.
@@ -335,7 +334,7 @@ impl BgpRouter {
     fn on_established(&mut self, i: usize, api: &mut NodeApi<'_>) {
         let peer = self.shared.neighbors[i].node;
         api.trace("session", format_args!("established with {peer}"));
-        let prefixes: Vec<Ipv4Net> = self.loc_rib.iter().map(|(p, _)| *p).collect();
+        let prefixes: Vec<Ipv4Net> = self.rib.iter().map(|(p, _)| *p).collect();
         for prefix in prefixes {
             self.export_to(i..i + 1, prefix, api);
         }
@@ -367,7 +366,7 @@ impl BgpRouter {
             attrs,
             mut nlri,
         } = upd;
-        affected.retain(|w| self.adj_in.remove(peer, w));
+        affected.retain(|w| self.rib.remove(peer, w));
 
         match attrs {
             Some(mut attrs) if !nlri.is_empty() => {
@@ -409,12 +408,12 @@ impl BgpRouter {
                                     from_peer: Some(peer.0),
                                     peer_router_id,
                                 };
-                                self.adj_in.insert(peer, *p, route);
+                                self.rib.insert(peer, *p, route);
                                 true
                             }
                             None => {
                                 self.stats.policy_rejects += 1;
-                                self.adj_in.remove(peer, p)
+                                self.rib.remove(peer, p)
                             }
                         }
                     });
@@ -439,16 +438,19 @@ impl BgpRouter {
     /// route and, when it changed, push deltas to every established peer.
     pub fn recompute_and_propagate(&mut self, prefix: Ipv4Net, api: &mut NodeApi<'_>) {
         let local = self.local_route(&prefix);
-        let winner = select(local.iter().chain(self.adj_in.candidates(&prefix)));
+        // Taken by value (one pointer bump): the table it is installed in
+        // is the one it was selected from.
+        let winner = select(local.iter().chain(self.rib.candidates(&prefix)))
+            .map(|(best, reason)| (best.clone(), reason));
         let changed = match winner {
-            Some((best, reason)) => self.loc_rib.install(prefix, best, reason),
-            None => self.loc_rib.withdraw(&prefix),
+            Some((best, reason)) => self.rib.install(prefix, best, reason),
+            None => self.rib.uninstall(&prefix),
         };
         if !changed {
             return;
         }
-        match winner {
-            Some((best, _)) => api.trace(
+        match self.rib.best(&prefix) {
+            Some(Selected { route: best, .. }) => api.trace(
                 "best",
                 format_args!(
                     "{prefix} path[{}] lp{}",
@@ -472,7 +474,9 @@ impl BgpRouter {
     /// resulting bag.
     fn export_to(&mut self, peers: Range<usize>, prefix: Ipv4Net, api: &mut NodeApi<'_>) {
         let shared = &*self.shared;
-        let best = self.loc_rib.best(&prefix).map(|sel| &sel.route);
+        // By value (one pointer bump): the loop below writes the table it
+        // was read from.
+        let best = self.rib.best(&prefix).map(|sel| sel.route.clone());
         self.export_memo.resize(shared.policies.len(), None);
         for i in peers {
             if !self.peers[i].fsm.is_some_and(|f| f.is_established()) {
@@ -480,7 +484,7 @@ impl BgpRouter {
             }
             let neighbor = &shared.neighbors[i];
             let q = neighbor.node;
-            let out = match best {
+            let out = match &best {
                 // Split horizon: never advertise a route back to the peer
                 // it came from.
                 Some(route) if route.from_peer != Some(q.0) => self.export_memo[neighbor.export]
@@ -490,12 +494,12 @@ impl BgpRouter {
             };
             match out {
                 Some(attrs) => {
-                    if self.adj_out.advertise(q, prefix, Arc::clone(attrs)) {
+                    if self.rib.advertise(q, prefix, Arc::clone(attrs)) {
                         Self::send_update(&mut self.stats, q, &[], Some(attrs), &[prefix], api);
                     }
                 }
                 None => {
-                    if self.adj_out.withdraw(q, &prefix) {
+                    if self.rib.withdraw(q, &prefix) {
                         Self::send_update(&mut self.stats, q, &[prefix], None, &[], api);
                     }
                 }
@@ -525,8 +529,7 @@ impl Node for BgpRouter {
     fn on_start(&mut self, api: &mut NodeApi<'_>) {
         for prefix in self.shared.config.networks.clone() {
             let route = Route::local(PathAttrs::originated(self.shared.own_addr()));
-            self.loc_rib
-                .install(prefix, &route, DecisionReason::OnlyRoute);
+            self.rib.install(prefix, route, DecisionReason::OnlyRoute);
             api.trace("best", format_args!("{prefix} local"));
         }
     }
@@ -569,8 +572,7 @@ impl Node for BgpRouter {
                 api.cancel_timer(timer::token(peer.0, timer::KEEPALIVE));
                 api.cancel_timer(timer::token(peer.0, timer::HOLD));
                 api.cancel_timer(timer::token(peer.0, timer::DEFERRED_RESET));
-                let affected = self.adj_in.flush_peer(peer);
-                self.adj_out.flush_peer(peer);
+                let affected = self.rib.flush_peer(peer);
                 for p in affected {
                     self.recompute_and_propagate(p, api);
                 }
@@ -707,11 +709,9 @@ impl Node for BgpRouter {
     }
 
     fn state_size(&self) -> usize {
-        self.adj_in.approx_bytes()
-            + self.loc_rib.approx_bytes()
-            + self.adj_out.approx_bytes()
-            + self.peers.iter().filter(|p| p.fsm.is_some()).count() * 16
-            + 256 // config estimate
+        let sessions = self.peers.iter().filter(|p| p.fsm.is_some()).count();
+        // 256: the config estimate.
+        self.rib.approx_bytes() + sessions * 16 + 256
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -1105,13 +1105,8 @@ mod tests {
             let node = &shadow.nodes()[&NodeId(1)];
             node.as_any().downcast_ref::<BgpRouter>().unwrap().clone()
         };
-        let fingerprint = |r: &BgpRouter| {
-            (
-                r.config().clone(),
-                format!("{:?} {:?} {:?}", r.adj_in, r.loc_rib, r.adj_out),
-                r.state_size(),
-            )
-        };
+        let fingerprint =
+            |r: &BgpRouter| (r.config().clone(), format!("{:?}", r.rib), r.state_size());
         let before = original(&shadow);
         // Deep values, taken before anything mutates.
         let before_fp = fingerprint(&before);
@@ -1119,8 +1114,12 @@ mod tests {
         let copy = before.clone_node();
         let copy = copy.as_any().downcast_ref::<BgpRouter>().unwrap();
         assert!(Arc::ptr_eq(&before.shared, &copy.shared));
+        assert!(
+            copy.rib.shares_table(&before.rib),
+            "a copy is a pointer bump"
+        );
         let attrs_of = |r: &BgpRouter| {
-            let best = r.loc_rib.best(&net("10.0.0.0/8")).unwrap();
+            let best = r.rib.best(&net("10.0.0.0/8")).unwrap();
             Arc::clone(&best.route.attrs)
         };
         assert!(Arc::ptr_eq(&attrs_of(&before), &attrs_of(copy)));
@@ -1176,18 +1175,20 @@ mod tests {
             }
             if i == 3 {
                 // The UPDATE names 10/8 (withdrawn) and 30/8 (announced):
-                // the checkpoint keeps its rows for 10/8, and the rows of
-                // 20/8, which the UPDATE does not name, are not copied —
-                // clone and checkpoint still hold the same allocation.
+                // the clone's spine is its own and so is its entry for
+                // 10/8, while the checkpoint keeps its rows there; the
+                // entry of 20/8, which the UPDATE does not name, is not
+                // copied — clone and checkpoint still hold the same
+                // allocation.
                 let (a, b) = (net("10.0.0.0/8"), net("20.0.0.0/8"));
                 let touched = router(&clone, 1);
-                assert!(before.adj_in.get(NodeId(0), &a).is_some());
-                assert!(touched.adj_in.get(NodeId(0), &a).is_none());
-                assert!(!touched.adj_in.shares_rows(&before.adj_in, &a));
-                assert!(touched.adj_in.shares_rows(&before.adj_in, &b));
-                assert!(before.adj_out.sent(NodeId(2), &a).is_some());
-                assert!(touched.adj_out.sent(NodeId(2), &a).is_none());
-                assert!(touched.adj_out.shares_rows(&before.adj_out, &b));
+                assert!(!touched.rib.shares_table(&before.rib));
+                assert!(before.rib.get(NodeId(0), &a).is_some());
+                assert!(touched.rib.get(NodeId(0), &a).is_none());
+                assert!(before.rib.sent(NodeId(2), &a).is_some());
+                assert!(touched.rib.sent(NodeId(2), &a).is_none());
+                assert!(!touched.rib.shares_entry(&before.rib, &a));
+                assert!(touched.rib.shares_entry(&before.rib, &b));
             }
         }
     }

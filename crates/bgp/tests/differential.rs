@@ -1,17 +1,17 @@
 //! Differential tests of the two mechanisms `dice-bgp` owns on the UPDATE
 //! path: the decide-before-copy policy evaluator against a clone-first
-//! reference, and the prefix-major Adj-RIBs against a flat
-//! `(peer, prefix)`-keyed model.
+//! reference, and the prefix-major, copy-on-write RIB against flat
+//! `BTreeMap` models of its three parts.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use dice_bench::{allocations as allocs, CountingAlloc};
 use dice_bgp::policy::gao_rexford;
 use dice_bgp::{
-    Action, AdjRibIn, AdjRibOut, AsPath, AsPathSegment, Asn, Community, Ipv4Addr, Ipv4Net, Match,
-    Origin, PathAttrs, Policy, PrefixFilter, Route, Rule, SegmentKind, Verdict,
+    Action, AsPath, AsPathSegment, Asn, Community, DecisionReason, Ipv4Addr, Ipv4Net, Match,
+    Origin, PathAttrs, Policy, PrefixFilter, Rib, Route, Rule, SegmentKind, Selected, Verdict,
 };
 use dice_netsim::NodeId;
 use proptest::prelude::*;
@@ -201,10 +201,14 @@ fn valley_free_reject_allocates_nothing() {
 enum Op {
     Insert(u32, Ipv4Net, u16),
     Remove(u32, Ipv4Net),
-    FlushIn(u32),
+    Install(u32, Ipv4Net, u16, bool),
+    Uninstall(Ipv4Net),
     Advertise(u32, Ipv4Net, u16),
     Withdraw(u32, Ipv4Net),
-    FlushOut(u32),
+    Flush(u32),
+    /// Snapshot the table as a checkpoint is taken: later writes must not
+    /// reach it.
+    Copy,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -214,11 +218,14 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (peer(), arb_prefix(), bag()).prop_map(|(q, p, b)| Op::Insert(q, p, b)),
         (peer(), arb_prefix(), bag()).prop_map(|(q, p, b)| Op::Insert(q, p, b)),
         (peer(), arb_prefix()).prop_map(|(q, p)| Op::Remove(q, p)),
-        peer().prop_map(Op::FlushIn),
+        (peer(), arb_prefix(), bag(), any::<bool>())
+            .prop_map(|(q, p, b, r)| Op::Install(q, p, b, r)),
+        arb_prefix().prop_map(Op::Uninstall),
         (peer(), arb_prefix(), bag()).prop_map(|(q, p, b)| Op::Advertise(q, p, b)),
         (peer(), arb_prefix(), bag()).prop_map(|(q, p, b)| Op::Advertise(q, p, b)),
         (peer(), arb_prefix()).prop_map(|(q, p)| Op::Withdraw(q, p)),
-        peer().prop_map(Op::FlushOut),
+        peer().prop_map(Op::Flush),
+        Just(Op::Copy),
     ]
 }
 
@@ -227,6 +234,19 @@ fn bag(id: u16) -> Arc<PathAttrs> {
         as_path: AsPath::sequence([65000 + id]),
         ..PathAttrs::default()
     })
+}
+
+fn route(peer: u32, id: u16) -> Route {
+    Route {
+        attrs: bag(id),
+        from_peer: Some(peer),
+        peer_router_id: peer,
+    }
+}
+
+/// Every prefix `arb_prefix` draws, ascending.
+fn prefixes() -> impl Iterator<Item = Ipv4Net> {
+    (0..4u32).flat_map(|net| [8, 16, 24].map(|len| Ipv4Net::new(0x0A00_0000 + (net << 16), len)))
 }
 
 /// The prefixes `peer` has a row for, in order, then without those rows.
@@ -240,66 +260,186 @@ fn flush_model<T>(model: &mut BTreeMap<(u32, Ipv4Net), T>, peer: u32) -> Vec<Ipv
     gone
 }
 
+/// The RIB as flat maps, written the way the three tables it replaced
+/// wrote theirs: rows keyed `(peer, prefix)`, and a best route per prefix
+/// whose every change — an install of a different route, a withdraw of a
+/// present one — bumps the prefix's flip count.
+#[derive(Debug, Clone, Default)]
+struct Model {
+    rows_in: BTreeMap<(u32, Ipv4Net), Route>,
+    best: BTreeMap<Ipv4Net, Selected>,
+    flips: BTreeMap<Ipv4Net, u64>,
+    rows_out: BTreeMap<(u32, Ipv4Net), Arc<PathAttrs>>,
+}
+
+impl Model {
+    /// Everything the model holds for `prefix`, to tell which prefixes a
+    /// step changed.
+    fn at(&self, prefix: Ipv4Net) -> String {
+        let rows = |q: &u32, p: &Ipv4Net| (*p == prefix).then_some(*q);
+        let ins: Vec<_> = self
+            .rows_in
+            .iter()
+            .filter_map(|((q, p), r)| rows(q, p).map(|q| (q, r)))
+            .collect();
+        let outs: Vec<_> = self
+            .rows_out
+            .iter()
+            .filter_map(|((q, p), a)| rows(q, p).map(|q| (q, a)))
+            .collect();
+        format!(
+            "{ins:?} {:?} {:?} {outs:?}",
+            self.best.get(&prefix),
+            self.flips.get(&prefix)
+        )
+    }
+
+    /// Apply a write to the model and to `rib`, asserting both report the
+    /// same outcome.
+    fn step(&mut self, rib: &mut Rib, op: &Op) -> Result<(), TestCaseError> {
+        match *op {
+            Op::Insert(q, p, b) => {
+                rib.insert(NodeId(q), p, route(q, b));
+                self.rows_in.insert((q, p), route(q, b));
+            }
+            Op::Remove(q, p) => {
+                prop_assert_eq!(
+                    rib.remove(NodeId(q), &p),
+                    self.rows_in.remove(&(q, p)).is_some()
+                );
+            }
+            Op::Install(q, p, b, tie) => {
+                let reason = if tie {
+                    DecisionReason::RouterId
+                } else {
+                    DecisionReason::OnlyRoute
+                };
+                let changed = self.best.get(&p).is_none_or(|sel| sel.route != route(q, b));
+                if changed {
+                    *self.flips.entry(p).or_insert(0) += 1;
+                    self.best.insert(
+                        p,
+                        Selected {
+                            route: route(q, b),
+                            reason,
+                        },
+                    );
+                }
+                prop_assert_eq!(rib.install(p, route(q, b), reason), changed);
+            }
+            Op::Uninstall(p) => {
+                let removed = self.best.remove(&p).is_some();
+                if removed {
+                    *self.flips.entry(p).or_insert(0) += 1;
+                }
+                prop_assert_eq!(rib.uninstall(&p), removed);
+            }
+            Op::Advertise(q, p, b) => {
+                let changed = self.rows_out.get(&(q, p)) != Some(&bag(b));
+                self.rows_out.insert((q, p), bag(b));
+                prop_assert_eq!(rib.advertise(NodeId(q), p, bag(b)), changed);
+            }
+            Op::Withdraw(q, p) => {
+                prop_assert_eq!(
+                    rib.withdraw(NodeId(q), &p),
+                    self.rows_out.remove(&(q, p)).is_some()
+                );
+            }
+            Op::Flush(q) => {
+                let flushed = flush_model(&mut self.rows_in, q);
+                flush_model(&mut self.rows_out, q);
+                prop_assert_eq!(rib.flush_peer(NodeId(q)), flushed);
+            }
+            Op::Copy => {}
+        }
+        Ok(())
+    }
+
+    /// `rib` reads exactly what the model holds, through every reader.
+    fn check(&self, rib: &Rib) -> Result<(), TestCaseError> {
+        let best: Vec<(Ipv4Net, &Selected)> = rib.iter().map(|(p, sel)| (*p, sel)).collect();
+        let want: Vec<(Ipv4Net, &Selected)> = self.best.iter().map(|(p, sel)| (*p, sel)).collect();
+        prop_assert_eq!(best, want);
+        prop_assert_eq!(rib.len(), self.best.len());
+        prop_assert_eq!(rib.is_empty(), self.best.is_empty());
+        let flips: Vec<(Ipv4Net, u64)> = self.flips.iter().map(|(p, n)| (*p, *n)).collect();
+        prop_assert_eq!(rib.flips().collect::<Vec<_>>(), flips);
+        prop_assert_eq!(rib.total_flips(), self.flips.values().sum::<u64>());
+        prop_assert_eq!(rib.route_count(), self.rows_in.len());
+        prop_assert_eq!(rib.sent_count(), self.rows_out.len());
+        prop_assert_eq!(
+            rib.approx_bytes(),
+            self.rows_in.len() * 64
+                + self.best.len() * 72
+                + self.flips.len() * 12
+                + self.rows_out.len() * 64
+        );
+        for p in prefixes() {
+            prop_assert_eq!(rib.best(&p), self.best.get(&p));
+            // Keyed `(peer, prefix)`, the model yields one prefix's
+            // routes in ascending peer id: the order `select` sees.
+            let want: Vec<&Route> = self
+                .rows_in
+                .iter()
+                .filter(|((_, at), _)| *at == p)
+                .map(|(_, route)| route)
+                .collect();
+            prop_assert_eq!(rib.candidates(&p).collect::<Vec<_>>(), want);
+            for q in 0..5 {
+                prop_assert_eq!(rib.get(NodeId(q), &p), self.rows_in.get(&(q, p)));
+                prop_assert_eq!(
+                    rib.sent(NodeId(q), &p),
+                    self.rows_out.get(&(q, p)).map(Arc::as_ref)
+                );
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A copy taken mid-history: the table, what it held then, and the
+/// prefixes the live table has changed since.
+struct Checkpoint {
+    rib: Rib,
+    model: Model,
+    written: BTreeSet<Ipv4Net>,
+}
+
 proptest! {
     #[test]
     fn prefix_major_ribs_equal_a_flat_model(ops in prop::collection::vec(arb_op(), 0..60)) {
-        let mut rib_in = AdjRibIn::default();
-        let mut rib_out = AdjRibOut::default();
-        let mut model_in: BTreeMap<(u32, Ipv4Net), Route> = BTreeMap::new();
-        let mut model_out: BTreeMap<(u32, Ipv4Net), Arc<PathAttrs>> = BTreeMap::new();
-        for op in ops {
-            match op {
-                Op::Insert(q, p, b) => {
-                    let route = Route { attrs: bag(b), from_peer: Some(q), peer_router_id: q };
-                    rib_in.insert(NodeId(q), p, route.clone());
-                    model_in.insert((q, p), route);
-                }
-                Op::Remove(q, p) => {
-                    prop_assert_eq!(rib_in.remove(NodeId(q), &p), model_in.remove(&(q, p)).is_some());
-                }
-                Op::FlushIn(q) => {
-                    prop_assert_eq!(rib_in.flush_peer(NodeId(q)), flush_model(&mut model_in, q));
-                }
-                Op::Advertise(q, p, b) => {
-                    let changed = model_out.get(&(q, p)) != Some(&bag(b));
-                    model_out.insert((q, p), bag(b));
-                    prop_assert_eq!(rib_out.advertise(NodeId(q), p, bag(b)), changed);
-                }
-                Op::Withdraw(q, p) => {
-                    prop_assert_eq!(rib_out.withdraw(NodeId(q), &p), model_out.remove(&(q, p)).is_some());
-                }
-                Op::FlushOut(q) => {
-                    rib_out.flush_peer(NodeId(q));
-                    flush_model(&mut model_out, q);
+        let mut rib = Rib::default();
+        let mut model = Model::default();
+        let mut copies: Vec<Checkpoint> = Vec::new();
+        for op in &ops {
+            if let Op::Copy = op {
+                copies.push(Checkpoint { rib: rib.clone(), model: model.clone(), written: BTreeSet::new() });
+            }
+            let before: Vec<String> = prefixes().map(|p| model.at(p)).collect();
+            model.step(&mut rib, op)?;
+            model.check(&rib)?;
+            // An insert writes the prefix it names even when it stores
+            // the route already there; every other write looks first.
+            let named = match *op { Op::Insert(_, p, _) => Some(p), _ => None };
+            for (p, was) in prefixes().zip(before) {
+                if model.at(p) != was || named == Some(p) {
+                    for copy in &mut copies {
+                        copy.written.insert(p);
+                    }
                 }
             }
-
-            prop_assert_eq!(rib_in.route_count(), model_in.len());
-            prop_assert_eq!(rib_in.approx_bytes(), model_in.len() * 64);
-            prop_assert_eq!(rib_out.route_count(), model_out.len());
-            prop_assert_eq!(rib_out.approx_bytes(), model_out.len() * 64);
-            let mut prefixes: Vec<Ipv4Net> = model_in.keys().map(|(_, p)| *p).collect();
-            prefixes.sort_unstable();
-            prefixes.dedup();
-            prop_assert_eq!(rib_in.all_prefixes(), prefixes);
-            for net in 0..4 {
-                for len in [8, 16, 24] {
-                    let p = Ipv4Net::new(0x0A00_0000 + (net << 16), len);
-                    // Keyed `(peer, prefix)`, the model yields one prefix's
-                    // routes in ascending peer id: the order `select` sees.
-                    let want: Vec<&Route> = model_in
-                        .iter()
-                        .filter(|((_, at), _)| *at == p)
-                        .map(|(_, route)| route)
-                        .collect();
-                    prop_assert_eq!(rib_in.candidates(&p).collect::<Vec<_>>(), want);
-                    for q in 0..5 {
-                        prop_assert_eq!(rib_in.get(NodeId(q), &p), model_in.get(&(q, p)));
-                        prop_assert_eq!(
-                            rib_out.sent(NodeId(q), &p),
-                            model_out.get(&(q, p)).map(Arc::as_ref)
-                        );
-                    }
+            for copy in &copies {
+                // Every earlier copy still reads exactly what it held ...
+                copy.model.check(&copy.rib)?;
+                // ... and shares, by pointer, every entry no later write
+                // changed — all of the table while nothing was written.
+                prop_assert_eq!(rib.shares_table(&copy.rib), copy.written.is_empty());
+                for p in prefixes().filter(|p| !copy.written.contains(p)) {
+                    let held = copy.rib.best(&p).is_some()
+                        || copy.model.flips.contains_key(&p)
+                        || copy.rib.candidates(&p).next().is_some()
+                        || (0..5).any(|q| copy.rib.sent(NodeId(q), &p).is_some());
+                    prop_assert_eq!(rib.shares_entry(&copy.rib, &p), held, "{}", p);
                 }
             }
         }

@@ -115,8 +115,8 @@ impl ExplorableNode for BgpRouter {
 
 impl CheckView for BgpRouter {
     fn for_each_route_flip(&self, visit: &mut dyn FnMut(Ipv4Net, u64)) {
-        for (prefix, flips) in &self.loc_rib().flips {
-            visit(*prefix, *flips);
+        for (prefix, flips) in self.loc_rib().flips() {
+            visit(prefix, flips);
         }
     }
 

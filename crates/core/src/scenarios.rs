@@ -470,9 +470,8 @@ mod tests {
             let r = crate::bgp_sut::as_bgp(sim.node(NodeId(i))).unwrap();
             total += r
                 .loc_rib()
-                .flips
-                .get(&gadget_prefix())
-                .copied()
+                .flips()
+                .find_map(|(p, n)| (p == gadget_prefix()).then_some(n))
                 .unwrap_or(0);
         }
         assert!(total > 20, "expected heavy flapping, saw {total} flips");

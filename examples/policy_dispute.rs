@@ -32,9 +32,8 @@ fn main() {
             .unwrap();
         let flips = r
             .loc_rib()
-            .flips
-            .get(&scenarios::gadget_prefix())
-            .copied()
+            .flips()
+            .find_map(|(p, n)| (p == scenarios::gadget_prefix()).then_some(n))
             .unwrap_or(0);
         println!("  ring node {i}: {flips} best-route changes so far");
     }

@@ -14,12 +14,13 @@
 //! | `same_cut_reset` | `reset_from_shadow` after an injected and after a null drive, gossip16 and demo27 | 0 | `Simulator::{reset_from_shadow, rebind_touched, bind_node}`, `Links::reset`, `Cuts::{reset, seed}` |
 //! | `repeat_cut` | `instant_snapshot` of a quiesced system already cut once, gossip16 / demo27 | 9 / 10 | `checkpoint_node` |
 //! | `passing_battery` | `run_checkers` over a null-drive clone, warm baseline, gossip16 and demo27 | 1 (the reserved report) | `run_checkers`, `check_into` of `CrashChecker`, `OscillationChecker`, `OriginAuthorityChecker`, `ConvergenceChecker` |
-//! | `pooled_unit` | reset → `deliver_direct` → `run_until_quiet` → `run_checkers`, gossip16 / demo27 | 602 / 986 | `process_deliver`, `NodeApi::buf`, `recompute_and_propagate`, `export_to`, `Policy::apply` |
+//! | `pooled_unit` | reset → `deliver_direct` → `run_until_quiet` → `run_checkers`, gossip16 / demo27 | 602 / 715 | `process_deliver`, `NodeApi::buf`, `recompute_and_propagate`, `export_to`, `Policy::apply` |
+//! | `first_write` | `deliver_direct` of the input into a warm pooled demo27 clone: the explorer's copy and its first UPDATE | 48 | `BgpRouter::clone_node`, `handle_update`, `Rib::{insert, install, advertise}` |
 //! | `warm_twin_execution` | one twin run through `ConcolicCtx::continuing` on a warm arena, BGP / gossip | 5 / 2 | `ExprArena::intern` |
 //! | `explore_session` | one `explore` of 160 executions, BGP / gossip | 1,035 / 3,694 | `Search::{dfs, narrow, admits, admits_cmp, offset_of}`, `ExprArena::{sweep, intern}`, `UnaryMemo::lookup`, `Worklist::{push, pick}` |
 //! | `one_worker_campaign` | `Campaign::run` at one worker, one gossip16 round | 1,622 | `validate_unit`, `validate_one`, `ClonePool::{acquire, release}` (at one worker they run on the calling thread) |
 //! | `gossip_copy_shares_its_tables` | `clone_node` of a 16-mesh gossip node | 19 | `GossipNode::clone_node` |
-//! | `bgp_router_copy_stays_at_its_pinned_count` | `clone_node` of a demo27 router | 22 | `BgpRouter::clone_node` |
+//! | `bgp_router_copy_stays_at_its_pinned_count` | `clone_node` of a demo27 router | 2 | `BgpRouter::clone_node` |
 //!
 //! The pooled budgets run on `dice_bench::bound_clone`'s cuts of the two
 //! systems, with the plan seed that propagates furthest as the input.
@@ -38,8 +39,12 @@
 //! * `passing_battery`: make `CrashChecker` name its pass
 //!   `self.name().to_string()`, and a gossip16 battery allocates 17 times.
 //! * `pooled_unit`: make `export_to` copy the exported bag per accepting
-//!   peer instead of sharing its `Arc`, and a demo27 unit allocates 1,157
+//!   peer instead of sharing its `Arc`, and a demo27 unit allocates 886
 //!   times.
+//! * `first_write`: make `Rib::edit` deep-copy every entry when it copies
+//!   a shared spine, and the copy plus its first UPDATE allocates 128
+//!   times (the router copy alone stays at 2: a saving made only at copy
+//!   time cannot pass this budget).
 //! * `warm_twin_execution`: make `ConcolicCtx::continuing` start from
 //!   `ExprArena::new()`, and a warm BGP execution allocates 21 times.
 //! * `explore_session`: make `Worklist::push` clone the child's bytes, and
@@ -52,7 +57,7 @@
 //!   owned).
 //! * `bgp_router_copy_stays_at_its_pinned_count`: make `clone_node` copy
 //!   the router's resolved config (`BgpRouter::shared`) instead of sharing
-//!   its `Arc`, and a copy allocates 120 times.
+//!   its `Arc`, and a copy allocates 104 times.
 
 use dice_bench::{allocations, bound_clone, twin_cases, wire_workload, BoundClone, CountingAlloc};
 use dice_system::concolic::{explore, ConcolicCtx, ExploreConfig, ExprArena, SymInput};
@@ -227,7 +232,7 @@ fn passing_battery() {
 
 #[test]
 fn pooled_unit() {
-    for (name, budget) in [("gossip16", 602), ("demo27", 986)] {
+    for (name, budget) in [("gossip16", 602), ("demo27", 715)] {
         let b = bound_clone(name);
         let battery = Battery::new(&b);
         let mut sim = pooled_clone(&b);
@@ -241,6 +246,21 @@ fn pooled_unit() {
         assert!(report.faults.is_empty(), "{name}: {:?}", report.faults);
         within(&format!("{name}: a pooled validation unit"), spent, budget);
     }
+}
+
+#[test]
+fn first_write() {
+    // The RIB a copy shares is copied on first write: its spine and the
+    // entries the UPDATE names, not every entry.
+    let b = bound_clone("demo27");
+    let mut sim = pooled_clone(&b);
+    for _ in 0..2 {
+        sim.reset_from_shadow(&b.shadow, 3);
+        drive(&mut sim, &b, Some(&b.valid_input));
+    }
+    sim.reset_from_shadow(&b.shadow, 3);
+    let ((), spent) = counted(|| sim.deliver_direct(b.peer, b.explorer, &b.valid_input));
+    within("demo27: a copy and its first UPDATE", spent, 48);
 }
 
 #[test]
@@ -322,11 +342,7 @@ fn gossip_copy_shares_its_tables() {
 
 #[test]
 fn bgp_router_copy_stays_at_its_pinned_count() {
-    // Per-prefix `Arc` rows and shared config: a converged demo27 router
-    // copies its row maps and session tables, not its routes.
-    within(
-        "a demo27 router copy",
-        max_clone_allocs(&live("demo27")),
-        22,
-    );
+    // A shared RIB and a shared config: a converged demo27 router copy is
+    // the box and the flat session table.
+    within("a demo27 router copy", max_clone_allocs(&live("demo27")), 2);
 }

@@ -1,9 +1,9 @@
 //! End-to-end integration tests: the full DiCE stack (netsim + bgp +
 //! concolic + core) exercised through the public facade.
 
-use dice_system::bgp::BgpRouter;
+use dice_system::bgp::{BgpRouter, SessionState};
 use dice_system::dice::{scenarios, DiceConfig, DiceRunner, FaultClass};
-use dice_system::netsim::{NodeId, QuietOutcome, SimDuration, SimTime};
+use dice_system::netsim::{Node, NodeId, QuietOutcome, SimDuration, SimTime};
 
 #[test]
 fn detects_all_three_fault_classes() {
@@ -182,6 +182,47 @@ fn dice_round_does_not_change_live_routing() {
     let mut dice = DiceRunner::from_sim(cfg, &live);
     let _ = dice.run_round(&mut live).unwrap();
     assert_eq!(before, fingerprint(&live), "exploration must be isolated");
+}
+
+#[test]
+fn demo27_state_size_is_the_per_row_formula() {
+    // `state_size()` is what `PerfCounters::snapshot_bytes` and
+    // `delta_bytes` sum, so the same router state must always read the
+    // same number: 64 per Adj-RIB-In row, 72 per best route, 12 per flipped
+    // prefix, 64 per Adj-RIB-Out row, 16 per peer with a session FSM, plus
+    // 256. The federation's total was recorded when the three RIB parts
+    // were separate tables.
+    let mut live = scenarios::demo27_system(7);
+    live.run_until_quiet(
+        SimDuration::from_secs(5),
+        SimTime::from_nanos(300_000_000_000),
+    );
+    let mut total = 0;
+    for id in live.topology().node_ids() {
+        let r = live.node(id).as_any().downcast_ref::<BgpRouter>().unwrap();
+        let neighbors = &r.config().neighbors;
+        assert!(neighbors
+            .iter()
+            .all(|n| r.session_state(n.node) == SessionState::Established));
+        // Converged, every prefix a row names has a best route.
+        let (mut rows_in, mut rows_out) = (0, 0);
+        for (prefix, _) in r.loc_rib().iter() {
+            rows_in += r.adj_rib_in().candidates(prefix).count();
+            rows_out += neighbors
+                .iter()
+                .filter(|n| r.adj_rib_out().sent(n.node, prefix).is_some())
+                .count();
+        }
+        let formula = 64 * rows_in
+            + 72 * r.loc_rib().len()
+            + 12 * r.loc_rib().flips().count()
+            + 64 * rows_out
+            + 16 * neighbors.len()
+            + 256;
+        assert_eq!(r.state_size(), formula, "router {id}");
+        total += formula;
+    }
+    assert_eq!(total, 220_116);
 }
 
 #[test]
