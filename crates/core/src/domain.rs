@@ -1,0 +1,145 @@
+//! The concolic instance of [`dice_netsim::Domain`]: a protocol's own
+//! frame validator, run on the exploration context, records its branches
+//! into the path condition. [`crate::gossip_sut`]'s twin runs
+//! `dice_gossip::wire::validate` through it.
+
+use dice_concolic::{ConcolicCtx, SiteId, SymBool, SymWord};
+use dice_netsim::Domain;
+
+/// A [`ConcolicCtx`] seen as a value domain. Each operation is the
+/// context's own, with the site wrapped in a [`SiteId`]; a constant too
+/// wide for the word is compared as the integer it is (never equal, always
+/// above), where the context would truncate it to the word's width.
+#[derive(Debug)]
+pub(crate) struct Concolic<'c>(pub(crate) &'c mut ConcolicCtx);
+
+/// Whether `k` fits in `w`'s width.
+fn fits(w: SymWord, k: u64) -> bool {
+    w.bits >= 64 || k >> w.bits == 0
+}
+
+impl Domain for Concolic<'_> {
+    type Word = SymWord;
+    type Bool = SymBool;
+
+    fn len(&self) -> usize {
+        self.0.input().bytes.len()
+    }
+
+    fn read_u8(&mut self, at: usize) -> SymWord {
+        self.0.read_u8(at)
+    }
+
+    fn read_u16_be(&mut self, at: usize) -> SymWord {
+        self.0.read_u16_be(at)
+    }
+
+    fn read_u32_be(&mut self, at: usize) -> SymWord {
+        self.0.read_u32_be(at)
+    }
+
+    fn value(&self, w: SymWord) -> u64 {
+        w.val
+    }
+
+    fn eq_const(&mut self, w: SymWord, k: u64) -> SymBool {
+        if fits(w, k) {
+            self.0.eq_const(w, k)
+        } else {
+            SymBool::concrete(false)
+        }
+    }
+
+    fn ule_const(&mut self, w: SymWord, k: u64) -> SymBool {
+        if fits(w, k) {
+            self.0.ule_const(w, k)
+        } else {
+            SymBool::concrete(true)
+        }
+    }
+
+    fn uge_const(&mut self, w: SymWord, k: u64) -> SymBool {
+        if fits(w, k) {
+            self.0.uge_const(w, k)
+        } else {
+            SymBool::concrete(false)
+        }
+    }
+
+    fn bor(&mut self, a: SymBool, b: SymBool) -> SymBool {
+        self.0.bor(a, b)
+    }
+
+    fn lit(&mut self, b: bool) -> SymBool {
+        SymBool::concrete(b)
+    }
+
+    fn branch(&mut self, site: u32, cond: SymBool) -> bool {
+        self.0.branch(SiteId(site), cond)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dice_concolic::SymInput;
+    use dice_netsim::Concrete;
+    use proptest::prelude::*;
+
+    /// A constant near a word width's edges, or anywhere.
+    fn constant() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            any::<u8>().prop_map(u64::from),
+            any::<u16>().prop_map(u64::from),
+            any::<u32>().prop_map(u64::from),
+            any::<u64>(),
+            (0u32..34, 0u64..3).prop_map(|(e, d)| (1u64 << e) + d - 1),
+        ]
+    }
+
+    proptest! {
+        /// Every operation on the bytes equals the concrete value of the
+        /// same operation on the concolic context, whatever the mask, and
+        /// both branch the concrete way.
+        #[test]
+        fn concrete_and_concolic_domains_agree(
+            bytes in prop::collection::vec(any::<u8>(), 4..24),
+            mask_bits in any::<u32>(),
+            at in 0usize..32,
+            ks in prop::collection::vec(constant(), 1..6),
+            site in any::<u32>(),
+        ) {
+            let mask: Vec<bool> = (0..bytes.len()).map(|i| mask_bits >> i & 1 == 1).collect();
+            let mut ctx = ConcolicCtx::new(SymInput::with_mask(bytes.clone(), mask));
+            let mut s = Concolic(&mut ctx);
+            let mut c = Concrete(&bytes);
+            prop_assert_eq!(c.len(), s.len());
+            prop_assert_eq!(c.is_empty(), s.is_empty());
+            let at = at % (bytes.len() - 3);
+            let words = [
+                (c.read_u8(at), s.read_u8(at)),
+                (c.read_u16_be(at), s.read_u16_be(at)),
+                (c.read_u32_be(at), s.read_u32_be(at)),
+            ];
+            for (cw, sw) in words {
+                prop_assert_eq!(c.value(cw), s.value(sw));
+                for &k in &ks {
+                    let conds = [
+                        (c.eq_const(cw, k), s.eq_const(sw, k)),
+                        (c.ule_const(cw, k), s.ule_const(sw, k)),
+                        (c.uge_const(cw, k), s.uge_const(sw, k)),
+                    ];
+                    for (cb, sb) in conds {
+                        prop_assert_eq!(cb, sb.val, "{:#x} vs {:#x}", cw, k);
+                        let (cl, sl) = (c.lit(!cb), s.lit(!cb));
+                        prop_assert_eq!(cl, sl.val);
+                        prop_assert_eq!(c.bor(cb, cl), s.bor(sb, sl).val);
+                        prop_assert_eq!(c.bor(cb, cb), s.bor(sb, sb).val);
+                        prop_assert_eq!(c.branch(site, cb), cb);
+                        prop_assert_eq!(s.branch(site, sb), cb);
+                    }
+                }
+            }
+        }
+    }
+}

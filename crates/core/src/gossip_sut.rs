@@ -5,7 +5,10 @@
 //! [`probe`], an [`ExplorableNode`] implementation supplying the
 //! instrumented twin ([`SymbolicGossipHandler`]) plus its seed corpus, and
 //! a [`CheckView`] that translates gossip state into the checker-visible
-//! vocabulary:
+//! vocabulary. The twin holds no copy of the node's frame checks: it runs
+//! the node's own [`dice_gossip::wire::validate`] on the concolic value
+//! domain (`crate::domain`) and adds only the branches exploration wants
+//! after an accept. The checker vocabulary:
 //!
 //! * **best routes** — per-topic, the origin of the highest rumor id seen,
 //!   keyed by a synthetic multicast-style prefix ([`topic_prefix`]). A node
@@ -19,40 +22,21 @@
 use std::sync::Arc;
 
 use dice_bgp::{Asn, Ipv4Net};
-use dice_concolic::{ConcolicCtx, ConcolicProgram, RunStatus, SiteId, SymBool};
+use dice_concolic::{ConcolicCtx, ConcolicProgram, RunStatus, SiteId, SymBool, SymWord};
+use dice_gossip::wire::{validate, Frame, Verdict};
 use dice_gossip::{
-    encode, GossipConfig, GossipFrame, GossipNode, Rumor, TopicId, ACK_KIND_RUMOR,
-    ACK_KIND_SUBSCRIBE, ACK_LEN, BUG_COUNT_THRESHOLD, DIGEST_ENTRY_LEN, MAX_DIGEST_ENTRIES,
-    MAX_PAYLOAD, MAX_TTL, OP_ACK, OP_DIGEST, OP_RUMOR, OP_SUBSCRIBE, RUMOR_HEADER_LEN,
+    encode, DecodeError, GossipConfig, GossipFrame, GossipNode, Rumor, TopicId, ACK_KIND_RUMOR,
+    DIGEST_ENTRY_LEN, MAX_TTL,
 };
 use dice_netsim::{Node, NodeId, SimRng};
 
+use crate::domain::Concolic;
 use crate::interface::AttestationRegistry;
 use crate::sut::{CheckView, ExplorableNode, ExplorationPlan, SessionHealth, SutProbe};
 
-/// Stable branch-site identifiers for the gossip twin. Based at 200 so the
-/// campaign-level coverage union never aliases the BGP handler's sites
-/// (10..=150) or the scenario test stubs' single-digit sites.
-pub mod sites {
-    #![allow(
-        missing_docs,
-        reason = "each constant is the branch it names in the twin below"
-    )]
-    pub const OP_IS_RUMOR: u32 = 200;
-    pub const OP_IS_DIGEST: u32 = 201;
-    pub const OP_IS_SUBSCRIBE: u32 = 202;
-    pub const RUMOR_TTL: u32 = 203;
-    pub const RUMOR_PLEN_LIMIT: u32 = 204;
-    pub const RUMOR_PLEN_EXACT: u32 = 205;
-    pub const RUMOR_TOPIC_SUBSCRIBED: u32 = 206;
-    pub const RUMOR_NOVEL: u32 = 207;
-    pub const DIGEST_COUNT_LIMIT: u32 = 208;
-    pub const DIGEST_LEN_EXACT: u32 = 209;
-    pub const DIGEST_ENTRY_KNOWN: u32 = 210;
-    pub const BUG_DIGEST_COUNT: u32 = 211;
-    pub const OP_IS_ACK: u32 = 212;
-    pub const ACK_KIND_VALID: u32 = 213;
-}
+/// The gossip twin's branch sites: [`dice_gossip::wire::sites`], where
+/// the validator the twin shares with the node records them.
+pub use dice_gossip::wire::sites;
 
 /// The probe registered by
 /// [`SutCatalog::standard`](crate::sut::SutCatalog::standard): recognizes
@@ -100,7 +84,6 @@ pub fn minimal_seed(config: &GossipConfig) -> Vec<u8> {
 /// generation of flips and the seeded overflow bug (count >= threshold)
 /// is reachable well inside the default execution budget — no rumor seed
 /// has to be flipped *into* the digest arm first.
-// dice-lint: allow(panic-freedom): topics is non-empty by construction (falls back to vec![0])
 pub fn seed_corpus(config: &GossipConfig, n: usize, seed: u64) -> Vec<Vec<u8>> {
     let mut rng = SimRng::seed_from_u64(seed ^ 0x6055_19D0);
     let topics: Vec<TopicId> = {
@@ -111,11 +94,11 @@ pub fn seed_corpus(config: &GossipConfig, n: usize, seed: u64) -> Vec<Vec<u8>> {
             i.into_iter().collect()
         }
     };
+    let first = topics.first().copied().unwrap_or(0);
     // Draw order is part of the corpus contract (rumors first), so the
     // rumor bytes are stable across this reordering of the output.
     let mut rumors = Vec::with_capacity(n);
-    for k in 0..n {
-        let topic = topics[k % topics.len()];
+    for topic in topics.iter().copied().cycle().take(n) {
         let plen = rng.below(9) as usize;
         let mut payload = Vec::with_capacity(plen);
         for _ in 0..plen {
@@ -136,10 +119,10 @@ pub fn seed_corpus(config: &GossipConfig, n: usize, seed: u64) -> Vec<Vec<u8>> {
         .collect();
     let mut seeds = Vec::with_capacity(n + 3);
     seeds.push(encode(&GossipFrame::Digest(digest)));
-    seeds.push(encode(&GossipFrame::Subscribe { topic: topics[0] }));
+    seeds.push(encode(&GossipFrame::Subscribe { topic: first }));
     seeds.push(encode(&GossipFrame::Ack {
         kind: ACK_KIND_RUMOR,
-        topic: topics[0],
+        topic: first,
         id: 1,
     }));
     seeds.extend(rumors);
@@ -154,173 +137,90 @@ pub fn mark_gossip(bytes: &[u8]) -> Vec<bool> {
     vec![true; bytes.len()]
 }
 
-/// The instrumented twin of [`GossipNode`]'s frame handler: the same
-/// dispatch-validate pipeline as `GossipNode::on_message` + `wire::decode`,
-/// written against concolic values so every data-dependent branch lands in
-/// the path condition. Subscription membership is interpreted over the
-/// node's *configuration*, so constraints mention config-derived constants
-/// (the paper's code-and-configuration claim, on a non-BGP protocol).
+/// The instrumented twin of [`GossipNode`]'s frame handler. It runs the
+/// node's own validator, [`dice_gossip::wire::validate`], on concolic
+/// values, so its accept / reject / crash verdict is the node's by
+/// construction and every bound check lands in the path condition. After
+/// an accept it adds what only exploration needs: subscription and
+/// interest membership interpreted over the node's *configuration*, so
+/// constraints mention config-derived constants (the paper's
+/// code-and-configuration claim, on a non-BGP protocol), and an oracle for
+/// the novelty the node decides from state the twin does not carry.
 #[derive(Debug, Clone)]
 pub struct SymbolicGossipHandler {
     config: Arc<GossipConfig>,
-    /// How often an input survived the whole pipeline.
-    pub accepted: u64,
-    /// How often the novelty oracle admitted a rumor as fresh.
-    pub fresh: u64,
+    /// [`GossipConfig::interests`], in its order, computed once.
+    interests: Vec<TopicId>,
 }
 
 impl SymbolicGossipHandler {
     /// Create the twin for a node with `config` (owned, or the node's own
     /// [`GossipNode::shared_config`]).
     pub fn new(config: impl Into<Arc<GossipConfig>>) -> Self {
-        SymbolicGossipHandler {
-            config: config.into(),
-            accepted: 0,
-            fresh: 0,
-        }
+        let config = config.into();
+        let interests = config.interests().into_iter().collect();
+        SymbolicGossipHandler { config, interests }
+    }
+}
+
+/// Membership of `topic` in `set`, as a disjunction of equalities, so the
+/// branch on it records every configured constant.
+fn member(ctx: &mut ConcolicCtx, topic: SymWord, set: &[TopicId]) -> SymBool {
+    let mut any = SymBool::concrete(false);
+    for &t in set {
+        let eq = ctx.eq_const(topic, t as u64);
+        any = ctx.bor(any, eq);
+    }
+    any
+}
+
+/// The stage a rejected frame names, for [`RunStatus::Rejected`].
+fn stage(e: &DecodeError) -> &'static str {
+    match e {
+        DecodeError::Empty => "empty",
+        DecodeError::Truncated => "truncated",
+        DecodeError::TrailingBytes => "trailing-bytes",
+        DecodeError::UnknownOpcode(_) => "unknown-opcode",
+        DecodeError::TtlTooLarge(_) => "ttl-too-large",
+        DecodeError::PayloadTooLong(_) => "payload-too-long",
+        DecodeError::DigestTooLong(_) => "digest-too-long",
+        DecodeError::BadAckKind(_) => "ack-kind",
     }
 }
 
 impl ConcolicProgram for SymbolicGossipHandler {
     fn run(&mut self, ctx: &mut ConcolicCtx) -> RunStatus {
-        run_gossip_frame(self, ctx)
-    }
-}
-
-/// Branch helper mirroring `crate::handler::br`.
-fn br(ctx: &mut ConcolicCtx, site: u32, cond: SymBool) -> bool {
-    ctx.branch(SiteId(site), cond)
-}
-
-fn run_gossip_frame(h: &mut SymbolicGossipHandler, ctx: &mut ConcolicCtx) -> RunStatus {
-    let total = ctx.input().bytes.len();
-    if total == 0 {
-        return RunStatus::Rejected("empty".into());
-    }
-    let op = ctx.read_u8(0);
-
-    // ---- RUMOR arm ---------------------------------------------------
-    let is_rumor = ctx.eq_const(op, OP_RUMOR as u64);
-    if br(ctx, sites::OP_IS_RUMOR, is_rumor) {
-        if total < RUMOR_HEADER_LEN {
-            return RunStatus::Rejected("rumor-truncated".into());
-        }
-        let topic = ctx.read_u16_be(1);
-        let _id = ctx.read_u32_be(3);
-        let _origin = ctx.read_u16_be(7);
-        let ttl = ctx.read_u8(9);
-        let ttl_ok = ctx.ule_const(ttl, MAX_TTL as u64);
-        if !br(ctx, sites::RUMOR_TTL, ttl_ok) {
-            return RunStatus::Rejected("ttl-too-large".into());
-        }
-        let plen = ctx.read_u8(10);
-        let plen_ok = ctx.ule_const(plen, MAX_PAYLOAD as u64);
-        if !br(ctx, sites::RUMOR_PLEN_LIMIT, plen_ok) {
-            return RunStatus::Rejected("payload-too-long".into());
-        }
-        let exact = ctx.eq_const(plen, (total - RUMOR_HEADER_LEN) as u64);
-        if !br(ctx, sites::RUMOR_PLEN_EXACT, exact) {
-            return RunStatus::Rejected("rumor-length".into());
-        }
-        // Configuration interpreted symbolically: subscription membership.
-        let mut subscribed = SymBool::concrete(false);
-        for &t in &h.config.subscriptions {
-            let eq = ctx.eq_const(topic, t as u64);
-            subscribed = ctx.bor(subscribed, eq);
-        }
-        let delivered = br(ctx, sites::RUMOR_TOPIC_SUBSCRIBED, subscribed);
-        // Novelty (seen-set membership) depends on node state the twin
-        // does not carry; mark the condition symbolic via an oracle, like
-        // the BGP twin's route-preference treatment.
-        let novel = ctx.oracle_bool(true);
-        if br(ctx, sites::RUMOR_NOVEL, novel) {
-            h.fresh += 1;
-        }
-        let _ = delivered;
-        h.accepted += 1;
-        return RunStatus::Ok;
-    }
-
-    // ---- DIGEST arm --------------------------------------------------
-    let is_digest = ctx.eq_const(op, OP_DIGEST as u64);
-    if br(ctx, sites::OP_IS_DIGEST, is_digest) {
-        if total < 2 {
-            return RunStatus::Rejected("digest-truncated".into());
-        }
-        let count = ctx.read_u8(1);
-        // ---- Seeded programming error (mirrors GossipNode's hook) ----
-        // The buggy build consumes the count byte before any validation.
-        if h.config.bugs.digest_count_overflow {
-            let count_big = ctx.uge_const(count, BUG_COUNT_THRESHOLD as u64);
-            if br(ctx, sites::BUG_DIGEST_COUNT, count_big) {
-                return RunStatus::Crash(
-                    "seeded bug: digest count overflow corrupts seen-set".into(),
-                );
-            }
-        }
-        let count_ok = ctx.ule_const(count, MAX_DIGEST_ENTRIES as u64);
-        if !br(ctx, sites::DIGEST_COUNT_LIMIT, count_ok) {
-            return RunStatus::Rejected("digest-too-long".into());
-        }
-        let exact = ctx.eq_const(count, ((total - 2) / DIGEST_ENTRY_LEN) as u64);
-        let body_aligned = (total - 2).is_multiple_of(DIGEST_ENTRY_LEN);
-        let exact = if body_aligned {
-            exact
-        } else {
-            SymBool::concrete(false)
+        let frame = match validate(&mut Concolic(ctx), self.config.bugs) {
+            Ok(frame) => frame,
+            Err(Verdict::Reject(e)) => return RunStatus::Rejected(stage(&e).into()),
+            Err(Verdict::Crash(why)) => return RunStatus::Crash(why.into()),
         };
-        if !br(ctx, sites::DIGEST_LEN_EXACT, exact) {
-            return RunStatus::Rejected("digest-length".into());
-        }
-        let interests = h.config.interests();
-        for k in 0..count.val as usize {
-            let at = 2 + k * DIGEST_ENTRY_LEN;
-            let topic = ctx.read_u16_be(at);
-            let _id = ctx.read_u32_be(at + 2);
-            let mut known = SymBool::concrete(false);
-            for &t in &interests {
-                let eq = ctx.eq_const(topic, t as u64);
-                known = ctx.bor(known, eq);
+        match frame {
+            Frame::Rumor { topic, .. } => {
+                let subscribed = member(ctx, topic, &self.config.subscriptions);
+                ctx.branch(SiteId(sites::RUMOR_TOPIC_SUBSCRIBED), subscribed);
+                // Novelty (seen-set membership) depends on node state the
+                // twin does not carry; mark the condition symbolic via an
+                // oracle, like the BGP twin's route-preference treatment.
+                let novel = ctx.oracle_bool(true);
+                ctx.branch(SiteId(sites::RUMOR_NOVEL), novel);
             }
-            // Either direction is fine (unknown entries are ignored), but
-            // the branch records config constants in the path condition.
-            br(ctx, sites::DIGEST_ENTRY_KNOWN, known);
+            Frame::Digest { count } => {
+                for k in 0..count.val as usize {
+                    let at = 2 + k * DIGEST_ENTRY_LEN;
+                    let topic = ctx.read_u16_be(at);
+                    let _id = ctx.read_u32_be(at + 2);
+                    // Either direction is fine (unknown entries are
+                    // ignored), but the branch records config constants in
+                    // the path condition.
+                    let known = member(ctx, topic, &self.interests);
+                    ctx.branch(SiteId(sites::DIGEST_ENTRY_KNOWN), known);
+                }
+            }
+            Frame::Subscribe { .. } | Frame::Ack { .. } => {}
         }
-        h.accepted += 1;
-        return RunStatus::Ok;
+        RunStatus::Ok
     }
-
-    // ---- SUBSCRIBE arm -----------------------------------------------
-    let is_sub = ctx.eq_const(op, OP_SUBSCRIBE as u64);
-    if br(ctx, sites::OP_IS_SUBSCRIBE, is_sub) {
-        if total != 3 {
-            return RunStatus::Rejected("subscribe-length".into());
-        }
-        let _topic = ctx.read_u16_be(1);
-        h.accepted += 1;
-        return RunStatus::Ok;
-    }
-
-    // ---- ACK arm -----------------------------------------------------
-    let is_ack = ctx.eq_const(op, OP_ACK as u64);
-    if br(ctx, sites::OP_IS_ACK, is_ack) {
-        if total != ACK_LEN {
-            return RunStatus::Rejected("ack-length".into());
-        }
-        let kind = ctx.read_u8(1);
-        let is_rumor_ack = ctx.eq_const(kind, ACK_KIND_RUMOR as u64);
-        let is_sub_ack = ctx.eq_const(kind, ACK_KIND_SUBSCRIBE as u64);
-        let kind_ok = ctx.bor(is_rumor_ack, is_sub_ack);
-        if !br(ctx, sites::ACK_KIND_VALID, kind_ok) {
-            return RunStatus::Rejected("ack-kind".into());
-        }
-        let _topic = ctx.read_u16_be(2);
-        let _id = ctx.read_u32_be(4);
-        h.accepted += 1;
-        return RunStatus::Ok;
-    }
-
-    RunStatus::Rejected("unknown-opcode".into())
 }
 
 impl ExplorableNode for GossipNode {
@@ -391,6 +291,7 @@ impl CheckView for GossipNode {
 mod tests {
     use super::*;
     use dice_concolic::SymInput;
+    use dice_gossip::{BUG_COUNT_THRESHOLD, OP_ACK, OP_DIGEST, OP_RUMOR, OP_SUBSCRIBE};
 
     fn config() -> GossipConfig {
         GossipConfig::new(61001)
@@ -451,38 +352,6 @@ mod tests {
         // Every generated seed is valid-by-construction for the twin.
         for s in &plan.seeds {
             assert_eq!(run_concrete(config(), s), RunStatus::Ok, "seed {s:?}");
-        }
-    }
-
-    #[test]
-    fn twin_agrees_with_wire_decoder() {
-        // Differential fidelity on frame validation: the twin accepts
-        // exactly the frames the conforming decoder accepts (novelty and
-        // forwarding are node-state concerns outside the twin's scope).
-        let cases: Vec<Vec<u8>> = vec![
-            minimal_seed(&config()),
-            encode(&GossipFrame::Digest(vec![(1, 5), (9, 2)])),
-            encode(&GossipFrame::Subscribe { topic: 4 }),
-            encode(&GossipFrame::Ack {
-                kind: ACK_KIND_SUBSCRIBE,
-                topic: 4,
-                id: 0,
-            }),
-            vec![OP_RUMOR, 0, 1, 0, 0, 0, 1, 0, 9, 20, 0], // ttl 20 > MAX_TTL
-            vec![OP_DIGEST, 3, 0, 0],                      // truncated digest
-            vec![0x44, 1, 2],                              // unknown opcode
-            vec![OP_SUBSCRIBE, 1, 2, 3],                   // trailing bytes
-            vec![OP_ACK, 7, 0, 1, 0, 0, 0, 2],             // bad ack kind
-            vec![OP_ACK, 0, 0, 1],                         // truncated ack
-        ];
-        for bytes in cases {
-            let twin = run_concrete(config(), &bytes);
-            let reference = dice_gossip::decode(&bytes);
-            assert_eq!(
-                matches!(twin, RunStatus::Ok),
-                reference.is_ok(),
-                "twin={twin:?} reference={reference:?} bytes={bytes:?}"
-            );
         }
     }
 

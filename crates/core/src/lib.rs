@@ -67,6 +67,7 @@ pub mod campaign;
 pub mod check;
 #[doc(hidden)]
 pub mod check_oracle;
+mod domain;
 mod executor;
 pub mod explorer;
 pub mod gossip_sut;

@@ -12,6 +12,10 @@
 //! [`dice_netsim::Node`]. The adapter that exposes it to the runtime
 //! (`ExplorableNode` + `CheckView` + the symbolic handler twin) lives in
 //! `dice-core::gossip_sut`, exactly parallel to `dice-core::bgp_sut`.
+//! Frame validation is written once, as [`wire::validate`] over a
+//! [`dice_netsim::Domain`]: the node and [`decode`] run it on the bytes,
+//! and the twin runs the same function on concolic values, so the twin
+//! accepts, rejects and crashes exactly where the node does.
 //!
 //! ## Example
 //!

@@ -36,12 +36,9 @@ use core::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dice_netsim::{Node, NodeApi, NodeId, SessionEvent, SimDuration, SimTime};
+use dice_netsim::{Concrete, Node, NodeApi, NodeId, SessionEvent, SimDuration, SimTime};
 
-use crate::wire::{
-    self, DecodeError, GossipFrame, Rumor, TopicId, BUG_COUNT_THRESHOLD, MAX_DIGEST_ENTRIES,
-    OP_DIGEST,
-};
+use crate::wire::{self, DecodeError, GossipFrame, Rumor, TopicId, Verdict, MAX_DIGEST_ENTRIES};
 
 /// Timer token: periodic anti-entropy digests.
 const TOKEN_ANTI_ENTROPY: u64 = 1;
@@ -57,10 +54,11 @@ const DIGEST_PUSH_CAP: usize = 16;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GossipBugs {
     /// BIRD-style missing bounds check: a digest whose count byte is at
-    /// least [`BUG_COUNT_THRESHOLD`] is used to walk the seen-set *before*
-    /// the frame length is validated, corrupting the walk and crashing the
-    /// daemon. Concolically reachable from any rumor seed (flip the opcode
-    /// branch, then the count branch).
+    /// least [`BUG_COUNT_THRESHOLD`](crate::wire::BUG_COUNT_THRESHOLD) is
+    /// used to walk the seen-set *before* the frame length is validated,
+    /// corrupting the walk and crashing the daemon ([`wire::validate`]
+    /// holds the hook). Concolically reachable from any rumor seed (flip
+    /// the opcode branch, then the count branch).
     pub digest_count_overflow: bool,
 }
 
@@ -568,38 +566,33 @@ impl Node for GossipNode {
     }
 
     fn on_message(&mut self, from: NodeId, data: &[u8], api: &mut NodeApi<'_>) {
-        // ---- Seeded programming error --------------------------------
-        // The buggy build sizes its seen-set walk from the raw count byte
-        // *before* the frame length is validated (the decode below would
-        // reject the frame as truncated). Mirrored symbolically by the
-        // handler twin in `dice-core`.
-        if self.config.bugs.digest_count_overflow
-            && data.len() >= 2
-            && data[0] == OP_DIGEST
-            && data[1] >= BUG_COUNT_THRESHOLD
-        {
-            api.crash("seeded bug: digest count overflow corrupts seen-set");
-            return;
-        }
-        match wire::decode(data) {
-            Ok(GossipFrame::Rumor(r)) => self.handle_rumor(from, r, api),
-            Ok(GossipFrame::Digest(entries)) => self.handle_digest(from, entries, api),
-            Ok(GossipFrame::Subscribe { topic }) => {
-                self.send_ack(from, wire::ACK_KIND_SUBSCRIBE, topic, 0, api);
+        let frame = match wire::validate(&mut Concrete(data), self.config.bugs) {
+            Ok(frame) => frame.decoded(data),
+            Err(Verdict::Crash(why)) => {
+                api.crash(why);
+                return;
             }
-            Ok(GossipFrame::Ack { kind, topic, id }) => {
-                self.pending.remove(&(from, kind, topic, id));
-                if kind == wire::ACK_KIND_RUMOR {
-                    // Positive knowledge: the peer now has the rumor.
-                    self.mark_infected(from, (topic, id));
-                }
-            }
-            Err(e) => {
+            Err(Verdict::Reject(e)) => {
                 // Conforming nodes drop malformed frames (datagram
                 // semantics) — unlike BGP, a bad frame does not reset the
                 // session.
                 if !matches!(e, DecodeError::Empty) {
                     api.trace("gossip-reject", format_args!("{e} from {from}"));
+                }
+                return;
+            }
+        };
+        match frame {
+            GossipFrame::Rumor(r) => self.handle_rumor(from, r, api),
+            GossipFrame::Digest(entries) => self.handle_digest(from, entries, api),
+            GossipFrame::Subscribe { topic } => {
+                self.send_ack(from, wire::ACK_KIND_SUBSCRIBE, topic, 0, api);
+            }
+            GossipFrame::Ack { kind, topic, id } => {
+                self.pending.remove(&(from, kind, topic, id));
+                if kind == wire::ACK_KIND_RUMOR {
+                    // Positive knowledge: the peer now has the rumor.
+                    self.mark_infected(from, (topic, id));
                 }
             }
         }
@@ -731,6 +724,7 @@ impl Node for GossipNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{BUG_COUNT_THRESHOLD, OP_DIGEST};
     use dice_netsim::{LinkFaults, LinkParams, QuietOutcome, SimTime, Simulator, Topology};
 
     /// A full mesh of `n` gossip nodes; node `i` publishes topic `i` and

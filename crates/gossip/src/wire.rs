@@ -13,7 +13,13 @@
 //!
 //! All multi-byte integers are big-endian. Every frame is length-exact:
 //! trailing bytes are a decode error (gossip frames are datagram-shaped,
-//! unlike BGP's self-delimiting TCP stream messages).
+//! unlike BGP's self-delimiting TCP stream messages). Every check a
+//! receiver makes is in [`validate`], the one function both the node and
+//! DiCE's exploration twin run.
+
+use dice_netsim::{Concrete, Domain};
+
+use crate::node::GossipBugs;
 
 /// Opcode of a [`Rumor`](GossipFrame::Rumor) frame.
 pub const OP_RUMOR: u8 = 0x01;
@@ -177,95 +183,221 @@ pub fn encode(frame: &GossipFrame) -> Vec<u8> {
     out
 }
 
-fn u16_at(bytes: &[u8], i: usize) -> u16 {
-    u16::from_be_bytes([bytes[i], bytes[i + 1]])
+/// Stable branch-site identifiers of [`validate`] and of the exploration
+/// twin's classification after it. Based at 200 so a campaign's coverage
+/// union never aliases the BGP twin's sites (10..=150).
+pub mod sites {
+    #![allow(
+        missing_docs,
+        reason = "each constant is the branch it names in `validate` or the twin"
+    )]
+    pub const OP_IS_RUMOR: u32 = 200;
+    pub const OP_IS_DIGEST: u32 = 201;
+    pub const OP_IS_SUBSCRIBE: u32 = 202;
+    pub const RUMOR_TTL: u32 = 203;
+    pub const RUMOR_PLEN_LIMIT: u32 = 204;
+    pub const RUMOR_PLEN_EXACT: u32 = 205;
+    pub const RUMOR_TOPIC_SUBSCRIBED: u32 = 206;
+    pub const RUMOR_NOVEL: u32 = 207;
+    pub const DIGEST_COUNT_LIMIT: u32 = 208;
+    pub const DIGEST_LEN_EXACT: u32 = 209;
+    pub const DIGEST_ENTRY_KNOWN: u32 = 210;
+    pub const BUG_DIGEST_COUNT: u32 = 211;
+    pub const OP_IS_ACK: u32 = 212;
+    pub const ACK_KIND_VALID: u32 = 213;
 }
 
-fn u32_at(bytes: &[u8], i: usize) -> u32 {
-    u32::from_be_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]])
+/// The fields of a valid frame, as words of the domain it was validated
+/// in. A digest's entries stay in the bytes: `count` of them follow the
+/// count byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(
+    missing_docs,
+    reason = "the fields are the wire fields of the same name"
+)]
+pub enum Frame<W> {
+    Rumor { topic: W, id: W, origin: W, ttl: W },
+    Digest { count: W },
+    Subscribe { topic: W },
+    Ack { kind: W, topic: W, id: W },
 }
 
-/// Decode one frame; the entire input must be consumed.
-pub fn decode(bytes: &[u8]) -> Result<GossipFrame, DecodeError> {
-    let Some(&op) = bytes.first() else {
-        return Err(DecodeError::Empty);
-    };
-    match op {
-        OP_RUMOR => {
-            if bytes.len() < RUMOR_HEADER_LEN {
-                return Err(DecodeError::Truncated);
+/// Why [`validate`] did not accept a frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Verdict {
+    /// A conforming node drops the frame.
+    Reject(DecodeError),
+    /// A seeded defect crashes the node; the reason it crashes with.
+    Crash(&'static str),
+}
+
+/// The frame validation of a gossip node, written once over a value
+/// domain: the node and [`decode`] run it on [`Concrete`] bytes, DiCE's
+/// exploration twin on concolic values. It dispatches on the opcode and
+/// checks every bound of the frame's arm; with
+/// [`GossipBugs::digest_count_overflow`] on, it first trips on a digest
+/// count at or above [`BUG_COUNT_THRESHOLD`], before the count is checked.
+///
+/// Each data-dependent condition is a [`Domain::branch`] at a [`sites`]
+/// constant. Whether a wrong length is [`DecodeError::Truncated`] or
+/// [`DecodeError::TrailingBytes`] is read off concrete values and records
+/// no branch. The order of the domain calls is the twin's path
+/// condition, so reordering two reads changes what exploration records.
+pub fn validate<D: Domain>(d: &mut D, bugs: GossipBugs) -> Result<Frame<D::Word>, Verdict> {
+    let reject = |e| Err(Verdict::Reject(e));
+    let total = d.len();
+    if d.is_empty() {
+        return reject(DecodeError::Empty);
+    }
+    let op = d.read_u8(0);
+
+    let is_rumor = d.eq_const(op, OP_RUMOR as u64);
+    if d.branch(sites::OP_IS_RUMOR, is_rumor) {
+        if total < RUMOR_HEADER_LEN {
+            return reject(DecodeError::Truncated);
+        }
+        let topic = d.read_u16_be(1);
+        let id = d.read_u32_be(3);
+        let origin = d.read_u16_be(7);
+        let ttl = d.read_u8(9);
+        let ttl_ok = d.ule_const(ttl, MAX_TTL as u64);
+        if !d.branch(sites::RUMOR_TTL, ttl_ok) {
+            return reject(DecodeError::TtlTooLarge(d.value(ttl) as u8));
+        }
+        let plen = d.read_u8(10);
+        let plen_ok = d.ule_const(plen, MAX_PAYLOAD as u64);
+        if !d.branch(sites::RUMOR_PLEN_LIMIT, plen_ok) {
+            return reject(DecodeError::PayloadTooLong(d.value(plen) as u8));
+        }
+        let exact = d.eq_const(plen, (total - RUMOR_HEADER_LEN) as u64);
+        if !d.branch(sites::RUMOR_PLEN_EXACT, exact) {
+            let want = RUMOR_HEADER_LEN + d.value(plen) as usize;
+            return reject(length_error(total, want));
+        }
+        return Ok(Frame::Rumor {
+            topic,
+            id,
+            origin,
+            ttl,
+        });
+    }
+
+    let is_digest = d.eq_const(op, OP_DIGEST as u64);
+    if d.branch(sites::OP_IS_DIGEST, is_digest) {
+        if total < 2 {
+            return reject(DecodeError::Truncated);
+        }
+        let count = d.read_u8(1);
+        if bugs.digest_count_overflow {
+            let count_big = d.uge_const(count, BUG_COUNT_THRESHOLD as u64);
+            if d.branch(sites::BUG_DIGEST_COUNT, count_big) {
+                return Err(Verdict::Crash(
+                    "seeded bug: digest count overflow corrupts seen-set",
+                ));
             }
-            let ttl = bytes[9];
-            if ttl > MAX_TTL {
-                return Err(DecodeError::TtlTooLarge(ttl));
-            }
-            let plen = bytes[10];
-            if plen as usize > MAX_PAYLOAD {
-                return Err(DecodeError::PayloadTooLong(plen));
-            }
-            let want = RUMOR_HEADER_LEN + plen as usize;
-            match bytes.len().cmp(&want) {
-                core::cmp::Ordering::Less => return Err(DecodeError::Truncated),
-                core::cmp::Ordering::Greater => return Err(DecodeError::TrailingBytes),
-                core::cmp::Ordering::Equal => {}
-            }
-            Ok(GossipFrame::Rumor(Rumor {
-                topic: u16_at(bytes, 1),
-                id: u32_at(bytes, 3),
-                origin: u16_at(bytes, 7),
+        }
+        let count_ok = d.ule_const(count, MAX_DIGEST_ENTRIES as u64);
+        if !d.branch(sites::DIGEST_COUNT_LIMIT, count_ok) {
+            return reject(DecodeError::DigestTooLong(d.value(count) as u8));
+        }
+        let body = total - 2;
+        let exact = d.eq_const(count, (body / DIGEST_ENTRY_LEN) as u64);
+        let exact = if body.is_multiple_of(DIGEST_ENTRY_LEN) {
+            exact
+        } else {
+            d.lit(false)
+        };
+        if !d.branch(sites::DIGEST_LEN_EXACT, exact) {
+            let want = d.value(count) as usize * DIGEST_ENTRY_LEN;
+            return reject(length_error(body, want));
+        }
+        return Ok(Frame::Digest { count });
+    }
+
+    let is_subscribe = d.eq_const(op, OP_SUBSCRIBE as u64);
+    if d.branch(sites::OP_IS_SUBSCRIBE, is_subscribe) {
+        if total != 3 {
+            return reject(length_error(total, 3));
+        }
+        let topic = d.read_u16_be(1);
+        return Ok(Frame::Subscribe { topic });
+    }
+
+    let is_ack = d.eq_const(op, OP_ACK as u64);
+    if d.branch(sites::OP_IS_ACK, is_ack) {
+        if total != ACK_LEN {
+            return reject(length_error(total, ACK_LEN));
+        }
+        let kind = d.read_u8(1);
+        let is_rumor_ack = d.eq_const(kind, ACK_KIND_RUMOR as u64);
+        let is_subscribe_ack = d.eq_const(kind, ACK_KIND_SUBSCRIBE as u64);
+        let kind_ok = d.bor(is_rumor_ack, is_subscribe_ack);
+        if !d.branch(sites::ACK_KIND_VALID, kind_ok) {
+            return reject(DecodeError::BadAckKind(d.value(kind) as u8));
+        }
+        let topic = d.read_u16_be(2);
+        let id = d.read_u32_be(4);
+        return Ok(Frame::Ack { kind, topic, id });
+    }
+
+    reject(DecodeError::UnknownOpcode(d.value(op) as u8))
+}
+
+/// The error for a frame of `len` bytes where `want` were declared.
+fn length_error(len: usize, want: usize) -> DecodeError {
+    if len < want {
+        DecodeError::Truncated
+    } else {
+        DecodeError::TrailingBytes
+    }
+}
+
+impl Frame<u64> {
+    /// The owned frame `bytes` hold, once [`validate`] accepted them.
+    pub(crate) fn decoded(self, bytes: &[u8]) -> GossipFrame {
+        match self {
+            Frame::Rumor {
+                topic,
+                id,
+                origin,
                 ttl,
+            } => GossipFrame::Rumor(Rumor {
+                topic: topic as TopicId,
+                id: id as u32,
+                origin: origin as u16,
+                ttl: ttl as u8,
                 payload: bytes[RUMOR_HEADER_LEN..].to_vec(),
-            }))
+            }),
+            Frame::Digest { count } => {
+                let mut d = Concrete(bytes);
+                GossipFrame::Digest(
+                    (0..count as usize)
+                        .map(|k| {
+                            let at = 2 + k * DIGEST_ENTRY_LEN;
+                            (d.read_u16_be(at) as TopicId, d.read_u32_be(at + 2) as u32)
+                        })
+                        .collect(),
+                )
+            }
+            Frame::Subscribe { topic } => GossipFrame::Subscribe {
+                topic: topic as TopicId,
+            },
+            Frame::Ack { kind, topic, id } => GossipFrame::Ack {
+                kind: kind as u8,
+                topic: topic as TopicId,
+                id: id as u32,
+            },
         }
-        OP_DIGEST => {
-            if bytes.len() < 2 {
-                return Err(DecodeError::Truncated);
-            }
-            let count = bytes[1];
-            if count > MAX_DIGEST_ENTRIES {
-                return Err(DecodeError::DigestTooLong(count));
-            }
-            let want = 2 + count as usize * DIGEST_ENTRY_LEN;
-            match bytes.len().cmp(&want) {
-                core::cmp::Ordering::Less => return Err(DecodeError::Truncated),
-                core::cmp::Ordering::Greater => return Err(DecodeError::TrailingBytes),
-                core::cmp::Ordering::Equal => {}
-            }
-            let entries = (0..count as usize)
-                .map(|k| {
-                    let at = 2 + k * DIGEST_ENTRY_LEN;
-                    (u16_at(bytes, at), u32_at(bytes, at + 2))
-                })
-                .collect();
-            Ok(GossipFrame::Digest(entries))
-        }
-        OP_SUBSCRIBE => {
-            match bytes.len().cmp(&3) {
-                core::cmp::Ordering::Less => return Err(DecodeError::Truncated),
-                core::cmp::Ordering::Greater => return Err(DecodeError::TrailingBytes),
-                core::cmp::Ordering::Equal => {}
-            }
-            Ok(GossipFrame::Subscribe {
-                topic: u16_at(bytes, 1),
-            })
-        }
-        OP_ACK => {
-            match bytes.len().cmp(&ACK_LEN) {
-                core::cmp::Ordering::Less => return Err(DecodeError::Truncated),
-                core::cmp::Ordering::Greater => return Err(DecodeError::TrailingBytes),
-                core::cmp::Ordering::Equal => {}
-            }
-            let kind = bytes[1];
-            if !matches!(kind, ACK_KIND_RUMOR | ACK_KIND_SUBSCRIBE) {
-                return Err(DecodeError::BadAckKind(kind));
-            }
-            Ok(GossipFrame::Ack {
-                kind,
-                topic: u16_at(bytes, 2),
-                id: u32_at(bytes, 4),
-            })
-        }
-        other => Err(DecodeError::UnknownOpcode(other)),
+    }
+}
+
+/// Decode one frame; the entire input must be consumed. This is
+/// [`validate`] on the bytes with no seeded defect.
+pub fn decode(bytes: &[u8]) -> Result<GossipFrame, DecodeError> {
+    match validate(&mut Concrete(bytes), GossipBugs::default()) {
+        Ok(frame) => Ok(frame.decoded(bytes)),
+        Err(Verdict::Reject(e)) => Err(e),
+        Err(Verdict::Crash(why)) => unreachable!("{why} with no seeded defect"),
     }
 }
 

@@ -1,0 +1,113 @@
+//! The value domain a protocol's frame validator is written over, so one
+//! validator serves two readers: the node, on concrete bytes
+//! ([`Concrete`]), and DiCE's exploration twin, on concolic values whose
+//! every branch lands in the path condition (`dice-core` holds that
+//! instance). A validator reads through the domain, compares through it
+//! and funnels every data-dependent condition through
+//! [`Domain::branch`]; what it decides from [`Domain::value`] or
+//! [`Domain::len`] records no branch.
+//!
+//! The trait has only the operations the validators use. Comparisons are
+//! between integers: a constant too wide for the word is above every value
+//! the word can hold.
+
+/// Words and booleans over a frame's bytes, plus the branch primitive.
+pub trait Domain {
+    /// A value read from the frame, or computed from one.
+    type Word: Copy;
+    /// A condition over words.
+    type Bool: Copy;
+
+    /// The frame's length in bytes.
+    fn len(&self) -> usize;
+
+    /// Whether the frame has no bytes.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Byte `at`. A validator checks the length before it reads.
+    fn read_u8(&mut self, at: usize) -> Self::Word;
+
+    /// The big-endian `u16` at `at`.
+    fn read_u16_be(&mut self, at: usize) -> Self::Word;
+
+    /// The big-endian `u32` at `at`.
+    fn read_u32_be(&mut self, at: usize) -> Self::Word;
+
+    /// A word's concrete value.
+    fn value(&self, w: Self::Word) -> u64;
+
+    /// `w == k`.
+    fn eq_const(&mut self, w: Self::Word, k: u64) -> Self::Bool;
+
+    /// `w <= k`.
+    fn ule_const(&mut self, w: Self::Word, k: u64) -> Self::Bool;
+
+    /// `w >= k`.
+    fn uge_const(&mut self, w: Self::Word, k: u64) -> Self::Bool;
+
+    /// `a || b`.
+    fn bor(&mut self, a: Self::Bool, b: Self::Bool) -> Self::Bool;
+
+    /// A condition that does not depend on the frame.
+    fn lit(&mut self, b: bool) -> Self::Bool;
+
+    /// Take the branch `site` on `cond`: the direction is `cond`'s
+    /// concrete value.
+    fn branch(&mut self, site: u32, cond: Self::Bool) -> bool;
+}
+
+/// The bytes themselves: what the node runs.
+#[derive(Debug, Clone, Copy)]
+pub struct Concrete<'a>(pub &'a [u8]);
+
+impl Domain for Concrete<'_> {
+    type Word = u64;
+    type Bool = bool;
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn read_u8(&mut self, at: usize) -> u64 {
+        self.0[at] as u64
+    }
+
+    fn read_u16_be(&mut self, at: usize) -> u64 {
+        u16::from_be_bytes([self.0[at], self.0[at + 1]]) as u64
+    }
+
+    fn read_u32_be(&mut self, at: usize) -> u64 {
+        let b = self.0;
+        u32::from_be_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]) as u64
+    }
+
+    fn value(&self, w: u64) -> u64 {
+        w
+    }
+
+    fn eq_const(&mut self, w: u64, k: u64) -> bool {
+        w == k
+    }
+
+    fn ule_const(&mut self, w: u64, k: u64) -> bool {
+        w <= k
+    }
+
+    fn uge_const(&mut self, w: u64, k: u64) -> bool {
+        w >= k
+    }
+
+    fn bor(&mut self, a: bool, b: bool) -> bool {
+        a || b
+    }
+
+    fn lit(&mut self, b: bool) -> bool {
+        b
+    }
+
+    fn branch(&mut self, _site: u32, cond: bool) -> bool {
+        cond
+    }
+}

@@ -22,6 +22,10 @@
 //!   channel-fidelity layer — probabilistic drop, duplication, bounded
 //!   reordering and Gilbert–Elliott burst loss ([`faults::LinkFaults`],
 //!   gated by [`SimConfig::unreliable_links`]).
+//! * **One validator, two value domains:** [`Domain`] is what a protocol
+//!   crate writes its frame checks against, so the node runs them on
+//!   [`Concrete`] bytes and an exploration twin runs the same function on
+//!   symbolic values.
 //!
 //! ## Quick example
 //!
@@ -62,6 +66,7 @@
 #![warn(missing_docs)]
 
 pub mod buf;
+pub mod domain;
 pub mod faults;
 pub mod link;
 pub mod node;
@@ -74,6 +79,7 @@ pub mod topology;
 pub mod trace;
 
 pub use buf::{BufPool, WireStats};
+pub use domain::{Concrete, Domain};
 pub use faults::{BurstLoss, FaultVerdict, LinkFaultState, LinkFaults};
 pub use link::{LatencyModel, LinkParams};
 pub use node::{DownReason, Effect, Node, NodeApi, NodeId, SessionEvent};

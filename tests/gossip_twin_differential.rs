@@ -1,19 +1,31 @@
 //! Differential property test: the gossip handler twin
 //! (`SymbolicGossipHandler`, what exploration runs) must classify every
-//! frame as the real node does — accept, reject or crash. The real side
-//! is `GossipNode::on_message` itself for the crash (the seeded
-//! digest-count hook runs before decoding) and the conforming
-//! `dice_gossip::decode` for accept vs reject. Both the clean and the
-//! buggy configuration are checked.
+//! frame as the real node does — accept, reject or crash. Both sides run
+//! one validator, `dice_gossip::wire::validate`, in two value domains:
+//! the node (`GossipNode::on_message`, and `dice_gossip::decode` for
+//! accept vs reject) on the bytes, the twin on concolic values through
+//! `Concolic` (`core/src/domain.rs`). So agreement holds by construction where
+//! the two domains agree, and this file checks the part that does not
+//! follow from the types: that they do agree on every bound, and on valid,
+//! mutated, over-long and arbitrary frames, clean and buggy configuration.
+//! That file's proptest holds the two instances equal operation by
+//! operation; `twin_paths_are_pinned` holds the twin's branches.
 //!
-//! Break it once: move the twin's `RUMOR_PLEN_LIMIT` bound by one
-//! (`MAX_PAYLOAD` ± 1 in `gossip_sut.rs`) and `agrees_at_every_bound` goes
-//! red on a rumor whose payload length sits at the limit.
+//! Break it once: make the concolic instance's `ule_const` strict
+//! (`self.0.ult_const` in `core/src/domain.rs`), and
+//! `agrees_at_every_bound` goes red on a rumor whose payload length sits
+//! at the limit.
+//!
+//! `panic-freedom` (`dice-lint`) does not scan `dice-gossip`:
+//! `agrees_on_arbitrary_bytes` is what keeps `validate` total — it reads
+//! a byte only after checking the length that holds it.
 
 use std::collections::BTreeSet;
 
-use dice_system::concolic::{ConcolicCtx, ConcolicProgram, RunStatus, SymInput};
-use dice_system::dice::SymbolicGossipHandler;
+use dice_system::concolic::{ConcolicCtx, ConcolicProgram, ExprArena, ExprId, RunStatus, SymInput};
+use dice_system::dice::gossip_sut::{mark_gossip, minimal_seed, seed_corpus};
+use dice_system::dice::hash::hex;
+use dice_system::dice::{Sha256, SymbolicGossipHandler};
 use dice_system::gossip::{
     decode, encode, GossipConfig, GossipFrame, GossipNode, Rumor, ACK_KIND_RUMOR,
     ACK_KIND_SUBSCRIBE, ACK_LEN, BUG_COUNT_THRESHOLD, DIGEST_ENTRY_LEN, MAX_DIGEST_ENTRIES,
@@ -43,7 +55,11 @@ fn config(buggy: bool) -> GossipConfig {
 fn twin_class(cfg: &GossipConfig, bytes: &[u8]) -> Class {
     let mut twin = SymbolicGossipHandler::new(cfg.clone());
     let mut ctx = ConcolicCtx::new(SymInput::all_concrete(bytes.to_vec()));
-    match twin.run(&mut ctx) {
+    class_of(twin.run(&mut ctx))
+}
+
+fn class_of(status: RunStatus) -> Class {
+    match status {
         RunStatus::Ok => Class::Accept,
         RunStatus::Rejected(_) => Class::Reject,
         RunStatus::Crash(_) => Class::Crash,
@@ -202,6 +218,71 @@ fn agrees_at_every_bound() {
     use Class::*;
     assert_eq!(classes(false), BTreeSet::from([Accept, Reject]));
     assert_eq!(classes(true), BTreeSet::from([Accept, Reject, Crash]));
+}
+
+/// A declared length is one byte, so a body that overruns it by a
+/// multiple of 256 (entries, for a digest) matches it modulo the byte's
+/// width. Both sides must still see the trailing bytes.
+#[test]
+fn agrees_past_a_length_byte() {
+    for buggy in [false, true] {
+        for plen in [0, 1, MAX_PAYLOAD] {
+            let mut frame = vec![OP_RUMOR, 0, 1, 0, 0, 0, 9, 0xEE, 0x01, 2, plen as u8];
+            frame.resize(RUMOR_HEADER_LEN + plen + 256, 0xA5);
+            agree(buggy, &frame).unwrap();
+        }
+        for count in [0, 1, MAX_DIGEST_ENTRIES] {
+            let mut frame = vec![OP_DIGEST, count];
+            frame.resize(2 + (count as usize + 256) * DIGEST_ENTRY_LEN, 0xA5);
+            agree(buggy, &frame).unwrap();
+        }
+    }
+}
+
+/// The twin's paths, pinned: one session arena (as `explore` threads it)
+/// runs the minimal seed, an 8-rumor corpus and the whole bound grid, for
+/// the clean and then the buggy configuration, all bytes symbolic. One
+/// SHA-256 covers every execution's branches (site, constraint id, taken),
+/// its class, and the nodes it added to the arena, in id order — so a
+/// change that reorders the twin's reads or comparisons, even one that
+/// keeps every class and every branch, moves it.
+///
+/// Break it once: swap the rumor arm's `id` and `origin` reads, and the
+/// hash moves.
+#[test]
+fn twin_paths_are_pinned() {
+    let mut sha = Sha256::new();
+    let (mut arena, mut path) = (ExprArena::new(), Vec::new());
+    let mut executions = 0;
+    for buggy in [false, true] {
+        let cfg = config(buggy);
+        let mut twin = SymbolicGossipHandler::new(cfg.clone());
+        let mut inputs = vec![minimal_seed(&cfg)];
+        inputs.extend(seed_corpus(&cfg, 8, 7));
+        inputs.extend(frames_at_bounds());
+        for bytes in inputs {
+            let interned = arena.len() as u32;
+            let input = SymInput::with_mask(bytes.clone(), mark_gossip(&bytes));
+            let mut ctx = ConcolicCtx::continuing(input, Default::default(), arena, path);
+            let class = class_of(twin.run(&mut ctx));
+            for b in ctx.path() {
+                sha.update(&b.site.0.to_be_bytes());
+                sha.update(&b.constraint.0.to_be_bytes());
+                sha.update(&[b.taken as u8]);
+            }
+            sha.update(&[class as u8]);
+            (_, _, arena, path) = ctx.into_parts();
+            for id in interned..arena.len() as u32 {
+                sha.update(format!("{:?};", arena.get(ExprId(id))).as_bytes());
+            }
+            executions += 1;
+        }
+    }
+    assert!(executions > 200);
+    assert_eq!(
+        hex(&sha.finalize()),
+        "1fdc192733c7bb7968e861e89886744f43a50484338700e9a5aecd28827a0419"
+    );
 }
 
 proptest! {
