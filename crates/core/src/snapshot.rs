@@ -21,7 +21,8 @@ pub struct SnapshotMetrics {
 }
 
 /// Drive the live simulator until the snapshot initiated at `initiator`
-/// completes, or `deadline` of simulated time passes.
+/// completes, or `deadline` of simulated time passes — then the cut is
+/// abandoned, leaving the live system as if it had never been started.
 ///
 /// The live system keeps executing while markers propagate — exactly the
 /// paper's "operates alongside the deployed system" property.
@@ -53,6 +54,7 @@ pub fn take_consistent_snapshot(
             SnapshotProgress::Failed(e) => return Err(e),
             SnapshotProgress::InProgress => {
                 if live.now() >= limit {
+                    live.abandon_snapshot(id);
                     return Err(format!(
                         "snapshot {id:?} did not complete within {deadline}"
                     ));
@@ -163,22 +165,32 @@ mod tests {
     #[test]
     fn snapshot_deadline_enforced() {
         let mut sim = bgp_sim();
-        sim.run_until(SimTime::from_nanos(2_000_000));
-        // Take a link down so a marker can never traverse; with sessions not
-        // yet up the snapshot scope may be trivial, so first let sessions rise.
         sim.run_until(SimTime::from_nanos(5_000_000_000));
         sim.inject_link_down(NodeId(1), NodeId(2));
-        // Now snapshot from node 0: scope excludes the dead link, so this
-        // still completes — the deadline path is exercised by a zero
-        // deadline instead.
-        let r = take_consistent_snapshot(&mut sim, NodeId(0), SimDuration::ZERO);
-        match r {
-            Err(e) => assert!(e.contains("did not complete"), "unexpected error: {e}"),
-            Ok((shadow, _)) => {
-                // Acceptable alternative: the snapshot trivially completed
-                // within the same instant (all channels already drained).
-                assert!(shadow.node_count() >= 1);
-            }
-        }
+        // Node 0's scope is the session 0-1, whose markers take 5 ms to
+        // cross: a zero deadline cannot be met.
+        let Err(e) = take_consistent_snapshot(&mut sim, NodeId(0), SimDuration::ZERO) else {
+            panic!("a zero deadline was met, but markers cross 5 ms links");
+        };
+        assert!(e.contains("did not complete"), "unexpected error: {e}");
+    }
+
+    #[test]
+    fn a_timed_out_cut_stops_suspending_link_faults() {
+        // Fault sampling is suspended while a cut is pending; a cut that
+        // missed its deadline must not leave it suspended for good.
+        let mut sim = crate::scenarios::healthy_line(3, 5);
+        sim.run_until(SimTime::from_nanos(12_000_000_000));
+        sim.set_unreliable_links(true);
+        sim.set_link_faults(dice_netsim::LinkFaults::lossy(0.5));
+        let two_minutes = |sim: &mut Simulator| {
+            sim.run_for(SimDuration::from_secs(120));
+            sim.take_wire_stats().frames_dropped
+        };
+        assert_eq!(two_minutes(&mut sim), 12, "the lossy links drop frames");
+        let timed_out = take_consistent_snapshot(&mut sim, NodeId(0), SimDuration::ZERO);
+        assert!(timed_out.is_err(), "markers cross 5 ms links");
+        let after = two_minutes(&mut sim);
+        assert!(after > 0, "and keep dropping after a timeout: {after}");
     }
 }

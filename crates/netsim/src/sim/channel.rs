@@ -227,17 +227,7 @@ impl Simulator {
     /// Index into `links` of the direction `src -> dst`, if adjacent.
     pub(super) fn dir_index(&self, src: NodeId, dst: NodeId) -> Option<usize> {
         let e = self.topo.edge_index(src, dst)?;
-        Some(2 * e + usize::from(self.topo.edges()[e].a != src))
-    }
-
-    /// The `(src, dst)` endpoints of link direction `dir`.
-    pub(super) fn endpoints(&self, dir: usize) -> (NodeId, NodeId) {
-        let e = &self.topo.edges()[dir / 2];
-        if dir.is_multiple_of(2) {
-            (e.a, e.b)
-        } else {
-            (e.b, e.a)
-        }
+        Some(self.topo.direction(e, src))
     }
 
     /// Deliver up to `budget` frames on link direction `dir` that have
@@ -257,7 +247,7 @@ impl Simulator {
     /// so a teardown can still discard them (and snapshots never observe
     /// them).
     pub(super) fn process_deliver(&mut self, dir: usize, epoch: u64, budget: u64) {
-        let (src, dst) = self.endpoints(dir);
+        let (src, dst) = self.topo.endpoints(dir);
         let mut delivered: u64 = 0;
         while delivered < budget {
             let ch = &mut self.links.dirs[dir];
@@ -271,7 +261,7 @@ impl Simulator {
             let flight = ch.queue.pop_front().expect("front vanished");
             match flight.frame {
                 Frame::Data { bytes, quiet } => {
-                    self.snapshot_observe_data(src, dst, &bytes);
+                    self.snapshot_observe_data(dir, dst, &bytes);
                     if self.nodes[dst.index()].crashed.is_none() {
                         if !quiet {
                             self.last_activity = self.now;
@@ -288,7 +278,7 @@ impl Simulator {
                     }
                     self.recycle(bytes);
                 }
-                Frame::Marker(id) => self.snapshot_on_marker(id, src, dst),
+                Frame::Marker(id) => self.snapshot_on_marker(id, dir, dst),
             }
             delivered += 1;
         }
@@ -314,7 +304,7 @@ impl Simulator {
     /// frames a cut recorded in flight: those are already in the channel,
     /// so a replay never subjects them to the fault model a second time.
     pub(super) fn send_frame(&mut self, dir: usize, frame: Frame, sample_faults: bool) {
-        let (src, dst) = self.endpoints(dir);
+        let (src, dst) = self.topo.endpoints(dir);
         let size = match &frame {
             Frame::Data { bytes, .. } => bytes.len(),
             Frame::Marker(_) => 32,
@@ -473,7 +463,7 @@ impl Simulator {
             ch.epoch += 1;
             ch.last_arrival = self.now;
         }
-        self.cuts.channel_reset(a, b);
+        self.cuts.channel_reset(self.topo.direction(edge, a), a, b);
         if self.nodes[a.index()].crashed.is_none() {
             self.with_node(a, |node, api| {
                 node.on_session(b, SessionEvent::Down(reason), api)

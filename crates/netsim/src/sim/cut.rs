@@ -48,8 +48,12 @@ pub(super) struct Cuts {
     /// here, sharing the `Arc` with the previous shadow (the delta chain).
     ckpt_cache: Vec<Option<Arc<dyn Node>>>,
     snap_stats: SnapshotStats,
-    snapshots: BTreeMap<SnapshotId, SnapshotState>,
+    /// The pending cuts, in id order (a handful at most: a campaign takes
+    /// one at a time).
+    snapshots: Vec<(SnapshotId, SnapshotState)>,
     next_snapshot: u32,
+    /// A marker fan-out being sent (kept for its capacity).
+    fanout: Vec<(NodeId, u32)>,
 }
 
 impl Cuts {
@@ -58,8 +62,9 @@ impl Cuts {
             dirty: vec![false; nodes],
             ckpt_cache: vec![None; nodes],
             snap_stats: SnapshotStats::default(),
-            snapshots: BTreeMap::new(),
+            snapshots: Vec::new(),
             next_snapshot: 0,
+            fanout: Vec::new(),
         }
     }
 
@@ -103,24 +108,34 @@ impl Cuts {
         self.snapshots.is_empty()
     }
 
+    fn position(&self, id: SnapshotId) -> Option<usize> {
+        self.snapshots.iter().position(|(i, _)| *i == id)
+    }
+
+    fn get_mut(&mut self, id: SnapshotId) -> Option<&mut SnapshotState> {
+        let i = self.position(id)?;
+        Some(&mut self.snapshots[i].1)
+    }
+
     /// Snapshot `id` cannot complete.
     pub(super) fn fail(&mut self, id: SnapshotId, why: String) {
-        if let Some(s) = self.snapshots.get_mut(&id) {
+        if let Some(s) = self.get_mut(id) {
             s.fail(why);
         }
     }
 
-    /// The session `a`-`b` was torn down: any snapshot still counting on
-    /// its channels fails (the channel state it was recording is gone).
-    pub(super) fn channel_reset(&mut self, a: NodeId, b: NodeId) {
-        for s in self.snapshots.values_mut() {
-            s.channel_reset(a, b);
+    /// The session `a`-`b` was torn down (`ab` is its `a -> b` link
+    /// direction): any snapshot still counting on its channels fails (the
+    /// channel state it was recording is gone).
+    pub(super) fn channel_reset(&mut self, ab: usize, a: NodeId, b: NodeId) {
+        for (_, s) in &mut self.snapshots {
+            s.channel_reset(ab, a, b);
         }
     }
 
     /// Node `n` crashed: a snapshot still waiting to checkpoint it fails.
     pub(super) fn node_crashed(&mut self, n: NodeId) {
-        for s in self.snapshots.values_mut() {
+        for (_, s) in &mut self.snapshots {
             s.node_crashed(n);
         }
     }
@@ -206,16 +221,31 @@ impl Simulator {
         // channels.
         let init_clone = self.checkpoint_node(initiator).expect("initiator missing");
         st.record_node(initiator, init_clone);
-        let outgoing: Vec<NodeId> = st.outgoing_of(initiator);
-        self.cuts.snapshots.insert(id, st);
-        self.send_markers(id, initiator, outgoing);
+        self.cuts.snapshots.push((id, st));
+        self.send_markers(id, initiator);
         self.finalize_snapshot_if_done(id);
         id
     }
 
-    /// Fan snapshot `id`'s marker out from `src` on its in-scope channels.
-    fn send_markers(&mut self, id: SnapshotId, src: NodeId, outgoing: Vec<NodeId>) {
-        for dst in outgoing {
+    /// Give up on snapshot `id` (a caller's deadline passed): its state is
+    /// dropped, so link faults are sampled again and no delivered frame is
+    /// copied for it. A marker of it still in flight meets an unknown id
+    /// on arrival and is ignored.
+    pub fn abandon_snapshot(&mut self, id: SnapshotId) {
+        if let Some(i) = self.cuts.position(id) {
+            self.cuts.snapshots.remove(i);
+        }
+    }
+
+    /// Fan snapshot `id`'s marker out from `src` on its in-scope channels,
+    /// in ascending peer order.
+    fn send_markers(&mut self, id: SnapshotId, src: NodeId) {
+        let mut fanout = std::mem::take(&mut self.cuts.fanout);
+        fanout.clear();
+        if let Some(st) = self.cuts.get_mut(id) {
+            fanout.extend_from_slice(st.fanout(src));
+        }
+        for &(dst, dir) in &fanout {
             self.trace.push(
                 self.now,
                 TraceKind::MarkerSent {
@@ -224,15 +254,14 @@ impl Simulator {
                     snapshot: id.0,
                 },
             );
-            let dir = self
-                .dir_index(src, dst)
-                .expect("snapshot channel on non-adjacent pair");
-            self.send_frame(dir, Frame::Marker(id), true);
+            self.send_frame(dir as usize, Frame::Marker(id), true);
         }
+        self.cuts.fanout = fanout;
     }
 
-    pub(super) fn snapshot_on_marker(&mut self, id: SnapshotId, src: NodeId, dst: NodeId) {
-        let first_marker = match self.cuts.snapshots.get(&id) {
+    /// Snapshot `id`'s marker arrived on link direction `dir` into `dst`.
+    pub(super) fn snapshot_on_marker(&mut self, id: SnapshotId, dir: usize, dst: NodeId) {
+        let first_marker = match self.cuts.get_mut(id) {
             Some(st) if !st.is_terminal() => !st.is_marked(dst),
             _ => return,
         };
@@ -240,35 +269,31 @@ impl Simulator {
             // Capture before re-borrowing the snapshot table: the delta
             // path needs `&mut self` for its cache and counters.
             let clone = self.checkpoint_node(dst);
-            let Some(st) = self.cuts.snapshots.get_mut(&id) else {
+            let Some(st) = self.cuts.get_mut(id) else {
                 return;
             };
-            let clone = match clone {
-                Some(n) => n,
-                None => {
-                    st.fail(format!("node {dst} unavailable at marker"));
-                    return;
-                }
+            let Some(clone) = clone else {
+                st.fail(format!("node {dst} unavailable at marker"));
+                return;
             };
             st.record_node(dst, clone);
-            st.channel_done_empty(src, dst);
-            let outgoing = st.outgoing_of(dst);
-            self.send_markers(id, dst, outgoing);
-        } else {
-            let st = self.cuts.snapshots.get_mut(&id).unwrap();
-            st.channel_done_recorded(src, dst);
+            st.channel_done(dir);
+            self.send_markers(id, dst);
+        } else if let Some(st) = self.cuts.get_mut(id) {
+            st.channel_done(dir);
         }
         self.finalize_snapshot_if_done(id);
     }
 
-    pub(super) fn snapshot_observe_data(&mut self, src: NodeId, dst: NodeId, bytes: &[u8]) {
-        for st in self.cuts.snapshots.values_mut() {
-            st.observe(src, dst, bytes);
+    /// A data frame was delivered on link direction `dir` into `dst`.
+    pub(super) fn snapshot_observe_data(&mut self, dir: usize, dst: NodeId, bytes: &[u8]) {
+        for (_, st) in &mut self.cuts.snapshots {
+            st.observe(dir, dst, bytes);
         }
     }
 
     fn finalize_snapshot_if_done(&mut self, id: SnapshotId) {
-        if let Some(st) = self.cuts.snapshots.get_mut(&id) {
+        if let Some(st) = self.cuts.get_mut(id) {
             if st.all_done() {
                 self.trace
                     .push(self.now, TraceKind::SnapshotComplete { snapshot: id.0 });
@@ -280,15 +305,16 @@ impl Simulator {
     /// Poll a snapshot's progress; `Complete` yields the shadow snapshot and
     /// removes it from the in-progress table.
     pub fn poll_snapshot(&mut self, id: SnapshotId) -> SnapshotProgress {
-        let Some(st) = self.cuts.snapshots.get(&id) else {
+        let Some(i) = self.cuts.position(id) else {
             return SnapshotProgress::Failed("unknown snapshot".to_string());
         };
+        let st = &self.cuts.snapshots[i].1;
         if st.is_complete() {
-            let st = self.cuts.snapshots.remove(&id).unwrap();
-            SnapshotProgress::Complete(Box::new(st.into_shadow()))
+            let (_, st) = self.cuts.snapshots.remove(i);
+            SnapshotProgress::Complete(Box::new(st.into_shadow(&self.topo)))
         } else if let Some(err) = st.failure() {
             let err = err.to_string();
-            self.cuts.snapshots.remove(&id);
+            self.cuts.snapshots.remove(i);
             SnapshotProgress::Failed(err)
         } else {
             SnapshotProgress::InProgress
@@ -311,7 +337,7 @@ impl Simulator {
         }
         let mut in_flight = Vec::new();
         for (dir, msgs) in self.links.data_in_flight() {
-            let (src, dst) = self.endpoints(dir);
+            let (src, dst) = self.topo.endpoints(dir);
             in_flight.push((src, dst, msgs));
         }
         // Channel order is part of the replay contract: a clone re-sends

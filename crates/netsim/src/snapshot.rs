@@ -5,13 +5,16 @@
 //! (see [`crate::sim::Simulator::start_snapshot`]); this module holds the
 //! bookkeeping state machine and the completed snapshot artifact.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::node::{Node, NodeId};
 use crate::time::SimTime;
 use crate::topology::Topology;
+
+#[cfg(test)]
+mod oracle;
 
 /// Identifier of a snapshot within one simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -38,20 +41,43 @@ pub(crate) fn sessions_up(topo: &Topology, up: impl Fn(usize) -> bool) -> Vec<(N
         .collect()
 }
 
-/// Chandy–Lamport bookkeeping for one snapshot.
+/// A link direction's part in a cut.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Chan {
+    /// Not between two members over an up session: no marker, no state.
+    Outside,
+    /// In scope; its marker has not arrived. While its destination is
+    /// marked, what it delivers is channel state.
+    Open,
+    /// Its marker has arrived: the channel state is final.
+    Drained,
+}
+
+/// Chandy–Lamport bookkeeping for one snapshot, indexed by node and by
+/// link direction (`2 * edge + side`, as the simulator's link table is):
+/// no lookup is a search and no step allocates but the ones that copy a
+/// recorded frame.
 pub(crate) struct SnapshotState {
-    members: BTreeSet<NodeId>,
-    /// Directed channels that must be drained by a marker. Symmetric by
-    /// construction — `(n, m)` is in scope iff `(m, n)` is — so the range
-    /// `(n, _)` names both the outgoing and the incoming channels of `n`.
-    channels: BTreeSet<(NodeId, NodeId)>,
-    /// Channels whose marker has arrived.
-    done: BTreeSet<(NodeId, NodeId)>,
-    /// Recorded node checkpoints, shared copy-on-write with any clones
-    /// later materialized from the snapshot.
-    nodes: BTreeMap<NodeId, Arc<dyn Node>>,
-    /// Channel contents observed between `record_node(dst)` and the marker.
-    recorded: BTreeMap<(NodeId, NodeId), Vec<Vec<u8>>>,
+    /// Per node: in the initiator's session-connected component.
+    member: Vec<bool>,
+    /// Per node: its recorded checkpoint (`Some` once marked), shared
+    /// copy-on-write with any clones later materialized from the snapshot.
+    nodes: Vec<Option<Arc<dyn Node>>>,
+    /// Per link direction: its part in the cut.
+    chans: Vec<Chan>,
+    /// Node `n`'s in-scope channels as `(peer, n -> peer direction)`,
+    /// ascending by peer — the marker fan-out order — at
+    /// `fanout[fan_start[n]..fan_start[n + 1]]`.
+    fanout: Vec<(NodeId, u32)>,
+    fan_start: Vec<u32>,
+    /// Members not yet marked, and in-scope directions not yet drained:
+    /// the cut is done when both are zero.
+    unmarked: usize,
+    open: usize,
+    /// Frames delivered on an open channel into a marked node, as
+    /// `(direction, payload)` in arrival order; grouped per channel only
+    /// by [`SnapshotState::into_shadow`].
+    recorded: Vec<(u32, Vec<u8>)>,
     sessions_up: Vec<(NodeId, NodeId)>,
     started_at: SimTime,
     failure: Option<String>,
@@ -69,34 +95,49 @@ impl SnapshotState {
         up: impl Fn(usize) -> bool,
         started_at: SimTime,
     ) -> Self {
-        let mut members = BTreeSet::new();
-        let mut stack = vec![initiator];
-        members.insert(initiator);
+        let mut member = vec![false; topo.len()];
+        let mut members = 1;
+        member[initiator.index()] = true;
+        let mut stack = Vec::with_capacity(topo.len());
+        stack.push(initiator);
         while let Some(n) = stack.pop() {
             for (e, m) in topo.incident(n) {
-                if up(e) && members.insert(m) {
+                if up(e) && !member[m.index()] {
+                    member[m.index()] = true;
+                    members += 1;
                     stack.push(m);
                 }
             }
         }
         // Every up edge inside the component is seen from both endpoints.
-        let channels = members
-            .iter()
-            .flat_map(|&n| {
-                let up = &up;
-                topo.incident(n)
-                    .filter(move |&(e, _)| up(e))
-                    .map(move |(_, m)| (n, m))
-            })
-            .collect();
-        let sessions_up = sessions_up(topo, &up);
+        let mut chans = vec![Chan::Outside; 2 * topo.edges().len()];
+        let mut fanout = Vec::with_capacity(chans.len());
+        let mut fan_start = Vec::with_capacity(topo.len() + 1);
+        for n in topo.node_ids() {
+            let from = fanout.len();
+            fan_start.push(from as u32);
+            if member[n.index()] {
+                for (e, m) in topo.incident(n) {
+                    if up(e) {
+                        let dir = topo.direction(e, n);
+                        chans[dir] = Chan::Open;
+                        fanout.push((m, dir as u32));
+                    }
+                }
+                fanout[from..].sort_unstable_by_key(|&(m, _)| m);
+            }
+        }
+        fan_start.push(fanout.len() as u32);
         SnapshotState {
-            members,
-            channels,
-            done: BTreeSet::new(),
-            nodes: BTreeMap::new(),
-            recorded: BTreeMap::new(),
-            sessions_up,
+            member,
+            nodes: vec![None; topo.len()],
+            chans,
+            unmarked: members,
+            open: fanout.len(),
+            fanout,
+            fan_start,
+            recorded: Vec::new(),
+            sessions_up: sessions_up(topo, &up),
             started_at,
             failure: None,
             complete: false,
@@ -104,79 +145,60 @@ impl SnapshotState {
     }
 
     pub(crate) fn is_marked(&self, n: NodeId) -> bool {
-        self.nodes.contains_key(&n)
+        self.nodes[n.index()].is_some()
     }
 
-    /// Peers of `n` over in-scope channels, ascending: O(log E + degree).
-    fn peers_of(
-        channels: &BTreeSet<(NodeId, NodeId)>,
-        n: NodeId,
-    ) -> impl Iterator<Item = NodeId> + '_ {
-        channels
-            .range((n, NodeId(0))..=(n, NodeId(u32::MAX)))
-            .map(|&(_, m)| m)
-    }
-
+    /// Mark `n` with its checkpoint: from here on its open incoming
+    /// channels record what they deliver.
     pub(crate) fn record_node(&mut self, n: NodeId, state: Arc<dyn Node>) {
-        self.nodes.insert(n, state);
-        // Start recording every incoming member channel of n.
-        for m in Self::peers_of(&self.channels, n) {
-            self.recorded.entry((m, n)).or_default();
+        if self.nodes[n.index()].replace(state).is_none() {
+            self.unmarked -= 1;
         }
     }
 
-    /// Outgoing member channels of `n` (marker fan-out set).
-    pub(crate) fn outgoing_of(&self, n: NodeId) -> Vec<NodeId> {
-        Self::peers_of(&self.channels, n).collect()
+    /// `n`'s in-scope channels as `(peer, n -> peer direction)`, ascending
+    /// by peer: where its markers go, in the order they are sent.
+    pub(crate) fn fanout(&self, n: NodeId) -> &[(NodeId, u32)] {
+        let i = n.index();
+        &self.fanout[self.fan_start[i] as usize..self.fan_start[i + 1] as usize]
     }
 
-    /// Marker arrived on `src -> dst` and `dst` was just recorded: channel
-    /// state is empty by the CL rule.
-    pub(crate) fn channel_done_empty(&mut self, src: NodeId, dst: NodeId) {
-        self.recorded.insert((src, dst), Vec::new());
-        self.done.insert((src, dst));
+    /// The marker arrived on direction `dir`. Arriving first at its
+    /// destination, it drains a channel that recorded nothing (the CL
+    /// rule); later, whatever was observed since the mark is the state.
+    pub(crate) fn channel_done(&mut self, dir: usize) {
+        if self.chans[dir] == Chan::Open {
+            self.chans[dir] = Chan::Drained;
+            self.open -= 1;
+        }
     }
 
-    /// Marker arrived on `src -> dst` for an already-marked `dst`: whatever
-    /// was observed since the mark is the channel state.
-    pub(crate) fn channel_done_recorded(&mut self, src: NodeId, dst: NodeId) {
-        self.done.insert((src, dst));
+    /// A data frame was delivered on direction `dir` into `dst`; if that
+    /// channel is being recorded and not yet drained, it belongs to the
+    /// channel state.
+    pub(crate) fn observe(&mut self, dir: usize, dst: NodeId, bytes: &[u8]) {
+        if !self.is_terminal() && self.chans[dir] == Chan::Open && self.is_marked(dst) {
+            self.recorded.push((dir as u32, bytes.to_vec()));
+        }
     }
 
-    /// A data frame was delivered on `src -> dst`; if that channel is being
-    /// recorded and not yet drained, it belongs to the channel state.
-    pub(crate) fn observe(&mut self, src: NodeId, dst: NodeId, bytes: &[u8]) {
+    /// The session `a`-`b` was torn down; `ab` is its `a -> b` direction.
+    /// An undrained channel of it fails the cut (the state it was
+    /// recording is gone), `a -> b` named first.
+    pub(crate) fn channel_reset(&mut self, ab: usize, a: NodeId, b: NodeId) {
         if self.is_terminal() {
             return;
         }
-        if self.done.contains(&(src, dst)) || !self.channels.contains(&(src, dst)) {
-            return;
-        }
-        if self.is_marked(dst) {
-            self.recorded
-                .entry((src, dst))
-                .or_default()
-                .push(bytes.to_vec());
-        }
-    }
-
-    pub(crate) fn channel_reset(&mut self, a: NodeId, b: NodeId) {
-        if self.is_terminal() {
-            return;
-        }
-        for dir in [(a, b), (b, a)] {
-            if self.channels.contains(&dir) && !self.done.contains(&dir) {
-                self.fail(format!(
-                    "channel {}->{} reset during snapshot",
-                    dir.0, dir.1
-                ));
+        for (dir, src, dst) in [(ab, a, b), (ab ^ 1, b, a)] {
+            if self.chans[dir] == Chan::Open {
+                self.fail(format!("channel {src}->{dst} reset during snapshot"));
                 return;
             }
         }
     }
 
     pub(crate) fn node_crashed(&mut self, n: NodeId) {
-        if !self.is_terminal() && self.members.contains(&n) && !self.is_marked(n) {
+        if !self.is_terminal() && self.member[n.index()] && !self.is_marked(n) {
             self.fail(format!("member {n} crashed before checkpointing"));
         }
     }
@@ -192,9 +214,7 @@ impl SnapshotState {
     }
 
     pub(crate) fn all_done(&self) -> bool {
-        self.failure.is_none()
-            && self.nodes.len() == self.members.len()
-            && self.done.len() == self.channels.len()
+        self.failure.is_none() && self.unmarked == 0 && self.open == 0
     }
 
     pub(crate) fn complete(&mut self) {
@@ -209,15 +229,25 @@ impl SnapshotState {
         self.complete || self.failure.is_some()
     }
 
-    pub(crate) fn into_shadow(self) -> ShadowSnapshot {
+    /// The shadow: checkpoints by node id, and the recorded frames
+    /// grouped per channel in `(src, dst)` order, each channel's in
+    /// arrival order — the order a clone re-sends them in.
+    pub(crate) fn into_shadow(self, topo: &Topology) -> ShadowSnapshot {
         debug_assert!(self.complete);
-        let in_flight = self
-            .recorded
-            .into_iter()
-            .filter(|(_, msgs)| !msgs.is_empty())
-            .map(|((src, dst), msgs)| (src, dst, msgs))
+        let nodes = (self.nodes.into_iter().enumerate())
+            .filter_map(|(i, n)| Some((NodeId(i as u32), n?)))
             .collect();
-        ShadowSnapshot::new(self.started_at, self.nodes, in_flight, self.sessions_up)
+        let mut recorded = self.recorded;
+        recorded.sort_by_key(|&(dir, _)| topo.endpoints(dir as usize));
+        let mut in_flight: Vec<(NodeId, NodeId, Vec<Vec<u8>>)> = Vec::new();
+        for (dir, bytes) in recorded {
+            let (src, dst) = topo.endpoints(dir as usize);
+            match in_flight.last_mut() {
+                Some((s, d, msgs)) if (*s, *d) == (src, dst) => msgs.push(bytes),
+                _ => in_flight.push((src, dst, vec![bytes])),
+            }
+        }
+        ShadowSnapshot::new(self.started_at, nodes, in_flight, self.sessions_up)
     }
 }
 
@@ -585,67 +615,198 @@ mod tests {
         );
     }
 
-    /// The scope a snapshot of `topo` from `initiator` gets when exactly
-    /// the edges in `up` carry an established session.
-    fn scoped(topo: &Topology, up: &[bool], initiator: NodeId) -> SnapshotState {
-        SnapshotState::new(initiator, topo, |e| up[e], SimTime::ZERO)
+    /// A direction-indexed cut and the ordered-set oracle, driven in step.
+    struct Twin {
+        topo: Topology,
+        new: SnapshotState,
+        old: oracle::SnapshotState,
+        /// Directions a marker is in flight on (one marker per direction).
+        markers: Vec<usize>,
+    }
+
+    impl Twin {
+        fn new(topo: Topology, up: &[bool], initiator: NodeId) -> Self {
+            let new = SnapshotState::new(initiator, &topo, |e| up[e], SimTime::ZERO);
+            let old = oracle::SnapshotState::new(initiator, &topo, |e| up[e], SimTime::ZERO);
+            let mut twin = Twin {
+                topo,
+                new,
+                old,
+                markers: Vec::new(),
+            };
+            twin.mark(initiator);
+            twin.finalize();
+            twin
+        }
+
+        /// As `Simulator::finalize_snapshot_if_done`.
+        fn finalize(&mut self) {
+            if self.new.all_done() {
+                self.new.complete();
+                self.old.complete();
+            }
+        }
+
+        /// Record `n` in both (one checkpoint `Arc`) and send its markers,
+        /// after checking that both fan out the same way.
+        fn mark(&mut self, n: NodeId) {
+            let ckpt: Arc<dyn Node> = Arc::new(Acc::default());
+            self.new.record_node(n, Arc::clone(&ckpt));
+            self.old.record_node(n, ckpt);
+            let fanout = self.new.fanout(n);
+            let peers: Vec<NodeId> = fanout.iter().map(|&(m, _)| m).collect();
+            assert_eq!(peers, self.old.outgoing_of(n), "fan-out of {n}");
+            for &(m, dir) in fanout {
+                assert_eq!(
+                    self.topo.endpoints(dir as usize),
+                    (n, m),
+                    "direction of {n}->{m}"
+                );
+                self.markers.push(dir as usize);
+            }
+        }
+
+        /// The marker on `dir` arrives, as `Simulator::snapshot_on_marker`
+        /// handles it.
+        fn marker(&mut self, dir: usize) {
+            let (src, dst) = self.topo.endpoints(dir);
+            if self.new.is_terminal() {
+                return;
+            }
+            if self.new.is_marked(dst) {
+                self.new.channel_done(dir);
+                self.old.channel_done_recorded(src, dst);
+            } else {
+                self.new.channel_done(dir);
+                self.old.channel_done_empty(src, dst);
+                self.mark(dst);
+            }
+            self.finalize();
+        }
+
+        /// The session over edge `e` resets, torn down from `a`'s side:
+        /// its markers are lost first, as `teardown_session` drains them.
+        fn reset(&mut self, e: usize, from_b: bool) {
+            let edge = &self.topo.edges()[e];
+            let (a, b) = if from_b {
+                (edge.b, edge.a)
+            } else {
+                (edge.a, edge.b)
+            };
+            let before = self.markers.len();
+            self.markers.retain(|&d| d / 2 != e);
+            if self.markers.len() < before {
+                let why = format!("marker lost on session reset {a}-{b}");
+                self.new.fail(why.clone());
+                self.old.fail(why);
+            }
+            self.new.channel_reset(self.topo.direction(e, a), a, b);
+            self.old.channel_reset(a, b);
+        }
+
+        fn assert_agree(&self) {
+            for n in self.topo.node_ids() {
+                assert_eq!(self.new.is_marked(n), self.old.is_marked(n), "marked {n}");
+            }
+            assert_eq!(self.new.all_done(), self.old.all_done(), "all_done");
+            assert_eq!(self.new.failure(), self.old.failure(), "failure");
+            assert_eq!(self.new.is_complete(), self.old.is_complete(), "complete");
+        }
+
+        fn assert_same_shadow(self) {
+            if !self.new.is_complete() {
+                return;
+            }
+            let new = self.new.into_shadow(&self.topo);
+            let old = self.old.into_shadow();
+            let ids = |s: &ShadowSnapshot| s.nodes().keys().copied().collect::<Vec<_>>();
+            assert_eq!(ids(&new), ids(&old), "checkpointed nodes");
+            for (n, ckpt) in new.nodes() {
+                assert!(Arc::ptr_eq(ckpt, &old.nodes()[n]), "checkpoint of {n}");
+            }
+            assert_eq!(new.in_flight(), old.in_flight(), "channel state");
+            assert_eq!(new.sessions_up(), old.sessions_up(), "sessions up");
+            assert_eq!(new.base_time(), old.base_time());
+        }
     }
 
     proptest::proptest! {
-        /// The O(degree) range scans name exactly the channels the
-        /// whole-set filter (the pre-refactor implementation, kept here
-        /// as the oracle) does, for every node of random topologies with
-        /// a random subset of sessions down — including nodes outside
-        /// the initiator's component.
+        /// The direction-indexed bookkeeping equals the ordered-set one it
+        /// replaced (`snapshot/oracle.rs`) on random internet-like and
+        /// full-mesh topologies with random sessions down, from a random
+        /// initiator, under random interleavings of marker arrivals, data
+        /// deliveries on any direction (in scope or not), session resets
+        /// and crashes; then the markers still in flight land. After every
+        /// step: the same marked nodes, `all_done`, failure text and
+        /// completion; per marked node the same fan-out, in the same order;
+        /// at the end the same shadow (checkpoints, channel state in
+        /// `(src, dst)` then arrival order, sessions up).
+        ///
+        /// To see it fail: in `SnapshotState::new`, drop the
+        /// `sort_unstable_by_key` so a node fans out in `incident` order,
+        /// not by peer id — "fan-out of n…" on the first internet-like
+        /// topology whose adjacency is not sorted.
         #[test]
-        fn degree_scans_match_the_whole_set_filter(
+        fn direction_indexed_cut_matches_the_btree_oracle(
             n in 2usize..24,
+            mesh in proptest::prelude::any::<bool>(),
             graph_seed in 0u64..10_000,
-            down in proptest::collection::vec(0usize..1000, 0..40),
+            down in proptest::collection::vec(0usize..1000, 0..12),
             initiator in 0usize..24,
+            steps in proptest::collection::vec((0u8..100, 0usize..10_000), 0..200),
         ) {
-            let mut rng = crate::rng::SimRng::seed_from_u64(graph_seed);
-            let params = crate::topology::InternetParams {
-                tier1: 2.min(n),
-                peering_prob: 0.2,
-                ..Default::default()
+            let topo = if mesh {
+                Topology::full_mesh(n.min(10), LinkParams::fixed(SimDuration::from_millis(1)))
+            } else {
+                let mut rng = crate::rng::SimRng::seed_from_u64(graph_seed);
+                let params = crate::topology::InternetParams {
+                    tier1: 2.min(n),
+                    peering_prob: 0.2,
+                    ..Default::default()
+                };
+                Topology::internet_like(n, &params, &mut rng)
             };
-            let topo = Topology::internet_like(n, &params, &mut rng);
-            let mut up = vec![true; topo.edges().len()];
+            let (nodes, edges) = (topo.len(), topo.edges().len());
+            let mut up = vec![true; edges];
             for d in down {
-                if !up.is_empty() {
-                    let e = d % up.len();
-                    up[e] = false;
+                if edges > 0 {
+                    up[d % edges] = false;
                 }
             }
-            let st = scoped(&topo, &up, NodeId((initiator % n) as u32));
-
-            // Symmetry is what lets one range serve both directions.
-            for &(a, b) in &st.channels {
-                proptest::prop_assert!(st.channels.contains(&(b, a)));
+            let mut twin = Twin::new(topo, &up, NodeId((initiator % nodes) as u32));
+            twin.assert_agree();
+            let mut payload = 0u32;
+            for (kind, pick) in steps {
+                match kind {
+                    0..=49 if !twin.markers.is_empty() => {
+                        let dir = twin.markers.remove(pick % twin.markers.len());
+                        twin.marker(dir);
+                    }
+                    50..=95 if edges > 0 => {
+                        let dir = pick % (2 * edges);
+                        let (_, dst) = twin.topo.endpoints(dir);
+                        payload += 1;
+                        let bytes = payload.to_be_bytes();
+                        twin.new.observe(dir, dst, &bytes);
+                        let (src, dst) = twin.topo.endpoints(dir);
+                        twin.old.observe(src, dst, &bytes);
+                    }
+                    96..=97 if edges > 0 => twin.reset(pick % edges, pick % 2 == 1),
+                    98..=99 => {
+                        let n = NodeId((pick % nodes) as u32);
+                        twin.new.node_crashed(n);
+                        twin.old.node_crashed(n);
+                    }
+                    _ => {}
+                }
+                twin.assert_agree();
             }
-            for node in topo.node_ids() {
-                let outgoing: Vec<NodeId> = st
-                    .channels
-                    .iter()
-                    .filter(|(src, _)| *src == node)
-                    .map(|(_, dst)| *dst)
-                    .collect();
-                proptest::prop_assert_eq!(st.outgoing_of(node), outgoing);
-
-                let incoming: Vec<(NodeId, NodeId)> = st
-                    .channels
-                    .iter()
-                    .filter(|(_, dst)| *dst == node)
-                    .copied()
-                    .collect();
-                let mut rec = scoped(&topo, &up, NodeId((initiator % n) as u32));
-                rec.record_node(node, Arc::new(Acc::default()));
-                proptest::prop_assert_eq!(
-                    rec.recorded.keys().copied().collect::<Vec<_>>(),
-                    incoming
-                );
+            while !twin.markers.is_empty() {
+                let dir = twin.markers.remove(0);
+                twin.marker(dir);
+                twin.assert_agree();
             }
+            twin.assert_same_shadow();
         }
     }
 

@@ -129,6 +129,23 @@ impl Topology {
         })
     }
 
+    /// The link direction of edge `e` that leaves `from`, as the
+    /// simulator's link table indexes it: `2 * e` carries `a -> b`,
+    /// `2 * e + 1` carries `b -> a`.
+    pub(crate) fn direction(&self, e: usize, from: NodeId) -> usize {
+        2 * e + usize::from(self.edges[e].a != from)
+    }
+
+    /// The `(src, dst)` endpoints of link direction `dir`.
+    pub(crate) fn endpoints(&self, dir: usize) -> (NodeId, NodeId) {
+        let e = &self.edges[dir / 2];
+        if dir.is_multiple_of(2) {
+            (e.a, e.b)
+        } else {
+            (e.b, e.a)
+        }
+    }
+
     /// Neighbors of `n`, in deterministic (insertion) order.
     pub fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
         self.incident(n).map(|(_, m)| m).collect()

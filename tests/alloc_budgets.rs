@@ -14,12 +14,13 @@
 //! | `gossip_frame` | `decode` of a valid rumor / a valid digest / a rejected frame | 1 / 1 / 0 (the owned payload or entries) | `dice_gossip::wire::{validate, decode}` |
 //! | `same_cut_reset` | `reset_from_shadow` after an injected and after a null drive, gossip16 and demo27 | 0 | `Simulator::{reset_from_shadow, rebind_touched, bind_node}`, `Links::reset`, `Cuts::{reset, seed}` |
 //! | `repeat_cut` | `instant_snapshot` of a quiesced system already cut once, gossip16 / demo27 | 9 / 10 | `checkpoint_node` |
+//! | `consistent_cut` | `take_consistent_snapshot` of a quiesced system already cut once, gossip16 / demo27 | 19 / 20 | `start_snapshot`, `SnapshotState::{new, into_shadow}`, `send_markers`, `snapshot_on_marker` |
 //! | `passing_battery` | `run_checkers` over a null-drive clone, warm baseline, gossip16 and demo27 | 1 (the reserved report) | `run_checkers`, `check_into` of `CrashChecker`, `OscillationChecker`, `OriginAuthorityChecker`, `ConvergenceChecker` |
 //! | `pooled_unit` | reset → `deliver_direct` → `run_until_quiet` → `run_checkers`, gossip16 / demo27 | 602 / 715 | `process_deliver`, `NodeApi::buf`, `recompute_and_propagate`, `export_to`, `Policy::apply` |
 //! | `first_write` | `deliver_direct` of the input into a warm pooled demo27 clone: the explorer's copy and its first UPDATE | 48 | `BgpRouter::clone_node`, `handle_update`, `Rib::{insert, install, advertise}` |
 //! | `warm_twin_execution` | one twin run through `ConcolicCtx::continuing` on a warm arena, BGP / gossip | 5 / 0 | `ExprArena::intern` |
 //! | `explore_session` | one `explore` of 160 executions, BGP / gossip | 1,035 / 3,390 | `Search::{dfs, narrow, admits, admits_cmp, offset_of}`, `ExprArena::{sweep, intern}`, `UnaryMemo::lookup`, `Worklist::{push, pick}` |
-//! | `one_worker_campaign` | `Campaign::run` at one worker, one gossip16 round | 1,611 | `validate_unit`, `validate_one`, `ClonePool::{acquire, release}` (at one worker they run on the calling thread) |
+//! | `one_worker_campaign` | `Campaign::run` at one worker, one gossip16 round | 1,458 | `validate_unit`, `validate_one`, `ClonePool::{acquire, release}` (at one worker they run on the calling thread) |
 //! | `gossip_copy_shares_its_tables` | `clone_node` of a 16-mesh gossip node | 19 | `GossipNode::clone_node` |
 //! | `bgp_router_copy_stays_at_its_pinned_count` | `clone_node` of a demo27 router | 2 | `BgpRouter::clone_node` |
 //!
@@ -39,6 +40,10 @@
 //! * `repeat_cut`: make `checkpoint_node` serve a clean node as
 //!   `Arc::from(cached.clone_node())`, and a gossip16 cut allocates 329
 //!   times.
+//! * `consistent_cut`: make `send_markers` collect the fan-out into a
+//!   fresh `Vec` instead of the `Cuts` scratch buffer, and a gossip16 cut
+//!   allocates 35 times (173 with the ordered-set bookkeeping the
+//!   direction-indexed `SnapshotState` replaced; demo27 94).
 //! * `passing_battery`: make `CrashChecker` name its pass
 //!   `self.name().to_string()`, and a gossip16 battery allocates 17 times.
 //! * `pooled_unit`: make `export_to` copy the exported bag per accepting
@@ -53,7 +58,7 @@
 //! * `explore_session`: make `Worklist::push` clone the child's bytes, and
 //!   a BGP session allocates 1,452 times.
 //! * `one_worker_campaign`: make `ClonePool::release` drop the simulator,
-//!   and the campaign allocates 1,731 times.
+//!   and the campaign allocates 1,567 times.
 //! * `gossip_copy_shares_its_tables`: make `clone_node` deep-copy the
 //!   store, the dedup memory and every per-peer infection set, and a copy
 //!   of a 16-mesh node allocates 153 times (187 when every table was
@@ -66,8 +71,8 @@ use dice_bench::{allocations, bound_clone, twin_cases, wire_workload, BoundClone
 use dice_system::concolic::{explore, ConcolicCtx, ExploreConfig, ExprArena, SymInput};
 use dice_system::dice::gossip_sut::as_gossip;
 use dice_system::dice::{
-    default_checkers, flips_baseline, run_checkers, scenarios, AttestationRegistry, Campaign,
-    CheckBaseline, CheckContext, CheckReport, Checker, SutCatalog,
+    default_checkers, flips_baseline, run_checkers, scenarios, take_consistent_snapshot,
+    AttestationRegistry, Campaign, CheckBaseline, CheckContext, CheckReport, Checker, SutCatalog,
 };
 use dice_system::netsim::{
     BufPool, NodeId, QuietOutcome, SimConfig, SimDuration, SimTime, Simulator,
@@ -237,6 +242,19 @@ fn repeat_cut() {
 }
 
 #[test]
+fn consistent_cut() {
+    for (name, budget) in [("gossip16", 19), ("demo27", 20)] {
+        let mut live = live(name);
+        let mut cut = || take_consistent_snapshot(&mut live, NodeId(0), SimDuration::from_secs(10));
+        let _ = cut();
+        let (cut, spent) = counted(cut);
+        let (shadow, _) = cut.expect("a quiesced system's cut completes");
+        assert_eq!(shadow.node_count(), live.topology().len());
+        within(&format!("{name}: a consistent cut"), spent, budget);
+    }
+}
+
+#[test]
 fn passing_battery() {
     for name in SYSTEMS {
         let b = bound_clone(name);
@@ -336,7 +354,7 @@ fn one_worker_campaign() {
     let campaign = campaign(&live);
     let (report, spent) = counted(|| campaign.run(&mut live).expect("campaign runs"));
     assert!(report.rounds.iter().all(|r| r.validated > 0));
-    within("a one-worker gossip16 campaign", spent, 1_611);
+    within("a one-worker gossip16 campaign", spent, 1_458);
 }
 
 /// The most allocations one `clone_node` (the copy a validation clone
