@@ -12,6 +12,7 @@
 //! | `buf_pool_exchange` | a warm `BufPool` acquire + recycle | 0 | `BufPool::{acquire, recycle}` |
 //! | `encode_into_a_warm_buffer` | `encode_into` of a BGP UPDATE / a gossip digest | 0 / 0 | `dice_bgp::wire::encode_into`, `dice_gossip::wire::encode_into` |
 //! | `gossip_frame` | `decode` of a valid rumor / a valid digest / a rejected frame | 1 / 1 / 0 (the owned payload or entries) | `dice_gossip::wire::{validate, decode}` |
+//! | `bgp_update_decode` | `decode` of a full UPDATE (AS_PATH, communities, a transitive unknown) / a withdraw-only UPDATE / one rejected at its NEXT_HOP | 9 / 1 / 6 (the owned withdrawn, attribute and NLRI vectors, and the seen-code list) | `dice_bgp::wire::decode` |
 //! | `same_cut_reset` | `reset_from_shadow` after an injected and after a null drive, gossip16 and demo27 | 0 | `Simulator::{reset_from_shadow, rebind_touched, bind_node}`, `Links::reset`, `Cuts::{reset, seed}` |
 //! | `repeat_cut` | `instant_snapshot` of a quiesced system already cut once, gossip16 / demo27 | 9 / 10 | `checkpoint_node` |
 //! | `consistent_cut` | `take_consistent_snapshot` of a quiesced system already cut once, gossip16 / demo27 | 19 / 20 | `start_snapshot`, `SnapshotState::{new, into_shadow}`, `send_markers`, `snapshot_on_marker` |
@@ -34,6 +35,9 @@
 //!   scratch `Vec` and append that, and an UPDATE allocates 4 times.
 //! * `gossip_frame`: make `decode` validate a copy of the bytes
 //!   (`Concrete(&bytes.to_vec())`), and a valid rumor allocates twice.
+//! * `bgp_update_decode`: make `decode` copy the attribute block before
+//!   parsing it (`decode_attrs_with_presence(&abytes.to_vec())`), and a
+//!   full UPDATE allocates 10 times.
 //! * `same_cut_reset`: make `rebind_touched` clone the touched list instead
 //!   of taking it, and the gossip16 reset after an injected drive
 //!   allocates once.
@@ -209,6 +213,45 @@ fn gossip_frame() {
     ] {
         let (frame, spent) = counted(|| dice_system::gossip::decode(bytes));
         assert_eq!(frame.is_ok(), what != "a rejected frame", "{what}");
+        within(&format!("decoding {what}"), spent, budget);
+    }
+}
+
+#[test]
+fn bgp_update_decode() {
+    use dice_system::bgp::attrs::flags;
+    use dice_system::bgp::{decode, encode, net, Message, RawAttr, UpdateMsg};
+    let mut full = wire_workload::bgp_update();
+    if let Message::Update(u) = &mut full {
+        let attrs = u.attrs.as_mut().expect("an announcement");
+        attrs.unknown.push(RawAttr {
+            flags: flags::OPTIONAL | flags::TRANSITIVE | flags::PARTIAL,
+            code: 0xE5,
+            value: vec![0xAB; 12],
+        });
+    }
+    let full = encode(&full);
+    let withdraw = encode(&Message::Update(UpdateMsg {
+        withdrawn: vec![net("192.0.2.0/24"), net("198.51.100.0/24")],
+        attrs: None,
+        nlri: vec![],
+    }));
+    // The same UPDATE with its NEXT_HOP zeroed: rejected inside the
+    // attribute block, after the AS_PATH was read.
+    let mut rejected = full.clone();
+    let at = rejected
+        .windows(3)
+        .position(|w| w == [flags::TRANSITIVE, 3, 4])
+        .expect("a NEXT_HOP attribute")
+        + 3;
+    rejected[at..at + 4].fill(0);
+    for (what, bytes, budget) in [
+        ("a full UPDATE", &full, 9),
+        ("a withdraw-only UPDATE", &withdraw, 1),
+        ("a rejected UPDATE", &rejected, 6),
+    ] {
+        let (msg, spent) = counted(|| decode(bytes));
+        assert_eq!(msg.is_ok(), what != "a rejected UPDATE", "{what}: {msg:?}");
         within(&format!("decoding {what}"), spent, budget);
     }
 }

@@ -3,9 +3,12 @@
 //! import policy) on arbitrary grammar-generated and mutated messages —
 //! the fidelity contract from DESIGN.md §2.
 
-use dice_system::bgp::{decode, Asn, Message, Policy, RouterConfig, RouterId};
-use dice_system::concolic::{ConcolicCtx, ConcolicProgram, RunStatus, SymInput};
-use dice_system::dice::{GrammarConfig, SymbolicUpdateHandler, UpdateGrammar};
+use dice_system::bgp::attrs::{code, flags};
+use dice_system::bgp::{decode, net, Asn, Community, Message, Policy, RouterConfig, RouterId};
+use dice_system::concolic::{ConcolicCtx, ConcolicProgram, ExprArena, ExprId, RunStatus, SymInput};
+use dice_system::dice::bgp_sut::minimal_seed;
+use dice_system::dice::hash::hex;
+use dice_system::dice::{mark_update, GrammarConfig, Sha256, SymbolicUpdateHandler, UpdateGrammar};
 use dice_system::netsim::NodeId;
 use proptest::prelude::*;
 
@@ -73,6 +76,373 @@ fn twin_verdict(cfg: &RouterConfig, bytes: &[u8]) -> Result<bool, String> {
         RunStatus::Rejected(stage) => Err(stage.into_owned()),
         RunStatus::Crash(c) => Err(format!("crash:{c}")),
     }
+}
+
+/// How a handler disposes of one UPDATE.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Class {
+    Accept,
+    PolicyReject,
+    Reject,
+    Crash,
+}
+
+fn class_of(status: RunStatus) -> Class {
+    match status {
+        RunStatus::Ok => Class::Accept,
+        RunStatus::Rejected(stage) if stage == "import-policy" => Class::PolicyReject,
+        RunStatus::Rejected(_) => Class::Reject,
+        RunStatus::Crash(_) => Class::Crash,
+    }
+}
+
+/// An UPDATE from raw sections: the withdrawn routes, the attribute block
+/// and the NLRI, each as its wire bytes.
+fn update(withdrawn: &[u8], attrs: &[u8], nlri: &[u8]) -> Vec<u8> {
+    let mut m = vec![0xFF; 16];
+    let len = 19 + 2 + withdrawn.len() + 2 + attrs.len() + nlri.len();
+    m.extend_from_slice(&(len as u16).to_be_bytes());
+    m.push(2);
+    m.extend_from_slice(&(withdrawn.len() as u16).to_be_bytes());
+    m.extend_from_slice(withdrawn);
+    m.extend_from_slice(&(attrs.len() as u16).to_be_bytes());
+    m.extend_from_slice(attrs);
+    m.extend_from_slice(nlri);
+    m
+}
+
+/// One attribute: a two-byte length when `fl` sets the extended-length bit.
+fn attr(fl: u8, tc: u8, value: &[u8]) -> Vec<u8> {
+    let mut a = vec![fl, tc];
+    if fl & flags::EXT_LEN != 0 {
+        a.extend_from_slice(&(value.len() as u16).to_be_bytes());
+    } else {
+        a.push(value.len() as u8);
+    }
+    a.extend_from_slice(value);
+    a
+}
+
+/// An AS_PATH value from `(segment kind, members)`.
+fn segments(segs: &[(u8, &[u16])]) -> Vec<u8> {
+    let mut v = Vec::new();
+    for (kind, asns) in segs {
+        v.push(*kind);
+        v.push(asns.len() as u8);
+        for a in *asns {
+            v.extend_from_slice(&a.to_be_bytes());
+        }
+    }
+    v
+}
+
+const WK: u8 = flags::TRANSITIVE;
+const OPT: u8 = flags::OPTIONAL;
+const OPT_TRANS: u8 = flags::OPTIONAL | flags::TRANSITIVE;
+const SET: u8 = 1;
+const SEQ: u8 = 2;
+
+/// ORIGIN, AS_PATH and NEXT_HOP of a valid announcement from the peer,
+/// with `replace` standing in for the attribute of its code, then `extra`.
+fn attrs_with(replace: Option<(u8, Vec<u8>)>, extra: &[u8]) -> Vec<u8> {
+    let trio = [
+        (code::ORIGIN, attr(WK, code::ORIGIN, &[0])),
+        (
+            code::AS_PATH,
+            attr(WK, code::AS_PATH, &segments(&[(SEQ, &[PEER.0, 64901])])),
+        ),
+        (code::NEXT_HOP, attr(WK, code::NEXT_HOP, &[10, 0, 0, 1])),
+    ];
+    let mut out = Vec::new();
+    let mut replaced = false;
+    for (tc, a) in trio {
+        match &replace {
+            Some((rc, r)) if *rc == tc => {
+                out.extend_from_slice(r);
+                replaced = true;
+            }
+            _ => out.extend_from_slice(&a),
+        }
+    }
+    if let (Some((_, r)), false) = (&replace, replaced) {
+        out.extend_from_slice(r);
+    }
+    out.extend_from_slice(extra);
+    out
+}
+
+/// A prefix entry of `plen` bits followed by `nb` address bytes.
+fn prefix(plen: u8, nb: usize) -> Vec<u8> {
+    let mut p = vec![plen];
+    p.extend((0..nb).map(|i| [10, 1, 2, 3, 4][i % 5]));
+    p
+}
+
+const NLRI: [u8; 4] = [24, 10, 1, 2];
+
+/// Every UPDATE whose checked field sits at a bound the handler tests, one
+/// either side of it, or at a shape the checks single out: prefix lengths
+/// 32 / 33 with their bytes one short, exact and one over; each attribute
+/// one byte short, exact and one over, with and without the extended-length
+/// flag and under every flag pattern; AS_PATH segment kinds 0–3, counts
+/// 0–2, sets first, last and alone; unknown codes 0xEF / 0xF0 with values
+/// of 0x8F / 0x90 bytes, transitive or not, before valid and invalid NLRI;
+/// and the framing of each section.
+fn updates_at_bounds() -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    let trio = attrs_with(None, &[]);
+    // Prefix lengths, as NLRI and as withdrawn routes.
+    for plen in [0u8, 1, 8, 9, 24, 31, 32, 33, 255] {
+        let nb = (plen as usize).div_ceil(8);
+        for n in [nb.checked_sub(1), Some(nb), Some(nb + 1)]
+            .into_iter()
+            .flatten()
+        {
+            out.push(update(&[], &trio, &prefix(plen, n)));
+            out.push(update(&prefix(plen, n), &[], &[]));
+            out.push(update(&prefix(plen, n), &trio, &NLRI));
+        }
+    }
+    out.push(update(
+        &[],
+        &trio,
+        &[NLRI.as_slice(), &prefix(16, 2)].concat(),
+    ));
+    // Each known attribute: length one short, exact, one over; with and
+    // without the extended-length flag; under all four flag patterns.
+    let known: [(u8, u8, &[u8]); 7] = [
+        (WK, code::ORIGIN, &[1]),
+        (WK, code::NEXT_HOP, &[10, 0, 0, 9]),
+        (OPT, code::MED, &[0, 0, 0, 7]),
+        (WK, code::LOCAL_PREF, &[0, 0, 0, 100]),
+        (WK, code::ATOMIC_AGGREGATE, &[]),
+        (OPT_TRANS, code::AGGREGATOR, &[0xFD, 0xE9, 10, 0, 0, 1]),
+        (OPT_TRANS, code::COMMUNITY, &[0xFD, 0xE9, 0, 1]),
+    ];
+    for (fl, tc, value) in known {
+        let mut lens = vec![value.len(), value.len() + 1];
+        lens.extend(value.len().checked_sub(1));
+        for len in lens {
+            let mut v = value.to_vec();
+            v.resize(len, 0x01);
+            for ext in [0, flags::EXT_LEN] {
+                out.push(update(
+                    &[],
+                    &attrs_with(Some((tc, attr(fl | ext, tc, &v))), &[]),
+                    &NLRI,
+                ));
+            }
+        }
+        for fl in [0, WK, OPT, OPT_TRANS] {
+            out.push(update(
+                &[],
+                &attrs_with(Some((tc, attr(fl, tc, value))), &[]),
+                &NLRI,
+            ));
+        }
+    }
+    for origin in [0u8, 2, 3, 255] {
+        let a = attr(WK, code::ORIGIN, &[origin]);
+        out.push(update(
+            &[],
+            &attrs_with(Some((code::ORIGIN, a)), &[]),
+            &NLRI,
+        ));
+    }
+    for nh in [0u32, 1, 0xFFFF_FFFE, u32::MAX] {
+        let a = attr(WK, code::NEXT_HOP, &nh.to_be_bytes());
+        out.push(update(
+            &[],
+            &attrs_with(Some((code::NEXT_HOP, a)), &[]),
+            &NLRI,
+        ));
+    }
+    for comms in [8usize, 12] {
+        let v: Vec<u8> = (0..comms)
+            .map(|i| [0xFD, 0xE9, 0, 1 + i as u8][i % 4])
+            .collect();
+        let a = attr(OPT_TRANS, code::COMMUNITY, &v);
+        out.push(update(
+            &[],
+            &attrs_with(Some((code::COMMUNITY, a)), &[]),
+            &NLRI,
+        ));
+    }
+    // AS_PATH: segment kinds, counts and their value lengths; sets.
+    for kind in 0u8..=3 {
+        for count in 0u8..=2 {
+            let mut v = vec![kind, count];
+            for k in 0..count {
+                v.extend_from_slice(&(PEER.0 + k as u16).to_be_bytes());
+            }
+            for len in [v.len().saturating_sub(1), v.len(), v.len() + 1] {
+                let mut v = v.clone();
+                v.resize(len, 0xFD);
+                let a = attr(WK, code::AS_PATH, &v);
+                out.push(update(
+                    &[],
+                    &attrs_with(Some((code::AS_PATH, a)), &[]),
+                    &NLRI,
+                ));
+            }
+        }
+    }
+    let paths: [&[(u8, &[u16])]; 7] = [
+        &[(SET, &[PEER.0])],
+        &[(SET, &[PEER.0, 64901])],
+        &[(SEQ, &[PEER.0]), (SET, &[64901, 64902, 64903])],
+        &[(SEQ, &[PEER.0, 64901]), (SEQ, &[64902])],
+        &[(SET, &[64901]), (SEQ, &[PEER.0])],
+        &[(SEQ, &[PEER.0, OWN.0])],
+        &[],
+    ];
+    for segs in paths {
+        let a = attr(WK, code::AS_PATH, &segments(segs));
+        out.push(update(
+            &[],
+            &attrs_with(Some((code::AS_PATH, a)), &[]),
+            &NLRI,
+        ));
+    }
+    // The unknown-attribute arm around the seeded defect's trigger window.
+    for tc in [0xEFu8, 0xF0] {
+        for len in [0x8Fusize, 0x90] {
+            for fl in [OPT_TRANS, OPT, WK] {
+                for ext in [0, flags::EXT_LEN] {
+                    let a = attr(fl | ext, tc, &vec![0xAA; len]);
+                    for nlri in [&NLRI[..], &[60, 10], &[]] {
+                        out.push(update(&[], &attrs_with(None, &a), nlri));
+                    }
+                }
+            }
+        }
+    }
+    // Presence, duplicates and the framing of each section.
+    for tc in [code::ORIGIN, code::AS_PATH, code::NEXT_HOP] {
+        let without: Vec<u8> = {
+            let mut a = Vec::new();
+            let full = attrs_with(None, &[]);
+            let mut i = 0;
+            while i < full.len() {
+                let n = 3 + full[i + 2] as usize;
+                if full[i + 1] != tc {
+                    a.extend_from_slice(&full[i..i + n]);
+                }
+                i += n;
+            }
+            a
+        };
+        out.push(update(&[], &without, &NLRI));
+        out.push(update(&prefix(8, 1), &without, &[]));
+    }
+    out.push(update(
+        &[],
+        &attrs_with(None, &attr(WK, code::ORIGIN, &[0])),
+        &NLRI,
+    ));
+    out.push(update(&[], &[], &NLRI));
+    out.push(update(&[], &[], &[]));
+    for block in [
+        &[WK][..],
+        &[WK, code::ORIGIN],
+        &[WK | flags::EXT_LEN, code::ORIGIN, 0],
+    ] {
+        out.push(update(&[], &[trio.as_slice(), block].concat(), &NLRI));
+    }
+    let mut overrun = update(&[], &trio, &NLRI);
+    overrun[22] = 0xFF; // the attribute block's length, low byte
+    out.push(overrun);
+    let mut overrun = update(&prefix(8, 1), &trio, &NLRI);
+    overrun[20] = 0x40; // the withdrawn routes' length, low byte
+    out.push(overrun);
+    for body in 0..6 {
+        let mut m = update(&[], &[], &[]);
+        m.truncate(19);
+        m.extend((0..body).map(|_| 0));
+        m[17] = m.len() as u8;
+        out.push(m);
+    }
+    out
+}
+
+/// The configuration the pinned paths run under: an import policy that
+/// reads every attribute the twin interprets, with an action-bearing rule
+/// before the rules that could see its effect.
+fn pin_config(buggy: bool) -> RouterConfig {
+    use dice_system::bgp::{Action, Match, Origin, PrefixFilter, Rule, Verdict};
+    let tag = Community::from_pair(OWN.0, 7);
+    let policy = Policy {
+        name: "imp".into(),
+        rules: vec![
+            Rule {
+                matches: vec![Match::PrefixIn(vec![PrefixFilter::or_longer(net(
+                    "10.0.0.0/8",
+                ))])],
+                actions: vec![Action::AddCommunity(tag)],
+                verdict: None,
+            },
+            Rule::reject(vec![Match::HasCommunity(tag), Match::AsPathLenAtMost(1)]),
+            Rule::reject(vec![Match::OriginatedBy(Asn(64903))]),
+            Rule::reject(vec![Match::AsPathContains(Asn(64905))]),
+            Rule::accept(vec![
+                Match::OriginIs(Origin::Igp),
+                Match::PrefixLenIn { min: 8, max: 24 },
+            ]),
+        ],
+        default: Verdict::Reject,
+    };
+    let mut cfg = RouterConfig::minimal(OWN, RouterId(1))
+        .with_neighbor(NodeId(2), PEER, "imp", "all")
+        .with_policy(policy);
+    cfg.bugs.attr_overflow_crash = buggy;
+    cfg
+}
+
+/// The twin's paths, pinned: one session arena (as `explore` threads it)
+/// runs the minimal seed, a grammar corpus (its large-unknown seed
+/// included) and the whole bound grid, for the clean and then the buggy
+/// configuration, the body symbolic as `mark_update` marks it. One SHA-256
+/// covers every execution's branches (site, constraint id, taken), its
+/// class, and the nodes it added to the arena, in id order — so a change
+/// that reorders the twin's reads or comparisons, even one that keeps
+/// every class and every branch, moves it.
+///
+/// Break it once: swap the reads of an attribute's flags and type code in
+/// `dice_bgp::wire::validate_update`, and the hash moves.
+#[test]
+fn bgp_twin_paths_are_pinned() {
+    let mut sha = Sha256::new();
+    let (mut arena, mut path) = (ExprArena::new(), Vec::new());
+    let mut executions = 0;
+    for buggy in [false, true] {
+        let mut twin = SymbolicUpdateHandler::new(pin_config(buggy), NodeId(2));
+        let mut g = UpdateGrammar::new(GrammarConfig::for_peer(PEER), 7);
+        let mut inputs = vec![minimal_seed(PEER), g.generate(), g.generate_large_unknown()];
+        inputs.extend(g.batch(8));
+        inputs.extend(updates_at_bounds());
+        for bytes in inputs {
+            let interned = arena.len() as u32;
+            let input = SymInput::with_mask(bytes.clone(), mark_update(&bytes));
+            let mut ctx = ConcolicCtx::continuing(input, Default::default(), arena, path);
+            let class = class_of(twin.run(&mut ctx));
+            for b in ctx.path() {
+                sha.update(&b.site.0.to_be_bytes());
+                sha.update(&b.constraint.0.to_be_bytes());
+                sha.update(&[b.taken as u8]);
+            }
+            sha.update(&[class as u8]);
+            (_, _, arena, path) = ctx.into_parts();
+            for id in interned..arena.len() as u32 {
+                sha.update(format!("{:?};", arena.get(ExprId(id))).as_bytes());
+            }
+            executions += 1;
+        }
+    }
+    assert!(executions > 400, "{executions}");
+    assert_eq!(
+        hex(&sha.finalize()),
+        "979b525b13c61ff30c4ea77f59c8c68504de62f05616f975ed135b6c47722b1c"
+    );
 }
 
 proptest! {
