@@ -340,16 +340,6 @@ impl BgpRouter {
         }
     }
 
-    /// The seeded programming error (see [`crate::config::BugSwitches`]):
-    /// returns true when the handler must "crash".
-    fn bug_attr_overflow_trips(&self, attrs: &PathAttrs) -> bool {
-        self.shared.config.bugs.attr_overflow_crash
-            && attrs
-                .unknown
-                .iter()
-                .any(|raw| raw.code >= 0xF0 && raw.value.len() >= 0x90)
-    }
-
     /// An UPDATE from neighbour `i`, session checks passed.
     fn handle_update(&mut self, i: usize, upd: UpdateMsg, api: &mut NodeApi<'_>) {
         self.stats.updates_rx += 1;
@@ -370,10 +360,6 @@ impl BgpRouter {
 
         match attrs {
             Some(mut attrs) if !nlri.is_empty() => {
-                if self.bug_attr_overflow_trips(&attrs) {
-                    api.crash("seeded bug: unknown-attribute length overflow in update handler");
-                    return;
-                }
                 if attrs.as_path.contains(own) {
                     // AS-path loop: ignore the announcements (RFC 4271 §9).
                     self.stats.loop_rejects += 1;
@@ -584,9 +570,15 @@ impl Node for BgpRouter {
         let Some(i) = self.peer_index(from) else {
             return;
         };
-        let msg = match wire::decode(data) {
+        // The seeded defect (see `BugSwitches`) fires while an UPDATE is
+        // parsed, inside `wire::validate_update`.
+        let msg = match wire::decode_with(data, self.shared.config.bugs) {
             Ok((msg, _)) => msg,
-            Err(e) => {
+            Err(wire::Verdict::Crash(why)) => {
+                api.crash(why);
+                return;
+            }
+            Err(wire::Verdict::Reject(e)) => {
                 self.stats.decode_errors += 1;
                 let (code, subcode) = e.notification_codes();
                 self.protocol_error(from, code, subcode, format_args!("decode: {e}"), api);

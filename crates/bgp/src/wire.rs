@@ -6,8 +6,14 @@
 //! send (§6). Encoding is deterministic (attributes in ascending type-code
 //! order) so byte-level round-trips are testable.
 
-use crate::attrs::{code, flags, AsPath, AsPathSegment, Origin, PathAttrs, RawAttr, SegmentKind};
+use dice_netsim::{Concrete, Domain};
+
+use crate::attrs::{code, flags, AsPathSegment, Origin, PathAttrs, RawAttr, SegmentKind};
+use crate::config::BugSwitches;
 use crate::types::{Asn, Community, Ipv4Addr, Ipv4Net, RouterId};
+
+#[cfg(test)]
+mod oracle;
 
 /// Length of the all-ones marker field.
 pub const MARKER_LEN: usize = 16;
@@ -428,215 +434,564 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn decode_nlri(buf: &[u8], err: DecodeError) -> Result<Vec<Ipv4Net>, DecodeError> {
-    let mut r = Reader::new(buf);
-    let mut out = Vec::new();
-    while r.remaining() > 0 {
-        let len = r.u8().ok_or_else(|| err.clone())?;
-        if len > 32 {
-            return Err(err);
-        }
-        let nb = len as usize / 8 + usize::from(len % 8 != 0);
-        let bytes = r.bytes(nb).ok_or_else(|| err.clone())?;
-        let mut addr = [0u8; 4];
-        addr[..nb].copy_from_slice(bytes);
-        out.push(Ipv4Net::new(u32::from_be_bytes(addr), len));
+/// Stable branch-site identifiers of [`validate_update`]. The exploration
+/// twin in `dice-core` records its decision sites (70, 71, 90, 100 and up)
+/// after these.
+pub mod sites {
+    #![allow(
+        missing_docs,
+        reason = "each constant is the branch it names in `validate_update`"
+    )]
+    pub const WLEN_FITS: u32 = 10;
+    pub const WD_PLEN: u32 = 11;
+    pub const WD_FITS: u32 = 12;
+    pub const ALEN_FITS: u32 = 13;
+    pub const ATTR_HDR_FITS: u32 = 20;
+    pub const ATTR_EXT_LEN: u32 = 21;
+    pub const ATTR_VAL_FITS: u32 = 22;
+    pub const ATTR_WK_FLAGS: u32 = 23;
+    pub const ATTR_OPT_FLAG: u32 = 24;
+    /// Dispatch sites: `DISPATCH_BASE + type_code` for known codes.
+    pub const DISPATCH_BASE: u32 = 30;
+    pub const ORIGIN_LEN: u32 = 40;
+    pub const ORIGIN_VAL: u32 = 41;
+    pub const ASPATH_SEG_KIND: u32 = 42;
+    pub const ASPATH_SEG_COUNT: u32 = 43;
+    pub const ASPATH_SEG_FITS: u32 = 44;
+    pub const NEXTHOP_LEN: u32 = 45;
+    pub const NEXTHOP_NONZERO: u32 = 46;
+    pub const MED_LEN: u32 = 47;
+    pub const LOCALPREF_LEN: u32 = 48;
+    pub const ATOMIC_LEN: u32 = 49;
+    pub const AGGREGATOR_LEN: u32 = 50;
+    pub const COMMUNITY_MOD4: u32 = 51;
+    pub const NEXTHOP_NOT_BCAST: u32 = 54;
+    pub const ATTR_OPT_TRANS_FLAGS: u32 = 55;
+    pub const BUG_CODE_HIGH: u32 = 60;
+    pub const BUG_LEN_OVERFLOW: u32 = 61;
+    pub const NLRI_PLEN: u32 = 80;
+    pub const NLRI_FITS: u32 = 81;
+}
+
+/// Why [`validate_update`] did not accept an UPDATE.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Verdict {
+    /// A conforming speaker answers with the NOTIFICATION the error names.
+    Reject(DecodeError),
+    /// A seeded defect crashes the router; the reason it crashes with.
+    Crash(&'static str),
+}
+
+impl From<DecodeError> for Verdict {
+    fn from(e: DecodeError) -> Self {
+        Verdict::Reject(e)
     }
-    Ok(out)
 }
 
-/// Presence of the three well-known mandatory attributes in a parsed block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MandatoryPresence {
-    /// ORIGIN present.
-    pub origin: bool,
-    /// AS_PATH present.
-    pub as_path: bool,
-    /// NEXT_HOP present.
-    pub next_hop: bool,
+/// What [`validate_update`] hands its reader, field by field in wire
+/// order, as words of the domain it runs in. A field the validator checks
+/// by its length alone comes as the offset of its value in the message.
+/// Every method ignores its field unless a reader overrides it.
+#[allow(
+    unused_variables,
+    reason = "the default bodies ignore the field their parameters name"
+)]
+pub trait UpdateSink<W> {
+    /// A withdrawn prefix of `plen` bits, its address bytes at `at`.
+    fn withdrawn(&mut self, plen: W, at: usize) {}
+    /// The attribute block is not empty.
+    fn path_attrs(&mut self) {}
+    /// The ORIGIN value.
+    fn origin(&mut self, v: W) {}
+    /// An AS_PATH segment of `kind` (1 a set, 2 a sequence) and `count`
+    /// members; one [`asn`](Self::asn) per member follows.
+    fn segment(&mut self, kind: W, count: W) {}
+    /// A member of the last [`segment`](Self::segment).
+    fn asn(&mut self, asn: W) {}
+    /// The NEXT_HOP address.
+    fn next_hop(&mut self, v: W) {}
+    /// MULTI_EXIT_DISC, four bytes at `at`.
+    fn med(&mut self, at: usize) {}
+    /// LOCAL_PREF, four bytes at `at`.
+    fn local_pref(&mut self, at: usize) {}
+    /// ATOMIC_AGGREGATE.
+    fn atomic_aggregate(&mut self) {}
+    /// AGGREGATOR: its AS (two bytes) and address (four) at `at`.
+    fn aggregator(&mut self, at: usize) {}
+    /// A COMMUNITY value.
+    fn community(&mut self, c: W) {}
+    /// An unrecognized optional attribute, its value at `value`.
+    fn unknown(&mut self, flags: W, code: W, value: core::ops::Range<usize>) {}
+    /// An announced prefix: `plen` bits of `addr`.
+    fn nlri(&mut self, plen: W, addr: W) {}
 }
 
-/// Parse the path-attribute block of an UPDATE.
-pub fn decode_attrs(buf: &[u8]) -> Result<PathAttrs, DecodeError> {
-    decode_attrs_with_presence(buf).map(|(a, _)| a)
+/// The attribute type codes seen so far in one block.
+#[derive(Default)]
+struct CodeSet([u64; 4]);
+
+impl CodeSet {
+    /// Add `code`; whether it was new.
+    fn insert(&mut self, code: u8) -> bool {
+        let (word, bit) = ((code >> 6) as usize, 1u64 << (code & 63));
+        let new = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        new
+    }
 }
 
-/// Like [`decode_attrs`], also reporting which mandatory attributes were
-/// present (the UPDATE decoder enforces presence only when NLRI is present).
-pub fn decode_attrs_with_presence(
-    buf: &[u8],
-) -> Result<(PathAttrs, MandatoryPresence), DecodeError> {
-    let mut r = Reader::new(buf);
-    let mut attrs = PathAttrs::default();
-    let mut seen: Vec<u8> = Vec::new();
-    let mut have_origin = false;
-    let mut have_as_path = false;
-    let mut have_next_hop = false;
+/// The seeded defect's crash reason (see [`BugSwitches::attr_overflow_crash`]).
+const BUG_CRASH: &str = "seeded bug: unknown-attribute length overflow in update handler";
 
-    while r.remaining() > 0 {
-        let fl = r.u8().ok_or(DecodeError::MalformedAttrList)?;
-        let tc = r.u8().ok_or(DecodeError::MalformedAttrList)?;
-        let len = if fl & flags::EXT_LEN != 0 {
-            r.u16().ok_or(DecodeError::MalformedAttrList)? as usize
+/// `(plen + 7) >> 3`: how many address bytes a prefix of `plen` bits has.
+fn prefix_bytes<D: Domain>(d: &mut D, plen: D::Word) -> D::Word {
+    let p16 = d.zext(16, plen);
+    let plus7 = d.add_const(p16, 7);
+    d.shr(plus7, 3)
+}
+
+/// The UPDATE validation of a router, written once over a value domain:
+/// the router and [`decode`] run it on [`Concrete`] bytes, DiCE's
+/// exploration twin on concolic values. `d` holds the whole message, its
+/// header already checked. It reads the withdrawn routes, the attribute
+/// block (header, extended length, value bounds, duplicates, each
+/// attribute's flag pattern and each known type's length and value) and
+/// the NLRI, in wire order, handing each field to `sink`, then requires
+/// the three mandatory attributes of an UPDATE that announces. With
+/// [`BugSwitches::attr_overflow_crash`] on, an unknown optional attribute
+/// with a type code at or above 0xF0 and a value of 0x90 bytes or more
+/// crashes it.
+///
+/// Each data-dependent condition is a [`Domain::branch`] at a [`sites`]
+/// constant; a bound that is a plain offset comparison is read off
+/// concrete values and records none. The order of the domain calls is the
+/// twin's path condition, so reordering two reads changes what
+/// exploration records.
+pub fn validate_update<D: Domain>(
+    d: &mut D,
+    bugs: BugSwitches,
+    sink: &mut impl UpdateSink<D::Word>,
+) -> Result<(), Verdict> {
+    use DecodeError::*;
+    let total = d.len();
+    if total < HEADER_LEN + 2 {
+        return Err(MalformedAttrList.into());
+    }
+    let mut pos = HEADER_LEN;
+
+    // ---- Withdrawn routes ------------------------------------------------
+    let wlen = d.read_u16_be(pos);
+    pos += 2;
+    let fits = d.ule_const(wlen, (total - pos) as u64);
+    if !d.branch(sites::WLEN_FITS, fits) {
+        return Err(MalformedAttrList.into());
+    }
+    let wend = pos + d.value(wlen) as usize;
+    while pos < wend {
+        let plen = d.read_u8(pos);
+        pos += 1;
+        let ok = d.ule_const(plen, 32);
+        if !d.branch(sites::WD_PLEN, ok) {
+            return Err(MalformedAttrList.into());
+        }
+        let nbytes = prefix_bytes(d, plen);
+        let fits = d.ule_const(nbytes, (wend - pos) as u64);
+        if !d.branch(sites::WD_FITS, fits) {
+            return Err(MalformedAttrList.into());
+        }
+        sink.withdrawn(plen, pos);
+        pos += d.value(nbytes) as usize;
+    }
+
+    // ---- Path attribute block --------------------------------------------
+    if pos + 2 > total {
+        return Err(MalformedAttrList.into());
+    }
+    let alen = d.read_u16_be(pos);
+    pos += 2;
+    let fits = d.ule_const(alen, (total - pos) as u64);
+    if !d.branch(sites::ALEN_FITS, fits) {
+        return Err(MalformedAttrList.into());
+    }
+    let aend = pos + d.value(alen) as usize;
+    if aend > pos {
+        sink.path_attrs();
+    }
+    let mut seen = CodeSet::default();
+    let (mut have_origin, mut have_as_path, mut have_next_hop) = (false, false, false);
+    while pos < aend {
+        let hdr_fits = d.lit(pos + 2 <= aend);
+        if !d.branch(sites::ATTR_HDR_FITS, hdr_fits) {
+            return Err(MalformedAttrList.into());
+        }
+        let fl = d.read_u8(pos);
+        let tcode = d.read_u8(pos + 1);
+        pos += 2;
+        let ext_bit = d.and_const(fl, flags::EXT_LEN as u64);
+        let has_ext = d.ne_const(ext_bit, 0);
+        let len = if d.branch(sites::ATTR_EXT_LEN, has_ext) {
+            if pos + 2 > aend {
+                return Err(MalformedAttrList.into());
+            }
+            let l16 = d.read_u16_be(pos);
+            pos += 2;
+            l16
         } else {
-            r.u8().ok_or(DecodeError::MalformedAttrList)? as usize
+            if pos + 1 > aend {
+                return Err(MalformedAttrList.into());
+            }
+            let l8 = d.read_u8(pos);
+            pos += 1;
+            d.zext(16, l8)
         };
-        let value = r.bytes(len).ok_or(DecodeError::MalformedAttrList)?;
-        if seen.contains(&tc) {
-            return Err(DecodeError::DuplicateAttr(tc));
+        let val_fits = d.ule_const(len, (aend - pos) as u64);
+        if !d.branch(sites::ATTR_VAL_FITS, val_fits) {
+            return Err(MalformedAttrList.into());
         }
-        seen.push(tc);
+        let vstart = pos;
+        pos += d.value(len) as usize;
 
-        let optional = fl & flags::OPTIONAL != 0;
-        let transitive = fl & flags::TRANSITIVE != 0;
-        let well_known_check = |is_wk: bool| -> Result<(), DecodeError> {
-            if is_wk && (optional || !transitive) {
-                return Err(DecodeError::AttrFlagsError {
-                    code: tc,
-                    flags: fl,
-                });
-            }
-            Ok(())
+        // Duplicates: a table lookup on the concrete code, as in C.
+        let tc = d.value(tcode) as u8;
+        if !seen.insert(tc) {
+            return Err(DuplicateAttr(tc).into());
+        }
+        let flags_error = AttrFlagsError {
+            code: tc,
+            flags: d.value(fl) as u8,
         };
 
-        match tc {
-            code::ORIGIN => {
-                well_known_check(true)?;
-                if value.len() != 1 {
-                    return Err(DecodeError::AttrLenError { code: tc });
-                }
-                attrs.origin =
-                    Origin::from_u8(value[0]).ok_or(DecodeError::InvalidOrigin(value[0]))?;
-                have_origin = true;
+        let optional = d.and_const(fl, flags::OPTIONAL as u64);
+        let opt_set = d.ne_const(optional, 0);
+        let transitive = d.and_const(fl, flags::TRANSITIVE as u64);
+        let trans_set = d.ne_const(transitive, 0);
+        // Well-known flag pattern: !optional && transitive.
+        let not_opt = d.bnot(opt_set);
+        let wk_ok = d.band(not_opt, trans_set);
+
+        // Dispatch: an if / else-if chain over the known type codes.
+        let is = |d: &mut D, k: u8| {
+            let hit = d.eq_const(tcode, k as u64);
+            d.branch(sites::DISPATCH_BASE + k as u32, hit)
+        };
+        if is(d, code::ORIGIN) {
+            if !d.branch(sites::ATTR_WK_FLAGS, wk_ok) {
+                return Err(flags_error.into());
             }
-            code::AS_PATH => {
-                well_known_check(true)?;
-                let mut pr = Reader::new(value);
-                let mut segments = Vec::new();
-                while pr.remaining() > 0 {
-                    let kind = SegmentKind::from_u8(pr.u8().ok_or(DecodeError::MalformedAsPath)?)
-                        .ok_or(DecodeError::MalformedAsPath)?;
-                    let count = pr.u8().ok_or(DecodeError::MalformedAsPath)? as usize;
-                    if count == 0 {
-                        return Err(DecodeError::MalformedAsPath);
-                    }
-                    let mut asns = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        asns.push(Asn(pr.u16().ok_or(DecodeError::MalformedAsPath)?));
-                    }
-                    segments.push(AsPathSegment { kind, asns });
-                }
-                attrs.as_path = AsPath { segments };
-                have_as_path = true;
+            let len_ok = d.eq_const(len, 1);
+            if !d.branch(sites::ORIGIN_LEN, len_ok) {
+                return Err(AttrLenError { code: tc }.into());
             }
-            code::NEXT_HOP => {
-                well_known_check(true)?;
-                if value.len() != 4 {
-                    return Err(DecodeError::AttrLenError { code: tc });
-                }
-                let a = u32::from_be_bytes([value[0], value[1], value[2], value[3]]);
-                if a == 0 || a == u32::MAX {
-                    return Err(DecodeError::InvalidNextHop);
-                }
-                attrs.next_hop = Ipv4Addr(a);
-                have_next_hop = true;
+            let v = d.read_u8(vstart);
+            let v_ok = d.ule_const(v, 2);
+            if !d.branch(sites::ORIGIN_VAL, v_ok) {
+                return Err(InvalidOrigin(d.value(v) as u8).into());
             }
-            code::MED => {
-                if !optional {
-                    return Err(DecodeError::AttrFlagsError {
-                        code: tc,
-                        flags: fl,
-                    });
-                }
-                if value.len() != 4 {
-                    return Err(DecodeError::AttrLenError { code: tc });
-                }
-                attrs.med = Some(u32::from_be_bytes([value[0], value[1], value[2], value[3]]));
+            sink.origin(v);
+            have_origin = true;
+            continue;
+        }
+        if is(d, code::AS_PATH) {
+            if !d.branch(sites::ATTR_WK_FLAGS, wk_ok) {
+                return Err(flags_error.into());
             }
-            code::LOCAL_PREF => {
-                well_known_check(true)?;
-                if value.len() != 4 {
-                    return Err(DecodeError::AttrLenError { code: tc });
+            let vend = pos;
+            let mut p = vstart;
+            while p < vend {
+                let kind = d.read_u8(p);
+                let set = d.eq_const(kind, 1);
+                let sequence = d.eq_const(kind, 2);
+                let kind_ok = d.bor(set, sequence);
+                if !d.branch(sites::ASPATH_SEG_KIND, kind_ok) || p + 2 > vend {
+                    return Err(MalformedAsPath.into());
                 }
-                attrs.local_pref =
-                    Some(u32::from_be_bytes([value[0], value[1], value[2], value[3]]));
-            }
-            code::ATOMIC_AGGREGATE => {
-                well_known_check(true)?;
-                if !value.is_empty() {
-                    return Err(DecodeError::AttrLenError { code: tc });
+                let count = d.read_u8(p + 1);
+                let nonzero = d.uge_const(count, 1);
+                if !d.branch(sites::ASPATH_SEG_COUNT, nonzero) {
+                    return Err(MalformedAsPath.into());
                 }
-                attrs.atomic_aggregate = true;
-            }
-            code::AGGREGATOR => {
-                if !optional || !transitive {
-                    return Err(DecodeError::AttrFlagsError {
-                        code: tc,
-                        flags: fl,
-                    });
+                let c16 = d.zext(16, count);
+                let segbytes = d.shl(c16, 1);
+                let fits = d.ule_const(segbytes, (vend - p - 2) as u64);
+                if !d.branch(sites::ASPATH_SEG_FITS, fits) {
+                    return Err(MalformedAsPath.into());
                 }
-                if value.len() != 6 {
-                    return Err(DecodeError::AttrLenError { code: tc });
-                }
-                let asn = Asn(u16::from_be_bytes([value[0], value[1]]));
-                let ip = Ipv4Addr(u32::from_be_bytes([value[2], value[3], value[4], value[5]]));
-                attrs.aggregator = Some((asn, ip));
-            }
-            code::COMMUNITY => {
-                if !optional || !transitive {
-                    return Err(DecodeError::AttrFlagsError {
-                        code: tc,
-                        flags: fl,
-                    });
-                }
-                if value.len() % 4 != 0 {
-                    return Err(DecodeError::AttrLenError { code: tc });
-                }
-                for ch in value.chunks_exact(4) {
-                    attrs
-                        .communities
-                        .insert(Community(u32::from_be_bytes([ch[0], ch[1], ch[2], ch[3]])));
+                p += 2;
+                sink.segment(kind, count);
+                for _ in 0..d.value(count) {
+                    let asn = d.read_u16_be(p);
+                    sink.asn(asn);
+                    p += 2;
                 }
             }
-            _ => {
-                if !optional {
-                    return Err(DecodeError::UnrecognizedWellKnown(tc));
+            have_as_path = true;
+            continue;
+        }
+        if is(d, code::NEXT_HOP) {
+            if !d.branch(sites::ATTR_WK_FLAGS, wk_ok) {
+                return Err(flags_error.into());
+            }
+            let len_ok = d.eq_const(len, 4);
+            if !d.branch(sites::NEXTHOP_LEN, len_ok) {
+                return Err(AttrLenError { code: tc }.into());
+            }
+            let v = d.read_u32_be(vstart);
+            let nonzero = d.ne_const(v, 0);
+            if !d.branch(sites::NEXTHOP_NONZERO, nonzero) {
+                return Err(InvalidNextHop.into());
+            }
+            let not_bcast = d.ne_const(v, u32::MAX as u64);
+            if !d.branch(sites::NEXTHOP_NOT_BCAST, not_bcast) {
+                return Err(InvalidNextHop.into());
+            }
+            sink.next_hop(v);
+            have_next_hop = true;
+            continue;
+        }
+        if is(d, code::MED) {
+            if !d.branch(sites::ATTR_OPT_FLAG, opt_set) {
+                return Err(flags_error.into());
+            }
+            let len_ok = d.eq_const(len, 4);
+            if !d.branch(sites::MED_LEN, len_ok) {
+                return Err(AttrLenError { code: tc }.into());
+            }
+            sink.med(vstart);
+            continue;
+        }
+        if is(d, code::LOCAL_PREF) {
+            if !d.branch(sites::ATTR_WK_FLAGS, wk_ok) {
+                return Err(flags_error.into());
+            }
+            let len_ok = d.eq_const(len, 4);
+            if !d.branch(sites::LOCALPREF_LEN, len_ok) {
+                return Err(AttrLenError { code: tc }.into());
+            }
+            sink.local_pref(vstart);
+            continue;
+        }
+        if is(d, code::ATOMIC_AGGREGATE) {
+            if !d.branch(sites::ATTR_WK_FLAGS, wk_ok) {
+                return Err(flags_error.into());
+            }
+            let len_ok = d.eq_const(len, 0);
+            if !d.branch(sites::ATOMIC_LEN, len_ok) {
+                return Err(AttrLenError { code: tc }.into());
+            }
+            sink.atomic_aggregate();
+            continue;
+        }
+        // Optional-transitive flag pattern shared by AGGREGATOR / COMMUNITY.
+        let opt_trans = d.band(opt_set, trans_set);
+        if is(d, code::AGGREGATOR) {
+            if !d.branch(sites::ATTR_OPT_TRANS_FLAGS, opt_trans) {
+                return Err(flags_error.into());
+            }
+            let len_ok = d.eq_const(len, 6);
+            if !d.branch(sites::AGGREGATOR_LEN, len_ok) {
+                return Err(AttrLenError { code: tc }.into());
+            }
+            sink.aggregator(vstart);
+            continue;
+        }
+        if is(d, code::COMMUNITY) {
+            if !d.branch(sites::ATTR_OPT_TRANS_FLAGS, opt_trans) {
+                return Err(flags_error.into());
+            }
+            let low2 = d.and_const(len, 3);
+            let mod_ok = d.eq_const(low2, 0);
+            if !d.branch(sites::COMMUNITY_MOD4, mod_ok) {
+                return Err(AttrLenError { code: tc }.into());
+            }
+            for at in (vstart..pos).step_by(4) {
+                let c = d.read_u32_be(at);
+                sink.community(c);
+            }
+            continue;
+        }
+
+        // Unknown attribute: a well-known one is fatal; an optional one is
+        // carried when transitive and dropped when not.
+        if !d.branch(sites::ATTR_OPT_FLAG, opt_set) {
+            return Err(UnrecognizedWellKnown(tc).into());
+        }
+        // The seeded programming error: a BIRD-style signed 8-bit length
+        // temporary for high-numbered unknown attributes.
+        if bugs.attr_overflow_crash {
+            let code_high = d.uge_const(tcode, 0xF0);
+            if d.branch(sites::BUG_CODE_HIGH, code_high) {
+                let len_big = d.uge_const(len, 0x90);
+                if d.branch(sites::BUG_LEN_OVERFLOW, len_big) {
+                    return Err(Verdict::Crash(BUG_CRASH));
                 }
-                if transitive {
-                    // Carry through with the partial bit set.
-                    attrs.unknown.push(RawAttr {
-                        flags: fl | flags::PARTIAL,
-                        code: tc,
-                        value: value.to_vec(),
-                    });
-                }
-                // Unknown optional non-transitive: silently dropped.
+            }
+        }
+        sink.unknown(fl, tcode, vstart..pos);
+    }
+
+    // ---- NLRI ------------------------------------------------------------
+    let mut announces = false;
+    while pos < total {
+        let plen = d.read_u8(pos);
+        pos += 1;
+        let ok = d.ule_const(plen, 32);
+        if !d.branch(sites::NLRI_PLEN, ok) {
+            return Err(InvalidNlri.into());
+        }
+        let nbytes = prefix_bytes(d, plen);
+        let fits = d.ule_const(nbytes, (total - pos) as u64);
+        if !d.branch(sites::NLRI_FITS, fits) {
+            return Err(InvalidNlri.into());
+        }
+        // The 32-bit address from up to four bytes, the rest zero.
+        let nbytes = d.value(nbytes) as usize;
+        let mut addr = d.word(32, 0);
+        for k in 0..4 {
+            let byte = if k < nbytes {
+                let b = d.read_u8(pos + k);
+                d.zext(32, b)
+            } else {
+                d.word(32, 0)
+            };
+            let shifted = d.shl(byte, (24 - 8 * k) as u8);
+            addr = d.or(addr, shifted);
+        }
+        pos += nbytes;
+        sink.nlri(plen, addr);
+        announces = true;
+    }
+
+    if announces {
+        for (present, tc) in [
+            (have_origin, code::ORIGIN),
+            (have_as_path, code::AS_PATH),
+            (have_next_hop, code::NEXT_HOP),
+        ] {
+            if !present {
+                return Err(MissingWellKnown(tc).into());
             }
         }
     }
+    Ok(())
+}
 
-    attrs.unknown.sort_by_key(|r| r.code);
-    Ok((
-        attrs,
-        MandatoryPresence {
-            origin: have_origin,
-            as_path: have_as_path,
-            next_hop: have_next_hop,
-        },
-    ))
+/// The [`UpdateMsg`] a validated UPDATE's bytes hold, built as
+/// [`validate_update`] hands over its fields.
+struct Decoded<'a> {
+    bytes: &'a [u8],
+    update: UpdateMsg,
+}
+
+impl Decoded<'_> {
+    fn attrs(&mut self) -> &mut PathAttrs {
+        self.update.attrs.get_or_insert_with(PathAttrs::default)
+    }
+
+    fn u32_at(&self, at: usize) -> u32 {
+        let b = self.bytes;
+        u32::from_be_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
+    }
+}
+
+impl UpdateSink<u64> for Decoded<'_> {
+    fn withdrawn(&mut self, plen: u64, at: usize) {
+        let nb = (plen as usize).div_ceil(8);
+        let mut addr = [0u8; 4];
+        addr[..nb].copy_from_slice(&self.bytes[at..at + nb]);
+        let prefix = Ipv4Net::new(u32::from_be_bytes(addr), plen as u8);
+        self.update.withdrawn.push(prefix);
+    }
+
+    fn path_attrs(&mut self) {
+        self.attrs();
+    }
+
+    fn origin(&mut self, v: u64) {
+        self.attrs().origin = Origin::from_u8(v as u8).unwrap_or_default();
+    }
+
+    fn segment(&mut self, kind: u64, count: u64) {
+        let kind = SegmentKind::from_u8(kind as u8).unwrap_or(SegmentKind::Sequence);
+        let asns = Vec::with_capacity(count as usize);
+        let segments = &mut self.attrs().as_path.segments;
+        segments.push(AsPathSegment { kind, asns });
+    }
+
+    fn asn(&mut self, asn: u64) {
+        if let Some(seg) = self.attrs().as_path.segments.last_mut() {
+            seg.asns.push(Asn(asn as u16));
+        }
+    }
+
+    fn next_hop(&mut self, v: u64) {
+        self.attrs().next_hop = Ipv4Addr(v as u32);
+    }
+
+    fn med(&mut self, at: usize) {
+        let v = self.u32_at(at);
+        self.attrs().med = Some(v);
+    }
+
+    fn local_pref(&mut self, at: usize) {
+        let v = self.u32_at(at);
+        self.attrs().local_pref = Some(v);
+    }
+
+    fn atomic_aggregate(&mut self) {
+        self.attrs().atomic_aggregate = true;
+    }
+
+    fn aggregator(&mut self, at: usize) {
+        let asn = Asn(u16::from_be_bytes([self.bytes[at], self.bytes[at + 1]]));
+        let ip = Ipv4Addr(self.u32_at(at + 2));
+        self.attrs().aggregator = Some((asn, ip));
+    }
+
+    fn community(&mut self, c: u64) {
+        self.attrs().communities.insert(Community(c as u32));
+    }
+
+    fn unknown(&mut self, fl: u64, tc: u64, value: core::ops::Range<usize>) {
+        if fl as u8 & flags::TRANSITIVE != 0 {
+            // Carried through with the partial bit set.
+            let raw = RawAttr {
+                flags: fl as u8 | flags::PARTIAL,
+                code: tc as u8,
+                value: self.bytes[value].to_vec(),
+            };
+            self.attrs().unknown.push(raw);
+        }
+    }
+
+    fn nlri(&mut self, plen: u64, addr: u64) {
+        let prefix = Ipv4Net::new(addr as u32, plen as u8);
+        self.update.nlri.push(prefix);
+    }
 }
 
 /// Decode one message from `buf`, returning the message and bytes consumed.
+/// An UPDATE's body is [`validate_update`] on the message's bytes, with no
+/// seeded defect.
 pub fn decode(buf: &[u8]) -> Result<(Message, usize), DecodeError> {
+    match decode_with(buf, BugSwitches::default()) {
+        Ok(decoded) => Ok(decoded),
+        Err(Verdict::Reject(e)) => Err(e),
+        Err(Verdict::Crash(why)) => unreachable!("{why} with no seeded defect"),
+    }
+}
+
+/// [`decode`] as a router with `bugs` armed runs it: an UPDATE that trips
+/// a seeded defect is a [`Verdict::Crash`].
+pub fn decode_with(buf: &[u8], bugs: BugSwitches) -> Result<(Message, usize), Verdict> {
     if buf.len() < HEADER_LEN {
-        return Err(DecodeError::Truncated);
+        return Err(DecodeError::Truncated.into());
     }
     if buf[..MARKER_LEN].iter().any(|&b| b != 0xFF) {
-        return Err(DecodeError::BadMarker);
+        return Err(DecodeError::BadMarker.into());
     }
     let len = u16::from_be_bytes([buf[16], buf[17]]) as usize;
     if !(HEADER_LEN..=MAX_MESSAGE_LEN).contains(&len) || len > buf.len() {
-        return Err(DecodeError::BadLength(len as u16));
+        return Err(DecodeError::BadLength(len as u16).into());
     }
     let ty = MessageType::from_u8(buf[18]).ok_or(DecodeError::BadType(buf[18]))?;
     let body = &buf[HEADER_LEN..len];
@@ -645,18 +1000,18 @@ pub fn decode(buf: &[u8]) -> Result<(Message, usize), DecodeError> {
             let mut r = Reader::new(body);
             let version = r.u8().ok_or(DecodeError::BadOpen)?;
             if version != 4 {
-                return Err(DecodeError::UnsupportedVersion(version));
+                return Err(DecodeError::UnsupportedVersion(version).into());
             }
             let asn = Asn(r.u16().ok_or(DecodeError::BadOpen)?);
             let hold_time = r.u16().ok_or(DecodeError::BadOpen)?;
             if hold_time == 1 || hold_time == 2 {
-                return Err(DecodeError::BadHoldTime(hold_time));
+                return Err(DecodeError::BadHoldTime(hold_time).into());
             }
             let router_id = RouterId(r.u32().ok_or(DecodeError::BadOpen)?);
             let opl = r.u8().ok_or(DecodeError::BadOpen)? as usize;
             let opt_params = r.bytes(opl).ok_or(DecodeError::BadOpen)?.to_vec();
             if r.remaining() != 0 {
-                return Err(DecodeError::BadOpen);
+                return Err(DecodeError::BadOpen.into());
             }
             Message::Open(OpenMsg {
                 version,
@@ -667,39 +1022,17 @@ pub fn decode(buf: &[u8]) -> Result<(Message, usize), DecodeError> {
             })
         }
         MessageType::Update => {
-            let mut r = Reader::new(body);
-            let wlen = r.u16().ok_or(DecodeError::MalformedAttrList)? as usize;
-            let wbytes = r.bytes(wlen).ok_or(DecodeError::MalformedAttrList)?;
-            let withdrawn = decode_nlri(wbytes, DecodeError::MalformedAttrList)?;
-            let alen = r.u16().ok_or(DecodeError::MalformedAttrList)? as usize;
-            let abytes = r.bytes(alen).ok_or(DecodeError::MalformedAttrList)?;
-            let nlri_bytes = r.bytes(r.remaining()).unwrap_or(&[]);
-            let nlri = decode_nlri(nlri_bytes, DecodeError::InvalidNlri)?;
-            let attrs = if alen > 0 {
-                let (a, pres) = decode_attrs_with_presence(abytes)?;
-                if !nlri.is_empty() {
-                    if !pres.origin {
-                        return Err(DecodeError::MissingWellKnown(code::ORIGIN));
-                    }
-                    if !pres.as_path {
-                        return Err(DecodeError::MissingWellKnown(code::AS_PATH));
-                    }
-                    if !pres.next_hop {
-                        return Err(DecodeError::MissingWellKnown(code::NEXT_HOP));
-                    }
-                }
-                Some(a)
-            } else {
-                if !nlri.is_empty() {
-                    return Err(DecodeError::MissingWellKnown(code::ORIGIN));
-                }
-                None
+            let bytes = &buf[..len];
+            let mut decoded = Decoded {
+                bytes,
+                update: UpdateMsg::default(),
             };
-            Message::Update(UpdateMsg {
-                withdrawn,
-                attrs,
-                nlri,
-            })
+            validate_update(&mut Concrete(bytes), bugs, &mut decoded)?;
+            let mut update = decoded.update;
+            if let Some(attrs) = &mut update.attrs {
+                attrs.unknown.sort_by_key(|r| r.code);
+            }
+            Message::Update(update)
         }
         MessageType::Notification => {
             let mut r = Reader::new(body);
@@ -714,7 +1047,7 @@ pub fn decode(buf: &[u8]) -> Result<(Message, usize), DecodeError> {
         }
         MessageType::Keepalive => {
             if len != HEADER_LEN {
-                return Err(DecodeError::BadLength(len as u16));
+                return Err(DecodeError::BadLength(len as u16).into());
             }
             Message::Keepalive
         }
@@ -725,7 +1058,52 @@ pub fn decode(buf: &[u8]) -> Result<(Message, usize), DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attrs::AsPath;
     use crate::types::net;
+    use proptest::prelude::*;
+
+    /// An UPDATE carrying the attribute block `ab` and announcing
+    /// 10.0.0.0/8.
+    fn update_with_attrs(ab: &[u8]) -> Vec<u8> {
+        let mut msg = vec![0xFF; MARKER_LEN];
+        msg.extend_from_slice(&((HEADER_LEN + 6 + ab.len()) as u16).to_be_bytes());
+        msg.push(MessageType::Update as u8);
+        msg.extend_from_slice(&0u16.to_be_bytes());
+        msg.extend_from_slice(&(ab.len() as u16).to_be_bytes());
+        msg.extend_from_slice(ab);
+        msg.extend_from_slice(&[8, 10]);
+        msg
+    }
+
+    /// The attributes `decode` makes of the block `ab`, or its error.
+    fn decode_attrs(ab: &[u8]) -> Result<PathAttrs, DecodeError> {
+        match decode(&update_with_attrs(ab))? {
+            (Message::Update(u), _) => Ok(u.attrs.expect("a non-empty block")),
+            (other, _) => panic!("decoded {other:?}"),
+        }
+    }
+
+    /// The mandatory trio of a valid announcement.
+    const TRIO: [u8; 18] = [
+        flags::TRANSITIVE,
+        code::ORIGIN,
+        1,
+        0,
+        flags::TRANSITIVE,
+        code::AS_PATH,
+        4,
+        2,
+        1,
+        0xFD,
+        0xE9,
+        flags::TRANSITIVE,
+        code::NEXT_HOP,
+        4,
+        10,
+        0,
+        0,
+        1,
+    ];
 
     fn sample_attrs() -> PathAttrs {
         let mut a = PathAttrs {
@@ -910,11 +1288,7 @@ mod tests {
 
     #[test]
     fn unknown_transitive_preserved_with_partial() {
-        let mut ab = Vec::new();
-        // Mandatory trio.
-        ab.extend_from_slice(&[flags::TRANSITIVE, code::ORIGIN, 1, 0]);
-        ab.extend_from_slice(&[flags::TRANSITIVE, code::AS_PATH, 4, 2, 1, 0xFD, 0xE9]);
-        ab.extend_from_slice(&[flags::TRANSITIVE, code::NEXT_HOP, 4, 10, 0, 0, 1]);
+        let mut ab = TRIO.to_vec();
         // Unknown optional transitive code 77.
         ab.extend_from_slice(&[flags::OPTIONAL | flags::TRANSITIVE, 77, 2, 0xAB, 0xCD]);
         // Unknown optional NON-transitive code 78 (dropped).
@@ -928,7 +1302,7 @@ mod tests {
 
     #[test]
     fn unknown_well_known_rejected() {
-        let ab = [0u8 /* not optional */, 99, 1, 0];
+        let ab = [TRIO.as_slice(), &[0u8 /* not optional */, 99, 1, 0]].concat();
         assert_eq!(
             decode_attrs(&ab),
             Err(DecodeError::UnrecognizedWellKnown(99))
@@ -1003,6 +1377,180 @@ mod tests {
         );
     }
 
+    /// An announcement whose last attribute is `fl`-flagged code `tc` with
+    /// a `len`-byte value, and whose NLRI prefix length byte is `plen`.
+    fn with_unknown(fl: u8, tc: u8, len: usize, plen: u8) -> Vec<u8> {
+        let mut ab = TRIO.to_vec();
+        ab.extend_from_slice(&[fl, tc, len as u8]);
+        ab.resize(ab.len() + len, 0xAA);
+        let mut bytes = update_with_attrs(&ab);
+        let n = bytes.len();
+        bytes[n - 2] = plen;
+        bytes
+    }
+
+    #[test]
+    fn seeded_defect_fires_while_parsing() {
+        let armed = BugSwitches {
+            attr_overflow_crash: true,
+        };
+        let opt = flags::OPTIONAL;
+        let opt_trans = flags::OPTIONAL | flags::TRANSITIVE;
+        // Transitive or not, before valid NLRI or invalid: the crash comes
+        // from the attribute, where the parse reaches it.
+        for (fl, plen) in [(opt_trans, 8), (opt, 8), (opt_trans, 60)] {
+            let bytes = with_unknown(fl, 0xF5, 0x95, plen);
+            assert_eq!(decode_with(&bytes, armed), Err(Verdict::Crash(BUG_CRASH)));
+            let clean = if plen == 8 {
+                Ok(())
+            } else {
+                Err(DecodeError::InvalidNlri)
+            };
+            assert_eq!(decode(&bytes).map(|_| ()), clean);
+        }
+        // Just outside the trigger window.
+        for (tc, len) in [(0xEF, 0x95), (0xF5, 0x8F)] {
+            let bytes = with_unknown(opt_trans, tc, len, 8);
+            assert!(decode_with(&bytes, armed).is_ok());
+        }
+    }
+
+    #[test]
+    fn attribute_errors_precede_nlri_errors() {
+        // A zero NEXT_HOP before a 60-bit prefix: the validator reads the
+        // attribute block first, the decoder it replaced the NLRI.
+        let mut ab = TRIO;
+        ab[14..18].fill(0);
+        let mut bytes = update_with_attrs(&ab);
+        let n = bytes.len();
+        bytes[n - 2] = 60;
+        assert_eq!(decode(&bytes), Err(DecodeError::InvalidNextHop));
+        assert_eq!(oracle::decode(&bytes), Err(DecodeError::InvalidNlri));
+    }
+
+    fn arb_net() -> impl Strategy<Value = Ipv4Net> {
+        (any::<u32>(), 0u8..=32).prop_map(|(addr, len)| Ipv4Net::new(addr, len))
+    }
+
+    fn arb_attrs() -> impl Strategy<Value = PathAttrs> {
+        let segment = (
+            prop_oneof![Just(SegmentKind::Sequence), Just(SegmentKind::Set)],
+            prop::collection::vec(any::<u16>().prop_map(Asn), 1..4),
+        )
+            .prop_map(|(kind, asns)| AsPathSegment { kind, asns });
+        let unknown = (
+            prop_oneof![
+                Just(flags::OPTIONAL | flags::TRANSITIVE),
+                Just(flags::OPTIONAL)
+            ],
+            9u8..=255,
+            prop::collection::vec(any::<u8>(), 0..40),
+        )
+            .prop_map(|(flags, code, value)| RawAttr { flags, code, value });
+        (
+            (
+                0u8..3,
+                prop::collection::vec(segment, 0..3),
+                any::<u32>(),
+                prop::option::of(any::<u32>()),
+                prop::option::of(any::<u32>()),
+            ),
+            (
+                any::<bool>(),
+                prop::option::of((any::<u16>(), any::<u32>())),
+                prop::collection::btree_set(any::<u32>().prop_map(Community), 0..4),
+                prop::collection::vec(unknown, 0..3),
+            ),
+        )
+            .prop_map(
+                |((origin, segments, nh, med, local_pref), (atomic, aggr, comms, unknown))| {
+                    PathAttrs {
+                        origin: Origin::from_u8(origin).unwrap_or_default(),
+                        as_path: AsPath { segments },
+                        next_hop: Ipv4Addr(nh),
+                        med,
+                        local_pref,
+                        atomic_aggregate: atomic,
+                        aggregator: aggr.map(|(a, ip)| (Asn(a), Ipv4Addr(ip))),
+                        communities: comms,
+                        unknown,
+                    }
+                },
+            )
+    }
+
+    /// An UPDATE's bytes: encoded from generated parts, then overwritten,
+    /// shortened or lengthened in the body (the header's length follows),
+    /// or a valid header before arbitrary bytes, or arbitrary bytes.
+    fn arb_message() -> impl Strategy<Value = Vec<u8>> {
+        let update = (
+            prop::collection::vec(arb_net(), 0..3),
+            prop::option::of(arb_attrs()),
+            prop::collection::vec(arb_net(), 0..4),
+        )
+            .prop_map(|(withdrawn, attrs, nlri)| {
+                encode(&Message::Update(UpdateMsg {
+                    withdrawn,
+                    attrs,
+                    nlri,
+                }))
+            })
+            .boxed();
+        let mutated = (
+            update.clone(),
+            prop::collection::vec((any::<usize>(), any::<u8>()), 1..5),
+            prop_oneof![Just(0i8), Just(-1i8), Just(1i8)],
+        )
+            .prop_map(|(mut bytes, writes, resize)| {
+                for (at, v) in writes {
+                    let i = HEADER_LEN + at % (bytes.len() - HEADER_LEN);
+                    bytes[i] = v;
+                }
+                match resize {
+                    -1 => drop(bytes.pop()),
+                    1 => bytes.push(0),
+                    _ => {}
+                }
+                let len = bytes.len() as u16;
+                bytes[MARKER_LEN..MARKER_LEN + 2].copy_from_slice(&len.to_be_bytes());
+                bytes
+            });
+        let body = prop::collection::vec(any::<u8>(), 0..64).prop_map(|body| {
+            let mut bytes = vec![0xFF; MARKER_LEN];
+            bytes.extend_from_slice(&((HEADER_LEN + body.len()) as u16).to_be_bytes());
+            bytes.push(MessageType::Update as u8);
+            bytes.extend(body);
+            bytes
+        });
+        let arbitrary = prop::collection::vec(any::<u8>(), 0..48);
+        prop_oneof![update, mutated, body, arbitrary]
+    }
+
+    proptest! {
+        /// [`decode`] (the validator on the bytes, building the message as
+        /// it goes) against the decoder it replaced: the same message and
+        /// length on every input either accepts, and the same error on
+        /// every input both reject — except that an UPDATE malformed in
+        /// both its attributes and its NLRI is now rejected for the
+        /// attribute, which the old decoder reports when it parses the
+        /// block alone.
+        #[test]
+        fn validated_decode_matches_the_oracle(bytes in arb_message()) {
+            let new = decode(&bytes);
+            let old = oracle::decode(&bytes);
+            match (&new, &old) {
+                (Err(e), Err(DecodeError::InvalidNlri)) if *e != DecodeError::InvalidNlri => {
+                    let wlen = u16::from_be_bytes([bytes[19], bytes[20]]) as usize;
+                    let at = HEADER_LEN + 2 + wlen;
+                    let alen = u16::from_be_bytes([bytes[at], bytes[at + 1]]) as usize;
+                    let block = oracle::decode_attrs(&bytes[at + 2..at + 2 + alen]);
+                    prop_assert_eq!(Err(e.clone()), block);
+                }
+                _ => prop_assert_eq!(new, old),
+            }
+        }
+    }
+
     #[test]
     fn arbitrary_bytes_never_panic() {
         // Cheap deterministic fuzz of the decoder.
@@ -1017,6 +1565,12 @@ mod tests {
             }
             let _ = decode(&buf); // must not panic
             let _ = decode_attrs(&buf);
+            let _ = decode_with(
+                &update_with_attrs(&buf),
+                BugSwitches {
+                    attr_overflow_crash: true,
+                },
+            );
         }
     }
 }

@@ -1,9 +1,10 @@
 //! The concolic instance of [`dice_netsim::Domain`]: a protocol's own
 //! frame validator, run on the exploration context, records its branches
 //! into the path condition. [`crate::gossip_sut`]'s twin runs
-//! `dice_gossip::wire::validate` through it.
+//! `dice_gossip::wire::validate` through it, [`crate::handler`]'s
+//! `dice_bgp::wire::validate_update`.
 
-use dice_concolic::{ConcolicCtx, SiteId, SymBool, SymWord};
+use dice_concolic::{BinOp, CmpOp, ConcolicCtx, SiteId, SymBool, SymWord};
 use dice_netsim::Domain;
 
 /// A [`ConcolicCtx`] seen as a value domain. Each operation is the
@@ -42,11 +43,48 @@ impl Domain for Concolic<'_> {
         w.val
     }
 
+    fn zext(&mut self, bits: u8, w: SymWord) -> SymWord {
+        self.0.zext(bits, w)
+    }
+
+    fn and_const(&mut self, w: SymWord, k: u64) -> SymWord {
+        self.0.and_const(w, k)
+    }
+
+    fn add_const(&mut self, w: SymWord, k: u64) -> SymWord {
+        self.0.add_const(w, k)
+    }
+
+    fn shl(&mut self, w: SymWord, k: u8) -> SymWord {
+        self.0.shl_const(w, k)
+    }
+
+    fn shr(&mut self, w: SymWord, k: u8) -> SymWord {
+        let k = SymWord::concrete(w.bits, k as u64);
+        self.0.bin(BinOp::Shr, w, k)
+    }
+
+    fn or(&mut self, a: SymWord, b: SymWord) -> SymWord {
+        self.0.bin(BinOp::Or, a, b)
+    }
+
+    fn word(&mut self, bits: u8, v: u64) -> SymWord {
+        self.0.lit(bits, v)
+    }
+
     fn eq_const(&mut self, w: SymWord, k: u64) -> SymBool {
         if fits(w, k) {
             self.0.eq_const(w, k)
         } else {
             SymBool::concrete(false)
+        }
+    }
+
+    fn ne_const(&mut self, w: SymWord, k: u64) -> SymBool {
+        if fits(w, k) {
+            self.0.cmp(CmpOp::Ne, w, SymWord::concrete(w.bits, k))
+        } else {
+            SymBool::concrete(true)
         }
     }
 
@@ -68,6 +106,14 @@ impl Domain for Concolic<'_> {
 
     fn bor(&mut self, a: SymBool, b: SymBool) -> SymBool {
         self.0.bor(a, b)
+    }
+
+    fn band(&mut self, a: SymBool, b: SymBool) -> SymBool {
+        self.0.band(a, b)
+    }
+
+    fn bnot(&mut self, a: SymBool) -> SymBool {
+        self.0.bnot(a)
     }
 
     fn lit(&mut self, b: bool) -> SymBool {
@@ -123,9 +169,26 @@ mod tests {
             ];
             for (cw, sw) in words {
                 prop_assert_eq!(c.value(cw), s.value(sw));
+                // Widened to 64 bits, no sum or shift below leaves the word.
+                let (cz, sz) = (c.zext(64, cw), s.zext(64, sw));
+                prop_assert_eq!(cz, s.value(sz));
                 for &k in &ks {
+                    let shift = (k % 32) as u8;
+                    let (cl, sl) = (c.word(64, k), s.word(64, k));
+                    let computed = [
+                        (c.and_const(cw, k), s.and_const(sw, k)),
+                        (c.add_const(cz, k >> 32), s.add_const(sz, k >> 32)),
+                        (c.shl(cz, shift), s.shl(sz, shift)),
+                        (c.shr(cz, shift), s.shr(sz, shift)),
+                        (c.or(cz, cl), s.or(sz, sl)),
+                        (cl, sl),
+                    ];
+                    for (cv, sv) in computed {
+                        prop_assert_eq!(cv, s.value(sv), "{:#x} and {:#x}", cw, k);
+                    }
                     let conds = [
                         (c.eq_const(cw, k), s.eq_const(sw, k)),
+                        (c.ne_const(cw, k), s.ne_const(sw, k)),
                         (c.ule_const(cw, k), s.ule_const(sw, k)),
                         (c.uge_const(cw, k), s.uge_const(sw, k)),
                     ];
@@ -135,6 +198,9 @@ mod tests {
                         prop_assert_eq!(cl, sl.val);
                         prop_assert_eq!(c.bor(cb, cl), s.bor(sb, sl).val);
                         prop_assert_eq!(c.bor(cb, cb), s.bor(sb, sb).val);
+                        prop_assert_eq!(c.band(cb, cl), s.band(sb, sl).val);
+                        prop_assert_eq!(c.band(cb, cb), s.band(sb, sb).val);
+                        prop_assert_eq!(c.bnot(cb), s.bnot(sb).val);
                         prop_assert_eq!(c.branch(site, cb), cb);
                         prop_assert_eq!(s.branch(site, sb), cb);
                     }

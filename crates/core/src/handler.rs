@@ -1,63 +1,42 @@
 //! The instrumented twin of the router's UPDATE path.
 //!
-//! This is the "source instrumentation" of the paper's BIRD integration,
-//! reproduced explicitly: the same pipeline as
-//! `dice_bgp::router::BgpRouter::handle_update` (wire validation → import
-//! policy → decision preference), but written against concolic values so
-//! every data-dependent branch lands in the path condition.
+//! This is the "source instrumentation" of the paper's BIRD integration:
+//! the pipeline `dice_bgp::router::BgpRouter` runs on an UPDATE (wire
+//! validation → loop and first-AS checks → import policy → decision
+//! preference), on concolic values so every data-dependent branch lands in
+//! the path condition. The wire validation is not a copy: the twin runs the
+//! router's own [`dice_bgp::wire::validate_update`] on the concolic value
+//! domain (`crate::domain`), so its accept / reject / crash verdict on a
+//! message's structure is the router's by construction. What follows the
+//! validation is the twin's own.
 //!
 //! Two properties matter and are enforced by tests:
 //!
 //! 1. **Differential fidelity** — on a fully concrete input, the twin's
-//!    verdict agrees with the real decoder + policy engine.
+//!    verdict agrees with the router's decoder + policy engine
+//!    (`tests/handler_differential.rs`, which guards the decision part).
 //! 2. **Configuration coverage** — the import policy is *interpreted* over
 //!    symbolic values, so constraints mention config-derived constants;
 //!    exploration therefore covers code and configuration simultaneously.
 
-use dice_bgp::attrs::code as ac;
 use dice_bgp::policy::{Match, Policy, Verdict};
-use dice_bgp::wire::HEADER_LEN;
+use dice_bgp::wire::{self, validate_update, DecodeError, UpdateSink, HEADER_LEN, MAX_MESSAGE_LEN};
 use dice_bgp::{Asn, RouterConfig};
-use dice_concolic::{CmpOp, ConcolicCtx, ConcolicProgram, RunStatus, SiteId, SymBool, SymWord};
+use dice_concolic::{ConcolicCtx, ConcolicProgram, RunStatus, SiteId, SymBool, SymWord};
 use dice_netsim::NodeId;
 
-/// Stable branch-site identifiers for the instrumented handler.
+use crate::domain::Concolic;
+
+/// Stable branch-site identifiers of the twin: the wire validator's
+/// ([`dice_bgp::wire::sites`], 10–61 and 80–81), then the decision part's.
 pub mod sites {
     #![allow(
         missing_docs,
         reason = "each constant is the branch it names in the twin below"
     )]
-    pub const WLEN_FITS: u32 = 10;
-    pub const WD_PLEN: u32 = 11;
-    pub const WD_FITS: u32 = 12;
-    pub const ALEN_FITS: u32 = 13;
-    pub const ATTR_HDR_FITS: u32 = 20;
-    pub const ATTR_EXT_LEN: u32 = 21;
-    pub const ATTR_VAL_FITS: u32 = 22;
-    pub const ATTR_WK_FLAGS: u32 = 23;
-    pub const ATTR_OPT_FLAG: u32 = 24;
-    /// Dispatch sites: `DISPATCH_BASE + type_code` for known codes.
-    pub const DISPATCH_BASE: u32 = 30;
-    pub const ORIGIN_LEN: u32 = 40;
-    pub const ORIGIN_VAL: u32 = 41;
-    pub const ASPATH_SEG_KIND: u32 = 42;
-    pub const ASPATH_SEG_COUNT: u32 = 43;
-    pub const ASPATH_SEG_FITS: u32 = 44;
-    pub const NEXTHOP_LEN: u32 = 45;
-    pub const NEXTHOP_NONZERO: u32 = 46;
-    pub const MED_LEN: u32 = 47;
-    pub const LOCALPREF_LEN: u32 = 48;
-    pub const ATOMIC_LEN: u32 = 49;
-    pub const AGGREGATOR_LEN: u32 = 50;
-    pub const COMMUNITY_MOD4: u32 = 51;
-    pub const NEXTHOP_NOT_BCAST: u32 = 54;
-    pub const ATTR_OPT_TRANS_FLAGS: u32 = 55;
-    pub const BUG_CODE_HIGH: u32 = 60;
-    pub const BUG_LEN_OVERFLOW: u32 = 61;
+    pub use dice_bgp::wire::sites::*;
     pub const LOOP_CHECK: u32 = 70;
     pub const FIRST_AS: u32 = 71;
-    pub const NLRI_PLEN: u32 = 80;
-    pub const NLRI_FITS: u32 = 81;
     pub const PREFERENCE_ORACLE: u32 = 90;
     /// Policy rule sites: `POLICY_BASE + rule_index`.
     pub const POLICY_BASE: u32 = 100;
@@ -72,14 +51,32 @@ struct SymPrefix {
     len: SymWord,
 }
 
-/// Symbolic view of the attributes relevant to policy evaluation.
-#[derive(Debug, Clone, Default)]
-struct SymAttrs {
+/// What the decision part reads of a validated UPDATE, as the validator
+/// hands it over.
+#[derive(Debug, Default)]
+struct SymUpdate {
     origin: Option<SymWord>,
     asns: Vec<SymWord>,
     communities: Vec<SymWord>,
-    next_hop: Option<SymWord>,
-    have_as_path: bool,
+    prefixes: Vec<SymPrefix>,
+}
+
+impl UpdateSink<SymWord> for SymUpdate {
+    fn origin(&mut self, v: SymWord) {
+        self.origin = Some(v);
+    }
+
+    fn asn(&mut self, asn: SymWord) {
+        self.asns.push(asn);
+    }
+
+    fn community(&mut self, c: SymWord) {
+        self.communities.push(c);
+    }
+
+    fn nlri(&mut self, len: SymWord, addr: SymWord) {
+        self.prefixes.push(SymPrefix { addr, len });
+    }
 }
 
 /// The instrumented UPDATE handler for one router node.
@@ -87,10 +84,6 @@ struct SymAttrs {
 pub struct SymbolicUpdateHandler {
     config: RouterConfig,
     peer: NodeId,
-    /// How often the preference oracle said "this route becomes best".
-    pub became_best: u64,
-    /// How often an input survived the whole pipeline.
-    pub accepted: u64,
 }
 
 impl SymbolicUpdateHandler {
@@ -101,12 +94,7 @@ impl SymbolicUpdateHandler {
             config.neighbor(peer).is_some(),
             "peer {peer} is not configured on this router"
         );
-        SymbolicUpdateHandler {
-            config,
-            peer,
-            became_best: 0,
-            accepted: 0,
-        }
+        SymbolicUpdateHandler { config, peer }
     }
 
     /// The import policy for the configured peer.
@@ -136,328 +124,48 @@ fn br(ctx: &mut ConcolicCtx, site: u32, cond: SymBool) -> bool {
     ctx.branch(SiteId(site), cond)
 }
 
-fn run_update(h: &mut SymbolicUpdateHandler, ctx: &mut ConcolicCtx) -> RunStatus {
+/// The stage a rejected UPDATE names, for [`RunStatus::Rejected`].
+fn stage(e: &DecodeError) -> &'static str {
+    match e {
+        DecodeError::MalformedAttrList => "malformed-attr-list",
+        DecodeError::AttrFlagsError { .. } => "attr-flags",
+        DecodeError::AttrLenError { .. } => "attr-len",
+        DecodeError::UnrecognizedWellKnown(_) => "unrecognized-well-known",
+        DecodeError::InvalidOrigin(_) => "origin-value",
+        DecodeError::MalformedAsPath => "malformed-as-path",
+        DecodeError::InvalidNextHop => "next-hop",
+        DecodeError::MissingWellKnown(_) => "missing-mandatory",
+        DecodeError::DuplicateAttr(_) => "duplicate-attr",
+        DecodeError::InvalidNlri => "nlri",
+        _ => "framing",
+    }
+}
+
+fn run_update(h: &SymbolicUpdateHandler, ctx: &mut ConcolicCtx) -> RunStatus {
     let total = ctx.input().bytes.len();
     // Framing is concrete by the marking policy; check it plainly.
-    if !(HEADER_LEN + 4..=dice_bgp::wire::MAX_MESSAGE_LEN).contains(&total) {
+    if !(HEADER_LEN + 4..=MAX_MESSAGE_LEN).contains(&total) {
         return RunStatus::Rejected("framing".into());
     }
     if ctx.input().bytes[18] != 2 {
         return RunStatus::Rejected("not-update".into());
     }
 
-    let mut pos = HEADER_LEN;
-
-    // ---- Withdrawn routes ------------------------------------------------
-    let wlen = ctx.read_u16_be(pos);
-    pos += 2;
-    let fits = ctx.ule_const(wlen, (total - pos) as u64);
-    if !br(ctx, sites::WLEN_FITS, fits) {
-        return RunStatus::Rejected("withdrawn-overrun".into());
+    let mut update = SymUpdate::default();
+    match validate_update(&mut Concolic(ctx), h.config.bugs, &mut update) {
+        Ok(()) => {}
+        Err(wire::Verdict::Reject(e)) => return RunStatus::Rejected(stage(&e).into()),
+        Err(wire::Verdict::Crash(why)) => return RunStatus::Crash(why.into()),
     }
-    let wend = pos + wlen.val as usize;
-    while pos < wend {
-        let plen = ctx.read_u8(pos);
-        pos += 1;
-        let ok = ctx.ule_const(plen, 32);
-        if !br(ctx, sites::WD_PLEN, ok) {
-            return RunStatus::Rejected("withdrawn-prefix-len".into());
-        }
-        // nbytes = (plen + 7) >> 3, symbolically.
-        let p16 = ctx.zext(16, plen);
-        let plus7 = ctx.add_const(p16, 7);
-        let three = ctx.lit(16, 3);
-        let nbytes = ctx.bin(dice_concolic::BinOp::Shr, plus7, three);
-        let fits = ctx.ule_const(nbytes, (wend - pos) as u64);
-        if !br(ctx, sites::WD_FITS, fits) {
-            return RunStatus::Rejected("withdrawn-truncated".into());
-        }
-        pos += nbytes.val as usize;
-    }
-    pos = wend;
-
-    // ---- Path attribute block --------------------------------------------
-    if pos + 2 > total {
-        return RunStatus::Rejected("no-attr-len".into());
-    }
-    let alen = ctx.read_u16_be(pos);
-    pos += 2;
-    let fits = ctx.ule_const(alen, (total - pos) as u64);
-    if !br(ctx, sites::ALEN_FITS, fits) {
-        return RunStatus::Rejected("attrs-overrun".into());
-    }
-    let aend = pos + alen.val as usize;
-
-    let mut attrs = SymAttrs::default();
-    let mut seen_codes: Vec<u8> = Vec::new();
-
-    while pos < aend {
-        // flags, type, length (1 or 2 bytes depending on ext-len flag).
-        let hdr_fits = SymBool::concrete(pos + 2 <= aend);
-        if !br(ctx, sites::ATTR_HDR_FITS, hdr_fits) {
-            return RunStatus::Rejected("attr-header-truncated".into());
-        }
-        let flags = ctx.read_u8(pos);
-        let tcode = ctx.read_u8(pos + 1);
-        pos += 2;
-        let ext_bit = ctx.and_const(flags, 0x10);
-        let has_ext = ctx.cmp(CmpOp::Ne, ext_bit, SymWord::concrete(8, 0));
-        let alen_field: SymWord;
-        if br(ctx, sites::ATTR_EXT_LEN, has_ext) {
-            if pos + 2 > aend {
-                return RunStatus::Rejected("attr-extlen-truncated".into());
-            }
-            alen_field = ctx.read_u16_be(pos);
-            pos += 2;
-        } else {
-            if pos + 1 > aend {
-                return RunStatus::Rejected("attr-len-truncated".into());
-            }
-            let l8 = ctx.read_u8(pos);
-            pos += 1;
-            alen_field = ctx.zext(16, l8);
-        }
-        let val_fits = ctx.ule_const(alen_field, (aend - pos) as u64);
-        if !br(ctx, sites::ATTR_VAL_FITS, val_fits) {
-            return RunStatus::Rejected("attr-value-truncated".into());
-        }
-        let vstart = pos;
-        let vlen = alen_field.val as usize;
-        pos += vlen;
-
-        // Duplicate detection (concrete, mirroring the table lookup in C).
-        let code_concrete = tcode.val as u8;
-        if seen_codes.contains(&code_concrete) {
-            return RunStatus::Rejected("duplicate-attr".into());
-        }
-        seen_codes.push(code_concrete);
-
-        let optional = ctx.and_const(flags, 0x80);
-        let opt_set = ctx.cmp(CmpOp::Ne, optional, SymWord::concrete(8, 0));
-        let transitive = ctx.and_const(flags, 0x40);
-        let trans_set = ctx.cmp(CmpOp::Ne, transitive, SymWord::concrete(8, 0));
-
-        // Well-known flag pattern: !optional && transitive.
-        let not_opt = ctx.bnot(opt_set);
-        let wk_ok = ctx.band(not_opt, trans_set);
-
-        // Dispatch: if/else-if chain over known type codes, like the C code.
-        let is = |ctx: &mut ConcolicCtx, k: u8| ctx.eq_const(tcode, k as u64);
-        let c_origin = is(ctx, ac::ORIGIN);
-        if br(ctx, sites::DISPATCH_BASE + ac::ORIGIN as u32, c_origin) {
-            if !br(ctx, sites::ATTR_WK_FLAGS, wk_ok) {
-                return RunStatus::Rejected("attr-flags".into());
-            }
-            let len_ok = ctx.eq_const(alen_field, 1);
-            if !br(ctx, sites::ORIGIN_LEN, len_ok) {
-                return RunStatus::Rejected("origin-len".into());
-            }
-            let v = ctx.read_u8(vstart);
-            let v_ok = ctx.ule_const(v, 2);
-            if !br(ctx, sites::ORIGIN_VAL, v_ok) {
-                return RunStatus::Rejected("origin-value".into());
-            }
-            attrs.origin = Some(v);
-            continue;
-        }
-        let c_aspath = is(ctx, ac::AS_PATH);
-        if br(ctx, sites::DISPATCH_BASE + ac::AS_PATH as u32, c_aspath) {
-            if !br(ctx, sites::ATTR_WK_FLAGS, wk_ok) {
-                return RunStatus::Rejected("attr-flags".into());
-            }
-            let mut p = vstart;
-            let vend = vstart + vlen;
-            while p < vend {
-                let kind = ctx.read_u8(p);
-                let one = ctx.eq_const(kind, 1);
-                let two = ctx.eq_const(kind, 2);
-                let kind_ok = ctx.bor(one, two);
-                if !br(ctx, sites::ASPATH_SEG_KIND, kind_ok) {
-                    return RunStatus::Rejected("aspath-seg-kind".into());
-                }
-                if p + 2 > vend {
-                    return RunStatus::Rejected("aspath-truncated".into());
-                }
-                let count = ctx.read_u8(p + 1);
-                let nonzero = ctx.uge_const(count, 1);
-                if !br(ctx, sites::ASPATH_SEG_COUNT, nonzero) {
-                    return RunStatus::Rejected("aspath-empty-seg".into());
-                }
-                // seg bytes = count * 2, symbolically.
-                let c16 = ctx.zext(16, count);
-                let one16 = ctx.lit(16, 1);
-                let segbytes = ctx.bin(dice_concolic::BinOp::Shl, c16, one16);
-                let fits = ctx.ule_const(segbytes, (vend - p - 2) as u64);
-                if !br(ctx, sites::ASPATH_SEG_FITS, fits) {
-                    return RunStatus::Rejected("aspath-truncated".into());
-                }
-                p += 2;
-                for _ in 0..count.val {
-                    let asn = ctx.read_u16_be(p);
-                    attrs.asns.push(asn);
-                    p += 2;
-                }
-            }
-            attrs.have_as_path = true;
-            continue;
-        }
-        let c_nexthop = is(ctx, ac::NEXT_HOP);
-        if br(ctx, sites::DISPATCH_BASE + ac::NEXT_HOP as u32, c_nexthop) {
-            if !br(ctx, sites::ATTR_WK_FLAGS, wk_ok) {
-                return RunStatus::Rejected("attr-flags".into());
-            }
-            let len_ok = ctx.eq_const(alen_field, 4);
-            if !br(ctx, sites::NEXTHOP_LEN, len_ok) {
-                return RunStatus::Rejected("nexthop-len".into());
-            }
-            let v = ctx.read_u32_be(vstart);
-            let nz = ctx.cmp(CmpOp::Ne, v, SymWord::concrete(32, 0));
-            if !br(ctx, sites::NEXTHOP_NONZERO, nz) {
-                return RunStatus::Rejected("nexthop-zero".into());
-            }
-            let not_bcast = ctx.cmp(CmpOp::Ne, v, SymWord::concrete(32, u32::MAX as u64));
-            if !br(ctx, sites::NEXTHOP_NOT_BCAST, not_bcast) {
-                return RunStatus::Rejected("nexthop-broadcast".into());
-            }
-            attrs.next_hop = Some(v);
-            continue;
-        }
-        let c_med = is(ctx, ac::MED);
-        if br(ctx, sites::DISPATCH_BASE + ac::MED as u32, c_med) {
-            if !br(ctx, sites::ATTR_OPT_FLAG, opt_set) {
-                return RunStatus::Rejected("attr-flags".into());
-            }
-            let len_ok = ctx.eq_const(alen_field, 4);
-            if !br(ctx, sites::MED_LEN, len_ok) {
-                return RunStatus::Rejected("med-len".into());
-            }
-            continue;
-        }
-        let c_lp = is(ctx, ac::LOCAL_PREF);
-        if br(ctx, sites::DISPATCH_BASE + ac::LOCAL_PREF as u32, c_lp) {
-            if !br(ctx, sites::ATTR_WK_FLAGS, wk_ok) {
-                return RunStatus::Rejected("attr-flags".into());
-            }
-            let len_ok = ctx.eq_const(alen_field, 4);
-            if !br(ctx, sites::LOCALPREF_LEN, len_ok) {
-                return RunStatus::Rejected("localpref-len".into());
-            }
-            continue;
-        }
-        let c_atomic = is(ctx, ac::ATOMIC_AGGREGATE);
-        if br(
-            ctx,
-            sites::DISPATCH_BASE + ac::ATOMIC_AGGREGATE as u32,
-            c_atomic,
-        ) {
-            if !br(ctx, sites::ATTR_WK_FLAGS, wk_ok) {
-                return RunStatus::Rejected("attr-flags".into());
-            }
-            let len_ok = ctx.eq_const(alen_field, 0);
-            if !br(ctx, sites::ATOMIC_LEN, len_ok) {
-                return RunStatus::Rejected("atomic-len".into());
-            }
-            continue;
-        }
-        // Optional-transitive flag pattern shared by AGGREGATOR/COMMUNITY.
-        let opt_trans = ctx.band(opt_set, trans_set);
-        let c_aggr = is(ctx, ac::AGGREGATOR);
-        if br(ctx, sites::DISPATCH_BASE + ac::AGGREGATOR as u32, c_aggr) {
-            if !br(ctx, sites::ATTR_OPT_TRANS_FLAGS, opt_trans) {
-                return RunStatus::Rejected("attr-flags".into());
-            }
-            let len_ok = ctx.eq_const(alen_field, 6);
-            if !br(ctx, sites::AGGREGATOR_LEN, len_ok) {
-                return RunStatus::Rejected("aggregator-len".into());
-            }
-            continue;
-        }
-        let c_comm = is(ctx, ac::COMMUNITY);
-        if br(ctx, sites::DISPATCH_BASE + ac::COMMUNITY as u32, c_comm) {
-            if !br(ctx, sites::ATTR_OPT_TRANS_FLAGS, opt_trans) {
-                return RunStatus::Rejected("attr-flags".into());
-            }
-            let low2 = ctx.and_const(alen_field, 3);
-            let mod_ok = ctx.eq_const(low2, 0);
-            if !br(ctx, sites::COMMUNITY_MOD4, mod_ok) {
-                return RunStatus::Rejected("community-len".into());
-            }
-            let mut p = vstart;
-            while p + 4 <= vstart + vlen {
-                let c = ctx.read_u32_be(p);
-                attrs.communities.push(c);
-                p += 4;
-            }
-            continue;
-        }
-
-        // Unknown attribute. Well-known unknown is fatal; optional
-        // non-transitive is dropped; optional transitive is carried.
-        if !br(ctx, sites::ATTR_OPT_FLAG, opt_set) {
-            return RunStatus::Rejected("unrecognized-well-known".into());
-        }
-        // ---- Seeded programming error (mirrors BgpRouter's bug hook) ----
-        if h.config.bugs.attr_overflow_crash {
-            let code_high = ctx.uge_const(tcode, 0xF0);
-            if br(ctx, sites::BUG_CODE_HIGH, code_high) {
-                let len_big = ctx.uge_const(alen_field, 0x90);
-                if br(ctx, sites::BUG_LEN_OVERFLOW, len_big) {
-                    return RunStatus::Crash(
-                        "seeded bug: unknown-attribute length overflow".into(),
-                    );
-                }
-            }
-        }
-    }
-    pos = aend;
-
-    // ---- NLRI --------------------------------------------------------
-    let mut prefixes: Vec<SymPrefix> = Vec::new();
-    while pos < total {
-        let plen = ctx.read_u8(pos);
-        pos += 1;
-        let ok = ctx.ule_const(plen, 32);
-        if !br(ctx, sites::NLRI_PLEN, ok) {
-            return RunStatus::Rejected("nlri-prefix-len".into());
-        }
-        let p16 = ctx.zext(16, plen);
-        let plus7 = ctx.add_const(p16, 7);
-        let three = ctx.lit(16, 3);
-        let nbytes = ctx.bin(dice_concolic::BinOp::Shr, plus7, three);
-        let fits = ctx.ule_const(nbytes, (total - pos) as u64);
-        if !br(ctx, sites::NLRI_FITS, fits) {
-            return RunStatus::Rejected("nlri-truncated".into());
-        }
-        // Assemble the 32-bit address from up to 4 symbolic bytes.
-        let mut addr = ctx.lit(32, 0);
-        for k in 0..4usize {
-            let byte = if k < nbytes.val as usize {
-                let b = ctx.read_u8(pos + k);
-                ctx.zext(32, b)
-            } else {
-                ctx.lit(32, 0)
-            };
-            let shifted = ctx.shl_const(byte, (24 - 8 * k) as u8);
-            addr = ctx.bin(dice_concolic::BinOp::Or, addr, shifted);
-        }
-        pos += nbytes.val as usize;
-        prefixes.push(SymPrefix { addr, len: plen });
-    }
-
-    if prefixes.is_empty() {
+    if update.prefixes.is_empty() {
         // Withdraw-only update: accepted trivially.
         return RunStatus::Ok;
-    }
-
-    // Mandatory attributes (presence is concrete at this point).
-    if attrs.origin.is_none() || !attrs.have_as_path || attrs.next_hop.is_none() {
-        return RunStatus::Rejected("missing-mandatory".into());
     }
 
     // ---- Loop detection and first-AS check ---------------------------
     let own = h.config.asn;
     let mut has_own = SymBool::concrete(false);
-    for &asn in &attrs.asns {
+    for &asn in &update.asns {
         let eq = ctx.eq_const(asn, own.0 as u64);
         has_own = ctx.bor(has_own, eq);
     }
@@ -465,7 +173,7 @@ fn run_update(h: &mut SymbolicUpdateHandler, ctx: &mut ConcolicCtx) -> RunStatus
         return RunStatus::Rejected("as-loop".into());
     }
     let neigh = h.neighbor_asn();
-    let first_ok = match attrs.asns.first() {
+    let first_ok = match update.asns.first() {
         Some(&first) => ctx.eq_const(first, neigh.0 as u64),
         None => SymBool::concrete(false),
     };
@@ -475,19 +183,16 @@ fn run_update(h: &mut SymbolicUpdateHandler, ctx: &mut ConcolicCtx) -> RunStatus
 
     // ---- Import policy, interpreted symbolically ----------------------
     let policy = h.import_policy();
-    for (pi, prefix) in prefixes.iter().enumerate() {
-        match eval_policy(ctx, policy, *prefix, &attrs, pi) {
+    for (pi, prefix) in update.prefixes.iter().enumerate() {
+        match eval_policy(ctx, policy, *prefix, &update, pi) {
             Verdict::Reject => return RunStatus::Rejected("import-policy".into()),
             Verdict::Accept => {}
         }
     }
 
     // ---- Route-preference condition, marked symbolic (paper §3) -------
-    h.accepted += 1;
     let preferred = ctx.oracle_bool(true);
-    if br(ctx, sites::PREFERENCE_ORACLE, preferred) {
-        h.became_best += 1;
-    }
+    br(ctx, sites::PREFERENCE_ORACLE, preferred);
     RunStatus::Ok
 }
 
@@ -497,7 +202,7 @@ fn eval_policy(
     ctx: &mut ConcolicCtx,
     policy: &Policy,
     prefix: SymPrefix,
-    attrs: &SymAttrs,
+    attrs: &SymUpdate,
     prefix_index: usize,
 ) -> Verdict {
     for (ri, rule) in policy.rules.iter().enumerate() {
@@ -518,7 +223,7 @@ fn eval_policy(
     policy.default
 }
 
-fn eval_match(ctx: &mut ConcolicCtx, m: &Match, prefix: SymPrefix, attrs: &SymAttrs) -> SymBool {
+fn eval_match(ctx: &mut ConcolicCtx, m: &Match, prefix: SymPrefix, attrs: &SymUpdate) -> SymBool {
     match m {
         Match::Any => SymBool::concrete(true),
         Match::PrefixIn(filters) => {
@@ -619,7 +324,6 @@ mod tests {
         let mut h = SymbolicUpdateHandler::new(config_with_peer(), NodeId(2));
         let bytes = valid_update(&["10.0.0.0/8"]);
         assert_eq!(run_concrete(&mut h, &bytes), RunStatus::Ok);
-        assert_eq!(h.accepted, 1);
     }
 
     #[test]
@@ -865,6 +569,6 @@ mod tests {
         // The last recorded branch is the preference oracle.
         let last = ctx.path().last().unwrap();
         assert_eq!(last.site, SiteId(sites::PREFERENCE_ORACLE));
-        assert_eq!(h.became_best, 1, "default oracle says preferred");
+        assert!(last.taken, "default oracle says preferred");
     }
 }

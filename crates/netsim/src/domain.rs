@@ -9,7 +9,9 @@
 //!
 //! The trait has only the operations the validators use. Comparisons are
 //! between integers: a constant too wide for the word is above every value
-//! the word can hold.
+//! the word can hold. Arithmetic is on integers too, and a validator keeps
+//! every result within its word's width: the bytes carry no width, while
+//! the concolic instance would wrap.
 
 /// Words and booleans over a frame's bytes, plus the branch primitive.
 pub trait Domain {
@@ -38,8 +40,32 @@ pub trait Domain {
     /// A word's concrete value.
     fn value(&self, w: Self::Word) -> u64;
 
+    /// `w` zero-extended to `bits` bits.
+    fn zext(&mut self, bits: u8, w: Self::Word) -> Self::Word;
+
+    /// `w & k`.
+    fn and_const(&mut self, w: Self::Word, k: u64) -> Self::Word;
+
+    /// `w + k`.
+    fn add_const(&mut self, w: Self::Word, k: u64) -> Self::Word;
+
+    /// `w << k`.
+    fn shl(&mut self, w: Self::Word, k: u8) -> Self::Word;
+
+    /// `w >> k`.
+    fn shr(&mut self, w: Self::Word, k: u8) -> Self::Word;
+
+    /// `a | b`, of two words of one width.
+    fn or(&mut self, a: Self::Word, b: Self::Word) -> Self::Word;
+
+    /// A word that does not depend on the frame: `v` in `bits` bits.
+    fn word(&mut self, bits: u8, v: u64) -> Self::Word;
+
     /// `w == k`.
     fn eq_const(&mut self, w: Self::Word, k: u64) -> Self::Bool;
+
+    /// `w != k`.
+    fn ne_const(&mut self, w: Self::Word, k: u64) -> Self::Bool;
 
     /// `w <= k`.
     fn ule_const(&mut self, w: Self::Word, k: u64) -> Self::Bool;
@@ -49,6 +75,12 @@ pub trait Domain {
 
     /// `a || b`.
     fn bor(&mut self, a: Self::Bool, b: Self::Bool) -> Self::Bool;
+
+    /// `a && b`.
+    fn band(&mut self, a: Self::Bool, b: Self::Bool) -> Self::Bool;
+
+    /// `!a`.
+    fn bnot(&mut self, a: Self::Bool) -> Self::Bool;
 
     /// A condition that does not depend on the frame.
     fn lit(&mut self, b: bool) -> Self::Bool;
@@ -87,8 +119,40 @@ impl Domain for Concrete<'_> {
         w
     }
 
+    fn zext(&mut self, _bits: u8, w: u64) -> u64 {
+        w
+    }
+
+    fn and_const(&mut self, w: u64, k: u64) -> u64 {
+        w & k
+    }
+
+    fn add_const(&mut self, w: u64, k: u64) -> u64 {
+        w + k
+    }
+
+    fn shl(&mut self, w: u64, k: u8) -> u64 {
+        w << k
+    }
+
+    fn shr(&mut self, w: u64, k: u8) -> u64 {
+        w >> k
+    }
+
+    fn or(&mut self, a: u64, b: u64) -> u64 {
+        a | b
+    }
+
+    fn word(&mut self, _bits: u8, v: u64) -> u64 {
+        v
+    }
+
     fn eq_const(&mut self, w: u64, k: u64) -> bool {
         w == k
+    }
+
+    fn ne_const(&mut self, w: u64, k: u64) -> bool {
+        w != k
     }
 
     fn ule_const(&mut self, w: u64, k: u64) -> bool {
@@ -101,6 +165,14 @@ impl Domain for Concrete<'_> {
 
     fn bor(&mut self, a: bool, b: bool) -> bool {
         a || b
+    }
+
+    fn band(&mut self, a: bool, b: bool) -> bool {
+        a && b
+    }
+
+    fn bnot(&mut self, a: bool) -> bool {
+        !a
     }
 
     fn lit(&mut self, b: bool) -> bool {
