@@ -98,7 +98,7 @@ pub use hash::{sha256, Sha256};
 pub use interface::{AttestationRegistry, LocalVerdict};
 pub use snapshot::{take_consistent_snapshot, take_instant_snapshot, SnapshotMetrics};
 pub use sut::{CheckView, ExplorableNode, ExplorationPlan, SessionHealth, SutCatalog, SutProbe};
-pub use symmark::{mark_nlri_only, mark_none, mark_update};
+pub use symmark::mark_update;
 
 /// Canaries for the two clippy-held invariants with no live site in this
 /// crate (DESIGN.md §6): `dice-core` holds no lock and walks no hashed

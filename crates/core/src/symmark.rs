@@ -19,34 +19,6 @@ pub fn mark_update(bytes: &[u8]) -> Vec<bool> {
     mask
 }
 
-/// A fully concrete mask (baseline / replay runs).
-pub fn mark_none(bytes: &[u8]) -> Vec<bool> {
-    vec![false; bytes.len()]
-}
-
-/// Mark only the NLRI region symbolic (narrow marking ablation). Falls back
-/// to [`mark_update`] when the body cannot be sliced (malformed lengths).
-pub fn mark_nlri_only(bytes: &[u8]) -> Vec<bool> {
-    let mut mask = vec![false; bytes.len()];
-    if bytes.len() < HEADER_LEN + 4 {
-        return mask;
-    }
-    let wlen = u16::from_be_bytes([bytes[HEADER_LEN], bytes[HEADER_LEN + 1]]) as usize;
-    let attr_len_pos = HEADER_LEN + 2 + wlen;
-    if attr_len_pos + 2 > bytes.len() {
-        return mark_update(bytes);
-    }
-    let alen = u16::from_be_bytes([bytes[attr_len_pos], bytes[attr_len_pos + 1]]) as usize;
-    let nlri_start = attr_len_pos + 2 + alen;
-    if nlri_start > bytes.len() {
-        return mark_update(bytes);
-    }
-    for m in mask.iter_mut().skip(nlri_start) {
-        *m = true;
-    }
-    mask
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,27 +44,5 @@ mod tests {
         assert_eq!(mask.len(), bytes.len());
         assert!(mask[..HEADER_LEN].iter().all(|&m| !m));
         assert!(mask[HEADER_LEN..].iter().all(|&m| m));
-    }
-
-    #[test]
-    fn none_mask_is_all_concrete() {
-        let bytes = sample_update();
-        assert!(mark_none(&bytes).iter().all(|&m| !m));
-    }
-
-    #[test]
-    fn nlri_only_marks_tail() {
-        let bytes = sample_update();
-        let mask = mark_nlri_only(&bytes);
-        // The NLRI for 10.0.0.0/8 is the last 2 bytes (len byte + 1 byte).
-        let n = bytes.len();
-        assert!(mask[n - 1] && mask[n - 2]);
-        assert!(mask[..n - 2].iter().all(|&m| !m));
-    }
-
-    #[test]
-    fn nlri_only_handles_short_messages() {
-        let mask = mark_nlri_only(&[0xFF; 10]);
-        assert!(mask.iter().all(|&m| !m));
     }
 }
