@@ -571,12 +571,17 @@ impl Node for BgpRouter {
             return;
         };
         // The seeded defect (see `BugSwitches`) fires while an UPDATE is
-        // parsed, inside `wire::validate_update`.
+        // parsed, inside `wire::validate_update`. BIRD parses an UPDATE
+        // only on an established session: elsewhere the message is the FSM
+        // error any UPDATE is there, which the empty one below meets.
         let msg = match wire::decode_with(data, self.shared.config.bugs) {
             Ok((msg, _)) => msg,
             Err(wire::Verdict::Crash(why)) => {
-                api.crash(why);
-                return;
+                if self.fsm(from).is_some_and(|f| f.is_established()) {
+                    api.crash(why);
+                    return;
+                }
+                Message::Update(UpdateMsg::default())
             }
             Err(wire::Verdict::Reject(e)) => {
                 self.stats.decode_errors += 1;
@@ -906,6 +911,43 @@ mod tests {
             sim.crashed(NodeId(1)).is_some(),
             "seeded bug must crash the node"
         );
+    }
+
+    #[test]
+    fn seeded_bug_fires_on_an_established_session_only() {
+        let killer = |flags: u8| {
+            let mut attrs = PathAttrs {
+                as_path: crate::attrs::AsPath::sequence([65000]),
+                next_hop: Ipv4Addr(0x0A000001),
+                ..Default::default()
+            };
+            attrs.unknown.push(crate::attrs::RawAttr {
+                flags,
+                code: 0xF5,
+                value: vec![0xAA; 0x90],
+            });
+            wire::encode(&Message::Update(UpdateMsg {
+                withdrawn: vec![],
+                attrs: Some(attrs),
+                nlri: vec![net("99.0.0.0/8")],
+            }))
+        };
+        let cfg0 = simple_config(0, &[1]);
+        let mut cfg1 = simple_config(1, &[0]);
+        cfg1.bugs.attr_overflow_crash = true;
+        let mut sim = build_sim(2, &[(0, 1)], vec![cfg0, cfg1]);
+        // Before the session is up the UPDATE is an FSM error, unparsed.
+        let transitive = crate::attrs::flags::OPTIONAL | crate::attrs::flags::TRANSITIVE;
+        sim.deliver_direct(NodeId(0), NodeId(1), &killer(transitive));
+        assert!(sim.crashed(NodeId(1)).is_none());
+        sim.run_until(SimTime::from_nanos(30_000_000_000));
+        assert_eq!(
+            router(&sim, 1).session_state(NodeId(0)),
+            SessionState::Established
+        );
+        // Once it is, parsing crashes on a non-transitive attribute too.
+        sim.deliver_direct(NodeId(0), NodeId(1), &killer(crate::attrs::flags::OPTIONAL));
+        assert!(sim.crashed(NodeId(1)).is_some());
     }
 
     #[test]
