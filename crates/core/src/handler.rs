@@ -19,9 +19,9 @@
 //!    symbolic values, so constraints mention config-derived constants;
 //!    exploration therefore covers code and configuration simultaneously.
 
-use dice_bgp::policy::{Match, Policy, Verdict};
+use dice_bgp::policy::{Action, Match, Policy, Verdict};
 use dice_bgp::wire::{self, validate_update, DecodeError, UpdateSink, HEADER_LEN, MAX_MESSAGE_LEN};
-use dice_bgp::{Asn, RouterConfig};
+use dice_bgp::{Asn, Community, RouterConfig, SegmentKind};
 use dice_concolic::{ConcolicCtx, ConcolicProgram, RunStatus, SiteId, SymBool, SymWord};
 use dice_netsim::NodeId;
 
@@ -51,14 +51,34 @@ struct SymPrefix {
     len: SymWord,
 }
 
+/// An AS_PATH member, with the concrete shape of its segment.
+#[derive(Debug, Clone, Copy)]
+struct PathAsn {
+    asn: SymWord,
+    /// Its segment is an AS_SET.
+    in_set: bool,
+    /// It is its segment's first member.
+    leads: bool,
+}
+
 /// What the decision part reads of a validated UPDATE, as the validator
 /// hands it over.
 #[derive(Debug, Default)]
 struct SymUpdate {
     origin: Option<SymWord>,
-    asns: Vec<SymWord>,
+    path: Vec<PathAsn>,
+    /// The segment being read: a set, and its first member still to come.
+    segment: (bool, bool),
     communities: Vec<SymWord>,
     prefixes: Vec<SymPrefix>,
+}
+
+impl SymUpdate {
+    /// The AS_PATH length the decision process counts: one hop per
+    /// sequence member, one per set.
+    fn path_len(&self) -> u32 {
+        self.path.iter().filter(|p| !p.in_set || p.leads).count() as u32
+    }
 }
 
 impl UpdateSink<SymWord> for SymUpdate {
@@ -66,8 +86,14 @@ impl UpdateSink<SymWord> for SymUpdate {
         self.origin = Some(v);
     }
 
+    fn segment(&mut self, kind: SymWord, _count: SymWord) {
+        self.segment = (kind.val == SegmentKind::Set as u64, true);
+    }
+
     fn asn(&mut self, asn: SymWord) {
-        self.asns.push(asn);
+        let (in_set, leads) = self.segment;
+        self.path.push(PathAsn { asn, in_set, leads });
+        self.segment.1 = false;
     }
 
     fn community(&mut self, c: SymWord) {
@@ -165,17 +191,18 @@ fn run_update(h: &SymbolicUpdateHandler, ctx: &mut ConcolicCtx) -> RunStatus {
     // ---- Loop detection and first-AS check ---------------------------
     let own = h.config.asn;
     let mut has_own = SymBool::concrete(false);
-    for &asn in &update.asns {
-        let eq = ctx.eq_const(asn, own.0 as u64);
+    for p in &update.path {
+        let eq = ctx.eq_const(p.asn, own.0 as u64);
         has_own = ctx.bor(has_own, eq);
     }
     if br(ctx, sites::LOOP_CHECK, has_own) {
         return RunStatus::Rejected("as-loop".into());
     }
+    // A path led by an AS_SET has no first AS, as `AsPath::first_asn`.
     let neigh = h.neighbor_asn();
-    let first_ok = match update.asns.first() {
-        Some(&first) => ctx.eq_const(first, neigh.0 as u64),
-        None => SymBool::concrete(false),
+    let first_ok = match update.path.first() {
+        Some(first) if !first.in_set => ctx.eq_const(first.asn, neigh.0 as u64),
+        _ => SymBool::concrete(false),
     };
     if !br(ctx, sites::FIRST_AS, first_ok) {
         return RunStatus::Rejected("first-as".into());
@@ -184,7 +211,7 @@ fn run_update(h: &SymbolicUpdateHandler, ctx: &mut ConcolicCtx) -> RunStatus {
     // ---- Import policy, interpreted symbolically ----------------------
     let policy = h.import_policy();
     for (pi, prefix) in update.prefixes.iter().enumerate() {
-        match eval_policy(ctx, policy, *prefix, &update, pi) {
+        match eval_policy(ctx, policy, *prefix, &update, own, pi) {
             Verdict::Reject => return RunStatus::Rejected("import-policy".into()),
             Verdict::Accept => {}
         }
@@ -196,19 +223,57 @@ fn run_update(h: &SymbolicUpdateHandler, ctx: &mut ConcolicCtx) -> RunStatus {
     RunStatus::Ok
 }
 
-/// Interpret the policy over a symbolic route. Every rule's predicate is a
-/// recorded branch, so constraints encode the *configuration*.
+/// What the actions of the rules that fired without a verdict did to the
+/// route the later rules read, as [`Policy::apply`] edits its copy.
+#[derive(Debug, Default)]
+struct Edits {
+    /// Hops of the router's own AS prepended.
+    prepended: u32,
+    /// Communities added (`true`) or removed, the last action on each.
+    communities: Vec<(Community, bool)>,
+}
+
+impl Edits {
+    fn apply(&mut self, action: &Action) {
+        let (c, present) = match *action {
+            Action::AddCommunity(c) => (c, true),
+            Action::RemoveCommunity(c) => (c, false),
+            Action::Prepend(n) => {
+                self.prepended += n as u32;
+                return;
+            }
+            // No match reads them.
+            Action::SetLocalPref(_) | Action::SetMed(_) => return,
+        };
+        match self.communities.iter_mut().find(|(k, _)| *k == c) {
+            Some(edit) => edit.1 = present,
+            None => self.communities.push((c, present)),
+        }
+    }
+
+    /// Whether an action decided that the route carries `c`.
+    fn community(&self, c: Community) -> Option<bool> {
+        let edit = self.communities.iter().find(|(k, _)| *k == c);
+        edit.map(|&(_, present)| present)
+    }
+}
+
+/// Interpret the policy over a symbolic route, as [`Policy::apply`] does.
+/// Every rule's predicate is a recorded branch, so constraints encode the
+/// *configuration*.
 fn eval_policy(
     ctx: &mut ConcolicCtx,
     policy: &Policy,
     prefix: SymPrefix,
     attrs: &SymUpdate,
+    own: Asn,
     prefix_index: usize,
 ) -> Verdict {
+    let mut edits = Edits::default();
     for (ri, rule) in policy.rules.iter().enumerate() {
         let mut fires = SymBool::concrete(true);
         for m in &rule.matches {
-            let hit = eval_match(ctx, m, prefix, attrs);
+            let hit = eval_match(ctx, m, prefix, attrs, &edits, own);
             fires = ctx.band(fires, hit);
         }
         // Site encodes (rule, prefix slot) so different NLRI entries keep
@@ -218,12 +283,22 @@ fn eval_policy(
             if let Some(v) = rule.verdict {
                 return v;
             }
+            for a in &rule.actions {
+                edits.apply(a);
+            }
         }
     }
     policy.default
 }
 
-fn eval_match(ctx: &mut ConcolicCtx, m: &Match, prefix: SymPrefix, attrs: &SymUpdate) -> SymBool {
+fn eval_match(
+    ctx: &mut ConcolicCtx,
+    m: &Match,
+    prefix: SymPrefix,
+    attrs: &SymUpdate,
+    edits: &Edits,
+    own: Asn,
+) -> SymBool {
     match m {
         Match::Any => SymBool::concrete(true),
         Match::PrefixIn(filters) => {
@@ -250,19 +325,25 @@ fn eval_match(ctx: &mut ConcolicCtx, m: &Match, prefix: SymPrefix, attrs: &SymUp
             ctx.band(ge, le)
         }
         Match::AsPathContains(a) => {
-            let mut any = SymBool::concrete(false);
-            for &asn in &attrs.asns {
-                let eq = ctx.eq_const(asn, a.0 as u64);
+            let mut any = SymBool::concrete(edits.prepended > 0 && *a == own);
+            for p in &attrs.path {
+                let eq = ctx.eq_const(p.asn, a.0 as u64);
                 any = ctx.bor(any, eq);
             }
             any
         }
-        Match::AsPathLenAtMost(n) => SymBool::concrete(attrs.asns.len() as u32 <= *n),
-        Match::OriginatedBy(a) => match attrs.asns.last() {
-            Some(&last) => ctx.eq_const(last, a.0 as u64),
-            None => SymBool::concrete(false),
+        Match::AsPathLenAtMost(n) => SymBool::concrete(attrs.path_len() + edits.prepended <= *n),
+        // A path that ends in an AS_SET has no originator
+        // (`AsPath::origin_asn`); a prepend names one only on an empty path.
+        Match::OriginatedBy(a) => match attrs.path.last() {
+            Some(last) if !last.in_set => ctx.eq_const(last.asn, a.0 as u64),
+            Some(_) => SymBool::concrete(false),
+            None => SymBool::concrete(edits.prepended > 0 && *a == own),
         },
         Match::HasCommunity(c) => {
+            if let Some(present) = edits.community(*c) {
+                return SymBool::concrete(present);
+            }
             let mut any = SymBool::concrete(false);
             for &comm in &attrs.communities {
                 let eq = ctx.eq_const(comm, c.0 as u64);

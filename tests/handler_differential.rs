@@ -5,15 +5,18 @@
 
 use dice_system::bgp::attrs::{code, flags};
 use dice_system::bgp::{decode, net, Asn, Community, Message, Policy, RouterConfig, RouterId};
+use dice_system::bgp::{BgpRouter, RouterStats};
 use dice_system::concolic::{ConcolicCtx, ConcolicProgram, ExprArena, ExprId, RunStatus, SymInput};
 use dice_system::dice::bgp_sut::minimal_seed;
 use dice_system::dice::hash::hex;
 use dice_system::dice::{mark_update, GrammarConfig, Sha256, SymbolicUpdateHandler, UpdateGrammar};
-use dice_system::netsim::NodeId;
+use dice_system::netsim::{LinkParams, NodeId, SimDuration, SimTime, Simulator, Topology};
 use proptest::prelude::*;
 
 const OWN: Asn = Asn(65001);
 const PEER: Asn = Asn(65002);
+/// The router under test is node 1 of a two-router line; its peer node 0.
+const PEER_NODE: NodeId = NodeId(0);
 
 fn test_config(policy_variant: u8) -> RouterConfig {
     use dice_system::bgp::{Match, PrefixFilter, Rule, Verdict};
@@ -40,7 +43,7 @@ fn test_config(policy_variant: u8) -> RouterConfig {
         },
     };
     RouterConfig::minimal(OWN, RouterId(1))
-        .with_neighbor(NodeId(2), PEER, "imp", "all")
+        .with_neighbor(PEER_NODE, PEER, "imp", "all")
         .with_policy(policy)
 }
 
@@ -68,7 +71,7 @@ fn reference_verdict(cfg: &RouterConfig, bytes: &[u8]) -> Result<bool, String> {
 }
 
 fn twin_verdict(cfg: &RouterConfig, bytes: &[u8]) -> Result<bool, String> {
-    let mut handler = SymbolicUpdateHandler::new(cfg.clone(), NodeId(2));
+    let mut handler = SymbolicUpdateHandler::new(cfg.clone(), PEER_NODE);
     let mut ctx = ConcolicCtx::new(SymInput::all_concrete(bytes.to_vec()));
     match handler.run(&mut ctx) {
         RunStatus::Ok => Ok(true),
@@ -94,6 +97,166 @@ fn class_of(status: RunStatus) -> Class {
         RunStatus::Rejected(_) => Class::Reject,
         RunStatus::Crash(_) => Class::Crash,
     }
+}
+
+fn twin_class(cfg: &RouterConfig, bytes: &[u8]) -> Class {
+    let mut twin = SymbolicUpdateHandler::new(cfg.clone(), PEER_NODE);
+    let mut ctx = ConcolicCtx::new(SymInput::all_concrete(bytes.to_vec()));
+    class_of(twin.run(&mut ctx))
+}
+
+fn stats(sim: &Simulator) -> RouterStats {
+    let node = sim.node(NodeId(1)).as_any();
+    node.downcast_ref::<BgpRouter>().expect("a router").stats()
+}
+
+/// The real router, its session to the peer established, receives `bytes`
+/// from the peer: it crashes, drops the UPDATE with a NOTIFICATION or
+/// for an AS-path loop, filters it at import, or takes it.
+fn router_class(cfg: &RouterConfig, bytes: &[u8]) -> Class {
+    let topo = Topology::line(2, LinkParams::fixed(SimDuration::from_millis(1)));
+    let mut sim = Simulator::new(topo, 1);
+    let peer = RouterConfig::minimal(PEER, RouterId(2)).with_neighbor(NodeId(1), OWN, "all", "all");
+    sim.set_node(PEER_NODE, Box::new(BgpRouter::new(peer)));
+    sim.set_node(NodeId(1), Box::new(BgpRouter::new(cfg.clone())));
+    sim.start();
+    sim.run_until(SimTime::from_nanos(5_000_000_000));
+    let before = stats(&sim);
+    sim.deliver_direct(PEER_NODE, NodeId(1), bytes);
+    if sim.crashed(NodeId(1)).is_some() {
+        return Class::Crash;
+    }
+    let after = stats(&sim);
+    if after.notifications_tx > before.notifications_tx || after.loop_rejects > before.loop_rejects
+    {
+        Class::Reject
+    } else if after.policy_rejects > before.policy_rejects {
+        Class::PolicyReject
+    } else {
+        Class::Accept
+    }
+}
+
+/// A configuration with `rules` and `default` as the peer's import policy.
+fn with_import(
+    rules: Vec<dice_system::bgp::Rule>,
+    default: dice_system::bgp::Verdict,
+) -> RouterConfig {
+    RouterConfig::minimal(OWN, RouterId(1))
+        .with_neighbor(PEER_NODE, PEER, "imp", "all")
+        .with_policy(Policy {
+            name: "imp".into(),
+            rules,
+            default,
+        })
+}
+
+/// An announcement of [`NLRI`] from the peer with the AS_PATH `path`.
+fn announce(path: &[(u8, &[u16])]) -> Vec<u8> {
+    let a = attr(WK, code::AS_PATH, &segments(path));
+    update(&[], &attrs_with(Some((code::AS_PATH, a)), &[]), &NLRI)
+}
+
+/// Both sides on one input, and what the router does.
+fn probe(cfg: &RouterConfig, bytes: &[u8], router: Class) {
+    assert_eq!(router_class(cfg, bytes), router, "the router");
+    assert_eq!(twin_class(cfg, bytes), router, "the twin");
+}
+
+/// An AS_PATH that is one AS_SET: the router has no first AS to check
+/// against the peer's and closes the session.
+#[test]
+fn probe_as_set_first_segment() {
+    let cfg = with_import(vec![], dice_system::bgp::Verdict::Accept);
+    probe(&cfg, &announce(&[(SET, &[PEER.0])]), Class::Reject);
+    probe(
+        &cfg,
+        &announce(&[(SEQ, &[PEER.0]), (SET, &[PEER.0])]),
+        Class::Accept,
+    );
+}
+
+/// The seeded defect, armed, on a transitive unknown attribute before an
+/// invalid NLRI length, and on a non-transitive one: both crash the router
+/// when it parses them.
+#[test]
+fn probe_seeded_defect_while_parsing() {
+    let mut cfg = with_import(vec![], dice_system::bgp::Verdict::Accept);
+    cfg.bugs.attr_overflow_crash = true;
+    let unknown = |fl: u8| attrs_with(None, &attr(fl, 0xF5, &[0xAA; 0x95]));
+    probe(
+        &cfg,
+        &update(&[], &unknown(OPT_TRANS), &[60, 10]),
+        Class::Crash,
+    );
+    probe(&cfg, &update(&[], &unknown(OPT), &NLRI), Class::Crash);
+}
+
+/// `AsPathLenAtMost` counts an AS_SET as one hop.
+#[test]
+fn probe_as_set_counts_one_hop() {
+    use dice_system::bgp::{Match, Rule, Verdict};
+    let cfg = with_import(
+        vec![Rule::accept(vec![Match::AsPathLenAtMost(2)])],
+        Verdict::Reject,
+    );
+    let path: &[(u8, &[u16])] = &[(SEQ, &[PEER.0]), (SET, &[1, 2, 3])];
+    probe(&cfg, &announce(path), Class::Accept);
+}
+
+/// A rule without a verdict edits the route the rules after it read.
+#[test]
+fn probe_policy_actions_reach_later_rules() {
+    use dice_system::bgp::{Action, Match, Rule, Verdict};
+    let c = Community::from_pair(OWN.0, 9);
+    let tag = Rule {
+        matches: vec![Match::Any],
+        actions: vec![Action::AddCommunity(c)],
+        verdict: None,
+    };
+    let cfg = with_import(
+        vec![tag.clone(), Rule::reject(vec![Match::HasCommunity(c)])],
+        Verdict::Accept,
+    );
+    probe(&cfg, &announce(&[(SEQ, &[PEER.0])]), Class::PolicyReject);
+    // Removed again, and a prepend of the router's own AS seen by a
+    // path-length rule.
+    let untag = Rule {
+        matches: vec![Match::Any],
+        actions: vec![Action::RemoveCommunity(c), Action::Prepend(2)],
+        verdict: None,
+    };
+    let cfg = with_import(
+        vec![
+            tag,
+            untag,
+            Rule::reject(vec![Match::HasCommunity(c)]),
+            Rule::reject(vec![Match::AsPathLenAtMost(2)]),
+            Rule::accept(vec![Match::AsPathContains(OWN)]),
+        ],
+        Verdict::Reject,
+    );
+    probe(&cfg, &announce(&[(SEQ, &[PEER.0])]), Class::Accept);
+}
+
+/// `OriginatedBy` is false when the last segment is a set.
+#[test]
+fn probe_as_set_has_no_originator() {
+    use dice_system::bgp::{Match, Rule, Verdict};
+    let cfg = with_import(
+        vec![Rule::reject(vec![Match::OriginatedBy(Asn(64903))])],
+        Verdict::Accept,
+    );
+    probe(
+        &cfg,
+        &announce(&[(SEQ, &[PEER.0]), (SET, &[64903])]),
+        Class::Accept,
+    );
+    probe(
+        &cfg,
+        &announce(&[(SEQ, &[PEER.0, 64903])]),
+        Class::PolicyReject,
+    );
 }
 
 /// An UPDATE from raw sections: the withdrawn routes, the attribute block
@@ -392,7 +555,7 @@ fn pin_config(buggy: bool) -> RouterConfig {
         default: Verdict::Reject,
     };
     let mut cfg = RouterConfig::minimal(OWN, RouterId(1))
-        .with_neighbor(NodeId(2), PEER, "imp", "all")
+        .with_neighbor(PEER_NODE, PEER, "imp", "all")
         .with_policy(policy);
     cfg.bugs.attr_overflow_crash = buggy;
     cfg
@@ -415,7 +578,7 @@ fn bgp_twin_paths_are_pinned() {
     let (mut arena, mut path) = (ExprArena::new(), Vec::new());
     let mut executions = 0;
     for buggy in [false, true] {
-        let mut twin = SymbolicUpdateHandler::new(pin_config(buggy), NodeId(2));
+        let mut twin = SymbolicUpdateHandler::new(pin_config(buggy), PEER_NODE);
         let mut g = UpdateGrammar::new(GrammarConfig::for_peer(PEER), 7);
         let mut inputs = vec![minimal_seed(PEER), g.generate(), g.generate_large_unknown()];
         inputs.extend(g.batch(8));
@@ -495,7 +658,7 @@ proptest! {
         bytes.extend_from_slice(&((19 + body.len()) as u16).to_be_bytes());
         bytes.push(2); // UPDATE
         bytes.extend_from_slice(&body);
-        let mut handler = SymbolicUpdateHandler::new(cfg, NodeId(2));
+        let mut handler = SymbolicUpdateHandler::new(cfg, PEER_NODE);
         let mask = dice_system::dice::mark_update(&bytes);
         let mut ctx = ConcolicCtx::new(SymInput::with_mask(bytes, mask));
         let _ = handler.run(&mut ctx);
