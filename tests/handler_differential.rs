@@ -604,7 +604,7 @@ fn bgp_twin_paths_are_pinned() {
     assert!(executions > 400, "{executions}");
     assert_eq!(
         hex(&sha.finalize()),
-        "979b525b13c61ff30c4ea77f59c8c68504de62f05616f975ed135b6c47722b1c"
+        "92566aad5b6e145b03eac0c4567c751a473f48615723107f49ab460e57779aff"
     );
 }
 
