@@ -1,11 +1,37 @@
-//! Differential property test: the instrumented UPDATE-handler twin must
-//! agree with the concrete pipeline (wire decode → loop/first-AS checks →
-//! import policy) on arbitrary grammar-generated and mutated messages —
-//! the fidelity contract from DESIGN.md §2.
+//! Differential tests: the instrumented UPDATE-handler twin
+//! (`SymbolicUpdateHandler`, what exploration runs) must classify every
+//! UPDATE as the router does — accept, policy reject, structural reject or
+//! crash. Both run one wire validator, `dice_bgp::wire::validate_update`,
+//! in two value domains (the router on the bytes, the twin on concolic
+//! values), so agreement on a message's structure holds by construction.
+//! This file guards what does not follow from the types: the decision part
+//! the twin still owns (loop check, first-AS check, the import policy
+//! interpreted over symbolic values, AS_SETs and actions included), and
+//! that the two domains agree on every bound — on a bound grid, on
+//! grammar-generated, mutated and arbitrary messages, under generated
+//! policies, clean and buggy configuration. `bgp_twin_paths_are_pinned`
+//! holds the twin's branches.
+//!
+//! The grid and the probes run a real router whose session to the peer is
+//! established (`router_class`). The property tests compare against
+//! `reference_class`: the router's bug-aware decode, then its
+//! `handle_update` checks with `AsPath` and `Policy::apply`; the grid holds
+//! it equal to the real router.
+//!
+//! Break it once: make the twin's `AsPathLenAtMost` count every AS_PATH
+//! member again (`attrs.path.len()` in `core/src/handler.rs`), and
+//! `probe_as_set_counts_one_hop`, `agrees_at_every_bound` and
+//! `agrees_on_valid_messages` go red.
+
+use std::collections::BTreeSet;
 
 use dice_system::bgp::attrs::{code, flags};
-use dice_system::bgp::{decode, net, Asn, Community, Message, Policy, RouterConfig, RouterId};
-use dice_system::bgp::{BgpRouter, RouterStats};
+use dice_system::bgp::wire::{decode_with, Verdict as Wire};
+use dice_system::bgp::{
+    encode, net, Action, AsPath, AsPathSegment, Asn, BgpRouter, Community, Ipv4Addr, Ipv4Net,
+    Match, Message, Origin, PathAttrs, Policy, PrefixFilter, RawAttr, RouterConfig, RouterId,
+    RouterStats, Rule, SegmentKind, UpdateMsg, Verdict,
+};
 use dice_system::concolic::{ConcolicCtx, ConcolicProgram, ExprArena, ExprId, RunStatus, SymInput};
 use dice_system::dice::bgp_sut::minimal_seed;
 use dice_system::dice::hash::hex;
@@ -18,66 +44,30 @@ const PEER: Asn = Asn(65002);
 /// The router under test is node 1 of a two-router line; its peer node 0.
 const PEER_NODE: NodeId = NodeId(0);
 
-fn test_config(policy_variant: u8) -> RouterConfig {
-    use dice_system::bgp::{Match, PrefixFilter, Rule, Verdict};
-    let policy = match policy_variant % 3 {
-        0 => Policy::accept_all("imp"),
-        1 => Policy {
-            name: "imp".into(),
-            rules: vec![Rule::reject(vec![Match::PrefixIn(vec![
-                PrefixFilter::or_longer(dice_system::bgp::net("10.0.0.0/8")),
-            ])])],
-            default: Verdict::Accept,
-        },
-        _ => Policy {
-            name: "imp".into(),
-            rules: vec![
-                Rule {
-                    matches: vec![Match::AsPathLenAtMost(2)],
-                    actions: vec![dice_system::bgp::Action::SetLocalPref(200)],
-                    verdict: Some(Verdict::Accept),
-                },
-                Rule::reject(vec![Match::OriginIs(dice_system::bgp::Origin::Incomplete)]),
-            ],
-            default: Verdict::Accept,
-        },
+/// The router's decode with its bug switches, then what `handle_update`
+/// decides of an announcement: the AS-path loop and first-AS checks, then
+/// the import policy on every prefix.
+fn reference_class(cfg: &RouterConfig, bytes: &[u8]) -> Class {
+    let update = match decode_with(bytes, cfg.bugs) {
+        Ok((Message::Update(u), _)) => u,
+        Ok(_) | Err(Wire::Reject(_)) => return Class::Reject,
+        Err(Wire::Crash(_)) => return Class::Crash,
     };
-    RouterConfig::minimal(OWN, RouterId(1))
-        .with_neighbor(PEER_NODE, PEER, "imp", "all")
-        .with_policy(policy)
-}
-
-/// The concrete reference pipeline, mirroring BgpRouter::handle_update's
-/// accept/reject decision for announcements.
-fn reference_verdict(cfg: &RouterConfig, bytes: &[u8]) -> Result<bool, String> {
-    match decode(bytes) {
-        Ok((Message::Update(u), _)) => {
-            if u.nlri.is_empty() {
-                return Ok(true); // withdraw-only accepted
-            }
-            let attrs = u.attrs.as_ref().expect("decoder enforces attrs with NLRI");
-            if attrs.as_path.contains(OWN) {
-                return Err("as-loop".into());
-            }
-            if attrs.as_path.first_asn() != Some(PEER) {
-                return Err("first-as".into());
-            }
-            let policy = &cfg.policies["imp"];
-            Ok(u.nlri.iter().all(|p| policy.apply(p, attrs, OWN).is_some()))
-        }
-        Ok(_) => Err("not-update".into()),
-        Err(e) => Err(format!("decode:{e}")),
+    let Some(attrs) = update.attrs.as_ref().filter(|_| !update.nlri.is_empty()) else {
+        return Class::Accept;
+    };
+    if attrs.as_path.contains(OWN) || attrs.as_path.first_asn() != Some(PEER) {
+        return Class::Reject;
     }
-}
-
-fn twin_verdict(cfg: &RouterConfig, bytes: &[u8]) -> Result<bool, String> {
-    let mut handler = SymbolicUpdateHandler::new(cfg.clone(), PEER_NODE);
-    let mut ctx = ConcolicCtx::new(SymInput::all_concrete(bytes.to_vec()));
-    match handler.run(&mut ctx) {
-        RunStatus::Ok => Ok(true),
-        RunStatus::Rejected(stage) if stage == "import-policy" => Ok(false),
-        RunStatus::Rejected(stage) => Err(stage.into_owned()),
-        RunStatus::Crash(c) => Err(format!("crash:{c}")),
+    let import = &cfg.policies["imp"];
+    if update
+        .nlri
+        .iter()
+        .all(|p| import.apply(p, attrs, OWN).is_some())
+    {
+        Class::Accept
+    } else {
+        Class::PolicyReject
     }
 }
 
@@ -138,10 +128,7 @@ fn router_class(cfg: &RouterConfig, bytes: &[u8]) -> Class {
 }
 
 /// A configuration with `rules` and `default` as the peer's import policy.
-fn with_import(
-    rules: Vec<dice_system::bgp::Rule>,
-    default: dice_system::bgp::Verdict,
-) -> RouterConfig {
+fn with_import(rules: Vec<Rule>, default: Verdict) -> RouterConfig {
     RouterConfig::minimal(OWN, RouterId(1))
         .with_neighbor(PEER_NODE, PEER, "imp", "all")
         .with_policy(Policy {
@@ -167,7 +154,7 @@ fn probe(cfg: &RouterConfig, bytes: &[u8], router: Class) {
 /// against the peer's and closes the session.
 #[test]
 fn probe_as_set_first_segment() {
-    let cfg = with_import(vec![], dice_system::bgp::Verdict::Accept);
+    let cfg = with_import(vec![], Verdict::Accept);
     probe(&cfg, &announce(&[(SET, &[PEER.0])]), Class::Reject);
     probe(
         &cfg,
@@ -181,7 +168,7 @@ fn probe_as_set_first_segment() {
 /// when it parses them.
 #[test]
 fn probe_seeded_defect_while_parsing() {
-    let mut cfg = with_import(vec![], dice_system::bgp::Verdict::Accept);
+    let mut cfg = with_import(vec![], Verdict::Accept);
     cfg.bugs.attr_overflow_crash = true;
     let unknown = |fl: u8| attrs_with(None, &attr(fl, 0xF5, &[0xAA; 0x95]));
     probe(
@@ -195,7 +182,6 @@ fn probe_seeded_defect_while_parsing() {
 /// `AsPathLenAtMost` counts an AS_SET as one hop.
 #[test]
 fn probe_as_set_counts_one_hop() {
-    use dice_system::bgp::{Match, Rule, Verdict};
     let cfg = with_import(
         vec![Rule::accept(vec![Match::AsPathLenAtMost(2)])],
         Verdict::Reject,
@@ -207,7 +193,6 @@ fn probe_as_set_counts_one_hop() {
 /// A rule without a verdict edits the route the rules after it read.
 #[test]
 fn probe_policy_actions_reach_later_rules() {
-    use dice_system::bgp::{Action, Match, Rule, Verdict};
     let c = Community::from_pair(OWN.0, 9);
     let tag = Rule {
         matches: vec![Match::Any],
@@ -242,7 +227,6 @@ fn probe_policy_actions_reach_later_rules() {
 /// `OriginatedBy` is false when the last segment is a set.
 #[test]
 fn probe_as_set_has_no_originator() {
-    use dice_system::bgp::{Match, Rule, Verdict};
     let cfg = with_import(
         vec![Rule::reject(vec![Match::OriginatedBy(Asn(64903))])],
         Verdict::Accept,
@@ -532,7 +516,6 @@ fn updates_at_bounds() -> Vec<Vec<u8>> {
 /// reads every attribute the twin interprets, with an action-bearing rule
 /// before the rules that could see its effect.
 fn pin_config(buggy: bool) -> RouterConfig {
-    use dice_system::bgp::{Action, Match, Origin, PrefixFilter, Rule, Verdict};
     let tag = Community::from_pair(OWN.0, 7);
     let policy = Policy {
         name: "imp".into(),
@@ -608,58 +591,268 @@ fn bgp_twin_paths_are_pinned() {
     );
 }
 
-proptest! {
-    /// On valid grammar messages the twin and the reference agree exactly
-    /// (accept vs policy-reject vs structural rejection).
-    #[test]
-    fn agrees_on_valid_messages(seed in any::<u64>(), variant in any::<u8>()) {
-        let cfg = test_config(variant);
-        let mut g = UpdateGrammar::new(GrammarConfig::for_peer(PEER), seed);
-        for bytes in g.batch(10) {
-            let reference = reference_verdict(&cfg, &bytes);
-            let twin = twin_verdict(&cfg, &bytes);
-            match (&reference, &twin) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "verdict mismatch"),
-                (Err(_), Err(_)) => {} // both reject structurally
-                other => prop_assert!(false, "divergence: {:?}", other),
-            }
+/// The configurations the grid runs under: an accept-all import and the
+/// pinned paths' policy, each clean and with the seeded defect armed.
+fn grid_configs() -> Vec<RouterConfig> {
+    let mut out = Vec::new();
+    for buggy in [false, true] {
+        let mut plain = with_import(vec![], Verdict::Accept);
+        plain.bugs.attr_overflow_crash = buggy;
+        out.push(plain);
+        out.push(pin_config(buggy));
+    }
+    out
+}
+
+/// Every grid input under every grid configuration: the twin classifies it
+/// as the real router does, and so does `reference_class`, which the
+/// property tests below stand on.
+#[test]
+fn agrees_at_every_bound() {
+    let inputs = updates_at_bounds();
+    let mut classes = BTreeSet::new();
+    for cfg in grid_configs() {
+        let buggy = cfg.bugs.attr_overflow_crash;
+        for bytes in &inputs {
+            let router = router_class(&cfg, bytes);
+            let twin = twin_class(&cfg, bytes);
+            assert_eq!(twin, router, "twin (buggy {buggy}) on {bytes:02x?}");
+            let reference = reference_class(&cfg, bytes);
+            assert_eq!(
+                reference, router,
+                "reference (buggy {buggy}) on {bytes:02x?}"
+            );
+            classes.insert(router);
         }
     }
+    use Class::*;
+    assert_eq!(
+        classes,
+        BTreeSet::from([Accept, PolicyReject, Reject, Crash])
+    );
+}
 
-    /// On byte-mutated messages, accept/reject *classification* agrees:
-    /// the twin accepts iff the reference accepts. (Error taxonomies may
-    /// differ in wording, never in direction.)
+/// ASes the generated paths and policies draw from, so that matches fire.
+fn arb_asn() -> impl Strategy<Value = u16> {
+    prop_oneof![Just(PEER.0), Just(OWN.0), 64901u16..64905]
+}
+
+fn arb_community() -> impl Strategy<Value = Community> {
+    (0u16..3).prop_map(|v| Community::from_pair(OWN.0, v))
+}
+
+fn arb_prefix() -> impl Strategy<Value = Ipv4Net> {
+    (
+        prop_oneof![Just(10u32), Just(20), Just(192)],
+        any::<u16>(),
+        8u8..=32,
+    )
+        .prop_map(|(a, b, len)| Ipv4Net::new((a << 24) | ((b as u32) << 8), len))
+}
+
+/// An AS_PATH of sequences and sets, most of them led by the peer.
+fn arb_path() -> impl Strategy<Value = AsPath> {
+    let kind = prop_oneof![
+        Just(SegmentKind::Sequence),
+        Just(SegmentKind::Sequence),
+        Just(SegmentKind::Set)
+    ];
+    let segment = (kind, prop::collection::vec(arb_asn().prop_map(Asn), 1..4))
+        .prop_map(|(kind, asns)| AsPathSegment { kind, asns });
+    (
+        prop::collection::vec(segment, 0..3),
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(|(mut segments, lead, as_set)| {
+            if lead {
+                let kind = if as_set {
+                    SegmentKind::Set
+                } else {
+                    SegmentKind::Sequence
+                };
+                let asns = vec![PEER];
+                segments.insert(0, AsPathSegment { kind, asns });
+            }
+            AsPath { segments }
+        })
+}
+
+/// A well-formed UPDATE: generated parts (AS_SETs, the policies'
+/// communities, an unknown attribute around the defect's trigger window),
+/// or the exploration grammar's.
+fn arb_update() -> impl Strategy<Value = Vec<u8>> {
+    let unknown = (
+        prop_oneof![Just(OPT), Just(OPT_TRANS)],
+        prop_oneof![Just(0xE5u8), Just(0xEF), Just(0xF0), Just(0xF5)],
+        prop_oneof![Just(4usize), Just(0x8F), Just(0x90), Just(0x95)],
+    )
+        .prop_map(|(flags, code, len)| RawAttr {
+            flags,
+            code,
+            value: vec![0xA5; len],
+        });
+    let attrs = (
+        arb_path(),
+        0u8..3,
+        prop::collection::btree_set(arb_community(), 0..3),
+        prop::option::of(unknown),
+        prop::option::of(0u32..3),
+    )
+        .prop_map(|(as_path, origin, communities, unknown, med)| PathAttrs {
+            origin: Origin::from_u8(origin).unwrap_or_default(),
+            as_path,
+            next_hop: Ipv4Addr(0x0A00_0001),
+            med,
+            communities,
+            unknown: unknown.into_iter().collect(),
+            ..PathAttrs::default()
+        });
+    let generated = (
+        prop::collection::vec(arb_prefix(), 0..2),
+        prop::option::of(attrs),
+        prop::collection::vec(arb_prefix(), 0..3),
+    )
+        .prop_map(|(withdrawn, attrs, nlri)| {
+            encode(&Message::Update(UpdateMsg {
+                withdrawn,
+                attrs,
+                nlri,
+            }))
+        })
+        .boxed();
+    let grammar = any::<u64>()
+        .prop_map(|seed| UpdateGrammar::new(GrammarConfig::for_peer(PEER), seed).generate());
+    prop_oneof![generated.clone(), generated, grammar]
+}
+
+fn arb_match() -> impl Strategy<Value = Match> {
+    let filter = (prop_oneof![Just(10u32), Just(20)], 8u8..=24, 16u8..=32).prop_map(
+        |(a, min_len, max_len)| PrefixFilter {
+            net: Ipv4Net::new(a << 24, 8),
+            min_len,
+            max_len,
+        },
+    );
+    prop_oneof![
+        Just(Match::Any),
+        filter.prop_map(|f| Match::PrefixIn(vec![f])),
+        (8u8..=24, 16u8..=32).prop_map(|(min, max)| Match::PrefixLenIn { min, max }),
+        arb_asn().prop_map(|a| Match::AsPathContains(Asn(a))),
+        (0u32..4).prop_map(Match::AsPathLenAtMost),
+        arb_asn().prop_map(|a| Match::OriginatedBy(Asn(a))),
+        arb_community().prop_map(Match::HasCommunity),
+        (0u8..3).prop_map(|o| Match::OriginIs(Origin::from_u8(o).unwrap_or_default())),
+    ]
+}
+
+fn arb_action() -> impl Strategy<Value = Action> {
+    prop_oneof![
+        arb_community().prop_map(Action::AddCommunity),
+        arb_community().prop_map(Action::RemoveCommunity),
+        (0u8..3).prop_map(Action::Prepend),
+        Just(Action::SetLocalPref(150)),
+    ]
+}
+
+fn arb_verdict() -> impl Strategy<Value = Verdict> {
+    prop_oneof![Just(Verdict::Accept), Just(Verdict::Reject)]
+}
+
+/// An import policy of up to four rules that carry actions, with or
+/// without verdicts, and the seeded defect armed or not.
+fn arb_config() -> impl Strategy<Value = RouterConfig> {
+    let rule = (
+        prop::collection::vec(arb_match(), 0..3),
+        prop::collection::vec(arb_action(), 0..3),
+        prop::option::of(arb_verdict()),
+    )
+        .prop_map(|(matches, actions, verdict)| Rule {
+            matches,
+            actions,
+            verdict,
+        });
+    (
+        prop::collection::vec(rule, 0..4),
+        arb_verdict(),
+        any::<bool>(),
+    )
+        .prop_map(|(rules, default, buggy)| {
+            let mut cfg = with_import(rules, default);
+            cfg.bugs.attr_overflow_crash = buggy;
+            cfg
+        })
+}
+
+fn agree(cfg: &RouterConfig, bytes: &[u8]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        twin_class(cfg, bytes),
+        reference_class(cfg, bytes),
+        "twin vs reference (buggy {}) on {:02x?} under {:?}",
+        cfg.bugs.attr_overflow_crash,
+        bytes,
+        cfg.policies["imp"]
+    );
+    Ok(())
+}
+
+proptest! {
+    /// Well-formed UPDATEs under generated policies, clean and buggy: the
+    /// exact class.
+    #[test]
+    fn agrees_on_valid_messages(bytes in arb_update(), cfg in arb_config()) {
+        agree(&cfg, &bytes)?;
+    }
+
+    /// Well-formed UPDATEs with body bytes overwritten, dropped or
+    /// appended (the header's length follows, so the body is parsed).
     #[test]
     fn agrees_on_mutated_messages(
-        seed in any::<u64>(),
-        variant in any::<u8>(),
+        bytes in arb_update(),
+        cfg in arb_config(),
         mutations in prop::collection::vec((any::<usize>(), any::<u8>()), 1..6),
+        resize in prop_oneof![Just(0i8), Just(-1i8), Just(1i8)],
     ) {
-        let cfg = test_config(variant);
-        let mut g = UpdateGrammar::new(GrammarConfig::for_peer(PEER), seed);
-        let mut bytes = g.generate();
+        let mut bytes = bytes;
         for (pos, val) in mutations {
-            // Never corrupt the 19-byte header: the twin treats framing as
-            // concrete (the marking policy keeps it fixed).
-            let body = bytes.len() - 19;
-            let i = 19 + (pos % body);
+            // Never the 19-byte header: the marking policy keeps framing
+            // concrete, and the twin leaves its checks to the decoder.
+            let i = 19 + pos % (bytes.len() - 19);
             bytes[i] = val;
         }
-        let reference_ok = matches!(reference_verdict(&cfg, &bytes), Ok(true));
-        let twin_ok = matches!(twin_verdict(&cfg, &bytes), Ok(true));
-        prop_assert_eq!(reference_ok, twin_ok, "acceptance divergence on mutated input");
+        match resize {
+            -1 => drop(bytes.pop()),
+            1 => bytes.push(0),
+            _ => {}
+        }
+        let len = bytes.len() as u16;
+        bytes[16..18].copy_from_slice(&len.to_be_bytes());
+        agree(&cfg, &bytes)?;
+    }
+
+    /// A valid header before arbitrary bytes.
+    #[test]
+    fn agrees_on_arbitrary_bodies(
+        body in prop::collection::vec(any::<u8>(), 0..96),
+        cfg in arb_config(),
+    ) {
+        let mut bytes = vec![0xFF; 16];
+        bytes.extend_from_slice(&((19 + body.len()) as u16).to_be_bytes());
+        bytes.push(2); // UPDATE
+        bytes.extend_from_slice(&body);
+        agree(&cfg, &bytes)?;
     }
 
     /// The twin is total: arbitrary bodies never panic it.
     #[test]
     fn twin_never_panics(body in prop::collection::vec(any::<u8>(), 4..256)) {
-        let cfg = test_config(0);
+        let cfg = with_import(vec![], Verdict::Accept);
         let mut bytes = vec![0xFF; 16];
         bytes.extend_from_slice(&((19 + body.len()) as u16).to_be_bytes());
         bytes.push(2); // UPDATE
         bytes.extend_from_slice(&body);
         let mut handler = SymbolicUpdateHandler::new(cfg, PEER_NODE);
-        let mask = dice_system::dice::mark_update(&bytes);
+        let mask = mark_update(&bytes);
         let mut ctx = ConcolicCtx::new(SymInput::with_mask(bytes, mask));
         let _ = handler.run(&mut ctx);
     }
