@@ -51,16 +51,16 @@
 //! * `passing_battery`: make `CrashChecker` name its pass
 //!   `self.name().to_string()`, and a gossip16 battery allocates 17 times.
 //! * `pooled_unit`: make `export_to` copy the exported bag per accepting
-//!   peer instead of sharing its `Arc`, and a demo27 unit allocates 886
+//!   peer instead of sharing its `Arc`, and a demo27 unit allocates 828
 //!   times.
 //! * `first_write`: make `Rib::edit` deep-copy every entry when it copies
-//!   a shared spine, and the copy plus its first UPDATE allocates 128
+//!   a shared spine, and the copy plus its first UPDATE allocates 127
 //!   times (the router copy alone stays at 2: a saving made only at copy
 //!   time cannot pass this budget).
 //! * `warm_twin_execution`: make `ConcolicCtx::continuing` start from
-//!   `ExprArena::new()`, and a warm BGP execution allocates 21 times.
+//!   `ExprArena::new()`, and a warm BGP execution allocates 20 times.
 //! * `explore_session`: make `Worklist::push` clone the child's bytes, and
-//!   a BGP session allocates 1,452 times.
+//!   a BGP session allocates 1,299 times.
 //! * `one_worker_campaign`: make `ClonePool::release` drop the simulator,
 //!   and the campaign allocates 1,567 times.
 //! * `gossip_copy_shares_its_tables`: make `clone_node` deep-copy the

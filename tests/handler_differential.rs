@@ -20,8 +20,8 @@
 //!
 //! Break it once: make the twin's `AsPathLenAtMost` count every AS_PATH
 //! member again (`attrs.path.len()` in `core/src/handler.rs`), and
-//! `probe_as_set_counts_one_hop`, `agrees_at_every_bound` and
-//! `agrees_on_valid_messages` go red.
+//! `probe_as_set_counts_one_hop` and `agrees_at_every_bound` go red, and
+//! at 2000 cases `agrees_on_valid_messages` too.
 
 use std::collections::BTreeSet;
 
@@ -591,15 +591,21 @@ fn bgp_twin_paths_are_pinned() {
     );
 }
 
-/// The configurations the grid runs under: an accept-all import and the
-/// pinned paths' policy, each clean and with the seeded defect armed.
+/// The configurations the grid runs under: an accept-all import, one that
+/// accepts paths of at most two hops, and the pinned paths' policy, each
+/// clean and with the seeded defect armed.
 fn grid_configs() -> Vec<RouterConfig> {
     let mut out = Vec::new();
     for buggy in [false, true] {
-        let mut plain = with_import(vec![], Verdict::Accept);
-        plain.bugs.attr_overflow_crash = buggy;
-        out.push(plain);
-        out.push(pin_config(buggy));
+        let short = Rule::accept(vec![Match::AsPathLenAtMost(2)]);
+        for mut cfg in [
+            with_import(vec![], Verdict::Accept),
+            with_import(vec![short], Verdict::Reject),
+            pin_config(buggy),
+        ] {
+            cfg.bugs.attr_overflow_crash = buggy;
+            out.push(cfg);
+        }
     }
     out
 }
@@ -632,9 +638,11 @@ fn agrees_at_every_bound() {
     );
 }
 
-/// ASes the generated paths and policies draw from, so that matches fire.
+/// ASes the generated paths and policies draw from, so that matches fire;
+/// the router's own now and then, for the loop check.
 fn arb_asn() -> impl Strategy<Value = u16> {
-    prop_oneof![Just(PEER.0), Just(OWN.0), 64901u16..64905]
+    let pool = || 64901u16..64905;
+    prop_oneof![Just(PEER.0), Just(OWN.0), pool(), pool(), pool(), pool()]
 }
 
 fn arb_community() -> impl Strategy<Value = Community> {
@@ -650,32 +658,25 @@ fn arb_prefix() -> impl Strategy<Value = Ipv4Net> {
         .prop_map(|(a, b, len)| Ipv4Net::new((a << 24) | ((b as u32) << 8), len))
 }
 
-/// An AS_PATH of sequences and sets, most of them led by the peer.
+/// An AS_PATH of sequences and sets, most of them led by a sequence that
+/// starts with the peer, some by a set that holds it.
 fn arb_path() -> impl Strategy<Value = AsPath> {
-    let kind = prop_oneof![
-        Just(SegmentKind::Sequence),
-        Just(SegmentKind::Sequence),
-        Just(SegmentKind::Set)
-    ];
-    let segment = (kind, prop::collection::vec(arb_asn().prop_map(Asn), 1..4))
+    let kind = || prop_oneof![Just(SegmentKind::Sequence), Just(SegmentKind::Set)];
+    let segment = (kind(), prop::collection::vec(arb_asn().prop_map(Asn), 1..4))
         .prop_map(|(kind, asns)| AsPathSegment { kind, asns });
-    (
-        prop::collection::vec(segment, 0..3),
-        any::<bool>(),
-        any::<bool>(),
-    )
-        .prop_map(|(mut segments, lead, as_set)| {
-            if lead {
-                let kind = if as_set {
-                    SegmentKind::Set
-                } else {
-                    SegmentKind::Sequence
-                };
-                let asns = vec![PEER];
-                segments.insert(0, AsPathSegment { kind, asns });
-            }
-            AsPath { segments }
-        })
+    let lead = prop_oneof![
+        kind().prop_map(Some),
+        Just(Some(SegmentKind::Sequence)),
+        Just(Some(SegmentKind::Sequence)),
+        Just(None)
+    ];
+    (prop::collection::vec(segment, 0..3), lead).prop_map(|(mut segments, lead)| {
+        if let Some(kind) = lead {
+            let asns = vec![PEER];
+            segments.insert(0, AsPathSegment { kind, asns });
+        }
+        AsPath { segments }
+    })
 }
 
 /// A well-formed UPDATE: generated parts (AS_SETs, the policies'
