@@ -397,43 +397,6 @@ pub fn encode(msg: &Message) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.buf.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-    fn u16(&mut self) -> Option<u16> {
-        let hi = self.u8()? as u16;
-        let lo = self.u8()? as u16;
-        Some((hi << 8) | lo)
-    }
-    fn u32(&mut self) -> Option<u32> {
-        let hi = self.u16()? as u32;
-        let lo = self.u16()? as u32;
-        Some((hi << 16) | lo)
-    }
-    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.remaining() < n {
-            return None;
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Some(s)
-    }
-}
-
 /// Stable branch-site identifiers of [`validate_update`]. The exploration
 /// twin in `dice-core` records its decision sites (70, 71, 90, 100 and up)
 /// after these.
@@ -550,6 +513,24 @@ fn prefix_bytes<D: Domain>(d: &mut D, plen: D::Word) -> D::Word {
     d.shr(plus7, 3)
 }
 
+/// Take the branch `site` on `ok`, rejecting with `e` the way it is false.
+fn require<D: Domain>(d: &mut D, site: u32, ok: D::Bool, e: DecodeError) -> Result<(), Verdict> {
+    if d.branch(site, ok) {
+        Ok(())
+    } else {
+        Err(Verdict::Reject(e))
+    }
+}
+
+/// A bound read off concrete offsets, which records no branch.
+fn ensure(ok: bool, e: DecodeError) -> Result<(), Verdict> {
+    if ok {
+        Ok(())
+    } else {
+        Err(Verdict::Reject(e))
+    }
+}
+
 /// The UPDATE validation of a router, written once over a value domain:
 /// the router and [`decode`] run it on [`Concrete`] bytes, DiCE's
 /// exploration twin on concolic values. `d` holds the whole message, its
@@ -574,45 +555,33 @@ pub fn validate_update<D: Domain>(
 ) -> Result<(), Verdict> {
     use DecodeError::*;
     let total = d.len();
-    if total < HEADER_LEN + 2 {
-        return Err(MalformedAttrList.into());
-    }
+    ensure(total >= HEADER_LEN + 2, MalformedAttrList)?;
     let mut pos = HEADER_LEN;
 
     // ---- Withdrawn routes ------------------------------------------------
     let wlen = d.read_u16_be(pos);
     pos += 2;
     let fits = d.ule_const(wlen, (total - pos) as u64);
-    if !d.branch(sites::WLEN_FITS, fits) {
-        return Err(MalformedAttrList.into());
-    }
+    require(d, sites::WLEN_FITS, fits, MalformedAttrList)?;
     let wend = pos + d.value(wlen) as usize;
     while pos < wend {
         let plen = d.read_u8(pos);
         pos += 1;
         let ok = d.ule_const(plen, 32);
-        if !d.branch(sites::WD_PLEN, ok) {
-            return Err(MalformedAttrList.into());
-        }
+        require(d, sites::WD_PLEN, ok, MalformedAttrList)?;
         let nbytes = prefix_bytes(d, plen);
         let fits = d.ule_const(nbytes, (wend - pos) as u64);
-        if !d.branch(sites::WD_FITS, fits) {
-            return Err(MalformedAttrList.into());
-        }
+        require(d, sites::WD_FITS, fits, MalformedAttrList)?;
         sink.withdrawn(plen, pos);
         pos += d.value(nbytes) as usize;
     }
 
     // ---- Path attribute block --------------------------------------------
-    if pos + 2 > total {
-        return Err(MalformedAttrList.into());
-    }
+    ensure(pos + 2 <= total, MalformedAttrList)?;
     let alen = d.read_u16_be(pos);
     pos += 2;
     let fits = d.ule_const(alen, (total - pos) as u64);
-    if !d.branch(sites::ALEN_FITS, fits) {
-        return Err(MalformedAttrList.into());
-    }
+    require(d, sites::ALEN_FITS, fits, MalformedAttrList)?;
     let aend = pos + d.value(alen) as usize;
     if aend > pos {
         sink.path_attrs();
@@ -621,45 +590,36 @@ pub fn validate_update<D: Domain>(
     let (mut have_origin, mut have_as_path, mut have_next_hop) = (false, false, false);
     while pos < aend {
         let hdr_fits = d.lit(pos + 2 <= aend);
-        if !d.branch(sites::ATTR_HDR_FITS, hdr_fits) {
-            return Err(MalformedAttrList.into());
-        }
+        require(d, sites::ATTR_HDR_FITS, hdr_fits, MalformedAttrList)?;
         let fl = d.read_u8(pos);
         let tcode = d.read_u8(pos + 1);
         pos += 2;
         let ext_bit = d.and_const(fl, flags::EXT_LEN as u64);
         let has_ext = d.ne_const(ext_bit, 0);
         let len = if d.branch(sites::ATTR_EXT_LEN, has_ext) {
-            if pos + 2 > aend {
-                return Err(MalformedAttrList.into());
-            }
+            ensure(pos + 2 <= aend, MalformedAttrList)?;
             let l16 = d.read_u16_be(pos);
             pos += 2;
             l16
         } else {
-            if pos + 1 > aend {
-                return Err(MalformedAttrList.into());
-            }
+            ensure(pos < aend, MalformedAttrList)?;
             let l8 = d.read_u8(pos);
             pos += 1;
             d.zext(16, l8)
         };
         let val_fits = d.ule_const(len, (aend - pos) as u64);
-        if !d.branch(sites::ATTR_VAL_FITS, val_fits) {
-            return Err(MalformedAttrList.into());
-        }
+        require(d, sites::ATTR_VAL_FITS, val_fits, MalformedAttrList)?;
         let vstart = pos;
         pos += d.value(len) as usize;
 
         // Duplicates: a table lookup on the concrete code, as in C.
         let tc = d.value(tcode) as u8;
-        if !seen.insert(tc) {
-            return Err(DuplicateAttr(tc).into());
-        }
+        ensure(seen.insert(tc), DuplicateAttr(tc))?;
         let flags_error = AttrFlagsError {
             code: tc,
             flags: d.value(fl) as u8,
         };
+        let len_error = AttrLenError { code: tc };
 
         let optional = d.and_const(fl, flags::OPTIONAL as u64);
         let opt_set = d.ne_const(optional, 0);
@@ -675,26 +635,19 @@ pub fn validate_update<D: Domain>(
             d.branch(sites::DISPATCH_BASE + k as u32, hit)
         };
         if is(d, code::ORIGIN) {
-            if !d.branch(sites::ATTR_WK_FLAGS, wk_ok) {
-                return Err(flags_error.into());
-            }
+            require(d, sites::ATTR_WK_FLAGS, wk_ok, flags_error)?;
             let len_ok = d.eq_const(len, 1);
-            if !d.branch(sites::ORIGIN_LEN, len_ok) {
-                return Err(AttrLenError { code: tc }.into());
-            }
+            require(d, sites::ORIGIN_LEN, len_ok, len_error)?;
             let v = d.read_u8(vstart);
             let v_ok = d.ule_const(v, 2);
-            if !d.branch(sites::ORIGIN_VAL, v_ok) {
-                return Err(InvalidOrigin(d.value(v) as u8).into());
-            }
+            let bad = InvalidOrigin(d.value(v) as u8);
+            require(d, sites::ORIGIN_VAL, v_ok, bad)?;
             sink.origin(v);
             have_origin = true;
             continue;
         }
         if is(d, code::AS_PATH) {
-            if !d.branch(sites::ATTR_WK_FLAGS, wk_ok) {
-                return Err(flags_error.into());
-            }
+            require(d, sites::ATTR_WK_FLAGS, wk_ok, flags_error)?;
             let vend = pos;
             let mut p = vstart;
             while p < vend {
@@ -702,20 +655,15 @@ pub fn validate_update<D: Domain>(
                 let set = d.eq_const(kind, 1);
                 let sequence = d.eq_const(kind, 2);
                 let kind_ok = d.bor(set, sequence);
-                if !d.branch(sites::ASPATH_SEG_KIND, kind_ok) || p + 2 > vend {
-                    return Err(MalformedAsPath.into());
-                }
+                require(d, sites::ASPATH_SEG_KIND, kind_ok, MalformedAsPath)?;
+                ensure(p + 2 <= vend, MalformedAsPath)?;
                 let count = d.read_u8(p + 1);
                 let nonzero = d.uge_const(count, 1);
-                if !d.branch(sites::ASPATH_SEG_COUNT, nonzero) {
-                    return Err(MalformedAsPath.into());
-                }
+                require(d, sites::ASPATH_SEG_COUNT, nonzero, MalformedAsPath)?;
                 let c16 = d.zext(16, count);
                 let segbytes = d.shl(c16, 1);
                 let fits = d.ule_const(segbytes, (vend - p - 2) as u64);
-                if !d.branch(sites::ASPATH_SEG_FITS, fits) {
-                    return Err(MalformedAsPath.into());
-                }
+                require(d, sites::ASPATH_SEG_FITS, fits, MalformedAsPath)?;
                 p += 2;
                 sink.segment(kind, count);
                 for _ in 0..d.value(count) {
@@ -728,81 +676,53 @@ pub fn validate_update<D: Domain>(
             continue;
         }
         if is(d, code::NEXT_HOP) {
-            if !d.branch(sites::ATTR_WK_FLAGS, wk_ok) {
-                return Err(flags_error.into());
-            }
+            require(d, sites::ATTR_WK_FLAGS, wk_ok, flags_error)?;
             let len_ok = d.eq_const(len, 4);
-            if !d.branch(sites::NEXTHOP_LEN, len_ok) {
-                return Err(AttrLenError { code: tc }.into());
-            }
+            require(d, sites::NEXTHOP_LEN, len_ok, len_error)?;
             let v = d.read_u32_be(vstart);
             let nonzero = d.ne_const(v, 0);
-            if !d.branch(sites::NEXTHOP_NONZERO, nonzero) {
-                return Err(InvalidNextHop.into());
-            }
+            require(d, sites::NEXTHOP_NONZERO, nonzero, InvalidNextHop)?;
             let not_bcast = d.ne_const(v, u32::MAX as u64);
-            if !d.branch(sites::NEXTHOP_NOT_BCAST, not_bcast) {
-                return Err(InvalidNextHop.into());
-            }
+            require(d, sites::NEXTHOP_NOT_BCAST, not_bcast, InvalidNextHop)?;
             sink.next_hop(v);
             have_next_hop = true;
             continue;
         }
         if is(d, code::MED) {
-            if !d.branch(sites::ATTR_OPT_FLAG, opt_set) {
-                return Err(flags_error.into());
-            }
+            require(d, sites::ATTR_OPT_FLAG, opt_set, flags_error)?;
             let len_ok = d.eq_const(len, 4);
-            if !d.branch(sites::MED_LEN, len_ok) {
-                return Err(AttrLenError { code: tc }.into());
-            }
+            require(d, sites::MED_LEN, len_ok, len_error)?;
             sink.med(vstart);
             continue;
         }
         if is(d, code::LOCAL_PREF) {
-            if !d.branch(sites::ATTR_WK_FLAGS, wk_ok) {
-                return Err(flags_error.into());
-            }
+            require(d, sites::ATTR_WK_FLAGS, wk_ok, flags_error)?;
             let len_ok = d.eq_const(len, 4);
-            if !d.branch(sites::LOCALPREF_LEN, len_ok) {
-                return Err(AttrLenError { code: tc }.into());
-            }
+            require(d, sites::LOCALPREF_LEN, len_ok, len_error)?;
             sink.local_pref(vstart);
             continue;
         }
         if is(d, code::ATOMIC_AGGREGATE) {
-            if !d.branch(sites::ATTR_WK_FLAGS, wk_ok) {
-                return Err(flags_error.into());
-            }
+            require(d, sites::ATTR_WK_FLAGS, wk_ok, flags_error)?;
             let len_ok = d.eq_const(len, 0);
-            if !d.branch(sites::ATOMIC_LEN, len_ok) {
-                return Err(AttrLenError { code: tc }.into());
-            }
+            require(d, sites::ATOMIC_LEN, len_ok, len_error)?;
             sink.atomic_aggregate();
             continue;
         }
         // Optional-transitive flag pattern shared by AGGREGATOR / COMMUNITY.
         let opt_trans = d.band(opt_set, trans_set);
         if is(d, code::AGGREGATOR) {
-            if !d.branch(sites::ATTR_OPT_TRANS_FLAGS, opt_trans) {
-                return Err(flags_error.into());
-            }
+            require(d, sites::ATTR_OPT_TRANS_FLAGS, opt_trans, flags_error)?;
             let len_ok = d.eq_const(len, 6);
-            if !d.branch(sites::AGGREGATOR_LEN, len_ok) {
-                return Err(AttrLenError { code: tc }.into());
-            }
+            require(d, sites::AGGREGATOR_LEN, len_ok, len_error)?;
             sink.aggregator(vstart);
             continue;
         }
         if is(d, code::COMMUNITY) {
-            if !d.branch(sites::ATTR_OPT_TRANS_FLAGS, opt_trans) {
-                return Err(flags_error.into());
-            }
+            require(d, sites::ATTR_OPT_TRANS_FLAGS, opt_trans, flags_error)?;
             let low2 = d.and_const(len, 3);
             let mod_ok = d.eq_const(low2, 0);
-            if !d.branch(sites::COMMUNITY_MOD4, mod_ok) {
-                return Err(AttrLenError { code: tc }.into());
-            }
+            require(d, sites::COMMUNITY_MOD4, mod_ok, len_error)?;
             for at in (vstart..pos).step_by(4) {
                 let c = d.read_u32_be(at);
                 sink.community(c);
@@ -812,9 +732,7 @@ pub fn validate_update<D: Domain>(
 
         // Unknown attribute: a well-known one is fatal; an optional one is
         // carried when transitive and dropped when not.
-        if !d.branch(sites::ATTR_OPT_FLAG, opt_set) {
-            return Err(UnrecognizedWellKnown(tc).into());
-        }
+        require(d, sites::ATTR_OPT_FLAG, opt_set, UnrecognizedWellKnown(tc))?;
         // The seeded programming error: a BIRD-style signed 8-bit length
         // temporary for high-numbered unknown attributes.
         if bugs.attr_overflow_crash {
@@ -835,14 +753,10 @@ pub fn validate_update<D: Domain>(
         let plen = d.read_u8(pos);
         pos += 1;
         let ok = d.ule_const(plen, 32);
-        if !d.branch(sites::NLRI_PLEN, ok) {
-            return Err(InvalidNlri.into());
-        }
+        require(d, sites::NLRI_PLEN, ok, InvalidNlri)?;
         let nbytes = prefix_bytes(d, plen);
         let fits = d.ule_const(nbytes, (total - pos) as u64);
-        if !d.branch(sites::NLRI_FITS, fits) {
-            return Err(InvalidNlri.into());
-        }
+        require(d, sites::NLRI_FITS, fits, InvalidNlri)?;
         // The 32-bit address from up to four bytes, the rest zero.
         let nbytes = d.value(nbytes) as usize;
         let mut addr = d.word(32, 0);
@@ -862,15 +776,9 @@ pub fn validate_update<D: Domain>(
     }
 
     if announces {
-        for (present, tc) in [
-            (have_origin, code::ORIGIN),
-            (have_as_path, code::AS_PATH),
-            (have_next_hop, code::NEXT_HOP),
-        ] {
-            if !present {
-                return Err(MissingWellKnown(tc).into());
-            }
-        }
+        ensure(have_origin, MissingWellKnown(code::ORIGIN))?;
+        ensure(have_as_path, MissingWellKnown(code::AS_PATH))?;
+        ensure(have_next_hop, MissingWellKnown(code::NEXT_HOP))?;
     }
     Ok(())
 }
@@ -885,11 +793,6 @@ struct Decoded<'a> {
 impl Decoded<'_> {
     fn attrs(&mut self) -> &mut PathAttrs {
         self.update.attrs.get_or_insert_with(PathAttrs::default)
-    }
-
-    fn u32_at(&self, at: usize) -> u32 {
-        let b = self.bytes;
-        u32::from_be_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
     }
 }
 
@@ -928,13 +831,11 @@ impl UpdateSink<u64> for Decoded<'_> {
     }
 
     fn med(&mut self, at: usize) {
-        let v = self.u32_at(at);
-        self.attrs().med = Some(v);
+        self.attrs().med = Some(Concrete(self.bytes).read_u32_be(at) as u32);
     }
 
     fn local_pref(&mut self, at: usize) {
-        let v = self.u32_at(at);
-        self.attrs().local_pref = Some(v);
+        self.attrs().local_pref = Some(Concrete(self.bytes).read_u32_be(at) as u32);
     }
 
     fn atomic_aggregate(&mut self) {
@@ -942,9 +843,12 @@ impl UpdateSink<u64> for Decoded<'_> {
     }
 
     fn aggregator(&mut self, at: usize) {
-        let asn = Asn(u16::from_be_bytes([self.bytes[at], self.bytes[at + 1]]));
-        let ip = Ipv4Addr(self.u32_at(at + 2));
-        self.attrs().aggregator = Some((asn, ip));
+        let mut d = Concrete(self.bytes);
+        let aggregator = (
+            Asn(d.read_u16_be(at) as u16),
+            Ipv4Addr(d.read_u32_be(at + 2) as u32),
+        );
+        self.attrs().aggregator = Some(aggregator);
     }
 
     fn community(&mut self, c: u64) {
@@ -997,28 +901,26 @@ pub fn decode_with(buf: &[u8], bugs: BugSwitches) -> Result<(Message, usize), Ve
     let body = &buf[HEADER_LEN..len];
     let msg = match ty {
         MessageType::Open => {
-            let mut r = Reader::new(body);
-            let version = r.u8().ok_or(DecodeError::BadOpen)?;
-            if version != 4 {
-                return Err(DecodeError::UnsupportedVersion(version).into());
-            }
-            let asn = Asn(r.u16().ok_or(DecodeError::BadOpen)?);
-            let hold_time = r.u16().ok_or(DecodeError::BadOpen)?;
-            if hold_time == 1 || hold_time == 2 {
-                return Err(DecodeError::BadHoldTime(hold_time).into());
-            }
-            let router_id = RouterId(r.u32().ok_or(DecodeError::BadOpen)?);
-            let opl = r.u8().ok_or(DecodeError::BadOpen)? as usize;
-            let opt_params = r.bytes(opl).ok_or(DecodeError::BadOpen)?.to_vec();
-            if r.remaining() != 0 {
-                return Err(DecodeError::BadOpen.into());
-            }
+            use DecodeError::{BadHoldTime, BadOpen, UnsupportedVersion};
+            let Some(&version) = body.first() else {
+                return Err(BadOpen.into());
+            };
+            ensure(version == 4, UnsupportedVersion(version))?;
+            let [_, a0, a1, h0, h1, rest @ ..] = body else {
+                return Err(BadOpen.into());
+            };
+            let hold_time = u16::from_be_bytes([*h0, *h1]);
+            ensure(hold_time != 1 && hold_time != 2, BadHoldTime(hold_time))?;
+            let [r0, r1, r2, r3, opl, opt_params @ ..] = rest else {
+                return Err(BadOpen.into());
+            };
+            ensure(opt_params.len() == *opl as usize, BadOpen)?;
             Message::Open(OpenMsg {
                 version,
-                asn,
+                asn: Asn(u16::from_be_bytes([*a0, *a1])),
                 hold_time,
-                router_id,
-                opt_params,
+                router_id: RouterId(u32::from_be_bytes([*r0, *r1, *r2, *r3])),
+                opt_params: opt_params.to_vec(),
             })
         }
         MessageType::Update => {
@@ -1035,14 +937,13 @@ pub fn decode_with(buf: &[u8], bugs: BugSwitches) -> Result<(Message, usize), Ve
             Message::Update(update)
         }
         MessageType::Notification => {
-            let mut r = Reader::new(body);
-            let codev = r.u8().ok_or(DecodeError::BadNotification)?;
-            let subcode = r.u8().ok_or(DecodeError::BadNotification)?;
-            let data = r.bytes(r.remaining()).unwrap_or(&[]).to_vec();
+            let [code, subcode, data @ ..] = body else {
+                return Err(DecodeError::BadNotification.into());
+            };
             Message::Notification(NotificationMsg {
-                code: codev,
-                subcode,
-                data,
+                code: *code,
+                subcode: *subcode,
+                data: data.to_vec(),
             })
         }
         MessageType::Keepalive => {
@@ -1481,7 +1382,9 @@ mod tests {
 
     /// An UPDATE's bytes: encoded from generated parts, then overwritten,
     /// shortened or lengthened in the body (the header's length follows),
-    /// or a valid header before arbitrary bytes, or arbitrary bytes.
+    /// or a valid header before arbitrary bytes; a valid header of any
+    /// type before arbitrary bytes (an OPEN's version mostly 4); or
+    /// arbitrary bytes.
     fn arb_message() -> impl Strategy<Value = Vec<u8>> {
         let update = (
             prop::collection::vec(arb_net(), 0..3),
@@ -1522,8 +1425,23 @@ mod tests {
             bytes.extend(body);
             bytes
         });
+        let other = (
+            1u8..=4,
+            any::<bool>(),
+            prop::collection::vec(any::<u8>(), 0..24),
+        )
+            .prop_map(|(ty, v4, mut body)| {
+                if let (true, Some(version)) = (v4, body.first_mut()) {
+                    *version = 4;
+                }
+                let mut bytes = vec![0xFF; MARKER_LEN];
+                bytes.extend_from_slice(&((HEADER_LEN + body.len()) as u16).to_be_bytes());
+                bytes.push(ty);
+                bytes.extend(body);
+                bytes
+            });
         let arbitrary = prop::collection::vec(any::<u8>(), 0..48);
-        prop_oneof![update, mutated, body, arbitrary]
+        prop_oneof![update, mutated, body, other, arbitrary]
     }
 
     proptest! {
