@@ -1,9 +1,10 @@
 //! BGP path attributes (RFC 4271 §4.3, RFC 1997 communities).
 //!
 //! The attribute bag [`PathAttrs`] preserves unknown optional-transitive
-//! attributes verbatim (flags included), as a real router must — this is
-//! also where the seeded "programming error" of the evaluation lives: a
-//! BIRD-style mishandling of an unknown attribute's extended length.
+//! attributes verbatim (flags included), as a real router must. The seeded
+//! "programming error" of the evaluation, a BIRD-style mishandling of an
+//! unknown attribute's length, sits where such an attribute is parsed:
+//! `crate::wire::validate_update`.
 
 use crate::types::{Asn, Community, Ipv4Addr};
 use serde::{Deserialize, Serialize};

@@ -28,10 +28,11 @@ pub struct NeighborConfig {
 /// fault-detection experiments. All default to off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct BugSwitches {
-    /// BIRD-style signed-length defect: the handler stores the value length
+    /// BIRD-style signed-length defect: the parser stores the value length
     /// of unknown high-numbered attributes (type >= 0xF0) in a signed 8-bit
     /// temporary; lengths >= 0x90 overflow and trip an internal assertion,
-    /// crashing the daemon.
+    /// crashing the daemon (`crate::wire::validate_update`, on an
+    /// established session).
     pub attr_overflow_crash: bool,
 }
 

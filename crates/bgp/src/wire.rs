@@ -4,7 +4,9 @@
 //! Decoding is strict: every malformation maps to a [`DecodeError`] that
 //! carries the NOTIFICATION error code/subcode a conforming speaker must
 //! send (§6). Encoding is deterministic (attributes in ascending type-code
-//! order) so byte-level round-trips are testable.
+//! order) so byte-level round-trips are testable. Every check a receiver
+//! makes on an UPDATE is in [`validate_update`], the one function both the
+//! router and DiCE's exploration twin run.
 
 use dice_netsim::{Concrete, Domain};
 

@@ -51,14 +51,12 @@ struct SymPrefix {
     len: SymWord,
 }
 
-/// An AS_PATH member, with the concrete shape of its segment.
+/// An AS_PATH member, with the concrete kind of its segment.
 #[derive(Debug, Clone, Copy)]
 struct PathAsn {
     asn: SymWord,
     /// Its segment is an AS_SET.
     in_set: bool,
-    /// It is its segment's first member.
-    leads: bool,
 }
 
 /// What the decision part reads of a validated UPDATE, as the validator
@@ -67,8 +65,10 @@ struct PathAsn {
 struct SymUpdate {
     origin: Option<SymWord>,
     path: Vec<PathAsn>,
-    /// The segment being read: a set, and its first member still to come.
-    segment: (bool, bool),
+    /// The AS_SET segments among them.
+    sets: u32,
+    /// The segment being read is an AS_SET.
+    in_set: bool,
     communities: Vec<SymWord>,
     prefixes: Vec<SymPrefix>,
 }
@@ -77,7 +77,7 @@ impl SymUpdate {
     /// The AS_PATH length the decision process counts: one hop per
     /// sequence member, one per set.
     fn path_len(&self) -> u32 {
-        self.path.iter().filter(|p| !p.in_set || p.leads).count() as u32
+        self.path.iter().filter(|p| !p.in_set).count() as u32 + self.sets
     }
 }
 
@@ -87,13 +87,13 @@ impl UpdateSink<SymWord> for SymUpdate {
     }
 
     fn segment(&mut self, kind: SymWord, _count: SymWord) {
-        self.segment = (kind.val == SegmentKind::Set as u64, true);
+        self.in_set = kind.val == SegmentKind::Set as u64;
+        self.sets += self.in_set as u32;
     }
 
     fn asn(&mut self, asn: SymWord) {
-        let (in_set, leads) = self.segment;
-        self.path.push(PathAsn { asn, in_set, leads });
-        self.segment.1 = false;
+        let in_set = self.in_set;
+        self.path.push(PathAsn { asn, in_set });
     }
 
     fn community(&mut self, c: SymWord) {
