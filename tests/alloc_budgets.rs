@@ -12,6 +12,7 @@
 //! | `buf_pool_exchange` | a warm `BufPool` acquire + recycle | 0 | `BufPool::{acquire, recycle}` |
 //! | `encode_into_a_warm_buffer` | `encode_into` of a BGP UPDATE / a gossip digest | 0 / 0 | `dice_bgp::wire::encode_into`, `dice_gossip::wire::encode_into` |
 //! | `gossip_frame` | `decode` of a valid rumor / a valid digest / a rejected frame | 1 / 1 / 0 (the owned payload or entries) | `dice_gossip::wire::{validate, decode}` |
+//! | `policy_apply` | `Policy::apply` of a Gao–Rexford import to a borrowed / an owned bag, a valley-free export reject, a verdict-less tag rule before an accept | 3 / 0 / 0 / 3 (the copy of a borrowed bag: its AS_PATH, segment and community storage) | `Policy::apply`, `Match::eval`, `Action::apply` |
 //! | `bgp_update_decode` | `decode` of a full UPDATE (AS_PATH, communities, a transitive unknown) / a withdraw-only UPDATE / one rejected at its NEXT_HOP | 8 / 1 / 3 (the owned withdrawn, AS_PATH, community, unknown-attribute and NLRI storage) | `dice_bgp::wire::{validate_update, decode}` |
 //! | `same_cut_reset` | `reset_from_shadow` after an injected and after a null drive, gossip16 and demo27 | 0 | `Simulator::{reset_from_shadow, rebind_touched, bind_node}`, `Links::reset`, `Cuts::{reset, seed}` |
 //! | `repeat_cut` | `instant_snapshot` of a quiesced system already cut once, gossip16 / demo27 | 9 / 10 | `checkpoint_node` |
@@ -35,6 +36,9 @@
 //!   scratch `Vec` and append that, and an UPDATE allocates 4 times.
 //! * `gossip_frame`: make `decode` validate a copy of the bytes
 //!   (`Concrete(&bytes.to_vec())`), and a valid rumor allocates twice.
+//! * `policy_apply`: make `Policy::apply` copy a borrowed bag before it
+//!   decides (`attrs.into().into_owned()`), and the valley-free export
+//!   reject allocates 3 times.
 //! * `bgp_update_decode`: make `validate_update` keep the codes it has
 //!   seen in a `Vec<u8>` instead of its 256-bit set, and a full UPDATE
 //!   allocates 9 times (as the decoder it replaced did).
@@ -253,6 +257,62 @@ fn bgp_update_decode() {
         let (msg, spent) = counted(|| decode(bytes));
         assert_eq!(msg.is_ok(), what != "a rejected UPDATE", "{what}: {msg:?}");
         within(&format!("decoding {what}"), spent, budget);
+    }
+}
+
+#[test]
+fn policy_apply() {
+    use dice_system::bgp::policy::gao_rexford::{export_policy, import_policy};
+    use dice_system::bgp::{net, Action, AsPath, Asn, Community, Match, PathAttrs, Policy, Rule};
+    use dice_system::netsim::NeighborRole;
+    let own = Asn(65001);
+    let prefix = net("10.0.0.0/8");
+    let bag = PathAttrs {
+        as_path: AsPath::sequence([65002, 65003]),
+        communities: [Community::from_pair(65002, 1)].into(),
+        ..PathAttrs::default()
+    };
+    let import = import_policy(own, NeighborRole::Peer);
+    let imported = import.apply(&prefix, &bag, own).expect("accepted");
+    let export = export_policy(own, NeighborRole::Provider);
+    let c = Community::from_pair(own.0, 9);
+    let tag = Policy {
+        name: "tag".into(),
+        rules: vec![
+            Rule {
+                matches: vec![Match::Any],
+                actions: vec![Action::AddCommunity(c)],
+                verdict: None,
+            },
+            Rule::accept(vec![Match::HasCommunity(c)]),
+        ],
+        default: dice_system::bgp::Verdict::Reject,
+    };
+    let owned = bag.clone();
+    for (what, (accepted, spent), budget) in [
+        (
+            "a Gao-Rexford import of a borrowed bag",
+            counted(|| import.apply(&prefix, &bag, own).is_some()),
+            3,
+        ),
+        (
+            "a Gao-Rexford import of an owned bag",
+            counted(|| import.apply(&prefix, owned, own).is_some()),
+            0,
+        ),
+        (
+            "a valley-free export reject",
+            counted(|| export.apply(&prefix, &*imported, own).is_some()),
+            0,
+        ),
+        (
+            "a verdict-less tag before an accept",
+            counted(|| tag.apply(&prefix, &bag, own).is_some()),
+            3,
+        ),
+    ] {
+        assert_eq!(accepted, what != "a valley-free export reject", "{what}");
+        within(what, spent, budget);
     }
 }
 
