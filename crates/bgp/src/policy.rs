@@ -11,9 +11,20 @@
 //! a list of actions, and an optional terminal verdict. The first rule whose
 //! matches all hold applies its actions; if it carries a verdict, evaluation
 //! stops. Routes that fall off the end get the policy default.
+//!
+//! The import decision is written once, over a [`Domain`]:
+//! [`screen_path`] (the AS-path loop and first-AS checks) and
+//! [`Policy::decide`] (the rule walk) read a route through a [`RouteView`].
+//! The router runs them on [`Concrete`] values of its [`PathAttrs`]; DiCE's
+//! exploration twin runs the same code on concolic values of the UPDATE it
+//! validated, so its verdict is the router's by construction.
+//! [`Match::eval`] and [`Action::apply`] stay as the reference semantics
+//! the walk is tested against.
 
-use crate::attrs::{Origin, PathAttrs};
+use crate::attrs::{Origin, PathAttrs, SegmentKind};
 use crate::types::{Asn, Community, Ipv4Net};
+use crate::wire::sites;
+use dice_netsim::{Concrete, Domain};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
@@ -94,6 +105,71 @@ impl Match {
             Match::HasCommunity(c) => attrs.has_community(*c),
             Match::OriginIs(o) => attrs.origin == *o,
             Match::Any => true,
+        }
+    }
+
+    /// [`eval`](Self::eval) over a value domain: the predicate on
+    /// `prefix` (address, length) and `route` as the rules before it
+    /// edited the route.
+    fn test<D: Domain>(
+        &self,
+        d: &mut D,
+        (addr, len): (D::Word, D::Word),
+        route: &impl RouteView<D::Word>,
+        edits: &Edits<'_>,
+    ) -> D::Bool {
+        match self {
+            Match::Any => d.lit(true),
+            Match::PrefixIn(filters) => {
+                let mut any = d.lit(false);
+                for f in filters {
+                    let masked = d.and_const(addr, Ipv4Net::mask(f.net.len()) as u64);
+                    let base_eq = d.eq_const(masked, f.net.addr() as u64);
+                    // `covers`: no shorter than the filter's own prefix.
+                    let ge = d.uge_const(len, f.min_len.max(f.net.len()) as u64);
+                    let le = d.ule_const(len, f.max_len as u64);
+                    let range = d.band(ge, le);
+                    let hit = d.band(base_eq, range);
+                    any = d.bor(any, hit);
+                }
+                any
+            }
+            Match::PrefixLenIn { min, max } => {
+                let ge = d.uge_const(len, *min as u64);
+                let le = d.ule_const(len, *max as u64);
+                d.band(ge, le)
+            }
+            Match::AsPathContains(a) => {
+                let mut any = d.lit(edits.prepended() > 0 && *a == edits.own);
+                for asn in route.members() {
+                    let eq = d.eq_const(asn, a.0 as u64);
+                    any = d.bor(any, eq);
+                }
+                any
+            }
+            Match::AsPathLenAtMost(n) => d.lit(route.hops() + edits.prepended() <= *n),
+            // A path that ends in an AS_SET has no originator; a prepend
+            // names one only on an empty path.
+            Match::OriginatedBy(a) => match route.last() {
+                Some((asn, false)) => d.eq_const(asn, a.0 as u64),
+                Some(_) => d.lit(false),
+                None => d.lit(edits.prepended() > 0 && *a == edits.own),
+            },
+            Match::HasCommunity(c) => match edits.community(*c) {
+                Some(present) => d.lit(present),
+                None => {
+                    let mut any = d.lit(false);
+                    for comm in route.communities() {
+                        let eq = d.eq_const(comm, c.0 as u64);
+                        any = d.bor(any, eq);
+                    }
+                    any
+                }
+            },
+            Match::OriginIs(o) => match route.origin() {
+                Some(origin) => d.eq_const(origin, *o as u64),
+                None => d.lit(false),
+            },
         }
     }
 }
@@ -204,15 +280,12 @@ impl Policy {
     /// Interpret the policy on `(prefix, attrs)`. On `Accept`, returns the
     /// transformed attribute bag; on `Reject`, `None`.
     ///
-    /// Decide before copying: matches read the bag as it was passed, a
-    /// borrowed bag is copied at the first action of a firing rule that
-    /// does not reject, and is handed back borrowed when no action fired —
-    /// a `Reject` that no earlier action precedes allocates nothing. A
-    /// caller that owns its bag passes it by value and no copy is made.
-    ///
-    /// This interpreter is deliberately written as a sequence of
-    /// data-dependent branches — its concolic twin in `dice-core` mirrors it
-    /// branch for branch.
+    /// Decide before copying: [`decide`](Self::decide) runs on the bag as
+    /// it was passed, then the actions of the rules that fired are folded
+    /// into it. A borrowed bag is copied at the first of those actions and
+    /// handed back borrowed when there is none; a `Reject` allocates
+    /// nothing (below 65 rules). A caller that owns its bag passes it by
+    /// value and no copy is made.
     pub fn apply<'a>(
         &self,
         prefix: &Ipv4Net,
@@ -220,23 +293,61 @@ impl Policy {
         own_asn: Asn,
     ) -> Option<Cow<'a, PathAttrs>> {
         let mut out = attrs.into();
-        for rule in &self.rules {
-            let fires = rule.matches.iter().all(|m| m.eval(prefix, &out));
-            if fires {
-                if rule.verdict == Some(Verdict::Reject) {
-                    // Its actions would edit a bag nobody will see.
-                    return None;
-                }
-                for a in &rule.actions {
-                    a.apply(out.to_mut(), own_asn);
-                }
-                if rule.verdict == Some(Verdict::Accept) {
-                    return Some(out);
+        let at = (prefix.addr() as u64, prefix.len() as u64);
+        let fired = self.decide(&mut Concrete(&[]), at, &*out, own_asn, 0)?;
+        for a in fired.actions(&self.rules) {
+            a.apply(out.to_mut(), own_asn);
+        }
+        Some(out)
+    }
+
+    /// The policy's verdict on a route, in a value domain: `None` for a
+    /// reject, else the rules whose actions the accepted route carries.
+    /// This is the one interpreter of [`Rule`]s: [`apply`](Self::apply)
+    /// runs it on the router's bag, the exploration twin on concolic
+    /// values, so every rule's predicate is a branch whose constraint
+    /// names the configuration.
+    ///
+    /// A rule's matches are joined with `band` and taken as the branch
+    /// `POLICY_BASE + rule * 8 + slot % 8` (`slot`, the prefix's place in
+    /// its UPDATE, keeps the NLRI entries' branches apart). The rules
+    /// after one that fired without a verdict read the route through an
+    /// overlay of its `AddCommunity`, `RemoveCommunity` and `Prepend` of
+    /// `own`; `route` itself is not edited.
+    pub fn decide<D: Domain>(
+        &self,
+        d: &mut D,
+        prefix: (D::Word, D::Word),
+        route: &impl RouteView<D::Word>,
+        own: Asn,
+        slot: usize,
+    ) -> Option<Fired> {
+        let mut fired = Fired::default();
+        for (i, rule) in self.rules.iter().enumerate() {
+            let edits = Edits {
+                rules: &self.rules,
+                fired: &fired,
+                own,
+            };
+            let mut fires = d.lit(true);
+            for m in &rule.matches {
+                let hit = m.test(d, prefix, route, &edits);
+                fires = d.band(fires, hit);
+            }
+            let site = sites::POLICY_BASE + (i as u32) * 8 + (slot as u32 % 8);
+            if d.branch(site, fires) {
+                match rule.verdict {
+                    Some(Verdict::Reject) => return None,
+                    Some(Verdict::Accept) => {
+                        fired.insert(i);
+                        return Some(fired);
+                    }
+                    None => fired.insert(i),
                 }
             }
         }
         match self.default {
-            Verdict::Accept => Some(out),
+            Verdict::Accept => Some(fired),
             Verdict::Reject => None,
         }
     }
@@ -248,6 +359,161 @@ impl Policy {
             .iter()
             .map(|r| 1 + r.matches.len() + r.actions.len())
             .sum()
+    }
+}
+
+/// What the import decision reads of a route, as words of the domain it
+/// runs in: the AS_PATH, the communities and the origin. The prefix
+/// travels beside it, since an UPDATE announces several under one bag.
+/// The router's view is its [`PathAttrs`]; the exploration twin's is the
+/// sink its UPDATE validator fills.
+pub trait RouteView<W> {
+    /// The AS_PATH members, in order.
+    fn members(&self) -> impl Iterator<Item = W> + '_;
+    /// The first member, and whether its segment is an AS_SET.
+    fn first(&self) -> Option<(W, bool)>;
+    /// The last member, and whether its segment is an AS_SET.
+    fn last(&self) -> Option<(W, bool)>;
+    /// The AS_PATH length the decision process counts: one hop per
+    /// sequence member, one per set.
+    fn hops(&self) -> u32;
+    /// The COMMUNITY values.
+    fn communities(&self) -> impl Iterator<Item = W> + '_;
+    /// The ORIGIN value.
+    fn origin(&self) -> Option<W>;
+}
+
+/// A member of a segment of `kind`, and whether that is an AS_SET.
+fn member(kind: SegmentKind, asn: Option<&Asn>) -> Option<(u64, bool)> {
+    asn.map(|a| (a.0 as u64, kind == SegmentKind::Set))
+}
+
+impl RouteView<u64> for PathAttrs {
+    fn members(&self) -> impl Iterator<Item = u64> + '_ {
+        self.as_path.all_asns().map(|a| a.0 as u64)
+    }
+
+    fn first(&self) -> Option<(u64, bool)> {
+        let seg = self.as_path.segments.first()?;
+        member(seg.kind, seg.asns.first())
+    }
+
+    fn last(&self) -> Option<(u64, bool)> {
+        let seg = self.as_path.segments.last()?;
+        member(seg.kind, seg.asns.last())
+    }
+
+    fn hops(&self) -> u32 {
+        self.as_path.path_len()
+    }
+
+    fn communities(&self) -> impl Iterator<Item = u64> + '_ {
+        self.communities.iter().map(|c| c.0 as u64)
+    }
+
+    fn origin(&self) -> Option<u64> {
+        Some(self.origin as u64)
+    }
+}
+
+/// Why [`screen_path`] drops an announcement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PathFault {
+    /// The path holds the router's own AS: the announcements are ignored
+    /// (RFC 4271 §9).
+    Loop,
+    /// The path does not start with the peer's AS: an UPDATE error
+    /// (RFC 4271 §6.3).
+    FirstAs,
+}
+
+/// The AS_PATH checks an eBGP router makes before its import policy, over
+/// a value domain: the loop check (any member equal to `own`, branch
+/// [`sites::LOOP_CHECK`]), then the first-AS check (the path starts with
+/// `peer`, branch [`sites::FIRST_AS`]; a path led by an AS_SET has no
+/// first AS).
+pub fn screen_path<D: Domain>(
+    d: &mut D,
+    route: &impl RouteView<D::Word>,
+    own: Asn,
+    peer: Asn,
+) -> Result<(), PathFault> {
+    let mut has_own = d.lit(false);
+    for asn in route.members() {
+        let eq = d.eq_const(asn, own.0 as u64);
+        has_own = d.bor(has_own, eq);
+    }
+    if d.branch(sites::LOOP_CHECK, has_own) {
+        return Err(PathFault::Loop);
+    }
+    let first_ok = match route.first() {
+        Some((asn, false)) => d.eq_const(asn, peer.0 as u64),
+        _ => d.lit(false),
+    };
+    if d.branch(sites::FIRST_AS, first_ok) {
+        Ok(())
+    } else {
+        Err(PathFault::FirstAs)
+    }
+}
+
+/// The rules of a policy that fired and carry their actions into the
+/// route: a bit each for the first 64, so a walk over a policy of up to
+/// 64 rules allocates nothing, then their indices.
+#[derive(Debug, Default)]
+pub struct Fired {
+    low: u64,
+    high: Vec<usize>,
+}
+
+impl Fired {
+    fn insert(&mut self, i: usize) {
+        if i < 64 {
+            self.low |= 1 << i;
+        } else {
+            self.high.push(i);
+        }
+    }
+
+    /// The actions of the fired rules among `rules`, in order.
+    pub fn actions<'p>(&'p self, rules: &'p [Rule]) -> impl Iterator<Item = &'p Action> {
+        let end = 64 - self.low.leading_zeros() as usize;
+        let low = rules.iter().enumerate().take(end);
+        let low = low
+            .filter(|(i, _)| self.low >> i & 1 == 1)
+            .map(|(_, rule)| rule);
+        let high = self.high.iter().filter_map(|&i| rules.get(i));
+        low.chain(high).flat_map(|rule| &rule.actions)
+    }
+}
+
+/// What the rules that fired without a verdict did to the route the
+/// later rules read.
+struct Edits<'p> {
+    rules: &'p [Rule],
+    fired: &'p Fired,
+    own: Asn,
+}
+
+impl Edits<'_> {
+    /// Hops of the router's own AS prepended.
+    fn prepended(&self) -> u32 {
+        let prepends = self.fired.actions(self.rules).map(|a| match a {
+            Action::Prepend(n) => *n as u32,
+            _ => 0,
+        });
+        prepends.sum()
+    }
+
+    /// Whether an action decided that the route carries `c`: the last
+    /// one that adds or removes it.
+    fn community(&self, c: Community) -> Option<bool> {
+        let edits = self.fired.actions(self.rules);
+        edits.fold(None, |seen, a| match *a {
+            Action::AddCommunity(k) if k == c => Some(true),
+            Action::RemoveCommunity(k) if k == c => Some(false),
+            _ => seen,
+        })
     }
 }
 
@@ -402,6 +668,38 @@ mod tests {
             .unwrap();
         assert!(out.has_community(Community::from_pair(1, 1)));
         assert!(out.has_community(Community::from_pair(1, 2)));
+    }
+
+    #[test]
+    fn edits_reach_later_rules_past_64() {
+        // Rules 70 and 71 fire without a verdict, beyond the inline bits.
+        let c = Community::from_pair(1, 9);
+        let mut rules = vec![Rule::reject(vec![Match::HasCommunity(c)]); 70];
+        rules.push(Rule {
+            matches: vec![Match::Any],
+            actions: vec![Action::AddCommunity(c)],
+            verdict: None,
+        });
+        rules.push(Rule {
+            matches: vec![Match::Any],
+            actions: vec![Action::Prepend(2)],
+            verdict: None,
+        });
+        let mut p = Policy {
+            name: "t".into(),
+            rules,
+            default: Verdict::Accept,
+        };
+        let a = attrs_with_path(&[2]);
+        let out = p.apply(&net("10.0.0.0/8"), &a, Asn(1)).unwrap();
+        assert!(out.has_community(c));
+        assert_eq!(out.as_path.path_len(), 3);
+        p.rules.push(Rule::reject(vec![
+            Match::HasCommunity(c),
+            Match::AsPathLenAtMost(3),
+            Match::AsPathContains(Asn(1)),
+        ]));
+        assert!(p.apply(&net("10.0.0.0/8"), &a, Asn(1)).is_none());
     }
 
     #[test]

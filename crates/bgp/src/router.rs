@@ -2,23 +2,26 @@
 //! BIRD runs for each peer — session FSM, UPDATE parsing, import policy,
 //! decision process, export policy, and route propagation.
 //!
-//! The UPDATE path (`handle_update` → `recompute_and_propagate`) is the code
-//! DiCE's concolic twin mirrors branch-for-branch; keep the two in sync
-//! (see `dice-core/src/handler.rs`).
+//! The UPDATE path (`handle_update` → `recompute_and_propagate`) is what
+//! DiCE's concolic twin explores. Its checks are written once over a value
+//! domain — the validator [`wire::validate_update`], the path screen
+//! [`screen_path`] and the policy walk [`Policy::decide`] — and the router
+//! runs them on concrete values, the twin (`dice-core/src/handler.rs`) on
+//! concolic ones.
 
 use core::any::Any;
 use core::fmt::Display;
 use core::ops::Range;
 use std::sync::Arc;
 
-use dice_netsim::{Node, NodeApi, NodeId, SessionEvent, SimDuration};
+use dice_netsim::{Concrete, Node, NodeApi, NodeId, SessionEvent, SimDuration};
 use serde::{Deserialize, Serialize};
 
 use crate::attrs::PathAttrs;
 use crate::config::RouterConfig;
 use crate::decision::{select, DecisionReason};
 use crate::fsm::{FsmEvent, PeerFsm, SessionState};
-use crate::policy::Policy;
+use crate::policy::{screen_path, PathFault, Policy};
 use crate::rib::{Rib, Route, Selected};
 use crate::types::{Asn, Ipv4Addr, Ipv4Net};
 use crate::wire::{self, Message, NotificationMsg, OpenMsg, UpdateMsg};
@@ -360,11 +363,12 @@ impl BgpRouter {
 
         match attrs {
             Some(mut attrs) if !nlri.is_empty() => {
-                if attrs.as_path.contains(own) {
+                let screened = screen_path(&mut Concrete(&[]), &attrs, own, neighbor.asn);
+                if screened == Err(PathFault::Loop) {
                     // AS-path loop: ignore the announcements (RFC 4271 §9).
                     self.stats.loop_rejects += 1;
                     nlri.clear();
-                } else if attrs.as_path.first_asn() != Some(neighbor.asn) {
+                } else if screened == Err(PathFault::FirstAs) {
                     // eBGP first-AS check (RFC 4271 §6.3).
                     self.protocol_error(
                         peer,

@@ -103,7 +103,8 @@ impl Ipv4Net {
     /// The all-zero default route `0.0.0.0/0`.
     pub const DEFAULT: Ipv4Net = Ipv4Net { addr: 0, len: 0 };
 
-    fn mask(len: u8) -> u32 {
+    /// The netmask of a `len`-bit prefix.
+    pub(crate) fn mask(len: u8) -> u32 {
         if len == 0 {
             0
         } else {

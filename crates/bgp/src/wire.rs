@@ -399,13 +399,15 @@ pub fn encode(msg: &Message) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------
 
-/// Stable branch-site identifiers of [`validate_update`]. The exploration
-/// twin in `dice-core` records its decision sites (70, 71, 90, 100 and up)
-/// after these.
+/// Stable branch-site identifiers of an UPDATE's handling: those of
+/// [`validate_update`] (10–61, 80–81), then those of the import decision
+/// (70–71 in [`crate::policy::screen_path`], 100 and up in
+/// [`crate::policy::Policy::decide`]). The exploration twin in
+/// `dice-core` adds its preference oracle (90).
 pub mod sites {
     #![allow(
         missing_docs,
-        reason = "each constant is the branch it names in `validate_update`"
+        reason = "each constant is the branch it names in `validate_update` or the import decision"
     )]
     pub const WLEN_FITS: u32 = 10;
     pub const WD_PLEN: u32 = 11;
@@ -436,6 +438,10 @@ pub mod sites {
     pub const BUG_LEN_OVERFLOW: u32 = 61;
     pub const NLRI_PLEN: u32 = 80;
     pub const NLRI_FITS: u32 = 81;
+    pub const LOOP_CHECK: u32 = 70;
+    pub const FIRST_AS: u32 = 71;
+    /// Policy rule sites: `POLICY_BASE + rule * 8 + prefix slot % 8`.
+    pub const POLICY_BASE: u32 = 100;
 }
 
 /// Why [`validate_update`] did not accept an UPDATE.

@@ -31,9 +31,12 @@ fn arb_community() -> impl Strategy<Value = Community> {
     (0u16..3, 0u16..3).prop_map(|(a, v)| Community::from_pair(65001 - a, v))
 }
 
+/// The prefix lengths drawn: byte-aligned, between bytes, and shorter
+/// than a `/8`.
+const LENS: [u8; 10] = [4, 5, 6, 7, 8, 12, 15, 16, 20, 24];
+
 fn arb_prefix() -> impl Strategy<Value = Ipv4Net> {
-    (0u32..4, prop_oneof![Just(8u8), Just(16), Just(24)])
-        .prop_map(|(net, len)| Ipv4Net::new(0x0A00_0000 + (net << 16), len))
+    (0u32..4, 0..LENS.len()).prop_map(|(net, i)| Ipv4Net::new(0x0A00_0000 + (net << 16), LENS[i]))
 }
 
 fn arb_origin() -> impl Strategy<Value = Origin> {
@@ -71,11 +74,13 @@ fn arb_attrs() -> impl Strategy<Value = PathAttrs> {
 }
 
 fn arb_match() -> impl Strategy<Value = Match> {
-    let filter = (arb_prefix(), 0u8..3, 0u8..3).prop_map(|(net, lo, hi)| PrefixFilter {
-        net,
-        min_len: net.len() + 4 * lo.min(hi),
-        max_len: net.len() + 4 * lo.max(hi),
-    });
+    // `min_len` from below the filter's own length to past it.
+    let filter =
+        (arb_prefix(), 0u8..3, 0u8..3, 0u8..3).prop_map(|(net, below, lo, hi)| PrefixFilter {
+            net,
+            min_len: (net.len() + 4 * lo.min(hi)).saturating_sub(4 * below),
+            max_len: net.len() + 4 * lo.max(hi),
+        });
     prop_oneof![
         prop::collection::vec(filter, 1..3).prop_map(Match::PrefixIn),
         (0u8..3, 0u8..3).prop_map(|(a, b)| Match::PrefixLenIn {
@@ -246,7 +251,9 @@ fn route(peer: u32, id: u16) -> Route {
 
 /// Every prefix `arb_prefix` draws, ascending.
 fn prefixes() -> impl Iterator<Item = Ipv4Net> {
-    (0..4u32).flat_map(|net| [8, 16, 24].map(|len| Ipv4Net::new(0x0A00_0000 + (net << 16), len)))
+    let all =
+        (0..4u32).flat_map(|net| LENS.map(|len| Ipv4Net::new(0x0A00_0000 + (net << 16), len)));
+    all.collect::<BTreeSet<_>>().into_iter()
 }
 
 /// The prefixes `peer` has a row for, in order, then without those rows.

@@ -4,81 +4,57 @@
 //! the pipeline `dice_bgp::router::BgpRouter` runs on an UPDATE (wire
 //! validation → loop and first-AS checks → import policy → decision
 //! preference), on concolic values so every data-dependent branch lands in
-//! the path condition. The wire validation is not a copy: the twin runs the
-//! router's own [`dice_bgp::wire::validate_update`] on the concolic value
-//! domain (`crate::domain`), so its accept / reject / crash verdict on a
-//! message's structure is the router's by construction. What follows the
-//! validation is the twin's own.
+//! the path condition. None of it is a copy: the twin runs the router's own
+//! [`dice_bgp::wire::validate_update`], [`dice_bgp::policy::screen_path`]
+//! and [`Policy::decide`] on the concolic value domain (`crate::domain`),
+//! so its accept / reject / crash verdict is the router's by construction.
+//! What the twin owns is the framing checks before the validator, the
+//! sink that hands the validated fields to the decision, and the
+//! route-preference oracle after it.
 //!
 //! Two properties matter and are enforced by tests:
 //!
 //! 1. **Differential fidelity** — on a fully concrete input, the twin's
-//!    verdict agrees with the router's decoder + policy engine
-//!    (`tests/handler_differential.rs`, which guards the decision part).
+//!    verdict agrees with the router's (`tests/handler_differential.rs`).
 //! 2. **Configuration coverage** — the import policy is *interpreted* over
 //!    symbolic values, so constraints mention config-derived constants;
 //!    exploration therefore covers code and configuration simultaneously.
 
-use dice_bgp::policy::{Action, Match, Policy, Verdict};
+use dice_bgp::policy::{screen_path, PathFault, RouteView};
 use dice_bgp::wire::{self, validate_update, DecodeError, UpdateSink, HEADER_LEN, MAX_MESSAGE_LEN};
-use dice_bgp::{Asn, Community, RouterConfig, SegmentKind};
-use dice_concolic::{ConcolicCtx, ConcolicProgram, RunStatus, SiteId, SymBool, SymWord};
+use dice_bgp::{Asn, Policy, RouterConfig, SegmentKind};
+use dice_concolic::{ConcolicCtx, ConcolicProgram, RunStatus, SiteId, SymWord};
 use dice_netsim::NodeId;
 
 use crate::domain::Concolic;
 
-/// Stable branch-site identifiers of the twin: the wire validator's
-/// ([`dice_bgp::wire::sites`], 10–61 and 80–81), then the decision part's.
+/// Stable branch-site identifiers of the twin: the router's
+/// ([`dice_bgp::wire::sites`]: the wire validator's 10–61 and 80–81, the
+/// import decision's 70, 71 and 100 up), then the preference oracle.
 pub mod sites {
     #![allow(
         missing_docs,
         reason = "each constant is the branch it names in the twin below"
     )]
     pub use dice_bgp::wire::sites::*;
-    pub const LOOP_CHECK: u32 = 70;
-    pub const FIRST_AS: u32 = 71;
     pub const PREFERENCE_ORACLE: u32 = 90;
-    /// Policy rule sites: `POLICY_BASE + rule_index`.
-    pub const POLICY_BASE: u32 = 100;
 }
 
-/// A symbolic IPv4 prefix parsed from NLRI.
-#[derive(Debug, Clone, Copy)]
-struct SymPrefix {
-    /// 32-bit address (missing NLRI bytes zero-filled).
-    addr: SymWord,
-    /// Length in bits.
-    len: SymWord,
-}
-
-/// An AS_PATH member, with the concrete kind of its segment.
-#[derive(Debug, Clone, Copy)]
-struct PathAsn {
-    asn: SymWord,
-    /// Its segment is an AS_SET.
-    in_set: bool,
-}
-
-/// What the decision part reads of a validated UPDATE, as the validator
+/// What the import decision reads of a validated UPDATE, as the validator
 /// hands it over.
 #[derive(Debug, Default)]
 struct SymUpdate {
     origin: Option<SymWord>,
-    path: Vec<PathAsn>,
-    /// The AS_SET segments among them.
-    sets: u32,
-    /// The segment being read is an AS_SET.
+    path: Vec<SymWord>,
+    /// The first and the current AS_PATH segment are AS_SETs.
+    first_set: bool,
     in_set: bool,
+    /// One hop per sequence member, one per set.
+    hops: u32,
     communities: Vec<SymWord>,
-    prefixes: Vec<SymPrefix>,
-}
-
-impl SymUpdate {
-    /// The AS_PATH length the decision process counts: one hop per
-    /// sequence member, one per set.
-    fn path_len(&self) -> u32 {
-        self.path.iter().filter(|p| !p.in_set).count() as u32 + self.sets
-    }
+    /// Each announced prefix: its address (missing NLRI bytes zero-filled)
+    /// and length.
+    prefixes: Vec<(SymWord, SymWord)>,
 }
 
 impl UpdateSink<SymWord> for SymUpdate {
@@ -88,12 +64,15 @@ impl UpdateSink<SymWord> for SymUpdate {
 
     fn segment(&mut self, kind: SymWord, _count: SymWord) {
         self.in_set = kind.val == SegmentKind::Set as u64;
-        self.sets += self.in_set as u32;
+        self.hops += self.in_set as u32;
     }
 
     fn asn(&mut self, asn: SymWord) {
-        let in_set = self.in_set;
-        self.path.push(PathAsn { asn, in_set });
+        if self.path.is_empty() {
+            self.first_set = self.in_set;
+        }
+        self.hops += !self.in_set as u32;
+        self.path.push(asn);
     }
 
     fn community(&mut self, c: SymWord) {
@@ -101,7 +80,35 @@ impl UpdateSink<SymWord> for SymUpdate {
     }
 
     fn nlri(&mut self, len: SymWord, addr: SymWord) {
-        self.prefixes.push(SymPrefix { addr, len });
+        self.prefixes.push((addr, len));
+    }
+}
+
+/// A segment has at least one member (the validator requires it), so the
+/// last member's segment is the last one read.
+impl RouteView<SymWord> for SymUpdate {
+    fn members(&self) -> impl Iterator<Item = SymWord> + '_ {
+        self.path.iter().copied()
+    }
+
+    fn first(&self) -> Option<(SymWord, bool)> {
+        self.path.first().map(|&asn| (asn, self.first_set))
+    }
+
+    fn last(&self) -> Option<(SymWord, bool)> {
+        self.path.last().map(|&asn| (asn, self.in_set))
+    }
+
+    fn hops(&self) -> u32 {
+        self.hops
+    }
+
+    fn communities(&self) -> impl Iterator<Item = SymWord> + '_ {
+        self.communities.iter().copied()
+    }
+
+    fn origin(&self) -> Option<SymWord> {
+        self.origin
     }
 }
 
@@ -145,11 +152,6 @@ impl ConcolicProgram for SymbolicUpdateHandler {
     }
 }
 
-/// Branch helper: returns the concrete direction, recording the constraint.
-fn br(ctx: &mut ConcolicCtx, site: u32, cond: SymBool) -> bool {
-    ctx.branch(SiteId(site), cond)
-}
-
 /// The stage a rejected UPDATE names, for [`RunStatus::Rejected`].
 fn stage(e: &DecodeError) -> &'static str {
     match e {
@@ -177,8 +179,9 @@ fn run_update(h: &SymbolicUpdateHandler, ctx: &mut ConcolicCtx) -> RunStatus {
         return RunStatus::Rejected("not-update".into());
     }
 
+    let mut d = Concolic(ctx);
     let mut update = SymUpdate::default();
-    match validate_update(&mut Concolic(ctx), h.config.bugs, &mut update) {
+    match validate_update(&mut d, h.config.bugs, &mut update) {
         Ok(()) => {}
         Err(wire::Verdict::Reject(e)) => return RunStatus::Rejected(stage(&e).into()),
         Err(wire::Verdict::Crash(why)) => return RunStatus::Crash(why.into()),
@@ -188,174 +191,23 @@ fn run_update(h: &SymbolicUpdateHandler, ctx: &mut ConcolicCtx) -> RunStatus {
         return RunStatus::Ok;
     }
 
-    // ---- Loop detection and first-AS check ---------------------------
     let own = h.config.asn;
-    let mut has_own = SymBool::concrete(false);
-    for p in &update.path {
-        let eq = ctx.eq_const(p.asn, own.0 as u64);
-        has_own = ctx.bor(has_own, eq);
+    match screen_path(&mut d, &update, own, h.neighbor_asn()) {
+        Ok(()) => {}
+        Err(PathFault::Loop) => return RunStatus::Rejected("as-loop".into()),
+        Err(PathFault::FirstAs) => return RunStatus::Rejected("first-as".into()),
     }
-    if br(ctx, sites::LOOP_CHECK, has_own) {
-        return RunStatus::Rejected("as-loop".into());
-    }
-    // A path led by an AS_SET has no first AS, as `AsPath::first_asn`.
-    let neigh = h.neighbor_asn();
-    let first_ok = match update.path.first() {
-        Some(first) if !first.in_set => ctx.eq_const(first.asn, neigh.0 as u64),
-        _ => SymBool::concrete(false),
-    };
-    if !br(ctx, sites::FIRST_AS, first_ok) {
-        return RunStatus::Rejected("first-as".into());
-    }
-
-    // ---- Import policy, interpreted symbolically ----------------------
     let policy = h.import_policy();
-    for (pi, prefix) in update.prefixes.iter().enumerate() {
-        match eval_policy(ctx, policy, *prefix, &update, own, pi) {
-            Verdict::Reject => return RunStatus::Rejected("import-policy".into()),
-            Verdict::Accept => {}
+    for (slot, &prefix) in update.prefixes.iter().enumerate() {
+        if policy.decide(&mut d, prefix, &update, own, slot).is_none() {
+            return RunStatus::Rejected("import-policy".into());
         }
     }
 
     // ---- Route-preference condition, marked symbolic (paper §3) -------
     let preferred = ctx.oracle_bool(true);
-    br(ctx, sites::PREFERENCE_ORACLE, preferred);
+    ctx.branch(SiteId(sites::PREFERENCE_ORACLE), preferred);
     RunStatus::Ok
-}
-
-/// What the actions of the rules that fired without a verdict did to the
-/// route the later rules read, as [`Policy::apply`] edits its copy.
-#[derive(Debug, Default)]
-struct Edits {
-    /// Hops of the router's own AS prepended.
-    prepended: u32,
-    /// Communities added (`true`) or removed, the last action on each.
-    communities: Vec<(Community, bool)>,
-}
-
-impl Edits {
-    fn apply(&mut self, action: &Action) {
-        let (c, present) = match *action {
-            Action::AddCommunity(c) => (c, true),
-            Action::RemoveCommunity(c) => (c, false),
-            Action::Prepend(n) => {
-                self.prepended += n as u32;
-                return;
-            }
-            // No match reads them.
-            Action::SetLocalPref(_) | Action::SetMed(_) => return,
-        };
-        match self.communities.iter_mut().find(|(k, _)| *k == c) {
-            Some(edit) => edit.1 = present,
-            None => self.communities.push((c, present)),
-        }
-    }
-
-    /// Whether an action decided that the route carries `c`.
-    fn community(&self, c: Community) -> Option<bool> {
-        let edit = self.communities.iter().find(|(k, _)| *k == c);
-        edit.map(|&(_, present)| present)
-    }
-}
-
-/// Interpret the policy over a symbolic route, as [`Policy::apply`] does.
-/// Every rule's predicate is a recorded branch, so constraints encode the
-/// *configuration*.
-fn eval_policy(
-    ctx: &mut ConcolicCtx,
-    policy: &Policy,
-    prefix: SymPrefix,
-    attrs: &SymUpdate,
-    own: Asn,
-    prefix_index: usize,
-) -> Verdict {
-    let mut edits = Edits::default();
-    for (ri, rule) in policy.rules.iter().enumerate() {
-        let mut fires = SymBool::concrete(true);
-        for m in &rule.matches {
-            let hit = eval_match(ctx, m, prefix, attrs, &edits, own);
-            fires = ctx.band(fires, hit);
-        }
-        // Site encodes (rule, prefix slot) so different NLRI entries keep
-        // distinguishable branch identities.
-        let site = sites::POLICY_BASE + (ri as u32) * 8 + (prefix_index as u32 % 8);
-        if br(ctx, site, fires) {
-            if let Some(v) = rule.verdict {
-                return v;
-            }
-            for a in &rule.actions {
-                edits.apply(a);
-            }
-        }
-    }
-    policy.default
-}
-
-fn eval_match(
-    ctx: &mut ConcolicCtx,
-    m: &Match,
-    prefix: SymPrefix,
-    attrs: &SymUpdate,
-    edits: &Edits,
-    own: Asn,
-) -> SymBool {
-    match m {
-        Match::Any => SymBool::concrete(true),
-        Match::PrefixIn(filters) => {
-            let mut any = SymBool::concrete(false);
-            for f in filters {
-                let maskv: u64 = if f.net.len() == 0 {
-                    0
-                } else {
-                    ((u32::MAX as u64) << (32 - f.net.len() as u64)) & u32::MAX as u64
-                };
-                let masked = ctx.and_const(prefix.addr, maskv);
-                let base_eq = ctx.eq_const(masked, f.net.addr() as u64);
-                let ge = ctx.uge_const(prefix.len, f.min_len as u64);
-                let le = ctx.ule_const(prefix.len, f.max_len as u64);
-                let range = ctx.band(ge, le);
-                let hit = ctx.band(base_eq, range);
-                any = ctx.bor(any, hit);
-            }
-            any
-        }
-        Match::PrefixLenIn { min, max } => {
-            let ge = ctx.uge_const(prefix.len, *min as u64);
-            let le = ctx.ule_const(prefix.len, *max as u64);
-            ctx.band(ge, le)
-        }
-        Match::AsPathContains(a) => {
-            let mut any = SymBool::concrete(edits.prepended > 0 && *a == own);
-            for p in &attrs.path {
-                let eq = ctx.eq_const(p.asn, a.0 as u64);
-                any = ctx.bor(any, eq);
-            }
-            any
-        }
-        Match::AsPathLenAtMost(n) => SymBool::concrete(attrs.path_len() + edits.prepended <= *n),
-        // A path that ends in an AS_SET has no originator
-        // (`AsPath::origin_asn`); a prepend names one only on an empty path.
-        Match::OriginatedBy(a) => match attrs.path.last() {
-            Some(last) if !last.in_set => ctx.eq_const(last.asn, a.0 as u64),
-            Some(_) => SymBool::concrete(false),
-            None => SymBool::concrete(edits.prepended > 0 && *a == own),
-        },
-        Match::HasCommunity(c) => {
-            if let Some(present) = edits.community(*c) {
-                return SymBool::concrete(present);
-            }
-            let mut any = SymBool::concrete(false);
-            for &comm in &attrs.communities {
-                let eq = ctx.eq_const(comm, c.0 as u64);
-                any = ctx.bor(any, eq);
-            }
-            any
-        }
-        Match::OriginIs(o) => match attrs.origin {
-            Some(origin) => ctx.eq_const(origin, *o as u64),
-            None => SymBool::concrete(false),
-        },
-    }
 }
 
 #[cfg(test)]
