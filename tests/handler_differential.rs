@@ -243,6 +243,28 @@ fn probe_as_set_has_no_originator() {
     );
 }
 
+/// A prefix shorter than a filter's own is outside it, whatever the
+/// filter's `min_len`: `PrefixIn` needs the filter's prefix to cover the
+/// candidate. Here `10.0.0.0/7` against `10.0.0.0/8 {0, 32}`.
+#[test]
+fn probe_filter_below_its_own_length() {
+    let filter = PrefixFilter {
+        net: net("10.0.0.0/8"),
+        min_len: 0,
+        max_len: 32,
+    };
+    let cfg = with_import(
+        vec![Rule::reject(vec![Match::PrefixIn(vec![filter])])],
+        Verdict::Accept,
+    );
+    let nlri = [7, 10];
+    probe(
+        &cfg,
+        &update(&[], &attrs_with(None, &[]), &nlri),
+        Class::Accept,
+    );
+}
+
 /// An UPDATE from raw sections: the withdrawn routes, the attribute block
 /// and the NLRI, each as its wire bytes.
 fn update(withdrawn: &[u8], attrs: &[u8], nlri: &[u8]) -> Vec<u8> {
@@ -649,13 +671,16 @@ fn arb_community() -> impl Strategy<Value = Community> {
     (0u16..3).prop_map(|v| Community::from_pair(OWN.0, v))
 }
 
+/// A prefix in or near the generated filters' nets (`10/8`, `20/8`,
+/// `10.0/16`), some shorter than a `/8` or a `/16`.
 fn arb_prefix() -> impl Strategy<Value = Ipv4Net> {
     (
-        prop_oneof![Just(10u32), Just(20), Just(192)],
+        prop_oneof![Just(10u32), Just(10), Just(20), Just(192)],
+        prop_oneof![Just(0u32), 0u32..256],
         any::<u16>(),
-        8u8..=32,
+        prop_oneof![4u8..=7, 7u8..=15, 8u8..=32],
     )
-        .prop_map(|(a, b, len)| Ipv4Net::new((a << 24) | ((b as u32) << 8), len))
+        .prop_map(|(a, b, c, len)| Ipv4Net::new((a << 24) | (b << 16) | c as u32, len))
 }
 
 /// An AS_PATH of sequences and sets, most of them led by a sequence that
@@ -728,16 +753,27 @@ fn arb_update() -> impl Strategy<Value = Vec<u8>> {
 }
 
 fn arb_match() -> impl Strategy<Value = Match> {
-    let filter = (prop_oneof![Just(10u32), Just(20)], 8u8..=24, 16u8..=32).prop_map(
-        |(a, min_len, max_len)| PrefixFilter {
-            net: Ipv4Net::new(a << 24, 8),
+    // Sets of up to three filters, `min_len` from below a filter's own
+    // length to past it; drawn three times as often as the other matches.
+    let prefix_in = || {
+        let nets = prop_oneof![
+            Just(net("10.0.0.0/8")),
+            Just(net("20.0.0.0/8")),
+            Just(net("10.0.0.0/16"))
+        ];
+        let min_len = prop_oneof![0u8..=7, 0u8..=15, 8u8..=24];
+        let filter = (nets, min_len, 16u8..=32).prop_map(|(net, min_len, max_len)| PrefixFilter {
+            net,
             min_len,
             max_len,
-        },
-    );
+        });
+        prop::collection::vec(filter, 1..4).prop_map(Match::PrefixIn)
+    };
     prop_oneof![
         Just(Match::Any),
-        filter.prop_map(|f| Match::PrefixIn(vec![f])),
+        prefix_in(),
+        prefix_in(),
+        prefix_in(),
         (8u8..=24, 16u8..=32).prop_map(|(min, max)| Match::PrefixLenIn { min, max }),
         arb_asn().prop_map(|a| Match::AsPathContains(Asn(a))),
         (0u32..4).prop_map(Match::AsPathLenAtMost),
