@@ -17,7 +17,8 @@
 //! * **Policy engine** ([`policy`]): BIRD-style filters as *interpreted
 //!   data* — the property DiCE exploits to cover configuration with concolic
 //!   execution — plus a Gao–Rexford policy generator for Internet-like
-//!   topologies.
+//!   topologies. Its interpreter and the AS-path checks before it are
+//!   written over a value domain, so the exploration twin runs them too.
 //! * **Configuration** ([`config`]): sessions, originated prefixes and
 //!   named policies, built in code and cross-checked by `validate()`.
 //! * **The router** ([`router`]): a [`dice_netsim::Node`] wiring it all

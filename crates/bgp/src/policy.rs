@@ -157,14 +157,7 @@ impl Match {
             },
             Match::HasCommunity(c) => match edits.community(*c) {
                 Some(present) => d.lit(present),
-                None => {
-                    let mut any = d.lit(false);
-                    for comm in route.communities() {
-                        let eq = d.eq_const(comm, c.0 as u64);
-                        any = d.bor(any, eq);
-                    }
-                    any
-                }
+                None => route.carries(d, *c),
             },
             Match::OriginIs(o) => match route.origin() {
                 Some(origin) => d.eq_const(origin, *o as u64),
@@ -295,6 +288,9 @@ impl Policy {
         let mut out = attrs.into();
         let at = (prefix.addr() as u64, prefix.len() as u64);
         let fired = self.decide(&mut Concrete(&[]), at, &*out, own_asn, 0)?;
+        if fired.is_empty() {
+            return Some(out);
+        }
         for a in fired.actions(&self.rules) {
             a.apply(out.to_mut(), own_asn);
         }
@@ -381,6 +377,17 @@ pub trait RouteView<W> {
     fn communities(&self) -> impl Iterator<Item = W> + '_;
     /// The ORIGIN value.
     fn origin(&self) -> Option<W>;
+
+    /// Whether the route carries `c`: any community equal to it. A view
+    /// whose communities are concrete may answer with a lookup instead.
+    fn carries<D: Domain<Word = W>>(&self, d: &mut D, c: Community) -> D::Bool {
+        let mut any = d.lit(false);
+        for comm in self.communities() {
+            let eq = d.eq_const(comm, c.0 as u64);
+            any = d.bor(any, eq);
+        }
+        any
+    }
 }
 
 /// A member of a segment of `kind`, and whether that is an AS_SET.
@@ -413,6 +420,10 @@ impl RouteView<u64> for PathAttrs {
 
     fn origin(&self) -> Option<u64> {
         Some(self.origin as u64)
+    }
+
+    fn carries<D: Domain<Word = u64>>(&self, d: &mut D, c: Community) -> D::Bool {
+        d.lit(self.has_community(c))
     }
 }
 
@@ -475,15 +486,23 @@ impl Fired {
         }
     }
 
+    /// No rule fired: what most walks find before their verdict.
+    fn is_empty(&self) -> bool {
+        self.low == 0 && self.high.is_empty()
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        if i < 64 {
+            self.low & 1 << i != 0
+        } else {
+            self.high.contains(&i)
+        }
+    }
+
     /// The actions of the fired rules among `rules`, in order.
     pub fn actions<'p>(&'p self, rules: &'p [Rule]) -> impl Iterator<Item = &'p Action> {
-        let end = 64 - self.low.leading_zeros() as usize;
-        let low = rules.iter().enumerate().take(end);
-        let low = low
-            .filter(|(i, _)| self.low >> i & 1 == 1)
-            .map(|(_, rule)| rule);
-        let high = self.high.iter().filter_map(|&i| rules.get(i));
-        low.chain(high).flat_map(|rule| &rule.actions)
+        let fired = rules.iter().enumerate().filter(|(i, _)| self.contains(*i));
+        fired.flat_map(|(_, rule)| &rule.actions)
     }
 }
 
@@ -498,6 +517,9 @@ struct Edits<'p> {
 impl Edits<'_> {
     /// Hops of the router's own AS prepended.
     fn prepended(&self) -> u32 {
+        if self.fired.is_empty() {
+            return 0;
+        }
         let prepends = self.fired.actions(self.rules).map(|a| match a {
             Action::Prepend(n) => *n as u32,
             _ => 0,
@@ -508,6 +530,9 @@ impl Edits<'_> {
     /// Whether an action decided that the route carries `c`: the last
     /// one that adds or removes it.
     fn community(&self, c: Community) -> Option<bool> {
+        if self.fired.is_empty() {
+            return None;
+        }
         let edits = self.fired.actions(self.rules);
         edits.fold(None, |seen, a| match *a {
             Action::AddCommunity(k) if k == c => Some(true),

@@ -1,7 +1,11 @@
 //! Differential tests of the two mechanisms `dice-bgp` owns on the UPDATE
 //! path: the decide-before-copy policy evaluator against a clone-first
 //! reference, and the prefix-major, copy-on-write RIB against flat
-//! `BTreeMap` models of its three parts.
+//! `BTreeMap` models of its three parts. The evaluator, `Policy::apply`,
+//! is the domain-generic rule walk (`Policy::decide`) that the exploration
+//! twin also runs, here on concrete values; the reference is written with
+//! `Match::eval` and `Action::apply`, so this is where the walk's semantics
+//! are checked.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};

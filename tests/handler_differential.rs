@@ -1,16 +1,20 @@
 //! Differential tests: the instrumented UPDATE-handler twin
 //! (`SymbolicUpdateHandler`, what exploration runs) must classify every
 //! UPDATE as the router does — accept, policy reject, structural reject or
-//! crash. Both run one wire validator, `dice_bgp::wire::validate_update`,
-//! in two value domains (the router on the bytes, the twin on concolic
-//! values), so agreement on a message's structure holds by construction.
-//! This file guards what does not follow from the types: the decision part
-//! the twin still owns (loop check, first-AS check, the import policy
-//! interpreted over symbolic values, AS_SETs and actions included), and
-//! that the two domains agree on every bound — on a bound grid, on
-//! grammar-generated, mutated and arbitrary messages, under generated
-//! policies, clean and buggy configuration. `bgp_twin_paths_are_pinned`
-//! holds the twin's branches.
+//! crash. Both run the same code in two value domains (the router on
+//! concrete values, the twin on concolic ones): the wire validator
+//! `dice_bgp::wire::validate_update`, the path screen
+//! `dice_bgp::policy::screen_path` and the policy walk `Policy::decide`.
+//! So agreement holds by construction, and this file guards what does not
+//! follow from the types: that the two domains and the two route views
+//! (the router's `PathAttrs`, the twin's validator sink) agree on every
+//! bound — on a bound grid, on grammar-generated, mutated and arbitrary
+//! messages, under generated policies (AS_SETs, actions, prefix filters
+//! around their own length), clean and buggy configuration — and, in the
+//! probes, that what both do is what the router should do.
+//! `bgp_twin_paths_are_pinned` holds the twin's branches. The walk itself
+//! is held to `Match::eval` / `Action::apply` by `dice-bgp`'s own
+//! differential.
 //!
 //! The grid and the probes run a real router whose session to the peer is
 //! established (`router_class`). The property tests compare against
@@ -18,10 +22,9 @@
 //! `handle_update` checks with `AsPath` and `Policy::apply`; the grid holds
 //! it equal to the real router.
 //!
-//! Break it once: make the twin's `AsPathLenAtMost` count every AS_PATH
-//! member again (`attrs.path.len()` in `core/src/handler.rs`), and
-//! `probe_as_set_counts_one_hop` and `agrees_at_every_bound` go red, and
-//! at 2000 cases `agrees_on_valid_messages` too.
+//! Break it once: make the twin's sink count every AS_PATH member as a hop
+//! (`SymUpdate::asn` in `core/src/handler.rs`), and
+//! `probe_as_set_counts_one_hop` and `agrees_at_every_bound` go red.
 
 use std::collections::BTreeSet;
 
