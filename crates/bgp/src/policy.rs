@@ -390,11 +390,6 @@ pub trait RouteView<W> {
     }
 }
 
-/// A member of a segment of `kind`, and whether that is an AS_SET.
-fn member(kind: SegmentKind, asn: Option<&Asn>) -> Option<(u64, bool)> {
-    asn.map(|a| (a.0 as u64, kind == SegmentKind::Set))
-}
-
 impl RouteView<u64> for PathAttrs {
     fn members(&self) -> impl Iterator<Item = u64> + '_ {
         self.as_path.all_asns().map(|a| a.0 as u64)
@@ -402,12 +397,12 @@ impl RouteView<u64> for PathAttrs {
 
     fn first(&self) -> Option<(u64, bool)> {
         let seg = self.as_path.segments.first()?;
-        member(seg.kind, seg.asns.first())
+        Some((seg.asns.first()?.0 as u64, seg.kind == SegmentKind::Set))
     }
 
     fn last(&self) -> Option<(u64, bool)> {
         let seg = self.as_path.segments.last()?;
-        member(seg.kind, seg.asns.last())
+        Some((seg.asns.last()?.0 as u64, seg.kind == SegmentKind::Set))
     }
 
     fn hops(&self) -> u32 {
@@ -500,7 +495,7 @@ impl Fired {
     }
 
     /// The actions of the fired rules among `rules`, in order.
-    pub fn actions<'p>(&'p self, rules: &'p [Rule]) -> impl Iterator<Item = &'p Action> {
+    fn actions<'p>(&'p self, rules: &'p [Rule]) -> impl Iterator<Item = &'p Action> {
         let fired = rules.iter().enumerate().filter(|(i, _)| self.contains(*i));
         fired.flat_map(|(_, rule)| &rule.actions)
     }
