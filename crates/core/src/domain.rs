@@ -2,7 +2,8 @@
 //! frame validator, run on the exploration context, records its branches
 //! into the path condition. [`crate::gossip_sut`]'s twin runs
 //! `dice_gossip::wire::validate` through it, [`crate::handler`]'s
-//! `dice_bgp::wire::validate_update`.
+//! `dice_bgp::wire::validate_update` and the import decision after it
+//! (`dice_bgp::policy::screen_path`, `Policy::decide`).
 
 use dice_concolic::{BinOp, CmpOp, ConcolicCtx, SiteId, SymBool, SymWord};
 use dice_netsim::Domain;

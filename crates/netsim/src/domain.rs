@@ -1,5 +1,6 @@
-//! The value domain a protocol's frame validator is written over, so one
-//! validator serves two readers: the node, on concrete bytes
+//! The value domain a protocol's frame validator is written over (and,
+//! for BGP, the import decision after it), so one validator serves two
+//! readers: the node, on concrete bytes or values
 //! ([`Concrete`]), and DiCE's exploration twin, on concolic values whose
 //! every branch lands in the path condition (`dice-core` holds that
 //! instance). A validator reads through the domain, compares through it
