@@ -181,6 +181,8 @@ pub struct ExplorationReport {
     /// The final branch-coverage ledger (set of covered (site, direction)
     /// pairs), for cross-session coverage unions.
     pub coverage: Coverage,
+    /// Expression nodes the session added to its arena.
+    pub nodes_interned: usize,
 }
 
 impl ExplorationReport {
@@ -492,6 +494,8 @@ pub fn explore(
     };
     report.solver.covered_skips = covered_skips;
     report.solver.unary_memo_hits = sliced.memo_hits();
+    report.solver.unary_memo_misses = sliced.memo_misses();
+    report.nodes_interned = arena.len();
     report.coverage = Coverage {
         seen: covered.into_iter().collect(),
     };

@@ -29,6 +29,8 @@ pub struct UnaryMemo {
     vars: Vec<u32>,
     /// Entries served from the memo (vars + unary set count as one hit).
     pub hits: u64,
+    /// Entries computed (one sweep each).
+    pub misses: u64,
     /// What a miss computes in.
     scratch: LaneScratch,
 }
@@ -51,6 +53,7 @@ impl UnaryMemo {
         }
         let mut at = self.index.get(node).copied().unwrap_or(NONE);
         if at == NONE {
+            self.misses += 1;
             at = self.entries.len() as u32;
             let (vars, lanes) = arena.sweep(e, &mut self.scratch);
             self.entries.push(MemoEntry {

@@ -83,6 +83,10 @@ pub struct SolverStats {
     /// satisfying completion are not steps, so against `max_steps` its
     /// narrowing can only turn an `Unknown` into an answer.
     pub steps: u64,
+    /// Backtracking searches run (`dfs` roots): one per query with
+    /// multi-variable constraints for [`Solver`], one per component system
+    /// (a flip's, or a cached model brought up to date) for [`PathSolver`].
+    pub searches: u64,
     /// Always 0: the cross-seed refutation cache that counted here is
     /// gone (its counter read 0 on every committed workload). The field
     /// stays until `benchmark/` stops reading it (ROADMAP item 3, Step A).
@@ -95,6 +99,10 @@ pub struct SolverStats {
     /// path looks each of its constraints up once, so this grows with
     /// executed path length, not with `queries`.
     pub unary_memo_hits: u64,
+    /// Per-constraint [`UnaryMemo`] misses: constraints swept for their
+    /// variables and unary set. A warm memo turns them into hits; the sum
+    /// of the two is the constraints the session's paths recorded.
+    pub unary_memo_misses: u64,
 }
 
 /// A constraint: an expression that must evaluate truthy (`true`) or falsy

@@ -154,6 +154,11 @@ impl PathSolver {
         self.memo.hits
     }
 
+    /// Constraints the cross-path memo had to sweep so far.
+    pub fn memo_misses(&self) -> u64 {
+        self.memo.misses
+    }
+
     /// Start the pass over one executed path; `seed` is the executed
     /// input, as for [`Solver::solve`]. The memo is keyed by [`ExprId`]:
     /// every pass of one solver must be over the same arena, which may
@@ -558,6 +563,7 @@ impl PathPass<'_> {
             max_steps: ps.budget.max_steps,
         };
         let verdict = search.dfs(0);
+        ps.stats.searches += 1;
         ps.stats.steps += search.steps;
         for v in &ps.sys {
             if let Some(tried) = ps.assign.get_mut(v.slot as usize) {

@@ -171,6 +171,7 @@ impl Solver {
 
         let mut assignment: BTreeMap<u32, u8> = BTreeMap::new();
         let mut steps = 0u64;
+        self.stats.searches += 1;
         let ok = self.search(
             arena,
             &multi,

@@ -78,8 +78,12 @@ pub struct ExplorerSummary {
 }
 
 /// Hot-path performance counters for one campaign run: how much work the
-/// clone pool, the copy-on-write snapshots and the solver memo avoided.
-/// All of it is either wall-clock- or schedule-dependent bookkeeping
+/// clone pool, the copy-on-write snapshots and the solver memo avoided,
+/// and the exploration work itself — searches and their steps (exact and
+/// schedule-free), memo misses and nodes interned (lower the warmer a
+/// worker's exploration state). Twin executions are
+/// [`CampaignReport::executions_total`], flips dispatched
+/// [`PerfCounters::solver_queries`]. All of it is either wall-clock- or schedule-dependent bookkeeping
 /// (which worker's pool serves an input depends on thread timing), so
 /// [`CampaignReport::normalized`] zeroes the whole struct — the
 /// determinism contract covers *results*, not cache luck.
@@ -109,6 +113,16 @@ pub struct PerfCounters {
     /// byte sets reused instead of recomputed — the queries of one path
     /// share their prefix constraints, so this dwarfs `solver_queries`).
     pub unary_memo_hits: u64,
+    /// Per-constraint solver-memo misses: constraints swept for their
+    /// variables and unary set.
+    pub unary_memo_misses: u64,
+    /// Backtracking searches the solver ran (`dfs` roots).
+    pub searches: u64,
+    /// Candidate values those searches tried
+    /// ([`SolverStats::steps`](dice_concolic::SolverStats::steps)).
+    pub search_steps: u64,
+    /// Expression nodes the exploration sessions added to their arenas.
+    pub arena_nodes_interned: u64,
     /// Payload bytes sent over validation-clone channels (every
     /// `Frame::Data` counted at `send_frame`, both modes).
     pub wire_bytes: u64,
@@ -170,8 +184,14 @@ impl PerfCounters {
 pub struct PhaseTimes {
     /// Consistent cuts of the live system ([`SnapshotMetrics::wall_micros`]).
     pub cut_us: u64,
-    /// Concolic exploration of each round's explorer.
-    pub explore_us: u64,
+    /// Building each round's exploration plan (`ExplorableNode::exploration_plan`:
+    /// the twin, its seeds and its marker).
+    pub plan_us: u64,
+    /// Executing the twin, every run of every exploration session.
+    pub twin_us: u64,
+    /// The rest of each exploration: negation queries, the worklist and
+    /// the coverage and dedup bookkeeping, and candidate selection.
+    pub solve_us: u64,
     /// Getting each validation clone: a pooled reset (or a fresh build)
     /// and its channel configuration.
     pub acquire_us: u64,
@@ -186,15 +206,22 @@ impl PhaseTimes {
     /// Every phase summed with `other`'s.
     pub(crate) fn add(&mut self, other: PhaseTimes) {
         self.cut_us += other.cut_us;
-        self.explore_us += other.explore_us;
+        self.plan_us += other.plan_us;
+        self.twin_us += other.twin_us;
+        self.solve_us += other.solve_us;
         self.acquire_us += other.acquire_us;
         self.drive_us += other.drive_us;
         self.check_us += other.check_us;
     }
 
+    /// The exploration stage whole: plan, twin and solve.
+    pub fn explore_us(&self) -> u64 {
+        self.plan_us + self.twin_us + self.solve_us
+    }
+
     /// All phases together.
     pub(crate) fn total_us(&self) -> u64 {
-        self.cut_us + self.explore_us + self.acquire_us + self.drive_us + self.check_us
+        self.cut_us + self.explore_us() + self.acquire_us + self.drive_us + self.check_us
     }
 
     /// Whether nothing was measured — true of a normalized report, whose
@@ -386,6 +413,10 @@ impl Fold {
         perf.solver_queries += outcome.exploration.solver.queries;
         perf.covered_flips_skipped += outcome.exploration.solver.covered_skips;
         perf.unary_memo_hits += outcome.exploration.solver.unary_memo_hits;
+        perf.unary_memo_misses += outcome.exploration.solver.unary_memo_misses;
+        perf.searches += outcome.exploration.solver.searches;
+        perf.search_steps += outcome.exploration.solver.steps;
+        perf.arena_nodes_interned += outcome.exploration.nodes_interned as u64;
         coverage_union.extend(outcome.exploration.coverage.sites());
         let entry = per_explorer.entry(explorer).or_default();
         entry.kind = report.explorer_kind.clone();
@@ -553,7 +584,10 @@ mod tests {
             .run(&mut sim)
             .expect("mixed campaign runs");
         let p = report.phases;
-        assert!(p.cut_us > 0 && p.explore_us > 0 && p.drive_us > 0, "{p:?}");
+        assert!(
+            p.cut_us > 0 && p.plan_us > 0 && p.twin_us > 0 && p.solve_us > 0 && p.drive_us > 0,
+            "{p:?}"
+        );
         assert_eq!(
             p.total_us(),
             report.rounds.iter().map(|r| r.wall_us).sum::<u64>(),
@@ -618,6 +652,8 @@ mod tests {
             perf.unary_memo_hits > 0,
             "prefix constraints must hit the solver memo: {perf:?}"
         );
+        assert!(perf.unary_memo_misses > 0 && perf.arena_nodes_interned > 0);
+        assert!(perf.searches > 0 && perf.search_steps >= perf.searches);
         assert!(perf.pool_hit_rate() > 0.0 && perf.pool_hit_rate() < 1.0);
         assert!(
             perf.wire_bytes > 0,

@@ -83,8 +83,8 @@ pub(crate) struct RoundDone {
 }
 
 /// One round's exploration as its worker published it: the stage (or the
-/// round's error) and the wall micros exploring took.
-type Explored = (Result<ExploreStage, String>, u64);
+/// round's error) and the wall micros exploring took, by phase.
+type Explored = (Result<ExploreStage, String>, PhaseTimes);
 
 /// What a worker keeps of one validated `(round, candidate)` unit.
 struct UnitDone {
@@ -131,14 +131,9 @@ impl Sweep<'_> {
             let (Some(task), Some(slot)) = (self.tasks.get(idx), self.explored.get(idx)) else {
                 return;
             };
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "per-round wall-clock accounting; zeroed by normalized()"
-            )]
-            let start = Instant::now();
-            let stage = explore_stage(&task.shadow, &task.cfg, self.catalog);
+            let explored = explore_stage(&task.shadow, &task.cfg, self.catalog);
             // Each index is claimed once, so the slot is still empty.
-            let _ = slot.set((stage, start.elapsed().as_micros() as u64));
+            let _ = slot.set(explored);
         }
     }
 
@@ -277,16 +272,12 @@ pub(crate) fn run_rounds(
         .iter()
         .zip(sweep.explored)
         .map(|(task, slot)| {
-            let (stage, explore_us) = slot.into_inner().ok_or("round never explored")?;
+            let (stage, mut phases) = slot.into_inner().ok_or("round never explored")?;
             let stage = stage?;
             let (own, later) = rest
                 .split_at_checked(stage.candidates.len())
                 .ok_or("round never completed")?;
             rest = later;
-            let mut phases = PhaseTimes {
-                explore_us,
-                ..PhaseTimes::default()
-            };
             for unit in own {
                 phases.add(unit.phases);
             }

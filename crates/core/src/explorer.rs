@@ -310,12 +310,54 @@ pub(crate) struct Validated {
 /// coverage, distinct input bytes only.
 ///
 /// Pure function of `(shadow, cfg)`: safe to call concurrently for
-/// different rounds over the same `ShadowSnapshot`.
-// dice-lint: allow(panic-freedom): order permutes 0..executions.len(), so the index stays in bounds
+/// different rounds over the same `ShadowSnapshot`. Also returns the
+/// stage's host time split into its plan, twin and solve phases (the three
+/// sum to the stage's whole time, truncated to microseconds once).
 pub(crate) fn explore_stage(
     shadow: &ShadowSnapshot,
     cfg: &DiceConfig,
     catalog: &SutCatalog,
+) -> (Result<ExploreStage, String>, PhaseTimes) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "per-round phase accounting; zeroed by normalized()"
+    )]
+    let start = std::time::Instant::now();
+    let mut phases = PhaseTimes::default();
+    let stage = explore_timed(shadow, cfg, catalog, start, &mut phases);
+    let whole = start.elapsed().as_micros() as u64;
+    phases.solve_us = whole.saturating_sub(phases.plan_us + phases.twin_us);
+    (stage, phases)
+}
+
+/// A program whose runs are timed: what a session spends in the twin.
+struct Timed<'p> {
+    program: &'p mut dyn dice_concolic::ConcolicProgram,
+    spent: std::time::Duration,
+}
+
+impl dice_concolic::ConcolicProgram for Timed<'_> {
+    fn run(&mut self, ctx: &mut dice_concolic::ConcolicCtx) -> RunStatus {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-round phase accounting; zeroed by normalized()"
+        )]
+        let start = std::time::Instant::now();
+        let status = self.program.run(ctx);
+        self.spent += start.elapsed();
+        status
+    }
+}
+
+/// [`explore_stage`] itself; it fills in `phases.plan_us` (cumulative
+/// from `start`) and `phases.twin_us`.
+// dice-lint: allow(panic-freedom): order permutes 0..executions.len(), so the index stays in bounds
+fn explore_timed(
+    shadow: &ShadowSnapshot,
+    cfg: &DiceConfig,
+    catalog: &SutCatalog,
+    start: std::time::Instant,
+    phases: &mut PhaseTimes,
 ) -> Result<ExploreStage, String> {
     let explorer_node = shadow
         .nodes()
@@ -326,7 +368,9 @@ pub(crate) fn explore_stage(
         .ok_or("explorer node is not explorable (no SUT probe matched)")?;
     let kind = sut.kind();
     let explorer_sessions = sut.check_view().session_health();
-    let plan = sut.exploration_plan(cfg.inject_peer, cfg.grammar_seeds, cfg.seed)?;
+    let plan = sut.exploration_plan(cfg.inject_peer, cfg.grammar_seeds, cfg.seed);
+    phases.plan_us = start.elapsed().as_micros() as u64;
+    let plan = plan?;
     let mut program = plan.program;
     let explore_cfg = ExploreConfig {
         strategy: cfg.strategy,
@@ -334,7 +378,12 @@ pub(crate) fn explore_stage(
         solver_budget: cfg.solver_budget,
         solver_cache: cfg.solver_cache,
     };
-    let exploration = explore(&mut *program, &plan.seeds, &plan.marker, &explore_cfg);
+    let mut timed = Timed {
+        program: &mut *program,
+        spent: std::time::Duration::ZERO,
+    };
+    let exploration = explore(&mut timed, &plan.seeds, &plan.marker, &explore_cfg);
+    phases.twin_us = timed.spent.as_micros() as u64;
 
     let mut order: Vec<usize> = (0..exploration.executions.len()).collect();
     order.sort_by_key(|&i| {
