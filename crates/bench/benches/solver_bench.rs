@@ -181,7 +181,7 @@ fn bench_path_flips(c: &mut Criterion) {
         let mut model = Vec::new();
         group.bench_function(format!("{name}/path_solver"), |b| {
             b.iter(|| {
-                let mut pass = solver.begin(arena, path, &seed);
+                let mut pass = solver.begin(arena, path, &seed, bytes.len() as u32);
                 for _ in 0..path.len() {
                     black_box(pass.flip(&mut model));
                     pass.advance();
@@ -257,7 +257,7 @@ fn bench_word_flips(c: &mut Criterion) {
             |solver: &mut Solver| solver.solve(arena, &negation_query(path, last), &seed);
         let mut model = Vec::new();
         let mut sliced = |solver: &mut PathSolver| {
-            let mut pass = solver.begin(arena, path, &seed);
+            let mut pass = solver.begin(arena, path, &seed, bytes.len() as u32);
             for _ in 0..last {
                 pass.advance();
             }

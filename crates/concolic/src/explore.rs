@@ -281,11 +281,12 @@ impl Worklist {
 /// allocates up front; a larger budget grows them as it runs.
 const PRESIZE_EXECUTIONS: usize = 1024;
 
-/// The nodes a session's expression arena has room for before it first
-/// grows.
+/// The nodes a fresh state's expression arena has room for before it
+/// first grows.
 const ARENA_NODES: usize = 256;
 
-/// Concolic exploration of `program` from the given seed inputs.
+/// Concolic exploration of `program` from the given seed inputs, on a
+/// fresh [`ExploreState`].
 ///
 /// `marker` decides which bytes of an input are symbolic (DiCE's
 /// symbolic-marking policy). Seeds play the role of Oasis's test-suite
@@ -297,209 +298,276 @@ pub fn explore(
     marker: &dyn Fn(&[u8]) -> Vec<bool>,
     config: &ExploreConfig,
 ) -> ExplorationReport {
-    // Cache on: one `PathSolver` pass per executed path. Cache off: the
-    // reference solver, one whole query per flip. Same answers.
-    let mut sliced = PathSolver::with_budget(config.solver_budget);
-    let mut solver = Solver::with_budget(config.solver_budget);
-    let mut covered_skips = 0u64;
-    let mut model: Vec<(u32, u8)> = Vec::new();
-    // The session's coverage ledger, hashed: it is only inserted into and
-    // probed; the report gets it as an ordered `Coverage` once, at the end.
-    let mut covered: HashSet<(u32, bool), MixBuild> = HashSet::default();
-    // What grows by one per execution — the report's two vectors, the
-    // distinct-path set — or holds at least one entry per execution — the
-    // worklist, the input dedup set — starts at the budget's size, up to a
-    // bound.
-    let room = config.max_executions.min(PRESIZE_EXECUTIONS);
-    let mut report = ExplorationReport {
-        executions: Vec::with_capacity(room),
-        coverage_timeline: Vec::with_capacity(room),
-        ..Default::default()
-    };
-    let mut seen_paths: HashSet<u64, MixBuild> =
-        HashSet::with_capacity_and_hasher(room, MixBuild::default());
-    // Dedup by *synthesized input*, not by path skeleton: two different
-    // inputs can share an identical (site, polarity) branch skeleton while
-    // their negated children differ (e.g. same parse shape, different
-    // attribute payloads) — skeleton-keyed dedup silently drops one of them.
-    let mut attempted: HashSet<u64, MixBuild> =
-        HashSet::with_capacity_and_hasher(room, MixBuild::default());
-    // Every negation query dispatched to the solver this session, keyed by
-    // a hash of its constraint set (any outcome): the constraints' ids in
-    // the session arena — there, same structure ⇔ same id — and the
-    // directions asked for.
-    // The covered-flip guard consults this in addition to the coverage
-    // ledger: a flip may only be skipped when its *exact* query — prefix
-    // and all — was already tried, so a covered (site, direction) reached
-    // under an incompatible prefix can never shadow the one path that
-    // actually leads somewhere new.
-    // Maintained under both solvers, so the guard behaves identically in
-    // both modes (the `solver_cache = false` byte-identity contract).
-    let mut dispatched: HashSet<u64, MixBuild> = HashSet::default();
-    let mut queue = Worklist::new(config.strategy, room);
-    // One arena serves every execution of the session and is never
-    // cleared: an execution is a one-flip child of an earlier one and
-    // finds most of its expressions interned already. The per-path buffers
-    // are emptied per execution, allocations kept. Its table starts at the
-    // size of a whole gossip session's arena (~160 nodes; a BGP session's
-    // grows to ~1.3 k): a short session then never rehashes it.
-    let mut arena = ExprArena::with_capacity(ARENA_NODES);
-    let mut path_buf: Vec<BranchRec> = Vec::new();
-    let mut sites_seen: HashSet<u32, MixBuild> = HashSet::default();
-    let mut children = Children::default();
+    ExploreState::new().explore(program, seeds, marker, config)
+}
 
-    for seed in seeds {
-        attempted.insert(input_key(seed, &BTreeMap::new()));
-        let item = WorkItem {
-            bytes: seed.clone(),
-            oracles: BTreeMap::new(),
-            bound: 0,
-        };
-        queue.push(item, i64::MAX); // seeds always run first
+/// What an exploring worker keeps from one session to the next: the
+/// expression arena and the [`PathSolver`] with its memos (the unary facts
+/// of each branch constraint, each node's ternary value) and scratch, and
+/// the path buffer runs record into.
+///
+/// A session's executions all run in the one arena, which hash-conses and
+/// is never cleared, so an [`ExprId`](crate::ExprId) names one structure
+/// from the first seed to the last flip; a state carries that across
+/// sessions, so a later session — the same twin on another cut, or a twin
+/// of the same protocol — finds most of its nodes, and their memo entries,
+/// there already. Nothing a session reports depends on that warmth: the
+/// memos hold pure functions of a node's structure, and every solve and
+/// every guard decision reads structure, not id values. Only
+/// [`SolverStats::unary_memo_hits`] / `unary_memo_misses` and
+/// [`ExplorationReport::nodes_interned`] tell a warm session from a fresh
+/// one. The arena only grows: keep a state for a bounded stream of
+/// sessions (a campaign keeps one per worker per sweep) and drop it after.
+#[derive(Debug)]
+pub struct ExploreState {
+    arena: ExprArena,
+    solver: PathSolver,
+    path: Vec<BranchRec>,
+}
+
+impl Default for ExploreState {
+    fn default() -> Self {
+        ExploreState {
+            arena: ExprArena::with_capacity(ARENA_NODES),
+            solver: PathSolver::default(),
+            path: Vec::new(),
+        }
+    }
+}
+
+impl ExploreState {
+    /// A fresh state: an empty arena, cold memos.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    while report.executions.len() < config.max_executions {
-        let Some(item) = queue.pick() else { break };
-
-        let mask = marker(&item.bytes);
-        // The run owns its input and overlay until its flips are done;
-        // the execution record below takes them over.
-        let input = SymInput::with_mask(item.bytes, mask);
-        let mut ctx = ConcolicCtx::continuing(
-            input,
-            item.oracles,
-            std::mem::take(&mut arena),
-            std::mem::take(&mut path_buf),
-        );
-        let status = program.run(&mut ctx);
-        let (bytes, oracles) = (&ctx.input().bytes, ctx.oracle_overlay());
-
-        let sig = ctx.path_signature();
-        let new_cov = ctx
-            .path()
-            .iter()
-            .filter(|b| covered.insert((b.site.0, b.taken)))
-            .count();
-        seen_paths.insert(sig); // distinct-path metric only
-        if matches!(status, RunStatus::Crash(_)) {
-            report.crashes.push(report.executions.len());
+    /// [`explore`] on this state; the report is the one a fresh state
+    /// gives, field for field, except the warmth counters named on
+    /// [`ExploreState`].
+    pub fn explore(
+        &mut self,
+        program: &mut dyn ConcolicProgram,
+        seeds: &[Vec<u8>],
+        marker: &dyn Fn(&[u8]) -> Vec<bool>,
+        config: &ExploreConfig,
+    ) -> ExplorationReport {
+        // A run's context holds the arena while the program runs: a
+        // session that unwound out of one took it along, and the memos
+        // name nodes of an arena that is gone.
+        if self.arena.is_empty() {
+            self.solver = PathSolver::default();
         }
-        report.coverage_timeline.push(covered.len());
-
-        // Expand children: negate each branch after the inherited bound.
-        // Note: expansion is NOT gated on path novelty — two different
-        // inputs can share a branch skeleton yet yield different children;
-        // the input-key dedup above suppresses true duplicates.
-        let path = ctx.path();
-        let seed_fn = |idx: u32| -> u8 {
-            match bytes.get(idx as usize) {
-                Some(&b) => b,
-                None => oracles.get(&idx).copied().unwrap_or(0),
-            }
+        // Cache on: one `PathSolver` pass per executed path. Cache off: the
+        // reference solver, one whole query per flip. Same answers.
+        let sliced = &mut self.solver;
+        sliced.budget = config.solver_budget;
+        sliced.stats = SolverStats::default();
+        let (memo_hits, memo_misses) = (sliced.memo_hits(), sliced.memo_misses());
+        let nodes = self.arena.len();
+        let mut solver = Solver::with_budget(config.solver_budget);
+        let mut covered_skips = 0u64;
+        let mut model: Vec<(u32, u8)> = Vec::new();
+        // The session's coverage ledger, hashed: it is only inserted into and
+        // probed; the report gets it as an ordered `Coverage` once, at the end.
+        let mut covered: HashSet<(u32, bool), MixBuild> = HashSet::default();
+        // What grows by one per execution — the report's two vectors, the
+        // distinct-path set — or holds at least one entry per execution — the
+        // worklist, the input dedup set — starts at the budget's size, up to a
+        // bound.
+        let room = config.max_executions.min(PRESIZE_EXECUTIONS);
+        let mut report = ExplorationReport {
+            executions: Vec::with_capacity(room),
+            coverage_timeline: Vec::with_capacity(room),
+            ..Default::default()
         };
-        let mut pass = config
-            .solver_cache
-            .then(|| sliced.begin(ctx.arena(), path, &seed_fn));
-        // Each negation query hashes in O(1) as a fold over the path
-        // prefix; the same branch structure recorded by a different seed
-        // (different bytes, same arena) folds the same ids. The guard that
-        // reads it runs in both cache modes.
-        let mut prefix_hash: u64 = 0xD1CE_0000_5EED_0001;
-        sites_seen.clear();
-        children.clear();
-        for (i, rec) in path.iter().enumerate() {
-            let rec_id = rec.constraint.0 as u64;
-            let query_hash = mix3(prefix_hash, rec_id, !rec.taken as u64);
-            // A site's *first* occurrence in this path carries no loop
-            // context; later occurrences of the same SiteId (instrumented
-            // loops reuse one id per attribute / digest entry) target a
-            // different dynamic position, so the coverage ledger — keyed
-            // by (site, direction) only — cannot prove their flip
-            // redundant.
-            let first_occurrence = sites_seen.insert(rec.site.0);
-            if i >= item.bound {
-                if first_occurrence
-                    && covered.contains(&(rec.site.0, !rec.taken))
-                    && dispatched.contains(&query_hash)
-                {
-                    // Both polarities of this site are covered AND this
-                    // exact negation query (prefix included) was already
-                    // dispatched once: re-solving can only reproduce a
-                    // known child modulo unconstrained bytes. Skip before
-                    // even building the query vector. The dispatch check
-                    // is what keeps the guard sound — a covered target
-                    // reached under an *incompatible* prefix never
-                    // suppresses the one query that could reach it from
-                    // here (regression-tested).
-                    covered_skips += 1;
-                } else {
-                    let outcome = match &mut pass {
-                        Some(pass) => pass.flip(&mut model),
-                        None => solver
-                            .solve(ctx.arena(), &negation_query(path, i), &seed_fn)
-                            .into_flip(&mut model),
-                    };
-                    // Only *answered* queries count as dispatched: an
-                    // Unknown (budget-exhausted) query produced no child,
-                    // and a later seed-biased retry of the same structure
-                    // might — the guard must not fossilize it.
-                    if outcome != Flip::Unknown {
-                        dispatched.insert(query_hash);
-                    }
-                    match outcome {
-                        Flip::Sat => {
-                            let (oracles, key) = children.build(bytes, oracles, &model);
-                            if attempted.insert(key) {
-                                // Covered targets (only reachable here via a
-                                // repeated site occurrence) keep the lower
-                                // priority band.
-                                let target_uncovered = !covered.contains(&(rec.site.0, !rec.taken));
-                                let score = if target_uncovered { 1_000 } else { 500 } - i as i64;
-                                let item = WorkItem {
-                                    bytes: children.bytes.to_vec(),
-                                    oracles: oracles.into_owned(),
-                                    bound: i + 1,
-                                };
-                                queue.push(item, score);
-                            }
+        let mut seen_paths: HashSet<u64, MixBuild> =
+            HashSet::with_capacity_and_hasher(room, MixBuild::default());
+        // Dedup by *synthesized input*, not by path skeleton: two different
+        // inputs can share an identical (site, polarity) branch skeleton while
+        // their negated children differ (e.g. same parse shape, different
+        // attribute payloads) — skeleton-keyed dedup silently drops one of them.
+        let mut attempted: HashSet<u64, MixBuild> =
+            HashSet::with_capacity_and_hasher(room, MixBuild::default());
+        // Every negation query dispatched to the solver this session, keyed by
+        // a hash of its constraint set (any outcome): the constraints' ids in
+        // the session arena — there, same structure ⇔ same id — and the
+        // directions asked for.
+        // The covered-flip guard consults this in addition to the coverage
+        // ledger: a flip may only be skipped when its *exact* query — prefix
+        // and all — was already tried, so a covered (site, direction) reached
+        // under an incompatible prefix can never shadow the one path that
+        // actually leads somewhere new.
+        // Maintained under both solvers, so the guard behaves identically in
+        // both modes (the `solver_cache = false` byte-identity contract).
+        let mut dispatched: HashSet<u64, MixBuild> = HashSet::default();
+        let mut queue = Worklist::new(config.strategy, room);
+        // One arena serves every execution of the session and is never
+        // cleared: an execution is a one-flip child of an earlier one and
+        // finds most of its expressions interned already. The per-path buffers
+        // are emptied per execution, allocations kept. A fresh arena's table
+        // starts at the size of a whole gossip session's arena (~160 nodes; a
+        // BGP session's grows to ~1.3 k): a short session then never rehashes
+        // it.
+        let mut sites_seen: HashSet<u32, MixBuild> = HashSet::default();
+        let mut children = Children::default();
+
+        for seed in seeds {
+            attempted.insert(input_key(seed, &BTreeMap::new()));
+            let item = WorkItem {
+                bytes: seed.clone(),
+                oracles: BTreeMap::new(),
+                bound: 0,
+            };
+            queue.push(item, i64::MAX); // seeds always run first
+        }
+
+        while report.executions.len() < config.max_executions {
+            let Some(item) = queue.pick() else { break };
+
+            let mask = marker(&item.bytes);
+            // The run owns its input and overlay until its flips are done;
+            // the execution record below takes them over.
+            let input = SymInput::with_mask(item.bytes, mask);
+            let mut ctx = ConcolicCtx::continuing(
+                input,
+                item.oracles,
+                std::mem::take(&mut self.arena),
+                std::mem::take(&mut self.path),
+            );
+            let status = program.run(&mut ctx);
+            let (bytes, oracles) = (&ctx.input().bytes, ctx.oracle_overlay());
+
+            let sig = ctx.path_signature();
+            let new_cov = ctx
+                .path()
+                .iter()
+                .filter(|b| covered.insert((b.site.0, b.taken)))
+                .count();
+            seen_paths.insert(sig); // distinct-path metric only
+            if matches!(status, RunStatus::Crash(_)) {
+                report.crashes.push(report.executions.len());
+            }
+            report.coverage_timeline.push(covered.len());
+
+            // Expand children: negate each branch after the inherited bound.
+            // Note: expansion is NOT gated on path novelty — two different
+            // inputs can share a branch skeleton yet yield different children;
+            // the input-key dedup above suppresses true duplicates.
+            let path = ctx.path();
+            let seed_fn = |idx: u32| -> u8 {
+                match bytes.get(idx as usize) {
+                    Some(&b) => b,
+                    None => oracles.get(&idx).copied().unwrap_or(0),
+                }
+            };
+            let mut pass = config.solver_cache.then(|| {
+                self.solver
+                    .begin(ctx.arena(), path, &seed_fn, bytes.len() as u32)
+            });
+            // Each negation query hashes in O(1) as a fold over the path
+            // prefix; the same branch structure recorded by a different seed
+            // (different bytes, same arena) folds the same ids. The guard that
+            // reads it runs in both cache modes.
+            let mut prefix_hash: u64 = 0xD1CE_0000_5EED_0001;
+            sites_seen.clear();
+            children.clear();
+            for (i, rec) in path.iter().enumerate() {
+                let rec_id = rec.constraint.0 as u64;
+                let query_hash = mix3(prefix_hash, rec_id, !rec.taken as u64);
+                // A site's *first* occurrence in this path carries no loop
+                // context; later occurrences of the same SiteId (instrumented
+                // loops reuse one id per attribute / digest entry) target a
+                // different dynamic position, so the coverage ledger — keyed
+                // by (site, direction) only — cannot prove their flip
+                // redundant.
+                let first_occurrence = sites_seen.insert(rec.site.0);
+                if i >= item.bound {
+                    if first_occurrence
+                        && covered.contains(&(rec.site.0, !rec.taken))
+                        && dispatched.contains(&query_hash)
+                    {
+                        // Both polarities of this site are covered AND this
+                        // exact negation query (prefix included) was already
+                        // dispatched once: re-solving can only reproduce a
+                        // known child modulo unconstrained bytes. Skip before
+                        // even building the query vector. The dispatch check
+                        // is what keeps the guard sound — a covered target
+                        // reached under an *incompatible* prefix never
+                        // suppresses the one query that could reach it from
+                        // here (regression-tested).
+                        covered_skips += 1;
+                    } else {
+                        let outcome = match &mut pass {
+                            Some(pass) => pass.flip(&mut model),
+                            None => solver
+                                .solve(ctx.arena(), &negation_query(path, i), &seed_fn)
+                                .into_flip(&mut model),
+                        };
+                        // Only *answered* queries count as dispatched: an
+                        // Unknown (budget-exhausted) query produced no child,
+                        // and a later seed-biased retry of the same structure
+                        // might — the guard must not fossilize it.
+                        if outcome != Flip::Unknown {
+                            dispatched.insert(query_hash);
                         }
-                        Flip::Unsat | Flip::Unknown => {}
+                        match outcome {
+                            Flip::Sat => {
+                                let (oracles, key) = children.build(bytes, oracles, &model);
+                                if attempted.insert(key) {
+                                    // Covered targets (only reachable here via a
+                                    // repeated site occurrence) keep the lower
+                                    // priority band.
+                                    let target_uncovered =
+                                        !covered.contains(&(rec.site.0, !rec.taken));
+                                    let score =
+                                        if target_uncovered { 1_000 } else { 500 } - i as i64;
+                                    let item = WorkItem {
+                                        bytes: children.bytes.to_vec(),
+                                        oracles: oracles.into_owned(),
+                                        bound: i + 1,
+                                    };
+                                    queue.push(item, score);
+                                }
+                            }
+                            Flip::Unsat | Flip::Unknown => {}
+                        }
                     }
                 }
+                if let Some(pass) = &mut pass {
+                    pass.advance();
+                }
+                prefix_hash = mix3(prefix_hash, rec_id, rec.taken as u64);
             }
-            if let Some(pass) = &mut pass {
-                pass.advance();
-            }
-            prefix_hash = mix3(prefix_hash, rec_id, rec.taken as u64);
+
+            let path_len = path.len();
+            let (input, oracles);
+            (input, oracles, self.arena, self.path) = ctx.into_parts();
+            report.executions.push(ExecutionRecord {
+                input: input.bytes,
+                oracles,
+                status,
+                path_len,
+                path_sig: sig,
+                new_coverage: new_cov,
+            });
         }
 
-        let path_len = path.len();
-        let (input, oracles);
-        (input, oracles, arena, path_buf) = ctx.into_parts();
-        report.executions.push(ExecutionRecord {
-            input: input.bytes,
-            oracles,
-            status,
-            path_len,
-            path_sig: sig,
-            new_coverage: new_cov,
-        });
+        report.distinct_paths = seen_paths.len();
+        let sliced = &self.solver;
+        report.solver = if config.solver_cache {
+            sliced.stats
+        } else {
+            solver.stats
+        };
+        report.solver.covered_skips = covered_skips;
+        report.solver.unary_memo_hits = sliced.memo_hits() - memo_hits;
+        report.solver.unary_memo_misses = sliced.memo_misses() - memo_misses;
+        report.nodes_interned = self.arena.len() - nodes;
+        report.coverage = Coverage {
+            seen: covered.into_iter().collect(),
+        };
+        report
     }
-
-    report.distinct_paths = seen_paths.len();
-    report.solver = if config.solver_cache {
-        sliced.stats
-    } else {
-        solver.stats
-    };
-    report.solver.covered_skips = covered_skips;
-    report.solver.unary_memo_hits = sliced.memo_hits();
-    report.solver.unary_memo_misses = sliced.memo_misses();
-    report.nodes_interned = arena.len();
-    report.coverage = Coverage {
-        seen: covered.into_iter().collect(),
-    };
-    report
 }
 
 /// SplitMix64-style mixer folding a path prefix, one constraint id and one

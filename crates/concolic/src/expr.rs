@@ -5,6 +5,7 @@
 //! bit width (8/16/32/64) and all arithmetic is modular in that width, which
 //! matches how the instrumented parsers compute on the wire bytes.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -387,6 +388,42 @@ impl ExprArena {
     /// the solver's search read a constraint with one byte unknown and
     /// hold the verdict against all 256 of its values.
     pub(crate) fn eval3_bits<F: Fn(u32) -> ByteBits>(&self, id: ExprId, lookup: &F) -> Ternary {
+        self.eval3_node(id, lookup, &|a| self.eval3_bits(a, lookup))
+    }
+
+    /// [`ExprArena::eval3_bits`] with each node evaluated once per
+    /// assignment: a node reached again — a sub-expression the DAG shares —
+    /// is answered from `memo`, which holds what this assignment made of
+    /// it. The caller starts a new assignment ([`Eval3Memo::reset`] /
+    /// [`Eval3Memo::next`]) whenever `lookup` would answer differently.
+    pub(crate) fn eval3_memo<F: Fn(u32) -> ByteBits>(
+        &self,
+        id: ExprId,
+        lookup: &F,
+        memo: &Eval3Memo,
+    ) -> Ternary {
+        let slot = memo.slots.get(id.0 as usize);
+        let stamp = memo.stamp.get();
+        if let Some((at, value)) = slot.map(Cell::get) {
+            if at == stamp {
+                return value;
+            }
+        }
+        let value = self.eval3_node(id, lookup, &|a| self.eval3_memo(a, lookup, memo));
+        if let Some(slot) = slot {
+            slot.set((stamp, value));
+        }
+        value
+    }
+
+    /// One node of [`ExprArena::eval3_bits`], its operands evaluated by
+    /// `operand`.
+    fn eval3_node<F: Fn(u32) -> ByteBits, G: Fn(ExprId) -> Ternary>(
+        &self,
+        id: ExprId,
+        lookup: &F,
+        operand: &G,
+    ) -> Ternary {
         match self.get(id) {
             Expr::Const { bits, val } => Ternary {
                 known: mask(bits),
@@ -402,7 +439,7 @@ impl ExprArena {
                 }
             }
             Expr::ZExt { bits, a } => {
-                let inner = self.eval3_bits(a, lookup);
+                let inner = operand(a);
                 // Upper bits become known zeros.
                 Ternary {
                     known: inner.known | (mask(bits) & !mask(inner.bits)),
@@ -411,8 +448,8 @@ impl ExprArena {
                 }
             }
             Expr::Bin { op, bits, a, b } => {
-                let x = self.eval3_bits(a, lookup);
-                let y = self.eval3_bits(b, lookup);
+                let x = operand(a);
+                let y = operand(b);
                 let m = mask(bits);
                 match op {
                     BinOp::And => {
@@ -489,8 +526,8 @@ impl ExprArena {
                 }
             }
             Expr::Cmp { op, a, b } => {
-                let x = self.eval3_bits(a, lookup);
-                let y = self.eval3_bits(b, lookup);
+                let x = operand(a);
+                let y = operand(b);
 
                 match op {
                     CmpOp::Eq => match ternary_eq(&x, &y) {
@@ -513,13 +550,13 @@ impl ExprArena {
                     },
                 }
             }
-            Expr::Not(a) => match self.eval3_bits(a, lookup).as_bool() {
+            Expr::Not(a) => match operand(a).as_bool() {
                 Some(truthy) => Ternary::known_bool(!truthy),
                 None => Ternary::unknown_bool(),
             },
             Expr::Bool { op, a, b } => {
-                let x = self.eval3_bits(a, lookup);
-                let y = self.eval3_bits(b, lookup);
+                let x = operand(a);
+                let y = operand(b);
                 let xv = x.as_bool();
                 let yv = y.as_bool();
                 match op {
@@ -682,6 +719,44 @@ impl ExprArena {
                 };
                 format!("({} {} {})", self.render(a), s, self.render(b))
             }
+        }
+    }
+}
+
+/// What [`ExprArena::eval3_memo`] knows under the current assignment: per
+/// node id, the assignment's stamp and the node's value, valid while the
+/// stamp is current. Starting a new assignment is one increment; the
+/// table is sized to the arena by [`Eval3Memo::reset`] and never shrinks,
+/// so it serves an append-only arena for as long as that lives. Cells,
+/// so that a search can fill it through the shared borrows its walks hold.
+#[derive(Debug, Default)]
+pub(crate) struct Eval3Memo {
+    /// The current assignment; never 0 once reset (0 marks an empty slot).
+    stamp: Cell<u32>,
+    slots: Vec<Cell<(u32, Ternary)>>,
+}
+
+impl Eval3Memo {
+    /// Cover `nodes` node ids and start a new assignment.
+    pub(crate) fn reset(&mut self, nodes: usize) {
+        if self.slots.len() < nodes {
+            self.slots
+                .resize(nodes, Cell::new((0, Ternary::unknown_bool())));
+        }
+        self.next();
+    }
+
+    /// Start a new assignment: every value memoized so far is stale.
+    pub(crate) fn next(&self) {
+        let stamp = self.stamp.get().wrapping_add(1);
+        if stamp == 0 {
+            // Wrapped: no slot may keep a stamp the counter will reissue.
+            for slot in &self.slots {
+                slot.set((0, Ternary::unknown_bool()));
+            }
+            self.stamp.set(1);
+        } else {
+            self.stamp.set(stamp);
         }
     }
 }

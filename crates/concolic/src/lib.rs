@@ -55,7 +55,7 @@ pub mod solve;
 pub use ctx::{BranchRec, ConcolicCtx, SiteId, SymBool, SymInput, SymWord};
 pub use explore::{
     explore, random_fuzz, ConcolicProgram, Coverage, ExecutionRecord, ExplorationReport,
-    ExploreConfig, RunStatus, Strategy,
+    ExploreConfig, ExploreState, RunStatus, Strategy,
 };
 pub use expr::{BinOp, BoolOp, CmpOp, Expr, ExprArena, ExprId, LaneScratch, Lanes, Ternary};
 pub use solve::{

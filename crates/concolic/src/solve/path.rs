@@ -7,7 +7,7 @@ use super::{holds, pick, ByteSet, Constraint, Flip, SolverBudget, SolverStats, N
 #[cfg(doc)]
 use super::{negation_query, Solver};
 use crate::ctx::BranchRec;
-use crate::expr::{ByteBits, ExprArena, ExprId};
+use crate::expr::{ByteBits, Eval3Memo, ExprArena, ExprId};
 
 /// Answers the negation queries of executed paths, one forward pass per
 /// path ([`PathSolver::begin`]), with the answers of [`Solver::solve`] on
@@ -54,6 +54,12 @@ pub struct PathSolver {
     /// Budget applied to each component search.
     pub budget: SolverBudget,
     memo: UnaryMemo,
+    /// Each node's ternary value under the assignment at hand — a
+    /// search's, or the seed's where `advance` checks a constraint.
+    eval3: Eval3Memo,
+    /// The arena's length at the last `begin`: both memos are keyed by
+    /// [`ExprId`], so it may only grow.
+    arena_len: usize,
     // State of the current path, reset by `begin` (capacity is kept, so a
     // session allocates these once). Variables are numbered densely, in
     // order of first appearance, as *slots*.
@@ -160,15 +166,29 @@ impl PathSolver {
     }
 
     /// Start the pass over one executed path; `seed` is the executed
-    /// input, as for [`Solver::solve`]. The memo is keyed by [`ExprId`]:
-    /// every pass of one solver must be over the same arena, which may
-    /// have grown since the last pass but never restarted.
+    /// input, as for [`Solver::solve`]. Variables below `executed` are the
+    /// bytes the path was executed on: a constraint over them alone took
+    /// its recorded direction under their `seed` values, so its as-taken
+    /// check is not evaluated (release builds) — pass 0 for a path whose
+    /// directions were not recorded by running `seed`. The memos are keyed
+    /// by [`ExprId`]: every pass of one solver must be over the same
+    /// arena, which may have grown since the last pass but never
+    /// restarted.
     pub fn begin<'a>(
         &'a mut self,
         arena: &'a ExprArena,
         path: &'a [BranchRec],
         seed: &'a dyn Fn(u32) -> u8,
+        executed: u32,
     ) -> PathPass<'a> {
+        debug_assert!(
+            arena.len() >= self.arena_len,
+            "a path solver's arena shrank ({} → {} nodes): its memos name nodes by id",
+            self.arena_len,
+            arena.len()
+        );
+        self.arena_len = arena.len();
+        self.eval3.reset(arena.len());
         for v in &self.vars {
             if let Some(slot) = self.slot_of.get_mut(v.id as usize) {
                 *slot = NONE;
@@ -184,6 +204,7 @@ impl PathSolver {
             arena,
             path,
             seed,
+            executed,
             cursor: 0,
             cur: None,
             dead: false,
@@ -200,6 +221,8 @@ pub struct PathPass<'a> {
     arena: &'a ExprArena,
     path: &'a [BranchRec],
     seed: &'a dyn Fn(u32) -> u8,
+    /// Variables below it are executed input bytes (see [`PathSolver::begin`]).
+    executed: u32,
     cursor: usize,
     /// The cursor's constraint, once looked up.
     cur: Option<Con>,
@@ -294,13 +317,35 @@ impl PathPass<'_> {
                     next,
                 });
                 let seed_holds = {
-                    let (slot_of, vars) = (&ps.slot_of, &ps.vars);
-                    let lookup = |idx: u32| -> Option<u64> {
-                        let slot = *slot_of.get(idx as usize)?;
-                        vars.get(slot as usize).map(|v| v.seed as u64)
+                    let (slot_of, vars, memo) = (&ps.slot_of, &ps.vars, &ps.eval3);
+                    let seed = |idx: u32| -> ByteBits {
+                        let slot = slot_of.get(idx as usize).copied().unwrap_or(NONE);
+                        vars.get(slot as usize)
+                            .map_or(ByteBits::UNKNOWN, |v| ByteBits::exact(v.seed))
                     };
-                    let verdict = self.arena.eval3(con.expr, &lookup).as_bool();
-                    verdict.is_none_or(|r| r == con.taken)
+                    let holds = || {
+                        memo.next();
+                        let verdict = self.arena.eval3_memo(con.expr, &seed, memo).as_bool();
+                        verdict.is_none_or(|r| r == con.taken)
+                    };
+                    // Over executed bytes only, the execution evaluated
+                    // it on exactly the seed values: the recorded
+                    // direction is the verdict. An oracle pseudo-byte's
+                    // seed may not be what the execution read.
+                    let executed = ps.cur_slots.iter().all(|&slot| {
+                        vars.get(slot as usize)
+                            .is_some_and(|v| v.id < self.executed)
+                    });
+                    if executed {
+                        debug_assert!(
+                            holds(),
+                            "the seed takes {} the other way",
+                            self.arena.render(con.expr)
+                        );
+                        true
+                    } else {
+                        holds()
+                    }
                 };
                 if let Some(r) = ps.vars.get_mut(root as usize) {
                     r.multi_head = node;
@@ -552,8 +597,10 @@ impl PathPass<'_> {
             v.watch = (lo, at);
         }
 
+        ps.eval3.next();
         let mut search = Search {
             arena: self.arena,
+            memo: &ps.eval3,
             slot_of: &ps.slot_of,
             sys: &ps.sys,
             multi: &ps.sys_multi,

@@ -4,7 +4,7 @@
 #[cfg(doc)]
 use super::Solver;
 use super::{ByteSet, Constraint, NONE};
-use crate::expr::{BinOp, BoolOp, ByteBits, CmpOp, Expr, ExprArena, ExprId, Ternary};
+use crate::expr::{BinOp, BoolOp, ByteBits, CmpOp, Eval3Memo, Expr, ExprArena, ExprId, Ternary};
 
 /// A variable of the system being solved.
 #[derive(Debug, Clone, Copy)]
@@ -19,9 +19,14 @@ pub(super) struct SysVar {
 }
 
 /// Depth-first search over one system's dense tables; the value order and
-/// the known-bits pruning are [`Solver::search`]'s.
+/// the known-bits pruning are [`Solver::search`]'s. Every ternary walk
+/// goes through `memo`: `consistent`, `narrow`, `admits` and `offset_of`
+/// under one assignment read each shared node once, and [`Search::know`],
+/// the one place the assignment changes, starts a new one.
 pub(super) struct Search<'a> {
     pub(super) arena: &'a ExprArena,
+    /// Reset to the arena before the search starts.
+    pub(super) memo: &'a Eval3Memo,
     pub(super) slot_of: &'a [u32],
     pub(super) sys: &'a [SysVar],
     pub(super) multi: &'a [Constraint],
@@ -80,6 +85,7 @@ impl Search<'_> {
         if let Some(known) = self.assign.get_mut(var.slot as usize) {
             *known = bits;
         }
+        self.memo.next();
     }
 
     /// What the search knows of input byte `idx`.
@@ -92,7 +98,7 @@ impl Search<'_> {
     }
 
     fn eval3(&self, e: ExprId) -> Ternary {
-        self.arena.eval3_bits(e, &|idx| self.known(idx))
+        self.arena.eval3_memo(e, &|idx| self.known(idx), self.memo)
     }
 
     /// The constraints mentioning `var`.
@@ -416,8 +422,11 @@ mod tests {
             mentions: 1,
             watch: (0, 1),
         };
+        let mut memo = Eval3Memo::default();
+        memo.reset(arena.len());
         let search = Search {
             arena,
+            memo: &memo,
             slot_of: &[0, 1, 2, 3],
             sys: &[var],
             multi: &[(e, want)],

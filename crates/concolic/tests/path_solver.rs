@@ -204,15 +204,16 @@ fn record_into(
 
 /// One pass over `path`: flip where `flips` says so (all when it runs
 /// out), advance always. Returns each flip's answer in the reference's
-/// vocabulary.
+/// vocabulary. `executed` is [`PathSolver::begin`]'s: the variables below
+/// it took their recorded directions under `seed`.
 fn sliced_answers(
     solver: &mut PathSolver,
     arena: &ExprArena,
-    path: &[BranchRec],
+    (path, executed): (&[BranchRec], u32),
     seed: &dyn Fn(u32) -> u8,
     flips: &[bool],
 ) -> Vec<Option<SolveResult>> {
-    let mut pass = solver.begin(arena, path, seed);
+    let mut pass = solver.begin(arena, path, seed, executed);
     let mut model = Vec::new();
     (0..path.len())
         .map(|i| {
@@ -267,7 +268,9 @@ proptest! {
         let budget = tiny_budget.map_or_else(SolverBudget::default, |max_steps| SolverBudget { max_steps });
 
         let mut solver = PathSolver::with_budget(budget);
-        let all = sliced_answers(&mut solver, &arena, &path, &seed_fn, &[]);
+        // A replayed path is what an execution of the seed records.
+        let executed = if replay { 6 } else { 0 };
+        let all = sliced_answers(&mut solver, &arena, (&path, executed), &seed_fn, &[]);
         assert_matches_reference(&arena, &path, &seed_fn, budget, &all)?;
         prop_assert_eq!(solver.stats.queries, path.len() as u64);
         let first_pass_hits = solver.memo_hits();
@@ -275,7 +278,7 @@ proptest! {
         // A second pass on the same solver (state reset, memo warm) that
         // skips flips the way exploration does — so component models are
         // settled later, and in bigger steps — answers the same.
-        let some = sliced_answers(&mut solver, &arena, &path, &seed_fn, &flips);
+        let some = sliced_answers(&mut solver, &arena, (&path, executed), &seed_fn, &flips);
         assert_matches_reference(&arena, &path, &seed_fn, budget, &some)?;
         for (a, b) in all.iter().zip(&some) {
             if let (Some(a), Some(b)) = (a, b) {
@@ -304,7 +307,8 @@ proptest! {
             .collect();
         let later_path = record_into(&mut arena, &later, &later_seed, replay);
         let later_fn = |idx: u32| later_seed[idx as usize];
-        let answers = sliced_answers(&mut solver, &arena, &later_path, &later_fn, &flips);
+        let answers =
+            sliced_answers(&mut solver, &arena, (&later_path, executed), &later_fn, &flips);
         assert_matches_reference(&arena, &later_path, &later_fn, budget, &answers)?;
     }
 }
@@ -316,7 +320,7 @@ fn flip_all(
     budget: SolverBudget,
 ) -> (Vec<SolveResult>, Vec<SolveResult>) {
     let mut solver = PathSolver::with_budget(budget);
-    let sliced = sliced_answers(&mut solver, arena, path, seed, &[])
+    let sliced = sliced_answers(&mut solver, arena, (path, 0), seed, &[])
         .into_iter()
         .flatten()
         .collect();
@@ -364,7 +368,8 @@ fn last_flip(ctx: &ConcolicCtx) -> (SolveResult, u64, u64) {
     let mut solver = PathSolver::default();
     let mut flips = vec![false; last];
     flips.push(true);
-    let answers = sliced_answers(&mut solver, ctx.arena(), ctx.path(), &seed, &flips);
+    let executed = (ctx.path(), bytes.len() as u32);
+    let answers = sliced_answers(&mut solver, ctx.arena(), executed, &seed, &flips);
     assert_eq!(answers[last].as_ref(), Some(&expected));
     (expected, reference.stats.steps, solver.stats.steps)
 }

@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, OnceLock};
 use std::time::Instant;
 
+use dice_concolic::ExploreState;
 use dice_netsim::{ShadowSnapshot, Topology};
 
 use crate::campaign::PhaseTimes;
@@ -124,14 +125,18 @@ struct Sweep<'e> {
 }
 
 impl Sweep<'_> {
-    /// Exploration phase of one worker: claim rounds until none is left.
+    /// Exploration phase of one worker: claim rounds until none is left,
+    /// all explored on the worker's one [`ExploreState`] — built here, as
+    /// [`Sweep::worker`] builds its clone pool, and dropped with the
+    /// sweep.
     fn explore_rounds(&self) {
+        let mut state = ExploreState::new();
         loop {
             let idx = self.round_next.fetch_add(1, Ordering::Relaxed);
             let (Some(task), Some(slot)) = (self.tasks.get(idx), self.explored.get(idx)) else {
                 return;
             };
-            let explored = explore_stage(&task.shadow, &task.cfg, self.catalog);
+            let explored = explore_stage(&task.shadow, &task.cfg, self.catalog, &mut state);
             // Each index is claimed once, so the slot is still empty.
             let _ = slot.set(explored);
         }

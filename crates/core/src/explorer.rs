@@ -27,7 +27,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dice_concolic::{explore, ExplorationReport, ExploreConfig, RunStatus, SolverBudget, Strategy};
+use dice_concolic::{
+    ExplorationReport, ExploreConfig, ExploreState, RunStatus, SolverBudget, Strategy,
+};
 use dice_netsim::{NodeId, ShadowSnapshot, SimDuration, Simulator, Topology};
 use serde::{Deserialize, Serialize};
 
@@ -310,13 +312,16 @@ pub(crate) struct Validated {
 /// coverage, distinct input bytes only.
 ///
 /// Pure function of `(shadow, cfg)`: safe to call concurrently for
-/// different rounds over the same `ShadowSnapshot`. Also returns the
-/// stage's host time split into its plan, twin and solve phases (the three
-/// sum to the stage's whole time, truncated to microseconds once).
+/// different rounds over the same `ShadowSnapshot`. `state` is the calling
+/// worker's exploration state, warm from its earlier rounds; what the
+/// stage finds does not depend on it. Also returns the stage's host time
+/// split into its plan, twin and solve phases (the three sum to the
+/// stage's whole time, truncated to microseconds once).
 pub(crate) fn explore_stage(
     shadow: &ShadowSnapshot,
     cfg: &DiceConfig,
     catalog: &SutCatalog,
+    state: &mut ExploreState,
 ) -> (Result<ExploreStage, String>, PhaseTimes) {
     #[expect(
         clippy::disallowed_methods,
@@ -324,7 +329,7 @@ pub(crate) fn explore_stage(
     )]
     let start = std::time::Instant::now();
     let mut phases = PhaseTimes::default();
-    let stage = explore_timed(shadow, cfg, catalog, start, &mut phases);
+    let stage = explore_timed(shadow, cfg, catalog, state, (start, &mut phases));
     let whole = start.elapsed().as_micros() as u64;
     phases.solve_us = whole.saturating_sub(phases.plan_us + phases.twin_us);
     (stage, phases)
@@ -356,8 +361,8 @@ fn explore_timed(
     shadow: &ShadowSnapshot,
     cfg: &DiceConfig,
     catalog: &SutCatalog,
-    start: std::time::Instant,
-    phases: &mut PhaseTimes,
+    state: &mut ExploreState,
+    (start, phases): (std::time::Instant, &mut PhaseTimes),
 ) -> Result<ExploreStage, String> {
     let explorer_node = shadow
         .nodes()
@@ -382,7 +387,7 @@ fn explore_timed(
         program: &mut *program,
         spent: std::time::Duration::ZERO,
     };
-    let exploration = explore(&mut timed, &plan.seeds, &plan.marker, &explore_cfg);
+    let exploration = state.explore(&mut timed, &plan.seeds, &plan.marker, &explore_cfg);
     phases.twin_us = timed.spent.as_micros() as u64;
 
     let mut order: Vec<usize> = (0..exploration.executions.len()).collect();
