@@ -6,6 +6,15 @@
 //! **generational search** scored by predicted new branch coverage — plus a
 //! **random-mutation** baseline used by the paper-shape experiment
 //! "concolic > grammar > random".
+//!
+//! A session runs on an [`ExploreState`]: the expression arena every
+//! execution interns into, and the [`PathSolver`] whose memos are keyed by
+//! that arena's ids. [`explore`] builds a fresh one per session; a caller
+//! that explores over and over — a campaign worker, one state per sweep —
+//! keeps one and calls [`ExploreState::explore`], and its later sessions
+//! start warm. The arena is append-only and never restarted while the
+//! solver that remembers its ids lives; a state's memory is bounded by
+//! how long its owner keeps it.
 
 use std::borrow::Cow;
 use std::cmp::Reverse;
@@ -734,42 +743,12 @@ pub fn random_fuzz(
 }
 
 #[cfg(test)]
+mod toys;
+
+#[cfg(test)]
 mod tests {
+    use super::toys::{self, *};
     use super::*;
-    use crate::ctx::SiteId;
-
-    /// A toy parser with a deep guarded branch structure:
-    ///   in[0] must be 0x42 (magic), in[1] selects 4 commands,
-    ///   command 3 with in[2] >= 0xF0 crashes.
-    fn toy_program(ctx: &mut ConcolicCtx) -> RunStatus {
-        if !ctx.in_bounds(2) {
-            return RunStatus::Rejected("short".into());
-        }
-        let magic = ctx.read_u8(0);
-        let is_magic = ctx.eq_const(magic, 0x42);
-        if !ctx.branch(SiteId(1), is_magic) {
-            return RunStatus::Rejected("bad magic".into());
-        }
-        let cmd = ctx.read_u8(1);
-        let c3 = ctx.eq_const(cmd, 3);
-        if ctx.branch(SiteId(2), c3) {
-            let arg = ctx.read_u8(2);
-            let big = ctx.uge_const(arg, 0xF0);
-            if ctx.branch(SiteId(3), big) {
-                return RunStatus::Crash("overflow".into());
-            }
-            return RunStatus::Ok;
-        }
-        let c2 = ctx.eq_const(cmd, 2);
-        if ctx.branch(SiteId(4), c2) {
-            return RunStatus::Ok;
-        }
-        RunStatus::Ok
-    }
-
-    fn all_symbolic(bytes: &[u8]) -> Vec<bool> {
-        vec![true; bytes.len()]
-    }
 
     #[test]
     fn concolic_finds_the_deep_crash() {
@@ -871,15 +850,6 @@ mod tests {
 
     #[test]
     fn oracle_branches_explored() {
-        // Program whose behavior depends only on an oracle condition.
-        fn oracle_prog(ctx: &mut ConcolicCtx) -> RunStatus {
-            let pref = ctx.oracle_bool(false);
-            if ctx.branch(SiteId(10), pref) {
-                RunStatus::Crash("preferred-path fault".into())
-            } else {
-                RunStatus::Ok
-            }
-        }
         let seeds = vec![vec![0u8; 2]];
         let cfg = ExploreConfig {
             max_executions: 8,
@@ -897,37 +867,21 @@ mod tests {
 
     #[test]
     fn exploration_is_deterministic() {
-        let seeds = vec![vec![0u8, 0, 0]];
         let cfg = ExploreConfig {
             max_executions: 40,
             ..Default::default()
         };
-        let a = explore(&mut toy_program, &seeds, &all_symbolic, &cfg);
-        let b = explore(&mut toy_program, &seeds, &all_symbolic, &cfg);
-        assert_eq!(a.executions.len(), b.executions.len());
-        assert_eq!(a.final_coverage(), b.final_coverage());
-        assert_eq!(a.distinct_paths, b.distinct_paths);
-        for (x, y) in a.executions.iter().zip(&b.executions) {
-            assert_eq!(x.input, y.input);
-            assert_eq!(x.path_sig, y.path_sig);
+        for (name, mut program, marker, seeds) in toys::all() {
+            let a = explore(&mut program, &seeds, &marker, &cfg);
+            let b = explore(&mut program, &seeds, &marker, &cfg);
+            assert_eq!(a.executions.len(), b.executions.len(), "{name}");
+            assert_eq!(a.final_coverage(), b.final_coverage(), "{name}");
+            assert_eq!(a.distinct_paths, b.distinct_paths, "{name}");
+            for (x, y) in a.executions.iter().zip(&b.executions) {
+                assert_eq!(x.input, y.input, "{name}");
+                assert_eq!(x.path_sig, y.path_sig, "{name}");
+            }
         }
-    }
-
-    /// A parser that re-checks the same byte condition at two sites — the
-    /// shape that makes negation queries UNSAT (flipping the second check
-    /// contradicts the first's prefix) and makes flips redundant once both
-    /// polarities are covered.
-    fn rechecking_program(ctx: &mut ConcolicCtx) -> RunStatus {
-        if !ctx.in_bounds(0) {
-            return RunStatus::Rejected("short".into());
-        }
-        let a = ctx.read_u8(0);
-        let first = ctx.eq_const(a, 5);
-        let hit1 = ctx.branch(SiteId(1), first);
-        let again = ctx.eq_const(a, 5);
-        let hit2 = ctx.branch(SiteId(2), again);
-        let _ = (hit1, hit2);
-        RunStatus::Ok
     }
 
     #[test]
@@ -972,18 +926,6 @@ mod tests {
         // second-generation children re-encounter negation queries that
         // were already dispatched (identical structural prefix) once every
         // polarity is covered — exactly the redundancy the guard prunes.
-        fn two_sites(ctx: &mut ConcolicCtx) -> RunStatus {
-            if !ctx.in_bounds(1) {
-                return RunStatus::Rejected("short".into());
-            }
-            let a = ctx.read_u8(0);
-            let c1 = ctx.eq_const(a, 5);
-            ctx.branch(SiteId(1), c1);
-            let b = ctx.read_u8(1);
-            let c2 = ctx.eq_const(b, 7);
-            ctx.branch(SiteId(2), c2);
-            RunStatus::Ok
-        }
         let seeds = vec![vec![0u8, 0], vec![1u8, 1]];
         let cfg = ExploreConfig {
             max_executions: 24,
@@ -1006,21 +948,6 @@ mod tests {
         // incompatible with the crash (needs b0 >= 128 AND b1 == b0). A
         // coverage-only guard would prune the one flip that reaches the
         // crash; the dispatch-identity check must keep it solvable.
-        fn diamond(ctx: &mut ConcolicCtx) -> RunStatus {
-            if !ctx.in_bounds(1) {
-                return RunStatus::Rejected("short".into());
-            }
-            let b0 = ctx.read_u8(0);
-            let small = ctx.ult_const(b0, 128);
-            let is_small = ctx.branch(SiteId(1), small);
-            let b1 = ctx.read_u8(1);
-            let eq = ctx.cmp(crate::expr::CmpOp::Eq, b1, b0);
-            let matches = ctx.branch(SiteId(2), eq);
-            if !is_small && matches {
-                return RunStatus::Crash("large mirrored byte".into());
-            }
-            RunStatus::Ok
-        }
         // Seed [0,0] covers (site2, true) under the small-b0 prefix.
         let seeds = vec![vec![0u8, 0]];
         let cfg = ExploreConfig {
@@ -1044,27 +971,6 @@ mod tests {
         // first seed's — already dispatched, target covered — and skip the
         // one query that reaches the crash; folded from the constraints'
         // ids it is a query nobody asked yet.
-        fn selected_diamond(ctx: &mut ConcolicCtx) -> RunStatus {
-            if !ctx.in_bounds(3) {
-                return RunStatus::Rejected("short".into());
-            }
-            let second = ctx.read_u8(0).val == 1;
-            let b = ctx.read_u8(if second { 2 } else { 1 });
-            let small = ctx.ult_const(b, 128);
-            let is_small = ctx.branch(SiteId(1), small);
-            let mirror = ctx.read_u8(3);
-            let eq = ctx.cmp(crate::expr::CmpOp::Eq, mirror, b);
-            let matches = ctx.branch(SiteId(2), eq);
-            if second && !is_small && matches {
-                return RunStatus::Crash("large mirrored byte".into());
-            }
-            RunStatus::Ok
-        }
-        let selector_concrete = |bytes: &[u8]| {
-            let mut mask = vec![true; bytes.len()];
-            mask[0] = false;
-            mask
-        };
         let seeds = vec![vec![0u8, 0, 0, 0], vec![1u8, 0, 0, 0]];
         let cfg = ExploreConfig {
             max_executions: 32,
@@ -1086,23 +992,6 @@ mod tests {
         // distinguish iterations — the guard must only prune the site's
         // first occurrence per path, or crashes reachable via later
         // iterations become unreachable.
-        fn loopy(ctx: &mut ConcolicCtx) -> RunStatus {
-            if !ctx.in_bounds(2) {
-                return RunStatus::Rejected("short".into());
-            }
-            let mut magics = 0u32;
-            for k in 0..3 {
-                let b = ctx.read_u8(k);
-                let is_magic = ctx.eq_const(b, 7);
-                if ctx.branch(SiteId(40), is_magic) {
-                    magics += 1;
-                }
-            }
-            if magics == 3 {
-                return RunStatus::Crash("all-magic".into());
-            }
-            RunStatus::Ok
-        }
         // The seed alone covers BOTH polarities of site 40 (one magic
         // byte, two non-magic), so a first-occurrence-only guard is the
         // difference between reaching the crash and never solving again.

@@ -593,9 +593,7 @@ impl ExprArena {
             lanes,
             vars,
         } = scratch;
-        if lane_of.len() < self.nodes.len() {
-            lane_of.resize(self.nodes.len(), NO_LANE);
-        }
+        cover(lane_of, self.nodes.len(), NO_LANE);
         order.clear();
         vars.clear();
         stack.push(e.0);
@@ -739,10 +737,11 @@ pub(crate) struct Eval3Memo {
 impl Eval3Memo {
     /// Cover `nodes` node ids and start a new assignment.
     pub(crate) fn reset(&mut self, nodes: usize) {
-        if self.slots.len() < nodes {
-            self.slots
-                .resize(nodes, Cell::new((0, Ternary::unknown_bool())));
-        }
+        cover(
+            &mut self.slots,
+            nodes,
+            Cell::new((0, Ternary::unknown_bool())),
+        );
         self.next();
     }
 
@@ -758,6 +757,16 @@ impl Eval3Memo {
         } else {
             self.stamp.set(stamp);
         }
+    }
+}
+
+/// Make `table`, indexed by node id, cover the first `nodes` ids — with
+/// room for the arena to double before it has to grow again: the per-node
+/// tables of a session, and of a state that outlives sessions, follow an
+/// arena that keeps growing.
+pub(crate) fn cover<T: Clone>(table: &mut Vec<T>, nodes: usize, fill: T) {
+    if table.len() < nodes {
+        table.resize(2 * nodes, fill);
     }
 }
 
@@ -913,7 +922,7 @@ fn eval_cmp(op: CmpOp, a: u64, b: u64) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -1174,7 +1183,7 @@ mod tests {
     /// width first, as the instrumentation does; `Not` and the connectives
     /// take words as well as booleans (they read non-zero-ness). Returns
     /// every word and every boolean built.
-    fn build_program(a: &mut ExprArena, steps: &[(u8, u8, u8, u64)]) -> Vec<ExprId> {
+    pub(crate) fn build_program(a: &mut ExprArena, steps: &[(u8, u8, u8, u64)]) -> Vec<ExprId> {
         let mut words: Vec<(ExprId, u8)> = (0..3).map(|i| (a.input(i), 8)).collect();
         let mut bools: Vec<ExprId> = Vec::new();
         for &(kind, i, j, k) in steps {
@@ -1359,6 +1368,26 @@ mod tests {
             }
             prop_assert_eq!(arena.len(), reference.len());
         }
+    }
+
+    #[test]
+    fn a_wrapped_memo_stamp_forgets_every_value() {
+        // A stamp that wraps must not revive the values of the assignment
+        // that held it 2^32 assignments ago.
+        let mut a = ExprArena::new();
+        let x = a.input(0);
+        let k = a.constant(8, 7);
+        let e = a.cmp(CmpOp::Eq, x, k);
+        let mut memo = Eval3Memo::default();
+        memo.reset(a.len());
+        let seven = |_| ByteBits::exact(7);
+        assert_eq!(a.eval3_memo(e, &seven, &memo).as_bool(), Some(true));
+        memo.stamp.set(u32::MAX);
+        let eight = |_| ByteBits::exact(8);
+        assert_eq!(a.eval3_memo(e, &eight, &memo).as_bool(), Some(false));
+        memo.next();
+        assert_eq!(memo.stamp.get(), 1);
+        assert_eq!(a.eval3_memo(e, &seven, &memo).as_bool(), Some(true));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 #[cfg(doc)]
 use super::PathSolver;
 use super::{ByteSet, NONE};
-use crate::expr::{ExprArena, ExprId, LaneScratch};
+use crate::expr::{cover, ExprArena, ExprId, LaneScratch};
 
 /// Cross-path memo of the per-constraint facts [`PathSolver`] needs: the
 /// referenced variable list and — for single-variable constraints — the
@@ -48,9 +48,7 @@ impl UnaryMemo {
     /// values of it under which `e` is truthy.
     pub(super) fn lookup(&mut self, arena: &ExprArena, e: ExprId) -> (&[u32], Option<ByteSet>) {
         let node = e.0 as usize;
-        if self.index.len() <= node {
-            self.index.resize(arena.len().max(node + 1), NONE);
-        }
+        cover(&mut self.index, arena.len().max(node + 1), NONE);
         let mut at = self.index.get(node).copied().unwrap_or(NONE);
         if at == NONE {
             self.misses += 1;

@@ -439,6 +439,49 @@ mod tests {
     }
 
     proptest! {
+        /// The memoised ternary walk is the tree walk, node for node, on
+        /// DAGs whose sub-expressions are shared — generated programs,
+        /// word comparisons over the same bytes, connectives over all of
+        /// them (as the gossip topic test ORs 16 equalities of one word) —
+        /// under a run of partial bit assignments through one memo, each
+        /// started with [`Eval3Memo::next`] as [`Search::know`] starts it.
+        #[test]
+        fn memoised_walk_is_the_tree_walk(
+            steps in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u64>()), 1..24),
+            words in prop::collection::vec(arb_word_cmp(), 1..4),
+            joins in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 0..12),
+            assignments in prop::collection::vec(prop::collection::vec((any::<u8>(), any::<u8>()), 4..5), 1..6),
+        ) {
+            let mut arena = ExprArena::new();
+            let mut nodes = crate::expr::tests::build_program(&mut arena, &steps);
+            nodes.extend(words.iter().map(|w| build(&mut arena, w)));
+            for &(i, j, and) in &joins {
+                let (p, q) = (nodes[i as usize % nodes.len()], nodes[j as usize % nodes.len()]);
+                nodes.push(arena.boolean(if and { BoolOp::And } else { BoolOp::Or }, p, q));
+            }
+            let mut memo = Eval3Memo::default();
+            memo.reset(arena.len());
+            for assignment in &assignments {
+                memo.next();
+                let bits = |idx: u32| {
+                    assignment.get(idx as usize).map_or(ByteBits::UNKNOWN, |&(known, val)| ByteBits {
+                        known,
+                        val: val & known,
+                    })
+                };
+                // Last built first: the nodes below come from the memo.
+                for &e in nodes.iter().rev() {
+                    prop_assert_eq!(
+                        arena.eval3_memo(e, &bits, &memo),
+                        arena.eval3_bits(e, &bits),
+                        "{} under {:?}",
+                        arena.render(e),
+                        assignment
+                    );
+                }
+            }
+        }
+
         /// What narrowing may drop: a value under which the constraint
         /// comes out as wanted for *no* completion of the unknown bytes —
         /// checked by trying them (all 256 of a single unknown byte; the

@@ -598,3 +598,19 @@ fn step_budget_bounds_the_sliced_search_not_the_prefix() {
         }
     }
 }
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "arena shrank")]
+fn a_solver_refuses_an_arena_that_shrank() {
+    // The memos outlive a path, and an exploration state keeps them across
+    // sessions: their ids must keep naming the nodes they were taken from.
+    let mut ctx = ConcolicCtx::new(SymInput::all_symbolic(vec![1, 2]));
+    let (a, b) = (ctx.read_u8(0), ctx.read_u8(1));
+    let lt = ctx.cmp(CmpOp::Ult, a, b);
+    ctx.branch(SiteId(1), lt);
+    let seed = |idx: u32| [1u8, 2][idx as usize];
+    let mut solver = PathSolver::default();
+    sliced_answers(&mut solver, ctx.arena(), (ctx.path(), 2), &seed, &[]);
+    sliced_answers(&mut solver, &ExprArena::new(), (&[], 0), &seed, &[]);
+}

@@ -83,10 +83,11 @@ pub struct ExplorerSummary {
 /// schedule-free), memo misses and nodes interned (lower the warmer a
 /// worker's exploration state). Twin executions are
 /// [`CampaignReport::executions_total`], flips dispatched
-/// [`PerfCounters::solver_queries`]. All of it is either wall-clock- or schedule-dependent bookkeeping
-/// (which worker's pool serves an input depends on thread timing), so
-/// [`CampaignReport::normalized`] zeroes the whole struct — the
-/// determinism contract covers *results*, not cache luck.
+/// [`PerfCounters::solver_queries`]. Most of it is wall-clock- or
+/// schedule-dependent bookkeeping (which worker's pool serves an input,
+/// which worker's exploration state a round finds warm, depends on thread
+/// timing), so [`CampaignReport::normalized`] zeroes the whole struct —
+/// the determinism contract covers *results*, not cache luck.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PerfCounters {
     /// Approximate bytes checkpointed across the campaign's consistent
@@ -115,13 +116,17 @@ pub struct PerfCounters {
     pub unary_memo_hits: u64,
     /// Per-constraint solver-memo misses: constraints swept for their
     /// variables and unary set.
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub unary_memo_misses: u64,
     /// Backtracking searches the solver ran (`dfs` roots).
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub searches: u64,
     /// Candidate values those searches tried
     /// ([`SolverStats::steps`](dice_concolic::SolverStats::steps)).
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub search_steps: u64,
     /// Expression nodes the exploration sessions added to their arenas.
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub arena_nodes_interned: u64,
     /// Payload bytes sent over validation-clone channels (every
     /// `Frame::Data` counted at `send_frame`, both modes).
@@ -162,6 +167,13 @@ pub struct PerfCounters {
     /// retransmission *delay* on the reliable transport, counted in both
     /// modes).
     pub link_retransmits: u64,
+}
+
+/// Whether a counter reads zero, as every counter of a normalized report
+/// does: the exploration work counters are left out of the JSON then, so
+/// normalized reports and their digests read as before they were counted.
+fn is_zero(n: &u64) -> bool {
+    *n == 0
 }
 
 impl PerfCounters {

@@ -7,7 +7,9 @@
 //!
 //! 1. **Explore.** The first `pair_workers` workers claim whole rounds
 //!    from `round_next` and publish each round's [`ExploreStage`] exactly
-//!    once (a [`OnceLock`] per round).
+//!    once (a [`OnceLock`] per round). Each explores its rounds on one
+//!    [`ExploreState`] of its own, kept for the sweep: which rounds share
+//!    a state is the schedule's choice, and no report field depends on it.
 //! 2. **Barrier.** All `max(pair_workers, workers)` workers meet at one
 //!    [`Barrier`]; behind it every round's candidate list is final and
 //!    readable by everyone.

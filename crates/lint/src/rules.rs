@@ -71,7 +71,6 @@ fn in_engine(path: &str) -> bool {
 const PANIC_ROOTS: &[(&str, &str, Option<&str>)] = &[
     ("core/src/executor.rs", "run_rounds", None),
     ("core/src/campaign/mod.rs", "run", Some("Campaign")),
-    ("concolic/src/explore.rs", "explore", None),
     ("concolic/src/explore.rs", "explore", Some("ExploreState")),
     ("concolic/src/solve/reference.rs", "solve", Some("Solver")),
     ("concolic/src/solve/path.rs", "flip", Some("PathPass")),

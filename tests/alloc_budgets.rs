@@ -21,8 +21,9 @@
 //! | `pooled_unit` | reset → `deliver_direct` → `run_until_quiet` → `run_checkers`, gossip16 / demo27 | 602 / 657 | `process_deliver`, `NodeApi::buf`, `recompute_and_propagate`, `export_to`, `Policy::apply` |
 //! | `first_write` | `deliver_direct` of the input into a warm pooled demo27 clone: the explorer's copy and its first UPDATE | 47 | `BgpRouter::clone_node`, `handle_update`, `Rib::{insert, install, advertise}` |
 //! | `warm_twin_execution` | one twin run through `ConcolicCtx::continuing` on a warm arena, BGP / gossip | 4 / 0 | `ExprArena::intern` |
-//! | `explore_session` | one `explore` of 160 executions, BGP / gossip | 882 / 3,390 | `Search::{dfs, narrow, admits, admits_cmp, offset_of}`, `ExprArena::{sweep, intern}`, `UnaryMemo::lookup`, `Worklist::{push, pick}` |
-//! | `one_worker_campaign` | `Campaign::run` at one worker, one gossip16 round | 1,458 | `validate_unit`, `validate_one`, `ClonePool::{acquire, release}` (at one worker they run on the calling thread) |
+//! | `explore_session` | one `explore` of 160 executions, BGP / gossip | 881 / 3,389 | `Search::{dfs, narrow, admits, admits_cmp, offset_of}`, `ExprArena::{sweep, intern, eval3_memo}`, `UnaryMemo::lookup`, `Worklist::{push, pick}` |
+//! | `warm_session` | a second `ExploreState::explore` of the same 160 executions on one state, BGP / gossip | 808 / 3,324 (no node interned, no constraint swept) | as `explore_session`, over a warm arena and warm memos |
+//! | `one_worker_campaign` | `Campaign::run` at one worker, one gossip16 round | 1,457 | `validate_unit`, `validate_one`, `ClonePool::{acquire, release}` (at one worker they run on the calling thread) |
 //! | `gossip_copy_shares_its_tables` | `clone_node` of a 16-mesh gossip node | 19 | `GossipNode::clone_node` |
 //! | `bgp_router_copy_stays_at_its_pinned_count` | `clone_node` of a demo27 router | 2 | `BgpRouter::clone_node` |
 //!
@@ -64,9 +65,12 @@
 //! * `warm_twin_execution`: make `ConcolicCtx::continuing` start from
 //!   `ExprArena::new()`, and a warm BGP execution allocates 20 times.
 //! * `explore_session`: make `Worklist::push` clone the child's bytes, and
-//!   a BGP session allocates 1,299 times.
+//!   a BGP session allocates 1,298 times.
+//! * `warm_session`: make `ExploreState::explore` start every session with
+//!   a fresh `PathSolver` (cold memos over the warm arena), and a warm BGP
+//!   session allocates 870 times.
 //! * `one_worker_campaign`: make `ClonePool::release` drop the simulator,
-//!   and the campaign allocates 1,567 times.
+//!   and the campaign allocates 1,639 times.
 //! * `gossip_copy_shares_its_tables`: make `clone_node` deep-copy the
 //!   store, the dedup memory and every per-peer infection set, and a copy
 //!   of a 16-mesh node allocates 153 times (187 when every table was
@@ -76,7 +80,9 @@
 //!   its `Arc`, and a copy allocates 104 times.
 
 use dice_bench::{allocations, bound_clone, twin_cases, wire_workload, BoundClone, CountingAlloc};
-use dice_system::concolic::{explore, ConcolicCtx, ExploreConfig, ExprArena, SymInput};
+use dice_system::concolic::{
+    explore, ConcolicCtx, ExploreConfig, ExploreState, ExprArena, SymInput,
+};
 use dice_system::dice::gossip_sut::as_gossip;
 use dice_system::dice::{
     default_checkers, flips_baseline, run_checkers, scenarios, take_consistent_snapshot,
@@ -429,13 +435,35 @@ fn explore_session() {
         max_executions: 160,
         ..Default::default()
     };
-    for ((name, mut program, bytes, marker), budget) in twin_cases().into_iter().zip([882, 3_390]) {
+    for ((name, mut program, bytes, marker), budget) in twin_cases().into_iter().zip([881, 3_389]) {
         let seeds = [bytes];
         let mut session = || explore(program.as_mut(), &seeds, &marker, &config);
         let _ = session();
         let (report, spent) = counted(session);
         assert_eq!(report.executions.len(), 160, "{name}");
         within(&format!("{name}: an exploration session"), spent, budget);
+    }
+}
+
+#[test]
+fn warm_session() {
+    let config = ExploreConfig {
+        max_executions: 160,
+        ..Default::default()
+    };
+    for ((name, mut program, bytes, marker), budget) in twin_cases().into_iter().zip([808, 3_324]) {
+        let seeds = [bytes];
+        let mut state = ExploreState::new();
+        let mut session = || state.explore(program.as_mut(), &seeds, &marker, &config);
+        let _ = session();
+        let (report, spent) = counted(session);
+        assert_eq!(report.executions.len(), 160, "{name}");
+        assert_eq!(report.nodes_interned, 0, "{name}: the state is warm");
+        within(
+            &format!("{name}: a warm exploration session"),
+            spent,
+            budget,
+        );
     }
 }
 
@@ -456,7 +484,7 @@ fn one_worker_campaign() {
     let campaign = campaign(&live);
     let (report, spent) = counted(|| campaign.run(&mut live).expect("campaign runs"));
     assert!(report.rounds.iter().all(|r| r.validated > 0));
-    within("a one-worker gossip16 campaign", spent, 1_458);
+    within("a one-worker gossip16 campaign", spent, 1_457);
 }
 
 /// The most allocations one `clone_node` (the copy a validation clone
