@@ -322,7 +322,7 @@ pub fn explore(
 /// of the same protocol — finds most of its nodes, and their memo entries,
 /// there already. Nothing a session reports depends on that warmth: the
 /// memos hold pure functions of a node's structure, and every solve and
-/// every guard decision reads structure, not id values. Only
+/// every guard decision uses an id only as the name of a structure. Only
 /// [`SolverStats::unary_memo_hits`] / `unary_memo_misses` and
 /// [`ExplorationReport::nodes_interned`] tell a warm session from a fresh
 /// one. The arena only grows: keep a state for a bounded stream of

@@ -391,28 +391,31 @@ impl ExprArena {
         self.eval3_node(id, lookup, &|a| self.eval3_bits(a, lookup))
     }
 
-    /// [`ExprArena::eval3_bits`] with each node evaluated once per
-    /// assignment: a node reached again — a sub-expression the DAG shares —
-    /// is answered from `memo`, which holds what this assignment made of
-    /// it. The caller starts a new assignment ([`Eval3Memo::reset`] /
-    /// [`Eval3Memo::next`]) whenever `lookup` would answer differently.
+    /// [`ExprArena::eval3_bits`] with each shared node evaluated once per
+    /// assignment: a node two or more nodes take as an operand — the
+    /// gossip topic word under its 16 equalities — is answered from
+    /// `memo`, which holds what this assignment made of it, once it has
+    /// been walked. Leaves and nodes with one parent are recomputed: they
+    /// cost less than a memo entry. The caller starts a new assignment
+    /// ([`Eval3Memo::reset`] / [`Eval3Memo::next`]) whenever `lookup`
+    /// would answer differently.
     pub(crate) fn eval3_memo<F: Fn(u32) -> ByteBits>(
         &self,
         id: ExprId,
         lookup: &F,
         memo: &Eval3Memo,
     ) -> Ternary {
-        let slot = memo.slots.get(id.0 as usize);
+        let walk = |a| self.eval3_memo(a, lookup, memo);
+        let Some(slot) = memo.slots.get(id.0 as usize).filter(|s| s.parents >= 2) else {
+            return self.eval3_node(id, lookup, &walk);
+        };
         let stamp = memo.stamp.get();
-        if let Some((at, value)) = slot.map(Cell::get) {
-            if at == stamp {
-                return value;
-            }
+        if slot.stamp.get() == stamp {
+            return slot.value.get();
         }
-        let value = self.eval3_node(id, lookup, &|a| self.eval3_memo(a, lookup, memo));
-        if let Some(slot) = slot {
-            slot.set((stamp, value));
-        }
+        let value = self.eval3_node(id, lookup, &walk);
+        slot.stamp.set(stamp);
+        slot.value.set(value);
         value
     }
 
@@ -721,27 +724,58 @@ impl ExprArena {
     }
 }
 
-/// What [`ExprArena::eval3_memo`] knows under the current assignment: per
-/// node id, the assignment's stamp and the node's value, valid while the
-/// stamp is current. Starting a new assignment is one increment; the
-/// table is sized to the arena by [`Eval3Memo::reset`] and never shrinks,
-/// so it serves an append-only arena for as long as that lives. Cells,
-/// so that a search can fill it through the shared borrows its walks hold.
+/// What [`ExprArena::eval3_memo`] knows of one arena: per node id, how
+/// many nodes take it as an operand and, for a node two or more do (a
+/// leaf never counts: recomputing it is cheaper), its value under the
+/// current assignment — valid while its stamp is the current one.
+/// Starting a new assignment is one increment. The table follows the arena
+/// as it grows ([`Eval3Memo::reset`] counts each new node's operands once)
+/// and never shrinks, so it serves an append-only arena for as long as
+/// that lives. Cells, so that a search can fill it through the shared
+/// borrows its walks hold.
 #[derive(Debug, Default)]
 pub(crate) struct Eval3Memo {
     /// The current assignment; never 0 once reset (0 marks an empty slot).
     stamp: Cell<u32>,
-    slots: Vec<Cell<(u32, Ternary)>>,
+    slots: Vec<MemoSlot>,
+    /// Nodes whose operands are counted.
+    counted: usize,
+}
+
+#[derive(Debug, Clone)]
+struct MemoSlot {
+    stamp: Cell<u32>,
+    /// Non-leaf nodes taking this one as an operand (saturating; an operand
+    /// taken twice counts twice).
+    parents: u8,
+    value: Cell<Ternary>,
 }
 
 impl Eval3Memo {
-    /// Cover `nodes` node ids and start a new assignment.
-    pub(crate) fn reset(&mut self, nodes: usize) {
-        cover(
-            &mut self.slots,
-            nodes,
-            Cell::new((0, Ternary::unknown_bool())),
-        );
+    /// Follow `arena` to its current length and start a new assignment.
+    pub(crate) fn reset(&mut self, arena: &ExprArena) {
+        let empty = MemoSlot {
+            stamp: Cell::new(0),
+            parents: 0,
+            value: Cell::new(Ternary::unknown_bool()),
+        };
+        cover(&mut self.slots, arena.len(), empty);
+        for node in arena.nodes.get(self.counted..).unwrap_or_default() {
+            let (a, b) = match *node {
+                Expr::Bin { a, b, .. } | Expr::Cmp { a, b, .. } | Expr::Bool { a, b, .. } => {
+                    (Some(a), Some(b))
+                }
+                Expr::ZExt { a, .. } | Expr::Not(a) => (Some(a), None),
+                Expr::Const { .. } | Expr::Input { .. } => (None, None),
+            };
+            for op in [a, b].into_iter().flatten() {
+                let leaf = matches!(arena.get(op), Expr::Const { .. } | Expr::Input { .. });
+                if let (false, Some(slot)) = (leaf, self.slots.get_mut(op.0 as usize)) {
+                    slot.parents = slot.parents.saturating_add(1);
+                }
+            }
+        }
+        self.counted = arena.len();
         self.next();
     }
 
@@ -751,7 +785,7 @@ impl Eval3Memo {
         if stamp == 0 {
             // Wrapped: no slot may keep a stamp the counter will reissue.
             for slot in &self.slots {
-                slot.set((0, Ternary::unknown_bool()));
+                slot.stamp.set(0);
             }
             self.stamp.set(1);
         } else {
@@ -1372,22 +1406,24 @@ pub(crate) mod tests {
 
     #[test]
     fn a_wrapped_memo_stamp_forgets_every_value() {
-        // A stamp that wraps must not revive the values of the assignment
-        // that held it 2^32 assignments ago.
+        // A stamp that wraps must not revive a value memoised under the
+        // assignment that held the reissued stamp 2^32 assignments ago.
         let mut a = ExprArena::new();
         let x = a.input(0);
         let k = a.constant(8, 7);
-        let e = a.cmp(CmpOp::Eq, x, k);
+        let sum = a.bin(BinOp::Add, 8, x, k);
+        // Two parents: `sum` is memoised.
+        a.cmp(CmpOp::Eq, sum, k);
+        a.cmp(CmpOp::Ult, sum, k);
         let mut memo = Eval3Memo::default();
-        memo.reset(a.len());
-        let seven = |_| ByteBits::exact(7);
-        assert_eq!(a.eval3_memo(e, &seven, &memo).as_bool(), Some(true));
+        memo.reset(&a);
+        let (seven, eight) = (|_| ByteBits::exact(7), |_| ByteBits::exact(8));
+        assert_eq!(memo.stamp.get(), 1);
+        assert_eq!(a.eval3_memo(sum, &seven, &memo).val, 14);
         memo.stamp.set(u32::MAX);
-        let eight = |_| ByteBits::exact(8);
-        assert_eq!(a.eval3_memo(e, &eight, &memo).as_bool(), Some(false));
         memo.next();
         assert_eq!(memo.stamp.get(), 1);
-        assert_eq!(a.eval3_memo(e, &seven, &memo).as_bool(), Some(true));
+        assert_eq!(a.eval3_memo(sum, &eight, &memo).val, 15);
     }
 
     #[test]

@@ -52,7 +52,9 @@ use crate::expr::{ByteBits, Eval3Memo, ExprArena, ExprId};
 /// search fills under one assignment — `Search::know`, the one place the
 /// assignment changes, starts the next — so a node the constraint DAG
 /// shares (the gossip topic word under 16 equalities) is walked once per
-/// assignment, not once per parent. Both name nodes by [`ExprId`], so a
+/// assignment, not once per parent. The as-taken check of a constraint
+/// over executed bytes only is its recorded direction (see
+/// [`PathSolver::begin`]). Both name nodes by [`ExprId`], so a
 /// solver serves one arena for as long as it lives: the arena may grow
 /// between passes, never restart ([`PathSolver::begin`] debug-asserts
 /// it). In exploration the solver lives in an
@@ -203,7 +205,7 @@ impl PathSolver {
             arena.len()
         );
         self.arena_len = arena.len();
-        self.eval3.reset(arena.len());
+        self.eval3.reset(arena);
         for v in &self.vars {
             if let Some(slot) = self.slot_of.get_mut(v.id as usize) {
                 *slot = NONE;

@@ -423,7 +423,7 @@ mod tests {
             watch: (0, 1),
         };
         let mut memo = Eval3Memo::default();
-        memo.reset(arena.len());
+        memo.reset(arena);
         let search = Search {
             arena,
             memo: &memo,
@@ -460,7 +460,7 @@ mod tests {
                 nodes.push(arena.boolean(if and { BoolOp::And } else { BoolOp::Or }, p, q));
             }
             let mut memo = Eval3Memo::default();
-            memo.reset(arena.len());
+            memo.reset(&arena);
             for assignment in &assignments {
                 memo.next();
                 let bits = |idx: u32| {
