@@ -25,7 +25,7 @@ pub(super) struct SysVar {
 /// the one place the assignment changes, starts a new one.
 pub(super) struct Search<'a> {
     pub(super) arena: &'a ExprArena,
-    /// Reset to the arena before the search starts.
+    /// Covers the arena; a new assignment starts with the search.
     pub(super) memo: &'a Eval3Memo,
     pub(super) slot_of: &'a [u32],
     pub(super) sys: &'a [SysVar],

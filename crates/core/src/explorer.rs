@@ -329,7 +329,7 @@ pub(crate) fn explore_stage(
     )]
     let start = std::time::Instant::now();
     let mut phases = PhaseTimes::default();
-    let stage = explore_timed(shadow, cfg, catalog, state, (start, &mut phases));
+    let stage = explore_timed(shadow, cfg, catalog, state, start, &mut phases);
     let whole = start.elapsed().as_micros() as u64;
     phases.solve_us = whole.saturating_sub(phases.plan_us + phases.twin_us);
     (stage, phases)
@@ -362,7 +362,8 @@ fn explore_timed(
     cfg: &DiceConfig,
     catalog: &SutCatalog,
     state: &mut ExploreState,
-    (start, phases): (std::time::Instant, &mut PhaseTimes),
+    start: std::time::Instant,
+    phases: &mut PhaseTimes,
 ) -> Result<ExploreStage, String> {
     let explorer_node = shadow
         .nodes()
