@@ -312,8 +312,8 @@ pub fn explore(
 
 /// What an exploring worker keeps from one session to the next: the
 /// expression arena and the [`PathSolver`] with its memos (the unary facts
-/// of each branch constraint, each node's ternary value) and scratch, and
-/// the path buffer runs record into.
+/// of each branch constraint, each shared node's ternary value) and
+/// scratch, and the path buffer runs record into.
 ///
 /// A session's executions all run in the one arena, which hash-conses and
 /// is never cleared, so an [`ExprId`](crate::ExprId) names one structure

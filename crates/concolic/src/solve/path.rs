@@ -71,7 +71,7 @@ pub struct PathSolver {
     /// Budget applied to each component search.
     pub budget: SolverBudget,
     memo: UnaryMemo,
-    /// Each node's ternary value under the assignment at hand — a
+    /// Each shared node's ternary value under the assignment at hand — a
     /// search's, or the seed's where `advance` checks a constraint.
     eval3: Eval3Memo,
     /// The arena's length at the last `begin`: both memos are keyed by
