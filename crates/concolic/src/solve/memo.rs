@@ -41,22 +41,30 @@ struct MemoEntry {
     vars: (u32, u32),
     /// Single-variable constraints only: the values that make it truthy.
     truthy: Option<ByteSet>,
+    /// Whether the constraint's DAG reaches a non-leaf node through two
+    /// parents: only then do its walks pay for the ternary memo.
+    shared: bool,
 }
 
 impl UnaryMemo {
-    /// The variables `e` mentions (ascending) and, when that is one, the
-    /// values of it under which `e` is truthy.
-    pub(super) fn lookup(&mut self, arena: &ExprArena, e: ExprId) -> (&[u32], Option<ByteSet>) {
+    /// The variables `e` mentions (ascending), when that is one the values
+    /// of it under which `e` is truthy, and whether `e` shares a node.
+    pub(super) fn lookup(
+        &mut self,
+        arena: &ExprArena,
+        e: ExprId,
+    ) -> (&[u32], Option<ByteSet>, bool) {
         let node = e.0 as usize;
         cover(&mut self.index, arena.len().max(node + 1), NONE);
         let mut at = self.index.get(node).copied().unwrap_or(NONE);
         if at == NONE {
             self.misses += 1;
             at = self.entries.len() as u32;
-            let (vars, lanes) = arena.sweep(e, &mut self.scratch);
+            let (vars, lanes, shared) = arena.sweep(e, &mut self.scratch);
             self.entries.push(MemoEntry {
                 vars: (self.vars.len() as u32, vars.len() as u32),
                 truthy: lanes.map(ByteSet::truthy),
+                shared,
             });
             self.vars.extend_from_slice(vars);
             if let Some(slot) = self.index.get_mut(node) {
@@ -66,12 +74,13 @@ impl UnaryMemo {
             self.hits += 1;
         }
         let Some(entry) = self.entries.get(at as usize) else {
-            return (&[], None);
+            return (&[], None, false);
         };
         let (start, len) = (entry.vars.0 as usize, entry.vars.1 as usize);
         (
             self.vars.get(start..start + len).unwrap_or(&[]),
             entry.truthy,
+            entry.shared,
         )
     }
 }
@@ -146,12 +155,16 @@ mod tests {
         shapes.push(a.cmp(CmpOp::Ult, scaled, addr));
         let pair = a.cmp(CmpOp::Ult, z, y);
         let scratch = &mut LaneScratch::default();
-        assert_eq!(a.sweep(pair, scratch), (&[5u32, 6][..], None));
+        assert_eq!(a.sweep(pair, scratch), (&[5u32, 6][..], None, false));
         let mut memo = UnaryMemo::default();
-        assert_eq!(memo.lookup(&a, pair), (&[5u32, 6][..], None));
+        assert_eq!(memo.lookup(&a, pair), (&[5u32, 6][..], None, false));
 
-        for e in shapes {
-            let (vars, lanes) = a.sweep(e, scratch);
+        // Shapes 11–14 read a widened byte twice (`x16 * x16`, and
+        // `(x32 << 24) ^ x32` under three users): a non-leaf node with two
+        // parents. `x + x` (shape 6) reads a leaf twice: not shared.
+        for (i, e) in shapes.into_iter().enumerate() {
+            let (vars, lanes, shared) = a.sweep(e, scratch);
+            assert_eq!(shared, (11..=14).contains(&i), "{}", a.render(e));
             let &[v] = vars else {
                 panic!("{} is not unary: {vars:?}", a.render(e));
             };
@@ -165,10 +178,10 @@ mod tests {
             // The memo's table answers with the sweep's facts, on the miss
             // and — the arena having grown past the table in between — on
             // the hit.
-            assert_eq!(memo.lookup(&a, e), (&[v][..], Some(truthy)));
+            assert_eq!(memo.lookup(&a, e), (&[v][..], Some(truthy), shared));
             let hits = memo.hits;
             a.constant(64, 0xD1CE_0000 + e.0 as u64);
-            assert_eq!(memo.lookup(&a, e), (&[v][..], Some(truthy)));
+            assert_eq!(memo.lookup(&a, e), (&[v][..], Some(truthy), shared));
             assert_eq!(memo.hits, hits + 1);
             for want in [true, false] {
                 let mut swept = ByteSet::empty();

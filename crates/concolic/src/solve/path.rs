@@ -2,8 +2,8 @@
 //! [`PathPass`].
 
 use super::memo::UnaryMemo;
-use super::search::{Search, SysVar};
-use super::{holds, pick, ByteSet, Constraint, Flip, SolverBudget, SolverStats, NONE};
+use super::search::{Search, SysCon, SysVar};
+use super::{holds, pick, ByteSet, Flip, SolverBudget, SolverStats, NONE};
 #[cfg(doc)]
 use super::{negation_query, Solver};
 use crate::ctx::BranchRec;
@@ -98,7 +98,7 @@ pub struct PathSolver {
     // Scratch of one system solve.
     roots: Vec<u32>,
     sys: Vec<SysVar>,
-    sys_multi: Vec<Constraint>,
+    sys_multi: Vec<SysCon>,
     /// `(position in sys, index into sys_multi)`: which constraints to
     /// re-check when a variable is assigned.
     watch: Vec<(u32, u32)>,
@@ -139,8 +139,7 @@ struct VarState {
 /// An as-taken multi-variable constraint.
 #[derive(Debug, Clone, Copy)]
 struct MultiCon {
-    expr: ExprId,
-    want: bool,
+    con: SysCon,
     /// `(start, len)` in `multi_slots`.
     slots: (u32, u32),
     /// Next constraint of the same component (circular).
@@ -153,6 +152,8 @@ struct Con {
     expr: ExprId,
     taken: bool,
     truthy: Option<ByteSet>,
+    /// Its DAG shares a node (see [`SysCon::shared`]).
+    shared: bool,
 }
 
 impl Con {
@@ -328,8 +329,11 @@ impl PathPass<'_> {
                     None => node,
                 };
                 ps.multi.push(MultiCon {
-                    expr: con.expr,
-                    want: con.taken,
+                    con: SysCon {
+                        expr: con.expr,
+                        want: con.taken,
+                        shared: con.shared,
+                    },
                     slots,
                     next,
                 });
@@ -383,7 +387,7 @@ impl PathPass<'_> {
         if self.cur.is_none() {
             let rec = self.path.get(self.cursor)?;
             let ps = &mut *self.ps;
-            let (vars, truthy) = ps.memo.lookup(self.arena, rec.constraint);
+            let (vars, truthy, shared) = ps.memo.lookup(self.arena, rec.constraint);
             ps.cur_slots.clear();
             for &v in vars {
                 let idx = v as usize;
@@ -418,6 +422,7 @@ impl PathPass<'_> {
                 expr: rec.constraint,
                 taken: rec.taken,
                 truthy,
+                shared,
             });
         }
         self.cur
@@ -547,7 +552,7 @@ impl PathPass<'_> {
             let mut node = head;
             while let Some(con) = ps.multi.get(node as usize) {
                 let mi = ps.sys_multi.len() as u32;
-                ps.sys_multi.push((con.expr, con.want));
+                ps.sys_multi.push(con.con);
                 let (start, len) = (con.slots.0 as usize, con.slots.1 as usize);
                 let slots = ps.multi_slots.get(start..start + len).unwrap_or(&[]);
                 ps.watch.extend(slots.iter().map(|&s| (s, mi)));
@@ -569,7 +574,11 @@ impl PathPass<'_> {
                 }
                 _ => {
                     let mi = ps.sys_multi.len() as u32;
-                    ps.sys_multi.push((con.expr, want));
+                    ps.sys_multi.push(SysCon {
+                        expr: con.expr,
+                        want,
+                        shared: con.shared,
+                    });
                     for &slot in &ps.cur_slots {
                         ps.watch.push((slot, mi));
                         let pos = ps.vars.get(slot as usize).map_or(NONE, |v| v.pos);

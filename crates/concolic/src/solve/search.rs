@@ -3,7 +3,7 @@
 
 #[cfg(doc)]
 use super::Solver;
-use super::{ByteSet, Constraint, NONE};
+use super::{ByteSet, NONE};
 use crate::expr::{BinOp, BoolOp, ByteBits, CmpOp, Eval3Memo, Expr, ExprArena, ExprId, Ternary};
 
 /// A variable of the system being solved.
@@ -18,6 +18,18 @@ pub(super) struct SysVar {
     pub(super) watch: (u32, u32),
 }
 
+/// A multi-variable constraint of the system being solved.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct SysCon {
+    pub(super) expr: ExprId,
+    pub(super) want: bool,
+    /// Its DAG reaches a non-leaf node through two parents (the unary
+    /// sweep saw it): only such a constraint's walks go through the
+    /// ternary memo. For one that shares nothing, a memo entry costs more
+    /// than the node it would save.
+    pub(super) shared: bool,
+}
+
 /// Depth-first search over one system's dense tables; the value order and
 /// the known-bits pruning are [`Solver::search`]'s. Every ternary walk
 /// goes through `memo`: `consistent`, `narrow`, `admits` and `offset_of`
@@ -29,7 +41,7 @@ pub(super) struct Search<'a> {
     pub(super) memo: &'a Eval3Memo,
     pub(super) slot_of: &'a [u32],
     pub(super) sys: &'a [SysVar],
-    pub(super) multi: &'a [Constraint],
+    pub(super) multi: &'a [SysCon],
     pub(super) watch: &'a [(u32, u32)],
     pub(super) assign: &'a mut [ByteBits],
     pub(super) steps: u64,
@@ -97,12 +109,18 @@ impl Search<'_> {
             .unwrap_or(ByteBits::UNKNOWN)
     }
 
-    fn eval3(&self, e: ExprId) -> Ternary {
-        self.arena.eval3_memo(e, &|idx| self.known(idx), self.memo)
+    /// `e` under what the search knows, through the memo when `e` lies in
+    /// a constraint that shares a node.
+    fn eval3(&self, e: ExprId, shared: bool) -> Ternary {
+        let known = |idx| self.known(idx);
+        match shared {
+            true => self.arena.eval3_memo(e, &known, self.memo),
+            false => self.arena.eval3_bits(e, &known),
+        }
     }
 
     /// The constraints mentioning `var`.
-    fn watched(&self, var: &SysVar) -> impl Iterator<Item = Constraint> + '_ {
+    fn watched(&self, var: &SysVar) -> impl Iterator<Item = SysCon> + '_ {
         let (lo, hi) = (var.watch.0 as usize, var.watch.1 as usize);
         let watch = self.watch.get(lo..hi).unwrap_or(&[]);
         watch
@@ -112,8 +130,11 @@ impl Search<'_> {
 
     /// No constraint mentioning `var` is refuted by the bits known so far.
     fn consistent(&self, var: &SysVar) -> bool {
-        self.watched(var)
-            .all(|(e, want)| self.eval3(e).as_bool().is_none_or(|r| r == want))
+        self.watched(var).all(|c| {
+            self.eval3(c.expr, c.shared)
+                .as_bool()
+                .is_none_or(|r| r == c.want)
+        })
     }
 
     /// The values of `var` its watched constraints leave open, with the
@@ -124,8 +145,8 @@ impl Search<'_> {
     /// nothing.
     fn narrow(&self, var: &SysVar) -> ByteSet {
         let mut live = ByteSet::full();
-        for (e, want) in self.watched(var) {
-            live.intersect(&self.admits(e, want, var.id));
+        for c in self.watched(var) {
+            live.intersect(&self.admits(c.expr, c.want, var.id, c.shared));
         }
         live
     }
@@ -136,19 +157,19 @@ impl Search<'_> {
     /// must come out as wanted a value has to be open in both, where
     /// either may it has to be open in one — so a disjunction narrows
     /// exactly when every other arm is already decided against.
-    fn admits(&self, e: ExprId, want: bool, idx: u32) -> ByteSet {
+    fn admits(&self, e: ExprId, want: bool, idx: u32, shared: bool) -> ByteSet {
         match self.arena.get(e) {
-            Expr::Not(a) => self.admits(a, !want, idx),
+            Expr::Not(a) => self.admits(a, !want, idx, shared),
             Expr::Bool { op, a, b } => {
                 let both = (op == BoolOp::And) == want;
-                let mut open = self.admits(a, want, idx);
+                let mut open = self.admits(a, want, idx, shared);
                 // With nothing left to lose / to gain, skip the other operand.
                 let settled = match both {
                     true => ByteSet::empty(),
                     false => ByteSet::full(),
                 };
                 if open != settled {
-                    let other = self.admits(b, want, idx);
+                    let other = self.admits(b, want, idx, shared);
                     if both {
                         open.intersect(&other);
                     } else {
@@ -158,31 +179,31 @@ impl Search<'_> {
                 open
             }
             Expr::Cmp { op, a, b } => {
-                let placed = match self.offset_of(a, idx) {
+                let placed = match self.offset_of(a, idx, shared) {
                     Some(at) => Some((at, a, b, true)),
-                    None => self.offset_of(b, idx).map(|at| (at, b, a, false)),
+                    None => self.offset_of(b, idx, shared).map(|at| (at, b, a, false)),
                 };
                 match placed {
                     Some((at, word, other, word_left)) => self.admits_cmp(
                         op,
                         want,
                         at,
-                        self.eval3(word),
-                        self.eval3(other),
+                        self.eval3(word, shared),
+                        self.eval3(other, shared),
                         word_left,
                     ),
-                    None => self.decided(e, want),
+                    None => self.decided(e, want, shared),
                 }
             }
-            _ => self.decided(e, want),
+            _ => self.decided(e, want, shared),
         }
     }
 
     /// Every value when `e` is undecided or decided as wanted, none when
     /// it is decided against: what a sub-expression says about a byte it
     /// does not hold in a readable place.
-    fn decided(&self, e: ExprId, want: bool) -> ByteSet {
-        match self.eval3(e).as_bool() {
+    fn decided(&self, e: ExprId, want: bool, shared: bool) -> ByteSet {
+        match self.eval3(e, shared).as_bool() {
             Some(verdict) if verdict != want => ByteSet::empty(),
             _ => ByteSet::full(),
         }
@@ -192,10 +213,10 @@ impl Search<'_> {
     /// moved there by `ZExt` / `Shl`-by-constant and OR-ed with words that
     /// are known zero over its eight bits (as `read_u16_be` & co. build
     /// them): `e = byte << offset | rest`.
-    fn offset_of(&self, e: ExprId, idx: u32) -> Option<u32> {
+    fn offset_of(&self, e: ExprId, idx: u32, shared: bool) -> Option<u32> {
         match self.arena.get(e) {
             Expr::Input { idx: i } => (i == idx).then_some(0),
-            Expr::ZExt { a, .. } => self.offset_of(a, idx),
+            Expr::ZExt { a, .. } => self.offset_of(a, idx, shared),
             Expr::Bin {
                 op: BinOp::Shl,
                 bits,
@@ -205,7 +226,7 @@ impl Search<'_> {
                 let Expr::Const { val: by, .. } = self.arena.get(b) else {
                     return None;
                 };
-                let at = u64::from(self.offset_of(a, idx)?).saturating_add(by);
+                let at = u64::from(self.offset_of(a, idx, shared)?).saturating_add(by);
                 (at.saturating_add(8) <= bits as u64).then_some(at as u32)
             }
             Expr::Bin {
@@ -214,12 +235,12 @@ impl Search<'_> {
                 a,
                 b,
             } => {
-                let (at, sibling) = match self.offset_of(a, idx) {
+                let (at, sibling) = match self.offset_of(a, idx, shared) {
                     Some(at) => (at, b),
-                    None => (self.offset_of(b, idx)?, a),
+                    None => (self.offset_of(b, idx, shared)?, a),
                 };
                 let window = 0xFF << at;
-                let sibling = self.eval3(sibling);
+                let sibling = self.eval3(sibling, shared);
                 (at + 8 <= bits as u32 && sibling.known & !sibling.val & window == window)
                     .then_some(at)
             }
@@ -401,14 +422,9 @@ mod tests {
         }
     }
 
-    /// [`Search::narrow`] for byte `target` under the one constraint `(e,
-    /// want)`, the other bytes of `0..4` as `known` says.
-    fn narrowed(
-        arena: &ExprArena,
-        (e, want): Constraint,
-        target: u32,
-        known: &[Option<u8>],
-    ) -> ByteSet {
+    /// [`Search::narrow`] for byte `target` under the one constraint `con`,
+    /// the other bytes of `0..4` as `known` says.
+    fn narrowed(arena: &ExprArena, con: SysCon, target: u32, known: &[Option<u8>]) -> ByteSet {
         let mut assign: Vec<ByteBits> = known
             .iter()
             .map(|k| k.map_or(ByteBits::UNKNOWN, ByteBits::exact))
@@ -429,7 +445,7 @@ mod tests {
             memo: &memo,
             slot_of: &[0, 1, 2, 3],
             sys: &[var],
-            multi: &[(e, want)],
+            multi: &[con],
             watch: &[(0, 0)],
             assign: &mut assign,
             steps: 0,
@@ -517,7 +533,10 @@ mod tests {
                 let other = build(&mut arena, second);
                 e = arena.boolean(if *and { BoolOp::And } else { BoolOp::Or }, e, other);
             }
-            let live = narrowed(&arena, (e, want), target, &known);
+            // Walked through the memo or not, the constraint narrows alike.
+            let con = |shared| SysCon { expr: e, want, shared };
+            let live = narrowed(&arena, con(true), target, &known);
+            prop_assert_eq!(live, narrowed(&arena, con(false), target, &known));
 
             let open: Vec<u32> = (0..4)
                 .filter(|&i| i != target && known[i as usize].is_none())
