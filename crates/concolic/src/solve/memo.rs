@@ -6,16 +6,18 @@ use super::{ByteSet, NONE};
 use crate::expr::{cover, ExprArena, ExprId, LaneScratch};
 
 /// Cross-path memo of the per-constraint facts [`PathSolver`] needs: the
-/// referenced variable list and — for single-variable constraints — the
-/// exact set of byte values under which the expression is truthy (one
-/// 256-lane [`ExprArena::sweep`]). A table indexed by the constraint's
+/// referenced variable list, whether the expression's DAG reaches a
+/// non-leaf node through two parents (its search walks then use the
+/// ternary memo) and — for single-variable constraints — the exact set of
+/// byte values under which the expression is truthy (one 256-lane
+/// [`ExprArena::sweep`] finds all three). A table indexed by the constraint's
 /// [`ExprId`] in the session's arena: that arena hash-conses and is never
 /// cleared, so the id names the structure from the first seed to the last
 /// flip — a child re-records most of its parent's constraints, and
 /// different seeds with the same parse shape share them all — and a memo
 /// serves that one arena for as long as it lives. Polarity is not part of
 /// the key — a single-variable expression evaluates totally over the 256
-/// values, so the set admitting the falsy polarity is the complement. Both
+/// values, so the set admitting the falsy polarity is the complement. The
 /// memoized facts are pure functions of the expression's structure, so
 /// reuse cannot change any solve outcome.
 #[derive(Debug, Default)]

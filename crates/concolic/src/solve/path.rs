@@ -47,21 +47,22 @@ use crate::expr::{ByteBits, Eval3Memo, ExprArena, ExprId};
 /// abandons as `Unknown` may be answered.
 ///
 /// **What it remembers, and for how long.** Two memos outlive a path: the
-/// [`UnaryMemo`] (each branch constraint's variables and unary set) and a
-/// per-node table of ternary values (`ExprArena::eval3_memo`) that a
-/// search fills under one assignment — `Search::know`, the one place the
-/// assignment changes, starts the next — so a node the constraint DAG
-/// shares (the gossip topic word under 16 equalities) is walked once per
-/// assignment, not once per parent. The as-taken check of a constraint
-/// over executed bytes only is its recorded direction (see
-/// [`PathSolver::begin`]). Both name nodes by [`ExprId`], so a
-/// solver serves one arena for as long as it lives: the arena may grow
-/// between passes, never restart ([`PathSolver::begin`] debug-asserts
-/// it). In exploration the solver lives in an
-/// [`ExploreState`](crate::ExploreState) with its arena — one session, or
-/// every session of a campaign worker's sweep. What either memo holds is a
-/// function of a node's structure alone, so a warm solver answers exactly
-/// as a fresh one.
+/// [`UnaryMemo`] (each branch constraint's variables, unary set and
+/// whether its DAG shares a node) and a per-node table of ternary values
+/// (`ExprArena::eval3_memo`) that a search fills under one assignment —
+/// `Search::know`, the one place the assignment changes, starts the next —
+/// so a node a constraint's DAG shares (the gossip topic word under 16
+/// equalities) is walked once per assignment, not once per parent; a
+/// constraint that shares nothing is walked without the table. The
+/// as-taken check of a constraint over executed bytes only is its
+/// recorded direction (see [`PathSolver::begin`]). Both memos name nodes
+/// by [`ExprId`], so a solver serves one arena for as long as it lives:
+/// the arena may grow between passes, never restart
+/// ([`PathSolver::begin`] debug-asserts it). In exploration the solver
+/// lives in an [`ExploreState`](crate::ExploreState) with its arena — one
+/// session, or every session of a campaign worker's sweep. What either
+/// memo holds is a function of a node's structure alone, so a warm solver
+/// answers exactly as a fresh one.
 #[derive(Debug, Default)]
 pub struct PathSolver {
     /// Cumulative statistics: `queries`/`sat`/`unsat`/`unknown` count
