@@ -314,7 +314,7 @@ fn bench_unary_sweep(c: &mut Criterion) {
         b.iter(|| {
             let mut truthy = 0u32;
             for &e in &unary {
-                let (_, lanes, _) = arena.sweep(e, &mut scratch);
+                let (_, lanes) = arena.sweep(e, &mut scratch);
                 let lanes = lanes.expect("a single-byte constraint is swept");
                 truthy += lanes.iter().filter(|&&lane| lane != 0).count() as u32;
             }

@@ -579,17 +579,16 @@ impl ExprArena {
     }
 
     /// One pass over the nodes `e` reaches: the input bytes it mentions
-    /// (ascending), when that is exactly one byte `e`'s value under each of
-    /// the byte's 256 values — what 256 [`ExprArena::eval`] walks plus a
-    /// [`ExprArena::vars`] walk compute — and whether the pass reached a
-    /// non-leaf node through two of its parents. Nodes only reference
+    /// (ascending) and, when that is exactly one byte, `e`'s value under
+    /// each of the byte's 256 values — what 256 [`ExprArena::eval`] walks
+    /// plus a [`ExprArena::vars`] walk compute. Nodes only reference
     /// earlier ids, so ascending id order is topological and every node is
     /// computed once, all 256 lanes at a time, from operands already done.
     pub fn sweep<'s>(
         &self,
         e: ExprId,
         scratch: &'s mut LaneScratch,
-    ) -> (&'s [u32], Option<&'s Lanes>, bool) {
+    ) -> (&'s [u32], Option<&'s Lanes>) {
         let LaneScratch {
             lane_of,
             order,
@@ -600,19 +599,11 @@ impl ExprArena {
         cover(lane_of, self.nodes.len(), NO_LANE);
         order.clear();
         vars.clear();
-        let mut shared = false;
         stack.push(e.0);
         while let Some(id) = stack.pop() {
             match lane_of.get_mut(id as usize) {
                 Some(seen) if *seen == NO_LANE => *seen = 0,
-                // Reached again: through a second parent.
-                _ => {
-                    shared |= !matches!(
-                        self.get(ExprId(id)),
-                        Expr::Const { .. } | Expr::Input { .. }
-                    );
-                    continue;
-                }
+                _ => continue,
             }
             order.push(id);
             match self.get(ExprId(id)) {
@@ -669,7 +660,7 @@ impl ExprArena {
         }
         // The root has the largest id it reaches: the last lane.
         let root = order.len().checked_sub(1).filter(|_| unary);
-        (vars, root.and_then(|lane| lanes.get(lane)), shared)
+        (vars, root.and_then(|lane| lanes.get(lane)))
     }
 
     /// Collect the distinct input-byte indices referenced by `id`.

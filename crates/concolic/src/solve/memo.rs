@@ -6,11 +6,9 @@ use super::{ByteSet, NONE};
 use crate::expr::{cover, ExprArena, ExprId, LaneScratch};
 
 /// Cross-path memo of the per-constraint facts [`PathSolver`] needs: the
-/// referenced variable list, whether the expression's DAG reaches a
-/// non-leaf node through two parents (its search walks then use the
-/// ternary memo) and — for single-variable constraints — the exact set of
-/// byte values under which the expression is truthy (one 256-lane
-/// [`ExprArena::sweep`] finds all three). A table indexed by the constraint's
+/// referenced variable list and — for single-variable constraints — the
+/// exact set of byte values under which the expression is truthy (one
+/// 256-lane [`ExprArena::sweep`]). A table indexed by the constraint's
 /// [`ExprId`] in the session's arena: that arena hash-conses and is never
 /// cleared, so the id names the structure from the first seed to the last
 /// flip — a child re-records most of its parent's constraints, and
@@ -43,30 +41,22 @@ struct MemoEntry {
     vars: (u32, u32),
     /// Single-variable constraints only: the values that make it truthy.
     truthy: Option<ByteSet>,
-    /// Whether the constraint's DAG reaches a non-leaf node through two
-    /// parents: only then do its walks pay for the ternary memo.
-    shared: bool,
 }
 
 impl UnaryMemo {
-    /// The variables `e` mentions (ascending), when that is one the values
-    /// of it under which `e` is truthy, and whether `e` shares a node.
-    pub(super) fn lookup(
-        &mut self,
-        arena: &ExprArena,
-        e: ExprId,
-    ) -> (&[u32], Option<ByteSet>, bool) {
+    /// The variables `e` mentions (ascending) and, when that is one, the
+    /// values of it under which `e` is truthy.
+    pub(super) fn lookup(&mut self, arena: &ExprArena, e: ExprId) -> (&[u32], Option<ByteSet>) {
         let node = e.0 as usize;
         cover(&mut self.index, arena.len().max(node + 1), NONE);
         let mut at = self.index.get(node).copied().unwrap_or(NONE);
         if at == NONE {
             self.misses += 1;
             at = self.entries.len() as u32;
-            let (vars, lanes, shared) = arena.sweep(e, &mut self.scratch);
+            let (vars, lanes) = arena.sweep(e, &mut self.scratch);
             self.entries.push(MemoEntry {
                 vars: (self.vars.len() as u32, vars.len() as u32),
                 truthy: lanes.map(ByteSet::truthy),
-                shared,
             });
             self.vars.extend_from_slice(vars);
             if let Some(slot) = self.index.get_mut(node) {
@@ -76,13 +66,12 @@ impl UnaryMemo {
             self.hits += 1;
         }
         let Some(entry) = self.entries.get(at as usize) else {
-            return (&[], None, false);
+            return (&[], None);
         };
         let (start, len) = (entry.vars.0 as usize, entry.vars.1 as usize);
         (
             self.vars.get(start..start + len).unwrap_or(&[]),
             entry.truthy,
-            entry.shared,
         )
     }
 }
@@ -157,16 +146,12 @@ mod tests {
         shapes.push(a.cmp(CmpOp::Ult, scaled, addr));
         let pair = a.cmp(CmpOp::Ult, z, y);
         let scratch = &mut LaneScratch::default();
-        assert_eq!(a.sweep(pair, scratch), (&[5u32, 6][..], None, false));
+        assert_eq!(a.sweep(pair, scratch), (&[5u32, 6][..], None));
         let mut memo = UnaryMemo::default();
-        assert_eq!(memo.lookup(&a, pair), (&[5u32, 6][..], None, false));
+        assert_eq!(memo.lookup(&a, pair), (&[5u32, 6][..], None));
 
-        // Shapes 11–14 read a widened byte twice (`x16 * x16`, and
-        // `(x32 << 24) ^ x32` under three users): a non-leaf node with two
-        // parents. `x + x` (shape 6) reads a leaf twice: not shared.
-        for (i, e) in shapes.into_iter().enumerate() {
-            let (vars, lanes, shared) = a.sweep(e, scratch);
-            assert_eq!(shared, (11..=14).contains(&i), "{}", a.render(e));
+        for e in shapes {
+            let (vars, lanes) = a.sweep(e, scratch);
             let &[v] = vars else {
                 panic!("{} is not unary: {vars:?}", a.render(e));
             };
@@ -180,10 +165,10 @@ mod tests {
             // The memo's table answers with the sweep's facts, on the miss
             // and — the arena having grown past the table in between — on
             // the hit.
-            assert_eq!(memo.lookup(&a, e), (&[v][..], Some(truthy), shared));
+            assert_eq!(memo.lookup(&a, e), (&[v][..], Some(truthy)));
             let hits = memo.hits;
             a.constant(64, 0xD1CE_0000 + e.0 as u64);
-            assert_eq!(memo.lookup(&a, e), (&[v][..], Some(truthy), shared));
+            assert_eq!(memo.lookup(&a, e), (&[v][..], Some(truthy)));
             assert_eq!(memo.hits, hits + 1);
             for want in [true, false] {
                 let mut swept = ByteSet::empty();

@@ -47,13 +47,12 @@ use crate::expr::{ByteBits, Eval3Memo, ExprArena, ExprId};
 /// abandons as `Unknown` may be answered.
 ///
 /// **What it remembers, and for how long.** Two memos outlive a path: the
-/// [`UnaryMemo`] (each branch constraint's variables, unary set and
-/// whether its DAG shares a node) and a per-node table of ternary values
-/// (`ExprArena::eval3_memo`) that a search fills under one assignment —
-/// `Search::know`, the one place the assignment changes, starts the next —
-/// so a node a constraint's DAG shares (the gossip topic word under 16
-/// equalities) is walked once per assignment, not once per parent; a
-/// constraint that shares nothing is walked without the table. The
+/// [`UnaryMemo`] (each branch constraint's variables and unary set) and a
+/// per-node table of ternary values (`ExprArena::eval3_memo`) that a
+/// search fills under one assignment — `Search::know`, the one place the
+/// assignment changes, starts the next — so a node two others take as an
+/// operand (the gossip topic word under 16 equalities) is walked once per
+/// assignment, not once per parent. The
 /// as-taken check of a constraint over executed bytes only is its
 /// recorded direction (see [`PathSolver::begin`]). Both memos name nodes
 /// by [`ExprId`], so a solver serves one arena for as long as it lives:
@@ -153,8 +152,6 @@ struct Con {
     expr: ExprId,
     taken: bool,
     truthy: Option<ByteSet>,
-    /// Its DAG shares a node (see [`SysCon::shared`]).
-    shared: bool,
 }
 
 impl Con {
@@ -333,7 +330,6 @@ impl PathPass<'_> {
                     con: SysCon {
                         expr: con.expr,
                         want: con.taken,
-                        shared: con.shared,
                     },
                     slots,
                     next,
@@ -388,7 +384,7 @@ impl PathPass<'_> {
         if self.cur.is_none() {
             let rec = self.path.get(self.cursor)?;
             let ps = &mut *self.ps;
-            let (vars, truthy, shared) = ps.memo.lookup(self.arena, rec.constraint);
+            let (vars, truthy) = ps.memo.lookup(self.arena, rec.constraint);
             ps.cur_slots.clear();
             for &v in vars {
                 let idx = v as usize;
@@ -423,7 +419,6 @@ impl PathPass<'_> {
                 expr: rec.constraint,
                 taken: rec.taken,
                 truthy,
-                shared,
             });
         }
         self.cur
@@ -578,7 +573,6 @@ impl PathPass<'_> {
                     ps.sys_multi.push(SysCon {
                         expr: con.expr,
                         want,
-                        shared: con.shared,
                     });
                     for &slot in &ps.cur_slots {
                         ps.watch.push((slot, mi));

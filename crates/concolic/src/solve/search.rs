@@ -23,11 +23,6 @@ pub(super) struct SysVar {
 pub(super) struct SysCon {
     pub(super) expr: ExprId,
     pub(super) want: bool,
-    /// Its DAG reaches a non-leaf node through two parents (the unary
-    /// sweep saw it): only such a constraint's walks go through the
-    /// ternary memo. For one that shares nothing, a memo entry costs more
-    /// than the node it would save.
-    pub(super) shared: bool,
 }
 
 /// Depth-first search over one system's dense tables; the value order and
@@ -109,14 +104,9 @@ impl Search<'_> {
             .unwrap_or(ByteBits::UNKNOWN)
     }
 
-    /// `e` under what the search knows, through the memo when `e` lies in
-    /// a constraint that shares a node.
-    fn eval3(&self, e: ExprId, shared: bool) -> Ternary {
-        let known = |idx| self.known(idx);
-        match shared {
-            true => self.arena.eval3_memo(e, &known, self.memo),
-            false => self.arena.eval3_bits(e, &known),
-        }
+    /// `e` under what the search knows.
+    fn eval3(&self, e: ExprId) -> Ternary {
+        self.arena.eval3_memo(e, &|idx| self.known(idx), self.memo)
     }
 
     /// The constraints mentioning `var`.
@@ -130,11 +120,8 @@ impl Search<'_> {
 
     /// No constraint mentioning `var` is refuted by the bits known so far.
     fn consistent(&self, var: &SysVar) -> bool {
-        self.watched(var).all(|c| {
-            self.eval3(c.expr, c.shared)
-                .as_bool()
-                .is_none_or(|r| r == c.want)
-        })
+        self.watched(var)
+            .all(|c| self.eval3(c.expr).as_bool().is_none_or(|r| r == c.want))
     }
 
     /// The values of `var` its watched constraints leave open, with the
@@ -146,7 +133,7 @@ impl Search<'_> {
     fn narrow(&self, var: &SysVar) -> ByteSet {
         let mut live = ByteSet::full();
         for c in self.watched(var) {
-            live.intersect(&self.admits(c.expr, c.want, var.id, c.shared));
+            live.intersect(&self.admits(c.expr, c.want, var.id));
         }
         live
     }
@@ -157,19 +144,19 @@ impl Search<'_> {
     /// must come out as wanted a value has to be open in both, where
     /// either may it has to be open in one — so a disjunction narrows
     /// exactly when every other arm is already decided against.
-    fn admits(&self, e: ExprId, want: bool, idx: u32, shared: bool) -> ByteSet {
+    fn admits(&self, e: ExprId, want: bool, idx: u32) -> ByteSet {
         match self.arena.get(e) {
-            Expr::Not(a) => self.admits(a, !want, idx, shared),
+            Expr::Not(a) => self.admits(a, !want, idx),
             Expr::Bool { op, a, b } => {
                 let both = (op == BoolOp::And) == want;
-                let mut open = self.admits(a, want, idx, shared);
+                let mut open = self.admits(a, want, idx);
                 // With nothing left to lose / to gain, skip the other operand.
                 let settled = match both {
                     true => ByteSet::empty(),
                     false => ByteSet::full(),
                 };
                 if open != settled {
-                    let other = self.admits(b, want, idx, shared);
+                    let other = self.admits(b, want, idx);
                     if both {
                         open.intersect(&other);
                     } else {
@@ -179,31 +166,31 @@ impl Search<'_> {
                 open
             }
             Expr::Cmp { op, a, b } => {
-                let placed = match self.offset_of(a, idx, shared) {
+                let placed = match self.offset_of(a, idx) {
                     Some(at) => Some((at, a, b, true)),
-                    None => self.offset_of(b, idx, shared).map(|at| (at, b, a, false)),
+                    None => self.offset_of(b, idx).map(|at| (at, b, a, false)),
                 };
                 match placed {
                     Some((at, word, other, word_left)) => self.admits_cmp(
                         op,
                         want,
                         at,
-                        self.eval3(word, shared),
-                        self.eval3(other, shared),
+                        self.eval3(word),
+                        self.eval3(other),
                         word_left,
                     ),
-                    None => self.decided(e, want, shared),
+                    None => self.decided(e, want),
                 }
             }
-            _ => self.decided(e, want, shared),
+            _ => self.decided(e, want),
         }
     }
 
     /// Every value when `e` is undecided or decided as wanted, none when
     /// it is decided against: what a sub-expression says about a byte it
     /// does not hold in a readable place.
-    fn decided(&self, e: ExprId, want: bool, shared: bool) -> ByteSet {
-        match self.eval3(e, shared).as_bool() {
+    fn decided(&self, e: ExprId, want: bool) -> ByteSet {
+        match self.eval3(e).as_bool() {
             Some(verdict) if verdict != want => ByteSet::empty(),
             _ => ByteSet::full(),
         }
@@ -213,10 +200,10 @@ impl Search<'_> {
     /// moved there by `ZExt` / `Shl`-by-constant and OR-ed with words that
     /// are known zero over its eight bits (as `read_u16_be` & co. build
     /// them): `e = byte << offset | rest`.
-    fn offset_of(&self, e: ExprId, idx: u32, shared: bool) -> Option<u32> {
+    fn offset_of(&self, e: ExprId, idx: u32) -> Option<u32> {
         match self.arena.get(e) {
             Expr::Input { idx: i } => (i == idx).then_some(0),
-            Expr::ZExt { a, .. } => self.offset_of(a, idx, shared),
+            Expr::ZExt { a, .. } => self.offset_of(a, idx),
             Expr::Bin {
                 op: BinOp::Shl,
                 bits,
@@ -226,7 +213,7 @@ impl Search<'_> {
                 let Expr::Const { val: by, .. } = self.arena.get(b) else {
                     return None;
                 };
-                let at = u64::from(self.offset_of(a, idx, shared)?).saturating_add(by);
+                let at = u64::from(self.offset_of(a, idx)?).saturating_add(by);
                 (at.saturating_add(8) <= bits as u64).then_some(at as u32)
             }
             Expr::Bin {
@@ -235,12 +222,12 @@ impl Search<'_> {
                 a,
                 b,
             } => {
-                let (at, sibling) = match self.offset_of(a, idx, shared) {
+                let (at, sibling) = match self.offset_of(a, idx) {
                     Some(at) => (at, b),
-                    None => (self.offset_of(b, idx, shared)?, a),
+                    None => (self.offset_of(b, idx)?, a),
                 };
                 let window = 0xFF << at;
-                let sibling = self.eval3(sibling, shared);
+                let sibling = self.eval3(sibling);
                 (at + 8 <= bits as u32 && sibling.known & !sibling.val & window == window)
                     .then_some(at)
             }
@@ -533,10 +520,7 @@ mod tests {
                 let other = build(&mut arena, second);
                 e = arena.boolean(if *and { BoolOp::And } else { BoolOp::Or }, e, other);
             }
-            // Walked through the memo or not, the constraint narrows alike.
-            let con = |shared| SysCon { expr: e, want, shared };
-            let live = narrowed(&arena, con(true), target, &known);
-            prop_assert_eq!(live, narrowed(&arena, con(false), target, &known));
+            let live = narrowed(&arena, SysCon { expr: e, want }, target, &known);
 
             let open: Vec<u32> = (0..4)
                 .filter(|&i| i != target && known[i as usize].is_none())
