@@ -362,7 +362,8 @@ impl ExploreState {
     ) -> ExplorationReport {
         // A run's context holds the arena while the program runs: a
         // session that unwound out of one took it along, and the memos
-        // name nodes of an arena that is gone.
+        // name nodes of an arena that is gone (`tests/session_order.rs`
+        // unwinds one).
         if self.arena.is_empty() {
             self.solver = PathSolver::default();
         }

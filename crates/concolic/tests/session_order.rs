@@ -22,6 +22,12 @@
 //! in `Search::know` leaves this test green — fresh and warm sessions
 //! read the same stale values — and turns `tests/path_solver.rs` and
 //! `tests/session_arena.rs` red.
+//!
+//! A session that unwinds out of a run takes the state's arena with it
+//! (the run's context holds it); `ExploreState::explore` then starts the
+//! next session on a fresh solver too. Dropping that reset turns
+//! `a_state_that_unwound_explores_as_a_fresh_one` red: in debug builds at
+//! the shrink assertion, in release at a report that differs.
 
 #[path = "../src/explore/toys.rs"]
 #[allow(
@@ -31,6 +37,7 @@
 mod toys;
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 // What `toys` names at the crate root.
@@ -176,5 +183,35 @@ proptest! {
                 prop_assert_eq!(report.solver.unary_memo_misses, 0, "{} dfs={}", case.name, dfs);
             }
         }
+    }
+}
+
+/// A state warmed on every case, then left by a session that panicked in
+/// its fifth run, explores every case as a fresh state does. It is warmed
+/// in the reverse order, so that an id its memos hold names another node
+/// than the same id in a restarted arena.
+#[test]
+fn a_state_that_unwound_explores_as_a_fresh_one() {
+    let fresh = fresh();
+    let mut cases = cases();
+    let mut state = ExploreState::new();
+    for case in cases.iter_mut().rev() {
+        session(&mut state, case, false);
+    }
+    let mut runs = 0;
+    let mut panics = |ctx: &mut ConcolicCtx| {
+        runs += 1;
+        assert!(runs < 5, "the fifth run panics");
+        toys::toy_program(ctx)
+    };
+    let seeds = [vec![0, 0, 0]];
+    let cfg = ExploreConfig::default();
+    let unwound = catch_unwind(AssertUnwindSafe(|| {
+        state.explore(&mut panics, &seeds, &toys::all_symbolic, &cfg)
+    }));
+    assert!(unwound.is_err(), "the session did not unwind");
+    for (i, case) in cases.iter_mut().enumerate() {
+        let outcome = Outcome::from(&session(&mut state, case, false));
+        assert_eq!(outcome, fresh[i][0], "{}", case.name);
     }
 }
