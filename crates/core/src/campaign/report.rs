@@ -199,7 +199,9 @@ pub struct PhaseTimes {
     /// Building each round's exploration plan (`ExplorableNode::exploration_plan`:
     /// the twin, its seeds and its marker).
     pub plan_us: u64,
-    /// Executing the twin, every run of every exploration session.
+    /// Executing the twin, every run of every exploration session
+    /// (estimated per session from its first run and one in eight of the
+    /// others, which alone are timed).
     pub twin_us: u64,
     /// The rest of each exploration: negation queries, the worklist and
     /// the coverage and dedup bookkeeping, and candidate selection.
