@@ -42,7 +42,7 @@ use dice_bgp::{
 use dice_concolic::{
     explore, BranchRec, ConcolicCtx, ConcolicProgram, ExploreConfig, ExprArena, SymInput,
 };
-use dice_core::{mark_update, GrammarConfig, SymbolicUpdateHandler, UpdateGrammar};
+use dice_core::{mark_update, DomainProgram, GrammarConfig, UpdateGrammar};
 use dice_netsim::{
     LinkParams, NeighborRole, Node, NodeApi, NodeId, Relationship, SessionEvent, SimDuration,
     SimTime, Simulator, Topology,
@@ -72,7 +72,8 @@ fn bench_update_paths(c: &mut Criterion) {
     });
 
     group.bench_function("twin_concrete", |b| {
-        let mut handler = SymbolicUpdateHandler::new(cfg.clone(), NodeId(2));
+        let mut handler =
+            DomainProgram(BgpRouter::new(cfg.clone()).update_twin(NodeId(2)).unwrap());
         b.iter(|| {
             let mut ctx = ConcolicCtx::new(SymInput::all_concrete(bytes.clone()));
             black_box(handler.run(&mut ctx))
@@ -80,7 +81,8 @@ fn bench_update_paths(c: &mut Criterion) {
     });
 
     group.bench_function("twin_symbolic", |b| {
-        let mut handler = SymbolicUpdateHandler::new(cfg.clone(), NodeId(2));
+        let mut handler =
+            DomainProgram(BgpRouter::new(cfg.clone()).update_twin(NodeId(2)).unwrap());
         let mask = mark_update(&bytes);
         b.iter(|| {
             let mut ctx = ConcolicCtx::new(SymInput::with_mask(bytes.clone(), mask.clone()));

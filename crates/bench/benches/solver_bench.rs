@@ -11,14 +11,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dice_bench::wire_workload::{bgp_update, gossip_digest};
-use dice_bgp::{Asn, RouterConfig, RouterId};
+use dice_bgp::{Asn, BgpRouter, RouterConfig, RouterId};
 use dice_concolic::{
     negation_query, BinOp, CmpOp, ConcolicCtx, ConcolicProgram, Constraint, ExprArena, ExprId,
     LaneScratch, PathSolver, SiteId, Solver, SolverBudget, SymBool, SymInput,
 };
 use dice_core::gossip_sut::mark_gossip;
-use dice_core::{mark_update, SymbolicGossipHandler, SymbolicUpdateHandler};
-use dice_gossip::GossipConfig;
+use dice_core::{mark_update, DomainProgram};
+use dice_gossip::{GossipConfig, GossipNode};
 use dice_netsim::NodeId;
 use std::hint::black_box;
 
@@ -136,7 +136,7 @@ fn update_path() -> ConcolicCtx {
         "all",
     );
     record(
-        &mut SymbolicUpdateHandler::new(router, NodeId(2)),
+        &mut DomainProgram(BgpRouter::new(router).update_twin(NodeId(2)).unwrap()),
         &update,
         mark_update(&update),
     )
@@ -151,7 +151,7 @@ fn bench_path_flips(c: &mut Criterion) {
         (
             "gossip_digest",
             record(
-                &mut SymbolicGossipHandler::new(GossipConfig::new(7).subscribe(3)),
+                &mut DomainProgram(GossipNode::new(GossipConfig::new(7).subscribe(3)).frame_twin()),
                 &digest,
                 mark_gossip(&digest),
             ),

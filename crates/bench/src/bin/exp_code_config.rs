@@ -10,7 +10,7 @@ use dice_bench::{maybe_write_json, Table};
 use dice_bgp::policy::{Match, Policy, PrefixFilter, Rule, Verdict};
 use dice_bgp::{net, Asn, RouterConfig, RouterId};
 use dice_concolic::{explore, ConcolicCtx, ConcolicProgram, ExploreConfig, SymInput};
-use dice_core::{mark_update, GrammarConfig, SymbolicUpdateHandler, UpdateGrammar};
+use dice_core::{mark_update, DomainProgram, GrammarConfig, UpdateGrammar};
 use dice_netsim::NodeId;
 use serde_json::json;
 
@@ -66,7 +66,8 @@ fn main() {
         let complexity = cfg.policy_complexity();
 
         // Average constraint count on the fixed seeds (no exploration).
-        let mut handler = SymbolicUpdateHandler::new(cfg.clone(), NodeId(2));
+        let router = dice_bgp::BgpRouter::new(cfg);
+        let mut handler = DomainProgram(router.update_twin(NodeId(2)).unwrap());
         let mut total = 0usize;
         for bytes in &seeds {
             let mask = mark_update(bytes);
@@ -77,9 +78,8 @@ fn main() {
         let avg = total as f64 / seeds.len() as f64;
 
         // Exploration breadth under a fixed budget.
-        let mut handler2 = SymbolicUpdateHandler::new(cfg, NodeId(2));
         let report = explore(
-            &mut handler2,
+            &mut handler,
             &seeds,
             &mark_update,
             &ExploreConfig {

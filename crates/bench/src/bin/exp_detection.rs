@@ -12,8 +12,8 @@
 use dice_bench::{maybe_write_json, Table};
 use dice_concolic::{random_fuzz, RunStatus};
 use dice_core::{
-    mark_update, scenarios, DiceConfig, DiceRunner, FaultClass, GrammarConfig, RoundReport,
-    SymbolicUpdateHandler, UpdateGrammar,
+    mark_update, scenarios, DiceConfig, DiceRunner, DomainProgram, FaultClass, GrammarConfig,
+    RoundReport, UpdateGrammar,
 };
 use dice_netsim::{NodeId, SimDuration, SimTime};
 use serde_json::json;
@@ -121,17 +121,17 @@ fn main() {
     );
     {
         let live = scenarios::buggy_parser_scenario(104);
-        let router_cfg = live
+        let twin = live
             .node(NodeId(1))
             .as_any()
             .downcast_ref::<dice_bgp::BgpRouter>()
-            .unwrap()
-            .config()
-            .clone();
+            .and_then(|r| r.update_twin(NodeId(0)))
+            .map(DomainProgram)
+            .unwrap();
         let mut grammar = UpdateGrammar::new(GrammarConfig::for_peer(scenarios::asn_of(0)), 7);
         let seeds = vec![grammar.generate(), grammar.generate_large_unknown()];
 
-        let mut handler = SymbolicUpdateHandler::new(router_cfg.clone(), NodeId(0));
+        let mut handler = twin.clone();
         let concolic = dice_concolic::explore(
             &mut handler,
             &seeds,
@@ -148,7 +148,7 @@ fn main() {
             concolic.first_crash(),
         ]));
 
-        let mut handler2 = SymbolicUpdateHandler::new(router_cfg, NodeId(0));
+        let mut handler2 = twin;
         let random = random_fuzz(&mut handler2, &seeds, &mark_update, 256, 4242);
         let crashed = random
             .executions

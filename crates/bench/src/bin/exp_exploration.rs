@@ -19,7 +19,7 @@ use dice_concolic::{
     explore, random_fuzz, ConcolicCtx, ConcolicProgram, Coverage, ExploreConfig, RunStatus,
     Strategy, SymInput,
 };
-use dice_core::{mark_update, scenarios, GrammarConfig, SymbolicUpdateHandler, UpdateGrammar};
+use dice_core::{mark_update, scenarios, DomainProgram, GrammarConfig, UpdateGrammar};
 use dice_netsim::NodeId;
 use serde_json::json;
 
@@ -36,7 +36,7 @@ fn coverage_at(timeline: &[usize], at: usize) -> usize {
 /// Grammar-only baseline: run N fresh grammar messages, no mutation, no
 /// solver — measures how far validity alone reaches.
 fn grammar_only(
-    handler: &mut SymbolicUpdateHandler,
+    handler: &mut DomainProgram<dice_bgp::UpdateTwin>,
     grammar: &mut UpdateGrammar,
     budget: usize,
 ) -> (Vec<usize>, usize, Option<usize>) {
@@ -63,14 +63,13 @@ fn main() {
     // The handler under test: the buggy-parser scenario's middle router
     // (a policy-bearing config with the seeded defect).
     let live = scenarios::buggy_parser_scenario(55);
-    let router_cfg = live
+    let twin = live
         .node(NodeId(1))
         .as_any()
         .downcast_ref::<dice_bgp::BgpRouter>()
-        .unwrap()
-        .config()
-        .clone();
-    let peer = NodeId(0);
+        .and_then(|r| r.update_twin(NodeId(0)))
+        .map(DomainProgram)
+        .unwrap();
     let peer_asn = scenarios::asn_of(0);
 
     let seeds = {
@@ -99,7 +98,7 @@ fn main() {
         ("concolic/generational", Strategy::Generational),
         ("concolic/dfs", Strategy::Dfs),
     ] {
-        let mut handler = SymbolicUpdateHandler::new(router_cfg.clone(), peer);
+        let mut handler = twin.clone();
         let report = explore(
             &mut handler,
             &seeds,
@@ -118,13 +117,13 @@ fn main() {
         ));
     }
     {
-        let mut handler = SymbolicUpdateHandler::new(router_cfg.clone(), peer);
+        let mut handler = twin.clone();
         let mut grammar = UpdateGrammar::new(GrammarConfig::for_peer(peer_asn), 2);
         let (timeline, paths, crash) = grammar_only(&mut handler, &mut grammar, BUDGET);
         runs.push(("grammar-only".into(), timeline, paths, crash));
     }
     {
-        let mut handler = SymbolicUpdateHandler::new(router_cfg.clone(), peer);
+        let mut handler = twin.clone();
         let report = random_fuzz(&mut handler, &seeds, &mark_update, BUDGET, 777);
         let crash = report
             .executions

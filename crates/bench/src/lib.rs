@@ -331,9 +331,9 @@ pub type TwinCase = (
 /// frame twin of a node subscribed to topic 3) — as `handler_bench` times
 /// them and the allocation budgets count them.
 pub fn twin_cases() -> [TwinCase; 2] {
-    use dice_bgp::{Asn, RouterConfig, RouterId};
-    use dice_core::{gossip_sut::mark_gossip, mark_update};
-    use dice_core::{SymbolicGossipHandler, SymbolicUpdateHandler};
+    use dice_bgp::{Asn, BgpRouter, RouterConfig, RouterId};
+    use dice_core::{gossip_sut::mark_gossip, mark_update, DomainProgram};
+    use dice_gossip::GossipNode;
     let router = RouterConfig::minimal(Asn(65000), RouterId(1)).with_neighbor(
         dice_netsim::NodeId(2),
         Asn(65001),
@@ -344,13 +344,17 @@ pub fn twin_cases() -> [TwinCase; 2] {
     [
         (
             "bgp_update",
-            Box::new(SymbolicUpdateHandler::new(router, dice_netsim::NodeId(2))),
+            Box::new(DomainProgram(
+                BgpRouter::new(router)
+                    .update_twin(dice_netsim::NodeId(2))
+                    .unwrap(),
+            )),
             dice_bgp::encode(&wire_workload::bgp_update()),
             mark_update,
         ),
         (
             "gossip_digest",
-            Box::new(SymbolicGossipHandler::new(gossip)),
+            Box::new(DomainProgram(GossipNode::new(gossip).frame_twin())),
             dice_gossip::wire::encode(&wire_workload::gossip_digest()),
             mark_gossip,
         ),

@@ -78,17 +78,6 @@ pub enum SegmentKind {
     Sequence = 2,
 }
 
-impl SegmentKind {
-    /// Decode from the wire value.
-    pub fn from_u8(v: u8) -> Option<SegmentKind> {
-        match v {
-            1 => Some(SegmentKind::Set),
-            2 => Some(SegmentKind::Sequence),
-            _ => None,
-        }
-    }
-}
-
 /// One AS_PATH segment.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AsPathSegment {

@@ -108,11 +108,6 @@ impl RouterConfig {
         self
     }
 
-    /// The neighbor entry for a node, if configured.
-    pub fn neighbor(&self, node: NodeId) -> Option<&NeighborConfig> {
-        self.neighbors.iter().find(|n| n.node == node)
-    }
-
     /// Cross-check internal consistency (policy references, duplicates).
     pub fn validate(&self) -> Result<(), ConfigError> {
         for n in &self.neighbors {

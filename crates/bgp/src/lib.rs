@@ -24,6 +24,8 @@
 //! * **The router** ([`router`]): a [`dice_netsim::Node`] wiring it all
 //!   together, including seeded-bug switches used by the fault-detection
 //!   experiments.
+//! * **The exploration twin** ([`twin`]): the router's UPDATE handling
+//!   composed once over a value domain, for DiCE to run concolically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,6 +37,7 @@ pub mod fsm;
 pub mod policy;
 pub mod rib;
 pub mod router;
+pub mod twin;
 pub mod types;
 pub mod wire;
 
@@ -45,5 +48,6 @@ pub use fsm::{FsmEvent, PeerFsm, SessionState};
 pub use policy::{Action, Match, Policy, PrefixFilter, Rule, Verdict};
 pub use rib::{Rib, Route, Selected};
 pub use router::{BgpRouter, RouterStats};
+pub use twin::UpdateTwin;
 pub use types::{addr, net, Asn, Community, Ipv4Addr, Ipv4Net, RouterId};
 pub use wire::{decode, encode, DecodeError, Message, NotificationMsg, OpenMsg, UpdateMsg};

@@ -6,8 +6,8 @@
 //! DiCE's concolic twin explores. Its checks are written once over a value
 //! domain — the validator [`wire::validate_update`], the path screen
 //! [`screen_path`] and the policy walk [`Policy::decide`] — and the router
-//! runs them on concrete values, the twin (`dice-core/src/handler.rs`) on
-//! concolic ones.
+//! runs them on concrete values, the twin ([`crate::twin::UpdateTwin`],
+//! built by [`BgpRouter::update_twin`]) on any value domain.
 
 use core::any::Any;
 use core::fmt::Display;
@@ -23,6 +23,7 @@ use crate::decision::{select, DecisionReason};
 use crate::fsm::{FsmEvent, PeerFsm, SessionState};
 use crate::policy::{screen_path, PathFault, Policy};
 use crate::rib::{Rib, Route, Selected};
+use crate::twin::UpdateTwin;
 use crate::types::{Asn, Ipv4Addr, Ipv4Net};
 use crate::wire::{self, Message, NotificationMsg, OpenMsg, UpdateMsg};
 
@@ -75,8 +76,8 @@ struct Neighbor {
 /// once instead of per message: derived state, rebuilt whenever an operator
 /// action changes what it was derived from.
 #[derive(Debug, Clone)]
-struct Resolved {
-    config: RouterConfig,
+pub(crate) struct Resolved {
+    pub(crate) config: RouterConfig,
     /// The neighbours in ascending node id — the order every fan-out walks.
     neighbors: Vec<Neighbor>,
     /// The distinct policies the neighbours name: distinct by rules and
@@ -115,6 +116,12 @@ impl Resolved {
             neighbors,
             policies,
         }
+    }
+
+    /// Neighbour slot `i`'s AS and import policy.
+    pub(crate) fn import(&self, i: usize) -> (Asn, &Policy) {
+        let n = &self.neighbors[i];
+        (n.asn, &self.policies[n.import])
     }
 
     fn own_addr(&self) -> Ipv4Addr {
@@ -212,6 +219,16 @@ impl BgpRouter {
     /// Session FSM state toward `peer`.
     pub fn session_state(&self, peer: NodeId) -> SessionState {
         self.fsm(peer).map(|f| f.state).unwrap_or_default()
+    }
+
+    /// The twin exploration runs of this router's UPDATE handling for
+    /// inputs from `peer`, if `peer` is a neighbour. It shares the
+    /// router's configuration.
+    pub fn update_twin(&self, peer: NodeId) -> Option<UpdateTwin> {
+        Some(UpdateTwin {
+            shared: Arc::clone(&self.shared),
+            neighbor: self.peer_index(peer)?,
+        })
     }
 
     /// Where `node` sits in the neighbour table, if it is a neighbour.
@@ -349,8 +366,8 @@ impl BgpRouter {
         // Borrowed next to the RIBs it steers: no handle on the shared
         // configuration is taken or dropped per message.
         let shared = &*self.shared;
-        let neighbor = &shared.neighbors[i];
-        let peer = neighbor.node;
+        let peer = shared.neighbors[i].node;
+        let (peer_asn, import) = shared.import(i);
         let own = shared.config.asn;
         // The prefixes whose candidates change are gathered in the two
         // vectors the decoder already allocated.
@@ -363,7 +380,7 @@ impl BgpRouter {
 
         match attrs {
             Some(mut attrs) if !nlri.is_empty() => {
-                let screened = screen_path(&mut Concrete(&[]), &attrs, own, neighbor.asn);
+                let screened = screen_path(&mut Concrete(&[]), &attrs, own, peer_asn);
                 if screened == Err(PathFault::Loop) {
                     // AS-path loop: ignore the announcements (RFC 4271 §9).
                     self.stats.loop_rejects += 1;
@@ -379,7 +396,6 @@ impl BgpRouter {
                     );
                     return;
                 } else {
-                    let import = &shared.policies[neighbor.import];
                     let peer_router_id = self.peers[i].router_id.unwrap_or(peer.0);
                     let mut left = nlri.len();
                     nlri.retain(|p| {

@@ -185,6 +185,25 @@ impl DecodeError {
             BadNotification => (notif::MSG_HEADER, 2),
         }
     }
+
+    /// The stage of an UPDATE's handling that rejects with this error, as
+    /// the exploration twin names it.
+    pub fn stage(&self) -> &'static str {
+        use DecodeError::*;
+        match self {
+            MalformedAttrList => "malformed-attr-list",
+            AttrFlagsError { .. } => "attr-flags",
+            AttrLenError { .. } => "attr-len",
+            UnrecognizedWellKnown(_) => "unrecognized-well-known",
+            InvalidOrigin(_) => "origin-value",
+            MalformedAsPath => "malformed-as-path",
+            InvalidNextHop => "next-hop",
+            MissingWellKnown(_) => "missing-mandatory",
+            DuplicateAttr(_) => "duplicate-attr",
+            InvalidNlri => "nlri",
+            _ => "framing",
+        }
+    }
 }
 
 impl core::fmt::Display for DecodeError {
@@ -402,12 +421,12 @@ pub fn encode(msg: &Message) -> Vec<u8> {
 /// Stable branch-site identifiers of an UPDATE's handling: those of
 /// [`validate_update`] (10–61, 80–81), then those of the import decision
 /// (70–71 in [`crate::policy::screen_path`], 100 and up in
-/// [`crate::policy::Policy::decide`]). The exploration twin in
-/// `dice-core` adds its preference oracle (90).
+/// [`crate::policy::Policy::decide`]) and the exploration twin's
+/// preference oracle (90, [`crate::twin::UpdateTwin`]).
 pub mod sites {
     #![allow(
         missing_docs,
-        reason = "each constant is the branch it names in `validate_update` or the import decision"
+        reason = "each constant is the branch it names in `validate_update`, the import decision or the twin"
     )]
     pub const WLEN_FITS: u32 = 10;
     pub const WD_PLEN: u32 = 11;
@@ -440,24 +459,14 @@ pub mod sites {
     pub const NLRI_FITS: u32 = 81;
     pub const LOOP_CHECK: u32 = 70;
     pub const FIRST_AS: u32 = 71;
+    pub const PREFERENCE_ORACLE: u32 = 90;
     /// Policy rule sites: `POLICY_BASE + rule * 8 + prefix slot % 8`.
     pub const POLICY_BASE: u32 = 100;
 }
 
-/// Why [`validate_update`] did not accept an UPDATE.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Verdict {
-    /// A conforming speaker answers with the NOTIFICATION the error names.
-    Reject(DecodeError),
-    /// A seeded defect crashes the router; the reason it crashes with.
-    Crash(&'static str),
-}
-
-impl From<DecodeError> for Verdict {
-    fn from(e: DecodeError) -> Self {
-        Verdict::Reject(e)
-    }
-}
+/// Why [`validate_update`] did not accept an UPDATE: a conforming speaker
+/// answers a rejection with the NOTIFICATION the error names.
+pub type Verdict = dice_netsim::Verdict<DecodeError>;
 
 /// What [`validate_update`] hands its reader, field by field in wire
 /// order, as words of the domain it runs in. A field the validator checks
@@ -474,9 +483,9 @@ pub trait UpdateSink<W> {
     fn path_attrs(&mut self) {}
     /// The ORIGIN value.
     fn origin(&mut self, v: W) {}
-    /// An AS_PATH segment of `kind` (1 a set, 2 a sequence) and `count`
-    /// members; one [`asn`](Self::asn) per member follows.
-    fn segment(&mut self, kind: W, count: W) {}
+    /// An AS_PATH segment of `kind` and `count` members; one
+    /// [`asn`](Self::asn) per member follows.
+    fn segment(&mut self, kind: SegmentKind, count: W) {}
     /// A member of the last [`segment`](Self::segment).
     fn asn(&mut self, asn: W) {}
     /// The NEXT_HOP address.
@@ -673,6 +682,13 @@ pub fn validate_update<D: Domain>(
                 let fits = d.ule_const(segbytes, (vend - p - 2) as u64);
                 require(d, sites::ASPATH_SEG_FITS, fits, MalformedAsPath)?;
                 p += 2;
+                // Validated above: a kind that is not a set is a sequence.
+                let set = d.value(kind) == SegmentKind::Set as u64;
+                let kind = if set {
+                    SegmentKind::Set
+                } else {
+                    SegmentKind::Sequence
+                };
                 sink.segment(kind, count);
                 for _ in 0..d.value(count) {
                     let asn = d.read_u16_be(p);
@@ -821,8 +837,7 @@ impl UpdateSink<u64> for Decoded<'_> {
         self.attrs().origin = Origin::from_u8(v as u8).unwrap_or_default();
     }
 
-    fn segment(&mut self, kind: u64, count: u64) {
-        let kind = SegmentKind::from_u8(kind as u8).unwrap_or(SegmentKind::Sequence);
+    fn segment(&mut self, kind: SegmentKind, count: u64) {
         let asns = Vec::with_capacity(count as usize);
         let segments = &mut self.attrs().as_path.segments;
         segments.push(AsPathSegment { kind, asns });

@@ -131,8 +131,11 @@ pub(crate) fn decode_attrs_with_presence(
                 let mut pr = Reader::new(value);
                 let mut segments = Vec::new();
                 while pr.remaining() > 0 {
-                    let kind = SegmentKind::from_u8(pr.u8().ok_or(DecodeError::MalformedAsPath)?)
-                        .ok_or(DecodeError::MalformedAsPath)?;
+                    let kind = match pr.u8().ok_or(DecodeError::MalformedAsPath)? {
+                        1 => SegmentKind::Set,
+                        2 => SegmentKind::Sequence,
+                        _ => return Err(DecodeError::MalformedAsPath),
+                    };
                     let count = pr.u8().ok_or(DecodeError::MalformedAsPath)? as usize;
                     if count == 0 {
                         return Err(DecodeError::MalformedAsPath);

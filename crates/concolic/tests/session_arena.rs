@@ -24,17 +24,15 @@
 use std::collections::BTreeMap;
 
 use dice_bgp::{
-    net, Asn, Match, Origin, Policy, PrefixFilter, RouterConfig, RouterId, Rule, Verdict,
+    net, Asn, BgpRouter, Match, Origin, Policy, PrefixFilter, RouterConfig, RouterId, Rule, Verdict,
 };
 use dice_concolic::{
     explore, BranchRec, ConcolicCtx, ConcolicProgram, ExplorationReport, ExploreConfig, ExprArena,
     ExprId, RunStatus, SolverStats, SymInput,
 };
 use dice_core::gossip_sut::{mark_gossip, seed_corpus};
-use dice_core::{
-    mark_update, GrammarConfig, SymbolicGossipHandler, SymbolicUpdateHandler, UpdateGrammar,
-};
-use dice_gossip::GossipConfig;
+use dice_core::{mark_update, DomainProgram, GrammarConfig, UpdateGrammar};
+use dice_gossip::{GossipConfig, GossipNode};
 use dice_netsim::NodeId;
 use proptest::prelude::*;
 
@@ -71,7 +69,9 @@ fn bgp_twin(seed: u64, n: usize) -> Twin {
     let mut inputs = vec![grammar.generate(), grammar.generate_large_unknown()];
     inputs.extend(grammar.batch(n.saturating_sub(2)));
     (
-        Box::new(SymbolicUpdateHandler::new(router, NodeId(2))),
+        Box::new(DomainProgram(
+            BgpRouter::new(router).update_twin(NodeId(2)).unwrap(),
+        )),
         mark_update,
         inputs,
     )
@@ -88,7 +88,7 @@ fn gossip_twin(seed: u64, n: usize) -> Twin {
     config.bugs.digest_count_overflow = true;
     let inputs = seed_corpus(&config, n, seed);
     (
-        Box::new(SymbolicGossipHandler::new(config)),
+        Box::new(DomainProgram(GossipNode::new(config).frame_twin())),
         mark_gossip,
         inputs,
     )

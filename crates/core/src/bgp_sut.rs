@@ -11,8 +11,8 @@
 use dice_bgp::{encode, AsPath, Asn, BgpRouter, Ipv4Addr, Ipv4Net, Message, PathAttrs, UpdateMsg};
 use dice_netsim::{Node, NodeId};
 
+use crate::domain::DomainProgram;
 use crate::grammar::{GrammarConfig, UpdateGrammar};
-use crate::handler::SymbolicUpdateHandler;
 use crate::interface::AttestationRegistry;
 use crate::sut::{CheckView, ExplorableNode, ExplorationPlan, SessionHealth, SutProbe};
 use crate::symmark::mark_update;
@@ -71,11 +71,10 @@ impl ExplorableNode for BgpRouter {
         grammar_seeds: usize,
         seed: u64,
     ) -> Result<ExplorationPlan, String> {
-        let config = self.config().clone();
-        let peer_asn = config
-            .neighbor(peer)
-            .ok_or("inject peer is not a neighbor of the explorer")?
-            .asn;
+        let twin = self
+            .update_twin(peer)
+            .ok_or("inject peer is not a neighbor of the explorer")?;
+        let peer_asn = twin.peer_asn();
 
         // `grammar_seeds == 0` disables the grammar layer: exploration
         // starts from one fixed minimal message and everything else is up
@@ -95,7 +94,7 @@ impl ExplorableNode for BgpRouter {
         };
 
         Ok(ExplorationPlan {
-            program: Box::new(SymbolicUpdateHandler::new(config, peer)),
+            program: Box::new(DomainProgram(twin)),
             marker: mark_update,
             seeds,
         })
@@ -149,14 +148,93 @@ impl CheckView for BgpRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dice_bgp::{net, RouterConfig, RouterId};
+    use dice_bgp::policy::{Match, PrefixFilter, Rule};
+    use dice_bgp::wire::sites;
+    use dice_bgp::{net, Policy, RouterConfig, RouterId, Verdict};
+    use dice_concolic::{ConcolicCtx, ConcolicProgram, RunStatus, SiteId, SymInput};
+
+    fn config() -> RouterConfig {
+        RouterConfig::minimal(Asn(65001), RouterId(1))
+            .with_network(net("10.0.0.0/16"))
+            .with_neighbor(NodeId(2), Asn(65002), "all", "all")
+    }
 
     fn router() -> BgpRouter {
-        BgpRouter::new(
-            RouterConfig::minimal(Asn(65001), RouterId(1))
-                .with_network(net("10.0.0.0/16"))
-                .with_neighbor(NodeId(2), Asn(65002), "all", "all"),
-        )
+        BgpRouter::new(config())
+    }
+
+    /// An announcement of 10.0.0.0/8 over the path 65002 65003.
+    fn valid_update() -> Vec<u8> {
+        let attrs = PathAttrs {
+            as_path: AsPath::sequence([65002, 65003]),
+            next_hop: Ipv4Addr(0x0A000002),
+            ..Default::default()
+        };
+        encode(&Message::Update(UpdateMsg {
+            withdrawn: vec![],
+            attrs: Some(attrs),
+            nlri: vec![net("10.0.0.0/8")],
+        }))
+    }
+
+    /// The twin of a router with `config` on `bytes`, the body symbolic as
+    /// exploration marks it: its status and the context it ran in.
+    fn run_symbolic(config: RouterConfig, bytes: &[u8]) -> (RunStatus, ConcolicCtx) {
+        let twin = BgpRouter::new(config).update_twin(NodeId(2)).unwrap();
+        let mut ctx = ConcolicCtx::new(SymInput::with_mask(bytes.to_vec(), mark_update(bytes)));
+        (DomainProgram(twin).run(&mut ctx), ctx)
+    }
+
+    #[test]
+    fn symbolic_run_records_constraints() {
+        let (status, ctx) = run_symbolic(config(), &valid_update());
+        assert_eq!(status, RunStatus::Ok);
+        let len = ctx.path().len();
+        assert!(len >= 15, "expected a rich path condition, got {len}");
+    }
+
+    #[test]
+    fn preference_oracle_branches() {
+        let (status, ctx) = run_symbolic(config(), &valid_update());
+        assert_eq!(status, RunStatus::Ok);
+        // The last recorded branch is the preference oracle.
+        let last = ctx.path().last().unwrap();
+        assert_eq!(last.site, SiteId(sites::PREFERENCE_ORACLE));
+        assert!(last.taken, "default oracle says preferred");
+    }
+
+    #[test]
+    fn config_complexity_grows_constraints() {
+        // The same input produces more recorded constraints under a more
+        // complex configuration — the paper's "code and configuration"
+        // claim in miniature.
+        let bytes = valid_update();
+        let (_, simple) = run_symbolic(config(), &bytes);
+        let rules = (0..6u16)
+            .map(|i| Rule {
+                matches: vec![
+                    Match::PrefixIn(vec![PrefixFilter::or_longer(net(&format!(
+                        "{}.0.0.0/8",
+                        20 + i
+                    )))]),
+                    Match::AsPathContains(Asn(64100 + i)),
+                ],
+                actions: vec![],
+                verdict: None,
+            })
+            .collect();
+        let mut rich = config().with_policy(Policy {
+            name: "rich".into(),
+            rules,
+            default: Verdict::Accept,
+        });
+        rich.neighbors[0].import = "rich".into();
+        let (_, rich) = run_symbolic(rich, &bytes);
+        let (rich, simple) = (rich.path().len(), simple.path().len());
+        assert!(
+            rich > simple,
+            "rich config must add constraints: {rich} vs {simple}"
+        );
     }
 
     #[test]

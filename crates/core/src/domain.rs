@@ -1,12 +1,27 @@
-//! The concolic instance of [`dice_netsim::Domain`]: a protocol's own
-//! frame validator, run on the exploration context, records its branches
-//! into the path condition. [`crate::gossip_sut`]'s twin runs
-//! `dice_gossip::wire::validate` through it, [`crate::handler`]'s
-//! `dice_bgp::wire::validate_update` and the import decision after it
-//! (`dice_bgp::policy::screen_path`, `Policy::decide`).
+//! The concolic instance of [`dice_netsim::Domain`], and the one adapter
+//! from a protocol's [`Twin`] to the concolic engine: the twin's own code
+//! (`dice_bgp::UpdateTwin`, `dice_gossip::FrameTwin`), run on the
+//! exploration context, records its branches into the path condition.
 
-use dice_concolic::{BinOp, CmpOp, ConcolicCtx, SiteId, SymBool, SymWord};
-use dice_netsim::Domain;
+use dice_concolic::{
+    BinOp, CmpOp, ConcolicCtx, ConcolicProgram, RunStatus, SiteId, SymBool, SymWord,
+};
+use dice_netsim::{Domain, Twin, Verdict};
+
+/// A protocol's twin as a concolic program: each run is the twin's on the
+/// context's concolic values, its verdict the run's status.
+#[derive(Debug, Clone)]
+pub struct DomainProgram<T>(pub T);
+
+impl<T: Twin> ConcolicProgram for DomainProgram<T> {
+    fn run(&mut self, ctx: &mut ConcolicCtx) -> RunStatus {
+        match self.0.run(&mut Concolic(ctx)) {
+            Ok(()) => RunStatus::Ok,
+            Err(Verdict::Reject(stage)) => RunStatus::Rejected(stage.into()),
+            Err(Verdict::Crash(why)) => RunStatus::Crash(why.into()),
+        }
+    }
+}
 
 /// A [`ConcolicCtx`] seen as a value domain. Each operation is the
 /// context's own, with the site wrapped in a [`SiteId`]; a constant too
@@ -124,13 +139,23 @@ impl Domain for Concolic<'_> {
     fn branch(&mut self, site: u32, cond: SymBool) -> bool {
         self.0.branch(SiteId(site), cond)
     }
+
+    fn free_bool(&mut self, default: bool) -> SymBool {
+        self.0.oracle_bool(default)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gossip_sut::mark_gossip;
+    use crate::sut::ExplorableNode;
+    use crate::symmark::mark_update;
+    use dice_bgp::policy::{Action, Match, PrefixFilter, Rule};
+    use dice_bgp::{net, Asn, BgpRouter, Community, Origin, Policy, RouterConfig, RouterId};
     use dice_concolic::SymInput;
-    use dice_netsim::Concrete;
+    use dice_gossip::{GossipConfig, GossipNode};
+    use dice_netsim::{Concrete, NodeId};
     use proptest::prelude::*;
 
     /// A constant near a word width's edges, or anywhere.
@@ -207,6 +232,115 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A router whose import policy tags, filters by prefix and by origin,
+    /// and its UPDATE twin for peer 2; the seeded parser defect on when
+    /// `buggy`.
+    fn bgp(buggy: bool) -> (BgpRouter, dice_bgp::UpdateTwin) {
+        let import = Policy {
+            name: "imp".into(),
+            rules: vec![
+                Rule {
+                    matches: vec![Match::AsPathContains(Asn(64512))],
+                    actions: vec![Action::AddCommunity(Community::from_pair(65001, 7))],
+                    verdict: None,
+                },
+                Rule::reject(vec![Match::PrefixIn(vec![PrefixFilter::or_longer(net(
+                    "10.0.0.0/8",
+                ))])]),
+                Rule::reject(vec![Match::OriginIs(Origin::Incomplete)]),
+            ],
+            default: dice_bgp::Verdict::Accept,
+        };
+        let mut config = RouterConfig::minimal(Asn(65001), RouterId(1))
+            .with_neighbor(NodeId(2), Asn(65002), "imp", "all")
+            .with_policy(import);
+        config.bugs.attr_overflow_crash = buggy;
+        let router = BgpRouter::new(config);
+        let twin = router.update_twin(NodeId(2)).unwrap();
+        (router, twin)
+    }
+
+    /// A gossip node with subscriptions and a publication, and its frame
+    /// twin; the seeded digest defect on when `buggy`.
+    fn gossip(buggy: bool) -> (GossipNode, dice_gossip::FrameTwin) {
+        let mut config = GossipConfig::new(61001)
+            .with_peer(NodeId(2))
+            .subscribe(1)
+            .subscribe(2)
+            .publish(7);
+        config.bugs.digest_count_overflow = buggy;
+        let node = GossipNode::new(config);
+        let twin = node.frame_twin();
+        (node, twin)
+    }
+
+    /// The seeds of `node`'s plans for peer 2: the fixed minimal seed and
+    /// an eight-seed grammar corpus.
+    fn seeds(node: &dyn ExplorableNode, seed: u64) -> Vec<Vec<u8>> {
+        [0, 8]
+            .into_iter()
+            .flat_map(|n| node.exploration_plan(NodeId(2), n, seed).unwrap().seeds)
+            .collect()
+    }
+
+    /// `twin` on the bytes themselves and, through [`DomainProgram`], on a
+    /// context with no byte symbolic and on one marked as exploration
+    /// marks it: one verdict, the stage and the crash reason included.
+    fn agree<T: Twin + Clone>(
+        twin: &T,
+        bytes: &[u8],
+        marker: fn(&[u8]) -> Vec<bool>,
+    ) -> Result<(), TestCaseError> {
+        let want = match twin.clone().run(&mut Concrete(bytes)) {
+            Ok(()) => RunStatus::Ok,
+            Err(Verdict::Reject(stage)) => RunStatus::Rejected(stage.into()),
+            Err(Verdict::Crash(why)) => RunStatus::Crash(why.into()),
+        };
+        let inputs = [
+            SymInput::all_concrete(bytes.to_vec()),
+            SymInput::with_mask(bytes.to_vec(), marker(bytes)),
+        ];
+        for input in inputs {
+            let got = DomainProgram(twin.clone()).run(&mut ConcolicCtx::new(input));
+            prop_assert_eq!(&got, &want, "on {:02x?}", bytes);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Each whole twin, clean and buggy, returns one verdict in both
+        /// domains: on its plans' seeds, on mutations of them, and on a
+        /// seed's first bytes followed by arbitrary ones.
+        #[test]
+        fn whole_twins_agree_across_domains(
+            seed in any::<u64>(),
+            buggy in any::<bool>(),
+            pick in any::<usize>(),
+            mutations in prop::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+            keep in 0usize..24,
+            tail in prop::option::of(prop::collection::vec(any::<u8>(), 0..48)),
+        ) {
+            let input = |seeds: Vec<Vec<u8>>| {
+                let mut bytes = seeds[pick % seeds.len()].clone();
+                if let Some(tail) = &tail {
+                    bytes.truncate(keep);
+                    bytes.extend_from_slice(tail);
+                }
+                for &(at, v) in &mutations {
+                    if !bytes.is_empty() {
+                        let at = at % bytes.len();
+                        bytes[at] = v;
+                    }
+                }
+                bytes
+            };
+            let (router, twin) = bgp(buggy);
+            agree(&twin, &input(seeds(&router, seed)), mark_update)?;
+            let (node, twin) = gossip(buggy);
+            agree(&twin, &input(seeds(&node, seed)), mark_gossip)?;
         }
     }
 }

@@ -367,9 +367,8 @@ impl Timed<'_> {
         let rest = self.sampled * self.runs.saturating_sub(1) / self.timed.max(1);
         (self.first + rest).as_micros() as u64
     }
-}
 
-impl dice_concolic::ConcolicProgram for Timed<'_> {
+    /// One run of the program, timed if it is in the sample.
     fn run(&mut self, ctx: &mut dice_concolic::ConcolicCtx) -> RunStatus {
         self.runs += 1;
         if self.runs != 1 && self.runs % TWIN_SAMPLE != 2 {
@@ -430,7 +429,8 @@ fn explore_timed(
         sampled: std::time::Duration::ZERO,
         timed: 0,
     };
-    let exploration = state.explore(&mut timed, &plan.seeds, &plan.marker, &explore_cfg);
+    let mut run = |ctx: &mut dice_concolic::ConcolicCtx| timed.run(ctx);
+    let exploration = state.explore(&mut run, &plan.seeds, &plan.marker, &explore_cfg);
     phases.twin_us = timed.twin_us();
 
     let mut order: Vec<usize> = (0..exploration.executions.len()).collect();

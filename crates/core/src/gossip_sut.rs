@@ -2,13 +2,10 @@
 //! `dice-core` that downcasts to [`GossipNode`].
 //!
 //! Structurally parallel to [`crate::bgp_sut`]: a [`SutProbe`]-shaped
-//! [`probe`], an [`ExplorableNode`] implementation supplying the
-//! instrumented twin ([`SymbolicGossipHandler`]) plus its seed corpus, and
-//! a [`CheckView`] that translates gossip state into the checker-visible
-//! vocabulary. The twin holds no copy of the node's frame checks: it runs
-//! the node's own [`dice_gossip::wire::validate`] on the concolic value
-//! domain (`crate::domain`) and adds only the branches exploration wants
-//! after an accept. The checker vocabulary:
+//! [`probe`], an [`ExplorableNode`] implementation supplying the node's own
+//! exploration twin ([`GossipNode::frame_twin`], run through
+//! [`DomainProgram`]) plus its seed corpus, and a [`CheckView`] that
+//! translates gossip state into the checker-visible vocabulary:
 //!
 //! * **best routes** — per-topic, the origin of the highest rumor id seen,
 //!   keyed by a synthetic multicast-style prefix ([`topic_prefix`]). A node
@@ -19,24 +16,15 @@
 //! * **session health** — configured gossip peers vs. established
 //!   sessions.
 
-use std::sync::Arc;
-
 use dice_bgp::{Asn, Ipv4Net};
-use dice_concolic::{ConcolicCtx, ConcolicProgram, RunStatus, SiteId, SymBool, SymWord};
-use dice_gossip::wire::{validate, Frame, Verdict};
 use dice_gossip::{
-    encode, DecodeError, GossipConfig, GossipFrame, GossipNode, Rumor, TopicId, ACK_KIND_RUMOR,
-    DIGEST_ENTRY_LEN, MAX_TTL,
+    encode, GossipConfig, GossipFrame, GossipNode, Rumor, TopicId, ACK_KIND_RUMOR, MAX_TTL,
 };
 use dice_netsim::{Node, NodeId, SimRng};
 
-use crate::domain::Concolic;
+use crate::domain::DomainProgram;
 use crate::interface::AttestationRegistry;
 use crate::sut::{CheckView, ExplorableNode, ExplorationPlan, SessionHealth, SutProbe};
-
-/// The gossip twin's branch sites: [`dice_gossip::wire::sites`], where
-/// the validator the twin shares with the node records them.
-pub use dice_gossip::wire::sites;
 
 /// The probe registered by
 /// [`SutCatalog::standard`](crate::sut::SutCatalog::standard): recognizes
@@ -137,92 +125,6 @@ pub fn mark_gossip(bytes: &[u8]) -> Vec<bool> {
     vec![true; bytes.len()]
 }
 
-/// The instrumented twin of [`GossipNode`]'s frame handler. It runs the
-/// node's own validator, [`dice_gossip::wire::validate`], on concolic
-/// values, so its accept / reject / crash verdict is the node's by
-/// construction and every bound check lands in the path condition. After
-/// an accept it adds what only exploration needs: subscription and
-/// interest membership interpreted over the node's *configuration*, so
-/// constraints mention config-derived constants (the paper's
-/// code-and-configuration claim, on a non-BGP protocol), and an oracle for
-/// the novelty the node decides from state the twin does not carry.
-#[derive(Debug, Clone)]
-pub struct SymbolicGossipHandler {
-    config: Arc<GossipConfig>,
-    /// [`GossipConfig::interests`], in its order, computed once.
-    interests: Vec<TopicId>,
-}
-
-impl SymbolicGossipHandler {
-    /// Create the twin for a node with `config` (owned, or the node's own
-    /// [`GossipNode::shared_config`]).
-    pub fn new(config: impl Into<Arc<GossipConfig>>) -> Self {
-        let config = config.into();
-        let interests = config.interests().into_iter().collect();
-        SymbolicGossipHandler { config, interests }
-    }
-}
-
-/// Membership of `topic` in `set`, as a disjunction of equalities, so the
-/// branch on it records every configured constant.
-fn member(ctx: &mut ConcolicCtx, topic: SymWord, set: &[TopicId]) -> SymBool {
-    let mut any = SymBool::concrete(false);
-    for &t in set {
-        let eq = ctx.eq_const(topic, t as u64);
-        any = ctx.bor(any, eq);
-    }
-    any
-}
-
-/// The stage a rejected frame names, for [`RunStatus::Rejected`].
-fn stage(e: &DecodeError) -> &'static str {
-    match e {
-        DecodeError::Empty => "empty",
-        DecodeError::Truncated => "truncated",
-        DecodeError::TrailingBytes => "trailing-bytes",
-        DecodeError::UnknownOpcode(_) => "unknown-opcode",
-        DecodeError::TtlTooLarge(_) => "ttl-too-large",
-        DecodeError::PayloadTooLong(_) => "payload-too-long",
-        DecodeError::DigestTooLong(_) => "digest-too-long",
-        DecodeError::BadAckKind(_) => "ack-kind",
-    }
-}
-
-impl ConcolicProgram for SymbolicGossipHandler {
-    fn run(&mut self, ctx: &mut ConcolicCtx) -> RunStatus {
-        let frame = match validate(&mut Concolic(ctx), self.config.bugs) {
-            Ok(frame) => frame,
-            Err(Verdict::Reject(e)) => return RunStatus::Rejected(stage(&e).into()),
-            Err(Verdict::Crash(why)) => return RunStatus::Crash(why.into()),
-        };
-        match frame {
-            Frame::Rumor { topic, .. } => {
-                let subscribed = member(ctx, topic, &self.config.subscriptions);
-                ctx.branch(SiteId(sites::RUMOR_TOPIC_SUBSCRIBED), subscribed);
-                // Novelty (seen-set membership) depends on node state the
-                // twin does not carry; mark the condition symbolic via an
-                // oracle, like the BGP twin's route-preference treatment.
-                let novel = ctx.oracle_bool(true);
-                ctx.branch(SiteId(sites::RUMOR_NOVEL), novel);
-            }
-            Frame::Digest { count } => {
-                for k in 0..count.val as usize {
-                    let at = 2 + k * DIGEST_ENTRY_LEN;
-                    let topic = ctx.read_u16_be(at);
-                    let _id = ctx.read_u32_be(at + 2);
-                    // Either direction is fine (unknown entries are
-                    // ignored), but the branch records config constants in
-                    // the path condition.
-                    let known = member(ctx, topic, &self.interests);
-                    ctx.branch(SiteId(sites::DIGEST_ENTRY_KNOWN), known);
-                }
-            }
-            Frame::Subscribe { .. } | Frame::Ack { .. } => {}
-        }
-        RunStatus::Ok
-    }
-}
-
 impl ExplorableNode for GossipNode {
     fn kind(&self) -> &'static str {
         "gossip"
@@ -241,14 +143,13 @@ impl ExplorableNode for GossipNode {
         if !self.config().peers.contains(&peer) {
             return Err("inject peer is not a gossip peer of the explorer".into());
         }
-        let config = Arc::clone(self.shared_config());
         let seeds = if grammar_seeds == 0 {
-            vec![minimal_seed(&config)]
+            vec![minimal_seed(self.config())]
         } else {
-            seed_corpus(&config, grammar_seeds, seed)
+            seed_corpus(self.config(), grammar_seeds, seed)
         };
         Ok(ExplorationPlan {
-            program: Box::new(SymbolicGossipHandler::new(config)),
+            program: Box::new(DomainProgram(self.frame_twin())),
             marker: mark_gossip,
             seeds,
         })
@@ -290,8 +191,8 @@ impl CheckView for GossipNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dice_concolic::SymInput;
-    use dice_gossip::{BUG_COUNT_THRESHOLD, OP_ACK, OP_DIGEST, OP_RUMOR, OP_SUBSCRIBE};
+    use dice_concolic::{ConcolicCtx, ConcolicProgram, RunStatus, SymInput};
+    use dice_gossip::{FrameTwin, BUG_COUNT_THRESHOLD, OP_ACK, OP_DIGEST, OP_RUMOR, OP_SUBSCRIBE};
 
     fn config() -> GossipConfig {
         GossipConfig::new(61001)
@@ -302,10 +203,13 @@ mod tests {
             .publish(7)
     }
 
+    fn twin(cfg: GossipConfig) -> DomainProgram<FrameTwin> {
+        DomainProgram(GossipNode::new(cfg).frame_twin())
+    }
+
     fn run_concrete(cfg: GossipConfig, bytes: &[u8]) -> RunStatus {
-        let mut h = SymbolicGossipHandler::new(cfg);
         let mut ctx = ConcolicCtx::new(SymInput::all_concrete(bytes.to_vec()));
-        h.run(&mut ctx)
+        twin(cfg).run(&mut ctx)
     }
 
     #[test]
@@ -356,26 +260,14 @@ mod tests {
     }
 
     #[test]
-    fn seeded_bug_reached_only_when_enabled() {
-        let attack = vec![OP_DIGEST, BUG_COUNT_THRESHOLD];
-        assert!(matches!(
-            run_concrete(config(), &attack),
-            RunStatus::Rejected(_)
-        ));
-        let mut buggy = config();
-        buggy.bugs.digest_count_overflow = true;
-        assert!(matches!(run_concrete(buggy, &attack), RunStatus::Crash(_)));
-    }
-
-    #[test]
     fn exploration_reaches_seeded_bug_from_rumor_seeds() {
         // End-to-end concolic reachability: starting from valid rumor
         // seeds only, the solver must flip the opcode into the digest arm
         // and then the count above the bug threshold.
         let mut buggy = config();
         buggy.bugs.digest_count_overflow = true;
-        let mut program = SymbolicGossipHandler::new(buggy.clone());
         let seeds = vec![minimal_seed(&buggy)];
+        let mut program = twin(buggy);
         let report = dice_concolic::explore(
             &mut program,
             &seeds,
@@ -402,8 +294,8 @@ mod tests {
         // as a missing fault class in the heterogeneous campaign test.
         let mut buggy = config();
         buggy.bugs.digest_count_overflow = true;
-        let mut program = SymbolicGossipHandler::new(buggy.clone());
         let seeds = seed_corpus(&buggy, 4, 7);
+        let mut program = twin(buggy);
         assert_eq!(seeds[0][0], OP_DIGEST, "digest seed must lead");
         let report = dice_concolic::explore(
             &mut program,
@@ -429,10 +321,9 @@ mod tests {
         // input: interpreted configuration explored like code.
         let bytes = minimal_seed(&config());
         let path_len = |cfg: GossipConfig| {
-            let mut h = SymbolicGossipHandler::new(cfg);
             let mask = mark_gossip(&bytes);
             let mut ctx = ConcolicCtx::new(SymInput::with_mask(bytes.clone(), mask));
-            let _ = h.run(&mut ctx);
+            let _ = twin(cfg).run(&mut ctx);
             ctx.path().len()
         };
         let simple = path_len(GossipConfig::new(1).with_peer(NodeId(2)).subscribe(0));

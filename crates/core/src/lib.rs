@@ -9,12 +9,12 @@
 //! 1. **Consistent shadow snapshots** ([`snapshot`]): in-band
 //!    Chandy–Lamport checkpoints of node state and channel contents, taken
 //!    while the system keeps running.
-//! 2. **Concolic exploration** ([`handler`], [`symmark`], [`grammar`]): the
-//!    explorer node's UPDATE handler runs as an instrumented twin over
-//!    symbolic message bytes (NLRI, path attributes) and a symbolic
-//!    route-preference condition; the `dice-concolic` engine negates path
-//!    constraints to systematically cover handler paths — through both code
-//!    *and* interpreted configuration. Grammar-based fuzzing supplies
+//! 2. **Concolic exploration** ([`DomainProgram`], [`symmark`], [`grammar`]):
+//!    the explorer node's own handler twin (for BGP `dice_bgp::UpdateTwin`)
+//!    runs over symbolic message bytes and a symbolic route-preference
+//!    condition; the `dice-concolic` engine negates path constraints to
+//!    systematically cover handler paths — through both code *and*
+//!    interpreted configuration. Grammar-based fuzzing supplies
 //!    valid-by-construction seed messages.
 //! 3. **Property checking** ([`check`]): clones of the snapshot are
 //!    subjected to each interesting input; checkers detect the paper's
@@ -72,7 +72,6 @@ mod executor;
 pub mod explorer;
 pub mod gossip_sut;
 pub mod grammar;
-pub mod handler;
 pub mod hash;
 pub mod interface;
 mod pool;
@@ -90,10 +89,9 @@ pub use check::{
     CheckReport, Checker, ConvergenceChecker, CrashChecker, FaultClass, FaultReport,
     OriginAuthorityChecker, OscillationChecker,
 };
+pub use domain::DomainProgram;
 pub use explorer::{DiceConfig, DiceRunner, RoundReport};
-pub use gossip_sut::SymbolicGossipHandler;
 pub use grammar::{GrammarConfig, UpdateGrammar};
-pub use handler::SymbolicUpdateHandler;
 pub use hash::{sha256, Sha256};
 pub use interface::{AttestationRegistry, LocalVerdict};
 pub use snapshot::{take_consistent_snapshot, take_instant_snapshot, SnapshotMetrics};

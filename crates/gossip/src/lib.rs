@@ -8,14 +8,15 @@
 //! policies, datagram-exact framing, and failure modes of its own (delivery
 //! loss, duplication storms, a seeded digest-length parser defect).
 //!
-//! This crate knows nothing about DiCE: it only implements
-//! [`dice_netsim::Node`]. The adapter that exposes it to the runtime
-//! (`ExplorableNode` + `CheckView` + the symbolic handler twin) lives in
-//! `dice-core::gossip_sut`, exactly parallel to `dice-core::bgp_sut`.
-//! Frame validation is written once, as [`wire::validate`] over a
-//! [`dice_netsim::Domain`]: the node and [`decode`] run it on the bytes,
-//! and the twin runs the same function on concolic values, so the twin
-//! accepts, rejects and crashes exactly where the node does.
+//! This crate knows nothing about DiCE: it implements
+//! [`dice_netsim::Node`], and its exploration twin ([`twin::FrameTwin`])
+//! is a [`dice_netsim::Twin`]. The adapter that exposes it to the runtime
+//! (`ExplorableNode` + `CheckView`) lives in `dice-core::gossip_sut`,
+//! exactly parallel to `dice-core::bgp_sut`. Frame validation is written
+//! once, as [`wire::validate`] over a [`dice_netsim::Domain`]: the node and
+//! [`decode`] run it on the bytes, and the twin runs the same function on
+//! concolic values, so the twin accepts, rejects and crashes exactly where
+//! the node does.
 //!
 //! ## Example
 //!
@@ -45,9 +46,11 @@
 #![warn(missing_docs)]
 
 pub mod node;
+pub mod twin;
 pub mod wire;
 
 pub use node::{GossipBugs, GossipConfig, GossipNode};
+pub use twin::FrameTwin;
 pub use wire::{
     decode, encode, DecodeError, GossipFrame, Rumor, TopicId, ACK_KIND_RUMOR, ACK_KIND_SUBSCRIBE,
     ACK_LEN, BUG_COUNT_THRESHOLD, DIGEST_ENTRY_LEN, MAX_DIGEST_ENTRIES, MAX_PAYLOAD, MAX_TTL,

@@ -38,6 +38,7 @@ use std::sync::Arc;
 
 use dice_netsim::{Concrete, Node, NodeApi, NodeId, SessionEvent, SimDuration, SimTime};
 
+use crate::twin::FrameTwin;
 use crate::wire::{self, DecodeError, GossipFrame, Rumor, TopicId, Verdict, MAX_DIGEST_ENTRIES};
 
 /// Timer token: periodic anti-entropy digests.
@@ -221,9 +222,10 @@ impl GossipNode {
         &self.config
     }
 
-    /// This node's configuration as the allocation its copies share.
-    pub fn shared_config(&self) -> &Arc<GossipConfig> {
-        &self.config
+    /// The twin exploration runs of this node's frame handling. It shares
+    /// the node's configuration.
+    pub fn frame_twin(&self) -> FrameTwin {
+        FrameTwin::new(Arc::clone(&self.config))
     }
 
     /// Novel rumors delivered per topic.

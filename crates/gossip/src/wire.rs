@@ -119,6 +119,23 @@ pub enum DecodeError {
     BadAckKind(u8),
 }
 
+impl DecodeError {
+    /// The stage that rejects a frame with this error, as the exploration
+    /// twin names it.
+    pub fn stage(&self) -> &'static str {
+        match self {
+            DecodeError::Empty => "empty",
+            DecodeError::Truncated => "truncated",
+            DecodeError::TrailingBytes => "trailing-bytes",
+            DecodeError::UnknownOpcode(_) => "unknown-opcode",
+            DecodeError::TtlTooLarge(_) => "ttl-too-large",
+            DecodeError::PayloadTooLong(_) => "payload-too-long",
+            DecodeError::DigestTooLong(_) => "digest-too-long",
+            DecodeError::BadAckKind(_) => "ack-kind",
+        }
+    }
+}
+
 impl core::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
@@ -184,7 +201,7 @@ pub fn encode(frame: &GossipFrame) -> Vec<u8> {
 }
 
 /// Stable branch-site identifiers of [`validate`] and of the exploration
-/// twin's classification after it. Based at 200 so a campaign's coverage
+/// twin's classification after it ([`crate::twin::FrameTwin`]). Based at 200 so a campaign's coverage
 /// union never aliases the BGP twin's sites (10..=150).
 pub mod sites {
     #![allow(
@@ -222,14 +239,9 @@ pub enum Frame<W> {
     Ack { kind: W, topic: W, id: W },
 }
 
-/// Why [`validate`] did not accept a frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Verdict {
-    /// A conforming node drops the frame.
-    Reject(DecodeError),
-    /// A seeded defect crashes the node; the reason it crashes with.
-    Crash(&'static str),
-}
+/// Why [`validate`] did not accept a frame: a conforming node drops a
+/// rejected one.
+pub type Verdict = dice_netsim::Verdict<DecodeError>;
 
 /// The frame validation of a gossip node, written once over a value
 /// domain: the node and [`decode`] run it on [`Concrete`] bytes, DiCE's

@@ -14,6 +14,38 @@
 //! every result within its word's width: the bytes carry no width, while
 //! the concolic instance would wrap.
 
+/// Why a validator or a twin did not accept its input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Verdict<E> {
+    /// A conforming node drops the input; `E` says why.
+    Reject(E),
+    /// A seeded defect crashes the node; the reason it crashes with.
+    Crash(&'static str),
+}
+
+impl<E> Verdict<E> {
+    /// The same verdict, a rejection's reason mapped by `f`.
+    pub fn map<F>(self, f: impl FnOnce(E) -> F) -> Verdict<F> {
+        match self {
+            Verdict::Reject(e) => Verdict::Reject(f(e)),
+            Verdict::Crash(why) => Verdict::Crash(why),
+        }
+    }
+}
+
+impl<E> From<E> for Verdict<E> {
+    fn from(e: E) -> Self {
+        Verdict::Reject(e)
+    }
+}
+
+/// A node's input handler as exploration runs it, written once over a
+/// [`Domain`]: accepted, rejected at the stage it names, or crashed.
+pub trait Twin {
+    /// Handle the input `d` holds.
+    fn run<D: Domain>(&mut self, d: &mut D) -> Result<(), Verdict<&'static str>>;
+}
+
 /// Words and booleans over a frame's bytes, plus the branch primitive.
 pub trait Domain {
     /// A value read from the frame, or computed from one.
@@ -89,6 +121,10 @@ pub trait Domain {
     /// Take the branch `site` on `cond`: the direction is `cond`'s
     /// concrete value.
     fn branch(&mut self, site: u32, cond: Self::Bool) -> bool;
+
+    /// A condition on state the twin does not carry: `default` here, free
+    /// for exploration to flip.
+    fn free_bool(&mut self, default: bool) -> Self::Bool;
 }
 
 /// The bytes themselves: what the node runs.
@@ -182,5 +218,9 @@ impl Domain for Concrete<'_> {
 
     fn branch(&mut self, _site: u32, cond: bool) -> bool {
         cond
+    }
+
+    fn free_bool(&mut self, default: bool) -> bool {
+        default
     }
 }

@@ -79,7 +79,7 @@ pub mod topology;
 pub mod trace;
 
 pub use buf::{BufPool, WireStats};
-pub use domain::{Concrete, Domain};
+pub use domain::{Concrete, Domain, Twin, Verdict};
 pub use faults::{BurstLoss, FaultVerdict, LinkFaultState, LinkFaults};
 pub use link::{LatencyModel, LinkParams};
 pub use node::{DownReason, Effect, Node, NodeApi, NodeId, SessionEvent};

@@ -6,9 +6,9 @@
 //! cargo run --release --example concolic_tour
 //! ```
 
-use dice_system::bgp::{net, Asn, RouterConfig, RouterId};
+use dice_system::bgp::{net, Asn, BgpRouter, RouterConfig, RouterId};
 use dice_system::concolic::{explore, ExploreConfig, RunStatus, Strategy};
-use dice_system::dice::{mark_update, GrammarConfig, SymbolicUpdateHandler, UpdateGrammar};
+use dice_system::dice::{mark_update, DomainProgram, GrammarConfig, UpdateGrammar};
 use dice_system::netsim::NodeId;
 
 fn main() {
@@ -48,11 +48,12 @@ fn main() {
         seeds.iter().map(Vec::len).sum::<usize>()
     );
 
+    let router = BgpRouter::new(cfg);
     for (name, strategy) in [
         ("generational", Strategy::Generational),
         ("dfs", Strategy::Dfs),
     ] {
-        let mut handler = SymbolicUpdateHandler::new(cfg.clone(), NodeId(2));
+        let mut handler = DomainProgram(router.update_twin(NodeId(2)).unwrap());
         let report = explore(
             &mut handler,
             &seeds,

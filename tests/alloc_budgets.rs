@@ -20,6 +20,7 @@
 //! | `passing_battery` | `run_checkers` over a null-drive clone, warm baseline, gossip16 and demo27 | 1 (the reserved report) | `run_checkers`, `check_into` of `CrashChecker`, `OscillationChecker`, `OriginAuthorityChecker`, `ConvergenceChecker` |
 //! | `pooled_unit` | reset → `deliver_direct` → `run_until_quiet` → `run_checkers`, gossip16 / demo27 | 602 / 657 | `process_deliver`, `NodeApi::buf`, `recompute_and_propagate`, `export_to`, `Policy::apply` |
 //! | `first_write` | `deliver_direct` of the input into a warm pooled demo27 clone: the explorer's copy and its first UPDATE | 47 | `BgpRouter::clone_node`, `handle_update`, `Rib::{insert, install, advertise}` |
+//! | `bgp_plan` | `exploration_plan` of a demo27 router, grammar seeds 0 / 8 | 8 / 84 (the boxed twin and the seed corpus) | `BgpRouter::update_twin`, `UpdateGrammar::{generate, batch}`, `encode` |
 //! | `warm_twin_execution` | one twin run through `ConcolicCtx::continuing` on a warm arena, BGP / gossip | 4 / 0 | `ExprArena::intern` |
 //! | `explore_session` | one `explore` of 160 executions, BGP / gossip | 881 / 3,389 | `Search::{dfs, narrow, admits, admits_cmp, offset_of}`, `ExprArena::{sweep, intern, eval3_memo}`, `UnaryMemo::lookup`, `Worklist::{push, pick}` |
 //! | `warm_session` | a second `ExploreState::explore` of the same 160 executions on one state, BGP / gossip | 808 / 3,324 (no node interned, no constraint swept) | as `explore_session`, over a warm arena and warm memos |
@@ -62,6 +63,10 @@
 //!   a shared spine, and the copy plus its first UPDATE allocates 127
 //!   times (the router copy alone stays at 2: a saving made only at copy
 //!   time cannot pass this budget).
+//! * `bgp_plan`: make `BgpRouter::update_twin` copy the router's resolved
+//!   config (`Arc::new(Resolved::clone(&self.shared))`) instead of sharing
+//!   its `Arc`, and a plan with no grammar seed allocates 101 times (85
+//!   when the plan deep-copied the `RouterConfig` alone).
 //! * `warm_twin_execution`: make `ConcolicCtx::continuing` start from
 //!   `ExprArena::new()`, and a warm BGP execution allocates 20 times.
 //! * `explore_session`: make `Worklist::push` clone the child's bytes, and
@@ -83,10 +88,12 @@ use dice_bench::{allocations, bound_clone, twin_cases, wire_workload, BoundClone
 use dice_system::concolic::{
     explore, ConcolicCtx, ExploreConfig, ExploreState, ExprArena, SymInput,
 };
+use dice_system::dice::bgp_sut::as_bgp;
 use dice_system::dice::gossip_sut::as_gossip;
 use dice_system::dice::{
     default_checkers, flips_baseline, run_checkers, scenarios, take_consistent_snapshot,
-    AttestationRegistry, Campaign, CheckBaseline, CheckContext, CheckReport, Checker, SutCatalog,
+    AttestationRegistry, Campaign, CheckBaseline, CheckContext, CheckReport, Checker,
+    ExplorableNode, SutCatalog,
 };
 use dice_system::netsim::{
     BufPool, NodeId, QuietOutcome, SimConfig, SimDuration, SimTime, Simulator,
@@ -408,6 +415,25 @@ fn first_write() {
     sim.reset_from_shadow(&b.shadow, 3);
     let ((), spent) = counted(|| sim.deliver_direct(b.peer, b.explorer, &b.valid_input));
     within("demo27: a copy and its first UPDATE", spent, 47);
+}
+
+#[test]
+fn bgp_plan() {
+    // The twin shares the router's resolved config: a plan allocates its
+    // boxed twin and its seeds, nothing per neighbour or policy.
+    let live = live("demo27");
+    let router = as_bgp(live.node(NodeId(0))).expect("a router");
+    let peer = router.injection_peers()[0];
+    for (grammar_seeds, budget) in [(0, 8), (8, 84)] {
+        let plan = || router.exploration_plan(peer, grammar_seeds, 7);
+        let _ = plan();
+        let (_, spent) = counted(plan);
+        within(
+            &format!("demo27: a plan with {grammar_seeds} grammar seeds"),
+            spent,
+            budget,
+        );
+    }
 }
 
 #[test]

@@ -1,10 +1,10 @@
-//! Differential property test: the gossip handler twin
-//! (`SymbolicGossipHandler`, what exploration runs) must classify every
-//! frame as the real node does — accept, reject or crash. Both sides run
-//! one validator, `dice_gossip::wire::validate`, in two value domains:
-//! the node (`GossipNode::on_message`, and `dice_gossip::decode` for
-//! accept vs reject) on the bytes, the twin on concolic values through
-//! `Concolic` (`core/src/domain.rs`). So agreement holds by construction where
+//! Differential property test: the gossip frame twin
+//! (`dice_gossip::FrameTwin` run as a `DomainProgram`, what exploration
+//! runs) must classify every frame as the real node does — accept, reject
+//! or crash. Both sides run one validator, `dice_gossip::wire::validate`,
+//! in two value domains: the node (`GossipNode::on_message`, and
+//! `dice_gossip::decode` for accept vs reject) on the bytes, the twin on
+//! concolic values through `Concolic` (`core/src/domain.rs`). So agreement holds by construction where
 //! the two domains agree, and this file checks the part that does not
 //! follow from the types: that they do agree on every bound, and on valid,
 //! mutated, over-long and arbitrary frames, clean and buggy configuration.
@@ -25,7 +25,7 @@ use std::collections::BTreeSet;
 use dice_system::concolic::{ConcolicCtx, ConcolicProgram, ExprArena, ExprId, RunStatus, SymInput};
 use dice_system::dice::gossip_sut::{mark_gossip, minimal_seed, seed_corpus};
 use dice_system::dice::hash::hex;
-use dice_system::dice::{Sha256, SymbolicGossipHandler};
+use dice_system::dice::{DomainProgram, Sha256};
 use dice_system::gossip::{
     decode, encode, GossipConfig, GossipFrame, GossipNode, Rumor, ACK_KIND_RUMOR,
     ACK_KIND_SUBSCRIBE, ACK_LEN, BUG_COUNT_THRESHOLD, DIGEST_ENTRY_LEN, MAX_DIGEST_ENTRIES,
@@ -53,7 +53,7 @@ fn config(buggy: bool) -> GossipConfig {
 }
 
 fn twin_class(cfg: &GossipConfig, bytes: &[u8]) -> Class {
-    let mut twin = SymbolicGossipHandler::new(cfg.clone());
+    let mut twin = DomainProgram(GossipNode::new(cfg.clone()).frame_twin());
     let mut ctx = ConcolicCtx::new(SymInput::all_concrete(bytes.to_vec()));
     class_of(twin.run(&mut ctx))
 }
@@ -256,7 +256,7 @@ fn twin_paths_are_pinned() {
     let mut executions = 0;
     for buggy in [false, true] {
         let cfg = config(buggy);
-        let mut twin = SymbolicGossipHandler::new(cfg.clone());
+        let mut twin = DomainProgram(GossipNode::new(cfg.clone()).frame_twin());
         let mut inputs = vec![minimal_seed(&cfg)];
         inputs.extend(seed_corpus(&cfg, 8, 7));
         inputs.extend(frames_at_bounds());

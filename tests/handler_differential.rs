@@ -1,5 +1,5 @@
-//! Differential tests: the instrumented UPDATE-handler twin
-//! (`SymbolicUpdateHandler`, what exploration runs) must classify every
+//! Differential tests: the router's UPDATE twin (`dice_bgp::UpdateTwin`
+//! run as a `DomainProgram`, what exploration runs) must classify every
 //! UPDATE as the router does — accept, policy reject, structural reject or
 //! crash. Both run the same code in two value domains (the router on
 //! concrete values, the twin on concolic ones): the wire validator
@@ -23,7 +23,7 @@
 //! it equal to the real router.
 //!
 //! Break it once: make the twin's sink count every AS_PATH member as a hop
-//! (`SymUpdate::asn` in `core/src/handler.rs`), and
+//! (`SymUpdate::asn` in `bgp/src/twin.rs`), and
 //! `probe_as_set_counts_one_hop` and `agrees_at_every_bound` go red.
 
 use std::collections::BTreeSet;
@@ -38,7 +38,7 @@ use dice_system::bgp::{
 use dice_system::concolic::{ConcolicCtx, ConcolicProgram, ExprArena, ExprId, RunStatus, SymInput};
 use dice_system::dice::bgp_sut::minimal_seed;
 use dice_system::dice::hash::hex;
-use dice_system::dice::{mark_update, GrammarConfig, Sha256, SymbolicUpdateHandler, UpdateGrammar};
+use dice_system::dice::{mark_update, DomainProgram, GrammarConfig, Sha256, UpdateGrammar};
 use dice_system::netsim::{LinkParams, NodeId, SimDuration, SimTime, Simulator, Topology};
 use proptest::prelude::*;
 
@@ -93,7 +93,7 @@ fn class_of(status: RunStatus) -> Class {
 }
 
 fn twin_class(cfg: &RouterConfig, bytes: &[u8]) -> Class {
-    let mut twin = SymbolicUpdateHandler::new(cfg.clone(), PEER_NODE);
+    let mut twin = DomainProgram(BgpRouter::new(cfg.clone()).update_twin(PEER_NODE).unwrap());
     let mut ctx = ConcolicCtx::new(SymInput::all_concrete(bytes.to_vec()));
     class_of(twin.run(&mut ctx))
 }
@@ -244,6 +244,43 @@ fn probe_as_set_has_no_originator() {
         &announce(&[(SEQ, &[PEER.0, 64903])]),
         Class::PolicyReject,
     );
+}
+
+/// A prefix-range filter that accepts ahead of a path rule that rejects:
+/// inside the range below its longest length and at its shortest, outside
+/// it (the default), and a path through the rejected AS.
+#[test]
+fn probe_range_accept_before_a_path_reject() {
+    let range = PrefixFilter {
+        net: net("10.0.0.0/8"),
+        min_len: 8,
+        max_len: 24,
+    };
+    let cfg = with_import(
+        vec![
+            Rule::accept(vec![Match::PrefixIn(vec![range])]),
+            Rule::reject(vec![Match::AsPathContains(Asn(64000))]),
+        ],
+        Verdict::Accept,
+    );
+    let announce_via = |path: [u16; 2], prefix: &str| {
+        let attrs = PathAttrs {
+            as_path: AsPath::sequence(path),
+            next_hop: Ipv4Addr(0x0A00_0002),
+            ..Default::default()
+        };
+        encode(&Message::Update(UpdateMsg {
+            withdrawn: vec![],
+            attrs: Some(attrs),
+            nlri: vec![net(prefix)],
+        }))
+    };
+    for prefix in ["10.2.0.0/16", "10.0.0.0/8", "192.0.2.0/24"] {
+        let bytes = announce_via([PEER.0, 65003], prefix);
+        probe(&cfg, &bytes, Class::Accept);
+    }
+    let through = announce_via([PEER.0, 64000], "172.16.0.0/12");
+    probe(&cfg, &through, Class::PolicyReject);
 }
 
 /// A prefix shorter than a filter's own is outside it, whatever the
@@ -586,7 +623,11 @@ fn bgp_twin_paths_are_pinned() {
     let (mut arena, mut path) = (ExprArena::new(), Vec::new());
     let mut executions = 0;
     for buggy in [false, true] {
-        let mut twin = SymbolicUpdateHandler::new(pin_config(buggy), PEER_NODE);
+        let mut twin = DomainProgram(
+            BgpRouter::new(pin_config(buggy))
+                .update_twin(PEER_NODE)
+                .unwrap(),
+        );
         let mut g = UpdateGrammar::new(GrammarConfig::for_peer(PEER), 7);
         let mut inputs = vec![minimal_seed(PEER), g.generate(), g.generate_large_unknown()];
         inputs.extend(g.batch(8));
@@ -891,7 +932,7 @@ proptest! {
         bytes.extend_from_slice(&((19 + body.len()) as u16).to_be_bytes());
         bytes.push(2); // UPDATE
         bytes.extend_from_slice(&body);
-        let mut handler = SymbolicUpdateHandler::new(cfg, PEER_NODE);
+        let mut handler = DomainProgram(BgpRouter::new(cfg).update_twin(PEER_NODE).unwrap());
         let mask = mark_update(&bytes);
         let mut ctx = ConcolicCtx::new(SymInput::with_mask(bytes, mask));
         let _ = handler.run(&mut ctx);
