@@ -230,7 +230,10 @@ impl ConcolicCtx {
     /// Read byte `idx`; symbolic if marked. Panics when out of bounds —
     /// instrumented code must bounds-check with [`ConcolicCtx::branch`]
     /// first, exactly like the real parser.
-    // dice-lint: allow(panic-freedom): out-of-bounds reads are the documented bug signal; instrumented parsers bounds-check via branch() first
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "out-of-bounds reads are the documented bug signal; instrumented parsers bounds-check via branch() first"
+    )]
     pub fn read_u8(&mut self, idx: usize) -> SymWord {
         let b = self.input.bytes[idx];
         if self.input.symbolic[idx] {

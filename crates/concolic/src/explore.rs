@@ -708,15 +708,16 @@ pub fn random_fuzz(
         return report;
     }
 
-    for n in 0..max_executions {
-        let base = &seeds[n % seeds.len()];
+    for (n, base) in seeds.iter().cycle().take(max_executions).enumerate() {
         let mut bytes = base.clone();
         if n >= seeds.len() && !bytes.is_empty() {
             // Mutate 1-4 random bytes.
             let flips = 1 + (rnd() % 4) as usize;
             for _ in 0..flips {
                 let i = (rnd() as usize) % bytes.len();
-                bytes[i] = rnd() as u8;
+                if let Some(b) = bytes.get_mut(i) {
+                    *b = rnd() as u8;
+                }
             }
         }
         let mask = marker(&bytes);

@@ -17,7 +17,7 @@ pub struct ExprId(pub u32);
 
 /// Binary word operators (modular in the node's width).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs, reason = "the variants are the operators they name")]
+#[expect(missing_docs, reason = "the variants are the operators they name")]
 pub enum BinOp {
     Add,
     Sub,
@@ -31,7 +31,7 @@ pub enum BinOp {
 
 /// Word comparison operators (unsigned).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs, reason = "the variants are the operators they name")]
+#[expect(missing_docs, reason = "the variants are the operators they name")]
 pub enum CmpOp {
     Eq,
     Ne,
@@ -41,7 +41,7 @@ pub enum CmpOp {
 
 /// Boolean connectives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs, reason = "the variants are the operators they name")]
+#[expect(missing_docs, reason = "the variants are the operators they name")]
 pub enum BoolOp {
     And,
     Or,
@@ -262,7 +262,10 @@ impl ExprArena {
     }
 
     /// Fetch a node.
-    // dice-lint: allow(panic-freedom): ExprIds are minted only by this arena, so they index in bounds
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ExprIds are minted only by this arena, so they index in bounds"
+    )]
     pub fn get(&self, id: ExprId) -> Expr {
         self.nodes[id.0 as usize]
     }

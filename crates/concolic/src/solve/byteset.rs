@@ -22,25 +22,37 @@ impl ByteSet {
     }
 
     /// Membership test.
-    // dice-lint: allow(panic-freedom): v >> 6 < 4 indexes the fixed [u64; 4] word array
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "v >> 6 < 4 indexes the fixed [u64; 4] word array"
+    )]
     pub fn contains(&self, v: u8) -> bool {
         self.words[(v >> 6) as usize] >> (v & 63) & 1 == 1
     }
 
     /// Insert a value.
-    // dice-lint: allow(panic-freedom): v >> 6 < 4 indexes the fixed [u64; 4] word array
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "v >> 6 < 4 indexes the fixed [u64; 4] word array"
+    )]
     pub fn insert(&mut self, v: u8) {
         self.words[(v >> 6) as usize] |= 1 << (v & 63);
     }
 
     /// Remove a value.
-    // dice-lint: allow(panic-freedom): v >> 6 < 4 indexes the fixed [u64; 4] word array
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "v >> 6 < 4 indexes the fixed [u64; 4] word array"
+    )]
     pub fn remove(&mut self, v: u8) {
         self.words[(v >> 6) as usize] &= !(1 << (v & 63));
     }
 
     /// Set intersection.
-    // dice-lint: allow(panic-freedom): the 0..4 loop stays inside the fixed [u64; 4] word array
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the 0..4 loop stays inside the fixed [u64; 4] word array"
+    )]
     pub fn intersect(&mut self, other: &ByteSet) {
         for i in 0..4 {
             self.words[i] &= other.words[i];
@@ -88,7 +100,10 @@ impl ByteSet {
     }
 
     /// Set union.
-    // dice-lint: allow(panic-freedom): the 0..4 loop stays inside the fixed [u64; 4] word array
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the 0..4 loop stays inside the fixed [u64; 4] word array"
+    )]
     pub(super) fn union(&mut self, other: &ByteSet) {
         for i in 0..4 {
             self.words[i] |= other.words[i];

@@ -19,7 +19,10 @@ pub struct Solver {
 
 /// Build the constraint system "path prefix holds, branch `k` negated" —
 /// the concolic negation query.
-// dice-lint: allow(panic-freedom): k < path.len() is asserted on entry
+#[expect(
+    clippy::indexing_slicing,
+    reason = "k < path.len() is asserted on entry"
+)]
 pub fn negation_query(path: &[BranchRec], k: usize) -> Vec<Constraint> {
     assert!(k < path.len());
     let mut out: Vec<Constraint> = Vec::with_capacity(k + 1);
@@ -66,7 +69,10 @@ impl Solver {
     /// Solve a conjunction of constraints. `seed` provides default values
     /// for unconstrained bytes (the original input), so models stay close
     /// to the seed input — a concolic-execution requirement.
-    // dice-lint: allow(panic-freedom): con_vars is built per-constraint above and shares the constraint index
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "con_vars is built per-constraint above and shares the constraint index"
+    )]
     pub fn solve(
         &mut self,
         arena: &ExprArena,
@@ -167,7 +173,10 @@ impl Solver {
                 .filter(|(_, _, vars)| vars.contains(&v))
                 .count()
         };
-        order.sort_by_key(|&v| (candidates[&v].len(), usize::MAX - mentions(v), v));
+        order.sort_by_key(|&v| {
+            let size = candidates.get(&v).map_or(0, ByteSet::len);
+            (size, usize::MAX - mentions(v), v)
+        });
 
         let mut assignment: BTreeMap<u32, u8> = BTreeMap::new();
         let mut steps = 0u64;
@@ -202,11 +211,14 @@ impl Solver {
     /// DFS over candidate values. Returns `Some(true)` on success (model in
     /// `assignment`), `Some(false)` when exhaustively refuted, `None` on
     /// budget exhaustion.
-    #[allow(
+    #[expect(
         clippy::too_many_arguments,
         reason = "one recursion frame of the reference search: bundling its state would only rename the arguments"
     )]
-    // dice-lint: allow(panic-freedom): order and candidates are built over the same var set; depth < order.len() is the recursion guard
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "order and candidates are built over the same var set; depth < order.len() is the recursion guard"
+    )]
     fn search(
         &self,
         arena: &ExprArena,
@@ -222,7 +234,7 @@ impl Solver {
             return Some(true);
         }
         let v = order[depth];
-        let set = &candidates[&v];
+        let set = candidates.get(&v)?;
         // Try the seed value first to keep models minimal.
         let sv = seed(v);
         let tries = std::iter::once(sv)

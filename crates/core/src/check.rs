@@ -547,7 +547,7 @@ pub fn flips_baseline(catalog: &SutCatalog, shadow: &ShadowSnapshot) -> CheckBas
         // The join wants ascending, unique prefixes — what the in-tree
         // views yield. Any other order is sorted once here, a repeated
         // prefix keeping its last count.
-        if !flips.windows(2).all(|w| w[0].0 < w[1].0) {
+        if !flips.is_sorted_by(|a, b| a.0 < b.0) {
             let sorted: BTreeMap<Ipv4Net, u64> = flips.into_iter().collect();
             flips = sorted.into_iter().collect();
         }

@@ -30,7 +30,7 @@ pub fn flips_baseline(
 
 /// What the full battery looks at: [`crate::check::CheckContext`] with
 /// the federation-wide flip map for a baseline.
-#[allow(
+#[expect(
     missing_docs,
     reason = "field for field what CheckContext documents, with the flip map in place of the baseline"
 )]

@@ -217,7 +217,7 @@ impl Sweep<'_> {
 /// `pool_workers` threads validating (`max` of the two are spawned), and
 /// return per-round results in task order plus the aggregated clone-pool
 /// counters.
-#[allow(
+#[expect(
     clippy::too_many_arguments,
     reason = "the campaign's whole sweep context, taken once and stored in Sweep"
 )]

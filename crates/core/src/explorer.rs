@@ -394,7 +394,10 @@ impl Timed<'_> {
 
 /// [`explore_stage`] itself; it fills in `phases.plan_us` (cumulative
 /// from `start`) and `phases.twin_us` (the estimate).
-// dice-lint: allow(panic-freedom): order permutes 0..executions.len(), so the index stays in bounds
+#[expect(
+    clippy::indexing_slicing,
+    reason = "order permutes 0..executions.len(), so the index stays in bounds"
+)]
 fn explore_timed(
     shadow: &ShadowSnapshot,
     cfg: &DiceConfig,
@@ -470,7 +473,7 @@ fn explore_timed(
 /// the pool only recycles allocations. Also returns the unit's host time
 /// split into its acquire, drive and check phases (the three sum to the
 /// unit's whole time, truncated to microseconds once).
-#[allow(
+#[expect(
     clippy::too_many_arguments,
     reason = "one validation unit reads the whole round context; the executor passes it straight from its Sweep"
 )]

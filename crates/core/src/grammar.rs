@@ -59,7 +59,10 @@ impl UpdateGrammar {
         }
     }
 
-    // dice-lint: allow(panic-freedom): rng.index(len) returns a value below len by contract
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "rng.index(len) returns a value below len by contract"
+    )]
     fn random_prefix(&mut self) -> Ipv4Net {
         let base = self.cfg.prefix_bases[self.rng.index(self.cfg.prefix_bases.len())];
         let len = 8 + self.rng.below(17) as u8; // /8 ..= /24
@@ -67,7 +70,10 @@ impl UpdateGrammar {
         Ipv4Net::new(addr, len)
     }
 
-    // dice-lint: allow(panic-freedom): rng.index(len) returns a value below len by contract
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "rng.index(len) returns a value below len by contract"
+    )]
     fn random_as_path(&mut self) -> AsPath {
         let hops = 1 + self.rng.below(3) as usize;
         let mut asns = vec![self.cfg.peer_asn.0];

@@ -61,6 +61,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Panic freedom (DESIGN.md §6): a bad input ends as a round error, never
+// as a crash of the harness. A justified site carries
+// `#[expect(clippy::…, reason = "…")]`. `tests/engine_invariants.rs`
+// fails if this block changes, and rejects the `map[&key]` through a
+// reference that `indexing_slicing` does not flag.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes
+)]
 
 pub mod bgp_sut;
 pub mod campaign;

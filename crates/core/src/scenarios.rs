@@ -48,6 +48,10 @@ pub fn build_system_with_originators(topo: &Topology, originators: usize, seed: 
             cfg = cfg.with_network(prefix_of(n.0));
         }
         for m in topo.neighbors(n) {
+            #[expect(
+                clippy::expect_used,
+                reason = "neighbors(n) yields only nodes adjacent to n, and every adjacency has a relationship"
+            )]
             let role = topo.relationship(n, m).expect("adjacent");
             let import = gao_rexford::import_policy(asn_of(n.0), role);
             let export = gao_rexford::export_policy(asn_of(n.0), role);
@@ -142,6 +146,10 @@ pub fn hijack_prefix() -> Ipv4Net {
 /// without owning it (a more-specific hijack of node 0's block).
 pub fn apply_hijack(sim: &mut Simulator) {
     sim.invoke_node(NodeId(2), |node, api| {
+        #[expect(
+            clippy::expect_used,
+            reason = "the hijack is staged on the BGP scenarios, where every node is a router"
+        )]
         let r = crate::bgp_sut::as_bgp_mut(node).expect("node 2 is a router");
         r.announce_network(hijack_prefix(), false, api);
     });
@@ -194,14 +202,7 @@ pub fn bad_gadget_scenario(seed: u64) -> Simulator {
     sim.set_node(NodeId(0), Box::new(BgpRouter::new(cfg0)));
 
     // Ring node i prefers the path via its clockwise neighbor succ(i).
-    let succ = |i: u32| -> u32 {
-        match i {
-            1 => 2,
-            2 => 3,
-            3 => 1,
-            _ => unreachable!(),
-        }
-    };
+    let succ = |i: u32| -> u32 { i % 3 + 1 };
     for i in 1..=3u32 {
         let mut cfg = base_config(i).with_network(prefix_of(i));
         // From the center: acceptable at low preference.

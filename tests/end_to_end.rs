@@ -1,6 +1,8 @@
 //! End-to-end integration tests: the full DiCE stack (netsim + bgp +
 //! concolic + core) exercised through the public facade.
 
+mod outcomes;
+
 use dice_system::bgp::{BgpRouter, SessionState};
 use dice_system::dice::{scenarios, DiceConfig, DiceRunner, FaultClass};
 use dice_system::netsim::{Node, NodeId, QuietOutcome, SimDuration, SimTime};
@@ -236,8 +238,6 @@ fn internet200_sweep_report_is_pinned() {
     use dice_system::dice::Campaign;
     use dice_system::netsim::{InternetParams, SimRng, Topology};
 
-    const PINNED: &str = "0a2a55b812b8c10bb5bb51152a90cf9e656e4caec886711845d992315fd668c9";
-
     let n = 200;
     let params = InternetParams {
         peering_prob: 8.0 / n as f64,
@@ -264,7 +264,10 @@ fn internet200_sweep_report_is_pinned() {
         .run(&mut live)
         .expect("campaign runs");
     assert_eq!(report.rounds.len(), 2, "one sweep, two peers");
-    assert_eq!(normalized_digest(&report), PINNED);
+    assert_eq!(
+        normalized_digest(&report),
+        outcomes::pinned("end_to_end", "internet200_sweep_report_is_pinned")
+    );
 }
 
 /// SHA-256 of a campaign's normalized report — what the two tests below
@@ -284,8 +287,6 @@ fn demo27_sweep_report_is_pinned() {
     // paper's Figure-1 federation, two peers each), the workload where the
     // solve loop is three quarters of a round.
     use dice_system::dice::Campaign;
-
-    const PINNED: &str = "abeca306aac54b175b865fa737726288a215b27871152fad11d12b82a82bc133";
 
     let mut live = scenarios::demo27_system(500);
     let quiet = live.run_until_quiet(
@@ -309,7 +310,10 @@ fn demo27_sweep_report_is_pinned() {
         9,
         "five explorers, up to two peers each"
     );
-    assert_eq!(normalized_digest(&report), PINNED);
+    assert_eq!(
+        normalized_digest(&report),
+        outcomes::pinned("end_to_end", "demo27_sweep_report_is_pinned")
+    );
 }
 
 #[test]
@@ -319,8 +323,6 @@ fn nemesis_campaign_report_is_pinned() {
     // lossy links, one partition window and one churn cycle.
     use dice_system::dice::Campaign;
     use dice_system::netsim::{LinkFaults, ScheduleSpec};
-
-    const PINNED: &str = "e9be90511092bb77110d98d5b3cff125897c2bf8fc856c18feb9f8e5cbb74c94";
 
     let mut live = scenarios::nemesis_federation(1006);
     live.run_until(SimTime::from_nanos(12_000_000_000));
@@ -352,5 +354,8 @@ fn nemesis_campaign_report_is_pinned() {
         "the seeded defects must be found: {:?}",
         report.faults
     );
-    assert_eq!(normalized_digest(&report), PINNED);
+    assert_eq!(
+        normalized_digest(&report),
+        outcomes::pinned("end_to_end", "nemesis_campaign_report_is_pinned")
+    );
 }

@@ -26,6 +26,8 @@
 //! (`SymUpdate::asn` in `bgp/src/twin.rs`), and
 //! `probe_as_set_counts_one_hop` and `agrees_at_every_bound` go red.
 
+mod outcomes;
+
 use std::collections::BTreeSet;
 
 use dice_system::bgp::attrs::{code, flags};
@@ -653,7 +655,7 @@ fn bgp_twin_paths_are_pinned() {
     assert!(executions > 400, "{executions}");
     assert_eq!(
         hex(&sha.finalize()),
-        "92566aad5b6e145b03eac0c4567c751a473f48615723107f49ab460e57779aff"
+        outcomes::pinned("twin_paths", "bgp_twin_paths_are_pinned")
     );
 }
 
