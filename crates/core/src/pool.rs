@@ -1,8 +1,8 @@
 //! Per-worker clone pools for system-wide validation.
 //!
 //! Phase 3 used to pay a full [`Simulator::from_shadow`] per validated
-//! input: re-cloning the topology, reallocating every channel queue, the
-//! event heap and the trace ring, and deep-copying node checkpoints. With
+//! input: re-cloning the topology, reallocating every channel queue and
+//! the event heap, and deep-copying node checkpoints. With
 //! copy-on-write snapshots the node copies are already lazy; the pool
 //! removes the remaining per-input construction cost by letting each
 //! worker keep finished simulators and rebind them to the next input with
@@ -23,7 +23,7 @@
 //! [`Simulator::from_shadow`]: dice_netsim::Simulator::from_shadow
 //! [`Simulator::reset_from_shadow`]: dice_netsim::Simulator::reset_from_shadow
 
-use dice_netsim::{ShadowSnapshot, SimConfig, Simulator, Topology, WireStats};
+use dice_netsim::{ShadowSnapshot, Simulator, Topology, WireStats};
 
 /// A worker-local pool holding the validation simulator its worker last
 /// finished with.
@@ -44,9 +44,9 @@ impl ClonePool {
 
     /// Check a simulator out, bound to `shadow` with `seed`: the pooled
     /// one reset in place when there is one, a fresh `from_shadow` clone
-    /// otherwise. Validation clones are built without a trace ring: the
-    /// counters every checker reads stay exact, and the event trail of a
-    /// fault belongs to its replay, not to each of the clean clones.
+    /// otherwise. Such a clone keeps no trace ring: the counters every
+    /// checker reads stay exact, and the event trail of a fault belongs to
+    /// its replay, not to each of the clean clones.
     pub(crate) fn acquire(
         &mut self,
         shadow: &ShadowSnapshot,
@@ -61,11 +61,7 @@ impl ClonePool {
             }
             None => {
                 self.stats.misses += 1;
-                let config = SimConfig {
-                    trace_capacity: 0,
-                    ..SimConfig::default()
-                };
-                Simulator::from_shadow_with_config(shadow, topo, seed, config)
+                Simulator::from_shadow(shadow, topo, seed)
             }
         }
     }

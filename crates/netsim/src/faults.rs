@@ -17,7 +17,7 @@
 //! its lag), reordering lag. Chandy–Lamport markers are exempt — the marker
 //! protocol is only sound over FIFO channels — and the simulator suspends
 //! sampling entirely while a consistent cut is in progress (see
-//! [`crate::sim::SimConfig::unreliable_links`]).
+//! [`Simulator::set_unreliable_links`](crate::sim::Simulator::set_unreliable_links)).
 
 use serde::{Deserialize, Serialize};
 
@@ -79,8 +79,9 @@ pub struct LinkFaults {
 impl Default for LinkFaults {
     /// The standard "unreliable but survivable" profile: 5% loss
     /// ([`LinkFaults::lossy`]). This is what
-    /// [`SimConfig::unreliable_links`](crate::sim::SimConfig::unreliable_links)
-    /// turns on when no explicit profile is supplied.
+    /// [`Simulator::set_unreliable_links`](crate::sim::Simulator::set_unreliable_links)
+    /// turns on when [`Simulator::set_link_faults`](crate::sim::Simulator::set_link_faults)
+    /// supplied no other profile.
     fn default() -> Self {
         LinkFaults::lossy(0.05)
     }

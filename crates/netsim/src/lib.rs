@@ -21,7 +21,8 @@
 //!   crashes ([`schedule::Schedule`]), plus an opt-in per-link
 //!   channel-fidelity layer — probabilistic drop, duplication, bounded
 //!   reordering and Gilbert–Elliott burst loss ([`faults::LinkFaults`],
-//!   gated by [`SimConfig::unreliable_links`]).
+//!   switched on by [`Simulator::set_unreliable_links`], its profile set by
+//!   [`Simulator::set_link_faults`]).
 //! * **One validator, two value domains:** [`Domain`] is what a protocol
 //!   crate writes its frame checks against, so the node runs them on
 //!   [`Concrete`] bytes and an exploration twin runs the same function on
@@ -85,7 +86,7 @@ pub use link::{LatencyModel, LinkParams};
 pub use node::{DownReason, Effect, Node, NodeApi, NodeId, SessionEvent};
 pub use rng::SimRng;
 pub use schedule::{FaultAction, Schedule, ScheduleSpec};
-pub use sim::{QuietOutcome, SimConfig, Simulator, SnapshotStats};
+pub use sim::{QuietOutcome, Simulator, SnapshotStats};
 pub use snapshot::{ShadowSnapshot, SnapshotId, SnapshotProgress};
 pub use time::{SimDuration, SimTime};
 pub use topology::{EdgeSpec, InternetParams, NeighborRole, Relationship, Topology};

@@ -16,8 +16,6 @@ use crate::time::SimDuration;
 pub enum LatencyModel {
     /// Constant latency.
     Fixed(SimDuration),
-    /// Uniform in `[lo, hi]`.
-    Uniform { lo: SimDuration, hi: SimDuration },
     /// Heavy-tailed "Internet-like" latency: log-normal-ish around a median,
     /// never below `floor`. This is the model used for the paper's
     /// Internet-like conditions.
@@ -33,13 +31,6 @@ impl LatencyModel {
     pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
         match *self {
             LatencyModel::Fixed(d) => d,
-            LatencyModel::Uniform { lo, hi } => {
-                if hi <= lo {
-                    lo
-                } else {
-                    SimDuration::from_nanos(rng.range_inclusive(lo.as_nanos(), hi.as_nanos()))
-                }
-            }
             LatencyModel::LogNormal {
                 median,
                 sigma,
@@ -57,7 +48,6 @@ impl LatencyModel {
     pub fn floor(&self) -> SimDuration {
         match *self {
             LatencyModel::Fixed(d) => d,
-            LatencyModel::Uniform { lo, .. } => lo,
             LatencyModel::LogNormal { floor, .. } => floor,
         }
     }
@@ -152,18 +142,6 @@ mod tests {
         let m = LatencyModel::Fixed(SimDuration::from_millis(5));
         for _ in 0..10 {
             assert_eq!(m.sample(&mut rng), SimDuration::from_millis(5));
-        }
-    }
-
-    #[test]
-    fn uniform_latency_within_bounds() {
-        let mut rng = SimRng::seed_from_u64(2);
-        let lo = SimDuration::from_millis(2);
-        let hi = SimDuration::from_millis(8);
-        let m = LatencyModel::Uniform { lo, hi };
-        for _ in 0..1000 {
-            let s = m.sample(&mut rng);
-            assert!(s >= lo && s <= hi, "{s}");
         }
     }
 

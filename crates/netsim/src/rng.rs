@@ -75,15 +75,6 @@ impl SimRng {
         }
     }
 
-    /// Uniform integer in the inclusive range `[lo, hi]`.
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range");
-        if lo == 0 && hi == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.below(hi - lo + 1)
-    }
-
     /// Uniform float in `[0, 1)`.
     pub fn f64(&mut self) -> f64 {
         // 53 random mantissa bits.
@@ -247,20 +238,5 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn range_inclusive_endpoints_reachable() {
-        let mut r = SimRng::seed_from_u64(23);
-        let mut lo_seen = false;
-        let mut hi_seen = false;
-        for _ in 0..2000 {
-            match r.range_inclusive(3, 6) {
-                3 => lo_seen = true,
-                6 => hi_seen = true,
-                x => assert!((3..=6).contains(&x)),
-            }
-        }
-        assert!(lo_seen && hi_seen);
     }
 }

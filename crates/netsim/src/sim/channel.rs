@@ -14,7 +14,7 @@
 
 use std::collections::VecDeque;
 
-use super::{Ev, Simulator};
+use super::{Ev, Simulator, RECONNECT_DELAY};
 use crate::buf::BufPool;
 use crate::faults::{FaultVerdict, LinkFaultState};
 use crate::node::{DownReason, NodeId, SessionEvent};
@@ -219,7 +219,7 @@ impl Simulator {
     /// A data frame has left its channel: its storage goes back on the
     /// free list.
     fn recycle(&mut self, bytes: Vec<u8>) {
-        if self.config.payload_pool {
+        if self.knobs.payload_pool {
             self.buf_pool.recycle(bytes);
         }
     }
@@ -333,10 +333,10 @@ impl Simulator {
         // fault streams are separate from the latency streams, so the
         // knob's off state is byte-identical to the pre-fault simulator.
         let faulty = sample_faults
-            && self.config.unreliable_links
+            && self.knobs.unreliable_links
             && is_data
             && self.cuts.idle()
-            && !self.config.link_faults.is_noop();
+            && !self.knobs.link_faults.is_noop();
         let verdict = if faulty {
             let fault_rng = Links::stream(
                 &mut link.fault_rng,
@@ -344,7 +344,7 @@ impl Simulator {
                 &self.topo,
                 dir,
             );
-            self.config
+            self.knobs
                 .link_faults
                 .sample(&mut link.fault_state, fault_rng)
         } else {
@@ -454,7 +454,7 @@ impl Simulator {
         // delivery events become no-ops.
         self.links.touch(2 * edge);
         self.links.touch(2 * edge + 1);
-        let mut pool = self.config.payload_pool.then_some(&mut self.buf_pool);
+        let mut pool = self.knobs.payload_pool.then_some(&mut self.buf_pool);
         for ch in &mut self.links.dirs[2 * edge..2 * edge + 2] {
             ch.drain(&mut pool, |id| {
                 self.cuts
@@ -475,10 +475,8 @@ impl Simulator {
             });
         }
         if reconnect {
-            if let Some(d) = self.config.reconnect_delay {
-                let at = self.now + d;
-                self.schedule(at, Ev::SessionUp { a, b });
-            }
+            let at = self.now + RECONNECT_DELAY;
+            self.schedule(at, Ev::SessionUp { a, b });
         }
     }
 }

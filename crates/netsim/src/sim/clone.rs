@@ -6,7 +6,7 @@
 //! restores; a fresh clone is that reset applied to an empty simulator.
 
 use super::channel::{Frame, SessionState};
-use super::{Down, NodeState, SimConfig, Simulator};
+use super::{Down, NodeState, Simulator};
 use crate::node::{Node, NodeId};
 use crate::snapshot::ShadowSnapshot;
 use crate::topology::Topology;
@@ -64,23 +64,13 @@ impl Simulator {
     /// messages re-enqueued. The clone starts at the snapshot's base time
     /// and shares no *mutable* state with the live system — shared node
     /// checkpoints are deep-copied the moment the clone first mutates
-    /// them.
+    /// them. It keeps no trace ring (the counters stay exact): a clone
+    /// that should retain its events is a [`Simulator::new`] rebound by
+    /// [`Simulator::reset_from_shadow`]. This is that reset applied to an
+    /// empty simulator: a fresh clone and a pooled one are bound by the
+    /// same code.
     pub fn from_shadow(shadow: &ShadowSnapshot, topo: &Topology, seed: u64) -> Simulator {
-        Self::from_shadow_with_config(shadow, topo, seed, SimConfig::default())
-    }
-
-    /// [`Simulator::from_shadow`] with explicit configuration — what a
-    /// clone pool uses to build its simulators without a trace ring
-    /// (`trace_capacity: 0`). An empty simulator rebound by
-    /// [`Simulator::reset_from_shadow`]: a fresh clone and a pooled one
-    /// are bound by the same code.
-    pub fn from_shadow_with_config(
-        shadow: &ShadowSnapshot,
-        topo: &Topology,
-        seed: u64,
-        config: SimConfig,
-    ) -> Simulator {
-        let mut sim = Simulator::with_config(topo.clone(), seed, config);
+        let mut sim = Simulator::with_trace(topo.clone(), seed, 0);
         sim.reset_from_shadow(shadow, seed);
         sim
     }
@@ -90,8 +80,9 @@ impl Simulator {
     /// already holds — channel queues, the event heap, the trace ring,
     /// node slots — instead of allocating them anew as
     /// [`Simulator::from_shadow`] does. The result is state-for-state
-    /// indistinguishable from a fresh `from_shadow(shadow, topo, seed)`
-    /// — which is this reset applied to an empty simulator; the unit tests
+    /// indistinguishable from a fresh `from_shadow(shadow, topo, seed)`,
+    /// except that the trace ring keeps this simulator's capacity
+    /// — a fresh clone is this reset applied to an empty simulator; the unit tests
     /// hold a thoroughly dirtied simulator's reset equal to it — and that
     /// is what lets clone pools reuse simulators across validated inputs
     /// without perturbing determinism.
@@ -116,7 +107,7 @@ impl Simulator {
         );
         // Channel structures survive; their contents do not. The per-link
         // randomness streams restart exactly as construction seeds them.
-        let pool = self.config.payload_pool.then_some(&mut self.buf_pool);
+        let pool = self.knobs.payload_pool.then_some(&mut self.buf_pool);
         self.links.reset(seed, pool);
         self.queue.clear();
         self.seq = 0;
@@ -287,10 +278,11 @@ mod tests {
         // fault layer on: nodes materialised, frames in flight, events
         // queued, trace ring filled, fault streams partly consumed — onto
         // a cut with frames in flight, which the pooled simulator replays
-        // with the previous drive's fault knobs still in its config and
-        // the fresh clone with none. (Break: `replay_in_flight` passing
-        // `true` to `send_frame` samples the pooled replay, and the traces
-        // below differ.)
+        // with the previous drive's fault knobs still set and the fresh
+        // clone with none. Both keep a trace ring, so the traces compare
+        // event for event. (Break: `replay_in_flight` passing `true` to
+        // `send_frame` samples the pooled replay, and the traces below
+        // differ.)
         let mut live = line_sim(6, 17);
         live.run_until(SimTime::from_nanos(1_000_000_000));
         for hop in 0..5u32 {
@@ -314,10 +306,10 @@ mod tests {
             sim.trace().events().map(|e| format!("{e:?}")).collect()
         };
 
-        let mut fresh = Simulator::from_shadow(&shadow, &topo, 7);
+        let mut fresh = traced_clone(&shadow, &topo, 7);
         lossy_drive(&mut fresh, SimDuration::from_secs(5));
 
-        let mut pooled = Simulator::from_shadow(&shadow, &topo, 99);
+        let mut pooled = traced_clone(&shadow, &topo, 99);
         lossy_drive(&mut pooled, SimDuration::from_millis(7));
         assert!(!pooled.queue.is_empty(), "reset must hit a non-empty heap");
         assert!(!pooled.trace().is_empty());
@@ -345,6 +337,53 @@ mod tests {
         );
 
         pooled_sequence_matches_fresh_clones();
+    }
+
+    /// A clone that keeps a trace ring: a [`Simulator::new`] rebound to
+    /// `shadow`, where [`Simulator::from_shadow`] starts from a ring-less
+    /// simulator.
+    fn traced_clone(shadow: &ShadowSnapshot, topo: &Topology, seed: u64) -> Simulator {
+        let mut sim = Simulator::new(topo.clone(), seed);
+        sim.reset_from_shadow(shadow, seed);
+        sim
+    }
+
+    #[test]
+    fn clones_count_frames_but_retain_no_trace_events() {
+        // A validation clone's checkers read the counters; the event trail
+        // belongs to a system someone is looking at, which `new` builds.
+        let mut live = two_node_sim(3);
+        live.run_until(SimTime::from_nanos(1_000_000_000));
+        assert!(live.trace().stats().msgs_delivered > 0);
+        assert!(
+            !live.trace().is_empty(),
+            "a `new` system retains its events"
+        );
+        let shadow = live.instant_snapshot();
+        let topo = live.topology().clone();
+        let drive = |sim: &mut Simulator| {
+            sim.deliver_direct(NodeId(0), NodeId(1), &[0]);
+            sim.run_until(sim.now() + SimDuration::from_secs(5));
+        };
+
+        let mut clone = Simulator::from_shadow(&shadow, &topo, 7);
+        drive(&mut clone);
+        assert!(
+            clone.trace().stats().msgs_delivered > 1,
+            "frames were delivered"
+        );
+        assert!(clone.trace().is_empty(), "a fresh clone retained events");
+        clone.reset_from_shadow(&shadow, 8);
+        drive(&mut clone);
+        assert!(
+            clone.trace().stats().msgs_delivered > 1,
+            "frames were delivered"
+        );
+        assert!(clone.trace().is_empty(), "a pooled reset retained events");
+
+        let mut traced = traced_clone(&shadow, &topo, 7);
+        drive(&mut traced);
+        assert!(!traced.trace().is_empty(), "a rebound `new` system retains");
     }
 
     /// Floods like `snapshot::tests::Acc`, and obeys the opcodes below —
@@ -472,9 +511,10 @@ mod tests {
         let topo = Topology::ring(
             6,
             LinkParams {
-                latency: crate::link::LatencyModel::Uniform {
-                    lo: SimDuration::from_millis(2),
-                    hi: SimDuration::from_millis(6),
+                latency: crate::link::LatencyModel::LogNormal {
+                    median: SimDuration::from_millis(4),
+                    sigma: 0.3,
+                    floor: SimDuration::from_millis(2),
                 },
                 bandwidth_bps: None,
                 loss: 0.05,
@@ -549,16 +589,20 @@ mod tests {
             let shadow = if second { &cut_b } else { &cut_a };
             same_cut.push(pooled.binding.bound_to == Some(shadow.id()));
             pooled.reset_from_shadow(shadow, seed);
-            // Configuration survives a reset; the fresh clone gets the
-            // pooled simulator's minus the previous input's fault knobs,
-            // which must not decide how the cut's in-flight frames are
-            // replayed. (Break: `replay_in_flight` passing `true` to
+            // The toggles survive a reset; the fresh clone takes the
+            // pooled simulator's through the setters and is bound again
+            // under them (delta snapshots decide what a binding caches),
+            // minus the previous input's fault knobs, which must not
+            // decide how the cut's in-flight frames are replayed. Its
+            // first binding's wire counters are drained, as a release
+            // drains them. (Break: `replay_in_flight` passing `true` to
             // `send_frame` fails the named sequence at step 1.)
-            let config = SimConfig {
-                unreliable_links: false,
-                ..pooled.config.clone()
-            };
-            let mut fresh = Simulator::from_shadow_with_config(shadow, &topo, seed, config);
+            let mut fresh = Simulator::from_shadow(shadow, &topo, seed);
+            fresh.set_wire_config(pooled.knobs.payload_pool, pooled.knobs.batch_delivery);
+            fresh.set_delta_snapshots(pooled.knobs.delta_snapshots);
+            fresh.set_link_faults(pooled.knobs.link_faults);
+            let _ = fresh.take_wire_stats();
+            fresh.reset_from_shadow(shadow, seed);
             drive(&mut pooled, input, extra);
             drive(&mut fresh, input, extra);
             let (got, want) = (state_digest(&pooled), state_digest(&fresh));

@@ -164,7 +164,7 @@ impl Simulator {
     /// [`Simulator::reset_from_shadow`] relies on, so the next reset takes
     /// the full path; outcomes are unaffected either way.
     pub fn set_delta_snapshots(&mut self, on: bool) {
-        self.config.delta_snapshots = on;
+        self.knobs.delta_snapshots = on;
         if !on {
             self.cuts.ckpt_cache.fill(None);
             self.binding.forget();
@@ -186,7 +186,7 @@ impl Simulator {
     /// `delta_snapshots` off every call is a plain re-capture.
     fn checkpoint_node(&mut self, n: NodeId) -> Option<std::sync::Arc<dyn Node>> {
         let idx = n.index();
-        if self.config.delta_snapshots && !self.cuts.dirty[idx] {
+        if self.knobs.delta_snapshots && !self.cuts.dirty[idx] {
             if let Some(cached) = &self.cuts.ckpt_cache[idx] {
                 self.cuts.snap_stats.nodes_cached += 1;
                 return Some(std::sync::Arc::clone(cached));
@@ -195,7 +195,7 @@ impl Simulator {
         let arc = self.nodes[idx].node.checkpoint()?;
         self.cuts.snap_stats.nodes_recaptured += 1;
         self.cuts.snap_stats.delta_bytes += arc.state_size() as u64;
-        if self.config.delta_snapshots {
+        if self.knobs.delta_snapshots {
             self.cuts.ckpt_cache[idx] = Some(std::sync::Arc::clone(&arc));
             self.cuts.dirty[idx] = false;
         }

@@ -1,7 +1,7 @@
 //! Dynamics: crashes, restarts and the fault-injection entry points
 //! [`crate::schedule::Schedule`] drives.
 
-use super::{Down, Ev, NodeState, Simulator};
+use super::{Down, Ev, NodeState, Simulator, SESSION_SETUP_BASE, SESSION_SETUP_STAGGER};
 use crate::node::{DownReason, NodeId};
 use crate::schedule::FaultAction;
 use crate::time::{SimDuration, SimTime};
@@ -101,9 +101,7 @@ impl Simulator {
         self.with_node(n, |node, api| node.on_start(api));
         let peers = self.topo.neighbors(n);
         for (i, m) in peers.into_iter().enumerate() {
-            let at = self.now
-                + self.config.session_setup_base
-                + self.config.session_setup_stagger.saturating_mul(i as u64);
+            let at = self.now + SESSION_SETUP_BASE + SESSION_SETUP_STAGGER.saturating_mul(i as u64);
             self.schedule(at, Ev::SessionUp { a: n, b: m });
         }
     }

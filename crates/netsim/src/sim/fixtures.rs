@@ -2,7 +2,7 @@
 
 use core::any::Any;
 
-use super::{SimConfig, Simulator};
+use super::Simulator;
 use crate::link::LinkParams;
 use crate::node::{Node, NodeApi, NodeId, SessionEvent};
 use crate::time::SimDuration;
@@ -83,15 +83,9 @@ pub(super) fn line_sim(n: usize, seed: u64) -> Simulator {
 
 pub(super) fn unreliable_two_node(seed: u64, faults: crate::faults::LinkFaults) -> Simulator {
     let topo = Topology::line(2, LinkParams::fixed(SimDuration::from_millis(5)));
-    let mut sim = Simulator::with_config(
-        topo,
-        seed,
-        SimConfig {
-            unreliable_links: true,
-            link_faults: faults,
-            ..SimConfig::default()
-        },
-    );
+    let mut sim = Simulator::new(topo, seed);
+    sim.set_unreliable_links(true);
+    sim.set_link_faults(faults);
     sim.set_node(NodeId(0), Box::new(Pinger::new(true)));
     sim.set_node(NodeId(1), Box::new(Pinger::new(false)));
     sim.start();

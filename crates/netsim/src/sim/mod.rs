@@ -8,7 +8,7 @@
 //! One `impl Simulator` block per concern, each beside the state only it
 //! maintains:
 //!
-//! - this module — the struct, [`SimConfig`], accessors, the event loop
+//! - this module — the struct, its setters and accessors, the event loop
 //!   (`step` / `run_*`) and handler dispatch (`with_node`, `apply_effects`);
 //! - `channel` — link directions and sessions: `send_frame`,
 //!   `process_deliver`, establish / teardown, and the `Links` table nothing
@@ -154,36 +154,37 @@ impl PartialOrd for Queued {
     }
 }
 
-/// Simulator tuning knobs.
+/// Delay before the first session establishment attempt.
+const SESSION_SETUP_BASE: SimDuration = SimDuration::from_millis(1);
+/// Stagger between successive session establishments at start.
+const SESSION_SETUP_STAGGER: SimDuration = SimDuration::from_micros(500);
+/// Re-establishment delay after a session reset.
+const RECONNECT_DELAY: SimDuration = SimDuration::from_secs(5);
+/// Capacity of the trace ring of a simulator built by [`Simulator::new`].
+/// A clone built by [`Simulator::from_shadow`] keeps none: its counters
+/// ([`TraceStats`](crate::trace::TraceStats)) stay exact and node
+/// annotations are never rendered.
+const TRACE_CAPACITY: usize = 64 * 1024;
+
+/// The toggles a simulator is built with and its setters change.
 #[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// Delay before the first session establishment attempt.
-    pub session_setup_base: SimDuration,
-    /// Stagger between successive session establishments at start.
-    pub session_setup_stagger: SimDuration,
-    /// Automatic re-establishment delay after a session reset
-    /// (`None` disables auto-reconnect).
-    pub reconnect_delay: Option<SimDuration>,
-    /// Capacity of the bounded trace ring. At 0 the simulator keeps
-    /// counters only ([`TraceStats`](crate::trace::TraceStats) stays
-    /// exact) and node annotations are never rendered.
-    pub trace_capacity: usize,
+struct Knobs {
     /// Recycle wire payload buffers through the simulator's [`BufPool`]
     /// (`false`: [`NodeApi::buf`] is `Vec::new()` and nothing is recycled;
     /// observable only in perf counters, never in simulation outcomes).
-    pub payload_pool: bool,
+    payload_pool: bool,
     /// Merge runs of adjacent delivery events (same channel, same instant,
     /// consecutive heap order — the shape a back-to-back send burst
     /// produces) into one dispatch instead of one event per frame. The
     /// merged run delivers the same frames in the same order as unbatched
     /// processing, so outcomes are batching-invariant by construction.
-    pub batch_delivery: bool,
+    batch_delivery: bool,
     /// Serve checkpoints of nodes untouched since their last capture from a
     /// cached `Arc` instead of re-cloning them (delta snapshots). A cached
     /// checkpoint of an unmutated node is state-identical to a fresh
     /// `clone_node`, so the knob is observable only in perf counters
     /// ([`SnapshotStats`]), never in simulation outcomes.
-    pub delta_snapshots: bool,
+    delta_snapshots: bool,
     /// Enable the channel-fidelity layer: data frames are subjected to the
     /// per-link [`LinkFaults`] model in `link_faults` (drop, duplication,
     /// bounded reordering, burst loss), sampled from dedicated per-link
@@ -191,18 +192,14 @@ pub struct SimConfig {
     /// Chandy–Lamport markers are always exempt, and sampling is suspended
     /// while a consistent cut is in progress (the marker protocol requires
     /// FIFO channels).
-    pub unreliable_links: bool,
+    unreliable_links: bool,
     /// The fault profile applied when `unreliable_links` is on.
-    pub link_faults: LinkFaults,
+    link_faults: LinkFaults,
 }
 
-impl Default for SimConfig {
+impl Default for Knobs {
     fn default() -> Self {
-        SimConfig {
-            session_setup_base: SimDuration::from_millis(1),
-            session_setup_stagger: SimDuration::from_micros(500),
-            reconnect_delay: Some(SimDuration::from_secs(5)),
-            trace_capacity: 64 * 1024,
+        Knobs {
             payload_pool: true,
             batch_delivery: true,
             delta_snapshots: true,
@@ -242,21 +239,21 @@ pub struct Simulator {
     pristine: BTreeMap<NodeId, Box<dyn Node>>,
     /// Delta-checkpoint cache, cuts in progress and their counters (`cut`).
     cuts: Cuts,
-    config: SimConfig,
+    knobs: Knobs,
     effects_scratch: Vec<Effect>,
     buf_pool: BufPool,
     wire: WireStats,
 }
 
 impl Simulator {
-    /// Create a simulator over `topo`. Nodes must be installed with
-    /// [`Simulator::set_node`] before [`Simulator::start`].
+    /// Create a simulator over `topo`, keeping a trace ring. Nodes must be
+    /// installed with [`Simulator::set_node`] before [`Simulator::start`].
     pub fn new(topo: Topology, seed: u64) -> Self {
-        Self::with_config(topo, seed, SimConfig::default())
+        Self::with_trace(topo, seed, TRACE_CAPACITY)
     }
 
-    /// Like [`Simulator::new`] with explicit configuration.
-    pub fn with_config(topo: Topology, seed: u64, config: SimConfig) -> Self {
+    /// An empty simulator whose trace ring retains `trace_capacity` events.
+    fn with_trace(topo: Topology, seed: u64, trace_capacity: usize) -> Self {
         let edges = topo.edges().len();
         let nodes: Vec<NodeSlot> = (0..topo.len())
             .map(|_| NodeSlot {
@@ -271,7 +268,7 @@ impl Simulator {
             queue: BinaryHeap::new(),
             seq: 0,
             nodes,
-            trace: Trace::with_capacity(config.trace_capacity),
+            trace: Trace::with_capacity(trace_capacity),
             topo,
             links: Links::new(edges, seed),
             sessions: vec![SessionState::Down; edges],
@@ -281,7 +278,7 @@ impl Simulator {
             started: false,
             pristine: BTreeMap::new(),
             cuts: Cuts::new(n),
-            config,
+            knobs: Knobs::default(),
             effects_scratch: Vec::new(),
             buf_pool: BufPool::new(),
             wire: WireStats::default(),
@@ -300,8 +297,8 @@ impl Simulator {
     /// [`Simulator::reset_from_shadow`], before any event is processed.
     /// Neither knob affects simulation outcomes, only perf counters.
     pub fn set_wire_config(&mut self, payload_pool: bool, batch_delivery: bool) {
-        self.config.payload_pool = payload_pool;
-        self.config.batch_delivery = batch_delivery;
+        self.knobs.payload_pool = payload_pool;
+        self.knobs.batch_delivery = batch_delivery;
     }
 
     /// Drain this simulator's wire-path counters (bytes sent, buffer-pool
@@ -319,12 +316,12 @@ impl Simulator {
     /// but identically for identical seeds: the fault streams are reseeded
     /// by construction and by `reset_from_shadow`, never by this setter.
     pub fn set_unreliable_links(&mut self, on: bool) {
-        self.config.unreliable_links = on;
+        self.knobs.unreliable_links = on;
     }
 
     /// Replace the fault profile applied when `unreliable_links` is on.
     pub fn set_link_faults(&mut self, faults: LinkFaults) {
-        self.config.link_faults = faults;
+        self.knobs.link_faults = faults;
     }
 
     /// Install the protocol node for `id`.
@@ -420,12 +417,10 @@ impl Simulator {
         for id in 0..self.nodes.len() {
             self.schedule(SimTime::ZERO, Ev::Start(NodeId(id as u32)));
         }
-        let base = self.config.session_setup_base;
-        let stagger = self.config.session_setup_stagger;
         let pairs: Vec<(NodeId, NodeId)> = self.topo.edges().iter().map(|e| (e.a, e.b)).collect();
         for (i, (a, b)) in pairs.into_iter().enumerate() {
             self.schedule(
-                SimTime::ZERO + base + stagger.saturating_mul(i as u64),
+                SimTime::ZERO + SESSION_SETUP_BASE + SESSION_SETUP_STAGGER.saturating_mul(i as u64),
                 Ev::SessionUp { a, b },
             );
         }
@@ -465,7 +460,7 @@ impl Simulator {
                 // get fresh (larger) seq numbers, so they run after the
                 // merged run in both modes.
                 let mut budget: u64 = 1;
-                if self.config.batch_delivery {
+                if self.knobs.batch_delivery {
                     while let Some(Reverse(next)) = self.queue.peek() {
                         let same_run = next.at == q.at
                             && matches!(
@@ -573,7 +568,7 @@ impl Simulator {
         let mut effects = std::mem::take(&mut self.effects_scratch);
         effects.clear();
         {
-            let bufs = self.config.payload_pool.then_some(&mut self.buf_pool);
+            let bufs = self.knobs.payload_pool.then_some(&mut self.buf_pool);
             let mut api = NodeApi::new(n, self.now, &mut effects, bufs, self.trace.retains());
             f(node.as_mut(), &mut api);
         }

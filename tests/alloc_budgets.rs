@@ -95,9 +95,7 @@ use dice_system::dice::{
     AttestationRegistry, Campaign, CheckBaseline, CheckContext, CheckReport, Checker,
     ExplorableNode, SutCatalog,
 };
-use dice_system::netsim::{
-    BufPool, NodeId, QuietOutcome, SimConfig, SimDuration, SimTime, Simulator,
-};
+use dice_system::netsim::{BufPool, NodeId, QuietOutcome, SimDuration, SimTime, Simulator};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -138,11 +136,7 @@ fn live(name: &str) -> Simulator {
 
 /// A validation clone of `b`'s cut, built as the clone pool builds one.
 fn pooled_clone(b: &BoundClone) -> Simulator {
-    let config = SimConfig {
-        trace_capacity: 0,
-        ..SimConfig::default()
-    };
-    Simulator::from_shadow_with_config(&b.shadow, &b.topo, 3, config)
+    Simulator::from_shadow(&b.shadow, &b.topo, 3)
 }
 
 /// One validation drive: `input` (if any) injected at the explorer, then
