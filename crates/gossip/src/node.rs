@@ -3,7 +3,7 @@
 //! Dissemination follows the classic rumor-mongering + anti-entropy split:
 //!
 //! * **Rumor mongering (push)** — a rumor first seen is immediately
-//!   forwarded to up to [`GossipConfig::fanout`] peers not already known to
+//!   forwarded to up to `FANOUT` (3) peers not already known to
 //!   be infected with it, with the hop TTL decremented. Per-peer infection
 //!   state stops the epidemic once everyone has everything.
 //! * **Anti-entropy (digests)** — a periodic timer sends each peer a
@@ -17,7 +17,7 @@
 //!   duplicate-suppression memory.
 //! * **Ack and retransmit** — rumor pushes and subscribes are acknowledged
 //!   with a quiet [`GossipFrame::Ack`]; unacked sends are retransmitted
-//!   with exponential backoff up to [`GossipConfig::retry_budget`] times.
+//!   with exponential backoff up to `RETRY_BUDGET` (3) times.
 //!   On budget exhaustion the peer is *un-marked* as infected so the
 //!   anti-entropy digest exchange remains the repair backstop on lossy
 //!   channels (see `dice_netsim::LinkFaults`).
@@ -50,6 +50,26 @@ const TOKEN_RETRANSMIT: u64 = 3;
 
 /// How many missing rumors a digest response pushes back at most.
 const DIGEST_PUSH_CAP: usize = 16;
+/// Rumors published per owned topic at start.
+const RUMORS_PER_TOPIC: u32 = 2;
+/// Payload bytes per published rumor.
+const PAYLOAD_LEN: usize = 8;
+/// Peers a fresh rumor is pushed to immediately.
+const FANOUT: usize = 3;
+/// Hop TTL on rumors a node originates.
+const RUMOR_TTL: u8 = 6;
+/// Period of the anti-entropy digest timer.
+const ANTI_ENTROPY_PERIOD: SimDuration = SimDuration::from_secs(2);
+/// Period of the garbage-collection timer.
+const GC_PERIOD: SimDuration = SimDuration::from_secs(10);
+/// How long a rumor's payload is retained after first sight.
+const RUMOR_LIFETIME: SimDuration = SimDuration::from_secs(120);
+/// Base timeout before an unacked send is retransmitted (doubled per
+/// attempt); also the retransmit sweep period.
+const RETRANSMIT_TIMEOUT: SimDuration = SimDuration::from_millis(800);
+/// Retransmissions attempted per unacked send before giving up and
+/// leaving repair to anti-entropy.
+const RETRY_BUDGET: u32 = 3;
 
 /// Seeded defect switches, mirroring `dice_bgp::BugSwitches`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -74,47 +94,18 @@ pub struct GossipConfig {
     pub subscriptions: Vec<TopicId>,
     /// Topics this node owns and publishes on.
     pub publishes: Vec<TopicId>,
-    /// Rumors published per owned topic at start.
-    pub rumors_per_topic: u32,
-    /// Payload bytes per published rumor.
-    pub payload_len: usize,
-    /// Peers a fresh rumor is pushed to immediately.
-    pub fanout: usize,
-    /// Hop TTL on rumors this node originates.
-    pub rumor_ttl: u8,
-    /// Period of the anti-entropy digest timer.
-    pub anti_entropy_period: SimDuration,
-    /// Period of the garbage-collection timer.
-    pub gc_period: SimDuration,
-    /// How long a rumor's payload is retained after first sight.
-    pub rumor_lifetime: SimDuration,
-    /// Base timeout before an unacked send is retransmitted (doubled per
-    /// attempt); also the retransmit sweep period.
-    pub retransmit_timeout: SimDuration,
-    /// Retransmissions attempted per unacked send before giving up and
-    /// leaving repair to anti-entropy.
-    pub retry_budget: u32,
     /// Seeded defects.
     pub bugs: GossipBugs,
 }
 
 impl GossipConfig {
-    /// Sensible defaults for a node with identity `origin`.
+    /// A node with identity `origin`, no peers, topics or defects yet.
     pub fn new(origin: u16) -> Self {
         GossipConfig {
             origin,
             peers: Vec::new(),
             subscriptions: Vec::new(),
             publishes: Vec::new(),
-            rumors_per_topic: 2,
-            payload_len: 8,
-            fanout: 3,
-            rumor_ttl: 6,
-            anti_entropy_period: SimDuration::from_secs(2),
-            gc_period: SimDuration::from_secs(10),
-            rumor_lifetime: SimDuration::from_secs(120),
-            retransmit_timeout: SimDuration::from_millis(800),
-            retry_budget: 3,
             bugs: GossipBugs::default(),
         }
     }
@@ -323,7 +314,7 @@ impl GossipNode {
                 origin: rumor.origin,
                 ttl: rumor.ttl,
                 payload: rumor.payload.clone(),
-                expires: now + self.config.rumor_lifetime,
+                expires: now + RUMOR_LIFETIME,
             },
         );
         let best = self
@@ -367,7 +358,7 @@ impl GossipNode {
         self.pending.insert(
             key,
             PendingSend {
-                deadline: now + self.config.retransmit_timeout,
+                deadline: now + RETRANSMIT_TIMEOUT,
                 attempts,
             },
         );
@@ -395,7 +386,7 @@ impl GossipNode {
             .collect();
         for ((peer, kind, topic, id), attempts) in due {
             let key = (peer, kind, topic, id);
-            if attempts >= self.config.retry_budget {
+            if attempts >= RETRY_BUDGET {
                 self.pending.remove(&key);
                 if kind == wire::ACK_KIND_RUMOR {
                     self.unmark_infected(peer, &(topic, id));
@@ -440,14 +431,12 @@ impl GossipNode {
             let backoff_shift = (attempts + 1).min(6);
             let p = self.pending.get_mut(&key).expect("due entry still pending");
             p.attempts = attempts + 1;
-            p.deadline = now
-                + SimDuration::from_nanos(
-                    self.config.retransmit_timeout.as_nanos() << backoff_shift,
-                );
+            p.deadline =
+                now + SimDuration::from_nanos(RETRANSMIT_TIMEOUT.as_nanos() << backoff_shift);
         }
     }
 
-    /// Rumor mongering: forward a fresh rumor to up to `fanout` peers not
+    /// Rumor mongering: forward a fresh rumor to up to [`FANOUT`] peers not
     /// known to be infected, TTL decremented.
     fn monger(&mut self, rumor: &Rumor, exclude: Option<NodeId>, api: &mut NodeApi<'_>) {
         if rumor.ttl == 0 {
@@ -462,7 +451,7 @@ impl GossipNode {
             .filter(|p| Some(*p) != exclude)
             .filter(|p| self.sessions_up.contains(p))
             .filter(|p| !self.peer_has(*p, &key))
-            .take(self.config.fanout)
+            .take(FANOUT)
             .collect();
         for peer in targets {
             self.push_to(peer, key, rumor.ttl - 1, api);
@@ -472,7 +461,7 @@ impl GossipNode {
     /// Publish the configured initial rumors for every owned topic.
     fn publish_initial(&mut self, now: SimTime) {
         let config = Arc::clone(&self.config);
-        for k in 0..config.rumors_per_topic {
+        for k in 0..RUMORS_PER_TOPIC {
             for &t in &config.publishes {
                 let seq = self.next_seq;
                 self.next_seq += 1;
@@ -480,8 +469,8 @@ impl GossipNode {
                     topic: t,
                     id: ((config.origin as u32) << 16) | seq,
                     origin: config.origin,
-                    ttl: config.rumor_ttl,
-                    payload: vec![(t as u8) ^ (k as u8); config.payload_len],
+                    ttl: RUMOR_TTL,
+                    payload: vec![(t as u8) ^ (k as u8); PAYLOAD_LEN],
                 };
                 self.admit(&rumor, now);
             }
@@ -562,9 +551,9 @@ fn digest_window(
 impl Node for GossipNode {
     fn on_start(&mut self, api: &mut NodeApi<'_>) {
         self.publish_initial(api.now());
-        api.set_timer(self.config.anti_entropy_period, TOKEN_ANTI_ENTROPY);
-        api.set_timer(self.config.gc_period, TOKEN_GC);
-        api.set_timer(self.config.retransmit_timeout, TOKEN_RETRANSMIT);
+        api.set_timer(ANTI_ENTROPY_PERIOD, TOKEN_ANTI_ENTROPY);
+        api.set_timer(GC_PERIOD, TOKEN_GC);
+        api.set_timer(RETRANSMIT_TIMEOUT, TOKEN_RETRANSMIT);
     }
 
     fn on_message(&mut self, from: NodeId, data: &[u8], api: &mut NodeApi<'_>) {
@@ -613,7 +602,7 @@ impl Node for GossipNode {
                 for peer in up {
                     self.send_digest(peer, api);
                 }
-                api.set_timer(self.config.anti_entropy_period, TOKEN_ANTI_ENTROPY);
+                api.set_timer(ANTI_ENTROPY_PERIOD, TOKEN_ANTI_ENTROPY);
             }
             TOKEN_GC => {
                 let now = api.now();
@@ -641,11 +630,11 @@ impl Node for GossipNode {
                         format_args!("evicted {} rumors", expired.len()),
                     );
                 }
-                api.set_timer(self.config.gc_period, TOKEN_GC);
+                api.set_timer(GC_PERIOD, TOKEN_GC);
             }
             TOKEN_RETRANSMIT => {
                 self.sweep_retransmits(api);
-                api.set_timer(self.config.retransmit_timeout, TOKEN_RETRANSMIT);
+                api.set_timer(RETRANSMIT_TIMEOUT, TOKEN_RETRANSMIT);
             }
             _ => {}
         }
@@ -861,9 +850,8 @@ mod tests {
 
     #[test]
     fn ttl_gc_evicts_but_remembers() {
-        let mut cfg = GossipConfig::new(77).publish(1).subscribe(1);
-        cfg.rumor_lifetime = SimDuration::from_secs(1);
-        cfg.gc_period = SimDuration::from_secs(2);
+        // The rumors expire at 120 s; the GC sweep after that evicts them.
+        let cfg = GossipConfig::new(77).publish(1).subscribe(1);
         let topo = Topology::line(2, LinkParams::fixed(SimDuration::from_millis(5)));
         let mut sim = Simulator::new(topo, 1);
         sim.set_node(NodeId(0), Box::new(GossipNode::new(cfg)));
@@ -872,7 +860,7 @@ mod tests {
             Box::new(GossipNode::new(GossipConfig::new(78).subscribe(1))),
         );
         sim.start();
-        sim.run_until(SimTime::from_nanos(30_000_000_000));
+        sim.run_until(SimTime::ZERO + RUMOR_LIFETIME + GC_PERIOD);
         let g = gossip(&sim, 0);
         assert_eq!(g.stored(), 0, "expired rumors must be evicted");
         assert_eq!(g.seen_count(), 2, "dedup memory survives GC");
@@ -1077,11 +1065,9 @@ mod tests {
         // every peer's infection set with the checkpoint. Each way a copy
         // can then change must copy exactly the tables it writes: never
         // write through to the checkpoint, never copy a table it only
-        // reads. Rumors expire at ~20 s, so the converged checkpoint still
+        // reads. Rumors expire at ~120 s, so the converged checkpoint still
         // holds every payload.
-        let mut live = mesh_with(6, 8, None, |_, cfg| {
-            cfg.rumor_lifetime = SimDuration::from_secs(20);
-        });
+        let mut live = mesh(6, 8, None);
         let out = live.run_until_quiet(
             SimDuration::from_secs(5),
             SimTime::from_nanos(15_000_000_000),
@@ -1156,7 +1142,7 @@ mod tests {
                 // rumors have expired.)
                 "GC timer",
                 Box::new(|sim: &mut Simulator| {
-                    sim.run_until(SimTime::from_nanos(25_000_000_000));
+                    sim.run_until(SimTime::ZERO + RUMOR_LIFETIME + SimDuration::from_secs(5));
                     sim.invoke_node(NodeId(1), |node, api| node.on_timer(TOKEN_GC, api));
                 }),
                 vec![
