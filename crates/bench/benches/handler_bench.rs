@@ -42,7 +42,7 @@ use dice_bgp::{
 use dice_concolic::{
     explore, BranchRec, ConcolicCtx, ConcolicProgram, ExploreConfig, ExprArena, SymInput,
 };
-use dice_core::{mark_update, DomainProgram, GrammarConfig, UpdateGrammar};
+use dice_core::{mark_update, DomainProgram, UpdateGrammar};
 use dice_netsim::{
     LinkParams, NeighborRole, Node, NodeApi, NodeId, Relationship, SessionEvent, SimDuration,
     SimTime, Simulator, Topology,
@@ -59,7 +59,7 @@ fn setup() -> (RouterConfig, Vec<u8>) {
         "all",
         "all",
     );
-    let mut g = UpdateGrammar::new(GrammarConfig::for_peer(Asn(65002)), 9);
+    let mut g = UpdateGrammar::new(Asn(65002), 9);
     (cfg, g.generate())
 }
 

@@ -10,7 +10,7 @@ use dice_bench::{maybe_write_json, Table};
 use dice_bgp::policy::{Match, Policy, PrefixFilter, Rule, Verdict};
 use dice_bgp::{net, Asn, RouterConfig, RouterId};
 use dice_concolic::{explore, ConcolicCtx, ConcolicProgram, ExploreConfig, SymInput};
-use dice_core::{mark_update, DomainProgram, GrammarConfig, UpdateGrammar};
+use dice_core::{mark_update, DomainProgram, UpdateGrammar};
 use dice_netsim::NodeId;
 use serde_json::json;
 
@@ -47,7 +47,7 @@ fn config_with_rules(rules_n: usize) -> RouterConfig {
 }
 
 fn main() {
-    let mut grammar = UpdateGrammar::new(GrammarConfig::for_peer(Asn(65002)), 3);
+    let mut grammar = UpdateGrammar::new(Asn(65002), 3);
     let seeds = vec![grammar.generate(), grammar.generate(), grammar.generate()];
 
     let mut table = Table::new(

@@ -12,8 +12,8 @@
 use dice_bench::{maybe_write_json, Table};
 use dice_concolic::{random_fuzz, RunStatus};
 use dice_core::{
-    mark_update, scenarios, DiceConfig, DiceRunner, DomainProgram, FaultClass, GrammarConfig,
-    RoundReport, UpdateGrammar,
+    mark_update, scenarios, DiceConfig, DiceRunner, DomainProgram, FaultClass, RoundReport,
+    UpdateGrammar,
 };
 use dice_netsim::{NodeId, SimDuration, SimTime};
 use serde_json::json;
@@ -128,7 +128,7 @@ fn main() {
             .and_then(|r| r.update_twin(NodeId(0)))
             .map(DomainProgram)
             .unwrap();
-        let mut grammar = UpdateGrammar::new(GrammarConfig::for_peer(scenarios::asn_of(0)), 7);
+        let mut grammar = UpdateGrammar::new(scenarios::asn_of(0), 7);
         let seeds = vec![grammar.generate(), grammar.generate_large_unknown()];
 
         let mut handler = twin.clone();

@@ -19,7 +19,7 @@ use dice_concolic::{
     explore, random_fuzz, ConcolicCtx, ConcolicProgram, Coverage, ExploreConfig, RunStatus,
     Strategy, SymInput,
 };
-use dice_core::{mark_update, scenarios, DomainProgram, GrammarConfig, UpdateGrammar};
+use dice_core::{mark_update, scenarios, DomainProgram, UpdateGrammar};
 use dice_netsim::NodeId;
 use serde_json::json;
 
@@ -73,7 +73,7 @@ fn main() {
     let peer_asn = scenarios::asn_of(0);
 
     let seeds = {
-        let mut g = UpdateGrammar::new(GrammarConfig::for_peer(peer_asn), 1);
+        let mut g = UpdateGrammar::new(peer_asn, 1);
         vec![g.generate(), g.generate_large_unknown()]
     };
 
@@ -118,7 +118,7 @@ fn main() {
     }
     {
         let mut handler = twin.clone();
-        let mut grammar = UpdateGrammar::new(GrammarConfig::for_peer(peer_asn), 2);
+        let mut grammar = UpdateGrammar::new(peer_asn, 2);
         let (timeline, paths, crash) = grammar_only(&mut handler, &mut grammar, BUDGET);
         runs.push(("grammar-only".into(), timeline, paths, crash));
     }

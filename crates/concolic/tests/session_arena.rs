@@ -31,7 +31,7 @@ use dice_concolic::{
     ExprId, RunStatus, SolverStats, SymInput,
 };
 use dice_core::gossip_sut::{mark_gossip, seed_corpus};
-use dice_core::{mark_update, DomainProgram, GrammarConfig, UpdateGrammar};
+use dice_core::{mark_update, DomainProgram, UpdateGrammar};
 use dice_gossip::{GossipConfig, GossipNode};
 use dice_netsim::NodeId;
 use proptest::prelude::*;
@@ -65,7 +65,7 @@ fn bgp_twin(seed: u64, n: usize) -> Twin {
     router.bugs.attr_overflow_crash = true;
     // The plan's corpus: announcements and one message with a large
     // unknown-attribute value region.
-    let mut grammar = UpdateGrammar::new(GrammarConfig::for_peer(PEER), seed);
+    let mut grammar = UpdateGrammar::new(PEER, seed);
     let mut inputs = vec![grammar.generate(), grammar.generate_large_unknown()];
     inputs.extend(grammar.batch(n.saturating_sub(2)));
     (

@@ -12,7 +12,7 @@ use dice_bgp::{encode, AsPath, Asn, BgpRouter, Ipv4Addr, Ipv4Net, Message, PathA
 use dice_netsim::{Node, NodeId};
 
 use crate::domain::DomainProgram;
-use crate::grammar::{GrammarConfig, UpdateGrammar};
+use crate::grammar::UpdateGrammar;
 use crate::interface::AttestationRegistry;
 use crate::sut::{CheckView, ExplorableNode, ExplorationPlan, SessionHealth, SutProbe};
 use crate::symmark::mark_update;
@@ -85,7 +85,7 @@ impl ExplorableNode for BgpRouter {
         let seeds = if grammar_seeds == 0 {
             vec![minimal_seed(peer_asn)]
         } else {
-            let mut grammar = UpdateGrammar::new(GrammarConfig::for_peer(peer_asn), seed ^ 0x6A33);
+            let mut grammar = UpdateGrammar::new(peer_asn, seed ^ 0x6A33);
             let mut seeds = vec![grammar.generate(), grammar.generate_large_unknown()];
             if grammar_seeds > 1 {
                 seeds.extend(grammar.batch(grammar_seeds - 1));

@@ -11,50 +11,33 @@ use dice_bgp::{
 };
 use dice_netsim::SimRng;
 
-/// Configuration of the UPDATE grammar.
-#[derive(Debug, Clone)]
-pub struct GrammarConfig {
-    /// The AS that "sends" the message (first AS in the path, so the
-    /// first-AS check passes).
-    pub peer_asn: Asn,
-    /// Pool of origin ASes to terminate paths with.
-    pub asn_pool: Vec<Asn>,
-    /// Pool of /8 bases to derive prefixes from.
-    pub prefix_bases: Vec<u8>,
-    /// Maximum NLRI entries per message.
-    pub max_nlri: usize,
-    /// Probability of a withdraw section.
-    pub withdraw_prob: f64,
-    /// Probability of attaching an unknown transitive attribute.
-    pub unknown_attr_prob: f64,
-}
-
-impl GrammarConfig {
-    /// Defaults for a given peer AS.
-    pub fn for_peer(peer_asn: Asn) -> Self {
-        GrammarConfig {
-            peer_asn,
-            asn_pool: (0..8).map(|i| Asn(64900 + i)).collect(),
-            prefix_bases: vec![10, 20, 30, 172, 192, 198, 203],
-            max_nlri: 3,
-            withdraw_prob: 0.2,
-            unknown_attr_prob: 0.15,
-        }
-    }
-}
+/// The first of the origin ASes that terminate paths.
+const ASN_POOL_BASE: u16 = 64900;
+/// How many consecutive origin ASes, from [`ASN_POOL_BASE`], there are.
+const ASN_POOL_LEN: usize = 8;
+/// The /8 bases prefixes are derived from.
+const PREFIX_BASES: [u8; 7] = [10, 20, 30, 172, 192, 198, 203];
+/// Maximum NLRI entries per message.
+const MAX_NLRI: u64 = 3;
+/// Probability of a withdraw section.
+const WITHDRAW_PROB: f64 = 0.2;
+/// Probability of attaching an unknown transitive attribute.
+const UNKNOWN_ATTR_PROB: f64 = 0.15;
 
 /// The grammar-based UPDATE generator. Deterministic in its RNG.
 #[derive(Debug)]
 pub struct UpdateGrammar {
-    cfg: GrammarConfig,
+    /// The AS that "sends" the message (first AS in the path, so the
+    /// first-AS check passes).
+    peer_asn: Asn,
     rng: SimRng,
 }
 
 impl UpdateGrammar {
-    /// Create a generator.
-    pub fn new(cfg: GrammarConfig, seed: u64) -> Self {
+    /// A generator of UPDATEs as `peer_asn` sends them.
+    pub fn new(peer_asn: Asn, seed: u64) -> Self {
         UpdateGrammar {
-            cfg,
+            peer_asn,
             rng: SimRng::seed_from_u64(seed),
         }
     }
@@ -64,23 +47,19 @@ impl UpdateGrammar {
         reason = "rng.index(len) returns a value below len by contract"
     )]
     fn random_prefix(&mut self) -> Ipv4Net {
-        let base = self.cfg.prefix_bases[self.rng.index(self.cfg.prefix_bases.len())];
+        let base = PREFIX_BASES[self.rng.index(PREFIX_BASES.len())];
         let len = 8 + self.rng.below(17) as u8; // /8 ..= /24
         let addr = ((base as u32) << 24) | (self.rng.next_u32() & 0x00FF_FF00);
         Ipv4Net::new(addr, len)
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "rng.index(len) returns a value below len by contract"
-    )]
     fn random_as_path(&mut self) -> AsPath {
         let hops = 1 + self.rng.below(3) as usize;
-        let mut asns = vec![self.cfg.peer_asn.0];
+        let mut asns = vec![self.peer_asn.0];
         for _ in 0..hops {
-            let a = self.cfg.asn_pool[self.rng.index(self.cfg.asn_pool.len())];
-            if !asns.contains(&a.0) {
-                asns.push(a.0);
+            let a = ASN_POOL_BASE + self.rng.index(ASN_POOL_LEN) as u16;
+            if !asns.contains(&a) {
+                asns.push(a);
             }
         }
         AsPath::sequence(asns)
@@ -110,7 +89,7 @@ impl UpdateGrammar {
                 ));
             }
         }
-        if self.rng.chance(self.cfg.unknown_attr_prob) {
+        if self.rng.chance(UNKNOWN_ATTR_PROB) {
             // Unknown transitive attribute with a *small* value — the
             // grammar stays in the benign range; only the concolic layer
             // will push the length into the overflow region.
@@ -123,12 +102,12 @@ impl UpdateGrammar {
                 value,
             });
         }
-        let nlri_count = 1 + self.rng.below(self.cfg.max_nlri as u64) as usize;
+        let nlri_count = 1 + self.rng.below(MAX_NLRI) as usize;
         let mut nlri = Vec::with_capacity(nlri_count);
         for _ in 0..nlri_count {
             nlri.push(self.random_prefix());
         }
-        let withdrawn = if self.rng.chance(self.cfg.withdraw_prob) {
+        let withdrawn = if self.rng.chance(WITHDRAW_PROB) {
             vec![self.random_prefix()]
         } else {
             vec![]
@@ -154,7 +133,7 @@ impl UpdateGrammar {
     pub fn generate_large_unknown(&mut self) -> Vec<u8> {
         let mut attrs = PathAttrs {
             origin: Origin::Igp,
-            as_path: AsPath::sequence([self.cfg.peer_asn.0]),
+            as_path: AsPath::sequence([self.peer_asn.0]),
             next_hop: Ipv4Addr(0x0A00_0001),
             ..Default::default()
         };
@@ -180,7 +159,7 @@ mod tests {
 
     #[test]
     fn everything_generated_is_wire_valid() {
-        let mut g = UpdateGrammar::new(GrammarConfig::for_peer(Asn(65002)), 7);
+        let mut g = UpdateGrammar::new(Asn(65002), 7);
         for bytes in g.batch(200) {
             let (msg, used) = decode(&bytes)
                 .unwrap_or_else(|e| panic!("grammar produced invalid message: {e} ({bytes:02x?})"));
@@ -198,14 +177,14 @@ mod tests {
 
     #[test]
     fn generator_is_deterministic() {
-        let mut a = UpdateGrammar::new(GrammarConfig::for_peer(Asn(65002)), 42);
-        let mut b = UpdateGrammar::new(GrammarConfig::for_peer(Asn(65002)), 42);
+        let mut a = UpdateGrammar::new(Asn(65002), 42);
+        let mut b = UpdateGrammar::new(Asn(65002), 42);
         assert_eq!(a.batch(50), b.batch(50));
     }
 
     #[test]
     fn messages_vary() {
-        let mut g = UpdateGrammar::new(GrammarConfig::for_peer(Asn(65002)), 9);
+        let mut g = UpdateGrammar::new(Asn(65002), 9);
         let batch = g.batch(50);
         let distinct: std::collections::BTreeSet<&Vec<u8>> = batch.iter().collect();
         assert!(distinct.len() > 40, "grammar should produce variety");
@@ -213,7 +192,7 @@ mod tests {
 
     #[test]
     fn unknown_attrs_stay_benign() {
-        let mut g = UpdateGrammar::new(GrammarConfig::for_peer(Asn(65002)), 11);
+        let mut g = UpdateGrammar::new(Asn(65002), 11);
         for bytes in g.batch(300) {
             if let Ok((Message::Update(u), _)) = decode(&bytes) {
                 if let Some(attrs) = u.attrs {

@@ -106,7 +106,7 @@ pub use check::{
 };
 pub use domain::DomainProgram;
 pub use explorer::{DiceConfig, DiceRunner, RoundReport};
-pub use grammar::{GrammarConfig, UpdateGrammar};
+pub use grammar::UpdateGrammar;
 pub use hash::{sha256, Sha256};
 pub use interface::{AttestationRegistry, LocalVerdict};
 pub use snapshot::{take_consistent_snapshot, take_instant_snapshot, SnapshotMetrics};

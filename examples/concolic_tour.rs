@@ -8,7 +8,7 @@
 
 use dice_system::bgp::{net, Asn, BgpRouter, RouterConfig, RouterId};
 use dice_system::concolic::{explore, ExploreConfig, RunStatus, Strategy};
-use dice_system::dice::{mark_update, DomainProgram, GrammarConfig, UpdateGrammar};
+use dice_system::dice::{mark_update, DomainProgram, UpdateGrammar};
 use dice_system::netsim::NodeId;
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
     });
     cfg.bugs.attr_overflow_crash = true;
 
-    let mut grammar = UpdateGrammar::new(GrammarConfig::for_peer(Asn(65002)), 5);
+    let mut grammar = UpdateGrammar::new(Asn(65002), 5);
     let seeds = vec![grammar.generate(), grammar.generate_large_unknown()];
     println!(
         "seeds: {} messages ({} bytes total)",

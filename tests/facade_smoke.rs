@@ -59,7 +59,7 @@ fn dice_reexport_exposes_attestations_and_grammar() {
     reg.attest(&bgp::net("10.0.0.0/16"), bgp::Asn(65001));
     assert!(reg.is_attested(&bgp::net("10.0.0.0/16"), bgp::Asn(65001)));
 
-    let mut g = dice::UpdateGrammar::new(dice::GrammarConfig::for_peer(bgp::Asn(65002)), 3);
+    let mut g = dice::UpdateGrammar::new(bgp::Asn(65002), 3);
     let bytes = g.generate();
     assert!(bgp::decode(&bytes).is_ok(), "grammar output is wire-valid");
     let mask = dice::mark_update(&bytes);

@@ -40,7 +40,7 @@ use dice_system::bgp::{
 use dice_system::concolic::{ConcolicCtx, ConcolicProgram, ExprArena, ExprId, RunStatus, SymInput};
 use dice_system::dice::bgp_sut::minimal_seed;
 use dice_system::dice::hash::hex;
-use dice_system::dice::{mark_update, DomainProgram, GrammarConfig, Sha256, UpdateGrammar};
+use dice_system::dice::{mark_update, DomainProgram, Sha256, UpdateGrammar};
 use dice_system::netsim::{LinkParams, NodeId, SimDuration, SimTime, Simulator, Topology};
 use proptest::prelude::*;
 
@@ -630,7 +630,7 @@ fn bgp_twin_paths_are_pinned() {
                 .update_twin(PEER_NODE)
                 .unwrap(),
         );
-        let mut g = UpdateGrammar::new(GrammarConfig::for_peer(PEER), 7);
+        let mut g = UpdateGrammar::new(PEER, 7);
         let mut inputs = vec![minimal_seed(PEER), g.generate(), g.generate_large_unknown()];
         inputs.extend(g.batch(8));
         inputs.extend(updates_at_bounds());
@@ -793,8 +793,7 @@ fn arb_update() -> impl Strategy<Value = Vec<u8>> {
             }))
         })
         .boxed();
-    let grammar = any::<u64>()
-        .prop_map(|seed| UpdateGrammar::new(GrammarConfig::for_peer(PEER), seed).generate());
+    let grammar = any::<u64>().prop_map(|seed| UpdateGrammar::new(PEER, seed).generate());
     prop_oneof![generated.clone(), generated, grammar]
 }
 
