@@ -161,6 +161,39 @@ fn exploration_report_exposes_crashing_input() {
     assert!(fixed.crashed(NodeId(1)).is_none());
 }
 
+/// `exp_detection`'s T1b concolic row: how many executions the
+/// generational search from two grammar seeds needs before a twin run
+/// crashes on the seeded attribute overflow. The grammar's draw order and
+/// the explorer's worklist both move it.
+#[test]
+fn first_crash_exec_is_pinned() {
+    use dice_system::concolic::{explore, ExploreConfig};
+    use dice_system::dice::{mark_update, DomainProgram, UpdateGrammar};
+
+    let live = scenarios::buggy_parser_scenario(104);
+    let mut twin = live
+        .node(NodeId(1))
+        .as_any()
+        .downcast_ref::<BgpRouter>()
+        .and_then(|r| r.update_twin(NodeId(0)))
+        .map(DomainProgram)
+        .expect("node 1 peers with node 0");
+    let mut grammar = UpdateGrammar::new(scenarios::asn_of(0), 7);
+    let seeds = [grammar.generate(), grammar.generate_large_unknown()];
+    let config = ExploreConfig {
+        max_executions: 256,
+        ..Default::default()
+    };
+    let report = explore(&mut twin, &seeds, &mark_update, &config);
+    let first = report
+        .first_crash()
+        .expect("concolic search finds the crash");
+    assert_eq!(
+        first.to_string(),
+        outcomes::pinned("detection", "first_crash_exec")
+    );
+}
+
 #[test]
 fn dice_round_does_not_change_live_routing() {
     let mut live = scenarios::demo27_system(321);
