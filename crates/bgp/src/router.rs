@@ -382,9 +382,11 @@ impl BgpRouter {
             Some(mut attrs) if !nlri.is_empty() => {
                 let screened = screen_path(&mut Concrete(&[]), &attrs, own, peer_asn);
                 if screened == Err(PathFault::Loop) {
-                    // AS-path loop: ignore the announcements (RFC 4271 §9).
+                    // AS-path loop: the route is unusable, so it replaces
+                    // the peer's previous one as a withdraw would (RFC 4271
+                    // §9). The prefixes that lost a row are recomputed.
                     self.stats.loop_rejects += 1;
-                    nlri.clear();
+                    nlri.retain(|p| self.rib.remove(peer, p));
                 } else if screened == Err(PathFault::FirstAs) {
                     // eBGP first-AS check (RFC 4271 §6.3).
                     self.protocol_error(
@@ -867,6 +869,40 @@ mod tests {
         // Own prefix stays locally originated.
         let best = r0.loc_rib().best(&net("10.0.0.0/8")).unwrap();
         assert!(best.route.from_peer.is_none());
+    }
+
+    #[test]
+    fn a_looping_reannouncement_withdraws_the_old_route() {
+        // Node 1 (AS 65001) announces 20/8, then re-announces it with a
+        // path through node 0's own AS: the new route replaces the old one
+        // and is unusable, so node 0 keeps neither.
+        let cfg0 = simple_config(0, &[1]);
+        let cfg1 = simple_config(1, &[0]).with_network(net("20.0.0.0/8"));
+        let mut sim = build_sim(2, &[(0, 1)], vec![cfg0, cfg1]);
+        sim.run_until(SimTime::from_nanos(5_000_000_000));
+        let prefix = net("20.0.0.0/8");
+        let best = &router(&sim, 0).loc_rib().best(&prefix).unwrap().route;
+        let path: Vec<Asn> = best.attrs.as_path.all_asns().collect();
+        assert_eq!(path, [Asn(65001)]);
+
+        let attrs = PathAttrs {
+            as_path: crate::attrs::AsPath::sequence([65001, 65000]),
+            next_hop: Ipv4Addr(0x0A000002),
+            ..Default::default()
+        };
+        let msg = Message::Update(UpdateMsg {
+            withdrawn: vec![],
+            attrs: Some(attrs),
+            nlri: vec![prefix],
+        });
+        sim.deliver_direct(NodeId(1), NodeId(0), &wire::encode(&msg));
+        let r0 = router(&sim, 0);
+        assert_eq!(r0.stats().loop_rejects, 1);
+        assert!(
+            r0.adj_rib_in().get(NodeId(1), &prefix).is_none(),
+            "node 1's old row must go"
+        );
+        assert!(r0.loc_rib().best(&prefix).is_none(), "no route is left");
     }
 
     #[test]
