@@ -20,11 +20,10 @@
 //!
 //! A [`GossipConfig`] holds what differs between nodes: identity, peers,
 //! subscribed and owned topics, seeded defects. The protocol's sizing and
-//! timing are constants of `node.rs`: two 8-byte rumors per owned topic,
-//! fanout 3, hop TTL 6, anti-entropy every 2 s, GC every 10 s, a 120 s
-//! rumor lifetime, an 800 ms retransmit base and 3 retries. A test that
-//! needs a rumor to expire drives the simulation past its lifetime.
-//! Unreliable channels are a simulator setting
+//! timing (rumors per topic, fanout, TTL, timer periods, rumor lifetime,
+//! retry budget) are constants of `node.rs`, so a test that needs a rumor
+//! to expire drives the simulation past its lifetime. Unreliable channels
+//! are a simulator setting
 //! ([`dice_netsim::Simulator::set_unreliable_links`]), not a node's.
 //!
 //! ## Example

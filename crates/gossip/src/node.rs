@@ -3,7 +3,7 @@
 //! Dissemination follows the classic rumor-mongering + anti-entropy split:
 //!
 //! * **Rumor mongering (push)** — a rumor first seen is immediately
-//!   forwarded to up to `FANOUT` (3) peers not already known to
+//!   forwarded to up to `FANOUT` peers not already known to
 //!   be infected with it, with the hop TTL decremented. Per-peer infection
 //!   state stops the epidemic once everyone has everything.
 //! * **Anti-entropy (digests)** — a periodic timer sends each peer a
@@ -17,7 +17,7 @@
 //!   duplicate-suppression memory.
 //! * **Ack and retransmit** — rumor pushes and subscribes are acknowledged
 //!   with a quiet [`GossipFrame::Ack`]; unacked sends are retransmitted
-//!   with exponential backoff up to `RETRY_BUDGET` (3) times.
+//!   with exponential backoff up to `RETRY_BUDGET` times.
 //!   On budget exhaustion the peer is *un-marked* as infected so the
 //!   anti-entropy digest exchange remains the repair backstop on lossy
 //!   channels (see `dice_netsim::LinkFaults`).
@@ -731,19 +731,6 @@ mod tests {
         buggy: Option<usize>,
         faults: Option<LinkFaults>,
     ) -> Simulator {
-        mesh_with(n, seed, faults, |i, cfg| {
-            cfg.bugs.digest_count_overflow = buggy == Some(i);
-        })
-    }
-
-    /// Like [`mesh_with_faults`], with each node's configuration passed
-    /// through `edit` (with the node's index) before it is installed.
-    fn mesh_with(
-        n: usize,
-        seed: u64,
-        faults: Option<LinkFaults>,
-        edit: impl Fn(usize, &mut GossipConfig),
-    ) -> Simulator {
         let topo = Topology::full_mesh(n, LinkParams::fixed(SimDuration::from_millis(5)));
         let mut sim = Simulator::new(topo.clone(), seed);
         if let Some(f) = faults {
@@ -760,7 +747,7 @@ mod tests {
             for t in 0..n as u16 {
                 cfg = cfg.subscribe(t);
             }
-            edit(i.index(), &mut cfg);
+            cfg.bugs.digest_count_overflow = buggy == Some(i.index());
             sim.set_node(i, Box::new(GossipNode::new(cfg)));
         }
         sim.start();

@@ -166,8 +166,8 @@ const RECONNECT_DELAY: SimDuration = SimDuration::from_secs(5);
 /// annotations are never rendered.
 const TRACE_CAPACITY: usize = 64 * 1024;
 
-/// The toggles a simulator is built with and its setters change.
-#[derive(Debug, Clone)]
+/// The toggles the setters change; a simulator starts from `Default`.
+#[derive(Debug)]
 struct Knobs {
     /// Recycle wire payload buffers through the simulator's [`BufPool`]
     /// (`false`: [`NodeApi::buf`] is `Vec::new()` and nothing is recycled;
