@@ -97,12 +97,6 @@ pub struct Trace {
     stats: TraceStats,
 }
 
-impl Default for Trace {
-    fn default() -> Self {
-        Trace::with_capacity(64 * 1024)
-    }
-}
-
 impl Trace {
     /// A trace retaining at most `capacity` events (counters are unbounded).
     /// Capacity 0 counts and retains nothing.
@@ -195,7 +189,7 @@ mod tests {
 
     #[test]
     fn counters_track_kinds() {
-        let mut tr = Trace::default();
+        let mut tr = Trace::with_capacity(16);
         tr.push(
             SimTime::ZERO,
             TraceKind::Sent {
@@ -276,7 +270,7 @@ mod tests {
 
     #[test]
     fn annotations_filter_by_tag() {
-        let mut tr = Trace::default();
+        let mut tr = Trace::with_capacity(16);
         tr.push(
             SimTime::ZERO,
             TraceKind::Node {
