@@ -64,11 +64,11 @@ impl Simulator {
     /// messages re-enqueued. The clone starts at the snapshot's base time
     /// and shares no *mutable* state with the live system — shared node
     /// checkpoints are deep-copied the moment the clone first mutates
-    /// them. It keeps no trace ring (the counters stay exact): a clone
-    /// that should retain its events is a [`Simulator::new`] rebound by
-    /// [`Simulator::reset_from_shadow`]. This is that reset applied to an
-    /// empty simulator: a fresh clone and a pooled one are bound by the
-    /// same code.
+    /// them. It is [`Simulator::reset_from_shadow`] applied to an empty
+    /// simulator, so a fresh clone and a pooled one are bound by the same
+    /// code. It keeps no trace ring (the counters stay exact): a clone that
+    /// should retain its events is a [`Simulator::new`] rebound by that
+    /// reset.
     pub fn from_shadow(shadow: &ShadowSnapshot, topo: &Topology, seed: u64) -> Simulator {
         let mut sim = Simulator::with_trace(topo.clone(), seed, 0);
         sim.reset_from_shadow(shadow, seed);
@@ -80,12 +80,13 @@ impl Simulator {
     /// already holds — channel queues, the event heap, the trace ring,
     /// node slots — instead of allocating them anew as
     /// [`Simulator::from_shadow`] does. The result is state-for-state
-    /// indistinguishable from a fresh `from_shadow(shadow, topo, seed)`,
-    /// except that the trace ring keeps this simulator's capacity
-    /// — a fresh clone is this reset applied to an empty simulator; the unit tests
+    /// indistinguishable from a fresh `from_shadow(shadow, topo, seed)`
+    /// — which is this reset applied to an empty simulator; the unit tests
     /// hold a thoroughly dirtied simulator's reset equal to it — and that
     /// is what lets clone pools reuse simulators across validated inputs
-    /// without perturbing determinism.
+    /// without perturbing determinism. The one thing a reset keeps is the
+    /// trace ring's capacity: a [`Simulator::new`] rebound here retains
+    /// its events, a clone does not.
     ///
     /// The cost follows what the previous drive touched, not the
     /// federation: channels are re-zeroed from the touched-links list, and
