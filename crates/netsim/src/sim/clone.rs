@@ -590,19 +590,16 @@ mod tests {
             let shadow = if second { &cut_b } else { &cut_a };
             same_cut.push(pooled.binding.bound_to == Some(shadow.id()));
             pooled.reset_from_shadow(shadow, seed);
-            // The toggles survive a reset; the fresh clone takes the
-            // pooled simulator's through the setters and is bound again
-            // under them (delta snapshots decide what a binding caches),
+            // The toggles survive a reset; the fresh clone is an empty
+            // simulator that takes the pooled one's through the setters,
             // minus the previous input's fault knobs, which must not
-            // decide how the cut's in-flight frames are replayed. Its
-            // first binding's wire counters are drained, as a release
-            // drains them. (Break: `replay_in_flight` passing `true` to
-            // `send_frame` fails the named sequence at step 1.)
-            let mut fresh = Simulator::from_shadow(shadow, &topo, seed);
+            // decide how the cut's in-flight frames are replayed, and is
+            // then bound once, in full. (Break: `replay_in_flight` passing
+            // `true` to `send_frame` fails the named sequence at step 1.)
+            let mut fresh = Simulator::with_trace(topo.clone(), seed, 0);
             fresh.set_wire_config(pooled.knobs.payload_pool, pooled.knobs.batch_delivery);
             fresh.set_delta_snapshots(pooled.knobs.delta_snapshots);
             fresh.set_link_faults(pooled.knobs.link_faults);
-            let _ = fresh.take_wire_stats();
             fresh.reset_from_shadow(shadow, seed);
             drive(&mut pooled, input, extra);
             drive(&mut fresh, input, extra);
