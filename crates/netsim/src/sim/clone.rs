@@ -46,12 +46,6 @@ impl Binding {
             self.touched_nodes.push(n.0);
         }
     }
-
-    /// Something outside the touched lists changed: the next reset takes
-    /// the full path.
-    pub(super) fn forget(&mut self) {
-        self.bound_to = None;
-    }
 }
 
 impl Simulator {
@@ -457,8 +451,7 @@ mod tests {
         Cuts,
         /// Fault injection on a node the drive never delivers to.
         CrashIdle(NodeId),
-        /// Delta snapshots switched (off drops the checkpoint cache, and
-        /// with it the binding), then a cut.
+        /// Delta snapshots switched, then a cut.
         Delta(bool),
     }
 
@@ -639,11 +632,32 @@ mod tests {
             (a, 19, None, Extra::Cuts),
         ];
         let (same_cut, perturbed) = pooled_matches_fresh(&steps);
-        // A different cut, and the step after the checkpoint cache was
-        // dropped, rebind in full; every other reset is touched-only.
+        // A different cut rebinds in full; every other reset, the one
+        // after the delta knob went off included, is touched-only.
         let full: Vec<usize> = (0..steps.len()).filter(|&i| !same_cut[i]).collect();
-        assert_eq!(full, [0, 8, 10, 13]);
+        assert_eq!(full, [0, 8, 10]);
         assert!(perturbed > 0, "the fault layer must have fired");
+    }
+
+    #[test]
+    fn the_delta_knob_leaves_one_state_whenever_it_was_set() {
+        // The knob turned off before the bind and after it: the checkpoint
+        // cache is current either way, so both simulators are one state,
+        // and stay one through a drive that cuts with the knob off and a
+        // cut with it back on.
+        let (topo, cut_a, _) = two_cuts();
+        let mut before = Simulator::with_trace(topo.clone(), 3, 0);
+        before.set_delta_snapshots(false);
+        before.reset_from_shadow(&cut_a, 3);
+        let mut after = Simulator::from_shadow(&cut_a, &topo, 3);
+        after.set_delta_snapshots(false);
+        assert_eq!(state_digest(&before), state_digest(&after));
+        for sim in [&mut before, &mut after] {
+            drive(sim, Some((0, 1, 5)), Extra::Cuts);
+            sim.set_delta_snapshots(true);
+            let _ = sim.instant_snapshot();
+        }
+        assert_eq!(state_digest(&before), state_digest(&after));
     }
 
     fn arb_step() -> impl proptest::Strategy<Value = Step> {

@@ -81,8 +81,8 @@ impl Cuts {
     }
 
     /// `checkpoint` *is* node `idx`'s latest checkpoint (a rebind just
-    /// shared it into the slot): a cut taken before the node is touched
-    /// re-shares it instead of re-cloning.
+    /// shared it into the slot, or a cut just captured it): a cut taken
+    /// before the node is touched re-shares it instead of re-cloning.
     #[inline]
     pub(super) fn seed(&mut self, idx: usize, checkpoint: Option<&Arc<dyn Node>>) {
         self.ckpt_cache[idx] = checkpoint.cloned();
@@ -159,16 +159,12 @@ impl Cuts {
 impl Simulator {
     /// Toggle delta snapshots on an existing simulator (clone pools apply
     /// this right after [`Simulator::reset_from_shadow`], exactly like
-    /// [`Simulator::set_wire_config`]). Turning the knob off drops the
-    /// checkpoint cache — and with it the binding a same-snapshot
-    /// [`Simulator::reset_from_shadow`] relies on, so the next reset takes
-    /// the full path; outcomes are unaffected either way.
+    /// [`Simulator::set_wire_config`]). The knob decides only whether a
+    /// cut serves clean nodes from the checkpoint cache; the cache itself
+    /// is kept current either way, so when the knob was set does not
+    /// matter. Outcomes are unaffected either way.
     pub fn set_delta_snapshots(&mut self, on: bool) {
         self.knobs.delta_snapshots = on;
-        if !on {
-            self.cuts.ckpt_cache.fill(None);
-            self.binding.forget();
-        }
     }
 
     /// Drain this simulator's snapshot-delta and dynamics-schedule counters,
@@ -183,7 +179,7 @@ impl Simulator {
     /// from the cached `Arc` of their previous capture. A cache hit shares
     /// the node state with the prior shadow (the delta chain); a miss
     /// re-clones, refreshes the cache, and clears the dirty bit. With
-    /// `delta_snapshots` off every call is a plain re-capture.
+    /// `delta_snapshots` off every call is a miss.
     fn checkpoint_node(&mut self, n: NodeId) -> Option<std::sync::Arc<dyn Node>> {
         let idx = n.index();
         if self.knobs.delta_snapshots && !self.cuts.dirty[idx] {
@@ -195,10 +191,7 @@ impl Simulator {
         let arc = self.nodes[idx].node.checkpoint()?;
         self.cuts.snap_stats.nodes_recaptured += 1;
         self.cuts.snap_stats.delta_bytes += arc.state_size() as u64;
-        if self.knobs.delta_snapshots {
-            self.cuts.ckpt_cache[idx] = Some(std::sync::Arc::clone(&arc));
-            self.cuts.dirty[idx] = false;
-        }
+        self.cuts.seed(idx, Some(&arc));
         Some(arc)
     }
 
