@@ -89,7 +89,7 @@ pub struct SolverStats {
     pub searches: u64,
     /// Always 0: the cross-seed refutation cache that counted here is
     /// gone (its counter read 0 on every committed workload). The field
-    /// stays until `benchmark/` stops reading it (ROADMAP item 3, Step A).
+    /// stays until `benchmark/` stops reading it (ROADMAP items 17 and 3B).
     pub cache_hits: u64,
     /// Branch flips skipped before query construction because the target
     /// (site, direction) was already covered.

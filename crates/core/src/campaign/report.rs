@@ -103,7 +103,7 @@ pub struct PerfCounters {
     pub pool_misses: u64,
     /// Always 0: the concolic refutation cache that counted here is gone
     /// (`dice_concolic::SolverStats::cache_hits`). The field stays until
-    /// `benchmark/` stops reading it (ROADMAP item 3, Step A).
+    /// `benchmark/` stops reading it (ROADMAP items 17 and 3B).
     pub solver_cache_hits: u64,
     /// Negation queries that did reach the solver.
     pub solver_queries: u64,

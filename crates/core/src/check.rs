@@ -564,23 +564,6 @@ pub fn flips_baseline(catalog: &SutCatalog, shadow: &ShadowSnapshot) -> CheckBas
     }
 }
 
-/// Build the attestation registry from router configs: every node attests
-/// the prefixes it legitimately owns. (In deployment this is an IRR/RPKI-
-/// like out-of-band step; only digests are shared.) Prefer
-/// [`SutCatalog::build_registry`] when a live simulator is at hand.
-pub fn build_registry(
-    configs: impl IntoIterator<Item = (NodeId, dice_bgp::RouterConfig)>,
-    seed: u64,
-) -> AttestationRegistry {
-    let mut reg = AttestationRegistry::with_seed(seed);
-    for (_, cfg) in configs {
-        for prefix in &cfg.owned {
-            reg.attest(prefix, cfg.asn);
-        }
-    }
-    reg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -647,7 +630,12 @@ mod tests {
         sim.run_until(SimTime::from_nanos(10_000_000_000));
 
         let catalog = SutCatalog::default();
-        let reg = build_registry([(NodeId(0), c0), (NodeId(1), c1)], 7);
+        let mut reg = AttestationRegistry::with_seed(7);
+        for c in [&c0, &c1] {
+            for prefix in &c.owned {
+                reg.attest(prefix, c.asn);
+            }
+        }
         let baseline = CheckBaseline::default();
         let cx = CheckContext {
             sim: &sim,
@@ -734,7 +722,10 @@ mod tests {
     #[test]
     fn registry_built_from_owned_lists() {
         let c0 = cfg(0, &[]).with_network(net("10.0.0.0/16"));
-        let reg = build_registry([(NodeId(0), c0)], 5);
+        let mut reg = AttestationRegistry::with_seed(5);
+        for prefix in &c0.owned {
+            reg.attest(prefix, c0.asn);
+        }
         assert!(reg.is_attested(&net("10.0.0.0/16"), Asn(65000)));
         assert!(!reg.is_attested(&net("10.0.0.0/16"), Asn(65001)));
         assert_eq!(reg.len(), 1);

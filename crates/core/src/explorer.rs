@@ -245,7 +245,7 @@ pub struct RoundReport {
     /// solver call now: the refutation cache that answered some of them is
     /// gone, and the hit count still added in here
     /// (`dice_concolic::SolverStats::cache_hits`) reads 0 until
-    /// `benchmark/` stops naming it (ROADMAP item 3, Step A). The same
+    /// `benchmark/` stops naming it (ROADMAP items 17 and 3B). The same
     /// count whichever solver [`DiceConfig::solver_cache`] selects.
     pub solver_queries: u64,
     /// Solver SAT answers.

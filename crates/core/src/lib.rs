@@ -100,9 +100,9 @@ pub use campaign::{
     PhaseTimes,
 };
 pub use check::{
-    build_registry, default_checkers, flips_baseline, run_checkers, CheckBaseline, CheckContext,
-    CheckReport, Checker, ConvergenceChecker, CrashChecker, FaultClass, FaultReport,
-    OriginAuthorityChecker, OscillationChecker,
+    default_checkers, flips_baseline, run_checkers, CheckBaseline, CheckContext, CheckReport,
+    Checker, ConvergenceChecker, CrashChecker, FaultClass, FaultReport, OriginAuthorityChecker,
+    OscillationChecker,
 };
 pub use domain::DomainProgram;
 pub use explorer::{DiceConfig, DiceRunner, RoundReport};

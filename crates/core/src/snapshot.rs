@@ -88,12 +88,6 @@ pub fn take_instant_snapshot(live: &mut Simulator) -> (ShadowSnapshot, SnapshotM
     (shadow, metrics)
 }
 
-/// Convenience: run a freshly instantiated clone of `shadow` for a bounded
-/// horizon and return it (used by exploration and tests).
-pub fn spawn_clone(shadow: &ShadowSnapshot, topo: &dice_netsim::Topology, seed: u64) -> Simulator {
-    Simulator::from_shadow(shadow, topo, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,7 +128,7 @@ mod tests {
             "markers take time to propagate"
         );
         // The cloned routers carry the converged RIB.
-        let clone = spawn_clone(&shadow, sim.topology(), 1);
+        let clone = Simulator::from_shadow(&shadow, sim.topology(), 1);
         let r2 = crate::bgp_sut::as_bgp(clone.node(NodeId(2))).unwrap();
         assert!(r2.loc_rib().best(&net("10.0.0.0/8")).is_some());
     }
@@ -146,7 +140,7 @@ mod tests {
         let (shadow, _) =
             take_consistent_snapshot(&mut sim, NodeId(0), SimDuration::from_secs(5)).unwrap();
         let live_stats_before = sim.trace().stats();
-        let mut clone = spawn_clone(&shadow, sim.topology(), 2);
+        let mut clone = Simulator::from_shadow(&shadow, sim.topology(), 2);
         // Drive the clone hard; the live system must not observe anything.
         clone.deliver_direct(NodeId(1), NodeId(2), &[0u8; 30]);
         clone.run_until(clone.now() + SimDuration::from_secs(10));
