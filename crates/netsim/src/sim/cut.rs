@@ -161,8 +161,8 @@ impl Simulator {
     /// this right after [`Simulator::reset_from_shadow`], exactly like
     /// [`Simulator::set_wire_config`]). The knob decides only whether a
     /// cut serves clean nodes from the checkpoint cache; the cache itself
-    /// is kept current either way, so when the knob was set does not
-    /// matter. Outcomes are unaffected either way.
+    /// is kept current whatever the knob says, so when the knob was set
+    /// does not matter. Outcomes are the same on or off.
     pub fn set_delta_snapshots(&mut self, on: bool) {
         self.knobs.delta_snapshots = on;
     }

@@ -451,8 +451,8 @@ const ODD_VALUES: [&str; 15] = [
     "{\"nanos\":1}",
 ];
 
-/// Fields configs of earlier builds carried.
-const RETIRED: [&str; 2] = ["pool_size", "grammar_config"];
+/// A field configs of earlier builds carried: the retired clone-pool size.
+const RETIRED: &str = "pool_size";
 
 /// Every object member's path in `v`, depth first.
 fn paths(v: &Value, at: &mut Vec<String>, out: &mut Vec<Vec<String>>) {
@@ -484,8 +484,7 @@ fn edit(v: &Value, path: &[String], op: usize) -> Value {
             out.insert(k.clone(), edit(child, rest, op));
         } else if op == 1 {
             out.insert(k.clone(), child.clone());
-            let retired = RETIRED[k.len() % RETIRED.len()];
-            out.insert(retired.to_string(), Value::U64(0));
+            out.insert(RETIRED.to_string(), Value::U64(0));
         } else if op >= 2 {
             let odd = ODD_VALUES[(op - 2) % ODD_VALUES.len()];
             out.insert(k.clone(), Value::String(format!("@raw:{odd}@")));
@@ -494,6 +493,8 @@ fn edit(v: &Value, path: &[String], op: usize) -> Value {
     Value::Object(out)
 }
 
+/// `text` with each placeholder string [`edit`] left replaced by its raw
+/// JSON.
 fn splice_raw(text: &str) -> String {
     let mut out = text.to_string();
     for odd in ODD_VALUES {
