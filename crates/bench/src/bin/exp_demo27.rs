@@ -7,7 +7,7 @@
 
 use dice_bench::{maybe_write_json, Table};
 use dice_bgp::BgpRouter;
-use dice_core::{scenarios, DiceConfig, DiceRunner};
+use dice_core::{scenarios, Campaign, CampaignConfig, DiceConfig};
 use dice_netsim::{NodeId, SimDuration, SimTime, Topology};
 use serde_json::json;
 
@@ -93,8 +93,14 @@ fn main() {
         cfg.validate_top = 12;
         cfg.workers = 4;
         cfg.horizon = SimDuration::from_secs(90);
-        let mut dice = DiceRunner::from_sim(cfg, &live);
-        let report = dice.run_round(&mut live).expect("round");
+        let dice = Campaign::new(&live).config(CampaignConfig {
+            explorers: vec![explorer],
+            max_peers_per_explorer: 1,
+            template: cfg,
+            ..CampaignConfig::default()
+        });
+        assert_eq!(dice.sweep_plan(), [(explorer, vec![peer])]);
+        let report = dice.run(&mut live).expect("round").rounds.remove(0);
         t3.row(json!([
             explorer.to_string(),
             tier,

@@ -12,11 +12,30 @@
 use dice_bench::{maybe_write_json, Table};
 use dice_concolic::{random_fuzz, RunStatus};
 use dice_core::{
-    mark_update, scenarios, DiceConfig, DiceRunner, DomainProgram, FaultClass, RoundReport,
-    UpdateGrammar,
+    mark_update, scenarios, Campaign, CampaignConfig, DiceConfig, DomainProgram, FaultClass,
+    RoundReport, UpdateGrammar,
 };
-use dice_netsim::{NodeId, SimDuration, SimTime};
+use dice_netsim::{NodeId, SimDuration, SimTime, Simulator};
 use serde_json::json;
+
+/// A campaign over the one pair `cfg` names, with its registry built from
+/// `live` as it is now.
+fn pair_campaign(live: &Simulator, cfg: DiceConfig) -> Campaign {
+    let (explorer, peer) = (cfg.explorer, cfg.inject_peer);
+    let campaign = Campaign::new(live).config(CampaignConfig {
+        explorers: vec![explorer],
+        max_peers_per_explorer: 1,
+        template: cfg,
+        ..CampaignConfig::default()
+    });
+    assert_eq!(campaign.sweep_plan(), [(explorer, vec![peer])]);
+    campaign
+}
+
+/// One sweep of a single-pair campaign: its one round.
+fn round(campaign: &Campaign, live: &mut Simulator) -> RoundReport {
+    campaign.run(live).expect("round").rounds.remove(0)
+}
 
 /// Append `report`'s row and insist that it detected `want`.
 fn detection_row(table: &mut Table, label: &str, want: FaultClass, report: &RoundReport) {
@@ -62,9 +81,7 @@ fn main() {
     {
         let mut live = scenarios::buggy_parser_scenario(101);
         live.run_until(SimTime::from_nanos(10_000_000_000));
-        let report = DiceRunner::from_sim(config(192, 24), &live)
-            .run_round(&mut live)
-            .expect("round");
+        let report = round(&pair_campaign(&live, config(192, 24)), &mut live);
         let class = FaultClass::ProgrammingError;
         detection_row(&mut table, "programming error", class, &report);
     }
@@ -79,9 +96,7 @@ fn main() {
             SimDuration::from_secs(5),
             SimTime::from_nanos(120_000_000_000),
         );
-        let report = DiceRunner::from_sim(config(128, 8), &live)
-            .run_round(&mut live)
-            .expect("round");
+        let report = round(&pair_campaign(&live, config(128, 8)), &mut live);
         let class = FaultClass::ProgrammingError;
         detection_row(&mut table, "programming error (gossip)", class, &report);
     }
@@ -92,9 +107,7 @@ fn main() {
         live.run_until(SimTime::from_nanos(20_000_000_000));
         let mut cfg = config(32, 6);
         cfg.horizon = SimDuration::from_secs(120);
-        let report = DiceRunner::from_sim(cfg, &live)
-            .run_round(&mut live)
-            .expect("round");
+        let report = round(&pair_campaign(&live, cfg), &mut live);
         let class = FaultClass::PolicyConflict;
         detection_row(&mut table, "policy conflict", class, &report);
     }
@@ -104,10 +117,10 @@ fn main() {
         let mut live = scenarios::hijack_scenario(103);
         live.run_until(SimTime::from_nanos(10_000_000_000));
         // Registry is created while healthy; the mistake happens afterwards.
-        let mut runner = DiceRunner::from_sim(config(48, 8), &live);
+        let campaign = pair_campaign(&live, config(48, 8));
         scenarios::apply_hijack(&mut live);
         live.run_until(SimTime::from_nanos(25_000_000_000));
-        let report = runner.run_round(&mut live).expect("round");
+        let report = round(&campaign, &mut live);
         let class = FaultClass::OperatorMistake;
         detection_row(&mut table, "operator mistake", class, &report);
     }

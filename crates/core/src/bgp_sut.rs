@@ -17,7 +17,7 @@ use crate::interface::AttestationRegistry;
 use crate::sut::{CheckView, ExplorableNode, ExplorationPlan, SessionHealth, SutProbe};
 use crate::symmark::mark_update;
 
-/// The BGP probe of [`SutCatalog::standard`](crate::sut::SutCatalog::standard):
+/// The BGP probe of the [default `SutCatalog`](crate::sut::SutCatalog::default):
 /// recognizes [`BgpRouter`] nodes.
 pub fn probe(node: &dyn Node) -> Option<&dyn ExplorableNode> {
     node.as_any()

@@ -12,6 +12,14 @@ use super::Campaign;
 use super::CampaignReport;
 use crate::explorer::DiceConfig;
 
+/// The most threads a campaign starts for either worker count
+/// ([`CampaignConfig::pair_workers`], the template's
+/// [`workers`](DiceConfig::workers)); [`Campaign::run`] refuses a
+/// configuration above it before it takes a cut. A constant, not the
+/// host's core count, so a configuration runs, or is refused, alike on
+/// every host.
+pub const MAX_WORKERS: usize = 256;
+
 /// Declarative configuration of a campaign; everything a CI perf job
 /// needs to reproduce a run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -24,8 +32,9 @@ pub struct CampaignConfig {
     /// sweep: `0` is treated as `1`.
     pub rounds: usize,
     /// Whole `(explorer, peer)` rounds explored at once, one thread each
-    /// (`0`/`1` = sequential). The report is identical for any value —
-    /// only wall-clock fields change (see [`CampaignReport::normalized`]).
+    /// (`0`/`1` = sequential; at most [`MAX_WORKERS`]). The report is
+    /// identical for any value — only wall-clock fields change (see
+    /// [`CampaignReport::normalized`]).
     pub pair_workers: usize,
     /// Per-pair round template; `explorer` / `inject_peer` are overridden
     /// for each swept pair.
@@ -58,17 +67,19 @@ impl Campaign {
         self
     }
 
-    /// Validation workers (default 1 = sequential): the threads that
-    /// validate a sweep's candidates once its rounds are explored. A sweep
-    /// spawns `max(pair_workers, workers)` threads.
+    /// Validation workers (default 1 = sequential; at most
+    /// [`MAX_WORKERS`]): the threads that validate a sweep's candidates
+    /// once its rounds are explored. A sweep spawns `max(pair_workers,
+    /// workers)` threads.
     pub fn workers(mut self, k: usize) -> Self {
         self.cfg.template.workers = k;
         self
     }
 
     /// Whole `(explorer, peer)` rounds explored at once, one thread each
-    /// (default 1 = sequential sweep). Reports are identical for any value
-    /// modulo wall-clock fields — see [`CampaignReport::normalized`].
+    /// (default 1 = sequential sweep; at most [`MAX_WORKERS`]). Reports
+    /// are identical for any value modulo wall-clock fields — see
+    /// [`CampaignReport::normalized`].
     pub fn pair_workers(mut self, k: usize) -> Self {
         self.cfg.pair_workers = k;
         self
@@ -188,7 +199,10 @@ impl Campaign {
     }
 
     /// Replace the whole declarative configuration (e.g. loaded from
-    /// JSON by an experiment binary).
+    /// JSON by an experiment binary). A fixed `(explorer, peer)` pair is
+    /// a configuration too: `explorers: vec![explorer]` with
+    /// `max_peers_per_explorer: 1` sweeps the explorer's first eligible
+    /// peer ([`Campaign::sweep_plan`] says which).
     pub fn config(mut self, cfg: CampaignConfig) -> Self {
         self.cfg = cfg;
         self
@@ -245,8 +259,8 @@ mod tests {
     #[test]
     fn config_json_with_a_retired_knob_still_loads_and_runs() {
         // Configs persisted while the clone-pool knob existed carry it in
-        // the round template; the retired field is ignored and both
-        // drivers run the loaded configuration.
+        // the round template; the retired field is ignored and the loaded
+        // configuration runs, as a whole and narrowed to one pair.
         let mut sim = scenarios::healthy_line(2, 5);
         sim.run_until(SimTime::from_nanos(12_000_000_000));
         let cfg = quick(Campaign::new(&sim))
@@ -260,12 +274,15 @@ mod tests {
         let back: CampaignConfig = serde_json::from_str(&old).unwrap();
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
 
-        let mut round_cfg = back.template.clone();
-        round_cfg.explorer = NodeId(1);
-        let round = crate::explorer::DiceRunner::from_sim(round_cfg, &sim)
-            .run_round(&mut sim)
-            .expect("loaded DiceConfig runs");
-        assert!(round.validated > 0);
+        let pair = Campaign::new(&sim).config(CampaignConfig {
+            explorers: vec![NodeId(1)],
+            max_peers_per_explorer: 1,
+            template: back.template.clone(),
+            ..CampaignConfig::default()
+        });
+        assert_eq!(pair.sweep_plan(), [(NodeId(1), vec![NodeId(0)])]);
+        let round = pair.run(&mut sim).expect("loaded DiceConfig runs");
+        assert!(round.rounds[0].validated > 0);
         let report = Campaign::new(&sim)
             .config(back)
             .run(&mut sim)

@@ -1,8 +1,6 @@
-//! Federation-scale orchestration: sweep every eligible `(explorer,
-//! inject_peer)` pair instead of hand-picking one.
+//! Federation-scale orchestration: the one driver of DiCE rounds, from a
+//! single fixed `(explorer, inject_peer)` pair to every eligible pair.
 //!
-//! [`DiceRunner`](crate::explorer::DiceRunner) explores one fixed pair per
-//! round — fine for a demo, useless for a federation of dozens of domains.
 //! A [`Campaign`] discovers the eligible pairs through the
 //! [`SutCatalog`] probe chain, snapshots **once per explorer** (one
 //! Chandy–Lamport pass amortized over all of that node's peers), explores
@@ -47,7 +45,7 @@ use crate::sut::SutCatalog;
 mod config;
 mod report;
 
-pub use config::CampaignConfig;
+pub use config::{CampaignConfig, MAX_WORKERS};
 pub use report::{
     CampaignReport, ClassDetection, ExplorerSummary, KindSummary, PerfCounters, PhaseTimes,
 };
@@ -67,8 +65,8 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Discover eligible pairs in `live` using the default (BGP-only)
-    /// catalog and derive the attestation registry.
+    /// Discover eligible pairs in `live` using the default catalog (BGP
+    /// routers and gossip nodes) and derive the attestation registry.
     pub fn new(live: &Simulator) -> Self {
         Self::with_catalog(live, SutCatalog::default())
     }
@@ -118,7 +116,20 @@ impl Campaign {
     /// that share plus its exploration plus its own validation units; a
     /// detection's `wall_us_cum` is the campaign clock when the detecting
     /// round's last unit finished.
+    ///
+    /// Calling `run` again sweeps the live system as it is by then, with
+    /// the registry built at construction. A worker count above
+    /// [`MAX_WORKERS`] is an `Err` naming the field, returned before any
+    /// cut is taken or thread started.
     pub fn run(&self, live: &mut Simulator) -> Result<CampaignReport, String> {
+        for (field, n) in [
+            ("pair_workers", self.cfg.pair_workers),
+            ("template.workers", self.cfg.template.workers),
+        ] {
+            if n > MAX_WORKERS {
+                return Err(format!("{field} {n} exceeds MAX_WORKERS ({MAX_WORKERS})"));
+            }
+        }
         #[expect(
             clippy::disallowed_methods,
             reason = "campaign wall-clock accounting; zeroed by normalized()"
@@ -179,19 +190,10 @@ impl Campaign {
                     round_no += 1;
                     // The first peer round carries the snapshot cost;
                     // reuse rounds report zero (see method docs).
-                    let (round_metrics, snap_wall_us) = if k == 0 {
-                        (snap_metrics, snap_metrics.wall_micros)
+                    let round_metrics = if k == 0 {
+                        snap_metrics
                     } else {
-                        (
-                            crate::snapshot::SnapshotMetrics {
-                                sim_duration_nanos: 0,
-                                wall_micros: 0,
-                                nodes: 0,
-                                in_flight: 0,
-                                bytes: 0,
-                            },
-                            0,
-                        )
+                        crate::snapshot::SnapshotMetrics::default()
                     };
                     let mut cfg = self.cfg.template.clone();
                     cfg.explorer = *explorer;
@@ -202,7 +204,6 @@ impl Campaign {
                         shadow: std::sync::Arc::clone(&shadow),
                         baseline: std::sync::Arc::clone(&baseline),
                         snap_metrics: round_metrics,
-                        snap_wall_us,
                     });
                 }
             }
@@ -509,6 +510,24 @@ mod tests {
             serde_json::to_string(&b.normalized()).unwrap(),
             "schedules replay deterministically from the campaign seed"
         );
+    }
+
+    #[test]
+    fn worker_counts_above_the_ceiling_are_refused_before_any_cut() {
+        let mut sim = scenarios::healthy_line(2, 5);
+        sim.run_until(SimTime::from_nanos(5_000_000_000));
+        let before = sim.now();
+        let err = Campaign::new(&sim)
+            .workers(usize::MAX)
+            .run(&mut sim)
+            .unwrap_err();
+        assert!(err.contains("template.workers"), "{err}");
+        let err = Campaign::new(&sim)
+            .pair_workers(MAX_WORKERS + 1)
+            .run(&mut sim)
+            .unwrap_err();
+        assert!(err.contains("pair_workers"), "{err}");
+        assert_eq!(sim.now(), before, "no cut ran on the live system");
     }
 
     #[test]

@@ -67,10 +67,9 @@ pub(crate) struct RoundTask {
     /// Flip baseline computed once per snapshot.
     pub(crate) baseline: Arc<crate::check::CheckBaseline>,
     /// Snapshot cost carried by the first round per snapshot, zeroed for
-    /// the reuse rounds (see `Campaign::run` docs).
+    /// the reuse rounds (see `Campaign::run` docs); its `wall_micros` is
+    /// the cut's share of the round's `wall_us`.
     pub(crate) snap_metrics: SnapshotMetrics,
-    /// Wall micros spent establishing the snapshot (first round only).
-    pub(crate) snap_wall_us: u64,
 }
 
 /// A completed round plus when it finished on the campaign clock (for
@@ -288,7 +287,7 @@ pub(crate) fn run_rounds(
             for unit in own {
                 phases.add(unit.phases);
             }
-            let wall_us = task.snap_wall_us + phases.total_us();
+            let wall_us = task.snap_metrics.wall_micros + phases.total_us();
             let outcome = check_stage(
                 stage,
                 own.iter().map(|u| &u.validated),
@@ -355,7 +354,6 @@ mod tests {
                 shadow: Arc::clone(&shadow),
                 baseline: Arc::clone(&baseline),
                 snap_metrics,
-                snap_wall_us: 0,
             }
         };
         let tasks = vec![mk_task(1, 0), mk_task(2, 2)];

@@ -20,26 +20,23 @@
 //!
 //! This module owns the round's stages (`explore_stage`, `validate_one`,
 //! `check_stage`); the `executor` module is the one place that schedules
-//! them (explore every round, barrier, validate every candidate).
-//! [`DiceRunner`] submits one fixed `(explorer, inject_peer)` round per
-//! call; [`crate::campaign::Campaign`] sweeps every eligible pair.
+//! them (explore every round, barrier, validate every candidate), and
+//! [`crate::campaign::Campaign`] is the one driver that takes the cuts and
+//! submits the rounds. A fixed `(explorer, inject_peer)` pair is a sweep
+//! over that one pair.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use dice_concolic::{
     ExplorationReport, ExploreConfig, ExploreState, RunStatus, SolverBudget, Strategy,
 };
-use dice_netsim::{NodeId, ShadowSnapshot, SimDuration, Simulator, Topology};
+use dice_netsim::{NodeId, ShadowSnapshot, SimDuration, Topology};
 use serde::{Deserialize, Serialize};
 
 use crate::campaign::PhaseTimes;
-use crate::check::{
-    default_checkers, flips_baseline, run_checkers, CheckContext, Checker, FaultClass, FaultReport,
-};
-use crate::executor::{run_rounds, RoundTask};
+use crate::check::{run_checkers, CheckContext, Checker, FaultClass, FaultReport};
 use crate::interface::AttestationRegistry;
-use crate::snapshot::{take_consistent_snapshot, SnapshotMetrics};
+use crate::snapshot::SnapshotMetrics;
 use crate::sut::SutCatalog;
 
 /// Configuration of the DiCE runtime.
@@ -589,202 +586,14 @@ pub(crate) fn check_stage<'v>(
     }
 }
 
-/// The DiCE runtime bound to one deployed system and one fixed
-/// `(explorer, inject_peer)` pair.
-pub struct DiceRunner {
-    pub(crate) config: DiceConfig,
-    catalog: SutCatalog,
-    registry: AttestationRegistry,
-    exploration_last: Option<ExplorationReport>,
-    round: u64,
-}
-
-impl DiceRunner {
-    /// Build a runner over the default (BGP-only) SUT catalog, deriving
-    /// the attestation registry from the nodes' ownership facts.
-    pub fn from_sim(config: DiceConfig, live: &Simulator) -> Self {
-        Self::with_catalog(config, live, SutCatalog::default())
-    }
-
-    /// Build a runner over a custom SUT catalog (heterogeneous
-    /// federations register extra probes on the catalog first).
-    pub fn with_catalog(config: DiceConfig, live: &Simulator, catalog: SutCatalog) -> Self {
-        let registry = catalog.build_registry(live, config.seed);
-        DiceRunner {
-            config,
-            catalog,
-            registry,
-            exploration_last: None,
-            round: 0,
-        }
-    }
-
-    /// The shared attestation registry.
-    pub fn registry(&self) -> &AttestationRegistry {
-        &self.registry
-    }
-
-    /// The SUT catalog resolving nodes under test.
-    pub fn catalog(&self) -> &SutCatalog {
-        &self.catalog
-    }
-
-    /// The full exploration report of the last round (inputs included).
-    pub fn last_exploration(&self) -> Option<&ExplorationReport> {
-        self.exploration_last.as_ref()
-    }
-
-    /// Execute one full DiCE round against the live system: take the
-    /// consistent cut, then submit the round as a single task to the
-    /// campaign executor (`cfg.workers` threads share its validation
-    /// fan-out).
-    pub fn run_round(&mut self, live: &mut Simulator) -> Result<RoundReport, String> {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "round wall-clock accounting; zeroed by normalized()"
-        )]
-        let wall = std::time::Instant::now();
-        self.round += 1;
-        let cfg = &self.config;
-
-        live.set_delta_snapshots(cfg.delta_snapshots);
-        let (shadow, snap_metrics) =
-            take_consistent_snapshot(live, cfg.explorer, cfg.snapshot_deadline)?;
-        let shadow = shadow.into_shared();
-        let baseline = Arc::new(flips_baseline(&self.catalog, &shadow));
-        let checkers = default_checkers(cfg.oscillation_threshold);
-        let task = RoundTask {
-            ordinal: self.round,
-            cfg: cfg.clone(),
-            shadow,
-            baseline,
-            snap_metrics,
-            snap_wall_us: wall.elapsed().as_micros() as u64,
-        };
-        let (done, _pool_stats) = run_rounds(
-            std::slice::from_ref(&task),
-            1,
-            cfg.workers,
-            live.topology(),
-            &self.catalog,
-            &self.registry,
-            &checkers,
-            wall,
-        );
-        let outcome = done
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| Err("round never completed".into()))?
-            .outcome;
-        self.exploration_last = Some(outcome.exploration);
-        Ok(outcome.report)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bgp_sut;
+    use crate::campaign::{Campaign, CampaignConfig};
     use crate::scenarios;
-    use dice_netsim::SimTime;
-
-    #[test]
-    fn round_detects_seeded_programming_error() {
-        let mut sim = scenarios::buggy_parser_scenario(7);
-        sim.run_until(SimTime::from_nanos(10_000_000_000));
-        let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
-        cfg.concolic_executions = 160;
-        cfg.validate_top = 24;
-        let mut runner = DiceRunner::from_sim(cfg, &sim);
-        let report = runner.run_round(&mut sim).expect("round runs");
-        assert!(
-            report.classes().contains(&FaultClass::ProgrammingError),
-            "seeded bug must be found: {report:?}"
-        );
-        assert!(report.distinct_paths > 10, "exploration should branch out");
-        assert_eq!(report.explorer, NodeId(1));
-        assert_eq!(report.explorer_kind, "bgp");
-    }
-
-    #[test]
-    fn round_detects_hijack_mistake() {
-        let mut sim = scenarios::hijack_scenario(5);
-        sim.run_until(SimTime::from_nanos(10_000_000_000));
-        let mut runner = DiceRunner::from_sim(DiceConfig::new(NodeId(1), NodeId(0)), &sim);
-
-        // Operator mistake happens on the live system AFTER registry setup.
-        scenarios::apply_hijack(&mut sim);
-        sim.run_until(SimTime::from_nanos(25_000_000_000));
-
-        let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
-        cfg.concolic_executions = 32;
-        cfg.validate_top = 4;
-        runner.config = cfg;
-        let report = runner.run_round(&mut sim).expect("round runs");
-        assert!(
-            report.classes().contains(&FaultClass::OperatorMistake),
-            "hijack must be detected: {:?}",
-            report.faults
-        );
-    }
-
-    #[test]
-    fn round_detects_policy_conflict_oscillation() {
-        let mut sim = scenarios::bad_gadget_scenario(3);
-        // Let the gadget start oscillating.
-        sim.run_until(SimTime::from_nanos(20_000_000_000));
-        let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
-        cfg.concolic_executions = 24;
-        cfg.validate_top = 4;
-        cfg.horizon = SimDuration::from_secs(120);
-        cfg.oscillation_threshold = 20;
-        let mut runner = DiceRunner::from_sim(cfg, &sim);
-        let report = runner.run_round(&mut sim).expect("round runs");
-        assert!(
-            report.classes().contains(&FaultClass::PolicyConflict),
-            "bad gadget oscillation must be detected: {:?}",
-            report.faults
-        );
-    }
-
-    #[test]
-    fn healthy_system_reports_no_faults() {
-        let mut sim = scenarios::healthy_line(4, 11);
-        sim.run_until(SimTime::from_nanos(15_000_000_000));
-        let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
-        cfg.concolic_executions = 48;
-        cfg.validate_top = 8;
-        let mut runner = DiceRunner::from_sim(cfg, &sim);
-        let report = runner.run_round(&mut sim).expect("round runs");
-        assert!(
-            report.faults.is_empty(),
-            "healthy system must stay clean: {:?}",
-            report.faults
-        );
-        assert!(report.verdicts_total > 0);
-        assert_eq!(report.verdicts_failed, 0);
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree() {
-        let mut sim = scenarios::buggy_parser_scenario(9);
-        sim.run_until(SimTime::from_nanos(10_000_000_000));
-        let mk = |workers: usize| {
-            let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
-            cfg.concolic_executions = 96;
-            cfg.validate_top = 12;
-            cfg.workers = workers;
-            cfg
-        };
-        // Two snapshots of the same quiescent system explore identically.
-        let mut r1 = DiceRunner::from_sim(mk(1), &sim);
-        let seq = r1.run_round(&mut sim).unwrap();
-        let mut r2 = DiceRunner::from_sim(mk(4), &sim);
-        let par = r2.run_round(&mut sim).unwrap();
-        assert_eq!(seq.classes(), par.classes());
-        assert_eq!(seq.executions, par.executions);
-        assert_eq!(seq.validated, par.validated);
-    }
+    use crate::sut::ExplorableNode;
+    use dice_netsim::{SimTime, Simulator};
 
     /// A BGP router that is inert on the live system and panics on the
     /// first message any *copy* of it handles — i.e. only inside a
@@ -833,7 +642,7 @@ mod tests {
     #[test]
     fn validation_clone_panic_surfaces_its_own_message() {
         // The explorer's handler panics inside a validation clone on a
-        // pool worker: `run_round` must re-raise *that* panic, not the
+        // pool worker: `Campaign::run` must re-raise *that* panic, not the
         // scope join's generic "a scoped thread panicked".
         use dice_bgp::{BgpRouter, RouterConfig, RouterId};
         use dice_netsim::{LinkParams, Node};
@@ -860,13 +669,19 @@ mod tests {
         sim.start();
         sim.run_until(SimTime::from_nanos(10_000_000_000));
 
-        let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
-        cfg.concolic_executions = 16;
-        cfg.validate_top = 4;
-        cfg.workers = 4;
-        let mut runner = DiceRunner::from_sim(cfg, &sim);
+        let mut template = DiceConfig::new(NodeId(1), NodeId(0));
+        template.concolic_executions = 16;
+        template.validate_top = 4;
+        template.workers = 4;
+        let campaign = Campaign::new(&sim).config(CampaignConfig {
+            explorers: vec![NodeId(1)],
+            max_peers_per_explorer: 1,
+            template,
+            ..CampaignConfig::default()
+        });
+        assert_eq!(campaign.sweep_plan(), [(NodeId(1), vec![NodeId(0)])]);
         let payload =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner.run_round(&mut sim)))
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| campaign.run(&mut sim)))
                 .expect_err("the clone's panic must propagate");
         // Both the tripwire's literal and the scope join's generic message
         // are `&'static str` payloads.
@@ -881,21 +696,15 @@ mod tests {
     fn zero_grammar_seeds_disables_grammar_layer() {
         // Regression: `grammar_seeds = 0` is documented to disable the
         // grammar layer but used to seed two generated messages anyway.
-        let mut sim = scenarios::healthy_line(3, 13);
-        sim.run_until(SimTime::from_nanos(10_000_000_000));
-        let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
-        cfg.concolic_executions = 24;
-        cfg.validate_top = 4;
-        cfg.grammar_seeds = 0;
-        let mut runner = DiceRunner::from_sim(cfg, &sim);
-        let report = runner.run_round(&mut sim).expect("round runs");
-        assert!(report.executions > 0);
-        // The only seed executed is the fixed minimal message.
-        let exploration = runner.last_exploration().unwrap();
-        let peer_asn = scenarios::asn_of(0);
+        let sim = scenarios::healthy_line(3, 13);
+        let router = bgp_sut::as_bgp(sim.node(NodeId(1))).expect("node 1 is a router");
+        let plan = router
+            .exploration_plan(NodeId(0), 0, 0xD1CE)
+            .expect("node 0 is node 1's neighbour");
+        // The only seed is the fixed minimal message.
         assert_eq!(
-            exploration.executions[0].input,
-            bgp_sut::minimal_seed(peer_asn),
+            plan.seeds,
+            [bgp_sut::minimal_seed(scenarios::asn_of(0))],
             "grammar layer must be fully disabled at zero seeds"
         );
     }
@@ -934,33 +743,5 @@ mod tests {
         // And the full round-trip still holds when the knobs are present.
         let full: DiceConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(serde_json::to_string(&full).unwrap(), json);
-    }
-
-    #[test]
-    fn exploration_never_perturbs_live_system() {
-        let mut sim = scenarios::healthy_line(3, 13);
-        sim.run_until(SimTime::from_nanos(10_000_000_000));
-        let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
-        cfg.concolic_executions = 32;
-        cfg.validate_top = 8;
-        let mut runner = DiceRunner::from_sim(cfg, &sim);
-
-        // Capture live state before/after a round: only snapshot-marker
-        // traffic may appear; RIBs and sessions stay untouched.
-        let flips = |sim: &Simulator| -> Vec<u64> {
-            sim.topology()
-                .node_ids()
-                .map(|id| {
-                    bgp_sut::as_bgp(sim.node(id))
-                        .unwrap()
-                        .loc_rib()
-                        .total_flips()
-                })
-                .collect()
-        };
-        let before = flips(&sim);
-        let _ = runner.run_round(&mut sim).unwrap();
-        let after = flips(&sim);
-        assert_eq!(before, after, "live RIBs must be untouched by exploration");
     }
 }

@@ -26,8 +26,8 @@ use crate::domain::DomainProgram;
 use crate::interface::AttestationRegistry;
 use crate::sut::{CheckView, ExplorableNode, ExplorationPlan, SessionHealth, SutProbe};
 
-/// The probe registered by
-/// [`SutCatalog::standard`](crate::sut::SutCatalog::standard): recognizes
+/// The probe registered by the
+/// [default `SutCatalog`](crate::sut::SutCatalog::default): recognizes
 /// [`GossipNode`]s.
 pub fn probe(node: &dyn Node) -> Option<&dyn ExplorableNode> {
     node.as_any()

@@ -33,31 +33,14 @@
 //!
 //! One round executor (the `executor` module: explore every round of a
 //! sweep, meet at a barrier, validate every candidate of the sweep — no
-//! lock anywhere) sits behind two entry points:
-//! [`explorer::DiceRunner`] submits one round for a fixed `(explorer,
-//! inject peer)` pair per call, and [`campaign::Campaign`] sweeps every
-//! eligible pair across the federation — one `Arc`-shared snapshot per
-//! explorer, `pair_workers` threads exploring and `workers` threads
+//! lock anywhere) sits behind one driver, [`campaign::Campaign`]: it sweeps
+//! the eligible `(explorer, inject peer)` pairs across the federation (a
+//! fixed pair is a sweep over that one pair) — one `Arc`-shared snapshot
+//! per explorer, `pair_workers` threads exploring and `workers` threads
 //! validating, with the aggregated [`campaign::CampaignReport`]
-//! byte-identical for any parallelism level modulo wall-clock fields. [`scenarios`] provides the
-//! paper's demo systems (including the 27-router Figure 1 topology).
-//!
-//! ## Quickstart
-//!
-//! ```
-//! use dice_core::{scenarios, DiceConfig, DiceRunner};
-//! use dice_netsim::{NodeId, SimTime};
-//!
-//! // A live 3-router system whose middle node carries a seeded parser bug.
-//! let mut live = scenarios::buggy_parser_scenario(7);
-//! live.run_until(SimTime::from_nanos(10_000_000_000));
-//!
-//! let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
-//! cfg.concolic_executions = 192;
-//! let mut dice = DiceRunner::from_sim(cfg, &live);
-//! let report = dice.run_round(&mut live).unwrap();
-//! assert!(!report.faults.is_empty()); // the seeded bug is found online
-//! ```
+//! byte-identical for any parallelism level modulo wall-clock fields.
+//! [`scenarios`] provides the paper's demo systems (including the
+//! 27-router Figure 1 topology).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -105,7 +88,7 @@ pub use check::{
     OscillationChecker,
 };
 pub use domain::DomainProgram;
-pub use explorer::{DiceConfig, DiceRunner, RoundReport};
+pub use explorer::{DiceConfig, RoundReport};
 pub use grammar::UpdateGrammar;
 pub use hash::{sha256, Sha256};
 pub use interface::{AttestationRegistry, LocalVerdict};

@@ -6,7 +6,7 @@ use dice_netsim::{NodeId, ShadowSnapshot, SimDuration, Simulator, SnapshotProgre
 use serde::{Deserialize, Serialize};
 
 /// Cost accounting for one consistent snapshot.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct SnapshotMetrics {
     /// Simulated time from initiation to completion (marker propagation).
     pub sim_duration_nanos: u64,

@@ -132,7 +132,9 @@ pub type SutProbe = fn(&dyn Node) -> Option<&dyn ExplorableNode>;
 
 /// The ordered set of [`SutProbe`]s the runtime uses to recognize nodes.
 /// Earlier probes win. The default catalog recognizes every protocol with
-/// an in-tree adapter (BGP routers and gossip nodes).
+/// an in-tree adapter — BGP routers ([`crate::bgp_sut`]) and gossip nodes
+/// ([`crate::gossip_sut`]); external protocols chain their probes on with
+/// [`SutCatalog::with_probe`].
 #[derive(Clone)]
 pub struct SutCatalog {
     probes: Vec<SutProbe>,
@@ -140,7 +142,9 @@ pub struct SutCatalog {
 
 impl Default for SutCatalog {
     fn default() -> Self {
-        SutCatalog::standard()
+        SutCatalog {
+            probes: vec![crate::bgp_sut::probe, crate::gossip_sut::probe],
+        }
     }
 }
 
@@ -157,16 +161,6 @@ impl SutCatalog {
     /// added with [`SutCatalog::with_probe`].
     pub fn empty() -> Self {
         SutCatalog { probes: Vec::new() }
-    }
-
-    /// The default catalog: every protocol with an in-tree adapter —
-    /// BGP routers ([`crate::bgp_sut`]) and gossip nodes
-    /// ([`crate::gossip_sut`]). External protocols chain their probes on
-    /// with [`SutCatalog::with_probe`].
-    pub fn standard() -> Self {
-        SutCatalog {
-            probes: vec![crate::bgp_sut::probe, crate::gossip_sut::probe],
-        }
     }
 
     /// Add a probe (tried after the existing ones). Returns `self` for

@@ -11,7 +11,7 @@
 //! ```
 
 use dice_system::bgp::BgpRouter;
-use dice_system::dice::{scenarios, DiceConfig, DiceRunner};
+use dice_system::dice::{scenarios, Campaign, CampaignConfig, DiceConfig};
 use dice_system::netsim::{NodeId, SimDuration, SimTime, Topology};
 
 fn tier(i: u32) -> &'static str {
@@ -67,10 +67,16 @@ fn main() {
     cfg.validate_top = 16;
     cfg.workers = 4;
     cfg.horizon = SimDuration::from_secs(90);
-    let mut dice = DiceRunner::from_sim(cfg, &live);
+    let dice = Campaign::new(&live).config(CampaignConfig {
+        explorers: vec![explorer],
+        max_peers_per_explorer: 1,
+        template: cfg,
+        ..CampaignConfig::default()
+    });
+    assert_eq!(dice.sweep_plan(), [(explorer, vec![provider])]);
 
     println!("\n# DiCE round from node {explorer} (inputs impersonate provider {provider})");
-    let report = dice.run_round(&mut live).expect("round runs");
+    let report = dice.run(&mut live).expect("round runs").rounds.remove(0);
     println!("{}", report.summary());
     println!(
         "snapshot: {} nodes checkpointed, {} in-flight messages, ~{}KB, CL protocol took {} of simulated time",

@@ -9,7 +9,7 @@
 //! ```
 
 use dice_system::bgp::BgpRouter;
-use dice_system::dice::{scenarios, DiceConfig, DiceRunner, FaultClass};
+use dice_system::dice::{scenarios, Campaign, CampaignConfig, DiceConfig, FaultClass};
 use dice_system::netsim::{NodeId, SimDuration, SimTime};
 
 fn main() {
@@ -43,10 +43,16 @@ fn main() {
     cfg.validate_top = 6;
     cfg.horizon = SimDuration::from_secs(120);
     cfg.oscillation_threshold = 20;
-    let mut dice = DiceRunner::from_sim(cfg, &live);
+    let dice = Campaign::new(&live).config(CampaignConfig {
+        explorers: vec![NodeId(1)],
+        max_peers_per_explorer: 1,
+        template: cfg,
+        ..CampaignConfig::default()
+    });
+    assert_eq!(dice.sweep_plan(), [(NodeId(1), vec![NodeId(0)])]);
 
     println!("\nrunning a DiCE round over the oscillating system…");
-    let report = dice.run_round(&mut live).expect("round runs");
+    let report = dice.run(&mut live).expect("round runs").rounds.remove(0);
 
     println!("\n{}", report.summary());
     for f in &report.faults {

@@ -16,7 +16,7 @@
 //! ```
 
 use dice_system::bgp::BgpRouter;
-use dice_system::dice::{scenarios, DiceConfig, DiceRunner, FaultClass};
+use dice_system::dice::{scenarios, Campaign, CampaignConfig, DiceConfig, FaultClass};
 use dice_system::netsim::{NodeId, SimTime};
 
 fn main() {
@@ -29,15 +29,21 @@ fn main() {
 
     // DiCE is set up while the system is healthy: the registry records that
     // only node 0 may originate inside 10.10.0.0/16.
+    // Each `run` of the campaign is one round over the pair (1, 0).
     let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
     cfg.concolic_executions = 48;
     cfg.validate_top = 8;
-    let mut dice = DiceRunner::from_sim(cfg, &live);
+    let dice = Campaign::new(&live).config(CampaignConfig {
+        explorers: vec![NodeId(1)],
+        max_peers_per_explorer: 1,
+        template: cfg,
+        ..CampaignConfig::default()
+    });
+    assert_eq!(dice.sweep_plan(), [(NodeId(1), vec![NodeId(0)])]);
 
-    let healthy = dice.run_round(&mut live).expect("round runs");
+    let healthy = dice.run(&mut live).expect("round runs").rounds.remove(0);
     println!(
-        "round {} (healthy): {} faults, {} verdicts ({} failed)",
-        healthy.round,
+        "healthy round: {} faults, {} verdicts ({} failed)",
         healthy.faults.len(),
         healthy.verdicts_total,
         healthy.verdicts_failed
@@ -66,8 +72,8 @@ fn main() {
     );
 
     // Next DiCE round catches it.
-    let caught = dice.run_round(&mut live).expect("round runs");
-    println!("\nround {} report:", caught.round);
+    let caught = dice.run(&mut live).expect("round runs").rounds.remove(0);
+    println!("\nnext round's report:");
     for f in &caught.faults {
         println!("  [{}] node {}: {}", f.class, f.node, f.detail);
     }

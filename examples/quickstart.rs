@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use dice_system::dice::{scenarios, DiceConfig, DiceRunner};
+use dice_system::dice::{scenarios, Campaign, CampaignConfig, DiceConfig};
 use dice_system::netsim::{NodeId, SimTime};
 
 fn main() {
@@ -29,15 +29,26 @@ fn main() {
         );
     }
 
-    // DiCE: explore node 1's behavior, impersonating inputs from peer 0.
+    // DiCE: explore node 1's behavior, impersonating inputs from peer 0 —
+    // a campaign over that one pair.
     let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
     cfg.concolic_executions = 192;
     cfg.validate_top = 24;
     cfg.workers = 4;
-    let mut dice = DiceRunner::from_sim(cfg, &live);
+    let dice = Campaign::new(&live).config(CampaignConfig {
+        explorers: vec![NodeId(1)],
+        max_peers_per_explorer: 1,
+        template: cfg,
+        ..CampaignConfig::default()
+    });
+    assert_eq!(dice.sweep_plan(), [(NodeId(1), vec![NodeId(0)])]);
 
     println!("\nrunning one DiCE round (snapshot → concolic explore → validate → check)…");
-    let report = dice.run_round(&mut live).expect("round completes");
+    let report = dice
+        .run(&mut live)
+        .expect("round completes")
+        .rounds
+        .remove(0);
 
     println!("\n{}", report.summary());
     println!(

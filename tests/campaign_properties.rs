@@ -24,7 +24,9 @@
 //! `config_json_loads_or_errs` feeds `CampaignConfig` / `DiceConfig` JSON
 //! with dropped, retired and out-of-range fields to the loader: each must
 //! load or give an `Err`, never panic, and what loads must save and load
-//! back to the same JSON.
+//! back to the same JSON. A loaded config whose `pair_workers` or
+//! `workers` exceeds `MAX_WORKERS` is run on a 2-node line and must give
+//! the `Err` that names the field.
 //!
 //! CI runs both in release at a fixed case count:
 //! `PROPTEST_CASES=1000 cargo test --release --test campaign_properties`
@@ -33,6 +35,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dice_system::bgp::{BgpRouter, RouterConfig, RouterId};
+use dice_system::dice::campaign::MAX_WORKERS;
 use dice_system::dice::sut::SutCatalog;
 use dice_system::dice::{scenarios, Campaign, CampaignConfig, CampaignReport, DiceConfig};
 use dice_system::gossip::{GossipConfig, GossipNode};
@@ -159,7 +162,7 @@ impl Scenario {
         let mut live = self.system();
         live.run_until(SimTime::from_nanos(self.warmup_ms * 1_000_000));
         let n = live.topology().len() as u32;
-        let mut campaign = Campaign::with_catalog(&live, SutCatalog::standard())
+        let mut campaign = Campaign::with_catalog(&live, SutCatalog::default())
             .explorers(self.explorers.iter().map(|e| NodeId(e.0 % n)))
             .max_peers_per_explorer(self.peers)
             .rounds(rounds)
@@ -433,11 +436,12 @@ fn a_second_call_drops_the_first_calls_pending_legs() {
 }
 
 /// What the loader is fed in place of a field's value.
-const ODD_VALUES: [&str; 15] = [
+const ODD_VALUES: [&str; 16] = [
     "null",
     "true",
     "-1",
     "0",
+    "257",
     "18446744073709551615",
     "18446744073709551616",
     "-9223372036854775809",
@@ -507,13 +511,13 @@ fn splice_raw(text: &str) -> String {
 }
 
 /// `text` loads as `T` or is refused, without a panic; what loads saves to
-/// JSON that loads back to the same JSON.
+/// JSON that loads back to the same JSON, and is returned.
 fn loads_or_errs<T: serde::Serialize + serde::Deserialize>(
     what: &str,
     text: &str,
-) -> Result<(), TestCaseError> {
+) -> Result<Option<T>, TestCaseError> {
     let Ok(loaded) = caught(what, || serde_json::from_str::<T>(text))? else {
-        return Ok(());
+        return Ok(None);
     };
     let saved = serde_json::to_string(&loaded).unwrap();
     let back = serde_json::from_str::<T>(&saved)
@@ -525,7 +529,27 @@ fn loads_or_errs<T: serde::Serialize + serde::Deserialize>(
         what,
         text
     );
-    Ok(())
+    Ok(Some(loaded))
+}
+
+/// A loaded `cfg` with a worker count above [`MAX_WORKERS`], run on a
+/// 2-node line, gives the `Err` naming that field (`pair_workers` is
+/// checked first). A config within the ceiling is not run.
+fn over_ceiling_errs(cfg: CampaignConfig) -> Result<(), TestCaseError> {
+    let field = if cfg.pair_workers > MAX_WORKERS {
+        "pair_workers"
+    } else if cfg.template.workers > MAX_WORKERS {
+        "template.workers"
+    } else {
+        return Ok(());
+    };
+    let mut live = scenarios::healthy_line(2, 1);
+    let campaign = Campaign::new(&live).config(cfg);
+    match run(&campaign, &mut live)? {
+        Err(e) if e.contains(field) => Ok(()),
+        Err(e) => Err(TestCaseError::fail(format!("{field}: wrong error {e}"))),
+        Ok(_) => Err(TestCaseError::fail(format!("{field} over the ceiling ran"))),
+    }
 }
 
 proptest! {
@@ -534,6 +558,7 @@ proptest! {
     fn config_json_loads_or_errs(
         seed in any::<u64>(),
         edits in prop::collection::vec((0usize..256, 0usize..2 + ODD_VALUES.len()), 0..6),
+        over in (0usize..2, 0usize..2),
     ) {
         let mut template = DiceConfig::new(NodeId(1), NodeId(2));
         template.seed = seed;
@@ -548,17 +573,38 @@ proptest! {
             ..CampaignConfig::default()
         };
         let mut value = serde_json::parse_value(&serde_json::to_string(&cfg).unwrap()).unwrap();
+        // Most edited configs fail to load for another field, so one
+        // worker count over the ceiling is also loaded on its own.
+        let (over_field, over_value) = over;
+        let field: Vec<String> = [&["pair_workers"][..], &["template", "workers"]][over_field]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let odd = ["257", "18446744073709551615"][over_value];
+        let op = 2 + ODD_VALUES.iter().position(|v| *v == odd).unwrap();
+        let text = splice_raw(&serde_json::to_string(&edit(&value, &field, op)).unwrap());
+        let over = loads_or_errs::<CampaignConfig>("CampaignConfig", &text)?;
+        prop_assert!(over.is_some(), "{} loads", text);
+        over_ceiling_errs(over.unwrap())?;
+
         let mut all = Vec::new();
         paths(&value, &mut Vec::new(), &mut all);
         for (at, op) in edits {
             value = edit(&value, &all[at % all.len()], op);
         }
         let text = splice_raw(&serde_json::to_string(&value).unwrap());
-        loads_or_errs::<CampaignConfig>("CampaignConfig", &text)?;
+        if let Some(cfg) = loads_or_errs::<CampaignConfig>("CampaignConfig", &text)? {
+            over_ceiling_errs(cfg)?;
+        }
         if let Value::Object(map) = &value {
             if let Some(template) = map.get("template") {
                 let text = splice_raw(&serde_json::to_string(template).unwrap());
-                loads_or_errs::<DiceConfig>("DiceConfig", &text)?;
+                if let Some(template) = loads_or_errs::<DiceConfig>("DiceConfig", &text)? {
+                    over_ceiling_errs(CampaignConfig {
+                        template,
+                        ..CampaignConfig::default()
+                    })?;
+                }
             }
         }
     }

@@ -4,8 +4,30 @@
 mod outcomes;
 
 use dice_system::bgp::{BgpRouter, SessionState};
-use dice_system::dice::{scenarios, DiceConfig, DiceRunner, FaultClass};
-use dice_system::netsim::{Node, NodeId, QuietOutcome, SimDuration, SimTime};
+use dice_system::dice::{scenarios, Campaign, CampaignConfig, DiceConfig, FaultClass, RoundReport};
+use dice_system::netsim::{Node, NodeId, QuietOutcome, SimDuration, SimTime, Simulator};
+
+/// A campaign over the one pair `cfg` names, with its registry built from
+/// `live` as it is now. A change in neighbour order fails here instead of
+/// quietly exploring another pair.
+fn pair_campaign(live: &Simulator, cfg: DiceConfig) -> Campaign {
+    let (explorer, peer) = (cfg.explorer, cfg.inject_peer);
+    let campaign = Campaign::new(live).config(CampaignConfig {
+        explorers: vec![explorer],
+        max_peers_per_explorer: 1,
+        template: cfg,
+        ..CampaignConfig::default()
+    });
+    assert_eq!(campaign.sweep_plan(), [(explorer, vec![peer])]);
+    campaign
+}
+
+/// One sweep of a single-pair campaign: its one round.
+fn round(campaign: &Campaign, live: &mut Simulator) -> RoundReport {
+    let mut report = campaign.run(live).unwrap();
+    assert_eq!(report.rounds.len(), 1);
+    report.rounds.remove(0)
+}
 
 #[test]
 fn detects_all_three_fault_classes() {
@@ -16,8 +38,7 @@ fn detects_all_three_fault_classes() {
     cfg.concolic_executions = 192;
     cfg.validate_top = 24;
     cfg.workers = 4;
-    let mut dice = DiceRunner::from_sim(cfg, &live);
-    let r = dice.run_round(&mut live).unwrap();
+    let r = round(&pair_campaign(&live, cfg), &mut live);
     assert!(
         r.classes().contains(&FaultClass::ProgrammingError),
         "{:?}",
@@ -31,8 +52,7 @@ fn detects_all_three_fault_classes() {
     cfg.concolic_executions = 24;
     cfg.validate_top = 4;
     cfg.horizon = SimDuration::from_secs(120);
-    let mut dice = DiceRunner::from_sim(cfg, &live);
-    let r = dice.run_round(&mut live).unwrap();
+    let r = round(&pair_campaign(&live, cfg), &mut live);
     assert!(
         r.classes().contains(&FaultClass::PolicyConflict),
         "{:?}",
@@ -45,10 +65,10 @@ fn detects_all_three_fault_classes() {
     let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
     cfg.concolic_executions = 32;
     cfg.validate_top = 4;
-    let mut dice = DiceRunner::from_sim(cfg, &live);
+    let dice = pair_campaign(&live, cfg);
     scenarios::apply_hijack(&mut live);
     live.run_until(SimTime::from_nanos(25_000_000_000));
-    let r = dice.run_round(&mut live).unwrap();
+    let r = round(&dice, &mut live);
     assert!(
         r.classes().contains(&FaultClass::OperatorMistake),
         "{:?}",
@@ -65,12 +85,11 @@ fn demo27_round_is_clean_and_reproducible() {
     );
     assert_eq!(quiet, QuietOutcome::Quiescent);
 
-    let run = |live: &mut dice_system::netsim::Simulator| {
+    let run = |live: &mut Simulator| {
         let mut cfg = DiceConfig::new(NodeId(5), NodeId(2));
         cfg.concolic_executions = 64;
         cfg.validate_top = 8;
-        let mut dice = DiceRunner::from_sim(cfg, live);
-        dice.run_round(live).unwrap()
+        round(&pair_campaign(live, cfg), live)
     };
     let r1 = run(&mut live);
     assert!(r1.faults.is_empty(), "healthy demo27: {:?}", r1.faults);
@@ -95,9 +114,9 @@ fn repeated_rounds_converge_to_no_new_faults() {
     let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
     cfg.concolic_executions = 160;
     cfg.validate_top = 16;
-    let mut dice = DiceRunner::from_sim(cfg, &live);
-    let r1 = dice.run_round(&mut live).unwrap();
-    let r2 = dice.run_round(&mut live).unwrap();
+    let dice = pair_campaign(&live, cfg);
+    let r1 = round(&dice, &mut live);
+    let r2 = round(&dice, &mut live);
     // The same (deduplicated) fault set is re-detected each round; the live
     // system itself stays healthy throughout.
     assert_eq!(r1.classes(), r2.classes());
@@ -112,8 +131,7 @@ fn fault_free_round_publishes_only_passing_verdicts() {
     cfg.concolic_executions = 64;
     cfg.validate_top = 8;
     cfg.workers = 2;
-    let mut dice = DiceRunner::from_sim(cfg, &live);
-    let r = dice.run_round(&mut live).unwrap();
+    let r = round(&pair_campaign(&live, cfg), &mut live);
     assert!(r.faults.is_empty());
     assert_eq!(r.verdicts_failed, 0);
     assert!(
@@ -124,13 +142,25 @@ fn fault_free_round_publishes_only_passing_verdicts() {
 
 #[test]
 fn exploration_report_exposes_crashing_input() {
+    use dice_system::concolic::{explore, ExploreConfig};
+    use dice_system::dice::{mark_update, DomainProgram, UpdateGrammar};
+
     let mut live = scenarios::buggy_parser_scenario(1006);
     live.run_until(SimTime::from_nanos(10_000_000_000));
-    let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
-    cfg.concolic_executions = 192;
-    let mut dice = DiceRunner::from_sim(cfg, &live);
-    let _ = dice.run_round(&mut live).unwrap();
-    let exploration = dice.last_exploration().expect("exploration recorded");
+    let mut twin = live
+        .node(NodeId(1))
+        .as_any()
+        .downcast_ref::<BgpRouter>()
+        .and_then(|r| r.update_twin(NodeId(0)))
+        .map(DomainProgram)
+        .expect("node 1 peers with node 0");
+    let mut grammar = UpdateGrammar::new(scenarios::asn_of(0), 7);
+    let seeds = [grammar.generate(), grammar.generate_large_unknown()];
+    let config = ExploreConfig {
+        max_executions: 192,
+        ..Default::default()
+    };
+    let exploration = explore(&mut twin, &seeds, &mark_update, &config);
     let crash_idx = exploration.first_crash().expect("crash found");
     let crash_input = &exploration.executions[crash_idx].input;
 
@@ -201,7 +231,7 @@ fn dice_round_does_not_change_live_routing() {
         SimDuration::from_secs(5),
         SimTime::from_nanos(300_000_000_000),
     );
-    let fingerprint = |sim: &dice_system::netsim::Simulator| -> Vec<(u32, usize, u64)> {
+    let fingerprint = |sim: &Simulator| -> Vec<(u32, usize, u64)> {
         sim.topology()
             .node_ids()
             .map(|id| {
@@ -214,8 +244,7 @@ fn dice_round_does_not_change_live_routing() {
     let mut cfg = DiceConfig::new(NodeId(5), NodeId(2));
     cfg.concolic_executions = 48;
     cfg.validate_top = 8;
-    let mut dice = DiceRunner::from_sim(cfg, &live);
-    let _ = dice.run_round(&mut live).unwrap();
+    let _ = round(&pair_campaign(&live, cfg), &mut live);
     assert_eq!(before, fingerprint(&live), "exploration must be isolated");
 }
 

@@ -105,7 +105,7 @@ fn crash_withdraws_prefix_network_wide_and_restart_restores() {
 
 #[test]
 fn dice_round_succeeds_under_background_churn() {
-    use dice_system::dice::{DiceConfig, DiceRunner};
+    use dice_system::dice::{Campaign, CampaignConfig, DiceConfig};
     // A system where a distant link flaps while DiCE snapshots elsewhere:
     // the snapshot must either complete (flap outside the marker window) or
     // fail gracefully — never wedge or corrupt the live system.
@@ -114,11 +114,17 @@ fn dice_round_succeeds_under_background_churn() {
     let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
     cfg.concolic_executions = 32;
     cfg.validate_top = 4;
-    let mut dice = DiceRunner::from_sim(cfg, &sim);
+    let dice = Campaign::new(&sim).config(CampaignConfig {
+        explorers: vec![NodeId(1)],
+        max_peers_per_explorer: 1,
+        template: cfg,
+        ..CampaignConfig::default()
+    });
+    assert_eq!(dice.sweep_plan(), [(NodeId(1), vec![NodeId(0)])]);
 
     // Flap the far link right before the round.
     sim.inject_session_reset(NodeId(4), NodeId(5));
-    match dice.run_round(&mut sim) {
+    match dice.run(&mut sim) {
         Ok(report) => {
             // Snapshot raced the flap and won; the round is clean except
             // possibly convergence noise. No crashes, no hijacks.

@@ -9,7 +9,7 @@ use dice_system::dice::sut::{
     CheckView, ExplorableNode, ExplorationPlan, SessionHealth, SutCatalog,
 };
 use dice_system::dice::{
-    scenarios, AttestationRegistry, Campaign, DiceConfig, DiceRunner, FaultClass,
+    scenarios, AttestationRegistry, Campaign, CampaignConfig, DiceConfig, FaultClass,
 };
 use dice_system::gossip::{GossipConfig, GossipNode};
 use dice_system::netsim::{
@@ -141,6 +141,21 @@ fn mixed_catalog() -> SutCatalog {
     SutCatalog::default().with_probe(monitor_probe)
 }
 
+/// A campaign over the mixed catalog and the one pair `cfg` names; a
+/// change in neighbour order fails here instead of quietly exploring
+/// another pair.
+fn mixed_pair_campaign(sim: &Simulator, cfg: DiceConfig) -> Campaign {
+    let (explorer, peer) = (cfg.explorer, cfg.inject_peer);
+    let campaign = Campaign::with_catalog(sim, mixed_catalog()).config(CampaignConfig {
+        explorers: vec![explorer],
+        max_peers_per_explorer: 1,
+        template: cfg,
+        ..CampaignConfig::default()
+    });
+    assert_eq!(campaign.sweep_plan(), [(explorer, vec![peer])]);
+    campaign
+}
+
 #[test]
 fn mixed_topology_round_trips_through_all_phases() {
     let mut sim = mixed_system(21);
@@ -153,8 +168,11 @@ fn mixed_topology_round_trips_through_all_phases() {
     cfg.concolic_executions = 16;
     cfg.validate_top = 4;
     cfg.horizon = SimDuration::from_secs(30);
-    let mut runner = DiceRunner::with_catalog(cfg, &sim, mixed_catalog());
-    let report = runner.run_round(&mut sim).expect("monitor round runs");
+    let report = mixed_pair_campaign(&sim, cfg)
+        .run(&mut sim)
+        .expect("monitor round runs")
+        .rounds
+        .remove(0);
     assert_eq!(report.explorer_kind, "monitor");
     assert_eq!(report.explorer_sessions.configured, 1);
     assert!(report.executions > 0);
@@ -176,8 +194,11 @@ fn mixed_topology_round_trips_through_all_phases() {
     cfg.concolic_executions = 24;
     cfg.validate_top = 4;
     cfg.horizon = SimDuration::from_secs(30);
-    let mut runner = DiceRunner::with_catalog(cfg, &sim, mixed_catalog());
-    let report = runner.run_round(&mut sim).expect("bgp round runs");
+    let report = mixed_pair_campaign(&sim, cfg)
+        .run(&mut sim)
+        .expect("bgp round runs")
+        .rounds
+        .remove(0);
     assert_eq!(report.explorer_kind, "bgp");
     assert!(report.verdicts_total > 0);
     assert_eq!(
@@ -237,20 +258,10 @@ fn demo27_campaign_visits_multiple_explorers_with_coverage() {
     assert!(report.coverage_union > 0);
 
     // Determinism: parallel validation (workers >= 4) detects exactly the
-    // fault classes that sequential single-round runs detect.
-    let mut sequential_classes = std::collections::BTreeSet::new();
-    for (explorer, peers) in build(&sim, 1).sweep_plan() {
-        for peer in peers {
-            let mut cfg = DiceConfig::new(explorer, peer);
-            cfg.concolic_executions = 16;
-            cfg.validate_top = 3;
-            cfg.horizon = SimDuration::from_secs(30);
-            cfg.workers = 1;
-            let mut runner = DiceRunner::from_sim(cfg, &sim);
-            let r = runner.run_round(&mut sim).expect("single round runs");
-            sequential_classes.extend(r.classes());
-        }
-    }
+    // fault classes that the same sweep's rounds detect on one worker.
+    let sequential = build(&sim, 1).run(&mut sim).expect("campaign runs");
+    let sequential_classes: std::collections::BTreeSet<FaultClass> =
+        sequential.rounds.iter().flat_map(|r| r.classes()).collect();
     assert_eq!(report.classes(), sequential_classes);
 }
 
@@ -736,29 +747,29 @@ fn real_dynamics_schedule_replays_deterministically() {
 
 #[test]
 fn buggy_campaign_matches_sequential_detection() {
-    // Same determinism property on a system that actually faults.
+    // Same determinism property on a system that actually faults: the
+    // sweep at `workers(4)` detects what its rounds at `workers(1)` do.
     let mut sim = scenarios::buggy_parser_scenario(7);
     sim.run_until(SimTime::from_nanos(10_000_000_000));
-    let campaign_classes = Campaign::new(&sim)
-        .explorers([NodeId(1)])
-        .executions(160)
-        .validate_top(16)
-        .workers(4)
+    let build = |sim: &Simulator, workers: usize| {
+        Campaign::new(sim)
+            .explorers([NodeId(1)])
+            .executions(160)
+            .validate_top(16)
+            .workers(workers)
+    };
+    assert_eq!(
+        build(&sim, 1).sweep_plan(),
+        [(NodeId(1), vec![NodeId(0), NodeId(2)])]
+    );
+    let campaign_classes = build(&sim, 4)
         .run(&mut sim)
         .expect("campaign runs")
         .classes();
-
-    let mut cfg = DiceConfig::new(NodeId(1), NodeId(0));
-    cfg.concolic_executions = 160;
-    cfg.validate_top = 16;
-    let mut runner = DiceRunner::from_sim(cfg, &sim);
-    let mut sequential = runner.run_round(&mut sim).expect("round runs").classes();
-    let mut cfg2 = DiceConfig::new(NodeId(1), NodeId(2));
-    cfg2.concolic_executions = 160;
-    cfg2.validate_top = 16;
-    let mut runner2 = DiceRunner::from_sim(cfg2, &sim);
-    sequential.extend(runner2.run_round(&mut sim).expect("round runs").classes());
+    let sequential = build(&sim, 1).run(&mut sim).expect("campaign runs");
+    let sequential_classes: std::collections::BTreeSet<FaultClass> =
+        sequential.rounds.iter().flat_map(|r| r.classes()).collect();
 
     assert!(campaign_classes.contains(&FaultClass::ProgrammingError));
-    assert_eq!(campaign_classes, sequential);
+    assert_eq!(campaign_classes, sequential_classes);
 }
