@@ -7,8 +7,9 @@
 //! steady-state pooled path (`BufPool::acquire` → `encode_into` → recycle).
 //! The binary asserts that the pooled steady state allocates at least 2x
 //! less per datagram — the headline claim of the zero-copy PR. (The pool's
-//! end-to-end counters are `benchmark/`'s `netsim.buf.*`; that the knobs
-//! leave reports byte-identical is `tests/heterogeneous.rs`.)
+//! end-to-end counters are `benchmark/`'s `netsim.buf.*`; the pool is the
+//! simulator's only payload path, held to its ownership rule exit by exit
+//! in `dice-netsim`'s `sim/channel.rs` tests.)
 //!
 //! Flags: `--smoke` (fewer iterations for CI), `--json PATH` (archive rows,
 //! committed as `BENCH_wire.json`).

@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::ctx::{BranchRec, ConcolicCtx, SymInput};
 use crate::expr::{ExprArena, MixBuild};
-use crate::solve::{negation_query, Flip, PathSolver, Solver, SolverBudget, SolverStats};
+use crate::solve::{Flip, PathSolver, SolverBudget, SolverStats};
 
 /// Outcome of one program execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,16 +133,14 @@ pub struct ExploreConfig {
     pub max_executions: usize,
     /// Per-query solver budget.
     pub solver_budget: SolverBudget,
-    /// Which solver answers the negation queries: `true` (the default)
-    /// answers every query of an executed path in one [`PathSolver`] pass,
-    /// behind the cross-path [`UnaryMemo`](crate::solve::UnaryMemo);
-    /// `false` builds each query whole ([`negation_query`]) and answers it
-    /// from scratch with the reference [`Solver::solve`]. The answers, and
-    /// so the executed inputs, coverage and crashes, are the same either
-    /// way (`path_solver_and_reference_explore_identically` below, the
-    /// `path_solver` differential, and at campaign level `dice-core`'s
-    /// `perf_counters_populate_and_normalize_to_zero`); only solver time
-    /// and [`SolverStats::steps`] differ.
+    /// Retired and ignored: every negation query of an executed path is
+    /// answered in one [`PathSolver`] pass, behind the cross-path
+    /// [`UnaryMemo`](crate::solve::UnaryMemo). `false` used to select the
+    /// from-scratch reference [`Solver::solve`](crate::Solver::solve), which gave the same
+    /// answers by contract (so the field is ignored as `dice-core` ignores a
+    /// persisted `pool_size`) and stays as the test oracle
+    /// (`tests/session_arena.rs`, `tests/path_solver.rs`). The field stays
+    /// only while `benchmark/src/pipeline.rs` sets it.
     pub solver_cache: bool,
 }
 
@@ -367,14 +365,12 @@ impl ExploreState {
         if self.arena.is_empty() {
             self.solver = PathSolver::default();
         }
-        // Cache on: one `PathSolver` pass per executed path. Cache off: the
-        // reference solver, one whole query per flip. Same answers.
+        // One `PathSolver` pass per executed path answers its flips.
         let sliced = &mut self.solver;
         sliced.budget = config.solver_budget;
         sliced.stats = SolverStats::default();
         let (memo_hits, memo_misses) = (sliced.memo_hits(), sliced.memo_misses());
         let nodes = self.arena.len();
-        let mut solver = Solver::with_budget(config.solver_budget);
         let mut covered_skips = 0u64;
         let mut model: Vec<(u32, u8)> = Vec::new();
         // The session's coverage ledger, hashed: it is only inserted into and
@@ -407,8 +403,6 @@ impl ExploreState {
         // and all — was already tried, so a covered (site, direction) reached
         // under an incompatible prefix can never shadow the one path that
         // actually leads somewhere new.
-        // Maintained under both solvers, so the guard behaves identically in
-        // both modes (the `solver_cache = false` byte-identity contract).
         let mut dispatched: HashSet<u64, MixBuild> = HashSet::default();
         let mut queue = Worklist::new(config.strategy, room);
         // One arena serves every execution of the session and is never
@@ -470,14 +464,12 @@ impl ExploreState {
                     None => oracles.get(&idx).copied().unwrap_or(0),
                 }
             };
-            let mut pass = config.solver_cache.then(|| {
-                self.solver
-                    .begin(ctx.arena(), path, &seed_fn, bytes.len() as u32)
-            });
+            let mut pass = self
+                .solver
+                .begin(ctx.arena(), path, &seed_fn, bytes.len() as u32);
             // Each negation query hashes in O(1) as a fold over the path
             // prefix; the same branch structure recorded by a different seed
-            // (different bytes, same arena) folds the same ids. The guard that
-            // reads it runs in both cache modes.
+            // (different bytes, same arena) folds the same ids.
             let mut prefix_hash: u64 = 0xD1CE_0000_5EED_0001;
             sites_seen.clear();
             children.clear();
@@ -507,12 +499,7 @@ impl ExploreState {
                         // here (regression-tested).
                         covered_skips += 1;
                     } else {
-                        let outcome = match &mut pass {
-                            Some(pass) => pass.flip(&mut model),
-                            None => solver
-                                .solve(ctx.arena(), &negation_query(path, i), &seed_fn)
-                                .into_flip(&mut model),
-                        };
+                        let outcome = pass.flip(&mut model);
                         // Only *answered* queries count as dispatched: an
                         // Unknown (budget-exhausted) query produced no child,
                         // and a later seed-biased retry of the same structure
@@ -543,9 +530,7 @@ impl ExploreState {
                         }
                     }
                 }
-                if let Some(pass) = &mut pass {
-                    pass.advance();
-                }
+                pass.advance();
                 prefix_hash = mix3(prefix_hash, rec_id, rec.taken as u64);
             }
 
@@ -564,14 +549,12 @@ impl ExploreState {
 
         report.distinct_paths = seen_paths.len();
         let sliced = &self.solver;
-        report.solver = if config.solver_cache {
-            sliced.stats
-        } else {
-            solver.stats
+        report.solver = SolverStats {
+            covered_skips,
+            unary_memo_hits: sliced.memo_hits() - memo_hits,
+            unary_memo_misses: sliced.memo_misses() - memo_misses,
+            ..sliced.stats
         };
-        report.solver.covered_skips = covered_skips;
-        report.solver.unary_memo_hits = sliced.memo_hits() - memo_hits;
-        report.solver.unary_memo_misses = sliced.memo_misses() - memo_misses;
         report.nodes_interned = self.arena.len() - nodes;
         report.coverage = Coverage {
             seen: covered.into_iter().collect(),
@@ -884,42 +867,6 @@ mod tests {
                 assert_eq!(x.path_sig, y.path_sig, "{name}");
             }
         }
-    }
-
-    #[test]
-    fn path_solver_and_reference_explore_identically() {
-        // `solver_cache` selects who answers the negation queries, not
-        // what the answers are: the executed inputs, coverage and crash
-        // set must be bit-identical, query for query. Two same-shape seeds
-        // make the second seed's contradictory flip a repeated UNSAT.
-        let seeds = vec![vec![0u8], vec![1u8]];
-        let run = |solver_cache: bool| {
-            let cfg = ExploreConfig {
-                max_executions: 16,
-                solver_cache,
-                ..Default::default()
-            };
-            explore(&mut rechecking_program, &seeds, &all_symbolic, &cfg)
-        };
-        let sliced = run(true);
-        let reference = run(false);
-        assert_eq!(sliced.executions.len(), reference.executions.len());
-        for (a, b) in sliced.executions.iter().zip(&reference.executions) {
-            assert_eq!(a.input, b.input, "the solver must not alter exploration");
-            assert_eq!(a.path_sig, b.path_sig);
-        }
-        assert_eq!(sliced.final_coverage(), reference.final_coverage());
-        assert_eq!(sliced.crashes, reference.crashes);
-        assert_eq!(reference.solver.unary_memo_hits, 0);
-        assert!(
-            sliced.solver.unary_memo_hits > 0,
-            "shared prefix constraints must hit the unary memo: {:?}",
-            sliced.solver
-        );
-        let verdicts = |s: &SolverStats| (s.queries, s.sat, s.unsat, s.unknown, s.covered_skips);
-        assert_eq!(verdicts(&sliced.solver), verdicts(&reference.solver));
-        assert!(sliced.solver.unsat > 0, "the repeated flip is refuted");
-        assert_eq!(sliced.solver.cache_hits, 0);
     }
 
     #[test]

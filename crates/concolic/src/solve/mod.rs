@@ -88,8 +88,9 @@ pub struct SolverStats {
     /// (a flip's, or a cached model brought up to date) for [`PathSolver`].
     pub searches: u64,
     /// Always 0: the cross-seed refutation cache that counted here is
-    /// gone (its counter read 0 on every committed workload). The field
-    /// stays until `benchmark/` stops reading it (ROADMAP items 17 and 3B).
+    /// gone (its counter read 0 on every committed workload). The engine
+    /// never reads it; the field stays only while `benchmark/`
+    /// (`pipeline.rs`, `traced.rs`) does.
     pub cache_hits: u64,
     /// Branch flips skipped before query construction because the target
     /// (site, direction) was already covered.
@@ -118,22 +119,6 @@ pub enum Flip {
     Unsat,
     /// Budget exhausted before an answer.
     Unknown,
-}
-
-impl SolveResult {
-    /// The verdict in [`PathPass::flip`]'s vocabulary, a SAT model moved
-    /// into `model`.
-    pub(crate) fn into_flip(self, model: &mut Vec<(u32, u8)>) -> Flip {
-        match self {
-            SolveResult::Sat(m) => {
-                model.clear();
-                model.extend(m);
-                Flip::Sat
-            }
-            SolveResult::Unsat => Flip::Unsat,
-            SolveResult::Unknown => Flip::Unknown,
-        }
-    }
 }
 
 /// "No slot / no list node" in the dense tables below.

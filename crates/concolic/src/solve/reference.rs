@@ -1,7 +1,7 @@
 //! The reference solver: one whole constraint system per call, answered
 //! from scratch. [`Solver::solve`] on [`negation_query`] defines the
-//! answers [`PathSolver`](super::PathSolver) must reproduce, and is what
-//! `ExploreConfig::solver_cache = false` runs.
+//! answers [`PathSolver`](super::PathSolver) must reproduce: it is the
+//! oracle of the differential tests, and exploration never runs it.
 
 use super::{holds, pick, ByteSet, Constraint, SolveResult, SolverBudget, SolverStats};
 use crate::ctx::BranchRec;

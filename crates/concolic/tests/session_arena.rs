@@ -8,13 +8,12 @@
 //! restoring the per-execution clear in `ConcolicCtx::continuing` while the
 //! memo stays id-keyed (an id then names whatever the current execution
 //! interned at that position, and the memo answers with an earlier
-//! execution's variables and byte set) —
-//! `id_keyed_and_reference_sessions_explore_the_real_twins_identically`
-//! diverges at BGP execution 16 and `one_arena_names_each_structure_once`
+//! execution's variables and byte set) — `one_arena_names_each_structure_once`
 //! reports "one id, two structures"; so do the three pinned digests of
 //! `tests/end_to_end.rs` and all four `normalized_sha256` of `dice-benchmark
-//! --smoke`. (The lib's toy `path_solver_and_reference_explore_identically`
-//! stays green: its program interns in one order whatever the input.)
+//! --smoke`. `every_flip_of_a_warm_session_matches_the_reference` holds each
+//! flip of a warm session to the reference solver, so a memo entry that
+//! answers for another structure fails it at the flip that reads it.
 //! Folding `rec.site.0` instead of `rec.constraint.0` into the guard's query
 //! hash — `guard_keys_on_the_constraint_not_on_its_site` (lib) loses its
 //! crash. (`guard_preserves_context_dependent_flips` stays green: there a
@@ -27,8 +26,8 @@ use dice_bgp::{
     net, Asn, BgpRouter, Match, Origin, Policy, PrefixFilter, RouterConfig, RouterId, Rule, Verdict,
 };
 use dice_concolic::{
-    explore, BranchRec, ConcolicCtx, ConcolicProgram, ExplorationReport, ExploreConfig, ExprArena,
-    ExprId, RunStatus, SolverStats, SymInput,
+    explore, negation_query, BranchRec, ConcolicCtx, ConcolicProgram, ExploreConfig, ExprArena,
+    ExprId, Flip, PathSolver, RunStatus, SolveResult, Solver, SymInput,
 };
 use dice_core::gossip_sut::{mark_gossip, seed_corpus};
 use dice_core::{mark_update, DomainProgram, UpdateGrammar};
@@ -175,74 +174,67 @@ proptest! {
     }
 }
 
-fn session(twin: Twin, solver_cache: bool) -> ExplorationReport {
-    let (mut program, marker, seeds) = twin;
-    let config = ExploreConfig {
-        max_executions: 160,
-        solver_cache,
-        ..Default::default()
-    };
-    explore(program.as_mut(), &seeds, &marker, &config)
-}
-
 #[test]
-fn id_keyed_and_reference_sessions_explore_the_real_twins_identically() {
-    // `path_solver_and_reference_explore_identically` (lib) over the real
-    // twins, long enough that almost every execution runs over a warm
-    // arena: the id-keyed memo path and the memo-less reference mode must
-    // execute the same inputs in the same order, to the same effect.
-    // A gossip frame has few branches: more rumors to flip, or the queue
-    // runs dry short of 64.
+fn every_flip_of_a_warm_session_matches_the_reference() {
+    // The per-flip check of `tests/path_solver.rs`, over the real twins: a
+    // 160-execution session's inputs, re-run in order through one arena,
+    // each path answered by one `PathSolver` whose memos stay warm across
+    // the session, as `explore` answers it. Every flip of every path — the
+    // ones the covered-flip guard skips included — must equal the
+    // reference `Solver::solve` on the whole negation query, model for
+    // model, wherever the reference answers. A gossip frame has few
+    // branches: more rumors to flip, or the queue runs dry short of 64.
     type Build = fn(u64, usize) -> Twin;
     for (name, twin, n) in [("bgp", bgp_twin as Build, 3), ("gossip", gossip_twin, 12)] {
-        let sliced = session(twin(7, n), true);
-        let reference = session(twin(7, n), false);
+        let (mut program, marker, seeds) = twin(7, n);
+        let config = ExploreConfig {
+            max_executions: 160,
+            ..Default::default()
+        };
+        let session = explore(program.as_mut(), &seeds, &marker, &config);
         assert!(
-            sliced.executions.len() >= 64,
+            session.executions.len() >= 64,
             "{name}: {}",
-            sliced.executions.len()
+            session.executions.len()
         );
-        assert_eq!(
-            sliced.executions.len(),
-            reference.executions.len(),
-            "{name}"
-        );
-        for (i, (a, b)) in sliced
-            .executions
-            .iter()
-            .zip(&reference.executions)
-            .enumerate()
-        {
-            assert_eq!(a.input, b.input, "{name}: execution {i}");
-            assert_eq!(a.oracles, b.oracles, "{name}: execution {i}");
-            assert_eq!(a.status, b.status, "{name}: execution {i}");
-            assert_eq!(
-                (a.path_sig, a.path_len),
-                (b.path_sig, b.path_len),
-                "{name}: {i}"
-            );
-            assert_eq!(a.new_coverage, b.new_coverage, "{name}: execution {i}");
-        }
-        assert_eq!(
-            sliced.coverage_timeline, reference.coverage_timeline,
-            "{name}"
-        );
-        assert_eq!(sliced.crashes, reference.crashes, "{name}");
         assert!(
-            !sliced.crashes.is_empty(),
+            !session.crashes.is_empty(),
             "{name}: the seeded defect is found"
         );
-        let verdicts = |s: &SolverStats| (s.queries, s.sat, s.unsat, s.unknown, s.covered_skips);
-        assert_eq!(
-            verdicts(&sliced.solver),
-            verdicts(&reference.solver),
-            "{name}"
-        );
-        assert_eq!(reference.solver.unary_memo_hits, 0, "{name}");
-        assert!(
-            sliced.solver.unary_memo_hits > 0,
-            "{name}: {:?}",
-            sliced.solver
-        );
+
+        let (mut arena, mut path) = (ExprArena::new(), Vec::new());
+        let mut solver = PathSolver::with_budget(config.solver_budget);
+        let mut reference = Solver::with_budget(config.solver_budget);
+        let mut model = Vec::new();
+        let mut compared = 0;
+        for (i, e) in session.executions.iter().enumerate() {
+            let input = SymInput::with_mask(e.input.clone(), marker(&e.input));
+            let mut ctx = ConcolicCtx::continuing(input, e.oracles.clone(), arena, path);
+            let status = program.run(&mut ctx);
+            assert_eq!(status, e.status, "{name}: execution {i}");
+            assert_eq!(ctx.path_signature(), e.path_sig, "{name}: execution {i}");
+            let (bytes, oracles);
+            (bytes, oracles, arena, path) = ctx.into_parts();
+            let seed = |idx: u32| match bytes.bytes.get(idx as usize) {
+                Some(&b) => b,
+                None => oracles.get(&idx).copied().unwrap_or(0),
+            };
+            let mut pass = solver.begin(&arena, &path, &seed, bytes.bytes.len() as u32);
+            for k in 0..path.len() {
+                let answer = match pass.flip(&mut model) {
+                    Flip::Sat => SolveResult::Sat(model.iter().copied().collect()),
+                    Flip::Unsat => SolveResult::Unsat,
+                    Flip::Unknown => SolveResult::Unknown,
+                };
+                pass.advance();
+                let expected = reference.solve(&arena, &negation_query(&path, k), &seed);
+                if expected != SolveResult::Unknown {
+                    assert_eq!(answer, expected, "{name}: execution {i}, flip {k}");
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared >= 400, "{name}: {compared} flips compared");
+        assert!(solver.memo_hits() > 0, "{name}: the memos stay cold");
     }
 }

@@ -115,44 +115,6 @@ impl Campaign {
         self
     }
 
-    /// Answer negation queries with the one-pass `PathSolver` (default)
-    /// or, when off, the from-scratch reference solver. Exploration
-    /// outcomes are identical either way; only solver time differs.
-    pub fn solver_cache(mut self, on: bool) -> Self {
-        self.cfg.template.solver_cache = on;
-        self
-    }
-
-    /// Enable/disable the netsim payload-buffer pool on validation
-    /// clones (default on). Reports are byte-identical either way — the
-    /// pool only recycles allocations; only the `buf_hits`/`buf_misses`
-    /// perf counters (zeroed by `normalized()`) observe the difference.
-    pub fn wire_pool(mut self, on: bool) -> Self {
-        self.cfg.template.wire_pool = on;
-        self
-    }
-
-    /// Enable/disable batched same-instant frame delivery on validation
-    /// clones (default on). The event schedule is identical in both
-    /// modes, so reports are byte-identical; only the batch-occupancy
-    /// perf counters observe the difference.
-    pub fn batch_delivery(mut self, on: bool) -> Self {
-        self.cfg.template.batch_delivery = on;
-        self
-    }
-
-    /// Enable/disable delta snapshots on the **live** system (default
-    /// on): consistent cuts re-capture only nodes dirtied since the
-    /// previous cut and share every other checkpoint `Arc` with the prior
-    /// shadow. A cached checkpoint of an unmutated node is
-    /// state-identical to a fresh clone, so reports are byte-identical
-    /// either way; only the `nodes_recaptured` / `snapshot_delta_bytes`
-    /// perf counters observe the difference.
-    pub fn delta_snapshots(mut self, on: bool) -> Self {
-        self.cfg.template.delta_snapshots = on;
-        self
-    }
-
     /// Install a deterministic dynamics schedule (partition/heal windows,
     /// node churn). The spec is expanded once from the campaign seed and
     /// applied to the live system at the quiescent point before each

@@ -101,9 +101,9 @@ pub struct PerfCounters {
     pub pool_hits: u64,
     /// Validation clones that had to be built fresh (`from_shadow`).
     pub pool_misses: u64,
-    /// Always 0: the concolic refutation cache that counted here is gone
-    /// (`dice_concolic::SolverStats::cache_hits`). The field stays until
-    /// `benchmark/` stops reading it (ROADMAP items 17 and 3B).
+    /// Always 0: the concolic refutation cache that counted here is gone.
+    /// The field stays because every normalized report serializes it:
+    /// dropping it would move every normalized digest. Nothing reads it.
     pub solver_cache_hits: u64,
     /// Negation queries that did reach the solver.
     pub solver_queries: u64,
@@ -134,23 +134,23 @@ pub struct PerfCounters {
     /// Payload-buffer acquisitions served by the netsim
     /// [`BufPool`](dice_netsim::BufPool) free lists.
     pub buf_hits: u64,
-    /// Payload-buffer acquisitions that had to allocate fresh (pool
-    /// empty, or the wire pool disabled).
+    /// Payload-buffer acquisitions that had to allocate fresh (the free
+    /// list was empty). Payloads always go through the pool.
     pub buf_misses: u64,
-    /// Non-empty delivery batches processed (`batch_delivery` off still
-    /// counts each single-frame delivery as a batch of one).
+    /// Non-empty delivery batches processed: a run of same-instant frames
+    /// on one channel is always delivered as one batch, a lone frame as a
+    /// batch of one.
     pub delivered_batches: u64,
     /// Largest number of frames coalesced into one delivery batch.
     pub max_batch_occupancy: u64,
     /// Bytes actually re-captured by the live system's consistent
-    /// snapshots (dirty nodes re-cloned). With delta snapshots on this is
-    /// the *incremental* footprint — usually far below
-    /// [`PerfCounters::snapshot_bytes`], which counts the full shadow.
+    /// snapshots (dirty nodes re-cloned): the *incremental* footprint —
+    /// usually far below [`PerfCounters::snapshot_bytes`], which counts
+    /// the full shadow.
     pub snapshot_delta_bytes: u64,
     /// Node checkpoints re-cloned by the live system's consistent
-    /// snapshots (dirty since the previous cut). With delta snapshots on,
-    /// steady-state sweeps re-capture only the nodes that actually
-    /// changed.
+    /// snapshots (dirty since the previous cut). Steady-state sweeps
+    /// re-capture only the nodes that actually changed.
     pub nodes_recaptured: u64,
     /// Dynamics-schedule actions (partition legs, heals, node churn)
     /// applied to the live system during the campaign.
@@ -423,7 +423,6 @@ impl Fold {
         let report = outcome.report;
         let explorer = task.cfg.explorer;
 
-        perf.solver_cache_hits += outcome.exploration.solver.cache_hits;
         perf.solver_queries += outcome.exploration.solver.queries;
         perf.covered_flips_skipped += outcome.exploration.solver.covered_skips;
         perf.unary_memo_hits += outcome.exploration.solver.unary_memo_hits;
@@ -675,7 +674,7 @@ mod tests {
         );
         assert!(
             perf.buf_hits > 0,
-            "default wire_pool=on must recycle payload buffers: {perf:?}"
+            "clones must recycle payload buffers: {perf:?}"
         );
         assert!(
             perf.buf_misses > 0,
@@ -723,32 +722,13 @@ mod tests {
         assert_eq!(n.perf.frames_duplicated, 0);
         assert_eq!(n.perf.frames_reordered, 0);
         assert_eq!(n.perf.link_retransmits, 0);
-
-        // Answering with the reference solver must not change any result
-        // field; only the solver-side accounting may move.
-        let mut sim2 = scenarios::healthy_line(3, 5);
-        sim2.run_until(SimTime::from_nanos(12_000_000_000));
-        let uncached = quick(Campaign::new(&sim2))
-            .executions(48)
-            .validate_top(6)
-            .solver_cache(false)
-            .run(&mut sim2)
-            .expect("runs");
-        assert_eq!(uncached.perf.solver_cache_hits, 0);
-        assert_eq!(uncached.perf.unary_memo_hits, 0);
-        assert_eq!(
-            serde_json::to_string(&uncached.normalized()).unwrap(),
-            serde_json::to_string(&report.normalized()).unwrap(),
-            "the solver in use must not alter the report"
-        );
     }
 
     #[test]
     fn solver_query_counters_are_consistent() {
         // Each round's `solver_queries` counts negation queries answered;
         // the campaign perf block counts the same population as solver
-        // calls plus cache hits (the latter read 0 since the refutation
-        // cache went). No query may fall into a third bucket.
+        // calls. The retired cache-hit counter stays 0.
         let mut sim = scenarios::healthy_line(3, 7);
         sim.run_until(SimTime::from_nanos(12_000_000_000));
         let report = quick(Campaign::new(&sim))
@@ -759,11 +739,11 @@ mod tests {
         let answered: u64 = report.rounds.iter().map(|r| r.solver_queries).sum();
         assert!(answered > 0, "campaign must answer some negation queries");
         assert_eq!(
-            answered,
-            report.perf.solver_queries + report.perf.solver_cache_hits,
-            "every answered query is a solver call or a cache hit: {:?}",
+            answered, report.perf.solver_queries,
+            "every answered query is a solver call: {:?}",
             report.perf
         );
+        assert_eq!(report.perf.solver_cache_hits, 0);
     }
 
     #[test]

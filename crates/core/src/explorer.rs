@@ -43,10 +43,10 @@ use crate::sut::SutCatalog;
 ///
 /// Serializes (and, with a full serde backend, deserializes) so experiment
 /// binaries and CI perf jobs can persist and load configurations as JSON.
-/// Deserialization is hand-written (below) so the perf knobs added after
-/// the format was first persisted (`solver_cache`, `wire_pool`, ...)
-/// default instead of erroring when absent, and fields since retired are
-/// ignored — config files written by earlier builds keep loading.
+/// Deserialization is hand-written (below) so fields added after the
+/// format was first persisted (`solver_cache`, `wire_pool`, ...) default
+/// instead of erroring when absent, and fields since retired are ignored —
+/// config files written by earlier builds keep loading.
 #[derive(Debug, Clone, Serialize)]
 pub struct DiceConfig {
     /// The node whose actions are explored this round.
@@ -76,27 +76,22 @@ pub struct DiceConfig {
     pub workers: usize,
     /// Master seed for grammar and clone simulators.
     pub seed: u64,
-    /// Which solver answers a round's negation queries: the one-pass
-    /// `PathSolver` behind the cross-seed unary memo (`true`, the default)
-    /// or the from-scratch reference solver
-    /// ([`ExploreConfig::solver_cache`](dice_concolic::ExploreConfig::solver_cache)).
-    /// Exploration outcomes are identical either way; only solver time
-    /// differs.
+    /// Retired and ignored, like the four below it: negation queries are
+    /// always answered by the one-pass `PathSolver`. Each of the four once
+    /// switched an outcome-neutral mechanism off, and every value gave the
+    /// same report by contract, as the retired `pool_size` field does. They
+    /// are still serialized, still `true` in [`DiceConfig::new`] and still
+    /// loaded, because `benchmark/src/pipeline.rs` reads them; the engine
+    /// reads none of them.
     pub solver_cache: bool,
-    /// Recycle payload buffers through the netsim
-    /// [`BufPool`](dice_netsim::BufPool) on validation clones. Reports
-    /// are byte-identical on or off; only allocation counts differ.
+    /// Retired and ignored: validation clones always recycle payload
+    /// buffers through the netsim [`BufPool`](dice_netsim::BufPool).
     pub wire_pool: bool,
-    /// Coalesce same-instant frame deliveries into one batch on
-    /// validation clones. The event schedule is mode-invariant, so
-    /// reports are byte-identical on or off.
+    /// Retired and ignored: validation clones always deliver a run of
+    /// same-instant frames on one channel as one batch.
     pub batch_delivery: bool,
-    /// Serve consistent-snapshot node checkpoints from the per-node
-    /// delta cache (nodes untouched since the previous cut share their
-    /// `Arc` with the prior shadow). A cached checkpoint of an unmutated
-    /// node is state-identical to a fresh clone, so reports are
-    /// byte-identical on or off; only the `nodes_recaptured` /
-    /// `snapshot_delta_bytes` perf counters observe the difference.
+    /// Retired and ignored: consistent cuts always serve nodes untouched
+    /// since the previous cut from the per-node checkpoint cache.
     pub delta_snapshots: bool,
     /// Deterministic dynamics schedule (partition/heal windows, node
     /// churn) applied to the **live** system at the quiescent point
@@ -238,12 +233,7 @@ pub struct RoundReport {
     /// Host wall-clock duration of the round, in milliseconds (derived
     /// from [`RoundReport::wall_us`]; kept for report compatibility).
     pub wall_ms: u64,
-    /// Negation queries answered during exploration. Every one is a
-    /// solver call now: the refutation cache that answered some of them is
-    /// gone, and the hit count still added in here
-    /// (`dice_concolic::SolverStats::cache_hits`) reads 0 until
-    /// `benchmark/` stops naming it (ROADMAP items 17 and 3B). The same
-    /// count whichever solver [`DiceConfig::solver_cache`] selects.
+    /// Negation queries answered during exploration, each a solver call.
     pub solver_queries: u64,
     /// Solver SAT answers.
     pub solver_sat: u64,
@@ -420,7 +410,7 @@ fn explore_timed(
         strategy: cfg.strategy,
         max_executions: cfg.concolic_executions,
         solver_budget: cfg.solver_budget,
-        solver_cache: cfg.solver_cache,
+        ..ExploreConfig::default()
     };
     let mut timed = Timed {
         program: &mut *program,
@@ -492,8 +482,6 @@ pub(crate) fn validate_one(
     )]
     let start = std::time::Instant::now();
     let mut clone = pool.acquire(shadow, topo, cfg.seed ^ (i as u64) << 16);
-    clone.set_wire_config(cfg.wire_pool, cfg.batch_delivery);
-    clone.set_delta_snapshots(cfg.delta_snapshots);
     if let Some(faults) = cfg.link_faults {
         clone.set_link_faults(faults);
     }
@@ -577,7 +565,7 @@ pub(crate) fn check_stage<'v>(
         detection_input_ordinal: detection,
         wall_us,
         wall_ms: us_to_ms(wall_us),
-        solver_queries: exploration.solver.queries + exploration.solver.cache_hits,
+        solver_queries: exploration.solver.queries,
         solver_sat: exploration.solver.sat,
     };
     PairOutcome {

@@ -80,8 +80,8 @@ pub struct NodeApi<'a> {
     me: NodeId,
     now: SimTime,
     effects: &'a mut Vec<Effect>,
-    /// The simulator's payload free list; `None` with pooling off.
-    bufs: Option<&'a mut BufPool>,
+    /// The simulator's payload free list.
+    bufs: &'a mut BufPool,
     /// Whether the simulator's trace ring keeps annotations.
     annotate: bool,
 }
@@ -91,7 +91,7 @@ impl<'a> NodeApi<'a> {
         me: NodeId,
         now: SimTime,
         effects: &'a mut Vec<Effect>,
-        bufs: Option<&'a mut BufPool>,
+        bufs: &'a mut BufPool,
         annotate: bool,
     ) -> Self {
         NodeApi {
@@ -116,13 +116,9 @@ impl<'a> NodeApi<'a> {
     /// An empty payload buffer for zero-copy encoding: fill it (the
     /// codecs' `encode_into` take `&mut Vec<u8>`) and pass it to
     /// [`NodeApi::send`]; the simulator takes the storage back when the
-    /// frame leaves its channel. With payload pooling disabled this is
-    /// `Vec::new()`, so call sites never branch on the knob.
+    /// frame leaves its channel.
     pub fn buf(&mut self) -> Vec<u8> {
-        self.bufs
-            .as_mut()
-            .map(|pool| pool.acquire())
-            .unwrap_or_default()
+        self.bufs.acquire()
     }
 
     /// Send `data` to the neighbor `to` over the established session.
@@ -254,7 +250,8 @@ mod tests {
     #[test]
     fn api_records_effects_in_order() {
         let mut effects = Vec::new();
-        let mut api = NodeApi::new(NodeId(1), SimTime::ZERO, &mut effects, None, true);
+        let mut pool = BufPool::new();
+        let mut api = NodeApi::new(NodeId(1), SimTime::ZERO, &mut effects, &mut pool, true);
         api.send(NodeId(2), vec![1]);
         api.set_timer(SimDuration::from_secs(1), 7);
         api.cancel_timer(7);
@@ -281,7 +278,8 @@ mod tests {
         let rendered = core::cell::Cell::new(0);
         for (annotate, want_effects, want_renders) in [(false, 0, 0), (true, 1, 1)] {
             let mut effects = Vec::new();
-            let mut api = NodeApi::new(NodeId(1), SimTime::ZERO, &mut effects, None, annotate);
+            let mut pool = BufPool::new();
+            let mut api = NodeApi::new(NodeId(1), SimTime::ZERO, &mut effects, &mut pool, annotate);
             api.trace("t", format_args!("{}", Loud(&rendered)));
             assert_eq!(effects.len(), want_effects);
             assert_eq!(rendered.get(), want_renders);
@@ -304,7 +302,8 @@ mod tests {
     fn handler_echoes_through_api() {
         let mut effects = Vec::new();
         let mut node = Echo::default();
-        let mut api = NodeApi::new(NodeId(0), SimTime::ZERO, &mut effects, None, true);
+        let mut pool = BufPool::new();
+        let mut api = NodeApi::new(NodeId(0), SimTime::ZERO, &mut effects, &mut pool, true);
         node.on_message(NodeId(3), &[9, 9], &mut api);
         assert_eq!(node.seen, vec![9, 9]);
         match &effects[0] {
@@ -321,18 +320,10 @@ mod tests {
         let mut pool = BufPool::new();
         pool.recycle(Vec::with_capacity(100));
         let mut effects = Vec::new();
-        let mut api = NodeApi::new(
-            NodeId(0),
-            SimTime::ZERO,
-            &mut effects,
-            Some(&mut pool),
-            true,
-        );
+        let mut api = NodeApi::new(NodeId(0), SimTime::ZERO, &mut effects, &mut pool, true);
         let mut b = api.buf();
         b.extend_from_slice(&[4, 2]);
         api.send(NodeId(1), b);
-        let unpooled = NodeApi::new(NodeId(0), SimTime::ZERO, &mut Vec::new(), None, true).buf();
-        assert_eq!(unpooled.capacity(), 0, "pooling off: `Vec::new()`");
         match &effects[0] {
             Effect::Send { to, data } => {
                 assert_eq!(*to, NodeId(1));

@@ -8,9 +8,8 @@
 //! For the same reason this file holds the payload ownership rule: **every
 //! way a data frame leaves a channel hands its storage back** to the
 //! simulator's [`BufPool`] — delivery, a send on a down session, a drop
-//! verdict (`Simulator::recycle`), the `teardown_session` drain and
-//! [`Links::reset`] on rebind (`LinkDir::drain`). With `payload_pool` off
-//! nothing is recycled: the storage is freed.
+//! verdict (`BufPool::recycle`), the `teardown_session` drain and
+//! [`Links::reset`] on rebind (`LinkDir::drain`).
 
 use std::collections::VecDeque;
 
@@ -66,16 +65,12 @@ struct LinkDir {
 }
 
 impl LinkDir {
-    /// Empty the queue: each data frame hands its storage to `pool` (`None`
-    /// with pooling off — freed), each marker goes to `lost`.
-    fn drain(&mut self, pool: &mut Option<&mut BufPool>, mut lost: impl FnMut(SnapshotId)) {
+    /// Empty the queue: each data frame hands its storage to `pool`, each
+    /// marker goes to `lost`.
+    fn drain(&mut self, pool: &mut BufPool, mut lost: impl FnMut(SnapshotId)) {
         for flight in self.queue.drain(..) {
             match flight.frame {
-                Frame::Data { bytes, .. } => {
-                    if let Some(pool) = pool {
-                        pool.recycle(bytes);
-                    }
-                }
+                Frame::Data { bytes, .. } => pool.recycle(bytes),
                 Frame::Marker(id) => lost(id),
             }
         }
@@ -127,12 +122,12 @@ impl Links {
     /// seeks its parent to its own split on first draw ([`Links::stream`]),
     /// so every stream is the one an eager pass of two `split`s per edge,
     /// in edge order, yields.
-    pub(super) fn reset(&mut self, seed: u64, mut pool: Option<&mut BufPool>) {
+    pub(super) fn reset(&mut self, seed: u64, pool: &mut BufPool) {
         self.latency_parent = SimRng::seed_from_u64(seed);
         self.fault_parent = SimRng::seed_from_u64(seed ^ Self::FAULT_STREAM_SALT);
         for dir in self.touched.drain(..) {
             let link = &mut self.dirs[dir as usize];
-            link.drain(&mut pool, |_| {});
+            link.drain(pool, |_| {});
             link.last_arrival = SimTime::ZERO;
             link.epoch = 0;
             link.latency_rng = None;
@@ -216,14 +211,6 @@ impl Simulator {
         }
     }
 
-    /// A data frame has left its channel: its storage goes back on the
-    /// free list.
-    fn recycle(&mut self, bytes: Vec<u8>) {
-        if self.knobs.payload_pool {
-            self.buf_pool.recycle(bytes);
-        }
-    }
-
     /// Index into `links` of the direction `src -> dst`, if adjacent.
     pub(super) fn dir_index(&self, src: NodeId, dst: NodeId) -> Option<usize> {
         let e = self.topo.edge_index(src, dst)?;
@@ -234,7 +221,7 @@ impl Simulator {
     /// matured at the current instant.
     ///
     /// `budget` is the number of delivery events merged into this call by
-    /// [`Simulator::step`] (1 with `batch_delivery` off). Frames and
+    /// [`Simulator::step`] (1 when an event is dispatched alone). Frames and
     /// delivery events are 1:1 within an epoch, so delivering one matured
     /// frame per merged event reproduces the unbatched execution exactly —
     /// same frames, same order, same handler invocations — while paying
@@ -276,7 +263,7 @@ impl Simulator {
                         );
                         self.with_node(dst, |node, api| node.on_message(src, &bytes, api));
                     }
-                    self.recycle(bytes);
+                    self.buf_pool.recycle(bytes);
                 }
                 Frame::Marker(id) => self.snapshot_on_marker(id, dir, dst),
             }
@@ -296,7 +283,7 @@ impl Simulator {
                 self.send_frame(dir, Frame::Data { bytes, quiet }, true);
             }
             // Session down: transport rejects the write, data is lost.
-            _ => self.recycle(bytes),
+            _ => self.buf_pool.recycle(bytes),
         }
     }
 
@@ -364,7 +351,7 @@ impl Simulator {
         if verdict.dropped {
             self.wire.frames_dropped += 1;
             if let Frame::Data { bytes, .. } = frame {
-                self.recycle(bytes);
+                self.buf_pool.recycle(bytes);
             }
             return;
         }
@@ -454,9 +441,8 @@ impl Simulator {
         // delivery events become no-ops.
         self.links.touch(2 * edge);
         self.links.touch(2 * edge + 1);
-        let mut pool = self.knobs.payload_pool.then_some(&mut self.buf_pool);
         for ch in &mut self.links.dirs[2 * edge..2 * edge + 2] {
-            ch.drain(&mut pool, |id| {
+            ch.drain(&mut self.buf_pool, |id| {
                 self.cuts
                     .fail(id, format!("marker lost on session reset {a}-{b}"));
             });
@@ -542,8 +528,8 @@ mod tests {
             for pass in 0..3 {
                 let mut order: Vec<usize> = (0..eager.len()).collect();
                 if pass > 0 {
-                    sim.links.reset(seed ^ 1, None);
-                    sim.links.reset(seed, None);
+                    sim.links.reset(seed ^ 1, &mut sim.buf_pool);
+                    sim.links.reset(seed, &mut sim.buf_pool);
                     assert!(sim.links.touched.is_empty());
                     assert!(sim.links.dirs.iter().all(|l| !l.touched));
                 }
@@ -685,18 +671,5 @@ mod tests {
         sim.reset_from_shadow(&shadow, 3);
         assert_eq!(sim.links.data_in_flight().count(), 1);
         assert_eq!(sim.buf_pool.free_len(), 1);
-    }
-
-    #[test]
-    fn with_the_pool_off_nothing_is_recycled_or_counted() {
-        let mut sim = two_node_sim(3);
-        sim.set_wire_config(false, true);
-        sim.run_until(SimTime::from_nanos(2_000_000));
-        sim.inject_session_reset(NodeId(0), NodeId(1));
-        sim.run_until(SimTime::from_nanos(20_000_000_000));
-        let wire = sim.take_wire_stats();
-        assert!(wire.wire_bytes > 1, "the exchange did run");
-        assert_eq!((wire.buf_hits, wire.buf_misses), (0, 0));
-        assert_eq!(sim.buf_pool.free_len(), 0);
     }
 }

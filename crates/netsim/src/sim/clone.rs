@@ -46,6 +46,12 @@ impl Binding {
             self.touched_nodes.push(n.0);
         }
     }
+
+    /// Whether node `idx` is on the touched list.
+    #[cfg(test)]
+    pub(super) fn touched(&self, idx: usize) -> bool {
+        self.node_touched[idx]
+    }
 }
 
 impl Simulator {
@@ -102,8 +108,7 @@ impl Simulator {
         );
         // Channel structures survive; their contents do not. The per-link
         // randomness streams restart exactly as construction seeds them.
-        let pool = self.knobs.payload_pool.then_some(&mut self.buf_pool);
-        self.links.reset(seed, pool);
+        self.links.reset(seed, &mut self.buf_pool);
         self.queue.clear();
         self.seq = 0;
         self.admin_down.clear();
@@ -209,13 +214,13 @@ impl Simulator {
 
 #[cfg(test)]
 mod tests {
-    use super::super::fixtures::{line_sim, two_node_sim, unreliable_two_node, Pinger};
+    use super::super::fixtures::{
+        line_sim, lossy_ring, state_digest, two_node_sim, unreliable_two_node, Pinger, Scripted,
+        OP_CRASH, OP_RESET, OP_TIMERS,
+    };
     use super::*;
     use crate::faults::LinkFaults;
-    use crate::link::LinkParams;
-    use crate::node::{NodeApi, SessionEvent};
     use crate::time::{SimDuration, SimTime};
-    use core::any::Any;
 
     #[test]
     fn reset_from_shadow_matches_from_shadow_state_for_state() {
@@ -381,66 +386,6 @@ mod tests {
         assert!(!traced.trace().is_empty(), "a rebound `new` system retains");
     }
 
-    /// Floods like `snapshot::tests::Acc`, and obeys the opcodes below —
-    /// everything a handler can ask the simulator for.
-    #[derive(Clone, Debug, Default, PartialEq)]
-    struct Scripted {
-        peers: Vec<NodeId>,
-        got: Vec<(NodeId, Vec<u8>)>,
-        fired: Vec<u64>,
-        downs: u32,
-        poked: u32,
-    }
-
-    const OP_RESET: u8 = 0xF0;
-    const OP_CRASH: u8 = 0xF1;
-    const OP_TIMERS: u8 = 0xF2;
-
-    impl Node for Scripted {
-        fn on_session(&mut self, peer: NodeId, ev: SessionEvent, _: &mut NodeApi<'_>) {
-            match ev {
-                SessionEvent::Up if !self.peers.contains(&peer) => self.peers.push(peer),
-                SessionEvent::Up => {}
-                SessionEvent::Down(_) => self.downs += 1,
-            }
-        }
-        fn on_message(&mut self, from: NodeId, data: &[u8], api: &mut NodeApi<'_>) {
-            self.got.push((from, data.to_vec()));
-            match data[0] {
-                OP_RESET => api.reset_session(from),
-                OP_CRASH => api.crash("scripted crash"),
-                OP_TIMERS => {
-                    api.set_timer(SimDuration::from_millis(10), 1);
-                    api.set_timer(SimDuration::from_millis(20), 2);
-                    api.cancel_timer(2);
-                    api.set_timer(SimDuration::from_millis(30), 3);
-                    api.set_timer(SimDuration::from_millis(40), 3); // re-arm
-                }
-                hops @ 1..=0x7F => {
-                    for &p in self.peers.iter().filter(|&&p| p != from) {
-                        api.send(p, vec![hops - 1]);
-                    }
-                }
-                _ => {}
-            }
-        }
-        fn on_timer(&mut self, token: u64, api: &mut NodeApi<'_>) {
-            self.fired.push(token);
-            for &p in &self.peers {
-                api.send(p, vec![1]);
-            }
-        }
-        fn clone_node(&self) -> Box<dyn Node> {
-            Box::new(self.clone())
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
     /// What one validated input does to a clone, beyond the message.
     #[derive(Clone, Copy, Debug)]
     enum Extra {
@@ -451,47 +396,6 @@ mod tests {
         Cuts,
         /// Fault injection on a node the drive never delivers to.
         CrashIdle(NodeId),
-        /// Delta snapshots switched, then a cut.
-        Delta(bool),
-    }
-
-    /// Everything observable or consequential about a simulator that a
-    /// rebind must reproduce, private state included, and the next 8 draws
-    /// of every link's two streams (drawn from copies: the probe must not
-    /// list a link as touched).
-    fn state_digest(sim: &Simulator) -> Vec<String> {
-        let mut out = vec![
-            format!(
-                "clock {:?} {:?} seq {}",
-                sim.now, sim.last_activity, sim.seq
-            ),
-            format!("trace {:?}", sim.trace().stats()),
-            format!("wire {:?}", sim.wire),
-            format!("sessions {:?} admin {:?}", sim.sessions, sim.admin_down),
-        ];
-        let mut queued: Vec<String> = sim.queue.iter().map(|q| format!("{:?}", q.0)).collect();
-        queued.sort();
-        out.push(format!("queue {queued:?}"));
-        for (i, slot) in sim.nodes.iter().enumerate() {
-            let kind = match slot.node {
-                NodeState::Empty => "empty",
-                NodeState::Shared(_) => "shared",
-                NodeState::Owned(_) => "owned",
-            };
-            let state = slot
-                .node
-                .get()
-                .map(|n| n.as_any().downcast_ref::<Scripted>().unwrap().clone());
-            out.push(format!(
-                "node {i} {kind} crashed {:?} timers {:?} touched {} {state:?}",
-                sim.crashed(NodeId(i as u32)),
-                slot.timer_gen,
-                sim.binding.node_touched[i],
-            ));
-        }
-        out.extend(sim.cuts.digest());
-        out.extend(sim.links.digest(&sim.topo));
-        out
     }
 
     /// One step of a pooled simulator's life: which of the two cuts it is
@@ -502,18 +406,7 @@ mod tests {
     /// A lossy 6-ring of `Scripted` nodes and two cuts of it: the first
     /// with traffic in flight, the second with node 5 outside its scope.
     fn two_cuts() -> (Topology, ShadowSnapshot, ShadowSnapshot) {
-        let topo = Topology::ring(
-            6,
-            LinkParams {
-                latency: crate::link::LatencyModel::LogNormal {
-                    median: SimDuration::from_millis(4),
-                    sigma: 0.3,
-                    floor: SimDuration::from_millis(2),
-                },
-                bandwidth_bps: None,
-                loss: 0.05,
-            },
-        );
+        let topo = lossy_ring(false);
         let mut live = Simulator::new(topo.clone(), 5);
         for i in 0..6 {
             live.set_node(NodeId(i), Box::new(Scripted::default()));
@@ -558,11 +451,6 @@ mod tests {
                 let _ = sim.poll_snapshot(id);
             }
             Extra::CrashIdle(n) => sim.inject_node_crash(n),
-            Extra::Delta(on) => {
-                sim.set_delta_snapshots(on);
-                sim.run_for(SimDuration::from_millis(4));
-                let _ = sim.instant_snapshot();
-            }
         }
         let end = sim.now() + SimDuration::from_secs(8);
         sim.run_until_quiet(SimDuration::from_millis(300), end);
@@ -583,15 +471,14 @@ mod tests {
             let shadow = if second { &cut_b } else { &cut_a };
             same_cut.push(pooled.binding.bound_to == Some(shadow.id()));
             pooled.reset_from_shadow(shadow, seed);
-            // The toggles survive a reset; the fresh clone is an empty
-            // simulator that takes the pooled one's through the setters,
-            // minus the previous input's fault knobs, which must not
-            // decide how the cut's in-flight frames are replayed, and is
-            // then bound once, in full. (Break: `replay_in_flight` passing
-            // `true` to `send_frame` fails the named sequence at step 1.)
+            // The fault profile survives a reset; the fresh clone is an
+            // empty simulator that takes the pooled one's through the
+            // setter, minus the previous input's `unreliable_links`, which
+            // must not decide how the cut's in-flight frames are replayed,
+            // and is then bound once, in full. (Break: `replay_in_flight`
+            // passing `true` to `send_frame` fails the named sequence at
+            // step 1.)
             let mut fresh = Simulator::with_trace(topo.clone(), seed, 0);
-            fresh.set_wire_config(pooled.knobs.payload_pool, pooled.knobs.batch_delivery);
-            fresh.set_delta_snapshots(pooled.knobs.delta_snapshots);
             fresh.set_link_faults(pooled.knobs.link_faults);
             fresh.reset_from_shadow(shadow, seed);
             drive(&mut pooled, input, extra);
@@ -626,38 +513,17 @@ mod tests {
             (b, 13, Some((0, 1, OP_RESET)), Extra::Cuts),
             (a, 14, Some((1, 2, OP_RESET)), Extra::None),
             (a, 15, Some((0, 1, 3)), Extra::None),
-            (a, 16, Some((2, 1, 3)), Extra::Delta(false)),
+            (a, 16, Some((2, 1, 3)), Extra::None),
             (a, 17, Some((3, 2, 3)), Extra::Cuts),
-            (a, 18, Some((4, 3, 3)), Extra::Delta(true)),
+            (a, 18, Some((4, 3, 3)), Extra::None),
             (a, 19, None, Extra::Cuts),
         ];
         let (same_cut, perturbed) = pooled_matches_fresh(&steps);
-        // A different cut rebinds in full; every other reset, the one
-        // after the delta knob went off included, is touched-only.
+        // A different cut rebinds in full; every other reset is
+        // touched-only.
         let full: Vec<usize> = (0..steps.len()).filter(|&i| !same_cut[i]).collect();
         assert_eq!(full, [0, 8, 10]);
         assert!(perturbed > 0, "the fault layer must have fired");
-    }
-
-    #[test]
-    fn the_delta_knob_leaves_one_state_whenever_it_was_set() {
-        // The knob turned off before the bind and after it: the checkpoint
-        // cache is current either way, so both simulators are one state,
-        // and stay one through a drive that cuts with the knob off and a
-        // cut with it back on.
-        let (topo, cut_a, _) = two_cuts();
-        let mut before = Simulator::with_trace(topo.clone(), 3, 0);
-        before.set_delta_snapshots(false);
-        before.reset_from_shadow(&cut_a, 3);
-        let mut after = Simulator::from_shadow(&cut_a, &topo, 3);
-        after.set_delta_snapshots(false);
-        assert_eq!(state_digest(&before), state_digest(&after));
-        for sim in [&mut before, &mut after] {
-            drive(sim, Some((0, 1, 5)), Extra::Cuts);
-            sim.set_delta_snapshots(true);
-            let _ = sim.instant_snapshot();
-        }
-        assert_eq!(state_digest(&before), state_digest(&after));
     }
 
     fn arb_step() -> impl proptest::Strategy<Value = Step> {
@@ -680,7 +546,6 @@ mod tests {
             (0u32..5).prop_map(|n| Extra::Poke(NodeId(n))),
             Just(Extra::Cuts),
             (0u32..6).prop_map(|n| Extra::CrashIdle(NodeId(n))),
-            any::<bool>().prop_map(Extra::Delta),
         ];
         // Mostly the first cut: runs of same-cut resets are the point.
         (0u8..4, 0u64..64, input, extra)

@@ -54,7 +54,16 @@ pub(super) struct Cuts {
     next_snapshot: u32,
     /// A marker fan-out being sent (kept for its capacity).
     fanout: Vec<(NodeId, u32)>,
+    /// Every checkpoint a cut served from the cache, for the
+    /// cache-soundness property to compare.
+    #[cfg(test)]
+    served: Vec<Served>,
 }
+
+/// A checkpoint a cut served from the cache, beside a fresh copy of the
+/// live node it stood for (`None`: the slot held no node).
+#[cfg(test)]
+type Served = (NodeId, Arc<dyn Node>, Option<Box<dyn Node>>);
 
 impl Cuts {
     pub(super) fn new(nodes: usize) -> Self {
@@ -65,6 +74,8 @@ impl Cuts {
             snapshots: Vec::new(),
             next_snapshot: 0,
             fanout: Vec::new(),
+            #[cfg(test)]
+            served: Vec::new(),
         }
     }
 
@@ -157,15 +168,11 @@ impl Cuts {
 }
 
 impl Simulator {
-    /// Toggle delta snapshots on an existing simulator (clone pools apply
-    /// this right after [`Simulator::reset_from_shadow`], exactly like
-    /// [`Simulator::set_wire_config`]). The knob decides only whether a
-    /// cut serves clean nodes from the checkpoint cache; the cache itself
-    /// is kept current whatever the knob says, so when the knob was set
-    /// does not matter. Outcomes are the same on or off.
-    pub fn set_delta_snapshots(&mut self, on: bool) {
-        self.knobs.delta_snapshots = on;
-    }
+    /// Retired and ignored: a cut always serves clean nodes from the
+    /// checkpoint cache. Every value gave the same simulation by contract,
+    /// as the retired `pool_size` config field does; the setter stays only
+    /// while `benchmark/src/pipeline.rs` calls it.
+    pub fn set_delta_snapshots(&mut self, _on: bool) {}
 
     /// Drain this simulator's snapshot-delta and dynamics-schedule counters,
     /// resetting them to zero.
@@ -178,14 +185,19 @@ impl Simulator {
     /// The delta-capture path: checkpoint node `n`, serving clean nodes
     /// from the cached `Arc` of their previous capture. A cache hit shares
     /// the node state with the prior shadow (the delta chain); a miss
-    /// re-clones, refreshes the cache, and clears the dirty bit. With
-    /// `delta_snapshots` off every call is a miss.
-    fn checkpoint_node(&mut self, n: NodeId) -> Option<std::sync::Arc<dyn Node>> {
+    /// re-clones, refreshes the cache, and clears the dirty bit.
+    fn checkpoint_node(&mut self, n: NodeId) -> Option<Arc<dyn Node>> {
         let idx = n.index();
-        if self.knobs.delta_snapshots && !self.cuts.dirty[idx] {
+        if !self.cuts.dirty[idx] {
             if let Some(cached) = &self.cuts.ckpt_cache[idx] {
                 self.cuts.snap_stats.nodes_cached += 1;
-                return Some(std::sync::Arc::clone(cached));
+                #[cfg(test)]
+                self.cuts.served.push((
+                    n,
+                    Arc::clone(cached),
+                    self.nodes[idx].node.get().map(|live| live.clone_node()),
+                ));
+                return Some(Arc::clone(cached));
             }
         }
         let arc = self.nodes[idx].node.checkpoint()?;
@@ -317,8 +329,8 @@ impl Simulator {
     /// God-mode snapshot: clone every node and channel instantly, with no
     /// marker protocol. Used (a) as the per-input cloning primitive once a
     /// consistent snapshot exists and (b) as the *uncoordinated* baseline in
-    /// the snapshot-consistency ablation. With delta snapshots on, nodes
-    /// untouched since the previous capture share their `Arc` with it.
+    /// the snapshot-consistency ablation. Nodes untouched since the
+    /// previous capture share their `Arc` with it.
     pub fn instant_snapshot(&mut self) -> ShadowSnapshot {
         let mut nodes = BTreeMap::new();
         for i in 0..self.nodes.len() {
@@ -345,7 +357,10 @@ impl Simulator {
 
 #[cfg(test)]
 mod tests {
-    use super::super::fixtures::{line_sim, unreliable_two_node, Pinger};
+    use super::super::fixtures::{
+        line_sim, scripted, scripted_ring, unreliable_two_node, Scripted, OP_BURST, OP_CRASH,
+        OP_RESET, OP_TIMERS,
+    };
     use super::*;
     use crate::time::{SimDuration, SimTime};
 
@@ -381,45 +396,130 @@ mod tests {
             );
             assert_eq!(shared, i != 3, "node {i} delta-chain sharing is wrong");
         }
+    }
 
-        // Knob off: every cut is a full re-capture again.
-        sim.set_delta_snapshots(false);
-        let _third = sim.instant_snapshot();
-        let s3 = sim.take_snapshot_stats();
-        assert_eq!(s3.nodes_recaptured, 8);
-        assert_eq!(s3.nodes_cached, 0);
+    /// One thing that happens to a live system between, or as, cuts.
+    #[derive(Clone, Copy, Debug)]
+    enum Act {
+        /// `(src, dst, opcode)` delivered directly; `dst` is a ring
+        /// neighbour of `src`.
+        Deliver(u32, u32, u8),
+        /// Run the clock this many milliseconds.
+        Run(u64),
+        Crash(u32),
+        Restart(u32),
+        /// Operator-style `node_mut` access.
+        Poke(u32),
+        InstantCut,
+        /// A Chandy–Lamport cut from this initiator, run 100 ms and polled.
+        ConsistentCut(u32),
+    }
+
+    /// `acts` on a [`scripted_ring`]; then every checkpoint a cut served
+    /// from the cache must equal the copy of the live node taken as it was
+    /// served. Returns how many were served, and how many of those by
+    /// consistent cuts.
+    fn cache_serves_only_current_state(acts: &[Act]) -> (usize, usize) {
+        let mut sim = scripted_ring(false, 3);
+        sim.run_until(SimTime::from_nanos(1_000_000_000));
+        let mut by_markers = 0;
+        for &act in acts {
+            match act {
+                Act::Deliver(src, dst, op) => sim.deliver_direct(NodeId(src), NodeId(dst), &[op]),
+                Act::Run(ms) => sim.run_for(SimDuration::from_millis(ms)),
+                Act::Crash(n) => sim.inject_node_crash(NodeId(n)),
+                Act::Restart(n) => sim.inject_node_restart(NodeId(n)),
+                Act::Poke(n) => {
+                    let node = sim.node_mut(NodeId(n)).as_any_mut();
+                    node.downcast_mut::<Scripted>().unwrap().poked += 1;
+                }
+                Act::InstantCut => {
+                    let _ = sim.instant_snapshot();
+                }
+                Act::ConsistentCut(n) => {
+                    if sim.crashed(NodeId(n)).is_none() {
+                        let before = sim.cuts.served.len();
+                        let id = sim.start_snapshot(NodeId(n));
+                        sim.run_for(SimDuration::from_millis(100));
+                        let _ = sim.poll_snapshot(id);
+                        by_markers += sim.cuts.served.len() - before;
+                    }
+                }
+            }
+        }
+        for (n, cached, live) in &sim.cuts.served {
+            let live = live.as_deref().map(scripted);
+            assert_eq!(
+                Some(scripted(cached.as_ref())),
+                live,
+                "node {n} after {acts:?}"
+            );
+        }
+        (sim.cuts.served.len(), by_markers)
+    }
+
+    fn arb_act() -> impl proptest::Strategy<Value = Act> {
+        use proptest::prelude::*;
+        let op = prop_oneof![
+            1u8..7,
+            Just(OP_RESET),
+            Just(OP_CRASH),
+            Just(OP_TIMERS),
+            (1u8..=3).prop_map(|h| OP_BURST + h),
+        ];
+        let deliver = (0u32..6, any::<bool>(), op).prop_map(|(src, forward, op)| {
+            Act::Deliver(src, (src + if forward { 1 } else { 5 }) % 6, op)
+        });
+        let run = (0u64..60).prop_map(Act::Run);
+        prop_oneof![
+            deliver.clone(),
+            deliver,
+            run.clone(),
+            run,
+            (0u32..6).prop_map(Act::Crash),
+            (0u32..6).prop_map(Act::Restart),
+            (0u32..6).prop_map(Act::Poke),
+            Just(Act::InstantCut),
+            Just(Act::InstantCut),
+            (0u32..6).prop_map(Act::ConsistentCut),
+        ]
     }
 
     #[test]
-    fn delta_snapshots_do_not_change_outcomes() {
-        // A cached checkpoint of an unmutated node is state-identical to a
-        // fresh clone: runs with the knob on and off must produce the same
-        // shadows and the same downstream behavior.
-        let run = |delta: bool| {
-            let mut sim = line_sim(4, 23);
-            sim.set_delta_snapshots(delta);
-            sim.run_until(SimTime::from_nanos(2_000_000_000));
-            let _warm = sim.instant_snapshot();
-            sim.deliver_direct(NodeId(0), NodeId(1), &[0]);
-            sim.run_until(SimTime::from_nanos(4_000_000_000));
-            let shadow = sim.instant_snapshot();
-            let topo = sim.topology().clone();
-            let mut clone = Simulator::from_shadow(&shadow, &topo, 5);
-            clone.deliver_direct(NodeId(1), NodeId(2), &[1]);
-            clone.run_until(clone.now() + SimDuration::from_secs(5));
-            let states: Vec<_> = (0..4u32)
-                .map(|i| {
-                    let p = clone
-                        .node(NodeId(i))
-                        .as_any()
-                        .downcast_ref::<Pinger>()
-                        .unwrap();
-                    (p.sent, p.got.clone())
-                })
-                .collect();
-            (clone.now(), clone.trace().stats(), states)
-        };
-        assert_eq!(run(true), run(false), "delta knob must be outcome-neutral");
+    fn the_cache_serves_consistent_and_instant_cuts() {
+        // Not vacuous: quiet nodes are served from the cache by both kinds
+        // of cut, a poked, crashed or restarted one is not.
+        let acts = [
+            Act::InstantCut,
+            Act::Poke(2),
+            Act::ConsistentCut(0),
+            Act::Deliver(1, 2, 3),
+            Act::Crash(4),
+            Act::InstantCut,
+            Act::Restart(4),
+            Act::Run(500),
+            Act::ConsistentCut(3),
+            Act::InstantCut,
+        ];
+        let (served, by_markers) = cache_serves_only_current_state(&acts);
+        assert!(
+            served > by_markers && by_markers > 0,
+            "{served} / {by_markers}"
+        );
+    }
+
+    proptest::proptest! {
+        /// Random histories — deliveries, floods and bursts, timers,
+        /// session resets, crashes, restarts, `node_mut` and both kinds of
+        /// cut: a checkpoint served from the cache is the node's state at
+        /// the instant of the cut. (Break: drop `touch_node` from
+        /// `node_mut`, and a cut after a poke serves the unpoked state.)
+        #[test]
+        fn cached_checkpoints_equal_fresh_clones(
+            acts in proptest::collection::vec(arb_act(), 1..24),
+        ) {
+            cache_serves_only_current_state(&acts);
+        }
     }
 
     #[test]

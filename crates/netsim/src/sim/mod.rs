@@ -166,25 +166,10 @@ const RECONNECT_DELAY: SimDuration = SimDuration::from_secs(5);
 /// annotations are never rendered.
 const TRACE_CAPACITY: usize = 64 * 1024;
 
-/// The toggles the setters change; a simulator starts from `Default`.
-#[derive(Debug)]
+/// The scenario inputs the setters change; a simulator starts from
+/// `Default`.
+#[derive(Debug, Default)]
 struct Knobs {
-    /// Recycle wire payload buffers through the simulator's [`BufPool`]
-    /// (`false`: [`NodeApi::buf`] is `Vec::new()` and nothing is recycled;
-    /// observable only in perf counters, never in simulation outcomes).
-    payload_pool: bool,
-    /// Merge runs of adjacent delivery events (same channel, same instant,
-    /// consecutive heap order — the shape a back-to-back send burst
-    /// produces) into one dispatch instead of one event per frame. The
-    /// merged run delivers the same frames in the same order as unbatched
-    /// processing, so outcomes are batching-invariant by construction.
-    batch_delivery: bool,
-    /// Serve checkpoints of nodes untouched since their last capture from a
-    /// cached `Arc` instead of re-cloning them (delta snapshots). A cached
-    /// checkpoint of an unmutated node is state-identical to a fresh
-    /// `clone_node`, so the knob is observable only in perf counters
-    /// ([`SnapshotStats`]), never in simulation outcomes.
-    delta_snapshots: bool,
     /// Enable the channel-fidelity layer: data frames are subjected to the
     /// per-link [`LinkFaults`] model in `link_faults` (drop, duplication,
     /// bounded reordering, burst loss), sampled from dedicated per-link
@@ -195,18 +180,6 @@ struct Knobs {
     unreliable_links: bool,
     /// The fault profile applied when `unreliable_links` is on.
     link_faults: LinkFaults,
-}
-
-impl Default for Knobs {
-    fn default() -> Self {
-        Knobs {
-            payload_pool: true,
-            batch_delivery: true,
-            delta_snapshots: true,
-            unreliable_links: false,
-            link_faults: LinkFaults::default(),
-        }
-    }
 }
 
 /// Result of [`Simulator::run_until_quiet`].
@@ -292,14 +265,11 @@ impl Simulator {
         self.binding.touch(n);
     }
 
-    /// Toggle the wire-path perf knobs (payload pooling, batched delivery)
-    /// on an existing simulator — used by clone pools right after
-    /// [`Simulator::reset_from_shadow`], before any event is processed.
-    /// Neither knob affects simulation outcomes, only perf counters.
-    pub fn set_wire_config(&mut self, payload_pool: bool, batch_delivery: bool) {
-        self.knobs.payload_pool = payload_pool;
-        self.knobs.batch_delivery = batch_delivery;
-    }
+    /// Retired and ignored: payload pooling and batched delivery are the
+    /// wire path's only path. Every value gave the same simulation by
+    /// contract, as the retired `pool_size` config field does; the setter
+    /// stays only while `benchmark/src/pipeline.rs` calls it.
+    pub fn set_wire_config(&mut self, _payload_pool: bool, _batch_delivery: bool) {}
 
     /// Drain this simulator's wire-path counters (bytes sent, buffer-pool
     /// hits/misses, delivery batching), resetting them to zero.
@@ -310,10 +280,9 @@ impl Simulator {
     }
 
     /// Toggle the channel-fidelity layer on an existing simulator (clone
-    /// pools apply this right after [`Simulator::reset_from_shadow`],
-    /// exactly like [`Simulator::set_wire_config`]). Unlike the wire-path
-    /// knobs this one *does* change outcomes — that is its whole point —
-    /// but identically for identical seeds: the fault streams are reseeded
+    /// pools apply this right after [`Simulator::reset_from_shadow`]).
+    /// It changes outcomes — that is its whole point — but identically
+    /// for identical seeds: the fault streams are reseeded
     /// by construction and by `reset_from_shadow`, never by this setter.
     pub fn set_unreliable_links(&mut self, on: bool) {
         self.knobs.unreliable_links = on;
@@ -448,7 +417,6 @@ impl Simulator {
         debug_assert!(q.at >= self.now);
         self.now = q.at;
         match q.ev {
-            Ev::Start(n) => self.run_start(n),
             Ev::Deliver { dir, epoch } => {
                 // Batched delivery: a burst sent back-to-back on one
                 // channel schedules a run of delivery events that are
@@ -458,28 +426,50 @@ impl Simulator {
                 // schedule bit-for-bit: no other event can order between
                 // adjacent entries, and events scheduled by the handlers
                 // get fresh (larger) seq numbers, so they run after the
-                // merged run in both modes.
+                // merged run as they would after each event one at a time
+                // (`batched_delivery_matches_one_at_a_time`).
                 let mut budget: u64 = 1;
-                if self.knobs.batch_delivery {
-                    while let Some(Reverse(next)) = self.queue.peek() {
-                        let same_run = next.at == q.at
-                            && matches!(
-                                next.ev,
-                                Ev::Deliver { dir: d, epoch: e } if d == dir && e == epoch
-                            );
-                        if !same_run {
-                            break;
-                        }
-                        self.queue.pop();
-                        budget += 1;
+                while let Some(Reverse(next)) = self.queue.peek() {
+                    let same_run = next.at == q.at
+                        && matches!(
+                            next.ev,
+                            Ev::Deliver { dir: d, epoch: e } if d == dir && e == epoch
+                        );
+                    if !same_run {
+                        break;
                     }
+                    self.queue.pop();
+                    budget += 1;
                 }
                 self.process_deliver(dir as usize, epoch, budget);
             }
+            ev => self.dispatch(ev),
+        }
+        true
+    }
+
+    /// Run one event that has been popped and the clock moved to: a
+    /// delivery event alone, without the run [`Simulator::step`] merges it
+    /// into.
+    fn dispatch(&mut self, ev: Ev) {
+        match ev {
+            Ev::Start(n) => self.run_start(n),
+            Ev::Deliver { dir, epoch } => self.process_deliver(dir as usize, epoch, 1),
             Ev::Timer { node, token, gen } => self.process_timer(node, token, gen),
             Ev::SessionUp { a, b } => self.establish_session(a, b),
             Ev::Fault(action) => self.apply_fault_now(action),
         }
+    }
+
+    /// [`Simulator::step`] without merging: one event, so one frame, at a
+    /// time. The reference batched delivery is tested against.
+    #[cfg(test)]
+    fn step_one_at_a_time(&mut self) -> bool {
+        let Some(Reverse(q)) = self.queue.pop() else {
+            return false;
+        };
+        self.now = q.at;
+        self.dispatch(q.ev);
         true
     }
 
@@ -568,8 +558,13 @@ impl Simulator {
         let mut effects = std::mem::take(&mut self.effects_scratch);
         effects.clear();
         {
-            let bufs = self.knobs.payload_pool.then_some(&mut self.buf_pool);
-            let mut api = NodeApi::new(n, self.now, &mut effects, bufs, self.trace.retains());
+            let mut api = NodeApi::new(
+                n,
+                self.now,
+                &mut effects,
+                &mut self.buf_pool,
+                self.trace.retains(),
+            );
             f(node.as_mut(), &mut api);
         }
         self.nodes[n.index()].node = NodeState::Owned(node);
@@ -650,9 +645,124 @@ impl Simulator {
 
 #[cfg(test)]
 mod tests {
-    use super::fixtures::{two_node_sim, Pinger};
+    use super::fixtures::{
+        scripted_ring, state_digest, two_node_sim, Pinger, OP_BURST, OP_CRASH, OP_RESET, OP_TIMERS,
+    };
     use super::*;
     use core::any::Any;
+
+    /// [`state_digest`] less the batch counters, the one thing batching
+    /// is meant to change.
+    fn unbatched_digest(sim: &Simulator) -> Vec<String> {
+        let mut out = state_digest(sim);
+        let wire = WireStats {
+            batches: 0,
+            max_batch: 0,
+            ..sim.wire
+        };
+        out[2] = format!("wire {wire:?}");
+        out
+    }
+
+    /// An input `(src, forward, opcode, gap_ms)`: delivered to `src`'s
+    /// successor (or predecessor), then `gap_ms` of simulated time.
+    type Input = (u32, bool, u8, u64);
+
+    /// Two [`scripted_ring`]s (`fixed`: channels deliver at shared
+    /// instants) driven through `inputs`, one by [`Simulator::step`] and
+    /// one by [`Simulator::step_one_at_a_time`]: after each batched step
+    /// the reference runs as many events as the step consumed, and the two
+    /// must be one state. Returns the most events one step merged.
+    fn batched_matches_one_at_a_time(
+        (fixed, seed, faults): (bool, u64, bool),
+        inputs: &[Input],
+    ) -> usize {
+        let mut batched = scripted_ring(fixed, seed);
+        let mut single = scripted_ring(fixed, seed);
+        for sim in [&mut batched, &mut single] {
+            sim.set_unreliable_links(faults);
+            sim.set_link_faults(LinkFaults {
+                duplicate: 0.1,
+                reorder_window: SimDuration::from_millis(3),
+                ..LinkFaults::lossy(0.1)
+            });
+            sim.run_until(SimTime::from_nanos(1_000_000_000));
+        }
+        let mut most = 0;
+        for (at, &(src, forward, op, gap_ms)) in inputs.iter().enumerate() {
+            let dst = (src + if forward { 1 } else { 5 }) % 6;
+            let until = batched.now() + SimDuration::from_millis(gap_ms);
+            for sim in [&mut batched, &mut single] {
+                sim.deliver_direct(NodeId(src), NodeId(dst), &[op]);
+            }
+            while batched.queue.peek().is_some_and(|q| q.0.at <= until) {
+                let (queued, seq) = (batched.queue.len(), batched.seq);
+                batched.step();
+                let consumed = queued + (batched.seq - seq) as usize - batched.queue.len();
+                for _ in 0..consumed {
+                    single.step_one_at_a_time();
+                }
+                most = most.max(consumed);
+                assert_eq!(
+                    unbatched_digest(&batched),
+                    unbatched_digest(&single),
+                    "input {at} of {inputs:?}, fixed {fixed}, seed {seed}, faults {faults}"
+                );
+            }
+            batched.run_until(until);
+            single.run_until(until);
+        }
+        assert!(batched.wire.batches <= single.wire.batches);
+        most
+    }
+
+    #[test]
+    fn bursts_are_delivered_in_batches() {
+        // Not vacuous: a burst flood three hops deep merges runs of
+        // same-instant deliveries. (The faulty channels' reordering lags
+        // mostly pull a burst's frames apart; they are compared all the
+        // same.)
+        let inputs = [
+            (0, true, OP_BURST + 3, 40),
+            (3, false, OP_BURST + 3, 6_000),
+            (2, true, OP_BURST + 2, 40),
+        ];
+        for fixed in [false, true] {
+            let most = batched_matches_one_at_a_time((fixed, 7, false), &inputs);
+            assert!(most > 1, "fixed {fixed}: no step merged a run");
+            batched_matches_one_at_a_time((fixed, 7, true), &inputs);
+        }
+    }
+
+    fn arb_input() -> impl proptest::Strategy<Value = Input> {
+        use proptest::prelude::*;
+        let op = prop_oneof![
+            (1u8..=4).prop_map(|h| OP_BURST + h),
+            (1u8..=4).prop_map(|h| OP_BURST + h),
+            1u8..5,
+            Just(OP_RESET),
+            Just(OP_CRASH),
+            Just(OP_TIMERS),
+        ];
+        (0u32..6, any::<bool>(), op, 0u64..80)
+    }
+
+    proptest::proptest! {
+        /// Random bursts on lossy rings, with and without channel faults:
+        /// batched delivery is one-at-a-time delivery, state for state,
+        /// after every step. (Break: let `step` merge a same-instant
+        /// delivery on another direction, and the frame it stands for is
+        /// never delivered.)
+        #[test]
+        fn batched_delivery_matches_one_at_a_time(
+            fixed in proptest::prelude::any::<bool>(),
+            seed in 0u64..1_000,
+            faults in proptest::prelude::any::<bool>(),
+            inputs in proptest::collection::vec(arb_input(), 1..6),
+        ) {
+            batched_matches_one_at_a_time((fixed, seed, faults), &inputs);
+        }
+    }
 
     #[test]
     fn ping_pong_round_trips() {
