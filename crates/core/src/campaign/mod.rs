@@ -47,7 +47,8 @@ mod report;
 
 pub use config::{CampaignConfig, MAX_WORKERS};
 pub use report::{
-    CampaignReport, ClassDetection, ExplorerSummary, KindSummary, PerfCounters, PhaseTimes,
+    CampaignReport, ClassDetection, CutFailure, ExplorerSummary, KindSummary, PerfCounters,
+    PhaseTimes,
 };
 
 /// Builder-style orchestrator sweeping DiCE rounds across a federation.
@@ -117,10 +118,15 @@ impl Campaign {
     /// detection's `wall_us_cum` is the campaign clock when the detecting
     /// round's last unit finished.
     ///
+    /// A cut that fails (it misses its deadline, or a session reset or a
+    /// crash on its path aborts it) is a [`CutFailure`] in
+    /// [`CampaignReport::cut_failures`]: that explorer's rounds are skipped
+    /// in that sweep, and the round ordinals of the rest stay dense.
+    ///
     /// Calling `run` again sweeps the live system as it is by then, with
-    /// the registry built at construction. A worker count above
-    /// [`MAX_WORKERS`] is an `Err` naming the field, returned before any
-    /// cut is taken or thread started.
+    /// the registry built at construction. `run` returns `Err` for an
+    /// empty plan, or for a worker count above [`MAX_WORKERS`] (naming the
+    /// field, before any cut is taken or thread started).
     pub fn run(&self, live: &mut Simulator) -> Result<CampaignReport, String> {
         for (field, n) in [
             ("pair_workers", self.cfg.pair_workers),
@@ -170,15 +176,26 @@ impl Campaign {
         // `rounds × explorers`. Rounds never touch the live system, so
         // the snapshot schedule (and every snapshot's content) is the
         // same as if all sweeps were snapshotted up front.
-        for _sweep in 0..self.cfg.rounds.max(1) {
+        for sweep in 1..=self.cfg.rounds.max(1) as u64 {
             // Dynamics due by now (partitions opening/healing, churn)
             // fire between sweeps, while no cut is in flight.
             schedule.apply_due(live);
             // Phase 1: snapshots, sequential against the live system.
             let mut tasks: Vec<RoundTask> = Vec::new();
             for (explorer, peers) in &plan {
-                let (shadow, snap_metrics) =
-                    take_consistent_snapshot(live, *explorer, self.cfg.template.snapshot_deadline)?;
+                let cut =
+                    take_consistent_snapshot(live, *explorer, self.cfg.template.snapshot_deadline);
+                let (shadow, snap_metrics) = match cut {
+                    Ok(cut) => cut,
+                    Err(error) => {
+                        fold.cut_failed(CutFailure {
+                            sweep,
+                            explorer: *explorer,
+                            error,
+                        });
+                        continue;
+                    }
+                };
                 fold.cut(&snap_metrics, live.take_snapshot_stats());
                 let shadow = shadow.into_shared();
                 // The flip baseline is a function of the shared snapshot;
@@ -207,6 +224,9 @@ impl Campaign {
                 }
             }
 
+            if tasks.is_empty() {
+                continue;
+            }
             // Phases 2 and 3: explore this sweep's rounds, then validate
             // their candidates.
             let (done, pool_stats) = crate::executor::run_rounds(
@@ -494,6 +514,46 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("pair_workers"), "{err}");
         assert_eq!(sim.now(), before, "no cut ran on the live system");
+    }
+
+    #[test]
+    fn a_failed_cut_skips_its_explorer_for_that_sweep() {
+        // No cut completes by a zero deadline: every explorer of every
+        // sweep is a recorded failure, and the call still reports. The
+        // next call, with time for its cuts, runs every round.
+        let mut sim = scenarios::healthy_line(3, 5);
+        sim.run_until(SimTime::from_nanos(12_000_000_000));
+        let campaign = quick(Campaign::new(&sim)).rounds(2).executions(8);
+        let mut cfg = campaign.config_ref().clone();
+        cfg.template.snapshot_deadline = SimDuration::ZERO;
+        let report = campaign
+            .clone()
+            .config(cfg)
+            .run(&mut sim)
+            .expect("failed cuts are recorded, not returned");
+        assert!(report.rounds.is_empty());
+        let failed: Vec<(u64, NodeId)> = report
+            .cut_failures
+            .iter()
+            .map(|f| (f.sweep, f.explorer))
+            .collect();
+        let explorers = [NodeId(0), NodeId(1), NodeId(2)];
+        let want: Vec<(u64, NodeId)> = [1, 2]
+            .iter()
+            .flat_map(|&s| explorers.map(|e| (s, e)))
+            .collect();
+        assert_eq!(failed, want);
+        assert!(serde_json::to_string(&report)
+            .unwrap()
+            .contains("cut_failures"));
+
+        let report = campaign.run(&mut sim).expect("runs");
+        assert!(report.cut_failures.is_empty());
+        let ordinals: Vec<u64> = report.rounds.iter().map(|r| r.round).collect();
+        assert_eq!(ordinals, (1..=8).collect::<Vec<u64>>());
+        assert!(!serde_json::to_string(&report)
+            .unwrap()
+            .contains("cut_failures"));
     }
 
     #[test]

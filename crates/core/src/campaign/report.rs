@@ -38,6 +38,18 @@ pub struct ClassDetection {
     pub wall_ms_cum: u64,
 }
 
+/// A consistent cut of the live system that failed, and so a sweep that
+/// ran without that explorer's rounds.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CutFailure {
+    /// 1-based sweep ordinal within the `run` call.
+    pub sweep: u64,
+    /// The explorer the cut was taken for (its initiator).
+    pub explorer: NodeId,
+    /// Why the cut failed.
+    pub error: String,
+}
+
 /// Per-protocol aggregation across a campaign — the heterogeneity
 /// breakdown: how much of the sweep each workload (BGP, gossip, ...)
 /// consumed and what it found.
@@ -281,6 +293,11 @@ pub struct CampaignReport {
     /// [`CampaignReport::normalized`].
     #[serde(default, skip_serializing_if = "PhaseTimes::is_zero")]
     pub phases: PhaseTimes,
+    /// The cuts that failed, in the order they were attempted; each one's
+    /// explorer has no rounds in that sweep. Left out of the JSON while
+    /// empty, so a report without one reads as before they were recorded.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    pub cut_failures: Vec<CutFailure>,
 }
 
 impl CampaignReport {
@@ -373,9 +390,15 @@ pub(super) struct Fold {
     detection: BTreeMap<FaultClass, ClassDetection>,
     perf: PerfCounters,
     phases: PhaseTimes,
+    cut_failures: Vec<CutFailure>,
 }
 
 impl Fold {
+    /// A cut that failed; its explorer's rounds are skipped this sweep.
+    pub(super) fn cut_failed(&mut self, failure: CutFailure) {
+        self.cut_failures.push(failure);
+    }
+
     /// One consistent cut of the live system: what it cost, the shadow's
     /// footprint and what taking it re-captured.
     pub(super) fn cut(&mut self, snap: &SnapshotMetrics, snap_stats: SnapshotStats) {
@@ -417,6 +440,7 @@ impl Fold {
             detection,
             perf,
             phases,
+            ..
         } = self;
         phases.add(done.phases);
         let outcome = done.outcome;
@@ -483,6 +507,7 @@ impl Fold {
             detection,
             perf,
             phases,
+            cut_failures,
             ..
         } = self;
         let per_explorer = per_explorer
@@ -523,6 +548,7 @@ impl Fold {
             sim_nanos,
             perf,
             phases,
+            cut_failures,
         }
     }
 }

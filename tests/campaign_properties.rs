@@ -8,7 +8,9 @@
 //!
 //! `scenario_contracts` holds [`campaign_contracts`] on each:
 //!
-//! 1. `Campaign::run` returns `Ok` or `Err` and never panics;
+//! 1. `Campaign::run` returns `Ok` or `Err` and never panics (a failed cut
+//!    is not an `Err`: it is a `cut_failures` entry in the report, and the
+//!    contracts below hold for those entries as for the rounds);
 //! 2. the normalized report (or the error) is byte-identical at
 //!    `(pair_workers, workers)` = (1, 1), (2, 2) and the generated pair in
 //!    {1, 2}²;
@@ -289,6 +291,14 @@ fn campaign_contracts(s: &Scenario) -> Result<(), TestCaseError> {
         serde_json::to_string(&joined.normalized().rounds).unwrap(),
         serde_json::to_string(&rounds).unwrap()
     );
+    // Sweeps are renumbered the way rounds are.
+    let sweeps = s.rounds as u64;
+    let mut cut_failures = first.cut_failures.clone();
+    cut_failures.extend(second.cut_failures.iter().cloned().map(|mut f| {
+        f.sweep += sweeps;
+        f
+    }));
+    prop_assert_eq!(&joined.cut_failures, &cut_failures);
     let mut faults = first.faults.clone();
     for f in &second.faults {
         if !faults.iter().any(|g| g.key() == f.key()) {
