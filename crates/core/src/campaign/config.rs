@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use super::Campaign;
 #[cfg(doc)]
-use super::CampaignReport;
+use super::{CampaignReport, REGISTRY_SEED};
 use crate::explorer::DiceConfig;
 
 /// The most threads a campaign starts for either worker count
@@ -148,7 +148,9 @@ impl Campaign {
         self
     }
 
-    /// Master seed for grammar and clone simulators.
+    /// Master seed for grammar and clone simulators. The attestation
+    /// registry was salted at construction with [`REGISTRY_SEED`] and is
+    /// not re-salted by the campaign seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.template.seed = seed;
         self
@@ -164,7 +166,9 @@ impl Campaign {
     /// JSON by an experiment binary). A fixed `(explorer, peer)` pair is
     /// a configuration too: `explorers: vec![explorer]` with
     /// `max_peers_per_explorer: 1` sweeps the explorer's first eligible
-    /// peer ([`Campaign::sweep_plan`] says which).
+    /// peer ([`Campaign::sweep_plan`] says which). The attestation
+    /// registry stays the one built at construction, salted with
+    /// [`REGISTRY_SEED`], whatever seed `cfg` carries.
     pub fn config(mut self, cfg: CampaignConfig) -> Self {
         self.cfg = cfg;
         self

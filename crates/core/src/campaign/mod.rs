@@ -51,6 +51,13 @@ pub use report::{
     PhaseTimes,
 };
 
+/// The salt of every campaign's attestation registry. The registry is
+/// built once, at construction — the hijack examples build it while the
+/// system is still healthy — so the campaign seed, set later, cannot
+/// reach it. Verdicts do not depend on the salt, only the registry's
+/// digests do.
+pub const REGISTRY_SEED: u64 = 0xD1CE;
+
 /// Builder-style orchestrator sweeping DiCE rounds across a federation.
 ///
 /// Construction discovers the eligible `(explorer, peer)` pairs and
@@ -75,11 +82,10 @@ impl Campaign {
     /// Like [`Campaign::new`] but over a custom SUT catalog — the entry
     /// point for heterogeneous federations.
     pub fn with_catalog(live: &Simulator, catalog: SutCatalog) -> Self {
-        let cfg = CampaignConfig::default();
         let pairs = catalog.eligible_pairs(live);
-        let registry = catalog.build_registry(live, cfg.template.seed);
+        let registry = catalog.build_registry(live, REGISTRY_SEED);
         Campaign {
-            cfg,
+            cfg: CampaignConfig::default(),
             catalog,
             pairs,
             registry,
@@ -514,6 +520,34 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("pair_workers"), "{err}");
         assert_eq!(sim.now(), before, "no cut ran on the live system");
+    }
+
+    #[test]
+    fn the_campaign_seed_does_not_salt_the_registry() {
+        // The registry is built at construction, while the system is
+        // healthy, salted with `REGISTRY_SEED`: two campaigns reseeded
+        // apart judge the hijack staged afterwards alike.
+        let hijacks = |seed: u64| {
+            let mut live = scenarios::hijack_scenario(1003);
+            live.run_until(SimTime::from_nanos(10_000_000_000));
+            let campaign = quick(Campaign::new(&live))
+                .explorers([NodeId(1)])
+                .max_peers_per_explorer(1)
+                .executions(32)
+                .seed(seed);
+            scenarios::apply_hijack(&mut live);
+            live.run_until(SimTime::from_nanos(25_000_000_000));
+            let report = campaign.run(&mut live).expect("runs");
+            report
+                .faults
+                .iter()
+                .filter(|f| f.class == FaultClass::OperatorMistake)
+                .map(|f| (f.node, f.detail.clone()))
+                .collect::<Vec<_>>()
+        };
+        let verdicts = hijacks(1);
+        assert!(!verdicts.is_empty(), "the hijack is detected");
+        assert_eq!(hijacks(0xBEEF), verdicts);
     }
 
     #[test]

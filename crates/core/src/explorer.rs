@@ -74,7 +74,10 @@ pub struct DiceConfig {
     pub oscillation_threshold: u64,
     /// Validation workers (1 = sequential).
     pub workers: usize,
-    /// Master seed for grammar and clone simulators.
+    /// Master seed for grammar and clone simulators. A campaign's
+    /// attestation registry is salted once, at construction, with
+    /// [`REGISTRY_SEED`](crate::campaign::REGISTRY_SEED) — not with this
+    /// seed.
     pub seed: u64,
     /// Retired and ignored, like the four below it: negation queries are
     /// always answered by the one-pass `PathSolver`. Each of the four once
