@@ -254,5 +254,31 @@ mod tests {
             .run(&mut sim)
             .expect("loaded CampaignConfig runs");
         assert_eq!(report.rounds.len(), 2);
+
+        // The four retired performance knobs, all off, as configs written
+        // while they selected code paths could carry them: the config
+        // loads, runs, and reports what the default config reports.
+        let off = [
+            "solver_cache",
+            "wire_pool",
+            "batch_delivery",
+            "delta_snapshots",
+        ]
+        .iter()
+        .fold(json.clone(), |j, knob| {
+            j.replace(&format!("\"{knob}\":true"), &format!("\"{knob}\":false"))
+        });
+        assert_eq!(
+            off.matches(":false").count(),
+            json.matches(":false").count() + 4
+        );
+        let off: CampaignConfig = serde_json::from_str(&off).unwrap();
+        let run = |cfg: CampaignConfig| {
+            let mut sim = scenarios::healthy_line(2, 5);
+            sim.run_until(SimTime::from_nanos(12_000_000_000));
+            let report = Campaign::new(&sim).config(cfg).run(&mut sim);
+            serde_json::to_string(&report.expect("runs").normalized()).unwrap()
+        };
+        assert_eq!(run(off), run(cfg), "the retired knobs select nothing");
     }
 }
