@@ -13,7 +13,14 @@
 //!   reference;
 //! - seam containment: in `dice-core` only `bgp_sut.rs` downcasts to
 //!   `BgpRouter` and only `gossip_sut.rs` to `GossipNode`. Everything
-//!   else resolves a node through the `SutCatalog` probe chain.
+//!   else resolves a node through the `SutCatalog` probe chain;
+//! - the retired performance knobs select nothing: no code under
+//!   `crates/ src/ tests/ examples/` calls `set_wire_config` /
+//!   `set_delta_snapshots` or reads `solver_cache`, `wire_pool`,
+//!   `batch_delivery` or `delta_snapshots` through a `.`. Their
+//!   definitions and `DiceConfig`'s serde code name them without one; the
+//!   one retired-field JSON test that reads them back is exempt by name.
+//!   The shims serve `benchmark/` alone, until it stops naming them.
 //!
 //! The scan reads each line's code, meaning the text before any `//`. A
 //! `#[cfg(test)]` item is test code from its attribute to the line where
@@ -23,7 +30,9 @@
 //! `core/src/explorer.rs` fails `protocol_downcasts_stay_in_their_adapters`;
 //! a planted `r[&k]` on a `&BTreeMap` in `concolic/src/explore.rs` passes
 //! clippy and fails `no_map_index_in_engine_code`; deleting `dice-core`'s
-//! lint block fails `engine_crates_keep_the_panic_lints`.
+//! lint block fails `engine_crates_keep_the_panic_lints`; putting
+//! `live.set_delta_snapshots(true)` back into `Campaign::run` fails
+//! `retired_knobs_select_no_code`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -190,6 +199,69 @@ fn protocol_downcasts_stay_in_their_adapters() {
     assert!(
         findings.is_empty(),
         "a protocol type is downcast outside its adapter module; resolve it through the SutCatalog probe chain:\n{}",
+        findings.join("\n")
+    );
+}
+
+/// The retired performance knobs: two setters and four config fields.
+const RETIRED_KNOBS: [&str; 6] = [
+    "set_wire_config",
+    "set_delta_snapshots",
+    "solver_cache",
+    "wire_pool",
+    "batch_delivery",
+    "delta_snapshots",
+];
+
+/// The functions that may read a retired knob: the JSON test that checks
+/// an absent knob still loads as before.
+const RETIRED_KNOB_READERS: [&str; 1] = ["config_json_without_new_perf_knobs_still_loads"];
+
+/// The identifier that starts `code` (empty if none does).
+fn ident(code: &str) -> &str {
+    let end = code
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(code.len());
+    &code[..end]
+}
+
+#[test]
+fn retired_knobs_select_no_code() {
+    let files: Vec<PathBuf> = ["crates", "src", "tests", "examples"]
+        .iter()
+        .flat_map(|dir| rust_files(dir))
+        .collect();
+    assert!(files.len() >= 80, "only {} files found", files.len());
+    let mut findings = Vec::new();
+    let mut exempt_seen = 0;
+    for path in &files {
+        let src = fs::read_to_string(path).expect("source file is readable");
+        // The function the scan is in: the last `fn` it passed.
+        let mut within = "";
+        for (i, line) in src.lines().enumerate() {
+            let code = code(line);
+            if let Some((_, rest)) = code.split_once("fn ") {
+                within = ident(rest);
+            }
+            for (at, _) in code.match_indices('.') {
+                let name = ident(&code[at + 1..]);
+                if !RETIRED_KNOBS.contains(&name) {
+                    continue;
+                }
+                if RETIRED_KNOB_READERS.contains(&within) {
+                    exempt_seen += 1;
+                } else {
+                    findings.push(format!("{}:{}: {}", path.display(), i + 1, code.trim()));
+                }
+            }
+        }
+    }
+    // The exempt test reads every knob; a scan that sees none of its reads
+    // has stopped reading the code it guards.
+    assert!(exempt_seen >= 4, "the exempt reads were not seen");
+    assert!(
+        findings.is_empty(),
+        "a retired knob is read or called; every mechanism it switched is the only path now:\n{}",
         findings.join("\n")
     );
 }
