@@ -102,7 +102,6 @@ fn measure(loss: f64) -> LossPoint {
         .validate_top(16)
         .horizon(SimDuration::from_secs(30))
         .workers(2)
-        .pair_workers(2)
         .schedule(nemesis_schedule());
     if loss > 0.0 {
         campaign = campaign

@@ -67,7 +67,6 @@ fn campaign(live: &mut Simulator) -> CampaignReport {
         .validate_top(4)
         .horizon(SimDuration::from_secs(30))
         .workers(2)
-        .pair_workers(2)
         .run(live)
         .expect("topology campaign runs")
 }

@@ -12,8 +12,7 @@ use super::Campaign;
 use super::{CampaignReport, REGISTRY_SEED};
 use crate::explorer::DiceConfig;
 
-/// The most threads a campaign starts for either worker count
-/// ([`CampaignConfig::pair_workers`], the template's
+/// The most threads a campaign starts for a sweep (the template's
 /// [`workers`](DiceConfig::workers)); [`Campaign::run`] refuses a
 /// configuration above it before it takes a cut. A constant, not the
 /// host's core count, so a configuration runs, or is refused, alike on
@@ -31,11 +30,6 @@ pub struct CampaignConfig {
     /// Full sweeps over the pair set. A campaign always runs at least one
     /// sweep: `0` is treated as `1`.
     pub rounds: usize,
-    /// Whole `(explorer, peer)` rounds explored at once, one thread each
-    /// (`0`/`1` = sequential; at most [`MAX_WORKERS`]). The report is
-    /// identical for any value — only wall-clock fields change (see
-    /// [`CampaignReport::normalized`]).
-    pub pair_workers: usize,
     /// Per-pair round template; `explorer` / `inject_peer` are overridden
     /// for each swept pair.
     pub template: DiceConfig,
@@ -47,7 +41,6 @@ impl Default for CampaignConfig {
             explorers: Vec::new(),
             max_peers_per_explorer: 0,
             rounds: 1,
-            pair_workers: 1,
             template: DiceConfig::new(NodeId(0), NodeId(0)),
         }
     }
@@ -67,21 +60,22 @@ impl Campaign {
         self
     }
 
-    /// Validation workers (default 1 = sequential; at most
-    /// [`MAX_WORKERS`]): the threads that validate a sweep's candidates
-    /// once its rounds are explored. A sweep spawns `max(pair_workers,
-    /// workers)` threads.
+    /// The sweep's thread count (default 1 = sequential; `0` counts as
+    /// `1`; at most [`MAX_WORKERS`]): each thread explores whole `(explorer,
+    /// peer)` rounds and then validates the sweep's candidates. Reports
+    /// are identical for any value modulo wall-clock fields — see
+    /// [`CampaignReport::normalized`].
     pub fn workers(mut self, k: usize) -> Self {
         self.cfg.template.workers = k;
         self
     }
 
-    /// Whole `(explorer, peer)` rounds explored at once, one thread each
-    /// (default 1 = sequential sweep; at most [`MAX_WORKERS`]). Reports
-    /// are identical for any value modulo wall-clock fields — see
-    /// [`CampaignReport::normalized`].
-    pub fn pair_workers(mut self, k: usize) -> Self {
-        self.cfg.pair_workers = k;
+    /// Retired and ignored: every thread of a sweep explores and then
+    /// validates, and [`Campaign::workers`] counts them. Every value gave
+    /// the same report by contract, and a persisted config's
+    /// `pair_workers` field loads and is ignored alike; the builder stays
+    /// only while `benchmark/src/workloads.rs` calls it.
+    pub fn pair_workers(self, _k: usize) -> Self {
         self
     }
 
@@ -131,7 +125,7 @@ impl Campaign {
     /// applied to the live system — only the isolated clones replay under
     /// fire. Fault sampling flows from per-link splits of a dedicated
     /// seeded stream, so reports stay byte-identical per seed across
-    /// `pair_workers` values.
+    /// worker counts.
     ///
     /// [`link_faults`]: Campaign::link_faults
     pub fn unreliable_links(mut self, on: bool) -> Self {

@@ -3,10 +3,10 @@
 //!
 //! A [`Campaign`] discovers the eligible pairs through the
 //! [`SutCatalog`] probe chain, snapshots **once per explorer** (one
-//! Chandy–Lamport pass amortized over all of that node's peers), explores
-//! up to [`Campaign::pair_workers`] whole rounds concurrently, validates
-//! the sweep's candidates on [`Campaign::workers`] threads (see the
-//! `executor` module), and aggregates the per-pair
+//! Chandy–Lamport pass amortized over all of that node's peers), runs each
+//! sweep on [`Campaign::workers`] threads that each explore whole rounds
+//! and then validate the sweep's candidates (see the `executor` module),
+//! and aggregates the per-pair
 //! [`RoundReport`](crate::explorer::RoundReport)s in
 //! deterministic round-ordinal order into a serializable
 //! [`CampaignReport`]: per-class detection latency, branch-coverage union
@@ -100,10 +100,9 @@ impl Campaign {
     ///    all of that explorer's peer rounds. Rounds never touch the
     ///    live system, so pre-taking a sweep's snapshots is
     ///    byte-identical to interleaving them with rounds.
-    /// 2. **Exploration** (parallel): `pair_workers` threads claim whole
-    ///    `(explorer, peer)` rounds and explore them; the phase ends, for
-    ///    all `max(pair_workers, workers)` threads of the sweep at once,
-    ///    when the last round is explored.
+    /// 2. **Exploration** (parallel): the sweep's `workers` threads claim
+    ///    whole `(explorer, peer)` rounds and explore them; the phase ends,
+    ///    for all of them at once, when the last round is explored.
     /// 3. **Validation** (parallel): every thread claims `(round,
     ///    candidate)` units from the sweep's one list, so a long round's
     ///    validation is shared by all of them (see the `executor` module).
@@ -111,7 +110,7 @@ impl Campaign {
     ///    per-round outcomes into the [`CampaignReport`]. Because every
     ///    stage is a pure function of `(snapshot, config)` and the fold
     ///    runs in ordinal order, the report is identical for any
-    ///    `pair_workers` and `workers` values modulo wall-clock fields
+    ///    `workers` value modulo wall-clock fields
     ///    ([`CampaignReport::normalized`]).
     ///
     /// Snapshot cost accounting: the Chandy–Lamport pass is shared by all
@@ -131,16 +130,16 @@ impl Campaign {
     ///
     /// Calling `run` again sweeps the live system as it is by then, with
     /// the registry built at construction. `run` returns `Err` for an
-    /// empty plan, or for a worker count above [`MAX_WORKERS`] (naming the
-    /// field, before any cut is taken or thread started).
+    /// empty plan, for a worker count above [`MAX_WORKERS`] (naming the
+    /// field, before any cut is taken or thread started), or for a round
+    /// whose exploration fails (the first such round's error, once its
+    /// sweep is done).
     pub fn run(&self, live: &mut Simulator) -> Result<CampaignReport, String> {
-        for (field, n) in [
-            ("pair_workers", self.cfg.pair_workers),
-            ("template.workers", self.cfg.template.workers),
-        ] {
-            if n > MAX_WORKERS {
-                return Err(format!("{field} {n} exceeds MAX_WORKERS ({MAX_WORKERS})"));
-            }
+        let workers = self.cfg.template.workers;
+        if workers > MAX_WORKERS {
+            return Err(format!(
+                "template.workers {workers} exceeds MAX_WORKERS ({MAX_WORKERS})"
+            ));
         }
         #[expect(
             clippy::disallowed_methods,
@@ -154,8 +153,6 @@ impl Campaign {
             return Err("campaign has no eligible (explorer, peer) pairs".into());
         }
         let checkers = crate::check::default_checkers(self.cfg.template.oscillation_threshold);
-        let pair_workers = self.cfg.pair_workers.max(1);
-        let pool_workers = pair_workers.max(self.cfg.template.workers.max(1));
 
         // Scope the live system's cut counters to this campaign by draining
         // whatever a previous run left behind.
@@ -237,8 +234,7 @@ impl Campaign {
             // their candidates.
             let (done, pool_stats) = crate::executor::run_rounds(
                 &tasks,
-                pair_workers,
-                pool_workers,
+                workers,
                 &topo,
                 &self.catalog,
                 &self.registry,
@@ -319,15 +315,15 @@ mod tests {
         // must still be detected (the injected input bypasses the
         // channel layer; only the surrounding dynamics degrade), the
         // fault counters must populate, and the normalized report must
-        // stay byte-identical across pair_workers per seed.
-        let run = |pair_workers: usize| {
+        // stay byte-identical across worker counts per seed.
+        let run = |workers: usize| {
             let mut sim = scenarios::buggy_parser_scenario(7);
             sim.run_until(SimTime::from_nanos(10_000_000_000));
             quick(Campaign::new(&sim))
                 .explorers([NodeId(1)])
                 .executions(160)
                 .validate_top(16)
-                .pair_workers(pair_workers)
+                .workers(workers)
                 .unreliable_links(true)
                 .link_faults(dice_netsim::LinkFaults::lossy(0.05))
                 .run(&mut sim)
@@ -402,17 +398,16 @@ mod tests {
     }
 
     #[test]
-    fn pair_workers_do_not_change_the_report() {
-        // Identical fresh systems, different round-level parallelism: the
-        // normalized reports must serialize byte-identically.
-        let run = |pair_workers: usize| {
+    fn workers_do_not_change_the_report() {
+        // Identical fresh systems, different parallelism: the normalized
+        // reports must serialize byte-identically.
+        let run = |workers: usize| {
             let mut sim = scenarios::buggy_parser_scenario(5);
             sim.run_until(SimTime::from_nanos(10_000_000_000));
             let report = quick(Campaign::new(&sim))
                 .executions(48)
                 .validate_top(6)
-                .workers(2)
-                .pair_workers(pair_workers)
+                .workers(workers)
                 .run(&mut sim)
                 .expect("campaign runs");
             serde_json::to_string(&report.normalized()).unwrap()
@@ -514,11 +509,6 @@ mod tests {
             .run(&mut sim)
             .unwrap_err();
         assert!(err.contains("template.workers"), "{err}");
-        let err = Campaign::new(&sim)
-            .pair_workers(MAX_WORKERS + 1)
-            .run(&mut sim)
-            .unwrap_err();
-        assert!(err.contains("pair_workers"), "{err}");
         assert_eq!(sim.now(), before, "no cut ran on the live system");
     }
 

@@ -314,7 +314,7 @@ impl CampaignReport {
 
     /// A copy with every host wall-clock field zeroed — the determinism
     /// key of a campaign. Two runs over snapshots of the same quiescent
-    /// system with the same [`CampaignConfig`] (any `pair_workers` value)
+    /// system with the same [`CampaignConfig`] (any `workers` value)
     /// serialize to byte-identical JSON after normalization; everything
     /// else in the report is a pure function of the configuration and the
     /// snapshots. Locked in by the scheduler-determinism regression test.
@@ -788,14 +788,14 @@ mod tests {
         // contract a persisted `CampaignConfig` file relies on.
         let cfg = Campaign::new(&sim)
             .explorers([NodeId(1)])
-            .pair_workers(3)
+            .workers(3)
             .executions(17)
             .config_ref()
             .clone();
         let cfg_json = serde_json::to_string(&cfg).unwrap();
         assert!(cfg_json.contains("max_peers_per_explorer"));
         let back: CampaignConfig = serde_json::from_str(&cfg_json).unwrap();
-        assert_eq!(back.pair_workers, 3);
+        assert_eq!(back.template.workers, 3);
         assert_eq!(back.explorers, vec![NodeId(1)]);
         assert_eq!(back.template.concolic_executions, 17);
         assert_eq!(

@@ -3,20 +3,21 @@
 //!
 //! Once a sweep's cuts are taken, every exploration and every validated
 //! input is a pure function of `(shadow, cfg)`, so scheduling them needs
-//! no shared mutable state beyond two claim counters:
+//! no shared mutable state beyond two claim counters. Every one of the
+//! sweep's `workers` threads runs the same three steps:
 //!
-//! 1. **Explore.** The first `pair_workers` workers claim whole rounds
-//!    from `round_next` and publish each round's [`ExploreStage`] exactly
-//!    once (a [`OnceLock`] per round). Each explores its rounds on one
-//!    [`ExploreState`] of its own, kept for the sweep: which rounds share
-//!    a state is the schedule's choice, and no report field depends on it.
-//! 2. **Barrier.** All `max(pair_workers, workers)` workers meet at one
-//!    [`Barrier`]; behind it every round's candidate list is final and
-//!    readable by everyone.
-//! 3. **Validate.** Workers claim flat `(round, candidate)` units of the
-//!    *whole sweep* from `unit_next` — a long round's tail is shared by
-//!    every worker, never waited out by one — and each keeps what it
-//!    produced (a [`UnitDone`] per unit, not the clone's `CheckReport`).
+//! 1. **Explore.** Claim whole rounds from `round_next` and publish each
+//!    round's [`ExploreStage`] exactly once (a [`OnceLock`] per round).
+//!    A worker explores its rounds on one [`ExploreState`] of its own,
+//!    built when it claims its first round and kept for the sweep: which
+//!    rounds share a state is the schedule's choice, and no report field
+//!    depends on it.
+//! 2. **Barrier.** All workers meet at one [`Barrier`]; behind it every
+//!    round's candidate list is final and readable by everyone.
+//! 3. **Validate.** Claim flat `(round, candidate)` units of the *whole
+//!    sweep* from `unit_next` — a long round's tail is shared by every
+//!    worker, never waited out by one — and keep what each produced (a
+//!    [`UnitDone`] per unit, not the clone's `CheckReport`).
 //!
 //! Workers hand their units back through their join handles; the calling
 //! thread sorts them by `(round, candidate)` and folds the rounds in
@@ -25,7 +26,7 @@
 //! order, poison or audit — and the schedule cannot influence any report
 //! field except wall-clock times and the clone-pool counters:
 //! [`crate::campaign::CampaignReport::normalized`] is byte-stable across
-//! `(pair_workers, workers)`, which `tests/heterogeneous.rs` locks in.
+//! worker counts, which `tests/heterogeneous.rs` locks in.
 //!
 //! Panics: a worker that unwinds while exploring still has to reach the
 //! barrier (the others would wait for it forever), so the exploration
@@ -127,17 +128,19 @@ struct Sweep<'e> {
 
 impl Sweep<'_> {
     /// Exploration phase of one worker: claim rounds until none is left,
-    /// all explored on the worker's one [`ExploreState`] — built here, as
+    /// all explored on the worker's one [`ExploreState`] — built on its
+    /// first claimed round (a worker that claims none builds none), as
     /// [`Sweep::worker`] builds its clone pool, and dropped with the
     /// sweep.
     fn explore_rounds(&self) {
-        let mut state = ExploreState::new();
+        let mut state = None;
         loop {
             let idx = self.round_next.fetch_add(1, Ordering::Relaxed);
             let (Some(task), Some(slot)) = (self.tasks.get(idx), self.explored.get(idx)) else {
                 return;
             };
-            let explored = explore_stage(&task.shadow, &task.cfg, self.catalog, &mut state);
+            let state = state.get_or_insert_with(ExploreState::new);
+            let explored = explore_stage(&task.shadow, &task.cfg, self.catalog, state);
             // Each index is claimed once, so the slot is still empty.
             let _ = slot.set(explored);
         }
@@ -175,17 +178,12 @@ impl Sweep<'_> {
         })
     }
 
-    /// One worker, start to finish: explore (if it is one of the
-    /// `pair_workers`), meet the others, then validate. Returns the units
-    /// it ran and its clone pool's counters.
-    fn worker(&self, explores: bool) -> (Vec<UnitDone>, PoolStats) {
+    /// One worker, start to finish: explore, meet the others, then
+    /// validate. Returns the units it ran and its clone pool's counters.
+    fn worker(&self) -> (Vec<UnitDone>, PoolStats) {
         // An unwinding explorer must still arrive at the barrier, or the
         // other workers block on it forever.
-        let explored = catch_unwind(AssertUnwindSafe(|| {
-            if explores {
-                self.explore_rounds();
-            }
-        }));
+        let explored = catch_unwind(AssertUnwindSafe(|| self.explore_rounds()));
         self.barrier.wait();
         if let Err(payload) = explored {
             resume_unwind(payload);
@@ -212,26 +210,19 @@ impl Sweep<'_> {
     }
 }
 
-/// Execute `tasks` with `pair_workers` threads exploring and
-/// `pool_workers` threads validating (`max` of the two are spawned), and
-/// return per-round results in task order plus the aggregated clone-pool
-/// counters.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the campaign's whole sweep context, taken once and stored in Sweep"
-)]
+/// Execute `tasks` on `workers` threads (`0` counts as `1`), each
+/// exploring and then validating, and return per-round results in task
+/// order plus the aggregated clone-pool counters.
 pub(crate) fn run_rounds(
     tasks: &[RoundTask],
-    pair_workers: usize,
-    pool_workers: usize,
+    workers: usize,
     topo: &Topology,
     catalog: &SutCatalog,
     registry: &AttestationRegistry,
     checkers: &[Box<dyn Checker>],
     campaign_start: Instant,
 ) -> (Vec<Result<RoundDone, String>>, PoolStats) {
-    let explorers = pair_workers.max(1);
-    let workers = pool_workers.max(explorers);
+    let workers = workers.max(1);
     let sweep = Sweep {
         tasks,
         topo,
@@ -246,18 +237,13 @@ pub(crate) fn run_rounds(
     };
     let worked: Vec<(Vec<UnitDone>, PoolStats)> = if workers == 1 {
         // No thread to spawn or join; a panic propagates directly.
-        vec![sweep.worker(true)]
+        vec![sweep.worker()]
     } else {
         // Every worker is spawned (the calling thread only joins), and
         // every handle is joined here, so a worker's panic is re-raised
         // with its own payload.
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|index| {
-                    let sweep = &sweep;
-                    s.spawn(move || sweep.worker(index < explorers))
-                })
-                .collect();
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(|| sweep.worker())).collect();
             handles
                 .into_iter()
                 .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
@@ -361,7 +347,6 @@ mod tests {
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             run_rounds(
                 &tasks,
-                2,
                 3,
                 &topo,
                 &catalog,

@@ -72,7 +72,9 @@ pub struct DiceConfig {
     pub solver_budget: SolverBudget,
     /// Best-route flips beyond baseline that count as oscillation.
     pub oscillation_threshold: u64,
-    /// Validation workers (1 = sequential).
+    /// The sweep's thread count (1 = sequential): each thread explores
+    /// rounds, then validates candidates (see
+    /// [`Campaign::workers`](crate::campaign::Campaign::workers)).
     pub workers: usize,
     /// Master seed for grammar and clone simulators. A campaign's
     /// attestation registry is salted once, at construction, with

@@ -36,9 +36,9 @@
 //! lock anywhere) sits behind one driver, [`campaign::Campaign`]: it sweeps
 //! the eligible `(explorer, inject peer)` pairs across the federation (a
 //! fixed pair is a sweep over that one pair) — one `Arc`-shared snapshot
-//! per explorer, `pair_workers` threads exploring and `workers` threads
-//! validating, with the aggregated [`campaign::CampaignReport`]
-//! byte-identical for any parallelism level modulo wall-clock fields.
+//! per explorer, `workers` threads that each explore and then validate,
+//! with the aggregated [`campaign::CampaignReport`] byte-identical for any
+//! parallelism level modulo wall-clock fields.
 //! [`scenarios`] provides the paper's demo systems (including the
 //! 27-router Figure 1 topology).
 

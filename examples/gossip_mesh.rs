@@ -30,7 +30,6 @@ fn main() {
         .validate_top(8)
         .horizon(SimDuration::from_secs(30))
         .workers(2)
-        .pair_workers(2)
         .run(&mut live)
         .expect("campaign runs");
 

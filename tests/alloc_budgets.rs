@@ -496,7 +496,6 @@ fn one_worker_campaign() {
             .executions(32)
             .validate_top(4)
             .workers(1)
-            .pair_workers(1)
     };
     let mut warm = live("gossip16");
     campaign(&warm).run(&mut warm).expect("campaign runs");

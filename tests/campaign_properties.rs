@@ -11,9 +11,8 @@
 //! 1. `Campaign::run` returns `Ok` or `Err` and never panics (a failed cut
 //!    is not an `Err`: it is a `cut_failures` entry in the report, and the
 //!    contracts below hold for those entries as for the rounds);
-//! 2. the normalized report (or the error) is byte-identical at
-//!    `(pair_workers, workers)` = (1, 1), (2, 2) and the generated pair in
-//!    {1, 2}²;
+//! 2. the normalized report (or the error) is byte-identical at `workers`
+//!    = 1, 2 and the generated count in 1..=4;
 //! 3. a repeat run is byte-identical;
 //! 4. two successive `run` calls on one live system — the scenario's
 //!    campaign, then one sweep without a schedule — report what one call of
@@ -26,9 +25,9 @@
 //! `config_json_loads_or_errs` feeds `CampaignConfig` / `DiceConfig` JSON
 //! with dropped, retired and out-of-range fields to the loader: each must
 //! load or give an `Err`, never panic, and what loads must save and load
-//! back to the same JSON. A loaded config whose `pair_workers` or
-//! `workers` exceeds `MAX_WORKERS` is run on a 2-node line and must give
-//! the `Err` that names the field.
+//! back to the same JSON. A loaded config whose `workers` exceeds
+//! `MAX_WORKERS` is run on a 2-node line and must give the `Err` that names
+//! the field.
 //!
 //! CI runs both in release at a fixed case count:
 //! `PROPTEST_CASES=1000 cargo test --release --test campaign_properties`
@@ -80,8 +79,8 @@ struct Scenario {
     validate_top: usize,
     grammar_seeds: usize,
     seed: u64,
-    /// The generated `(pair_workers, workers)`.
-    workers: (usize, usize),
+    /// The generated thread count.
+    workers: usize,
 }
 
 impl Scenario {
@@ -159,8 +158,8 @@ impl Scenario {
     }
 
     /// A fresh live system, run through its warm-up, and the scenario's
-    /// campaign over it with `rounds` sweeps at `(pair_workers, workers)`.
-    fn deploy(&self, rounds: usize, (pair_workers, workers): (usize, usize)) -> Deployed {
+    /// campaign over it with `rounds` sweeps on `workers` threads.
+    fn deploy(&self, rounds: usize, workers: usize) -> Deployed {
         let mut live = self.system();
         live.run_until(SimTime::from_nanos(self.warmup_ms * 1_000_000));
         let n = live.topology().len() as u32;
@@ -174,7 +173,6 @@ impl Scenario {
             .horizon(SimDuration::from_secs(20))
             .seed(self.seed)
             .schedule(self.schedule.clone())
-            .pair_workers(pair_workers)
             .workers(workers);
         if let Some(p) = self.fault_permille {
             let p = f64::from(p) / 1000.0;
@@ -222,25 +220,25 @@ fn key(outcome: &Outcome) -> String {
 
 /// The four contracts on one scenario (see the module doc).
 fn campaign_contracts(s: &Scenario) -> Result<(), TestCaseError> {
-    let Deployed { mut live, campaign } = caught("deploy", || s.deploy(s.rounds, (1, 1)))?;
+    let Deployed { mut live, campaign } = caught("deploy", || s.deploy(s.rounds, 1))?;
     let start = live.now();
     let first = run(&campaign, &mut live)?;
     let reference = key(&first);
 
     // Schedule identity, then a repeat of the generated schedule.
-    for workers in [(2, 2), s.workers, s.workers] {
+    for workers in [2, s.workers, s.workers] {
         let mut other = caught("deploy", || s.deploy(s.rounds, workers))?;
         let got = run(&other.campaign, &mut other.live)?;
         prop_assert_eq!(
             key(&got),
             reference.clone(),
-            "(pair_workers, workers) = {:?} against (1, 1)",
+            "workers = {} against 1",
             workers
         );
     }
 
     // Successive calls against one joined call.
-    let mut joined = caught("deploy", || s.deploy(s.rounds + 1, (1, 1)))?;
+    let mut joined = caught("deploy", || s.deploy(s.rounds + 1, 1))?;
     let joined = run(&joined.campaign, &mut joined.live)?;
     let first = match first {
         Ok(report) => report,
@@ -371,8 +369,7 @@ proptest! {
         validate_top in 0usize..=4,
         grammar_seeds in 0usize..=3,
         seed in 0u64..1_000,
-        pair_workers in 1usize..=2,
-        workers in 1usize..=2,
+        workers in 1usize..=4,
     ) {
         campaign_contracts(&Scenario {
             shape,
@@ -393,7 +390,7 @@ proptest! {
             validate_top,
             grammar_seeds,
             seed,
-            workers: (pair_workers, workers),
+            workers,
         })?;
     }
 }
@@ -424,9 +421,9 @@ fn a_second_call_drops_the_first_calls_pending_legs() {
         validate_top: 2,
         grammar_seeds: 2,
         seed: 9,
-        workers: (1, 1),
+        workers: 1,
     };
-    let Deployed { mut live, campaign } = s.deploy(1, (1, 1));
+    let Deployed { mut live, campaign } = s.deploy(1, 1);
     let first = campaign.run(&mut live).expect("first call runs");
     let mut cfg = campaign.config_ref().clone();
     cfg.template.schedule = None;
@@ -435,7 +432,7 @@ fn a_second_call_drops_the_first_calls_pending_legs() {
         .config(cfg)
         .run(&mut live)
         .expect("second call runs");
-    let mut joined = s.deploy(2, (1, 1));
+    let mut joined = s.deploy(2, 1);
     let joined = joined
         .campaign
         .run(&mut joined.live)
@@ -543,16 +540,13 @@ fn loads_or_errs<T: serde::Serialize + serde::Deserialize>(
 }
 
 /// A loaded `cfg` with a worker count above [`MAX_WORKERS`], run on a
-/// 2-node line, gives the `Err` naming that field (`pair_workers` is
-/// checked first). A config within the ceiling is not run.
+/// 2-node line, gives the `Err` naming that field. A config within the
+/// ceiling is not run.
 fn over_ceiling_errs(cfg: CampaignConfig) -> Result<(), TestCaseError> {
-    let field = if cfg.pair_workers > MAX_WORKERS {
-        "pair_workers"
-    } else if cfg.template.workers > MAX_WORKERS {
-        "template.workers"
-    } else {
+    if cfg.template.workers <= MAX_WORKERS {
         return Ok(());
-    };
+    }
+    let field = "template.workers";
     let mut live = scenarios::healthy_line(2, 1);
     let campaign = Campaign::new(&live).config(cfg);
     match run(&campaign, &mut live)? {
@@ -568,7 +562,7 @@ proptest! {
     fn config_json_loads_or_errs(
         seed in any::<u64>(),
         edits in prop::collection::vec((0usize..256, 0usize..2 + ODD_VALUES.len()), 0..6),
-        over in (0usize..2, 0usize..2),
+        over in 0usize..2,
     ) {
         let mut template = DiceConfig::new(NodeId(1), NodeId(2));
         template.seed = seed;
@@ -583,14 +577,10 @@ proptest! {
             ..CampaignConfig::default()
         };
         let mut value = serde_json::parse_value(&serde_json::to_string(&cfg).unwrap()).unwrap();
-        // Most edited configs fail to load for another field, so one
-        // worker count over the ceiling is also loaded on its own.
-        let (over_field, over_value) = over;
-        let field: Vec<String> = [&["pair_workers"][..], &["template", "workers"]][over_field]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let odd = ["257", "18446744073709551615"][over_value];
+        // Most edited configs fail to load for another field, so a worker
+        // count over the ceiling is also loaded on its own.
+        let field = ["template".to_string(), "workers".to_string()];
+        let odd = ["257", "18446744073709551615"][over];
         let op = 2 + ODD_VALUES.iter().position(|v| *v == odd).unwrap();
         let text = splice_raw(&serde_json::to_string(&edit(&value, &field, op)).unwrap());
         let over = loads_or_errs::<CampaignConfig>("CampaignConfig", &text)?;

@@ -322,7 +322,6 @@ fn internet200_sweep_report_is_pinned() {
         .validate_top(4)
         .horizon(SimDuration::from_secs(30))
         .workers(2)
-        .pair_workers(2)
         .run(&mut live)
         .expect("campaign runs");
     assert_eq!(report.rounds.len(), 2, "one sweep, two peers");
@@ -364,7 +363,6 @@ fn demo27_sweep_report_is_pinned() {
         .validate_top(8)
         .horizon(SimDuration::from_secs(30))
         .workers(2)
-        .pair_workers(2)
         .run(&mut live)
         .expect("campaign runs");
     assert_eq!(
@@ -395,7 +393,6 @@ fn nemesis_campaign_report_is_pinned() {
         .validate_top(16)
         .horizon(SimDuration::from_secs(30))
         .workers(2)
-        .pair_workers(2)
         .schedule(ScheduleSpec {
             partitions: 1,
             partition_len: SimDuration::from_millis(50),

@@ -266,22 +266,21 @@ fn demo27_campaign_visits_multiple_explorers_with_coverage() {
 }
 
 #[test]
-fn scheduler_is_deterministic_across_pair_workers() {
+fn scheduler_is_deterministic_across_workers() {
     // The parallel round engine must produce the *same report* — faults,
     // coverage union, detection, per-explorer summaries, round ordering —
-    // for any round-level parallelism, on a federation mixing BGP routers
-    // with a non-BGP monitor node. Only wall-clock fields may differ;
+    // for any parallelism, on a federation mixing BGP routers with a
+    // non-BGP monitor node. Only wall-clock fields may differ;
     // `CampaignReport::normalized` zeroes those, and the serialized JSON
     // must then be byte-identical.
-    let run = |pair_workers: usize| {
+    let run = |workers: usize| {
         let mut sim = mixed_system(33);
         sim.run_until(SimTime::from_nanos(10_000_000_000));
         let report = Campaign::with_catalog(&sim, mixed_catalog())
             .executions(32)
             .validate_top(5)
             .horizon(SimDuration::from_secs(30))
-            .workers(2)
-            .pair_workers(pair_workers)
+            .workers(workers)
             .run(&mut sim)
             .expect("mixed campaign runs");
         (
@@ -297,8 +296,8 @@ fn scheduler_is_deterministic_across_pair_workers() {
     assert!(classes_1.contains(&FaultClass::ProgrammingError));
     assert_eq!(classes_1, classes_2);
     assert_eq!(classes_1, classes_4);
-    assert_eq!(json_1, json_2, "pair_workers=2 must match sequential");
-    assert_eq!(json_1, json_4, "pair_workers=4 must match sequential");
+    assert_eq!(json_1, json_2, "workers=2 must match sequential");
+    assert_eq!(json_1, json_4, "workers=4 must match sequential");
 }
 
 /// Three *kinds* of node under one campaign:
@@ -356,13 +355,12 @@ fn three_kind_system(seed: u64) -> Simulator {
     sim
 }
 
-fn three_kind_campaign(seed: u64, pair_workers: usize) -> dice_system::dice::CampaignReport {
-    three_kind_campaign_at(seed, pair_workers, 2, false)
+fn three_kind_campaign(seed: u64, workers: usize) -> dice_system::dice::CampaignReport {
+    three_kind_campaign_at(seed, workers, false)
 }
 
 fn three_kind_campaign_at(
     seed: u64,
-    pair_workers: usize,
     workers: usize,
     unreliable_links: bool,
 ) -> dice_system::dice::CampaignReport {
@@ -372,7 +370,6 @@ fn three_kind_campaign_at(
         .validate_top(5)
         .horizon(SimDuration::from_secs(30))
         .workers(workers)
-        .pair_workers(pair_workers)
         .unreliable_links(unreliable_links)
         .run(&mut sim)
         .expect("three-kind campaign runs")
@@ -436,17 +433,17 @@ fn three_kind_campaign_detects_seeded_gossip_bug_via_gossip_explorer() {
 }
 
 #[test]
-fn three_kind_reports_are_byte_identical_across_pair_workers() {
-    // The schedule-identity table: threads exploring x threads validating,
-    // including more validators than explorers (3, 5) and the reverse
-    // (4, 2), on reliable and on lossy clones. Which worker ran a unit, and
-    // when, may show only in the fields `normalized()` zeroes.
-    const SCHEDULES: [(usize, usize); 5] = [(1, 1), (1, 4), (2, 2), (4, 2), (3, 5)];
+fn three_kind_reports_are_byte_identical_across_workers() {
+    // The schedule-identity table: one to four threads, each exploring
+    // rounds and then validating, on reliable and on lossy clones. Which
+    // worker explored a round or ran a unit, and when, may show only in the
+    // fields `normalized()` zeroes.
+    const WORKERS: [usize; 4] = [1, 2, 3, 4];
     for unreliable_links in [false, true] {
         let mut reference: Option<String> = None;
-        for (pair_workers, workers) in SCHEDULES {
-            let at = format!("(pair_workers, workers) = ({pair_workers}, {workers}), unreliable_links = {unreliable_links}");
-            let report = three_kind_campaign_at(43, pair_workers, workers, unreliable_links);
+        for workers in WORKERS {
+            let at = format!("workers = {workers}, unreliable_links = {unreliable_links}");
+            let report = three_kind_campaign_at(43, workers, unreliable_links);
             assert!(
                 report
                     .faults
@@ -463,7 +460,7 @@ fn three_kind_reports_are_byte_identical_across_pair_workers() {
                 "one pool acquisition per validated input at {at}"
             );
             assert!(
-                perf.pool_misses as usize <= pair_workers.max(workers),
+                perf.pool_misses as usize <= workers,
                 "{} fresh clones at {at}",
                 perf.pool_misses
             );
@@ -472,11 +469,47 @@ fn three_kind_reports_are_byte_identical_across_pair_workers() {
                 None => reference = Some(json),
                 Some(first) => assert_eq!(
                     first, &json,
-                    "normalized three-kind report at {at} differs from {:?}",
-                    SCHEDULES[0]
+                    "normalized three-kind report at {at} differs from workers = {}",
+                    WORKERS[0]
                 ),
             }
         }
+    }
+}
+
+#[test]
+fn one_round_sweep_is_byte_identical_with_idle_explorers() {
+    // One round to explore and up to four threads: all but one find no
+    // round, build no explore state, and wait at the barrier to validate.
+    // The report is the one thread's, byte for byte.
+    let run = |workers: usize| {
+        let mut sim = three_kind_system(44);
+        sim.run_until(SimTime::from_nanos(12_000_000_000));
+        let campaign = Campaign::with_catalog(&sim, mixed_catalog())
+            .explorers([NodeId(2)])
+            .max_peers_per_explorer(1)
+            .validate_top(5)
+            .horizon(SimDuration::from_secs(30))
+            .workers(workers);
+        assert_eq!(campaign.sweep_plan(), [(NodeId(2), vec![NodeId(3)])]);
+        let report = campaign.run(&mut sim).expect("one-round sweep runs");
+        assert_eq!(report.rounds.len(), 1);
+        assert!(
+            report
+                .faults
+                .iter()
+                .any(|f| f.detail.contains("digest count overflow")),
+            "gossip bug found at workers = {workers}"
+        );
+        serde_json::to_string(&report.normalized()).unwrap()
+    };
+    let reference = run(1);
+    for workers in [2, 3, 4] {
+        assert_eq!(
+            run(workers),
+            reference,
+            "idle explorers at workers = {workers}"
+        );
     }
 }
 
@@ -492,10 +525,10 @@ fn under_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> 
 #[test]
 fn exploration_panic_surfaces_its_own_message() {
     // The monitor's twin panics while a worker explores it, i.e. before
-    // the executor's barrier, with a second explorer and a validate-only
-    // worker due at the same barrier. The unwinding worker must still
-    // arrive there (or the other two wait forever), and `Campaign::run`
-    // must re-raise *that* panic, not the scope join's generic one.
+    // the executor's barrier, with two other workers due at the same
+    // barrier. The unwinding worker must still arrive there (or the other
+    // two wait forever), and `Campaign::run` must re-raise *that* panic,
+    // not the scope join's generic one.
     let payload = under_watchdog(|| {
         let mut sim = mixed_system(35);
         sim.run_until(SimTime::from_nanos(10_000_000_000));
@@ -508,7 +541,6 @@ fn exploration_panic_surfaces_its_own_message() {
             .executions(16)
             .validate_top(3)
             .horizon(SimDuration::from_secs(30))
-            .pair_workers(2)
             .workers(3);
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| campaign.run(&mut sim)))
             .expect_err("the twin's panic must propagate")
@@ -525,17 +557,16 @@ fn wire_knobs_are_byte_identical_across_the_whole_matrix() {
     // The zero-copy wire path on validation clones — the payload-buffer
     // pool and batched same-instant delivery — is held to its references
     // in dice-netsim. Here: a mixed three-kind federation's report is
-    // byte-identical at pair_workers 1 and 4, both mechanisms are live on
-    // it, and their counters normalize away.
-    let run = |pair_workers: usize| {
+    // byte-identical at workers 1 and 4, both mechanisms are live on it,
+    // and their counters normalize away.
+    let run = |workers: usize| {
         let mut sim = three_kind_system(46);
         sim.run_until(SimTime::from_nanos(12_000_000_000));
         let report = Campaign::with_catalog(&sim, mixed_catalog())
             .executions(96)
             .validate_top(5)
             .horizon(SimDuration::from_secs(30))
-            .workers(2)
-            .pair_workers(pair_workers)
+            .workers(workers)
             .run(&mut sim)
             .expect("three-kind campaign runs");
         let perf = &report.perf;
@@ -560,18 +591,17 @@ fn delta_and_schedule_knobs_are_byte_identical_across_the_whole_matrix() {
     // The delta-checkpoint cache is held to fresh clones in dice-netsim.
     // Here: an *empty* dynamics schedule expands to zero actions, so a
     // mixed three-kind federation's report is byte-identical with no
-    // schedule and with an empty one, at pair_workers 1 and 4, and the cut
+    // schedule and with an empty one, at workers 1 and 4, and the cut
     // counters normalize away.
     use dice_system::netsim::ScheduleSpec;
-    let run = |schedule: bool, pair_workers: usize| {
+    let run = |schedule: bool, workers: usize| {
         let mut sim = three_kind_system(47);
         sim.run_until(SimTime::from_nanos(12_000_000_000));
         let mut campaign = Campaign::with_catalog(&sim, mixed_catalog())
             .executions(96)
             .validate_top(5)
             .horizon(SimDuration::from_secs(30))
-            .workers(2)
-            .pair_workers(pair_workers);
+            .workers(workers);
         if schedule {
             campaign = campaign.schedule(ScheduleSpec::default());
         }
@@ -598,24 +628,23 @@ fn delta_and_schedule_knobs_are_byte_identical_across_the_whole_matrix() {
 }
 
 #[test]
-fn link_fault_knobs_are_byte_identical_across_pair_workers() {
+fn link_fault_knobs_are_byte_identical_across_workers() {
     // Channel fidelity is sampled from per-link RNG streams split off a
     // salted parent, so a lossy campaign is just as deterministic as a
     // reliable one: for a fixed seed and fault knob, the normalized
-    // report must be byte-identical across round-level parallelism. A
+    // report must be byte-identical across worker counts. A
     // no-op fault table behind `unreliable_links = true` must be
     // indistinguishable from the knob being off — `is_noop` short-circuits
     // before any stream is consumed.
     use dice_system::netsim::LinkFaults;
-    let run = |unreliable: bool, faults: Option<LinkFaults>, pair_workers: usize| {
+    let run = |unreliable: bool, faults: Option<LinkFaults>, workers: usize| {
         let mut sim = three_kind_system(49);
         sim.run_until(SimTime::from_nanos(12_000_000_000));
         let mut campaign = Campaign::with_catalog(&sim, mixed_catalog())
             .executions(96)
             .validate_top(5)
             .horizon(SimDuration::from_secs(30))
-            .workers(2)
-            .pair_workers(pair_workers)
+            .workers(workers)
             .unreliable_links(unreliable);
         if let Some(f) = faults {
             campaign = campaign.link_faults(f);
@@ -668,7 +697,7 @@ fn link_fault_knobs_are_byte_identical_across_pair_workers() {
     assert_eq!(
         run(true, Some(LinkFaults::lossy(0.05)), 4),
         lossy,
-        "lossy campaign must be byte-identical across pair_workers"
+        "lossy campaign must be byte-identical across worker counts"
     );
     assert!(
         lossy.contains("\"frames_dropped\":0"),
