@@ -273,6 +273,22 @@ mod tests {
             let report = Campaign::new(&sim).config(cfg).run(&mut sim);
             serde_json::to_string(&report.expect("runs").normalized()).unwrap()
         };
-        assert_eq!(run(off), run(cfg), "the retired knobs select nothing");
+        let reference = run(cfg);
+        assert_eq!(run(off), reference, "the retired knobs select nothing");
+
+        // The retired exploring-thread count, within and above the
+        // ceiling it once had: it loads, is ignored, and runs as the
+        // default.
+        for n in [4, MAX_WORKERS + 1] {
+            let old = json.replacen(
+                ",\"template\":",
+                &format!(",\"pair_workers\":{n},\"template\":"),
+                1,
+            );
+            assert_ne!(json, old, "the retired field was spliced in");
+            let back: CampaignConfig = serde_json::from_str(&old).unwrap();
+            assert_eq!(serde_json::to_string(&back).unwrap(), json);
+            assert_eq!(run(back), reference, "pair_workers {n} selects nothing");
+        }
     }
 }
