@@ -199,7 +199,7 @@ impl Campaign {
                         continue;
                     }
                 };
-                fold.cut(&snap_metrics, live.take_snapshot_stats());
+                fold.cut(&snap_metrics);
                 let shadow = shadow.into_shared();
                 // The flip baseline is a function of the shared snapshot;
                 // compute it once per explorer.
@@ -227,6 +227,10 @@ impl Campaign {
                 }
             }
 
+            // What the sweep's cuts re-captured and the dynamics fired
+            // before them, drained once whether or not each cut succeeded:
+            // a sweep whose every cut fails still counts its churn.
+            fold.sweep_stats(live.take_snapshot_stats());
             if tasks.is_empty() {
                 continue;
             }
@@ -578,6 +582,31 @@ mod tests {
         assert!(!serde_json::to_string(&report)
             .unwrap()
             .contains("cut_failures"));
+    }
+
+    #[test]
+    fn dynamics_before_a_failed_cut_are_counted() {
+        // The churn schedule of `dynamics_schedule_is_deterministic_and_counted`
+        // under a zero cut deadline: every cut fails, yet the crash the
+        // campaign applied to the live system is in its report.
+        let mut sim = scenarios::healthy_line(4, 9);
+        sim.run_until(SimTime::from_nanos(12_000_000_000));
+        let campaign = quick(Campaign::new(&sim))
+            .explorers([NodeId(0)])
+            .max_peers_per_explorer(1)
+            .executions(8)
+            .schedule(dice_netsim::ScheduleSpec {
+                churn: 1,
+                churn_len: SimDuration::from_millis(1),
+                window: SimDuration::ZERO,
+                protect_first: 2,
+                ..dice_netsim::ScheduleSpec::default()
+            });
+        let mut cfg = campaign.config_ref().clone();
+        cfg.template.snapshot_deadline = SimDuration::ZERO;
+        let report = campaign.config(cfg).run(&mut sim).expect("runs");
+        assert_eq!(report.cut_failures.len(), 1);
+        assert_eq!(report.perf.churn_events, 1, "{:?}", report.perf);
     }
 
     #[test]

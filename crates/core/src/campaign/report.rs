@@ -399,12 +399,17 @@ impl Fold {
         self.cut_failures.push(failure);
     }
 
-    /// One consistent cut of the live system: what it cost, the shadow's
-    /// footprint and what taking it re-captured.
-    pub(super) fn cut(&mut self, snap: &SnapshotMetrics, snap_stats: SnapshotStats) {
+    /// One consistent cut of the live system: what it cost and the
+    /// shadow's footprint.
+    pub(super) fn cut(&mut self, snap: &SnapshotMetrics) {
         self.phases.cut_us += snap.wall_micros;
+        self.perf.snapshot_bytes += snap.bytes as u64;
+    }
+
+    /// What one sweep's cuts re-captured, failed cuts included, and the
+    /// dynamics applied before them.
+    pub(super) fn sweep_stats(&mut self, snap_stats: SnapshotStats) {
         let perf = &mut self.perf;
-        perf.snapshot_bytes += snap.bytes as u64;
         perf.snapshot_delta_bytes += snap_stats.delta_bytes;
         perf.nodes_recaptured += snap_stats.nodes_recaptured;
         perf.churn_events += snap_stats.churn_events;
