@@ -33,6 +33,7 @@
 //! `PROPTEST_CASES=1000 cargo test --release --test campaign_properties`
 //! (about 27 s on a 2-vCPU host).
 
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dice_system::bgp::{BgpRouter, RouterConfig, RouterId};
@@ -159,12 +160,29 @@ impl Scenario {
 
     /// A fresh live system, run through its warm-up, and the scenario's
     /// campaign over it with `rounds` sweeps on `workers` threads.
+    ///
+    /// Each drawn explorer indexes the system's eligible explorers, so a
+    /// drawn subset always sweeps something; only a system with no eligible
+    /// pair at all gives the empty-plan `Err`.
     fn deploy(&self, rounds: usize, workers: usize) -> Deployed {
         let mut live = self.system();
         live.run_until(SimTime::from_nanos(self.warmup_ms * 1_000_000));
-        let n = live.topology().len() as u32;
-        let mut campaign = Campaign::with_catalog(&live, SutCatalog::default())
-            .explorers(self.explorers.iter().map(|e| NodeId(e.0 % n)))
+        let campaign = Campaign::with_catalog(&live, SutCatalog::default());
+        let eligible: Vec<NodeId> = campaign
+            .eligible_pairs()
+            .iter()
+            .map(|&(explorer, _)| explorer)
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        // With no eligible explorer every draw maps to none, and the
+        // empty list means every explorer: the plan is empty either way.
+        let explorers = self
+            .explorers
+            .iter()
+            .filter_map(|e| eligible.get(e.0 as usize % eligible.len().max(1)));
+        let mut campaign = campaign
+            .explorers(explorers.copied())
             .max_peers_per_explorer(self.peers)
             .rounds(rounds)
             .executions(self.executions)
