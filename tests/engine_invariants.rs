@@ -14,13 +14,14 @@
 //! - seam containment: in `dice-core` only `bgp_sut.rs` downcasts to
 //!   `BgpRouter` and only `gossip_sut.rs` to `GossipNode`. Everything
 //!   else resolves a node through the `SutCatalog` probe chain;
-//! - the retired performance knobs select nothing: no code under
+//! - the retired knobs select nothing: no code under
 //!   `crates/ src/ tests/ examples/` calls `set_wire_config` /
-//!   `set_delta_snapshots` or reads `solver_cache`, `wire_pool`,
-//!   `batch_delivery` or `delta_snapshots` through a `.`. Their
-//!   definitions and `DiceConfig`'s serde code name them without one; the
-//!   one retired-field JSON test that reads them back is exempt by name.
-//!   The shims serve `benchmark/` alone, until it stops naming them.
+//!   `set_delta_snapshots` / `pair_workers` or reads `solver_cache`,
+//!   `wire_pool`, `batch_delivery`, `delta_snapshots` or `pair_workers`
+//!   through a `.`. Their definitions and `DiceConfig`'s serde code name
+//!   them without one; the one retired-field JSON test that reads them
+//!   back is exempt by name. The shims serve `benchmark/` alone, until it
+//!   stops naming them.
 //!
 //! The scan reads each line's code, meaning the text before any `//`. A
 //! `#[cfg(test)]` item is test code from its attribute to the line where
@@ -31,7 +32,8 @@
 //! a planted `r[&k]` on a `&BTreeMap` in `concolic/src/explore.rs` passes
 //! clippy and fails `no_map_index_in_engine_code`; deleting `dice-core`'s
 //! lint block fails `engine_crates_keep_the_panic_lints`; putting
-//! `live.set_delta_snapshots(true)` back into `Campaign::run` fails
+//! `live.set_delta_snapshots(true)` back into `Campaign::run`, or
+//! `.pair_workers(2)` back into `examples/gossip_mesh.rs`, fails
 //! `retired_knobs_select_no_code`.
 
 use std::fs;
@@ -203,14 +205,16 @@ fn protocol_downcasts_stay_in_their_adapters() {
     );
 }
 
-/// The retired performance knobs: two setters and four config fields.
-const RETIRED_KNOBS: [&str; 6] = [
+/// The retired knobs: two netsim setters, the four performance config
+/// fields, and the exploring-thread count (a builder and a config field).
+const RETIRED_KNOBS: [&str; 7] = [
     "set_wire_config",
     "set_delta_snapshots",
     "solver_cache",
     "wire_pool",
     "batch_delivery",
     "delta_snapshots",
+    "pair_workers",
 ];
 
 /// The functions that may read a retired knob: the JSON test that checks
