@@ -373,7 +373,8 @@ mod tests {
             asns: asns.iter().copied().map(Asn).collect(),
         };
         let path = |segments: Vec<AsPathSegment>| AsPath { segments }.to_string();
-        // The `best` trace line embeds this text; it is pinned byte for byte.
+        // `tests/snapshot_properties.rs` compares Loc-RIBs by this text; it
+        // is pinned byte for byte.
         assert_eq!(path(vec![]), "");
         assert_eq!(
             path(vec![seg(SegmentKind::Sequence, &[65001, 7, 65003])]),

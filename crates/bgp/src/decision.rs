@@ -1,10 +1,10 @@
 //! The BGP decision process (RFC 4271 §9.1): rank candidate routes and
 //! report *which step* was decisive.
 //!
-//! The decisive step matters to DiCE twice over: the trace uses it to
-//! explain best-route changes, and the concolic handler marks the
-//! "is this route preferred" condition symbolic to explore both outcomes of
-//! route selection (§3 of the paper).
+//! The decisive step matters to DiCE twice over: the Loc-RIB keeps it
+//! beside each best route ([`Selected::reason`](crate::rib::Selected)),
+//! and the concolic handler marks the "is this route preferred" condition
+//! symbolic to explore both outcomes of route selection (§3 of the paper).
 
 use crate::rib::Route;
 use serde::{Deserialize, Serialize};

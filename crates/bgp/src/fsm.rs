@@ -35,8 +35,6 @@ pub enum FsmEvent {
         code: u8,
         /// NOTIFICATION error subcode.
         subcode: u8,
-        /// Human-readable reason for the trace.
-        reason: &'static str,
     },
 }
 
@@ -70,7 +68,6 @@ impl PeerFsm {
                     return FsmEvent::ProtocolError {
                         code: crate::wire::notif::OPEN_ERROR,
                         subcode: 2, // Bad Peer AS
-                        reason: "peer AS does not match configuration",
                     };
                 }
                 self.negotiated_hold = my_hold.min(their_hold);
@@ -80,7 +77,6 @@ impl PeerFsm {
             _ => FsmEvent::ProtocolError {
                 code: crate::wire::notif::FSM_ERROR,
                 subcode: 0,
-                reason: "OPEN outside OpenSent",
             },
         }
     }
@@ -96,7 +92,6 @@ impl PeerFsm {
             _ => FsmEvent::ProtocolError {
                 code: crate::wire::notif::FSM_ERROR,
                 subcode: 0,
-                reason: "KEEPALIVE before OPEN exchange",
             },
         }
     }
@@ -108,7 +103,6 @@ impl PeerFsm {
             _ => FsmEvent::ProtocolError {
                 code: crate::wire::notif::FSM_ERROR,
                 subcode: 0,
-                reason: "UPDATE outside Established",
             },
         }
     }

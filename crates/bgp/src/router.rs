@@ -10,7 +10,6 @@
 //! built by [`BgpRouter::update_twin`]) on any value domain.
 
 use core::any::Any;
-use core::fmt::Display;
 use core::ops::Range;
 use std::sync::Arc;
 
@@ -22,7 +21,7 @@ use crate::config::RouterConfig;
 use crate::decision::{select, DecisionReason};
 use crate::fsm::{FsmEvent, PeerFsm, SessionState};
 use crate::policy::{screen_path, PathFault, Policy};
-use crate::rib::{Rib, Route, Selected};
+use crate::rib::{Rib, Route};
 use crate::twin::UpdateTwin;
 use crate::types::{Asn, Ipv4Addr, Ipv4Net};
 use crate::wire::{self, Message, NotificationMsg, OpenMsg, UpdateMsg};
@@ -264,10 +263,6 @@ impl BgpRouter {
         if legitimate && !config.owned.contains(&prefix) {
             config.owned.push(prefix);
         }
-        api.trace(
-            "config",
-            format_args!("announce {prefix} legitimate={legitimate}"),
-        );
         self.recompute_and_propagate(prefix, api);
     }
 
@@ -275,15 +270,13 @@ impl BgpRouter {
     pub fn withdraw_network(&mut self, prefix: Ipv4Net, api: &mut NodeApi<'_>) {
         let config = &mut Arc::make_mut(&mut self.shared).config;
         config.networks.retain(|n| n != &prefix);
-        api.trace("config", format_args!("withdraw {prefix}"));
         self.recompute_and_propagate(prefix, api);
     }
 
     /// Operator action: replace a named policy. Takes effect for routes
     /// processed after the change (a session reset forces re-evaluation,
     /// as with a hard clear on real routers).
-    pub fn replace_policy(&mut self, policy: Policy, api: &mut NodeApi<'_>) {
-        api.trace("config", format_args!("replace policy {}", policy.name));
+    pub fn replace_policy(&mut self, policy: Policy) {
         let mut config = self.shared.config.clone();
         config.policies.insert(policy.name.clone(), policy);
         // The one action that changes what the policy slots were resolved
@@ -325,18 +318,7 @@ impl BgpRouter {
         api.send(to, buf);
     }
 
-    fn protocol_error(
-        &mut self,
-        peer: NodeId,
-        code: u8,
-        subcode: u8,
-        reason: impl Display,
-        api: &mut NodeApi<'_>,
-    ) {
-        api.trace(
-            "notif",
-            format_args!("to {peer}: {code}/{subcode} {reason}"),
-        );
+    fn protocol_error(&mut self, peer: NodeId, code: u8, subcode: u8, api: &mut NodeApi<'_>) {
         let msg = Message::Notification(NotificationMsg {
             code,
             subcode,
@@ -352,8 +334,6 @@ impl BgpRouter {
     }
 
     fn on_established(&mut self, i: usize, api: &mut NodeApi<'_>) {
-        let peer = self.shared.neighbors[i].node;
-        api.trace("session", format_args!("established with {peer}"));
         let prefixes: Vec<Ipv4Net> = self.rib.iter().map(|(p, _)| *p).collect();
         for prefix in prefixes {
             self.export_to(i..i + 1, prefix, api);
@@ -389,13 +369,7 @@ impl BgpRouter {
                     nlri.retain(|p| self.rib.remove(peer, p));
                 } else if screened == Err(PathFault::FirstAs) {
                     // eBGP first-AS check (RFC 4271 §6.3).
-                    self.protocol_error(
-                        peer,
-                        wire::notif::UPDATE_ERROR,
-                        11,
-                        "first AS in path is not the peer AS",
-                        api,
-                    );
+                    self.protocol_error(peer, wire::notif::UPDATE_ERROR, 11, api);
                     return;
                 } else {
                     let peer_router_id = self.peers[i].router_id.unwrap_or(peer.0);
@@ -456,17 +430,6 @@ impl BgpRouter {
         };
         if !changed {
             return;
-        }
-        match self.rib.best(&prefix) {
-            Some(Selected { route: best, .. }) => api.trace(
-                "best",
-                format_args!(
-                    "{prefix} path[{}] lp{}",
-                    best.attrs.as_path,
-                    best.attrs.effective_local_pref()
-                ),
-            ),
-            None => api.trace("best", format_args!("{prefix} unreachable")),
         }
         self.export_to(0..self.peers.len(), prefix, api);
     }
@@ -534,11 +497,10 @@ impl BgpRouter {
 }
 
 impl Node for BgpRouter {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
+    fn on_start(&mut self, _: &mut NodeApi<'_>) {
         for prefix in self.shared.config.networks.clone() {
             let route = Route::local(PathAttrs::originated(self.shared.own_addr()));
             self.rib.install(prefix, route, DecisionReason::OnlyRoute);
-            api.trace("best", format_args!("{prefix} local"));
         }
     }
 
@@ -572,8 +534,7 @@ impl Node for BgpRouter {
                     );
                 }
             }
-            SessionEvent::Down(reason) => {
-                api.trace("session", format_args!("down with {peer}: {reason:?}"));
+            SessionEvent::Down(_) => {
                 if let Some(fsm) = &mut self.peers[i].fsm {
                     fsm.on_transport_down();
                 }
@@ -608,7 +569,7 @@ impl Node for BgpRouter {
             Err(wire::Verdict::Reject(e)) => {
                 self.stats.decode_errors += 1;
                 let (code, subcode) = e.notification_codes();
-                self.protocol_error(from, code, subcode, format_args!("decode: {e}"), api);
+                self.protocol_error(from, code, subcode, api);
                 return;
             }
         };
@@ -632,12 +593,8 @@ impl Node for BgpRouter {
                         self.send_message(from, &Message::Keepalive, api, true);
                         self.arm_session_timers(i, api);
                     }
-                    FsmEvent::ProtocolError {
-                        code,
-                        subcode,
-                        reason,
-                    } => {
-                        self.protocol_error(from, code, subcode, reason, api);
+                    FsmEvent::ProtocolError { code, subcode } => {
+                        self.protocol_error(from, code, subcode, api);
                     }
                     FsmEvent::SessionEstablished => unreachable!("OPEN cannot establish"),
                 }
@@ -648,12 +605,8 @@ impl Node for BgpRouter {
                 match fsm.on_keepalive() {
                     FsmEvent::SessionEstablished => self.on_established(i, api),
                     FsmEvent::None => {}
-                    FsmEvent::ProtocolError {
-                        code,
-                        subcode,
-                        reason,
-                    } => {
-                        self.protocol_error(from, code, subcode, reason, api);
+                    FsmEvent::ProtocolError { code, subcode } => {
+                        self.protocol_error(from, code, subcode, api);
                     }
                 }
             }
@@ -661,22 +614,14 @@ impl Node for BgpRouter {
                 let fsm = self.peers[i].fsm.get_or_insert_with(PeerFsm::default);
                 match fsm.on_update() {
                     FsmEvent::None => self.handle_update(i, upd, api),
-                    FsmEvent::ProtocolError {
-                        code,
-                        subcode,
-                        reason,
-                    } => {
-                        self.protocol_error(from, code, subcode, reason, api);
+                    FsmEvent::ProtocolError { code, subcode } => {
+                        self.protocol_error(from, code, subcode, api);
                     }
                     FsmEvent::SessionEstablished => unreachable!("UPDATE cannot establish"),
                 }
             }
-            Message::Notification(n) => {
+            Message::Notification(_) => {
                 self.stats.notifications_rx += 1;
-                api.trace(
-                    "notif",
-                    format_args!("from {from}: {}/{}", n.code, n.subcode),
-                );
                 api.reset_session(from);
             }
         }
@@ -707,13 +652,7 @@ impl Node for BgpRouter {
                     .fsm(peer)
                     .is_some_and(|f| f.state != SessionState::Idle);
                 if relevant {
-                    self.protocol_error(
-                        peer,
-                        wire::notif::HOLD_EXPIRED,
-                        0,
-                        "hold timer expired",
-                        api,
-                    );
+                    self.protocol_error(peer, wire::notif::HOLD_EXPIRED, 0, api);
                 }
             }
             timer::DEFERRED_RESET => {
@@ -1226,9 +1165,9 @@ mod tests {
         type Mutation = fn(&mut Simulator, &[u8]);
         let mutations: [Mutation; 4] = [
             |sim, _| {
-                sim.invoke_node(NodeId(1), |node, api| {
+                sim.invoke_node(NodeId(1), |node, _| {
                     let r = node.as_any_mut().downcast_mut::<BgpRouter>().unwrap();
-                    r.replace_policy(Policy::reject_all("all"), api);
+                    r.replace_policy(Policy::reject_all("all"));
                 })
             },
             |sim, _| {

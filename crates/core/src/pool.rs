@@ -44,9 +44,8 @@ impl ClonePool {
 
     /// Check a simulator out, bound to `shadow` with `seed`: the pooled
     /// one reset in place when there is one, a fresh `from_shadow` clone
-    /// otherwise. Such a clone keeps no trace ring: the counters every
-    /// checker reads stay exact, and the event trail of a fault belongs to
-    /// its replay, not to each of the clean clones.
+    /// otherwise. A clone keeps counters, not an event log: the event
+    /// trail of a fault belongs to its replay, not to each clean clone.
     pub(crate) fn acquire(
         &mut self,
         shadow: &ShadowSnapshot,

@@ -39,7 +39,7 @@ use std::sync::Arc;
 use dice_netsim::{Concrete, Node, NodeApi, NodeId, SessionEvent, SimDuration, SimTime};
 
 use crate::twin::FrameTwin;
-use crate::wire::{self, DecodeError, GossipFrame, Rumor, TopicId, Verdict, MAX_DIGEST_ENTRIES};
+use crate::wire::{self, GossipFrame, Rumor, TopicId, Verdict, MAX_DIGEST_ENTRIES};
 
 /// Timer token: periodic anti-entropy digests.
 const TOKEN_ANTI_ENTROPY: u64 = 1;
@@ -390,10 +390,6 @@ impl GossipNode {
                 self.pending.remove(&key);
                 if kind == wire::ACK_KIND_RUMOR {
                     self.unmark_infected(peer, &(topic, id));
-                    api.trace(
-                        "gossip-retry-exhausted",
-                        format_args!("topic {topic} id {id:#x} to {peer}"),
-                    );
                 }
                 continue;
             }
@@ -482,10 +478,6 @@ impl GossipNode {
         self.send_ack(from, wire::ACK_KIND_RUMOR, rumor.topic, rumor.id, api);
         self.mark_infected(from, (rumor.topic, rumor.id));
         if self.admit(&rumor, api.now()) {
-            api.trace(
-                "gossip-deliver",
-                format_args!("topic {} id {:#x} from {from}", rumor.topic, rumor.id),
-            );
             self.monger(&rumor, Some(from), api);
         }
     }
@@ -563,15 +555,9 @@ impl Node for GossipNode {
                 api.crash(why);
                 return;
             }
-            Err(Verdict::Reject(e)) => {
-                // Conforming nodes drop malformed frames (datagram
-                // semantics) — unlike BGP, a bad frame does not reset the
-                // session.
-                if !matches!(e, DecodeError::Empty) {
-                    api.trace("gossip-reject", format_args!("{e} from {from}"));
-                }
-                return;
-            }
+            // Conforming nodes drop malformed frames (datagram semantics)
+            // — unlike BGP, a bad frame does not reset the session.
+            Err(Verdict::Reject(_)) => return,
         };
         match frame {
             GossipFrame::Rumor(r) => self.handle_rumor(from, r, api),
@@ -625,10 +611,6 @@ impl Node for GossipNode {
                             }
                         }
                     }
-                    api.trace(
-                        "gossip-gc",
-                        format_args!("evicted {} rumors", expired.len()),
-                    );
                 }
                 api.set_timer(GC_PERIOD, TOKEN_GC);
             }

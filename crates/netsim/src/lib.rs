@@ -90,4 +90,4 @@ pub use sim::{QuietOutcome, Simulator, SnapshotStats};
 pub use snapshot::{ShadowSnapshot, SnapshotId, SnapshotProgress};
 pub use time::{SimDuration, SimTime};
 pub use topology::{EdgeSpec, InternetParams, NeighborRole, Relationship, Topology};
-pub use trace::{Trace, TraceEvent, TraceKind, TraceStats};
+pub use trace::{Trace, TraceStats};

@@ -67,8 +67,6 @@ pub enum Effect {
     CancelTimer { token: u64 },
     /// Tear down the session with `peer`; both ends get `Down(Reset)`.
     ResetSession { peer: NodeId },
-    /// Record a structured trace annotation.
-    Trace { tag: &'static str, detail: String },
     /// The node hit an unrecoverable internal error (models a daemon crash).
     Crash { reason: String },
 }
@@ -82,8 +80,6 @@ pub struct NodeApi<'a> {
     effects: &'a mut Vec<Effect>,
     /// The simulator's payload free list.
     bufs: &'a mut BufPool,
-    /// Whether the simulator's trace ring keeps annotations.
-    annotate: bool,
 }
 
 impl<'a> NodeApi<'a> {
@@ -92,14 +88,12 @@ impl<'a> NodeApi<'a> {
         now: SimTime,
         effects: &'a mut Vec<Effect>,
         bufs: &'a mut BufPool,
-        annotate: bool,
     ) -> Self {
         NodeApi {
             me,
             now,
             effects,
             bufs,
-            annotate,
         }
     }
 
@@ -148,17 +142,6 @@ impl<'a> NodeApi<'a> {
     /// NOTIFICATION teardown at the transport level).
     pub fn reset_session(&mut self, peer: NodeId) {
         self.effects.push(Effect::ResetSession { peer });
-    }
-
-    /// Emit a structured trace annotation attributed to this node. Pass
-    /// `format_args!(..)`: the text is rendered here, once, and only when
-    /// the simulator's trace ring retains annotations — a handler on a
-    /// ring-less validation clone pays nothing for its commentary.
-    pub fn trace(&mut self, tag: &'static str, detail: core::fmt::Arguments<'_>) {
-        if self.annotate {
-            let detail = detail.to_string();
-            self.effects.push(Effect::Trace { tag, detail });
-        }
     }
 
     /// Declare that this node has crashed (unrecoverable internal error).
@@ -251,7 +234,7 @@ mod tests {
     fn api_records_effects_in_order() {
         let mut effects = Vec::new();
         let mut pool = BufPool::new();
-        let mut api = NodeApi::new(NodeId(1), SimTime::ZERO, &mut effects, &mut pool, true);
+        let mut api = NodeApi::new(NodeId(1), SimTime::ZERO, &mut effects, &mut pool);
         api.send(NodeId(2), vec![1]);
         api.set_timer(SimDuration::from_secs(1), 7);
         api.cancel_timer(7);
@@ -264,26 +247,6 @@ mod tests {
             effects[3],
             Effect::ResetSession { peer: NodeId(2) }
         ));
-    }
-
-    #[test]
-    fn annotations_render_only_when_retained() {
-        struct Loud<'a>(&'a core::cell::Cell<u32>);
-        impl core::fmt::Display for Loud<'_> {
-            fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-                self.0.set(self.0.get() + 1);
-                f.write_str("x")
-            }
-        }
-        let rendered = core::cell::Cell::new(0);
-        for (annotate, want_effects, want_renders) in [(false, 0, 0), (true, 1, 1)] {
-            let mut effects = Vec::new();
-            let mut pool = BufPool::new();
-            let mut api = NodeApi::new(NodeId(1), SimTime::ZERO, &mut effects, &mut pool, annotate);
-            api.trace("t", format_args!("{}", Loud(&rendered)));
-            assert_eq!(effects.len(), want_effects);
-            assert_eq!(rendered.get(), want_renders);
-        }
     }
 
     #[test]
@@ -303,7 +266,7 @@ mod tests {
         let mut effects = Vec::new();
         let mut node = Echo::default();
         let mut pool = BufPool::new();
-        let mut api = NodeApi::new(NodeId(0), SimTime::ZERO, &mut effects, &mut pool, true);
+        let mut api = NodeApi::new(NodeId(0), SimTime::ZERO, &mut effects, &mut pool);
         node.on_message(NodeId(3), &[9, 9], &mut api);
         assert_eq!(node.seen, vec![9, 9]);
         match &effects[0] {
@@ -320,7 +283,7 @@ mod tests {
         let mut pool = BufPool::new();
         pool.recycle(Vec::with_capacity(100));
         let mut effects = Vec::new();
-        let mut api = NodeApi::new(NodeId(0), SimTime::ZERO, &mut effects, &mut pool, true);
+        let mut api = NodeApi::new(NodeId(0), SimTime::ZERO, &mut effects, &mut pool);
         let mut b = api.buf();
         b.extend_from_slice(&[4, 2]);
         api.send(NodeId(1), b);

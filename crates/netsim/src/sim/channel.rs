@@ -21,7 +21,6 @@ use crate::rng::SimRng;
 use crate::snapshot::SnapshotId;
 use crate::time::SimTime;
 use crate::topology::Topology;
-use crate::trace::TraceKind;
 
 /// A frame traveling on a channel.
 #[derive(Debug, Clone)]
@@ -253,14 +252,8 @@ impl Simulator {
                         if !quiet {
                             self.last_activity = self.now;
                         }
-                        self.trace.push(
-                            self.now,
-                            TraceKind::Delivered {
-                                src,
-                                dst,
-                                bytes: bytes.len(),
-                            },
-                        );
+                        self.trace.stats.msgs_delivered += 1;
+                        self.trace.stats.bytes_delivered += bytes.len() as u64;
                         self.with_node(dst, |node, api| node.on_message(src, &bytes, api));
                     }
                     self.buf_pool.recycle(bytes);
@@ -291,7 +284,6 @@ impl Simulator {
     /// frames a cut recorded in flight: those are already in the channel,
     /// so a replay never subjects them to the fault model a second time.
     pub(super) fn send_frame(&mut self, dir: usize, frame: Frame, sample_faults: bool) {
-        let (src, dst) = self.topo.endpoints(dir);
         let size = match &frame {
             Frame::Data { bytes, .. } => bytes.len(),
             Frame::Marker(_) => 32,
@@ -340,14 +332,7 @@ impl Simulator {
         if !quietness {
             self.last_activity = self.now;
         }
-        self.trace.push(
-            self.now,
-            TraceKind::Sent {
-                src,
-                dst,
-                bytes: size,
-            },
-        );
+        self.trace.stats.msgs_sent += 1;
         if verdict.dropped {
             self.wire.frames_dropped += 1;
             if let Frame::Data { bytes, .. } = frame {
@@ -416,7 +401,7 @@ impl Simulator {
             return;
         }
         self.sessions[edge] = SessionState::Up;
-        self.trace.push(self.now, TraceKind::SessionUp { a, b });
+        self.trace.stats.sessions_up += 1;
         self.with_node(a, |node, api| node.on_session(b, SessionEvent::Up, api));
         self.with_node(b, |node, api| node.on_session(a, SessionEvent::Up, api));
     }
@@ -435,8 +420,7 @@ impl Simulator {
             return;
         }
         self.sessions[edge] = SessionState::Down;
-        self.trace
-            .push(self.now, TraceKind::SessionDown { a, b, reason });
+        self.trace.stats.sessions_down += 1;
         // Drop in-flight data in both directions; bump epochs so queued
         // delivery events become no-ops.
         self.links.touch(2 * edge);

@@ -66,27 +66,23 @@ impl Simulator {
     /// checkpoints are deep-copied the moment the clone first mutates
     /// them. It is [`Simulator::reset_from_shadow`] applied to an empty
     /// simulator, so a fresh clone and a pooled one are bound by the same
-    /// code. It keeps no trace ring (the counters stay exact): a clone that
-    /// should retain its events is a [`Simulator::new`] rebound by that
-    /// reset.
+    /// code.
     pub fn from_shadow(shadow: &ShadowSnapshot, topo: &Topology, seed: u64) -> Simulator {
-        let mut sim = Simulator::with_trace(topo.clone(), seed, 0);
+        let mut sim = Simulator::new(topo.clone(), seed);
         sim.reset_from_shadow(shadow, seed);
         sim
     }
 
     /// Rebind this simulator to a (possibly different) shadow snapshot of
     /// the **same topology**, reusing every allocation the simulator
-    /// already holds — channel queues, the event heap, the trace ring,
-    /// node slots — instead of allocating them anew as
+    /// already holds — channel queues, the event heap, node slots —
+    /// instead of allocating them anew as
     /// [`Simulator::from_shadow`] does. The result is state-for-state
     /// indistinguishable from a fresh `from_shadow(shadow, topo, seed)`
     /// — which is this reset applied to an empty simulator; the unit tests
     /// hold a thoroughly dirtied simulator's reset equal to it — and that
     /// is what lets clone pools reuse simulators across validated inputs
-    /// without perturbing determinism. The one thing a reset keeps is the
-    /// trace ring's capacity: a [`Simulator::new`] rebound here retains
-    /// its events, a clone does not.
+    /// without perturbing determinism.
     ///
     /// The cost follows what the previous drive touched, not the
     /// federation: channels are re-zeroed from the touched-links list, and
@@ -112,7 +108,7 @@ impl Simulator {
         self.queue.clear();
         self.seq = 0;
         self.admin_down.clear();
-        self.trace.clear();
+        self.trace = Default::default();
         self.pristine.clear();
         self.cuts.reset();
         if self.binding.bound_to == Some(shadow.id()) {
@@ -221,6 +217,7 @@ mod tests {
     use super::*;
     use crate::faults::LinkFaults;
     use crate::time::{SimDuration, SimTime};
+    use std::cmp::Reverse;
 
     #[test]
     fn reset_from_shadow_matches_from_shadow_state_for_state() {
@@ -276,13 +273,13 @@ mod tests {
 
         // The same, for a pooled simulator reset *mid-drive* with the
         // fault layer on: nodes materialised, frames in flight, events
-        // queued, trace ring filled, fault streams partly consumed — onto
-        // a cut with frames in flight, which the pooled simulator replays
-        // with the previous drive's fault knobs still set and the fresh
-        // clone with none. Both keep a trace ring, so the traces compare
-        // event for event. (Break: `replay_in_flight` passing `true` to
-        // `send_frame` samples the pooled replay, and the traces below
-        // differ.)
+        // queued, fault streams partly consumed — onto a cut with frames in
+        // flight, which the pooled simulator replays with the previous
+        // drive's fault knobs still set and the fresh clone with none. The
+        // two then run in lockstep, one event at a time, their state
+        // digests equal after every step. (Break: `replay_in_flight`
+        // passing `true` to `send_frame` samples the pooled replay, and the
+        // digests differ from the reset on.)
         let mut live = line_sim(6, 17);
         live.run_until(SimTime::from_nanos(1_000_000_000));
         for hop in 0..5u32 {
@@ -293,26 +290,20 @@ mod tests {
         assert!(shadow.in_flight_count() > 0);
         let topo = live.topology().clone();
         let faults = LinkFaults::lossy(0.05);
-        let lossy_drive = |sim: &mut Simulator, until: SimDuration| {
+        let inject = |sim: &mut Simulator| {
             sim.set_unreliable_links(true);
             sim.set_link_faults(faults);
             for hop in 0..5u32 {
                 sim.deliver_direct(NodeId(hop), NodeId(hop + 1), &[0]);
                 sim.deliver_direct(NodeId(hop + 1), NodeId(hop), &[1]);
             }
-            sim.run_until(sim.now() + until);
-        };
-        let log = |sim: &Simulator| -> Vec<String> {
-            sim.trace().events().map(|e| format!("{e:?}")).collect()
         };
 
-        let mut fresh = traced_clone(&shadow, &topo, 7);
-        lossy_drive(&mut fresh, SimDuration::from_secs(5));
-
-        let mut pooled = traced_clone(&shadow, &topo, 99);
-        lossy_drive(&mut pooled, SimDuration::from_millis(7));
+        let mut fresh = Simulator::from_shadow(&shadow, &topo, 7);
+        let mut pooled = Simulator::from_shadow(&shadow, &topo, 99);
+        inject(&mut pooled);
+        pooled.run_for(SimDuration::from_millis(7));
         assert!(!pooled.queue.is_empty(), "reset must hit a non-empty heap");
-        assert!(!pooled.trace().is_empty());
         assert!(pooled.links.data_in_flight().next().is_some());
         assert!(pooled
             .nodes
@@ -320,17 +311,18 @@ mod tests {
             .all(|slot| matches!(slot.node, NodeState::Owned(_))));
         let _ = pooled.take_wire_stats(); // the clone pool drains at release
         pooled.reset_from_shadow(&shadow, 7);
-        lossy_drive(&mut pooled, SimDuration::from_secs(5));
-
-        assert_eq!(log(&fresh), log(&pooled), "traces differ event for event");
-        // All but the lease counters: only the pooled free list is warm.
-        let outcome = |sim: &mut Simulator| crate::buf::WireStats {
-            buf_hits: 0,
-            buf_misses: 0,
-            ..sim.take_wire_stats()
-        };
-        let wire = outcome(&mut fresh);
-        assert_eq!(wire, outcome(&mut pooled));
+        assert_eq!(state_digest(&fresh), state_digest(&pooled), "at the reset");
+        inject(&mut fresh);
+        inject(&mut pooled);
+        let end = fresh.now() + SimDuration::from_secs(5);
+        let mut steps = 0;
+        while fresh.queue.peek().is_some_and(|Reverse(q)| q.at <= end) {
+            assert!(fresh.step() && pooled.step());
+            steps += 1;
+            assert_eq!(state_digest(&fresh), state_digest(&pooled), "step {steps}");
+        }
+        assert!(steps > 40, "the drive ran {steps} steps");
+        let wire = fresh.take_wire_stats();
         assert!(
             wire.frames_dropped + wire.frames_duplicated + wire.frames_reordered > 0,
             "the fault layer must have fired"
@@ -339,26 +331,12 @@ mod tests {
         pooled_sequence_matches_fresh_clones();
     }
 
-    /// A clone that keeps a trace ring: a [`Simulator::new`] rebound to
-    /// `shadow`, where [`Simulator::from_shadow`] starts from a ring-less
-    /// simulator.
-    fn traced_clone(shadow: &ShadowSnapshot, topo: &Topology, seed: u64) -> Simulator {
-        let mut sim = Simulator::new(topo.clone(), seed);
-        sim.reset_from_shadow(shadow, seed);
-        sim
-    }
-
     #[test]
-    fn clones_count_frames_but_retain_no_trace_events() {
-        // A validation clone's checkers read the counters; the event trail
-        // belongs to a system someone is looking at, which `new` builds.
+    fn clones_count_frames() {
+        // A validation clone's checkers read the counters, fresh or pooled.
         let mut live = two_node_sim(3);
         live.run_until(SimTime::from_nanos(1_000_000_000));
         assert!(live.trace().stats().msgs_delivered > 0);
-        assert!(
-            !live.trace().is_empty(),
-            "a `new` system retains its events"
-        );
         let shadow = live.instant_snapshot();
         let topo = live.topology().clone();
         let drive = |sim: &mut Simulator| {
@@ -372,18 +350,12 @@ mod tests {
             clone.trace().stats().msgs_delivered > 1,
             "frames were delivered"
         );
-        assert!(clone.trace().is_empty(), "a fresh clone retained events");
         clone.reset_from_shadow(&shadow, 8);
         drive(&mut clone);
         assert!(
             clone.trace().stats().msgs_delivered > 1,
             "frames were delivered"
         );
-        assert!(clone.trace().is_empty(), "a pooled reset retained events");
-
-        let mut traced = traced_clone(&shadow, &topo, 7);
-        drive(&mut traced);
-        assert!(!traced.trace().is_empty(), "a rebound `new` system retains");
     }
 
     /// What one validated input does to a clone, beyond the message.
@@ -478,7 +450,7 @@ mod tests {
             // and is then bound once, in full. (Break: `replay_in_flight`
             // passing `true` to `send_frame` fails the named sequence at
             // step 1.)
-            let mut fresh = Simulator::with_trace(topo.clone(), seed, 0);
+            let mut fresh = Simulator::new(topo.clone(), seed);
             fresh.set_link_faults(pooled.knobs.link_faults);
             fresh.reset_from_shadow(shadow, seed);
             drive(&mut pooled, input, extra);

@@ -10,7 +10,6 @@ use super::channel::{Frame, SessionState};
 use super::Simulator;
 use crate::node::{Node, NodeId};
 use crate::snapshot::{self, ShadowSnapshot, SnapshotId, SnapshotProgress, SnapshotState};
-use crate::trace::TraceKind;
 
 /// Drainable counters for the delta-snapshot capture path and the dynamics
 /// schedule, in the same take-and-zero style as [`WireStats`](crate::buf::WireStats)
@@ -250,15 +249,7 @@ impl Simulator {
         if let Some(st) = self.cuts.get_mut(id) {
             fanout.extend_from_slice(st.fanout(src));
         }
-        for &(dst, dir) in &fanout {
-            self.trace.push(
-                self.now,
-                TraceKind::MarkerSent {
-                    src,
-                    dst,
-                    snapshot: id.0,
-                },
-            );
+        for &(_, dir) in &fanout {
             self.send_frame(dir as usize, Frame::Marker(id), true);
         }
         self.cuts.fanout = fanout;
@@ -300,8 +291,6 @@ impl Simulator {
     fn finalize_snapshot_if_done(&mut self, id: SnapshotId) {
         if let Some(st) = self.cuts.get_mut(id) {
             if st.all_done() {
-                self.trace
-                    .push(self.now, TraceKind::SnapshotComplete { snapshot: id.0 });
                 st.complete();
             }
         }

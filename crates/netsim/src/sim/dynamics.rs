@@ -5,7 +5,6 @@ use super::{Down, Ev, NodeState, Simulator, SESSION_SETUP_BASE, SESSION_SETUP_ST
 use crate::node::{DownReason, NodeId};
 use crate::schedule::FaultAction;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceKind;
 
 impl Simulator {
     /// Schedule a dynamics action to fire *inside* the event loop at
@@ -36,11 +35,10 @@ impl Simulator {
         if self.nodes[n.index()].crashed.is_some() {
             return;
         }
-        self.nodes[n.index()].crashed = Some(Down::Crashed(reason.clone()));
+        self.nodes[n.index()].crashed = Some(Down::Crashed(reason));
         self.touch_node(n);
         self.cuts.invalidate(n);
-        self.trace
-            .push(self.now, TraceKind::NodeCrashed { node: n, reason });
+        self.trace.stats.crashes += 1;
         let peers: Vec<NodeId> = self.topo.neighbors(n);
         for m in peers {
             self.teardown_session(n, m, DownReason::PeerCrash, false);

@@ -10,7 +10,7 @@ use crate::topology::Topology;
 
 /// Counts messages; replies with the round number incremented. Payloads
 /// are encoded into `api.buf()`, as the protocol nodes' are.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub(super) struct Pinger {
     initiate: bool,
     pub(super) sent: u32,
@@ -207,7 +207,7 @@ pub(super) fn scripted_ring(fixed: bool, seed: u64) -> Simulator {
 }
 
 /// Everything observable or consequential about a simulator of
-/// [`Scripted`] nodes, private state included, and the next 8 draws of
+/// [`Scripted`] or [`Pinger`] nodes, private state included, and the next 8 draws of
 /// every link's two streams (drawn from copies: the probe must not list a
 /// link as touched).
 pub(super) fn state_digest(sim: &Simulator) -> Vec<String> {
@@ -234,12 +234,20 @@ pub(super) fn state_digest(sim: &Simulator) -> Vec<String> {
             sim.crashed(NodeId(i as u32)),
             slot.timer_gen,
             sim.binding.touched(i),
-            slot.node.get().map(scripted),
+            slot.node.get().map(fixture_state),
         ));
     }
     out.extend(sim.cuts.digest());
     out.extend(sim.links.digest(&sim.topo));
     out
+}
+
+/// A [`Scripted`] or [`Pinger`] node's state.
+fn fixture_state(node: &dyn Node) -> String {
+    match node.as_any().downcast_ref::<Pinger>() {
+        Some(p) => format!("{p:?}"),
+        None => format!("{:?}", scripted(node)),
+    }
 }
 
 /// A [`Scripted`] node's state.

@@ -9,7 +9,9 @@
 //! maintains:
 //!
 //! - this module — the struct, its setters and accessors, the event loop
-//!   (`step` / `run_*`) and handler dispatch (`with_node`, `apply_effects`);
+//!   (`step` / `run_*`) and handler dispatch (`with_node`, `apply_effects`).
+//!   The loop keeps counters ([`TraceStats`](crate::trace::TraceStats)),
+//!   bumped where each event happens, and no event log;
 //! - `channel` — link directions and sessions: `send_frame`,
 //!   `process_deliver`, establish / teardown, and the `Links` table nothing
 //!   else can write;
@@ -28,7 +30,7 @@ use crate::node::{DownReason, Effect, Node, NodeApi, NodeId};
 use crate::schedule::FaultAction;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use crate::trace::{Trace, TraceKind};
+use crate::trace::Trace;
 
 mod channel;
 mod clone;
@@ -160,11 +162,6 @@ const SESSION_SETUP_BASE: SimDuration = SimDuration::from_millis(1);
 const SESSION_SETUP_STAGGER: SimDuration = SimDuration::from_micros(500);
 /// Re-establishment delay after a session reset.
 const RECONNECT_DELAY: SimDuration = SimDuration::from_secs(5);
-/// Capacity of the trace ring of a simulator built by [`Simulator::new`].
-/// A clone built by [`Simulator::from_shadow`] keeps none: its counters
-/// ([`TraceStats`](crate::trace::TraceStats)) stay exact and node
-/// annotations are never rendered.
-const TRACE_CAPACITY: usize = 64 * 1024;
 
 /// The scenario inputs the setters change; a simulator starts from
 /// `Default`.
@@ -219,14 +216,9 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Create a simulator over `topo`, keeping a trace ring. Nodes must be
-    /// installed with [`Simulator::set_node`] before [`Simulator::start`].
+    /// Create a simulator over `topo`. Nodes must be installed with
+    /// [`Simulator::set_node`] before [`Simulator::start`].
     pub fn new(topo: Topology, seed: u64) -> Self {
-        Self::with_trace(topo, seed, TRACE_CAPACITY)
-    }
-
-    /// An empty simulator whose trace ring retains `trace_capacity` events.
-    fn with_trace(topo: Topology, seed: u64, trace_capacity: usize) -> Self {
         let edges = topo.edges().len();
         let nodes: Vec<NodeSlot> = (0..topo.len())
             .map(|_| NodeSlot {
@@ -241,7 +233,7 @@ impl Simulator {
             queue: BinaryHeap::new(),
             seq: 0,
             nodes,
-            trace: Trace::with_capacity(trace_capacity),
+            trace: Trace::default(),
             topo,
             links: Links::new(edges, seed),
             sessions: vec![SessionState::Down; edges],
@@ -310,7 +302,7 @@ impl Simulator {
         self.now
     }
 
-    /// The execution trace.
+    /// The execution counters.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
@@ -536,8 +528,7 @@ impl Simulator {
         if slot.crashed.is_some() || slot.timer_gen.get(&token) != Some(&gen) {
             return;
         }
-        self.trace
-            .push(self.now, TraceKind::TimerFired { node: n, token });
+        self.trace.stats.timers_fired += 1;
         self.with_node(n, |node, api| node.on_timer(token, api));
     }
 
@@ -558,13 +549,7 @@ impl Simulator {
         let mut effects = std::mem::take(&mut self.effects_scratch);
         effects.clear();
         {
-            let mut api = NodeApi::new(
-                n,
-                self.now,
-                &mut effects,
-                &mut self.buf_pool,
-                self.trace.retains(),
-            );
+            let mut api = NodeApi::new(n, self.now, &mut effects, &mut self.buf_pool);
             f(node.as_mut(), &mut api);
         }
         self.nodes[n.index()].node = NodeState::Owned(node);
@@ -604,16 +589,6 @@ impl Simulator {
                 Effect::ResetSession { peer } => {
                     self.teardown_session(n, peer, DownReason::Reset, true);
                 }
-                Effect::Trace { tag, detail } => {
-                    self.trace.push(
-                        self.now,
-                        TraceKind::Node {
-                            node: n,
-                            tag,
-                            detail,
-                        },
-                    );
-                }
                 Effect::Crash { reason } => self.crash_node(n, reason),
             }
         }
@@ -631,14 +606,8 @@ impl Simulator {
     /// point: subjecting a node to a generated input.
     pub fn deliver_direct(&mut self, src: NodeId, dst: NodeId, bytes: &[u8]) {
         self.last_activity = self.now;
-        self.trace.push(
-            self.now,
-            TraceKind::Delivered {
-                src,
-                dst,
-                bytes: bytes.len(),
-            },
-        );
+        self.trace.stats.msgs_delivered += 1;
+        self.trace.stats.bytes_delivered += bytes.len() as u64;
         self.with_node(dst, |node, api| node.on_message(src, bytes, api));
     }
 }
@@ -780,6 +749,37 @@ mod tests {
             stats.msgs_delivered >= 5,
             "expected full ping-pong exchange"
         );
+    }
+
+    #[test]
+    fn counters_track_kinds() {
+        // Five one-byte frames of ping-pong, one two-byte input delivered
+        // directly, then a crash that takes the session down.
+        let mut sim = two_node_sim(1);
+        sim.run_until(SimTime::from_nanos(1_000_000_000));
+        sim.deliver_direct(NodeId(0), NodeId(1), &[9, 9]);
+        sim.inject_node_crash(NodeId(1));
+        assert_eq!(
+            sim.trace().stats(),
+            crate::trace::TraceStats {
+                msgs_sent: 5,
+                msgs_delivered: 6,
+                bytes_delivered: 7,
+                timers_fired: 0,
+                sessions_up: 1,
+                sessions_down: 1,
+                crashes: 1,
+            }
+        );
+
+        // Of the three timers `OP_TIMERS` arms, one is cancelled and one
+        // re-armed before it fires.
+        let mut ring = scripted_ring(true, 1);
+        ring.run_until(SimTime::from_nanos(1_000_000_000));
+        let before = ring.trace().stats().timers_fired;
+        ring.deliver_direct(NodeId(1), NodeId(0), &[OP_TIMERS]);
+        ring.run_for(SimDuration::from_millis(100));
+        assert_eq!(ring.trace().stats().timers_fired - before, 2);
     }
 
     #[test]
