@@ -16,6 +16,7 @@
 //! | `bgp_update_decode` | `decode` of a full UPDATE (AS_PATH, communities, a transitive unknown) / a withdraw-only UPDATE / one rejected at its NEXT_HOP | 8 / 1 / 3 (the owned withdrawn, AS_PATH, community, unknown-attribute and NLRI storage) | `dice_bgp::wire::{validate_update, decode}` |
 //! | `same_cut_reset` | `reset_from_shadow` after an injected and after a null drive, gossip16 and demo27 | 0 | `Simulator::{reset_from_shadow, rebind_touched, bind_node}`, `Links::reset`, `Cuts::{reset, seed}` |
 //! | `repeat_cut` | `instant_snapshot` of a quiesced system already cut once, gossip16 / demo27 | 9 / 10 | `checkpoint_node` |
+//! | `live_convergence` | `run_until_quiet` of a started `scenarios::demo27_system`, from start to quiescence | 12,976 | `process_deliver`, `with_node`, `apply_effects`, `BgpRouter::{on_start, on_session, on_message}`, `recompute_and_propagate` |
 //! | `consistent_cut` | `take_consistent_snapshot` of a quiesced system already cut once, gossip16 / demo27 | 19 / 20 | `start_snapshot`, `SnapshotState::{new, into_shadow}`, `send_markers`, `snapshot_on_marker` |
 //! | `passing_battery` | `run_checkers` over a null-drive clone, warm baseline, gossip16 and demo27 | 1 (the reserved report) | `run_checkers`, `check_into` of `CrashChecker`, `OscillationChecker`, `OriginAuthorityChecker`, `ConvergenceChecker` |
 //! | `pooled_unit` | reset → `deliver_direct` → `run_until_quiet` → `run_checkers`, gossip16 / demo27 | 602 / 657 | `process_deliver`, `NodeApi::buf`, `recompute_and_propagate`, `export_to`, `Policy::apply` |
@@ -50,6 +51,12 @@
 //! * `repeat_cut`: make `checkpoint_node` serve a clean node as
 //!   `Arc::from(cached.clone_node())`, and a gossip16 cut allocates 329
 //!   times.
+//! * `live_convergence`: give the simulator back an event log — a
+//!   `VecDeque` of every counted event, sent and delivered frames, timers
+//!   and session changes, up to 64 Ki of them — and let `BgpRouter`
+//!   render a `String` per best-route change and session event, and the
+//!   convergence allocates 16,841 times (the simulator before its counters
+//!   stood alone).
 //! * `consistent_cut`: make `send_markers` collect the fan-out into a
 //!   fresh `Vec` instead of the `Cuts` scratch buffer, and a gossip16 cut
 //!   allocates 35 times (173 with the ordered-set bookkeeping the
@@ -349,6 +356,19 @@ fn repeat_cut() {
         assert_eq!(cut.node_count(), live.topology().len());
         within(&format!("{name}: a repeat cut"), spent, budget);
     }
+}
+
+#[test]
+fn live_convergence() {
+    let mut live = scenarios::demo27_system(7);
+    let (out, spent) = counted(|| {
+        live.run_until_quiet(
+            SimDuration::from_secs(5),
+            SimTime::from_nanos(300_000_000_000),
+        )
+    });
+    assert_eq!(out, QuietOutcome::Quiescent);
+    within("demo27 from start to quiescence", spent, 12_976);
 }
 
 #[test]
