@@ -172,19 +172,37 @@ impl Table {
 }
 
 /// What makes an artifact comparable across machines and commits: host
-/// cores, the commit the binary was built from (`git describe --always
-/// --dirty`, `unknown` outside a checkout) and how many times each point
-/// was repeated.
+/// cores, the commit the binary was built from ([`commit_label`],
+/// `unknown` outside a checkout) and how many times each point was
+/// repeated.
 fn artifact_header() -> serde_json::Value {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let commit = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let commit = match (
+        git(&["describe", "--always"]),
+        git(&["diff", "--name-only", "HEAD"]),
+    ) {
+        (Some(describe), Some(changed)) => commit_label(&describe, &changed),
+        _ => "unknown".to_string(),
+    };
     serde_json::json!({ "host_cores": cores, "commit": commit, "repeat": parse_repeat() })
+}
+
+/// `describe` (`git describe --always`) with `-dirty` appended when
+/// `changed` (`git diff --name-only HEAD`, one path from the root a line)
+/// names a file other than a root `BENCH_*.json`: regenerating a committed
+/// bench in place leaves the headers of later runs clean.
+fn commit_label(describe: &str, changed: &str) -> String {
+    let is_bench = |p: &str| p.starts_with("BENCH_") && p.ends_with(".json") && !p.contains('/');
+    let dirty = changed.lines().any(|p| !is_bench(p));
+    format!("{}{}", describe.trim(), if dirty { "-dirty" } else { "" })
 }
 
 /// What [`maybe_write_json`] writes.
@@ -558,6 +576,42 @@ mod tests {
             }
         }
         assert_eq!(files, 3, "BENCH_wire / BENCH_topology / BENCH_faults");
+
+        // The committed three were made from a clean tree; a local
+        // `*.smoke.json` may not have been.
+        for name in [
+            "BENCH_faults.json",
+            "BENCH_topology.json",
+            "BENCH_wire.json",
+        ] {
+            let text = std::fs::read_to_string(root.join(name)).expect("readable");
+            let v: Cell = serde_json::from_str(&text).expect("parses");
+            let Cell::String(commit) = &v["header"]["commit"] else {
+                panic!("{name}: no header.commit");
+            };
+            assert!(!commit.ends_with("-dirty"), "{name}: commit {commit}");
+        }
+    }
+
+    #[test]
+    fn only_a_change_outside_the_root_benches_is_dirty() {
+        assert_eq!(commit_label("4a0b8e7\n", ""), "4a0b8e7", "clean");
+        assert_eq!(
+            commit_label("4a0b8e7\n", "BENCH_faults.json\nBENCH_wire.json\n"),
+            "4a0b8e7",
+            "dirty only in the root benches"
+        );
+        for changed in [
+            "crates/bench/src/lib.rs\n",
+            "BENCH_wire.json\nROADMAP.md\n",
+            "benchmark/out/BENCH_x.json\n",
+        ] {
+            assert_eq!(
+                commit_label("4a0b8e7\n", changed),
+                "4a0b8e7-dirty",
+                "{changed:?}"
+            );
+        }
     }
 
     #[test]
