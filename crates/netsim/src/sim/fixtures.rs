@@ -207,9 +207,9 @@ pub(super) fn scripted_ring(fixed: bool, seed: u64) -> Simulator {
 }
 
 /// Everything observable or consequential about a simulator of
-/// [`Scripted`] or [`Pinger`] nodes, private state included, and the next 8 draws of
-/// every link's two streams (drawn from copies: the probe must not list a
-/// link as touched).
+/// [`Scripted`] or [`Pinger`] nodes, private state included, and the next
+/// 8 draws of every link's two streams (drawn from copies: the probe must
+/// not list a link as touched).
 pub(super) fn state_digest(sim: &Simulator) -> Vec<String> {
     let mut out = vec![
         format!(
