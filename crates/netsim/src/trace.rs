@@ -3,12 +3,13 @@
 //! The simulator keeps counters, not an event log: [`TraceStats`] is exact
 //! and never drops data, and it is what the checkers, the benchmark and
 //! the `exp_*` binaries read. A fault's event trail belongs to its replay,
-//! which records what it needs from the clone it drives.
+//! not to every simulator.
 
 /// Aggregate counters of one simulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
-    /// Data frames sent (including quiet sends).
+    /// Frames put on a channel: data frames (quiet sends included), a
+    /// cut's replayed in-flight frames and snapshot markers.
     pub msgs_sent: u64,
     /// Data frames delivered.
     pub msgs_delivered: u64,
