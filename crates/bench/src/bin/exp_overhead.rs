@@ -1,17 +1,104 @@
-//! **T2 — Checkpoint and snapshot overhead** (paper §2/§3: "lightweight
-//! node checkpoints", "low overhead").
+//! **T2 — Checkpoint, snapshot and instrumentation overhead** (paper
+//! §2/§3: "lightweight node checkpoints", "low overhead").
 //!
-//! Three sweeps:
-//! 1. checkpoint size & clone time vs Loc-RIB size (single node);
-//! 2. consistent-snapshot latency (simulated & wall) vs node count;
-//! 3. clone-instantiation + validation throughput.
+//! Five tables:
+//! 1. T2a — checkpoint size & clone time vs Loc-RIB size (single node);
+//! 2. T2b — consistent-snapshot latency (simulated & wall) vs node count;
+//! 3. T2c — clone-instantiation + validation throughput;
+//! 4. T2d — consistent vs instant snapshot wall cost;
+//! 5. T2e — the instrumentation tax (paper §3: "low overhead"): one UPDATE
+//!    through the plain wire decode, the router's handler twin with no
+//!    byte symbolic (DiCE idle) and with the marked bytes symbolic (DiCE
+//!    exploring), each the median of `--repeat N` samples with min and
+//!    max. It asserts the constraints each twin run records ([`RECORDED`]),
+//!    so the comparison is what it claims to be.
 
-use dice_bench::{maybe_write_json, Table};
-use dice_bgp::{BgpRouter, RouterConfig, RouterId};
-use dice_core::scenarios;
+use dice_bench::{maybe_write_json, min_median_max, parse_repeat, Table};
+use dice_bgp::{Asn, BgpRouter, RouterConfig, RouterId};
+use dice_concolic::{BranchRec, ConcolicCtx, ConcolicProgram, SymInput};
 use dice_core::snapshot::{take_consistent_snapshot, take_instant_snapshot};
+use dice_core::{mark_update, scenarios, DomainProgram, UpdateGrammar};
 use dice_netsim::{Node, NodeId, SimDuration, SimTime, Simulator, Topology};
 use serde_json::json;
+use std::hint::black_box;
+
+/// Constraints the concrete and the symbolic twin run record on T2e's
+/// UPDATE, and how many of them read an input byte: both record the
+/// route-preference oracle (a pseudo-byte past the input); only the
+/// symbolic run records the branches its path takes on marked bytes.
+const RECORDED: [(usize, usize); 2] = [(1, 0), (40, 39)];
+
+/// `(min, median, max)` host nanoseconds per call of `f`, each sample the
+/// mean over a fixed count of calls.
+fn ns_per_call<T>(repeat: usize, mut f: impl FnMut() -> T) -> (f64, f64, f64) {
+    const CALLS: u32 = 2_000;
+    let samples: Vec<f64> = (0..repeat)
+        .map(|_| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "benchmark binary reports wall time by design"
+            )]
+            let start = std::time::Instant::now();
+            for _ in 0..CALLS {
+                black_box(f());
+            }
+            start.elapsed().as_nanos() as f64 / f64::from(CALLS)
+        })
+        .collect();
+    min_median_max(&samples)
+}
+
+/// T2e: one grammar UPDATE through the plain decode and through the
+/// router's twin with no byte / the marked bytes symbolic.
+fn instrumentation_tax(repeat: usize) -> Table {
+    let cfg = RouterConfig::minimal(Asn(65001), RouterId(1)).with_neighbor(
+        NodeId(2),
+        Asn(65002),
+        "all",
+        "all",
+    );
+    let bytes = UpdateGrammar::new(Asn(65002), 9).generate();
+    let mut twin = DomainProgram(
+        BgpRouter::new(cfg)
+            .update_twin(NodeId(2))
+            .expect("neighbour 2 is configured"),
+    );
+    let mut t = Table::new(
+        "T2e — instrumentation tax on one UPDATE (median of --repeat, min, max)",
+        &[
+            "run",
+            "constraints_recorded",
+            "over_input_bytes",
+            "ns_per_update",
+            "ns_min",
+            "ns_max",
+        ],
+    );
+    dice_bgp::decode(&bytes).expect("a grammar UPDATE decodes");
+    let (min, median, max) = ns_per_call(repeat, || dice_bgp::decode(&bytes));
+    t.row(json!(["wire decode", 0, 0, median, min, max]));
+    let inputs = [
+        ("twin, concrete", SymInput::all_concrete(bytes.clone())),
+        (
+            "twin, symbolic",
+            SymInput::with_mask(bytes.clone(), mark_update(&bytes)),
+        ),
+    ];
+    for ((run, input), expected) in inputs.into_iter().zip(RECORDED) {
+        let mut ctx = ConcolicCtx::new(input.clone());
+        twin.run(&mut ctx);
+        let reads_input = |rec: &&BranchRec| {
+            let vars = ctx.arena().vars(rec.constraint);
+            vars.iter().any(|&v| (v as usize) < bytes.len())
+        };
+        let over_input = ctx.path().iter().filter(reads_input).count();
+        assert_eq!((ctx.path().len(), over_input), expected, "{run}");
+        let (min, median, max) =
+            ns_per_call(repeat, || twin.run(&mut ConcolicCtx::new(input.clone())));
+        t.row(json!([run, expected.0, over_input, median, min, max]));
+    }
+    t
+}
 
 /// A router with `routes` originated prefixes (to inflate the RIB).
 fn fat_router(routes: u32) -> BgpRouter {
@@ -152,5 +239,8 @@ fn main() {
     }
     t4.print();
 
-    maybe_write_json(&[&t1, &t2, &t3, &t4], &[]);
+    let t5 = instrumentation_tax(parse_repeat());
+    t5.print();
+
+    maybe_write_json(&[&t1, &t2, &t3, &t4, &t5], &[]);
 }

@@ -7,7 +7,7 @@
 //! |---|---|
 //! | `exp_demo27` | F1 — the 27-router Figure 1 demo |
 //! | `exp_detection` | T1 — detection of the three fault classes |
-//! | `exp_overhead` | T2 — checkpoint/snapshot overhead |
+//! | `exp_overhead` | T2 — checkpoint/snapshot overhead and the instrumentation tax |
 //! | `exp_exploration` | F2 — concolic vs grammar vs random coverage |
 //! | `exp_code_config` | T3 — constraints scale with configuration |
 //! | `exp_snapshot_consistency` | A1 — consistent vs uncoordinated snapshots |
@@ -15,10 +15,11 @@
 //! | `exp_topo` | T1 — the 100 / 1k / 5k scale curve on internet-like topologies |
 //! | `exp_faults` | N1 — detection effort vs link loss on the nemesis federation |
 //!
-//! Criterion micro-benches (`snapshot_bench`, `clone_reuse`, `handler_bench`,
-//! `solver_bench`, `wire_path`, `check_battery`) cover T4 (instrumentation
-//! and snapshot tax). Campaign throughput is not measured here: that is the
-//! `benchmark/` package's job (EXPERIMENTS.md, "Where it went").
+//! The instrumentation and snapshot tax (T4) is carried by `exp_overhead`'s
+//! T2 tables and by the allocation budgets in `tests/alloc_budgets.rs`,
+//! which count with this crate's [`CountingAlloc`]. Campaign throughput is
+//! not measured here: that is the `benchmark/` package's job
+//! (EXPERIMENTS.md, "Where it went", maps both).
 //!
 //! Each binary prints Markdown tables to stdout and, when `--json PATH` is
 //! given, writes them as JSON under one `{host_cores, commit, repeat}`
@@ -26,9 +27,9 @@
 
 use std::fmt::Write as _;
 
-/// Fixed, realistic wire-path workloads shared by the `wire_path`
-/// criterion bench and the `exp_wire` allocation experiment, so the time
-/// and allocation sides of W1 measure the same messages.
+/// Fixed, realistic wire-path workloads shared by the `exp_wire`
+/// allocation experiment, the allocation budgets and [`twin_cases`], so
+/// each counts the same messages.
 pub mod wire_workload {
     use dice_bgp::wire::{Message, UpdateMsg};
     use dice_bgp::{net, AsPath, Community, Ipv4Addr, PathAttrs};
@@ -248,7 +249,7 @@ pub fn maybe_write_json(tables: &[&Table], campaigns: &[(String, &dice_core::Cam
 pub const INTERNET_ORIGINATORS: usize = 4;
 
 /// The seeded internet-like AS graph of the scale experiments (`exp_topo`,
-/// the 1k-node micro-benches, `benchmark/`'s `internet1k_sweep`): lateral
+/// and the same graph in `benchmark/`'s `internet1k_sweep`): lateral
 /// peering probability scaled down as `8/n`, keeping expected peer degree
 /// roughly constant so a curve over `n` measures size, not densification.
 pub fn internet_topology(n: usize) -> dice_netsim::Topology {
@@ -260,23 +261,8 @@ pub fn internet_topology(n: usize) -> dice_netsim::Topology {
     dice_netsim::Topology::internet_like(n, &params, &mut rng)
 }
 
-/// The full Gao–Rexford BGP system over [`internet_topology`]`(n)` with
-/// [`INTERNET_ORIGINATORS`] prefixes, run to quiescence.
-pub fn converged_internet(n: usize) -> dice_netsim::Simulator {
-    use dice_netsim::{SimDuration, SimTime};
-    let topo = internet_topology(n);
-    let mut live =
-        dice_core::scenarios::build_system_with_originators(&topo, INTERNET_ORIGINATORS, 17);
-    live.run_until_quiet(
-        SimDuration::from_secs(5),
-        SimTime::from_nanos(600_000_000_000),
-    );
-    live
-}
-
-/// The counting allocator of the allocation-reporting benches
-/// (`handler_bench`, `check_battery`, `exp_wire`) and of the allocation
-/// budgets (`tests/alloc_budgets.rs`, `dice-bgp`'s `differential.rs`):
+/// The counting allocator of `exp_wire` and of the allocation budgets
+/// (`tests/alloc_budgets.rs`, `dice-bgp`'s `differential.rs`):
 /// install it with
 /// `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;` and
 /// read [`allocations`] / [`allocated_bytes`] before and after the code to
@@ -346,8 +332,8 @@ pub type TwinCase = (
 
 /// The two twins over [`wire_workload`]'s messages — `"bgp_update"` (the
 /// UPDATE twin of a router with one neighbour) and `"gossip_digest"` (the
-/// frame twin of a node subscribed to topic 3) — as `handler_bench` times
-/// them and the allocation budgets count them.
+/// frame twin of a node subscribed to topic 3) — as the allocation budgets
+/// count them and `dice-concolic`'s `session_order` test runs them.
 pub fn twin_cases() -> [TwinCase; 2] {
     use dice_bgp::{Asn, BgpRouter, RouterConfig, RouterId};
     use dice_core::{gossip_sut::mark_gossip, mark_update, DomainProgram};
@@ -380,8 +366,8 @@ pub fn twin_cases() -> [TwinCase; 2] {
 }
 
 /// One consistent cut of a benchmark system and a valid input for it — what
-/// the per-input micro-benches (`clone_reuse`'s `reset_same_shadow`,
-/// `check_battery`) bind their pooled clone to.
+/// the pooled allocation budgets (`same_cut_reset`, `passing_battery`,
+/// `pooled_unit`, `first_write`) bind their clone to.
 pub struct BoundClone {
     /// The cut.
     pub shadow: dice_netsim::ShadowSnapshot,
@@ -399,16 +385,15 @@ pub struct BoundClone {
     pub valid_input: Vec<u8>,
 }
 
-/// The systems `benchmark/`'s sweep workloads deploy — `"gossip16"` (the
-/// 16-node mesh), `"demo27"`, `"internet1k"` ([`converged_internet`]) —
-/// converged and cut, explorer node 0 with its first injection peer.
+/// Two of the systems `benchmark/`'s sweep workloads deploy — `"gossip16"`
+/// (the 16-node mesh) and `"demo27"` — converged and cut, explorer node 0
+/// with its first injection peer.
 pub fn bound_clone(name: &str) -> BoundClone {
     use dice_core::scenarios;
     use dice_netsim::{NodeId, SimDuration, SimTime};
     let mut live = match name {
         "gossip16" => scenarios::gossip_mesh(16, 2),
         "demo27" => scenarios::demo27_system(2),
-        "internet1k" => converged_internet(1000),
         other => panic!("no benchmark system named {other}"),
     };
     live.run_until_quiet(
@@ -532,22 +517,23 @@ mod tests {
         assert!(is_rendered_quantity("5%") && is_rendered_quantity("1,024 ns"));
         assert!(!is_rendered_quantity("demo27") && !is_rendered_quantity("s"));
 
+        // The committed benches by name: a gitignored `BENCH_*.smoke.json`
+        // that CI's smoke steps write beside them is not one of them.
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let mut files = 0;
-        for entry in std::fs::read_dir(&root).expect("repo root") {
-            let path = entry.expect("dir entry").path();
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
-                continue;
-            }
-            files += 1;
-            let text = std::fs::read_to_string(&path).expect("readable");
+        for name in [
+            "BENCH_faults.json",
+            "BENCH_topology.json",
+            "BENCH_wire.json",
+        ] {
+            let text = std::fs::read_to_string(root.join(name))
+                .unwrap_or_else(|e| panic!("{name}: a committed bench is missing: {e}"));
             let v: Cell = serde_json::from_str(&text).expect("parses");
             let header = &v["header"];
+            // Made from a clean tree; a local `*.smoke.json` may not be.
             assert!(
                 matches!(
                     (&header["host_cores"], &header["commit"], &header["repeat"]),
-                    (Cell::U64(_), Cell::String(_), Cell::U64(_))
+                    (Cell::U64(_), Cell::String(c), Cell::U64(_)) if !c.ends_with("-dirty")
                 ),
                 "{name}: header {header:?}"
             );
@@ -574,22 +560,6 @@ mod tests {
                     }
                 }
             }
-        }
-        assert_eq!(files, 3, "BENCH_wire / BENCH_topology / BENCH_faults");
-
-        // The committed three were made from a clean tree; a local
-        // `*.smoke.json` may not have been.
-        for name in [
-            "BENCH_faults.json",
-            "BENCH_topology.json",
-            "BENCH_wire.json",
-        ] {
-            let text = std::fs::read_to_string(root.join(name)).expect("readable");
-            let v: Cell = serde_json::from_str(&text).expect("parses");
-            let Cell::String(commit) = &v["header"]["commit"] else {
-                panic!("{name}: no header.commit");
-            };
-            assert!(!commit.ends_with("-dirty"), "{name}: commit {commit}");
         }
     }
 

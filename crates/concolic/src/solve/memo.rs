@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn negated_unary_set_is_the_complement_of_the_swept_one() {
-        // The single-variable constraints of the `solver_bench` shapes
+        // The single-variable constraints of handler-shaped systems
         // (dispatch chain, NLRI length bounds), masked and arithmetic
         // ones, and 16- / 32-bit words over one byte with width-masked
         // arithmetic: the one-pass lane sweep gives what 256 `eval` walks

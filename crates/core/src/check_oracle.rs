@@ -1,9 +1,9 @@
 //! The checker battery as it was before baselines: every node's tables
 //! visited on every clone, flip counts probed in one federation-wide map,
 //! one SHA-256 per route. Kept word for word as the oracle the
-//! differential tests (`tests/check_differential.rs`) and the
-//! `check_battery` bench hold [`crate::check::run_checkers`] against —
-//! nothing in the engine calls it.
+//! differential tests (`tests/check_differential.rs`) hold
+//! [`crate::check::run_checkers`] against — nothing in the engine calls
+//! it.
 
 use std::collections::BTreeMap;
 

@@ -2,10 +2,11 @@
 //! counting allocator (`dice_bench::CountingAlloc`) sees every allocation a
 //! call makes, its callees' included, so a budget holds however the code
 //! under it is split into functions. Each budget warms its path once,
-//! counts one call and asserts at most the count pinned when it was
-//! written, with no slack: the counts are exact, and equal in debug and
-//! release builds. A faster path lowers its pin; a new hot path adds a
-//! budget here.
+//! counts one call and asserts that it spends exactly the count pinned
+//! when it was written: the counts are exact, and equal in debug and
+//! release builds, so a pin that no longer matches fails whichever way the
+//! count moved. A faster path lowers its pin; a new hot path adds a budget
+//! here.
 //!
 //! | budget | the counted call | pinned | hot-path fns it runs |
 //! |---|---|---|---|
@@ -21,11 +22,12 @@
 //! | `passing_battery` | `run_checkers` over a null-drive clone, warm baseline, gossip16 and demo27 | 1 (the reserved report) | `run_checkers`, `check_into` of `CrashChecker`, `OscillationChecker`, `OriginAuthorityChecker`, `ConvergenceChecker` |
 //! | `pooled_unit` | reset → `deliver_direct` → `run_until_quiet` → `run_checkers`, gossip16 / demo27 | 602 / 657 | `process_deliver`, `NodeApi::buf`, `recompute_and_propagate`, `export_to`, `Policy::apply` |
 //! | `first_write` | `deliver_direct` of the input into a warm pooled demo27 clone: the explorer's copy and its first UPDATE | 47 | `BgpRouter::clone_node`, `handle_update`, `Rib::{insert, install, advertise}` |
-//! | `bgp_plan` | `exploration_plan` of a demo27 router, grammar seeds 0 / 8 | 8 / 84 (the boxed twin and the seed corpus) | `BgpRouter::update_twin`, `UpdateGrammar::{generate, batch}`, `encode` |
+//! | `bgp_plan` | `exploration_plan` of a demo27 router, grammar seeds 0 / 8 | 8 / 82 (the boxed twin and the seed corpus) | `BgpRouter::update_twin`, `UpdateGrammar::{generate, batch}`, `encode` |
 //! | `warm_twin_execution` | one twin run through `ConcolicCtx::continuing` on a warm arena, BGP / gossip | 4 / 0 | `ExprArena::intern` |
 //! | `explore_session` | one `explore` of 160 executions, BGP / gossip | 881 / 3,389 | `Search::{dfs, narrow, admits, admits_cmp, offset_of}`, `ExprArena::{sweep, intern, eval3_memo}`, `UnaryMemo::lookup`, `Worklist::{push, pick}` |
 //! | `warm_session` | a second `ExploreState::explore` of the same 160 executions on one state, BGP / gossip | 808 / 3,324 (no node interned, no constraint swept) | as `explore_session`, over a warm arena and warm memos |
 //! | `one_worker_campaign` | `Campaign::run` at one worker, one gossip16 round | 1,457 | `validate_unit`, `validate_one`, `ClonePool::{acquire, release}` (at one worker they run on the calling thread) |
+//! | `update_fanout` | `deliver_direct` of an UPDATE into a Gao–Rexford hub with 64 established neighbours and the 5 ms drain of what it sent: a customer's that changes the best route (fan-out 63) / a provider's that does not (fan-out 0) | 15 / 5 | `BgpRouter::on_message`, `handle_update`, `recompute_and_propagate`, `export_to`, `send_update`, `NodeApi::buf` |
 //! | `gossip_copy_shares_its_tables` | `clone_node` of a 16-mesh gossip node | 19 | `GossipNode::clone_node` |
 //! | `bgp_router_copy_stays_at_its_pinned_count` | `clone_node` of a demo27 router | 2 | `BgpRouter::clone_node` |
 //!
@@ -83,6 +85,9 @@
 //!   session allocates 870 times.
 //! * `one_worker_campaign`: make `ClonePool::release` drop the simulator,
 //!   and the campaign allocates 1,639 times.
+//! * `update_fanout`: make `export_to` advertise a copy of the exported
+//!   bag (`Arc::new(PathAttrs::clone(attrs))`) instead of sharing its
+//!   `Arc`, and the customer UPDATE allocates 204 times.
 //! * `gossip_copy_shares_its_tables`: make `clone_node` deep-copy the
 //!   store, the dedup memory and every per-peer infection set, and a copy
 //!   of a 16-mesh node allocates 153 times (187 when every table was
@@ -91,7 +96,13 @@
 //!   the router's resolved config (`BgpRouter::shared`) instead of sharing
 //!   its `Arc`, and a copy allocates 104 times.
 
+use core::any::Any;
 use dice_bench::{allocations, bound_clone, twin_cases, wire_workload, BoundClone, CountingAlloc};
+use dice_system::bgp::policy::gao_rexford;
+use dice_system::bgp::{
+    encode, AsPath, Asn, BgpRouter, Ipv4Addr, Ipv4Net, Message, OpenMsg, PathAttrs, Policy,
+    RouterConfig, RouterId, UpdateMsg,
+};
 use dice_system::concolic::{
     explore, ConcolicCtx, ExploreConfig, ExploreState, ExprArena, SymInput,
 };
@@ -102,7 +113,10 @@ use dice_system::dice::{
     AttestationRegistry, Campaign, CheckBaseline, CheckContext, CheckReport, Checker,
     ExplorableNode, SutCatalog,
 };
-use dice_system::netsim::{BufPool, NodeId, QuietOutcome, SimDuration, SimTime, Simulator};
+use dice_system::netsim::{
+    BufPool, LinkParams, NeighborRole, Node, NodeApi, NodeId, QuietOutcome, Relationship,
+    SessionEvent, SimDuration, SimTime, Simulator, Topology,
+};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -119,10 +133,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 fn within(what: &str, spent: u64, budget: u64) {
-    assert!(
-        spent <= budget,
-        "{what} allocated {spent} times (budget {budget})"
-    );
+    assert_eq!(spent, budget, "{what}: allocations against its pin");
 }
 
 fn quiesced(mut live: Simulator, within_s: u64) -> Simulator {
@@ -338,6 +349,13 @@ fn same_cut_reset() {
         for (case, input) in [("injected", Some(&b.valid_input[..])), ("null", None)] {
             for warm in [true, false] {
                 drive(&mut sim, &b, input);
+                // The injected input floods the system; a null drive does not.
+                let delivered = sim.trace().stats().msgs_delivered;
+                assert_eq!(
+                    delivered > b.topo.len() as u64 / 2,
+                    input.is_some(),
+                    "{name}: a {case} drive delivered {delivered} frames"
+                );
                 let ((), spent) = counted(|| sim.reset_from_shadow(&b.shadow, 3));
                 if !warm {
                     within(&format!("{name}: a reset after a {case} drive"), spent, 0);
@@ -438,7 +456,7 @@ fn bgp_plan() {
     let live = live("demo27");
     let router = as_bgp(live.node(NodeId(0))).expect("a router");
     let peer = router.injection_peers()[0];
-    for (grammar_seeds, budget) in [(0, 8), (8, 84)] {
+    for (grammar_seeds, budget) in [(0, 8), (8, 82)] {
         let plan = || router.exploration_plan(peer, grammar_seeds, 7);
         let _ = plan();
         let (_, spent) = counted(plan);
@@ -552,4 +570,135 @@ fn bgp_router_copy_stays_at_its_pinned_count() {
     // A shared RIB and a shared config: a converged demo27 router copy is
     // the box and the flat session table.
     within("a demo27 router copy", max_clone_allocs(&live("demo27")), 2);
+}
+
+/// A neighbour that completes the session handshake and then only
+/// listens: what `update_fanout` counts is the hub.
+#[derive(Clone)]
+struct Listener {
+    asn: Asn,
+}
+
+impl Node for Listener {
+    fn on_session(&mut self, peer: NodeId, ev: SessionEvent, api: &mut NodeApi<'_>) {
+        if ev == SessionEvent::Up {
+            let open = Message::Open(OpenMsg {
+                version: 4,
+                asn: self.asn,
+                hold_time: 0,
+                router_id: RouterId(u32::from(self.asn.0)),
+                opt_params: vec![],
+            });
+            api.send(peer, encode(&open));
+        }
+    }
+
+    fn on_message(&mut self, from: NodeId, data: &[u8], api: &mut NodeApi<'_>) {
+        // The type octet follows the 16-octet marker and the length;
+        // nothing but an OPEN (type 1) is even decoded.
+        if data.get(18) == Some(&1) {
+            api.send(from, encode(&Message::Keepalive));
+        }
+    }
+
+    fn clone_node(&self) -> Box<dyn Node> {
+        Box::new(self.clone())
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+const HUB: NodeId = NodeId(0);
+
+/// A star of `n` listeners around a Gao–Rexford hub, every session
+/// established: customers, peers and providers interleaved by node id
+/// (1 a customer, 2 a peer, 3 a provider, …), one policy name per
+/// neighbour as the scenario builders generate them.
+fn hub_with(n: u16) -> Simulator {
+    let own = Asn(65000);
+    let mut hub = RouterConfig::minimal(own, RouterId(0x0A00_0000));
+    hub.hold_time = 0;
+    let mut topo = Topology::with_nodes(usize::from(n) + 1);
+    for m in 1..=n {
+        let role = match m % 3 {
+            1 => NeighborRole::Customer,
+            2 => NeighborRole::Peer,
+            _ => NeighborRole::Provider,
+        };
+        let (import, export) = (format!("imp-{m}"), format!("exp-{m}"));
+        hub = hub
+            .with_policy(Policy {
+                name: import.clone(),
+                ..gao_rexford::import_policy(own, role)
+            })
+            .with_policy(Policy {
+                name: export.clone(),
+                ..gao_rexford::export_policy(own, role)
+            })
+            .with_neighbor(NodeId(m.into()), Asn(65000 + m), import, export);
+        let link = LinkParams::fixed(SimDuration::from_millis(1));
+        topo.add_edge(HUB, NodeId(m.into()), link, Relationship::Unlabeled);
+    }
+    let mut sim = Simulator::new(topo, 11);
+    sim.set_node(HUB, Box::new(BgpRouter::new(hub)));
+    for m in 1..=n {
+        let asn = Asn(65000 + m);
+        sim.set_node(NodeId(m.into()), Box::new(Listener { asn }));
+    }
+    sim.start();
+    sim.run_until(SimTime::from_nanos(5_000_000_000));
+    sim
+}
+
+#[test]
+fn update_fanout() {
+    // The speaker's side of an UPDATE at a hub with 64 neighbours: a
+    // customer's UPDATE that replaces the best route goes out to the 63
+    // others, a provider's that does not win goes to none (LOCAL_PREF 200
+    // vs 50 once the customer's route is in). The two UPDATEs of a case
+    // differ in their AS path, so each delivery replaces the route.
+    let mut sim = hub_with(64);
+    for (name, from, fan_out, budget) in [
+        ("a customer UPDATE, best route replaced", 1u16, 63, 15),
+        ("a provider UPDATE, best route kept", 3, 0, 5),
+    ] {
+        let updates = [64001u16, 64002].map(|origin| {
+            encode(&Message::Update(UpdateMsg {
+                withdrawn: vec![],
+                attrs: Some(PathAttrs {
+                    as_path: AsPath::sequence([65000 + from, origin]),
+                    next_hop: Ipv4Addr(0x0A00_0000 + u32::from(from)),
+                    ..Default::default()
+                }),
+                nlri: vec![Ipv4Net::new(0x0A09_0000, 16)],
+            }))
+        });
+        let stats = |sim: &Simulator| {
+            let hub = sim.node(HUB).as_any().downcast_ref::<BgpRouter>();
+            hub.expect("the hub is a BgpRouter").stats()
+        };
+        // Deliver, then drain what the hub sent so queues stay flat.
+        let deliver = |sim: &mut Simulator, update: &[u8]| {
+            sim.deliver_direct(NodeId(from.into()), HUB, update);
+            let until = sim.now() + SimDuration::from_millis(5);
+            sim.run_until(until);
+        };
+        for update in &updates {
+            deliver(&mut sim, update);
+        }
+        for update in &updates {
+            let before = stats(&sim);
+            let ((), spent) = counted(|| deliver(&mut sim, update));
+            let after = stats(&sim);
+            assert_eq!(after.updates_rx - before.updates_rx, 1, "{name}");
+            assert_eq!(after.updates_tx - before.updates_tx, fan_out, "{name}");
+            within(name, spent, budget);
+        }
+    }
 }
