@@ -358,6 +358,7 @@ impl BgpRouter {
         } = upd;
         affected.retain(|w| self.rib.remove(peer, w));
 
+        let mut first_as_error = false;
         match attrs {
             Some(mut attrs) if !nlri.is_empty() => {
                 let screened = screen_path(&mut Concrete(&[]), &attrs, own, peer_asn);
@@ -368,9 +369,10 @@ impl BgpRouter {
                     self.stats.loop_rejects += 1;
                     nlri.retain(|p| self.rib.remove(peer, p));
                 } else if screened == Err(PathFault::FirstAs) {
-                    // eBGP first-AS check (RFC 4271 §6.3).
-                    self.protocol_error(peer, wire::notif::UPDATE_ERROR, 11, api);
-                    return;
+                    // eBGP first-AS check (RFC 4271 §6.3): the announcement
+                    // is an error, the withdrawals before it still stand.
+                    first_as_error = true;
+                    nlri.clear();
                 } else {
                     let peer_router_id = self.peers[i].router_id.unwrap_or(peer.0);
                     let mut left = nlri.len();
@@ -413,6 +415,9 @@ impl BgpRouter {
         affected.dedup();
         for p in affected {
             self.recompute_and_propagate(p, api);
+        }
+        if first_as_error {
+            self.protocol_error(peer, wire::notif::UPDATE_ERROR, 11, api);
         }
     }
 
@@ -842,6 +847,67 @@ mod tests {
             "node 1's old row must go"
         );
         assert!(r0.loc_rib().best(&prefix).is_none(), "no route is left");
+    }
+
+    /// Every best route learned from a peer has that peer's Adj-RIB-In row.
+    fn assert_best_routes_have_rows(r: &BgpRouter) {
+        for (prefix, sel) in r.loc_rib().iter() {
+            if let Some(peer) = sel.route.from_peer {
+                assert!(
+                    r.adj_rib_in().get(NodeId(peer), prefix).is_some(),
+                    "best route for {prefix} from {peer} has no row"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn withdrawals_before_a_first_as_error_are_recomputed() {
+        // Node 1 announces 20/8, then sends one UPDATE that withdraws it
+        // and announces 30/8 with a path that does not start with its AS:
+        // the withdrawal stands, so node 0 must drop its best route for
+        // 20/8 before the NOTIFICATION resets the session.
+        let cfg0 = simple_config(0, &[1]);
+        let cfg1 = simple_config(1, &[0]).with_network(net("20.0.0.0/8"));
+        let mut sim = build_sim(2, &[(0, 1)], vec![cfg0, cfg1]);
+        sim.run_until(SimTime::from_nanos(5_000_000_000));
+        let prefix = net("20.0.0.0/8");
+        assert_eq!(
+            router(&sim, 0)
+                .loc_rib()
+                .best(&prefix)
+                .unwrap()
+                .route
+                .from_peer,
+            Some(1)
+        );
+
+        let msg = Message::Update(UpdateMsg {
+            withdrawn: vec![prefix],
+            attrs: Some(PathAttrs {
+                as_path: crate::attrs::AsPath::sequence([65009]),
+                next_hop: Ipv4Addr(0x0A000002),
+                ..Default::default()
+            }),
+            nlri: vec![net("30.0.0.0/8")],
+        });
+        let now = sim.now();
+        sim.deliver_direct(NodeId(1), NodeId(0), &wire::encode(&msg));
+        let r0 = router(&sim, 0);
+        assert!(r0.adj_rib_in().get(NodeId(1), &prefix).is_none());
+        assert!(
+            r0.loc_rib().best(&prefix).is_none(),
+            "the withdrawal stands"
+        );
+        assert!(r0.loc_rib().best(&net("30.0.0.0/8")).is_none());
+        assert_best_routes_have_rows(r0);
+
+        // The deferred reset takes the session down.
+        sim.run_until(now + dice_netsim::SimDuration::from_millis(100));
+        let r0 = router(&sim, 0);
+        assert_eq!(r0.session_state(NodeId(1)), SessionState::Idle);
+        assert!(r0.loc_rib().best(&prefix).is_none());
+        assert_best_routes_have_rows(r0);
     }
 
     #[test]
