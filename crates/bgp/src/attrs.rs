@@ -9,7 +9,6 @@
 use crate::types::{Asn, Community, Ipv4Addr};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 
 /// Attribute flag bits.
 pub mod flags {
@@ -78,20 +77,32 @@ pub enum SegmentKind {
     Sequence = 2,
 }
 
-/// One AS_PATH segment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// One AS_PATH segment, as a path is built from parts
+/// ([`AsPath`]'s `FromIterator`).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsPathSegment {
     /// Set or sequence.
     pub kind: SegmentKind,
-    /// Member AS numbers (max 255 per segment on the wire).
+    /// Member AS numbers, 1 to 255 (what a segment's count octet holds).
     pub asns: Vec<Asn>,
 }
 
-/// The AS_PATH attribute.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+/// The most members one segment holds: its count is one octet.
+const SEGMENT_MAX: usize = 255;
+
+/// A segment's header word: its two wire octets, kind then count.
+fn header(kind: SegmentKind, count: usize) -> u16 {
+    debug_assert!((1..=SEGMENT_MAX).contains(&count), "segment of {count}");
+    ((kind as u16) << 8) | count as u16
+}
+
+/// The AS_PATH attribute, stored as its wire value: per segment a header
+/// word (the kind in the high octet, the member count in the low one),
+/// then one word per member. A path of any number of segments is one
+/// allocation, and encoding it writes its words.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AsPath {
-    /// Segments in wire order.
-    pub segments: Vec<AsPathSegment>,
+    words: Vec<u16>,
 }
 
 impl AsPath {
@@ -100,27 +111,54 @@ impl AsPath {
         AsPath::default()
     }
 
-    /// A pure sequence path.
+    /// A pure sequence path, split into segments of at most 255 members.
     pub fn sequence(asns: impl IntoIterator<Item = u16>) -> Self {
-        let asns: Vec<Asn> = asns.into_iter().map(Asn).collect();
-        if asns.is_empty() {
-            return AsPath::empty();
+        let asns: Vec<u16> = asns.into_iter().collect();
+        let mut words = Vec::with_capacity(asns.len() + asns.len().div_ceil(SEGMENT_MAX));
+        for chunk in asns.chunks(SEGMENT_MAX) {
+            words.push(header(SegmentKind::Sequence, chunk.len()));
+            words.extend_from_slice(chunk);
         }
+        AsPath { words }
+    }
+
+    /// The path an AS_PATH attribute's value encodes. `value` has passed
+    /// [`validate_update`](crate::wire::validate_update): whole segments,
+    /// each of a known kind and a count that fits.
+    pub(crate) fn from_wire(value: &[u8]) -> Self {
+        let words = value.chunks_exact(2);
         AsPath {
-            segments: vec![AsPathSegment {
-                kind: SegmentKind::Sequence,
-                asns,
-            }],
+            words: words.map(|w| u16::from_be_bytes([w[0], w[1]])).collect(),
         }
+    }
+
+    /// The attribute's wire value as 16-bit words, in order.
+    pub fn words(&self) -> &[u16] {
+        &self.words
+    }
+
+    /// The segments in wire order: each one's kind and members.
+    pub fn segments(&self) -> impl Iterator<Item = (SegmentKind, &[u16])> + '_ {
+        let mut rest = &self.words[..];
+        core::iter::from_fn(move || {
+            let (&head, tail) = rest.split_first()?;
+            let (members, next) = tail.split_at(usize::from(head as u8));
+            rest = next;
+            let kind = if head >> 8 == SegmentKind::Set as u16 {
+                SegmentKind::Set
+            } else {
+                SegmentKind::Sequence
+            };
+            Some((kind, members))
+        })
     }
 
     /// Path length for the decision process: sequences count per-AS,
     /// each set counts as 1 (RFC 4271 §9.1.2.2.a).
     pub fn path_len(&self) -> u32 {
-        self.segments
-            .iter()
-            .map(|s| match s.kind {
-                SegmentKind::Sequence => s.asns.len() as u32,
+        self.segments()
+            .map(|(kind, members)| match kind {
+                SegmentKind::Sequence => members.len() as u32,
                 SegmentKind::Set => 1,
             })
             .sum()
@@ -128,72 +166,131 @@ impl AsPath {
 
     /// Whether the path mentions `asn` anywhere (loop detection).
     pub fn contains(&self, asn: Asn) -> bool {
-        self.segments.iter().any(|s| s.asns.contains(&asn))
+        self.all_asns().any(|a| a == asn)
+    }
+
+    /// The first member and the kind of its segment, if any.
+    pub fn first_member(&self) -> Option<(Asn, SegmentKind)> {
+        let (kind, members) = self.segments().next()?;
+        Some((Asn(*members.first()?), kind))
+    }
+
+    /// The last member and the kind of its segment, if any.
+    pub fn last_member(&self) -> Option<(Asn, SegmentKind)> {
+        let (kind, members) = self.segments().last()?;
+        Some((Asn(*members.last()?), kind))
     }
 
     /// The leftmost AS (the neighbor that sent us the route), if any.
     pub fn first_asn(&self) -> Option<Asn> {
-        self.segments.first().and_then(|s| match s.kind {
-            SegmentKind::Sequence => s.asns.first().copied(),
-            SegmentKind::Set => None,
-        })
+        match self.first_member()? {
+            (asn, SegmentKind::Sequence) => Some(asn),
+            (_, SegmentKind::Set) => None,
+        }
     }
 
     /// The rightmost AS (the originator), if any.
     pub fn origin_asn(&self) -> Option<Asn> {
-        self.segments.last().and_then(|s| match s.kind {
-            SegmentKind::Sequence => s.asns.last().copied(),
-            SegmentKind::Set => None,
-        })
+        match self.last_member()? {
+            (asn, SegmentKind::Sequence) => Some(asn),
+            (_, SegmentKind::Set) => None,
+        }
     }
 
     /// Prepend `asn` `count` times (eBGP export).
     pub fn prepend(&mut self, asn: Asn, count: u8) {
-        if count == 0 {
-            return;
+        if count > 0 {
+            *self = self.prepended(asn, [count]);
         }
-        match self.segments.first_mut() {
-            Some(seg)
-                if seg.kind == SegmentKind::Sequence && seg.asns.len() + count as usize <= 255 =>
-            {
-                for _ in 0..count {
-                    seg.asns.insert(0, asn);
-                }
+    }
+
+    /// The path `asn` prepended `counts` times in turn makes of this one,
+    /// built at its final size. Each count is one [`prepend`](Self::prepend):
+    /// it joins the leading segment when that is a sequence with room for
+    /// it, and opens a new sequence segment otherwise.
+    pub fn prepended(&self, asn: Asn, counts: impl IntoIterator<Item = u8> + Clone) -> AsPath {
+        // Replay the prepends on the leading segment's kind and size to
+        // learn the final length, then again to fill the words from the
+        // back: the original path ends the buffer, each prepend extends
+        // the segment at `front` or opens one before it.
+        let lead = match self.words.first() {
+            Some(&h) => (h >> 8 == SegmentKind::Sequence as u16, usize::from(h as u8)),
+            None => (false, 0),
+        };
+        let (mut sequence, mut size) = lead;
+        let mut added = 0;
+        for count in counts.clone().into_iter().filter(|&c| c > 0) {
+            let count = usize::from(count);
+            if sequence && size + count <= SEGMENT_MAX {
+                size += count;
+            } else {
+                (sequence, size) = (true, count);
+                added += 1;
             }
-            _ => {
-                self.segments.insert(
-                    0,
-                    AsPathSegment {
-                        kind: SegmentKind::Sequence,
-                        asns: vec![asn; count as usize],
-                    },
-                );
-            }
+            added += count;
         }
+        let total = self.words.len() + added;
+        let mut words = vec![0; total];
+        words[added..].copy_from_slice(&self.words);
+        let mut front = added;
+        (sequence, size) = lead;
+        for count in counts.into_iter().filter(|&c| c > 0) {
+            let count = usize::from(count);
+            if sequence && size + count <= SEGMENT_MAX {
+                // The header moves `count` words left over the new members.
+                size += count;
+                front -= count;
+            } else {
+                (sequence, size) = (true, count);
+                front -= count + 1;
+            }
+            words[front] = header(SegmentKind::Sequence, size);
+            words[front + 1..front + 1 + count].fill(asn.0);
+        }
+        debug_assert_eq!(front, 0);
+        AsPath { words }
     }
 
     /// All ASNs in order of appearance (sets flattened).
     pub fn all_asns(&self) -> impl Iterator<Item = Asn> + '_ {
-        self.segments.iter().flat_map(|s| s.asns.iter().copied())
+        self.segments()
+            .flat_map(|(_, members)| members.iter().copied().map(Asn))
+    }
+}
+
+/// A path of whole segments, in order.
+impl FromIterator<AsPathSegment> for AsPath {
+    fn from_iter<I: IntoIterator<Item = AsPathSegment>>(segments: I) -> Self {
+        let mut words = Vec::new();
+        for seg in segments {
+            let count = seg.asns.len();
+            assert!(
+                (1..=SEGMENT_MAX).contains(&count),
+                "an AS_PATH segment holds 1 to 255 members, not {count}"
+            );
+            words.push(header(seg.kind, count));
+            words.extend(seg.asns.iter().map(|a| a.0));
+        }
+        AsPath { words }
     }
 }
 
 impl core::fmt::Display for AsPath {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        for (i, seg) in self.segments.iter().enumerate() {
+        for (i, (kind, members)) in self.segments().enumerate() {
             if i > 0 {
                 f.write_str(" ")?;
             }
-            let (open, sep, close) = match seg.kind {
+            let (open, sep, close) = match kind {
                 SegmentKind::Sequence => ("", " ", ""),
                 SegmentKind::Set => ("{", ",", "}"),
             };
             f.write_str(open)?;
-            for (j, asn) in seg.asns.iter().enumerate() {
+            for (j, asn) in members.iter().enumerate() {
                 if j > 0 {
                     f.write_str(sep)?;
                 }
-                write!(f, "{}", asn.0)?;
+                write!(f, "{asn}")?;
             }
             f.write_str(close)?;
         }
@@ -201,8 +298,145 @@ impl core::fmt::Display for AsPath {
     }
 }
 
+/// How many communities a set holds without a heap allocation.
+const INLINE_COMMUNITIES: usize = 4;
+
+/// The COMMUNITY values of a route: a set, iterated in ascending order.
+/// Up to four values sit inline, so the tag an import policy adds to a
+/// route that carries none, and a copy of a small set, allocate nothing.
+#[derive(Clone)]
+pub struct Communities(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` values, ascending.
+    Inline(u8, [Community; INLINE_COMMUNITIES]),
+    /// Ascending; once a set outgrows the inline array it stays here.
+    Heap(Vec<Community>),
+}
+
+impl Default for Communities {
+    fn default() -> Self {
+        Communities(Repr::Inline(0, [Community(0); INLINE_COMMUNITIES]))
+    }
+}
+
+impl Communities {
+    /// The empty set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The values in ascending order.
+    pub fn as_slice(&self) -> &[Community] {
+        match &self.0 {
+            Repr::Inline(len, vals) => &vals[..usize::from(*len)],
+            Repr::Heap(vals) => vals,
+        }
+    }
+
+    /// Iterate the values in ascending order.
+    pub fn iter(&self) -> core::slice::Iter<'_, Community> {
+        self.as_slice().iter()
+    }
+
+    /// How many values the set holds.
+    pub fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+
+    /// Whether `c` is in the set.
+    pub fn contains(&self, c: &Community) -> bool {
+        self.as_slice().binary_search(c).is_ok()
+    }
+
+    /// Add `c`; whether it was new.
+    pub fn insert(&mut self, c: Community) -> bool {
+        let Err(at) = self.as_slice().binary_search(&c) else {
+            return false;
+        };
+        match &mut self.0 {
+            Repr::Inline(len, vals) if usize::from(*len) < INLINE_COMMUNITIES => {
+                let n = usize::from(*len);
+                vals.copy_within(at..n, at + 1);
+                vals[at] = c;
+                *len += 1;
+            }
+            Repr::Inline(_, vals) => {
+                let mut heap = Vec::with_capacity(2 * INLINE_COMMUNITIES);
+                heap.extend_from_slice(vals);
+                heap.insert(at, c);
+                self.0 = Repr::Heap(heap);
+            }
+            Repr::Heap(vals) => vals.insert(at, c),
+        }
+        true
+    }
+
+    /// Remove `c`; whether it was present.
+    pub fn remove(&mut self, c: &Community) -> bool {
+        let Ok(at) = self.as_slice().binary_search(c) else {
+            return false;
+        };
+        match &mut self.0 {
+            Repr::Inline(len, vals) => {
+                vals.copy_within(at + 1..usize::from(*len), at);
+                *len -= 1;
+            }
+            Repr::Heap(vals) => {
+                vals.remove(at);
+            }
+        }
+        true
+    }
+}
+
+impl PartialEq for Communities {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Communities {}
+
+impl core::fmt::Debug for Communities {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<Community> for Communities {
+    fn from_iter<I: IntoIterator<Item = Community>>(values: I) -> Self {
+        let mut set = Communities::new();
+        for c in values {
+            set.insert(c);
+        }
+        set
+    }
+}
+
+impl<const N: usize> From<[Community; N]> for Communities {
+    fn from(values: [Community; N]) -> Self {
+        values.into_iter().collect()
+    }
+}
+
+impl<'a> IntoIterator for &'a Communities {
+    type Item = &'a Community;
+    type IntoIter = core::slice::Iter<'a, Community>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// An attribute this implementation does not interpret, preserved verbatim.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawAttr {
     /// Original flag octet.
     pub flags: u8,
@@ -213,7 +447,7 @@ pub struct RawAttr {
 }
 
 /// The parsed attribute bag of an UPDATE (or of a RIB entry).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathAttrs {
     /// ORIGIN (well-known mandatory).
     pub origin: Origin,
@@ -230,7 +464,7 @@ pub struct PathAttrs {
     /// AGGREGATOR (asn, speaker), if present.
     pub aggregator: Option<(Asn, Ipv4Addr)>,
     /// COMMUNITY values, deduplicated and ordered.
-    pub communities: BTreeSet<Community>,
+    pub communities: Communities,
     /// Unknown optional-transitive attributes carried through.
     pub unknown: Vec<RawAttr>,
 }
@@ -245,7 +479,7 @@ impl Default for PathAttrs {
             local_pref: None,
             atomic_aggregate: false,
             aggregator: None,
-            communities: BTreeSet::new(),
+            communities: Communities::new(),
             unknown: Vec::new(),
         }
     }
@@ -305,31 +539,79 @@ mod tests {
         assert!(Origin::Igp < Origin::Egp && Origin::Egp < Origin::Incomplete);
     }
 
+    fn seg(kind: SegmentKind, asns: &[u16]) -> AsPathSegment {
+        AsPathSegment {
+            kind,
+            asns: asns.iter().copied().map(Asn).collect(),
+        }
+    }
+
     #[test]
     fn path_len_counts_sets_as_one() {
-        let p = AsPath {
-            segments: vec![
-                AsPathSegment {
-                    kind: SegmentKind::Sequence,
-                    asns: vec![Asn(1), Asn(2)],
-                },
-                AsPathSegment {
-                    kind: SegmentKind::Set,
-                    asns: vec![Asn(3), Asn(4), Asn(5)],
-                },
-            ],
-        };
+        let p: AsPath = [
+            seg(SegmentKind::Sequence, &[1, 2]),
+            seg(SegmentKind::Set, &[3, 4, 5]),
+        ]
+        .into_iter()
+        .collect();
         assert_eq!(p.path_len(), 3);
+        // The words are the attribute's wire value.
+        assert_eq!(p.words(), [0x0202, 1, 2, 0x0103, 3, 4, 5]);
     }
 
     #[test]
     fn prepend_extends_leading_sequence() {
         let mut p = AsPath::sequence([20, 30]);
         p.prepend(Asn(10), 2);
-        assert_eq!(p.segments.len(), 1);
-        assert_eq!(p.segments[0].asns, vec![Asn(10), Asn(10), Asn(20), Asn(30)]);
+        let segments: Vec<_> = p.segments().collect();
+        assert_eq!(segments, [(SegmentKind::Sequence, &[10, 10, 20, 30][..])]);
         assert_eq!(p.first_asn(), Some(Asn(10)));
         assert_eq!(p.origin_asn(), Some(Asn(30)));
+    }
+
+    #[test]
+    fn prepend_opens_a_segment_before_a_set_or_a_full_sequence() {
+        let mut p: AsPath = [seg(SegmentKind::Set, &[3, 4])].into_iter().collect();
+        p.prepend(Asn(9), 1);
+        assert_eq!(p.to_string(), "9 {3,4}");
+        let mut full = AsPath::sequence(vec![7; 255]);
+        full.prepend(Asn(9), 2);
+        assert_eq!(full.segments().count(), 2);
+        assert_eq!(full.path_len(), 257);
+        // Two prepends in turn: the first fills the new segment's room
+        // only as far as the second leaves it.
+        let twice = AsPath::sequence(vec![7; 250]).prepended(Asn(9), [3, 3, 1]);
+        let sizes: Vec<usize> = twice.segments().map(|(_, m)| m.len()).collect();
+        assert_eq!(sizes, [4, 253]);
+    }
+
+    #[test]
+    fn a_long_sequence_splits_at_255() {
+        let p = AsPath::sequence(1..=300);
+        let sizes: Vec<usize> = p.segments().map(|(_, m)| m.len()).collect();
+        assert_eq!(sizes, [255, 45]);
+        assert_eq!(p.path_len(), 300);
+        assert_eq!(p.origin_asn(), Some(Asn(300)));
+    }
+
+    #[test]
+    fn community_sets_stay_ordered_past_the_inline_array() {
+        let mut set = Communities::new();
+        for v in [5, 1, 9, 3, 7, 1, 2] {
+            set.insert(Community(v));
+        }
+        let values: Vec<u32> = set.iter().map(|c| c.0).collect();
+        assert_eq!(values, [1, 2, 3, 5, 7, 9]);
+        assert!(set.remove(&Community(3)) && !set.remove(&Community(3)));
+        let small: Communities = [Community(9), Community(1)].into();
+        assert!(small.contains(&Community(1)) && !small.contains(&Community(3)));
+        // Equality is by content, whatever the storage.
+        let mut spilled: Communities = (0..6).map(Community).collect();
+        for v in 2..6 {
+            spilled.remove(&Community(v));
+        }
+        assert_eq!(spilled, [Community(0), Community(1)].into());
+        assert_eq!(format!("{spilled:?}"), "{Community(0), Community(1)}");
     }
 
     #[test]
@@ -349,18 +631,12 @@ mod tests {
 
     #[test]
     fn loop_detection_sees_sets() {
-        let p = AsPath {
-            segments: vec![
-                AsPathSegment {
-                    kind: SegmentKind::Sequence,
-                    asns: vec![Asn(1)],
-                },
-                AsPathSegment {
-                    kind: SegmentKind::Set,
-                    asns: vec![Asn(9)],
-                },
-            ],
-        };
+        let p: AsPath = [
+            seg(SegmentKind::Sequence, &[1]),
+            seg(SegmentKind::Set, &[9]),
+        ]
+        .into_iter()
+        .collect();
         assert!(p.contains(Asn(9)));
         assert!(p.contains(Asn(1)));
         assert!(!p.contains(Asn(2)));
@@ -368,11 +644,7 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        let seg = |kind, asns: &[u16]| AsPathSegment {
-            kind,
-            asns: asns.iter().copied().map(Asn).collect(),
-        };
-        let path = |segments: Vec<AsPathSegment>| AsPath { segments }.to_string();
+        let path = |segments: Vec<AsPathSegment>| AsPath::from_iter(segments).to_string();
         // `tests/snapshot_properties.rs` compares Loc-RIBs by this text; it
         // is pinned byte for byte.
         assert_eq!(path(vec![]), "");

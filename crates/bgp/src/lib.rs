@@ -41,7 +41,7 @@ pub mod twin;
 pub mod types;
 pub mod wire;
 
-pub use attrs::{AsPath, AsPathSegment, Origin, PathAttrs, RawAttr, SegmentKind};
+pub use attrs::{AsPath, AsPathSegment, Communities, Origin, PathAttrs, RawAttr, SegmentKind};
 pub use config::{BugSwitches, ConfigError, NeighborConfig, RouterConfig};
 pub use decision::{prefer, select, DecisionReason};
 pub use fsm::{FsmEvent, PeerFsm, SessionState};

@@ -21,12 +21,15 @@
 //! [`Match::eval`] and [`Action::apply`] stay as the reference semantics
 //! the walk is tested against.
 
-use crate::attrs::{Origin, PathAttrs, SegmentKind};
-use crate::types::{Asn, Community, Ipv4Net};
+use crate::attrs::{Communities, Origin, PathAttrs, SegmentKind};
+use crate::types::{Asn, Community, Ipv4Addr, Ipv4Net};
 use crate::wire::sites;
 use dice_netsim::{Concrete, Domain};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+
+#[cfg(test)]
+mod reference;
 
 /// One entry of a prefix set: a base prefix plus an acceptable length range
 /// (BIRD's `10.0.0.0/8{8,24}` notation).
@@ -297,6 +300,55 @@ impl Policy {
         Some(out)
     }
 
+    /// What this policy makes of `attrs` as an eBGP export: the verdict
+    /// and actions of [`apply`](Self::apply), then the rewrite every eBGP
+    /// export makes — `own` prepended once more, NEXT_HOP set to
+    /// `next_hop`, LOCAL_PREF dropped and the communities that name `own`
+    /// stripped. The bag is built in one pass from the borrowed one: the
+    /// AS_PATH at its final size, the communities as they end up.
+    pub fn export(
+        &self,
+        prefix: &Ipv4Net,
+        attrs: &PathAttrs,
+        own: Asn,
+        next_hop: Ipv4Addr,
+    ) -> Option<PathAttrs> {
+        let at = (prefix.addr() as u64, prefix.len() as u64);
+        let fired = self.decide(&mut Concrete(&[]), at, attrs, own, 0)?;
+        let actions = fired.actions(&self.rules);
+        let prepends = actions.clone().filter_map(|a| match a {
+            Action::Prepend(n) => Some(*n),
+            _ => None,
+        });
+        let foreign = |c: &Community| c.asn_part() != own.0;
+        let mut communities: Communities =
+            attrs.communities.iter().copied().filter(foreign).collect();
+        let mut med = attrs.med;
+        for action in actions {
+            match *action {
+                Action::SetMed(v) => med = Some(v),
+                Action::AddCommunity(c) if foreign(&c) => {
+                    communities.insert(c);
+                }
+                Action::RemoveCommunity(c) => {
+                    communities.remove(&c);
+                }
+                Action::AddCommunity(_) | Action::SetLocalPref(_) | Action::Prepend(_) => {}
+            }
+        }
+        Some(PathAttrs {
+            origin: attrs.origin,
+            as_path: attrs.as_path.prepended(own, prepends.chain([1])),
+            next_hop,
+            med,
+            local_pref: None,
+            atomic_aggregate: attrs.atomic_aggregate,
+            aggregator: attrs.aggregator,
+            communities,
+            unknown: attrs.unknown.clone(),
+        })
+    }
+
     /// The policy's verdict on a route, in a value domain: `None` for a
     /// reject, else the rules whose actions the accepted route carries.
     /// This is the one interpreter of [`Rule`]s: [`apply`](Self::apply)
@@ -396,13 +448,13 @@ impl RouteView<u64> for PathAttrs {
     }
 
     fn first(&self) -> Option<(u64, bool)> {
-        let seg = self.as_path.segments.first()?;
-        Some((seg.asns.first()?.0 as u64, seg.kind == SegmentKind::Set))
+        let (asn, kind) = self.as_path.first_member()?;
+        Some((asn.0 as u64, kind == SegmentKind::Set))
     }
 
     fn last(&self) -> Option<(u64, bool)> {
-        let seg = self.as_path.segments.last()?;
-        Some((seg.asns.last()?.0 as u64, seg.kind == SegmentKind::Set))
+        let (asn, kind) = self.as_path.last_member()?;
+        Some((asn.0 as u64, kind == SegmentKind::Set))
     }
 
     fn hops(&self) -> u32 {
@@ -495,7 +547,7 @@ impl Fired {
     }
 
     /// The actions of the fired rules among `rules`, in order.
-    fn actions<'p>(&'p self, rules: &'p [Rule]) -> impl Iterator<Item = &'p Action> {
+    fn actions<'p>(&'p self, rules: &'p [Rule]) -> impl Iterator<Item = &'p Action> + Clone {
         let fired = rules.iter().enumerate().filter(|(i, _)| self.contains(*i));
         fired.flat_map(|(_, rule)| &rule.actions)
     }

@@ -10,7 +10,7 @@ use crate::attrs::PathAttrs;
 use crate::decision::DecisionReason;
 use crate::types::Ipv4Net;
 use dice_netsim::NodeId;
-use serde::{Deserialize, Serialize};
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// A route candidate: attributes plus provenance.
@@ -18,7 +18,7 @@ use std::sync::Arc;
 /// The attribute bag is immutable once a route exists and shared by
 /// pointer between the Adj-RIB-In row, the best route and every copy of a
 /// router checkpoint, so cloning a `Route` never copies an AS path.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     /// Attribute bag after import-policy transformation.
     pub attrs: Arc<PathAttrs>,
@@ -40,7 +40,7 @@ impl Route {
 }
 
 /// A selected best route with the decision step that chose it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Selected {
     /// The winning route.
     pub route: Route,
@@ -48,8 +48,43 @@ pub struct Selected {
     pub reason: DecisionReason,
 }
 
+/// A vector whose copy has room for one more element. The tables below
+/// are copied on write, and the write that follows a copy most often adds
+/// a row (or an entry): it then fills the room instead of growing the
+/// copy a second time.
+#[derive(Debug)]
+struct Roomy<T>(Vec<T>);
+
+impl<T> Default for Roomy<T> {
+    fn default() -> Self {
+        Roomy(Vec::new())
+    }
+}
+
+impl<T: Clone> Clone for Roomy<T> {
+    fn clone(&self) -> Self {
+        let mut copy = Vec::with_capacity(self.0.len() + 1);
+        copy.extend_from_slice(&self.0);
+        Roomy(copy)
+    }
+}
+
+impl<T> Deref for Roomy<T> {
+    type Target = Vec<T>;
+
+    fn deref(&self) -> &Vec<T> {
+        &self.0
+    }
+}
+
+impl<T> DerefMut for Roomy<T> {
+    fn deref_mut(&mut self) -> &mut Vec<T> {
+        &mut self.0
+    }
+}
+
 /// One prefix's rows, one per peer, ascending by peer id.
-type Rows<T> = Vec<(u32, T)>;
+type Rows<T> = Roomy<(u32, T)>;
 
 fn row<T>(rows: &Rows<T>, peer: NodeId) -> Option<&T> {
     let i = rows.binary_search_by_key(&peer.0, |r| r.0).ok()?;
@@ -74,7 +109,7 @@ fn take<T>(rows: &mut Rows<T>, peer: NodeId) -> bool {
 }
 
 /// Everything the router holds for one prefix.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct PrefixEntry {
     /// Accepted routes (post-import-policy), one per peer.
     rows_in: Rows<Route>,
@@ -109,13 +144,14 @@ impl PrefixEntry {
 /// The table and each prefix's entry sit behind an `Arc`: copying a `Rib`
 /// (a checkpoint, a validation clone's first touch of its router) bumps one
 /// pointer, and a write copies the table's spine (one pointer per prefix)
-/// and the one entry it names, nothing else. Every write but `insert`
-/// (which always stores) looks before it copies: one that would change
-/// nothing leaves a shared table shared. A prefix with no rows, no best
-/// route and no flips has no entry.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// and the one entry it names, nothing else; each copy keeps room for the
+/// row or entry the write adds. Every write but `insert` (which always
+/// stores) looks before it copies: one that would change nothing leaves a
+/// shared table shared. A prefix with no rows, no best route and no flips
+/// has no entry.
+#[derive(Debug, Clone, Default)]
 pub struct Rib {
-    entries: Arc<Vec<(Ipv4Net, Arc<PrefixEntry>)>>,
+    entries: Arc<Roomy<(Ipv4Net, Arc<PrefixEntry>)>>,
 }
 
 impl Rib {

@@ -24,7 +24,7 @@ use crate::policy::{screen_path, PathFault, Policy};
 use crate::rib::{Rib, Route};
 use crate::twin::UpdateTwin;
 use crate::types::{Asn, Ipv4Addr, Ipv4Net};
-use crate::wire::{self, Message, NotificationMsg, OpenMsg, UpdateMsg};
+use crate::wire::{self, Incoming, Message, NotificationMsg, OpenMsg, UpdateView};
 
 /// Timer token layout: `(peer_node_id << 8) | kind`.
 mod timer {
@@ -69,6 +69,9 @@ struct Neighbor {
     asn: Asn,
     import: usize,
     export: usize,
+    /// The first neighbour (in node id order) behind the same export
+    /// slot: its [`PeerState::export_memo`] holds the slot's verdict.
+    memo: usize,
 }
 
 /// The configuration plus what the message path needs of it, looked up
@@ -107,9 +110,17 @@ impl Resolved {
                 asn: n.asn,
                 import: slot(&n.import),
                 export: slot(&n.export),
+                memo: 0,
             })
             .collect();
         neighbors.sort_by_key(|n| n.node);
+        for i in 0..neighbors.len() {
+            let export = neighbors[i].export;
+            neighbors[i].memo = neighbors
+                .iter()
+                .position(|n| n.export == export)
+                .unwrap_or(i);
+        }
         Resolved {
             config,
             neighbors,
@@ -127,30 +138,30 @@ impl Resolved {
         Ipv4Addr(self.config.router_id.0)
     }
 
-    /// What export policy `slot` makes of `route`, eBGP rewrite applied:
-    /// prepend own AS, next-hop self, strip LOCAL_PREF and internal
-    /// (own-ASN) communities. Nothing here depends on the peer, so every
-    /// peer behind the same slot is sent the same bag.
+    /// What export policy `slot` makes of `route`, eBGP rewrite applied
+    /// ([`Policy::export`]): prepend own AS, next-hop self, strip
+    /// LOCAL_PREF and internal (own-ASN) communities. Nothing here depends
+    /// on the peer, so every peer behind the same slot is sent the same
+    /// bag.
     fn export(&self, slot: usize, prefix: &Ipv4Net, route: &Route) -> Option<Arc<PathAttrs>> {
         let own = self.config.asn;
-        let mut out = self.policies[slot]
-            .apply(prefix, &*route.attrs, own)?
-            .into_owned();
-        out.as_path.prepend(own, 1);
-        out.next_hop = self.own_addr();
-        out.local_pref = None;
-        out.communities.retain(|c| c.asn_part() != own.0);
+        let out = self.policies[slot].export(prefix, &route.attrs, own, self.own_addr())?;
         Some(Arc::new(out))
     }
 }
 
 /// Session state toward one neighbour.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 struct PeerState {
     /// `None` until the first session event or message from the peer.
     fsm: Option<PeerFsm>,
     /// The router id of the peer's OPEN.
     router_id: Option<u32>,
+    /// Scratch of [`BgpRouter::export_to`]: the verdict of the export
+    /// slot whose first neighbour this is ([`Neighbor::memo`]); `None`
+    /// between calls. Kept in the session table, the one table a router
+    /// copy owns, so a copy exports without growing a memo of its own.
+    export_memo: Option<Option<Arc<PathAttrs>>>,
 }
 
 /// A BIRD-like BGP router node.
@@ -168,9 +179,6 @@ pub struct BgpRouter {
     peers: Vec<PeerState>,
     rib: Rib,
     stats: RouterStats,
-    /// Scratch of [`BgpRouter::export_to`], one verdict per policy slot;
-    /// empty between calls.
-    export_memo: Vec<Option<Option<Arc<PathAttrs>>>>,
 }
 
 impl BgpRouter {
@@ -183,7 +191,6 @@ impl BgpRouter {
             shared: Arc::new(shared),
             rib: Rib::default(),
             stats: RouterStats::default(),
-            export_memo: Vec::new(),
         }
     }
 
@@ -341,7 +348,7 @@ impl BgpRouter {
     }
 
     /// An UPDATE from neighbour `i`, session checks passed.
-    fn handle_update(&mut self, i: usize, upd: UpdateMsg, api: &mut NodeApi<'_>) {
+    fn handle_update(&mut self, i: usize, upd: UpdateView<'_>, api: &mut NodeApi<'_>) {
         self.stats.updates_rx += 1;
         // Borrowed next to the RIBs it steers: no handle on the shared
         // configuration is taken or dropped per message.
@@ -349,41 +356,39 @@ impl BgpRouter {
         let peer = shared.neighbors[i].node;
         let (peer_asn, import) = shared.import(i);
         let own = shared.config.asn;
-        // The prefixes whose candidates change are gathered in the two
-        // vectors the decoder already allocated.
-        let UpdateMsg {
-            withdrawn: mut affected,
-            attrs,
-            mut nlri,
-        } = upd;
-        affected.retain(|w| self.rib.remove(peer, w));
+        let withdrawn = upd.withdrawn();
+        for w in withdrawn.clone() {
+            self.rib.remove(peer, &w);
+        }
 
         let mut first_as_error = false;
-        match attrs {
-            Some(mut attrs) if !nlri.is_empty() => {
+        let nlri = upd.nlri();
+        match upd.attrs {
+            Some(mut attrs) if nlri.len() > 0 => {
                 let screened = screen_path(&mut Concrete(&[]), &attrs, own, peer_asn);
                 if screened == Err(PathFault::Loop) {
                     // AS-path loop: the route is unusable, so it replaces
                     // the peer's previous one as a withdraw would (RFC 4271
-                    // §9). The prefixes that lost a row are recomputed.
+                    // §9).
                     self.stats.loop_rejects += 1;
-                    nlri.retain(|p| self.rib.remove(peer, p));
+                    for p in nlri.clone() {
+                        self.rib.remove(peer, &p);
+                    }
                 } else if screened == Err(PathFault::FirstAs) {
                     // eBGP first-AS check (RFC 4271 §6.3): the announcement
                     // is an error, the withdrawals before it still stand.
                     first_as_error = true;
-                    nlri.clear();
                 } else {
                     let peer_router_id = self.peers[i].router_id.unwrap_or(peer.0);
                     let mut left = nlri.len();
-                    nlri.retain(|p| {
+                    for p in nlri.clone() {
                         left -= 1;
                         // The decoded bag is ours: the last NLRI's import
                         // edits it in place, each one before it a copy.
                         let imported = if left == 0 {
-                            import.apply(p, std::mem::take(&mut attrs), own)
+                            import.apply(&p, std::mem::take(&mut attrs), own)
                         } else {
-                            import.apply(p, &attrs, own)
+                            import.apply(&p, &attrs, own)
                         };
                         match imported {
                             Some(attrs) => {
@@ -392,28 +397,23 @@ impl BgpRouter {
                                     from_peer: Some(peer.0),
                                     peer_router_id,
                                 };
-                                self.rib.insert(peer, *p, route);
-                                true
+                                self.rib.insert(peer, p, route);
                             }
                             None => {
                                 self.stats.policy_rejects += 1;
-                                self.rib.remove(peer, p)
+                                self.rib.remove(peer, &p);
                             }
                         }
-                    });
+                    }
                 }
             }
-            _ => nlri.clear(),
+            _ => {}
         }
 
-        if affected.is_empty() {
-            affected = nlri;
-        } else {
-            affected.append(&mut nlri);
-        }
-        affected.sort_unstable();
-        affected.dedup();
-        for p in affected {
+        // Every prefix the UPDATE names is recomputed, in ascending order,
+        // once: one whose candidates did not change selects the best route
+        // it has and sends nothing.
+        for p in ascending(withdrawn.chain(nlri)) {
             self.recompute_and_propagate(p, api);
         }
         if first_as_error {
@@ -453,8 +453,7 @@ impl BgpRouter {
         // By value (one pointer bump): the loop below writes the table it
         // was read from.
         let best = self.rib.best(&prefix).map(|sel| sel.route.clone());
-        self.export_memo.resize(shared.policies.len(), None);
-        for i in peers {
+        for i in peers.clone() {
             if !self.peers[i].fsm.is_some_and(|f| f.is_established()) {
                 continue;
             }
@@ -463,7 +462,8 @@ impl BgpRouter {
             let out = match &best {
                 // Split horizon: never advertise a route back to the peer
                 // it came from.
-                Some(route) if route.from_peer != Some(q.0) => self.export_memo[neighbor.export]
+                Some(route) if route.from_peer != Some(q.0) => self.peers[neighbor.memo]
+                    .export_memo
                     .get_or_insert_with(|| shared.export(neighbor.export, &prefix, route))
                     .as_ref(),
                 _ => None,
@@ -481,7 +481,9 @@ impl BgpRouter {
                 }
             }
         }
-        self.export_memo.clear();
+        for i in peers {
+            self.peers[shared.neighbors[i].memo].export_memo = None;
+        }
     }
 
     fn arm_session_timers(&mut self, i: usize, api: &mut NodeApi<'_>) {
@@ -499,6 +501,21 @@ impl BgpRouter {
             );
         }
     }
+}
+
+/// The prefixes of `named` in ascending order, each once, without
+/// collecting them: a scan of `named` per prefix, which for the UPDATEs
+/// routers send (one prefix each) is one scan.
+fn ascending(named: impl Iterator<Item = Ipv4Net> + Clone) -> impl Iterator<Item = Ipv4Net> {
+    let mut last = None;
+    core::iter::from_fn(move || {
+        let next = named
+            .clone()
+            .filter(|p| last.is_none_or(|l| *p > l))
+            .min()?;
+        last = Some(next);
+        Some(next)
+    })
 }
 
 impl Node for BgpRouter {
@@ -562,14 +579,14 @@ impl Node for BgpRouter {
         // parsed, inside `wire::validate_update`. BIRD parses an UPDATE
         // only on an established session: elsewhere the message is the FSM
         // error any UPDATE is there, which the empty one below meets.
-        let msg = match wire::decode_with(data, self.shared.config.bugs) {
+        let msg = match wire::decode_incoming(data, self.shared.config.bugs) {
             Ok((msg, _)) => msg,
             Err(wire::Verdict::Crash(why)) => {
                 if self.fsm(from).is_some_and(|f| f.is_established()) {
                     api.crash(why);
                     return;
                 }
-                Message::Update(UpdateMsg::default())
+                Incoming::Update(UpdateView::default())
             }
             Err(wire::Verdict::Reject(e)) => {
                 self.stats.decode_errors += 1;
@@ -588,7 +605,7 @@ impl Node for BgpRouter {
             }
         }
         match msg {
-            Message::Open(open) => {
+            Incoming::Other(Message::Open(open)) => {
                 let asn_ok = open.asn == self.shared.neighbors[i].asn;
                 let my_hold = self.shared.config.hold_time;
                 let fsm = self.peers[i].fsm.get_or_insert_with(PeerFsm::default);
@@ -604,7 +621,7 @@ impl Node for BgpRouter {
                     FsmEvent::SessionEstablished => unreachable!("OPEN cannot establish"),
                 }
             }
-            Message::Keepalive => {
+            Incoming::Other(Message::Keepalive) => {
                 self.stats.keepalives_rx += 1;
                 let fsm = self.peers[i].fsm.get_or_insert_with(PeerFsm::default);
                 match fsm.on_keepalive() {
@@ -615,7 +632,7 @@ impl Node for BgpRouter {
                     }
                 }
             }
-            Message::Update(upd) => {
+            Incoming::Update(upd) => {
                 let fsm = self.peers[i].fsm.get_or_insert_with(PeerFsm::default);
                 match fsm.on_update() {
                     FsmEvent::None => self.handle_update(i, upd, api),
@@ -625,9 +642,12 @@ impl Node for BgpRouter {
                     FsmEvent::SessionEstablished => unreachable!("UPDATE cannot establish"),
                 }
             }
-            Message::Notification(_) => {
+            Incoming::Other(Message::Notification(_)) => {
                 self.stats.notifications_rx += 1;
                 api.reset_session(from);
+            }
+            Incoming::Other(Message::Update(_)) => {
+                unreachable!("an UPDATE comes as a view")
             }
         }
     }
@@ -690,6 +710,7 @@ impl Node for BgpRouter {
 mod tests {
     use super::*;
     use crate::types::{net, RouterId};
+    use crate::wire::UpdateMsg;
     use dice_netsim::{LinkParams, SimTime, Simulator, Topology};
 
     /// Convenience: a router config for node `i` (AS 65000+i) peering with

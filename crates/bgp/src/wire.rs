@@ -10,7 +10,7 @@
 
 use dice_netsim::{Concrete, Domain};
 
-use crate::attrs::{code, flags, AsPathSegment, Origin, PathAttrs, RawAttr, SegmentKind};
+use crate::attrs::{code, flags, AsPath, Origin, PathAttrs, RawAttr, SegmentKind};
 use crate::config::BugSwitches;
 use crate::types::{Asn, Community, Ipv4Addr, Ipv4Net, RouterId};
 
@@ -262,20 +262,12 @@ fn encode_attr(out: &mut Vec<u8>, fl: u8, code: u8, value: &[u8]) {
 pub fn encode_attrs_into(attrs: &PathAttrs, out: &mut Vec<u8>) {
     // ORIGIN
     encode_attr(out, flags::TRANSITIVE, code::ORIGIN, &[attrs.origin as u8]);
-    // AS_PATH: each segment is kind + count + 2 bytes per ASN.
-    let ap_len: usize = attrs
-        .as_path
-        .segments
-        .iter()
-        .map(|seg| 2 + 2 * seg.asns.len())
-        .sum();
-    encode_attr_header(out, flags::TRANSITIVE, code::AS_PATH, ap_len);
-    for seg in &attrs.as_path.segments {
-        out.push(seg.kind as u8);
-        out.push(seg.asns.len() as u8);
-        for a in &seg.asns {
-            push_u16(out, a.0);
-        }
+    // AS_PATH: its words are the value (kind + count, then the ASNs, per
+    // segment).
+    let words = attrs.as_path.words();
+    encode_attr_header(out, flags::TRANSITIVE, code::AS_PATH, 2 * words.len());
+    for &w in words {
+        push_u16(out, w);
     }
     // NEXT_HOP
     encode_attr(
@@ -488,6 +480,8 @@ pub trait UpdateSink<W> {
     fn segment(&mut self, kind: SegmentKind, count: W) {}
     /// A member of the last [`segment`](Self::segment).
     fn asn(&mut self, asn: W) {}
+    /// The whole AS_PATH value, at `value`, once its segments passed.
+    fn as_path(&mut self, value: core::ops::Range<usize>) {}
     /// The NEXT_HOP address.
     fn next_hop(&mut self, v: W) {}
     /// MULTI_EXIT_DISC, four bytes at `at`.
@@ -696,6 +690,7 @@ pub fn validate_update<D: Domain>(
                     p += 2;
                 }
             }
+            sink.as_path(vstart..vend);
             have_as_path = true;
             continue;
         }
@@ -807,28 +802,90 @@ pub fn validate_update<D: Domain>(
     Ok(())
 }
 
-/// The [`UpdateMsg`] a validated UPDATE's bytes hold, built as
-/// [`validate_update`] hands over its fields.
+/// The prefixes of a validated withdrawn-routes or NLRI field, read in
+/// place: each a length octet and as many address octets as it needs.
+#[derive(Debug, Clone, Default)]
+pub struct Prefixes<'a>(&'a [u8]);
+
+impl Iterator for Prefixes<'_> {
+    type Item = Ipv4Net;
+
+    fn next(&mut self) -> Option<Ipv4Net> {
+        let (&plen, rest) = self.0.split_first()?;
+        let (bytes, rest) = rest.split_at(usize::from(plen).div_ceil(8));
+        self.0 = rest;
+        let mut addr = [0u8; 4];
+        addr[..bytes.len()].copy_from_slice(bytes);
+        Some(Ipv4Net::new(u32::from_be_bytes(addr), plen))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.clone().map(|_| ()).count();
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Prefixes<'_> {}
+
+/// An UPDATE as a router takes it in: the attribute bag built, the
+/// withdrawn and announced prefixes left in the message bytes they were
+/// validated in, so no list of them is allocated.
+#[derive(Debug, Default)]
+pub struct UpdateView<'a> {
+    withdrawn: &'a [u8],
+    /// Path attributes; `None` only for withdraw-only updates.
+    pub attrs: Option<PathAttrs>,
+    nlri: &'a [u8],
+}
+
+impl<'a> UpdateView<'a> {
+    /// The view of `bytes`, a whole UPDATE [`validate_update`] accepted.
+    fn new(bytes: &'a [u8], attrs: Option<PathAttrs>) -> Self {
+        let u16_at = |at: usize| usize::from(u16::from_be_bytes([bytes[at], bytes[at + 1]]));
+        let wend = HEADER_LEN + 2 + u16_at(HEADER_LEN);
+        let aend = wend + 2 + u16_at(wend);
+        UpdateView {
+            withdrawn: &bytes[HEADER_LEN + 2..wend],
+            attrs,
+            nlri: &bytes[aend..],
+        }
+    }
+
+    /// Withdrawn prefixes.
+    pub fn withdrawn(&self) -> Prefixes<'a> {
+        Prefixes(self.withdrawn)
+    }
+
+    /// Announced prefixes sharing `attrs`.
+    pub fn nlri(&self) -> Prefixes<'a> {
+        Prefixes(self.nlri)
+    }
+
+    /// The [`UpdateMsg`] holding the same parts.
+    pub fn into_msg(self) -> UpdateMsg {
+        UpdateMsg {
+            withdrawn: self.withdrawn().collect(),
+            nlri: self.nlri().collect(),
+            attrs: self.attrs,
+        }
+    }
+}
+
+/// The attribute bag of a validated UPDATE, built as [`validate_update`]
+/// hands over its fields; the prefixes are read later, in place
+/// ([`UpdateView`]).
 struct Decoded<'a> {
     bytes: &'a [u8],
-    update: UpdateMsg,
+    attrs: Option<PathAttrs>,
 }
 
 impl Decoded<'_> {
     fn attrs(&mut self) -> &mut PathAttrs {
-        self.update.attrs.get_or_insert_with(PathAttrs::default)
+        self.attrs.get_or_insert_with(PathAttrs::default)
     }
 }
 
 impl UpdateSink<u64> for Decoded<'_> {
-    fn withdrawn(&mut self, plen: u64, at: usize) {
-        let nb = (plen as usize).div_ceil(8);
-        let mut addr = [0u8; 4];
-        addr[..nb].copy_from_slice(&self.bytes[at..at + nb]);
-        let prefix = Ipv4Net::new(u32::from_be_bytes(addr), plen as u8);
-        self.update.withdrawn.push(prefix);
-    }
-
     fn path_attrs(&mut self) {
         self.attrs();
     }
@@ -837,16 +894,8 @@ impl UpdateSink<u64> for Decoded<'_> {
         self.attrs().origin = Origin::from_u8(v as u8).unwrap_or_default();
     }
 
-    fn segment(&mut self, kind: SegmentKind, count: u64) {
-        let asns = Vec::with_capacity(count as usize);
-        let segments = &mut self.attrs().as_path.segments;
-        segments.push(AsPathSegment { kind, asns });
-    }
-
-    fn asn(&mut self, asn: u64) {
-        if let Some(seg) = self.attrs().as_path.segments.last_mut() {
-            seg.asns.push(Asn(asn as u16));
-        }
+    fn as_path(&mut self, value: core::ops::Range<usize>) {
+        self.attrs().as_path = AsPath::from_wire(&self.bytes[value]);
     }
 
     fn next_hop(&mut self, v: u64) {
@@ -889,11 +938,16 @@ impl UpdateSink<u64> for Decoded<'_> {
             self.attrs().unknown.push(raw);
         }
     }
+}
 
-    fn nlri(&mut self, plen: u64, addr: u64) {
-        let prefix = Ipv4Net::new(addr as u32, plen as u8);
-        self.update.nlri.push(prefix);
-    }
+/// A message as a router takes it in: an UPDATE as an [`UpdateView`] of
+/// the bytes, any other message decoded whole.
+#[derive(Debug)]
+pub enum Incoming<'a> {
+    /// An UPDATE.
+    Update(UpdateView<'a>),
+    /// An OPEN, NOTIFICATION or KEEPALIVE.
+    Other(Message),
 }
 
 /// Decode one message from `buf`, returning the message and bytes consumed.
@@ -910,6 +964,17 @@ pub fn decode(buf: &[u8]) -> Result<(Message, usize), DecodeError> {
 /// [`decode`] as a router with `bugs` armed runs it: an UPDATE that trips
 /// a seeded defect is a [`Verdict::Crash`].
 pub fn decode_with(buf: &[u8], bugs: BugSwitches) -> Result<(Message, usize), Verdict> {
+    let (incoming, len) = decode_incoming(buf, bugs)?;
+    let msg = match incoming {
+        Incoming::Update(update) => Message::Update(update.into_msg()),
+        Incoming::Other(msg) => msg,
+    };
+    Ok((msg, len))
+}
+
+/// [`decode_with`] as the router reads a message: an UPDATE's prefixes
+/// stay in `buf`.
+pub fn decode_incoming(buf: &[u8], bugs: BugSwitches) -> Result<(Incoming<'_>, usize), Verdict> {
     if buf.len() < HEADER_LEN {
         return Err(DecodeError::Truncated.into());
     }
@@ -948,16 +1013,13 @@ pub fn decode_with(buf: &[u8], bugs: BugSwitches) -> Result<(Message, usize), Ve
         }
         MessageType::Update => {
             let bytes = &buf[..len];
-            let mut decoded = Decoded {
-                bytes,
-                update: UpdateMsg::default(),
-            };
+            let mut decoded = Decoded { bytes, attrs: None };
             validate_update(&mut Concrete(bytes), bugs, &mut decoded)?;
-            let mut update = decoded.update;
-            if let Some(attrs) = &mut update.attrs {
+            let mut attrs = decoded.attrs;
+            if let Some(attrs) = &mut attrs {
                 attrs.unknown.sort_by_key(|r| r.code);
             }
-            Message::Update(update)
+            return Ok((Incoming::Update(UpdateView::new(bytes, attrs)), len));
         }
         MessageType::Notification => {
             let [code, subcode, data @ ..] = body else {
@@ -976,13 +1038,13 @@ pub fn decode_with(buf: &[u8], bugs: BugSwitches) -> Result<(Message, usize), Ve
             Message::Keepalive
         }
     };
-    Ok((msg, len))
+    Ok((Incoming::Other(msg), len))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attrs::AsPath;
+    use crate::attrs::AsPathSegment;
     use crate::types::net;
     use proptest::prelude::*;
 
@@ -1390,13 +1452,13 @@ mod tests {
                 |((origin, segments, nh, med, local_pref), (atomic, aggr, comms, unknown))| {
                     PathAttrs {
                         origin: Origin::from_u8(origin).unwrap_or_default(),
-                        as_path: AsPath { segments },
+                        as_path: segments.into_iter().collect(),
                         next_hop: Ipv4Addr(nh),
                         med,
                         local_pref,
                         atomic_aggregate: atomic,
                         aggregator: aggr.map(|(a, ip)| (Asn(a), Ipv4Addr(ip))),
-                        communities: comms,
+                        communities: comms.into_iter().collect(),
                         unknown,
                     }
                 },

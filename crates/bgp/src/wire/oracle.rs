@@ -6,7 +6,7 @@
 //! message both reject.
 
 use super::*;
-use crate::attrs::AsPath;
+use crate::attrs::AsPathSegment;
 
 struct Reader<'a> {
     buf: &'a [u8],
@@ -146,7 +146,7 @@ pub(crate) fn decode_attrs_with_presence(
                     }
                     segments.push(AsPathSegment { kind, asns });
                 }
-                attrs.as_path = AsPath { segments };
+                attrs.as_path = segments.into_iter().collect();
                 have_as_path = true;
             }
             code::NEXT_HOP => {

@@ -67,11 +67,11 @@ fn arb_attrs() -> impl Strategy<Value = PathAttrs> {
         .prop_map(
             |(origin, segments, med, local_pref, communities)| PathAttrs {
                 origin,
-                as_path: AsPath { segments },
+                as_path: segments.into_iter().collect(),
                 next_hop: Ipv4Addr(0x0A00_0001),
                 med,
                 local_pref,
-                communities,
+                communities: communities.into_iter().collect(),
                 ..PathAttrs::default()
             },
         )

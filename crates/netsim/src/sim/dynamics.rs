@@ -89,9 +89,7 @@ impl Simulator {
         slot.crashed = None;
         // A token the new incarnation re-arms must not restart at a
         // generation a still-queued pre-crash `Ev::Timer` carries.
-        for gen in slot.timer_gen.values_mut() {
-            *gen += 1;
-        }
+        slot.timer_gen.bump_all();
         // The rejoined node is a brand-new state: any cached checkpoint is
         // stale and the next cut must re-capture it.
         self.touch_node(n);

@@ -114,7 +114,55 @@ enum Down {
 struct NodeSlot {
     node: NodeState,
     crashed: Option<Down>,
-    timer_gen: BTreeMap<u64, u64>,
+    timer_gen: TimerGens,
+}
+
+/// A node's timer generations by token: a timer event fires only while it
+/// carries its token's current generation, so arming or cancelling a token
+/// bumps it. Sorted by token. A rebind clears the table and keeps its
+/// storage, so the timers a pooled clone's nodes arm again find room.
+#[derive(Default)]
+struct TimerGens(Vec<(u64, u64)>);
+
+impl TimerGens {
+    /// `token`'s current generation, if it was ever armed or cancelled.
+    fn get(&self, token: u64) -> Option<u64> {
+        let i = self.0.binary_search_by_key(&token, |e| e.0).ok()?;
+        Some(self.0[i].1)
+    }
+
+    /// Bump `token`'s generation (a new token starts at 1) and return it.
+    fn bump(&mut self, token: u64) -> u64 {
+        match self.0.binary_search_by_key(&token, |e| e.0) {
+            Ok(i) => {
+                self.0[i].1 += 1;
+                self.0[i].1
+            }
+            Err(i) => {
+                self.0.insert(i, (token, 1));
+                1
+            }
+        }
+    }
+
+    /// Bump every token's generation.
+    fn bump_all(&mut self) {
+        for e in &mut self.0 {
+            e.1 += 1;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+impl std::fmt::Debug for TimerGens {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map()
+            .entries(self.0.iter().map(|(t, g)| (t, g)))
+            .finish()
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -224,7 +272,7 @@ impl Simulator {
             .map(|_| NodeSlot {
                 node: NodeState::Empty,
                 crashed: None,
-                timer_gen: BTreeMap::new(),
+                timer_gen: TimerGens::default(),
             })
             .collect();
         let n = nodes.len();
@@ -525,7 +573,7 @@ impl Simulator {
 
     fn process_timer(&mut self, n: NodeId, token: u64, gen: u64) {
         let slot = &self.nodes[n.index()];
-        if slot.crashed.is_some() || slot.timer_gen.get(&token) != Some(&gen) {
+        if slot.crashed.is_some() || slot.timer_gen.get(token) != Some(gen) {
             return;
         }
         self.trace.stats.timers_fired += 1;
@@ -563,12 +611,7 @@ impl Simulator {
                 Effect::Send { to, data } => self.channel_send(n, to, data, false),
                 Effect::SendQuiet { to, data } => self.channel_send(n, to, data, true),
                 Effect::SetTimer { delay, token } => {
-                    let gen = self.nodes[n.index()]
-                        .timer_gen
-                        .entry(token)
-                        .and_modify(|g| *g += 1)
-                        .or_insert(1);
-                    let gen = *gen;
+                    let gen = self.nodes[n.index()].timer_gen.bump(token);
                     let at = self.now + delay;
                     self.schedule(
                         at,
@@ -580,11 +623,7 @@ impl Simulator {
                     );
                 }
                 Effect::CancelTimer { token } => {
-                    self.nodes[n.index()]
-                        .timer_gen
-                        .entry(token)
-                        .and_modify(|g| *g += 1)
-                        .or_insert(1);
+                    self.nodes[n.index()].timer_gen.bump(token);
                 }
                 Effect::ResetSession { peer } => {
                     self.teardown_session(n, peer, DownReason::Reset, true);

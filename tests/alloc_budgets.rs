@@ -275,9 +275,9 @@ fn bgp_update_decode() {
         + 3;
     rejected[at..at + 4].fill(0);
     for (what, bytes, budget) in [
-        ("a full UPDATE", &full, 8),
+        ("a full UPDATE", &full, 5),
         ("a withdraw-only UPDATE", &withdraw, 1),
-        ("a rejected UPDATE", &rejected, 3),
+        ("a rejected UPDATE", &rejected, 1),
     ] {
         let (msg, spent) = counted(|| decode(bytes));
         assert_eq!(msg.is_ok(), what != "a rejected UPDATE", "{what}: {msg:?}");
@@ -318,7 +318,7 @@ fn policy_apply() {
         (
             "a Gao-Rexford import of a borrowed bag",
             counted(|| import.apply(&prefix, &bag, own).is_some()),
-            3,
+            1,
         ),
         (
             "a Gao-Rexford import of an owned bag",
@@ -333,7 +333,7 @@ fn policy_apply() {
         (
             "a verdict-less tag before an accept",
             counted(|| tag.apply(&prefix, &bag, own).is_some()),
-            3,
+            1,
         ),
     ] {
         assert_eq!(accepted, what != "a valley-free export reject", "{what}");
@@ -386,7 +386,7 @@ fn live_convergence() {
         )
     });
     assert_eq!(out, QuietOutcome::Quiescent);
-    within("demo27 from start to quiescence", spent, 12_976);
+    within("demo27 from start to quiescence", spent, 7_040);
 }
 
 #[test]
@@ -418,7 +418,7 @@ fn passing_battery() {
 
 #[test]
 fn pooled_unit() {
-    for (name, budget) in [("gossip16", 602), ("demo27", 657)] {
+    for (name, budget) in [("gossip16", 602), ("demo27", 387)] {
         let b = bound_clone(name);
         let battery = Battery::new(&b);
         let mut sim = pooled_clone(&b);
@@ -446,7 +446,29 @@ fn first_write() {
     }
     sim.reset_from_shadow(&b.shadow, 3);
     let ((), spent) = counted(|| sim.deliver_direct(b.peer, b.explorer, &b.valid_input));
-    within("demo27: a copy and its first UPDATE", spent, 47);
+    within("demo27: a copy and its first UPDATE", spent, 29);
+}
+
+#[test]
+fn rebound_hold_timer() {
+    // A rebound slot keeps its timer table's storage: the HOLD timer a
+    // KEEPALIVE re-arms on a router the clone already copied finds room.
+    let b = bound_clone("demo27");
+    let router = as_bgp(&*b.shadow.nodes()[&b.explorer]).expect("a router");
+    assert!(
+        router.config().hold_time > 0,
+        "the session runs a hold timer"
+    );
+    let keepalive = encode(&Message::Keepalive);
+    let mut sim = pooled_clone(&b);
+    for _ in 0..2 {
+        sim.reset_from_shadow(&b.shadow, 3);
+        drive(&mut sim, &b, Some(&b.valid_input));
+    }
+    sim.reset_from_shadow(&b.shadow, 3);
+    sim.invoke_node(b.explorer, |_, _| {});
+    let ((), spent) = counted(|| sim.deliver_direct(b.peer, b.explorer, &keepalive));
+    within("demo27: a HOLD re-arm on a rebound clone", spent, 0);
 }
 
 #[test]
@@ -456,7 +478,7 @@ fn bgp_plan() {
     let live = live("demo27");
     let router = as_bgp(live.node(NodeId(0))).expect("a router");
     let peer = router.injection_peers()[0];
-    for (grammar_seeds, budget) in [(0, 8), (8, 82)] {
+    for (grammar_seeds, budget) in [(0, 8), (8, 77)] {
         let plan = || router.exploration_plan(peer, grammar_seeds, 7);
         let _ = plan();
         let (_, spent) = counted(plan);
@@ -665,8 +687,8 @@ fn update_fanout() {
     // differ in their AS path, so each delivery replaces the route.
     let mut sim = hub_with(64);
     for (name, from, fan_out, budget) in [
-        ("a customer UPDATE, best route replaced", 1u16, 63, 15),
-        ("a provider UPDATE, best route kept", 3, 0, 5),
+        ("a customer UPDATE, best route replaced", 1u16, 63, 6),
+        ("a provider UPDATE, best route kept", 3, 0, 2),
     ] {
         let updates = [64001u16, 64002].map(|origin| {
             encode(&Message::Update(UpdateMsg {

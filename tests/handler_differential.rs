@@ -746,7 +746,7 @@ fn arb_path() -> impl Strategy<Value = AsPath> {
             let asns = vec![PEER];
             segments.insert(0, AsPathSegment { kind, asns });
         }
-        AsPath { segments }
+        segments.into_iter().collect()
     })
 }
 
@@ -776,7 +776,7 @@ fn arb_update() -> impl Strategy<Value = Vec<u8>> {
             as_path,
             next_hop: Ipv4Addr(0x0A00_0001),
             med,
-            communities,
+            communities: communities.into_iter().collect(),
             unknown: unknown.into_iter().collect(),
             ..PathAttrs::default()
         });

@@ -4,8 +4,8 @@
 //! byte-identical to a fresh `encode`, for both protocols.
 
 use dice_system::bgp::{
-    decode, encode, AsPath, AsPathSegment, Asn, Community, Ipv4Addr, Ipv4Net, Message,
-    NotificationMsg, OpenMsg, Origin, PathAttrs, RouterId, SegmentKind, UpdateMsg,
+    decode, encode, AsPathSegment, Asn, Community, Ipv4Addr, Ipv4Net, Message, NotificationMsg,
+    OpenMsg, Origin, PathAttrs, RouterId, SegmentKind, UpdateMsg,
 };
 use dice_system::gossip::{GossipFrame, Rumor, MAX_DIGEST_ENTRIES, MAX_PAYLOAD, MAX_TTL};
 use proptest::prelude::*;
@@ -44,13 +44,13 @@ fn arb_attrs() -> impl Strategy<Value = PathAttrs> {
         .prop_map(
             |(origin, segments, nh, med, local_pref, atomic, aggr, communities)| PathAttrs {
                 origin,
-                as_path: AsPath { segments },
+                as_path: segments.into_iter().collect(),
                 next_hop: Ipv4Addr(nh),
                 med,
                 local_pref,
                 atomic_aggregate: atomic,
                 aggregator: aggr.map(|(a, ip)| (Asn(a), Ipv4Addr(ip))),
-                communities,
+                communities: communities.into_iter().collect(),
                 unknown: Vec::new(),
             },
         )
