@@ -48,10 +48,11 @@ pub struct Selected {
     pub reason: DecisionReason,
 }
 
-/// A vector whose copy has room for one more element. The tables below
-/// are copied on write, and the write that follows a copy most often adds
-/// a row (or an entry): it then fills the room instead of growing the
-/// copy a second time.
+/// A vector whose copy, unless empty, has room for one more element. The
+/// tables below are copied on write, and the write that follows a copy
+/// often adds a row (or an entry): it then fills the room instead of
+/// growing the copy a second time. An empty table is copied empty, as a
+/// `Vec` is: most stay so.
 #[derive(Debug)]
 struct Roomy<T>(Vec<T>);
 
@@ -63,6 +64,9 @@ impl<T> Default for Roomy<T> {
 
 impl<T: Clone> Clone for Roomy<T> {
     fn clone(&self) -> Self {
+        if self.0.is_empty() {
+            return Roomy::default();
+        }
         let mut copy = Vec::with_capacity(self.0.len() + 1);
         copy.extend_from_slice(&self.0);
         Roomy(copy)

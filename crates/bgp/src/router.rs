@@ -114,12 +114,9 @@ impl Resolved {
             })
             .collect();
         neighbors.sort_by_key(|n| n.node);
-        for i in 0..neighbors.len() {
-            let export = neighbors[i].export;
-            neighbors[i].memo = neighbors
-                .iter()
-                .position(|n| n.export == export)
-                .unwrap_or(i);
+        let mut first = vec![None; policies.len()];
+        for (i, n) in neighbors.iter_mut().enumerate() {
+            n.memo = *first[n.export].get_or_insert(i);
         }
         Resolved {
             config,

@@ -820,7 +820,7 @@ impl Iterator for Prefixes<'_> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.clone().map(|_| ()).count();
+        let n = self.clone().count();
         (n, Some(n))
     }
 }

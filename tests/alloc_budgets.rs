@@ -13,21 +13,23 @@
 //! | `buf_pool_exchange` | a warm `BufPool` acquire + recycle | 0 | `BufPool::{acquire, recycle}` |
 //! | `encode_into_a_warm_buffer` | `encode_into` of a BGP UPDATE / a gossip digest | 0 / 0 | `dice_bgp::wire::encode_into`, `dice_gossip::wire::encode_into` |
 //! | `gossip_frame` | `decode` of a valid rumor / a valid digest / a rejected frame | 1 / 1 / 0 (the owned payload or entries) | `dice_gossip::wire::{validate, decode}` |
-//! | `policy_apply` | `Policy::apply` of a Gao–Rexford import to a borrowed / an owned bag, a valley-free export reject, a verdict-less tag rule before an accept | 3 / 0 / 0 / 3 (the copy of a borrowed bag: its AS_PATH, segment and community storage) | `Policy::{apply, decide}`, `Match::test`, `Fired::actions`, `Action::apply` |
-//! | `bgp_update_decode` | `decode` of a full UPDATE (AS_PATH, communities, a transitive unknown) / a withdraw-only UPDATE / one rejected at its NEXT_HOP | 8 / 1 / 3 (the owned withdrawn, AS_PATH, community, unknown-attribute and NLRI storage) | `dice_bgp::wire::{validate_update, decode}` |
+//! | `policy_apply` | `Policy::apply` of a Gao–Rexford import to a borrowed / an owned bag, a valley-free export reject, a verdict-less tag rule before an accept | 1 / 0 / 0 / 1 (the copy of a borrowed bag: its AS_PATH words; the communities stay inline) | `Policy::{apply, decide}`, `Match::test`, `Fired::actions`, `Action::apply`, `Communities::insert` |
+//! | `bgp_update_decode` | `decode` of a full UPDATE (AS_PATH, communities, a transitive unknown) / a withdraw-only UPDATE / one rejected at its NEXT_HOP | 5 / 1 / 1 (the owned withdrawn list, AS_PATH words, unknown attribute and its value, and NLRI list) | `dice_bgp::wire::{validate_update, decode_incoming, decode}`, `AsPath::from_wire`, `UpdateView::into_msg` |
 //! | `same_cut_reset` | `reset_from_shadow` after an injected and after a null drive, gossip16 and demo27 | 0 | `Simulator::{reset_from_shadow, rebind_touched, bind_node}`, `Links::reset`, `Cuts::{reset, seed}` |
 //! | `repeat_cut` | `instant_snapshot` of a quiesced system already cut once, gossip16 / demo27 | 9 / 10 | `checkpoint_node` |
-//! | `live_convergence` | `run_until_quiet` of a started `scenarios::demo27_system`, from start to quiescence | 12,976 | `process_deliver`, `with_node`, `apply_effects`, `BgpRouter::{on_start, on_session, on_message}`, `recompute_and_propagate` |
+//! | `live_convergence` | `run_until_quiet` of a started `scenarios::demo27_system`, from start to quiescence | 7,013 | `process_deliver`, `with_node`, `apply_effects`, `BgpRouter::{on_start, on_session, on_message}`, `recompute_and_propagate` |
 //! | `consistent_cut` | `take_consistent_snapshot` of a quiesced system already cut once, gossip16 / demo27 | 19 / 20 | `start_snapshot`, `SnapshotState::{new, into_shadow}`, `send_markers`, `snapshot_on_marker` |
 //! | `passing_battery` | `run_checkers` over a null-drive clone, warm baseline, gossip16 and demo27 | 1 (the reserved report) | `run_checkers`, `check_into` of `CrashChecker`, `OscillationChecker`, `OriginAuthorityChecker`, `ConvergenceChecker` |
-//! | `pooled_unit` | reset → `deliver_direct` → `run_until_quiet` → `run_checkers`, gossip16 / demo27 | 602 / 657 | `process_deliver`, `NodeApi::buf`, `recompute_and_propagate`, `export_to`, `Policy::apply` |
-//! | `first_write` | `deliver_direct` of the input into a warm pooled demo27 clone: the explorer's copy and its first UPDATE | 47 | `BgpRouter::clone_node`, `handle_update`, `Rib::{insert, install, advertise}` |
-//! | `bgp_plan` | `exploration_plan` of a demo27 router, grammar seeds 0 / 8 | 8 / 82 (the boxed twin and the seed corpus) | `BgpRouter::update_twin`, `UpdateGrammar::{generate, batch}`, `encode` |
+//! | `pooled_unit` | reset → `deliver_direct` → `run_until_quiet` → `run_checkers`, gossip16 / demo27 | 602 / 387 | `process_deliver`, `NodeApi::buf`, `recompute_and_propagate`, `export_to`, `Policy::{apply, export}` |
+//! | `first_write` | `deliver_direct` of the input into a warm pooled demo27 clone: the explorer's copy and its first UPDATE | 29 | `BgpRouter::clone_node`, `handle_update`, `Rib::{insert, install, advertise}`, `Roomy::clone` |
+//! | `row_after_a_copy` | `Rib::insert` of a fifth peer's row for a prefix, into a copy of a table that holds four | 4 (the spine and the entry, an `Arc` and a vector each; the row fits) | `Rib::{insert, edit}`, `Roomy::clone` |
+//! | `rebound_hold_timer` | `deliver_direct` of a KEEPALIVE to a router a freshly rebound pooled demo27 clone already copied: its HOLD re-arm | 0 | `Simulator::{bind_node, apply_effects}`, `TimerGens::{clear, bump}` |
+//! | `bgp_plan` | `exploration_plan` of a demo27 router, grammar seeds 0 / 8 | 8 / 77 (the boxed twin and the seed corpus) | `BgpRouter::update_twin`, `UpdateGrammar::{generate, batch}`, `encode` |
 //! | `warm_twin_execution` | one twin run through `ConcolicCtx::continuing` on a warm arena, BGP / gossip | 4 / 0 | `ExprArena::intern` |
 //! | `explore_session` | one `explore` of 160 executions, BGP / gossip | 881 / 3,389 | `Search::{dfs, narrow, admits, admits_cmp, offset_of}`, `ExprArena::{sweep, intern, eval3_memo}`, `UnaryMemo::lookup`, `Worklist::{push, pick}` |
 //! | `warm_session` | a second `ExploreState::explore` of the same 160 executions on one state, BGP / gossip | 808 / 3,324 (no node interned, no constraint swept) | as `explore_session`, over a warm arena and warm memos |
 //! | `one_worker_campaign` | `Campaign::run` at one worker, one gossip16 round | 1,457 | `validate_unit`, `validate_one`, `ClonePool::{acquire, release}` (at one worker they run on the calling thread) |
-//! | `update_fanout` | `deliver_direct` of an UPDATE into a Gao–Rexford hub with 64 established neighbours and the 5 ms drain of what it sent: a customer's that changes the best route (fan-out 63) / a provider's that does not (fan-out 0) | 15 / 5 | `BgpRouter::on_message`, `handle_update`, `recompute_and_propagate`, `export_to`, `send_update`, `NodeApi::buf` |
+//! | `update_fanout` | `deliver_direct` of an UPDATE into a Gao–Rexford hub with 64 established neighbours and the 5 ms drain of what it sent: a customer's that changes the best route (fan-out 63) / a provider's that does not (fan-out 0) | 6 / 2 | `BgpRouter::on_message`, `handle_update`, `recompute_and_propagate`, `export_to`, `Policy::export`, `AsPath::prepended`, `send_update`, `NodeApi::buf` |
 //! | `gossip_copy_shares_its_tables` | `clone_node` of a 16-mesh gossip node | 19 | `GossipNode::clone_node` |
 //! | `bgp_router_copy_stays_at_its_pinned_count` | `clone_node` of a demo27 router | 2 | `BgpRouter::clone_node` |
 //!
@@ -43,10 +45,13 @@
 //!   (`Concrete(&bytes.to_vec())`), and a valid rumor allocates twice.
 //! * `policy_apply`: make `Policy::apply` copy a borrowed bag before it
 //!   decides (`attrs.into().into_owned()`), and the valley-free export
-//!   reject allocates 3 times.
+//!   reject allocates once. Set `INLINE_COMMUNITIES` to 0, so every
+//!   community set lives on the heap, and the import of a borrowed bag
+//!   allocates 3 times (as it did when the set was a `BTreeSet`).
 //! * `bgp_update_decode`: make `validate_update` keep the codes it has
 //!   seen in a `Vec<u8>` instead of its 256-bit set, and a full UPDATE
-//!   allocates 9 times (as the decoder it replaced did).
+//!   allocates 6 times. Make `AsPath::from_wire` push its words one at a
+//!   time into a growing `Vec`, and it allocates 6 times too.
 //! * `same_cut_reset`: make `rebind_touched` clone the touched list instead
 //!   of taking it, and the gossip16 reset after an injected drive
 //!   allocates once.
@@ -57,8 +62,8 @@
 //!   `VecDeque` of every counted event, sent and delivered frames, timers
 //!   and session changes, up to 64 Ki of them — and let `BgpRouter`
 //!   render a `String` per best-route change and session event, and the
-//!   convergence allocates 16,841 times (the simulator before its counters
-//!   stood alone).
+//!   convergence allocated 16,841 times where it allocated 12,976 without
+//!   (measured before a hop's own allocations were cut, below).
 //! * `consistent_cut`: make `send_markers` collect the fan-out into a
 //!   fresh `Vec` instead of the `Cuts` scratch buffer, and a gossip16 cut
 //!   allocates 35 times (173 with the ordered-set bookkeeping the
@@ -66,12 +71,21 @@
 //! * `passing_battery`: make `CrashChecker` name its pass
 //!   `self.name().to_string()`, and a gossip16 battery allocates 17 times.
 //! * `pooled_unit`: make `export_to` copy the exported bag per accepting
-//!   peer instead of sharing its `Arc`, and a demo27 unit allocates 828
-//!   times.
+//!   peer instead of sharing its `Arc`, and a demo27 unit allocates 501
+//!   times. Make `export_to` keep its memo in a `Vec` on the router,
+//!   resized per call and emptied after it, and a demo27 unit allocates
+//!   406 times: a router copy carries no capacity, so every copied router
+//!   that exports grows one.
 //! * `first_write`: make `Rib::edit` deep-copy every entry when it copies
-//!   a shared spine, and the copy plus its first UPDATE allocates 127
+//!   a shared spine, and the copy plus its first UPDATE allocates 109
 //!   times (the router copy alone stays at 2: a saving made only at copy
 //!   time cannot pass this budget).
+//! * `row_after_a_copy`: make `Roomy::clone` copy exactly
+//!   (`Roomy(self.0.clone())`), and the row allocates 5 times: the copy
+//!   grows again.
+//! * `rebound_hold_timer`: make `TimerGens::clear` drop its storage
+//!   (`self.0 = Vec::new()`), as the `BTreeMap` it replaced did, and the
+//!   re-arm allocates once.
 //! * `bgp_plan`: make `BgpRouter::update_twin` copy the router's resolved
 //!   config (`Arc::new(Resolved::clone(&self.shared))`) instead of sharing
 //!   its `Arc`, and a plan with no grammar seed allocates 101 times (85
@@ -87,7 +101,11 @@
 //!   and the campaign allocates 1,639 times.
 //! * `update_fanout`: make `export_to` advertise a copy of the exported
 //!   bag (`Arc::new(PathAttrs::clone(attrs))`) instead of sharing its
-//!   `Arc`, and the customer UPDATE allocates 204 times.
+//!   `Arc`, and the customer UPDATE allocates 132 times. Make
+//!   `Resolved::export` copy the accepted bag and edit it (`apply`,
+//!   `into_owned`, `as_path.prepend`, strip) instead of `Policy::export`,
+//!   and it allocates 8 times. Make `handle_update` collect the NLRI into
+//!   a `Vec` before it imports them, and it allocates 7 times.
 //! * `gossip_copy_shares_its_tables`: make `clone_node` deep-copy the
 //!   store, the dedup memory and every per-peer infection set, and a copy
 //!   of a 16-mesh node allocates 153 times (187 when every table was
@@ -386,7 +404,7 @@ fn live_convergence() {
         )
     });
     assert_eq!(out, QuietOutcome::Quiescent);
-    within("demo27 from start to quiescence", spent, 7_040);
+    within("demo27 from start to quiescence", spent, 7_013);
 }
 
 #[test]
@@ -447,6 +465,29 @@ fn first_write() {
     sim.reset_from_shadow(&b.shadow, 3);
     let ((), spent) = counted(|| sim.deliver_direct(b.peer, b.explorer, &b.valid_input));
     within("demo27: a copy and its first UPDATE", spent, 29);
+}
+
+#[test]
+fn row_after_a_copy() {
+    // A copied table keeps room for the row its first write adds: the
+    // spine and the entry are copied (an `Arc` and a vector each), and
+    // the new peer's row fills the room.
+    use dice_system::bgp::{net, Rib, Route};
+    let prefix = net("10.0.0.0/8");
+    let route = |peer: u32| Route {
+        attrs: std::sync::Arc::new(PathAttrs::default()),
+        from_peer: Some(peer),
+        peer_router_id: peer,
+    };
+    let mut rib = Rib::default();
+    for peer in 1..=4 {
+        rib.insert(NodeId(peer), prefix, route(peer));
+    }
+    let mut copy = rib.clone();
+    let row = route(5);
+    let ((), spent) = counted(|| copy.insert(NodeId(5), prefix, row));
+    assert_eq!(copy.candidates(&prefix).count(), 5);
+    within("a row added right after a copy", spent, 4);
 }
 
 #[test]
