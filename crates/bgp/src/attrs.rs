@@ -133,7 +133,7 @@ impl AsPath {
     }
 
     /// The attribute's wire value as 16-bit words, in order.
-    pub fn words(&self) -> &[u16] {
+    pub(crate) fn words(&self) -> &[u16] {
         &self.words
     }
 
@@ -170,13 +170,13 @@ impl AsPath {
     }
 
     /// The first member and the kind of its segment, if any.
-    pub fn first_member(&self) -> Option<(Asn, SegmentKind)> {
+    pub(crate) fn first_member(&self) -> Option<(Asn, SegmentKind)> {
         let (kind, members) = self.segments().next()?;
         Some((Asn(*members.first()?), kind))
     }
 
     /// The last member and the kind of its segment, if any.
-    pub fn last_member(&self) -> Option<(Asn, SegmentKind)> {
+    pub(crate) fn last_member(&self) -> Option<(Asn, SegmentKind)> {
         let (kind, members) = self.segments().last()?;
         Some((Asn(*members.last()?), kind))
     }
@@ -208,7 +208,11 @@ impl AsPath {
     /// built at its final size. Each count is one [`prepend`](Self::prepend):
     /// it joins the leading segment when that is a sequence with room for
     /// it, and opens a new sequence segment otherwise.
-    pub fn prepended(&self, asn: Asn, counts: impl IntoIterator<Item = u8> + Clone) -> AsPath {
+    pub(crate) fn prepended(
+        &self,
+        asn: Asn,
+        counts: impl IntoIterator<Item = u8> + Clone,
+    ) -> AsPath {
         // Replay the prepends on the leading segment's kind and size to
         // learn the final length, then again to fill the words from the
         // back: the original path ends the buffer, each prepend extends

@@ -805,7 +805,7 @@ pub fn validate_update<D: Domain>(
 /// The prefixes of a validated withdrawn-routes or NLRI field, read in
 /// place: each a length octet and as many address octets as it needs.
 #[derive(Debug, Clone, Default)]
-pub struct Prefixes<'a>(&'a [u8]);
+pub(crate) struct Prefixes<'a>(&'a [u8]);
 
 impl Iterator for Prefixes<'_> {
     type Item = Ipv4Net;
@@ -831,10 +831,10 @@ impl ExactSizeIterator for Prefixes<'_> {}
 /// withdrawn and announced prefixes left in the message bytes they were
 /// validated in, so no list of them is allocated.
 #[derive(Debug, Default)]
-pub struct UpdateView<'a> {
+pub(crate) struct UpdateView<'a> {
     withdrawn: &'a [u8],
     /// Path attributes; `None` only for withdraw-only updates.
-    pub attrs: Option<PathAttrs>,
+    pub(crate) attrs: Option<PathAttrs>,
     nlri: &'a [u8],
 }
 
@@ -852,17 +852,17 @@ impl<'a> UpdateView<'a> {
     }
 
     /// Withdrawn prefixes.
-    pub fn withdrawn(&self) -> Prefixes<'a> {
+    pub(crate) fn withdrawn(&self) -> Prefixes<'a> {
         Prefixes(self.withdrawn)
     }
 
     /// Announced prefixes sharing `attrs`.
-    pub fn nlri(&self) -> Prefixes<'a> {
+    pub(crate) fn nlri(&self) -> Prefixes<'a> {
         Prefixes(self.nlri)
     }
 
     /// The [`UpdateMsg`] holding the same parts.
-    pub fn into_msg(self) -> UpdateMsg {
+    fn into_msg(self) -> UpdateMsg {
         UpdateMsg {
             withdrawn: self.withdrawn().collect(),
             nlri: self.nlri().collect(),
@@ -943,7 +943,7 @@ impl UpdateSink<u64> for Decoded<'_> {
 /// A message as a router takes it in: an UPDATE as an [`UpdateView`] of
 /// the bytes, any other message decoded whole.
 #[derive(Debug)]
-pub enum Incoming<'a> {
+pub(crate) enum Incoming<'a> {
     /// An UPDATE.
     Update(UpdateView<'a>),
     /// An OPEN, NOTIFICATION or KEEPALIVE.
@@ -974,7 +974,10 @@ pub fn decode_with(buf: &[u8], bugs: BugSwitches) -> Result<(Message, usize), Ve
 
 /// [`decode_with`] as the router reads a message: an UPDATE's prefixes
 /// stay in `buf`.
-pub fn decode_incoming(buf: &[u8], bugs: BugSwitches) -> Result<(Incoming<'_>, usize), Verdict> {
+pub(crate) fn decode_incoming(
+    buf: &[u8],
+    bugs: BugSwitches,
+) -> Result<(Incoming<'_>, usize), Verdict> {
     if buf.len() < HEADER_LEN {
         return Err(DecodeError::Truncated.into());
     }
