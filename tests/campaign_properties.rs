@@ -22,6 +22,17 @@
 //!    asks for equality, so the difference it allows is exactly that one
 //!    (`a_second_call_drops_the_first_calls_pending_legs` shows it).
 //!
+//! `null_input_clone_predicts_the_live_system` holds DiCE's premise on the
+//! same scenarios: a clone started from a consistent cut shows what the
+//! live system does. It cuts the warmed-up live system from a drawn node,
+//! clones the cut on another seed, runs both 150 s past the cut without an
+//! input, and compares every node of the cut's scope: the checkers' view
+//! (best routes, session health, crash state), a router's AS paths, a
+//! gossip node's stored and seen rumors. The one divergence it allows is
+//! ROADMAP item 2a's gap, that a clone never fires a timer armed before the
+//! cut ([`clone_misses_a_timer_armed_before_the_cut`]);
+//! `a_clone_never_collects_expired_rumors` pins one instance of it.
+//!
 //! `config_json_loads_or_errs` feeds `CampaignConfig` / `DiceConfig` JSON
 //! with dropped, retired and out-of-range fields to the loader: each must
 //! load or give an `Err`, never panic, and what loads must save and load
@@ -29,16 +40,19 @@
 //! `MAX_WORKERS` is run on a 2-node line and must give the `Err` that names
 //! the field.
 //!
-//! CI runs both in release at a fixed case count:
-//! `PROPTEST_CASES=1000 cargo test --release --test campaign_properties`
-//! (about 27 s on a 2-vCPU host).
+//! CI runs them in release at fixed case counts:
+//! `PROPTEST_CASES=1000 cargo test --release --test campaign_properties --
+//! --skip null_input_clone_predicts_the_live_system` (about 27 s on a
+//! 2-vCPU host), and the clone-vs-live property alone at
+//! `PROPTEST_CASES=2000` (about 7 s).
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use dice_system::bgp::{BgpRouter, RouterConfig, RouterId};
+use dice_system::bgp::{Asn, BgpRouter, Ipv4Net, RouterConfig, RouterId};
 use dice_system::dice::campaign::MAX_WORKERS;
-use dice_system::dice::sut::SutCatalog;
+use dice_system::dice::snapshot::take_consistent_snapshot;
+use dice_system::dice::sut::{SessionHealth, SutCatalog};
 use dice_system::dice::{scenarios, Campaign, CampaignConfig, CampaignReport, DiceConfig};
 use dice_system::gossip::{GossipConfig, GossipNode};
 use dice_system::netsim::{
@@ -361,55 +375,75 @@ fn schedule(
     }
 }
 
-proptest! {
+/// The scenario generator: one argument list, so every property over a
+/// [`Scenario`] draws it alike and shrinks it field by field. The caller
+/// names the scenario and may append arguments of its own, drawn after the
+/// scenario's.
+macro_rules! scenario_proptest {
+    (
+        $(#[$meta:meta])*
+        fn $name:ident($s:ident $(, $arg:ident in $strat:expr)* $(,)?) $body:block
+    ) => {
+        proptest! {
+            $(#[$meta])*
+            #[test]
+            fn $name(
+                shape in 0u8..4,
+                nodes in 2usize..=30,
+                gossip in any::<u32>(),
+                cross_talk in any::<bool>(),
+                buggy in prop::option::of(0u32..30),
+                latency_ms in 1u64..=20,
+                loss_permille in 0u32..=100,
+                warmup_ms in 0u64..=12_000,
+                fault_permille in prop::option::of(0u32..=300),
+                burst in any::<bool>(),
+                legs in prop::collection::vec(any::<bool>(), 0..=3),
+                leg_ms in 0u64..=100,
+                start_ms in 0u64..=20,
+                window_ms in 0u64..=50,
+                protect in 0u32..4,
+                explorers in prop::collection::vec(0u32..30, 0..=3),
+                peers in 0usize..=2,
+                rounds in 1usize..=3,
+                executions in 0usize..=24,
+                validate_top in 0usize..=4,
+                grammar_seeds in 0usize..=3,
+                seed in 0u64..1_000,
+                workers in 1usize..=4,
+                $($arg in $strat,)*
+            ) {
+                let $s = Scenario {
+                    shape,
+                    nodes,
+                    gossip,
+                    cross_talk,
+                    buggy,
+                    latency_ms,
+                    loss_permille,
+                    warmup_ms,
+                    fault_permille,
+                    burst,
+                    schedule: schedule(&legs, leg_ms, start_ms, window_ms, protect),
+                    explorers: explorers.into_iter().map(NodeId).collect(),
+                    peers,
+                    rounds,
+                    executions,
+                    validate_top,
+                    grammar_seeds,
+                    seed,
+                    workers,
+                };
+                $body
+            }
+        }
+    };
+}
+
+scenario_proptest! {
     /// Generated scenarios against the four contracts.
-    #[test]
-    fn scenario_contracts(
-        shape in 0u8..4,
-        nodes in 2usize..=30,
-        gossip in any::<u32>(),
-        cross_talk in any::<bool>(),
-        buggy in prop::option::of(0u32..30),
-        latency_ms in 1u64..=20,
-        loss_permille in 0u32..=100,
-        warmup_ms in 0u64..=12_000,
-        fault_permille in prop::option::of(0u32..=300),
-        burst in any::<bool>(),
-        legs in prop::collection::vec(any::<bool>(), 0..=3),
-        leg_ms in 0u64..=100,
-        start_ms in 0u64..=20,
-        window_ms in 0u64..=50,
-        protect in 0u32..4,
-        explorers in prop::collection::vec(0u32..30, 0..=3),
-        peers in 0usize..=2,
-        rounds in 1usize..=3,
-        executions in 0usize..=24,
-        validate_top in 0usize..=4,
-        grammar_seeds in 0usize..=3,
-        seed in 0u64..1_000,
-        workers in 1usize..=4,
-    ) {
-        campaign_contracts(&Scenario {
-            shape,
-            nodes,
-            gossip,
-            cross_talk,
-            buggy,
-            latency_ms,
-            loss_permille,
-            warmup_ms,
-            fault_permille,
-            burst,
-            schedule: schedule(&legs, leg_ms, start_ms, window_ms, protect),
-            explorers: explorers.into_iter().map(NodeId).collect(),
-            peers,
-            rounds,
-            executions,
-            validate_top,
-            grammar_seeds,
-            seed,
-            workers,
-        })?;
+    fn scenario_contracts(s) {
+        campaign_contracts(&s)?;
     }
 }
 
@@ -458,6 +492,238 @@ fn a_second_call_drops_the_first_calls_pending_legs() {
     assert_eq!(first.perf.churn_events, 1, "the crash fires before sweep 1");
     assert_eq!(second.perf.churn_events, 0, "the restart is dropped");
     assert_eq!(joined.perf.churn_events, 2, "crash, then restart");
+}
+
+/// How far past its cut a live system and a null-input clone of the cut
+/// run before they are compared: one 90 s BGP hold time, the 120 s rumor
+/// lifetime plus one 10 s GC period, and 75 two-second anti-entropy
+/// periods.
+const HORIZON: SimDuration = SimDuration::from_secs(150);
+
+/// What the checkers read of one node: the `CheckView` best routes and
+/// session health, and the crash state; with them a BGP router's Loc-RIB
+/// AS paths and a gossip node's stored rumors and dedup memory. Flip and
+/// duplicate counters depend on timing and are left out.
+#[derive(Debug, Clone, PartialEq)]
+struct Projection {
+    crashed: Option<String>,
+    best_routes: Vec<(Ipv4Net, Asn)>,
+    sessions: Option<SessionHealth>,
+    as_paths: Vec<(Ipv4Net, String)>,
+    /// A gossip node's `stored()` and `seen_count()`.
+    rumors: Option<(usize, usize)>,
+}
+
+fn project(sim: &Simulator, id: NodeId) -> Projection {
+    let node = sim.node(id);
+    let view = SutCatalog::default().resolve(node).map(|n| n.check_view());
+    let mut best_routes = Vec::new();
+    if let Some(view) = view {
+        view.for_each_best_route(&mut |prefix, origin| best_routes.push((prefix, origin)));
+    }
+    let as_paths = node.as_any().downcast_ref::<BgpRouter>().map(|r| {
+        r.loc_rib()
+            .iter()
+            .map(|(prefix, sel)| (*prefix, sel.route.attrs.as_path.to_string()))
+            .collect()
+    });
+    Projection {
+        crashed: sim.crashed(id).map(str::to_string),
+        best_routes,
+        sessions: view.map(|view| view.session_health()),
+        as_paths: as_paths.unwrap_or_default(),
+        rumors: (node.as_any().downcast_ref::<GossipNode>()).map(|g| (g.stored(), g.seen_count())),
+    }
+}
+
+/// One node of a cut's scope, projected on the live system and on the
+/// clone.
+#[derive(Debug)]
+struct Pair {
+    id: NodeId,
+    live: Projection,
+    clone: Projection,
+    /// A session of the node was down at the cut.
+    down_at_cut: bool,
+    /// The cut was taken before the live system had brought every session
+    /// up once.
+    cut_in_setup: bool,
+}
+
+/// The live system past its warm-up, cut from `initiator`, and a clone of
+/// the cut on `clone_seed`, both run to the cut's base time plus `horizon`:
+/// each node of the cut's scope on both sides, or the cut's error.
+///
+/// Both sides keep the reliable channel model: link latency and loss as a
+/// retransmit delay, but no channel faults. Under drops the two sides draw
+/// different drops from different seeds, and BGP does not recover a
+/// dropped UPDATE, so they part for reasons that are not the clone's.
+fn live_and_clone(
+    s: &Scenario,
+    initiator: u32,
+    clone_seed: u64,
+    horizon: SimDuration,
+) -> Result<Vec<Pair>, String> {
+    let mut live = s.system();
+    live.run_until(SimTime::from_nanos(s.warmup_ms * 1_000_000));
+    let initiator = NodeId(initiator % live.topology().len() as u32);
+    // A reset session comes back up no sooner than the simulator's
+    // reconnect delay, long after the first setup of every session.
+    let cut_in_setup = live.trace().stats().sessions_up < live.topology().edges().len() as u64;
+    let (shadow, _) = take_consistent_snapshot(&mut live, initiator, SimDuration::from_secs(60))?;
+    let mut clone = Simulator::from_shadow(&shadow, live.topology(), clone_seed);
+    let end = shadow.base_time() + horizon;
+    live.run_until(end);
+    clone.run_until(end);
+    let up = |a, b| {
+        shadow
+            .sessions_up()
+            .iter()
+            .any(|&s| s == (a, b) || s == (b, a))
+    };
+    Ok(shadow
+        .nodes()
+        .keys()
+        .map(|&id| Pair {
+            id,
+            live: project(&live, id),
+            clone: project(&clone, id),
+            down_at_cut: live
+                .topology()
+                .neighbors(id)
+                .into_iter()
+                .any(|m| !up(id, m)),
+            cut_in_setup,
+        })
+        .collect())
+}
+
+/// The one divergence `null_input_clone_predicts_the_live_system` allows,
+/// ROADMAP item 2a's gap: a clone never fires a timer armed before the
+/// cut. It shows in five shapes, each named by the timer found responsible
+/// for it:
+///
+/// * the gossip GC: the live node has dropped its expired rumors and the
+///   clone still stores them, while all else agrees, the dedup memory
+///   included (`a_clone_never_collects_expired_rumors` pins one instance);
+/// * the gossip anti-entropy digest: the live node has pulled rumors that
+///   its peers' pushes missed, and the clone never asks, so the live node
+///   has seen more; crash state and sessions agree;
+/// * the simulator's reconnect of a session reset before the cut (across
+///   the protocol seam, where a BGP router resets what a gossip node
+///   sends): the session, down in the cut's session table, comes back on
+///   the live system and never on the clone. When it comes back while the
+///   cut is under way, an endpoint recorded after that holds it up, and
+///   the clone, whose table has it down, never tells the node. Either way
+///   only a node with a session down at the cut differs in its sessions;
+/// * a BGP router's deferred reset or HOLD across the protocol seam: the
+///   live router tears down a session on a timer armed before the cut,
+///   and the clone keeps it, so the clone has more sessions established;
+/// * the simulator's first setup of the sessions: a cut taken before every
+///   session has come up once leaves the clone a partial topology for
+///   good, and what the late sessions carry on the live system reaches
+///   every node, so any node may differ.
+///
+/// Any other divergence fails the property: a BGP router that differs while
+/// its sessions agree, a session lost on the clone although the node's
+/// sessions were all up at the cut, a clone that has seen more rumors than
+/// the live node, a crash on one side only.
+fn clone_misses_a_timer_armed_before_the_cut(p: &Pair) -> bool {
+    let (live, clone) = (&p.live, &p.clone);
+    if p.cut_in_setup {
+        return true;
+    }
+    if live.crashed != clone.crashed {
+        return false;
+    }
+    if live.sessions != clone.sessions {
+        let established = |q: &Projection| q.sessions.map(|h| h.established);
+        return p.down_at_cut || established(live) < established(clone);
+    }
+    let (Some((live_stored, live_seen)), Some((clone_stored, clone_seen))) =
+        (live.rumors, clone.rumors)
+    else {
+        return false;
+    };
+    live_seen > clone_seen
+        || live_seen == clone_seen
+            && live_stored < clone_stored
+            && live.best_routes == clone.best_routes
+}
+
+scenario_proptest! {
+    /// A null-input clone of a consistent cut predicts the live system:
+    /// run both to the cut's base time plus [`HORIZON`], and every node in
+    /// the cut's scope projects alike on both, but for the one allowance
+    /// [`clone_misses_a_timer_armed_before_the_cut`]. A cut that a session
+    /// reset fails has nothing to compare.
+    ///
+    /// Half the cases clear the gossip bits: a drawn scenario of n nodes
+    /// is all BGP once in 2^n, and a BGP line cut mid-convergence is a case
+    /// this property must cover.
+    fn null_input_clone_predicts_the_live_system(
+        s,
+        initiator in 0u32..30,
+        clone_seed in 1_000u64..2_000,
+        all_bgp in any::<bool>(),
+    ) {
+        let s = if all_bgp { Scenario { gossip: 0, ..s } } else { s };
+        let pairs = caught("the live and clone runs", || {
+            live_and_clone(&s, initiator, clone_seed, HORIZON)
+        })?;
+        let Ok(pairs) = pairs else {
+            return Ok(());
+        };
+        for p in pairs {
+            prop_assert!(
+                p.live == p.clone || clone_misses_a_timer_armed_before_the_cut(&p),
+                "{:?}",
+                p
+            );
+        }
+    }
+}
+
+/// The allowance's pinned instance: a gossip line cut 2 s into its run. A
+/// clone projects alike 100 s past the cut. 150 s past it, once every
+/// rumor has outlived its 120 s lifetime and a GC period has passed, each
+/// live node stores none of the 8 rumors it has seen and each clone node
+/// still stores all 8. When a clone fires the timers armed before its cut
+/// (ROADMAP item 2a), the two sides agree here and the `assert_ne!` flips.
+#[test]
+fn a_clone_never_collects_expired_rumors() {
+    let s = Scenario {
+        shape: 0,
+        nodes: 4,
+        gossip: 0b1111,
+        cross_talk: false,
+        buggy: None,
+        latency_ms: 5,
+        loss_permille: 0,
+        warmup_ms: 2_000,
+        fault_permille: None,
+        burst: false,
+        schedule: ScheduleSpec::default(),
+        explorers: Vec::new(),
+        peers: 0,
+        rounds: 1,
+        executions: 0,
+        validate_top: 0,
+        grammar_seeds: 0,
+        seed: 3,
+        workers: 1,
+    };
+    let before = live_and_clone(&s, 0, 1_000, SimDuration::from_secs(100)).expect("the cut");
+    assert_eq!(before.len(), 4, "the cut spans the line");
+    for p in &before {
+        assert_eq!(p.live, p.clone, "{:?} before the rumors expire", p.id);
+    }
+    for p in live_and_clone(&s, 0, 1_000, HORIZON).expect("the cut") {
+        let (live, clone) = (p.live.rumors.unwrap(), p.clone.rumors.unwrap());
+        assert_eq!(live.1, clone.1, "{:?} has seen the same rumors", p.id);
+        assert_ne!(live.0, clone.0, "{:?}: the clone never collects", p.id);
+        assert!(clone_misses_a_timer_armed_before_the_cut(&p), "{p:?}");
+    }
 }
 
 /// What the loader is fed in place of a field's value.

@@ -1,62 +1,16 @@
-//! Snapshot correctness across the stack: consistent snapshots of live BGP
-//! systems replay to the same routing outcome as the live run, clones are
-//! isolated, and checkpoint accounting is sane.
+//! Snapshot correctness across the stack: clones are isolated, checkpoint
+//! accounting is sane, and a never-converging system still cuts. That a
+//! clone of a consistent cut replays to what the live system does is
+//! `tests/campaign_properties.rs::null_input_clone_predicts_the_live_system`,
+//! over generated BGP, gossip and mixed federations.
 
-use dice_system::bgp::BgpRouter;
 use dice_system::dice::scenarios;
 use dice_system::dice::snapshot::take_consistent_snapshot;
 use dice_system::netsim::{NodeId, SimDuration, SimTime, Simulator};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
-
-fn rib_fingerprint(sim: &Simulator) -> BTreeMap<(u32, String), String> {
-    let mut out = BTreeMap::new();
-    for id in sim.topology().node_ids() {
-        if sim.crashed(id).is_some() {
-            continue;
-        }
-        if let Some(r) = sim.node(id).as_any().downcast_ref::<BgpRouter>() {
-            for (p, sel) in r.loc_rib().iter() {
-                out.insert(
-                    (id.0, p.to_string()),
-                    format!("{}", sel.route.attrs.as_path),
-                );
-            }
-        }
-    }
-    out
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Mid-convergence consistent snapshots replay to exactly the live
-    /// system's eventual routing state, for arbitrary seeds and snapshot
-    /// instants.
-    #[test]
-    fn consistent_snapshot_replays_to_live_outcome(
-        seed in 0u64..1000,
-        snap_ms in 400u64..3000,
-    ) {
-        let mut live = scenarios::healthy_line(5, seed);
-        live.run_until(SimTime::from_nanos(snap_ms * 1_000_000));
-        let result = take_consistent_snapshot(&mut live, NodeId(2), SimDuration::from_secs(60));
-        // Mid-burst snapshots can fail if a session resets; skip those runs.
-        let Ok((shadow, metrics)) = result else { return Ok(()); };
-        prop_assert_eq!(metrics.nodes, 5);
-
-        let topo = live.topology().clone();
-        let mut replay = Simulator::from_shadow(&shadow, &topo, seed ^ 0xABCD);
-        replay.run_until_quiet(
-            SimDuration::from_secs(5),
-            shadow.base_time() + SimDuration::from_secs(300),
-        );
-        live.run_until_quiet(
-            SimDuration::from_secs(5),
-            SimTime::from_nanos(400_000_000_000),
-        );
-        prop_assert_eq!(rib_fingerprint(&replay), rib_fingerprint(&live));
-    }
 
     /// Clones built from one shadow never interfere with each other.
     #[test]
