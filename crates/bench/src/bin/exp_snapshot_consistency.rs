@@ -177,8 +177,9 @@ fn main() {
         cl_total, 0,
         "consistent snapshots must have zero causal violations"
     );
-    if skew_total == 0 {
-        eprintln!("WARNING: expected uncoordinated snapshots to show causal violations");
-    }
+    assert!(
+        skew_total > 0,
+        "uncoordinated snapshots must show causal violations, or the ablation measures nothing"
+    );
     maybe_write_json(&[&table], &[]);
 }
