@@ -532,7 +532,10 @@ fn project(sim: &Simulator, id: NodeId) -> Projection {
         best_routes,
         sessions: view.map(|view| view.session_health()),
         as_paths: as_paths.unwrap_or_default(),
-        rumors: (node.as_any().downcast_ref::<GossipNode>()).map(|g| (g.stored(), g.seen_count())),
+        rumors: node
+            .as_any()
+            .downcast_ref::<GossipNode>()
+            .map(|g| (g.stored(), g.seen_count())),
     }
 }
 
@@ -571,6 +574,16 @@ fn live_and_clone(
     // reconnect delay, long after the first setup of every session.
     let cut_in_setup = live.trace().stats().sessions_up < live.topology().edges().len() as u64;
     let (shadow, _) = take_consistent_snapshot(&mut live, initiator, SimDuration::from_secs(60))?;
+    // The scope is the initiator's session-connected component at the cut.
+    let scope = shadow.nodes();
+    assert!(scope.contains_key(&initiator), "the initiator is in scope");
+    for (a, b) in shadow.sessions_up() {
+        assert_eq!(
+            scope.contains_key(a),
+            scope.contains_key(b),
+            "the scope ends at the up session {a}-{b}"
+        );
+    }
     let mut clone = Simulator::from_shadow(&shadow, live.topology(), clone_seed);
     let end = shadow.base_time() + horizon;
     live.run_until(end);
