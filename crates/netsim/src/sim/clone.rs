@@ -20,9 +20,9 @@ pub(super) struct Binding {
     bound_to: Option<u64>,
     /// `sessions` as that binding restored them.
     session_image: Vec<SessionState>,
-    /// Nodes whose slot, dirty bit or cached checkpoint may differ from
-    /// what the last binding wrote (each once; `node_touched` is the
-    /// membership flag).
+    /// Nodes whose slot may differ from what the last binding wrote (each
+    /// once; `node_touched` is the membership flag). A cut re-shares only
+    /// `Owned` slots, and every one of those is listed already.
     touched_nodes: Vec<u32>,
     node_touched: Vec<bool>,
 }
@@ -135,10 +135,6 @@ impl Simulator {
                 slot.crashed = Some(Down::OutsideSnapshot);
             }
         }
-        // The shadow's Arc *is* this node's latest checkpoint: seed the
-        // delta cache so a cut taken before the clone touches the node
-        // re-shares it instead of re-cloning.
-        self.cuts.seed(idx, checkpoint);
     }
 
     /// The full binding — a fresh clone's, and a reset's onto a snapshot

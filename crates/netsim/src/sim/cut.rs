@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use super::channel::{Frame, SessionState};
-use super::Simulator;
+use super::{NodeState, Simulator};
 use crate::node::{Node, NodeId};
 use crate::snapshot::{self, ShadowSnapshot, SnapshotId, SnapshotProgress, SnapshotState};
 
@@ -16,12 +16,13 @@ use crate::snapshot::{self, ShadowSnapshot, SnapshotId, SnapshotProgress, Snapsh
 /// (see [`Simulator::take_snapshot_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
-    /// Bytes of node state actually captured by checkpoints (dirty or
-    /// never-captured nodes; cache-served checkpoints contribute nothing).
+    /// Bytes of node state newly captured by checkpoints: the nodes whose
+    /// slot was owned (mutated since the last cut or bind). A node whose
+    /// slot still shared a checkpoint contributes nothing.
     pub delta_bytes: u64,
-    /// Nodes actually re-captured by checkpoints (cache misses).
+    /// Nodes whose slot was owned at their checkpoint (re-captured).
     pub nodes_recaptured: u64,
-    /// Nodes whose checkpoint was served from the delta cache.
+    /// Nodes whose slot still shared a checkpoint, served as is.
     pub nodes_cached: u64,
     /// Dynamics-schedule actions applied (partitions, heals, joins, leaves).
     pub churn_events: u64,
@@ -37,15 +38,9 @@ impl SnapshotStats {
     }
 }
 
-/// The delta-checkpoint cache, the cuts in progress and their counters.
+/// The cuts in progress and their counters. What a node's last checkpoint
+/// was lives in its slot ([`NodeState::checkpoint`]), not here.
 pub(super) struct Cuts {
-    /// Per-node dirty bits: set on first CoW materialization, message
-    /// delivery, or any other mutable access since the node's last
-    /// checkpoint; cleared when a checkpoint re-captures the node.
-    dirty: Vec<bool>,
-    /// Last checkpoint per node; a clean node's checkpoint is served from
-    /// here, sharing the `Arc` with the previous shadow (the delta chain).
-    ckpt_cache: Vec<Option<Arc<dyn Node>>>,
     snap_stats: SnapshotStats,
     /// The pending cuts, in id order (a handful at most: a campaign takes
     /// one at a time).
@@ -53,54 +48,37 @@ pub(super) struct Cuts {
     next_snapshot: u32,
     /// A marker fan-out being sent (kept for its capacity).
     fanout: Vec<(NodeId, u32)>,
-    /// Every checkpoint a cut served from the cache, for the
-    /// cache-soundness property to compare.
+    /// Every checkpoint a cut took, as it stood at that instant, for the
+    /// slot-sharing property to check.
     #[cfg(test)]
-    served: Vec<Served>,
+    taken: Vec<Taken>,
 }
 
-/// A checkpoint a cut served from the cache, beside a fresh copy of the
-/// live node it stood for (`None`: the slot held no node).
+/// A checkpoint a cut took: the node, the checkpoint, whether the slot
+/// was owned (re-captured) rather than shared, whether the slot shared the
+/// checkpoint right after, and a fresh copy of the live node then.
 #[cfg(test)]
-type Served = (NodeId, Arc<dyn Node>, Option<Box<dyn Node>>);
+struct Taken {
+    node: NodeId,
+    checkpoint: Arc<dyn Node>,
+    recaptured: bool,
+    slot_shares: bool,
+    live: Option<Box<dyn Node>>,
+}
 
 impl Cuts {
-    pub(super) fn new(nodes: usize) -> Self {
+    pub(super) fn new() -> Self {
         Cuts {
-            dirty: vec![false; nodes],
-            ckpt_cache: vec![None; nodes],
             snap_stats: SnapshotStats::default(),
             snapshots: Vec::new(),
             next_snapshot: 0,
             fanout: Vec::new(),
             #[cfg(test)]
-            served: Vec::new(),
+            taken: Vec::new(),
         }
     }
 
-    /// Node `n` may differ from its cached checkpoint from here on.
-    #[inline]
-    pub(super) fn mark_dirty(&mut self, n: NodeId) {
-        self.dirty[n.index()] = true;
-    }
-
-    /// Node `n` became a different state altogether (crash, restart): its
-    /// cached checkpoint is stale and the next cut must re-capture it.
-    pub(super) fn invalidate(&mut self, n: NodeId) {
-        self.ckpt_cache[n.index()] = None;
-    }
-
-    /// `checkpoint` *is* node `idx`'s latest checkpoint (a rebind just
-    /// shared it into the slot, or a cut just captured it): a cut taken
-    /// before the node is touched re-shares it instead of re-cloning.
-    #[inline]
-    pub(super) fn seed(&mut self, idx: usize, checkpoint: Option<&Arc<dyn Node>>) {
-        self.ckpt_cache[idx] = checkpoint.cloned();
-        self.dirty[idx] = false;
-    }
-
     /// What a rebind leaves of the cuts a previous drive took: nothing.
-    /// The checkpoint cache is re-seeded per slot ([`Cuts::seed`]).
     pub(super) fn reset(&mut self) {
         self.snapshots.clear();
         self.next_snapshot = 0;
@@ -150,27 +128,21 @@ impl Cuts {
         }
     }
 
-    /// The counters, and per node its dirty bit and whether a checkpoint
-    /// is cached.
+    /// The counters.
     #[cfg(test)]
     pub(super) fn digest(&self) -> Vec<String> {
-        let mut out = vec![format!(
+        vec![format!(
             "snap {:?} next {}",
             self.snap_stats, self.next_snapshot
-        )];
-        for (i, cached) in self.ckpt_cache.iter().enumerate() {
-            let (dirty, cached) = (self.dirty[i], cached.is_some());
-            out.push(format!("cut {i} dirty {dirty} cached {cached}"));
-        }
-        out
+        )]
     }
 }
 
 impl Simulator {
-    /// Retired and ignored: a cut always serves clean nodes from the
-    /// checkpoint cache. Every value gave the same simulation by contract,
-    /// as the retired `pool_size` config field does; the setter stays only
-    /// while `benchmark/src/pipeline.rs` calls it.
+    /// Retired and ignored: a cut always serves a still-shared slot's
+    /// `Arc`. Every value gave the same simulation by contract, as the
+    /// retired `pool_size` config field does; the setter stays only while
+    /// `benchmark/src/pipeline.rs` calls it.
     pub fn set_delta_snapshots(&mut self, _on: bool) {}
 
     /// Drain this simulator's snapshot-delta and dynamics-schedule counters,
@@ -181,29 +153,34 @@ impl Simulator {
         out
     }
 
-    /// The delta-capture path: checkpoint node `n`, serving clean nodes
-    /// from the cached `Arc` of their previous capture. A cache hit shares
-    /// the node state with the prior shadow (the delta chain); a miss
-    /// re-clones, refreshes the cache, and clears the dirty bit.
+    /// The one capture point both kinds of cut funnel through
+    /// ([`NodeState::checkpoint`]): a slot still shared since the last cut
+    /// or bind serves that `Arc` (the delta chain); an owned one moves its
+    /// node behind a new `Arc` and counts as re-captured.
     fn checkpoint_node(&mut self, n: NodeId) -> Option<Arc<dyn Node>> {
-        let idx = n.index();
-        if !self.cuts.dirty[idx] {
-            if let Some(cached) = &self.cuts.ckpt_cache[idx] {
-                self.cuts.snap_stats.nodes_cached += 1;
-                #[cfg(test)]
-                self.cuts.served.push((
-                    n,
-                    Arc::clone(cached),
-                    self.nodes[idx].node.get().map(|live| live.clone_node()),
-                ));
-                return Some(Arc::clone(cached));
-            }
+        let slot = &mut self.nodes[n.index()].node;
+        let recaptured = matches!(slot, NodeState::Owned(_));
+        let checkpoint = slot.checkpoint()?;
+        if recaptured {
+            self.cuts.snap_stats.nodes_recaptured += 1;
+            self.cuts.snap_stats.delta_bytes += checkpoint.state_size() as u64;
+        } else {
+            self.cuts.snap_stats.nodes_cached += 1;
         }
-        let arc = self.nodes[idx].node.checkpoint()?;
-        self.cuts.snap_stats.nodes_recaptured += 1;
-        self.cuts.snap_stats.delta_bytes += arc.state_size() as u64;
-        self.cuts.seed(idx, Some(&arc));
-        Some(arc)
+        #[cfg(test)]
+        self.cuts.taken.push(Taken {
+            node: n,
+            checkpoint: Arc::clone(&checkpoint),
+            recaptured,
+            slot_shares: self
+                .shared_checkpoint(n)
+                .is_some_and(|shared| Arc::ptr_eq(shared, &checkpoint)),
+            live: self.nodes[n.index()]
+                .node
+                .get()
+                .map(|live| live.clone_node()),
+        });
+        Some(checkpoint)
     }
 
     /// Initiate a Chandy–Lamport consistent snapshot from `initiator`.
@@ -262,8 +239,8 @@ impl Simulator {
             _ => return,
         };
         if first_marker {
-            // Capture before re-borrowing the snapshot table: the delta
-            // path needs `&mut self` for its cache and counters.
+            // Capture before re-borrowing the snapshot table: the capture
+            // needs `&mut self` for the node's slot and the counters.
             let clone = self.checkpoint_node(dst);
             let Some(st) = self.cuts.get_mut(id) else {
                 return;
@@ -404,13 +381,16 @@ mod tests {
         ConsistentCut(u32),
     }
 
-    /// `acts` on a [`scripted_ring`]; then every checkpoint a cut served
-    /// from the cache must equal the copy of the live node taken as it was
-    /// served. Returns how many were served, and how many of those by
-    /// consistent cuts.
-    fn cache_serves_only_current_state(acts: &[Act]) -> (usize, usize) {
+    /// `acts` on a [`scripted_ring`]; then every checkpoint a cut took
+    /// must have been, at that instant, the live slot's shared `Arc` and
+    /// equal to a fresh copy of the live node, and one taken from a slot
+    /// that still shared a checkpoint must be that node's checkpoint in
+    /// the previous cut. Returns how many were served from a shared slot,
+    /// and how many of those by consistent cuts.
+    fn checkpoints_share_the_live_slot(acts: &[Act]) -> (usize, usize) {
         let mut sim = scripted_ring(false, 3);
         sim.run_until(SimTime::from_nanos(1_000_000_000));
+        let served = |sim: &Simulator| sim.cuts.taken.iter().filter(|t| !t.recaptured).count();
         let mut by_markers = 0;
         for &act in acts {
             match act {
@@ -427,24 +407,38 @@ mod tests {
                 }
                 Act::ConsistentCut(n) => {
                     if sim.crashed(NodeId(n)).is_none() {
-                        let before = sim.cuts.served.len();
+                        let before = served(&sim);
                         let id = sim.start_snapshot(NodeId(n));
                         sim.run_for(SimDuration::from_millis(100));
                         let _ = sim.poll_snapshot(id);
-                        by_markers += sim.cuts.served.len() - before;
+                        by_markers += served(&sim) - before;
                     }
                 }
             }
         }
-        for (n, cached, live) in &sim.cuts.served {
-            let live = live.as_deref().map(scripted);
+        let mut previous: BTreeMap<NodeId, &Arc<dyn Node>> = BTreeMap::new();
+        for t in &sim.cuts.taken {
+            let n = t.node;
+            assert!(
+                t.slot_shares,
+                "node {n}'s slot keeps no checkpoint after {acts:?}"
+            );
             assert_eq!(
-                Some(scripted(cached.as_ref())),
-                live,
+                Some(scripted(t.checkpoint.as_ref())),
+                t.live.as_deref().map(scripted),
                 "node {n} after {acts:?}"
             );
+            if !t.recaptured {
+                // A live node is installed owned, so a slot shares only
+                // what an earlier cut took.
+                let shared = previous
+                    .get(&n)
+                    .is_some_and(|p| Arc::ptr_eq(p, &t.checkpoint));
+                assert!(shared, "node {n} served a stale checkpoint after {acts:?}");
+            }
+            previous.insert(n, &t.checkpoint);
         }
-        (sim.cuts.served.len(), by_markers)
+        (served(&sim), by_markers)
     }
 
     fn arb_act() -> impl proptest::Strategy<Value = Act> {
@@ -475,9 +469,9 @@ mod tests {
     }
 
     #[test]
-    fn the_cache_serves_consistent_and_instant_cuts() {
-        // Not vacuous: quiet nodes are served from the cache by both kinds
-        // of cut, a poked, crashed or restarted one is not.
+    fn shared_slots_serve_consistent_and_instant_cuts() {
+        // Not vacuous: quiet nodes are served from their shared slot by
+        // both kinds of cut, a poked, crashed or restarted one is not.
         let acts = [
             Act::InstantCut,
             Act::Poke(2),
@@ -490,7 +484,7 @@ mod tests {
             Act::ConsistentCut(3),
             Act::InstantCut,
         ];
-        let (served, by_markers) = cache_serves_only_current_state(&acts);
+        let (served, by_markers) = checkpoints_share_the_live_slot(&acts);
         assert!(
             served > by_markers && by_markers > 0,
             "{served} / {by_markers}"
@@ -500,14 +494,16 @@ mod tests {
     proptest::proptest! {
         /// Random histories — deliveries, floods and bursts, timers,
         /// session resets, crashes, restarts, `node_mut` and both kinds of
-        /// cut: a checkpoint served from the cache is the node's state at
-        /// the instant of the cut. (Break: drop `touch_node` from
-        /// `node_mut`, and a cut after a poke serves the unpoked state.)
+        /// cut: every checkpoint is the live slot's shared `Arc` at the
+        /// instant of the cut, equal to a fresh copy of the node, and a
+        /// slot untouched since the previous cut serves that cut's `Arc`.
+        /// (Break: `NodeState::checkpoint` returning a `clone_node` copy
+        /// and leaving the slot owned fails the first assertion.)
         #[test]
-        fn cached_checkpoints_equal_fresh_clones(
+        fn every_checkpoint_is_the_shared_live_slot(
             acts in proptest::collection::vec(arb_act(), 1..24),
         ) {
-            cache_serves_only_current_state(&acts);
+            checkpoints_share_the_live_slot(&acts);
         }
     }
 

@@ -36,8 +36,7 @@ impl Simulator {
             return;
         }
         self.nodes[n.index()].crashed = Some(Down::Crashed(reason));
-        self.touch_node(n);
-        self.cuts.invalidate(n);
+        self.binding.touch(n);
         self.trace.stats.crashes += 1;
         let peers: Vec<NodeId> = self.topo.neighbors(n);
         for m in peers {
@@ -90,10 +89,7 @@ impl Simulator {
         // A token the new incarnation re-arms must not restart at a
         // generation a still-queued pre-crash `Ev::Timer` carries.
         slot.timer_gen.bump_all();
-        // The rejoined node is a brand-new state: any cached checkpoint is
-        // stale and the next cut must re-capture it.
-        self.touch_node(n);
-        self.cuts.invalidate(n);
+        self.binding.touch(n);
         self.with_node(n, |node, api| node.on_start(api));
         let peers = self.topo.neighbors(n);
         for (i, m) in peers.into_iter().enumerate() {

@@ -47,14 +47,16 @@ use cut::Cuts;
 
 /// The state slot of one node: either an owned (mutable) instance or a
 /// checkpoint shared copy-on-write with a
-/// [`ShadowSnapshot`](crate::snapshot::ShadowSnapshot). Shared
+/// [`ShadowSnapshot`](crate::snapshot::ShadowSnapshot) — the one a clone
+/// was bound from, or the last cut that took the node. Shared
 /// state materializes into an owned deep copy (`clone_node`) on first
 /// mutable access, so clones instantiated from a snapshot only pay for
-/// the nodes they actually drive.
+/// the nodes they actually drive, and a cut only for the nodes mutated
+/// since the previous one.
 enum NodeState {
     /// No node installed (or outside the snapshot scope of a clone).
     Empty,
-    /// Checkpoint borrowed from a shadow snapshot; deep-copied on first
+    /// Checkpoint shared with a shadow snapshot; deep-copied on first
     /// mutable access.
     Shared(std::sync::Arc<dyn Node>),
     /// Exclusively owned, mutable in place.
@@ -92,14 +94,20 @@ impl NodeState {
         }
     }
 
-    /// An `Arc` checkpoint of the current state: free for `Shared` slots,
-    /// one `clone_node` for `Owned` ones.
-    fn checkpoint(&self) -> Option<std::sync::Arc<dyn Node>> {
-        match self {
-            NodeState::Empty => None,
-            NodeState::Shared(a) => Some(std::sync::Arc::clone(a)),
-            NodeState::Owned(b) => Some(std::sync::Arc::from(b.clone_node())),
-        }
+    /// An `Arc` checkpoint of the current state, which the slot shares
+    /// from then on: a `Shared` slot serves its own `Arc`, an `Owned` one
+    /// moves its node behind a new `Arc` (no deep copy — the node's next
+    /// mutation makes it, at the copy-on-write point). So the slot is the
+    /// checkpoint cache, and `Owned` means "changed since the last cut or
+    /// bind".
+    fn checkpoint(&mut self) -> Option<std::sync::Arc<dyn Node>> {
+        let node = match std::mem::replace(self, NodeState::Empty) {
+            NodeState::Empty => return None,
+            NodeState::Shared(a) => a,
+            NodeState::Owned(b) => std::sync::Arc::from(b),
+        };
+        *self = NodeState::Shared(std::sync::Arc::clone(&node));
+        Some(node)
     }
 }
 
@@ -255,7 +263,7 @@ pub struct Simulator {
     last_activity: SimTime,
     started: bool,
     pristine: BTreeMap<NodeId, Box<dyn Node>>,
-    /// Delta-checkpoint cache, cuts in progress and their counters (`cut`).
+    /// Cuts in progress and their counters (`cut`).
     cuts: Cuts,
     knobs: Knobs,
     effects_scratch: Vec<Effect>,
@@ -290,19 +298,12 @@ impl Simulator {
             last_activity: SimTime::ZERO,
             started: false,
             pristine: BTreeMap::new(),
-            cuts: Cuts::new(n),
+            cuts: Cuts::new(),
             knobs: Knobs::default(),
             effects_scratch: Vec::new(),
             buf_pool: BufPool::new(),
             wire: WireStats::default(),
         }
-    }
-
-    /// Node `n`'s slot is about to change: it is dirty for the delta
-    /// snapshots and on the list the next same-snapshot reset walks.
-    fn touch_node(&mut self, n: NodeId) {
-        self.cuts.mark_dirty(n);
-        self.binding.touch(n);
     }
 
     /// Retired and ignored: payload pooling and batched delivery are the
@@ -337,7 +338,7 @@ impl Simulator {
     pub fn set_node(&mut self, id: NodeId, node: Box<dyn Node>) {
         assert!(!self.started, "cannot install nodes after start");
         self.nodes[id.index()].node = NodeState::Owned(node);
-        self.touch_node(id);
+        self.binding.touch(id);
     }
 
     /// The topology being simulated.
@@ -367,7 +368,7 @@ impl Simulator {
     /// Mutable access to a node (for operator-action injection).
     /// Materializes a shared checkpoint into an owned copy first.
     pub fn node_mut(&mut self, id: NodeId) -> &mut dyn Node {
-        self.touch_node(id);
+        self.binding.touch(id);
         let slot = &mut self.nodes[id.index()];
         slot.node.materialize();
         match &mut slot.node {
@@ -392,10 +393,11 @@ impl Simulator {
         matches!(self.nodes[id.index()].crashed, Some(Down::OutsideSnapshot))
     }
 
-    /// The checkpoint `id`'s slot still shares with the snapshot it was
-    /// bound from: `Some` until the node's first mutable access in this
-    /// simulator. Pointer-equality with a snapshot's `Arc` therefore means
-    /// "this node is, bit for bit, the state that snapshot recorded".
+    /// The checkpoint `id`'s slot shares with a snapshot — the one this
+    /// simulator was bound from, or the last cut that took the node:
+    /// `Some` until the node's next mutable access. Pointer-equality with
+    /// a snapshot's `Arc` therefore means "this node is, bit for bit, the
+    /// state that snapshot recorded".
     pub fn shared_checkpoint(&self, id: NodeId) -> Option<&std::sync::Arc<dyn Node>> {
         match &self.nodes[id.index()].node {
             NodeState::Shared(a) => Some(a),
@@ -591,9 +593,9 @@ impl Simulator {
             Some(node) => node,
             None => return,
         };
-        // Dirty from the moment the handler can mutate: the first CoW
+        // Touched from the moment the handler can mutate: the first CoW
         // materialization and every subsequent delivery land here.
-        self.touch_node(n);
+        self.binding.touch(n);
         let mut effects = std::mem::take(&mut self.effects_scratch);
         effects.clear();
         {

@@ -15,8 +15,8 @@
 //! | `gossip_frame` | `decode` of a valid rumor / a valid digest / a rejected frame | 1 / 1 / 0 (the owned payload or entries) | `dice_gossip::wire::{validate, decode}` |
 //! | `policy_apply` | `Policy::apply` of a Gao–Rexford import to a borrowed / an owned bag, a valley-free export reject, a verdict-less tag rule before an accept | 1 / 0 / 0 / 1 (the copy of a borrowed bag: its AS_PATH words; the communities stay inline) | `Policy::{apply, decide}`, `Match::test`, `Fired::actions`, `Action::apply`, `Communities::insert` |
 //! | `bgp_update_decode` | `decode` of a full UPDATE (AS_PATH, communities, a transitive unknown) / a withdraw-only UPDATE / one rejected at its NEXT_HOP | 5 / 1 / 1 (the owned withdrawn list, AS_PATH words, unknown attribute and its value, and NLRI list) | `dice_bgp::wire::{validate_update, decode_incoming, decode}`, `AsPath::from_wire`, `UpdateView::into_msg` |
-//! | `same_cut_reset` | `reset_from_shadow` after an injected and after a null drive, gossip16 and demo27 | 0 | `Simulator::{reset_from_shadow, rebind_touched, bind_node}`, `Links::reset`, `Cuts::{reset, seed}` |
-//! | `repeat_cut` | `instant_snapshot` of a quiesced system already cut once, gossip16 / demo27 | 9 / 10 | `checkpoint_node` |
+//! | `same_cut_reset` | `reset_from_shadow` after an injected and after a null drive, gossip16 and demo27 | 0 | `Simulator::{reset_from_shadow, rebind_touched, bind_node}`, `Links::reset`, `Cuts::reset` |
+//! | `repeat_cut` | `instant_snapshot` of a quiesced system already cut once, gossip16 / demo27 | 9 / 10 | `checkpoint_node`, `NodeState::checkpoint` |
 //! | `live_convergence` | `run_until_quiet` of a started `scenarios::demo27_system`, from start to quiescence | 7,013 | `process_deliver`, `with_node`, `apply_effects`, `BgpRouter::{on_start, on_session, on_message}`, `recompute_and_propagate` |
 //! | `consistent_cut` | `take_consistent_snapshot` of a quiesced system already cut once, gossip16 / demo27 | 19 / 20 | `start_snapshot`, `SnapshotState::{new, into_shadow}`, `send_markers`, `snapshot_on_marker` |
 //! | `passing_battery` | `run_checkers` over a null-drive clone, warm baseline, gossip16 and demo27 | 1 (the reserved report) | `run_checkers`, `check_into` of `CrashChecker`, `OscillationChecker`, `OriginAuthorityChecker`, `ConvergenceChecker` |
@@ -28,7 +28,7 @@
 //! | `warm_twin_execution` | one twin run through `ConcolicCtx::continuing` on a warm arena, BGP / gossip | 4 / 0 | `ExprArena::intern` |
 //! | `explore_session` | one `explore` of 160 executions, BGP / gossip | 881 / 3,389 | `Search::{dfs, narrow, admits, admits_cmp, offset_of}`, `ExprArena::{sweep, intern, eval3_memo}`, `UnaryMemo::lookup`, `Worklist::{push, pick}` |
 //! | `warm_session` | a second `ExploreState::explore` of the same 160 executions on one state, BGP / gossip | 808 / 3,324 (no node interned, no constraint swept) | as `explore_session`, over a warm arena and warm memos |
-//! | `one_worker_campaign` | `Campaign::run` at one worker, one gossip16 round | 1,457 | `validate_unit`, `validate_one`, `ClonePool::{acquire, release}` (at one worker they run on the calling thread) |
+//! | `one_worker_campaign` | `Campaign::run` at one worker, one gossip16 round | 1,151 (1,457 while a cut deep-copied each owned node: the first cut now moves the 16 gossip nodes behind `Arc`s, 19 allocations each fewer, and the clone's simulator builds no per-node checkpoint-cache vectors, 2 fewer) | `validate_unit`, `validate_one`, `ClonePool::{acquire, release}` (at one worker they run on the calling thread) |
 //! | `update_fanout` | `deliver_direct` of an UPDATE into a Gao–Rexford hub with 64 established neighbours and the 5 ms drain of what it sent: a customer's that changes the best route (fan-out 63) / a provider's that does not (fan-out 0) | 6 / 2 | `BgpRouter::on_message`, `handle_update`, `recompute_and_propagate`, `export_to`, `Policy::export`, `AsPath::prepended`, `send_update`, `NodeApi::buf` |
 //! | `gossip_copy_shares_its_tables` | `clone_node` of a 16-mesh gossip node | 19 | `GossipNode::clone_node` |
 //! | `bgp_router_copy_stays_at_its_pinned_count` | `clone_node` of a demo27 router | 2 | `BgpRouter::clone_node` |
@@ -55,9 +55,8 @@
 //! * `same_cut_reset`: make `rebind_touched` clone the touched list instead
 //!   of taking it, and the gossip16 reset after an injected drive
 //!   allocates once.
-//! * `repeat_cut`: make `checkpoint_node` serve a clean node as
-//!   `Arc::from(cached.clone_node())`, and a gossip16 cut allocates 329
-//!   times.
+//! * `repeat_cut`: make `NodeState::checkpoint` serve a shared slot as
+//!   `Arc::from(a.clone_node())`, and a gossip16 cut allocates 329 times.
 //! * `live_convergence`: give the simulator back an event log — a
 //!   `VecDeque` of every counted event, sent and delivered frames, timers
 //!   and session changes, up to 64 Ki of them — and let `BgpRouter`
@@ -98,7 +97,7 @@
 //!   a fresh `PathSolver` (cold memos over the warm arena), and a warm BGP
 //!   session allocates 870 times.
 //! * `one_worker_campaign`: make `ClonePool::release` drop the simulator,
-//!   and the campaign allocates 1,639 times.
+//!   and the campaign allocates 1,252 times.
 //! * `update_fanout`: make `export_to` advertise a copy of the exported
 //!   bag (`Arc::new(PathAttrs::clone(attrs))`) instead of sharing its
 //!   `Arc`, and the customer UPDATE allocates 132 times. Make
@@ -604,7 +603,7 @@ fn one_worker_campaign() {
     let campaign = campaign(&live);
     let (report, spent) = counted(|| campaign.run(&mut live).expect("campaign runs"));
     assert!(report.rounds.iter().all(|r| r.validated > 0));
-    within("a one-worker gossip16 campaign", spent, 1_457);
+    within("a one-worker gossip16 campaign", spent, 1_151);
 }
 
 /// The most allocations one `clone_node` (the copy a validation clone
