@@ -5,16 +5,23 @@
 //!
 //! * **consistent** — the in-band CL protocol, capturing channel state;
 //! * **uncoordinated** — each node checkpointed at a *different* virtual
-//!   time (as naive per-node checkpointing would), dropping channel state.
+//!   time (as naive per-node checkpointing would), together with the
+//!   frames in flight towards it at that same instant as its channel
+//!   state.
 //!
 //! The metric is **causal-consistency violations**: for every session
 //! `a — b`, compare what `a`'s Adj-RIB-Out says it sent toward `b` with
-//! what `b`'s Adj-RIB-In says it received from `a`. In a consistent
-//! snapshot every discrepancy is explained by a message captured as channel
-//! state; in an uncoordinated snapshot, nodes are checkpointed at causally
-//! incomparable instants, producing discrepancies no execution of the
-//! system could exhibit — exactly the false-positive source DiCE's
-//! checkers must not be exposed to.
+//! what `b`'s Adj-RIB-In says it received from `a`, and count the
+//! discrepancies that no frame recorded on the `a → b` channel explains.
+//! In a consistent snapshot every discrepancy is so explained. An
+//! uncoordinated snapshot records each channel with its receiver, so a
+//! frame sent after the receiver's checkpoint but before the sender's is
+//! neither received nor recorded: the sender's Adj-RIB-Out is from a
+//! later instant than the receiver's Adj-RIB-In. That is a discrepancy no
+//! execution of the system could exhibit — exactly the false-positive
+//! source DiCE's checkers must not be exposed to. At zero skew the
+//! uncoordinated snapshot is one instant's state and shows none, so what
+//! the column counts is the skew, not frames the capture lost.
 
 use dice_bench::{maybe_write_json, Table};
 use dice_bgp::BgpRouter;
@@ -61,12 +68,14 @@ fn causal_violations(shadow: &ShadowSnapshot, topo: &dice_netsim::Topology) -> u
 }
 
 /// Uncoordinated snapshot: checkpoint each node at a different moment,
-/// advancing the live system between checkpoints; drop channel state.
-/// Nodes are visited in interleaved order (evens, then odds) — naive
-/// per-node checkpointing guarantees no particular order, and adjacent
-/// nodes end up checkpointed far apart in time, which is the point.
+/// advancing the live system between checkpoints, with the frames then in
+/// flight towards it. Nodes are visited in interleaved order (evens, then
+/// odds) — naive per-node checkpointing guarantees no particular order,
+/// and adjacent nodes end up checkpointed far apart in time, which is the
+/// point.
 fn skewed_snapshot(sim: &mut Simulator, skew: SimDuration) -> ShadowSnapshot {
     let mut nodes = BTreeMap::new();
+    let mut in_flight = Vec::new();
     let base = sim.now();
     let all: Vec<NodeId> = sim.topology().node_ids().collect();
     let ids: Vec<NodeId> = all
@@ -84,10 +93,14 @@ fn skewed_snapshot(sim: &mut Simulator, skew: SimDuration) -> ShadowSnapshot {
         .collect();
     for id in ids {
         nodes.insert(id, sim.node(id).clone_node());
+        let channels = sim.instant_snapshot();
+        let towards_id = channels.in_flight().iter().filter(|(_, dst, _)| *dst == id);
+        in_flight.extend(towards_id.cloned());
         let next = sim.now() + skew;
         sim.run_until(next);
     }
-    ShadowSnapshot::from_parts(base, nodes, Vec::new(), sessions)
+    in_flight.sort_by_key(|&(src, dst, _)| (src, dst));
+    ShadowSnapshot::from_parts(base, nodes, in_flight, sessions)
 }
 
 /// A ring of accept-all routers (a cyclic topology is what makes channel
