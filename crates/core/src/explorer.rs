@@ -95,8 +95,9 @@ pub struct DiceConfig {
     /// Retired and ignored: validation clones always deliver a run of
     /// same-instant frames on one channel as one batch.
     pub batch_delivery: bool,
-    /// Retired and ignored: consistent cuts always serve nodes untouched
-    /// since the previous cut from the per-node checkpoint cache.
+    /// Retired and ignored: consistent cuts always serve a node untouched
+    /// since the previous cut by the checkpoint its simulator slot still
+    /// shares.
     pub delta_snapshots: bool,
     /// Deterministic dynamics schedule (partition/heal windows, node
     /// churn) applied to the **live** system at the quiescent point

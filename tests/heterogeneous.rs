@@ -588,7 +588,8 @@ fn wire_knobs_are_byte_identical_across_the_whole_matrix() {
 
 #[test]
 fn delta_and_schedule_knobs_are_byte_identical_across_the_whole_matrix() {
-    // The delta-checkpoint cache is held to fresh clones in dice-netsim.
+    // That a cut's checkpoint is the live node's shared slot is held in
+    // dice-netsim.
     // Here: an *empty* dynamics schedule expands to zero actions, so a
     // mixed three-kind federation's report is byte-identical with no
     // schedule and with an empty one, at workers 1 and 4, and the cut
