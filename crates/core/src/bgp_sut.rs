@@ -100,6 +100,9 @@ impl ExplorableNode for BgpRouter {
         })
     }
 
+    // `plan_depends_on_peer` keeps its default, `true`: the twin runs the
+    // neighbour's import policy and the seeds carry its ASN.
+
     fn attest(&self, registry: &mut AttestationRegistry) {
         let cfg = self.config();
         for prefix in &cfg.owned {

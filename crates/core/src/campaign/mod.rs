@@ -3,10 +3,11 @@
 //!
 //! A [`Campaign`] discovers the eligible pairs through the
 //! [`SutCatalog`] probe chain, snapshots **once per explorer** (one
-//! Chandy–Lamport pass amortized over all of that node's peers), runs each
-//! sweep on [`Campaign::workers`] threads that each explore whole rounds
-//! and then validate the sweep's candidates (see the `executor` module),
-//! and aggregates the per-pair
+//! Chandy–Lamport pass amortized over all of that node's peers), explores
+//! **once per explorer** too when the node's plan does not read the
+//! inject peer, runs each sweep on [`Campaign::workers`] threads that
+//! each explore whole sessions and then validate the sweep's candidates
+//! (see the `executor` module), and aggregates the per-pair
 //! [`RoundReport`](crate::explorer::RoundReport)s in
 //! deterministic round-ordinal order into a serializable
 //! [`CampaignReport`]: per-class detection latency, branch-coverage union
@@ -34,6 +35,8 @@
 //! `report` (the report types, [`CampaignReport::normalized`] and the fold
 //! of per-round outcomes into them), this module ([`Campaign::run`]:
 //! schedule, cuts, rounds, fold).
+
+use std::sync::Arc;
 
 use dice_netsim::{NodeId, Simulator};
 
@@ -99,13 +102,20 @@ impl Campaign {
     ///    Chandy–Lamport snapshot per explorer, shared behind `Arc` by
     ///    all of that explorer's peer rounds. Rounds never touch the
     ///    live system, so pre-taking a sweep's snapshots is
-    ///    byte-identical to interleaving them with rounds.
+    ///    byte-identical to interleaving them with rounds. Here, too, each
+    ///    round gets its exploration session: an explorer whose plan does
+    ///    not read the inject peer
+    ///    ([`ExplorableNode::plan_depends_on_peer`](crate::sut::ExplorableNode::plan_depends_on_peer)
+    ///    is `false`: gossip nodes) has one session for all of its
+    ///    rounds, any other one session per round.
     /// 2. **Exploration** (parallel): the sweep's `workers` threads claim
-    ///    whole `(explorer, peer)` rounds and explore them; the phase ends,
-    ///    for all of them at once, when the last round is explored.
+    ///    whole sessions and explore each from its first round; the phase
+    ///    ends, for all of them at once, when the last session is explored.
     /// 3. **Validation** (parallel): every thread claims `(round,
     ///    candidate)` units from the sweep's one list, so a long round's
     ///    validation is shared by all of them (see the `executor` module).
+    ///    A round validates its session's candidates, injected from its
+    ///    own peer.
     /// 4. **Aggregation** (sequential, in round-ordinal order): fold the
     ///    per-round outcomes into the [`CampaignReport`]. Because every
     ///    stage is a pure function of `(snapshot, config)` and the fold
@@ -118,10 +128,14 @@ impl Campaign {
     /// time, and round-wall inclusion) is attributed to the *first* round
     /// that used it; subsequent rounds reusing the snapshot report zero
     /// snapshot cost. Summing `rounds[i].snapshot` over a campaign
-    /// therefore counts each snapshot exactly once. A round's `wall_us` is
-    /// that share plus its exploration plus its own validation units; a
-    /// detection's `wall_us_cum` is the campaign clock when the detecting
-    /// round's last unit finished.
+    /// therefore counts each snapshot exactly once. Exploration is counted
+    /// the same way: a round's `wall_us` is that share, plus its session's
+    /// exploration if the round explored it (the first round of a shared
+    /// session did; the rest report the session's executions, paths,
+    /// coverage and solver answers, but not its time), plus its own
+    /// validation units. [`PerfCounters`] counts each session once
+    /// ([`PerfCounters::explorations`]). A detection's `wall_us_cum` is
+    /// the campaign clock when the detecting round's last unit finished.
     ///
     /// A cut that fails (it misses its deadline, or a session reset or a
     /// crash on its path aborts it) is a [`CutFailure`] in
@@ -183,50 +197,9 @@ impl Campaign {
             // Dynamics due by now (partitions opening/healing, churn)
             // fire between sweeps, while no cut is in flight.
             schedule.apply_due(live);
-            // Phase 1: snapshots, sequential against the live system.
-            let mut tasks: Vec<RoundTask> = Vec::new();
-            for (explorer, peers) in &plan {
-                let cut =
-                    take_consistent_snapshot(live, *explorer, self.cfg.template.snapshot_deadline);
-                let (shadow, snap_metrics) = match cut {
-                    Ok(cut) => cut,
-                    Err(error) => {
-                        fold.cut_failed(CutFailure {
-                            sweep,
-                            explorer: *explorer,
-                            error,
-                        });
-                        continue;
-                    }
-                };
-                fold.cut(&snap_metrics);
-                let shadow = shadow.into_shared();
-                // The flip baseline is a function of the shared snapshot;
-                // compute it once per explorer.
-                let baseline =
-                    std::sync::Arc::new(crate::check::flips_baseline(&self.catalog, &shadow));
-                for (k, peer) in peers.iter().enumerate() {
-                    round_no += 1;
-                    // The first peer round carries the snapshot cost;
-                    // reuse rounds report zero (see method docs).
-                    let round_metrics = if k == 0 {
-                        snap_metrics
-                    } else {
-                        crate::snapshot::SnapshotMetrics::default()
-                    };
-                    let mut cfg = self.cfg.template.clone();
-                    cfg.explorer = *explorer;
-                    cfg.inject_peer = *peer;
-                    tasks.push(RoundTask {
-                        ordinal: round_no,
-                        cfg,
-                        shadow: std::sync::Arc::clone(&shadow),
-                        baseline: std::sync::Arc::clone(&baseline),
-                        snap_metrics: round_metrics,
-                    });
-                }
-            }
-
+            // Phase 1: snapshots, sequential against the live system, and
+            // each round's exploration session.
+            let tasks = self.plan_sweep(live, &plan, sweep, &mut round_no, &mut fold);
             // What the sweep's cuts re-captured and the dynamics fired
             // before them, drained once whether or not each cut succeeded:
             // a sweep whose every cut fails still counts its churn.
@@ -234,9 +207,10 @@ impl Campaign {
             if tasks.is_empty() {
                 continue;
             }
-            // Phases 2 and 3: explore this sweep's rounds, then validate
-            // their candidates.
-            let (done, pool_stats) = crate::executor::run_rounds(
+            // Phases 2 and 3: explore this sweep's sessions, then validate
+            // their rounds' candidates. Phase 4: deterministic aggregation
+            // in round-ordinal order, as `run_rounds` hands the rounds back.
+            let pool_stats = crate::executor::run_rounds(
                 &tasks,
                 workers,
                 &topo,
@@ -244,17 +218,81 @@ impl Campaign {
                 &self.registry,
                 &checkers,
                 wall,
-            );
+                |task, done| fold.round(task, done),
+            )?;
             fold.pool(pool_stats);
-
-            // Phase 4: deterministic aggregation in round-ordinal order.
-            for (task, done) in tasks.iter().zip(done) {
-                fold.round(task, done?);
-            }
         }
 
         let wall_us = wall.elapsed().as_micros() as u64;
         Ok(fold.finish(wall_us, (live.now() - sim_start).as_nanos()))
+    }
+
+    /// Phase 1 of one sweep of [`Campaign::run`]: cut the live system once
+    /// per explorer of `plan` and return the sweep's rounds, numbered on
+    /// from `round_no`, each with its exploration session. A failed cut is
+    /// recorded in `fold` and its explorer has no round.
+    fn plan_sweep(
+        &self,
+        live: &mut Simulator,
+        plan: &[(NodeId, Vec<NodeId>)],
+        sweep: u64,
+        round_no: &mut u64,
+        fold: &mut report::Fold,
+    ) -> Vec<RoundTask> {
+        let mut tasks: Vec<RoundTask> = Vec::new();
+        let mut sessions = 0;
+        for (explorer, peers) in plan {
+            let cut =
+                take_consistent_snapshot(live, *explorer, self.cfg.template.snapshot_deadline);
+            let (shadow, snap_metrics) = match cut {
+                Ok(cut) => cut,
+                Err(error) => {
+                    fold.cut_failed(CutFailure {
+                        sweep,
+                        explorer: *explorer,
+                        error,
+                    });
+                    continue;
+                }
+            };
+            fold.cut(&snap_metrics);
+            let shadow = shadow.into_shared();
+            // The flip baseline is a function of the shared snapshot;
+            // compute it once per explorer.
+            let baseline = Arc::new(crate::check::flips_baseline(&self.catalog, &shadow));
+            // So is the exploration, for every peer, when the explorer's
+            // plan does not read the peer.
+            let one_session = shadow
+                .nodes()
+                .get(explorer)
+                .and_then(|node| self.catalog.resolve(node.as_ref()))
+                .is_some_and(|sut| !sut.plan_depends_on_peer());
+            for (k, peer) in peers.iter().enumerate() {
+                *round_no += 1;
+                if k == 0 || !one_session {
+                    sessions += 1;
+                }
+                // The first peer round carries the snapshot cost;
+                // reuse rounds report zero (see `run`'s docs).
+                let round_metrics = if k == 0 {
+                    snap_metrics
+                } else {
+                    crate::snapshot::SnapshotMetrics::default()
+                };
+                let mut cfg = self.cfg.template.clone();
+                cfg.explorer = *explorer;
+                cfg.inject_peer = *peer;
+                tasks.push(RoundTask {
+                    ordinal: *round_no,
+                    cfg,
+                    shadow: Arc::clone(&shadow),
+                    baseline: Arc::clone(&baseline),
+                    snap_metrics: round_metrics,
+                    exploration: sessions - 1,
+                });
+            }
+        }
+        tasks
     }
 }
 
@@ -384,6 +422,160 @@ mod tests {
             report.detection
         );
         assert!(stamps.windows(2).all(|w| w[0].1 <= w[1].1), "{stamps:?}");
+    }
+
+    /// A gossip node whose validation-clone copies crash on a subscribe
+    /// frame, naming its sender. The live system sends no subscribe once
+    /// its sessions are up, so only an injected one trips it. Real gossip
+    /// nodes reach the same verdicts whichever peer an input came from;
+    /// this one makes a round that injects from another round's peer
+    /// visible in the report.
+    struct NamesTheSender {
+        inner: dice_gossip::GossipNode,
+        armed: bool,
+    }
+
+    impl dice_netsim::Node for NamesTheSender {
+        fn on_start(&mut self, api: &mut dice_netsim::NodeApi<'_>) {
+            self.inner.on_start(api);
+        }
+        fn on_message(&mut self, from: NodeId, data: &[u8], api: &mut dice_netsim::NodeApi<'_>) {
+            if self.armed && data.first() == Some(&dice_gossip::OP_SUBSCRIBE) {
+                api.crash(format!("subscribe from {from}"));
+                return;
+            }
+            self.inner.on_message(from, data, api);
+        }
+        fn on_timer(&mut self, token: u64, api: &mut dice_netsim::NodeApi<'_>) {
+            self.inner.on_timer(token, api);
+        }
+        fn on_session(
+            &mut self,
+            peer: NodeId,
+            ev: dice_netsim::SessionEvent,
+            api: &mut dice_netsim::NodeApi<'_>,
+        ) {
+            self.inner.on_session(peer, ev, api);
+        }
+        fn clone_node(&self) -> Box<dyn dice_netsim::Node> {
+            Box::new(NamesTheSender {
+                inner: self.inner.clone(),
+                armed: true,
+            })
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            &self.inner
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            &mut self.inner
+        }
+    }
+
+    /// A started full mesh of four gossip nodes (as
+    /// [`scenarios::gossip_mesh`] builds one) whose node 0 names the
+    /// sender of a subscribe in its clones.
+    fn mesh_naming_the_sender() -> Simulator {
+        use dice_netsim::{LinkParams, Topology};
+        let topo = Topology::full_mesh(4, LinkParams::fixed(SimDuration::from_millis(5)));
+        let mut sim = Simulator::new(topo.clone(), 11);
+        for i in topo.node_ids() {
+            let mut cfg = dice_gossip::GossipConfig::new(scenarios::gossip_origin_of(i.0))
+                .publish(scenarios::topic_of(i.0));
+            for peer in topo.neighbors(i) {
+                cfg = cfg.with_peer(peer);
+            }
+            for t in 0..4 {
+                cfg = cfg.subscribe(scenarios::topic_of(t));
+            }
+            let inner = dice_gossip::GossipNode::new(cfg);
+            let node: Box<dyn dice_netsim::Node> = if i == NodeId(0) {
+                Box::new(NamesTheSender {
+                    inner,
+                    armed: false,
+                })
+            } else {
+                Box::new(inner)
+            };
+            sim.set_node(i, node);
+        }
+        sim.start();
+        sim
+    }
+
+    #[test]
+    fn shared_sessions_fold_to_the_unshared_report() {
+        // A gossip explorer's rounds validate one shared session. The same
+        // rounds, each explored on its own session, fold to the same
+        // normalized report — in the mesh whose node 0 names the sender,
+        // only if each round injects from its own peer. BGP rounds never
+        // share: the line's middle router explores once per peer.
+        let fold_of = |campaign: &Campaign, sim: &Simulator, tasks: &[RoundTask]| {
+            let checkers = crate::check::default_checkers(20);
+            let mut fold = report::Fold::default();
+            crate::executor::run_rounds(
+                tasks,
+                2,
+                sim.topology(),
+                &campaign.catalog,
+                &campaign.registry,
+                &checkers,
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "campaign start reference for latency fields"
+                )]
+                std::time::Instant::now(),
+                |task, done| fold.round(task, done),
+            )
+            .expect("rounds run");
+            fold.finish(0, 0)
+        };
+        // (system, rounds, sessions, faults): 4 gossip explorers of 3
+        // peers, healthy and with node 0's crash once per peer; 2 BGP
+        // routers of 1 and 3 gossip nodes of 2, node 2 with the seeded
+        // digest defect; 3 routers of 1, 2 and 1.
+        for (mut sim, rounds, sessions, faults) in [
+            (scenarios::gossip_mesh(4, 11), 12, 4, 0),
+            (mesh_naming_the_sender(), 12, 4, 3),
+            (scenarios::mixed_bgp_gossip(13, true), 8, 5, 1),
+            (scenarios::healthy_line(3, 5), 4, 4, 0),
+        ] {
+            sim.run_until(SimTime::from_nanos(12_000_000_000));
+            let campaign = quick(Campaign::new(&sim)).executions(48).validate_top(6);
+            let shared = campaign.plan_sweep(
+                &mut sim,
+                &campaign.sweep_plan(),
+                1,
+                &mut 0,
+                &mut report::Fold::default(),
+            );
+            let alone: Vec<RoundTask> = shared
+                .iter()
+                .enumerate()
+                .map(|(i, t)| RoundTask {
+                    ordinal: t.ordinal,
+                    cfg: t.cfg.clone(),
+                    shadow: Arc::clone(&t.shadow),
+                    baseline: Arc::clone(&t.baseline),
+                    snap_metrics: t.snap_metrics,
+                    exploration: i,
+                })
+                .collect();
+            let with_sharing = fold_of(&campaign, &sim, &shared);
+            let on_their_own = fold_of(&campaign, &sim, &alone);
+            assert_eq!(with_sharing.rounds.len(), rounds);
+            assert_eq!(with_sharing.perf.explorations, sessions);
+            assert_eq!(on_their_own.perf.explorations, rounds as u64);
+            assert_eq!(
+                serde_json::to_string(&with_sharing.normalized()).unwrap(),
+                serde_json::to_string(&on_their_own.normalized()).unwrap(),
+            );
+            assert_eq!(
+                with_sharing.faults.len(),
+                faults,
+                "{:?}",
+                with_sharing.faults
+            );
+        }
     }
 
     #[test]

@@ -91,9 +91,11 @@ pub struct ExplorerSummary {
 
 /// Hot-path performance counters for one campaign run: how much work the
 /// clone pool, the copy-on-write snapshots and the solver memo avoided,
-/// and the exploration work itself — searches and their steps (exact and
-/// schedule-free), memo misses and nodes interned (lower the warmer a
-/// worker's exploration state). Twin executions are
+/// and the exploration work itself — sessions run, searches and their
+/// steps (exact and schedule-free), memo misses and nodes interned (lower
+/// the warmer a worker's exploration state). Every exploration counter
+/// counts each session once, however many rounds validate it
+/// ([`PerfCounters::explorations`]). Twin executions per round are
 /// [`CampaignReport::executions_total`], flips dispatched
 /// [`PerfCounters::solver_queries`]. Most of it is wall-clock- or
 /// schedule-dependent bookkeeping (which worker's pool serves an input,
@@ -117,7 +119,10 @@ pub struct PerfCounters {
     /// The field stays because every normalized report serializes it:
     /// dropping it would move every normalized digest. Nothing reads it.
     pub solver_cache_hits: u64,
-    /// Negation queries that did reach the solver.
+    /// Negation queries that did reach the solver, each session's once.
+    /// Its rounds each report the session's count as
+    /// [`RoundReport::solver_queries`], so their sum is larger when
+    /// rounds share a session.
     pub solver_queries: u64,
     /// Branch flips skipped before query construction because the target
     /// (site, direction) was already covered.
@@ -140,6 +145,11 @@ pub struct PerfCounters {
     /// Expression nodes the exploration sessions added to their arenas.
     #[serde(default, skip_serializing_if = "is_zero")]
     pub arena_nodes_interned: u64,
+    /// Exploration sessions run: one per round, except that the rounds
+    /// of an explorer whose plan does not read the inject peer share one
+    /// per sweep.
+    #[serde(default, skip_serializing_if = "is_zero")]
+    pub explorations: u64,
     /// Payload bytes sent over validation-clone channels (every
     /// `Frame::Data` counted at `send_frame`, both modes).
     pub wire_bytes: u64,
@@ -433,7 +443,7 @@ impl Fold {
 
     /// One completed round. Rounds must arrive in ordinal order: first
     /// detection and fault attribution go to the earliest round.
-    pub(super) fn round(&mut self, task: &RoundTask, done: RoundDone) {
+    pub(super) fn round(&mut self, task: &RoundTask, done: RoundDone<'_>) {
         let Fold {
             rounds,
             coverage_union,
@@ -452,13 +462,18 @@ impl Fold {
         let report = outcome.report;
         let explorer = task.cfg.explorer;
 
-        perf.solver_queries += outcome.exploration.solver.queries;
-        perf.covered_flips_skipped += outcome.exploration.solver.covered_skips;
-        perf.unary_memo_hits += outcome.exploration.solver.unary_memo_hits;
-        perf.unary_memo_misses += outcome.exploration.solver.unary_memo_misses;
-        perf.searches += outcome.exploration.solver.searches;
-        perf.search_steps += outcome.exploration.solver.steps;
-        perf.arena_nodes_interned += outcome.exploration.nodes_interned as u64;
+        // A session's work counts once, at the round that explored it.
+        if done.explored {
+            let solver = &outcome.exploration.solver;
+            perf.explorations += 1;
+            perf.solver_queries += solver.queries;
+            perf.covered_flips_skipped += solver.covered_skips;
+            perf.unary_memo_hits += solver.unary_memo_hits;
+            perf.unary_memo_misses += solver.unary_memo_misses;
+            perf.searches += solver.searches;
+            perf.search_steps += solver.steps;
+            perf.arena_nodes_interned += outcome.exploration.nodes_interned as u64;
+        }
         coverage_union.extend(outcome.exploration.coverage.sites());
         let entry = per_explorer.entry(explorer).or_default();
         entry.kind = report.explorer_kind.clone();
@@ -757,9 +772,10 @@ mod tests {
 
     #[test]
     fn solver_query_counters_are_consistent() {
-        // Each round's `solver_queries` counts negation queries answered;
-        // the campaign perf block counts the same population as solver
-        // calls. The retired cache-hit counter stays 0.
+        // Each round's `solver_queries` counts the negation queries its
+        // session answered; the campaign perf block counts solver calls,
+        // each session's once. BGP rounds explore on their own, so the two
+        // sums agree. The retired cache-hit counter stays 0.
         let mut sim = scenarios::healthy_line(3, 7);
         sim.run_until(SimTime::from_nanos(12_000_000_000));
         let report = quick(Campaign::new(&sim))
@@ -774,7 +790,32 @@ mod tests {
             "every answered query is a solver call: {:?}",
             report.perf
         );
+        assert_eq!(report.perf.explorations, report.rounds.len() as u64);
         assert_eq!(report.perf.solver_cache_hits, 0);
+
+        // A gossip explorer's rounds share one session: each of the
+        // explorer's rounds reports the session's queries, and the perf
+        // block counts them once per explorer.
+        let mut sim = scenarios::gossip_mesh(4, 7);
+        sim.run_until(SimTime::from_nanos(12_000_000_000));
+        let report = quick(Campaign::new(&sim))
+            .executions(48)
+            .validate_top(6)
+            .run(&mut sim)
+            .expect("runs");
+        assert_eq!(report.rounds.len(), 12, "4 explorers of 3 peers");
+        assert_eq!(report.perf.explorations, 4);
+        let mut per_session = Vec::new();
+        for rounds in report.rounds.chunks(3) {
+            assert!(rounds.iter().all(|r| r.explorer == rounds[0].explorer
+                && r.solver_queries == rounds[0].solver_queries
+                && r.solver_sat == rounds[0].solver_sat));
+            per_session.push(rounds[0].solver_queries);
+        }
+        let answered: u64 = report.rounds.iter().map(|r| r.solver_queries).sum();
+        assert!(answered > 0);
+        assert_eq!(per_session.iter().sum::<u64>(), report.perf.solver_queries);
+        assert_eq!(answered, 3 * report.perf.solver_queries);
     }
 
     #[test]

@@ -3,30 +3,39 @@
 //!
 //! Once a sweep's cuts are taken, every exploration and every validated
 //! input is a pure function of `(shadow, cfg)`, so scheduling them needs
-//! no shared mutable state beyond two claim counters. Every one of the
-//! sweep's `workers` threads runs the same three steps:
+//! no shared mutable state beyond two claim counters. A sweep explores
+//! *sessions*, not rounds: `Campaign::run` numbers each round's session
+//! when it plans the sweep, and the rounds of an explorer whose plan does
+//! not read the inject peer
+//! ([`ExplorableNode::plan_depends_on_peer`](crate::sut::ExplorableNode::plan_depends_on_peer))
+//! share one — a gossip16 sweep explores 16 sessions for its 64 rounds.
+//! Every one of the sweep's `workers` threads runs the same three steps:
 //!
-//! 1. **Explore.** Claim whole rounds from `round_next` and publish each
-//!    round's [`ExploreStage`] exactly once (a [`OnceLock`] per round).
-//!    A worker explores its rounds on one [`ExploreState`] of its own,
-//!    built when it claims its first round and kept for the sweep: which
-//!    rounds share a state is the schedule's choice, and no report field
-//!    depends on it.
+//! 1. **Explore.** Claim whole sessions from `session_next`, explore each
+//!    from its first round's task and publish its [`ExploreStage`] exactly
+//!    once (a [`OnceLock`] per session). A worker explores its sessions
+//!    on one [`ExploreState`] of its own, built when it claims its first
+//!    session and kept for the sweep: which sessions share a state is the
+//!    schedule's choice, and no report field depends on it.
 //! 2. **Barrier.** All workers meet at one [`Barrier`]; behind it every
-//!    round's candidate list is final and readable by everyone.
+//!    session's candidate list is final and readable by everyone.
 //! 3. **Validate.** Claim flat `(round, candidate)` units of the *whole
 //!    sweep* from `unit_next` — a long round's tail is shared by every
 //!    worker, never waited out by one — and keep what each produced (a
-//!    [`UnitDone`] per unit, not the clone's `CheckReport`).
+//!    [`UnitDone`] per unit, not the clone's `CheckReport`). Every round
+//!    validates its session's candidates, each injected from the round's
+//!    own peer.
 //!
 //! Workers hand their units back through their join handles; the calling
 //! thread sorts them by `(round, candidate)` and folds the rounds in
-//! ordinal order. Nothing a worker writes is visible to another worker
-//! except through the `OnceLock`s and the barrier, so there is no lock to
-//! order, poison or audit — and the schedule cannot influence any report
-//! field except wall-clock times and the clone-pool counters:
+//! ordinal order, each round reading its session's stage by reference.
+//! Nothing a worker writes is visible to another worker except through
+//! the `OnceLock`s and the barrier, so there is no lock to order, poison
+//! or audit — and the schedule cannot influence any report field except
+//! wall-clock times and the clone-pool counters:
 //! [`crate::campaign::CampaignReport::normalized`] is byte-stable across
-//! worker counts, which `tests/heterogeneous.rs` locks in.
+//! worker counts, which `tests/heterogeneous.rs` locks in, and across
+//! sharing, which `shared_sessions_fold_to_the_unshared_report` does.
 //!
 //! Panics: a worker that unwinds while exploring still has to reach the
 //! barrier (the others would wait for it forever), so the exploration
@@ -55,8 +64,8 @@ use crate::snapshot::SnapshotMetrics;
 use crate::sut::SutCatalog;
 
 /// One scheduled `(explorer, peer)` round: its deterministic ordinal, the
-/// per-round configuration, and the shared (Arc'd) snapshot context it
-/// explores over.
+/// per-round configuration, the shared (Arc'd) snapshot context it
+/// explores over, and the exploration session it validates.
 pub(crate) struct RoundTask {
     /// 1-based round ordinal in sweep order; fixes report ordering, seed
     /// context, and first-detection attribution independent of schedule.
@@ -71,22 +80,31 @@ pub(crate) struct RoundTask {
     /// the reuse rounds (see `Campaign::run` docs); its `wall_micros` is
     /// the cut's share of the round's `wall_us`.
     pub(crate) snap_metrics: SnapshotMetrics,
+    /// The sweep's exploration session whose candidates this round
+    /// validates, numbered from 0 in task order. Rounds that share a
+    /// session are adjacent, and the first of them explores it.
+    pub(crate) exploration: usize,
 }
 
 /// A completed round plus when it finished on the campaign clock (for
 /// online detection-latency accounting) and where its time went.
-pub(crate) struct RoundDone {
-    pub(crate) outcome: PairOutcome,
-    /// Its exploration and its own validation units, by phase (no cut:
-    /// the campaign counts each cut once, where it is taken).
+pub(crate) struct RoundDone<'s> {
+    pub(crate) outcome: PairOutcome<'s>,
+    /// Whether this round explored its session: `false` for a round that
+    /// validates an earlier round's, whose work is already counted.
+    pub(crate) explored: bool,
+    /// Its exploration (if it ran one) and its own validation units, by
+    /// phase (no cut: the campaign counts each cut once, where it is
+    /// taken).
     pub(crate) phases: PhaseTimes,
     /// Campaign wall-clock micros elapsed when the round's last
     /// validation unit finished.
     pub(crate) completed_wall_us: u64,
 }
 
-/// One round's exploration as its worker published it: the stage (or the
-/// round's error) and the wall micros exploring took, by phase.
+/// One session's exploration as its worker published it: the stage (or
+/// the error of the round that explored it) and the wall micros exploring
+/// took, by phase.
 type Explored = (Result<ExploreStage, String>, PhaseTimes);
 
 /// What a worker keeps of one validated `(round, candidate)` unit.
@@ -112,11 +130,12 @@ struct Sweep<'e> {
     registry: &'e AttestationRegistry,
     checkers: &'e [Box<dyn Checker>],
     campaign_start: Instant,
-    /// Next unclaimed round. `Relaxed`: a claim publishes nothing — the
-    /// stage goes out through `explored`.
-    round_next: AtomicUsize,
-    /// Per-round exploration results, indexed like `tasks`; each is set
-    /// once, by the worker that claimed the round.
+    /// Next unclaimed exploration session. `Relaxed`: a claim publishes
+    /// nothing — the stage goes out through `explored`.
+    session_next: AtomicUsize,
+    /// Per-session exploration results, indexed by
+    /// [`RoundTask::exploration`]; each is set once, by the worker that
+    /// claimed the session.
     explored: Vec<OnceLock<Explored>>,
     /// Where the exploration phase ends for every worker at once.
     barrier: Barrier,
@@ -127,16 +146,24 @@ struct Sweep<'e> {
 }
 
 impl Sweep<'_> {
-    /// Exploration phase of one worker: claim rounds until none is left,
-    /// all explored on the worker's one [`ExploreState`] — built on its
-    /// first claimed round (a worker that claims none builds none), as
-    /// [`Sweep::worker`] builds its clone pool, and dropped with the
-    /// sweep.
-    fn explore_rounds(&self) {
+    /// The stage round `task` validates, once the barrier has published it.
+    fn stage_of(&self, task: &RoundTask) -> Option<&Explored> {
+        self.explored.get(task.exploration)?.get()
+    }
+
+    /// Exploration phase of one worker: claim sessions until none is
+    /// left, each explored from the task of its first round, all on the
+    /// worker's one [`ExploreState`] — built on its first claimed session
+    /// (a worker that claims none builds none), as [`Sweep::worker`]
+    /// builds its clone pool, and dropped with the sweep.
+    fn explore_sessions(&self) {
         let mut state = None;
         loop {
-            let idx = self.round_next.fetch_add(1, Ordering::Relaxed);
-            let (Some(task), Some(slot)) = (self.tasks.get(idx), self.explored.get(idx)) else {
+            let idx = self.session_next.fetch_add(1, Ordering::Relaxed);
+            // Sessions are numbered in task order, so the first round of
+            // session `idx` follows every round of the ones before it.
+            let first = self.tasks.partition_point(|t| t.exploration < idx);
+            let (Some(task), Some(slot)) = (self.tasks.get(first), self.explored.get(idx)) else {
                 return;
             };
             let state = state.get_or_insert_with(ExploreState::new);
@@ -183,7 +210,7 @@ impl Sweep<'_> {
     fn worker(&self) -> (Vec<UnitDone>, PoolStats) {
         // An unwinding explorer must still arrive at the barrier, or the
         // other workers block on it forever.
-        let explored = catch_unwind(AssertUnwindSafe(|| self.explore_rounds()));
+        let explored = catch_unwind(AssertUnwindSafe(|| self.explore_sessions()));
         self.barrier.wait();
         if let Err(payload) = explored {
             resume_unwind(payload);
@@ -195,8 +222,8 @@ impl Sweep<'_> {
         let mut units = Vec::new();
         let mut unit = self.unit_next.fetch_add(1, Ordering::Relaxed);
         let mut base = 0usize;
-        for (round, (task, slot)) in self.tasks.iter().zip(&self.explored).enumerate() {
-            let Some((Ok(stage), _)) = slot.get() else {
+        for (round, task) in self.tasks.iter().enumerate() {
+            let Some((Ok(stage), _)) = self.stage_of(task) else {
                 continue; // a failed round has nothing to validate
             };
             let end = base + stage.candidates.len();
@@ -211,8 +238,15 @@ impl Sweep<'_> {
 }
 
 /// Execute `tasks` on `workers` threads (`0` counts as `1`), each
-/// exploring and then validating, and return per-round results in task
-/// order plus the aggregated clone-pool counters.
+/// exploring and then validating, and hand each round's result to
+/// `fold`, in task order; return the aggregated clone-pool counters, or
+/// the first failed round's error (after the rounds before it were
+/// folded). `tasks` must number their sessions from 0 in task order
+/// ([`RoundTask::exploration`]).
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one sweep reads the whole campaign context; Campaign::run passes it straight through"
+)]
 pub(crate) fn run_rounds(
     tasks: &[RoundTask],
     workers: usize,
@@ -221,8 +255,10 @@ pub(crate) fn run_rounds(
     registry: &AttestationRegistry,
     checkers: &[Box<dyn Checker>],
     campaign_start: Instant,
-) -> (Vec<Result<RoundDone, String>>, PoolStats) {
+    mut fold: impl FnMut(&RoundTask, RoundDone<'_>),
+) -> Result<PoolStats, String> {
     let workers = workers.max(1);
+    let sessions = tasks.last().map_or(0, |t| t.exploration + 1);
     let sweep = Sweep {
         tasks,
         topo,
@@ -230,8 +266,8 @@ pub(crate) fn run_rounds(
         registry,
         checkers,
         campaign_start,
-        round_next: AtomicUsize::new(0),
-        explored: tasks.iter().map(|_| OnceLock::new()).collect(),
+        session_next: AtomicUsize::new(0),
+        explored: (0..sessions).map(|_| OnceLock::new()).collect(),
         barrier: Barrier::new(workers),
         unit_next: AtomicUsize::new(0),
     };
@@ -260,36 +296,45 @@ pub(crate) fn run_rounds(
     // Arrival order is the schedule's; the fold must not see it.
     units.sort_unstable_by_key(|u| (u.round, u.candidate));
     let mut rest = units.as_slice();
-    let results = tasks
-        .iter()
-        .zip(sweep.explored)
-        .map(|(task, slot)| {
-            let (stage, mut phases) = slot.into_inner().ok_or("round never explored")?;
-            let stage = stage?;
-            let (own, later) = rest
-                .split_at_checked(stage.candidates.len())
-                .ok_or("round never completed")?;
-            rest = later;
-            for unit in own {
-                phases.add(unit.phases);
-            }
-            let wall_us = task.snap_metrics.wall_micros + phases.total_us();
-            let outcome = check_stage(
-                stage,
-                own.iter().map(|u| &u.validated),
-                &task.cfg,
-                task.ordinal,
-                task.snap_metrics,
-                wall_us,
-            );
-            Ok(RoundDone {
+    let mut explored_last = None;
+    for task in tasks {
+        let (stage, explore_phases) = sweep.stage_of(task).ok_or("round never explored")?;
+        let stage = stage.as_ref().map_err(String::clone)?;
+        // The first round of a session carries its exploration; the rest
+        // read the same stage and add only their own units.
+        let explored = explored_last.replace(task.exploration) != Some(task.exploration);
+        let mut phases = if explored {
+            *explore_phases
+        } else {
+            PhaseTimes::default()
+        };
+        let (own, later) = rest
+            .split_at_checked(stage.candidates.len())
+            .ok_or("round never completed")?;
+        rest = later;
+        for unit in own {
+            phases.add(unit.phases);
+        }
+        let wall_us = task.snap_metrics.wall_micros + phases.total_us();
+        let outcome = check_stage(
+            stage,
+            own.iter().map(|u| &u.validated),
+            &task.cfg,
+            task.ordinal,
+            task.snap_metrics,
+            wall_us,
+        );
+        fold(
+            task,
+            RoundDone {
                 outcome,
+                explored,
                 phases,
                 completed_wall_us: own.iter().map(|u| u.finished_us).max().unwrap_or(0),
-            })
-        })
-        .collect();
-    (results, pool_stats)
+            },
+        );
+    }
+    Ok(pool_stats)
 }
 
 #[cfg(test)]
@@ -340,6 +385,7 @@ mod tests {
                 shadow: Arc::clone(&shadow),
                 baseline: Arc::clone(&baseline),
                 snap_metrics,
+                exploration: ordinal as usize - 1,
             }
         };
         let tasks = vec![mk_task(1, 0), mk_task(2, 2)];
@@ -357,6 +403,7 @@ mod tests {
                     reason = "campaign start reference for latency fields"
                 )]
                 std::time::Instant::now(),
+                |_, _| {},
             )
         }));
         let payload = match outcome {

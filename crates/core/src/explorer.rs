@@ -20,10 +20,11 @@
 //!
 //! This module owns the round's stages (`explore_stage`, `validate_one`,
 //! `check_stage`); the `executor` module is the one place that schedules
-//! them (explore every round, barrier, validate every candidate), and
-//! [`crate::campaign::Campaign`] is the one driver that takes the cuts and
-//! submits the rounds. A fixed `(explorer, inject_peer)` pair is a sweep
-//! over that one pair.
+//! them (explore every session, barrier, validate every round's
+//! candidates), and [`crate::campaign::Campaign`] is the one driver that
+//! takes the cuts, decides which rounds share a session and submits the
+//! rounds. A fixed `(explorer, inject_peer)` pair is a sweep over that
+//! one pair.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -270,17 +271,18 @@ impl RoundReport {
 }
 
 /// One explored `(explorer, peer)` pair: the public report plus the full
-/// exploration record the campaign layer aggregates coverage from.
-pub(crate) struct PairOutcome {
+/// exploration record the campaign layer aggregates coverage from,
+/// borrowed from the session's stage (which several rounds may read).
+pub(crate) struct PairOutcome<'s> {
     pub(crate) report: RoundReport,
-    pub(crate) exploration: ExplorationReport,
+    pub(crate) exploration: &'s ExplorationReport,
 }
 
 /// Output of the explore stage: everything the later stages need, with
 /// the validation candidates broken out so the executor can hand them out
 /// as independent units across its workers.
 pub(crate) struct ExploreStage {
-    pub(crate) kind: String,
+    pub(crate) kind: &'static str,
     pub(crate) explorer_sessions: crate::sut::SessionHealth,
     pub(crate) exploration: ExplorationReport,
     /// System-wide validation inputs, null input first.
@@ -452,7 +454,7 @@ fn explore_timed(
     }
 
     Ok(ExploreStage {
-        kind: kind.to_string(),
+        kind,
         explorer_sessions,
         exploration,
         candidates,
@@ -528,15 +530,17 @@ pub(crate) fn validate_one(
 
 /// Stage 4: fold per-clone check results into the round's [`RoundReport`].
 /// `results` must be in candidate order; the fold is deterministic, so a
-/// parallel executor reproduces the sequential report exactly.
-pub(crate) fn check_stage<'v>(
-    stage: ExploreStage,
+/// parallel executor reproduces the sequential report exactly. `stage` is
+/// the round's exploration session, read, not taken: every round that
+/// shares the session reports the same exploration fields.
+pub(crate) fn check_stage<'s, 'v>(
+    stage: &'s ExploreStage,
     results: impl Iterator<Item = &'v Validated>,
     cfg: &DiceConfig,
     round: u64,
     snap_metrics: SnapshotMetrics,
     wall_us: u64,
-) -> PairOutcome {
+) -> PairOutcome<'s> {
     let mut faults: Vec<FaultReport> = Vec::new();
     let mut seen_keys = BTreeSet::new();
     let mut verdicts_total = 0;
@@ -553,12 +557,12 @@ pub(crate) fn check_stage<'v>(
         }
     }
 
-    let exploration = stage.exploration;
+    let exploration = &stage.exploration;
     let report = RoundReport {
         round,
         explorer: cfg.explorer,
         inject_peer: cfg.inject_peer,
-        explorer_kind: stage.kind,
+        explorer_kind: stage.kind.to_string(),
         explorer_sessions: stage.explorer_sessions,
         snapshot: snap_metrics,
         executions: exploration.executions.len(),

@@ -155,6 +155,13 @@ impl ExplorableNode for GossipNode {
         })
     }
 
+    /// The peer is only checked for membership: the frame twin reads the
+    /// node's config alone and the seed corpus never sees the peer
+    /// (`every_peer_yields_the_same_exploration`).
+    fn plan_depends_on_peer(&self) -> bool {
+        false
+    }
+
     fn attest(&self, registry: &mut AttestationRegistry) {
         let cfg = self.config();
         for &t in &cfg.publishes {
@@ -229,6 +236,51 @@ mod tests {
         let g = GossipNode::new(config());
         assert!(g.exploration_plan(NodeId(9), 4, 1).is_err());
         assert!(g.exploration_plan(NodeId(2), 4, 1).is_ok());
+    }
+
+    #[test]
+    fn every_peer_yields_the_same_exploration() {
+        // The adapter declares its plan independent of the inject peer, so
+        // a campaign explores a gossip16 node once for all 15 of its
+        // rounds: for every two peers the seeds are equal and a session
+        // from each reports the same executions, paths, coverage and
+        // solver answers.
+        let sim = crate::scenarios::gossip_mesh(16, 7);
+        let node = as_gossip(sim.node(NodeId(0))).expect("a gossip node");
+        assert!(!node.plan_depends_on_peer());
+        let peers = node.injection_peers();
+        assert_eq!(peers.len(), 15);
+        let config = dice_concolic::ExploreConfig {
+            max_executions: 64,
+            ..Default::default()
+        };
+        for grammar_seeds in [0, 8] {
+            let explored: Vec<(Vec<Vec<u8>>, String)> = peers
+                .iter()
+                .map(|&peer| {
+                    let plan = node.exploration_plan(peer, grammar_seeds, 7).unwrap();
+                    let mut program = plan.program;
+                    let report = dice_concolic::explore(
+                        program.as_mut(),
+                        &plan.seeds,
+                        &plan.marker,
+                        &config,
+                    );
+                    assert!(report.executions.len() > 8, "{grammar_seeds} seeds");
+                    (plan.seeds, format!("{report:?}"))
+                })
+                .collect();
+            for (peer, got) in peers.iter().zip(&explored).skip(1) {
+                assert!(
+                    got.0 == explored[0].0,
+                    "seeds via {peer}, {grammar_seeds} seeds"
+                );
+                assert!(
+                    got.1 == explored[0].1,
+                    "report via {peer}, {grammar_seeds} seeds"
+                );
+            }
+        }
     }
 
     #[test]

@@ -117,6 +117,18 @@ pub trait ExplorableNode: Send + Sync {
         seed: u64,
     ) -> Result<ExplorationPlan, String>;
 
+    /// Whether [`ExplorableNode::exploration_plan`] can differ between two
+    /// of the node's [`ExplorableNode::injection_peers`]. `false` is a
+    /// promise about the protocol: for every such peer the plan's twin
+    /// explores alike and its seeds are equal, so exploring from one
+    /// peer finds what exploring from any other finds. A campaign then
+    /// runs one exploration session for all of an explorer's rounds in a
+    /// sweep and validates its candidates from each round's own peer.
+    /// The default, `true`, explores every round on its own.
+    fn plan_depends_on_peer(&self) -> bool {
+        true
+    }
+
     /// Publish this node's ownership facts (e.g. `owned` prefixes) into
     /// the shared attestation registry. Only salted digests are stored.
     fn attest(&self, registry: &mut AttestationRegistry);
