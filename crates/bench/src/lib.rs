@@ -400,7 +400,7 @@ pub fn bound_clone(name: &str) -> BoundClone {
         SimDuration::from_secs(5),
         SimTime::from_nanos(300_000_000_000),
     );
-    let (shadow, _) = dice_core::snapshot::take_instant_snapshot(&mut live);
+    let shadow = live.instant_snapshot();
     let explorer = NodeId(0);
     let sut = dice_core::SutCatalog::default()
         .resolve(live.node(explorer))

@@ -299,4 +299,21 @@ mod tests {
         assert!(reg.is_attested(&net("10.0.0.0/16"), Asn(65001)));
         assert_eq!(reg.len(), 1);
     }
+
+    #[test]
+    fn zero_grammar_seeds_disables_grammar_layer() {
+        // Regression: `grammar_seeds = 0` is documented to disable the
+        // grammar layer but used to seed two generated messages anyway.
+        let sim = crate::scenarios::healthy_line(3, 13);
+        let router = as_bgp(sim.node(NodeId(1))).expect("node 1 is a router");
+        let plan = router
+            .exploration_plan(NodeId(0), 0, 0xD1CE)
+            .expect("node 0 is node 1's neighbour");
+        // The only seed is the fixed minimal message.
+        assert_eq!(
+            plan.seeds,
+            [minimal_seed(crate::scenarios::asn_of(0))],
+            "grammar layer must be fully disabled at zero seeds"
+        );
+    }
 }

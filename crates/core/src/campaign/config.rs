@@ -3,14 +3,170 @@
 
 use std::collections::BTreeMap;
 
-use dice_concolic::Strategy;
+use dice_concolic::{SolverBudget, Strategy};
 use dice_netsim::{NodeId, SimDuration};
 use serde::{Deserialize, Serialize};
 
 use super::Campaign;
 #[cfg(doc)]
 use super::{CampaignReport, REGISTRY_SEED};
-use crate::explorer::DiceConfig;
+
+/// The round template of a campaign: the budgets and knobs every round
+/// of every sweep reads ([`CampaignConfig::template`]).
+///
+/// Serializes (and, with a full serde backend, deserializes) so experiment
+/// binaries and CI perf jobs can persist and load configurations as JSON.
+/// Deserialization is hand-written (below) so fields added after the
+/// format was first persisted (`solver_cache`, `wire_pool`, ...) default
+/// instead of erroring when absent, and fields since retired are ignored —
+/// config files written by earlier builds keep loading.
+#[derive(Debug, Clone, Serialize)]
+pub struct DiceConfig {
+    /// The node whose actions are explored. A campaign does not read it:
+    /// its sweep plan names each round's pair ([`Campaign::sweep_plan`]).
+    pub explorer: NodeId,
+    /// The neighbor whose inputs are impersonated; not read either.
+    pub inject_peer: NodeId,
+    /// Concolic execution budget (phase 2).
+    pub concolic_executions: usize,
+    /// Maximum inputs validated system-wide (phase 3).
+    pub validate_top: usize,
+    /// Simulated horizon each clone runs for.
+    pub horizon: SimDuration,
+    /// Idle window that counts as quiescent.
+    pub quiet_window: SimDuration,
+    /// Simulated deadline for snapshot establishment.
+    pub snapshot_deadline: SimDuration,
+    /// Concolic search strategy.
+    pub strategy: Strategy,
+    /// Grammar-generated seed count. `0` disables the grammar layer
+    /// entirely: exploration starts from one fixed minimal seed.
+    pub grammar_seeds: usize,
+    /// Per-query solver budget.
+    pub solver_budget: SolverBudget,
+    /// Best-route flips beyond baseline that count as oscillation.
+    pub oscillation_threshold: u64,
+    /// The sweep's thread count (1 = sequential): each thread explores
+    /// sessions, then validates candidates (see [`Campaign::workers`]).
+    pub workers: usize,
+    /// Master seed for grammar and clone simulators. A campaign's
+    /// attestation registry is salted once, at construction, with
+    /// [`REGISTRY_SEED`](super::REGISTRY_SEED) — not with this seed.
+    pub seed: u64,
+    /// Retired and ignored, like the four below it: negation queries are
+    /// always answered by the one-pass `PathSolver`. Each of the four once
+    /// switched an outcome-neutral mechanism off, and every value gave the
+    /// same report by contract, as the retired `pool_size` field does. They
+    /// are still serialized, still `true` in [`DiceConfig::new`] and still
+    /// loaded, because `benchmark/src/pipeline.rs` reads them; the engine
+    /// reads none of them.
+    pub solver_cache: bool,
+    /// Retired and ignored: validation clones always recycle payload
+    /// buffers through the netsim [`BufPool`](dice_netsim::BufPool).
+    pub wire_pool: bool,
+    /// Retired and ignored: validation clones always deliver a run of
+    /// same-instant frames on one channel as one batch.
+    pub batch_delivery: bool,
+    /// Retired and ignored: consistent cuts always serve a node untouched
+    /// since the previous cut by the checkpoint its simulator slot still
+    /// shares.
+    pub delta_snapshots: bool,
+    /// Deterministic dynamics schedule (partition/heal windows, node
+    /// churn) applied to the **live** system at the quiescent point
+    /// before each sweep's snapshots. `None` (the default) and an empty
+    /// spec are byte-identical to no schedule at all.
+    pub schedule: Option<dice_netsim::ScheduleSpec>,
+    /// Subject validation clones to the per-link channel-fidelity layer
+    /// (probabilistic drop/duplication/reordering/burst loss per
+    /// [`DiceConfig::link_faults`]). Off by default: clones then replay
+    /// over the reliable channels the snapshot was taken on.
+    pub unreliable_links: bool,
+    /// Fault profile applied when [`DiceConfig::unreliable_links`] is on.
+    /// `None` uses the netsim default ([`dice_netsim::LinkFaults`]'s 5%
+    /// lossy profile).
+    pub link_faults: Option<dice_netsim::LinkFaults>,
+}
+
+impl Deserialize for DiceConfig {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        fn field<T: Deserialize>(v: &serde::Value, name: &str) -> Result<T, serde::DeError> {
+            Deserialize::from_value(v.field(name)).map_err(|e| e.at(&format!("DiceConfig.{name}")))
+        }
+        /// Later-added field: absent (`Null`) reads as its default.
+        fn field_or<T: Deserialize>(
+            v: &serde::Value,
+            name: &str,
+            default: T,
+        ) -> Result<T, serde::DeError> {
+            match v.field(name) {
+                serde::Value::Null => Ok(default),
+                present => Deserialize::from_value(present)
+                    .map_err(|e| e.at(&format!("DiceConfig.{name}"))),
+            }
+        }
+        Ok(DiceConfig {
+            explorer: field(v, "explorer")?,
+            inject_peer: field(v, "inject_peer")?,
+            concolic_executions: field(v, "concolic_executions")?,
+            validate_top: field(v, "validate_top")?,
+            horizon: field(v, "horizon")?,
+            quiet_window: field(v, "quiet_window")?,
+            snapshot_deadline: field(v, "snapshot_deadline")?,
+            strategy: field(v, "strategy")?,
+            grammar_seeds: field(v, "grammar_seeds")?,
+            solver_budget: field(v, "solver_budget")?,
+            oscillation_threshold: field(v, "oscillation_threshold")?,
+            workers: field(v, "workers")?,
+            seed: field(v, "seed")?,
+            solver_cache: field_or(v, "solver_cache", true)?,
+            wire_pool: field_or(v, "wire_pool", true)?,
+            batch_delivery: field_or(v, "batch_delivery", true)?,
+            delta_snapshots: field_or(v, "delta_snapshots", true)?,
+            schedule: field_or(v, "schedule", None)?,
+            unreliable_links: field_or(v, "unreliable_links", false)?,
+            link_faults: field_or(v, "link_faults", None)?,
+        })
+    }
+}
+
+/// The single derivation of every millisecond wall-clock report field
+/// (`wall_ms`, `wall_ms_cum`, ...) from its microsecond counter:
+/// truncating division, so a derived field is never larger than its
+/// source implies. All report builders must go through this helper —
+/// mixing rounding modes across fields would break the byte-identity
+/// contract of [`super::CampaignReport::normalized`] checks
+/// that compare reports across code paths.
+pub(crate) fn us_to_ms(us: u64) -> u64 {
+    us / 1_000
+}
+
+impl DiceConfig {
+    /// Sensible defaults for exploring `explorer` via `inject_peer`.
+    pub fn new(explorer: NodeId, inject_peer: NodeId) -> Self {
+        DiceConfig {
+            explorer,
+            inject_peer,
+            concolic_executions: 192,
+            validate_top: 48,
+            horizon: SimDuration::from_secs(60),
+            quiet_window: SimDuration::from_secs(5),
+            snapshot_deadline: SimDuration::from_secs(10),
+            strategy: Strategy::Generational,
+            grammar_seeds: 8,
+            solver_budget: SolverBudget::default(),
+            oscillation_threshold: 20,
+            workers: 1,
+            seed: 0xD1CE,
+            solver_cache: true,
+            wire_pool: true,
+            batch_delivery: true,
+            delta_snapshots: true,
+            schedule: None,
+            unreliable_links: false,
+            link_faults: None,
+        }
+    }
+}
 
 /// The most threads a campaign starts for a sweep (the template's
 /// [`workers`](DiceConfig::workers)); [`Campaign::run`] refuses a
@@ -30,8 +186,8 @@ pub struct CampaignConfig {
     /// Full sweeps over the pair set. A campaign always runs at least one
     /// sweep: `0` is treated as `1`.
     pub rounds: usize,
-    /// Per-pair round template; `explorer` / `inject_peer` are overridden
-    /// for each swept pair.
+    /// Per-pair round template; its `explorer` / `inject_peer` are not
+    /// read.
     pub template: DiceConfig,
 }
 
@@ -61,8 +217,8 @@ impl Campaign {
     }
 
     /// The sweep's thread count (default 1 = sequential; `0` counts as
-    /// `1`; at most [`MAX_WORKERS`]): each thread explores whole `(explorer,
-    /// peer)` rounds and then validates the sweep's candidates. Reports
+    /// `1`; at most [`MAX_WORKERS`]): each thread explores whole
+    /// exploration sessions and then validates the sweep's candidates. Reports
     /// are identical for any value modulo wall-clock fields — see
     /// [`CampaignReport::normalized`].
     pub fn workers(mut self, k: usize) -> Self {
@@ -290,5 +446,41 @@ mod tests {
             assert_eq!(serde_json::to_string(&back).unwrap(), json);
             assert_eq!(run(back), reference, "pair_workers {n} selects nothing");
         }
+    }
+
+    #[test]
+    fn config_json_without_new_perf_knobs_still_loads() {
+        // Config files persisted before the perf knobs existed must keep
+        // deserializing, with the new knobs at their defaults.
+        let cfg = DiceConfig::new(NodeId(1), NodeId(0));
+        let json = serde_json::to_string(&cfg).unwrap();
+        let stripped = json
+            .replace(",\"solver_cache\":true", "")
+            .replace(",\"wire_pool\":true", "")
+            .replace(",\"batch_delivery\":true", "")
+            .replace(",\"delta_snapshots\":true", "")
+            .replace(",\"schedule\":null", "")
+            .replace(",\"unreliable_links\":false", "")
+            .replace(",\"link_faults\":null", "");
+        assert_ne!(json, stripped, "all knobs were present and removed");
+        let back: DiceConfig = serde_json::from_str(&stripped).unwrap();
+        assert!(back.solver_cache, "absent solver_cache defaults to on");
+        assert!(back.wire_pool, "absent wire_pool defaults to on");
+        assert!(back.batch_delivery, "absent batch_delivery defaults to on");
+        assert!(
+            back.delta_snapshots,
+            "absent delta_snapshots defaults to on"
+        );
+        assert!(back.schedule.is_none(), "absent schedule defaults to none");
+        assert!(
+            !back.unreliable_links,
+            "absent unreliable_links defaults to off"
+        );
+        assert!(back.link_faults.is_none(), "absent link_faults defaults");
+        assert_eq!(back.explorer, cfg.explorer);
+        assert_eq!(back.concolic_executions, cfg.concolic_executions);
+        // And the full round-trip still holds when the knobs are present.
+        let full: DiceConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&full).unwrap(), json);
     }
 }

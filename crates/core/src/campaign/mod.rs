@@ -8,10 +8,10 @@
 //! inject peer, runs each sweep on [`Campaign::workers`] threads that
 //! each explore whole sessions and then validate the sweep's candidates
 //! (see the `executor` module), and aggregates the per-pair
-//! [`RoundReport`](crate::explorer::RoundReport)s in
-//! deterministic round-ordinal order into a serializable
-//! [`CampaignReport`]: per-class detection latency, branch-coverage union
-//! (global and per-explorer), fault union, and wall/sim-time totals.
+//! [`RoundReport`]s in deterministic round-ordinal order into a
+//! serializable [`CampaignReport`]: per-class detection latency,
+//! branch-coverage union (global and per-explorer), fault union, and
+//! wall/sim-time totals.
 //!
 //! ```
 //! use dice_core::{scenarios, Campaign};
@@ -31,10 +31,11 @@
 //! assert!(report.faults.is_empty());
 //! ```
 //!
-//! Module map: `config` ([`CampaignConfig`] and the builder methods),
-//! `report` (the report types, [`CampaignReport::normalized`] and the fold
+//! Module map: `config` ([`CampaignConfig`], the round template
+//! [`DiceConfig`] and the builder methods), `report` (the report types,
+//! [`RoundReport`] among them, [`CampaignReport::normalized`] and the fold
 //! of per-round outcomes into them), this module ([`Campaign::run`]:
-//! schedule, cuts, rounds, fold).
+//! schedule, cuts, rounds, fold). A round's stages are the `executor`'s.
 
 use std::sync::Arc;
 
@@ -48,10 +49,11 @@ use crate::sut::SutCatalog;
 mod config;
 mod report;
 
-pub use config::{CampaignConfig, MAX_WORKERS};
+pub(crate) use config::us_to_ms;
+pub use config::{CampaignConfig, DiceConfig, MAX_WORKERS};
 pub use report::{
     CampaignReport, ClassDetection, CutFailure, ExplorerSummary, KindSummary, PerfCounters,
-    PhaseTimes,
+    PhaseTimes, RoundReport,
 };
 
 /// The salt of every campaign's attestation registry. The registry is
@@ -69,10 +71,10 @@ pub const REGISTRY_SEED: u64 = 0xD1CE;
 /// [`Campaign::run`] executes against the (still running) deployment.
 #[derive(Debug, Clone)]
 pub struct Campaign {
-    cfg: CampaignConfig,
-    catalog: SutCatalog,
+    pub(crate) cfg: CampaignConfig,
+    pub(crate) catalog: SutCatalog,
     pairs: Vec<(NodeId, NodeId)>,
-    registry: AttestationRegistry,
+    pub(crate) registry: AttestationRegistry,
 }
 
 impl Campaign {
@@ -210,16 +212,10 @@ impl Campaign {
             // Phases 2 and 3: explore this sweep's sessions, then validate
             // their rounds' candidates. Phase 4: deterministic aggregation
             // in round-ordinal order, as `run_rounds` hands the rounds back.
-            let pool_stats = crate::executor::run_rounds(
-                &tasks,
-                workers,
-                &topo,
-                &self.catalog,
-                &self.registry,
-                &checkers,
-                wall,
-                |task, done| fold.round(task, done),
-            )?;
+            let pool_stats =
+                crate::executor::run_rounds(self, &tasks, &topo, &checkers, wall, |task, done| {
+                    fold.round(task, done)
+                })?;
             fold.pool(pool_stats);
         }
 
@@ -279,12 +275,10 @@ impl Campaign {
                 } else {
                     crate::snapshot::SnapshotMetrics::default()
                 };
-                let mut cfg = self.cfg.template.clone();
-                cfg.explorer = *explorer;
-                cfg.inject_peer = *peer;
                 tasks.push(RoundTask {
                     ordinal: *round_no,
-                    cfg,
+                    explorer: *explorer,
+                    peer: *peer,
                     shadow: Arc::clone(&shadow),
                     baseline: Arc::clone(&baseline),
                     snap_metrics: round_metrics,
@@ -513,11 +507,9 @@ mod tests {
             let checkers = crate::check::default_checkers(20);
             let mut fold = report::Fold::default();
             crate::executor::run_rounds(
+                campaign,
                 tasks,
-                2,
                 sim.topology(),
-                &campaign.catalog,
-                &campaign.registry,
                 &checkers,
                 #[expect(
                     clippy::disallowed_methods,
@@ -540,7 +532,10 @@ mod tests {
             (scenarios::healthy_line(3, 5), 4, 4, 0),
         ] {
             sim.run_until(SimTime::from_nanos(12_000_000_000));
-            let campaign = quick(Campaign::new(&sim)).executions(48).validate_top(6);
+            let campaign = quick(Campaign::new(&sim))
+                .executions(48)
+                .validate_top(6)
+                .workers(2);
             let shared = campaign.plan_sweep(
                 &mut sim,
                 &campaign.sweep_plan(),
@@ -553,7 +548,8 @@ mod tests {
                 .enumerate()
                 .map(|(i, t)| RoundTask {
                     ordinal: t.ordinal,
-                    cfg: t.cfg.clone(),
+                    explorer: t.explorer,
+                    peer: t.peer,
                     shadow: Arc::clone(&t.shadow),
                     baseline: Arc::clone(&t.baseline),
                     snap_metrics: t.snap_metrics,

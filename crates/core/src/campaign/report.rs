@@ -5,13 +5,86 @@ use std::collections::{BTreeMap, BTreeSet};
 use dice_netsim::{NodeId, SnapshotStats};
 use serde::{Deserialize, Serialize};
 
+use super::us_to_ms;
 #[cfg(doc)]
 use super::{Campaign, CampaignConfig};
 use crate::check::{FaultClass, FaultReport};
 use crate::executor::{RoundDone, RoundTask};
-use crate::explorer::{us_to_ms, RoundReport};
 use crate::pool::PoolStats;
 use crate::snapshot::SnapshotMetrics;
+
+/// Outcome of one DiCE round.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct RoundReport {
+    /// Round number.
+    pub round: u64,
+    /// The node explored this round.
+    pub explorer: NodeId,
+    /// The peer whose inputs were impersonated.
+    pub inject_peer: NodeId,
+    /// Protocol tag of the explorer node ("bgp", ...).
+    pub explorer_kind: String,
+    /// Explorer session health at snapshot time (configured vs
+    /// established sessions).
+    pub explorer_sessions: crate::sut::SessionHealth,
+    /// Snapshot cost accounting.
+    pub snapshot: SnapshotMetrics,
+    /// Concolic executions performed.
+    pub executions: usize,
+    /// Distinct code paths observed at the explorer node.
+    pub distinct_paths: usize,
+    /// Final branch coverage (site, direction) count.
+    pub branch_coverage: usize,
+    /// Inputs validated system-wide (including the null input).
+    pub validated: usize,
+    /// Deduplicated fault reports.
+    pub faults: Vec<FaultReport>,
+    /// Verdicts published through the information-sharing interface.
+    pub verdicts_total: usize,
+    /// Failing verdicts.
+    pub verdicts_failed: usize,
+    /// For each fault class detected: how many validated inputs ran before
+    /// detection (1 = the null input / first input).
+    pub detection_input_ordinal: BTreeMap<String, usize>,
+    /// Host wall-clock cost of the round, in microseconds: the snapshot
+    /// share (for the round that paid for the cut), its exploration, and
+    /// the sum of its own validation units' times — whichever workers ran
+    /// them, and however they overlapped. A cost, not an elapsed interval:
+    /// with several validating threads it can exceed the time the round
+    /// was in flight.
+    pub wall_us: u64,
+    /// Host wall-clock duration of the round, in milliseconds (derived
+    /// from [`RoundReport::wall_us`]; kept for report compatibility).
+    pub wall_ms: u64,
+    /// Negation queries answered during exploration, each a solver call.
+    pub solver_queries: u64,
+    /// Solver SAT answers.
+    pub solver_sat: u64,
+}
+
+impl RoundReport {
+    /// The set of fault classes detected this round.
+    pub fn classes(&self) -> BTreeSet<FaultClass> {
+        self.faults.iter().map(|f| f.class).collect()
+    }
+
+    /// One-line human summary.
+    pub fn summary(&self) -> String {
+        format!(
+            "round {} ({}@{} via {}): {} execs, {} paths, {} validated, {} faults ({} classes), {}ms",
+            self.round,
+            self.explorer_kind,
+            self.explorer,
+            self.inject_peer,
+            self.executions,
+            self.distinct_paths,
+            self.validated,
+            self.faults.len(),
+            self.classes().len(),
+            self.wall_ms
+        )
+    }
+}
 
 /// Where and when a fault class was first detected.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -367,18 +440,10 @@ impl CampaignReport {
     }
 }
 
-/// What [`Fold`] keeps per explorer.
+/// What [`Fold`] keeps per explorer and per protocol kind.
 #[derive(Default)]
-struct Accum {
-    kind: String,
-    rounds: usize,
-    coverage: BTreeSet<(u32, bool)>,
-    executions: usize,
-}
-
-/// What [`Fold`] keeps per protocol kind.
-#[derive(Default)]
-struct KindAccum {
+struct Tally {
+    kind: &'static str,
     rounds: usize,
     coverage: BTreeSet<(u32, bool)>,
     faults: usize,
@@ -392,11 +457,10 @@ struct KindAccum {
 pub(super) struct Fold {
     rounds: Vec<RoundReport>,
     coverage_union: BTreeSet<(u32, bool)>,
-    per_explorer: BTreeMap<NodeId, Accum>,
-    per_kind: BTreeMap<String, KindAccum>,
+    per_explorer: BTreeMap<NodeId, Tally>,
+    per_kind: BTreeMap<&'static str, Tally>,
     fault_union: Vec<FaultReport>,
     fault_keys: BTreeSet<(FaultClass, NodeId, String)>,
-    explorer_fault_counts: BTreeMap<NodeId, usize>,
     detection: BTreeMap<FaultClass, ClassDetection>,
     perf: PerfCounters,
     phases: PhaseTimes,
@@ -451,20 +515,18 @@ impl Fold {
             per_kind,
             fault_union,
             fault_keys,
-            explorer_fault_counts,
             detection,
             perf,
             phases,
             ..
         } = self;
         phases.add(done.phases);
-        let outcome = done.outcome;
-        let report = outcome.report;
-        let explorer = task.cfg.explorer;
+        let report = done.report;
+        let (kind, exploration) = (done.stage.kind, &done.stage.exploration);
 
         // A session's work counts once, at the round that explored it.
         if done.explored {
-            let solver = &outcome.exploration.solver;
+            let solver = &exploration.solver;
             perf.explorations += 1;
             perf.solver_queries += solver.queries;
             perf.covered_flips_skipped += solver.covered_skips;
@@ -472,29 +534,27 @@ impl Fold {
             perf.unary_memo_misses += solver.unary_memo_misses;
             perf.searches += solver.searches;
             perf.search_steps += solver.steps;
-            perf.arena_nodes_interned += outcome.exploration.nodes_interned as u64;
+            perf.arena_nodes_interned += exploration.nodes_interned as u64;
         }
-        coverage_union.extend(outcome.exploration.coverage.sites());
-        let entry = per_explorer.entry(explorer).or_default();
-        entry.kind = report.explorer_kind.clone();
-        entry.rounds += 1;
-        entry.coverage.extend(outcome.exploration.coverage.sites());
-        entry.executions += report.executions;
-
-        let kind_entry = per_kind.entry(report.explorer_kind.clone()).or_default();
-        kind_entry.rounds += 1;
-        kind_entry
-            .coverage
-            .extend(outcome.exploration.coverage.sites());
-        kind_entry.executions += report.executions;
-        kind_entry.wall_us += report.wall_us;
+        coverage_union.extend(exploration.coverage.sites());
+        let mut tallies = [
+            per_explorer.entry(task.explorer).or_default(),
+            per_kind.entry(kind).or_default(),
+        ];
+        for tally in &mut tallies {
+            tally.kind = kind;
+            tally.rounds += 1;
+            tally.coverage.extend(exploration.coverage.sites());
+            tally.executions += report.executions;
+            tally.wall_us += report.wall_us;
+        }
 
         for f in &report.faults {
             detection.entry(f.class).or_insert_with(|| ClassDetection {
                 class: f.class,
                 round: task.ordinal,
-                explorer,
-                inject_peer: task.cfg.inject_peer,
+                explorer: task.explorer,
+                inject_peer: task.peer,
                 input_ordinal: report
                     .detection_input_ordinal
                     .get(&f.class.to_string())
@@ -505,11 +565,9 @@ impl Fold {
             });
             if fault_keys.insert(f.key()) {
                 fault_union.push(f.clone());
-                *explorer_fault_counts.entry(explorer).or_default() += 1;
-                per_kind
-                    .entry(report.explorer_kind.clone())
-                    .or_default()
-                    .faults += 1;
+                for tally in &mut tallies {
+                    tally.faults += 1;
+                }
             }
         }
         rounds.push(report);
@@ -523,7 +581,6 @@ impl Fold {
             per_explorer,
             per_kind,
             fault_union,
-            explorer_fault_counts,
             detection,
             perf,
             phases,
@@ -532,25 +589,25 @@ impl Fold {
         } = self;
         let per_explorer = per_explorer
             .into_iter()
-            .map(|(explorer, acc)| ExplorerSummary {
+            .map(|(explorer, t)| ExplorerSummary {
                 explorer,
-                kind: acc.kind,
-                rounds: acc.rounds,
-                coverage: acc.coverage.len(),
-                faults: explorer_fault_counts.get(&explorer).copied().unwrap_or(0),
-                executions: acc.executions,
+                kind: t.kind.to_string(),
+                rounds: t.rounds,
+                coverage: t.coverage.len(),
+                faults: t.faults,
+                executions: t.executions,
             })
             .collect();
         let per_kind = per_kind
             .into_iter()
-            .map(|(kind, acc)| KindSummary {
-                kind,
-                rounds: acc.rounds,
-                coverage: acc.coverage.len(),
-                faults: acc.faults,
-                executions: acc.executions,
-                wall_us: acc.wall_us,
-                wall_ms: us_to_ms(acc.wall_us),
+            .map(|(kind, t)| KindSummary {
+                kind: kind.to_string(),
+                rounds: t.rounds,
+                coverage: t.coverage.len(),
+                faults: t.faults,
+                executions: t.executions,
+                wall_us: t.wall_us,
+                wall_ms: us_to_ms(t.wall_us),
             })
             .collect();
 
@@ -595,16 +652,16 @@ mod tests {
             .run(&mut sim)
             .expect("mixed campaign runs");
 
-        assert_eq!(report.wall_ms, crate::explorer::us_to_ms(report.wall_us));
+        assert_eq!(report.wall_ms, us_to_ms(report.wall_us));
         for r in &report.rounds {
-            assert_eq!(r.wall_ms, crate::explorer::us_to_ms(r.wall_us));
+            assert_eq!(r.wall_ms, us_to_ms(r.wall_us));
         }
         for d in &report.detection {
-            assert_eq!(d.wall_ms_cum, crate::explorer::us_to_ms(d.wall_us_cum));
+            assert_eq!(d.wall_ms_cum, us_to_ms(d.wall_us_cum));
         }
         assert!(!report.per_kind.is_empty());
         for k in &report.per_kind {
-            assert_eq!(k.wall_ms, crate::explorer::us_to_ms(k.wall_us));
+            assert_eq!(k.wall_ms, us_to_ms(k.wall_us));
         }
         // Kind rows partition the rounds and their wall time.
         assert_eq!(

@@ -31,13 +31,14 @@
 //! adapter ([`bgp_sut`]) and the epidemic pub/sub adapter ([`gossip_sut`]
 //! over `dice-gossip`); heterogeneous federations register extra probes.
 //!
-//! One round executor (the `executor` module: explore every round of a
-//! sweep, meet at a barrier, validate every candidate of the sweep — no
-//! lock anywhere) sits behind one driver, [`campaign::Campaign`]: it sweeps
-//! the eligible `(explorer, inject peer)` pairs across the federation (a
-//! fixed pair is a sweep over that one pair) — one `Arc`-shared snapshot
-//! per explorer, `workers` threads that each explore and then validate,
-//! with the aggregated [`campaign::CampaignReport`] byte-identical for any
+//! One round executor (the `executor` module: a round's stages, and a
+//! sweep's schedule — explore every session of a sweep, meet at a
+//! barrier, validate every candidate of the sweep, no lock anywhere) sits
+//! behind one driver, [`campaign::Campaign`]: it sweeps the eligible
+//! `(explorer, inject peer)` pairs across the federation (a fixed pair is
+//! a sweep over that one pair) — one `Arc`-shared snapshot per explorer,
+//! `workers` threads that each explore and then validate, with the
+//! aggregated [`campaign::CampaignReport`] byte-identical for any
 //! parallelism level modulo wall-clock fields.
 //! [`scenarios`] provides the paper's demo systems (including the
 //! 27-router Figure 1 topology).
@@ -67,7 +68,6 @@ pub mod check;
 pub mod check_oracle;
 mod domain;
 mod executor;
-pub mod explorer;
 pub mod gossip_sut;
 pub mod grammar;
 pub mod hash;
@@ -79,8 +79,8 @@ pub mod sut;
 pub mod symmark;
 
 pub use campaign::{
-    Campaign, CampaignConfig, CampaignReport, ClassDetection, ExplorerSummary, PerfCounters,
-    PhaseTimes,
+    Campaign, CampaignConfig, CampaignReport, ClassDetection, DiceConfig, ExplorerSummary,
+    PerfCounters, PhaseTimes, RoundReport,
 };
 pub use check::{
     default_checkers, flips_baseline, run_checkers, CheckBaseline, CheckContext, CheckReport,
@@ -88,11 +88,10 @@ pub use check::{
     OscillationChecker,
 };
 pub use domain::DomainProgram;
-pub use explorer::{DiceConfig, RoundReport};
 pub use grammar::UpdateGrammar;
 pub use hash::{sha256, Sha256};
 pub use interface::{AttestationRegistry, LocalVerdict};
-pub use snapshot::{take_consistent_snapshot, take_instant_snapshot, SnapshotMetrics};
+pub use snapshot::{take_consistent_snapshot, SnapshotMetrics};
 pub use sut::{CheckView, ExplorableNode, ExplorationPlan, SessionHealth, SutCatalog, SutProbe};
 pub use symmark::mark_update;
 

@@ -68,26 +68,6 @@ pub fn take_consistent_snapshot(
     }
 }
 
-/// Uncoordinated alternative for the consistency ablation: clone everything
-/// instantly with no marker protocol. Cheap but not causally consistent
-/// when messages are in flight.
-pub fn take_instant_snapshot(live: &mut Simulator) -> (ShadowSnapshot, SnapshotMetrics) {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "snapshot wall cost metric; zeroed by normalized()"
-    )]
-    let wall_start = std::time::Instant::now();
-    let shadow = live.instant_snapshot();
-    let metrics = SnapshotMetrics {
-        sim_duration_nanos: 0,
-        wall_micros: wall_start.elapsed().as_micros() as u64,
-        nodes: shadow.node_count(),
-        in_flight: shadow.in_flight_count(),
-        bytes: shadow.approx_bytes(),
-    };
-    (shadow, metrics)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,15 +125,6 @@ mod tests {
         clone.deliver_direct(NodeId(1), NodeId(2), &[0u8; 30]);
         clone.run_until(clone.now() + SimDuration::from_secs(10));
         assert_eq!(sim.trace().stats(), live_stats_before);
-    }
-
-    #[test]
-    fn instant_snapshot_has_zero_sim_cost() {
-        let mut sim = bgp_sim();
-        sim.run_until(SimTime::from_nanos(5_000_000_000));
-        let (shadow, metrics) = take_instant_snapshot(&mut sim);
-        assert_eq!(metrics.sim_duration_nanos, 0);
-        assert_eq!(shadow.node_count(), 3);
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub trait CheckView {
     fn for_each_best_route(&self, visit: &mut dyn FnMut(Ipv4Net, Asn));
 
     /// Configured vs. established sessions, surfaced per round as
-    /// [`RoundReport::explorer_sessions`](crate::explorer::RoundReport::explorer_sessions).
+    /// [`RoundReport::explorer_sessions`](crate::RoundReport::explorer_sessions).
     fn session_health(&self) -> SessionHealth;
 
     /// Total best-route flips across all prefixes.

@@ -28,8 +28,8 @@
 //! | `warm_twin_execution` | one twin run through `ConcolicCtx::continuing` on a warm arena, BGP / gossip | 4 / 0 | `ExprArena::intern` |
 //! | `explore_session` | one `explore` of 160 executions, BGP / gossip | 881 / 3,389 | `Search::{dfs, narrow, admits, admits_cmp, offset_of}`, `ExprArena::{sweep, intern, eval3_memo}`, `UnaryMemo::lookup`, `Worklist::{push, pick}` |
 //! | `warm_session` | a second `ExploreState::explore` of the same 160 executions on one state, BGP / gossip | 808 / 3,324 (no node interned, no constraint swept) | as `explore_session`, over a warm arena and warm memos |
-//! | `one_worker_campaign` | `Campaign::run` at one worker, one gossip16 round | 1,150 (1,457 while a cut deep-copied each owned node: the first cut now moves the 16 gossip nodes behind `Arc`s, 19 allocations each fewer, and the clone's simulator builds no per-node checkpoint-cache vectors, 2 fewer; 1,151 while `run_rounds` collected a sweep's round results into a `Vec` before the fold) | `validate_unit`, `validate_one`, `ClonePool::{acquire, release}` (at one worker they run on the calling thread) |
-//! | `one_worker_shared_session` | `Campaign::run` at one worker, gossip16's node 0 over two peers: two rounds, one exploration session | 1,850 | `Campaign::plan_sweep`, `Sweep::explore_sessions`, `run_rounds`'s fold, `check_stage` |
+//! | `one_worker_campaign` | `Campaign::run` at one worker, one gossip16 round | 1,150 (1,457 while a cut deep-copied each owned node: the first cut now moves the 16 gossip nodes behind `Arc`s, 19 allocations each fewer, and the clone's simulator builds no per-node checkpoint-cache vectors, 2 fewer; 1,151 while `run_rounds` collected a sweep's round results into a `Vec` before the fold) | `Sweep::validate_one`, `ClonePool::{acquire, release}` (at one worker they run on the calling thread) |
+//! | `one_worker_shared_session` | `Campaign::run` at one worker, gossip16's node 0 over two peers: two rounds, one exploration session | 1,848 (1,850 while `Fold::round` copied the round's kind into a new per-explorer and per-kind `String` every round; it keys both tallies by the session's `&'static str` and converts each row once, in `Fold::finish`) | `Campaign::plan_sweep`, `Sweep::{explore_sessions, explore_stage, check_stage}`, `run_rounds`'s fold, `Fold::{round, finish}` |
 //! | `update_fanout` | `deliver_direct` of an UPDATE into a Gao–Rexford hub with 64 established neighbours and the 5 ms drain of what it sent: a customer's that changes the best route (fan-out 63) / a provider's that does not (fan-out 0) | 6 / 2 | `BgpRouter::on_message`, `handle_update`, `recompute_and_propagate`, `export_to`, `Policy::export`, `AsPath::prepended`, `send_update`, `NodeApi::buf` |
 //! | `gossip_copy_shares_its_tables` | `clone_node` of a 16-mesh gossip node | 19 | `GossipNode::clone_node` |
 //! | `bgp_router_copy_stays_at_its_pinned_count` | `clone_node` of a demo27 router | 2 | `BgpRouter::clone_node` |
@@ -98,10 +98,10 @@
 //!   a fresh `PathSolver` (cold memos over the warm arena), and a warm BGP
 //!   session allocates 870 times.
 //! * `one_worker_campaign`: make `ClonePool::release` drop the simulator,
-//!   and the campaign allocates 1,252 times.
+//!   and the campaign allocates 1,251 times.
 //! * `one_worker_shared_session`: make `Campaign::plan_sweep` give every
 //!   round a session of its own (`one_session = false`), and the second
-//!   round explores again: the campaign allocates 2,043 times, a whole
+//!   round explores again: the campaign allocates 2,041 times, a whole
 //!   session more (the assertion on `explorations` goes red first).
 //! * `update_fanout`: make `export_to` advertise a copy of the exported
 //!   bag (`Arc::new(PathAttrs::clone(attrs))`) instead of sharing its
@@ -627,7 +627,7 @@ fn one_worker_shared_session() {
     within(
         "a one-worker gossip16 campaign over two peers",
         spent,
-        1_850,
+        1_848,
     );
 }
 

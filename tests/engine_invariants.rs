@@ -27,8 +27,8 @@
 //! `#[cfg(test)]` item is test code from its attribute to the line where
 //! its braces balance, or to its `;`.
 //!
-//! Break each once: a planted `downcast_ref::<BgpRouter>()` in
-//! `core/src/explorer.rs` fails `protocol_downcasts_stay_in_their_adapters`;
+//! Break each once: a planted `downcast_ref::<dice_bgp::BgpRouter>()` in
+//! `core/src/executor.rs` fails `protocol_downcasts_stay_in_their_adapters`;
 //! a planted `r[&k]` on a `&BTreeMap` in `concolic/src/explore.rs` passes
 //! clippy and fails `no_map_index_in_engine_code`; deleting `dice-core`'s
 //! lint block fails `engine_crates_keep_the_panic_lints`; putting

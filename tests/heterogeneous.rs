@@ -22,6 +22,8 @@ use dice_system::netsim::{
 #[derive(Clone, Default)]
 struct MonitorNode {
     peers: Vec<NodeId>,
+    /// Test hook: peers offered for injection whose plan is refused.
+    unmonitored: Vec<NodeId>,
     bytes_seen: u64,
     /// Test hook: the exploration twin panics instead of running.
     twin_panics: bool,
@@ -66,7 +68,11 @@ impl ExplorableNode for MonitorNode {
         "monitor"
     }
     fn injection_peers(&self) -> Vec<NodeId> {
-        self.peers.clone()
+        self.peers
+            .iter()
+            .chain(&self.unmonitored)
+            .copied()
+            .collect()
     }
     fn exploration_plan(
         &self,
@@ -75,7 +81,7 @@ impl ExplorableNode for MonitorNode {
         _seed: u64,
     ) -> Result<ExplorationPlan, String> {
         if !self.peers.contains(&peer) {
-            return Err("peer not monitored".into());
+            return Err(format!("peer {peer} not monitored"));
         }
         // Twin of on_message: branch on the magic opcode.
         let twin_panics = self.twin_panics;
@@ -550,6 +556,49 @@ fn exploration_panic_surfaces_its_own_message() {
         msg.contains("twin boom: the explorer's own failure"),
         "the twin's own panic must surface, got: {msg}"
     );
+}
+
+#[test]
+fn the_first_failed_round_in_ordinal_order_is_the_error() {
+    // A line of three monitors, n1 and n2 each offering a peer their plan
+    // refuses: rounds 3 (n1 via n2) and 4 (n2 via n1) fail, each naming
+    // its peer. Whichever worker fails first, `Campaign::run` returns
+    // round 3's error.
+    let topo = Topology::line(3, LinkParams::fixed(SimDuration::from_millis(5)));
+    for workers in [1, 2] {
+        let mut sim = Simulator::new(topo.clone(), 43);
+        for (i, peers, unmonitored) in [
+            (0, vec![1], vec![]),
+            (1, vec![0], vec![2]),
+            (2, vec![], vec![1]),
+        ] {
+            sim.set_node(
+                NodeId(i),
+                Box::new(MonitorNode {
+                    peers: peers.into_iter().map(NodeId).collect(),
+                    unmonitored: unmonitored.into_iter().map(NodeId).collect(),
+                    ..MonitorNode::default()
+                }),
+            );
+        }
+        sim.start();
+        sim.run_until(SimTime::from_nanos(1_000_000_000));
+        let campaign = Campaign::with_catalog(&sim, mixed_catalog())
+            .executions(8)
+            .validate_top(2)
+            .horizon(SimDuration::from_secs(5))
+            .workers(workers);
+        assert_eq!(
+            campaign.sweep_plan(),
+            [
+                (NodeId(0), vec![NodeId(1)]),
+                (NodeId(1), vec![NodeId(0), NodeId(2)]),
+                (NodeId(2), vec![NodeId(1)]),
+            ]
+        );
+        let err = campaign.run(&mut sim).unwrap_err();
+        assert_eq!(err, "peer n2 not monitored", "workers = {workers}");
+    }
 }
 
 #[test]
